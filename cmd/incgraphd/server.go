@@ -170,7 +170,12 @@ const (
 
 // replyErr sends one grammar-conformant error reply.
 func replyErr(reply func(string, ...any) bool, cat errCategory, format string, args ...any) bool {
-	return reply("err %s: %s", cat, fmt.Sprintf(format, args...))
+	return reply("%s", errLine(cat, format, args...))
+}
+
+// errLine formats an error reply without sending it.
+func errLine(cat errCategory, format string, args ...any) string {
+	return fmt.Sprintf("err %s: %s", cat, fmt.Sprintf(format, args...))
 }
 
 // Cluster-stat cache tuning: results are fresh for statTTL; refresh polls
@@ -563,7 +568,18 @@ func (s *server) commit(batch incgraph.Batch, reply func(string, ...any) bool) (
 	if s.commitGate.enter() != nil {
 		return true, replyErr(reply, catOverloaded, "commit queue full; retry in %dms", retryHintMS)
 	}
-	defer s.commitGate.exit()
+	// The slot goes back before the reply goes out: a client that has read
+	// its ack (or its error) may retry at once, and on a full gate that
+	// retry must find the capacity this commit held, not race its release.
+	shed, line := s.commitAdmitted(batch, cl, hub)
+	s.commitGate.exit()
+	return shed, reply("%s", line)
+}
+
+// commitAdmitted is commit past the admission gate. It returns the reply
+// line instead of sending it, so that the caller can release the gate slot
+// first.
+func (s *server) commitAdmitted(batch incgraph.Batch, cl *incgraph.Cluster, hub *incgraph.ClusterHub) (shed bool, line string) {
 	var deadline time.Time
 	if s.lim.opTimeout > 0 {
 		deadline = time.Now().Add(s.lim.opTimeout)
@@ -640,7 +656,7 @@ func (s *server) commit(batch incgraph.Batch, reply func(string, ...any) bool) (
 		})
 		if errors.Is(err, incgraph.ErrClusterOverloaded) {
 			s.clusterShed.Add(1)
-			return true, replyErr(reply, catOverloaded, "shards busy past the op deadline; retry in %dms", retryHintMS)
+			return true, errLine(catOverloaded, "shards busy past the op deadline; retry in %dms", retryHintMS)
 		}
 	default:
 		// Single process: commitMu around the whole validate+log+apply
@@ -664,25 +680,25 @@ func (s *server) commit(batch incgraph.Batch, reply func(string, ...any) bool) (
 			// shed like the ones the read-only check above refuses: the
 			// batch stays staged and the same reply tells the client why.
 			s.diskShed.Add(1)
-			return true, replyErr(reply, catDisk, "degraded; read-only; retry in %dms", retryHintMS)
+			return true, errLine(catDisk, "degraded; read-only; retry in %dms", retryHintMS)
 		}
 		if errors.Is(err, incgraph.ErrClusterFenced) {
 			// A worker at a higher fencing term refused phase 1: this
 			// coordinator was deposed. The batch was not applied anywhere.
-			return false, replyErr(reply, catFenced, "commit rejected: %v", err)
+			return false, errLine(catFenced, "commit rejected: %v", err)
 		}
 		if !errors.Is(err, incgraph.ErrBadUpdate) {
 			s.commitErrs.Add(1)
 			log.Printf("commit failed: %v", err)
 		}
-		return false, replyErr(reply, catStaged, "commit failed: %v", err)
+		return false, errLine(catStaged, "commit failed: %v", err)
 	}
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "ok applied %d gen=%d", len(batch), gen)
 	for i, m := range s.d.Engines() {
 		fmt.Fprintf(&sb, " %s=%s", m.Class(), sums[i])
 	}
-	return false, reply("%s", sb.String())
+	return false, sb.String()
 }
 
 // logWithRetry is the WAL append under the disk-degradation contract:

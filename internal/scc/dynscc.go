@@ -2,7 +2,6 @@ package scc
 
 import (
 	"fmt"
-	"sort"
 
 	"incgraph/internal/cost"
 	"incgraph/internal/graph"
@@ -15,49 +14,28 @@ import (
 // paper observes: it maintains its reachability structures with full
 // (unpruned) searches over the contracted graph even when the output is
 // stable, and always re-runs a component-scoped Tarjan on intra-component
-// deletions. See DESIGN.md §5(4).
+// deletions. It shares State's node index, member lists and Tarjan kernel
+// (partition), so the comparison is between algorithms, not layouts.
 type DynSCC struct {
-	g       *graph.Graph
-	comp    map[graph.NodeID]CompID
-	members map[CompID]map[graph.NodeID]struct{}
-	gcOut   map[CompID]map[CompID]int
-	gcIn    map[CompID]map[CompID]int
-	next    CompID
-	meter   *cost.Meter
+	partition
+	gcOut map[CompID]map[CompID]int
+	gcIn  map[CompID]map[CompID]int
 }
 
 // BuildDyn constructs the baseline state with one Tarjan pass.
 func BuildDyn(g *graph.Graph, meter *cost.Meter) *DynSCC {
 	d := &DynSCC{
-		g:       g,
-		comp:    make(map[graph.NodeID]CompID, g.NumNodes()),
-		members: make(map[CompID]map[graph.NodeID]struct{}),
-		gcOut:   make(map[CompID]map[CompID]int),
-		gcIn:    make(map[CompID]map[CompID]int),
-		meter:   meter,
+		gcOut: make(map[CompID]map[CompID]int),
+		gcIn:  make(map[CompID]map[CompID]int),
 	}
-	res := Run(g.NodesSorted(), func(v graph.NodeID, yield func(graph.NodeID) bool) {
-		g.Successors(v, yield)
-	})
-	for _, comp := range res.Comps {
-		id := d.next
-		d.next++
-		set := make(map[graph.NodeID]struct{}, len(comp))
-		for _, v := range comp {
-			set[v] = struct{}{}
-			d.comp[v] = id
-		}
-		d.members[id] = set
+	d.init(g, meter)
+	for id := CompID(0); id < d.next; id++ {
 		d.gcOut[id] = make(map[CompID]int)
 		d.gcIn[id] = make(map[CompID]int)
 	}
-	g.Edges(func(e graph.Edge) bool {
-		cv, cw := d.comp[e.From], d.comp[e.To]
-		if cv != cw {
-			d.gcOut[cv][cw]++
-			d.gcIn[cw][cv]++
-		}
-		return true
+	d.crossEdges(func(cv, cw CompID) {
+		d.gcOut[cv][cw]++
+		d.gcIn[cw][cv]++
 	})
 	return d
 }
@@ -86,10 +64,7 @@ func (d *DynSCC) insert(u graph.Update) error {
 	}{{u.From, u.FromLabel}, {u.To, u.ToLabel}} {
 		if !d.g.HasNode(end.v) {
 			d.g.AddNode(end.v, end.l)
-			id := d.next
-			d.next++
-			d.comp[end.v] = id
-			d.members[id] = map[graph.NodeID]struct{}{end.v: {}}
+			id := d.addNode(end.v)
 			d.gcOut[id] = make(map[CompID]int)
 			d.gcIn[id] = make(map[CompID]int)
 		}
@@ -97,7 +72,7 @@ func (d *DynSCC) insert(u graph.Update) error {
 	if err := d.g.Apply(u); err != nil {
 		return err
 	}
-	cv, cw := d.comp[u.From], d.comp[u.To]
+	cv, cw := d.compOf(u.From), d.compOf(u.To)
 	if cv == cw {
 		return nil
 	}
@@ -151,9 +126,6 @@ func (d *DynSCC) merge(cycle []CompID) {
 	for _, c := range cycle {
 		cycleSet[c] = true
 	}
-	id := d.next
-	d.next++
-	set := make(map[graph.NodeID]struct{})
 	newOut := make(map[CompID]int)
 	newIn := make(map[CompID]int)
 	for _, c := range cycle {
@@ -169,15 +141,10 @@ func (d *DynSCC) merge(cycle []CompID) {
 				newIn[i] += n
 			}
 		}
-		for v := range d.members[c] {
-			set[v] = struct{}{}
-			d.comp[v] = id
-		}
-		delete(d.members, c)
 		delete(d.gcOut, c)
 		delete(d.gcIn, c)
 	}
-	d.members[id] = set
+	id, members := d.union(cycle)
 	d.gcOut[id] = newOut
 	d.gcIn[id] = newIn
 	for o, n := range newOut {
@@ -186,14 +153,14 @@ func (d *DynSCC) merge(cycle []CompID) {
 	for i, n := range newIn {
 		d.gcOut[i][id] = n
 	}
-	d.meter.AddEntries(len(set))
+	d.meter.AddEntries(len(members))
 }
 
 func (d *DynSCC) delete(u graph.Update) error {
 	if err := d.g.Apply(u); err != nil {
 		return err
 	}
-	cv, cw := d.comp[u.From], d.comp[u.To]
+	cv, cw := d.compOf(u.From), d.compOf(u.To)
 	if cv != cw {
 		if n := d.gcOut[cv][cw]; n > 1 {
 			d.gcOut[cv][cw] = n - 1
@@ -205,19 +172,9 @@ func (d *DynSCC) delete(u graph.Update) error {
 		return nil
 	}
 	// Always recompute the touched component.
-	set := d.members[cv]
-	nodes := sortedMembers(set)
-	d.meter.AddNodes(len(nodes))
-	res := Run(nodes, func(v graph.NodeID, yield func(graph.NodeID) bool) {
-		d.g.Successors(v, func(w graph.NodeID) bool {
-			d.meter.AddEdges(1)
-			if _, ok := set[w]; ok {
-				return yield(w)
-			}
-			return true
-		})
-	})
-	if len(res.Comps) == 1 {
+	d.runScoped(cv)
+	k := d.t.numComps()
+	if k == 1 {
 		return nil
 	}
 	// Split: replace cv by the parts and rebuild incident counters.
@@ -229,51 +186,35 @@ func (d *DynSCC) delete(u graph.Update) error {
 	}
 	delete(d.gcOut, cv)
 	delete(d.gcIn, cv)
+	old := d.members[cv]
 	delete(d.members, cv)
-	for _, comp := range res.Comps {
-		id := d.next
-		d.next++
-		ns := make(map[graph.NodeID]struct{}, len(comp))
-		for _, v := range comp {
-			ns[v] = struct{}{}
-			d.comp[v] = id
-		}
-		d.members[id] = ns
-		d.gcOut[id] = make(map[CompID]int)
-		d.gcIn[id] = make(map[CompID]int)
+	first := d.mint(old)
+	for i := 0; i < k; i++ {
+		d.gcOut[first+CompID(i)] = make(map[CompID]int)
+		d.gcIn[first+CompID(i)] = make(map[CompID]int)
 	}
-	for v := range set {
-		nv := d.comp[v]
-		d.g.Successors(v, func(w graph.NodeID) bool {
-			if cw := d.comp[w]; cw != nv {
+	for _, v := range old {
+		nv := d.compOf(v)
+		for _, w := range d.g.SuccessorsSorted(v) {
+			if cw := d.compOf(w); cw != nv {
 				d.gcOut[nv][cw]++
 				d.gcIn[cw][nv]++
 			}
-			return true
-		})
-		d.g.Predecessors(v, func(p graph.NodeID) bool {
-			if _, internal := set[p]; internal {
-				return true
-			}
-			if cp := d.comp[p]; cp != nv {
+		}
+		for _, p := range d.g.PredecessorsSorted(v) {
+			// Parts are minted from first on: anything older is outside.
+			if cp := d.compOf(p); cp < first {
 				d.gcOut[cp][nv]++
 				d.gcIn[nv][cp]++
 			}
-			return true
-		})
+		}
 	}
 	return nil
 }
 
-// ComponentsSorted returns the partition in canonical form.
-func (d *DynSCC) ComponentsSorted() [][]graph.NodeID {
-	out := make([][]graph.NodeID, 0, len(d.members))
-	for _, set := range d.members {
-		out = append(out, sortedMembers(set))
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
-	return out
-}
+// ComponentsSorted returns the partition in canonical form. The inner
+// slices are the baseline's own and must not be modified.
+func (d *DynSCC) ComponentsSorted() [][]graph.NodeID { return d.componentsSorted() }
 
 // NumComponents returns the current component count.
 func (d *DynSCC) NumComponents() int { return len(d.members) }

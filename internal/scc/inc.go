@@ -2,6 +2,7 @@ package scc
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"incgraph/internal/graph"
@@ -39,46 +40,60 @@ type Delta struct {
 func (d Delta) Empty() bool { return len(d.Added) == 0 && len(d.Removed) == 0 }
 
 // deltaTracker accumulates component births and deaths across one Apply.
+// CompIDs are minted in increasing order, so a component was born in this
+// batch exactly when its ID is at least the first one the batch minted.
 type deltaTracker struct {
-	destroyed map[CompID][]graph.NodeID
-	created   map[CompID]bool
+	base      CompID
+	born      []CompID
+	destroyed [][]graph.NodeID
 }
 
-func newDeltaTracker() *deltaTracker {
-	return &deltaTracker{destroyed: make(map[CompID][]graph.NodeID), created: make(map[CompID]bool)}
-}
+func (s *State) newDeltaTracker() *deltaTracker { return &deltaTracker{base: s.next} }
 
-func (dt *deltaTracker) destroy(c CompID, members map[graph.NodeID]struct{}) {
-	if dt.created[c] {
-		delete(dt.created, c) // born and died within this batch: invisible
-		return
+func (dt *deltaTracker) destroy(c CompID, members []graph.NodeID) {
+	if c >= dt.base {
+		return // born and died within this batch: invisible
 	}
-	dt.destroyed[c] = sortedMembers(members)
+	dt.destroyed = append(dt.destroyed, members)
 }
 
-func (dt *deltaTracker) create(c CompID) { dt.created[c] = true }
+func (dt *deltaTracker) create(c CompID) { dt.born = append(dt.born, c) }
 
+// delta returns the batch's ΔO. Member lists are immutable once published,
+// so the delta shares them with the state instead of copying.
 func (dt *deltaTracker) delta(s *State) Delta {
 	var d Delta
-	for c := range dt.created {
-		if set, ok := s.members[c]; ok {
-			d.Added = append(d.Added, sortedMembers(set))
+	for _, c := range dt.born {
+		if members, ok := s.members[c]; ok {
+			d.Added = append(d.Added, members)
 		}
 	}
-	for _, m := range dt.destroyed {
-		d.Removed = append(d.Removed, m)
+	sortBySmallest(d.Added)
+	sortBySmallest(dt.destroyed)
+	// A component that was taken apart and put together again within the
+	// batch died under one CompID and was born under another, but SCC(G)
+	// never lost it: it belongs in neither list. Both lists are ordered by
+	// smallest member, which identifies a component within a partition.
+	added := d.Added[:0]
+	i := 0
+	for _, gone := range dt.destroyed {
+		for i < len(d.Added) && d.Added[i][0] < gone[0] {
+			added = append(added, d.Added[i])
+			i++
+		}
+		if i < len(d.Added) && slices.Equal(d.Added[i], gone) {
+			i++
+			continue
+		}
+		d.Removed = append(d.Removed, gone)
 	}
-	canon := func(cs [][]graph.NodeID) {
-		sort.Slice(cs, func(i, j int) bool { return cs[i][0] < cs[j][0] })
-	}
-	canon(d.Added)
-	canon(d.Removed)
+	d.Added = append(added, d.Added[i:]...)
 	return d
 }
 
 // ApplyInsert processes a unit edge insertion with IncSCC+ (Fig. 7).
 func (s *State) ApplyInsert(u graph.Update) (Delta, error) {
-	dt := newDeltaTracker()
+	dt := s.newDeltaTracker()
 	if err := s.applyInsert(u, dt); err != nil {
 		return Delta{}, err
 	}
@@ -87,7 +102,7 @@ func (s *State) ApplyInsert(u graph.Update) (Delta, error) {
 
 // ApplyDelete processes a unit edge deletion with IncSCC−.
 func (s *State) ApplyDelete(u graph.Update) (Delta, error) {
-	dt := newDeltaTracker()
+	dt := s.newDeltaTracker()
 	if err := s.applyDelete(u, dt); err != nil {
 		return Delta{}, err
 	}
@@ -96,7 +111,7 @@ func (s *State) ApplyDelete(u graph.Update) (Delta, error) {
 
 // ApplyUnitwise is IncSCCn: unit updates processed one at a time.
 func (s *State) ApplyUnitwise(batch graph.Batch) (Delta, error) {
-	dt := newDeltaTracker()
+	dt := s.newDeltaTracker()
 	for _, u := range batch {
 		var err error
 		if u.Op == graph.Insert {
@@ -116,7 +131,7 @@ func (s *State) ApplyUnitwise(batch graph.Batch) (Delta, error) {
 // deletions update G_c counters, then inter-component insertions run the
 // rank-window machinery with an already-satisfied fast path.
 func (s *State) Apply(batch graph.Batch) (Delta, error) {
-	dt := newDeltaTracker()
+	dt := s.newDeltaTracker()
 	// Node creation is a side effect of insertions even when the edge is
 	// later cancelled by a deletion, so it runs on the raw batch.
 	for _, u := range batch {
@@ -135,7 +150,7 @@ func (s *State) Apply(batch graph.Batch) (Delta, error) {
 	intra := make(map[CompID]graph.Batch)
 	var interDel, interIns graph.Batch
 	for _, u := range batch {
-		cv, cw := s.comp[u.From], s.comp[u.To]
+		cv, cw := s.compOf(u.From), s.compOf(u.To)
 		if cv == cw {
 			intra[cv] = append(intra[cv], u)
 		} else if u.Op == graph.Delete {
@@ -169,31 +184,11 @@ func (s *State) Apply(batch graph.Batch) (Delta, error) {
 		// and no Tarjan at all. Tree-arc deletions break the DFS tree the
 		// certificate rests on, so they force the full pass.
 		intact := !s.dirty[c]
-		if intact {
-			for _, u := range dels {
-				if p, isTree := s.parent[u.To]; isTree && p == u.From {
-					if s.noRepair || !s.tryRepairTreeArc(u.From, u.To, c) {
-						intact = false
-						break
-					}
-					continue
-				}
-				if !s.lowlinkWalkIntact(u.From, c) {
-					intact = false
-					break
-				}
-			}
+		for i := 0; intact && i < len(dels); i++ {
+			intact = s.chkReach(dels[i], c)
 		}
-		if intact {
-			continue
-		}
-		delete(s.dirty, c)
-		set := s.members[c]
-		res := s.runScoped(set)
-		if len(res.Comps) == 1 {
-			s.store(res, set)
-		} else {
-			s.splitComp(c, res, dt)
+		if !intact {
+			s.repair(c, dt)
 		}
 	}
 	// (b) Inter-component deletions: G_c counter maintenance.
@@ -201,14 +196,14 @@ func (s *State) Apply(batch graph.Batch) (Delta, error) {
 		if err := s.g.Apply(u); err != nil {
 			return Delta{}, err
 		}
-		s.gcDecrement(s.comp[u.From], s.comp[u.To])
+		s.gcDecrement(s.compOf(u.From), s.compOf(u.To))
 	}
 	// (c) Inter-component insertions.
 	for _, u := range interIns {
 		if err := s.g.Apply(u); err != nil {
 			return Delta{}, err
 		}
-		cv, cw := s.comp[u.From], s.comp[u.To]
+		cv, cw := s.compOf(u.From), s.compOf(u.To)
 		if cv == cw {
 			// An earlier merge in this batch made the edge intra; the
 			// merged component is already marked dirty, and intra
@@ -229,7 +224,7 @@ func (s *State) applyInsert(u graph.Update, dt *deltaTracker) error {
 	if err := s.g.Apply(u); err != nil {
 		return err
 	}
-	cv, cw := s.comp[u.From], s.comp[u.To]
+	cv, cw := s.compOf(u.From), s.compOf(u.To)
 	if cv == cw {
 		// Fig. 7 lines 1–2: T := T ⊕ ΔG. No structural work is needed:
 		// the partition is unchanged, and the stored lowlinks remain a
@@ -248,34 +243,44 @@ func (s *State) applyDelete(u graph.Update, dt *deltaTracker) error {
 	if err := s.g.Apply(u); err != nil {
 		return err
 	}
-	cv, cw := s.comp[u.From], s.comp[u.To]
+	cv, cw := s.compOf(u.From), s.compOf(u.To)
 	if cv != cw {
 		s.gcDecrement(cv, cw)
 		return nil
 	}
 	// Intra-component deletion. A stale (dirty) component goes straight to
-	// the scoped Tarjan, which also settles the deferred refresh. For a
-	// fresh component, the chkReach fast path applies: for a non-tree
-	// edge, repair lowlinks along the ancestor path; if the certificate
-	// survives, the component is intact and nothing else changes.
-	if !s.dirty[cv] {
-		if p, isTree := s.parent[u.To]; isTree && p == u.From {
-			if !s.noRepair && s.tryRepairTreeArc(u.From, u.To, cv) {
-				return nil
-			}
-		} else if s.lowlinkWalkIntact(u.From, cv) {
-			return nil
-		}
+	// the scoped Tarjan, which also settles the deferred refresh; a fresh
+	// one tries chkReach first.
+	if s.dirty[cv] || !s.chkReach(u, cv) {
+		s.repair(cv, dt)
 	}
-	delete(s.dirty, cv)
-	set := s.members[cv]
-	res := s.runScoped(set)
-	if len(res.Comps) == 1 {
-		s.store(res, set)
-		return nil
-	}
-	s.splitComp(cv, res, dt)
 	return nil
+}
+
+// chkReach handles the already applied deletion u inside the fresh
+// component c without a Tarjan pass where it can: a non-tree edge repairs
+// lowlinks along the ancestor path, a tree arc — which breaks the DFS tree
+// the certificate rests on — is re-parented first. It reports whether the
+// certificate survived, i.e. the component is intact and nothing else
+// changes; otherwise the caller runs the scoped pass.
+func (s *State) chkReach(u graph.Update, c CompID) bool {
+	v, w := s.idx[u.From], s.idx[u.To]
+	if s.parent[w] == v {
+		return !s.noRepair && s.tryRepairTreeArc(v, w, c)
+	}
+	return s.lowlinkWalkIntact(v, c)
+}
+
+// repair runs the component-scoped Tarjan over c and either refreshes its
+// num/lowlink structures (still one component) or splits it.
+func (s *State) repair(c CompID, dt *deltaTracker) {
+	delete(s.dirty, c)
+	s.runScoped(c)
+	if s.t.numComps() == 1 {
+		s.store()
+	} else {
+		s.splitComp(c, dt)
+	}
 }
 
 // ensureNode creates v as a fresh singleton component when absent.
@@ -286,19 +291,16 @@ func (s *State) ensureNode(v graph.NodeID, label string, dt *deltaTracker) {
 		return
 	}
 	s.g.AddNode(v, label)
-	id := s.next
-	s.next++
-	s.comp[v] = id
-	s.members[id] = map[graph.NodeID]struct{}{v: {}}
+	id := s.addNode(v)
 	s.gcOut[id] = make(map[CompID]int)
 	s.gcIn[id] = make(map[CompID]int)
 	r := s.reg.max() + 1
 	s.rank[id] = r
 	s.reg.insert(r)
-	s.num[v] = 1
-	s.low[v] = 1
-	s.desc[v] = 1
-	delete(s.parent, v)
+	s.num = append(s.num, 1)
+	s.low = append(s.low, 1)
+	s.desc = append(s.desc, 1)
+	s.parent = append(s.parent, -1)
 	dt.create(id)
 	s.meter.AddEntries(1)
 }
@@ -316,56 +318,43 @@ func (s *State) gcDecrement(cv, cw CompID) {
 	}
 }
 
-// runScoped runs Tarjan on the subgraph induced by set.
-func (s *State) runScoped(set map[graph.NodeID]struct{}) *Result[graph.NodeID] {
-	nodes := sortedMembers(set)
-	s.meter.AddNodes(len(nodes))
-	return Run(nodes, func(v graph.NodeID, yield func(graph.NodeID) bool) {
-		s.g.Successors(v, func(w graph.NodeID) bool {
-			s.meter.AddEdges(1)
-			if _, ok := set[w]; ok {
-				return yield(w)
-			}
-			return true
-		})
-	})
-}
-
-// store installs a scoped run's num/lowlink/parent/desc for every node of
-// set. Parent pointers crossing component boundaries (possible after a
-// split) are dropped.
-func (s *State) store(res *Result[graph.NodeID], set map[graph.NodeID]struct{}) {
-	for v := range set {
-		s.num[v] = res.Num[v]
-		s.low[v] = res.Low[v]
-		s.desc[v] = res.Desc[v]
-		if p, ok := res.Parent[v]; ok && s.comp[p] == s.comp[v] {
-			s.parent[v] = p
-		} else {
-			delete(s.parent, v)
+// store installs the last scoped run's num/lowlink/parent/desc for every
+// node it covered. Parent pointers crossing component boundaries (possible
+// after a split) are dropped.
+func (s *State) store() {
+	t := &s.t
+	for _, v := range t.order {
+		s.num[v] = t.num[v]
+		s.low[v] = t.low[v]
+		s.desc[v] = t.desc[v]
+		p := t.parent[v]
+		if p >= 0 && s.comp[p] != s.comp[v] {
+			p = -1
 		}
-		s.meter.AddEntries(1)
+		s.parent[v] = p
 	}
+	s.meter.AddEntries(len(t.order))
 }
 
 // recomputeLow evaluates Tarjan's lowlink recurrence for x against the
 // current stored values, restricted to component c.
-func (s *State) recomputeLow(x graph.NodeID, c CompID) int {
+func (s *State) recomputeLow(x int32, c CompID) int32 {
 	low := s.num[x]
-	s.g.Successors(x, func(w graph.NodeID) bool {
-		s.meter.AddEdges(1)
+	succ := s.g.SuccessorsSorted(s.ids[x])
+	s.meter.AddEdges(len(succ))
+	for _, wid := range succ {
+		w := s.idx[wid]
 		if s.comp[w] != c {
-			return true
+			continue
 		}
 		cand := s.num[w]
-		if p, ok := s.parent[w]; ok && p == x {
+		if s.parent[w] == x {
 			cand = s.low[w]
 		}
 		if cand < low {
 			low = cand
 		}
-		return true
-	})
+	}
 	return low
 }
 
@@ -374,7 +363,7 @@ func (s *State) recomputeLow(x graph.NodeID, c CompID) int {
 // non-root" survives, i.e. the component is still strongly connected; false
 // signals a split (caller re-runs Tarjan on the component). The cost is
 // proportional to the repaired path — the affected area.
-func (s *State) lowlinkWalkIntact(v graph.NodeID, c CompID) bool {
+func (s *State) lowlinkWalkIntact(v int32, c CompID) bool {
 	x := v
 	for {
 		s.meter.AddNodes(1)
@@ -384,8 +373,8 @@ func (s *State) lowlinkWalkIntact(v graph.NodeID, c CompID) bool {
 		}
 		s.low[x] = newLow
 		s.meter.AddEntries(1)
-		p, ok := s.parent[x]
-		if !ok {
+		p := s.parent[x]
+		if p < 0 {
 			return true // DFS root: low == num is normal there
 		}
 		if newLow == s.num[x] {
@@ -397,8 +386,10 @@ func (s *State) lowlinkWalkIntact(v graph.NodeID, c CompID) bool {
 
 // tryRepairTreeArc handles the deletion of tree arc (v, w) without a full
 // Tarjan pass: it re-parents w to another in-neighbor x in the same
-// component with num(x) < num(w), then repairs lowlinks upward from both
-// the old parent (which lost a child) and the new one (which gained one).
+// component with num(x) < num(w) (the smallest such NodeID, so the choice
+// does not depend on how the adjacency is stored), then repairs lowlinks
+// upward from both the old parent (which lost a child) and the new one
+// (which gained one).
 //
 // Soundness: num strictly increases along tree edges after any Tarjan pass,
 // and choosing num(x) < num(w) preserves that invariant, so the tree
@@ -409,20 +400,17 @@ func (s *State) lowlinkWalkIntact(v graph.NodeID, c CompID) bool {
 // reaches everyone through the tree. (The preorder-interval property of
 // desc is given up, which only weakens the split test towards conservative
 // full passes — never towards wrong "intact" verdicts.)
-func (s *State) tryRepairTreeArc(v, w graph.NodeID, c CompID) bool {
+func (s *State) tryRepairTreeArc(v, w int32, c CompID) bool {
 	numW := s.num[w]
-	var x graph.NodeID
-	found := false
-	s.g.Predecessors(w, func(p graph.NodeID) bool {
+	x := int32(-1)
+	for _, pid := range s.g.PredecessorsSorted(s.ids[w]) {
 		s.meter.AddEdges(1)
-		if s.comp[p] == c && s.num[p] < numW {
+		if p := s.idx[pid]; s.comp[p] == c && s.num[p] < numW {
 			x = p
-			found = true
-			return false
+			break
 		}
-		return true
-	})
-	if !found {
+	}
+	if x < 0 {
 		return false
 	}
 	s.parent[w] = x
@@ -470,30 +458,50 @@ func (s *State) renumberAll() {
 	for c := range s.members {
 		ids = append(ids, c)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	res := Run(ids, func(c CompID, yield func(CompID) bool) {
-		for o := range s.gcOut[c] {
-			if !yield(o) {
-				return
-			}
-		}
-	})
+	slices.Sort(ids)
+	t := s.runGc(ids)
+	defer scratchPool.Put(t)
 	s.reg.vals = s.reg.vals[:0]
-	for i, comp := range res.Comps {
+	for i, c := range t.order {
 		// G_c is acyclic here, so every component is a singleton.
-		s.rank[comp[0]] = float64(i)
+		s.rank[ids[c]] = float64(i)
 		s.reg.insert(float64(i))
 		s.meter.AddEntries(1)
 	}
 }
 
-// splitComp replaces component c by the parts found in res (≥ 2 components
-// in reverse topological order), slotting their ranks into the window below
-// c's old rank and rebuilding the incident G_c edges.
-func (s *State) splitComp(c CompID, res *Result[graph.NodeID], dt *deltaTracker) {
+// runGc runs Tarjan on the subgraph of G_c induced by cand (ascending),
+// numbering the candidates 0..k-1 in that order; successors are followed
+// in ascending CompID order. The pass borrows a pooled scratch, which the
+// caller returns when it has read the result: s.t may be holding a scoped
+// run that a split is still installing (splitRanks can renumber).
+func (s *State) runGc(cand []CompID) *tarjan {
+	pos := make(map[CompID]int32, len(cand))
+	for i, c := range cand {
+		pos[c] = int32(i)
+	}
+	t := scratchPool.Get().(*tarjan)
+	t.run(len(cand), nil, func(v int32, row []int32) []int32 {
+		start := len(row)
+		for o := range s.gcOut[cand[v]] {
+			if j, ok := pos[o]; ok {
+				row = append(row, j)
+			}
+		}
+		slices.Sort(row[start:])
+		return row
+	})
+	return t
+}
+
+// splitComp replaces component c by the parts the last scoped run found
+// (≥ 2 components in reverse topological order), slotting their ranks into
+// the window below c's old rank and rebuilding the incident G_c edges.
+func (s *State) splitComp(c CompID, dt *deltaTracker) {
 	oldMembers := s.members[c]
 	dt.destroy(c, oldMembers)
-	ranks := s.splitRanks(c, len(res.Comps))
+	k := s.t.numComps()
+	ranks := s.splitRanks(c, k)
 	oldRank := s.rank[c]
 	// Detach c from G_c.
 	for o := range s.gcOut[c] {
@@ -509,46 +517,38 @@ func (s *State) splitComp(c CompID, res *Result[graph.NodeID], dt *deltaTracker)
 	delete(s.dirty, c)
 	s.reg.remove(oldRank)
 	// Create the parts; reverse topological order matches ascending ranks.
-	for i, comp := range res.Comps {
-		id := s.next
-		s.next++
-		set := make(map[graph.NodeID]struct{}, len(comp))
-		for _, v := range comp {
-			set[v] = struct{}{}
-			s.comp[v] = id
-		}
-		s.members[id] = set
+	first := s.mint(oldMembers)
+	for i := 0; i < k; i++ {
+		id := first + CompID(i)
 		s.gcOut[id] = make(map[CompID]int)
 		s.gcIn[id] = make(map[CompID]int)
 		s.rank[id] = ranks[i]
 		s.reg.insert(ranks[i])
 		dt.create(id)
-		s.meter.AddEntries(len(comp))
 	}
-	s.store(res, oldMembers)
+	s.meter.AddEntries(len(oldMembers))
+	s.store()
 	// Rebuild incident G_c counters: successors of members cover internal
-	// part-to-part and outgoing edges; external predecessors cover incoming.
-	for v := range oldMembers {
+	// part-to-part and outgoing edges; external predecessors cover
+	// incoming. The parts are exactly the components minted from first on.
+	for _, v := range s.t.order {
 		cv := s.comp[v]
-		s.g.Successors(v, func(w graph.NodeID) bool {
-			s.meter.AddEdges(1)
-			if cw := s.comp[w]; cw != cv {
+		succ := s.g.SuccessorsSorted(s.ids[v])
+		s.meter.AddEdges(len(succ))
+		for _, w := range succ {
+			if cw := s.compOf(w); cw != cv {
 				s.gcOut[cv][cw]++
 				s.gcIn[cw][cv]++
 			}
-			return true
-		})
-		s.g.Predecessors(v, func(u graph.NodeID) bool {
-			s.meter.AddEdges(1)
-			if _, internal := oldMembers[u]; internal {
-				return true
-			}
-			if cu := s.comp[u]; cu != cv {
+		}
+		pred := s.g.PredecessorsSorted(s.ids[v])
+		s.meter.AddEdges(len(pred))
+		for _, u := range pred {
+			if cu := s.compOf(u); cu < first {
 				s.gcOut[cu][cv]++
 				s.gcIn[cv][cu]++
 			}
-			return true
-		})
+		}
 	}
 }
 
@@ -609,29 +609,20 @@ func (s *State) processInterInsert(cv, cw CompID, dt *deltaTracker) *CompID {
 			cand = append(cand, z)
 		}
 	}
-	sort.Slice(cand, func(i, j int) bool { return cand[i] < cand[j] })
-	candSet := make(map[CompID]bool, len(cand))
-	for _, z := range cand {
-		candSet[z] = true
-	}
+	slices.Sort(cand)
 	// Fig. 7 line 6: Tarjan on the affected area (new edge included, it is
 	// already in gcOut).
-	res := Run(cand, func(c CompID, yield func(CompID) bool) {
-		for o := range s.gcOut[c] {
-			if candSet[o] {
-				if !yield(o) {
-					return
-				}
-			}
-		}
-	})
+	t := s.runGc(cand)
 	var cycle []CompID
-	for _, comp := range res.Comps {
-		if len(comp) > 1 {
-			cycle = comp
+	for i := 0; i < t.numComps(); i++ {
+		if comp := t.comp(i); len(comp) > 1 {
+			for _, z := range comp {
+				cycle = append(cycle, cand[z])
+			}
 			break // all cycles pass through (cv,cw): at most one non-singleton
 		}
 	}
+	scratchPool.Put(t)
 	pool := make([]float64, 0, len(cand))
 	for _, z := range cand {
 		pool = append(pool, s.rank[z])
@@ -704,9 +695,6 @@ func (s *State) mergeComps(cycle []CompID, affr, affl map[CompID]bool, pool []fl
 		s.meter.AddEntries(1)
 	}
 	// Build the merged component.
-	id := s.next
-	s.next++
-	set := make(map[graph.NodeID]struct{})
 	newOut := make(map[CompID]int)
 	newIn := make(map[CompID]int)
 	for _, c := range cycle {
@@ -722,18 +710,13 @@ func (s *State) mergeComps(cycle []CompID, affr, affl map[CompID]bool, pool []fl
 				newIn[i] += n
 			}
 		}
-		for v := range s.members[c] {
-			set[v] = struct{}{}
-			s.comp[v] = id
-		}
 		dt.destroy(c, s.members[c])
-		delete(s.members, c)
 		delete(s.gcOut, c)
 		delete(s.gcIn, c)
 		delete(s.rank, c)
 		delete(s.dirty, c)
 	}
-	s.members[id] = set
+	id, members := s.union(cycle)
 	s.gcOut[id] = newOut
 	s.gcIn[id] = newIn
 	for o, n := range newOut {
@@ -745,10 +728,10 @@ func (s *State) mergeComps(cycle []CompID, affr, affl map[CompID]bool, pool []fl
 	s.rank[id] = mergedRank
 	s.reg.insert(mergedRank)
 	dt.create(id)
-	s.meter.AddEntries(len(set))
+	s.meter.AddEntries(len(members))
 	// The num/lowlink refresh of the new component (Fig. 7 line 8) is
-	// deferred like intra insertions: a chain of k merges would otherwise
-	// pay k scoped Tarjans over a growing component.
+	// deferred to the next deletion inside it: a chain of k merges would
+	// otherwise pay k scoped Tarjans over a growing component.
 	s.dirty[id] = true
 	return id
 }

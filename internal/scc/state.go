@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
+	"strconv"
 
 	"incgraph/internal/cost"
 	"incgraph/internal/graph"
@@ -24,104 +26,69 @@ type CompID int64
 // the "r(v) > r(v′) if (v, v′) is a cross-link in G_c" invariant of Section
 // 5.3, maintained by the Pearce–Kelly-style window reallocation of IncSCC+.
 type State struct {
-	g       *graph.Graph
-	comp    map[graph.NodeID]CompID
-	members map[CompID]map[graph.NodeID]struct{}
-	gcOut   map[CompID]map[CompID]int
-	gcIn    map[CompID]map[CompID]int
-	rank    map[CompID]float64
-	reg     rankRegistry
-	// Per-node Tarjan structures, numbered locally per component.
-	num    map[graph.NodeID]int
-	low    map[graph.NodeID]int
-	parent map[graph.NodeID]graph.NodeID // DFS parent within the component
-	desc   map[graph.NodeID]int
-	// dirty marks components whose num/lowlink structures are stale after
-	// intra-component insertions. Insertions cannot change the partition,
-	// so the refresh is deferred until a deletion needs the certificate —
-	// collapsing k insertions followed by a deletion into one scoped
-	// Tarjan pass.
+	partition
+	gcOut map[CompID]map[CompID]int
+	gcIn  map[CompID]map[CompID]int
+	rank  map[CompID]float64
+	reg   rankRegistry
+	// Per-node Tarjan structures over the dense index, numbered locally per
+	// component. parent is the index of the DFS parent within the
+	// component, -1 where there is none.
+	num, low, desc, parent []int32
+	// dirty marks components whose num/lowlink structures do not describe
+	// them: a merged component is born dirty (mergeComps), because a chain
+	// of k merges would otherwise pay k scoped Tarjans over a growing
+	// component. Nothing reads the certificate until a deletion inside the
+	// component, which then runs the scoped pass it needs anyway and
+	// clears the mark. Intra-component insertions do not set it: they only
+	// add paths, so a fresh certificate stays sound.
 	dirty map[CompID]bool
 	// noRepair disables the tree-arc re-parenting fast path of IncSCC−
 	// (every tree-arc deletion then runs a component-scoped Tarjan). It
 	// exists for the ablation benchmark; see SetTreeArcRepair.
 	noRepair bool
-	next     CompID
-	meter    *cost.Meter
 }
 
 // Build runs Tarjan once over g and constructs the maintained state.
 // The meter may be nil.
 func Build(g *graph.Graph, meter *cost.Meter) *State {
 	s := &State{
-		g:       g,
-		comp:    make(map[graph.NodeID]CompID, g.NumNodes()),
-		members: make(map[CompID]map[graph.NodeID]struct{}),
-		gcOut:   make(map[CompID]map[CompID]int),
-		gcIn:    make(map[CompID]map[CompID]int),
-		rank:    make(map[CompID]float64),
-		num:     make(map[graph.NodeID]int, g.NumNodes()),
-		low:     make(map[graph.NodeID]int, g.NumNodes()),
-		parent:  make(map[graph.NodeID]graph.NodeID),
-		desc:    make(map[graph.NodeID]int, g.NumNodes()),
-		dirty:   make(map[CompID]bool),
-		meter:   meter,
+		gcOut: make(map[CompID]map[CompID]int),
+		gcIn:  make(map[CompID]map[CompID]int),
+		rank:  make(map[CompID]float64),
+		dirty: make(map[CompID]bool),
 	}
-	// Tarjan needs the global ascending node order; collect it per shard
-	// across the worker pool (identical output to NodesSorted). The DFS
-	// itself stays sequential — IncSCC's certificate is order-dependent.
-	res := Run(g.NodesSortedParallel(), func(v graph.NodeID, yield func(graph.NodeID) bool) {
-		g.Successors(v, yield)
-	})
+	s.init(g, meter)
 	meter.AddNodes(g.NumNodes())
 	meter.AddEdges(g.NumEdges())
 	// Components arrive in reverse topological order; the output index is
 	// the initial topological rank ("the order of the scc ... in the output
 	// sequence of Tarjan").
-	for i, comp := range res.Comps {
-		id := s.next
-		s.next++
-		set := make(map[graph.NodeID]struct{}, len(comp))
-		for _, v := range comp {
-			set[v] = struct{}{}
-			s.comp[v] = id
-		}
-		s.members[id] = set
+	for id := CompID(0); id < s.next; id++ {
 		s.gcOut[id] = make(map[CompID]int)
 		s.gcIn[id] = make(map[CompID]int)
-		s.rank[id] = float64(i)
-		s.reg.insert(float64(i))
+		s.rank[id] = float64(id)
+		s.reg.insert(float64(id))
 	}
 	// Adopt the global run's structures; they are consistent within each
 	// component (local refreshes later renumber per component).
-	for v, n := range res.Num {
-		s.num[v] = n
-		s.low[v] = res.Low[v]
-		s.desc[v] = res.Desc[v]
-	}
-	for v, p := range res.Parent {
-		if s.comp[v] == s.comp[p] {
-			s.parent[v] = p
+	n := len(s.ids)
+	s.num = slices.Clone(s.t.num[:n])
+	s.low = slices.Clone(s.t.low[:n])
+	s.desc = slices.Clone(s.t.desc[:n])
+	s.parent = make([]int32, n)
+	for v, p := range s.t.parent[:n] {
+		if p >= 0 && s.comp[p] != s.comp[v] {
+			p = -1
 		}
+		s.parent[v] = p
 	}
 	// Contracted-graph edge counters.
-	g.Edges(func(e graph.Edge) bool {
-		cv, cw := s.comp[e.From], s.comp[e.To]
-		if cv != cw {
-			s.gcOut[cv][cw]++
-			s.gcIn[cw][cv]++
-		}
-		return true
+	s.crossEdges(func(cv, cw CompID) {
+		s.gcOut[cv][cw]++
+		s.gcIn[cw][cv]++
 	})
 	return s
-}
-
-// Components computes SCC(G) from scratch with Tarjan: the batch baseline.
-func Components(g *graph.Graph) [][]graph.NodeID {
-	res := Run(g.NodesSorted(), func(v graph.NodeID, yield func(graph.NodeID) bool) {
-		g.Successors(v, yield)
-	})
-	return res.CompsSorted(func(a, b graph.NodeID) bool { return a < b })
 }
 
 // Graph returns the underlying graph (shared, mutated by Apply*).
@@ -132,44 +99,31 @@ func (s *State) NumComponents() int { return len(s.members) }
 
 // CompOf returns the component of v; ok is false when v is absent.
 func (s *State) CompOf(v graph.NodeID) (CompID, bool) {
-	c, ok := s.comp[v]
-	return c, ok
+	i, ok := s.idx[v]
+	if !ok {
+		return 0, false
+	}
+	return s.comp[i], true
 }
 
 // SameComp reports whether v and w are in the same component.
 func (s *State) SameComp(v, w graph.NodeID) bool {
-	cv, okv := s.comp[v]
-	cw, okw := s.comp[w]
+	cv, okv := s.CompOf(v)
+	cw, okw := s.CompOf(w)
 	return okv && okw && cv == cw
 }
 
 // Rank returns the topological rank of component c.
 func (s *State) Rank(c CompID) float64 { return s.rank[c] }
 
-// MembersOf returns the sorted members of component c.
-func (s *State) MembersOf(c CompID) []graph.NodeID {
-	return sortedMembers(s.members[c])
-}
-
-func sortedMembers(set map[graph.NodeID]struct{}) []graph.NodeID {
-	out := make([]graph.NodeID, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+// MembersOf returns the members of component c in ascending order. The
+// slice is the state's own and must not be modified.
+func (s *State) MembersOf(c CompID) []graph.NodeID { return s.members[c] }
 
 // ComponentsSorted returns the current partition in canonical form:
-// members sorted, components ordered by smallest member.
-func (s *State) ComponentsSorted() [][]graph.NodeID {
-	out := make([][]graph.NodeID, 0, len(s.members))
-	for _, set := range s.members {
-		out = append(out, sortedMembers(set))
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
-	return out
-}
+// members sorted, components ordered by smallest member. The inner slices
+// are the state's own and must not be modified.
+func (s *State) ComponentsSorted() [][]graph.NodeID { return s.componentsSorted() }
 
 // WriteAnswer serializes SCC(G) in canonical text form: one line per
 // component, "comp <v1> <v2> ...", members ascending, components ordered
@@ -178,20 +132,15 @@ func (s *State) ComponentsSorted() [][]graph.NodeID {
 // recovery-parity checks and the incgraphd answer dumps rely on this.
 func (s *State) WriteAnswer(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	for _, c := range s.ComponentsSorted() {
-		if _, err := bw.WriteString("comp"); err != nil {
-			return err
-		}
+	for _, c := range s.componentsSorted() {
+		bw.WriteString("comp")
 		for _, v := range c {
-			if _, err := fmt.Fprintf(bw, " %d", v); err != nil {
-				return err
-			}
+			bw.WriteByte(' ')
+			bw.Write(strconv.AppendInt(bw.AvailableBuffer(), int64(v), 10))
 		}
-		if err := bw.WriteByte('\n'); err != nil {
-			return err
-		}
+		bw.WriteByte('\n')
 	}
-	return bw.Flush()
+	return bw.Flush() // a bufio.Writer keeps its first write error
 }
 
 // SetTreeArcRepair toggles the tree-arc re-parenting fast path (on by
@@ -200,7 +149,13 @@ func (s *State) SetTreeArcRepair(enabled bool) { s.noRepair = !enabled }
 
 // NumLow returns the maintained (num, lowlink) of v, local to v's
 // component's most recent Tarjan pass.
-func (s *State) NumLow(v graph.NodeID) (num, low int) { return s.num[v], s.low[v] }
+func (s *State) NumLow(v graph.NodeID) (num, low int) {
+	i, ok := s.idx[v]
+	if !ok {
+		return 0, 0
+	}
+	return int(s.num[i]), int(s.low[i])
+}
 
 // CheckInvariants audits the whole state against a fresh Tarjan run:
 // partition, contracted-graph counters, rank invariant and registry.
@@ -222,23 +177,36 @@ func (s *State) CheckInvariants() error {
 			}
 		}
 	}
+	// The dense index is a bijection onto the graph's nodes.
+	n := s.g.NumNodes()
+	if len(s.ids) != n || len(s.idx) != n || len(s.comp) != n {
+		return fmt.Errorf("scc: index covers %d/%d/%d of %d nodes", len(s.ids), len(s.idx), len(s.comp), n)
+	}
+	for i, v := range s.ids {
+		if j, ok := s.idx[v]; !ok || int(j) != i || !s.g.HasNode(v) {
+			return fmt.Errorf("scc: index entry %d (node %d) does not round-trip", i, v)
+		}
+	}
 	// comp/members duals.
 	count := 0
-	for c, set := range s.members {
-		for v := range set {
-			if s.comp[v] != c {
-				return fmt.Errorf("scc: node %d in members of %d but comp says %d", v, c, s.comp[v])
+	for c, members := range s.members {
+		for i, v := range members {
+			if got := s.compOf(v); got != c {
+				return fmt.Errorf("scc: node %d in members of %d but comp says %d", v, c, got)
+			}
+			if i > 0 && members[i-1] >= v {
+				return fmt.Errorf("scc: members of %d not ascending at %d", c, v)
 			}
 			count++
 		}
 	}
-	if count != s.g.NumNodes() || len(s.comp) != s.g.NumNodes() {
-		return fmt.Errorf("scc: membership covers %d of %d nodes", count, s.g.NumNodes())
+	if count != n {
+		return fmt.Errorf("scc: membership covers %d of %d nodes", count, n)
 	}
 	// G_c counters recomputed from scratch.
 	wantOut := make(map[CompID]map[CompID]int)
 	s.g.Edges(func(e graph.Edge) bool {
-		cv, cw := s.comp[e.From], s.comp[e.To]
+		cv, cw := s.compOf(e.From), s.compOf(e.To)
 		if cv != cw {
 			m := wantOut[cv]
 			if m == nil {
@@ -296,15 +264,15 @@ func (s *State) CheckInvariants() error {
 	if err := s.reg.check(seen); err != nil {
 		return err
 	}
-	// Local Tarjan structures: num/low present for every node and lowlink
-	// certifies strong connectivity (low < num for every non-root member of
-	// a multi-node component).
-	for v := range s.comp {
-		if _, ok := s.num[v]; !ok {
-			return fmt.Errorf("scc: node %d missing num", v)
-		}
-		if _, ok := s.low[v]; !ok {
-			return fmt.Errorf("scc: node %d missing lowlink", v)
+	// Local Tarjan structures: present for every node, and a DFS parent
+	// lies in the node's own component.
+	if len(s.num) != n || len(s.low) != n || len(s.desc) != n || len(s.parent) != n {
+		return fmt.Errorf("scc: num/low/desc/parent cover %d/%d/%d/%d of %d nodes",
+			len(s.num), len(s.low), len(s.desc), len(s.parent), n)
+	}
+	for i, p := range s.parent {
+		if p >= 0 && s.comp[p] != s.comp[i] {
+			return fmt.Errorf("scc: node %d has its DFS parent %d in another component", s.ids[i], s.ids[p])
 		}
 	}
 	return nil
@@ -370,8 +338,8 @@ func (r *rankRegistry) check(live map[float64]CompID) error {
 // a snapshot — later updates do not affect it.
 func (s *State) Condensation() *graph.Graph {
 	out := graph.New()
-	for c, set := range s.members {
-		out.AddNode(graph.NodeID(c), fmt.Sprintf("%d", len(set)))
+	for c, members := range s.members {
+		out.AddNode(graph.NodeID(c), strconv.Itoa(len(members)))
 	}
 	for c, adj := range s.gcOut {
 		for o := range adj {

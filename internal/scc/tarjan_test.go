@@ -2,14 +2,46 @@ package scc
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"incgraph/internal/graph"
 )
 
-func adj(g *graph.Graph) func(graph.NodeID, func(graph.NodeID) bool) {
-	return func(v graph.NodeID, yield func(graph.NodeID) bool) {
-		g.Successors(v, yield)
+// runKernel runs the kernel over all of g, whose nodes must be 0..n-1 so
+// that a node's dense index is its ID.
+func runKernel(g *graph.Graph) *tarjan {
+	ids := g.NodesSorted()
+	t := new(tarjan)
+	runAll(t, g, ids, indexOf(ids))
+	return t
+}
+
+// edgeType classifies edge (v, w) relative to the DFS forest of the run,
+// following Tarjan's taxonomy quoted in Section 5.3 of the paper: the
+// classification the maintained num/desc/parent structures encode. Both
+// nodes must have been visited.
+type edgeType int8
+
+const (
+	treeArc      edgeType = iota // leads to a newly discovered node
+	frond                        // runs from a descendant to an ancestor
+	reverseFrond                 // runs from an ancestor to a descendant
+	crossLink                    // runs between unrelated subtrees
+)
+
+func (t *tarjan) edgeType(v, w int32) edgeType {
+	if t.parent[w] == v {
+		return treeArc
+	}
+	nv, nw := t.num[v], t.num[w]
+	switch {
+	case nw < nv && nv <= t.desc[w]:
+		return frond
+	case nv < nw && nw <= t.desc[v]:
+		return reverseFrond
+	default:
+		return crossLink
 	}
 }
 
@@ -27,8 +59,7 @@ func mkGraph(n int, edges [][2]int64) *graph.Graph {
 func TestTarjanChainAndCycle(t *testing.T) {
 	// 0→1→2 plus 2→0 makes one scc; 3→4 are singletons.
 	g := mkGraph(5, [][2]int64{{0, 1}, {1, 2}, {2, 0}, {3, 4}})
-	res := Run(g.NodesSorted(), adj(g))
-	comps := res.CompsSorted(func(a, b graph.NodeID) bool { return a < b })
+	comps := Components(g)
 	if len(comps) != 3 {
 		t.Fatalf("comps = %v", comps)
 	}
@@ -40,13 +71,13 @@ func TestTarjanChainAndCycle(t *testing.T) {
 func TestTarjanReverseTopologicalOrder(t *testing.T) {
 	// DAG 0→1→2: Tarjan must emit sinks first.
 	g := mkGraph(3, [][2]int64{{0, 1}, {1, 2}})
-	res := Run(g.NodesSorted(), adj(g))
-	if len(res.Comps) != 3 {
-		t.Fatalf("comps = %v", res.Comps)
+	res := runKernel(g)
+	if res.numComps() != 3 {
+		t.Fatalf("comps = %v / %v", res.order, res.ends)
 	}
 	order := map[graph.NodeID]int{}
-	for i, c := range res.Comps {
-		order[c[0]] = i
+	for i := 0; i < res.numComps(); i++ {
+		order[graph.NodeID(res.comp(i)[0])] = i
 	}
 	g.Edges(func(e graph.Edge) bool {
 		if order[e.From] <= order[e.To] {
@@ -59,14 +90,15 @@ func TestTarjanReverseTopologicalOrder(t *testing.T) {
 func TestTarjanLowlinkCertificate(t *testing.T) {
 	// In every multi-node scc, exactly the root has low == num.
 	g := mkGraph(6, [][2]int64{{0, 1}, {1, 2}, {2, 0}, {2, 3}, {3, 4}, {4, 5}, {5, 3}})
-	res := Run(g.NodesSorted(), adj(g))
-	for _, comp := range res.Comps {
+	res := runKernel(g)
+	for i := 0; i < res.numComps(); i++ {
+		comp := res.comp(i)
 		if len(comp) == 1 {
 			continue
 		}
 		roots := 0
 		for _, v := range comp {
-			if res.Low[v] == res.Num[v] {
+			if res.low[v] == res.num[v] {
 				roots++
 			}
 		}
@@ -81,34 +113,30 @@ func TestEdgeClassification(t *testing.T) {
 	// possible only if 2 discovered via 1), and cross-links between
 	// subtrees.
 	g := mkGraph(5, [][2]int64{{0, 1}, {1, 2}, {2, 0}, {0, 2}, {0, 3}, {3, 4}, {4, 1}})
-	res := Run([]graph.NodeID{0, 1, 2, 3, 4}, func(v graph.NodeID, yield func(graph.NodeID) bool) {
-		for _, w := range g.SuccessorsSorted(v) { // deterministic DFS
-			if !yield(w) {
-				return
-			}
-		}
-	})
-	if tp := res.EdgeType(0, 1); tp != TreeArc {
+	res := runKernel(g) // successors in ascending order: a deterministic DFS
+	if tp := res.edgeType(0, 1); tp != treeArc {
 		t.Fatalf("(0,1) = %v", tp)
 	}
-	if tp := res.EdgeType(1, 2); tp != TreeArc {
+	if tp := res.edgeType(1, 2); tp != treeArc {
 		t.Fatalf("(1,2) = %v", tp)
 	}
-	if tp := res.EdgeType(2, 0); tp != Frond {
+	if tp := res.edgeType(2, 0); tp != frond {
 		t.Fatalf("(2,0) = %v", tp)
 	}
-	if tp := res.EdgeType(0, 2); tp != ReverseFrond {
+	if tp := res.edgeType(0, 2); tp != reverseFrond {
 		t.Fatalf("(0,2) = %v", tp)
 	}
 	// 4 is in the subtree rooted at 3, discovered after 1's subtree; (4,1)
 	// runs between subtrees.
-	if tp := res.EdgeType(4, 1); tp != CrossLink {
+	if tp := res.edgeType(4, 1); tp != crossLink {
 		t.Fatalf("(4,1) = %v", tp)
 	}
-	for _, tp := range []EdgeType{TreeArc, Frond, ReverseFrond, CrossLink, EdgeType(9)} {
-		if tp.String() == "" {
-			t.Fatalf("EdgeType(%d) has no name", tp)
-		}
+	// Preorder numbers, subtree extents and parents of that DFS.
+	wantNum := []int32{1, 2, 3, 4, 5}
+	wantDesc := []int32{5, 3, 3, 5, 5}
+	wantParent := []int32{-1, 0, 1, 0, 3}
+	if !slices.Equal(res.num[:5], wantNum) || !slices.Equal(res.desc[:5], wantDesc) || !slices.Equal(res.parent[:5], wantParent) {
+		t.Fatalf("num %v desc %v parent %v", res.num[:5], res.desc[:5], res.parent[:5])
 	}
 }
 
@@ -153,8 +181,11 @@ func kosaraju(g *graph.Graph) [][]graph.NodeID {
 			comp++
 		}
 	}
-	out := (&Result[graph.NodeID]{Comps: comps}).CompsSorted(func(a, b graph.NodeID) bool { return a < b })
-	return out
+	for _, c := range comps {
+		slices.Sort(c)
+	}
+	sortBySmallest(comps)
+	return comps
 }
 
 func partitionsEqual(a, b [][]graph.NodeID) bool {
@@ -206,8 +237,8 @@ func TestTarjanDeepRecursionSafe(t *testing.T) {
 		g.AddEdge(graph.NodeID(i), graph.NodeID(i+1))
 	}
 	g.AddEdge(graph.NodeID(n-1), 0) // one giant cycle
-	res := Run(g.NodesSorted(), adj(g))
-	if len(res.Comps) != 1 || len(res.Comps[0]) != n {
-		t.Fatalf("giant cycle not one scc: %d comps", len(res.Comps))
+	res := runKernel(g)
+	if res.numComps() != 1 || len(res.comp(0)) != n {
+		t.Fatalf("giant cycle not one scc: %d comps", res.numComps())
 	}
 }
