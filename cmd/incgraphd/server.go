@@ -389,6 +389,15 @@ func (s *server) handle(conn net.Conn) {
 	}()
 	sc := bufio.NewScanner(conn)
 	sc.Buffer(make([]byte, 0, 1<<16), maxLineBytes)
+	// more reports, after a Scan, whether the scanner already holds another
+	// complete line: the next Scan will then return without reading from
+	// the connection.
+	more := false
+	sc.Split(func(data []byte, atEOF bool) (advance int, token []byte, err error) {
+		advance, token, err = bufio.ScanLines(data, atEOF)
+		more = advance > 0 && bytes.IndexByte(data[advance:], '\n') >= 0
+		return advance, token, err
+	})
 	out := bufio.NewWriter(conn)
 	// Every flush runs under a write deadline: a client that stops
 	// draining its socket is cut at the op timeout instead of holding the
@@ -406,6 +415,14 @@ func (s *server) handle(conn net.Conn) {
 	}
 	var pending incgraph.Batch
 	for {
+		// A stage ack is held back while the next line is already here (a
+		// burst of stage lines leaves in one write, not one per line); it
+		// must not stay held across a wait. Every reply but that ack
+		// flushes, so output is pending here only after a held ack followed
+		// by lines that produce no reply (blank, comment).
+		if !more && out.Buffered() > 0 && !flush() {
+			return
+		}
 		// Arm the per-line deadline when the wait for a line STARTS and do
 		// not refresh it per byte: a byte-at-a-time slow-loris client hits
 		// it exactly like an idle one.
@@ -437,7 +454,10 @@ func (s *server) handle(conn net.Conn) {
 				continue
 			}
 			pending = append(pending, u)
-			if !reply("ok staged %d", len(pending)) {
+			fmt.Fprintf(out, "ok staged %d\n", len(pending))
+			// Held acks never fill the buffer: bufio would then write to
+			// the connection itself, outside the write deadline.
+			if (!more || out.Available() < 64) && !flush() {
 				return
 			}
 		case "abort":

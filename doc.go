@@ -299,7 +299,9 @@
 //	internal/graph      directed labeled graphs and the update model
 //	internal/kws        keyword search: batch build + IncKWS±/IncKWS
 //	internal/rex        regular path expressions and the Glushkov NFA
-//	internal/rpq        RPQ_NFA and IncRPQ over pmark_e markings
+//	internal/rpq        RPQ_NFA and IncRPQ over flat pmark_e tables: one
+//	                    open-addressed array of (key, dist, |mpre|) per
+//	                    source, cpre derived from the graph
 //	internal/scc        Tarjan, contracted graph, ranks, IncSCC±/IncSCC
 //	internal/iso        VF2 and the localizable IncISO
 //	internal/reach      SSRP (the unboundedness anchor)
@@ -323,6 +325,7 @@
 //	delta, _ := e.Apply(incgraph.Batch{incgraph.Del(1, 2)})
 //	_ = delta.Removed // [(1,2)]
 //
-// See README.md for the architecture overview and EXPERIMENTS.md for the
-// reproduction of the paper's evaluation.
+// The sections above are the architecture overview; internal/bench
+// regenerates the paper's figures (cmd/benchmark), and perf/README.md has
+// the daemon's end-to-end and per-layer measurements.
 package incgraph

@@ -310,8 +310,12 @@ func RPQQuery(g *graph.Graph, size int, seed int64) (*rex.Ast, error) {
 // over g's frequent labels, with `size` label occurrences in total. Unlike
 // fully random expressions — whose language intersection with a uniformly
 // labeled graph is almost always empty — the star over a label union keeps
-// the product graph supercritical, so batch and incremental evaluation both
-// do real work (see EXPERIMENTS.md).
+// the product graph supercritical: from a node with the first label, every
+// successor carrying one of the union's labels continues the walk, so on a
+// graph whose alphabet is folded to a few labels a source's marking table
+// spans tens of product nodes instead of one or two, an update lands inside
+// some source's table more often than not, and batch and incremental
+// evaluation both do real work. perf/README.md has the measurements.
 func RPQDense(g *graph.Graph, size int, seed int64) (*rex.Ast, error) {
 	if size < 3 {
 		return RPQQuery(g, size, seed)

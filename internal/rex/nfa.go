@@ -20,10 +20,17 @@ type NFA struct {
 	// trans[s] maps a label to the sorted target states reachable from s
 	// by consuming that label.
 	trans []map[string][]int
-	// transID mirrors trans keyed by interned LabelID; the product-graph
-	// traversals of RPQ_NFA/IncRPQ do one uint32 map probe per edge
-	// instead of hashing a label string.
-	transID []map[graph.LabelID][]int
+	// The dense tables serve the product-graph traversals of RPQ_NFA and
+	// IncRPQ, which look a transition up per edge. col maps a LabelID to
+	// the column of its label, 1..cols-1 in order of first occurrence in the
+	// expression; column 0 stands for every label outside the query's
+	// alphabet, including NoLabel and labels interned after Compile (their
+	// IDs lie past the end of col), and is empty in every row.
+	col  []int32
+	cols int
+	// next[s*cols+c] is δ(s, label of column c), sorted; prev is its
+	// transpose: prev[t*cols+c] lists the states s with t ∈ next[s*cols+c].
+	next, prev [][]int
 }
 
 // StateID identifies an NFA state; 0 is the initial state.
@@ -55,18 +62,45 @@ func Compile(a *Ast) *NFA {
 	for p := range c.positions {
 		addMoves(p+1, c.follow[p+1])
 	}
-	n.transID = make([]map[graph.LabelID][]int, len(n.trans))
+	n.cols = 1
+	for _, lbl := range c.positions {
+		lid := graph.InternLabel(lbl)
+		if int(lid) >= len(n.col) {
+			n.col = append(n.col, make([]int32, int(lid)+1-len(n.col))...)
+		}
+		if n.col[lid] == 0 {
+			n.col[lid] = int32(n.cols)
+			n.cols++
+		}
+	}
+	n.next = make([][]int, n.numStates*n.cols)
+	n.prev = make([][]int, n.numStates*n.cols)
 	for s := range n.trans {
-		n.transID[s] = make(map[graph.LabelID][]int, len(n.trans[s]))
-		for lbl := range n.trans[s] {
-			ts := n.trans[s][lbl]
+		for lbl, ts := range n.trans[s] {
 			sort.Ints(ts)
 			ts = dedupInts(ts)
 			n.trans[s][lbl] = ts
-			n.transID[s][graph.InternLabel(lbl)] = ts
+			n.next[s*n.cols+n.column(graph.InternLabel(lbl))] = ts
+		}
+	}
+	// Ascending s keeps every prev row sorted.
+	for s := 0; s < n.numStates; s++ {
+		for c := 1; c < n.cols; c++ {
+			for _, t := range n.next[s*n.cols+c] {
+				n.prev[t*n.cols+c] = append(n.prev[t*n.cols+c], s)
+			}
 		}
 	}
 	return n
+}
+
+// column returns the dense-table column of lid; 0 when the label is not in
+// the query's alphabet.
+func (n *NFA) column(lid graph.LabelID) int {
+	if int(lid) < len(n.col) {
+		return int(n.col[lid])
+	}
+	return 0
 }
 
 func dedupInts(ts []int) []int {
@@ -95,7 +129,11 @@ func (n *NFA) Next(s StateID, label string) []int { return n.trans[s][label] }
 // NextID is Next keyed by interned label ID — the hot-path variant used by
 // the product traversals. NoLabel (and any label absent from the query
 // alphabet) yields nil.
-func (n *NFA) NextID(s StateID, lid graph.LabelID) []int { return n.transID[s][lid] }
+func (n *NFA) NextID(s StateID, lid graph.LabelID) []int { return n.next[s*n.cols+n.column(lid)] }
+
+// PrevID is the transpose of NextID: the states s with t ∈ δ(s, label),
+// ascending. The returned slice is shared and must not be modified.
+func (n *NFA) PrevID(t StateID, lid graph.LabelID) []int { return n.prev[t*n.cols+n.column(lid)] }
 
 // AcceptsEmpty reports whether ε is in the language.
 func (n *NFA) AcceptsEmpty() bool { return n.accept[0] }

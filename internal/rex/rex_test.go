@@ -1,27 +1,33 @@
 package rex
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"incgraph/internal/graph"
 )
 
+// corpus is the parser's test corpus.
+var corpus = []string{
+	"a",
+	"a.b",
+	"a+b",
+	"a.b+c",
+	"(a+b).c",
+	"a*",
+	"(a.b)*",
+	"c.(b.a+c)*.c", // the paper's Example 4 query
+	"@",
+	"@+a",
+	"a.(b+@)",
+}
+
 func TestParsePrintRoundTrip(t *testing.T) {
-	cases := []string{
-		"a",
-		"a.b",
-		"a+b",
-		"a.b+c",
-		"(a+b).c",
-		"a*",
-		"(a.b)*",
-		"c.(b.a+c)*.c", // the paper's Example 4 query
-		"@",
-		"@+a",
-		"a.(b+@)",
-	}
-	for _, c := range cases {
+	for _, c := range corpus {
 		a, err := Parse(c)
 		if err != nil {
 			t.Fatalf("Parse(%q): %v", c, err)
@@ -134,6 +140,52 @@ func TestNFAOnExamples(t *testing.T) {
 	}
 	if n.MatchSeq([]string{"c"}) || n.MatchSeq([]string{"c", "b", "c"}) {
 		t.Fatalf("NFA accepts non-members")
+	}
+}
+
+func TestDenseTablesTranspose(t *testing.T) {
+	// PrevID is the exact transpose of NextID, and both agree with the
+	// string-keyed Next, for every state and every label: the expression's
+	// own, one foreign to it, and NoLabel.
+	foreign := graph.InternLabel("rex-test-foreign")
+	for _, c := range corpus {
+		a := MustParse(c)
+		n := Compile(a)
+		lids := []graph.LabelID{foreign, graph.NoLabel}
+		for _, l := range a.Alphabet() {
+			lids = append(lids, graph.InternLabel(l))
+		}
+		for _, lid := range lids {
+			for s := 0; s < n.NumStates(); s++ {
+				if want := n.Next(s, graph.LabelOf(lid)); !slices.Equal(n.NextID(s, lid), want) {
+					t.Fatalf("%s: NextID(%d, %q) = %v, Next says %v", c, s, graph.LabelOf(lid), n.NextID(s, lid), want)
+				}
+				for t2 := 0; t2 < n.NumStates(); t2++ {
+					fwd := slices.Contains(n.NextID(s, lid), t2)
+					if back := slices.Contains(n.PrevID(t2, lid), s); fwd != back {
+						t.Fatalf("%s: %d ∈ NextID(%d, %q) is %v, %d ∈ PrevID(%d, ·) is %v", c, t2, s, graph.LabelOf(lid), fwd, s, t2, back)
+					}
+				}
+				if !slices.IsSorted(n.PrevID(s, lid)) {
+					t.Fatalf("%s: PrevID(%d, %q) = %v, not ascending", c, s, graph.LabelOf(lid), n.PrevID(s, lid))
+				}
+			}
+		}
+	}
+}
+
+func TestLabelInternedAfterCompile(t *testing.T) {
+	// A label interned after Compile has an ID past the end of the dense
+	// table: it must read as "no transition", not index out of range.
+	n := Compile(MustParse("c.(b.a+c)*.c"))
+	late := graph.InternLabel(fmt.Sprintf("rex-test-late-%d", graph.InternedLabels()))
+	for s := 0; s < n.NumStates(); s++ {
+		if got := n.NextID(s, late); len(got) != 0 {
+			t.Fatalf("NextID(%d, late label) = %v", s, got)
+		}
+		if got := n.PrevID(s, late); len(got) != 0 {
+			t.Fatalf("PrevID(%d, late label) = %v", s, got)
+		}
 	}
 }
 

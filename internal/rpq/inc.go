@@ -2,86 +2,61 @@ package rpq
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
-	"incgraph/internal/cost"
 	"incgraph/internal/graph"
-	"incgraph/internal/pq"
 )
 
 // This file implements IncRPQ (Fig. 5) and the unit-at-a-time baseline
 // IncRPQn.
 
-// Delta describes changes ΔO to Q(G).
+// Delta describes changes ΔO to Q(G), each side sorted by (Src, Dst).
 type Delta struct {
 	Added   []Pair
 	Removed []Pair
-	// pending accumulates transitions during an Apply; opposite transitions
-	// of the same pair cancel (the pair was only transiently a match).
-	pending map[Pair]bool
 }
 
 // Empty reports whether the output was unaffected.
 func (d *Delta) Empty() bool { return len(d.Added) == 0 && len(d.Removed) == 0 }
 
-// note records a match transition.
-func (d *Delta) note(p Pair, added bool) {
-	if d.pending == nil {
-		d.pending = make(map[Pair]bool)
-	}
-	if cur, ok := d.pending[p]; ok && cur != added {
-		delete(d.pending, p)
-		return
-	}
-	d.pending[p] = added
-}
-
-// finish materializes the pending transitions into sorted Added/Removed.
-func (d *Delta) finish() {
-	for p, added := range d.pending {
-		if added {
-			d.Added = append(d.Added, p)
-		} else {
-			d.Removed = append(d.Removed, p)
-		}
-	}
-	d.pending = nil
-	less := func(ps []Pair) func(i, j int) bool {
-		return func(i, j int) bool {
-			if ps[i].Src != ps[j].Src {
-				return ps[i].Src < ps[j].Src
-			}
-			return ps[i].Dst < ps[j].Dst
-		}
-	}
-	sort.Slice(d.Added, less(d.Added))
-	sort.Slice(d.Removed, less(d.Removed))
+func compareEdges(a, b graph.Edge) int {
+	return comparePairs(Pair{a.From, a.To}, Pair{b.From, b.To})
 }
 
 // Apply processes a batch ΔG with IncRPQ. The batch is normalized; node
-// creation side effects of cancelled insertions are preserved.
+// creation side effects of cancelled insertions are preserved. A batch that
+// cannot be applied is rejected before anything is touched.
 func (e *Engine) Apply(batch graph.Batch) (Delta, error) {
-	var d Delta
-	// New nodes first (they may be new sources).
-	var newNodes []graph.NodeID
+	raw := batch
+	if e.repeatsEdge(batch) {
+		batch = batch.Normalize()
+	}
+	e.ins = e.ins[:0]
 	for _, u := range batch {
+		switch {
+		case u.Op == graph.Delete && !e.g.HasEdge(u.From, u.To):
+			return Delta{}, fmt.Errorf("rpq: %w: delete of missing edge (%d,%d)", graph.ErrBadUpdate, u.From, u.To)
+		case u.Op == graph.Insert && e.g.HasEdge(u.From, u.To):
+			return Delta{}, fmt.Errorf("rpq: %w: insert of existing edge (%d,%d)", graph.ErrBadUpdate, u.From, u.To)
+		case u.Op != graph.Insert && u.Op != graph.Delete:
+			return Delta{}, fmt.Errorf("rpq: %w: unknown op %v", graph.ErrBadUpdate, u.Op)
+		case u.Op == graph.Insert:
+			e.ins = append(e.ins, u.Edge())
+		}
+	}
+	slices.SortFunc(e.ins, compareEdges)
+	// New nodes (they may be new sources) join the dense index; each is
+	// built below, after the structural updates.
+	firstNew := int32(len(e.ids))
+	for _, u := range raw {
 		if u.Op != graph.Insert {
 			continue
 		}
 		if e.g.EnsureNode(u.From, u.FromLabel) {
-			newNodes = append(newNodes, u.From)
+			e.addNode(u.From)
 		}
 		if e.g.EnsureNode(u.To, u.ToLabel) {
-			newNodes = append(newNodes, u.To)
-		}
-	}
-	batch = batch.Normalize()
-	for _, u := range batch {
-		if u.Op == graph.Delete && !e.g.HasEdge(u.From, u.To) {
-			return Delta{}, fmt.Errorf("rpq: %w: delete of missing edge (%d,%d)", graph.ErrBadUpdate, u.From, u.To)
-		}
-		if u.Op == graph.Insert && e.g.HasEdge(u.From, u.To) {
-			return Delta{}, fmt.Errorf("rpq: %w: insert of existing edge (%d,%d)", graph.ErrBadUpdate, u.From, u.To)
+			e.addNode(u.To)
 		}
 	}
 	// Structural updates first, in one batch application — large batches
@@ -91,87 +66,125 @@ func (e *Engine) Apply(batch graph.Batch) (Delta, error) {
 	if err := e.g.ApplyBatch(batch); err != nil {
 		return Delta{}, err
 	}
-	ins, dels := batch.Split()
 	// Route each update to the sources whose markings it can touch, via
 	// the inverted index: an update on edge (v, w) is relevant to source u
 	// only if u has an entry at v (deletion support / insertion
-	// relaxation) — sources without one cannot be affected.
-	relIns := make(map[graph.NodeID]graph.Batch)
-	relDels := make(map[graph.NodeID]graph.Batch)
-	for _, u := range dels {
-		for src := range e.srcAt[u.From] {
-			relDels[src] = append(relDels[src], u)
+	// relaxation) — sources without one cannot be affected. A route packs
+	// (source, position in the batch); sorted, each source's updates are
+	// one run, in batch order.
+	e.routes = e.routes[:0]
+	for j, u := range batch {
+		for _, src := range e.srcAt[e.idx.of(u.From)] {
+			e.routes = append(e.routes, uint64(src)<<32|uint64(j))
 		}
 	}
-	for _, u := range ins {
-		for src := range e.srcAt[u.From] {
-			relIns[src] = append(relIns[src], u)
+	slices.Sort(e.routes)
+	for lo := 0; lo < len(e.routes); {
+		hi := lo + 1
+		for hi < len(e.routes) && e.routes[hi]>>32 == e.routes[lo]>>32 {
+			hi++
+		}
+		e.tasks = append(e.tasks, task{src: int32(e.routes[lo] >> 32), lo: int32(lo), hi: int32(hi)})
+		lo = hi
+	}
+	// A brand-new node cannot already be a routed source (it had no
+	// entries when the updates were routed), so the two task kinds are
+	// disjoint. The full product BFS of a new source is part of AFF — data
+	// newly inspected.
+	for i := firstNew; i < int32(len(e.ids)); i++ {
+		if e.isSource(i) {
+			e.tasks = append(e.tasks, task{src: i})
 		}
 	}
-	touched := make(map[graph.NodeID]bool, len(relIns)+len(relDels))
-	for src := range relDels {
-		touched[src] = true
-	}
-	for src := range relIns {
-		touched[src] = true
-	}
-	// Each affected source's repair touches only its own marking table, so
-	// the repairs fan out across workers against the read-shared graph —
-	// as do the full product BFS builds of brand-new sources (their
-	// markings are part of AFF — data newly inspected). Global effects are
-	// buffered per source and merged serially below; the merged engine and
-	// the sorted delta are identical to the sequential loop.
-	srcs := make([]graph.NodeID, 0, len(touched))
-	for src := range touched {
-		srcs = append(srcs, src)
-	}
-	sort.Slice(srcs, func(i, j int) bool { return srcs[i] < srcs[j] })
+	// Each source's repair touches only its own marking table, so the
+	// repairs fan out across workers against the read-shared graph. Global
+	// effects are logged per worker and merged serially; the merged engine
+	// and the sorted delta are identical to the sequential loop.
 	workers := e.g.Parallelism()
 	if workers > 1 {
 		e.g.PrepareConcurrentReads()
 	}
-	reps := make([]*srcRepair, len(srcs)+len(newNodes))
-	meters := make([]cost.Meter, workers)
-	graph.ParallelFor(workers, len(reps), func(worker, i int) {
-		if i < len(srcs) {
-			src := srcs[i]
-			r := &srcRepair{e: e, src: src, sm: e.marks[src], meter: &meters[worker]}
-			r.repair(relIns[src], relDels[src])
-			reps[i] = r
-			return
-		}
-		// A brand-new node cannot already be a touched source (it had no
-		// entries when the updates were routed), so the two task kinds are
-		// disjoint.
-		reps[i] = e.buildSource(newNodes[i-len(srcs)], &meters[worker])
-	})
-	for _, r := range reps {
-		e.mergeRepair(r, &d)
-	}
-	for i := range meters {
-		e.meter.Merge(&meters[i])
-	}
-	d.finish()
+	var d Delta
+	e.runTasks(workers, batch)
+	e.mergeTasks(&d)
+	slices.SortFunc(d.Added, comparePairs)
+	slices.SortFunc(d.Removed, comparePairs)
 	return d, nil
+}
+
+// repeatsEdge reports whether two updates of the batch touch the same edge;
+// a batch without such a pair is its own normal form.
+func (e *Engine) repeatsEdge(batch graph.Batch) bool {
+	e.edges = e.edges[:0]
+	for _, u := range batch {
+		e.edges = append(e.edges, u.Edge())
+	}
+	slices.SortFunc(e.edges, compareEdges)
+	for i := 1; i < len(e.edges); i++ {
+		if e.edges[i] == e.edges[i-1] {
+			return true
+		}
+	}
+	return false
+}
+
+// addNode appends a node the graph just created to the dense index.
+func (e *Engine) addNode(v graph.NodeID) {
+	e.idx.add(v, int32(len(e.ids)))
+	e.ids = append(e.ids, v)
+	e.lbl = append(e.lbl, e.g.LabelIDAt(v))
+	e.marks = append(e.marks, nil)
+	e.srcAt = append(e.srcAt, nil)
+}
+
+// inserted reports whether the batch under repair inserted edge (v, w).
+func (e *Engine) inserted(v, w graph.NodeID) bool {
+	if len(e.ins) == 0 {
+		return false
+	}
+	_, found := slices.BinarySearchFunc(e.ins, graph.Edge{From: v, To: w}, compareEdges)
+	return found
 }
 
 // ApplyUnitwise is IncRPQn: the batch is processed one unit update at a
 // time.
 func (e *Engine) ApplyUnitwise(batch graph.Batch) (Delta, error) {
-	var total Delta
+	// The unit deltas in order, one signed step per pair and unit.
+	type step struct {
+		p     Pair
+		added bool
+	}
+	var steps []step
 	for _, u := range batch {
 		d, err := e.Apply(graph.Batch{u})
 		if err != nil {
 			return Delta{}, err
 		}
 		for _, p := range d.Added {
-			total.note(p, true)
+			steps = append(steps, step{p, true})
 		}
 		for _, p := range d.Removed {
-			total.note(p, false)
+			steps = append(steps, step{p, false})
 		}
 	}
-	total.finish()
+	// The steps of one pair alternate, so the pair moved (the way of its
+	// first step) iff their number is odd; an even number was transient.
+	slices.SortStableFunc(steps, func(a, b step) int { return comparePairs(a.p, b.p) })
+	var total Delta
+	for lo := 0; lo < len(steps); {
+		hi := lo + 1
+		for hi < len(steps) && steps[hi].p == steps[lo].p {
+			hi++
+		}
+		if (hi-lo)%2 == 1 {
+			if steps[lo].added {
+				total.Added = append(total.Added, steps[lo].p)
+			} else {
+				total.Removed = append(total.Removed, steps[lo].p)
+			}
+		}
+		lo = hi
+	}
 	return total, nil
 }
 
@@ -191,170 +204,146 @@ func (e *Engine) ApplyDelete(u graph.Update) (Delta, error) {
 	return e.Apply(graph.Batch{u})
 }
 
-// repair fixes the marking table of source r.src after the updates:
-// identAff (Fig. 5 line 1), potentials (lines 2–4), insertion seeding
-// (lines 5–8), settle (line 9) and removal of unreachable entries. It
-// runs concurrently with other sources' repairs: everything it writes is
-// source-local or buffered on r (see srcRepair).
-func (r *srcRepair) repair(ins, dels graph.Batch) {
-	e, sm := r.e, r.sm
-	affected := r.identAff(dels)
-	q := pq.New[key]()
-	// Potentials from unaffected cpre members (Fig. 5 lines 2–4).
-	for k := range affected {
-		ent := sm.table[k]
-		best := Unreachable
-		for p := range ent.cpre {
-			r.meter.AddEdges(1)
-			if affected[p] {
-				continue
-			}
-			if pd := sm.table[p].dist + 1; pd < best {
-				best = pd
+// repair fixes the marking table of source r.src after the updates routed
+// to it: identAff (Fig. 5 line 1), potentials (lines 2–4), insertion
+// seeding (lines 5–8), settle (line 9) and removal of unreachable entries.
+// It runs concurrently with other sources' repairs: everything it writes is
+// source-local or worker-local (see srcRepair).
+func (r *srcRepair) repair(batch graph.Batch, routes []uint64) {
+	e, tab := r.e, r.tab
+	r.identAff(batch, routes)
+	// Potentials from unaffected cpre members (Fig. 5 lines 2–4). Nothing
+	// is inserted into the table before seeding, so ent stays valid.
+	for _, k := range r.aff {
+		ent := tab.get(k)
+		w, s2 := e.nodeOf(k), e.stateOf(k)
+		prev := e.nfa.PrevID(s2, e.lbl[w])
+		best, n := unreachable, int32(0)
+		for _, x := range e.g.PredecessorsSorted(e.ids[w]) {
+			ix := e.idx.of(x)
+			for _, s := range prev {
+				p := tab.get(e.pack(ix, s))
+				if p == nil || e.inserted(x, e.ids[w]) {
+					continue
+				}
+				r.meter.AddEdges(1)
+				if p.affected() {
+					continue
+				}
+				if pd := p.dist + 1; pd < best {
+					best, n = pd, 1
+				} else if pd == best {
+					n++
+				}
 			}
 		}
-		ent.dist = best
-		ent.mpre = make(map[key]struct{})
+		ent.dist, ent.nm = best, n
 		r.meter.AddEntries(1)
-		if best < Unreachable {
-			q.Push(k, best)
+		if best < unreachable {
+			r.push(k, best)
 		}
 	}
-	// Insertions between unaffected endpoints seed the queue (lines 5–8);
-	// cpre links are structural and recorded regardless of distances.
-	for _, u := range ins {
-		lblTo := e.g.LabelIDAt(u.To)
-		for s := 0; s < e.nfa.NumStates(); s++ {
-			kv := key{u.From, s}
-			ev := sm.table[kv]
+	// Insertions seed the queue (lines 5–8). Every candidate is computed
+	// from the distances as they stand now, before any is applied: a tail
+	// that another insertion lowers is queued and relaxes this edge again
+	// when popped, at a strictly smaller candidate, which resets the count
+	// instead of doubling it. An affected tail is skipped for the same
+	// reason from the other side: its distance is tentative, and settle
+	// relaxes the new edge when it pops the tail.
+	for _, rt := range routes {
+		u := batch[uint32(rt)]
+		if u.Op != graph.Insert {
+			continue
+		}
+		iv, iw := e.idx.of(u.From), e.idx.of(u.To)
+		for s := 1; s < e.nfa.NumStates(); s++ {
+			next := e.nfa.NextID(s, e.lbl[iw])
+			if len(next) == 0 {
+				continue
+			}
+			ev := tab.get(e.pack(iv, s))
+			if ev == nil || ev.affected() {
+				continue
+			}
+			for _, s2 := range next {
+				r.relaxations = append(r.relaxations, relaxation{e.pack(iw, s2), ev.dist + 1})
+			}
+		}
+	}
+	for _, x := range r.relaxations {
+		r.relax(x.k, x.cand)
+	}
+	r.relaxations = r.relaxations[:0]
+	// Settle exact values (line 9).
+	r.settle()
+	// Entries that stayed unreachable disappear.
+	for _, k := range r.aff {
+		ent := tab.get(k)
+		ent.k &^= affBit
+		if ent.dist < unreachable {
+			continue
+		}
+		tab.del(k)
+		r.noteRemoved(k)
+		r.meter.AddEntries(1)
+	}
+	r.aff = r.aff[:0]
+}
+
+// identAff implements Fig. 5 line 1: every deleted product edge that was on
+// a shortest path takes one from its head's nm, an entry whose nm drains to
+// zero is affected, and the loss propagates along the edges the affected
+// entry supported. It leaves the affected entries flagged and listed in
+// r.aff, their distances still the old ones.
+func (r *srcRepair) identAff(batch graph.Batch, routes []uint64) {
+	e, tab := r.e, r.tab
+	// unsupport takes predecessor (dist) away from entry k, if it counted.
+	unsupport := func(k key, dist int32) {
+		ent := tab.get(k)
+		if ent == nil || ent.affected() || ent.dist != dist+1 {
+			return
+		}
+		if ent.nm--; ent.nm == 0 {
+			ent.k |= affBit
+			r.aff = append(r.aff, k)
+		}
+	}
+	for _, rt := range routes {
+		u := batch[uint32(rt)]
+		if u.Op != graph.Delete {
+			continue
+		}
+		iv, iw := e.idx.of(u.From), e.idx.of(u.To)
+		for s := 1; s < e.nfa.NumStates(); s++ {
+			next := e.nfa.NextID(s, e.lbl[iw])
+			if len(next) == 0 {
+				continue
+			}
+			ev := tab.get(e.pack(iv, s))
 			if ev == nil {
 				continue
 			}
-			for _, s2 := range e.nfa.NextID(s, lblTo) {
-				kw := key{u.To, s2}
-				ew := sm.table[kw]
-				cand := ev.dist + 1
-				if affected[kv] {
-					// The tentative distance of kv already accounted for
-					// this edge via cpre; only the structural link is new.
-					if ew != nil {
-						ew.cpre[kv] = struct{}{}
-					}
-					continue
-				}
-				switch {
-				case ew == nil:
-					if cand >= Unreachable {
-						continue
-					}
-					ew = &entry{
-						dist: cand,
-						cpre: map[key]struct{}{kv: {}},
-						mpre: map[key]struct{}{kv: {}},
-					}
-					sm.table[kw] = ew
-					r.meter.AddEntries(1)
-					r.noteCreated(kw)
-					q.Push(kw, cand)
-				case cand < ew.dist:
-					ew.dist = cand
-					ew.cpre[kv] = struct{}{}
-					ew.mpre = map[key]struct{}{kv: {}}
-					r.meter.AddEntries(1)
-					q.Push(kw, cand)
-				case cand == ew.dist:
-					ew.cpre[kv] = struct{}{}
-					ew.mpre[kv] = struct{}{}
-				default:
-					ew.cpre[kv] = struct{}{}
-				}
+			for _, s2 := range next {
+				unsupport(e.pack(iw, s2), ev.dist)
 			}
 		}
 	}
-	// Settle exact values (line 9).
-	r.settle(q)
-	r.meter.AddHeapOps(q.Ops)
-	// Entries that stayed unreachable disappear, together with their
-	// structural links in successors.
-	for k := range affected {
-		ent := sm.table[k]
-		if ent == nil || ent.dist < Unreachable {
-			continue
-		}
-		delete(sm.table, k)
-		r.noteRemoved(k)
-		r.meter.AddEntries(1)
-		e.g.Successors(k.v, func(y graph.NodeID) bool {
-			for _, sy := range e.nfa.NextID(k.s, e.g.LabelIDAt(y)) {
-				if ey := sm.table[key{y, sy}]; ey != nil {
-					delete(ey.cpre, k)
-					delete(ey.mpre, k)
-				}
-			}
-			return true
-		})
-	}
-}
-
-// identAff implements Fig. 5 line 1: remove the structural links broken by
-// the deletions and mark every entry whose mpre support drains away,
-// propagating through mpre members transitively.
-func (r *srcRepair) identAff(dels graph.Batch) map[key]bool {
-	e, sm := r.e, r.sm
-	affected := make(map[key]bool)
-	var stack []key
-	markAffected := func(k key) {
-		if !affected[k] && !sm.table[k].seed {
-			affected[k] = true
-			stack = append(stack, k)
-		}
-	}
-	for _, u := range dels {
-		lblTo := e.g.LabelIDAt(u.To)
-		for s := 0; s < e.nfa.NumStates(); s++ {
-			kv := key{u.From, s}
-			if sm.table[kv] == nil {
-				continue
-			}
-			for _, s2 := range e.nfa.NextID(s, lblTo) {
-				kw := key{u.To, s2}
-				ew := sm.table[kw]
-				if ew == nil {
-					continue
-				}
-				delete(ew.cpre, kv)
-				if _, inM := ew.mpre[kv]; inM {
-					delete(ew.mpre, kv)
-					if len(ew.mpre) == 0 {
-						markAffected(kw)
-					}
-				}
-			}
-		}
-	}
-	for len(stack) > 0 {
-		k := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
+	for i := 0; i < len(r.aff); i++ {
+		k := r.aff[i]
 		r.meter.AddNodes(1)
 		// Successors that relied on k for their shortest paths lose that
-		// support.
-		e.g.Successors(k.v, func(y graph.NodeID) bool {
+		// support — over the edges that were there before the batch.
+		v, s, dist := e.ids[e.nodeOf(k)], e.stateOf(k), tab.get(k).dist
+		for _, y := range e.g.SuccessorsSorted(v) {
 			r.meter.AddEdges(1)
-			for _, sy := range e.nfa.NextID(k.s, e.g.LabelIDAt(y)) {
-				ky := key{y, sy}
-				ey := sm.table[ky]
-				if ey == nil || affected[ky] {
-					continue
-				}
-				if _, inM := ey.mpre[k]; inM {
-					delete(ey.mpre, k)
-					if len(ey.mpre) == 0 {
-						markAffected(ky)
-					}
-				}
+			iy := e.idx.of(y)
+			next := e.nfa.NextID(s, e.lbl[iy])
+			if len(next) == 0 || e.inserted(v, y) {
+				continue
 			}
-			return true
-		})
+			for _, sy := range next {
+				unsupport(e.pack(iy, sy), dist)
+			}
+		}
 	}
-	return affected
 }

@@ -9,57 +9,45 @@ import (
 // Witness returns a shortest path (v0 = src, …, vn = dst) whose label
 // string is in L(Q), certifying the match (src, dst) — the provenance of an
 // RPQ answer. It is reconstructed from the maintained markings by walking
-// mpre pointers backwards from an accepting entry, so it costs O(path) and
-// stays valid across incremental updates. ok is false when (src, dst) is
-// not a match.
+// mpre backwards from an accepting entry — at each step the smallest
+// (node, state) among the graph predecessors that carry an entry one
+// closer to the seeds — so it costs O(path × in-degree) and stays valid
+// across incremental updates. ok is false when (src, dst) is not a match.
 func (e *Engine) Witness(src, dst graph.NodeID) ([]graph.NodeID, bool) {
-	sm := e.marks[src]
-	if sm == nil || sm.acc[dst] == 0 {
-		return nil, false
-	}
 	// Pick the accepting entry at dst with the smallest distance, breaking
 	// ties by state for determinism.
-	best := key{v: -1}
-	bestDist := Unreachable + 1
-	for s := 0; s < e.nfa.NumStates(); s++ {
-		if !e.nfa.Accepting(s) {
-			continue
-		}
-		if ent := sm.table[key{dst, s}]; ent != nil && ent.dist < bestDist {
-			best = key{dst, s}
-			bestDist = ent.dist
+	var best *slot
+	state := 0
+	for _, s := range e.accStates {
+		if ent := e.entry(src, dst, s); ent != nil && (best == nil || ent.dist < best.dist) {
+			best, state = ent, s
 		}
 	}
-	if best.v == -1 {
+	if best == nil {
 		return nil, false
 	}
-	// Walk mpre back to the seed. Each step decreases dist by one, so the
-	// walk terminates in exactly bestDist steps.
-	path := make([]graph.NodeID, bestDist+1)
-	cur := best
-	for i := bestDist; ; i-- {
-		path[i] = cur.v
-		ent := sm.table[cur]
-		if ent == nil {
-			return nil, false // inconsistent marking; cannot happen
+	tab := e.marks[e.idx.of(src)]
+	// Each step decreases dist by one, so the walk takes best.dist steps.
+	path := make([]graph.NodeID, best.dist+1)
+	w := e.idx.of(dst)
+walk:
+	for d := best.dist; ; d-- {
+		path[d] = e.ids[w]
+		if d == 0 {
+			return path, true
 		}
-		if ent.dist == 0 {
-			break
-		}
-		picked := false
-		var next key
-		for p := range ent.mpre {
-			if !picked || p.v < next.v || p.v == next.v && p.s < next.s {
-				next = p
-				picked = true
+		prev := e.nfa.PrevID(state, e.lbl[w])
+		for _, x := range e.g.PredecessorsSorted(e.ids[w]) {
+			ix := e.idx.of(x)
+			for _, s := range prev {
+				if p := tab.get(e.pack(ix, s)); p != nil && p.dist == d-1 {
+					w, state = ix, s
+					continue walk
+				}
 			}
 		}
-		if !picked {
-			return nil, false // inconsistent marking; cannot happen
-		}
-		cur = next
+		return nil, false // inconsistent marking; cannot happen
 	}
-	return path, true
 }
 
 // VerifyWitness checks that a path certifies a match of the engine's query:
