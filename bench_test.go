@@ -18,8 +18,11 @@ package incgraph_test
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"incgraph"
+	"incgraph/internal/gen"
+	"incgraph/internal/graph"
 )
 
 // benchScale keeps `go test -bench=.` affordable; cmd/benchmark -scale
@@ -371,4 +374,257 @@ func BenchmarkBatchOpt(b *testing.B) {
 		}
 		applyUndo(b, batch, undo, func(bb incgraph.Batch) error { _, err := ix.ApplyUnitwise(bb); return err })
 	})
+}
+
+// ---- commit path: the shapes of the repository benchmark's workloads.
+//
+// One op is one Durable.Commit — validate, WAL append (no fsync, as the
+// daemon under perf/ runs), base graph, every engine on its own clone —
+// over a forward pass of batches and then its undo, so the graph returns
+// to the seed state every cycle. Worker budget and shard count are the
+// defaults, GOMAXPROCS: `-cpu 1,2` is the sequential commit next to the
+// one that may fan out.
+
+type commitShape struct {
+	graph   func() (*incgraph.Graph, error)
+	classes []string
+	dense   bool // gen.RPQDense, as on repair-match
+	batch   int
+}
+
+func matchShapeGraph() (*incgraph.Graph, error) {
+	g, err := gen.Dataset("dbpedia", 1, 1)
+	if err != nil {
+		return nil, err
+	}
+	return gen.Densify(gen.Relabel(g, 6), g.NumEdges()/2, 51), nil
+}
+
+var (
+	commitMatch = commitShape{
+		graph:   matchShapeGraph,
+		classes: []string{"kws", "rpq", "iso"}, dense: true, batch: 32,
+	}
+	commitIngest = commitShape{
+		graph:   func() (*incgraph.Graph, error) { return gen.Dataset("dbpedia", 1, 1) },
+		classes: []string{"kws", "rpq"}, batch: 4,
+	}
+	commitSCC = commitShape{
+		graph:   func() (*incgraph.Graph, error) { return gen.Dataset("livej", 0.1, 1) },
+		classes: []string{"kws", "scc"}, batch: 32,
+	}
+)
+
+// open creates a durable store on the shape's graph with its engines
+// attached, and the cycle of batches to commit: passes forward batches,
+// then their undo. workers is the budget of every graph involved.
+func (s commitShape) open(tb testing.TB, passes, workers int) (*incgraph.Durable, []incgraph.Batch) {
+	tb.Helper()
+	g, err := s.graph()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	g.SetParallelism(workers) // 0: the default; the engines' clones inherit it
+	d, err := incgraph.CreateDurable(tb.TempDir(), g, incgraph.DurableOptions{Sync: incgraph.SyncNone})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { d.Close() })
+	for _, class := range s.classes {
+		var m incgraph.Maintained
+		switch class {
+		case "kws":
+			q, err := gen.KWSQuery(g, 3, 2, 1)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			ix, err := incgraph.NewKWS(g.Clone(), q)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			m = incgraph.MaintainKWS(ix)
+		case "rpq":
+			query := gen.RPQQuery
+			if s.dense {
+				query = gen.RPQDense
+			}
+			q, err := query(g, 4, 1)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			e, err := incgraph.NewRPQFromAst(g.Clone(), q)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			m = incgraph.MaintainRPQ(e)
+		case "iso":
+			p, err := gen.ISOQuery(g, 4, 3, 2, 1)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			m = incgraph.MaintainISO(incgraph.NewISO(g.Clone(), p))
+		case "scc":
+			m = incgraph.MaintainSCC(incgraph.NewSCC(g.Clone()))
+		}
+		if err := d.Attach(m); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	all := gen.Updates(g, gen.UpdateSpec{Count: passes * s.batch, InsertRatio: 0.5, Locality: 0.8, Seed: 5})
+	cycle := make([]incgraph.Batch, 0, 2*passes)
+	for i := 0; i < passes; i++ {
+		cycle = append(cycle, all[i*s.batch:(i+1)*s.batch])
+	}
+	for i := passes - 1; i >= 0; i-- {
+		cycle = append(cycle, cycle[i].Inverse())
+	}
+	return d, cycle
+}
+
+func benchCommit(b *testing.B, s commitShape) {
+	d, cycle := s.open(b, 200, 0)
+	// One cycle untimed: scratch pools, plan pool and engine buffers warm.
+	for _, batch := range cycle {
+		if _, err := d.Commit(batch, incgraph.ApplyOptions{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := d.Commit(cycle[i%len(cycle)], incgraph.ApplyOptions{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkCommitMatch(b *testing.B)  { benchCommit(b, commitMatch) }
+func BenchmarkCommitIngest(b *testing.B) { benchCommit(b, commitIngest) }
+func BenchmarkCommitSCC(b *testing.B)    { benchCommit(b, commitSCC) }
+
+// TestWarmCommitWaitsForNobody pins what the commit benchmarks measure: at
+// a worker budget of 2, an ordinary warm batch-32 commit on the match
+// shape runs every iteration of every loop on the committing goroutine —
+// each loop offers its work to one helper, the loop is over before the
+// helper arrives, and the commit waits for nobody. The engines' builds,
+// long loops, must have engaged their helpers. The occasional commit with
+// a repair long enough for help to arrive in time is entitled to it, so
+// the claim is about the typical commit: more than half of a cycle.
+func TestWarmCommitWaitsForNobody(t *testing.T) {
+	if raceDetector {
+		t.Skip("under the race detector ordinary repairs outlast a helper's arrival")
+	}
+	if d := fanOut(func() { graph.ParallelFor(2, 2, func(int, int) {}) }); d.Engaged != 0 {
+		t.Skip("fan-out is forced (graph.EagerFanOut or -tags eagerfanout)")
+	}
+	var d *incgraph.Durable
+	var cycle []incgraph.Batch
+	if build := fanOut(func() { d, cycle = commitMatch.open(t, 32, 2) }); build.Engaged == 0 {
+		t.Errorf("no loop of the engine builds engaged a helper: %+v", build)
+	}
+	commit := func(b incgraph.Batch) {
+		if _, err := d.Commit(b, incgraph.ApplyOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, b := range cycle {
+		commit(b)
+	}
+	alone := 0
+	var total graph.FanOutStats
+	start := time.Now()
+	for _, b := range cycle {
+		c := fanOut(func() { commit(b) })
+		total.Loops += c.Loops
+		total.Helpers += c.Helpers
+		if c.Engaged == 0 {
+			alone++
+		}
+	}
+	if per := time.Since(start) / time.Duration(len(cycle)); per > time.Millisecond {
+		t.Skipf("a commit takes %v here, several times what it should: on this machine ordinary repairs outlast a helper's arrival", per)
+	}
+	if total.Loops == 0 {
+		t.Fatal("no ParallelFor ran: the commits did not reach the engines")
+	}
+	if total.Helpers > total.Loops {
+		t.Errorf("%d helpers started for %d loops: short loops must offer their work once", total.Helpers, total.Loops)
+	}
+	if alone <= len(cycle)/2 {
+		t.Fatalf("only %d of %d warm commits ran on the committing goroutine alone", alone, len(cycle))
+	}
+	t.Logf("%d of %d warm commits ran on the committing goroutine alone (%d loops, %d helpers offered)", alone, len(cycle), total.Loops, total.Helpers)
+}
+
+// fanOut runs f and returns how the ParallelFor counters moved.
+func fanOut(f func()) graph.FanOutStats {
+	before := graph.ReadFanOutStats()
+	f()
+	return graph.ReadFanOutStats().Sub(before)
+}
+
+// BenchmarkApplyBatchSweep is the sweep behind ApplyBatch being one serial
+// loop: ΔG of 8…4096 updates on the repair-match graph (two shards).
+// "apply" is ApplyBatch, ΔG and then its undo, at worker budgets 1 and 2.
+// "plan" is what any two-phase application must do serially before a
+// single shard can start — validate ΔG and compile its per-shard effects
+// (PlanBatch, which the multi-process runtime uses): it alone costs about
+// what the whole serial application does, so no number of workers on the
+// per-shard phase can make a planned in-process application win. (Run on
+// PR 13's commit, where a budget of 2 took that path from 32 updates on,
+// "apply/workers=2" is two to five times "apply/workers=1".) ns/update is
+// per unit update.
+func BenchmarkApplyBatchSweep(b *testing.B) {
+	seed, err := matchShapeGraph()
+	if err != nil {
+		b.Fatal(err)
+	}
+	seed.SetShards(2)
+	perUpdate := func(b *testing.B, updates int) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(updates), "ns/update")
+	}
+	for size := 8; size <= 4096; size *= 2 {
+		fwd := gen.Updates(seed, gen.UpdateSpec{Count: size, InsertRatio: 0.5, Locality: 0.8, Seed: 5})
+		rev := fwd.Inverse()
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("batch=%d/apply/workers=%d", size, workers), func(b *testing.B) {
+				g := seed.Clone()
+				g.SetParallelism(workers)
+				applyUndo(b, fwd, rev, g.ApplyBatch)
+				perUpdate(b, 2*size)
+			})
+		}
+		b.Run(fmt.Sprintf("batch=%d/plan", size), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				plan, ok := seed.PlanBatch(fwd)
+				if !ok {
+					b.Fatal("ΔG does not apply")
+				}
+				plan.Release()
+			}
+			perUpdate(b, size)
+		})
+	}
+}
+
+// BenchmarkKWSBuild is the batch build whose loops must keep their width:
+// per node, per keyword, per node again.
+func BenchmarkKWSBuild(b *testing.B) {
+	g, err := matchShapeGraph()
+	if err != nil {
+		b.Fatal(err)
+	}
+	q, err := gen.KWSQuery(g, 3, 2, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			g.SetParallelism(workers)
+			for i := 0; i < b.N; i++ {
+				if _, err := incgraph.NewKWS(g, q); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

@@ -9,11 +9,11 @@ import (
 
 // Distribution. A Cluster runs the sharded substrate across processes:
 // shard worker processes each hold authoritative replicas of a subset of
-// the graph's shards, and the coordinator drives ApplyBatch's two-phase
-// protocol over a length+CRC-framed RPC — phase 1 ships each shard's
-// slice of the validated batch plan to the worker owning it, in parallel;
-// phase 2 (the commit callback) merges deltas in shard order locally — so
-// the distributed application is byte-identical to the single-process
+// the graph's shards, and the coordinator drives a two-phase protocol
+// over a length+CRC-framed RPC — phase 1 ships each shard's slice of the
+// validated batch plan to the worker owning it, in parallel; phase 2 (the
+// commit callback) applies the batch locally — so the distributed
+// application is byte-identical to the single-process
 // one. Shard placement and rebalancing ship the per-shard snapshot
 // segments of internal/store. Batches with disjoint TouchedShards are
 // routed concurrently. See internal/cluster for the protocol contract and

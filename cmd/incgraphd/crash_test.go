@@ -124,9 +124,10 @@ func TestCrashRecoverySmoke(t *testing.T) {
 	c.cmd(t, "commit")
 
 	// The operational error counters the accept loop and commit path log
-	// are exposed as stat fields (zero on this healthy restart).
+	// are exposed as stat fields (zero on this healthy restart), next to
+	// the fan-out counters.
 	statLine := c.cmd(t, "stat")
-	for _, field := range []string{"accept_errs=0", "commit_errs=0"} {
+	for _, field := range []string{"accept_errs=0", "commit_errs=0", "fanout_loops=", "fanout_engaged=", "fanout_helpers="} {
 		if !strings.Contains(statLine, field) {
 			t.Fatalf("stat %q missing %q", statLine, field)
 		}

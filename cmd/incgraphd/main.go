@@ -92,6 +92,22 @@
 // connections read concurrently between commits; commits and checkpoints
 // are exclusive.
 //
+// # Parallelism
+//
+// -workers caps how many goroutines one build or repair may use (default:
+// every core). The cap is not a width: each parallel loop of an engine
+// runs on the committing goroutine, which offers the work to one helper
+// and never waits for a helper that did not get there in time; helpers
+// that do find work bring in more, up to the cap (graph.ParallelFor). A
+// small commit is over before its helper arrives and waits for nobody.
+// "stat" says whether the fan-out engages on the traffic at hand,
+// process-wide since start: fanout_loops counts the parallel loops run,
+// fanout_engaged those in which a helper arrived in time to run part of
+// the loop, fanout_helpers the helper goroutines started. A busy daemon
+// whose fanout_engaged stands still is repairing faster than help can
+// arrive; one where it tracks fanout_loops is doing long repairs or
+// builds, and fanout_helpers/fanout_loops is how wide they ran.
+//
 // # Overload behavior
 //
 // The daemon degrades explicitly, never silently: past -max-conns new

@@ -898,6 +898,10 @@ func (s *server) stat(reply func(string, ...any) bool) bool {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	line += fmt.Sprintf(" goroutines=%d heap_bytes=%d", runtime.NumGoroutine(), ms.HeapAlloc)
+	// Whether the engines' fan-out engages on this traffic: parallel loops
+	// run, loops a helper arrived in time to share, helpers started.
+	fo := incgraph.ReadFanOutStats()
+	line += fmt.Sprintf(" fanout_loops=%d fanout_engaged=%d fanout_helpers=%d", fo.Loops, fo.Engaged, fo.Helpers)
 	if cl != nil {
 		sts, age := s.cachedClusterStats(cl)
 		up, retries := 0, uint64(0)

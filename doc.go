@@ -31,10 +31,9 @@
 //     partitions (Graph.SetShards, default sized to the core count), each
 //     owning its slice of the node table, its dense-slot allocator, and
 //     the adjacency of its nodes, with cross-shard edges recorded on both
-//     endpoint shards. Large batches then apply shard-parallel inside
-//     ApplyBatch: phase 1 hands each shard's owned effects to a worker,
-//     phase 2 merges label-index and edge-count deltas serially in shard
-//     order, so the result is byte-identical to a serial application.
+//     endpoint shards. A validated batch compiles into per-shard effects
+//     with no cross-shard writes — what the multi-process runtime ships
+//     to its shard workers — and snapshots are cut along the same lines.
 //     Per-shard iteration hooks (ShardNodes, ShardNodesSorted,
 //     NodesSortedParallel, Batch.TouchedShards) let the engines collect
 //     and partition work along the same boundaries.
@@ -67,14 +66,21 @@
 // or behind the sequential SCC engine, call it yourself before sharing
 // reads.
 //
-// On top of that split, the batch builds fan out — NewKWS per keyword,
-// NewRPQ per source node, NewISO/FindMatches over partitioned VF2 candidate
-// seeds — and the incremental Apply methods of KWS, RPQ and ISO apply ΔG
-// through the shard-parallel ApplyBatch, then partition their repair work
-// (affected keywords, affected sources, anchored insertions) across a
-// worker pool. Per-worker results merge deterministically, so answers and
-// deltas are byte-identical to a sequential run at any worker or shard
-// count.
+// On top of that split, the batch builds can fan out — NewKWS per keyword
+// and per node, NewRPQ per source node, NewISO/FindMatches over partitioned
+// VF2 candidate seeds — and the incremental Apply methods of KWS, RPQ and
+// ISO apply ΔG, then partition their repair work (affected keywords,
+// affected sources, anchored insertions) the same way. The fan-out pays
+// for itself: every such loop runs on the calling goroutine, which offers
+// the work to one helper and goes on without waiting for it; a helper that
+// arrives while iterations are still unclaimed takes some and brings in
+// the next helper, one that arrives too late leaves again. A small commit
+// — most commits — is over before help arrives and its goroutine waits
+// for nobody; builds, snapshot loads and the occasional long repair widen
+// to the worker budget within a few thread wake-ups. Per-worker results
+// merge deterministically, so answers and deltas are byte-identical to a
+// sequential run at any worker or shard count, however wide each loop
+// happened to run.
 //
 // KWS and ISO additionally route each batch through a cost model
 // (internal/cost): when the predicted affected area makes the incremental
@@ -84,8 +90,9 @@
 // Delta. The decision is a pure function of graph and batch statistics,
 // never of worker or shard count.
 //
-// Graph.SetParallelism(n) bounds the worker pool; the default is
-// runtime.GOMAXPROCS(0), and n = 1 forces fully sequential execution.
+// Graph.SetParallelism(n) caps how wide a loop may become (it never makes
+// one wide); the default is runtime.GOMAXPROCS(0), and n = 1 forces fully
+// sequential execution.
 // Clones inherit the setting, so configuring the base graph configures
 // every engine built on it.
 //
@@ -140,11 +147,11 @@
 //     validated and planned there, the engines and the Durable live
 //     there, and shard placement/rebalancing ship the snapshot's
 //     per-shard segments (the wire format the store was designed around).
-//   - Determinism. A distributed Apply is ApplyBatch's existing two-phase
-//     protocol stretched over the network: phase 1 ships each shard's
-//     slice of the validated plan to its owning worker, in parallel;
-//     phase 2 — the commit callback — merges deltas in shard order
-//     locally, cross-checked against the plan. The result (graph bytes,
+//   - Determinism. A distributed Apply is a two-phase protocol over the
+//     batch's validated, shard-partitioned plan: phase 1 ships each
+//     shard's slice of the plan to its owning worker, in parallel; phase 2
+//     — the commit callback — applies the batch locally, once the
+//     workers' edge deltas have been cross-checked against the plan. The result (graph bytes,
 //     engine deltas, canonical answers) is byte-identical to the
 //     single-process application; the differential tests pin
 //     cluster(workers=2) ≡ single-process for all four query classes,

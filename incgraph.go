@@ -38,6 +38,14 @@ type (
 	LabelID = graph.LabelID
 )
 
+// FanOutStats are the process-wide counters of the engines' parallel
+// loops: loops run, loops a helper arrived in time to share, helper
+// goroutines started. incgraphd reports them in "stat".
+type FanOutStats = graph.FanOutStats
+
+// ReadFanOutStats returns the parallel-loop counters since process start.
+func ReadFanOutStats() FanOutStats { return graph.ReadFanOutStats() }
+
 // NoLabel is the LabelID of nodes that do not exist.
 const NoLabel = graph.NoLabel
 

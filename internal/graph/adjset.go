@@ -1,6 +1,9 @@
 package graph
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 func sortNodeIDs(vs []NodeID) {
 	sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
@@ -51,7 +54,8 @@ func (a *adjSet) len() int {
 
 // search returns the insertion point of v in the sorted list.
 func (a *adjSet) search(v NodeID) int {
-	return sort.Search(len(a.list), func(i int) bool { return a.list[i] >= v })
+	i, _ := slices.BinarySearch(a.list, v)
+	return i
 }
 
 func (a *adjSet) has(v NodeID) bool {

@@ -5,14 +5,14 @@ import (
 	"sync"
 )
 
-// Remote phase-1 hooks. The two-phase ApplyBatch protocol of shard.go was
-// designed so that phase 1 — per-shard application of a validated plan's
-// owned effects — touches nothing but shard-owned state. That is exactly
+// Remote phase-1 hooks. A batch validated and planned against the graph
+// (planBatch, shard.go) splits into per-shard effects, and applying one
+// shard's effects touches nothing but shard-owned state. That is exactly
 // the property a multi-process deployment needs: a coordinator can compile
 // the plan once, ship each shard's slice of it to the worker process
-// owning that shard, and merge the (deterministic) per-shard deltas in
-// shard order locally, producing the same graph as a single-process
-// application. This file exports the validated plan itself (PlanBatch,
+// owning that shard (phase 1), and apply the batch to its own full graph
+// (phase 2, the commit), and the workers' shards then hold what the
+// coordinator's do. This file exports the validated plan itself (PlanBatch,
 // with zero-copy per-shard iteration for wire encoders), the materialized
 // per-shard slices (PlanShardEffects) and their application
 // (ApplyShardEffects). Labels appear as interned LabelIDs; because IDs are
@@ -108,8 +108,7 @@ func (g *Graph) PlanShardEffects(b Batch) ([]ShardEffects, bool) {
 }
 
 // Plan is an exported handle over one validated, shard-partitioned batch
-// plan: the net effects ApplyBatch's parallel path would execute,
-// iterable per shard without materializing intermediate slices. Wire
+// plan: the net effects of the batch, iterable per shard without materializing intermediate slices. Wire
 // encoders walk it directly into their output buffers — the zero-copy
 // distributed-apply path. A Plan is read-only, valid until the next
 // mutation of the graph it was compiled against, and should be returned

@@ -210,3 +210,23 @@ func (g *Graph) ValidateBatch(b Batch) error {
 	}
 	return nil
 }
+
+// ValidateNormalized is ValidateBatch for a batch in normal form (see
+// Normalize): no two of its updates touch one edge, so each is checked
+// against the graph on its own — an insertion needs the edge absent, a
+// deletion needs it present — with no running state and no allocation.
+// The engines call it on the normalized batch before their first side
+// effect, so a batch they reject leaves graph and engine untouched.
+func (g *Graph) ValidateNormalized(b Batch) error {
+	for _, u := range b {
+		switch has := g.HasEdge(u.From, u.To); {
+		case u.Op == Insert && has:
+			return fmt.Errorf("%w: insert of existing edge (%d,%d)", ErrBadUpdate, u.From, u.To)
+		case u.Op == Delete && !has:
+			return fmt.Errorf("%w: delete of missing edge (%d,%d)", ErrBadUpdate, u.From, u.To)
+		case u.Op != Insert && u.Op != Delete:
+			return fmt.Errorf("%w: unknown op %v", ErrBadUpdate, u.Op)
+		}
+	}
+	return nil
+}

@@ -21,12 +21,13 @@
 //   - Sharded node space. Nodes hash into a power-of-two number of shards
 //     (shard.go), each owning its slice of the node table, its dense-slot
 //     allocator, and the adjacency of its nodes; cross-shard edges are
-//     recorded on both endpoint shards. ApplyBatch partitions a validated
-//     batch by owning shard and applies it with a two-phase protocol —
-//     parallel per-shard application, then a deterministic serial merge of
-//     label-index/edge-count deltas in shard order — so ΔG itself scales
-//     across cores while producing the same graph as a serial application
-//     (and byte-identical query answers).
+//     recorded on both endpoint shards. The partition is what the
+//     snapshot format, the per-shard node collection of the batch builds
+//     and the multi-process runtime are cut along: a validated batch
+//     compiles into per-shard effects (PlanBatch, effects.go) that shard
+//     workers in other processes apply independently, reproducing the
+//     graph a serial ApplyBatch builds. In-process, ApplyBatch is that
+//     serial loop (update.go says why).
 //
 //   - Hybrid adjacency. Out- and in-adjacency are sorted []NodeID slices
 //     for low-degree nodes, promoted to hash sets past a degree threshold
@@ -42,11 +43,10 @@
 // Concurrency contract (parallel.go): mutations require exclusive access,
 // but between mutations any number of goroutines may read and traverse the
 // graph concurrently — call PrepareConcurrentReads after the last mutation
-// to flush the lazily rebuilt sorted-adjacency caches first. Inside one
-// ApplyBatch the shards of a large batch are mutated in parallel under the
-// two-phase protocol of shard.go; that parallelism is internal to the
-// mutation and invisible to readers, who still see mutations as exclusive.
-// The parallel engines in kws, rpq and iso are built on exactly this split.
+// to flush the lazily rebuilt sorted-adjacency caches first. The parallel
+// engines in kws, rpq and iso are built on exactly this split; their loops
+// fan out through ParallelFor, whose caller always takes part and never
+// waits for a helper that arrived too late to find work.
 package graph
 
 import (
@@ -84,8 +84,8 @@ type Graph struct {
 	// the traversal scratch sizes its visited array to it.
 	slotCeil int32
 	// byLabel is the inverted label index: every node appears in the set
-	// of its current label, and nowhere else. Graph-global; the parallel
-	// batch path defers its updates to the serial merge phase.
+	// of its current label, and nowhere else. Graph-global: shard workers
+	// applying planned effects (effects.go) never touch it.
 	byLabel map[LabelID]*adjSet
 	edges   int
 	// gen counts mutations; generation-stamped answer caches (GenCache)

@@ -2,13 +2,16 @@ package graph
 
 // Tests for the concurrency layer: the worker-keyed scratch pool under
 // concurrent and nested traversals, the eager sorted-cache flush of
-// PrepareConcurrentReads, and the ParallelFor worker-pool primitive.
+// PrepareConcurrentReads, and the ParallelFor kernel.
 // Run with -race to make the concurrent cases meaningful.
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestConcurrentTraversals hammers one read-shared graph with every
@@ -153,40 +156,209 @@ func TestNestedTraversalPooled(t *testing.T) {
 	}
 }
 
-// TestParallelForCoverageAndPanic checks the work-distribution primitive:
-// every index runs exactly once, worker ids stay in range, sequential
-// degradation works, and a worker panic surfaces on the caller.
-func TestParallelForCoverageAndPanic(t *testing.T) {
-	for _, workers := range []int{1, 2, 7, 64} {
-		n := 253
-		hits := make([]int32, n)
-		maxWorker := workers
-		if maxWorker > n {
-			maxWorker = n
-		}
-		ParallelFor(workers, n, func(worker, i int) {
-			if worker < 0 || worker >= maxWorker {
-				t.Errorf("worker id %d out of range [0,%d)", worker, maxWorker)
+// fanOutDelta runs f and returns how the process-wide counters moved.
+func fanOutDelta(f func()) FanOutStats {
+	before := ReadFanOutStats()
+	f()
+	return ReadFanOutStats().Sub(before)
+}
+
+// lazyFanOut switches EagerFanOut off for the rest of the test, whatever
+// the build tag or an enclosing test set.
+func lazyFanOut(t *testing.T) {
+	t.Helper()
+	prev := eagerFanOut.Swap(false)
+	t.Cleanup(func() { eagerFanOut.Store(prev) })
+}
+
+// TestParallelForShortLoopWaitsForNobody: a loop that is over before its
+// helper gets to run is a plain loop — every iteration runs as worker 0 on
+// the calling goroutine, in order; one helper was offered the work, found
+// none, and nobody waited for it. One processor makes "before the helper
+// gets to run" certain: the helper cannot start until the caller yields,
+// and the loop never does.
+func TestParallelForShortLoopWaitsForNobody(t *testing.T) {
+	lazyFanOut(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var order []int // appended without synchronization: one goroutine or a race report
+	d := fanOutDelta(func() {
+		ParallelFor(8, 1000, func(worker, i int) {
+			if worker != 0 {
+				t.Errorf("iteration %d ran as worker %d", i, worker)
 			}
-			hits[i]++
+			order = append(order, i)
 		})
-		for i, h := range hits {
-			if h != 1 {
-				t.Fatalf("workers=%d: index %d ran %d times, want 1", workers, i, h)
+	})
+	if d != (FanOutStats{Loops: 1, Helpers: 1}) {
+		t.Fatalf("counters moved by %+v, want one loop, one helper, not engaged", d)
+	}
+	for i, got := range order {
+		if got != i {
+			t.Fatalf("iteration %d ran at position %d", got, i)
+		}
+	}
+	if len(order) != 1000 {
+		t.Fatalf("%d iterations ran, want 1000", len(order))
+	}
+}
+
+// TestParallelForLongLoopWidens: in a loop of long iterations every
+// arriving helper finds work left and starts the next, so the loop becomes
+// exactly min(workers, n) wide — and no worker id is ever held by two
+// goroutines at once.
+func TestParallelForLongLoopWidens(t *testing.T) {
+	lazyFanOut(t)
+	for _, tc := range []struct{ workers, n int }{{4, 40}, {4, 5}, {4, 4}, {8, 3}, {2, 2}} {
+		width := min(tc.workers, tc.n)
+		live := make([]atomic.Bool, width)
+		hits := make([]atomic.Int32, tc.n)
+		d := fanOutDelta(func() {
+			ParallelFor(tc.workers, tc.n, func(worker, i int) {
+				if worker < 0 || worker >= width {
+					t.Errorf("workers=%d n=%d: worker id %d, want ids in [0,%d)", tc.workers, tc.n, worker, width)
+					return
+				}
+				if !live[worker].CompareAndSwap(false, true) {
+					t.Errorf("worker id %d live twice", worker)
+				}
+				hits[i].Add(1)
+				time.Sleep(2 * time.Millisecond)
+				live[worker].Store(false)
+			})
+		})
+		if want := (FanOutStats{Loops: 1, Engaged: 1, Helpers: uint64(width - 1)}); d != want {
+			t.Errorf("workers=%d n=%d: counters moved by %+v, want %+v", tc.workers, tc.n, d, want)
+		}
+		for i := range hits {
+			if h := hits[i].Load(); h != 1 {
+				t.Errorf("workers=%d n=%d: index %d ran %d times", tc.workers, tc.n, i, h)
 			}
 		}
 	}
+}
 
-	defer func() {
-		if r := recover(); r == nil {
-			t.Fatal("worker panic did not propagate to the caller")
+// TestParallelForEagerIsConcurrent: with EagerFanOut the loop really is
+// min(workers, n) wide from its first iteration — every iteration below
+// blocks until that many are inside the loop at once.
+func TestParallelForEagerIsConcurrent(t *testing.T) {
+	defer EagerFanOut()()
+	for _, tc := range []struct{ workers, n int }{{4, 2}, {4, 4}, {3, 9}} {
+		width := min(tc.workers, tc.n)
+		var inside sync.WaitGroup
+		inside.Add(width)
+		var once [16]sync.Once
+		d := fanOutDelta(func() {
+			ParallelFor(tc.workers, tc.n, func(worker, i int) {
+				once[worker].Do(func() {
+					inside.Done()
+					inside.Wait()
+				})
+			})
+		})
+		if want := (FanOutStats{Loops: 1, Engaged: 1, Helpers: uint64(width - 1)}); d != want {
+			t.Errorf("workers=%d n=%d: counters moved by %+v, want %+v", tc.workers, tc.n, d, want)
 		}
-	}()
-	ParallelFor(4, 100, func(_, i int) {
-		if i == 13 {
-			panic("boom")
+	}
+}
+
+// TestParallelForCoverage: every index runs exactly once, under a worker
+// id in range, whether helpers arrive in their own time, are all there
+// from the start, or cannot run before the loop is over.
+func TestParallelForCoverage(t *testing.T) {
+	lazyFanOut(t)
+	const workers = 4
+	modes := map[string]func() (restore func()){
+		"default": func() func() { return func() {} },
+		"eager":   EagerFanOut,
+		"oneproc": func() func() { prev := runtime.GOMAXPROCS(1); return func() { runtime.GOMAXPROCS(prev) } },
+	}
+	for name, enter := range modes {
+		restore := enter()
+		for _, n := range []int{0, 1, workers - 1, workers + 1, 10000} {
+			hits := make([]atomic.Int32, n)
+			ParallelFor(workers, n, func(worker, i int) {
+				if worker < 0 || worker >= min(workers, n) {
+					t.Errorf("%s n=%d: worker id %d out of range", name, n, worker)
+				}
+				hits[i].Add(1)
+			})
+			for i := range hits {
+				if h := hits[i].Load(); h != 1 {
+					t.Fatalf("%s n=%d: index %d ran %d times, want 1", name, n, i, h)
+				}
+			}
 		}
-	})
+		restore()
+	}
+}
+
+// TestParallelForPanic: a panic in an iteration — of a loop with no
+// helpers, of the caller's in a wide loop, of a helper's — reaches the
+// caller with its value, and by then every helper has stopped: no
+// iteration is running and none starts afterwards.
+func TestParallelForPanic(t *testing.T) {
+	defer EagerFanOut()() // the helpers are in the loop when the panic comes
+	for _, tc := range []struct {
+		name    string
+		workers int
+		guilty  func(worker int) bool
+	}{
+		{"alone", 1, func(w int) bool { return true }},
+		{"caller", 4, func(w int) bool { return w == 0 }},
+		{"helper", 4, func(w int) bool { return w != 0 }},
+	} {
+		var running, ran atomic.Int32
+		got := func() (r any) {
+			defer func() { r = recover() }()
+			ParallelFor(tc.workers, 4000, func(worker, i int) {
+				running.Add(1)
+				defer running.Add(-1)
+				ran.Add(1)
+				time.Sleep(10 * time.Microsecond)
+				if tc.guilty(worker) {
+					panic("boom")
+				}
+			})
+			return nil
+		}()
+		if got != "boom" {
+			t.Fatalf("%s: recovered %v, want the iteration's panic value", tc.name, got)
+		}
+		if n := running.Load(); n != 0 {
+			t.Fatalf("%s: %d iterations still running after ParallelFor returned", tc.name, n)
+		}
+		before := ran.Load()
+		time.Sleep(2 * time.Millisecond)
+		if after := ran.Load(); after != before {
+			t.Fatalf("%s: %d iterations started after ParallelFor returned", tc.name, after-before)
+		}
+		if before >= 4000 {
+			t.Fatalf("%s: all 4000 iterations ran; the panic did not stop the claiming", tc.name)
+		}
+	}
+}
+
+// TestParallelForNested: a ParallelFor inside an iteration — on the caller
+// and on helpers alike — completes; every level's caller runs iterations
+// itself, so no level waits on a worker that cannot start.
+func TestParallelForNested(t *testing.T) {
+	lazyFanOut(t)
+	for _, eager := range []bool{false, true} {
+		restore := func() {}
+		if eager {
+			restore = EagerFanOut()
+		}
+		var total atomic.Int64
+		ParallelFor(4, 16, func(_, i int) {
+			ParallelFor(4, 50, func(_, j int) {
+				ParallelFor(2, 3, func(_, k int) { total.Add(1) })
+			})
+		})
+		restore()
+		if got := total.Load(); got != 16*50*3 {
+			t.Fatalf("eager=%v: nested loops ran %d innermost iterations, want %d", eager, got, 16*50*3)
+		}
+	}
 }
 
 // TestScratchPoolReuse checks the two-tier pool directly: a traversal

@@ -12,25 +12,19 @@ import (
 // nodes, plus a private dense-slot allocator. Cross-shard edges are
 // recorded on both endpoint shards — (v, w) lives in v's out set on
 // shard(v) and in w's in set on shard(w) — so traversal kernels read any
-// shard without coordination, and a parallel batch application can hand
-// each shard's effects to a dedicated worker with no cross-shard writes.
+// shard without coordination, and a planned batch splits into per-shard
+// effects with no cross-shard writes, which is what lets shard workers in
+// other processes apply them independently (effects.go).
 //
 // Ownership invariant: a node record is written only (a) under the
-// exclusive-mutation half of the concurrency contract, or (b) during
-// phase 1 of a parallel ApplyBatch, by the single worker driving the
-// owning shard. Graph-global state (byLabel, edges, dirtySorted, slotCeil,
-// gen) is written only serially — phase 2 of the parallel path merges the
-// per-shard deltas in ascending shard order, which is what makes the
-// parallel path deterministic: it produces the same abstract graph as the
-// serial one (see ApplyBatch for the exact parity contract).
+// exclusive-mutation half of the concurrency contract, or (b) by
+// ApplyShardEffects on a shard-container graph, for the one shard it was
+// called for. Graph-global state (byLabel, edges, dirtySorted, slotCeil,
+// gen) is written only under (a).
 
 // MaxShards caps the shard count. Far above any sensible core count; it
 // bounds the per-graph fixed cost of the shard table.
 const MaxShards = 256
-
-// parallelBatchMin is the batch size below which ApplyBatch stays serial:
-// planning plus fan-out overhead dominates tiny batches.
-const parallelBatchMin = 32
 
 // shard owns one partition of the node space.
 type shard struct {
@@ -39,13 +33,12 @@ type shard struct {
 	free []int32
 	// slotCap is the number of local slot indices ever issued.
 	slotCap int32
-	// dirty buffers adjacency sets dirtied by this shard's worker during
-	// phase 1 of a parallel ApplyBatch; phase 2 drains it into the graph's
-	// dirtySorted queue (serially, in shard order).
+	// dirty buffers the adjacency sets one ApplyShardEffects call dirtied,
+	// so it can clear their queued marks when it returns.
 	dirty []*adjSet
 }
 
-// noteDirty is the phase-1 (per-shard) counterpart of Graph.noteDirty.
+// noteDirty is the per-shard counterpart of Graph.noteDirty.
 func (sh *shard) noteDirty(a *adjSet) {
 	if a.set != nil && a.dirty && !a.queued {
 		a.queued = true
@@ -254,9 +247,10 @@ func mergeSortedIDs(a, b []NodeID) []NodeID {
 }
 
 // TouchedShards returns the sorted, de-duplicated indices of the shards
-// owning any endpoint of the batch: the partitions a parallel application
-// of b will write. Engines use it as a locality signal (how concentrated
-// ΔG is) when deciding between incremental repair and batch fallback.
+// owning any endpoint of the batch: the partitions a distributed
+// application of b will write. Engines use it as a locality signal (how
+// concentrated ΔG is) when deciding between incremental repair and batch
+// fallback.
 func (b Batch) TouchedShards(g *Graph) []int {
 	// Shard indices fit a fixed 256-bit set (MaxShards), so dedup and sort
 	// cost no map and no sort.Ints — this runs per distributed apply.
@@ -281,7 +275,7 @@ func (b Batch) TouchedShards(g *Graph) []int {
 	return out
 }
 
-// ---- Parallel batch application ----
+// ---- Batch planning (consumed by effects.go) ----
 
 // planNode is a node the batch will create, with its first-mention label.
 type planNode struct {
@@ -326,8 +320,8 @@ const (
 	stInitial                       // existed before the batch
 )
 
-// batchPlanPool recycles plans (and their scratch maps) across
-// ApplyBatch/PlanBatch calls; the distributed apply path compiles one plan
+// batchPlanPool recycles plans (and their scratch maps) across PlanBatch
+// calls; the distributed apply path compiles one plan
 // per commit, so this is a hot allocation site.
 var batchPlanPool sync.Pool
 
@@ -367,8 +361,7 @@ func putBatchPlan(plan *batchPlan) { batchPlanPool.Put(plan) }
 // applicability rule Apply enforces: no insert of an existing edge, no
 // delete of a missing one, per the running in-batch state) and compiles
 // the shard-partitioned plan of its net effects. Read-only; reports
-// ok=false when any update would fail, in which case the caller must take
-// the serial path to reproduce the exact partial application and error.
+// ok=false when any update would fail (ValidateBatch names the update).
 func (g *Graph) planBatch(b Batch) (*batchPlan, bool) {
 	plan := getBatchPlan(len(g.shards))
 	ensure := func(v NodeID, label string) {
@@ -439,75 +432,4 @@ func (g *Graph) planBatch(b Batch) (*batchPlan, bool) {
 		}
 	}
 	return plan, true
-}
-
-// applyShardPhase is phase 1 for one shard: create the shard's new nodes
-// (in batch first-mention order, so slot assignment matches the serial
-// path exactly) and apply the owned halves of every edge effect. It
-// returns the shard's edge-count delta (counted on the From side, so each
-// edge is counted exactly once across shards). Runs concurrently with the
-// other shards' phase 1; writes only shard-owned state.
-func (g *Graph) applyShardPhase(si int, plan *batchPlan) int {
-	sh := &g.shards[si]
-	p32, si32 := int32(len(g.shards)), int32(si)
-	for _, ni := range plan.nodesByShard[si] {
-		n := plan.newNodes[ni]
-		sh.nodes[n.v] = &node{label: n.lid, slot: sh.allocSlot(p32, si32)}
-	}
-	edgeDelta := 0
-	u64si := uint64(si)
-	for _, oi := range plan.opsByShard[si] {
-		op := plan.ops[oi]
-		if g.shardIdxOf(op.e.From) == u64si {
-			rec := sh.nodes[op.e.From]
-			if op.op == Insert {
-				rec.out.add(op.e.To)
-				edgeDelta++
-			} else {
-				rec.out.remove(op.e.To)
-				edgeDelta--
-			}
-			sh.noteDirty(&rec.out)
-		}
-		if g.shardIdxOf(op.e.To) == u64si {
-			rec := sh.nodes[op.e.To]
-			if op.op == Insert {
-				rec.in.add(op.e.From)
-			} else {
-				rec.in.remove(op.e.From)
-			}
-			sh.noteDirty(&rec.in)
-		}
-	}
-	return edgeDelta
-}
-
-// applyBatchParallel applies a validated plan with the two-phase protocol:
-// phase 1 applies every shard's owned effects fully in parallel, phase 2
-// serially merges the per-shard deltas — label-index insertions, dirty
-// adjacency queues, edge counts — in ascending shard order. The final
-// graph (node set, labels, slots, adjacency membership, counters) is
-// identical to a serial application of the same batch; only the internal
-// hybrid-adjacency representation may differ for sets whose in-batch
-// updates cancelled.
-func (g *Graph) applyBatchParallel(plan *batchPlan, workers int) {
-	p := len(g.shards)
-	edgeDeltas := make([]int, p)
-	ParallelFor(workers, p, func(_, si int) {
-		edgeDeltas[si] = g.applyShardPhase(si, plan)
-	})
-	locked := g.mergeLock()
-	for si := 0; si < p; si++ {
-		sh := &g.shards[si]
-		for _, ni := range plan.nodesByShard[si] {
-			n := plan.newNodes[ni]
-			g.labelIndexAdd(n.lid, n.v)
-		}
-		g.dirtySorted = append(g.dirtySorted, sh.dirty...)
-		sh.dirty = sh.dirty[:0]
-		g.edges += edgeDeltas[si]
-	}
-	g.refreshSlotCeil()
-	g.gen++
-	g.mergeUnlock(locked)
 }

@@ -1,9 +1,9 @@
 package graph
 
 // Tests for the sharded substrate: shard-count invariance of the abstract
-// graph, cross-shard edge bookkeeping, rebalance (SetShards), and the
-// parallel ApplyBatch path pinned against the serial loop — including
-// error parity on invalid batches.
+// graph, cross-shard edge bookkeeping, rebalance (SetShards), and
+// ApplyBatch on a sharded graph pinned against the unit loop on an
+// unsharded one — including error parity on invalid batches.
 
 import (
 	"fmt"
@@ -168,12 +168,12 @@ func TestSetShardsRebalance(t *testing.T) {
 	}
 }
 
-// TestParallelApplyBatchMatchesSerial drives the same randomized update
-// stream through the two-phase parallel path (8 shards, 4 workers) and the
-// serial unit loop, and requires identical graphs after every batch. This
+// TestShardedApplyBatchMatchesUnsharded drives the same randomized update
+// stream through ApplyBatch on an 8-shard graph and the unit loop on a
+// one-shard graph, and requires identical graphs after every batch. This
 // is the substrate half of the determinism guarantee; the engine half
 // lives in the top-level sharded differential test.
-func TestParallelApplyBatchMatchesSerial(t *testing.T) {
+func TestShardedApplyBatchMatchesUnsharded(t *testing.T) {
 	par := randomSharded(t, 600, 8, 4, 11)
 	ser := par.Clone()
 	ser.SetShards(1)
@@ -183,7 +183,7 @@ func TestParallelApplyBatchMatchesSerial(t *testing.T) {
 	for round := 0; round < 5; round++ {
 		b := randomBatch(scratch, 80, rng)
 		if err := par.ApplyBatch(b); err != nil {
-			t.Fatalf("round %d parallel: %v", round, err)
+			t.Fatalf("round %d sharded: %v", round, err)
 		}
 		for i, u := range b {
 			if err := ser.Apply(u); err != nil {
@@ -191,7 +191,7 @@ func TestParallelApplyBatchMatchesSerial(t *testing.T) {
 			}
 		}
 		if !par.Equal(ser) || !ser.Equal(par) {
-			t.Fatalf("round %d: parallel and serial graphs diverged", round)
+			t.Fatalf("round %d: sharded and unsharded graphs diverged", round)
 		}
 		if a, b := fmt.Sprint(par.EdgesSorted()), fmt.Sprint(ser.EdgesSorted()); a != b {
 			t.Fatalf("round %d: sorted edge lists differ", round)
@@ -199,15 +199,15 @@ func TestParallelApplyBatchMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestParallelApplyBatchErrorParity checks that an invalid batch behaves
-// identically on the parallel and serial paths: same error position, same
-// partial application.
-func TestParallelApplyBatchErrorParity(t *testing.T) {
+// TestShardedApplyBatchErrorParity checks that an invalid batch behaves
+// identically on a sharded and an unsharded graph: same error position,
+// same partial application.
+func TestShardedApplyBatchErrorParity(t *testing.T) {
 	par := randomSharded(t, 100, 8, 4, 21)
 	ser := par.Clone()
 	ser.SetShards(1)
 	ser.SetParallelism(1)
-	// A long batch (≥ parallelBatchMin) with a bad delete in the middle.
+	// A long batch with a bad delete in the middle.
 	var b Batch
 	for i := 0; i < 40; i++ {
 		b = append(b, InsNew(NodeID(1000+i), NodeID(1001+i), "n", "n"))
@@ -217,13 +217,13 @@ func TestParallelApplyBatchErrorParity(t *testing.T) {
 	errP := par.ApplyBatch(b)
 	errS := ser.ApplyBatch(b)
 	if errP == nil || errS == nil {
-		t.Fatalf("invalid batch accepted: parallel=%v serial=%v", errP, errS)
+		t.Fatalf("invalid batch accepted: sharded=%v unsharded=%v", errP, errS)
 	}
 	if errP.Error() != errS.Error() {
-		t.Fatalf("error mismatch:\nparallel: %v\nserial:   %v", errP, errS)
+		t.Fatalf("error mismatch:\nsharded:   %v\nunsharded: %v", errP, errS)
 	}
 	if !par.Equal(ser) {
-		t.Fatal("partial application differs between parallel and serial paths")
+		t.Fatal("partial application differs between the sharded and the unsharded graph")
 	}
 }
 

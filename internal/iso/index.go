@@ -161,11 +161,10 @@ func (ix *Index) WriteAnswer(w io.Writer) error {
 // Apply processes a batch ΔG with IncISO: deletions drop exactly the
 // indexed matches that use a deleted edge; insertions run VF2 restricted to
 // the d_Q-neighborhood G_dQ(ΔG+) and add the matches not seen before.
+// The batch is normalized; a batch that cannot be applied is rejected
+// before anything is touched.
 //
-// ΔG itself is applied through Graph.ApplyBatch, so large batches mutate
-// shard-parallel; the match bookkeeping below only reads edge identities,
-// never graph state that the reorder could disturb. Before repairing,
-// Apply consults the cost model (cost.EstimateISO): when the batch seeds
+// Before repairing, Apply consults the cost model (cost.EstimateISO): when the batch seeds
 // more anchored enumerations than VF2 would open root-candidate subtrees —
 // the regime where IncISO loses to VF2 at batch granularity — it falls
 // back to re-enumerating Q(G) from scratch and diffing the match sets.
@@ -173,20 +172,16 @@ func (ix *Index) WriteAnswer(w io.Writer) error {
 // identical at every worker and shard count.
 func (ix *Index) Apply(batch graph.Batch) (Delta, error) {
 	var d Delta
+	raw := batch
+	batch = raw.Normalize()
+	if err := ix.g.ValidateNormalized(batch); err != nil {
+		return Delta{}, fmt.Errorf("iso: %w", err)
+	}
 	// Node creation side effects of the raw batch.
-	for _, u := range batch {
+	for _, u := range raw {
 		if u.Op == graph.Insert {
 			ix.g.EnsureNode(u.From, u.FromLabel)
 			ix.g.EnsureNode(u.To, u.ToLabel)
-		}
-	}
-	batch = batch.Normalize()
-	for _, u := range batch {
-		if u.Op == graph.Delete && !ix.g.HasEdge(u.From, u.To) {
-			return Delta{}, fmt.Errorf("iso: %w: delete of missing edge (%d,%d)", graph.ErrBadUpdate, u.From, u.To)
-		}
-		if u.Op == graph.Insert && ix.g.HasEdge(u.From, u.To) {
-			return Delta{}, fmt.Errorf("iso: %w: insert of existing edge (%d,%d)", graph.ErrBadUpdate, u.From, u.To)
 		}
 	}
 	ins, dels := batch.Split()
@@ -211,8 +206,8 @@ func (ix *Index) Apply(batch graph.Batch) (Delta, error) {
 		shardsTouched = len(batch.TouchedShards(ix.g))
 	}
 	ix.lastEst = cost.EstimateISO(len(ins), len(dels), rootCands, anchors, shardsTouched)
-	// Structural updates first, in one (shard-parallel) batch application;
-	// the batch was validated above, so it cannot fail partway.
+	// Structural updates first; the batch was validated above, so it cannot
+	// fail partway.
 	if err := ix.g.ApplyBatch(batch); err != nil {
 		return Delta{}, err
 	}

@@ -298,7 +298,8 @@ func (ix *Index) settle(i int, q *pq.Heap[graph.NodeID], t *touchTracker, meter 
 
 // Apply processes a batch update ΔG with the three-phase IncKWS algorithm.
 // The batch is normalized first (late updates win); updates must be valid
-// against the current graph in sequence order.
+// against the current graph in sequence order. A batch that cannot be
+// applied is rejected before anything is touched.
 //
 // Before repairing, Apply consults the cost model (cost.EstimateKWS): when
 // the predicted affected area makes the incremental repair costlier than
@@ -312,6 +313,9 @@ func (ix *Index) Apply(batch graph.Batch) (Delta, error) {
 	// the repair path nothing, so they must not push the model toward a
 	// full rebuild.
 	norm := batch.Normalize()
+	if err := ix.g.ValidateNormalized(norm); err != nil {
+		return Delta{}, fmt.Errorf("kws: %w", err)
+	}
 	insN, delsN := 0, 0
 	for _, u := range norm {
 		if u.Op == graph.Insert {

@@ -99,10 +99,10 @@ type Index struct {
 // The meter may be nil.
 //
 // The per-keyword BFS fan-outs are independent — keyword i only ever
-// writes column i of the kdist rows — so they run on a worker pool sized
-// by g.Parallelism(), as do the row-allocation and match-detection sweeps
-// (their map installs stay serial). The result is identical to a
-// sequential build.
+// writes column i of the kdist rows — so they run through
+// graph.ParallelFor, up to g.Parallelism() wide, as do the row-allocation
+// and match-detection sweeps (their map installs stay serial). The result
+// is identical to a sequential build.
 func Build(g *graph.Graph, q Query, meter *cost.Meter) (*Index, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err

@@ -146,9 +146,8 @@ type Engine struct {
 	scratch []*scratch
 	routes  []uint64
 	tasks   []task
-	// ins is ΔG⁺ of the batch under repair, sorted by (From, To); edges is
-	// Apply's scratch for spotting a batch that needs normalizing.
-	ins, edges []graph.Edge
+	// ins is ΔG⁺ of the batch under repair, sorted by (From, To).
+	ins []graph.Edge
 }
 
 // task is one source's share of a fan-out: a repair over routes[lo:hi], or

@@ -121,8 +121,10 @@ func cyclicToy() *graph.Graph {
 // over a cyclic toy graph, for a query with a Kleene star, one with a
 // union and a single label, and after every batch audits the engine and
 // compares ΔO with the difference of consecutive batch answers, for IncRPQ
-// and the unit-at-a-time IncRPQn, at 1 and 8 workers.
+// and the unit-at-a-time IncRPQn, at 1 and 8 workers (helpers forced in:
+// these repairs are over before one would arrive).
 func TestRandomHistory(t *testing.T) {
+	defer graph.EagerFanOut()()
 	match, dense := matchGraph(t, 0.05)
 	graphs := []struct {
 		name    string

@@ -28,19 +28,13 @@ func compareEdges(a, b graph.Edge) int {
 // cannot be applied is rejected before anything is touched.
 func (e *Engine) Apply(batch graph.Batch) (Delta, error) {
 	raw := batch
-	if e.repeatsEdge(batch) {
-		batch = batch.Normalize()
+	batch = raw.Normalize()
+	if err := e.g.ValidateNormalized(batch); err != nil {
+		return Delta{}, fmt.Errorf("rpq: %w", err)
 	}
 	e.ins = e.ins[:0]
 	for _, u := range batch {
-		switch {
-		case u.Op == graph.Delete && !e.g.HasEdge(u.From, u.To):
-			return Delta{}, fmt.Errorf("rpq: %w: delete of missing edge (%d,%d)", graph.ErrBadUpdate, u.From, u.To)
-		case u.Op == graph.Insert && e.g.HasEdge(u.From, u.To):
-			return Delta{}, fmt.Errorf("rpq: %w: insert of existing edge (%d,%d)", graph.ErrBadUpdate, u.From, u.To)
-		case u.Op != graph.Insert && u.Op != graph.Delete:
-			return Delta{}, fmt.Errorf("rpq: %w: unknown op %v", graph.ErrBadUpdate, u.Op)
-		case u.Op == graph.Insert:
+		if u.Op == graph.Insert {
 			e.ins = append(e.ins, u.Edge())
 		}
 	}
@@ -59,10 +53,8 @@ func (e *Engine) Apply(batch graph.Batch) (Delta, error) {
 			e.addNode(u.To)
 		}
 	}
-	// Structural updates first, in one batch application — large batches
-	// mutate shard-parallel via the two-phase protocol of internal/graph;
-	// markings are repaired afterwards. The batch was validated above, so
-	// it cannot fail partway.
+	// Structural updates first; markings are repaired afterwards. The batch
+	// was validated above, so it cannot fail partway.
 	if err := e.g.ApplyBatch(batch); err != nil {
 		return Delta{}, err
 	}
@@ -110,22 +102,6 @@ func (e *Engine) Apply(batch graph.Batch) (Delta, error) {
 	slices.SortFunc(d.Added, comparePairs)
 	slices.SortFunc(d.Removed, comparePairs)
 	return d, nil
-}
-
-// repeatsEdge reports whether two updates of the batch touch the same edge;
-// a batch without such a pair is its own normal form.
-func (e *Engine) repeatsEdge(batch graph.Batch) bool {
-	e.edges = e.edges[:0]
-	for _, u := range batch {
-		e.edges = append(e.edges, u.Edge())
-	}
-	slices.SortFunc(e.edges, compareEdges)
-	for i := 1; i < len(e.edges); i++ {
-		if e.edges[i] == e.edges[i-1] {
-			return true
-		}
-	}
-	return false
 }
 
 // addNode appends a node the graph just created to the dense index.

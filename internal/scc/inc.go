@@ -129,21 +129,22 @@ func (s *State) ApplyUnitwise(batch graph.Batch) (Delta, error) {
 // Apply processes a batch ΔG with IncSCC: intra-component updates are
 // grouped per component (one scoped Tarjan each), then inter-component
 // deletions update G_c counters, then inter-component insertions run the
-// rank-window machinery with an already-satisfied fast path.
+// rank-window machinery with an already-satisfied fast path. The batch is
+// normalized; a batch that cannot be applied is rejected before anything
+// is touched.
 func (s *State) Apply(batch graph.Batch) (Delta, error) {
+	raw := batch
+	batch = raw.Normalize()
+	if err := s.g.ValidateNormalized(batch); err != nil {
+		return Delta{}, fmt.Errorf("scc: %w", err)
+	}
 	dt := s.newDeltaTracker()
 	// Node creation is a side effect of insertions even when the edge is
 	// later cancelled by a deletion, so it runs on the raw batch.
-	for _, u := range batch {
+	for _, u := range raw {
 		if u.Op == graph.Insert {
 			s.ensureNode(u.From, u.FromLabel, dt)
 			s.ensureNode(u.To, u.ToLabel, dt)
-		}
-	}
-	batch = batch.Normalize()
-	for _, u := range batch {
-		if u.Op == graph.Delete && !s.g.HasEdge(u.From, u.To) {
-			return Delta{}, fmt.Errorf("scc: %w: delete of missing edge (%d,%d)", graph.ErrBadUpdate, u.From, u.To)
 		}
 	}
 	// Classify against the component map at batch start.

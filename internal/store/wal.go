@@ -108,10 +108,9 @@ var ErrWALBroken = errors.New("store: WAL broken by unrecoverable append failure
 type ReplayRecord struct {
 	// Seq is the contiguous 1-based record index.
 	Seq uint64
-	// Gen is the graph generation recorded at append time. Advisory: the
-	// generation counter's evolution depends on the batch execution path
-	// (serial vs shard-parallel), so recovery checks monotonicity, not
-	// equality.
+	// Gen is the graph generation recorded at append time. Advisory: how
+	// far a batch advances the counter is an implementation detail of the
+	// graph, so recovery checks monotonicity, not equality.
 	Gen   uint64
 	Batch graph.Batch
 }

@@ -11,12 +11,14 @@ import (
 // examples/social_stream for the long-hand version).
 //
 // Concurrency: Apply requires exclusive access to the value and its graph
-// (graph mutation is exclusive), but internally parallelizes both the
-// mutation step — large batches apply shard-parallel via the two-phase
-// protocol of the sharded substrate (Graph.SetShards) — and the repair
-// work, across the graph's Parallelism() workers; deltas are merged
-// deterministically, so results are identical at any worker or shard
-// count. Between Apply calls the KWS, RPQ and ISO engines with
+// (graph mutation is exclusive). Internally the KWS, RPQ and ISO repairs
+// may fan out across up to the graph's Parallelism() workers, but only
+// as far as a repair is long: each loop runs on the calling goroutine,
+// which offers the work to a helper and never waits for one that did not
+// arrive in time, so an ordinary small batch is repaired by the caller
+// alone. Deltas are merged deterministically, so results are
+// identical at any worker or shard count and any width. Between Apply
+// calls the KWS, RPQ and ISO engines with
 // Parallelism() > 1 leave the graph read-shareable, so their read-only
 // methods (Size, Class, Graph and the concrete types' accessors) may be
 // called from multiple goroutines. At Parallelism() == 1 — and for SCC,

@@ -1,6 +1,8 @@
 package incgraph_test
 
 import (
+	"bytes"
+	"errors"
 	"testing"
 
 	"incgraph"
@@ -74,5 +76,92 @@ func TestMaintainedUniformDriver(t *testing.T) {
 	}
 	if (incgraph.DeltaSummary{}).String() == "" || !(incgraph.DeltaSummary{}).Empty() {
 		t.Fatalf("DeltaSummary basics broken")
+	}
+}
+
+// TestRejectedBatchLeavesEngineUntouched pins, for all four classes, that a
+// batch an engine rejects changes neither its graph nor its answer — no
+// node created, no edge moved, no generation consumed — and that the
+// engine goes on to apply a valid batch correctly. The batches fail on
+// their last update, after updates that would have created a node and
+// deleted an edge.
+func TestRejectedBatchLeavesEngineUntouched(t *testing.T) {
+	// Triangle 1(a) → 2(b) → 3(c) → 1.
+	base := incgraph.NewGraph()
+	base.AddNode(1, "a")
+	base.AddNode(2, "b")
+	base.AddNode(3, "c")
+	base.AddEdge(1, 2)
+	base.AddEdge(2, 3)
+	base.AddEdge(3, 1)
+	pg := incgraph.NewGraph()
+	pg.AddNode(0, "a")
+	pg.AddNode(1, "b")
+	pg.AddEdge(0, 1)
+	pat, err := incgraph.NewPattern(pg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := map[string]func(g *incgraph.Graph) incgraph.Maintained{
+		"kws": func(g *incgraph.Graph) incgraph.Maintained {
+			ix, err := incgraph.NewKWS(g, incgraph.KWSQuery{Keywords: []string{"b", "c"}, Bound: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return incgraph.MaintainKWS(ix)
+		},
+		"rpq": func(g *incgraph.Graph) incgraph.Maintained {
+			e, err := incgraph.NewRPQ(g, "a.b.c")
+			if err != nil {
+				t.Fatal(err)
+			}
+			return incgraph.MaintainRPQ(e)
+		},
+		"scc": func(g *incgraph.Graph) incgraph.Maintained { return incgraph.MaintainSCC(incgraph.NewSCC(g)) },
+		"iso": func(g *incgraph.Graph) incgraph.Maintained { return incgraph.MaintainISO(incgraph.NewISO(g, pat)) },
+	}
+	bad := map[string]incgraph.Batch{
+		"delete of a missing edge": {incgraph.InsNew(1, 99, "a", "b"), incgraph.Del(2, 3), incgraph.Del(7, 8)},
+		"insert of a present edge": {incgraph.InsNew(1, 99, "a", "b"), incgraph.Del(2, 3), incgraph.Ins(3, 1)},
+		"unknown op":               {incgraph.InsNew(1, 99, "a", "b"), incgraph.Del(2, 3), {Op: 7, From: 1, To: 3}},
+	}
+	good := incgraph.Batch{incgraph.InsNew(1, 99, "a", "b"), incgraph.Del(2, 3)}
+	answer := func(m incgraph.Maintained) string {
+		var buf bytes.Buffer
+		if err := m.WriteAnswer(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	for class, mk := range build {
+		for name, batch := range bad {
+			t.Run(class+"/"+name, func(t *testing.T) {
+				m := mk(base.Clone())
+				g := m.Graph()
+				ans, nodes, edges, gen := answer(m), g.NumNodes(), g.NumEdges(), g.Generation()
+				if _, err := m.Apply(batch); !errors.Is(err, incgraph.ErrBadUpdate) {
+					t.Fatalf("Apply = %v, want ErrBadUpdate", err)
+				}
+				if g.NumNodes() != nodes || g.NumEdges() != edges || g.Generation() != gen {
+					t.Fatalf("graph moved: |V| %d→%d, |E| %d→%d, generation %d→%d",
+						nodes, g.NumNodes(), edges, g.NumEdges(), gen, g.Generation())
+				}
+				if got := answer(m); got != ans {
+					t.Fatalf("answer moved:\n%s\nwas:\n%s", got, ans)
+				}
+				// The engine is intact: the valid prefix applies, and
+				// lands where a fresh build on the updated graph does.
+				if _, err := m.Apply(good); err != nil {
+					t.Fatalf("valid batch after the rejected one: %v", err)
+				}
+				want := base.Clone()
+				if err := want.ApplyBatch(good); err != nil {
+					t.Fatal(err)
+				}
+				if got, fresh := answer(m), answer(mk(want)); got != fresh {
+					t.Fatalf("after the valid batch:\n%s\nfresh build:\n%s", got, fresh)
+				}
+			})
+		}
 	}
 }

@@ -6,7 +6,10 @@ package incgraph_test
 // must be byte-identical. This pins the determinism contract — per-worker
 // repair results merge into exactly the sequential output — under the
 // scheduler's full nondeterminism. Run with -race for the memory-model
-// half of the guarantee.
+// half of the guarantee. The inputs are so small that a loop is over
+// before its helpers arrive, so the test forces them in first
+// (graph.EagerFanOut): without it both sides would run nearly every loop
+// on one goroutine and the pin would hold trivially.
 
 import (
 	"fmt"
@@ -14,6 +17,7 @@ import (
 	"testing"
 
 	"incgraph"
+	"incgraph/internal/graph"
 )
 
 // diffWorkload builds one synthetic workload graph and a stream of update
@@ -54,6 +58,7 @@ type classRun struct {
 }
 
 func TestParallelMatchesSequential(t *testing.T) {
+	defer graph.EagerFanOut()()
 	g, batches := diffWorkload(t, 42)
 
 	kwsQ, err := incgraph.RandomKWSQuery(g, 3, 2, 7)

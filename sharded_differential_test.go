@@ -2,13 +2,14 @@ package incgraph_test
 
 // Differential test of the sharded substrate: the same random update
 // stream drives a shards=1 engine and a shards=8 engine (both with an
-// 8-worker budget, so the 8-shard side takes the two-phase parallel
-// ApplyBatch path) for every query class, and after every batch the
+// 8-worker budget) for every query class, and after every batch the
 // rendered (sorted) deltas, the answers, and the final graphs must be
-// identical. This pins the tentpole guarantee — partition-parallel ΔG
-// application with deterministic cross-shard merges is byte-identical to
-// the serial path — end to end through the engines. Run with -race (CI
-// does, with GOMAXPROCS=4) for the memory-model half of the guarantee.
+// identical. This pins that the partition of the node space — slot
+// interleaving, per-shard node collection and its merges in the builds —
+// never shows in a result, end to end through the engines. Helpers are
+// forced into every loop (graph.EagerFanOut), so the per-shard and
+// per-worker merges run concurrently on inputs this small. Run with -race (CI does,
+// with GOMAXPROCS=4) for the memory-model half of the guarantee.
 
 import (
 	"fmt"
@@ -16,9 +17,11 @@ import (
 	"testing"
 
 	"incgraph"
+	"incgraph/internal/graph"
 )
 
 func TestShardedMatchesUnsharded(t *testing.T) {
+	defer graph.EagerFanOut()()
 	g, batches := diffWorkload(t, 1337)
 
 	kwsQ, err := incgraph.RandomKWSQuery(g, 3, 2, 17)
@@ -151,6 +154,7 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 // as a reference engine kept on the incremental regime's graph — by
 // comparing against a from-scratch engine built on the post-update graph.
 func TestShardedBatchFallbackParity(t *testing.T) {
+	defer graph.EagerFanOut()()
 	g := incgraph.SyntheticGraph(incgraph.GraphSpec{
 		Nodes: 300, Edges: 1200, Labels: 3, GiantSCCFrac: 0.4, Seed: 5,
 	})
