@@ -8,9 +8,11 @@ package main
 // degrade the healthy ones past a small constant factor.
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"net"
+	"regexp"
 	"sort"
 	"strings"
 	"sync"
@@ -105,6 +107,30 @@ func TestStagedCapRefusesWithoutCorruptingBatch(t *testing.T) {
 	if !strings.Contains(reply, "ok applied 3 ") {
 		t.Fatalf("commit reply = %q, want 3 applied", reply)
 	}
+}
+
+// brokenAnswer is a standing query whose answer cannot be rendered.
+type brokenAnswer struct{ incgraph.Maintained }
+
+func (brokenAnswer) Class() string { return "broken" }
+
+func (brokenAnswer) WriteAnswer(io.Writer) error { return errors.New("render failed") }
+
+// TestAnswerFailureStaysInErrorGrammar: a WriteAnswer that fails is
+// reported in one of the six error categories clients dispatch on, and the
+// connection keeps serving.
+func TestAnswerFailureStaysInErrorGrammar(t *testing.T) {
+	srv, _ := testServer(t, limits{})
+	srv.byClass["broken"] = brokenAnswer{srv.byClass["scc"]}
+	c, _ := pipeClient(t, srv) // its handler starts after the stub is in
+	reply := c.raw(t, "answer broken")
+	if !regexp.MustCompile(`^err (overloaded|disk|fenced|staged|idle|proto): `).MatchString(reply) {
+		t.Fatalf("failed answer replied %q, outside the error grammar", reply)
+	}
+	if !strings.Contains(reply, "answer broken: render failed") {
+		t.Fatalf("failed answer replied %q, want the class and the cause", reply)
+	}
+	c.cmd(t, "query broken")
 }
 
 func TestOversizedLineRepliedBeforeCut(t *testing.T) {

@@ -841,7 +841,7 @@ func (s *server) read(cmd, class string, conn net.Conn, out *bufio.Writer, reply
 	s.mu.RUnlock()
 	s.readGate.exit()
 	if err != nil {
-		return reply("err answer %s: %v", class, err)
+		return replyErr(reply, catProto, "answer %s: %v", class, err)
 	}
 	if !reply("ok %s %d", class, size) {
 		return false

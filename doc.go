@@ -303,13 +303,16 @@
 // The facade in this package re-exports the library's types and
 // constructors; the implementations live in internal packages:
 //
-//	internal/graph      directed labeled graphs and the update model
+//	internal/graph      directed labeled graphs, the update model, and
+//	                    the NodeID → dense-index map of the flat engines
 //	internal/kws        keyword search: batch build + IncKWS±/IncKWS
 //	internal/rex        regular path expressions and the Glushkov NFA
 //	internal/rpq        RPQ_NFA and IncRPQ over flat pmark_e tables: one
 //	                    open-addressed array of (key, dist, |mpre|) per
 //	                    source, cpre derived from the graph
 //	internal/scc        Tarjan, contracted graph, ranks, IncSCC±/IncSCC
+//	                    over a dense node index and an index-space mirror
+//	                    of the adjacency that every pass walks
 //	internal/iso        VF2 and the localizable IncISO
 //	internal/reach      SSRP (the unboundedness anchor)
 //	internal/reduction  executable ∆-reductions from the Theorem 1 proofs

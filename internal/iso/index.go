@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 
 	"incgraph/internal/cost"
 	"incgraph/internal/graph"
@@ -143,19 +144,14 @@ func (ix *Index) Matches() []Match {
 func (ix *Index) WriteAnswer(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	for _, m := range ix.Matches() {
-		if _, err := bw.WriteString("match"); err != nil {
-			return err
-		}
+		bw.WriteString("match")
 		for _, v := range m {
-			if _, err := fmt.Fprintf(bw, " %d", v); err != nil {
-				return err
-			}
+			bw.WriteByte(' ')
+			bw.Write(strconv.AppendInt(bw.AvailableBuffer(), int64(v), 10))
 		}
-		if err := bw.WriteByte('\n'); err != nil {
-			return err
-		}
+		bw.WriteByte('\n')
 	}
-	return bw.Flush()
+	return bw.Flush() // a bufio.Writer keeps its first write error
 }
 
 // Apply processes a batch ΔG with IncISO: deletions drop exactly the

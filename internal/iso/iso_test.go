@@ -1,6 +1,8 @@
 package iso
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -360,5 +362,34 @@ func TestMatchKeyAndImages(t *testing.T) {
 	p.EdgeImages(m, func(e graph.Edge) { es = append(es, e) })
 	if len(es) != 1 || es[0] != (graph.Edge{From: 7, To: 9}) {
 		t.Fatalf("edge images = %v", es)
+	}
+}
+
+// TestWriteAnswerBytes pins the answer bytes to the fmt rendering they
+// replaced, on matches with negative, one-digit and many-digit IDs.
+func TestWriteAnswerBytes(t *testing.T) {
+	g := graph.New()
+	ids := []graph.NodeID{-1234567, -3, 7, 42, 1 << 40}
+	for i, v := range ids {
+		g.AddNode(v, []string{"a", "b"}[i%2])
+	}
+	for i := range ids {
+		g.AddEdge(ids[i], ids[(i+1)%len(ids)])
+	}
+	ix := Build(g, PathPattern("a", "b"), nil)
+	var want bytes.Buffer
+	for _, m := range ix.Matches() {
+		want.WriteString("match")
+		for _, v := range m {
+			fmt.Fprintf(&want, " %d", v)
+		}
+		want.WriteByte('\n')
+	}
+	var got bytes.Buffer
+	if err := ix.WriteAnswer(&got); err != nil {
+		t.Fatal(err)
+	}
+	if ix.NumMatches() != 2 || got.String() != want.String() {
+		t.Fatalf("answer of %d matches:\n%swant:\n%s", ix.NumMatches(), got.String(), want.String())
 	}
 }

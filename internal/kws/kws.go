@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 
 	"incgraph/internal/cost"
 	"incgraph/internal/graph"
@@ -301,19 +302,15 @@ func (ix *Index) NumMatches() int { return len(ix.matches) }
 func (ix *Index) WriteAnswer(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	for _, r := range ix.MatchRoots() {
-		if _, err := fmt.Fprintf(bw, "root %d", r); err != nil {
-			return err
-		}
+		bw.WriteString("root ")
+		bw.Write(strconv.AppendInt(bw.AvailableBuffer(), int64(r), 10))
 		for _, d := range ix.matches[r] {
-			if _, err := fmt.Fprintf(bw, " %d", d); err != nil {
-				return err
-			}
+			bw.WriteByte(' ')
+			bw.Write(strconv.AppendInt(bw.AvailableBuffer(), int64(d), 10))
 		}
-		if err := bw.WriteByte('\n'); err != nil {
-			return err
-		}
+		bw.WriteByte('\n')
 	}
-	return bw.Flush()
+	return bw.Flush() // a bufio.Writer keeps its first write error
 }
 
 // Snapshot returns a copy of the match set, root → dist vector. Tests and

@@ -1,6 +1,8 @@
 package kws
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -479,5 +481,35 @@ func TestBoundZero(t *testing.T) {
 	ix2 := mustBuild(t, g, Query{Keywords: []string{"a", "d"}, Bound: 0})
 	if ix2.NumMatches() != 0 {
 		t.Fatalf("two keywords at b=0 cannot match")
+	}
+}
+
+// TestWriteAnswerBytes pins the answer bytes to the fmt rendering they
+// replaced, on roots with negative, one-digit and many-digit IDs.
+func TestWriteAnswerBytes(t *testing.T) {
+	g := graph.New()
+	ids := []graph.NodeID{-1234567, -3, 7, 42, 1 << 40}
+	for i, v := range ids {
+		g.AddNode(v, []string{"a", "b"}[i%2])
+	}
+	for i := range ids {
+		g.AddEdge(ids[i], ids[(i+1)%len(ids)])
+	}
+	ix := mustBuild(t, g, Query{Keywords: []string{"a", "b"}, Bound: 12})
+	var want bytes.Buffer
+	for _, r := range ix.MatchRoots() {
+		m, _ := ix.MatchAt(r)
+		fmt.Fprintf(&want, "root %d", r)
+		for _, d := range m.Dists {
+			fmt.Fprintf(&want, " %d", d)
+		}
+		want.WriteByte('\n')
+	}
+	var got bytes.Buffer
+	if err := ix.WriteAnswer(&got); err != nil {
+		t.Fatal(err)
+	}
+	if ix.NumMatches() != len(ids) || got.String() != want.String() {
+		t.Fatalf("answer of %d matches:\n%swant:\n%s", ix.NumMatches(), got.String(), want.String())
 	}
 }

@@ -24,7 +24,7 @@
 // resharding moves) and caches each node's LabelID beside it — labels never
 // change under Apply — so a traversal translates each neighbour once
 // (NodeID → index: an array lookup for IDs issued from zero, a hash probe
-// otherwise, index.go) and pays nothing for its label. A product node
+// otherwise: graph.NodeIndex) and pays nothing for its label. A product node
 // (v, s) packs into one uint64 key, (index(v)+1) << sbits | s, where sbits
 // covers the automaton's states; a source's marking table is one
 // open-addressed array of 16-byte pointer-free slots {key, dist, nm}
@@ -88,6 +88,7 @@ import (
 	"io"
 	"math/bits"
 	"slices"
+	"strconv"
 
 	"incgraph/internal/cost"
 	"incgraph/internal/graph"
@@ -124,7 +125,7 @@ type Engine struct {
 	// ids, idx and lbl are the dense node index: ids[i] is the i-th node,
 	// idx its inverse, lbl[i] the node's label.
 	ids []graph.NodeID
-	idx nodeIndex
+	idx graph.NodeIndex
 	lbl []graph.LabelID
 	// marks[i] is the marking table of source ids[i]; nil when the node's
 	// label starts no word of L(Q).
@@ -202,7 +203,7 @@ func NewEngine(g *graph.Graph, ast *rex.Ast, meter *cost.Meter) (*Engine, error)
 	e.marks = make([]*table, n)
 	e.srcAt = make([][]int32, n)
 	for i, v := range e.ids {
-		e.idx.add(v, int32(i))
+		e.idx.Add(v, int32(i))
 		e.lbl[i] = g.LabelIDAt(v)
 		if e.isSource(int32(i)) {
 			e.tasks = append(e.tasks, task{src: int32(i)})
@@ -403,7 +404,7 @@ func (r *srcRepair) settle() {
 		s, cand := e.stateOf(k), dist+1
 		for _, y := range e.g.SuccessorsSorted(e.ids[e.nodeOf(k)]) {
 			r.meter.AddEdges(1)
-			iy := e.idx.of(y)
+			iy := e.idx.Of(y)
 			for _, sy := range e.nfa.NextID(s, e.lbl[iy]) {
 				r.relax(e.pack(iy, sy), cand)
 			}
@@ -486,11 +487,13 @@ func (e *Engine) Matches() []Pair {
 func (e *Engine) WriteAnswer(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	for _, p := range e.Matches() {
-		if _, err := fmt.Fprintf(bw, "pair %d %d\n", p.Src, p.Dst); err != nil {
-			return err
-		}
+		bw.WriteString("pair ")
+		bw.Write(strconv.AppendInt(bw.AvailableBuffer(), int64(p.Src), 10))
+		bw.WriteByte(' ')
+		bw.Write(strconv.AppendInt(bw.AvailableBuffer(), int64(p.Dst), 10))
+		bw.WriteByte('\n')
 	}
-	return bw.Flush()
+	return bw.Flush() // a bufio.Writer keeps its first write error
 }
 
 // BatchAnswer evaluates Q(G) from scratch and returns the match set: the
@@ -505,11 +508,11 @@ func BatchAnswer(g *graph.Graph, ast *rex.Ast, meter *cost.Meter) ([]Pair, error
 
 // entry returns source src's entry for (dst, s), or nil.
 func (e *Engine) entry(src, dst graph.NodeID, s int) *slot {
-	iu, ok := e.idx.get(src)
+	iu, ok := e.idx.Get(src)
 	if !ok || e.marks[iu] == nil || s < 0 || s >= e.nfa.NumStates() {
 		return nil
 	}
-	iv, ok := e.idx.get(dst)
+	iv, ok := e.idx.Get(dst)
 	if !ok {
 		return nil
 	}
@@ -532,7 +535,7 @@ func (e *Engine) countMpre(tab *table, w int32, s2 int, dist int32) int32 {
 	var n int32
 	prev := e.nfa.PrevID(s2, e.lbl[w])
 	for _, x := range e.g.PredecessorsSorted(e.ids[w]) {
-		ix := e.idx.of(x)
+		ix := e.idx.Of(x)
 		for _, s := range prev {
 			if p := tab.get(e.pack(ix, s)); p != nil && p.dist+1 == dist {
 				n++
@@ -573,7 +576,7 @@ func (e *Engine) Check() error {
 			continue
 		}
 		u := e.ids[iu]
-		ft := fresh.marks[fresh.idx.of(u)]
+		ft := fresh.marks[fresh.idx.Of(u)]
 		if ft == nil {
 			return fmt.Errorf("rpq: spurious source table for %d", u)
 		}
@@ -589,7 +592,7 @@ func (e *Engine) Check() error {
 			if ent.affected() {
 				return fmt.Errorf("rpq: source %d entry (%d,%d): stale affected flag", u, v, s)
 			}
-			fe := ft.get(fresh.pack(fresh.idx.of(v), s))
+			fe := ft.get(fresh.pack(fresh.idx.Of(v), s))
 			if fe == nil {
 				return fmt.Errorf("rpq: source %d: spurious entry (%d,%d)", u, v, s)
 			}

@@ -66,7 +66,7 @@ func (e *Engine) Apply(batch graph.Batch) (Delta, error) {
 	// one run, in batch order.
 	e.routes = e.routes[:0]
 	for j, u := range batch {
-		for _, src := range e.srcAt[e.idx.of(u.From)] {
+		for _, src := range e.srcAt[e.idx.Of(u.From)] {
 			e.routes = append(e.routes, uint64(src)<<32|uint64(j))
 		}
 	}
@@ -106,7 +106,7 @@ func (e *Engine) Apply(batch graph.Batch) (Delta, error) {
 
 // addNode appends a node the graph just created to the dense index.
 func (e *Engine) addNode(v graph.NodeID) {
-	e.idx.add(v, int32(len(e.ids)))
+	e.idx.Add(v, int32(len(e.ids)))
 	e.ids = append(e.ids, v)
 	e.lbl = append(e.lbl, e.g.LabelIDAt(v))
 	e.marks = append(e.marks, nil)
@@ -196,7 +196,7 @@ func (r *srcRepair) repair(batch graph.Batch, routes []uint64) {
 		prev := e.nfa.PrevID(s2, e.lbl[w])
 		best, n := unreachable, int32(0)
 		for _, x := range e.g.PredecessorsSorted(e.ids[w]) {
-			ix := e.idx.of(x)
+			ix := e.idx.Of(x)
 			for _, s := range prev {
 				p := tab.get(e.pack(ix, s))
 				if p == nil || e.inserted(x, e.ids[w]) {
@@ -231,7 +231,7 @@ func (r *srcRepair) repair(batch graph.Batch, routes []uint64) {
 		if u.Op != graph.Insert {
 			continue
 		}
-		iv, iw := e.idx.of(u.From), e.idx.of(u.To)
+		iv, iw := e.idx.Of(u.From), e.idx.Of(u.To)
 		for s := 1; s < e.nfa.NumStates(); s++ {
 			next := e.nfa.NextID(s, e.lbl[iw])
 			if len(next) == 0 {
@@ -289,7 +289,7 @@ func (r *srcRepair) identAff(batch graph.Batch, routes []uint64) {
 		if u.Op != graph.Delete {
 			continue
 		}
-		iv, iw := e.idx.of(u.From), e.idx.of(u.To)
+		iv, iw := e.idx.Of(u.From), e.idx.Of(u.To)
 		for s := 1; s < e.nfa.NumStates(); s++ {
 			next := e.nfa.NextID(s, e.lbl[iw])
 			if len(next) == 0 {
@@ -312,7 +312,7 @@ func (r *srcRepair) identAff(batch graph.Batch, routes []uint64) {
 		v, s, dist := e.ids[e.nodeOf(k)], e.stateOf(k), tab.get(k).dist
 		for _, y := range e.g.SuccessorsSorted(v) {
 			r.meter.AddEdges(1)
-			iy := e.idx.of(y)
+			iy := e.idx.Of(y)
 			next := e.nfa.NextID(s, e.lbl[iy])
 			if len(next) == 0 || e.inserted(v, y) {
 				continue

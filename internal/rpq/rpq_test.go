@@ -1,6 +1,8 @@
 package rpq
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -546,5 +548,30 @@ func TestWitnessSurvivesUpdates(t *testing.T) {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
 		}
+	}
+}
+
+// TestWriteAnswerBytes pins the answer bytes to the fmt rendering they
+// replaced, on pairs with negative, one-digit and many-digit IDs.
+func TestWriteAnswerBytes(t *testing.T) {
+	g := graph.New()
+	ids := []graph.NodeID{-1234567, -3, 7, 42, 1 << 40}
+	for _, v := range ids {
+		g.AddNode(v, "a")
+	}
+	for i := range ids {
+		g.AddEdge(ids[i], ids[(i+1)%len(ids)])
+	}
+	e := mustEngine(t, g, "a.a*")
+	var want bytes.Buffer
+	for _, p := range e.Matches() {
+		fmt.Fprintf(&want, "pair %d %d\n", p.Src, p.Dst)
+	}
+	var got bytes.Buffer
+	if err := e.WriteAnswer(&got); err != nil {
+		t.Fatal(err)
+	}
+	if e.NumMatches() != len(ids)*len(ids) || got.String() != want.String() {
+		t.Fatalf("answer of %d pairs:\n%swant:\n%s", e.NumMatches(), got.String(), want.String())
 	}
 }

@@ -26,10 +26,10 @@ func (e *Engine) Witness(src, dst graph.NodeID) ([]graph.NodeID, bool) {
 	if best == nil {
 		return nil, false
 	}
-	tab := e.marks[e.idx.of(src)]
+	tab := e.marks[e.idx.Of(src)]
 	// Each step decreases dist by one, so the walk takes best.dist steps.
 	path := make([]graph.NodeID, best.dist+1)
-	w := e.idx.of(dst)
+	w := e.idx.Of(dst)
 walk:
 	for d := best.dist; ; d-- {
 		path[d] = e.ids[w]
@@ -38,7 +38,7 @@ walk:
 		}
 		prev := e.nfa.PrevID(state, e.lbl[w])
 		for _, x := range e.g.PredecessorsSorted(e.ids[w]) {
-			ix := e.idx.of(x)
+			ix := e.idx.Of(x)
 			for _, s := range prev {
 				if p := tab.get(e.pack(ix, s)); p != nil && p.dist == d-1 {
 					w, state = ix, s

@@ -1,6 +1,7 @@
 package scc
 
 import (
+	"slices"
 	"testing"
 
 	"incgraph/internal/gen"
@@ -29,27 +30,89 @@ func repairStream(g *graph.Graph, batches, size int, seed int64) []graph.Batch {
 	return out
 }
 
-// BenchmarkIncSCCRepairGiant commits a cycle of the repair-scc stream —
-// the forward pass, then its undo, so every iteration starts on the seed
-// graph — and reports the cost of one batch of 32.
-func BenchmarkIncSCCRepairGiant(b *testing.B) {
-	g := giantGraph(b)
-	fwd := repairStream(g, 50, 32, 7)
+// cycleOf returns the forward pass followed by its undo, so that applying
+// the whole cycle ends on the graph it started from.
+func cycleOf(fwd []graph.Batch) []graph.Batch {
 	cycle := append([]graph.Batch(nil), fwd...)
 	for i := len(fwd) - 1; i >= 0; i-- {
 		cycle = append(cycle, fwd[i].Inverse())
 	}
+	return cycle
+}
+
+// repairCycle is the cycle BenchmarkIncSCCRepairGiant commits: 50 batches
+// of 32 of the repair-scc stream and their undo.
+func repairCycle(g *graph.Graph) []graph.Batch { return cycleOf(repairStream(g, 50, 32, 7)) }
+
+// splitStream returns delete-only batches of size that take the giant
+// component apart at its fringe: the deletions remove, member by member,
+// every edge into a member that has at most two from the rest of the
+// component, which cuts it off. Each batch is one scoped pass that ends in
+// a split into a few dozen parts.
+func splitStream(g *graph.Graph, size int) []graph.Batch {
 	s := Build(g, nil)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	giant := s.MembersOf(giantOf(s))
+	var dels graph.Batch
+	for _, v := range giant {
+		var from []graph.NodeID
+		for _, p := range g.PredecessorsSorted(v) {
+			if _, inside := slices.BinarySearch(giant, p); inside && p != v {
+				from = append(from, p)
+			}
+		}
+		if len(from) <= 2 {
+			for _, p := range from {
+				dels = append(dels, graph.Del(p, v))
+			}
+		}
+	}
+	var out []graph.Batch
+	for i := 0; i+size <= len(dels); i += size {
+		out = append(out, dels[i:i+size])
+	}
+	return out
+}
+
+// benchCycle commits cycle over and over — every iteration starts on the
+// seed graph — and reports the cost of one batch. One untimed cycle first
+// lets the rows the stream touches grow to the capacity they keep.
+func benchCycle(b *testing.B, g *graph.Graph, cycle []graph.Batch) {
+	s := Build(g, nil)
+	apply := func() {
 		for _, batch := range cycle {
 			if _, err := s.Apply(batch); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
+	apply()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		apply()
+	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(cycle)), "ns/batch")
+}
+
+// BenchmarkIncSCCRepairGiant commits a cycle of the repair-scc stream —
+// the forward pass, then its undo — in batches of 32: mostly scoped passes
+// that find the giant component intact.
+func BenchmarkIncSCCRepairGiant(b *testing.B) {
+	g := giantGraph(b)
+	benchCycle(b, g, repairCycle(g))
+}
+
+// BenchmarkIncSCCSplitGiant is the split-heavy sibling: delete-only
+// batches of 32 that each cut that many members off the giant component
+// (the scoped pass, then splitComp's rebuild of the G_c counters), and the
+// insertions that merge them back.
+func BenchmarkIncSCCSplitGiant(b *testing.B) {
+	g := giantGraph(b)
+	fwd := splitStream(g, 32)
+	if len(fwd) < 4 {
+		b.Fatalf("only %d split batches", len(fwd))
+	}
+	benchCycle(b, g, cycleOf(fwd))
 }
 
 var benchSink int

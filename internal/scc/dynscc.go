@@ -62,14 +62,13 @@ func (d *DynSCC) insert(u graph.Update) error {
 		v graph.NodeID
 		l string
 	}{{u.From, u.FromLabel}, {u.To, u.ToLabel}} {
-		if !d.g.HasNode(end.v) {
-			d.g.AddNode(end.v, end.l)
+		if d.g.EnsureNode(end.v, end.l) {
 			id := d.addNode(end.v)
 			d.gcOut[id] = make(map[CompID]int)
 			d.gcIn[id] = make(map[CompID]int)
 		}
 	}
-	if err := d.g.Apply(u); err != nil {
+	if err := d.applyEdge(u); err != nil {
 		return err
 	}
 	cv, cw := d.compOf(u.From), d.compOf(u.To)
@@ -157,7 +156,7 @@ func (d *DynSCC) merge(cycle []CompID) {
 }
 
 func (d *DynSCC) delete(u graph.Update) error {
-	if err := d.g.Apply(u); err != nil {
+	if err := d.applyEdge(u); err != nil {
 		return err
 	}
 	cv, cw := d.compOf(u.From), d.compOf(u.To)
@@ -193,17 +192,17 @@ func (d *DynSCC) delete(u graph.Update) error {
 		d.gcOut[first+CompID(i)] = make(map[CompID]int)
 		d.gcIn[first+CompID(i)] = make(map[CompID]int)
 	}
-	for _, v := range old {
-		nv := d.compOf(v)
-		for _, w := range d.g.SuccessorsSorted(v) {
-			if cw := d.compOf(w); cw != nv {
+	for _, v := range d.t.order {
+		nv := d.comp[v]
+		for _, w := range d.succ[v] {
+			if cw := d.comp[w]; cw != nv {
 				d.gcOut[nv][cw]++
 				d.gcIn[cw][nv]++
 			}
 		}
-		for _, p := range d.g.PredecessorsSorted(v) {
+		for _, p := range d.pred[v] {
 			// Parts are minted from first on: anything older is outside.
-			if cp := d.compOf(p); cp < first {
+			if cp := d.comp[p]; cp < first {
 				d.gcOut[cp][nv]++
 				d.gcIn[nv][cp]++
 			}

@@ -170,7 +170,7 @@ func (s *State) Apply(batch graph.Batch) (Delta, error) {
 	for _, c := range comps {
 		var dels graph.Batch
 		for _, u := range intra[c] {
-			if err := s.g.Apply(u); err != nil {
+			if err := s.applyEdge(u); err != nil {
 				return Delta{}, err
 			}
 			if u.Op == graph.Delete {
@@ -194,14 +194,14 @@ func (s *State) Apply(batch graph.Batch) (Delta, error) {
 	}
 	// (b) Inter-component deletions: G_c counter maintenance.
 	for _, u := range interDel {
-		if err := s.g.Apply(u); err != nil {
+		if err := s.applyEdge(u); err != nil {
 			return Delta{}, err
 		}
 		s.gcDecrement(s.compOf(u.From), s.compOf(u.To))
 	}
 	// (c) Inter-component insertions.
 	for _, u := range interIns {
-		if err := s.g.Apply(u); err != nil {
+		if err := s.applyEdge(u); err != nil {
 			return Delta{}, err
 		}
 		cv, cw := s.compOf(u.From), s.compOf(u.To)
@@ -222,7 +222,7 @@ func (s *State) applyInsert(u graph.Update, dt *deltaTracker) error {
 	}
 	s.ensureNode(u.From, u.FromLabel, dt)
 	s.ensureNode(u.To, u.ToLabel, dt)
-	if err := s.g.Apply(u); err != nil {
+	if err := s.applyEdge(u); err != nil {
 		return err
 	}
 	cv, cw := s.compOf(u.From), s.compOf(u.To)
@@ -241,7 +241,7 @@ func (s *State) applyDelete(u graph.Update, dt *deltaTracker) error {
 	if u.Op != graph.Delete {
 		return fmt.Errorf("scc: applyDelete got %v", u)
 	}
-	if err := s.g.Apply(u); err != nil {
+	if err := s.applyEdge(u); err != nil {
 		return err
 	}
 	cv, cw := s.compOf(u.From), s.compOf(u.To)
@@ -265,7 +265,7 @@ func (s *State) applyDelete(u graph.Update, dt *deltaTracker) error {
 // certificate survived, i.e. the component is intact and nothing else
 // changes; otherwise the caller runs the scoped pass.
 func (s *State) chkReach(u graph.Update, c CompID) bool {
-	v, w := s.idx[u.From], s.idx[u.To]
+	v, w := s.idx.Of(u.From), s.idx.Of(u.To)
 	if s.parent[w] == v {
 		return !s.noRepair && s.tryRepairTreeArc(v, w, c)
 	}
@@ -288,10 +288,9 @@ func (s *State) repair(c CompID, dt *deltaTracker) {
 // A new component with no incident edges can take any unique rank; the top
 // of the registry keeps the invariant trivially.
 func (s *State) ensureNode(v graph.NodeID, label string, dt *deltaTracker) {
-	if s.g.HasNode(v) {
+	if !s.g.EnsureNode(v, label) {
 		return
 	}
-	s.g.AddNode(v, label)
 	id := s.addNode(v)
 	s.gcOut[id] = make(map[CompID]int)
 	s.gcIn[id] = make(map[CompID]int)
@@ -341,10 +340,9 @@ func (s *State) store() {
 // current stored values, restricted to component c.
 func (s *State) recomputeLow(x int32, c CompID) int32 {
 	low := s.num[x]
-	succ := s.g.SuccessorsSorted(s.ids[x])
+	succ := s.succ[x]
 	s.meter.AddEdges(len(succ))
-	for _, wid := range succ {
-		w := s.idx[wid]
+	for _, w := range succ {
 		if s.comp[w] != c {
 			continue
 		}
@@ -404,9 +402,9 @@ func (s *State) lowlinkWalkIntact(v int32, c CompID) bool {
 func (s *State) tryRepairTreeArc(v, w int32, c CompID) bool {
 	numW := s.num[w]
 	x := int32(-1)
-	for _, pid := range s.g.PredecessorsSorted(s.ids[w]) {
+	for _, p := range s.pred[w] {
 		s.meter.AddEdges(1)
-		if p := s.idx[pid]; s.comp[p] == c && s.num[p] < numW {
+		if s.comp[p] == c && s.num[p] < numW {
 			x = p
 			break
 		}
@@ -482,7 +480,7 @@ func (s *State) runGc(cand []CompID) *tarjan {
 		pos[c] = int32(i)
 	}
 	t := scratchPool.Get().(*tarjan)
-	t.run(len(cand), nil, func(v int32, row []int32) []int32 {
+	t.run(t.collect(len(cand), func(v int32, row []int32) []int32 {
 		start := len(row)
 		for o := range s.gcOut[cand[v]] {
 			if j, ok := pos[o]; ok {
@@ -491,7 +489,7 @@ func (s *State) runGc(cand []CompID) *tarjan {
 		}
 		slices.Sort(row[start:])
 		return row
-	})
+	}), nil, nil, 0)
 	return t
 }
 
@@ -534,18 +532,18 @@ func (s *State) splitComp(c CompID, dt *deltaTracker) {
 	// incoming. The parts are exactly the components minted from first on.
 	for _, v := range s.t.order {
 		cv := s.comp[v]
-		succ := s.g.SuccessorsSorted(s.ids[v])
+		succ := s.succ[v]
 		s.meter.AddEdges(len(succ))
 		for _, w := range succ {
-			if cw := s.compOf(w); cw != cv {
+			if cw := s.comp[w]; cw != cv {
 				s.gcOut[cv][cw]++
 				s.gcIn[cw][cv]++
 			}
 		}
-		pred := s.g.PredecessorsSorted(s.ids[v])
+		pred := s.pred[v]
 		s.meter.AddEdges(len(pred))
 		for _, u := range pred {
-			if cu := s.compOf(u); cu < first {
+			if cu := s.comp[u]; cu < first {
 				s.gcOut[cu][cv]++
 				s.gcIn[cv][cu]++
 			}

@@ -9,16 +9,33 @@ import (
 	"incgraph/internal/graph"
 )
 
-// partition is the dense node index and the component membership over it,
-// with the Tarjan scratch that partitions and re-partitions it. State and
-// the DynSCC baseline both maintain their contracted graphs on top of one.
+// partition is the dense node index, the graph's adjacency mirrored over
+// it, and the component membership, with the Tarjan scratch that partitions
+// and re-partitions it. State and the DynSCC baseline both maintain their
+// contracted graphs on top of one.
+//
+// Every pass of the engine walks succ and pred and never the graph: an edge
+// examined is one slice element, not a hash probe for the node record and
+// another for the neighbour's index. The graph itself is read to validate a
+// batch and written by ensureNode and applyEdge, the one place an edge
+// changes, which keeps the mirror in step; CheckInvariants audits the two
+// against each other.
 type partition struct {
 	g     *graph.Graph
 	meter *cost.Meter
 	// ids and idx are the two directions of the dense index. Build-time
 	// nodes are indexed in ascending NodeID order; later nodes append.
 	ids []graph.NodeID
-	idx map[graph.NodeID]int32
+	idx graph.NodeIndex
+	// succ[i] and pred[i] list the successors and predecessors of ids[i] as
+	// dense indices, in ascending order of NodeID — not of index: the two
+	// orders part ways as soon as a late node has a small ID, and the order
+	// a pass visits neighbours in decides the DFS tree, hence the certificate
+	// kept and the work metered. It is the order of SuccessorsSorted and
+	// PredecessorsSorted, whatever the deployment shape. Build-time rows are
+	// carved from one backing array each and have no spare capacity, so the
+	// first insertion at a node moves its row out.
+	succ, pred [][]int32
 	// comp maps a dense index to its component.
 	comp []CompID
 	// members lists each component's nodes in ascending NodeID order. A
@@ -31,49 +48,117 @@ type partition struct {
 	roots []int32
 }
 
-// init indexes g's nodes and partitions them with one Tarjan run; the
-// components take CompIDs 0..k-1 in emission (reverse topological) order.
-// The run's num/low/desc/parent stay in p.t for the caller to adopt.
+// init indexes g's nodes, mirrors its adjacency and partitions it with one
+// Tarjan run; the components take CompIDs 0..k-1 in emission (reverse
+// topological) order. The run's num/low/desc/parent stay in p.t for the
+// caller to adopt.
 func (p *partition) init(g *graph.Graph, meter *cost.Meter) {
 	p.g, p.meter = g, meter
 	// Tarjan needs the global ascending node order; collect it per shard
 	// across the worker pool (identical output to NodesSorted). The DFS
 	// itself stays sequential — IncSCC's certificate is order-dependent.
 	p.ids = g.NodesSortedParallel()
-	p.idx = indexOf(p.ids)
+	p.idx = graph.IndexNodes(p.ids)
+	p.succ = mirror(g, p.ids, &p.idx)
+	p.pred = transpose(p.succ)
 	p.comp = make([]CompID, len(p.ids))
 	p.members = make(map[CompID][]graph.NodeID)
-	runAll(&p.t, g, p.ids, p.idx)
+	p.t.run(p.succ, nil, nil, 0)
 	p.mint(p.ids)
 }
 
-// indexOf inverts an id list.
-func indexOf(ids []graph.NodeID) map[graph.NodeID]int32 {
-	idx := make(map[graph.NodeID]int32, len(ids))
+// mirror returns g's successor lists in index space: row i lists the
+// successors of ids[i], in SuccessorsSorted order, as idx numbers them. The
+// rows are cut from one backing array.
+func mirror(g *graph.Graph, ids []graph.NodeID, idx *graph.NodeIndex) [][]int32 {
+	rows := make([][]int32, len(ids))
+	backing := make([]int32, 0, g.NumEdges())
 	for i, v := range ids {
-		idx[v] = int32(i)
+		lo := len(backing)
+		for _, w := range g.SuccessorsSorted(v) {
+			backing = append(backing, idx.Of(w))
+		}
+		rows[i] = backing[lo:len(backing):len(backing)]
 	}
-	return idx
+	return rows
 }
 
-// runAll runs the kernel over the whole graph, ids being all its nodes in
-// ascending order and idx their positions.
-func runAll(t *tarjan, g *graph.Graph, ids []graph.NodeID, idx map[graph.NodeID]int32) {
-	t.run(len(ids), nil, func(v int32, row []int32) []int32 {
-		for _, w := range g.SuccessorsSorted(ids[v]) {
-			row = append(row, idx[w])
+// transpose returns the predecessor rows of successor rows whose index
+// order is their NodeID order (true at Build): filling them by ascending
+// source leaves every row ascending too.
+func transpose(succ [][]int32) [][]int32 {
+	deg := make([]int32, len(succ))
+	m := 0
+	for _, row := range succ {
+		m += len(row)
+		for _, w := range row {
+			deg[w]++
 		}
-		return row
-	})
+	}
+	backing := make([]int32, m)
+	pred := make([][]int32, len(succ))
+	lo := int32(0)
+	for i, d := range deg {
+		pred[i] = backing[lo : lo : lo+d]
+		lo += d
+	}
+	for v, row := range succ {
+		for _, w := range row {
+			pred[w] = append(pred[w], int32(v))
+		}
+	}
+	return pred
+}
+
+// applyEdge applies the edge update u, whose endpoints are indexed, to the
+// graph and to the mirror. It is the only place either changes an edge.
+func (p *partition) applyEdge(u graph.Update) error {
+	if err := p.g.Apply(u); err != nil {
+		return err
+	}
+	v, w := p.idx.Of(u.From), p.idx.Of(u.To)
+	if u.Op == graph.Insert {
+		p.succ[v] = p.rowInsert(p.succ[v], w)
+		p.pred[w] = p.rowInsert(p.pred[w], v)
+	} else {
+		p.succ[v] = p.rowDelete(p.succ[v], w)
+		p.pred[w] = p.rowDelete(p.pred[w], v)
+	}
+	return nil
+}
+
+// rowFind returns the position of index j in row, or where it belongs: rows
+// are ordered by NodeID.
+func (p *partition) rowFind(row []int32, j int32) int {
+	id := p.ids[j]
+	lo, hi := 0, len(row)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if p.ids[row[mid]] < id {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+func (p *partition) rowInsert(row []int32, j int32) []int32 {
+	return slices.Insert(row, p.rowFind(row, j), j)
+}
+
+func (p *partition) rowDelete(row []int32, j int32) []int32 {
+	pos := p.rowFind(row, j)
+	return slices.Delete(row, pos, pos+1)
 }
 
 // crossEdges calls visit with the components of every edge of the graph
 // that joins two of them: the edges G_c counts.
 func (p *partition) crossEdges(visit func(cv, cw CompID)) {
-	for v, id := range p.ids {
+	for v, row := range p.succ {
 		cv := p.comp[v]
-		for _, w := range p.g.SuccessorsSorted(id) {
-			if cw := p.compOf(w); cw != cv {
+		for _, w := range row {
+			if cw := p.comp[w]; cw != cv {
 				visit(cv, cw)
 			}
 		}
@@ -81,20 +166,21 @@ func (p *partition) crossEdges(visit func(cv, cw CompID)) {
 }
 
 // addNode indexes a node the graph has just gained, as a singleton
-// component, and returns the component.
+// component with empty rows, and returns the component.
 func (p *partition) addNode(v graph.NodeID) CompID {
-	i := int32(len(p.ids))
 	id := p.next
 	p.next++
+	p.idx.Add(v, int32(len(p.ids)))
 	p.ids = append(p.ids, v)
-	p.idx[v] = i
+	p.succ = append(p.succ, nil)
+	p.pred = append(p.pred, nil)
 	p.comp = append(p.comp, id)
 	p.members[id] = []graph.NodeID{v}
 	return id
 }
 
 // compOf returns the component of a node the partition has indexed.
-func (p *partition) compOf(v graph.NodeID) CompID { return p.comp[p.idx[v]] }
+func (p *partition) compOf(v graph.NodeID) CompID { return p.comp[p.idx.Of(v)] }
 
 // runScoped runs Tarjan on the subgraph induced by component c, from its
 // members in ascending order. Nodes and edges examined are metered.
@@ -103,18 +189,10 @@ func (p *partition) runScoped(c CompID) {
 	p.meter.AddNodes(len(members))
 	p.roots = p.roots[:0]
 	for _, v := range members {
-		p.roots = append(p.roots, p.idx[v])
+		p.roots = append(p.roots, p.idx.Of(v))
 	}
-	p.t.run(len(p.ids), p.roots, func(v int32, row []int32) []int32 {
-		succ := p.g.SuccessorsSorted(p.ids[v])
-		p.meter.AddEdges(len(succ))
-		for _, w := range succ {
-			if j := p.idx[w]; p.comp[j] == c {
-				row = append(row, j)
-			}
-		}
-		return row
-	})
+	p.t.run(p.succ, p.roots, p.comp, c)
+	p.meter.AddEdges(p.t.edges)
 }
 
 // mint gives the components of the last run fresh consecutive CompIDs in
@@ -132,7 +210,7 @@ func (p *partition) mint(from []graph.NodeID) CompID {
 	}
 	parts := p.t.carve()
 	for _, v := range from {
-		i := p.comp[p.idx[v]] - first
+		i := p.comp[p.idx.Of(v)] - first
 		parts[i] = append(parts[i], v)
 	}
 	for i, part := range parts {
@@ -153,7 +231,7 @@ func (p *partition) union(comps []CompID) (CompID, []graph.NodeID) {
 	all := make([]graph.NodeID, 0, n)
 	for _, c := range comps {
 		for _, v := range p.members[c] {
-			p.comp[p.idx[v]] = id
+			p.comp[p.idx.Of(v)] = id
 		}
 		all = append(all, p.members[c]...)
 		delete(p.members, c)
@@ -196,13 +274,21 @@ func (t *tarjan) carve() [][]graph.NodeID {
 var scratchPool = sync.Pool{New: func() any { return new(tarjan) }}
 
 // Components computes SCC(G) from scratch with Tarjan: the batch baseline.
-// It reads the graph's sorted adjacency, so concurrent callers need
-// PrepareConcurrentReads after the last mutation, as for any shared read.
+// It has no mirror to read: every edge examined is translated through the
+// same index the engines use. It reads the graph's sorted adjacency, so
+// concurrent callers need PrepareConcurrentReads after the last mutation,
+// as for any shared read.
 func Components(g *graph.Graph) [][]graph.NodeID {
 	ids := g.NodesSorted()
+	idx := graph.IndexNodes(ids)
 	t := scratchPool.Get().(*tarjan)
 	defer scratchPool.Put(t)
-	runAll(t, g, ids, indexOf(ids))
+	t.run(t.collect(len(ids), func(v int32, row []int32) []int32 {
+		for _, w := range g.SuccessorsSorted(ids[v]) {
+			row = append(row, idx.Of(w))
+		}
+		return row
+	}), nil, nil, 0)
 	label := make([]int32, len(ids))
 	for i := 0; i < t.numComps(); i++ {
 		for _, v := range t.comp(i) {

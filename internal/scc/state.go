@@ -99,7 +99,7 @@ func (s *State) NumComponents() int { return len(s.members) }
 
 // CompOf returns the component of v; ok is false when v is absent.
 func (s *State) CompOf(v graph.NodeID) (CompID, bool) {
-	i, ok := s.idx[v]
+	i, ok := s.idx.Get(v)
 	if !ok {
 		return 0, false
 	}
@@ -150,7 +150,7 @@ func (s *State) SetTreeArcRepair(enabled bool) { s.noRepair = !enabled }
 // NumLow returns the maintained (num, lowlink) of v, local to v's
 // component's most recent Tarjan pass.
 func (s *State) NumLow(v graph.NodeID) (num, low int) {
-	i, ok := s.idx[v]
+	i, ok := s.idx.Get(v)
 	if !ok {
 		return 0, 0
 	}
@@ -179,12 +179,24 @@ func (s *State) CheckInvariants() error {
 	}
 	// The dense index is a bijection onto the graph's nodes.
 	n := s.g.NumNodes()
-	if len(s.ids) != n || len(s.idx) != n || len(s.comp) != n {
-		return fmt.Errorf("scc: index covers %d/%d/%d of %d nodes", len(s.ids), len(s.idx), len(s.comp), n)
+	if len(s.ids) != n || s.idx.Len() != n || len(s.comp) != n {
+		return fmt.Errorf("scc: index covers %d/%d/%d of %d nodes", len(s.ids), s.idx.Len(), len(s.comp), n)
 	}
 	for i, v := range s.ids {
-		if j, ok := s.idx[v]; !ok || int(j) != i || !s.g.HasNode(v) {
+		if j, ok := s.idx.Get(v); !ok || int(j) != i || !s.g.HasNode(v) {
 			return fmt.Errorf("scc: index entry %d (node %d) does not round-trip", i, v)
+		}
+	}
+	// The mirror is the graph's sorted adjacency, translated.
+	if len(s.succ) != n || len(s.pred) != n {
+		return fmt.Errorf("scc: mirror has %d/%d rows for %d nodes", len(s.succ), len(s.pred), n)
+	}
+	for i, v := range s.ids {
+		if err := s.checkRow("successor", v, s.succ[i], s.g.SuccessorsSorted(v)); err != nil {
+			return err
+		}
+		if err := s.checkRow("predecessor", v, s.pred[i], s.g.PredecessorsSorted(v)); err != nil {
+			return err
 		}
 	}
 	// comp/members duals.
@@ -273,6 +285,20 @@ func (s *State) CheckInvariants() error {
 	for i, p := range s.parent {
 		if p >= 0 && s.comp[p] != s.comp[i] {
 			return fmt.Errorf("scc: node %d has its DFS parent %d in another component", s.ids[i], s.ids[p])
+		}
+	}
+	return nil
+}
+
+// checkRow compares a mirror row of v with the graph's sorted list: same
+// length, same nodes, same order.
+func (s *State) checkRow(kind string, v graph.NodeID, row []int32, want []graph.NodeID) error {
+	if len(row) != len(want) {
+		return fmt.Errorf("scc: %s row of %d has %d entries, graph has %d", kind, v, len(row), len(want))
+	}
+	for k, w := range want {
+		if j, ok := s.idx.Get(w); !ok || j != row[k] {
+			return fmt.Errorf("scc: %s row of %d differs at %d: index %d, graph has node %d", kind, v, k, row[k], w)
 		}
 	}
 	return nil

@@ -8,33 +8,56 @@
 //
 // Data layout. Every node has an engine-local dense index (partition.go):
 // Build assigns 0..n-1 in ascending NodeID order and a node created by an
-// insertion takes the next free index. The index is deliberately not the
-// graph's slot, which interleaves shards: SetShards, MoveShard and a
-// snapshot reload renumber slots, and an index that followed them would
-// make the DFS order — hence the maintained certificate and the work
-// metered — depend on the deployment shape. comp, num, low, desc and parent
-// are slices over the index; a component's members are one ascending
+// insertion takes the next free index; NodeID → index is graph.NodeIndex, an
+// array lookup for IDs issued from zero and a map only for negative or huge
+// ones (rpq numbers its nodes through the same type). The index is
+// deliberately not the graph's slot, which interleaves shards: SetShards,
+// MoveShard and a snapshot reload renumber slots, and an index that followed
+// them would make the DFS order — hence the maintained certificate and the
+// work metered — depend on the deployment shape. comp, num, low, desc and
+// parent are slices over the index; a component's members are one ascending
 // []NodeID that is never modified once published (splits and merges build
 // new slices), so ΔO, MembersOf and WriteAnswer hand it out without a copy,
 // and "is w in component c" is comp[i] == c.
 //
+// The mirror. Beside the index the engine keeps the graph's adjacency in
+// index space: per node a successor row and a predecessor row of int32
+// indices, built once by Build (rows cut from one backing array each) and
+// changed in one place, partition.applyEdge, which applies an edge update
+// to the graph and to the two rows it sits in; a new node starts with empty
+// rows. Every pass — the scoped repair, chkReach's lowlink walk, the
+// tree-arc re-parenting, a split's rebuild of the G_c counters, Build's
+// cross-edge count, DynSCC — walks these rows and nothing else, so an edge
+// examined is a slice element and a scoped pass over a component whose IDs
+// are direct-indexed probes no hash table at all. The engine's graph is
+// still what a batch is validated against (ValidateNormalized), where new
+// nodes are created (EnsureNode) and what applyEdge mutates, and it is what
+// Graph() hands out; no pass reads adjacency from it. CheckInvariants
+// audits every row against SuccessorsSorted/PredecessorsSorted.
+//
+// Row order. A row is kept in ascending order of its entries' NodeIDs, not
+// of the indices it stores. The two agree for build-time nodes and part ways
+// as soon as a late node has a small ID; NodeID order is the order
+// SuccessorsSorted yields, the order the engine followed before it had a
+// mirror (Successors, on a promoted adjacency set, walks a Go map, which
+// made the DFS tree and the metered work differ from run to run), and the
+// one order that does not depend on when a node arrived relative to a
+// rebuild. Same order, same DFS, same num/low/parent, same minted CompIDs,
+// same Meter totals: TestMeteredWorkDeterministic pins them.
+//
 // One Tarjan. Every pass — Build, the Components batch rival, the
 // component-scoped repair of IncSCC−, DynSCC, and the passes over the
 // affected area of G_c (candidates numbered 0..k-1) — is the kernel in this
-// file, run over indices 0..n-1 of whatever the caller numbered. Its
-// working state is a reusable scratch: epoch stamps instead of
-// visited/on-stack sets, a frame stack whose frames hold a cursor into one
-// shared arena of successor rows, and the components as ranges of one
-// backing slice. A partition keeps the scratch of its graph passes, whose
-// result a split is still reading while it allocates ranks; passes over
-// G_c and Components borrow one from a pool. A warm pass allocates nothing
-// and does one hash probe per edge examined (NodeID → index, paid when the
-// caller's expand callback translates a node's row).
-//
-// Successor order. Passes over the graph read SuccessorsSorted, never
-// Successors: the sorted view is allocation-free, and on a promoted
-// adjacency set Successors walks a Go map, which made the DFS tree, and
-// with it the metered work, differ from run to run.
+// file, run over rows of indices: the mirror's successor rows, walked in
+// place (a scoped pass skips the entries outside its component), or, for a
+// digraph that is not stored as rows — G_c, and the graph Components is
+// handed, which no engine mirrors — rows collected into the scratch's arena
+// first. Its working state is a reusable scratch: epoch stamps instead of
+// visited/on-stack sets, a frame stack of (node, position in its row), and
+// the components as ranges of one backing slice. A partition keeps the
+// scratch of its graph passes, whose result a split is still reading while
+// it allocates ranks; passes over G_c and Components borrow one from a
+// pool. A warm pass allocates nothing.
 package scc
 
 import "math"
@@ -53,20 +76,24 @@ type tarjan struct {
 	num, low, desc, parent []int32
 	stack                  []int32
 	frames                 []frame
-	// rows is the arena of successor rows of the nodes on the DFS path,
-	// in path order; a node's row is appended when the node is visited and
-	// cut off when it finishes.
-	rows []int32
+	// edges is the total length of the rows of the nodes the run reached:
+	// the edges it examined.
+	edges int
 	// order lists the components back to back in emission order: a
 	// component appears only after every component it can reach (reverse
 	// topological order); component i is order[ends[i-1]:ends[i]].
 	order []int32
 	ends  []int32
+	// adj and arena are the rows collect builds for a pass whose digraph is
+	// not stored as rows.
+	adj   [][]int32
+	arena []int32
 }
 
-// frame is one node on the DFS path with the unread part of its row.
+// frame is one node on the DFS path with the position in its row the DFS
+// reads next.
 type frame struct {
-	v, next, end int32
+	v, next int32
 }
 
 // numComps returns the number of components the last run emitted.
@@ -99,19 +126,36 @@ func (t *tarjan) begin(n int) {
 	t.epoch += 2
 	t.stack = t.stack[:0]
 	t.frames = t.frames[:0]
-	t.rows = t.rows[:0]
 	t.order = t.order[:0]
 	t.ends = t.ends[:0]
+	t.edges = 0
 }
 
-// run performs an iterative Tarjan over the digraph on indices 0..n-1.
-// DFS trees are started from roots in slice order (nil: from 0..n-1 in
-// ascending order). expand appends the successors of v to row and returns
-// it; it is called once per node reached, and the order in which it lists
-// successors is the order the DFS follows, so callers that list them
-// deterministically get deterministic runs.
-func (t *tarjan) run(n int, roots []int32, expand func(v int32, row []int32) []int32) {
-	t.begin(n)
+// collect builds the rows of a digraph on indices 0..n-1 that is not stored
+// as rows — G_c, or a graph no engine mirrors — in the scratch's own arena:
+// expand appends the successors of v to row and returns it. The rows are
+// valid until the next collect.
+func (t *tarjan) collect(n int, expand func(v int32, row []int32) []int32) [][]int32 {
+	t.adj = t.adj[:0]
+	t.arena = t.arena[:0]
+	for v := int32(0); v < int32(n); v++ {
+		lo := len(t.arena)
+		// A row cut before the arena moved keeps the array it was cut from,
+		// with its contents: rows are only read.
+		t.arena = expand(v, t.arena)
+		t.adj = append(t.adj, t.arena[lo:len(t.arena):len(t.arena)])
+	}
+	return t.adj
+}
+
+// run performs an iterative Tarjan over the digraph whose node v has the
+// successors rows[v], walked in place and in row order — so callers whose
+// rows are ordered deterministically get deterministic runs. DFS trees are
+// started from roots in slice order (nil: from every index in ascending
+// order). With comp non-nil the run is confined to the subgraph induced by
+// component c: a successor w with comp[w] != c is skipped.
+func (t *tarjan) run(rows [][]int32, roots []int32, comp []CompID, c CompID) {
+	t.begin(len(rows))
 	epoch := t.epoch
 	index := int32(1)
 	visit := func(v, parent int32) {
@@ -121,13 +165,12 @@ func (t *tarjan) run(n int, roots []int32, expand func(v int32, row []int32) []i
 		t.parent[v] = parent
 		index++
 		t.stack = append(t.stack, v)
-		start := int32(len(t.rows))
-		t.rows = expand(v, t.rows)
-		t.frames = append(t.frames, frame{v: v, next: start, end: int32(len(t.rows))})
+		t.frames = append(t.frames, frame{v: v})
+		t.edges += len(rows[v])
 	}
 	nroots := len(roots)
 	if roots == nil {
-		nroots = n
+		nroots = len(rows)
 	}
 	for r := 0; r < nroots; r++ {
 		root := int32(r)
@@ -141,11 +184,16 @@ func (t *tarjan) run(n int, roots []int32, expand func(v int32, row []int32) []i
 		for len(t.frames) > 0 {
 			f := &t.frames[len(t.frames)-1]
 			v := f.v
+			row := rows[v]
 			descended := false
-			for f.next < f.end {
-				w := t.rows[f.next]
-				f.next++
+			for next := int(f.next); next < len(row); {
+				w := row[next]
+				next++
+				if comp != nil && comp[w] != c {
+					continue
+				}
 				if st := t.stamp[w]; st < epoch {
+					f.next = int32(next)
 					visit(w, v) // may move t.frames: f is dead past here
 					descended = true
 					break
@@ -156,7 +204,7 @@ func (t *tarjan) run(n int, roots []int32, expand func(v int32, row []int32) []i
 			if descended {
 				continue
 			}
-			// v is finished: drop its frame and its row.
+			// v is finished: drop its frame.
 			t.frames = t.frames[:len(t.frames)-1]
 			t.desc[v] = index - 1
 			if t.low[v] == t.num[v] {
@@ -171,14 +219,10 @@ func (t *tarjan) run(n int, roots []int32, expand func(v int32, row []int32) []i
 				}
 				t.ends = append(t.ends, int32(len(t.order)))
 			}
-			if len(t.frames) == 0 {
-				t.rows = t.rows[:0]
-				continue
-			}
-			p := &t.frames[len(t.frames)-1]
-			t.rows = t.rows[:p.end]
-			if t.low[v] < t.low[p.v] {
-				t.low[p.v] = t.low[v]
+			if len(t.frames) > 0 {
+				if p := &t.frames[len(t.frames)-1]; t.low[v] < t.low[p.v] {
+					t.low[p.v] = t.low[v]
+				}
 			}
 		}
 	}

@@ -11,10 +11,9 @@ import (
 // runKernel runs the kernel over all of g, whose nodes must be 0..n-1 so
 // that a node's dense index is its ID.
 func runKernel(g *graph.Graph) *tarjan {
-	ids := g.NodesSorted()
-	t := new(tarjan)
-	runAll(t, g, ids, indexOf(ids))
-	return t
+	p := new(partition)
+	p.init(g, nil)
+	return &p.t
 }
 
 // edgeType classifies edge (v, w) relative to the DFS forest of the run,

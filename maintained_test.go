@@ -102,23 +102,30 @@ func TestRejectedBatchLeavesEngineUntouched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	build := map[string]func(g *incgraph.Graph) incgraph.Maintained{
-		"kws": func(g *incgraph.Graph) incgraph.Maintained {
+	// Each builder also returns the engine's own audit of its state.
+	build := map[string]func(g *incgraph.Graph) (incgraph.Maintained, func() error){
+		"kws": func(g *incgraph.Graph) (incgraph.Maintained, func() error) {
 			ix, err := incgraph.NewKWS(g, incgraph.KWSQuery{Keywords: []string{"b", "c"}, Bound: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
-			return incgraph.MaintainKWS(ix)
+			return incgraph.MaintainKWS(ix), ix.Check
 		},
-		"rpq": func(g *incgraph.Graph) incgraph.Maintained {
+		"rpq": func(g *incgraph.Graph) (incgraph.Maintained, func() error) {
 			e, err := incgraph.NewRPQ(g, "a.b.c")
 			if err != nil {
 				t.Fatal(err)
 			}
-			return incgraph.MaintainRPQ(e)
+			return incgraph.MaintainRPQ(e), e.Check
 		},
-		"scc": func(g *incgraph.Graph) incgraph.Maintained { return incgraph.MaintainSCC(incgraph.NewSCC(g)) },
-		"iso": func(g *incgraph.Graph) incgraph.Maintained { return incgraph.MaintainISO(incgraph.NewISO(g, pat)) },
+		"scc": func(g *incgraph.Graph) (incgraph.Maintained, func() error) {
+			s := incgraph.NewSCC(g)
+			return incgraph.MaintainSCC(s), s.CheckInvariants
+		},
+		"iso": func(g *incgraph.Graph) (incgraph.Maintained, func() error) {
+			ix := incgraph.NewISO(g, pat)
+			return incgraph.MaintainISO(ix), ix.Check
+		},
 	}
 	bad := map[string]incgraph.Batch{
 		"delete of a missing edge": {incgraph.InsNew(1, 99, "a", "b"), incgraph.Del(2, 3), incgraph.Del(7, 8)},
@@ -136,7 +143,7 @@ func TestRejectedBatchLeavesEngineUntouched(t *testing.T) {
 	for class, mk := range build {
 		for name, batch := range bad {
 			t.Run(class+"/"+name, func(t *testing.T) {
-				m := mk(base.Clone())
+				m, audit := mk(base.Clone())
 				g := m.Graph()
 				ans, nodes, edges, gen := answer(m), g.NumNodes(), g.NumEdges(), g.Generation()
 				if _, err := m.Apply(batch); !errors.Is(err, incgraph.ErrBadUpdate) {
@@ -149,6 +156,9 @@ func TestRejectedBatchLeavesEngineUntouched(t *testing.T) {
 				if got := answer(m); got != ans {
 					t.Fatalf("answer moved:\n%s\nwas:\n%s", got, ans)
 				}
+				if err := audit(); err != nil {
+					t.Fatalf("state moved: %v", err)
+				}
 				// The engine is intact: the valid prefix applies, and
 				// lands where a fresh build on the updated graph does.
 				if _, err := m.Apply(good); err != nil {
@@ -158,8 +168,12 @@ func TestRejectedBatchLeavesEngineUntouched(t *testing.T) {
 				if err := want.ApplyBatch(good); err != nil {
 					t.Fatal(err)
 				}
-				if got, fresh := answer(m), answer(mk(want)); got != fresh {
+				rebuilt, _ := mk(want)
+				if got, fresh := answer(m), answer(rebuilt); got != fresh {
 					t.Fatalf("after the valid batch:\n%s\nfresh build:\n%s", got, fresh)
+				}
+				if err := audit(); err != nil {
+					t.Fatalf("after the valid batch: %v", err)
 				}
 			})
 		}
