@@ -12,6 +12,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"incgraph"
 )
 
 // countingConn counts the writes the handler makes to its connection.
@@ -137,5 +139,40 @@ func TestStageBurstLargerThanReplyBuffer(t *testing.T) {
 	}
 	if w := cc.writes.Load(); w < 2 || w > n/50 {
 		t.Fatalf("%d acks left in %d writes, want a handful", n, w)
+	}
+}
+
+// classOnly is a standing query of which the ack uses only the class name.
+type classOnly struct {
+	incgraph.Maintained
+	class string
+}
+
+func (c classOnly) Class() string { return c.class }
+
+// TestAppliedLineMatchesFmt pins the commit ack, which clients parse (perf
+// sums |ΔO| per class out of it), to the fmt rendering it replaced.
+func TestAppliedLineMatchesFmt(t *testing.T) {
+	engines := []incgraph.Maintained{classOnly{class: "kws"}, classOnly{class: "rpq"}, classOnly{class: "iso"}, classOnly{class: "scc"}}
+	cases := []struct {
+		n    int
+		gen  uint64
+		sums []incgraph.DeltaSummary
+	}{
+		{1, 0, []incgraph.DeltaSummary{{}, {}, {}, {}}},
+		{32, 1234567, []incgraph.DeltaSummary{{Added: 3, Removed: 1, Updated: 12}, {Added: 40}, {Removed: 7}, {Added: 1, Removed: 2}}},
+		{1 << 20, 1<<64 - 1, []incgraph.DeltaSummary{{Added: 1 << 40, Removed: 1 << 41, Updated: 1 << 42}, {}, {}, {}}},
+	}
+	for _, c := range cases {
+		for k := 0; k <= len(engines); k++ {
+			var want strings.Builder
+			fmt.Fprintf(&want, "ok applied %d gen=%d", c.n, c.gen)
+			for i, m := range engines[:k] {
+				fmt.Fprintf(&want, " %s=%s", m.Class(), c.sums[i])
+			}
+			if got := appliedLine(c.n, c.gen, engines[:k], c.sums[:k]); got != want.String() {
+				t.Fatalf("appliedLine = %q, fmt renders %q", got, want.String())
+			}
+		}
 	}
 }

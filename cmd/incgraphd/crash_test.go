@@ -94,9 +94,16 @@ func TestCrashRecoverySmoke(t *testing.T) {
 		}
 	}
 	classes := []string{"kws", "rpq", "scc", "iso"}
+	// The answers, and the query replies: "ok CLASS SIZE gen=G" must come
+	// back too — the view cut at start-up stands at the recovered generation.
 	want := make(map[string]string, len(classes))
+	wantQuery := make(map[string]string, len(classes))
 	for _, class := range classes {
 		want[class] = c.answer(t, class)
+		wantQuery[class] = c.cmd(t, "query "+class)
+		if !strings.Contains(wantQuery[class], " gen=") {
+			t.Fatalf("query %s replied %q, want the generation it was served at", class, wantQuery[class])
+		}
 	}
 	c.close()
 
@@ -117,6 +124,9 @@ func TestCrashRecoverySmoke(t *testing.T) {
 	for _, class := range classes {
 		if got := c.answer(t, class); got != want[class] {
 			t.Fatalf("%s answers differ after crash recovery\nbefore:\n%s\nafter:\n%s", class, want[class], got)
+		}
+		if got := c.cmd(t, "query "+class); got != wantQuery[class] {
+			t.Fatalf("query %s replied %q after crash recovery, %q before", class, got, wantQuery[class])
 		}
 	}
 	// And the recovered daemon still ingests.

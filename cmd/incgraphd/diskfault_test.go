@@ -79,7 +79,10 @@ func diskTestServer(t *testing.T, ffs *incgraph.FaultFS) (*server, string) {
 	if err := d.Attach(incgraph.MaintainSCC(incgraph.NewSCC(g.Clone()))); err != nil {
 		t.Fatal(err)
 	}
-	srv := newServer(d, nil, 0, limits{})
+	srv, err := newServer(d, 0, limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	srv.diskBackoff = time.Millisecond
 	srv.diskProbeEvery = 10 * time.Millisecond
 	addr := pickAddr(t)

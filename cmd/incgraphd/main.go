@@ -77,9 +77,11 @@
 //	"- v w"                  stage an edge deletion
 //	commit                   validate, log, apply the staged batch; report ΔO
 //	abort                    drop the staged batch
-//	query CLASS              answer cardinality for kws|rpq|scc|iso
-//	answer CLASS             full canonical answer, dot-terminated
-//	stat                     graph/WAL/engine/cluster/replication counters
+//	query CLASS              answer cardinality for kws|rpq|scc|iso:
+//	                         "ok CLASS SIZE gen=G"
+//	answer CLASS             the same header line, then the full canonical
+//	                         answer, dot-terminated
+//	stat                     graph/WAL/engine/view/cluster/replication counters
 //	health                   cheap probe: role, term, tail, disk state
 //	promote                  standby only: take over as primary at term+1
 //	scrub                    cluster only: one anti-entropy pass, heal divergence
@@ -87,10 +89,23 @@
 //	checkpoint               force a snapshot + fresh WAL
 //	quit                     close the connection
 //
-// Reads are served under the read-parallel contract: queries take a read
-// lock and hit the engines' generation-stamped caches, so any number of
-// connections read concurrently between commits; commits and checkpoints
-// are exclusive.
+// Reads take no lock. Every commit ends by publishing an immutable view of
+// the state it produced — generation, graph counters, and per class the
+// answer's size and the answer itself as canonically ordered rows plus the
+// engines' ΔO of the commits since those rows were cut — with one atomic
+// pointer store, after the in-memory apply and before its "ok applied"
+// leaves; query, answer, stat and health load that pointer. A read
+// therefore never waits for a commit or holds one up, always sees one whole
+// generation, names it (gen=G in the reply to query and answer, the
+// graph's mutation generation, as in "ok applied … gen=G"), and is never
+// older than a commit whose ack anyone has already read; on one connection
+// generations never go back. Rendering an answer costs its reader the merge
+// of the rows with the ΔO chain; the commit path converts nothing, and a
+// chain that outgrows a fixed fraction of its rows is folded into new rows
+// by a goroutine of its own, between two commits.
+// "stat" shows the read side as view_gen, view_delta_rows (ΔO rows waiting
+// in chains, all classes) and view_folds. Commits, checkpoints and
+// promotion are serialized among themselves.
 //
 // # Parallelism
 //
@@ -168,7 +183,7 @@ func main() {
 		return
 	}
 	if len(os.Args) > 1 && os.Args[1] == "standby" {
-		if err := runStandby(os.Args[2:]); err != nil {
+		if err := runStandby(os.Args[2:], stopOnSignal()); err != nil {
 			fmt.Fprintf(os.Stderr, "incgraphd standby: %v\n", err)
 			os.Exit(1)
 		}
@@ -219,7 +234,7 @@ func main() {
 		scrubEvery:   *scrubEvery,
 		diskFault:    *diskFault,
 		lim:          *lim,
-	}); err != nil {
+	}, stopOnSignal()); err != nil {
 		fmt.Fprintf(os.Stderr, "incgraphd: %v\n", err)
 		os.Exit(1)
 	}
@@ -426,7 +441,20 @@ func splitAddrs(list string) []string {
 	return addrs
 }
 
-func run(cfg config) error {
+// stopOnSignal returns a channel closed at SIGTERM/SIGINT.
+func stopOnSignal() <-chan struct{} {
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	stop := make(chan struct{})
+	go func() {
+		<-sig
+		close(stop)
+	}()
+	return stop
+}
+
+// run is the serving daemon: it serves until stop is closed.
+func run(cfg config, stop <-chan struct{}) error {
 	if cfg.storeDir == "" {
 		return fmt.Errorf("-store is required")
 	}
@@ -505,7 +533,10 @@ func run(cfg config) error {
 	// The server is built before the cluster so the HA hub's snapshot
 	// callback can serialize against its lock; the coordinator (if any)
 	// is installed below, before serving starts.
-	srv := newServer(d, nil, cfg.ckptBytes, cfg.lim)
+	srv, err := newServer(d, cfg.ckptBytes, cfg.lim)
+	if err != nil {
+		return err
+	}
 	srv.repl = repl
 
 	// HA hub: standbys connect here, handshake a snapshot, and tail every
@@ -525,8 +556,7 @@ func run(cfg config) error {
 				return srv.feedSeq, d.Generation(), snap, err
 			},
 		})
-		srv.hub = hub
-		var err error
+		srv.publish(false, func(v *view) { v.hub = hub })
 		hubLn, err = net.Listen("tcp", cfg.hubAddr)
 		if err != nil {
 			return err
@@ -586,7 +616,7 @@ func run(cfg config) error {
 			stopSpawned()
 			return err
 		}
-		srv.cl = cl
+		srv.publish(false, func(v *view) { v.cl = cl })
 		log.Printf("cluster: %d shards placed across %d workers (term %d, repl %s)",
 			d.Graph().NumShards(), cl.NumWorkers(), cfg.term, repl)
 		if cfg.scrubEvery > 0 {
@@ -598,13 +628,6 @@ func run(cfg config) error {
 		}
 	}
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	stop := make(chan struct{})
-	go func() {
-		<-sig
-		close(stop)
-	}()
 	serveErr := srv.serve(cfg.addr, stop)
 	if hubLn != nil {
 		hubLn.Close()

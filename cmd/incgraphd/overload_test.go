@@ -8,7 +8,6 @@ package main
 // degrade the healthy ones past a small constant factor.
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -37,7 +36,10 @@ func testServer(t *testing.T, lim limits) (*server, string) {
 	if err := d.Attach(incgraph.MaintainSCC(incgraph.NewSCC(g.Clone()))); err != nil {
 		t.Fatal(err)
 	}
-	srv := newServer(d, nil, 0, lim)
+	srv, err := newServer(d, 0, lim)
+	if err != nil {
+		t.Fatal(err)
+	}
 	addr := pickAddr(t)
 	stop := make(chan struct{})
 	done := make(chan error, 1)
@@ -109,28 +111,51 @@ func TestStagedCapRefusesWithoutCorruptingBatch(t *testing.T) {
 	}
 }
 
-// brokenAnswer is a standing query whose answer cannot be rendered.
-type brokenAnswer struct{ incgraph.Maintained }
+// rowless is a standing query without a row surface: embedding the interface
+// hides the adapter's RowAnswer methods, as any wrapper of a Maintained does.
+type rowless struct{ incgraph.Maintained }
 
-func (brokenAnswer) Class() string { return "broken" }
+// TestEngineWithoutRowsRefused: the daemon serves answers from the engines'
+// row deltas and has no other read path, so an attached engine that lacks
+// incgraph.RowAnswer is refused when the server is built, by class and type.
+func TestEngineWithoutRowsRefused(t *testing.T) {
+	g := incgraph.SyntheticGraph(incgraph.GraphSpec{Nodes: 20, Edges: 40, Labels: 2, Seed: 3})
+	d, err := incgraph.CreateDurable(t.TempDir(), g, incgraph.DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if err := d.Attach(rowless{incgraph.MaintainSCC(incgraph.NewSCC(g.Clone()))}); err != nil {
+		t.Fatal(err)
+	}
+	_, err = newServer(d, 0, limits{})
+	if err == nil {
+		t.Fatal("newServer accepted an engine without a row surface")
+	}
+	for _, want := range []string{"scc", "main.rowless", "incgraph.RowAnswer"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("newServer: %q, want it to name %q", err, want)
+		}
+	}
+}
 
-func (brokenAnswer) WriteAnswer(io.Writer) error { return errors.New("render failed") }
-
-// TestAnswerFailureStaysInErrorGrammar: a WriteAnswer that fails is
-// reported in one of the six error categories clients dispatch on, and the
-// connection keeps serving.
-func TestAnswerFailureStaysInErrorGrammar(t *testing.T) {
+// TestReadErrorStaysInErrorGrammar: the one way a read can still fail on a
+// healthy daemon — no standing query of that class — is reported in one of
+// the six error categories clients dispatch on, and the connection keeps
+// serving.
+func TestReadErrorStaysInErrorGrammar(t *testing.T) {
 	srv, _ := testServer(t, limits{})
-	srv.byClass["broken"] = brokenAnswer{srv.byClass["scc"]}
-	c, _ := pipeClient(t, srv) // its handler starts after the stub is in
-	reply := c.raw(t, "answer broken")
-	if !regexp.MustCompile(`^err (overloaded|disk|fenced|staged|idle|proto): `).MatchString(reply) {
-		t.Fatalf("failed answer replied %q, outside the error grammar", reply)
+	c, _ := pipeClient(t, srv)
+	for _, cmd := range []string{"answer kws", "query kws"} {
+		reply := c.raw(t, cmd)
+		if !regexp.MustCompile(`^err (overloaded|disk|fenced|staged|idle|proto): `).MatchString(reply) {
+			t.Fatalf("%s replied %q, outside the error grammar", cmd, reply)
+		}
+		if !strings.Contains(reply, `no standing query for class "kws"`) {
+			t.Fatalf("%s replied %q, want the class named", cmd, reply)
+		}
 	}
-	if !strings.Contains(reply, "answer broken: render failed") {
-		t.Fatalf("failed answer replied %q, want the class and the cause", reply)
-	}
-	c.cmd(t, "query broken")
+	c.cmd(t, "query scc")
 }
 
 func TestOversizedLineRepliedBeforeCut(t *testing.T) {
@@ -236,7 +261,7 @@ func TestSlowLorisCut(t *testing.T) {
 		t.Run(role, func(t *testing.T) {
 			srv, addr := testServer(t, lim)
 			if role == roleStandby {
-				srv.role = roleStandby
+				srv.publish(false, func(v *view) { v.role = roleStandby })
 				srv.tail.Store(tailDegraded) // serving reads, primary gone
 			}
 

@@ -17,25 +17,38 @@ import (
 	"incgraph"
 )
 
-// server multiplexes the line protocol over one Durable. Locking follows
-// the substrate's read-parallel contract: commit and checkpoint take the
-// write lock (mutation is exclusive), queries take the read lock and are
-// served from the engines' generation-stamped answer caches, so
-// connections read concurrently between commits. In cluster mode the
-// remote phase 1 of a commit runs before the write lock is taken, so the
-// wire round trips of one commit overlap with reads (and with the remote
-// phase of other commits on disjoint shards); only the local durable
+// server multiplexes the line protocol over one Durable. Writers and
+// readers do not meet: a commit mutates the graph and the engines under
+// commitMu and mu and then publishes an immutable view of the result
+// (view.go); query, answer, stat and health load the current view and take
+// no lock, so a read never waits for a commit and a commit never waits for
+// a render. In cluster mode the remote phase 1 of a commit runs before any
+// lock is taken, so the wire round trips of one commit overlap with the
+// remote phase of other commits on disjoint shards; only the local durable
 // apply is exclusive.
 type server struct {
+	// mu guards the in-memory state — base graph, engines, feedSeq —
+	// between the writers (commit apply, standby feed apply, promote,
+	// shutdown: Lock) and those that need the state itself rather than a
+	// view of it: the hub's snapshot callback, and a standby's feed and tail
+	// watcher waiting out a promote (RLock). Lock order: commitMu before mu,
+	// always.
 	mu sync.RWMutex
 	d  *incgraph.Durable
-	// cl, when non-nil, routes commits through the distributed two-phase
-	// protocol (phase 1 on the shard workers, commit under s.mu). Guarded
-	// by mu because promote installs one at runtime.
-	cl *incgraph.Cluster
 	// ckptBytes auto-checkpoints after a commit grows the WAL past it.
 	ckptBytes int64
-	byClass   map[string]incgraph.Maintained
+
+	// view is the read side (view.go). It also carries the role and the
+	// cluster and hub handles: a coordinator, when set, routes commits
+	// through the distributed two-phase protocol (promote installs one at
+	// runtime); a hub feeds every committed batch to attached standbys.
+	// rows and classAt are fixed at construction: the engines' row
+	// surfaces in attach order, and the position of each class.
+	view      atomic.Pointer[view]
+	rows      []incgraph.RowAnswer
+	classAt   map[string]int
+	folding   []atomic.Bool // per class: a fold is under way (view.go)
+	viewFolds atomic.Uint64 // chains folded into a new base
 
 	// lim is the overload posture; commitGate/readGate are its admission
 	// gates (nil when ungated). See admission.go for the layer contract.
@@ -43,20 +56,18 @@ type server struct {
 	commitGate *gate
 	readGate   *gate
 	// commitMu serializes the durable half of every commit (WAL append +
-	// in-memory apply + auto-checkpoint + standby feed) and the checkpoint
-	// verb. The WAL fsync and checkpoint I/O run under it but OUTSIDE mu,
-	// so a stalled disk backs up writers — who shed at the gate — while
-	// readers keep answering. Lock order: commitMu before mu, always.
+	// in-memory apply + publish + auto-checkpoint + standby feed), the
+	// checkpoint verb and every other publisher of a view, so views appear
+	// in commit order. The WAL fsync and checkpoint I/O run under it but
+	// outside mu; neither lock is ever taken by a read.
 	commitMu sync.Mutex
 
-	// HA primary state. hub, when non-nil, feeds every committed batch to
-	// attached standbys; feedSeq numbers the feed stream and is updated
+	// HA primary state: feedSeq numbers the feed stream and is updated
 	// inside the same mu critical section as the graph mutation, so the
 	// hub's snapshot callback reads a (seq, state) pair no committed batch
 	// can fall between. commitMu orders single-process feeds (cluster-mode
 	// feeds ride the coordinator's OnCommit hook, which is already
 	// ordered).
-	hub     *incgraph.ClusterHub
 	feedSeq uint64
 
 	// Cluster-stat cache: "stat" must answer in bounded time even with a
@@ -68,19 +79,19 @@ type server struct {
 	statAt    time.Time
 	statBusy  bool
 
-	// Durable-metadata mirror for stat/health. With the WAL fsync running
-	// under commitMu outside mu, the store's counters mutate outside the
-	// read lock; readers load these mirrors (refreshed by syncDurableMeta
-	// after every durable mutation) instead of racing the store.
+	// Durable-metadata mirror for stat/health: the store's counters mutate
+	// under commitMu, so readers load these mirrors (refreshed by
+	// syncDurableMeta after every durable mutation) instead of racing the
+	// store.
 	walBytes atomic.Int64
 	walSeq   atomic.Uint64
 	epoch    atomic.Uint64
 
-	// HA standby state (role == roleStandby until promote). tail tracks
-	// the feed's liveness for the read path's staleness gate; standby,
-	// tailConn, workerAddrs, and repl are what promote needs to attach a
-	// coordinator at term+1. primaryAddr is where stale reads redirect.
-	role        string
+	// HA standby state (the view's role is roleStandby until promote).
+	// tail tracks the feed's liveness for the read path's staleness gate;
+	// standby, tailConn, workerAddrs, and repl are what promote needs to
+	// attach a coordinator at term+1. primaryAddr is where stale reads
+	// redirect.
 	standby     *incgraph.ClusterStandby
 	tailConn    net.Conn
 	tail        atomic.Int32
@@ -238,22 +249,32 @@ func tailName(s int32) string {
 	}
 }
 
-func newServer(d *incgraph.Durable, cl *incgraph.Cluster, ckptBytes int64, lim limits) *server {
-	byClass := make(map[string]incgraph.Maintained, len(d.Engines()))
-	for _, m := range d.Engines() {
-		byClass[m.Class()] = m
+// newServer builds the serving state over a recovered Durable and cuts the
+// first view from its engines; the result is a primary without cluster or
+// hub (publish changes that). Every attached engine must have a row surface.
+func newServer(d *incgraph.Durable, ckptBytes int64, lim limits) (*server, error) {
+	rows, err := rowAnswers(d)
+	if err != nil {
+		return nil, err
 	}
-	s := &server{d: d, cl: cl, ckptBytes: ckptBytes, byClass: byClass,
-		lim:        lim,
-		commitGate: newGate(lim.commitSlots, lim.commitQueue, lim.opTimeout),
-		readGate:   newGate(lim.readSlots, lim.readQueue, lim.opTimeout),
-		role:       rolePrimary, conns: make(map[net.Conn]struct{}),
+	classAt := make(map[string]int, len(rows))
+	for i, m := range d.Engines() {
+		classAt[m.Class()] = i
+	}
+	s := &server{d: d, ckptBytes: ckptBytes, rows: rows, classAt: classAt,
+		folding:        make([]atomic.Bool, len(rows)),
+		lim:            lim,
+		commitGate:     newGate(lim.commitSlots, lim.commitQueue, lim.opTimeout),
+		readGate:       newGate(lim.readSlots, lim.readQueue, lim.opTimeout),
+		conns:          make(map[net.Conn]struct{}),
 		diskRetryMax:   3,
 		diskBackoff:    5 * time.Millisecond,
 		diskProbeEvery: 250 * time.Millisecond,
 		diskQuit:       make(chan struct{})}
 	s.syncDurableMeta()
-	return s
+	s.view.Store(s.cutView())
+	s.publish(false, nil)
+	return s, nil
 }
 
 // syncDurableMeta refreshes the durable-metadata mirror stat and health
@@ -265,11 +286,7 @@ func (s *server) syncDurableMeta() {
 }
 
 // cluster returns the current coordinator (promote installs one late).
-func (s *server) cluster() *incgraph.Cluster {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.cl
-}
+func (s *server) cluster() *incgraph.Cluster { return s.view.Load().cl }
 
 // track registers or unregisters a live connection.
 func (s *server) track(conn net.Conn, add bool) {
@@ -336,8 +353,8 @@ func (s *server) serve(addr string, stop <-chan struct{}) error {
 				s.mu.Lock()
 				defer s.mu.Unlock()
 				log.Printf("shutting down (gen %d, WAL seq %d)", s.d.Generation(), s.d.WALSeq())
-				if s.cl != nil {
-					s.cl.Close()
+				if cl := s.cluster(); cl != nil {
+					cl.Close()
 				}
 				return s.d.Close()
 			default:
@@ -559,7 +576,7 @@ func (s *server) handle(conn net.Conn) {
 // commits in flight, bounded queue, bounded wait — excess load is shed
 // with an explicit overload reply) and split so the WAL fsync runs under
 // commitMu but outside the write lock: a stalled disk backs up committers,
-// who shed at the gate, while readers keep answering from the caches.
+// who shed at the gate, while readers keep answering from the view.
 // Cluster commits additionally run phase 1 over the wire before any lock
 // (the coordinator serializes conflicting batches by shard, shedding at
 // the per-op deadline) and take the write lock only for the in-memory
@@ -572,10 +589,8 @@ func (s *server) commit(batch incgraph.Batch, reply func(string, ...any) bool) (
 	if len(batch) == 0 {
 		return false, replyErr(reply, catStaged, "nothing staged")
 	}
-	s.mu.RLock()
-	role, cl, hub := s.role, s.cl, s.hub
-	s.mu.RUnlock()
-	if role == roleStandby {
+	v := s.view.Load()
+	if v.role == roleStandby {
 		return false, replyErr(reply, catFenced, "standby is read-only; promote to accept commits")
 	}
 	// Read-only disk mode sheds before admission: the batch stays staged
@@ -591,7 +606,7 @@ func (s *server) commit(batch incgraph.Batch, reply func(string, ...any) bool) (
 	// The slot goes back before the reply goes out: a client that has read
 	// its ack (or its error) may retry at once, and on a full gate that
 	// retry must find the capacity this commit held, not race its release.
-	shed, line := s.commitAdmitted(batch, cl, hub)
+	shed, line := s.commitAdmitted(batch, v.cl, v.hub)
 	s.commitGate.exit()
 	return shed, reply("%s", line)
 }
@@ -611,11 +626,12 @@ func (s *server) commitAdmitted(batch incgraph.Batch, cl *incgraph.Cluster, hub 
 	var preGen, gen, seq uint64
 	// Both deployment shapes drive Durable.Commit through the same two
 	// hooks. logHook swaps the bare WAL append for the disk-degradation
-	// retry loop; applyHook wraps the in-memory apply with the read lock,
-	// the hub's feed numbering, and the auto-checkpoint. Neither takes
-	// commitMu itself: the cluster case wraps each in it (the coordinator
-	// calls them at separate points of its pipelined schedule), the local
-	// case holds it around the whole Commit call.
+	// retry loop; applyHook wraps the in-memory apply with the write lock,
+	// the hub's feed numbering, the publication of the new view, and the
+	// auto-checkpoint. Neither takes commitMu itself: the cluster case
+	// wraps each in it (the coordinator calls them at separate points of
+	// its pipelined schedule), the local case holds it around the whole
+	// Commit call.
 	logHook := func(b incgraph.Batch, genAt uint64) error {
 		preGen = genAt
 		if lerr := s.logWithRetry(b, genAt); lerr != nil {
@@ -633,12 +649,17 @@ func (s *server) commitAdmitted(batch incgraph.Batch, cl *incgraph.Cluster, hub 
 			s.feedSeq++
 			seq = s.feedSeq
 		}
+		s.mu.Unlock()
+		if aerr == nil {
+			// Before anything that can take time, and before the reply:
+			// whoever is told of this commit reads it.
+			s.publish(true, nil)
+		}
 		var walBytes int64
 		gen, walBytes = s.d.Generation(), s.d.WALBytes()
-		s.mu.Unlock()
 		if aerr == nil && s.ckptBytes > 0 && walBytes > s.ckptBytes {
 			// Checkpoint I/O under commitMu only: snapshot writing reads
-			// the graph, which is safe alongside concurrent readers.
+			// the graph, which no one mutates without commitMu.
 			if cerr := s.d.Checkpoint(); cerr != nil {
 				log.Printf("auto-checkpoint failed: %v", cerr)
 			} else {
@@ -713,12 +734,30 @@ func (s *server) commitAdmitted(batch incgraph.Batch, cl *incgraph.Cluster, hub 
 		}
 		return false, errLine(catStaged, "commit failed: %v", err)
 	}
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "ok applied %d gen=%d", len(batch), gen)
-	for i, m := range s.d.Engines() {
-		fmt.Fprintf(&sb, " %s=%s", m.Class(), sums[i])
+	return false, appliedLine(len(batch), gen, s.d.Engines(), sums)
+}
+
+// appliedLine renders the commit ack, "ok applied N gen=G" followed by
+// " <class>=ΔO{+a −b ~c}" per engine (DeltaSummary.String's rendering;
+// clients parse it), without fmt.
+func appliedLine(n int, gen uint64, engines []incgraph.Maintained, sums []incgraph.DeltaSummary) string {
+	b := make([]byte, 0, 48+40*len(engines))
+	b = append(b, "ok applied "...)
+	b = strconv.AppendInt(b, int64(n), 10)
+	b = append(b, " gen="...)
+	b = strconv.AppendUint(b, gen, 10)
+	for i, m := range engines {
+		b = append(b, ' ')
+		b = append(b, m.Class()...)
+		b = append(b, "=ΔO{+"...)
+		b = strconv.AppendInt(b, int64(sums[i].Added), 10)
+		b = append(b, " −"...)
+		b = strconv.AppendInt(b, int64(sums[i].Removed), 10)
+		b = append(b, " ~"...)
+		b = strconv.AppendInt(b, int64(sums[i].Updated), 10)
+		b = append(b, '}')
 	}
-	return false, sb.String()
+	return string(b)
 }
 
 // logWithRetry is the WAL append under the disk-degradation contract:
@@ -811,11 +850,12 @@ func (s *server) probeDisk() {
 	}
 }
 
-// read serves "query" (cardinality) and "answer" (full canonical dump).
-// The read gate and the read lock cover only the in-memory render — never
-// the socket writes, so a stalled client can't hold a slot or the lock
-// and wedge commits (and, through the RWMutex writer queue, every other
-// reader).
+// read serves "query" (cardinality) and "answer" (full canonical dump) from
+// the current view: the size published with it, and for an answer the
+// view's base rows merged with its chain of ΔO, rendered while merging.
+// Nothing here can fail or wait for a commit. Both replies name the
+// generation they were served at. The read gate covers only the in-memory
+// render — never the socket writes, so a stalled client can't hold a slot.
 func (s *server) read(cmd, class string, conn net.Conn, out *bufio.Writer, reply func(string, ...any) bool) bool {
 	// Replica-read gate: a standby serves reads while its feed is live
 	// (the replica is provably current) and keeps serving from the last
@@ -824,26 +864,22 @@ func (s *server) read(cmd, class string, conn net.Conn, out *bufio.Writer, reply
 	if s.tail.Load() == tailStale {
 		return replyErr(reply, catFenced, "stale replica; redirect %s", s.primaryAddr)
 	}
-	m, ok := s.byClass[class]
+	i, ok := s.classAt[class]
 	if !ok {
 		return replyErr(reply, catProto, "no standing query for class %q", class)
 	}
 	if s.readGate.enter() != nil {
 		return replyErr(reply, catOverloaded, "read queue full; retry in %dms", retryHintMS)
 	}
-	s.mu.RLock()
-	size := m.Size()
-	var dump bytes.Buffer
-	var err error
+	v := s.view.Load()
+	c := &v.classes[i]
+	var dump []byte
 	if cmd == "answer" {
-		err = m.WriteAnswer(&dump)
+		ra := s.rows[i]
+		incgraph.MergeRows(ra, c.base, c.chain, func(row []incgraph.NodeID) { dump = ra.AppendRow(dump, row) })
 	}
-	s.mu.RUnlock()
 	s.readGate.exit()
-	if err != nil {
-		return replyErr(reply, catProto, "answer %s: %v", class, err)
-	}
-	if !reply("ok %s %d", class, size) {
+	if !reply("ok %s %d gen=%d", class, c.size, v.gen) {
 		return false
 	}
 	if cmd == "query" {
@@ -855,7 +891,7 @@ func (s *server) read(cmd, class string, conn net.Conn, out *bufio.Writer, reply
 		conn.SetWriteDeadline(time.Now().Add(s.lim.opTimeout))
 		defer conn.SetWriteDeadline(time.Time{})
 	}
-	if _, err := out.Write(dump.Bytes()); err != nil {
+	if _, err := out.Write(dump); err != nil {
 		return false
 	}
 	fmt.Fprintln(out, ".")
@@ -867,16 +903,20 @@ func (s *server) stat(reply func(string, ...any) bool) bool {
 	for _, m := range s.d.Engines() {
 		classes = append(classes, m.Class())
 	}
-	// Render under the read lock, write to the socket after (see read).
-	// Durable metadata comes from the mirror: the WAL mutates under
-	// commitMu, not mu, so the store itself must not be read here.
-	s.mu.RLock()
-	g := s.d.Graph()
-	role, cl, hub := s.role, s.cl, s.hub
+	// Graph counters come from the view, durable metadata from the mirror:
+	// the graph and the store mutate under locks a read does not take.
+	v := s.view.Load()
+	cl, hub := v.cl, v.hub
 	line := fmt.Sprintf("ok role=%s nodes=%d edges=%d gen=%d shards=%d epoch=%d walseq=%d walbytes=%d classes=%s",
-		role, g.NumNodes(), g.NumEdges(), g.Generation(), g.NumShards(),
+		v.role, v.nodes, v.edges, v.gen, v.shards,
 		s.epoch.Load(), s.walSeq.Load(), s.walBytes.Load(), strings.Join(classes, ","))
-	s.mu.RUnlock()
+	// The read side: the generation on view, the ΔO rows waiting in chains
+	// for a reader to merge, and how often a chain was folded into its base.
+	chainRows := 0
+	for i := range v.classes {
+		chainRows += v.classes[i].chainRows
+	}
+	line += fmt.Sprintf(" view_gen=%d view_delta_rows=%d view_folds=%d", v.gen, chainRows, s.viewFolds.Load())
 	// Error counters: what the accept-loop and commit-path logs saw, as
 	// machine-readable fields (the crash drill asserts their presence).
 	line += fmt.Sprintf(" accept_errs=%d commit_errs=%d", s.acceptErrs.Load(), s.commitErrs.Load())
@@ -977,17 +1017,14 @@ func (s *server) cachedClusterStats(cl *incgraph.Cluster) ([]incgraph.ClusterSta
 // worker polling (stat's per-worker poll can take seconds during an
 // incident, exactly when probes must not).
 func (s *server) health(reply func(string, ...any) bool) bool {
-	s.mu.RLock()
-	role, cl, hub := s.role, s.cl, s.hub
-	gen, walSeq := s.d.Generation(), s.walSeq.Load()
-	s.mu.RUnlock()
+	v := s.view.Load()
 	line := fmt.Sprintf("ok role=%s gen=%d walseq=%d disk=%s",
-		role, gen, walSeq, diskName(s.diskState.Load()))
-	if cl != nil {
-		line += fmt.Sprintf(" term=%d", cl.Term())
+		v.role, v.gen, s.walSeq.Load(), diskName(s.diskState.Load()))
+	if v.cl != nil {
+		line += fmt.Sprintf(" term=%d", v.cl.Term())
 	}
-	if hub != nil {
-		line += fmt.Sprintf(" standbys=%d", hub.Standbys())
+	if v.hub != nil {
+		line += fmt.Sprintf(" standbys=%d", v.hub.Standbys())
 	}
 	if s.standby != nil {
 		line += fmt.Sprintf(" tail=%s tail_seq=%d", tailName(s.tail.Load()), s.standby.LastSeq())
@@ -1040,15 +1077,15 @@ func (s *server) move(fields []string, reply func(string, ...any) bool) bool {
 // becomes authoritative, and if shard-worker addresses were configured a
 // coordinator is attached over them at the deposed primary's term+1 —
 // re-placing every shard and fencing the old coordinator's sessions.
-// Reads block for the attach (it ships shard segments); promotion is a
-// failover moment, not a steady-state operation.
+// Reads keep answering from the standby's last view during the attach (it
+// ships shard segments); the view with the new role appears when it is done.
 func (s *server) promote(reply func(string, ...any) bool) bool {
 	// commitMu first: a feed apply holds it for its whole body, so once we
 	// have it no fed batch can slip in after the role check below.
 	s.commitMu.Lock()
 	defer s.commitMu.Unlock()
 	s.mu.Lock()
-	if s.role != roleStandby {
+	if s.view.Load().role != roleStandby {
 		s.mu.Unlock()
 		return replyErr(reply, catFenced, "already primary")
 	}
@@ -1067,8 +1104,10 @@ func (s *server) promote(reply func(string, ...any) bool) bool {
 		}
 		links = append(links, link)
 	}
+	var cl *incgraph.Cluster
 	if len(links) > 0 {
-		cl, err := incgraph.NewCluster(s.d.Graph(), links,
+		var err error
+		cl, err = incgraph.NewCluster(s.d.Graph(), links,
 			incgraph.WithClusterTerm(term), incgraph.WithReplication(s.repl))
 		if err != nil {
 			for _, l := range links {
@@ -1077,9 +1116,8 @@ func (s *server) promote(reply func(string, ...any) bool) bool {
 			s.mu.Unlock()
 			return replyErr(reply, catFenced, "promote failed: %v", err)
 		}
-		s.cl = cl
 	}
-	s.role = rolePrimary
+	s.publish(false, func(v *view) { v.role, v.cl = rolePrimary, cl })
 	s.tail.Store(tailNone)
 	s.mu.Unlock()
 	log.Printf("promoted to primary at term %d (%d workers)", term, len(links))

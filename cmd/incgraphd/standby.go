@@ -7,9 +7,6 @@ import (
 	"io"
 	"log"
 	"net"
-	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"incgraph"
@@ -30,8 +27,8 @@ import (
 // reads from its last durable generation and waits for the operator's
 // promote. A tail that ends because the replica itself diverged (an
 // apply error against a live primary) flips reads to redirect instead —
-// a stale replica must not answer.
-func runStandby(args []string) error {
+// a stale replica must not answer. It serves until stop is closed.
+func runStandby(args []string, stop <-chan struct{}) error {
 	fs := flag.NewFlagSet("standby", flag.ExitOnError)
 	var (
 		primary   = fs.String("primary", "", "primary hub address to tail (required)")
@@ -106,8 +103,11 @@ func runStandby(args []string) error {
 				return err
 			}
 			d.Graph().SetParallelism(*workers)
-			srv = newServer(d, nil, *ckptBytes, *lim)
-			srv.role = roleStandby
+			srv, err = newServer(d, *ckptBytes, *lim)
+			if err != nil {
+				return err
+			}
+			srv.publish(false, func(v *view) { v.role = roleStandby })
 			srv.primaryAddr = *primary
 			srv.workerAddrs = splitAddrs(*cluster)
 			srv.repl = replPolicy
@@ -125,7 +125,7 @@ func runStandby(args []string) error {
 			srv.commitMu.Lock()
 			defer srv.commitMu.Unlock()
 			srv.mu.RLock()
-			promoted := srv.role != roleStandby
+			promoted := srv.view.Load().role != roleStandby
 			srv.mu.RUnlock()
 			if promoted {
 				// Promoted between the hub's push and this apply: the
@@ -133,8 +133,8 @@ func runStandby(args []string) error {
 				return fmt.Errorf("promoted; feed rejected")
 			}
 			// Commit with the default log step (validate + append) and the
-			// read lock around the in-memory apply; commitMu above covers
-			// the whole call, so the WAL fsync stays off the read lock.
+			// write lock around the in-memory apply; commitMu above covers
+			// the whole call, publication of the new view included.
 			var gen uint64
 			_, err := srv.d.Commit(b, incgraph.ApplyOptions{
 				Exclusive: func(apply func() error) error {
@@ -149,6 +149,7 @@ func runStandby(args []string) error {
 			if err != nil {
 				return err
 			}
+			srv.publish(true, nil)
 			if gen != postGen {
 				return fmt.Errorf("replica at gen %d, primary said %d", gen, postGen)
 			}
@@ -184,7 +185,7 @@ func runStandby(args []string) error {
 		}
 		// A promote cut the tail itself; don't downgrade the new primary.
 		srv.mu.RLock()
-		promoted := srv.role != roleStandby
+		promoted := srv.view.Load().role != roleStandby
 		srv.mu.RUnlock()
 		if promoted {
 			return
@@ -194,12 +195,5 @@ func runStandby(args []string) error {
 			tailName(state), err, st.Gen(), st.LastSeq())
 	}()
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	stop := make(chan struct{})
-	go func() {
-		<-sig
-		close(stop)
-	}()
 	return srv.serve(*addr, stop)
 }

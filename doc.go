@@ -128,11 +128,17 @@
 //     fully intact.
 //
 // cmd/incgraphd is the long-lived server built on this subsystem: it
-// ingests "+/-" update streams over a line protocol, serves rpq/kws/scc/
-// iso answers from the generation-stamped caches under the read-parallel
-// contract, and checkpoints on demand or past a WAL-size threshold. The
-// CLI tools accept .snap files anywhere a text graph is accepted
-// (LoadGraphFile sniffs the format).
+// ingests "+/-" update streams over a line protocol and checkpoints on
+// demand or past a WAL-size threshold. It serves rpq/kws/scc/iso answers
+// the way the paper defines their maintenance, as Q(G) ⊕ ΔO: every commit
+// publishes, with one atomic pointer store, an immutable view holding per
+// class the answer's rows as of some earlier commit and the engines' ΔO of
+// every commit since (RowAnswer is the row surface the Maintain* adapters
+// give it; MergeRows is the ⊕). Reads load that pointer and take no lock —
+// they never wait for a commit, see one whole generation and say which
+// ("ok CLASS SIZE gen=G") — and the engines themselves are never read
+// after start-up. The CLI tools accept .snap files anywhere a text graph
+// is accepted (LoadGraphFile sniffs the format).
 //
 // # Distribution
 //
@@ -267,9 +273,9 @@
 //     throughput plateaus at the gate's capacity instead of collapsing,
 //     the p99 of admitted ops stays bounded by the per-op budget, and a
 //     shed commit keeps its staged batch so the retry is one line.
-//     Reads keep answering from the maintained engines the whole time:
-//     the WAL fsync and checkpoint I/O happen outside the graph lock, so
-//     a slow disk backs up writers (who shed at the gate), never readers.
+//     Reads keep answering from the published view the whole time: they
+//     take none of the commit path's locks, so a slow disk backs up
+//     writers (who shed at the gate), never readers.
 //   - Under a read storm the read gate sheds the excess the same way;
 //     commits proceed unimpeded on their own gate.
 //   - Slow, idle, and oversized-line clients are cut on per-connection
@@ -283,7 +289,7 @@
 //     that stays dead flips the daemon into advertised read-only mode,
 //     where commits shed with "err disk degraded; read-only" — keeping
 //     their staged batch, like any shed — while reads keep answering
-//     from the maintained engines and "health" says disk=read-only. A
+//     from the published view and "health" says disk=read-only. A
 //     background probe flips it back the moment a WAL fsync succeeds
 //     again; recovery needs no operator and no restart, and "acked ⇒
 //     durable" holds across the whole cycle — a commit acknowledged

@@ -185,8 +185,14 @@ func (g *Graph) FinishLoad(gen uint64) error {
 // missing one, tracked through the running in-batch state). The durability
 // layer validates a batch before appending it to the write-ahead log, so a
 // logged batch is always replayable.
+//
+// Nearly every batch touches no edge twice; then there is no in-batch state
+// to track, and each update is checked against the graph on its own.
 func (g *Graph) ValidateBatch(b Batch) error {
-	exists := make(map[Edge]bool, len(b))
+	var exists map[Edge]bool // stays nil, and so empty, without a repeat
+	if b.repeatsEdge() {
+		exists = make(map[Edge]bool, len(b))
+	}
 	for i, u := range b {
 		e := u.Edge()
 		cur, seen := exists[e]
@@ -198,12 +204,16 @@ func (g *Graph) ValidateBatch(b Batch) error {
 			if cur {
 				return fmt.Errorf("update %d: %w: insert of existing edge (%d,%d)", i, ErrBadUpdate, u.From, u.To)
 			}
-			exists[e] = true
+			if exists != nil {
+				exists[e] = true
+			}
 		case Delete:
 			if !cur {
 				return fmt.Errorf("update %d: %w: delete of missing edge (%d,%d)", i, ErrBadUpdate, u.From, u.To)
 			}
-			exists[e] = false
+			if exists != nil {
+				exists[e] = false
+			}
 		default:
 			return fmt.Errorf("update %d: %w: unknown op %v", i, ErrBadUpdate, u.Op)
 		}

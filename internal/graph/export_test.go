@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -134,6 +135,53 @@ func TestValidateBatch(t *testing.T) {
 	// Validated batches must actually apply.
 	if err := g.ApplyBatch(Batch{Ins(2, 1)}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestValidateBatchErrorText pins the error of every bad-batch shape byte
+// for byte, update index included — with and without an edge touched twice,
+// i.e. on both sides of ValidateBatch's in-batch-state shortcut — and that
+// a batch without a repeat validates without allocating.
+func TestValidateBatchErrorText(t *testing.T) {
+	g := New()
+	g.AddNode(1, "a")
+	g.AddNode(2, "b")
+	g.AddNode(3, "c")
+	g.AddEdge(1, 2)
+	g.AddEdge(2, 3)
+	g.AddEdge(3, 1)
+	const bad = "graph: update cannot be applied"
+	cases := []struct {
+		b    Batch
+		want string
+	}{
+		{Batch{Ins(1, 2)}, "update 0: " + bad + ": insert of existing edge (1,2)"},
+		{Batch{Del(2, 1)}, "update 0: " + bad + ": delete of missing edge (2,1)"},
+		{Batch{InsNew(1, 99, "a", "b"), Del(2, 3), Del(7, 8)}, "update 2: " + bad + ": delete of missing edge (7,8)"},
+		{Batch{InsNew(1, 99, "a", "b"), Del(2, 3), Ins(3, 1)}, "update 2: " + bad + ": insert of existing edge (3,1)"},
+		{Batch{InsNew(1, 99, "a", "b"), Del(2, 3), {Op: 7, From: 1, To: 3}}, "update 2: " + bad + ": unknown op op(7)"},
+		{Batch{Ins(2, 1), Ins(2, 1)}, "update 1: " + bad + ": insert of existing edge (2,1)"},
+		{Batch{Del(1, 2), Del(1, 2)}, "update 1: " + bad + ": delete of missing edge (1,2)"},
+		{Batch{Del(1, 2), Ins(1, 2), Ins(1, 2)}, "update 2: " + bad + ": insert of existing edge (1,2)"},
+		{Batch{Ins(2, 1), Del(2, 1), Del(9, 9)}, "update 2: " + bad + ": delete of missing edge (9,9)"},
+		{Batch{Ins(2, 1), Del(2, 1), {Op: 7, From: 2, To: 1}}, "update 2: " + bad + ": unknown op op(7)"},
+	}
+	for i, c := range cases {
+		err := g.ValidateBatch(c.b)
+		if err == nil || err.Error() != c.want || !errors.Is(err, ErrBadUpdate) {
+			t.Errorf("case %d: ValidateBatch = %v, want %q", i, err, c.want)
+		}
+	}
+	ok := Batch{Del(1, 2), Ins(2, 1), InsNew(3, 4, "", "d"), Del(2, 3)}
+	for v := NodeID(10); len(ok) < 32; v++ {
+		ok = append(ok, InsNew(v, v+100, "a", "b"))
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		if err := g.ValidateBatch(ok); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("ValidateBatch of a batch without a repeated edge: %.1f allocs, want 0", allocs)
 	}
 }
 

@@ -25,6 +25,17 @@ import (
 // which repairs sequentially — the engines skip that housekeeping: call
 // Graph().PrepareConcurrentReads() before sharing reads across
 // goroutines.
+//
+// The values MaintainKWS, MaintainRPQ, MaintainSCC and MaintainISO return
+// also implement RowAnswer (rows.go): the answer and every ΔO as rows of
+// NodeIDs, for holders that keep Q(G) current as Q(G) ⊕ ΔO instead of
+// reading the engine — incgraphd's read path is one. What that surface
+// promises: a row, once returned, is immutable and may be read from any
+// goroutine for as long as it is kept (scc rows are the engine's own member
+// slices, shared); LastDelta describes the last successful Apply until the
+// next one — a rejected batch leaves it standing — and the value it returned
+// stays valid after that. A type that wraps a Maintained hides the surface
+// unless it forwards it.
 type Maintained interface {
 	// Apply applies ΔG to the underlying graph and repairs the answer,
 	// returning a summary of ΔO. Class-specific deltas remain available on
@@ -58,69 +69,87 @@ func (d DeltaSummary) String() string {
 }
 
 // MaintainKWS adapts a keyword-search index.
-func MaintainKWS(ix *KWSIndex) Maintained { return kwsAdapter{ix} }
+func MaintainKWS(ix *KWSIndex) Maintained { return &kwsAdapter{ix: ix} }
 
 // MaintainRPQ adapts a regular-path-query engine.
-func MaintainRPQ(e *RPQEngine) Maintained { return rpqAdapter{e} }
+func MaintainRPQ(e *RPQEngine) Maintained { return &rpqAdapter{e: e} }
 
 // MaintainSCC adapts a strongly-connected-components state.
-func MaintainSCC(s *SCCState) Maintained { return sccAdapter{s} }
+func MaintainSCC(s *SCCState) Maintained { return &sccAdapter{s: s} }
 
 // MaintainISO adapts a subgraph-isomorphism index.
-func MaintainISO(ix *ISOIndex) Maintained { return isoAdapter{ix} }
+func MaintainISO(ix *ISOIndex) Maintained { return &isoAdapter{ix: ix} }
 
-type kwsAdapter struct{ ix *KWSIndex }
+// The adapters keep the ΔO of their last successful Apply for
+// RowAnswer.LastDelta (rows.go).
+type kwsAdapter struct {
+	ix   *KWSIndex
+	last KWSDelta
+}
 
-func (a kwsAdapter) Apply(batch Batch) (DeltaSummary, error) {
+func (a *kwsAdapter) Apply(batch Batch) (DeltaSummary, error) {
 	d, err := a.ix.Apply(batch)
 	if err != nil {
 		return DeltaSummary{}, err
 	}
+	a.last = d
 	return DeltaSummary{Added: len(d.Added), Removed: len(d.Removed), Updated: len(d.Updated)}, nil
 }
-func (a kwsAdapter) Size() int                     { return a.ix.NumMatches() }
-func (a kwsAdapter) Class() string                 { return "kws" }
-func (a kwsAdapter) Graph() *Graph                 { return a.ix.Graph() }
-func (a kwsAdapter) WriteAnswer(w io.Writer) error { return a.ix.WriteAnswer(w) }
+func (a *kwsAdapter) Size() int                     { return a.ix.NumMatches() }
+func (a *kwsAdapter) Class() string                 { return "kws" }
+func (a *kwsAdapter) Graph() *Graph                 { return a.ix.Graph() }
+func (a *kwsAdapter) WriteAnswer(w io.Writer) error { return a.ix.WriteAnswer(w) }
 
-type rpqAdapter struct{ e *RPQEngine }
+type rpqAdapter struct {
+	e    *RPQEngine
+	last RPQDelta
+}
 
-func (a rpqAdapter) Apply(batch Batch) (DeltaSummary, error) {
+func (a *rpqAdapter) Apply(batch Batch) (DeltaSummary, error) {
 	d, err := a.e.Apply(batch)
 	if err != nil {
 		return DeltaSummary{}, err
 	}
+	a.last = d
 	return DeltaSummary{Added: len(d.Added), Removed: len(d.Removed)}, nil
 }
-func (a rpqAdapter) Size() int                     { return a.e.NumMatches() }
-func (a rpqAdapter) Class() string                 { return "rpq" }
-func (a rpqAdapter) Graph() *Graph                 { return a.e.Graph() }
-func (a rpqAdapter) WriteAnswer(w io.Writer) error { return a.e.WriteAnswer(w) }
+func (a *rpqAdapter) Size() int                     { return a.e.NumMatches() }
+func (a *rpqAdapter) Class() string                 { return "rpq" }
+func (a *rpqAdapter) Graph() *Graph                 { return a.e.Graph() }
+func (a *rpqAdapter) WriteAnswer(w io.Writer) error { return a.e.WriteAnswer(w) }
 
-type sccAdapter struct{ s *SCCState }
+type sccAdapter struct {
+	s    *SCCState
+	last SCCDelta
+}
 
-func (a sccAdapter) Apply(batch Batch) (DeltaSummary, error) {
+func (a *sccAdapter) Apply(batch Batch) (DeltaSummary, error) {
 	d, err := a.s.Apply(batch)
 	if err != nil {
 		return DeltaSummary{}, err
 	}
+	a.last = d
 	return DeltaSummary{Added: len(d.Added), Removed: len(d.Removed)}, nil
 }
-func (a sccAdapter) Size() int                     { return a.s.NumComponents() }
-func (a sccAdapter) Class() string                 { return "scc" }
-func (a sccAdapter) Graph() *Graph                 { return a.s.Graph() }
-func (a sccAdapter) WriteAnswer(w io.Writer) error { return a.s.WriteAnswer(w) }
+func (a *sccAdapter) Size() int                     { return a.s.NumComponents() }
+func (a *sccAdapter) Class() string                 { return "scc" }
+func (a *sccAdapter) Graph() *Graph                 { return a.s.Graph() }
+func (a *sccAdapter) WriteAnswer(w io.Writer) error { return a.s.WriteAnswer(w) }
 
-type isoAdapter struct{ ix *ISOIndex }
+type isoAdapter struct {
+	ix   *ISOIndex
+	last ISODelta
+}
 
-func (a isoAdapter) Apply(batch Batch) (DeltaSummary, error) {
+func (a *isoAdapter) Apply(batch Batch) (DeltaSummary, error) {
 	d, err := a.ix.Apply(batch)
 	if err != nil {
 		return DeltaSummary{}, err
 	}
+	a.last = d
 	return DeltaSummary{Added: len(d.Added), Removed: len(d.Removed)}, nil
 }
-func (a isoAdapter) Size() int                     { return a.ix.NumMatches() }
-func (a isoAdapter) Class() string                 { return "iso" }
-func (a isoAdapter) Graph() *Graph                 { return a.ix.Graph() }
-func (a isoAdapter) WriteAnswer(w io.Writer) error { return a.ix.WriteAnswer(w) }
+func (a *isoAdapter) Size() int                     { return a.ix.NumMatches() }
+func (a *isoAdapter) Class() string                 { return "iso" }
+func (a *isoAdapter) Graph() *Graph                 { return a.ix.Graph() }
+func (a *isoAdapter) WriteAnswer(w io.Writer) error { return a.ix.WriteAnswer(w) }
