@@ -379,9 +379,13 @@ func BenchmarkBatchOpt(b *testing.B) {
 // ---- commit path: the shapes of the repository benchmark's workloads.
 //
 // One op is one Durable.Commit — validate, WAL append (no fsync, as the
-// daemon under perf/ runs), base graph, every engine on its own clone —
-// over a forward pass of batches and then its undo, so the graph returns
-// to the seed state every cycle. Worker budget and shard count are the
+// daemon under perf/ runs), base graph, every engine — over a forward pass
+// of batches and then its undo, so the graph returns to the seed state
+// every cycle. "/inplace" builds the engines on the store's graph, as
+// incgraphd does: ΔG is validated and applied once and each engine only
+// repairs. "/clones" gives every engine a clone of its own, the library
+// path perf/'s in-process replay still takes: each engine validates and
+// applies ΔG to its copy again. Worker budget and shard count are the
 // defaults, GOMAXPROCS: `-cpu 1,2` is the sequential commit next to the
 // one that may fan out.
 
@@ -416,15 +420,22 @@ var (
 )
 
 // open creates a durable store on the shape's graph with its engines
-// attached, and the cycle of batches to commit: passes forward batches,
-// then their undo. workers is the budget of every graph involved.
-func (s commitShape) open(tb testing.TB, passes, workers int) (*incgraph.Durable, []incgraph.Batch) {
+// attached — in place on that graph, or each on a clone of it — and the
+// cycle of batches to commit: passes forward batches, then their undo.
+// workers is the budget of every graph involved.
+func (s commitShape) open(tb testing.TB, passes, workers int, inPlace bool) (*incgraph.Durable, []incgraph.Batch) {
 	tb.Helper()
 	g, err := s.graph()
 	if err != nil {
 		tb.Fatal(err)
 	}
 	g.SetParallelism(workers) // 0: the default; the engines' clones inherit it
+	engineGraph := func() *incgraph.Graph {
+		if inPlace {
+			return g
+		}
+		return g.Clone()
+	}
 	d, err := incgraph.CreateDurable(tb.TempDir(), g, incgraph.DurableOptions{Sync: incgraph.SyncNone})
 	if err != nil {
 		tb.Fatal(err)
@@ -438,7 +449,7 @@ func (s commitShape) open(tb testing.TB, passes, workers int) (*incgraph.Durable
 			if err != nil {
 				tb.Fatal(err)
 			}
-			ix, err := incgraph.NewKWS(g.Clone(), q)
+			ix, err := incgraph.NewKWS(engineGraph(), q)
 			if err != nil {
 				tb.Fatal(err)
 			}
@@ -452,7 +463,7 @@ func (s commitShape) open(tb testing.TB, passes, workers int) (*incgraph.Durable
 			if err != nil {
 				tb.Fatal(err)
 			}
-			e, err := incgraph.NewRPQFromAst(g.Clone(), q)
+			e, err := incgraph.NewRPQFromAst(engineGraph(), q)
 			if err != nil {
 				tb.Fatal(err)
 			}
@@ -462,9 +473,9 @@ func (s commitShape) open(tb testing.TB, passes, workers int) (*incgraph.Durable
 			if err != nil {
 				tb.Fatal(err)
 			}
-			m = incgraph.MaintainISO(incgraph.NewISO(g.Clone(), p))
+			m = incgraph.MaintainISO(incgraph.NewISO(engineGraph(), p))
 		case "scc":
-			m = incgraph.MaintainSCC(incgraph.NewSCC(g.Clone()))
+			m = incgraph.MaintainSCC(incgraph.NewSCC(engineGraph()))
 		}
 		if err := d.Attach(m); err != nil {
 			tb.Fatal(err)
@@ -482,18 +493,25 @@ func (s commitShape) open(tb testing.TB, passes, workers int) (*incgraph.Durable
 }
 
 func benchCommit(b *testing.B, s commitShape) {
-	d, cycle := s.open(b, 200, 0)
-	// One cycle untimed: scratch pools, plan pool and engine buffers warm.
-	for _, batch := range cycle {
-		if _, err := d.Commit(batch, incgraph.ApplyOptions{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := d.Commit(cycle[i%len(cycle)], incgraph.ApplyOptions{}); err != nil {
-			b.Fatal(err)
-		}
+	for _, mode := range []struct {
+		name    string
+		inPlace bool
+	}{{"clones", false}, {"inplace", true}} {
+		b.Run(mode.name, func(b *testing.B) {
+			d, cycle := s.open(b, 200, 0, mode.inPlace)
+			// One cycle untimed: scratch pools, plan pool and engine buffers warm.
+			for _, batch := range cycle {
+				if _, err := d.Commit(batch, incgraph.ApplyOptions{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := d.Commit(cycle[i%len(cycle)], incgraph.ApplyOptions{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -503,7 +521,7 @@ func BenchmarkCommitSCC(b *testing.B)    { benchCommit(b, commitSCC) }
 
 // TestWarmCommitWaitsForNobody pins what the commit benchmarks measure: at
 // a worker budget of 2, an ordinary warm batch-32 commit on the match
-// shape runs every iteration of every loop on the committing goroutine —
+// shape (engines in place, as the daemon runs them) runs every iteration of every loop on the committing goroutine —
 // each loop offers its work to one helper, the loop is over before the
 // helper arrives, and the commit waits for nobody. The engines' builds,
 // long loops, must have engaged their helpers. The occasional commit with
@@ -518,7 +536,7 @@ func TestWarmCommitWaitsForNobody(t *testing.T) {
 	}
 	var d *incgraph.Durable
 	var cycle []incgraph.Batch
-	if build := fanOut(func() { d, cycle = commitMatch.open(t, 32, 2) }); build.Engaged == 0 {
+	if build := fanOut(func() { d, cycle = commitMatch.open(t, 32, 2, true) }); build.Engaged == 0 {
 		t.Errorf("no loop of the engine builds engaged a helper: %+v", build)
 	}
 	commit := func(b incgraph.Batch) {

@@ -151,7 +151,8 @@ type classOnly struct {
 func (c classOnly) Class() string { return c.class }
 
 // TestAppliedLineMatchesFmt pins the commit ack, which clients parse (perf
-// sums |ΔO| per class out of it), to the fmt rendering it replaced.
+// sums |ΔO| per class out of it), and the stage ack to the fmt renderings
+// they replaced.
 func TestAppliedLineMatchesFmt(t *testing.T) {
 	engines := []incgraph.Maintained{classOnly{class: "kws"}, classOnly{class: "rpq"}, classOnly{class: "iso"}, classOnly{class: "scc"}}
 	cases := []struct {
@@ -164,6 +165,9 @@ func TestAppliedLineMatchesFmt(t *testing.T) {
 		{1 << 20, 1<<64 - 1, []incgraph.DeltaSummary{{Added: 1 << 40, Removed: 1 << 41, Updated: 1 << 42}, {}, {}, {}}},
 	}
 	for _, c := range cases {
+		if got, want := string(appendStagedLine(nil, c.n)), fmt.Sprintf("ok staged %d\n", c.n); got != want {
+			t.Fatalf("appendStagedLine = %q, fmt renders %q", got, want)
+		}
 		for k := 0; k <= len(engines); k++ {
 			var want strings.Builder
 			fmt.Fprintf(&want, "ok applied %d gen=%d", c.n, c.gen)

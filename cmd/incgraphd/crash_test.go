@@ -135,9 +135,9 @@ func TestCrashRecoverySmoke(t *testing.T) {
 
 	// The operational error counters the accept loop and commit path log
 	// are exposed as stat fields (zero on this healthy restart), next to
-	// the fan-out counters.
+	// the fan-out counters and the one graph the recovered engines share.
 	statLine := c.cmd(t, "stat")
-	for _, field := range []string{"accept_errs=0", "commit_errs=0", "fanout_loops=", "fanout_engaged=", "fanout_helpers="} {
+	for _, field := range []string{"accept_errs=0", "commit_errs=0", "fanout_loops=", "fanout_engaged=", "fanout_helpers=", " graphs=1 ", " engines_inplace="} {
 		if !strings.Contains(statLine, field) {
 			t.Fatalf("stat %q missing %q", statLine, field)
 		}

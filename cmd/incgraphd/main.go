@@ -107,6 +107,16 @@
 // in chains, all classes) and view_folds. Commits, checkpoints and
 // promotion are serialized among themselves.
 //
+// The process holds one graph: the engines are built on the store's graph,
+// a commit validates and applies ΔG to it once, and each engine repairs its
+// answer in place against the result. "stat" says so as graphs (distinct
+// graphs resident: the store's plus every private engine graph) and
+// engines_inplace (engines repairing on the store's graph): this daemon
+// reads graphs=1 and engines_inplace equal to its class count. An engine
+// attached on a clone of the graph — the library allows it — adds one to
+// graphs and a full copy of the graph to resident memory, and is validated
+// and applied to separately on every commit.
+//
 // # Parallelism
 //
 // -workers caps how many goroutines one build or repair may use (default:
@@ -382,15 +392,16 @@ func waitForAddr(addr string, timeout time.Duration) error {
 	}
 }
 
-// attachEngines builds the standing-query engines the flags describe on
-// clones of the durable's (snapshot-time) graph and attaches them, ready
-// for Recover to replay the WAL through. Shared by the primary and
-// standby paths — a standby must run the same engines to serve the same
-// answers.
+// attachEngines builds the standing-query engines the flags describe
+// directly on the durable's (snapshot-time) graph and attaches them, ready
+// for Recover to replay the WAL through: the process holds one graph, which
+// a commit moves once and every engine then repairs against in place.
+// Shared by the primary and standby paths — a standby must run the same
+// engines to serve the same answers.
 func attachEngines(d *incgraph.Durable, cfg config) error {
 	if cfg.kwsQuery != "" {
 		q := incgraph.KWSQuery{Keywords: strings.Split(cfg.kwsQuery, ","), Bound: cfg.bound}
-		ix, err := incgraph.NewKWS(d.Graph().Clone(), q)
+		ix, err := incgraph.NewKWS(d.Graph(), q)
 		if err != nil {
 			return fmt.Errorf("kws: %w", err)
 		}
@@ -399,7 +410,7 @@ func attachEngines(d *incgraph.Durable, cfg config) error {
 		}
 	}
 	if cfg.rpqQuery != "" {
-		e, err := incgraph.NewRPQ(d.Graph().Clone(), cfg.rpqQuery)
+		e, err := incgraph.NewRPQ(d.Graph(), cfg.rpqQuery)
 		if err != nil {
 			return fmt.Errorf("rpq: %w", err)
 		}
@@ -416,12 +427,12 @@ func attachEngines(d *incgraph.Durable, cfg config) error {
 		if err != nil {
 			return fmt.Errorf("iso: %w", err)
 		}
-		if err := d.Attach(incgraph.MaintainISO(incgraph.NewISO(d.Graph().Clone(), p))); err != nil {
+		if err := d.Attach(incgraph.MaintainISO(incgraph.NewISO(d.Graph(), p))); err != nil {
 			return err
 		}
 	}
 	if cfg.scc {
-		if err := d.Attach(incgraph.MaintainSCC(incgraph.NewSCC(d.Graph().Clone()))); err != nil {
+		if err := d.Attach(incgraph.MaintainSCC(incgraph.NewSCC(d.Graph()))); err != nil {
 			return err
 		}
 	}
@@ -511,8 +522,8 @@ func run(cfg config, stop <-chan struct{}) error {
 	}
 	d.Graph().SetParallelism(cfg.workers)
 
-	// Standing queries: build engines on clones of the (snapshot-time)
-	// graph, attach, then replay the WAL through them.
+	// Standing queries: build engines on the (snapshot-time) graph,
+	// attach, then replay the WAL through graph and engines.
 	if err := attachEngines(d, cfg); err != nil {
 		return err
 	}

@@ -471,7 +471,7 @@ func (s *server) handle(conn net.Conn) {
 				continue
 			}
 			pending = append(pending, u)
-			fmt.Fprintf(out, "ok staged %d\n", len(pending))
+			out.Write(appendStagedLine(out.AvailableBuffer(), len(pending)))
 			// Held acks never fill the buffer: bufio would then write to
 			// the connection itself, outside the write deadline.
 			if (!more || out.Available() < 64) && !flush() {
@@ -737,6 +737,14 @@ func (s *server) commitAdmitted(batch incgraph.Batch, cl *incgraph.Cluster, hub 
 	return false, appliedLine(len(batch), gen, s.d.Engines(), sums)
 }
 
+// appendStagedLine appends the stage ack, "ok staged N" and a newline,
+// without fmt: it is written once per staged update.
+func appendStagedLine(b []byte, n int) []byte {
+	b = append(b, "ok staged "...)
+	b = strconv.AppendInt(b, int64(n), 10)
+	return append(b, '\n')
+}
+
 // appliedLine renders the commit ack, "ok applied N gen=G" followed by
 // " <class>=ΔO{+a −b ~c}" per engine (DeltaSummary.String's rendering;
 // clients parse it), without fmt.
@@ -899,9 +907,17 @@ func (s *server) read(cmd, class string, conn net.Conn, out *bufio.Writer, reply
 }
 
 func (s *server) stat(reply func(string, ...any) bool) bool {
+	// The engines' classes and which graph each was built on are fixed at
+	// attach; neither read touches engine state. An engine not in place has
+	// a graph to itself (Attach refuses two on one), so the graphs resident
+	// are the store's plus one per such engine.
 	classes := make([]string, 0, len(s.d.Engines()))
+	inPlace := 0
 	for _, m := range s.d.Engines() {
 		classes = append(classes, m.Class())
+		if m.Graph() == s.d.Graph() {
+			inPlace++
+		}
 	}
 	// Graph counters come from the view, durable metadata from the mirror:
 	// the graph and the store mutate under locks a read does not take.
@@ -910,6 +926,7 @@ func (s *server) stat(reply func(string, ...any) bool) bool {
 	line := fmt.Sprintf("ok role=%s nodes=%d edges=%d gen=%d shards=%d epoch=%d walseq=%d walbytes=%d classes=%s",
 		v.role, v.nodes, v.edges, v.gen, v.shards,
 		s.epoch.Load(), s.walSeq.Load(), s.walBytes.Load(), strings.Join(classes, ","))
+	line += fmt.Sprintf(" graphs=%d engines_inplace=%d", 1+len(classes)-inPlace, inPlace)
 	// The read side: the generation on view, the ΔO rows waiting in chains
 	// for a reader to merge, and how often a chain was folded into its base.
 	chainRows := 0

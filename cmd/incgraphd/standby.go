@@ -96,13 +96,15 @@ func runStandby(args []string, stop <-chan struct{}) error {
 			if err != nil {
 				return err
 			}
+			// Before the engines are built, as on the primary: they repair
+			// on this graph and follow its budget.
+			d.Graph().SetParallelism(*workers)
 			if err := attachEngines(d, cfg); err != nil {
 				return err
 			}
 			if err := d.Recover(); err != nil {
 				return err
 			}
-			d.Graph().SetParallelism(*workers)
 			srv, err = newServer(d, *ckptBytes, *lim)
 			if err != nil {
 				return err

@@ -68,9 +68,10 @@
 //
 // On top of that split, the batch builds can fan out — NewKWS per keyword
 // and per node, NewRPQ per source node, NewISO/FindMatches over partitioned
-// VF2 candidate seeds — and the incremental Apply methods of KWS, RPQ and
-// ISO apply ΔG, then partition their repair work (affected keywords,
-// affected sources, anchored insertions) the same way. The fan-out pays
+// VF2 candidate seeds — and the incremental repairs of KWS, RPQ and ISO,
+// which run against the graph after ΔG has been applied to it, partition
+// their work (affected keywords, affected sources, anchored insertions)
+// the same way. The fan-out pays
 // for itself: every such loop runs on the calling goroutine, which offers
 // the work to one helper and goes on without waiting for it; a helper that
 // arrives while iterations are still unclaimed takes some and brings in
@@ -85,16 +86,38 @@
 // KWS and ISO additionally route each batch through a cost model
 // (internal/cost): when the predicted affected area makes the incremental
 // repair costlier than the batch algorithm — the regime past the paper's
-// incremental/batch crossover — Apply falls back to applying ΔG and
-// recomputing from scratch, diffing the match sets for the exact same
-// Delta. The decision is a pure function of graph and batch statistics,
+// incremental/batch crossover — the repair falls back to recomputing from
+// scratch on G ⊕ ΔG, diffing the match sets for the exact same Delta. The decision is a pure function of graph and batch statistics,
 // never of worker or shard count.
 //
 // Graph.SetParallelism(n) caps how wide a loop may become (it never makes
 // one wide); the default is runtime.GOMAXPROCS(0), and n = 1 forces fully
-// sequential execution.
-// Clones inherit the setting, so configuring the base graph configures
-// every engine built on it.
+// sequential execution. An engine follows the budget of the graph it was
+// built on; clones inherit the setting.
+//
+// # One graph, k repairs
+//
+// Every engine splits "ΔG arrives" in two (kws.Index, rpq.Engine,
+// scc.State, iso.Index alike): advancing the graph from G to G ⊕ ΔG —
+// normalize, validate, create nodes, apply — and Repair, which takes ΔG,
+// assumes the graph has just made that move, and brings the auxiliary
+// structures and the answer along, mutating nothing else. That is the
+// paper's IncX(Q, G, Q(G), ΔG): G ⊕ ΔG is given, paid for once, and the
+// algorithm is costed in |CHANGED| and |AFF|. All four already reasoned
+// from the post-state graph (kws repairs kdist after the structural
+// updates; rpq reads the new graph and recognises inserted edges to reason
+// about the old one; iso's edge→matches index reads the same either side
+// of the mutation; scc replays ΔG onto its own index-space mirror and
+// never reads the graph's adjacency), so Apply — the standalone entry
+// point, for an engine that owns its graph — is exactly "advance my graph,
+// then Repair", one repair implementation with two callers. The other
+// caller is Durable: engines built on its graph are repaired in place, so
+// a commit with k engines validates and applies ΔG once, not k+1 times,
+// and one graph is resident, not k+1. Nodes a batch created are recognised
+// by each engine's own index (a kdist row or dense index not yet there),
+// and the kws cost model is fed the pre-state |V| and |E| on both paths,
+// so verdicts, metered work and ΔO are identical whichever way an engine
+// is driven.
 //
 // # Durability
 //
@@ -111,14 +134,15 @@
 //     The format is versioned by a magic+version header; readers reject
 //     unknown versions rather than guessing.
 //   - Write-ahead log. A Durable validates each batch ΔG, appends it to a
-//     length+CRC-framed log, and only then applies it to the graph and the
-//     attached engines. The fsync policy is explicit: SyncAlways (the
+//     length+CRC-framed log, and only then applies it to the graph — once
+//     — and has every attached engine repair against the result (an engine
+//     attached on a private clone applies it to that copy itself). The fsync policy is explicit: SyncAlways (the
 //     default) makes every acknowledged batch survive power failure;
 //     SyncNone trades bounded loss for append throughput.
 //   - Recovery. OpenDurable loads the snapshot, the caller rebuilds its
-//     engines on clones of it, and Recover replays the WAL's valid record
-//     prefix through the engines' normal Apply path — repairs run exactly
-//     as they did the first time, so every answer (Maintained.WriteAnswer)
+//     engines on it, and Recover replays the WAL's valid record prefix
+//     through the same apply-then-repair path — repairs run exactly as
+//     they did the first time, so every answer (Maintained.WriteAnswer)
 //     is byte-identical to the uninterrupted run, at any worker or shard
 //     count. A torn or corrupt WAL tail — the signature of a crash mid-
 //     append — is truncated, never fatal.
@@ -129,7 +153,10 @@
 //
 // cmd/incgraphd is the long-lived server built on this subsystem: it
 // ingests "+/-" update streams over a line protocol and checkpoints on
-// demand or past a WAL-size threshold. It serves rpq/kws/scc/iso answers
+// demand or past a WAL-size threshold. It holds one graph — primary,
+// cluster coordinator, standby and crash recovery all build the engines
+// on the store's graph and attach them in place ("stat": graphs=1) — and
+// serves rpq/kws/scc/iso answers
 // the way the paper defines their maintenance, as Q(G) ⊕ ΔO: every commit
 // publishes, with one atomic pointer store, an immutable view holding per
 // class the answer's rows as of some earlier commit and the engines' ΔO of

@@ -13,27 +13,36 @@ import (
 // internal/store for the formats) — with the maintained engines serving
 // answers over that graph. The contract:
 //
-//   - Apply is write-ahead: the batch is validated, appended to the WAL
+//   - Commit is write-ahead: the batch is validated, appended to the WAL
 //     (fsynced per the SyncPolicy), and only then applied to the base
 //     graph and every attached engine. A crash after the append replays
 //     the batch on recovery; a crash during it leaves a torn tail that
 //     recovery truncates. Acknowledged batches are never lost under
 //     SyncAlways.
+//   - One graph, k repairs. Engines are built directly on Graph() and
+//     attached: a commit then validates ΔG once, moves the one graph from
+//     G to G ⊕ ΔG once, and hands each engine ΔG to repair its answer
+//     against the graph as it now stands — the paper's cost model, where
+//     producing G ⊕ ΔG is given and an engine pays for |AFF|. Only the
+//     Durable mutates that graph. An engine that keeps a private graph
+//     (built on Graph().Clone(), or wrapped in a type that shows only
+//     Maintained) is attached too and driven through its own Apply, which
+//     validates and applies ΔG to that copy again; the two kinds mix, and
+//     the answers are byte-identical either way.
 //   - Checkpoint folds the WAL into a fresh snapshot (written atomically,
 //     manifest-committed) and starts an empty log.
 //   - OpenDurable + Recover rebuilds everything: the snapshot loads into
 //     an identical graph (slot assignment included), engines are built on
-//     clones of it exactly as on first boot, and the WAL's batches replay
-//     through the engines' normal Apply path — so every maintained answer
-//     comes back byte-identical (WriteAnswer) to the uninterrupted run, at
-//     any worker or shard count.
+//     it exactly as on first boot, and the WAL's batches replay through
+//     the same apply-then-repair path a commit takes — so every maintained
+//     answer comes back byte-identical (WriteAnswer) to the uninterrupted
+//     run, at any worker or shard count.
 //
-// Concurrency: Apply, Checkpoint, Recover and Close require exclusive
+// Concurrency: Commit, Checkpoint, Recover and Close require exclusive
 // access (they mutate). Between them the attached engines are
-// read-shareable per the usual contract — Apply runs
-// PrepareConcurrentReads on every engine graph before returning, so
-// concurrent readers (e.g. incgraphd query handlers) can start
-// immediately.
+// read-shareable per the usual contract — a commit runs
+// PrepareConcurrentReads on every graph involved before returning, so
+// concurrent readers can start immediately.
 
 // SyncPolicy selects when the write-ahead log fsyncs; see the constants.
 type SyncPolicy = store.SyncPolicy
@@ -61,6 +70,9 @@ type Durable struct {
 	st      *store.Store
 	base    *Graph
 	engines []Maintained
+	// inPlace[i] is engines[i]'s repair entry when that engine was built on
+	// base itself, nil when it keeps a private graph its own Apply advances.
+	inPlace []repairer
 	// pending holds WAL records recovered by OpenDurable until Recover
 	// replays them; non-nil means Apply must refuse (recovery incomplete).
 	pending  []store.ReplayRecord
@@ -68,9 +80,9 @@ type Durable struct {
 }
 
 // CreateDurable initializes a new store at dir from the current state of
-// g and returns a Durable owning g as its base graph. Engines built on
-// clones of g (NewKWS(g.Clone(), ...) etc.) should be attached with
-// Attach before the first Apply.
+// g and returns a Durable owning g as its base graph: from here on only
+// the Durable mutates it. Engines built on g (MaintainKWS(NewKWS(g, ...))
+// etc.) should be attached with Attach before the first Commit.
 func CreateDurable(dir string, g *Graph, opts DurableOptions) (*Durable, error) {
 	st, err := store.Create(dir, g, store.Options{Sync: opts.Sync, FS: opts.FS})
 	if err != nil {
@@ -80,10 +92,10 @@ func CreateDurable(dir string, g *Graph, opts DurableOptions) (*Durable, error) 
 }
 
 // OpenDurable opens the store at dir and loads its snapshot. The returned
-// Durable is mid-recovery: build engines on clones of Graph() (which is
-// the snapshot-time graph), Attach them, then call Recover to replay the
-// WAL through every engine's normal Apply path. Apply refuses until
-// Recover has run.
+// Durable is mid-recovery: build engines on Graph() (which is the
+// snapshot-time graph), Attach them, then call Recover to replay the WAL
+// through the graph and every engine the way the commits went. Commit
+// refuses until Recover has run.
 func OpenDurable(dir string, opts DurableOptions) (*Durable, error) {
 	st, g, records, err := store.Open(dir, store.Options{Sync: opts.Sync, FS: opts.FS})
 	if err != nil {
@@ -97,19 +109,42 @@ func DurableExists(dir string) bool { return store.Exists(dir) }
 
 // Graph returns the base graph: after CreateDurable, the graph the store
 // was created from; after OpenDurable (before Recover), the snapshot-time
-// graph engines should be built on.
+// graph engines should be built on. Read it freely under the concurrency
+// contract; mutating it is the Durable's alone.
 func (d *Durable) Graph() *Graph { return d.base }
 
-// Attach registers an engine to be kept in lockstep: Apply will apply
-// every batch to it, and Recover will replay the WAL through it. The
-// engine must have been built on a clone of Graph() (sharing the base
-// graph itself would double-apply every batch).
+// Attach registers engines to be kept in lockstep: every commit reaches
+// them, and Recover replays the WAL through them. What an engine was built
+// on is the whole choice of how:
+//
+//   - on Graph() itself, as one of the Maintain* adapters: the Durable
+//     applies each batch to the graph once and the engine repairs in place.
+//     Any number of engines share the graph this way.
+//   - on a graph of its own (Graph().Clone()): the engine's Apply advances
+//     that copy batch by batch, whatever type wraps it.
+//
+// Attach refuses, before anything is logged, what would otherwise fail on
+// the first commit after the WAL append: a value on Graph() that does not
+// offer the in-place repair (a wrapper around an adapter — its Apply would
+// apply every batch to the base graph a second time), and two engines on
+// one private graph (the second one's Apply would find the batch applied).
 func (d *Durable) Attach(ms ...Maintained) error {
 	for _, m := range ms {
+		var r repairer
 		if m.Graph() == d.base {
-			return fmt.Errorf("incgraph: Attach(%s): engine shares the base graph; build it on Graph().Clone()", m.Class())
+			var ok bool
+			if r, ok = m.(repairer); !ok {
+				return fmt.Errorf("incgraph: Attach(%s): a %T on the base graph cannot repair in place; attach the Maintain* adapter itself, or build the engine on Graph().Clone()", m.Class(), m)
+			}
+		} else {
+			for _, o := range d.engines {
+				if o.Graph() == m.Graph() {
+					return fmt.Errorf("incgraph: Attach(%s): shares a private graph with the attached %s engine, and each would apply every batch to it; build them on separate clones, or both on Graph()", m.Class(), o.Class())
+				}
+			}
 		}
 		d.engines = append(d.engines, m)
+		d.inPlace = append(d.inPlace, r)
 	}
 	return nil
 }
@@ -126,7 +161,7 @@ func (d *Durable) Recover() error {
 		return nil
 	}
 	for _, rec := range d.pending {
-		if err := d.applyAll(rec.Batch); err != nil {
+		if _, err := d.advance(rec.Batch); err != nil {
 			return fmt.Errorf("incgraph: recovery replay of WAL record %d: %w", rec.Seq, err)
 		}
 	}
@@ -135,20 +170,32 @@ func (d *Durable) Recover() error {
 	return nil
 }
 
-// applyAll applies b to the base graph and every engine, then flushes the
-// sorted caches so readers can fan out immediately.
-func (d *Durable) applyAll(b Batch) error {
+// advance moves everything in memory from G to G ⊕ ΔG: the base graph
+// once, then every engine in attach order — a repair against the base
+// graph for those built on it, their own Apply for those on a private
+// graph — and flushes the sorted caches of every graph involved so readers
+// can fan out immediately. b must be valid on the base graph.
+func (d *Durable) advance(b Batch) ([]DeltaSummary, error) {
 	if err := d.base.ApplyBatch(b); err != nil {
-		return err
+		return nil, err
 	}
-	for _, m := range d.engines {
-		if _, err := m.Apply(b); err != nil {
-			return fmt.Errorf("%s: %w", m.Class(), err)
+	// The normal form is the same for every engine in place: taken once.
+	norm := b.Normalize()
+	sums := make([]DeltaSummary, len(d.engines))
+	for i, m := range d.engines {
+		if r := d.inPlace[i]; r != nil {
+			sums[i] = r.repair(b, norm)
+			continue
 		}
+		sum, err := m.Apply(b)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", m.Class(), err)
+		}
+		sums[i] = sum
 		m.Graph().PrepareConcurrentReads()
 	}
 	d.base.PrepareConcurrentReads()
-	return nil
+	return sums, nil
 }
 
 // ApplyOptions routes one Commit. The zero value is the plain local
@@ -299,20 +346,11 @@ func (d *Durable) Log(b Batch) error {
 // is the apply step Commit wraps in ApplyOptions.Exclusive; prefer
 // Commit unless you are building such a hook yourself.
 func (d *Durable) ApplyLogged(b Batch) ([]DeltaSummary, error) {
-	if err := d.base.ApplyBatch(b); err != nil {
+	sums, err := d.advance(b)
+	if err != nil {
 		// Unreachable after validation; surface loudly if it ever happens.
 		return nil, fmt.Errorf("incgraph: validated batch failed to apply: %w", err)
 	}
-	sums := make([]DeltaSummary, len(d.engines))
-	for i, m := range d.engines {
-		sum, err := m.Apply(b)
-		if err != nil {
-			return nil, fmt.Errorf("incgraph: engine %s diverged on validated batch: %w", m.Class(), err)
-		}
-		sums[i] = sum
-		m.Graph().PrepareConcurrentReads()
-	}
-	d.base.PrepareConcurrentReads()
 	return sums, nil
 }
 

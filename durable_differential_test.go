@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"incgraph"
@@ -255,8 +256,15 @@ func TestRecoveryTornTail(t *testing.T) {
 	}
 }
 
-// TestDurableGuards pins the misuse errors: attaching an engine that
-// shares the base graph, and applying before recovery completed.
+// maintainedOnly shows an engine's Maintained methods and nothing else: the
+// shape of a caller's wrapper, which hides the in-place repair entry.
+type maintainedOnly struct{ incgraph.Maintained }
+
+// TestDurableGuards pins what Attach decides and the misuse errors: an
+// adapter on the base graph attaches and shares it; a wrapper on the base
+// graph, and a second engine on one private graph, are refused at attach
+// time — each would otherwise fail on the first commit, after the WAL
+// append — and applying before recovery completed is refused.
 func TestDurableGuards(t *testing.T) {
 	base, batches := diffWorkload(t, 99)
 	q := mkDurableQueries(t, base, 7)
@@ -265,12 +273,35 @@ func TestDurableGuards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kws, err := incgraph.NewKWS(d.Graph(), q.kws) // wrong: shares base
+	kws, err := incgraph.NewKWS(d.Graph(), q.kws)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Attach(incgraph.MaintainKWS(kws)); err == nil {
-		t.Fatal("want error attaching engine on the base graph")
+	inPlace := incgraph.MaintainKWS(kws)
+	err = d.Attach(maintainedOnly{inPlace})
+	if err == nil || !strings.Contains(err.Error(), "Graph().Clone()") || !strings.Contains(err.Error(), "Maintain* adapter") {
+		t.Fatalf("attaching a wrapper on the base graph: %v, want a refusal naming both remedies", err)
+	}
+	if err := d.Attach(inPlace); err != nil {
+		t.Fatalf("attaching an adapter on the base graph: %v", err)
+	}
+	if inPlace.Graph() != d.Graph() {
+		t.Fatal("the attached engine does not share the base graph")
+	}
+	clone := d.Graph().Clone()
+	rpq, err := incgraph.NewRPQFromAst(clone, q.rpq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Attach(maintainedOnly{incgraph.MaintainRPQ(rpq)}); err != nil {
+		t.Fatalf("attaching a wrapped engine on a clone: %v", err)
+	}
+	err = d.Attach(incgraph.MaintainSCC(incgraph.NewSCC(clone)))
+	if err == nil || !strings.Contains(err.Error(), "scc") || !strings.Contains(err.Error(), "rpq") {
+		t.Fatalf("attaching a second engine on one clone: %v, want a refusal naming both classes", err)
+	}
+	if n := len(d.Engines()); n != 2 {
+		t.Fatalf("%d engines attached, want the 2 accepted", n)
 	}
 	if _, err := d.Apply(batches[0]); err != nil {
 		t.Fatal(err)

@@ -34,28 +34,31 @@ func main() {
 	})
 	q := incgraph.KWSQuery{Keywords: []string{"l1", "l2"}, Bound: 2}
 
-	// mkEngines builds the standing queries on clones of base — the same
-	// constructor runs at first boot and at recovery.
-	mkEngines := func(base *incgraph.Graph) []incgraph.Maintained {
-		kws, err := incgraph.NewKWS(base.Clone(), q)
+	// mkEngines builds the standing queries, each on the graph on() hands
+	// it — the same constructor runs at first boot and at recovery. Under a
+	// Durable that is the store's own graph for every engine: a commit
+	// applies the burst to it once and each engine repairs in place.
+	mkEngines := func(on func() *incgraph.Graph) []incgraph.Maintained {
+		kws, err := incgraph.NewKWS(on(), q)
 		if err != nil {
 			log.Fatal(err)
 		}
 		return []incgraph.Maintained{
-			incgraph.MaintainSCC(incgraph.NewSCC(base.Clone())),
+			incgraph.MaintainSCC(incgraph.NewSCC(on())),
 			incgraph.MaintainKWS(kws),
 		}
 	}
 
-	// The uninterrupted reference run, for the parity check at the end.
-	reference := mkEngines(g)
+	// The uninterrupted reference run, for the parity check at the end:
+	// standalone engines, each owning a clone that its Apply advances.
+	reference := mkEngines(g.Clone)
 
 	// Durable run: create the store, attach engines, stream update bursts.
 	d, err := incgraph.CreateDurable(dir, g.Clone(), incgraph.DurableOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := d.Attach(mkEngines(d.Graph())...); err != nil {
+	if err := d.Attach(mkEngines(d.Graph)...); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("store %s: %d members, %d follow edges\n", dir, g.NumNodes(), g.NumEdges())
@@ -68,7 +71,7 @@ func main() {
 		if err := scratch.ApplyBatch(events); err != nil {
 			log.Fatal(err)
 		}
-		sums, err := d.Commit(events, incgraph.ApplyOptions{}) // WAL append + apply to every engine
+		sums, err := d.Commit(events, incgraph.ApplyOptions{}) // WAL append, one graph apply, a repair per engine
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -90,12 +93,12 @@ func main() {
 	d.Close()
 	fmt.Println("crash (all in-memory state dropped)")
 
-	// Recovery: snapshot load, engine rebuild, WAL replay through Apply.
+	// Recovery: snapshot load, engine rebuild, WAL replay through the commit path.
 	r, err := incgraph.OpenDurable(dir, incgraph.DurableOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := r.Attach(mkEngines(r.Graph())...); err != nil {
+	if err := r.Attach(mkEngines(r.Graph)...); err != nil {
 		log.Fatal(err)
 	}
 	if err := r.Recover(); err != nil {

@@ -181,6 +181,30 @@ func (g *Graph) ApplyBatch(b Batch) error {
 	return nil
 }
 
+// Advance moves g from G to G ⊕ ΔG the way an engine that owns its graph
+// does before it repairs: the batch is normalized and validated, a batch
+// that cannot be applied is rejected before anything is touched, nodes are
+// created from the raw batch (creation is a side effect of an insertion
+// even when a later deletion cancels the edge), and the normalized updates
+// are applied. It returns the normal form for the repair that follows.
+func (g *Graph) Advance(batch Batch) (Batch, error) {
+	norm := batch.Normalize()
+	if err := g.ValidateNormalized(norm); err != nil {
+		return nil, err
+	}
+	for _, u := range batch {
+		if u.Op == Insert {
+			g.EnsureNode(u.From, u.FromLabel)
+			g.EnsureNode(u.To, u.ToLabel)
+		}
+	}
+	// Validated above, so it cannot fail partway.
+	if err := g.ApplyBatch(norm); err != nil {
+		return nil, err
+	}
+	return norm, nil
+}
+
 // Inverse returns the update that undoes u. Inverting an insertion that
 // created nodes does not remove the nodes (the model keeps them).
 func (u Update) Inverse() Update {

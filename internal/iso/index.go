@@ -23,7 +23,7 @@ type Index struct {
 	// edges use it.
 	byEdge map[graph.Edge]map[string]struct{}
 	// sorted memoizes Matches against the graph mutation generation (the
-	// match set only moves inside Apply*, which mutates the graph first).
+	// match set only moves in a repair, which follows a graph mutation).
 	sorted graph.GenCache[[]Match]
 	// lastEst records the repair-vs-batch decision of the most recent
 	// Apply (cost-based fallback); see Apply and LastEstimate.
@@ -107,7 +107,8 @@ func (ix *Index) remove(k string) (Match, bool) {
 	return m, true
 }
 
-// Graph returns the underlying graph (shared, mutated by Apply*).
+// Graph returns the underlying graph: mutated by Apply* when the index
+// owns it, by its owner alone when the index is only ever Repair-ed.
 func (ix *Index) Graph() *graph.Graph { return ix.g }
 
 // Pattern returns the pattern.
@@ -154,40 +155,45 @@ func (ix *Index) WriteAnswer(w io.Writer) error {
 	return bw.Flush() // a bufio.Writer keeps its first write error
 }
 
-// Apply processes a batch ΔG with IncISO: deletions drop exactly the
-// indexed matches that use a deleted edge; insertions run VF2 restricted to
-// the d_Q-neighborhood G_dQ(ΔG+) and add the matches not seen before.
-// The batch is normalized; a batch that cannot be applied is rejected
-// before anything is touched.
-//
-// Before repairing, Apply consults the cost model (cost.EstimateISO): when the batch seeds
-// more anchored enumerations than VF2 would open root-candidate subtrees —
-// the regime where IncISO loses to VF2 at batch granularity — it falls
-// back to re-enumerating Q(G) from scratch and diffing the match sets.
-// The decision is a pure function of graph and batch statistics, so it is
-// identical at every worker and shard count.
+// Apply processes a batch ΔG with IncISO on an index that owns its graph:
+// it advances the graph to G ⊕ ΔG (graph.Advance: the batch is normalized,
+// and a batch that cannot be applied is rejected before anything is
+// touched) and then repairs.
 func (ix *Index) Apply(batch graph.Batch) (Delta, error) {
-	var d Delta
-	raw := batch
-	batch = raw.Normalize()
-	if err := ix.g.ValidateNormalized(batch); err != nil {
+	norm, err := ix.g.Advance(batch)
+	if err != nil {
 		return Delta{}, fmt.Errorf("iso: %w", err)
 	}
-	// Node creation side effects of the raw batch.
-	for _, u := range raw {
-		if u.Op == graph.Insert {
-			ix.g.EnsureNode(u.From, u.FromLabel)
-			ix.g.EnsureNode(u.To, u.ToLabel)
-		}
-	}
-	ins, dels := batch.Split()
+	return ix.Repair(norm), nil
+}
+
+// Repair brings the match set from Q(G) to Q(G ⊕ ΔG) and returns ΔO:
+// deletions drop exactly the indexed matches that use a deleted edge;
+// insertions run VF2 restricted to the d_Q-neighborhood G_dQ(ΔG+) and add
+// the matches not seen before. It assumes the graph was G when the index
+// last returned and has just been moved to G ⊕ ΔG by whoever owns it —
+// Apply, or a store that keeps one graph under several engines — with
+// norm the normal form (Batch.Normalize) of a batch valid on G. It reads
+// the post-state graph and mutates nothing but the index, which knows the
+// graph by its edges only: the nodes a batch creates need no bookkeeping
+// here, so the raw batch is not asked for.
+//
+// Before repairing, Repair consults the cost model (cost.EstimateISO): when
+// the batch seeds more anchored enumerations than VF2 would open
+// root-candidate subtrees — the regime where IncISO loses to VF2 at batch
+// granularity — it falls back to re-enumerating Q(G) from scratch and
+// diffing the match sets. The decision is a pure function of graph and
+// batch statistics, so it is identical at every worker and shard count.
+func (ix *Index) Repair(norm graph.Batch) Delta {
+	var d Delta
+	ins, dels := norm.Split()
 	rootCands := ix.g.NumNodesWithLabelID(ix.p.Graph().LabelIDAt(ix.p.order[0]))
 	// Count the anchored enumerations the incremental path would seed: one
 	// per label-compatible pattern edge per insertion (anchoredMatches).
 	// Both this count and the shard footprint are skipped on the tiny-batch
 	// hot path, which the estimator's floor always routes incremental.
 	anchors, shardsTouched := 0, 0
-	if len(batch) >= cost.FallbackMinBatch {
+	if len(norm) >= cost.FallbackMinBatch {
 		pg := ix.p.Graph()
 		for _, u := range ins {
 			lf, lt := ix.g.LabelIDAt(u.From), ix.g.LabelIDAt(u.To)
@@ -199,16 +205,11 @@ func (ix *Index) Apply(batch graph.Batch) (Delta, error) {
 				return true
 			})
 		}
-		shardsTouched = len(batch.TouchedShards(ix.g))
+		shardsTouched = len(norm.TouchedShards(ix.g))
 	}
 	ix.lastEst = cost.EstimateISO(len(ins), len(dels), rootCands, anchors, shardsTouched)
-	// Structural updates first; the batch was validated above, so it cannot
-	// fail partway.
-	if err := ix.g.ApplyBatch(batch); err != nil {
-		return Delta{}, err
-	}
 	if ix.lastEst.PreferBatch() {
-		return ix.rebuildDiff(), nil
+		return ix.rebuildDiff()
 	}
 	// (1) Deletions: remove dead matches via the inverted index (which
 	// references edge identities only, so it reads the same either side of
@@ -232,7 +233,7 @@ func (ix *Index) Apply(batch graph.Batch) (Delta, error) {
 	workers := ix.g.Parallelism()
 	if workers > 1 {
 		// Unconditionally (even for delete-only batches): parallel engines
-		// leave the graph read-shareable between Apply calls.
+		// leave the graph read-shareable between repairs.
 		ix.g.PrepareConcurrentReads()
 	}
 	if len(ins) > 0 {
@@ -254,10 +255,10 @@ func (ix *Index) Apply(batch graph.Batch) (Delta, error) {
 	}
 	sortMatches(d.Added)
 	sortMatches(d.Removed)
-	return d, nil
+	return d
 }
 
-// rebuildDiff is the batch-fallback path of Apply: with ΔG already
+// rebuildDiff is the batch-fallback path of Repair: with ΔG already
 // applied, re-enumerate Q(G) from scratch (the VF2 baseline, parallel
 // when workers are available), rebuild the inverted index, and derive the
 // Delta by diffing old and new match sets by canonical key — the exact
@@ -292,7 +293,7 @@ func (ix *Index) rebuildDiff() Delta {
 	return d
 }
 
-// LastEstimate returns the cost-model verdict of the most recent Apply:
+// LastEstimate returns the cost-model verdict of the most recent repair:
 // the predicted |AFF|, the repair-vs-batch costs, and the shard footprint
 // of the batch. Benchmarks and tests use it to observe routing.
 func (ix *Index) LastEstimate() cost.Estimate { return ix.lastEst }

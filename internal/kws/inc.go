@@ -15,13 +15,15 @@ import (
 //   - IncKWS−  (ApplyDelete)  — Fig. 3: two phases, identify affected
 //     entries by walking next-pointers backwards, then settle exact values
 //     with a priority queue.
-//   - IncKWS   (Apply)        — batch updates in three phases sharing one
+//   - IncKWS   (Repair)       — batch updates in three phases sharing one
 //     global priority queue per keyword, so every affected entry's final
-//     distance is decided at most once.
+//     distance is decided at most once. Apply is Repair for an index that
+//     owns its graph: it advances the graph first.
 //   - IncKWSn  (ApplyUnitwise)— the unit-at-a-time baseline of the paper's
 //     experiments.
 //
-// All methods mutate the underlying graph and the index together, and
+// The Apply* methods mutate the underlying graph and the index together;
+// Repair takes the graph as already moved and touches the index alone. All
 // return the Delta of the match set.
 
 // Delta describes changes ΔO to the output Q(G).
@@ -296,26 +298,37 @@ func (ix *Index) settle(i int, q *pq.Heap[graph.NodeID], t *touchTracker, meter 
 	}
 }
 
-// Apply processes a batch update ΔG with the three-phase IncKWS algorithm.
-// The batch is normalized first (late updates win); updates must be valid
-// against the current graph in sequence order. A batch that cannot be
-// applied is rejected before anything is touched.
+// Apply processes a batch update ΔG with the three-phase IncKWS algorithm
+// on an index that owns its graph: it advances the graph to G ⊕ ΔG
+// (graph.Advance: the batch is normalized, late updates win; updates must
+// be valid against the current graph in sequence order; a batch that cannot
+// be applied is rejected before anything is touched) and then repairs.
+func (ix *Index) Apply(batch graph.Batch) (Delta, error) {
+	norm, err := ix.g.Advance(batch)
+	if err != nil {
+		return Delta{}, fmt.Errorf("kws: %w", err)
+	}
+	return ix.Repair(batch, norm), nil
+}
+
+// Repair brings kdist and the match set from G to G ⊕ ΔG and returns ΔO.
+// It assumes the graph was G when the index last returned and has just
+// been moved to G ⊕ ΔG by whoever owns it — Apply, or a store that keeps
+// one graph under several engines — with batch valid on G and norm its
+// normal form (batch.Normalize()). Every phase already reasons from the
+// post-state graph, so nothing here mutates it.
 //
-// Before repairing, Apply consults the cost model (cost.EstimateKWS): when
+// Before repairing, Repair consults the cost model (cost.EstimateKWS): when
 // the predicted affected area makes the incremental repair costlier than
 // the BLINKS batch build — IncKWS loses that race once |ΔG| grows past
-// roughly a fifth of |E| — it falls back to applying ΔG and rebuilding
-// kdist from scratch, diffing the match sets for the exact same Delta.
-// The decision is a pure function of graph and batch statistics, so it is
-// identical at every worker and shard count.
-func (ix *Index) Apply(batch graph.Batch) (Delta, error) {
+// roughly a fifth of |E| — it rebuilds kdist from scratch instead, diffing
+// the match sets for the exact same Delta. The decision is a pure function
+// of graph and batch statistics, so it is identical at every worker and
+// shard count.
+func (ix *Index) Repair(batch, norm graph.Batch) Delta {
 	// Estimate on the normalized view: cancelled insert/delete pairs cost
 	// the repair path nothing, so they must not push the model toward a
 	// full rebuild.
-	norm := batch.Normalize()
-	if err := ix.g.ValidateNormalized(norm); err != nil {
-		return Delta{}, fmt.Errorf("kws: %w", err)
-	}
 	insN, delsN := 0, 0
 	for _, u := range norm {
 		if u.Op == graph.Insert {
@@ -330,31 +343,24 @@ func (ix *Index) Apply(batch graph.Batch) (Delta, error) {
 	if len(norm) >= cost.FallbackMinBatch {
 		shardsTouched = len(norm.TouchedShards(ix.g))
 	}
-	ix.lastEst = cost.EstimateKWS(ix.g.NumNodes(), ix.g.NumEdges(), insN, delsN,
+	// The model is fed G's size, not G ⊕ ΔG's: kdist still has one row per
+	// node of G, and a valid normalized batch moves |E| by its own counts.
+	ix.lastEst = cost.EstimateKWS(len(ix.kdist), ix.g.NumEdges()-insN+delsN, insN, delsN,
 		ix.q.Bound, len(ix.q.Keywords), shardsTouched)
 	if ix.lastEst.PreferBatch() {
-		return ix.applyRebuild(batch, norm)
+		return ix.rebuildDiff()
 	}
 	t := newTracker(ix)
-	// Node creation is a side effect of insertions even when the edge is
-	// later cancelled by a deletion, so it runs on the raw batch.
+	// Nodes the batch created are the endpoints without a row. Creation is
+	// a side effect of insertions even when the edge is later cancelled by
+	// a deletion, so the raw batch is scanned.
 	for _, u := range batch {
-		if u.Op != graph.Insert {
-			continue
-		}
-		if ix.g.EnsureNode(u.From, u.FromLabel) {
+		if u.Op == graph.Insert {
 			ix.ensureRow(u.From, t)
-		}
-		if ix.g.EnsureNode(u.To, u.ToLabel) {
 			ix.ensureRow(u.To, t)
 		}
 	}
-	batch = norm
-	// Apply all structural updates first; kdist is repaired afterwards.
-	if err := ix.g.ApplyBatch(batch); err != nil {
-		return Delta{}, err
-	}
-	ins, dels := batch.Split()
+	ins, dels := norm.Split()
 	// The per-keyword repairs are independent (keyword i reads the shared
 	// graph and writes only column i of the kdist rows), so they fan out
 	// across workers. Each worker repairs with a private tracker and meter;
@@ -375,7 +381,7 @@ func (ix *Index) Apply(batch graph.Batch) (Delta, error) {
 		t.merge(trackers[i])
 		ix.meter.Merge(&meters[i])
 	}
-	return t.delta(), nil
+	return t.delta()
 }
 
 // repairKeyword runs the three phases of IncKWS for one keyword: affected
@@ -408,28 +414,13 @@ func (ix *Index) repairKeyword(i int, ins, dels graph.Batch, t *touchTracker, me
 	meter.AddHeapOps(q.Ops)
 }
 
-// applyRebuild is the batch-fallback path of Apply: apply ΔG to the graph
-// (node-creation side effects from the raw batch, structure from the
-// caller's normalized view — the same mutation semantics as the
-// incremental path), rebuild kdist and the match set from scratch with the
-// batch algorithm, and derive the Delta by diffing the old match set
-// against the new one — the exact output change, same as the repair path.
-func (ix *Index) applyRebuild(batch, norm graph.Batch) (Delta, error) {
+// rebuildDiff is the batch-fallback path of Repair: with the graph at
+// G ⊕ ΔG, rebuild kdist and the match set from scratch with the batch
+// algorithm, and derive the Delta by diffing the old match set against the
+// new one — the exact output change, same as the repair path.
+func (ix *Index) rebuildDiff() Delta {
 	old := ix.matches
-	for _, u := range batch {
-		if u.Op != graph.Insert {
-			continue
-		}
-		ix.g.EnsureNode(u.From, u.FromLabel)
-		ix.g.EnsureNode(u.To, u.ToLabel)
-	}
-	if err := ix.g.ApplyBatch(norm); err != nil {
-		return Delta{}, err
-	}
-	fresh, err := Build(ix.g, ix.q, ix.meter)
-	if err != nil {
-		return Delta{}, err
-	}
+	fresh := build(ix.g, ix.q, ix.meter)
 	ix.kdist, ix.matches = fresh.kdist, fresh.matches
 	var d Delta
 	for r, ds := range ix.matches {
@@ -449,10 +440,10 @@ func (ix *Index) applyRebuild(batch, norm graph.Batch) (Delta, error) {
 		}
 	}
 	d.sortByRoot()
-	return d, nil
+	return d
 }
 
-// LastEstimate returns the cost-model verdict of the most recent Apply:
+// LastEstimate returns the cost-model verdict of the most recent repair:
 // the predicted |AFF|, the repair-vs-batch costs, and the shard footprint
 // of the batch. Benchmarks and tests use it to observe routing.
 func (ix *Index) LastEstimate() cost.Estimate { return ix.lastEst }

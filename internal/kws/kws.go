@@ -86,8 +86,9 @@ type Index struct {
 	// matches maps each match root to its per-keyword distance vector.
 	matches map[graph.NodeID][]int
 	// roots memoizes MatchRoots against the graph mutation generation:
-	// the match set only moves inside Apply*, which always mutates the
-	// graph first, so a matching stamp proves the sorted view is current.
+	// the match set only moves in a repair, which always follows a
+	// mutation of the graph, so a matching stamp proves the sorted view
+	// is current.
 	roots graph.GenCache[[]graph.NodeID]
 	// lastEst records the repair-vs-batch decision of the most recent
 	// Apply (cost-based fallback); see Apply and LastEstimate.
@@ -108,6 +109,11 @@ func Build(g *graph.Graph, q Query, meter *cost.Meter) (*Index, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
+	return build(g, q, meter), nil
+}
+
+// build is Build for a query already validated.
+func build(g *graph.Graph, q Query, meter *cost.Meter) *Index {
 	ix := &Index{
 		g:       g,
 		q:       q,
@@ -170,7 +176,7 @@ func Build(g *graph.Graph, q Query, meter *cost.Meter) (*Index, error) {
 			ix.matches[v] = matchRows[j]
 		}
 	}
-	return ix, nil
+	return ix
 }
 
 // freshEntries returns the initial kdist row of node v: dist 0 for keywords
@@ -250,7 +256,8 @@ func (ix *Index) refreshMatch(v graph.NodeID) {
 	}
 }
 
-// Graph returns the underlying graph (shared, mutated by Apply*).
+// Graph returns the underlying graph: mutated by Apply* when the index
+// owns it, by its owner alone when the index is only ever Repair-ed.
 func (ix *Index) Graph() *graph.Graph { return ix.g }
 
 // Query returns the query the index answers.

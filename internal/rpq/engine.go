@@ -52,8 +52,9 @@
 // counted exactly once and settle never rescans cpre: the batch build
 // reads no predecessor list at all.
 //
-// The inserted-edge rule. Apply mutates the graph before it repairs, so
-// identAff's walk over a node's successors and the potentials scan over its
+// The inserted-edge rule. The graph is at G ⊕ ΔG before Repair starts —
+// moved there by Apply when the engine owns it, by the store when several
+// engines share it; the repair itself never mutates it — so identAff's walk over a node's successors and the potentials scan over its
 // predecessors both see ΔG⁺, edges that were in nobody's mpre. Both skip
 // them (Engine.ins, one sorted edge set per batch, read-only during the
 // fan-out); only insertion seeding and settle account for them. ΔG⁻ is
@@ -139,7 +140,7 @@ type Engine struct {
 	// proportional to AFF rather than to the number of sources.
 	srcAt [][]int32
 	// sorted memoizes Matches against the graph mutation generation (the
-	// match set only moves inside Apply, which mutates the graph first).
+	// match set only moves in a repair, which follows a graph mutation).
 	sorted graph.GenCache[[]Pair]
 	meter  *cost.Meter
 
@@ -438,7 +439,8 @@ func (r *srcRepair) relax(k key, cand int32) {
 	}
 }
 
-// Graph returns the underlying graph (shared, mutated by Apply*).
+// Graph returns the underlying graph: mutated by Apply* when the engine
+// owns it, by its owner alone when the engine is only ever Repair-ed.
 func (e *Engine) Graph() *graph.Graph { return e.g }
 
 // Query returns the compiled query.

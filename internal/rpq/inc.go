@@ -23,40 +23,47 @@ func compareEdges(a, b graph.Edge) int {
 	return comparePairs(Pair{a.From, a.To}, Pair{b.From, b.To})
 }
 
-// Apply processes a batch ΔG with IncRPQ. The batch is normalized; node
-// creation side effects of cancelled insertions are preserved. A batch that
-// cannot be applied is rejected before anything is touched.
+// Apply processes a batch ΔG with IncRPQ on an engine that owns its graph:
+// it advances the graph to G ⊕ ΔG (graph.Advance: the batch is normalized,
+// node creation side effects of cancelled insertions are preserved, and a
+// batch that cannot be applied is rejected before anything is touched) and
+// then repairs.
 func (e *Engine) Apply(batch graph.Batch) (Delta, error) {
-	raw := batch
-	batch = raw.Normalize()
-	if err := e.g.ValidateNormalized(batch); err != nil {
+	norm, err := e.g.Advance(batch)
+	if err != nil {
 		return Delta{}, fmt.Errorf("rpq: %w", err)
 	}
+	return e.Repair(batch, norm), nil
+}
+
+// Repair brings the markings from G to G ⊕ ΔG and returns ΔO. It assumes
+// the graph was G when the engine last returned and has just been moved to
+// G ⊕ ΔG by whoever owns it — Apply, or a store that keeps one graph under
+// several engines — with batch valid on G and norm its normal form
+// (batch.Normalize()). The repair reads the post-state graph and reasons
+// about the pre-state through e.ins; it mutates nothing but the engine.
+func (e *Engine) Repair(batch, norm graph.Batch) Delta {
 	e.ins = e.ins[:0]
-	for _, u := range batch {
+	for _, u := range norm {
 		if u.Op == graph.Insert {
 			e.ins = append(e.ins, u.Edge())
 		}
 	}
 	slices.SortFunc(e.ins, compareEdges)
-	// New nodes (they may be new sources) join the dense index; each is
-	// built below, after the structural updates.
+	// New nodes (they may be new sources) are the endpoints the dense index
+	// does not know; they join it in the order the batch created them, and
+	// each is built below.
 	firstNew := int32(len(e.ids))
-	for _, u := range raw {
+	for _, u := range batch {
 		if u.Op != graph.Insert {
 			continue
 		}
-		if e.g.EnsureNode(u.From, u.FromLabel) {
+		if _, ok := e.idx.Get(u.From); !ok {
 			e.addNode(u.From)
 		}
-		if e.g.EnsureNode(u.To, u.ToLabel) {
+		if _, ok := e.idx.Get(u.To); !ok {
 			e.addNode(u.To)
 		}
-	}
-	// Structural updates first; markings are repaired afterwards. The batch
-	// was validated above, so it cannot fail partway.
-	if err := e.g.ApplyBatch(batch); err != nil {
-		return Delta{}, err
 	}
 	// Route each update to the sources whose markings it can touch, via
 	// the inverted index: an update on edge (v, w) is relevant to source u
@@ -65,7 +72,7 @@ func (e *Engine) Apply(batch graph.Batch) (Delta, error) {
 	// (source, position in the batch); sorted, each source's updates are
 	// one run, in batch order.
 	e.routes = e.routes[:0]
-	for j, u := range batch {
+	for j, u := range norm {
 		for _, src := range e.srcAt[e.idx.Of(u.From)] {
 			e.routes = append(e.routes, uint64(src)<<32|uint64(j))
 		}
@@ -97,11 +104,11 @@ func (e *Engine) Apply(batch graph.Batch) (Delta, error) {
 		e.g.PrepareConcurrentReads()
 	}
 	var d Delta
-	e.runTasks(workers, batch)
+	e.runTasks(workers, norm)
 	e.mergeTasks(&d)
 	slices.SortFunc(d.Added, comparePairs)
 	slices.SortFunc(d.Removed, comparePairs)
-	return d, nil
+	return d
 }
 
 // addNode appends a node the graph just created to the dense index.

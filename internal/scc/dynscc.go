@@ -58,19 +58,17 @@ func (d *DynSCC) Apply(batch graph.Batch) error {
 }
 
 func (d *DynSCC) insert(u graph.Update) error {
-	for _, end := range []struct {
-		v graph.NodeID
-		l string
-	}{{u.From, u.FromLabel}, {u.To, u.ToLabel}} {
-		if d.g.EnsureNode(end.v, end.l) {
-			id := d.addNode(end.v)
+	if err := d.g.Apply(u); err != nil {
+		return err
+	}
+	for _, v := range [2]graph.NodeID{u.From, u.To} {
+		if _, ok := d.idx.Get(v); !ok {
+			id := d.addNode(v)
 			d.gcOut[id] = make(map[CompID]int)
 			d.gcIn[id] = make(map[CompID]int)
 		}
 	}
-	if err := d.applyEdge(u); err != nil {
-		return err
-	}
+	d.applyEdge(u)
 	cv, cw := d.compOf(u.From), d.compOf(u.To)
 	if cv == cw {
 		return nil
@@ -156,9 +154,10 @@ func (d *DynSCC) merge(cycle []CompID) {
 }
 
 func (d *DynSCC) delete(u graph.Update) error {
-	if err := d.applyEdge(u); err != nil {
+	if err := d.g.Apply(u); err != nil {
 		return err
 	}
+	d.applyEdge(u)
 	cv, cw := d.compOf(u.From), d.compOf(u.To)
 	if cv != cw {
 		if n := d.gcOut[cv][cw]; n > 1 {

@@ -126,31 +126,42 @@ func (s *State) ApplyUnitwise(batch graph.Batch) (Delta, error) {
 	return dt.delta(s), nil
 }
 
-// Apply processes a batch ΔG with IncSCC: intra-component updates are
-// grouped per component (one scoped Tarjan each), then inter-component
-// deletions update G_c counters, then inter-component insertions run the
-// rank-window machinery with an already-satisfied fast path. The batch is
-// normalized; a batch that cannot be applied is rejected before anything
-// is touched.
+// Apply processes a batch ΔG with IncSCC on a state that owns its graph: it
+// advances the graph to G ⊕ ΔG (graph.Advance: the batch is normalized, and
+// a batch that cannot be applied is rejected before anything is touched)
+// and then repairs.
 func (s *State) Apply(batch graph.Batch) (Delta, error) {
-	raw := batch
-	batch = raw.Normalize()
-	if err := s.g.ValidateNormalized(batch); err != nil {
+	norm, err := s.g.Advance(batch)
+	if err != nil {
 		return Delta{}, fmt.Errorf("scc: %w", err)
 	}
+	return s.Repair(batch, norm), nil
+}
+
+// Repair brings the partition from SCC(G) to SCC(G ⊕ ΔG) and returns ΔO:
+// intra-component updates are grouped per component (one scoped Tarjan
+// each), then inter-component deletions update G_c counters, then
+// inter-component insertions run the rank-window machinery with an
+// already-satisfied fast path. It assumes the graph was G when the state
+// last returned and has just been moved to G ⊕ ΔG by whoever owns it —
+// Apply, or a store that keeps one graph under several engines — with
+// batch valid on G and norm its normal form (batch.Normalize()). It never
+// looks at the graph: ΔG is replayed onto the mirror, which is what every
+// pass reads.
+func (s *State) Repair(batch, norm graph.Batch) Delta {
 	dt := s.newDeltaTracker()
 	// Node creation is a side effect of insertions even when the edge is
 	// later cancelled by a deletion, so it runs on the raw batch.
-	for _, u := range raw {
+	for _, u := range batch {
 		if u.Op == graph.Insert {
-			s.ensureNode(u.From, u.FromLabel, dt)
-			s.ensureNode(u.To, u.ToLabel, dt)
+			s.ensureNode(u.From, dt)
+			s.ensureNode(u.To, dt)
 		}
 	}
 	// Classify against the component map at batch start.
 	intra := make(map[CompID]graph.Batch)
 	var interDel, interIns graph.Batch
-	for _, u := range batch {
+	for _, u := range norm {
 		cv, cw := s.compOf(u.From), s.compOf(u.To)
 		if cv == cw {
 			intra[cv] = append(intra[cv], u)
@@ -170,9 +181,7 @@ func (s *State) Apply(batch graph.Batch) (Delta, error) {
 	for _, c := range comps {
 		var dels graph.Batch
 		for _, u := range intra[c] {
-			if err := s.applyEdge(u); err != nil {
-				return Delta{}, err
-			}
+			s.applyEdge(u)
 			if u.Op == graph.Delete {
 				dels = append(dels, u)
 			}
@@ -194,16 +203,12 @@ func (s *State) Apply(batch graph.Batch) (Delta, error) {
 	}
 	// (b) Inter-component deletions: G_c counter maintenance.
 	for _, u := range interDel {
-		if err := s.applyEdge(u); err != nil {
-			return Delta{}, err
-		}
+		s.applyEdge(u)
 		s.gcDecrement(s.compOf(u.From), s.compOf(u.To))
 	}
 	// (c) Inter-component insertions.
 	for _, u := range interIns {
-		if err := s.applyEdge(u); err != nil {
-			return Delta{}, err
-		}
+		s.applyEdge(u)
 		cv, cw := s.compOf(u.From), s.compOf(u.To)
 		if cv == cw {
 			// An earlier merge in this batch made the edge intra; the
@@ -213,18 +218,19 @@ func (s *State) Apply(batch graph.Batch) (Delta, error) {
 		}
 		s.processInterInsert(cv, cw, dt)
 	}
-	return dt.delta(s), nil
+	return dt.delta(s)
 }
 
 func (s *State) applyInsert(u graph.Update, dt *deltaTracker) error {
 	if u.Op != graph.Insert {
 		return fmt.Errorf("scc: applyInsert got %v", u)
 	}
-	s.ensureNode(u.From, u.FromLabel, dt)
-	s.ensureNode(u.To, u.ToLabel, dt)
-	if err := s.applyEdge(u); err != nil {
+	if err := s.g.Apply(u); err != nil {
 		return err
 	}
+	s.ensureNode(u.From, dt)
+	s.ensureNode(u.To, dt)
+	s.applyEdge(u)
 	cv, cw := s.compOf(u.From), s.compOf(u.To)
 	if cv == cw {
 		// Fig. 7 lines 1–2: T := T ⊕ ΔG. No structural work is needed:
@@ -241,9 +247,10 @@ func (s *State) applyDelete(u graph.Update, dt *deltaTracker) error {
 	if u.Op != graph.Delete {
 		return fmt.Errorf("scc: applyDelete got %v", u)
 	}
-	if err := s.applyEdge(u); err != nil {
+	if err := s.g.Apply(u); err != nil {
 		return err
 	}
+	s.applyEdge(u)
 	cv, cw := s.compOf(u.From), s.compOf(u.To)
 	if cv != cw {
 		s.gcDecrement(cv, cw)
@@ -284,11 +291,12 @@ func (s *State) repair(c CompID, dt *deltaTracker) {
 	}
 }
 
-// ensureNode creates v as a fresh singleton component when absent.
-// A new component with no incident edges can take any unique rank; the top
-// of the registry keeps the invariant trivially.
-func (s *State) ensureNode(v graph.NodeID, label string, dt *deltaTracker) {
-	if !s.g.EnsureNode(v, label) {
+// ensureNode indexes v, a node the graph has gained since the state last
+// looked, as a fresh singleton component; a node already indexed is left
+// alone. A new component with no incident edges can take any unique rank;
+// the top of the registry keeps the invariant trivially.
+func (s *State) ensureNode(v graph.NodeID, dt *deltaTracker) {
+	if _, ok := s.idx.Get(v); ok {
 		return
 	}
 	id := s.addNode(v)

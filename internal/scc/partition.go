@@ -16,10 +16,11 @@ import (
 //
 // Every pass of the engine walks succ and pred and never the graph: an edge
 // examined is one slice element, not a hash probe for the node record and
-// another for the neighbour's index. The graph itself is read to validate a
-// batch and written by ensureNode and applyEdge, the one place an edge
-// changes, which keeps the mirror in step; CheckInvariants audits the two
-// against each other.
+// another for the neighbour's index. The graph is advanced by whoever owns it
+// — State.Apply, the unit algorithms and DynSCC at their call sites, or a
+// store holding one graph under several engines — and applyEdge, the one
+// place a row changes, replays each edge update onto the mirror;
+// CheckInvariants audits the two against each other.
 type partition struct {
 	g     *graph.Graph
 	meter *cost.Meter
@@ -110,12 +111,9 @@ func transpose(succ [][]int32) [][]int32 {
 	return pred
 }
 
-// applyEdge applies the edge update u, whose endpoints are indexed, to the
-// graph and to the mirror. It is the only place either changes an edge.
-func (p *partition) applyEdge(u graph.Update) error {
-	if err := p.g.Apply(u); err != nil {
-		return err
-	}
+// applyEdge replays onto the mirror an edge update u the graph has already
+// taken; its endpoints are indexed. It is the only place a row changes.
+func (p *partition) applyEdge(u graph.Update) {
 	v, w := p.idx.Of(u.From), p.idx.Of(u.To)
 	if u.Op == graph.Insert {
 		p.succ[v] = p.rowInsert(p.succ[v], w)
@@ -124,7 +122,6 @@ func (p *partition) applyEdge(u graph.Update) error {
 		p.succ[v] = p.rowDelete(p.succ[v], w)
 		p.pred[w] = p.rowDelete(p.pred[w], v)
 	}
-	return nil
 }
 
 // rowFind returns the position of index j in row, or where it belongs: rows

@@ -91,7 +91,8 @@ func Build(g *graph.Graph, meter *cost.Meter) *State {
 	return s
 }
 
-// Graph returns the underlying graph (shared, mutated by Apply*).
+// Graph returns the underlying graph: mutated by Apply* when the state
+// owns it, by its owner alone when the state is only ever Repair-ed.
 func (s *State) Graph() *graph.Graph { return s.g }
 
 // NumComponents returns |SCC(G)|.

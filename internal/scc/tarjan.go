@@ -23,17 +23,20 @@
 // The mirror. Beside the index the engine keeps the graph's adjacency in
 // index space: per node a successor row and a predecessor row of int32
 // indices, built once by Build (rows cut from one backing array each) and
-// changed in one place, partition.applyEdge, which applies an edge update
-// to the graph and to the two rows it sits in; a new node starts with empty
-// rows. Every pass — the scoped repair, chkReach's lowlink walk, the
+// changed in one place, partition.applyEdge, which replays an edge update
+// the graph has taken onto the two rows it sits in; a new node starts with
+// empty rows. Every pass — the scoped repair, chkReach's lowlink walk, the
 // tree-arc re-parenting, a split's rebuild of the G_c counters, Build's
 // cross-edge count, DynSCC — walks these rows and nothing else, so an edge
 // examined is a slice element and a scoped pass over a component whose IDs
-// are direct-indexed probes no hash table at all. The engine's graph is
-// still what a batch is validated against (ValidateNormalized), where new
-// nodes are created (EnsureNode) and what applyEdge mutates, and it is what
-// Graph() hands out; no pass reads adjacency from it. CheckInvariants
-// audits every row against SuccessorsSorted/PredecessorsSorted.
+// are direct-indexed probes no hash table at all. The graph is advanced —
+// batch validated, nodes created, edges applied — before the repair and
+// outside it: by Apply (graph.Advance) for a state that owns its graph, by
+// the unit algorithms and DynSCC update by update at their call sites, by
+// the store for a state repaired in place on a graph it shares (Repair).
+// The repair recognises a created node by its absence from the index and
+// reads nothing else from the graph; CheckInvariants audits every row
+// against SuccessorsSorted/PredecessorsSorted.
 //
 // Row order. A row is kept in ascending order of its entries' NodeIDs, not
 // of the indices it stores. The two agree for build-time nodes and part ways

@@ -10,6 +10,21 @@ import (
 // callers drive heterogeneous standing queries uniformly (see
 // examples/social_stream for the long-hand version).
 //
+// Who mutates the graph. An engine is built on a graph and stands in one of
+// two relations to it. It owns the graph — the standalone case, and what
+// every New* constructor gives you: nobody else mutates it, and Apply is
+// the one way ΔG reaches it (validate, create nodes, apply, then repair).
+// Or the graph belongs to a Durable the engine is attached to in place
+// (built on Durable.Graph(), see Attach): then only the Durable mutates it
+// — once per commit, whatever the number of engines — and reaches the
+// engine's repair through an entry the adapters keep unexported, which
+// assumes what the paper's IncX(Q, G, Q(G), ΔG) assumes: the graph was G
+// when the engine last returned, is G ⊕ ΔG now, and ΔG was valid on G.
+// Calling Apply on such an engine yourself would apply ΔG to the shared
+// graph a second time; commit through the Durable. The engines themselves
+// expose the same split (kws.Index.Repair etc. beside Apply), and Apply is
+// nothing but "advance my graph, then Repair".
+//
 // Concurrency: Apply requires exclusive access to the value and its graph
 // (graph mutation is exclusive). Internally the KWS, RPQ and ISO repairs
 // may fan out across up to the graph's Parallelism() workers, but only
@@ -37,16 +52,20 @@ import (
 // stays valid after that. A type that wraps a Maintained hides the surface
 // unless it forwards it.
 type Maintained interface {
-	// Apply applies ΔG to the underlying graph and repairs the answer,
-	// returning a summary of ΔO. Class-specific deltas remain available on
-	// the concrete types.
+	// Apply applies ΔG to the underlying graph, which the engine must own,
+	// and repairs the answer, returning a summary of ΔO. A batch that
+	// cannot be applied is rejected before graph or answer is touched.
+	// Class-specific deltas remain available on the concrete types.
 	Apply(batch Batch) (DeltaSummary, error)
 	// Size returns the current answer cardinality (|Q(G)| — match roots,
 	// match pairs, embeddings, or components).
 	Size() int
 	// Class names the query class ("kws", "rpq", "scc", "iso").
 	Class() string
-	// Graph returns the maintained graph (shared and mutated by Apply).
+	// Graph returns the graph the engine was built on and reads: mutated
+	// by Apply when the engine owns it, by the Durable alone when the
+	// engine is attached in place (then it is that Durable's Graph(), and
+	// the same for every engine so attached).
 	Graph() *Graph
 	// WriteAnswer serializes the current answer Q(G) in the class's
 	// canonical text form: identical answers produce identical bytes,
@@ -80,8 +99,18 @@ func MaintainSCC(s *SCCState) Maintained { return &sccAdapter{s: s} }
 // MaintainISO adapts a subgraph-isomorphism index.
 func MaintainISO(ix *ISOIndex) Maintained { return &isoAdapter{ix: ix} }
 
-// The adapters keep the ΔO of their last successful Apply for
-// RowAnswer.LastDelta (rows.go).
+// repairer is what the four Maintain* adapters offer beside Maintained, and
+// what Durable.Attach looks for in an engine built directly on its graph:
+// the engine's repair without the graph work. The caller owns the graph,
+// which was G when the engine last returned and is G ⊕ ΔG now; batch is ΔG,
+// valid on G, and norm is batch.Normalize(). The engine does not mutate the
+// graph and nothing can be rejected any more, so there is no error.
+type repairer interface {
+	repair(batch, norm Batch) DeltaSummary
+}
+
+// The adapters keep the ΔO of their last successful Apply or repair for
+// RowAnswer.LastDelta (rows.go); took records it and summarizes it.
 type kwsAdapter struct {
 	ix   *KWSIndex
 	last KWSDelta
@@ -92,8 +121,12 @@ func (a *kwsAdapter) Apply(batch Batch) (DeltaSummary, error) {
 	if err != nil {
 		return DeltaSummary{}, err
 	}
+	return a.took(d), nil
+}
+func (a *kwsAdapter) repair(batch, norm Batch) DeltaSummary { return a.took(a.ix.Repair(batch, norm)) }
+func (a *kwsAdapter) took(d KWSDelta) DeltaSummary {
 	a.last = d
-	return DeltaSummary{Added: len(d.Added), Removed: len(d.Removed), Updated: len(d.Updated)}, nil
+	return DeltaSummary{Added: len(d.Added), Removed: len(d.Removed), Updated: len(d.Updated)}
 }
 func (a *kwsAdapter) Size() int                     { return a.ix.NumMatches() }
 func (a *kwsAdapter) Class() string                 { return "kws" }
@@ -110,8 +143,12 @@ func (a *rpqAdapter) Apply(batch Batch) (DeltaSummary, error) {
 	if err != nil {
 		return DeltaSummary{}, err
 	}
+	return a.took(d), nil
+}
+func (a *rpqAdapter) repair(batch, norm Batch) DeltaSummary { return a.took(a.e.Repair(batch, norm)) }
+func (a *rpqAdapter) took(d RPQDelta) DeltaSummary {
 	a.last = d
-	return DeltaSummary{Added: len(d.Added), Removed: len(d.Removed)}, nil
+	return DeltaSummary{Added: len(d.Added), Removed: len(d.Removed)}
 }
 func (a *rpqAdapter) Size() int                     { return a.e.NumMatches() }
 func (a *rpqAdapter) Class() string                 { return "rpq" }
@@ -128,8 +165,12 @@ func (a *sccAdapter) Apply(batch Batch) (DeltaSummary, error) {
 	if err != nil {
 		return DeltaSummary{}, err
 	}
+	return a.took(d), nil
+}
+func (a *sccAdapter) repair(batch, norm Batch) DeltaSummary { return a.took(a.s.Repair(batch, norm)) }
+func (a *sccAdapter) took(d SCCDelta) DeltaSummary {
 	a.last = d
-	return DeltaSummary{Added: len(d.Added), Removed: len(d.Removed)}, nil
+	return DeltaSummary{Added: len(d.Added), Removed: len(d.Removed)}
 }
 func (a *sccAdapter) Size() int                     { return a.s.NumComponents() }
 func (a *sccAdapter) Class() string                 { return "scc" }
@@ -146,8 +187,12 @@ func (a *isoAdapter) Apply(batch Batch) (DeltaSummary, error) {
 	if err != nil {
 		return DeltaSummary{}, err
 	}
+	return a.took(d), nil
+}
+func (a *isoAdapter) repair(_, norm Batch) DeltaSummary { return a.took(a.ix.Repair(norm)) }
+func (a *isoAdapter) took(d ISODelta) DeltaSummary {
 	a.last = d
-	return DeltaSummary{Added: len(d.Added), Removed: len(d.Removed)}, nil
+	return DeltaSummary{Added: len(d.Added), Removed: len(d.Removed)}
 }
 func (a *isoAdapter) Size() int                     { return a.ix.NumMatches() }
 func (a *isoAdapter) Class() string                 { return "iso" }

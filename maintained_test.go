@@ -3,6 +3,7 @@ package incgraph_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 
 	"incgraph"
@@ -84,7 +85,10 @@ func TestMaintainedUniformDriver(t *testing.T) {
 // node created, no edge moved, no generation consumed — and that the
 // engine goes on to apply a valid batch correctly. The batches fail on
 // their last update, after updates that would have created a node and
-// deleted an edge.
+// deleted an edge. The "inplace" rows attach all four engines on a
+// Durable's own graph, where an engine validates nothing itself: Commit
+// rejects the batch before the WAL append, and graph, log, answers and
+// every engine's LastDelta stay as they were.
 func TestRejectedBatchLeavesEngineUntouched(t *testing.T) {
 	// Triangle 1(a) → 2(b) → 3(c) → 1.
 	base := incgraph.NewGraph()
@@ -139,6 +143,54 @@ func TestRejectedBatchLeavesEngineUntouched(t *testing.T) {
 			t.Fatal(err)
 		}
 		return buf.String()
+	}
+	for name, batch := range bad {
+		t.Run("inplace/"+name, func(t *testing.T) {
+			d, err := incgraph.CreateDurable(t.TempDir(), base.Clone(), incgraph.DurableOptions{Sync: incgraph.SyncNone})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer d.Close()
+			g := d.Graph()
+			audits := map[string]func() error{}
+			for class, mk := range build {
+				m, audit := mk(g)
+				if err := d.Attach(m); err != nil {
+					t.Fatal(err)
+				}
+				audits[class] = audit
+			}
+			// One good commit first, so that there is a ΔO to leave standing.
+			if _, err := d.Commit(incgraph.Batch{incgraph.InsNew(3, 98, "c", "b")}, incgraph.ApplyOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			state := func() string {
+				out := fmt.Sprintf("|V| %d |E| %d generation %d WAL %d bytes\n", g.NumNodes(), g.NumEdges(), g.Generation(), d.WALBytes())
+				for _, m := range d.Engines() {
+					out += m.Class() + " answer:\n" + answer(m) + "last ΔO:\n" + renderLastDelta(m)
+				}
+				return out
+			}
+			was := state()
+			if _, err := d.Commit(batch, incgraph.ApplyOptions{}); !errors.Is(err, incgraph.ErrBadUpdate) {
+				t.Fatalf("Commit = %v, want ErrBadUpdate", err)
+			}
+			if got := state(); got != was {
+				t.Fatalf("a rejected batch moved the store:\n%s\nwas:\n%s", got, was)
+			}
+			if _, err := d.Commit(good, incgraph.ApplyOptions{}); err != nil {
+				t.Fatalf("valid batch after the rejected one: %v", err)
+			}
+			for _, m := range d.Engines() {
+				if err := audits[m.Class()](); err != nil {
+					t.Fatalf("%s after the valid batch: %v", m.Class(), err)
+				}
+				rebuilt, _ := build[m.Class()](g.Clone())
+				if got, fresh := answer(m), answer(rebuilt); got != fresh {
+					t.Fatalf("%s after the valid batch:\n%s\nfresh build:\n%s", m.Class(), got, fresh)
+				}
+			}
+		})
 	}
 	for class, mk := range build {
 		for name, batch := range bad {
