@@ -68,25 +68,10 @@ func WithOnCommit(fn func(seq, preGen, postGen uint64, b Batch)) ClusterOption {
 	return func(o *cluster.CoordinatorOptions) { o.OnCommit = fn }
 }
 
-// WithSerialLog reverts the coordinator's pipelined WAL append: the log
-// step runs inside the serialized commit section instead of overlapping
-// phase 1. Differential-testing and debugging switch; results and WAL
-// bytes are identical either way.
-func WithSerialLog() ClusterOption {
-	return func(o *cluster.CoordinatorOptions) { o.SerialLog = true }
-}
-
-// WithNoCoalesce disables phase-1 group commit on the worker links: each
-// batch's share travels as its own request. Differential-testing and
-// debugging switch.
-func WithNoCoalesce() ClusterOption {
-	return func(o *cluster.CoordinatorOptions) { o.NoCoalesce = true }
-}
-
-// ErrClusterOverloaded reports a Cluster.ApplyDeadline that was shed at
-// shard admission: its per-op deadline expired while conflicting batches
-// held its shards. Nothing was applied anywhere; the batch is safe to
-// retry. Serving layers surface it as an explicit backpressure reply.
+// ErrClusterOverloaded reports a commit that was shed at shard admission:
+// its per-op deadline (ApplyOptions.Deadline) expired while conflicting
+// batches held its shards. Nothing was applied anywhere; the batch is safe
+// to retry. Serving layers surface it as an explicit backpressure reply.
 var ErrClusterOverloaded = cluster.ErrOverloaded
 
 // NewCluster attaches the linked workers as shard workers of g,
@@ -100,7 +85,7 @@ func NewCluster(g *Graph, links []ClusterLink, opts ...ClusterOption) (*Cluster,
 	for _, opt := range opts {
 		opt(&o)
 	}
-	return cluster.NewCoordinatorWith(g, links, o)
+	return cluster.NewCoordinator(g, links, o)
 }
 
 // NewClusterWorker returns an empty shard worker; serve it with
@@ -118,21 +103,6 @@ func DialClusterWorker(addr string) (ClusterLink, error) { return cluster.Dial(a
 // links ready for NewCluster. stop tears the serving goroutines down.
 func InProcessLinks(n int) (links []ClusterLink, workers []*ClusterWorker, stop func()) {
 	return cluster.InProcess(n)
-}
-
-// InProcessCluster starts n workers over synchronous in-memory pipes.
-//
-// Deprecated: renamed InProcessLinks (it builds links, not a Cluster).
-func InProcessCluster(n int) (links []ClusterLink, workers []*ClusterWorker, stop func()) {
-	return cluster.InProcess(n)
-}
-
-// ApplyVia applies b through the cluster's distributed two-phase protocol
-// with the Durable as the commit step.
-//
-// Deprecated: ApplyVia is Commit(b, ApplyOptions{Via: c}); use Commit.
-func (d *Durable) ApplyVia(c *Cluster, b Batch) ([]DeltaSummary, error) {
-	return d.Commit(b, ApplyOptions{Via: c})
 }
 
 // ListenCluster is a convenience for worker processes: listen on addr and

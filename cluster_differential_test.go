@@ -67,7 +67,7 @@ func TestClusterMatchesSingleProcess(t *testing.T) {
 	// Cluster side: authoritative graph + engines at the coordinator, two
 	// shard workers over in-process pipes.
 	cg := g.Clone()
-	links, _, stopWorkers := incgraph.InProcessCluster(2)
+	links, _, stopWorkers := incgraph.InProcessLinks(2)
 	defer stopWorkers()
 	cl, err := incgraph.NewCluster(cg, links)
 	if err != nil {
@@ -159,10 +159,10 @@ func TestClusterMatchesSingleProcess(t *testing.T) {
 	}
 }
 
-// TestClusterDurableApplyVia pins the durable composition: commits routed
-// through Durable.ApplyVia recover to the same bytes as a single-process
+// TestClusterDurableCommitVia pins the durable composition: commits routed
+// through Durable.Commit with ApplyOptions.Via recover to the same bytes as a single-process
 // durable run, and the WAL sees nothing from aborted batches.
-func TestClusterDurableApplyVia(t *testing.T) {
+func TestClusterDurableCommitVia(t *testing.T) {
 	g, batches := diffWorkload(t, 777)
 	g.SetShards(8)
 
@@ -183,7 +183,7 @@ func TestClusterDurableApplyVia(t *testing.T) {
 	if err := d.Attach(incgraph.MaintainKWS(ix)); err != nil {
 		t.Fatal(err)
 	}
-	links, _, stopWorkers := incgraph.InProcessCluster(2)
+	links, _, stopWorkers := incgraph.InProcessLinks(2)
 	defer stopWorkers()
 	cl, err := incgraph.NewCluster(cg, links)
 	if err != nil {
@@ -192,7 +192,7 @@ func TestClusterDurableApplyVia(t *testing.T) {
 	defer cl.Close()
 
 	for i, b := range batches {
-		if _, err := d.ApplyVia(cl, b); err != nil {
+		if _, err := d.Commit(b, incgraph.ApplyOptions{Via: cl}); err != nil {
 			t.Fatalf("batch %d: %v", i, err)
 		}
 	}

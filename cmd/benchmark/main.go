@@ -1,5 +1,6 @@
 // Command benchmark regenerates the paper's experimental figures and
-// tables. See DESIGN.md §4 for the experiment index.
+// tables. The experiment index is the figure registry of internal/bench
+// (figures.go); an unknown -fig name prints it.
 //
 // Usage:
 //

@@ -589,3 +589,82 @@ func TestLinearizableStandbyReads(t *testing.T) {
 		t.Fatal("no reader of the promoted standby saw the last generation")
 	}
 }
+
+// TestStandbyAutoCheckpoints: a standby honours -checkpoint-bytes. Fed
+// through a real hub by a primary that never checkpoints, a replica with a
+// 2 KB threshold folds its WAL into a new epoch every few commits — under
+// commitMu and outside mu, like a primary, so its reads keep answering, and
+// with the primary's bytes.
+func TestStandbyAutoCheckpoints(t *testing.T) {
+	dir := t.TempDir()
+	cfg, g := linFixture(t, dir)
+	cfg.storeDir, cfg.addr, cfg.hubAddr = filepath.Join(dir, "store"), pickAddr(t), pickAddr(t)
+	linServe(t, cfg.addr, func(stop <-chan struct{}) error { return run(cfg, stop) })
+	standbyAddr := pickAddr(t)
+	linServe(t, standbyAddr, func(stop <-chan struct{}) error {
+		return runStandby([]string{
+			"-primary", cfg.hubAddr, "-store", filepath.Join(dir, "store-standby"), "-addr", standbyAddr,
+			"-ttl", "5s", "-fsync", "none", "-checkpoint-bytes", "2048",
+			"-kws", cfg.kwsQuery, "-bound", fmt.Sprint(cfg.bound), "-rpq", cfg.rpqQuery, "-iso", cfg.isoPath, "-scc",
+		}, stop)
+	})
+	pc, err := linDial(cfg.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pc.conn.Close()
+	sc, err := linDial(standbyAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sc.conn.Close()
+	statField := func(c *linConn, name string) int {
+		stat, err := c.line("stat")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return statInt(t, stat, name)
+	}
+
+	sim := g.Clone()
+	fell, last := 0, 0
+	for i := 0; i < 12; i++ {
+		b := incgraph.RandomUpdates(sim, incgraph.UpdateSpec{Count: 40, InsertRatio: 0.55, Locality: 0.7, Seed: int64(500 + i)})
+		if err := sim.ApplyBatch(b); err != nil {
+			t.Fatal(err)
+		}
+		if _, rejected, err := pc.commit(b); err != nil || rejected {
+			t.Fatalf("commit %d: rejected %v, %v", i, rejected, err)
+		}
+		// tail_seq moves once the feed apply has returned — after the
+		// checkpoint, and after the mirror stat reads was refreshed.
+		for deadline := time.Now().Add(20 * time.Second); statField(sc, "tail_seq") != i+1; time.Sleep(2 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("standby never applied feed record %d", i+1)
+			}
+		}
+		now := statField(sc, "walbytes")
+		if now < last {
+			fell++
+		}
+		last = now
+	}
+	if e := statField(pc, "epoch"); e != 1 {
+		t.Fatalf("the primary runs with -checkpoint-bytes 0 and is at epoch %d", e)
+	}
+	if w := statField(pc, "walbytes"); w <= 2048 {
+		t.Fatalf("the history logged %d bytes: too short to cross the standby's threshold", w)
+	}
+	if e := statField(sc, "epoch"); e <= 1 || fell == 0 {
+		t.Fatalf("standby with -checkpoint-bytes 2048 is at epoch %d and its walbytes fell %d times", e, fell)
+	}
+	for _, class := range linClasses {
+		_, _, want, err := pc.read("answer", class)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, got, err := sc.read("answer", class); err != nil || got != want {
+			t.Fatalf("%s on the checkpointed standby differs from the primary's (%v)", class, err)
+		}
+	}
+}

@@ -26,13 +26,24 @@ import (
 // lock is taken, so the wire round trips of one commit overlap with the
 // remote phase of other commits on disjoint shards; only the local durable
 // apply is exclusive.
+//
+// Lock order, written down here and nowhere else:
+//
+//	coordinator logMu → coordinator commitMu → server commitMu → server mu
+//
+// The coordinator holds logMu from a batch's log hook through its apply hook,
+// so the hooks taking the server's commitMu one at a time cannot invert WAL
+// order against commit order. The hub's mutex sits between the server's two:
+// Hub.Feed is called under a commitMu (the server's in a single process, the
+// coordinator's through OnCommit) and Hub.ServeConn calls the snapshot
+// callback, which takes mu, holding its own — so Feed is never called under
+// mu, and the snapshot callback never takes commitMu.
 type server struct {
 	// mu guards the in-memory state — base graph, engines, feedSeq —
 	// between the writers (commit apply, standby feed apply, promote,
 	// shutdown: Lock) and those that need the state itself rather than a
 	// view of it: the hub's snapshot callback, and a standby's feed and tail
-	// watcher waiting out a promote (RLock). Lock order: commitMu before mu,
-	// always.
+	// watcher waiting out a promote (RLock).
 	mu sync.RWMutex
 	d  *incgraph.Durable
 	// ckptBytes auto-checkpoints after a commit grows the WAL past it.
@@ -55,19 +66,15 @@ type server struct {
 	lim        limits
 	commitGate *gate
 	readGate   *gate
-	// commitMu serializes the durable half of every commit (WAL append +
-	// in-memory apply + publish + auto-checkpoint + standby feed), the
-	// checkpoint verb and every other publisher of a view, so views appear
-	// in commit order. The WAL fsync and checkpoint I/O run under it but
-	// outside mu; neither lock is ever taken by a read.
+	// commitMu serializes the durable half of every commit (applyOptions),
+	// the checkpoint verb and every other publisher of a view, so views
+	// appear in commit order. Neither lock is ever taken by a read.
 	commitMu sync.Mutex
 
 	// HA primary state: feedSeq numbers the feed stream and is updated
 	// inside the same mu critical section as the graph mutation, so the
 	// hub's snapshot callback reads a (seq, state) pair no committed batch
-	// can fall between. commitMu orders single-process feeds (cluster-mode
-	// feeds ride the coordinator's OnCommit hook, which is already
-	// ordered).
+	// can fall between.
 	feedSeq uint64
 
 	// Cluster-stat cache: "stat" must answer in bounded time even with a
@@ -571,16 +578,9 @@ func (s *server) handle(conn net.Conn) {
 	}
 }
 
-// commit applies one staged batch and reports ΔO per class, then
-// auto-checkpoints past the WAL threshold. The path is gated (bounded
-// commits in flight, bounded queue, bounded wait — excess load is shed
-// with an explicit overload reply) and split so the WAL fsync runs under
-// commitMu but outside the write lock: a stalled disk backs up committers,
-// who shed at the gate, while readers keep answering from the view.
-// Cluster commits additionally run phase 1 over the wire before any lock
-// (the coordinator serializes conflicting batches by shard, shedding at
-// the per-op deadline) and take the write lock only for the in-memory
-// apply.
+// commit applies one staged batch and reports ΔO per class. The path is
+// gated (bounded commits in flight, bounded queue, bounded wait — excess
+// load is shed with an explicit overload reply); applyOptions has the rest.
 //
 // The returned shed is true when the batch was refused by admission
 // control (nothing was applied; the caller keeps it staged so a bare
@@ -606,7 +606,7 @@ func (s *server) commit(batch incgraph.Batch, reply func(string, ...any) bool) (
 	// The slot goes back before the reply goes out: a client that has read
 	// its ack (or its error) may retry at once, and on a full gate that
 	// retry must find the capacity this commit held, not race its release.
-	shed, line := s.commitAdmitted(batch, v.cl, v.hub)
+	shed, line := s.commitAdmitted(batch, v)
 	s.commitGate.exit()
 	return shed, reply("%s", line)
 }
@@ -614,103 +614,36 @@ func (s *server) commit(batch incgraph.Batch, reply func(string, ...any) bool) (
 // commitAdmitted is commit past the admission gate. It returns the reply
 // line instead of sending it, so that the caller can release the gate slot
 // first.
-func (s *server) commitAdmitted(batch incgraph.Batch, cl *incgraph.Cluster, hub *incgraph.ClusterHub) (shed bool, line string) {
+func (s *server) commitAdmitted(batch incgraph.Batch, v *view) (shed bool, line string) {
 	var deadline time.Time
 	if s.lim.opTimeout > 0 {
 		deadline = time.Now().Add(s.lim.opTimeout)
 	}
+	opts, res := s.applyOptions(v, deadline)
 	var (
 		sums []incgraph.DeltaSummary
 		err  error
 	)
-	var preGen, gen, seq uint64
-	// Both deployment shapes drive Durable.Commit through the same two
-	// hooks. logHook swaps the bare WAL append for the disk-degradation
-	// retry loop; applyHook wraps the in-memory apply with the write lock,
-	// the hub's feed numbering, the publication of the new view, and the
-	// auto-checkpoint. Neither takes commitMu itself: the cluster case
-	// wraps each in it (the coordinator calls them at separate points of
-	// its pipelined schedule), the local case holds it around the whole
-	// Commit call.
-	logHook := func(b incgraph.Batch, genAt uint64) error {
-		preGen = genAt
-		if lerr := s.logWithRetry(b, genAt); lerr != nil {
-			s.syncDurableMeta()
-			return lerr
-		}
-		return nil
-	}
-	applyHook := func(apply func() error) error {
-		s.mu.Lock()
-		aerr := apply()
-		if aerr == nil && hub != nil {
-			// Numbered inside the critical section so the hub's snapshot
-			// callback sees seq and graph state move together.
-			s.feedSeq++
-			seq = s.feedSeq
-		}
-		s.mu.Unlock()
-		if aerr == nil {
-			// Before anything that can take time, and before the reply:
-			// whoever is told of this commit reads it.
-			s.publish(true, nil)
-		}
-		var walBytes int64
-		gen, walBytes = s.d.Generation(), s.d.WALBytes()
-		if aerr == nil && s.ckptBytes > 0 && walBytes > s.ckptBytes {
-			// Checkpoint I/O under commitMu only: snapshot writing reads
-			// the graph, which no one mutates without commitMu.
-			if cerr := s.d.Checkpoint(); cerr != nil {
-				log.Printf("auto-checkpoint failed: %v", cerr)
-			} else {
-				log.Printf("auto-checkpoint at WAL %d bytes (epoch %d)", walBytes, s.d.Epoch())
-			}
-		}
-		s.syncDurableMeta()
-		return aerr
-	}
-	switch {
-	case cl != nil:
-		// Cluster mode: the coordinator plans and validates the batch,
-		// pipelines the WAL append (logHook) alongside phase 1, and calls
-		// the apply hook inside its serialized commit section — where its
-		// OnCommit hook (wired to the hub's Feed in main) runs the standby
-		// feed in commit order while the batch's shards are still held.
-		// The coordinator's log mutex serializes logHook-through-applyHook
-		// windows across batches, so taking commitMu separately in each
-		// hook cannot invert WAL order against commit order. The per-op
-		// deadline caps both the shard-admission wait and the phase-1
-		// remote round trips.
-		sums, err = s.d.Commit(batch, incgraph.ApplyOptions{
-			Via:      cl,
-			Deadline: deadline,
-			Log: func(b incgraph.Batch, genAt uint64) error {
-				s.commitMu.Lock()
-				defer s.commitMu.Unlock()
-				return logHook(b, genAt)
-			},
-			Exclusive: func(apply func() error) error {
-				s.commitMu.Lock()
-				defer s.commitMu.Unlock()
-				return applyHook(apply)
-			},
-		})
+	if v.cl != nil {
+		// The coordinator plans and validates the batch, runs the log hook
+		// alongside phase 1 and the apply hook inside its serialized commit
+		// section, where its OnCommit hook (the hub's Feed, wired in main)
+		// feeds the standbys in commit order. The per-op deadline caps the
+		// shard-admission wait and the phase-1 round trips.
+		sums, err = s.d.Commit(batch, opts)
 		if errors.Is(err, incgraph.ErrClusterOverloaded) {
 			s.clusterShed.Add(1)
 			return true, errLine(catOverloaded, "shards busy past the op deadline; retry in %dms", retryHintMS)
 		}
-	default:
-		// Single process: commitMu around the whole validate+log+apply
-		// keeps WAL order equal to commit order, and (with standbys) the
-		// post-apply feed in commit order too — s.mu alone would let two
-		// committers' post-unlock feeds invert.
+	} else {
+		// Single process: commitMu around the whole validate+log+apply keeps
+		// WAL order equal to commit order, and (with standbys) the feed in
+		// commit order too.
 		s.commitMu.Lock()
-		sums, err = s.d.Commit(batch, incgraph.ApplyOptions{
-			Log:       logHook,
-			Exclusive: applyHook,
-		})
-		if err == nil && hub != nil {
-			hub.Feed(seq, preGen, gen, batch)
+		preGen := s.d.Generation()
+		sums, err = s.d.Commit(batch, opts)
+		if err == nil && v.hub != nil {
+			v.hub.Feed(res.seq, preGen, res.gen, batch)
 		}
 		s.commitMu.Unlock()
 	}
@@ -734,7 +667,71 @@ func (s *server) commitAdmitted(batch incgraph.Batch, cl *incgraph.Cluster, hub 
 		}
 		return false, errLine(catStaged, "commit failed: %v", err)
 	}
-	return false, appliedLine(len(batch), gen, s.d.Engines(), sums)
+	return false, appliedLine(len(batch), res.gen, s.d.Engines(), sums)
+}
+
+// commitResult is what one commit's apply hook saw under the locks: the
+// generation the batch produced and, with a hub, its number in the feed.
+type commitResult struct{ gen, seq uint64 }
+
+// applyOptions builds the hooks of one Durable.Commit, for every role: a
+// primary alone, a primary as cluster coordinator (v.cl), and a standby
+// applying a fed batch. A primary's log step is the WAL append under the
+// disk-degradation retry loop; a standby keeps the Durable's bare append (a
+// replica whose disk fails ends its tail, it does not go read-only). The
+// apply step takes mu for the in-memory apply only — the fsync before it and
+// the checkpoint after it back up committers, who shed at the gate, never
+// readers. Both steps need commitMu: a coordinator calls them at separate
+// points of its pipelined schedule, so there each takes it itself;
+// everywhere else the caller holds it around the whole Commit.
+func (s *server) applyOptions(v *view, deadline time.Time) (incgraph.ApplyOptions, *commitResult) {
+	res := new(commitResult)
+	opts := incgraph.ApplyOptions{Via: v.cl, Deadline: deadline}
+	if v.role == rolePrimary {
+		opts.Log = s.logWithRetry
+	}
+	opts.Exclusive = func(apply func() error) error {
+		s.mu.Lock()
+		err := apply()
+		if err == nil && v.hub != nil {
+			// Numbered inside the critical section so the hub's snapshot
+			// callback sees seq and graph state move together.
+			s.feedSeq++
+			res.seq = s.feedSeq
+		}
+		s.mu.Unlock()
+		if err == nil {
+			// Before anything that can take time, and before the reply:
+			// whoever is told of this commit reads it.
+			s.publish(true, nil)
+		}
+		res.gen = s.d.Generation()
+		if walBytes := s.d.WALBytes(); err == nil && s.ckptBytes > 0 && walBytes > s.ckptBytes {
+			// Checkpoint I/O under commitMu only: snapshot writing reads
+			// the graph, which no one mutates without commitMu.
+			if cerr := s.d.Checkpoint(); cerr != nil {
+				log.Printf("auto-checkpoint failed: %v", cerr)
+			} else {
+				log.Printf("auto-checkpoint at WAL %d bytes (epoch %d)", walBytes, s.d.Epoch())
+			}
+		}
+		s.syncDurableMeta()
+		return err
+	}
+	if v.cl != nil {
+		logStep, applyStep := opts.Log, opts.Exclusive
+		opts.Log = func(b incgraph.Batch, gen uint64) error {
+			s.commitMu.Lock()
+			defer s.commitMu.Unlock()
+			return logStep(b, gen)
+		}
+		opts.Exclusive = func(apply func() error) error {
+			s.commitMu.Lock()
+			defer s.commitMu.Unlock()
+			return applyStep(apply)
+		}
+	}
+	return opts, res
 }
 
 // appendStagedLine appends the stage ack, "ok staged N" and a newline,
@@ -807,6 +804,7 @@ func (s *server) logWithRetry(b incgraph.Batch, gen uint64) error {
 			return nil
 		}
 	}
+	s.syncDurableMeta()
 	s.enterReadOnly(err)
 	return fmt.Errorf("%w: %v", errDiskDegraded, err)
 }
@@ -1097,8 +1095,9 @@ func (s *server) move(fields []string, reply func(string, ...any) bool) bool {
 // Reads keep answering from the standby's last view during the attach (it
 // ships shard segments); the view with the new role appears when it is done.
 func (s *server) promote(reply func(string, ...any) bool) bool {
-	// commitMu first: a feed apply holds it for its whole body, so once we
-	// have it no fed batch can slip in after the role check below.
+	// commitMu first (the lock order is on server): a feed apply holds it for
+	// its whole body, so once we have it no fed batch can slip in after the
+	// role check below.
 	s.commitMu.Lock()
 	defer s.commitMu.Unlock()
 	s.mu.Lock()

@@ -121,39 +121,29 @@ func runStandby(args []string, stop <-chan struct{}) error {
 			return nil
 		},
 		Apply: func(seq, postGen uint64, b incgraph.Batch) error {
-			// commitMu orders the feed against the checkpoint verb and a
-			// racing promote (which also takes it), and keeps the WAL fsync
-			// outside the read lock so replica reads never stall on disk.
+			// commitMu around the whole commit (the lock order is on server)
+			// orders the feed against the checkpoint verb and a racing
+			// promote, which also take it.
 			srv.commitMu.Lock()
 			defer srv.commitMu.Unlock()
 			srv.mu.RLock()
-			promoted := srv.view.Load().role != roleStandby
+			v := srv.view.Load()
 			srv.mu.RUnlock()
-			if promoted {
+			if v.role != roleStandby {
 				// Promoted between the hub's push and this apply: the
 				// replica is authoritative now, the old feed is history.
 				return fmt.Errorf("promoted; feed rejected")
 			}
-			// Commit with the default log step (validate + append) and the
-			// write lock around the in-memory apply; commitMu above covers
-			// the whole call, publication of the new view included.
-			var gen uint64
-			_, err := srv.d.Commit(b, incgraph.ApplyOptions{
-				Exclusive: func(apply func() error) error {
-					srv.mu.Lock()
-					defer srv.mu.Unlock()
-					aerr := apply()
-					gen = srv.d.Generation()
-					return aerr
-				},
-			})
-			srv.syncDurableMeta()
-			if err != nil {
+			// The same hooks a primary commits through, with the default log
+			// step: the WAL fsync stays outside mu, so replica reads never
+			// stall on disk.
+			opts, res := srv.applyOptions(v, time.Time{})
+			if _, err := srv.d.Commit(b, opts); err != nil {
+				srv.syncDurableMeta()
 				return err
 			}
-			srv.publish(true, nil)
-			if gen != postGen {
-				return fmt.Errorf("replica at gen %d, primary said %d", gen, postGen)
+			if res.gen != postGen {
+				return fmt.Errorf("replica at gen %d, primary said %d", res.gen, postGen)
 			}
 			return nil
 		},

@@ -73,6 +73,22 @@ func TestPublishAllocsIndependentOfSizes(t *testing.T) {
 	}
 }
 
+// statInt returns the integer field name=N of a stat or health reply.
+func statInt(t *testing.T, reply, name string) int {
+	t.Helper()
+	for _, f := range strings.Fields(reply) {
+		if v, ok := strings.CutPrefix(f, name+"="); ok {
+			n, err := strconv.Atoi(v)
+			if err != nil {
+				t.Fatalf("%s: %v", f, err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("%q has no %s=", reply, name)
+	return 0
+}
+
 // TestChainFoldsWithoutReaders commits a ring open and shut many times over
 // one connection that never reads an answer: once its fold is done the chain
 // must be within its bound after every commit, folds must have happened, and
@@ -81,19 +97,7 @@ func TestChainFoldsWithoutReaders(t *testing.T) {
 	const ring, loose = 50, 150
 	srv := ringServer(t, ring, loose)
 	c, _ := pipeClient(t, srv)
-	statField := func(name string) int {
-		for _, f := range strings.Fields(c.cmd(t, "stat")) {
-			if v, ok := strings.CutPrefix(f, name+"="); ok {
-				n, err := strconv.Atoi(v)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return n
-			}
-		}
-		t.Fatalf("stat has no %s", name)
-		return 0
-	}
+	statField := func(name string) int { return statInt(t, c.cmd(t, "stat"), name) }
 	for i := 0; i < 40; i++ {
 		op := "-"
 		if i%2 == 1 {

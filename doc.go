@@ -133,12 +133,13 @@
 //     graph behave byte-identically to engines built on the original.
 //     The format is versioned by a magic+version header; readers reject
 //     unknown versions rather than guessing.
-//   - Write-ahead log. A Durable validates each batch ΔG, appends it to a
-//     length+CRC-framed log, and only then applies it to the graph — once
-//     — and has every attached engine repair against the result (an engine
-//     attached on a private clone applies it to that copy itself). The fsync policy is explicit: SyncAlways (the
-//     default) makes every acknowledged batch survive power failure;
-//     SyncNone trades bounded loss for append throughput.
+//   - Write-ahead log. Durable.Commit, the one way to write, validates
+//     each batch ΔG, appends it to a length+CRC-framed log, and only then
+//     applies it to the graph — once — and has every attached engine
+//     repair against the result (an engine attached on a private clone
+//     applies it to that copy itself). The fsync policy is explicit:
+//     SyncAlways (the default) makes every acknowledged batch survive
+//     power failure; SyncNone trades bounded loss for append throughput.
 //   - Recovery. OpenDurable loads the snapshot, the caller rebuilds its
 //     engines on it, and Recover replays the WAL's valid record prefix
 //     through the same apply-then-repair path — repairs run exactly as
@@ -180,7 +181,7 @@
 //     validated and planned there, the engines and the Durable live
 //     there, and shard placement/rebalancing ship the snapshot's
 //     per-shard segments (the wire format the store was designed around).
-//   - Determinism. A distributed Apply is a two-phase protocol over the
+//   - Determinism. A distributed commit is a two-phase protocol over the
 //     batch's validated, shard-partitioned plan: phase 1 ships each
 //     shard's slice of the plan to its owning worker, in parallel; phase 2
 //     — the commit callback — applies the batch locally, once the
@@ -196,14 +197,14 @@
 //     segments before its next use; a restarted worker is reattached and
 //     rebuilt the same way. Batches whose TouchedShards sets are disjoint
 //     are routed concurrently.
-//   - One write path. Durable.Commit(b, ApplyOptions{...}) is the single
-//     apply entry point, local and distributed: the zero ApplyOptions is
-//     the plain durable apply, Via routes the batch through a Cluster,
-//     Deadline carries the serving layer's per-op budget, and the
-//     Log/Exclusive hooks splice in the serving tier's degradation and
-//     read-exclusion policies. The older Durable.Apply/ApplyVia and
-//     Cluster construction variants remain as deprecated wrappers over
-//     this path.
+//   - One write path. Durable.Commit(b, ApplyOptions{...}) is the only
+//     way a batch reaches a store, local and distributed: the zero
+//     ApplyOptions is the plain durable apply, Via routes the batch
+//     through a Cluster (Cluster.ApplyCommit underneath; Cluster.Apply is
+//     the same protocol for a graph with no Durable), Deadline carries
+//     the serving layer's per-op budget, and the Log/Exclusive hooks
+//     splice in the serving tier's degradation and read-exclusion
+//     policies — incgraphd builds them in one place for all its roles.
 //   - Pipelined commit. The distributed hop prices close to the local
 //     one (the benchcmp gate pins the 2-worker/single-process geomean)
 //     because the protocol ships the already-validated plan zero-copy —
@@ -212,17 +213,19 @@
 //     the WAL append with the phase-1 round trips (log order still equals
 //     commit order, so the WAL bytes are identical to the serial path),
 //     and coalesces concurrent batches' shares into one frame per worker
-//     (group commit). WithSerialLog and WithNoCoalesce revert each leg
-//     for differential testing; the pipelined-vs-serial tests pin
-//     byte-identical answers and WAL files across all combinations.
+//     (group commit). There is no switch: the pipeline differential pins
+//     byte-identical summaries, answers and WAL files between a cluster
+//     commit and the local one. A batch that aborts after its record was
+//     logged takes the record back; if that fails, the commit's error
+//     says so.
 //
 // # High availability
 //
 // Three layers make the cluster survive the loss of any process
 // (NewCluster options, ClusterHub/ClusterStandby, ClusterReplStates):
 //
-//   - Log shipping. With ClusterOptions.Repl set to ReplAsync or
-//     ReplQuorum, the coordinator streams every committed batch's WAL
+//   - Log shipping. With WithReplication(ReplAsync) or
+//     WithReplication(ReplQuorum), the coordinator streams every committed batch's WAL
 //     record — the same (seq, gen, ΔG) payload its own log framed — to the
 //     workers owning the touched shards, on one ordered queue per worker.
 //     Each worker keeps per-shard replica logs (file-backed via

@@ -48,7 +48,7 @@ import (
 type SyncPolicy = store.SyncPolicy
 
 const (
-	// SyncAlways fsyncs the WAL after every Apply: acknowledged batches
+	// SyncAlways fsyncs the WAL after every Commit: acknowledged batches
 	// survive OS and power failure. The default.
 	SyncAlways = store.SyncAlways
 	// SyncNone leaves WAL flushing to the OS: bounded loss on power
@@ -74,7 +74,7 @@ type Durable struct {
 	// base itself, nil when it keeps a private graph its own Apply advances.
 	inPlace []repairer
 	// pending holds WAL records recovered by OpenDurable until Recover
-	// replays them; non-nil means Apply must refuse (recovery incomplete).
+	// replays them; non-nil means Commit must refuse (recovery incomplete).
 	pending  []store.ReplayRecord
 	replayed bool
 }
@@ -230,37 +230,42 @@ type ApplyOptions struct {
 	Exclusive func(apply func() error) error
 }
 
-// Commit is the single write path: it validates b, appends it to the
+// Commit is the one write path: it validates b, appends it to the
 // write-ahead log, and applies it to the base graph and every attached
 // engine, returning the per-engine summaries in attach order — locally,
 // or through a cluster when opts.Via is set, with identical results and
 // identical WAL bytes. Validation happens before the append, so a logged
-// batch is always replayable and a rejected batch changes nothing.
+// batch is always replayable and a rejected batch changes nothing. A crash
+// between the append and the apply is safe: recovery replays the logged
+// batch exactly as if the crash had hit mid-apply.
 func (d *Durable) Commit(b Batch, opts ApplyOptions) ([]DeltaSummary, error) {
 	logFn := opts.Log
 	if logFn == nil {
 		logFn = d.LogPlanned
 	}
-	runExclusive := func(apply func() error) error {
+	var sums []DeltaSummary
+	apply := func() error {
+		var err error
+		if sums, err = d.advance(b); err != nil {
+			// Unreachable after validation; surface loudly if it ever happens.
+			return fmt.Errorf("incgraph: validated batch failed to apply: %w", err)
+		}
+		return nil
+	}
+	applyFn := func(Batch) error {
 		if opts.Exclusive != nil {
 			return opts.Exclusive(apply)
 		}
 		return apply()
 	}
-	var sums []DeltaSummary
-	applyFn := func(bb Batch) error {
-		return runExclusive(func() error {
-			var aerr error
-			sums, aerr = d.ApplyLogged(bb)
-			return aerr
-		})
-	}
 	if opts.Via != nil {
 		// The coordinator validates by planning, orders the pipelined log
-		// appends, and supplies the generation stamp.
+		// appends, supplies the generation stamp, and on an abort after the
+		// append has the record durably taken back off the WAL's end — or
+		// recovery would replay a batch that never committed.
 		err := opts.Via.ApplyCommit(b, opts.Deadline, ClusterCommit{
 			Log:   logFn,
-			Unlog: d.Unlog,
+			Unlog: d.st.Unappend,
 			Apply: applyFn,
 		})
 		if err != nil {
@@ -269,7 +274,7 @@ func (d *Durable) Commit(b Batch, opts ApplyOptions) ([]DeltaSummary, error) {
 		return sums, nil
 	}
 	if !d.replayed {
-		return nil, fmt.Errorf("incgraph: Apply before Recover: WAL replay pending")
+		return nil, fmt.Errorf("incgraph: Commit before Recover: WAL replay pending")
 	}
 	if err := d.base.ValidateBatch(b); err != nil {
 		return nil, err
@@ -283,75 +288,20 @@ func (d *Durable) Commit(b Batch, opts ApplyOptions) ([]DeltaSummary, error) {
 	return sums, nil
 }
 
-// Apply validates b, appends it to the write-ahead log, and applies it to
-// the base graph and every attached engine, returning the per-engine
-// summaries in attach order.
-//
-// Deprecated: Apply is Commit(b, ApplyOptions{}); use Commit.
-func (d *Durable) Apply(b Batch) ([]DeltaSummary, error) {
-	return d.Commit(b, ApplyOptions{})
-}
-
 // LogPlanned appends one already-validated batch to the write-ahead log
 // (fsynced per the SyncPolicy), stamped with gen — the default log step
-// of Commit. Callers are the coordinator's pipelined commit and serving
-// layers' ApplyOptions.Log hooks; both guarantee the batch was validated
-// against the state the stamp describes. For a standalone append with
-// validation, use Log.
+// of Commit, exported for ApplyOptions.Log hooks that wrap it (a serving
+// layer's disk-degradation retry loop). Commit guarantees the batch was
+// validated against the state the stamp describes before any Log hook
+// runs; calling LogPlanned outside one is not supported.
 func (d *Durable) LogPlanned(b Batch, gen uint64) error {
 	if !d.replayed {
-		return fmt.Errorf("incgraph: Apply before Recover: WAL replay pending")
+		return fmt.Errorf("incgraph: Commit before Recover: WAL replay pending")
 	}
 	if err := d.st.Append(b, gen); err != nil {
 		return fmt.Errorf("incgraph: WAL append: %w", err)
 	}
 	return nil
-}
-
-// Unlog durably rolls back the latest LogPlanned/Log before any further
-// append: the record comes off the WAL's end as if never written. It is
-// the abort half of the cluster's pipelined commit — a batch whose
-// phase 1 fails after its record was logged must take the record back,
-// or recovery would replay a batch that never committed.
-func (d *Durable) Unlog() error {
-	return d.st.Unappend()
-}
-
-// Log validates b and appends it to the write-ahead log (fsynced per the
-// SyncPolicy) without applying it. The caller must serialize Log and the
-// following ApplyLogged against other writers and Checkpoint; readers
-// may run concurrently with Log, since it only reads the graph. A crash
-// between Log and ApplyLogged is safe: recovery replays the logged batch
-// exactly as if the crash had hit mid-Apply.
-//
-// Deprecated: use Commit — its ApplyOptions.Exclusive hook keeps the
-// disk wait outside the caller's read-exclusion window (the reason this
-// split existed), and ApplyOptions.Log replaces the append step itself.
-func (d *Durable) Log(b Batch) error {
-	if !d.replayed {
-		return fmt.Errorf("incgraph: Apply before Recover: WAL replay pending")
-	}
-	if err := d.base.ValidateBatch(b); err != nil {
-		return err
-	}
-	if err := d.st.Append(b, d.base.Generation()); err != nil {
-		return fmt.Errorf("incgraph: WAL append: %w", err)
-	}
-	return nil
-}
-
-// ApplyLogged applies a batch Log (or LogPlanned) just appended to the
-// base graph and every attached engine, returning the per-engine
-// summaries in attach order. See Log for the serialization contract. It
-// is the apply step Commit wraps in ApplyOptions.Exclusive; prefer
-// Commit unless you are building such a hook yourself.
-func (d *Durable) ApplyLogged(b Batch) ([]DeltaSummary, error) {
-	sums, err := d.advance(b)
-	if err != nil {
-		// Unreachable after validation; surface loudly if it ever happens.
-		return nil, fmt.Errorf("incgraph: validated batch failed to apply: %w", err)
-	}
-	return sums, nil
 }
 
 // Checkpoint makes the current state the durable baseline: a fresh

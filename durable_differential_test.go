@@ -124,7 +124,7 @@ func TestRecoveryParity(t *testing.T) {
 					t.Fatal(err)
 				}
 				for i, b := range batches {
-					if _, err := d.Apply(b); err != nil {
+					if _, err := d.Commit(b, incgraph.ApplyOptions{}); err != nil {
 						t.Fatalf("durable batch %d: %v", i, err)
 					}
 					if checkpointMid && i == len(batches)/2 {
@@ -163,7 +163,7 @@ func TestRecoveryParity(t *testing.T) {
 				extra := incgraph.RandomUpdates(r.Graph(), incgraph.UpdateSpec{
 					Count: 40, InsertRatio: 0.5, Locality: 0.8, Seed: 999,
 				})
-				if _, err := r.Apply(extra); err != nil {
+				if _, err := r.Commit(extra, incgraph.ApplyOptions{}); err != nil {
 					t.Fatalf("post-recovery apply: %v", err)
 				}
 				for _, m := range live {
@@ -196,7 +196,7 @@ func TestRecoveryTornTail(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, b := range batches {
-				if _, err := d.Apply(b); err != nil {
+				if _, err := d.Commit(b, incgraph.ApplyOptions{}); err != nil {
 					t.Fatalf("batch %d: %v", i, err)
 				}
 			}
@@ -243,7 +243,7 @@ func TestRecoveryTornTail(t *testing.T) {
 
 			// The truncated log accepts new appends cleanly.
 			redo := batches[len(batches)-1]
-			if _, err := r.Apply(redo); err != nil {
+			if _, err := r.Commit(redo, incgraph.ApplyOptions{}); err != nil {
 				t.Fatalf("re-apply after truncation: %v", err)
 			}
 			for _, m := range ref {
@@ -303,12 +303,12 @@ func TestDurableGuards(t *testing.T) {
 	if n := len(d.Engines()); n != 2 {
 		t.Fatalf("%d engines attached, want the 2 accepted", n)
 	}
-	if _, err := d.Apply(batches[0]); err != nil {
+	if _, err := d.Commit(batches[0], incgraph.ApplyOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	// Validation failures must not reach the WAL: re-applying the same
 	// batch is invalid, and recovery must replay only the good record.
-	if _, err := d.Apply(batches[0]); err == nil {
+	if _, err := d.Commit(batches[0], incgraph.ApplyOptions{}); err == nil {
 		t.Fatal("want validation error for duplicate batch")
 	}
 	d.Close()
@@ -317,13 +317,13 @@ func TestDurableGuards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Apply(batches[1]); err == nil {
+	if _, err := r.Commit(batches[1], incgraph.ApplyOptions{}); err == nil {
 		t.Fatal("want error applying before Recover")
 	}
 	if err := r.Recover(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Apply(batches[1]); err != nil {
+	if _, err := r.Commit(batches[1], incgraph.ApplyOptions{}); err != nil {
 		t.Fatalf("apply after Recover: %v", err)
 	}
 	r.Close()

@@ -47,7 +47,7 @@ func TestDurableFsyncFailThenCrashParity(t *testing.T) {
 				b := incgraph.RandomUpdates(ref, incgraph.UpdateSpec{
 					Count: 25, InsertRatio: 0.6, Locality: 0.5, Seed: int64(700 + i),
 				})
-				if _, err := d.Apply(b); err != nil {
+				if _, err := d.Commit(b, incgraph.ApplyOptions{}); err != nil {
 					// Refused: the batch must not exist anywhere. Later
 					// batches are generated against ref, which never saw it.
 					continue

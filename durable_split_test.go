@@ -1,12 +1,13 @@
 package incgraph_test
 
-// Tests of the Log/ApplyLogged split of Durable.Apply (the serving path
-// uses it to keep the WAL fsync outside its read-exclusion window): the
-// split path must be byte-identical to plain Apply, and a crash between
-// Log and ApplyLogged must replay the logged batch on recovery exactly
-// like a crash mid-Apply would.
+// Tests of Commit's two hooks, ApplyOptions.Log and .Exclusive (the serving
+// path uses them to retry a failing disk and to keep the WAL fsync outside
+// its read-exclusion window): a hooked Commit must be byte-identical to a
+// plain one, and a crash between the log step and the apply step must replay
+// the logged batch on recovery exactly like a crash mid-apply would.
 
 import (
+	"errors"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -45,14 +46,29 @@ func TestLogApplyLoggedMatchesApply(t *testing.T) {
 		if err := scratch.ApplyBatch(b); err != nil {
 			t.Fatal(err)
 		}
-		if err := split.Log(b); err != nil {
-			t.Fatalf("Log batch %d: %v", i, err)
+		// What the daemon does: its own append around LogPlanned, the apply
+		// step run under its own exclusion.
+		logged, applied := false, false
+		if _, err := split.Commit(b, incgraph.ApplyOptions{
+			Log: func(bb incgraph.Batch, gen uint64) error {
+				logged = true
+				return split.LogPlanned(bb, gen)
+			},
+			Exclusive: func(apply func() error) error {
+				if !logged {
+					t.Fatalf("batch %d: apply step ran before the log step", i)
+				}
+				applied = true
+				return apply()
+			},
+		}); err != nil {
+			t.Fatalf("hooked Commit batch %d: %v", i, err)
 		}
-		if _, err := split.ApplyLogged(b); err != nil {
-			t.Fatalf("ApplyLogged batch %d: %v", i, err)
+		if !applied {
+			t.Fatalf("batch %d: Exclusive hook never ran", i)
 		}
-		if _, err := plain.Apply(b); err != nil {
-			t.Fatalf("Apply batch %d: %v", i, err)
+		if _, err := plain.Commit(b, incgraph.ApplyOptions{}); err != nil {
+			t.Fatalf("plain Commit batch %d: %v", i, err)
 		}
 	}
 	compareAnswers(t, "split vs plain", answers(t, plain.Engines()), answers(t, split.Engines()))
@@ -82,17 +98,23 @@ func TestCrashBetweenLogAndApplyLoggedReplays(t *testing.T) {
 	if err := scratch.ApplyBatch(b1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Apply(b1); err != nil {
+	if _, err := d.Commit(b1, incgraph.ApplyOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	// Log b2 but "crash" before ApplyLogged: close the WAL with the record
-	// durable and the in-memory state behind it.
+	// Log b2 but "crash" before the apply step: close the WAL with the
+	// record durable and the in-memory state behind it.
 	b2 := incgraph.RandomUpdates(scratch, incgraph.UpdateSpec{Count: 30, InsertRatio: 0.7, Locality: 0.5, Seed: 8})
 	if err := scratch.ApplyBatch(b2); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Log(b2); err != nil {
-		t.Fatal(err)
+	errCrash := errors.New("crashed before apply")
+	if _, err := d.Commit(b2, incgraph.ApplyOptions{
+		Exclusive: func(func() error) error { return errCrash },
+	}); !errors.Is(err, errCrash) {
+		t.Fatalf("Commit with a crashing apply step: %v", err)
+	}
+	if seq := d.WALSeq(); seq != 2 {
+		t.Fatalf("WAL seq %d after the crashed commit, want 2 (b2 logged)", seq)
 	}
 	d.Close()
 

@@ -12,8 +12,8 @@ import (
 // High availability. The cluster of cluster.go gains three HA layers, all
 // re-exported here:
 //
-//   - Log shipping: a coordinator built with NewClusterWith and a
-//     ReplAsync or ReplQuorum policy streams every committed batch's WAL
+//   - Log shipping: a coordinator built with WithReplication(ReplAsync)
+//     or WithReplication(ReplQuorum) streams every committed batch's WAL
 //     record to the workers owning the touched shards; each worker keeps a
 //     per-shard replica log whose sequence chain detects missed records
 //     and heals them by parcel resync.
@@ -32,12 +32,6 @@ import (
 // exercised deterministically in tests and chaos drills.
 
 type (
-	// ClusterOptions tunes NewClusterWith: fencing term, replication
-	// policy, per-call deadline, commit hook.
-	//
-	// Deprecated: pass ClusterOption values (WithClusterTerm,
-	// WithReplication, ...) to NewCluster instead.
-	ClusterOptions = cluster.CoordinatorOptions
 	// ReplPolicy selects how Apply waits on replica acknowledgements.
 	ReplPolicy = cluster.ReplPolicy
 	// ClusterHub feeds committed records to attached standbys.
@@ -67,7 +61,7 @@ type (
 	FaultAction = cluster.FaultAction
 )
 
-// Replication policies for ClusterOptions.Repl.
+// Replication policies for WithReplication.
 const (
 	ReplOff    = cluster.ReplOff
 	ReplAsync  = cluster.ReplAsync
@@ -92,14 +86,6 @@ var ErrLeaseExpired = cluster.ErrLeaseExpired
 // promoted standby. Nothing was applied; the caller should redirect
 // clients to the new primary rather than retry.
 var ErrClusterFenced = cluster.ErrFenced
-
-// NewClusterWith is NewCluster with an explicit options struct.
-//
-// Deprecated: NewCluster is variadic — pass WithClusterTerm,
-// WithReplication, WithCallTimeout, WithOnCommit options instead.
-func NewClusterWith(g *Graph, links []ClusterLink, opts ClusterOptions) (*Cluster, error) {
-	return cluster.NewCoordinatorWith(g, links, opts)
-}
 
 // NewClusterHub returns a hub ready to accept standby connections; serve
 // each on ClusterHub.ServeConn and register Feed as the coordinator's

@@ -77,7 +77,7 @@ func TestHAFailoverMatchesUninterruptedRun(t *testing.T) {
 	// before the stream starts (so the handshake snapshot is the initial
 	// state and every batch arrives through the feed).
 	cg := g.Clone()
-	links, _, stopWorkers := incgraph.InProcessCluster(2)
+	links, _, stopWorkers := incgraph.InProcessLinks(2)
 	defer stopWorkers()
 	hub := incgraph.NewClusterHub(incgraph.ClusterHubOptions{
 		Term:      1,
@@ -120,9 +120,8 @@ func TestHAFailoverMatchesUninterruptedRun(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	primary, err := incgraph.NewClusterWith(cg, links, incgraph.ClusterOptions{
-		Term: 1, Repl: incgraph.ReplQuorum, OnCommit: hub.Feed,
-	})
+	primary, err := incgraph.NewCluster(cg, links, incgraph.WithClusterTerm(1),
+		incgraph.WithReplication(incgraph.ReplQuorum), incgraph.WithOnCommit(hub.Feed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,9 +176,8 @@ func TestHAFailoverMatchesUninterruptedRun(t *testing.T) {
 		}
 		promotedLinks[i] = incgraph.ClusterLink{Conn: conn, Name: links[i].Name, Redial: links[i].Redial}
 	}
-	successor, err := incgraph.NewClusterWith(standbyGraph, promotedLinks, incgraph.ClusterOptions{
-		Term: standby.Term() + 1, Repl: incgraph.ReplQuorum,
-	})
+	successor, err := incgraph.NewCluster(standbyGraph, promotedLinks,
+		incgraph.WithClusterTerm(standby.Term()+1), incgraph.WithReplication(incgraph.ReplQuorum))
 	if err != nil {
 		t.Fatalf("promote: %v", err)
 	}

@@ -191,7 +191,8 @@ type (
 func SyntheticGraph(spec GraphSpec) *Graph { return gen.Synthetic(spec) }
 
 // Dataset returns a named workload graph ("dbpedia", "livej", "synthetic")
-// at the given scale; see DESIGN.md §5(1) for the simulation rationale.
+// at the given scale: a simulation that keeps the original's label count,
+// density and cycle structure at a size a test can build (see gen.Dataset).
 func Dataset(name string, scale float64, seed int64) (*Graph, error) {
 	return gen.Dataset(name, scale, seed)
 }

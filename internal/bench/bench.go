@@ -1,8 +1,8 @@
 // Package bench is the experiment harness of Section 6: it regenerates
 // every panel of Figure 8 plus the in-text unit-update and batch-
 // optimization tables, on the scaled dataset simulations of internal/gen
-// (see DESIGN.md §4 for the experiment index and §5 for the scaling
-// rationale). Absolute times differ from the paper's Java/EC2 numbers; the
+// (figures.go's registry is the experiment index; gen.Dataset has the
+// scaling rationale). Absolute times differ from the paper's Java/EC2 numbers; the
 // reproduced claims are the shapes: who wins, by what factor, and where
 // the incremental/batch crossover falls.
 package bench

@@ -38,7 +38,7 @@ func figReplication(cfg Config) (*Result, error) {
 			h := g.Clone()
 			links, _, stop := cluster.InProcess(2)
 			defer stop()
-			co, err := cluster.NewCoordinatorWith(h, links, cluster.CoordinatorOptions{
+			co, err := cluster.NewCoordinator(h, links, cluster.CoordinatorOptions{
 				Term: 1, Repl: policy,
 			})
 			if err != nil {
@@ -176,7 +176,7 @@ func figCluster(cfg Config) (*Result, error) {
 			h := g.Clone()
 			links, _, stop := cluster.InProcess(2)
 			defer stop()
-			co, err := cluster.NewCoordinator(h, links)
+			co, err := cluster.NewCoordinator(h, links, cluster.CoordinatorOptions{})
 			if err != nil {
 				return sample{}, err
 			}

@@ -20,7 +20,7 @@ func updates(g *graph.Graph, count int, seed int64) graph.Batch {
 }
 
 // Dataset scales per query class: RPQ and ISO carry heavier per-node costs,
-// so their panels run on smaller simulations (see DESIGN.md §5(1)).
+// so their panels run on smaller simulations.
 const (
 	kwsScale = 1.0
 	rpqScale = 0.05
@@ -530,7 +530,7 @@ var registry = map[string]func(Config) (*Result, error){
 	"replication": figReplication,
 }
 
-// figAblation measures the design choices DESIGN.md calls out: the
+// figAblation measures two design choices of IncSCC: the
 // tree-arc re-parenting fast path of IncSCC− (on/off) on the giant-SCC
 // workload, and the insertion-locality sensitivity of IncSCC+ (local
 // shortcut insertions vs uniform random ones, which trigger rank-window

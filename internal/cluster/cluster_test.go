@@ -29,7 +29,7 @@ func TestCoordinatorApplyAndVerify(t *testing.T) {
 	g := testGraph(t, 8)
 	links, _, stop := InProcess(2)
 	defer stop()
-	co, err := NewCoordinator(g, links)
+	co, err := NewCoordinator(g, links, CoordinatorOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestCoordinatorRejectsInvalidBatch(t *testing.T) {
 	g := testGraph(t, 4)
 	links, _, stop := InProcess(2)
 	defer stop()
-	co, err := NewCoordinator(g, links)
+	co, err := NewCoordinator(g, links, CoordinatorOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestWorkerDisconnectMidPhase1FailsAtomically(t *testing.T) {
 	// placements = 10 writes; the next request's header write fails.
 	dc := &droppingConn{Conn: links[1].Conn, budget: 10}
 	links[1].Conn = dc
-	co, err := NewCoordinator(g, links)
+	co, err := NewCoordinator(g, links, CoordinatorOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestWorkerRestartLosesStateAndIsReplaced(t *testing.T) {
 		}()
 		return client, nil
 	}
-	co, err := NewCoordinator(g, links)
+	co, err := NewCoordinator(g, links, CoordinatorOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestMoveShardMidStream(t *testing.T) {
 	g := testGraph(t, 8)
 	links, workers, stop := InProcess(2)
 	defer stop()
-	co, err := NewCoordinator(g, links)
+	co, err := NewCoordinator(g, links, CoordinatorOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestDisjointBatchesRouteConcurrently(t *testing.T) {
 	g := testGraph(t, 8)
 	links, _, stop := InProcess(2)
 	defer stop()
-	co, err := NewCoordinator(g, links)
+	co, err := NewCoordinator(g, links, CoordinatorOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

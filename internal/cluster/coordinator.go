@@ -121,19 +121,8 @@ func (c *Coordinator) sendApply(l *workerLink, call *applyCall) error {
 		}
 		if !q.sending {
 			q.sending = true
-			var group []*applyCall
-			if c.opts.NoCoalesce {
-				for i, p := range q.pending {
-					if p == call {
-						q.pending = append(q.pending[:i], q.pending[i+1:]...)
-						break
-					}
-				}
-				group = []*applyCall{call}
-			} else {
-				group = q.pending
-				q.pending = nil
-			}
+			group := q.pending
+			q.pending = nil
 			q.mu.Unlock()
 			c.sendGroup(l, group)
 			q.mu.Lock()
@@ -396,10 +385,7 @@ type Coordinator struct {
 	// mutation of the authoritative graph and engines); the remote phase 1
 	// of disjoint batches overlaps freely around it. The replication
 	// sequence counter advances under it, so record order is commit order.
-	// Overlappable commits of disjoint batches share it as readers (see
-	// ApplyCommit): they merge through the graph's own overlap guards
-	// instead of the exclusive section.
-	commitMu sync.RWMutex
+	commitMu sync.Mutex
 	replSeq  uint64
 
 	applied      atomic.Uint64
@@ -420,18 +406,13 @@ type Coordinator struct {
 	quitOnce sync.Once
 }
 
-// NewCoordinator attaches the links as shard workers of g with default
-// options: it handshakes each one at g's shard count and places every
-// shard round-robin. g stays owned by the caller (it is the graph the
-// engines and the durability layer see); the coordinator only requires
-// that Apply is the sole mutation path while the cluster is attached.
-func NewCoordinator(g *graph.Graph, links []Link) (*Coordinator, error) {
-	return NewCoordinatorWith(g, links, CoordinatorOptions{})
-}
-
-// NewCoordinatorWith is NewCoordinator with explicit options (fencing
-// term, replication policy, per-call deadline).
-func NewCoordinatorWith(g *graph.Graph, links []Link, opts CoordinatorOptions) (*Coordinator, error) {
+// NewCoordinator attaches the links as shard workers of g: it handshakes
+// each one at g's shard count and places every shard round-robin. g stays
+// owned by the caller (it is the graph the engines and the durability
+// layer see); the coordinator only requires that Apply/ApplyCommit is the
+// sole mutation path while the cluster is attached. The zero options are
+// term 0, no replication, the default call deadline and no commit hook.
+func NewCoordinator(g *graph.Graph, links []Link, opts CoordinatorOptions) (*Coordinator, error) {
 	if len(links) == 0 {
 		return nil, fmt.Errorf("cluster: no workers")
 	}
@@ -807,28 +788,17 @@ func (c *Coordinator) prepareShards(touched []int) error {
 type Commit struct {
 	// Log, when set, appends the batch to the caller's durability log,
 	// stamped with gen — the post-commit generation of the previous
-	// committed batch (advisory; recovery checks monotonicity). By default
-	// it runs concurrently with the batch's own phase-1 fan-out, ordered
-	// against other batches' logs and commits by the coordinator
-	// (CoordinatorOptions.SerialLog reverts to logging inside the commit
-	// section).
+	// committed batch (advisory; recovery checks monotonicity). It runs
+	// concurrently with the batch's own phase-1 fan-out, ordered against
+	// other batches' logs and commits by the coordinator.
 	Log func(b graph.Batch, gen uint64) error
 	// Unlog undoes the latest successful Log when the batch aborts after
-	// logging (a phase-1 or commit failure). Required when Log is set and
-	// logging is pipelined.
+	// logging (a phase-1 or commit failure). Required when Log is set.
 	Unlog func() error
 	// Apply is the commit itself: the local authoritative application —
 	// the same ApplyBatch phase-2 merge in shard order, plus whatever
 	// engines the caller maintains.
 	Apply func(b graph.Batch) error
-	// Overlappable marks Apply as safe to run concurrently with other
-	// overlappable applies of shard-disjoint batches (true for plain
-	// ApplyBatch-style commits with no engines or serving state attached).
-	// Eligible batches skip the exclusive commit section: the graph's own
-	// overlap guards serialize only the global merge counters. Ignored
-	// when Log, replication, or an OnCommit hook needs commit-order
-	// serialization.
-	Overlappable bool
 }
 
 // Apply runs one batch through the distributed two-phase protocol:
@@ -854,25 +824,27 @@ func (c *Coordinator) Apply(b graph.Batch, commit func(graph.Batch) error) error
 	return c.ApplyCommit(b, time.Time{}, Commit{Apply: commit})
 }
 
-// ApplyDeadline is Apply carrying the serving layer's per-op budget. The
-// deadline bounds the shard-admission wait — a batch still queued behind
-// conflicting batches at the deadline is shed with ErrOverloaded, nothing
-// applied anywhere, safe to retry — and caps every phase-1 round trip, so
-// one op cannot hold its shards for the transport's full size-scaled
-// deadline when the client's budget is smaller. Repair traffic (redial,
-// parcel resync) keeps its own deadlines: healing a diverged replica is
-// not the client op's work to bound, and capping it would just make the
-// next op repeat it. A zero deadline is plain Apply.
-func (c *Coordinator) ApplyDeadline(b graph.Batch, deadline time.Time, commit func(graph.Batch) error) error {
-	return c.ApplyCommit(b, deadline, Commit{Apply: commit})
-}
-
-// ApplyCommit is the full-control entry point behind Apply/ApplyDeadline:
-// the commit callback is split into its log and apply halves so the
-// durability write can overlap phase 1 (see Commit). Everything Apply
-// documents — atomic abort, byte-identity with the single-process path —
-// holds unchanged.
+// ApplyCommit is the entry point behind Apply: the commit callback is
+// split into its log and apply halves so the durability write overlaps
+// phase 1 (see Commit), and the batch carries the serving layer's per-op
+// budget. Everything Apply documents — atomic abort, byte-identity with
+// the single-process path — holds unchanged; a batch that aborts after its
+// record was logged takes the record back, and an Unlog that fails is
+// wrapped into the returned error beside the abort's cause (the log then
+// holds a record for a batch that never committed).
+//
+// The deadline bounds the shard-admission wait — a batch still queued
+// behind conflicting batches at the deadline is shed with ErrOverloaded,
+// nothing applied anywhere, safe to retry — and caps every phase-1 round
+// trip, so one op cannot hold its shards for the transport's full
+// size-scaled deadline when the client's budget is smaller. Repair traffic
+// (redial, parcel resync) keeps its own deadlines: healing a diverged
+// replica is not the client op's work to bound, and capping it would just
+// make the next op repeat it. A zero deadline means no budget.
 func (c *Coordinator) ApplyCommit(b graph.Batch, deadline time.Time, cb Commit) error {
+	if cb.Log != nil && cb.Unlog == nil {
+		return fmt.Errorf("cluster: Commit.Log without Commit.Unlog: an aborted batch could not take its record back")
+	}
 	touched := b.TouchedShards(c.g)
 	if !c.acquireDeadline(touched, deadline) {
 		return ErrOverloaded
@@ -924,9 +896,8 @@ func (c *Coordinator) ApplyCommit(b graph.Batch, deadline time.Time, cb Commit) 
 	// batch's own phase-1 round trips. logMu is taken before the append and
 	// held through the commit, so across batches log order equals commit
 	// order and the stamped generation is exact (the previous commit's
-	// postGen) — the WAL byte stream is identical to logging inside the
-	// commit section.
-	pipelined := cb.Log != nil && !c.opts.SerialLog
+	// postGen) — the WAL byte stream is that of a single-process serial run.
+	pipelined := cb.Log != nil
 	var (
 		logErr  error
 		logDone chan struct{}
@@ -1024,8 +995,8 @@ func (c *Coordinator) ApplyCommit(b graph.Batch, deadline time.Time, cb Commit) 
 	}
 	if phase1Err != nil {
 		if pipelined {
-			if logErr == nil && cb.Unlog != nil {
-				cb.Unlog()
+			if logErr == nil {
+				phase1Err = joinUnlog(phase1Err, cb.Unlog())
 			}
 			c.logMu.Unlock()
 		}
@@ -1036,84 +1007,59 @@ func (c *Coordinator) ApplyCommit(b graph.Batch, deadline time.Time, cb Commit) 
 		return abort(fmt.Errorf("cluster: log after phase 1; resyncing: %w", logErr))
 	}
 
-	// Overlappable commits of disjoint batches skip the exclusive commit
-	// section entirely: they hold commitMu as readers (excluding only
-	// serial commits) and let the graph's overlap guards serialize the
-	// global merge counters. Nothing here needs commit order — no log, no
-	// replication record, no feed — and the merges commute, so the final
-	// state is the same as any serial order.
-	if cb.Overlappable && cb.Log == nil && c.opts.Repl == ReplOff && c.opts.OnCommit == nil {
-		c.commitMu.RLock()
-		c.g.BeginOverlappedApplies()
-		err := cb.Apply(b)
-		c.g.EndOverlappedApplies()
-		c.commitMu.RUnlock()
-		if err != nil {
-			return abort(fmt.Errorf("cluster: commit failed after phase 1; resyncing: %w", err))
-		}
-		c.applied.Add(1)
-		return nil
-	}
-
 	// Commit: the local, authoritative application — serialized, because
 	// it merges into graph-global state. When replication is on, the
 	// record's sequence and per-shard chain links are assigned here too,
 	// so replication order is commit order.
 	c.commitMu.Lock()
-	var err error
-	if cb.Log != nil && !pipelined {
-		c.mu.Lock()
-		gen := c.lastGen
-		c.mu.Unlock()
-		err = cb.Log(b, gen)
-	}
 	var rep *replRecord
+	preGen := c.g.Generation()
+	err := cb.Apply(b)
 	if err == nil {
-		preGen := c.g.Generation()
-		err = cb.Apply(b)
-		if err == nil {
-			postGen := c.g.Generation()
-			c.mu.Lock()
-			c.lastGen = postGen
-			c.replSeq++
-			seq := c.replSeq
-			if c.opts.Repl != ReplOff {
-				rep = &replRecord{seq: seq, preGen: preGen, postGen: postGen,
-					prev: make(map[int]uint64, len(shards))}
-				for _, s := range shards {
-					rep.prev[s] = c.replLast[s]
-					c.replLast[s] = seq
-				}
-			} else {
-				for _, s := range shards {
-					c.replLast[s] = seq
-				}
+		postGen := c.g.Generation()
+		c.mu.Lock()
+		c.lastGen = postGen
+		c.replSeq++
+		seq := c.replSeq
+		if c.opts.Repl != ReplOff {
+			rep = &replRecord{seq: seq, preGen: preGen, postGen: postGen,
+				prev: make(map[int]uint64, len(shards))}
+			for _, s := range shards {
+				rep.prev[s] = c.replLast[s]
+				c.replLast[s] = seq
 			}
-			c.mu.Unlock()
-			// The standby feed runs inside the commit critical section:
-			// Hub.Feed requires commit order across ALL batches, and the
-			// per-shard locks alone would let two disjoint batches' post-unlock
-			// feeds invert (the standby's generation check then rejects the
-			// reordered record and marks a healthy replica stale). Feed only
-			// enqueues — it never waits on a standby — so this does not extend
-			// the serialized section by any network time.
-			if c.opts.OnCommit != nil {
-				c.opts.OnCommit(seq, preGen, postGen, b)
+		} else {
+			for _, s := range shards {
+				c.replLast[s] = seq
 			}
+		}
+		c.mu.Unlock()
+		// The standby feed runs inside the commit critical section:
+		// Hub.Feed requires commit order across ALL batches, and the
+		// per-shard locks alone would let two disjoint batches' post-unlock
+		// feeds invert (the standby's generation check then rejects the
+		// reordered record and marks a healthy replica stale). Feed only
+		// enqueues — it never waits on a standby — so this does not extend
+		// the serialized section by any network time.
+		if c.opts.OnCommit != nil {
+			c.opts.OnCommit(seq, preGen, postGen, b)
 		}
 	}
 	c.commitMu.Unlock()
-	if pipelined {
-		if err != nil && cb.Unlog != nil {
+	if err != nil {
+		// Workers applied a batch the authoritative side rejected.
+		err = fmt.Errorf("cluster: commit failed after phase 1; resyncing: %w", err)
+		if pipelined {
 			// The record is logged but will never apply: take it back so
 			// the WAL keeps matching the committed state.
-			cb.Unlog()
+			err = joinUnlog(err, cb.Unlog())
 		}
+	}
+	if pipelined {
 		c.logMu.Unlock()
 	}
 	if err != nil {
-		// Workers applied a batch the authoritative side rejected.
-		return abort(fmt.Errorf("cluster: commit failed after phase 1; resyncing: %w", err))
+		return abort(err)
 	}
 	c.applied.Add(1)
 	// Worker log shipping fans out while the touched shards are still
@@ -1124,6 +1070,17 @@ func (c *Coordinator) ApplyCommit(b graph.Batch, deadline time.Time, cb Commit) 
 		c.replicate(b, workerIDs, shardsByWorker, rep)
 	}
 	return nil
+}
+
+// joinUnlog adds a failed Unlog to the abort it happened under: the caller's
+// log still holds the record of a batch it is being told did not commit.
+// Both errors stay matchable, on one line (errors.Join would put a newline
+// into what serving layers send as a one-line reply).
+func joinUnlog(abort, unlogErr error) error {
+	if unlogErr == nil {
+		return abort
+	}
+	return fmt.Errorf("%w; and its log record could not be taken back: %w", abort, unlogErr)
 }
 
 // MoveShard rebalances shard s onto worker w: the authoritative segment is

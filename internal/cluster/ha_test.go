@@ -51,7 +51,7 @@ func TestClusterReplicationQuorum(t *testing.T) {
 	g := testGraph(t, 8)
 	links, _, stop := InProcess(2)
 	defer stop()
-	co, err := NewCoordinatorWith(g, links, CoordinatorOptions{Term: 1, Repl: ReplQuorum})
+	co, err := NewCoordinator(g, links, CoordinatorOptions{Term: 1, Repl: ReplQuorum})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestClusterReplicationGapHealsByResync(t *testing.T) {
 		Dir: FaultOut, Frame: -1, Msg: byte(msgReplicate), Action: FaultDrop, Count: 1,
 	})
 	links[0] = script.WrapLink(links[0])
-	co, err := NewCoordinatorWith(g, links, CoordinatorOptions{
+	co, err := NewCoordinator(g, links, CoordinatorOptions{
 		Term: 1, Repl: ReplQuorum, CallTimeout: 300 * time.Millisecond,
 	})
 	if err != nil {
@@ -180,7 +180,7 @@ func TestClusterFencingRejectsDeposedCoordinator(t *testing.T) {
 	g := testGraph(t, 8)
 	links, _, stop := InProcess(2)
 	defer stop()
-	co1, err := NewCoordinatorWith(g, links, CoordinatorOptions{Term: 1})
+	co1, err := NewCoordinator(g, links, CoordinatorOptions{Term: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestClusterFencingRejectsDeposedCoordinator(t *testing.T) {
 
 	// A successor attaches over fresh sessions at a higher term.
 	g2 := g.Clone()
-	co2, err := NewCoordinatorWith(g2, redialLinks(t, links), CoordinatorOptions{Term: 2})
+	co2, err := NewCoordinator(g2, redialLinks(t, links), CoordinatorOptions{Term: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestClusterStandbyPromoteRecoversIdentically(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	co1, err := NewCoordinatorWith(g, links, CoordinatorOptions{
+	co1, err := NewCoordinator(g, links, CoordinatorOptions{
 		Term: 1, Repl: ReplQuorum, OnCommit: hub.Feed,
 	})
 	if err != nil {
@@ -326,7 +326,7 @@ func TestClusterStandbyPromoteRecoversIdentically(t *testing.T) {
 	if promoted.Generation() != standby.Gen() {
 		t.Fatalf("promoted graph at gen %d, standby tracked %d", promoted.Generation(), standby.Gen())
 	}
-	co2, err := NewCoordinatorWith(promoted, redialLinks(t, links), CoordinatorOptions{
+	co2, err := NewCoordinator(promoted, redialLinks(t, links), CoordinatorOptions{
 		Term: standby.Term() + 1, Repl: ReplQuorum,
 	})
 	if err != nil {
@@ -436,7 +436,7 @@ func TestHubFeedCommitOrderUnderConcurrentCommits(t *testing.T) {
 	// The hook adds seq-dependent latency (a stand-in for variable record
 	// encode time): the ordering guarantee must come from the coordinator
 	// serializing OnCommit with the commit, not from the hook being fast.
-	co, err := NewCoordinatorWith(g, links, CoordinatorOptions{
+	co, err := NewCoordinator(g, links, CoordinatorOptions{
 		Term: 1, Repl: ReplAsync,
 		OnCommit: func(seq, preGen, postGen uint64, b graph.Batch) {
 			time.Sleep(time.Duration(seq%3) * time.Millisecond)
@@ -556,7 +556,7 @@ func runFaultDrill(t *testing.T) []string {
 		Dir: FaultOut, Frame: -1, Msg: byte(msgApply), Action: FaultDrop, Count: 1,
 	})
 	links[0] = script.WrapLink(links[0])
-	co, err := NewCoordinatorWith(g, links, CoordinatorOptions{CallTimeout: 250 * time.Millisecond})
+	co, err := NewCoordinator(g, links, CoordinatorOptions{CallTimeout: 250 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -608,7 +608,7 @@ func TestClusterConcurrentDisjointBatchAbort(t *testing.T) {
 		Dir: FaultOut, Frame: -1, Msg: byte(msgApply), Action: FaultDrop, Count: 1,
 	})
 	links[1] = script.WrapLink(links[1])
-	co, err := NewCoordinatorWith(g, links, CoordinatorOptions{CallTimeout: 300 * time.Millisecond})
+	co, err := NewCoordinator(g, links, CoordinatorOptions{CallTimeout: 300 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,6 @@
 package cluster
 
-// Overload-protection tests: the per-op deadline on Apply (shard
+// Overload-protection tests: the per-op deadline of ApplyCommit (shard
 // admission shedding with ErrOverloaded, safe retry) and the bounded
 // stats poll (a stalled worker must not stretch Stats by its full RPC
 // deadline).
@@ -19,7 +19,7 @@ func TestApplyDeadlineShedsWhenShardsBusy(t *testing.T) {
 	g := testGraph(t, 4)
 	links, _, stop := InProcess(1)
 	defer stop()
-	co, err := NewCoordinator(g, links)
+	co, err := NewCoordinator(g, links, CoordinatorOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,10 +47,10 @@ func TestApplyDeadlineShedsWhenShardsBusy(t *testing.T) {
 	// b2 touches at least one of b1's shards (same touched set by
 	// construction: re-generate from the same scratch state pre-apply is
 	// not possible, so use b1 itself — identical batch, identical shards).
-	if err := co.ApplyDeadline(b1, time.Now().Add(50*time.Millisecond), func(graph.Batch) error {
+	if err := co.ApplyCommit(b1, time.Now().Add(50*time.Millisecond), Commit{Apply: func(graph.Batch) error {
 		t.Error("commit ran for a shed batch")
 		return nil
-	}); !errors.Is(err, ErrOverloaded) {
+	}}); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("busy-shard apply: got %v, want ErrOverloaded", err)
 	}
 
@@ -68,7 +68,7 @@ func TestApplyDeadlineShedsWhenShardsBusy(t *testing.T) {
 	if err := scratch.ApplyBatch(b2); err != nil {
 		t.Fatal(err)
 	}
-	if err := co.ApplyDeadline(b2, time.Now().Add(rpcTimeout), commitLocal(g)); err != nil {
+	if err := co.ApplyCommit(b2, time.Now().Add(rpcTimeout), Commit{Apply: commitLocal(g)}); err != nil {
 		t.Fatalf("retry after shed: %v", err)
 	}
 	if !g.Equal(scratch) {
@@ -80,7 +80,7 @@ func TestApplyDeadlineZeroIsUnbounded(t *testing.T) {
 	g := testGraph(t, 4)
 	links, _, stop := InProcess(1)
 	defer stop()
-	co, err := NewCoordinator(g, links)
+	co, err := NewCoordinator(g, links, CoordinatorOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestApplyDeadlineZeroIsUnbounded(t *testing.T) {
 	if err := scratch.ApplyBatch(b); err != nil {
 		t.Fatal(err)
 	}
-	if err := co.ApplyDeadline(b, time.Time{}, commitLocal(g)); err != nil {
+	if err := co.ApplyCommit(b, time.Time{}, Commit{Apply: commitLocal(g)}); err != nil {
 		t.Fatalf("zero-deadline apply: %v", err)
 	}
 	if !g.Equal(scratch) {
@@ -107,7 +107,7 @@ func TestStatsWithinBoundedByOneTimeoutNotPerWorker(t *testing.T) {
 	// holed) worker, the case where an unbounded poll hangs for the full
 	// RPC deadline. StatsWithin(200ms) must return within ~the timeout and
 	// mark the worker down.
-	co, err := NewCoordinator(g, live)
+	co, err := NewCoordinator(g, live, CoordinatorOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,13 +1,13 @@
 package cluster
 
-// Tests of the pipelined commit machinery added with the group-commit
-// protocol: the ordering contract of the OnCommit/replication hooks
-// under concurrent shard-disjoint commits, and the overlapped commit
-// path that lets such commits skip the exclusive commit section. Run
-// with -race these double as the concurrency audit of the coalescing
-// queue and the graph's overlapped-apply guards.
+// Tests of the pipelined commit: the ordering contract of the
+// OnCommit/replication hooks under concurrent shard-disjoint commits (run
+// with -race this doubles as the concurrency audit of the coalescing queue),
+// and what an abort after the log append reports.
 
 import (
+	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -47,7 +47,7 @@ func disjointBatches(t *testing.T, g *graph.Graph, seed int64) []graph.Batch {
 
 // TestCommitHookOrderUnderDisjointConcurrency pins the ordering contract
 // of the serialized commit section: shard-disjoint batches committed
-// concurrently (phase 1 overlapping, coalesced or not) must still drive
+// concurrently (phase 1 overlapping, shares coalesced per link) must still drive
 // the OnCommit hook with densely increasing sequence numbers and a
 // gapless generation chain — the invariant the HA hub's standby feed and
 // the per-shard replica logs are built on.
@@ -57,7 +57,6 @@ func TestCommitHookOrderUnderDisjointConcurrency(t *testing.T) {
 		opts CoordinatorOptions
 	}{
 		{"coalesced", CoordinatorOptions{}},
-		{"no-coalesce", CoordinatorOptions{NoCoalesce: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			g := testGraph(t, 8)
@@ -74,7 +73,7 @@ func TestCommitHookOrderUnderDisjointConcurrency(t *testing.T) {
 				events = append(events, ev{seq, preGen, postGen})
 				mu.Unlock()
 			}
-			co, err := NewCoordinatorWith(g, links, opts)
+			co, err := NewCoordinator(g, links, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -137,55 +136,73 @@ func TestCommitHookOrderUnderDisjointConcurrency(t *testing.T) {
 	}
 }
 
-// TestOverlappedDisjointCommits drives the overlapped commit path:
-// Overlappable commits of shard-disjoint batches run their phase-2
-// merges concurrently (commitMu held as readers) and must still leave
-// the graph, and every worker replica, exactly where a serial run would.
-func TestOverlappedDisjointCommits(t *testing.T) {
+// TestAbortReportsFailedUnlog pins what a caller learns when a batch aborts
+// after its record was logged and the record cannot be taken back: at both
+// abort sites (phase 1 failed; the commit callback failed after phase 1) the
+// Unlog error is part of the returned error next to the abort's cause, so the
+// serving layer logs and counts a WAL that now holds a batch the client was
+// told failed. A Commit that logs but offers no Unlog is refused before
+// anything is logged, planned or sent.
+func TestAbortReportsFailedUnlog(t *testing.T) {
+	errWedged := errors.New("log wedged")
+	errApply := errors.New("apply refused")
+	for _, site := range []string{"phase-1", "commit"} {
+		t.Run(site, func(t *testing.T) {
+			g := testGraph(t, 8)
+			links, _, stop := InProcess(2)
+			defer stop()
+			if site == "phase-1" {
+				// Worker 1 dies on the first request after hello + 4 placements
+				// (see TestWorkerDisconnectMidPhase1FailsAtomically).
+				links[1].Conn = &droppingConn{Conn: links[1].Conn, budget: 10}
+			}
+			co, err := NewCoordinator(g, links, CoordinatorOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer co.Close()
+			b := gen.Updates(g.Clone(), gen.UpdateSpec{Count: 80, InsertRatio: 0.6, Locality: 0.2, Seed: 7})
+			logged, unlogged := 0, 0
+			err = co.ApplyCommit(b, time.Time{}, Commit{
+				Log:   func(graph.Batch, uint64) error { logged++; return nil },
+				Unlog: func() error { unlogged++; return errWedged },
+				Apply: func(graph.Batch) error { return errApply },
+			})
+			if logged != 1 || unlogged != 1 {
+				t.Fatalf("Log ran %d times, Unlog %d; want 1 and 1", logged, unlogged)
+			}
+			if !errors.Is(err, errWedged) {
+				t.Fatalf("the failed Unlog is not in the abort's error: %v", err)
+			}
+			if strings.Contains(err.Error(), "\n") {
+				t.Fatalf("the abort's error spans lines; the daemon sends it as a one-line reply: %q", err)
+			}
+			if site == "commit" && !errors.Is(err, errApply) {
+				t.Fatalf("the abort's cause is not in its error: %v", err)
+			}
+			if site == "phase-1" && errors.Is(err, errApply) {
+				t.Fatalf("commit ran despite the phase-1 failure: %v", err)
+			}
+		})
+	}
+
 	g := testGraph(t, 8)
 	links, _, stop := InProcess(2)
 	defer stop()
-	co, err := NewCoordinator(g, links)
+	co, err := NewCoordinator(g, links, CoordinatorOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer co.Close()
-
-	want := g.Clone() // serial reference
-	for round := 0; round < 4; round++ {
-		batches := disjointBatches(t, g, 1700+int64(round))
-		for _, b := range batches {
-			if err := want.ApplyBatch(b); err != nil {
-				t.Fatal(err)
-			}
-		}
-		var wg sync.WaitGroup
-		errs := make([]error, len(batches))
-		for i, b := range batches {
-			wg.Add(1)
-			go func(i int, b graph.Batch) {
-				defer wg.Done()
-				errs[i] = co.ApplyCommit(b, time.Time{}, Commit{
-					Apply:        func(bb graph.Batch) error { return g.ApplyBatch(bb) },
-					Overlappable: true,
-				})
-			}(i, b)
-		}
-		wg.Wait()
-		for i, err := range errs {
-			if err != nil {
-				t.Fatalf("round %d batch %d: %v", round, i, err)
-			}
-		}
-	}
-
-	if !g.Equal(want) || !want.Equal(g) {
-		t.Fatal("overlapped commits diverged from the serial reference")
+	b := gen.Updates(g.Clone(), gen.UpdateSpec{Count: 20, InsertRatio: 0.6, Locality: 0.2, Seed: 8})
+	err = co.ApplyCommit(b, time.Time{}, Commit{
+		Log:   func(graph.Batch, uint64) error { t.Error("logged a batch that cannot be unlogged"); return nil },
+		Apply: func(graph.Batch) error { t.Error("committed a batch that cannot be unlogged"); return nil },
+	})
+	if err == nil {
+		t.Fatal("Commit{Log} without Unlog was accepted")
 	}
 	if err := co.VerifyAll(); err != nil {
-		t.Fatalf("replicas diverged: %v", err)
-	}
-	if n := co.RemoteErrors(); n != 0 {
-		t.Fatalf("stream recorded %d remote errors", n)
+		t.Fatalf("a refused Commit reached the workers: %v", err)
 	}
 }

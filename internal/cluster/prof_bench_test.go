@@ -63,7 +63,7 @@ func BenchmarkApplyCluster(b *testing.B) {
 	h := g.Clone()
 	links, _, stop := InProcess(2)
 	defer stop()
-	co, err := NewCoordinator(h, links)
+	co, err := NewCoordinator(h, links, CoordinatorOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}

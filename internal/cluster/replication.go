@@ -53,7 +53,7 @@ func (p ReplPolicy) String() string {
 	}
 }
 
-// CoordinatorOptions tunes NewCoordinatorWith.
+// CoordinatorOptions tunes NewCoordinator.
 type CoordinatorOptions struct {
 	// Term is the coordinator's fencing term. Workers remember the
 	// highest term they have seen; a promoted standby attaches at a
@@ -70,18 +70,6 @@ type CoordinatorOptions struct {
 	// order — the hook the standby feed (Hub) rides. It is called after
 	// the commit, while the batch's shards are still held.
 	OnCommit func(seq, preGen, postGen uint64, b graph.Batch)
-	// SerialLog reverts the pipelined durability log: the Commit.Log
-	// callback runs inside the serialized commit section, after phase 1,
-	// instead of overlapping the batch's phase-1 round trips. The WAL
-	// byte stream is identical either way (the pipeline preserves log
-	// order and generation stamps); this is a differential-testing and
-	// debugging switch.
-	SerialLog bool
-	// NoCoalesce disables phase-1 group commit on the worker links: each
-	// batch's share goes out as its own request instead of riding a
-	// shared group frame with concurrently admitted batches. Results are
-	// identical; this is a differential-testing and debugging switch.
-	NoCoalesce bool
 }
 
 // replRecord carries one committed batch's replication identity: its

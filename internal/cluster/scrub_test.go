@@ -78,7 +78,7 @@ func TestScrubHealsInMemoryDivergence(t *testing.T) {
 	g := testGraph(t, 8)
 	links, workers, stop := InProcess(2)
 	defer stop()
-	co, err := NewCoordinator(g, links)
+	co, err := NewCoordinator(g, links, CoordinatorOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestScrubHealsBitFlippedReplicaLog(t *testing.T) {
 	if err := workers[0].SetLogDir(logDir, store.SyncAlways); err != nil {
 		t.Fatal(err)
 	}
-	co, err := NewCoordinator(g, links)
+	co, err := NewCoordinator(g, links, CoordinatorOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestStartScrubberHealsUnattended(t *testing.T) {
 	g := testGraph(t, 8)
 	links, workers, stop := InProcess(2)
 	defer stop()
-	co, err := NewCoordinator(g, links)
+	co, err := NewCoordinator(g, links, CoordinatorOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,8 @@
 // Package gen provides the workload machinery of the experimental study
 // (Section 6): synthetic graph generation, scaled-down simulations of the
-// paper's real-life datasets (DBpedia and LiveJournal — see DESIGN.md §5
-// for the substitution rationale), random update streams ΔG controlled by
+// paper's real-life datasets (DBpedia and LiveJournal, which are not
+// redistributable and 2–3 orders of magnitude larger; Dataset lists what
+// each simulation preserves), random update streams ΔG controlled by
 // size and insert/delete ratio ρ, and query generators for KWS, RPQ and
 // ISO controlled by the same parameters the paper varies.
 package gen
@@ -133,7 +134,8 @@ func Synthetic(spec GraphSpec) *graph.Graph {
 
 // Dataset returns one of the named workload graphs at the given scale
 // (1.0 = the default benchmark size; the paper's originals are 2–3 orders
-// of magnitude larger, see DESIGN.md §5(1)).
+// of magnitude larger). Each simulation keeps the properties the paper's
+// measurements turn on: label count and skew, density, cycle structure.
 //
 //	dbpedia   — 495 labels, E/V ≈ 3, mostly acyclic (knowledge graph)
 //	livej     — 100 labels, E/V ≈ 5, giant scc through 77% of nodes

@@ -103,13 +103,6 @@ type Graph struct {
 	workers int
 	// edgesSorted memoizes EdgesSorted between mutations.
 	edgesSorted GenCache[[]Edge]
-	// overlapDepth counts open overlapped-apply windows (see
-	// BeginOverlappedApplies); while nonzero, mutations serialize their
-	// writes to graph-global merge state — byLabel, dirtySorted, slotCeil,
-	// edges, gen — under overlapMu so shard-disjoint batches may apply
-	// concurrently. Zero (the default) keeps the serial path lock-free.
-	overlapDepth atomic.Int32
-	overlapMu    sync.Mutex
 }
 
 // New returns an empty graph with the default shard count (the smallest
@@ -136,41 +129,6 @@ func NewSharded(n int) *Graph {
 // graph changes (nodes, labels, edges, or a reshard). Derived-answer
 // caches stamp their results with it; see GenCache.
 func (g *Graph) Generation() uint64 { return g.gen }
-
-// BeginOverlappedApplies opens an overlapped-apply window: until the
-// matching EndOverlappedApplies, ApplyBatch calls for batches with
-// disjoint TouchedShards may run concurrently on this graph. Inside a
-// window every mutation serializes its writes to the graph-global merge
-// state (the inverted label index, the dirty-adjacency queue, the edge
-// and generation counters, the slot ceiling) under an internal mutex, so
-// the final graph is identical to some serial order of the same batches
-// — the per-shard state the batches touch is disjoint by construction,
-// and the global merges commute. Calls nest (the window is refcounted);
-// each concurrent applier must open its own window before applying and
-// close it after, so the flag is visibly set before any overlapped
-// mutation starts. Readers remain excluded for the whole window, exactly
-// as for a single mutation.
-func (g *Graph) BeginOverlappedApplies() { g.overlapDepth.Add(1) }
-
-// EndOverlappedApplies closes a window opened by BeginOverlappedApplies.
-func (g *Graph) EndOverlappedApplies() { g.overlapDepth.Add(-1) }
-
-// mergeLock serializes graph-global merge-state writes while an
-// overlapped-apply window is open. Outside a window it is a single atomic
-// load — the serial path stays lock-free.
-func (g *Graph) mergeLock() bool {
-	if g.overlapDepth.Load() == 0 {
-		return false
-	}
-	g.overlapMu.Lock()
-	return true
-}
-
-func (g *Graph) mergeUnlock(locked bool) {
-	if locked {
-		g.overlapMu.Unlock()
-	}
-}
 
 // NumNodes returns |V|.
 func (g *Graph) NumNodes() int {
@@ -243,22 +201,18 @@ func (g *Graph) addNodeID(v NodeID, lid LabelID) {
 	sh := &g.shards[si]
 	if rec, ok := sh.nodes[v]; ok {
 		if rec.label != lid {
-			locked := g.mergeLock()
 			g.labelIndexRemove(rec.label, v)
 			rec.label = lid
 			g.labelIndexAdd(lid, v)
 			g.gen++
-			g.mergeUnlock(locked)
 		}
 		return
 	}
 	slot := sh.allocSlot(int32(len(g.shards)), int32(si))
 	sh.nodes[v] = &node{label: lid, slot: slot}
-	locked := g.mergeLock()
 	g.bumpSlotCeil(slot)
 	g.labelIndexAdd(lid, v)
 	g.gen++
-	g.mergeUnlock(locked)
 }
 
 // EnsureNode inserts v with label only if v does not already exist, and
@@ -292,12 +246,10 @@ func (g *Graph) AddEdge(v, w NodeID) bool {
 		return false
 	}
 	rw.in.add(v)
-	locked := g.mergeLock()
 	g.noteDirty(&rv.out)
 	g.noteDirty(&rw.in)
 	g.edges++
 	g.gen++
-	g.mergeUnlock(locked)
 	return true
 }
 
@@ -310,12 +262,10 @@ func (g *Graph) DeleteEdge(v, w NodeID) bool {
 	}
 	rw := g.rec(w)
 	rw.in.remove(v)
-	locked := g.mergeLock()
 	g.noteDirty(&rv.out)
 	g.noteDirty(&rw.in)
 	g.edges--
 	g.gen++
-	g.mergeUnlock(locked)
 	return true
 }
 
@@ -328,8 +278,6 @@ func (g *Graph) DeleteNode(v NodeID) bool {
 	if !ok {
 		return false
 	}
-	locked := g.mergeLock()
-	defer g.mergeUnlock(locked)
 	rec.out.forEach(func(w NodeID) bool {
 		set := &g.rec(w).in
 		set.remove(v)

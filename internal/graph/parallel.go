@@ -60,7 +60,6 @@ func (g *Graph) Parallelism() int {
 // stale cache. Engines call this after applying ΔG, before fanning out;
 // cost is proportional to the adjacency actually dirtied by the mutations.
 func (g *Graph) PrepareConcurrentReads() {
-	locked := g.mergeLock()
 	for _, a := range g.dirtySorted {
 		a.queued = false
 		if a.set != nil && a.dirty {
@@ -68,7 +67,6 @@ func (g *Graph) PrepareConcurrentReads() {
 		}
 	}
 	g.dirtySorted = g.dirtySorted[:0]
-	g.mergeUnlock(locked)
 }
 
 // noteDirty registers an adjacency set whose sorted cache a mutation just

@@ -1,14 +1,13 @@
 package incgraph_test
 
 // Differential test of the pipelined distributed commit: the same update
-// stream drives Durable.Commit through every pipelining configuration —
-// local (no Via), the cluster default (pipelined log + coalesced group
-// commit), WithSerialLog, WithNoCoalesce, and both — and every cell must
-// produce byte-identical per-batch summaries, final answers, and raw WAL
-// file bytes. The pipelining knobs are pure performance: they may change
-// when the WAL append overlaps the worker round trips and how many
-// batches share a frame, but never what is committed, in what order, or
-// what recovery would replay.
+// stream drives Durable.Commit locally (no Via) and through a cluster
+// (log append pipelined with phase 1, shares coalesced per link), and both
+// must produce byte-identical per-batch summaries, final answers, and raw
+// WAL file bytes. The pipeline is pure performance: it may change when the
+// WAL append overlaps the worker round trips and how many batches share a
+// frame, but never what is committed, in what order, or what recovery
+// would replay.
 
 import (
 	"bytes"
@@ -24,15 +23,9 @@ func TestPipelinedCommitMatchesSerial(t *testing.T) {
 	cells := []struct {
 		name    string
 		cluster bool
-		opts    []incgraph.ClusterOption
 	}{
-		{"local", false, nil},
-		{"pipelined", true, nil},
-		{"serial-log", true, []incgraph.ClusterOption{incgraph.WithSerialLog()}},
-		{"no-coalesce", true, []incgraph.ClusterOption{incgraph.WithNoCoalesce()}},
-		{"serial-log+no-coalesce", true, []incgraph.ClusterOption{
-			incgraph.WithSerialLog(), incgraph.WithNoCoalesce(),
-		}},
+		{"local", false},
+		{"pipelined", true},
 	}
 
 	type result struct {
@@ -69,7 +62,7 @@ func TestPipelinedCommitMatchesSerial(t *testing.T) {
 			if cell.cluster {
 				links, _, stopWorkers := incgraph.InProcessLinks(2)
 				defer stopWorkers()
-				cl, err := incgraph.NewCluster(d.Graph(), links, cell.opts...)
+				cl, err := incgraph.NewCluster(d.Graph(), links)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -92,7 +85,7 @@ func TestPipelinedCommitMatchesSerial(t *testing.T) {
 			res.answer = answerOf(t, d.Engines()[0])
 
 			// Close flushes; the WAL file on disk is what recovery would
-			// replay — it must not depend on how the commits were pipelined.
+			// replay — it must not depend on which way the commits went.
 			if err := d.Close(); err != nil {
 				t.Fatal(err)
 			}
