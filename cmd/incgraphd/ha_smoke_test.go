@@ -2,7 +2,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
+	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -220,5 +222,59 @@ func TestStandbyFailoverSmoke(t *testing.T) {
 		if !strings.Contains(statLine, field) {
 			t.Fatalf("promoted stat %q missing %q", statLine, field)
 		}
+	}
+}
+
+// TestPromoteFailureClosesDialedLinks: a promote that cannot reach every
+// configured worker fails as a whole — and hangs up on the workers it did
+// reach, instead of holding their sessions until the process exits.
+func TestPromoteFailureClosesDialedLinks(t *testing.T) {
+	dir := t.TempDir()
+	cfg, _ := linFixture(t, dir)
+	cfg.storeDir, cfg.addr, cfg.hubAddr = filepath.Join(dir, "store"), pickAddr(t), pickAddr(t)
+	linServe(t, cfg.addr, func(stop <-chan struct{}) error { return run(cfg, stop) })
+
+	// The live "worker" only accepts; the dead one is an address nobody
+	// listens on.
+	live, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		if conn, err := live.Accept(); err == nil {
+			accepted <- conn
+		}
+	}()
+	standbyAddr := pickAddr(t)
+	linServe(t, standbyAddr, func(stop <-chan struct{}) error {
+		return runStandby([]string{
+			"-primary", cfg.hubAddr, "-store", filepath.Join(dir, "store-standby"), "-addr", standbyAddr,
+			"-fsync", "none", "-cluster", live.Addr().String() + "," + pickAddr(t),
+			"-kws", cfg.kwsQuery, "-bound", fmt.Sprint(cfg.bound), "-rpq", cfg.rpqQuery, "-iso", cfg.isoPath, "-scc",
+		}, stop)
+	})
+	sc, err := linDial(standbyAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sc.conn.Close()
+	if reply, err := sc.line("promote"); err != nil || !strings.HasPrefix(reply, "err fenced: promote failed") {
+		t.Fatalf("promote with a dead worker: %q, %v", reply, err)
+	}
+	select {
+	case conn := <-accepted:
+		defer conn.Close()
+		conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+		if n, err := conn.Read(make([]byte, 1)); err != io.EOF {
+			t.Fatalf("the live worker's session read %d bytes, %v after the failed promote; want EOF", n, err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the promote never dialed the live worker")
+	}
+	// Still a standby.
+	if h, err := sc.line("health"); err != nil || !strings.Contains(h, "role=standby") {
+		t.Fatalf("health after the failed promote: %q, %v", h, err)
 	}
 }

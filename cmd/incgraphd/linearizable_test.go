@@ -539,6 +539,32 @@ func TestLinearizableStandbyReads(t *testing.T) {
 	var acked atomic.Uint64
 	done := make(chan struct{})
 	wait := linReaders(t, standbyAddr, 4, o, nil, done)
+	// A second standby attaches once the writer below is two commits in: its
+	// snapshot is cut between two commits of a running writer, and the feed
+	// carries on from exactly there.
+	lateAddr, lateStop, lateDone := pickAddr(t), make(chan struct{}), make(chan error, 1)
+	go func() {
+		for acked.Load() < o.gens[2] {
+			select {
+			case <-lateStop:
+				lateDone <- nil
+				return
+			case <-time.After(time.Millisecond):
+			}
+		}
+		lateDone <- runStandby([]string{
+			"-primary", cfg.hubAddr, "-store", filepath.Join(dir, "store-late"), "-addr", lateAddr,
+			"-ttl", "1s", "-fsync", "none", "-checkpoint-bytes", "0",
+			"-kws", cfg.kwsQuery, "-bound", fmt.Sprint(cfg.bound), "-rpq", cfg.rpqQuery, "-iso", cfg.isoPath, "-scc",
+		}, lateStop)
+	}()
+	stopLate := sync.OnceFunc(func() {
+		close(lateStop)
+		if err := <-lateDone; err != nil {
+			t.Errorf("late standby: %v", err)
+		}
+	})
+	t.Cleanup(stopLate)
 	next := linWrite(t, cfg.addr, steps[:half], o, 1, &acked)
 	sc, err := linDial(standbyAddr)
 	if err != nil {
@@ -561,6 +587,46 @@ func TestLinearizableStandbyReads(t *testing.T) {
 	if seen := wait(); !seen[acked.Load()] || len(seen) < 2 {
 		t.Fatalf("standby readers saw %d generations, the last one: %v", len(seen), seen[acked.Load()])
 	}
+
+	// The writer is quiet: the late standby converges to the primary's bytes.
+	if err := waitForAddr(lateAddr, 20*time.Second); err != nil {
+		t.Fatalf("late standby never came up: %v", err)
+	}
+	pc, err := linDial(cfg.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pc.conn.Close()
+	lc, err := linDial(lateAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lc.conn.Close()
+	for _, class := range linClasses {
+		gen, _, want, err := pc.read("answer", class)
+		if err != nil || gen != acked.Load() {
+			t.Fatalf("primary %s at gen %d, acked %d: %v", class, gen, acked.Load(), err)
+		}
+		for deadline := time.Now().Add(20 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+			lateGen, _, got, err := lc.read("answer", class)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if lateGen == gen {
+				if got != want {
+					t.Fatalf("%s on the standby attached mid-stream differs from the primary's at gen %d", class, gen)
+				}
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("late standby at gen %d never reached gen %d", lateGen, gen)
+			}
+		}
+	}
+	if h, err := lc.line("health"); err != nil || !strings.Contains(h, "tail=live") {
+		t.Fatalf("late standby health: %q, %v", h, err)
+	}
+	stopLate()
 
 	// Primary gone, standby promoted: the second half goes through it.
 	stopPrimary()
@@ -593,8 +659,8 @@ func TestLinearizableStandbyReads(t *testing.T) {
 // TestStandbyAutoCheckpoints: a standby honours -checkpoint-bytes. Fed
 // through a real hub by a primary that never checkpoints, a replica with a
 // 2 KB threshold folds its WAL into a new epoch every few commits — under
-// commitMu and outside mu, like a primary, so its reads keep answering, and
-// with the primary's bytes.
+// commitMu, which no read takes, like a primary, so its reads keep answering,
+// and with the primary's bytes.
 func TestStandbyAutoCheckpoints(t *testing.T) {
 	dir := t.TempDir()
 	cfg, g := linFixture(t, dir)

@@ -552,17 +552,17 @@ func run(cfg config, stop <-chan struct{}) error {
 
 	// HA hub: standbys connect here, handshake a snapshot, and tail every
 	// committed batch. The snapshot callback reads (feedSeq, graph) under
-	// the server's lock — the same critical section commits mutate them
-	// in — so no committed batch can fall between a standby's snapshot
-	// and its feed stream.
+	// commitMu — the lock every commit applies and feeds under — so no
+	// committed batch can fall between a standby's snapshot and its feed
+	// stream.
 	var hub *incgraph.ClusterHub
 	var hubLn net.Listener
 	if cfg.hubAddr != "" {
 		hub = incgraph.NewClusterHub(incgraph.ClusterHubOptions{
 			Term: cfg.term,
 			Snapshot: func() (uint64, uint64, []byte, error) {
-				srv.mu.RLock()
-				defer srv.mu.RUnlock()
+				srv.commitMu.Lock()
+				defer srv.commitMu.Unlock()
 				snap, err := incgraph.EncodeSnapshot(d.Graph())
 				return srv.feedSeq, d.Generation(), snap, err
 			},
@@ -611,18 +611,8 @@ func run(cfg config, stop <-chan struct{}) error {
 			}
 			links = append(links, link)
 		}
-		clOpts := []incgraph.ClusterOption{
-			incgraph.WithClusterTerm(cfg.term),
-			incgraph.WithReplication(repl),
-		}
-		if hub != nil {
-			// In cluster mode the coordinator's post-commit hook runs the
-			// standby feed in commit order while the batch's shards are
-			// still held; its sequence numbering matches feedSeq (both
-			// count exactly the successful commits).
-			clOpts = append(clOpts, incgraph.WithOnCommit(hub.Feed))
-		}
-		cl, err := incgraph.NewCluster(d.Graph(), links, clOpts...)
+		cl, err := incgraph.NewCluster(d.Graph(), links,
+			incgraph.WithClusterTerm(cfg.term), incgraph.WithReplication(repl))
 		if err != nil {
 			stopSpawned()
 			return err

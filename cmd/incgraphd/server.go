@@ -19,7 +19,7 @@ import (
 
 // server multiplexes the line protocol over one Durable. Writers and
 // readers do not meet: a commit mutates the graph and the engines under
-// commitMu and mu and then publishes an immutable view of the result
+// commitMu and then publishes an immutable view of the result
 // (view.go); query, answer, stat and health load the current view and take
 // no lock, so a read never waits for a commit and a commit never waits for
 // a render. In cluster mode the remote phase 1 of a commit runs before any
@@ -29,23 +29,15 @@ import (
 //
 // Lock order, written down here and nowhere else:
 //
-//	coordinator logMu → coordinator commitMu → server commitMu → server mu
+//	coordinator logMu → coordinator commitMu → server commitMu
 //
 // The coordinator holds logMu from a batch's log hook through its apply hook,
 // so the hooks taking the server's commitMu one at a time cannot invert WAL
-// order against commit order. The hub's mutex sits between the server's two:
-// Hub.Feed is called under a commitMu (the server's in a single process, the
-// coordinator's through OnCommit) and Hub.ServeConn calls the snapshot
-// callback, which takes mu, holding its own — so Feed is never called under
-// mu, and the snapshot callback never takes commitMu.
+// order against commit order. The hub's mutex is a leaf: Hub.Feed takes it
+// under commitMu and calls nothing while holding it, and Hub.ServeConn calls
+// the snapshot callback, which takes commitMu, holding no lock.
 type server struct {
-	// mu guards the in-memory state — base graph, engines, feedSeq —
-	// between the writers (commit apply, standby feed apply, promote,
-	// shutdown: Lock) and those that need the state itself rather than a
-	// view of it: the hub's snapshot callback, and a standby's feed and tail
-	// watcher waiting out a promote (RLock).
-	mu sync.RWMutex
-	d  *incgraph.Durable
+	d *incgraph.Durable
 	// ckptBytes auto-checkpoints after a commit grows the WAL past it.
 	ckptBytes int64
 
@@ -66,15 +58,16 @@ type server struct {
 	lim        limits
 	commitGate *gate
 	readGate   *gate
-	// commitMu serializes the durable half of every commit (applyOptions),
-	// the checkpoint verb and every other publisher of a view, so views
-	// appear in commit order. Neither lock is ever taken by a read.
+	// commitMu is the one write lock: it serializes every commit's log and
+	// apply steps (applyOptions), the checkpoint verb, promote, shutdown and
+	// every other publisher of a view, so views appear in commit order, and
+	// the hub's snapshot callback takes it to read the state itself. No
+	// read takes it.
 	commitMu sync.Mutex
 
-	// HA primary state: feedSeq numbers the feed stream and is updated
-	// inside the same mu critical section as the graph mutation, so the
-	// hub's snapshot callback reads a (seq, state) pair no committed batch
-	// can fall between.
+	// feedSeq numbers the standby feed: the count of batches handed to
+	// Hub.Feed. It moves under commitMu with the graph, so the hub's snapshot
+	// callback reads a (seq, state) pair no committed batch can fall between.
 	feedSeq uint64
 
 	// Cluster-stat cache: "stat" must answer in bounded time even with a
@@ -353,12 +346,10 @@ func (s *server) serve(addr string, stop <-chan struct{}) error {
 				// The disk probe (not in wg) takes commitMu per tick; stop
 				// it before the WAL closes under it.
 				close(s.diskQuit)
-				// commitMu too: a standby's feed goroutine (not in wg) may
-				// be mid-apply; the WAL must not close under it.
+				// A standby's feed goroutine (not in wg) may be mid-apply;
+				// the WAL must not close under it.
 				s.commitMu.Lock()
 				defer s.commitMu.Unlock()
-				s.mu.Lock()
-				defer s.mu.Unlock()
 				log.Printf("shutting down (gen %d, WAL seq %d)", s.d.Generation(), s.d.WALSeq())
 				if cl := s.cluster(); cl != nil {
 					cl.Close()
@@ -531,9 +522,9 @@ func (s *server) handle(conn net.Conn) {
 				return
 			}
 		case "checkpoint":
-			// commitMu, not mu: snapshot writing only reads the graph (no
-			// mutator runs without commitMu), so readers keep answering
-			// while the checkpoint's I/O drains.
+			// Snapshot writing only reads the graph, which no one mutates
+			// without commitMu; readers keep answering from the view while
+			// the checkpoint's I/O drains.
 			s.commitMu.Lock()
 			err := s.d.Checkpoint()
 			s.syncDurableMeta()
@@ -619,7 +610,7 @@ func (s *server) commitAdmitted(batch incgraph.Batch, v *view) (shed bool, line 
 	if s.lim.opTimeout > 0 {
 		deadline = time.Now().Add(s.lim.opTimeout)
 	}
-	opts, res := s.applyOptions(v, deadline)
+	opts, res := s.applyOptions(v, deadline, batch)
 	var (
 		sums []incgraph.DeltaSummary
 		err  error
@@ -627,9 +618,8 @@ func (s *server) commitAdmitted(batch incgraph.Batch, v *view) (shed bool, line 
 	if v.cl != nil {
 		// The coordinator plans and validates the batch, runs the log hook
 		// alongside phase 1 and the apply hook inside its serialized commit
-		// section, where its OnCommit hook (the hub's Feed, wired in main)
-		// feeds the standbys in commit order. The per-op deadline caps the
-		// shard-admission wait and the phase-1 round trips.
+		// section. The per-op deadline caps the shard-admission wait and the
+		// phase-1 round trips.
 		sums, err = s.d.Commit(batch, opts)
 		if errors.Is(err, incgraph.ErrClusterOverloaded) {
 			s.clusterShed.Add(1)
@@ -637,14 +627,9 @@ func (s *server) commitAdmitted(batch incgraph.Batch, v *view) (shed bool, line 
 		}
 	} else {
 		// Single process: commitMu around the whole validate+log+apply keeps
-		// WAL order equal to commit order, and (with standbys) the feed in
-		// commit order too.
+		// WAL order equal to commit order.
 		s.commitMu.Lock()
-		preGen := s.d.Generation()
 		sums, err = s.d.Commit(batch, opts)
-		if err == nil && v.hub != nil {
-			v.hub.Feed(res.seq, preGen, res.gen, batch)
-		}
 		s.commitMu.Unlock()
 	}
 	if err != nil {
@@ -670,42 +655,40 @@ func (s *server) commitAdmitted(batch incgraph.Batch, v *view) (shed bool, line 
 	return false, appliedLine(len(batch), res.gen, s.d.Engines(), sums)
 }
 
-// commitResult is what one commit's apply hook saw under the locks: the
-// generation the batch produced and, with a hub, its number in the feed.
-type commitResult struct{ gen, seq uint64 }
+// commitResult is what one commit's apply hook saw under commitMu: the
+// generation the batch produced.
+type commitResult struct{ gen uint64 }
 
-// applyOptions builds the hooks of one Durable.Commit, for every role: a
-// primary alone, a primary as cluster coordinator (v.cl), and a standby
-// applying a fed batch. A primary's log step is the WAL append under the
-// disk-degradation retry loop; a standby keeps the Durable's bare append (a
-// replica whose disk fails ends its tail, it does not go read-only). The
-// apply step takes mu for the in-memory apply only — the fsync before it and
-// the checkpoint after it back up committers, who shed at the gate, never
-// readers. Both steps need commitMu: a coordinator calls them at separate
-// points of its pipelined schedule, so there each takes it itself;
-// everywhere else the caller holds it around the whole Commit.
-func (s *server) applyOptions(v *view, deadline time.Time) (incgraph.ApplyOptions, *commitResult) {
+// applyOptions builds the hooks of one Durable.Commit of batch, for every
+// role: a primary alone, a primary as cluster coordinator (v.cl), and a
+// standby applying a fed batch. A primary's log step is the WAL append under
+// the disk-degradation retry loop; a standby keeps the Durable's bare append
+// (a replica whose disk fails ends its tail, it does not go read-only). The
+// apply step applies, publishes the view and — the one place, for every role
+// and mode — feeds the hub, so feed order is commit order. Both steps run
+// under commitMu: a coordinator calls them at separate points of its
+// pipelined schedule (the apply step inside its serialized commit section),
+// so there each takes it itself; everywhere else — a lone primary's commit, a
+// standby's feed apply — the caller holds it around the whole Commit.
+func (s *server) applyOptions(v *view, deadline time.Time, batch incgraph.Batch) (incgraph.ApplyOptions, *commitResult) {
 	res := new(commitResult)
 	opts := incgraph.ApplyOptions{Via: v.cl, Deadline: deadline}
 	if v.role == rolePrimary {
 		opts.Log = s.logWithRetry
 	}
 	opts.Exclusive = func(apply func() error) error {
-		s.mu.Lock()
+		preGen := s.d.Generation()
 		err := apply()
-		if err == nil && v.hub != nil {
-			// Numbered inside the critical section so the hub's snapshot
-			// callback sees seq and graph state move together.
-			s.feedSeq++
-			res.seq = s.feedSeq
-		}
-		s.mu.Unlock()
+		res.gen = s.d.Generation()
 		if err == nil {
 			// Before anything that can take time, and before the reply:
 			// whoever is told of this commit reads it.
 			s.publish(true, nil)
+			if v.hub != nil {
+				s.feedSeq++
+				v.hub.Feed(s.feedSeq, preGen, res.gen, batch)
+			}
 		}
-		res.gen = s.d.Generation()
 		if walBytes := s.d.WALBytes(); err == nil && s.ckptBytes > 0 && walBytes > s.ckptBytes {
 			// Checkpoint I/O under commitMu only: snapshot writing reads
 			// the graph, which no one mutates without commitMu.
@@ -1095,14 +1078,11 @@ func (s *server) move(fields []string, reply func(string, ...any) bool) bool {
 // Reads keep answering from the standby's last view during the attach (it
 // ships shard segments); the view with the new role appears when it is done.
 func (s *server) promote(reply func(string, ...any) bool) bool {
-	// commitMu first (the lock order is on server): a feed apply holds it for
-	// its whole body, so once we have it no fed batch can slip in after the
-	// role check below.
+	// A feed apply holds commitMu for its whole body, so once we have it no
+	// fed batch can slip in after the role check below.
 	s.commitMu.Lock()
 	defer s.commitMu.Unlock()
-	s.mu.Lock()
 	if s.view.Load().role != roleStandby {
-		s.mu.Unlock()
 		return replyErr(reply, catFenced, "already primary")
 	}
 	// Cut the tail first so a live feed cannot race the role flip; the
@@ -1112,10 +1092,17 @@ func (s *server) promote(reply func(string, ...any) bool) bool {
 	}
 	term := s.standby.Term() + 1
 	var links []incgraph.ClusterLink
+	promoted := false
+	defer func() {
+		if !promoted {
+			for _, l := range links {
+				l.Conn.Close()
+			}
+		}
+	}()
 	for _, a := range s.workerAddrs {
 		link, err := incgraph.DialClusterWorker(a)
 		if err != nil {
-			s.mu.Unlock()
 			return replyErr(reply, catFenced, "promote failed: worker %s: %v", a, err)
 		}
 		links = append(links, link)
@@ -1126,16 +1113,12 @@ func (s *server) promote(reply func(string, ...any) bool) bool {
 		cl, err = incgraph.NewCluster(s.d.Graph(), links,
 			incgraph.WithClusterTerm(term), incgraph.WithReplication(s.repl))
 		if err != nil {
-			for _, l := range links {
-				l.Conn.Close()
-			}
-			s.mu.Unlock()
 			return replyErr(reply, catFenced, "promote failed: %v", err)
 		}
 	}
+	promoted = true
 	s.publish(false, func(v *view) { v.role, v.cl = rolePrimary, cl })
 	s.tail.Store(tailNone)
-	s.mu.Unlock()
 	log.Printf("promoted to primary at term %d (%d workers)", term, len(links))
 	return reply("ok promoted term=%d workers=%d", term, len(links))
 }

@@ -126,18 +126,15 @@ func runStandby(args []string, stop <-chan struct{}) error {
 			// promote, which also take it.
 			srv.commitMu.Lock()
 			defer srv.commitMu.Unlock()
-			srv.mu.RLock()
 			v := srv.view.Load()
-			srv.mu.RUnlock()
 			if v.role != roleStandby {
 				// Promoted between the hub's push and this apply: the
 				// replica is authoritative now, the old feed is history.
 				return fmt.Errorf("promoted; feed rejected")
 			}
 			// The same hooks a primary commits through, with the default log
-			// step: the WAL fsync stays outside mu, so replica reads never
-			// stall on disk.
-			opts, res := srv.applyOptions(v, time.Time{})
+			// step.
+			opts, res := srv.applyOptions(v, time.Time{}, b)
 			if _, err := srv.d.Commit(b, opts); err != nil {
 				srv.syncDurableMeta()
 				return err
@@ -176,9 +173,10 @@ func runStandby(args []string, stop <-chan struct{}) error {
 			state = tailDegraded
 		}
 		// A promote cut the tail itself; don't downgrade the new primary.
-		srv.mu.RLock()
+		// commitMu waits out a promote still in progress.
+		srv.commitMu.Lock()
 		promoted := srv.view.Load().role != roleStandby
-		srv.mu.RUnlock()
+		srv.commitMu.Unlock()
 		if promoted {
 			return
 		}

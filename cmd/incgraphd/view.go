@@ -82,9 +82,8 @@ func (s *server) cutView() *view {
 // changes the handles.
 //
 // Publishers run one at a time and in commit order: every one of them holds
-// commitMu, except start-up, which runs alone. They read the base graph and
-// the engines outside s.mu, which is safe because every mutator holds
-// commitMu too.
+// commitMu, except start-up, which runs alone — as does every mutator of the
+// base graph and the engines they read.
 func (s *server) publish(applied bool, edit func(v *view)) {
 	v := s.nextView()
 	g := s.d.Graph()

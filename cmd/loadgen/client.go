@@ -160,7 +160,7 @@ func (w *worker) run(stop <-chan struct{}) {
 			case <-stop:
 				fmt.Fprintln(w.conn, "quit")
 				return
-			case <-time.After(w.sc.Think):
+			case <-time.After(time.Duration(w.sc.Think)):
 			}
 		}
 	}

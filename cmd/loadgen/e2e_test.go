@@ -47,27 +47,19 @@ func TestLoadgenSmoke(t *testing.T) {
 	}()
 	waitAccept(t, addr)
 
-	sc, err := parseScenario([]byte(`
-name: smoke
-description: scaled-down mixed run for the test suite
-clients: 4
-duration: 2500ms
-warmup: 300ms
-batch: 6
-slow_clients: 1
-expect_cut_within: 2s
-mix:
-  query: 50
-  commit: 45
-  answer: 5
-spike:
-  at: 800ms
-  duration: 1s
-  multiplier: 2
-check:
-  p99_max: 5s
-  min_spike_throughput_frac: 0.1
-`))
+	sc, err := parseScenario([]byte(`{
+  "name": "smoke",
+  "description": "scaled-down mixed run for the test suite",
+  "clients": 4,
+  "duration": "2500ms",
+  "warmup": "300ms",
+  "batch": 6,
+  "slow_clients": 1,
+  "expect_cut_within": "2s",
+  "mix": {"query": 50, "commit": 45, "answer": 5},
+  "spike": {"at": "800ms", "duration": "1s", "multiplier": 2},
+  "check": {"p99_max": "5s", "min_spike_throughput_frac": 0.1}
+}`))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ func runFault(sc *Scenario, env *runEnv, opts runOpts, stop <-chan struct{}, log
 	select {
 	case <-stop:
 		return "", nil
-	case <-time.After(time.Until(env.epoch.Add(sc.Fault.At))):
+	case <-time.After(time.Until(env.epoch.Add(time.Duration(sc.Fault.At)))):
 	}
 	switch sc.Fault.Action {
 	case "failover":
@@ -123,7 +123,7 @@ func runRebalance(sc *Scenario, env *runEnv, stop <-chan struct{}, logf func(str
 		return "", fmt.Errorf("rebalance needs a cluster with >=2 workers (stat: shards=%d workers=%d)", shards, workers)
 	}
 	moves, failures := 0, 0
-	t := time.NewTicker(sc.Fault.Every)
+	t := time.NewTicker(time.Duration(sc.Fault.Every))
 	defer t.Stop()
 	for i := 0; ; i++ {
 		select {

@@ -1,4 +1,4 @@
-// Command loadgen replays YAML-described load scenarios against a
+// Command loadgen replays JSON-described load scenarios against a
 // running incgraphd (single-process, cluster coordinator, or standby)
 // and reports throughput and p50/p99/p999 latency per op class and
 // phase. With -check it asserts the degradation contract the daemon's
@@ -28,7 +28,7 @@ Replays a load scenario against a running incgraphd and reports
 throughput and latency quantiles per op class and phase.
 
   -addr string       daemon address (required)
-  -scenario string   built-in name or path to a scenario YAML (required)
+  -scenario string   built-in name or path to a scenario JSON file (required)
   -clients int       override the scenario's client count
   -duration dur      override the scenario's run length
   -op-budget dur     per-op reply budget; no reply within it = hang (10s)
@@ -97,7 +97,7 @@ func main() {
 		sc.Clients = *clients
 	}
 	if *duration > 0 {
-		sc.Duration = *duration
+		sc.Duration = Duration(*duration)
 		if sc.Spike.Multiplier > 0 && sc.Spike.At+sc.Spike.Duration > sc.Duration {
 			fmt.Fprintf(os.Stderr, "loadgen: -duration %v cuts off the scenario's spike window\n", *duration)
 			os.Exit(2)

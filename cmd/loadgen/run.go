@@ -104,7 +104,7 @@ type runOpts struct {
 // match byte for byte — valid only when the daemon started empty and
 // loadgen is its only client.
 func runScenario(addr string, sc *Scenario, opts runOpts, logf func(string, ...any)) (*runResult, error) {
-	epoch := time.Now().Add(sc.Warmup)
+	epoch := time.Now().Add(time.Duration(sc.Warmup))
 	stop := make(chan struct{})
 	spikeStop := make(chan struct{})
 
@@ -161,7 +161,7 @@ func runScenario(addr string, sc *Scenario, opts runOpts, logf func(string, ...a
 			select {
 			case <-stop:
 				return
-			case <-time.After(time.Until(epoch.Add(sc.Spike.At))):
+			case <-time.After(time.Until(epoch.Add(time.Duration(sc.Spike.At)))):
 			}
 			logf("spike: +%d clients for %v", sc.Clients*sc.Spike.Multiplier, sc.Spike.Duration)
 			var swg sync.WaitGroup
@@ -181,7 +181,7 @@ func runScenario(addr string, sc *Scenario, opts runOpts, logf func(string, ...a
 			}
 			select {
 			case <-stop:
-			case <-time.After(time.Until(epoch.Add(sc.Spike.At + sc.Spike.Duration))):
+			case <-time.After(time.Until(epoch.Add(time.Duration(sc.Spike.At + sc.Spike.Duration)))):
 			}
 			close(spikeStop)
 			swg.Wait()
@@ -207,7 +207,7 @@ func runScenario(addr string, sc *Scenario, opts runOpts, logf func(string, ...a
 		}()
 	}
 
-	time.Sleep(time.Until(epoch.Add(sc.Duration)))
+	time.Sleep(time.Until(epoch.Add(time.Duration(sc.Duration))))
 	close(stop)
 	wg.Wait()
 
@@ -241,7 +241,7 @@ func runScenario(addr string, sc *Scenario, opts runOpts, logf func(string, ...a
 
 // phaseOf buckets a sample offset into the scenario's phases. Warmup
 // samples (negative offsets) return "".
-func phaseOf(sc *Scenario, at time.Duration) string {
+func phaseOf(sc *Scenario, at Duration) string {
 	if at < 0 {
 		return ""
 	}
@@ -265,29 +265,29 @@ func phaseOf(sc *Scenario, at time.Duration) string {
 }
 
 func phaseSeconds(sc *Scenario, name string) float64 {
+	d := sc.Duration
 	if sc.Spike.Multiplier > 0 {
 		switch name {
 		case "steady":
-			return sc.Spike.At.Seconds()
+			d = sc.Spike.At
 		case "spike":
-			return sc.Spike.Duration.Seconds()
+			d = sc.Spike.Duration
 		case "post":
-			return (sc.Duration - sc.Spike.At - sc.Spike.Duration).Seconds()
+			d = sc.Duration - sc.Spike.At - sc.Spike.Duration
 		}
-	}
-	if sc.Fault.Action != "" {
+	} else if sc.Fault.Action != "" {
 		switch name {
 		case "pre":
-			return sc.Fault.At.Seconds()
+			d = sc.Fault.At
 		case "post":
-			return (sc.Duration - sc.Fault.At).Seconds()
+			d = sc.Duration - sc.Fault.At
 		}
 	}
-	return sc.Duration.Seconds()
+	return time.Duration(d).Seconds()
 }
 
 func merge(sc *Scenario, workers []*worker, slowCuts []time.Duration) *runResult {
-	res := &runResult{Scenario: sc.Name, Clients: sc.Clients, Duration: sc.Duration, SlowCuts: slowCuts}
+	res := &runResult{Scenario: sc.Name, Clients: sc.Clients, Duration: time.Duration(sc.Duration), SlowCuts: slowCuts}
 	phases := map[string]*phaseStats{}
 	order := []string{"steady"}
 	if sc.Spike.Multiplier > 0 {
@@ -309,7 +309,7 @@ func merge(sc *Scenario, workers []*worker, slowCuts []time.Duration) *runResult
 			res.DeadWorkers++
 		}
 		for _, s := range w.samples {
-			name := phaseOf(sc, s.at)
+			name := phaseOf(sc, Duration(s.at))
 			ph, ok := phases[name]
 			if !ok {
 				continue // warmup, or a sample straggling past the run end
@@ -367,7 +367,7 @@ func check(sc *Scenario, res *runResult) {
 		byPhase[ph.Name] = ph
 		for _, cs := range ph.Classes {
 			errs += cs.Errs
-			if sc.Check.P99Max > 0 && cs.P99 > sc.Check.P99Max {
+			if sc.Check.P99Max > 0 && cs.P99 > time.Duration(sc.Check.P99Max) {
 				res.Violations = append(res.Violations,
 					fmt.Sprintf("%s/%s: p99 %v of admitted ops exceeds bound %v", ph.Name, cs.Class, cs.P99, sc.Check.P99Max))
 			}
@@ -400,7 +400,7 @@ func check(sc *Scenario, res *runResult) {
 			if cut == 0 {
 				res.Violations = append(res.Violations,
 					fmt.Sprintf("slow client %d was never cut", i))
-			} else if cut > sc.ExpectCutWithin {
+			} else if cut > time.Duration(sc.ExpectCutWithin) {
 				res.Violations = append(res.Violations,
 					fmt.Sprintf("slow client %d cut after %v (want within %v)", i, cut, sc.ExpectCutWithin))
 			}

@@ -1,49 +1,51 @@
 package main
 
 import (
+	"bytes"
 	"embed"
+	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 )
 
-// Scenario describes one load shape. Scenarios live as YAML files — the
-// six built-ins are embedded below, and -scenario also accepts a path to
-// a user-written file (same schema, see scenarios/README within each
-// file's comments).
+// Scenario describes one load shape. Scenarios live as JSON files — the
+// eight built-ins are embedded below, and -scenario also accepts a path to
+// a user-written file (same schema; scenarios/README.md says what each
+// built-in is for and how to run the daemon under it).
 type Scenario struct {
-	Name        string
-	Description string
+	Name        string `json:"name"`
+	Description string `json:"description"`
 
-	Clients  int           // concurrent worker connections
-	Duration time.Duration // measured run length (after warmup)
-	Warmup   time.Duration // unrecorded ramp-up
-	Batch    int           // updates per commit op
-	Hotspot  float64       // fraction of inserts aimed at shared hot keys
+	Clients  int      `json:"clients"`  // concurrent worker connections
+	Duration Duration `json:"duration"` // measured run length (after warmup)
+	Warmup   Duration `json:"warmup"`   // unrecorded ramp-up
+	Batch    int      `json:"batch"`    // updates per commit op
+	Hotspot  float64  `json:"hotspot"`  // fraction of inserts aimed at shared hot keys
 	// Think pauses each worker between ops, bounding the offered rate to
 	// roughly Clients/Think — closed-loop pacing for scenarios that must
 	// not outrun a replica (an HA standby applies the feed serially; a
 	// firehose would legitimately get it cut for falling behind).
-	Think time.Duration
-	Mix   map[string]int
+	Think Duration       `json:"think"`
+	Mix   map[string]int `json:"mix"`
 	// SlowClients additionally connect byte-at-a-time clients that never
 	// complete a line; ExpectCutWithin > 0 makes -check require the server
 	// to cut each of them within that budget.
-	SlowClients     int
-	ExpectCutWithin time.Duration
+	SlowClients     int      `json:"slow_clients"`
+	ExpectCutWithin Duration `json:"expect_cut_within"`
 
 	// Spike, when Multiplier > 0, joins Clients*Multiplier extra clients
 	// during [At, At+Duration) — the overload phase the degradation
 	// contract is asserted over.
 	Spike struct {
-		At         time.Duration
-		Duration   time.Duration
-		Multiplier int
-	}
+		At         Duration `json:"at"`
+		Duration   Duration `json:"duration"`
+		Multiplier int      `json:"multiplier"`
+	} `json:"spike"`
 
 	// Fault, when Action is non-empty, injects a topology fault mid-run.
 	// "failover" drains commits, kills the primary (-fault-exec), promotes
@@ -52,21 +54,34 @@ type Scenario struct {
 	// starting at At, under full load. Workers reconnect through faults
 	// instead of dying, and the degradation contract stays asserted.
 	Fault struct {
-		At     time.Duration
-		Action string
-		Every  time.Duration
-	}
+		At     Duration `json:"at"`
+		Action string   `json:"action"`
+		Every  Duration `json:"every"`
+	} `json:"fault"`
 
 	// Check bounds for -check; zero values disable the individual checks.
 	Check struct {
-		P99Max              time.Duration // p99 of admitted ops, any phase
-		MinSpikeTputFrac    float64       // spike throughput / steady throughput
-		MaxErrs             int           // non-shed op errors tolerated
-		RequireShedsInSpike bool          // a real overload must shed explicitly
-	}
+		P99Max              Duration `json:"p99_max"`                   // p99 of admitted ops, any phase
+		MinSpikeTputFrac    float64  `json:"min_spike_throughput_frac"` // spike throughput / steady throughput
+		MaxErrs             int      `json:"max_errs"`                  // non-shed op errors tolerated
+		RequireShedsInSpike bool     `json:"require_sheds_in_spike"`    // a real overload must shed explicitly
+	} `json:"check"`
 }
 
-//go:embed scenarios/*.yaml
+// Duration is a time.Duration that scenario files spell as a string
+// ("400ms"): encoding/json hands a text unmarshaler strings only, so a bare
+// number is refused rather than read as nanoseconds.
+type Duration time.Duration
+
+func (d *Duration) UnmarshalText(b []byte) error {
+	v, err := time.ParseDuration(string(b))
+	*d = Duration(v)
+	return err
+}
+
+func (d Duration) String() string { return time.Duration(d).String() }
+
+//go:embed scenarios/*.json
 var scenarioFS embed.FS
 
 // builtinScenarios lists the embedded scenario names.
@@ -74,7 +89,7 @@ func builtinScenarios() []string {
 	entries, _ := scenarioFS.ReadDir("scenarios")
 	names := make([]string, 0, len(entries))
 	for _, e := range entries {
-		names = append(names, strings.TrimSuffix(e.Name(), ".yaml"))
+		names = append(names, strings.TrimSuffix(e.Name(), ".json"))
 	}
 	sort.Strings(names)
 	return names
@@ -82,7 +97,7 @@ func builtinScenarios() []string {
 
 // loadScenario resolves name as a built-in first, then as a file path.
 func loadScenario(name string) (*Scenario, error) {
-	data, err := scenarioFS.ReadFile(path.Join("scenarios", name+".yaml"))
+	data, err := scenarioFS.ReadFile(path.Join("scenarios", name+".json"))
 	if err != nil {
 		data, err = os.ReadFile(name)
 		if err != nil {
@@ -94,145 +109,25 @@ func loadScenario(name string) (*Scenario, error) {
 }
 
 func parseScenario(data []byte) (*Scenario, error) {
-	doc, err := parseYAML(data)
-	if err != nil {
+	if err := checkKeys(json.NewDecoder(bytes.NewReader(data))); err != nil {
 		return nil, err
 	}
-	sc := &Scenario{Batch: 8, Mix: map[string]int{}}
-	sc.Check.P99Max = 2 * time.Second
+	sc := &Scenario{Batch: 8}
+	sc.Check.P99Max = Duration(2 * time.Second)
 	sc.Check.MinSpikeTputFrac = 0.5
-	for key, v := range doc {
-		switch key {
-		case "name":
-			sc.Name = v.(string)
-		case "description":
-			sc.Description = v.(string)
-		case "clients":
-			if sc.Clients, err = yamlInt(key, v); err != nil {
-				return nil, err
-			}
-		case "duration":
-			if sc.Duration, err = yamlDur(key, v); err != nil {
-				return nil, err
-			}
-		case "warmup":
-			if sc.Warmup, err = yamlDur(key, v); err != nil {
-				return nil, err
-			}
-		case "batch":
-			if sc.Batch, err = yamlInt(key, v); err != nil {
-				return nil, err
-			}
-		case "hotspot":
-			if sc.Hotspot, err = yamlFloat(key, v); err != nil {
-				return nil, err
-			}
-		case "think":
-			if sc.Think, err = yamlDur(key, v); err != nil {
-				return nil, err
-			}
-		case "slow_clients":
-			if sc.SlowClients, err = yamlInt(key, v); err != nil {
-				return nil, err
-			}
-		case "expect_cut_within":
-			if sc.ExpectCutWithin, err = yamlDur(key, v); err != nil {
-				return nil, err
-			}
-		case "mix":
-			m, ok := v.(map[string]any)
-			if !ok {
-				return nil, fmt.Errorf("mix: want a map of op weights")
-			}
-			for op, w := range m {
-				switch op {
-				case "query", "answer", "commit":
-				default:
-					return nil, fmt.Errorf("mix: unknown op %q (want query|answer|commit)", op)
-				}
-				if sc.Mix[op], err = yamlInt("mix."+op, w); err != nil {
-					return nil, err
-				}
-			}
-		case "spike":
-			m, ok := v.(map[string]any)
-			if !ok {
-				return nil, fmt.Errorf("spike: want a map")
-			}
-			for k, sv := range m {
-				switch k {
-				case "at":
-					if sc.Spike.At, err = yamlDur("spike.at", sv); err != nil {
-						return nil, err
-					}
-				case "duration":
-					if sc.Spike.Duration, err = yamlDur("spike.duration", sv); err != nil {
-						return nil, err
-					}
-				case "multiplier":
-					if sc.Spike.Multiplier, err = yamlInt("spike.multiplier", sv); err != nil {
-						return nil, err
-					}
-				default:
-					return nil, fmt.Errorf("spike: unknown key %q", k)
-				}
-			}
-		case "fault":
-			m, ok := v.(map[string]any)
-			if !ok {
-				return nil, fmt.Errorf("fault: want a map")
-			}
-			for k, fv := range m {
-				switch k {
-				case "at":
-					if sc.Fault.At, err = yamlDur("fault.at", fv); err != nil {
-						return nil, err
-					}
-				case "action":
-					s, ok := fv.(string)
-					if !ok || (s != "failover" && s != "rebalance") {
-						return nil, fmt.Errorf("fault.action: want failover|rebalance")
-					}
-					sc.Fault.Action = s
-				case "every":
-					if sc.Fault.Every, err = yamlDur("fault.every", fv); err != nil {
-						return nil, err
-					}
-				default:
-					return nil, fmt.Errorf("fault: unknown key %q", k)
-				}
-			}
-		case "check":
-			m, ok := v.(map[string]any)
-			if !ok {
-				return nil, fmt.Errorf("check: want a map")
-			}
-			for k, cv := range m {
-				switch k {
-				case "p99_max":
-					if sc.Check.P99Max, err = yamlDur("check.p99_max", cv); err != nil {
-						return nil, err
-					}
-				case "min_spike_throughput_frac":
-					if sc.Check.MinSpikeTputFrac, err = yamlFloat("check.min_spike_throughput_frac", cv); err != nil {
-						return nil, err
-					}
-				case "max_errs":
-					if sc.Check.MaxErrs, err = yamlInt("check.max_errs", cv); err != nil {
-						return nil, err
-					}
-				case "require_sheds_in_spike":
-					b, err := strconv.ParseBool(cv.(string))
-					if err != nil {
-						return nil, fmt.Errorf("check.require_sheds_in_spike: %v", err)
-					}
-					sc.Check.RequireShedsInSpike = b
-				default:
-					return nil, fmt.Errorf("check: unknown key %q", k)
-				}
-			}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(sc); err != nil {
+		return nil, fmt.Errorf("scenario: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("scenario: data after the closing brace")
+	}
+	for op := range sc.Mix {
+		switch op {
+		case "query", "answer", "commit":
 		default:
-			return nil, fmt.Errorf("scenario: unknown key %q", key)
+			return nil, fmt.Errorf("mix: unknown op %q (want query|answer|commit)", op)
 		}
 	}
 	if sc.Name == "" {
@@ -250,114 +145,48 @@ func parseScenario(data []byte) (*Scenario, error) {
 	if sc.Spike.Multiplier > 0 && sc.Spike.At+sc.Spike.Duration > sc.Duration {
 		return nil, fmt.Errorf("scenario %s: spike window ends after the run", sc.Name)
 	}
-	if sc.Fault.Action != "" {
+	switch sc.Fault.Action {
+	case "":
+	case "failover", "rebalance":
 		if sc.Fault.At <= 0 || sc.Fault.At >= sc.Duration {
 			return nil, fmt.Errorf("scenario %s: fault.at must fall inside the run", sc.Name)
 		}
 		if sc.Fault.Action == "rebalance" && sc.Fault.Every <= 0 {
-			sc.Fault.Every = time.Second
+			sc.Fault.Every = Duration(time.Second)
 		}
+	default:
+		return nil, fmt.Errorf("fault.action: want failover|rebalance")
 	}
 	return sc, nil
 }
 
-func yamlInt(key string, v any) (int, error) {
-	s, ok := v.(string)
-	if !ok {
-		return 0, fmt.Errorf("%s: want a number", key)
-	}
-	n, err := strconv.Atoi(s)
+// checkKeys walks one JSON value and refuses an object that names a key
+// twice: encoding/json would keep the last and say nothing.
+func checkKeys(dec *json.Decoder) error {
+	tok, err := dec.Token()
 	if err != nil {
-		return 0, fmt.Errorf("%s: %v", key, err)
+		return fmt.Errorf("scenario: %w", err)
 	}
-	return n, nil
-}
-
-func yamlFloat(key string, v any) (float64, error) {
-	s, ok := v.(string)
-	if !ok {
-		return 0, fmt.Errorf("%s: want a number", key)
+	if tok == json.Delim('[') {
+		return fmt.Errorf("scenario: lists are not part of the schema")
 	}
-	f, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return 0, fmt.Errorf("%s: %v", key, err)
+	if tok != json.Delim('{') {
+		return nil
 	}
-	return f, nil
-}
-
-func yamlDur(key string, v any) (time.Duration, error) {
-	s, ok := v.(string)
-	if !ok {
-		return 0, fmt.Errorf("%s: want a duration", key)
+	seen := map[json.Token]bool{}
+	for dec.More() {
+		key, err := dec.Token()
+		if err != nil {
+			return fmt.Errorf("scenario: %w", err)
+		}
+		if seen[key] {
+			return fmt.Errorf("scenario: duplicate key %q", key)
+		}
+		seen[key] = true
+		if err := checkKeys(dec); err != nil {
+			return err
+		}
 	}
-	d, err := time.ParseDuration(s)
-	if err != nil {
-		return 0, fmt.Errorf("%s: %v", key, err)
-	}
-	return d, nil
-}
-
-// parseYAML decodes the small YAML subset scenarios use — scalar values,
-// nested maps by 2-space indentation, and "#" comments — into nested
-// map[string]any with string leaves. Hand-rolled because the module is
-// dependency-free by policy; anything fancier (lists, anchors, multiline
-// strings) is rejected loudly rather than misparsed.
-func parseYAML(data []byte) (map[string]any, error) {
-	type frame struct {
-		indent int
-		m      map[string]any
-	}
-	root := map[string]any{}
-	stack := []frame{{0, root}}
-	var lastKey string
-	var lastIndent int
-	for ln, raw := range strings.Split(string(data), "\n") {
-		line := raw
-		if i := strings.IndexByte(line, '#'); i >= 0 {
-			line = line[:i]
-		}
-		if strings.TrimSpace(line) == "" {
-			continue
-		}
-		indent := len(line) - len(strings.TrimLeft(line, " "))
-		if indent%2 != 0 {
-			return nil, fmt.Errorf("yaml line %d: odd indentation", ln+1)
-		}
-		if strings.HasPrefix(strings.TrimSpace(line), "- ") {
-			return nil, fmt.Errorf("yaml line %d: lists are not supported by this subset", ln+1)
-		}
-		key, val, ok := strings.Cut(strings.TrimSpace(line), ":")
-		if !ok {
-			return nil, fmt.Errorf("yaml line %d: want 'key: value' or 'key:'", ln+1)
-		}
-		key, val = strings.TrimSpace(key), strings.TrimSpace(val)
-		val = strings.Trim(val, `"'`)
-
-		// Descend into a nested map opened by the previous "key:" line.
-		if indent > stack[len(stack)-1].indent {
-			if indent != lastIndent+2 || lastKey == "" {
-				return nil, fmt.Errorf("yaml line %d: unexpected indentation", ln+1)
-			}
-			child := map[string]any{}
-			stack[len(stack)-1].m[lastKey] = child
-			stack = append(stack, frame{indent, child})
-		}
-		for indent < stack[len(stack)-1].indent {
-			stack = stack[:len(stack)-1]
-		}
-		if indent != stack[len(stack)-1].indent {
-			return nil, fmt.Errorf("yaml line %d: indentation matches no open block", ln+1)
-		}
-		top := stack[len(stack)-1].m
-		if _, dup := top[key]; dup {
-			return nil, fmt.Errorf("yaml line %d: duplicate key %q", ln+1, key)
-		}
-		if val != "" {
-			top[key] = val
-		} else {
-			top[key] = map[string]any{} // may be replaced by a child block
-		}
-		lastKey, lastIndent = key, indent
-	}
-	return root, nil
+	_, err = dec.Token()
+	return err
 }

@@ -6,73 +6,38 @@ import (
 	"time"
 )
 
-func TestParseYAMLNestingAndComments(t *testing.T) {
-	doc, err := parseYAML([]byte(`
-# a comment
-name: demo          # trailing comment
-clients: 4
-mix:
-  query: 70
-  commit: 30
-spike:
-  at: 1s
-  multiplier: "2"
-`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if doc["name"] != "demo" || doc["clients"] != "4" {
-		t.Fatalf("scalars misparsed: %v", doc)
-	}
-	mix, ok := doc["mix"].(map[string]any)
-	if !ok || mix["query"] != "70" || mix["commit"] != "30" {
-		t.Fatalf("nested map misparsed: %v", doc["mix"])
-	}
-	spike := doc["spike"].(map[string]any)
-	if spike["multiplier"] != "2" {
-		t.Fatalf("quoted scalar misparsed: %v", spike)
-	}
-}
-
-func TestParseYAMLRejectsUnsupportedConstructs(t *testing.T) {
-	cases := map[string]string{
-		"list":       "items:\n  - a\n",
-		"odd indent": "a:\n   b: 1\n",
-		"no colon":   "just a line\n",
-		"dup key":    "a: 1\na: 2\n",
-		"bad nest":   "a: 1\n    b: 2\n",
-	}
-	for name, in := range cases {
-		if _, err := parseYAML([]byte(in)); err == nil {
-			t.Errorf("%s: parsed without error, want loud rejection", name)
-		}
-	}
-}
-
 func TestParseScenarioValidation(t *testing.T) {
+	const ok = `"name": "x", "clients": 2, "duration": "1s", "mix": {"query": 1}`
 	cases := map[string]string{
-		"missing name":     "clients: 2\nduration: 1s\nmix:\n  query: 1\n",
-		"no clients":       "name: x\nduration: 1s\nmix:\n  query: 1\n",
-		"no duration":      "name: x\nclients: 2\nmix:\n  query: 1\n",
-		"no mix":           "name: x\nclients: 2\nduration: 1s\n",
-		"unknown op":       "name: x\nclients: 2\nduration: 1s\nmix:\n  frobnicate: 1\n",
-		"unknown key":      "name: x\nclients: 2\nduration: 1s\nmix:\n  query: 1\nbogus: 7\n",
-		"spike past end":   "name: x\nclients: 2\nduration: 1s\nmix:\n  query: 1\nspike:\n  at: 900ms\n  duration: 500ms\n  multiplier: 2\n",
-		"non-numeric int":  "name: x\nclients: two\nduration: 1s\nmix:\n  query: 1\n",
-		"non-duration dur": "name: x\nclients: 2\nduration: soon\nmix:\n  query: 1\n",
-		"bad fault action": "name: x\nclients: 2\nduration: 1s\nmix:\n  query: 1\nfault:\n  action: explode\n  at: 500ms\n",
-		"fault past end":   "name: x\nclients: 2\nduration: 1s\nmix:\n  query: 1\nfault:\n  action: failover\n  at: 2s\n",
+		"missing name":     `{"clients": 2, "duration": "1s", "mix": {"query": 1}}`,
+		"no clients":       `{"name": "x", "duration": "1s", "mix": {"query": 1}}`,
+		"no duration":      `{"name": "x", "clients": 2, "mix": {"query": 1}}`,
+		"no mix":           `{"name": "x", "clients": 2, "duration": "1s"}`,
+		"unknown op":       `{"name": "x", "clients": 2, "duration": "1s", "mix": {"frobnicate": 1}}`,
+		"unknown key":      `{` + ok + `, "bogus": 7}`,
+		"spike past end":   `{` + ok + `, "spike": {"at": "900ms", "duration": "500ms", "multiplier": 2}}`,
+		"non-numeric int":  `{"name": "x", "clients": "two", "duration": "1s", "mix": {"query": 1}}`,
+		"non-duration dur": `{"name": "x", "clients": 2, "duration": "soon", "mix": {"query": 1}}`,
+		"bad fault action": `{` + ok + `, "fault": {"action": "explode", "at": "500ms"}}`,
+		"fault past end":   `{` + ok + `, "fault": {"action": "failover", "at": "2s"}}`,
+		"unknown nested":   `{` + ok + `, "check": {"p99_maximum": "2s"}}`,
+		"duplicate key":    `{` + ok + `, "clients": 3}`,
+		"duplicate nested": `{"name": "x", "clients": 2, "duration": "1s", "mix": {"query": 1, "query": 2}}`,
+		"number as dur":    `{"name": "x", "clients": 2, "duration": 1000000000, "mix": {"query": 1}}`,
+		"list":             `{` + ok + `, "mix": [1]}`,
+		"trailing data":    `{` + ok + `} {}`,
+		"not json":         "name: x\nclients: 2\n",
 	}
 	for name, in := range cases {
 		if _, err := parseScenario([]byte(in)); err == nil {
 			t.Errorf("%s: validated without error", name)
 		}
 	}
-	sc, err := parseScenario([]byte("name: ok\nclients: 2\nduration: 1s\nmix:\n  query: 1\n"))
+	sc, err := parseScenario([]byte(`{` + ok + `, "check": {"max_errs": 1}}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sc.Batch != 8 || sc.Check.P99Max != 2*time.Second {
+	if sc.Batch != 8 || sc.Check.P99Max != Duration(2*time.Second) || sc.Check.MinSpikeTputFrac != 0.5 || sc.Check.MaxErrs != 1 {
 		t.Fatalf("defaults not applied: %+v", sc)
 	}
 }

@@ -236,8 +236,11 @@
 //     appends. Replication never fails a commit — the batch was already
 //     durable at the coordinator — a shortfall only marks it degraded.
 //   - Standby failover and fencing. A ClusterHub beside the primary feeds
-//     committed records to ClusterStandby processes (snapshot handshake,
-//     then a tail whose heartbeats double as the primary's lease). Every
+//     committed records to ClusterStandby processes (a handshake that
+//     registers the connection and then snapshots under the lock the
+//     owner's commits and Feed calls run under, so no commit falls between
+//     snapshot and feed; then a tail whose heartbeats double as the
+//     primary's lease). Every
 //     coordinator session carries a fencing term; workers remember the
 //     highest term seen and reject mutating requests from any older
 //     session. On lease expiry — or an operator's explicit promote — the
@@ -331,7 +334,7 @@
 // Admitted is admitted: whatever was acked under the storm is exactly
 // what the graph holds after it — byte-identical to a serial replay of
 // the acked commits, the same currency crash recovery is held to.
-// cmd/loadgen replays YAML-described scenarios (read-heavy, ingest-heavy,
+// cmd/loadgen replays JSON-described scenarios (read-heavy, ingest-heavy,
 // mixed, hot-key skew, slow clients, a 2x overload spike) against any of
 // the daemon's modes and asserts exactly this contract plus latency
 // bounds; CI runs a scaled-down mixed scenario every push.

@@ -18,7 +18,8 @@ import (
 //     per-shard replica log whose sequence chain detects missed records
 //     and heals them by parcel resync.
 //   - Standby failover: a ClusterHub next to the primary feeds committed
-//     records to ClusterStandby processes (snapshot handshake + tail).
+//     records to ClusterStandby processes (a handshake that registers the
+//     connection and then snapshots under the owner's commit lock, + tail).
 //     Heartbeats double as the primary's lease; on expiry or a severed
 //     feed the standby's owner promotes by attaching a new coordinator at
 //     a higher fencing term, which the workers enforce — a deposed
@@ -88,8 +89,9 @@ var ErrLeaseExpired = cluster.ErrLeaseExpired
 var ErrClusterFenced = cluster.ErrFenced
 
 // NewClusterHub returns a hub ready to accept standby connections; serve
-// each on ClusterHub.ServeConn and register Feed as the coordinator's
-// OnCommit hook.
+// each on ClusterHub.ServeConn and call Feed from the serialized commit path,
+// under the lock the Snapshot callback takes (a library coordinator's
+// WithOnCommit hook is one such path; incgraphd feeds from its apply hook).
 func NewClusterHub(opts ClusterHubOptions) *ClusterHub { return cluster.NewHub(opts) }
 
 // NewClusterStandby returns a standby tail; drive it with Run over a

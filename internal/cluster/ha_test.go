@@ -544,6 +544,105 @@ func TestStandbyLeaseExpires(t *testing.T) {
 	}
 }
 
+// TestHubAttachMidStorm: standbys that attach while commits are landing see
+// no gap and no duplicate, and the handshake cannot deadlock the feeder. The
+// owner here is what incgraphd is: every commit moves the state and calls Feed
+// under one lock, and the Snapshot callback takes that lock. A hub that held
+// its own mutex into Snapshot would deadlock against a commit inside Feed, so
+// the whole run is bounded.
+func TestHubAttachMidStorm(t *testing.T) {
+	const commits, attaches = 300, 6
+	var (
+		l     sync.Mutex // the owner's commit lock
+		state uint64     // the count of commits; a snapshot is its decimal text
+	)
+	hub := NewHub(HubOptions{Term: 1, Snapshot: func() (uint64, uint64, []byte, error) {
+		l.Lock()
+		defer l.Unlock()
+		return state, state, []byte(fmt.Sprint(state)), nil
+	}})
+	batch := graph.Batch{graph.Ins(1, 2)}
+
+	type tail struct {
+		st   *Standby
+		base uint64
+		seen []uint64
+		done chan error
+	}
+	attach := func() *tail {
+		tl := &tail{done: make(chan error, 1)}
+		tl.st = NewStandby(StandbyOptions{
+			TTL: 30 * time.Second,
+			Load: func(term, seq, gen uint64, snap []byte) error {
+				if string(snap) != fmt.Sprint(seq) || gen != seq {
+					return fmt.Errorf("snapshot %q cut at seq %d gen %d: not one commit's state", snap, seq, gen)
+				}
+				tl.base = seq
+				return nil
+			},
+			Apply: func(seq, postGen uint64, b graph.Batch) error {
+				tl.seen = append(tl.seen, seq)
+				return nil
+			},
+		})
+		hc, sc := BufferedPipe()
+		go hub.ServeConn(hc)
+		go func() { tl.done <- tl.st.Run(sc) }()
+		return tl
+	}
+
+	finished := make(chan []*tail, 1)
+	go func() {
+		var tails []*tail
+		for i := 1; i <= commits; i++ {
+			if i%(commits/(attaches+1)) == 0 && len(tails) < attaches {
+				tails = append(tails, attach())
+			}
+			l.Lock()
+			state++
+			time.Sleep(50 * time.Microsecond) // the apply: time spent under the lock before the feed
+			hub.Feed(state, state-1, state, batch)
+			l.Unlock()
+		}
+		finished <- tails
+	}()
+	var tails []*tail
+	select {
+	case tails = <-finished:
+	case <-time.After(30 * time.Second):
+		// No hub.Close here or deferred: it would join the deadlock.
+		t.Fatal("the feeder never finished: a handshake and a commit hold each other's lock")
+	}
+	for k, tl := range tails {
+		for deadline := time.Now().Add(30 * time.Second); tl.st.LastSeq() != commits; time.Sleep(time.Millisecond) {
+			select {
+			case err := <-tl.done:
+				t.Fatalf("standby %d: tail ended at seq %d: %v", k, tl.st.LastSeq(), err)
+			default:
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("standby %d stuck at seq %d of %d", k, tl.st.LastSeq(), commits)
+			}
+		}
+	}
+	hub.Close()
+	for k, tl := range tails {
+		<-tl.done // Run has returned: base and seen are ours to read
+		if tl.base == 0 || tl.base >= commits {
+			t.Errorf("standby %d attached at seq %d: not mid-storm", k, tl.base)
+		}
+		for i, seq := range tl.seen {
+			if seq != tl.base+uint64(i)+1 {
+				t.Fatalf("standby %d: loaded at seq %d, then applied %v…: want every seq after the base exactly once",
+					k, tl.base, tl.seen[:i+1])
+			}
+		}
+		if got := tl.base + uint64(len(tl.seen)); got != commits {
+			t.Errorf("standby %d covered through seq %d, want %d", k, got, commits)
+		}
+	}
+}
+
 // runFaultDrill is one chaos drill: drop the first phase-1 apply, let the
 // batch abort on its call deadline, and verify the retry resyncs and the
 // run converges. It returns the script's event log — the determinism pin.

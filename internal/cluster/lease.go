@@ -40,17 +40,18 @@ type HubOptions struct {
 	// Term is the primary's fencing term, echoed to standbys.
 	Term uint64
 	// Snapshot captures the primary's current durable state: the last
-	// committed replication sequence, the generation, and snapshot bytes.
-	// It must be consistent — callers serialize it with their apply path.
+	// sequence number handed to Feed, the generation, and snapshot bytes.
+	// It is called with no hub lock held; take the lock your commits — apply
+	// and Feed together — run under, so the triple is cut between two.
 	Snapshot func() (seq, gen uint64, snap []byte, err error)
 	// Heartbeat is the ping interval (default 500ms). The standby's TTL
 	// should be a small multiple of it.
 	Heartbeat time.Duration
 }
 
-// Hub fans committed records out to attached standbys. Register Feed as
-// the coordinator's OnCommit hook (or call it from any serialized commit
-// path).
+// Hub fans committed records out to attached standbys. Call Feed from a
+// serialized commit path (a coordinator's OnCommit hook is one). Its mutex
+// is a leaf: nothing is called with it held.
 type Hub struct {
 	opts HubOptions
 
@@ -157,9 +158,9 @@ func (h *Hub) Standbys() int {
 	return len(h.conns)
 }
 
-// ServeConn answers one standby connection: the msgTail handshake, then
-// heartbeats until the connection dies or the hub's owner closes it.
-// Feeds ride in from Feed on the caller's commit path.
+// ServeConn answers one standby connection: the msgTail handshake (register,
+// then snapshot), then heartbeats until the connection dies or the hub's
+// owner closes it. Feeds ride in from Feed on the caller's commit path.
 func (h *Hub) ServeConn(conn net.Conn) error {
 	// Handshake: one ordinary request/response, small frame cap until the
 	// peer proves it speaks the protocol.
@@ -179,19 +180,13 @@ func (h *Hub) ServeConn(conn net.Conn) error {
 		writeFrame(conn, append([]byte{byte(msgErr)}, err.Error()...))
 		return err
 	}
-	// The snapshot and the registration are atomic against Feed's target
-	// collection (both under h.mu), so no committed record can fall
-	// between the snapshot and the feed stream. A record can be covered
-	// by BOTH — snapshotted and then fed — which the standby's seq skip
-	// makes harmless.
-	h.mu.Lock()
-	seq, gen, snap, err := h.opts.Snapshot()
-	if err != nil {
-		h.mu.Unlock()
-		writeFrame(conn, append([]byte{byte(msgErr)}, err.Error()...))
-		return err
-	}
+	// Register, then snapshot, h.mu released in between: a commit before the
+	// registration is in the snapshot, one after the snapshot is queued, one
+	// between the two is covered BOTH ways, which the standby's seq skip makes
+	// harmless. No burst can overrun feedQueueCap while the snapshot is cut:
+	// it holds the lock every commit, and so every Feed, needs.
 	hc := &hubConn{conn: conn, queue: make(chan []byte, feedQueueCap)}
+	h.mu.Lock()
 	h.conns[hc] = struct{}{}
 	h.mu.Unlock()
 	defer func() {
@@ -200,7 +195,12 @@ func (h *Hub) ServeConn(conn net.Conn) error {
 		h.mu.Unlock()
 		hc.fail(net.ErrClosed)
 	}()
-	// Commits landing from here on queue behind the sender, which starts
+	seq, gen, snap, err := h.opts.Snapshot()
+	if err != nil {
+		writeFrame(conn, append([]byte{byte(msgErr)}, err.Error()...))
+		return err
+	}
+	// Commits since the registration queue behind the sender, which starts
 	// only after the handshake response is written — so the standby's
 	// first frame is always the tail response, never an early feed, and
 	// the socket has exactly one writer at any time.
@@ -221,9 +221,9 @@ func (h *Hub) ServeConn(conn net.Conn) error {
 	return nil
 }
 
-// Feed pushes one committed record to every attached standby. Wire it as
-// CoordinatorOptions.OnCommit; it must be called in commit order (the
-// coordinator's hook is). Feed never blocks on a standby — it enqueues to
+// Feed pushes one committed record to every attached standby. It must be
+// called in commit order, under the lock Snapshot takes. Feed calls nothing
+// with h.mu held and never blocks on a standby — it enqueues to
 // each connection's sender, and a standby that is feedQueueCap acks
 // behind (or fails an ack) is dropped: it will reconnect and re-handshake
 // from a fresh snapshot.

@@ -1,10 +1,10 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -53,8 +53,8 @@ func DecodeRecord(payload []byte) (ReplayRecord, error) {
 //	records: the WAL's length+CRC record framing, sequence numbers
 //	        strictly increasing (not contiguous — the log is sparse)
 //
-// Torn tails truncate exactly like the WAL's: the valid prefix is the
-// log, and the resulting regressed last-sequence surfaces as a gap on the
+// Torn tails truncate exactly like the WAL's (scanRecords): the valid prefix
+// is the log, and the resulting regressed last-sequence surfaces as a gap on the
 // next Append, which heals through resync. In memory mode (no directory)
 // the same state machine runs without files — the mode used by in-process
 // workers in tests and benchmarks.
@@ -156,31 +156,7 @@ func openShardLog(fsys FS, path string) (*shardLog, int, error) {
 	sl := &shardLog{f: f, baseSeq: binary.LittleEndian.Uint64(hdr[20:])}
 	sl.lastSeq = sl.baseSeq
 	sl.size = int64(replHeaderSize)
-	var frame [8]byte
-	for {
-		if _, err := io.ReadFull(f, frame[:]); err != nil {
-			break // clean EOF or torn length: prefix ends here
-		}
-		length := binary.LittleEndian.Uint32(frame[:4])
-		crc := binary.LittleEndian.Uint32(frame[4:])
-		if length > maxWALRecord {
-			break
-		}
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(f, payload); err != nil {
-			break // torn payload
-		}
-		if crc32.ChecksumIEEE(payload) != crc {
-			break // corrupt payload
-		}
-		rec, err := decodeRecord(payload)
-		if err != nil || rec.Seq <= sl.lastSeq {
-			break // undecodable or non-monotonic: the prefix before it stands
-		}
-		sl.lastSeq = rec.Seq
-		sl.records++
-		sl.size += 8 + int64(length)
-	}
+	sl.size += scanRecords(f, sl.accept)
 	if err := f.Truncate(sl.size); err != nil {
 		f.Close()
 		return nil, 0, err
@@ -190,6 +166,17 @@ func openShardLog(fsys FS, path string) (*shardLog, int, error) {
 		return nil, 0, err
 	}
 	return sl, int(shard), nil
+}
+
+// accept is the shard log's ordering rule — sequence numbers strictly
+// increasing, not contiguous — and counts the record in.
+func (sl *shardLog) accept(rec ReplayRecord) bool {
+	if rec.Seq <= sl.lastSeq {
+		return false
+	}
+	sl.lastSeq = rec.Seq
+	sl.records++
+	return true
 }
 
 // Reset (re)initializes shard s's log at sequence seq: the state a replica
@@ -328,20 +315,18 @@ func (l *ReplicaLog) Replay(s int) ([]ReplayRecord, error) {
 	if err != nil {
 		return nil, err
 	}
-	var out []ReplayRecord
-	off := replHeaderSize
-	for off+8 <= len(data) {
-		length := binary.LittleEndian.Uint32(data[off:])
-		if off+8+int(length) > len(data) {
-			break
-		}
-		rec, err := decodeRecord(data[off+8 : off+8+int(length)])
-		if err != nil {
-			break
-		}
-		out = append(out, rec)
-		off += 8 + int(length)
+	if len(data) < replHeaderSize {
+		return nil, nil
 	}
+	var out []ReplayRecord
+	disk := shardLog{lastSeq: sl.baseSeq}
+	scanRecords(bytes.NewReader(data[replHeaderSize:]), func(rec ReplayRecord) bool {
+		ok := disk.accept(rec)
+		if ok {
+			out = append(out, rec)
+		}
+		return ok
+	})
 	return out, nil
 }
 
@@ -405,29 +390,11 @@ func (l *ReplicaLog) Verify(s int) error {
 		binary.LittleEndian.Uint64(data[20:]) != sl.baseSeq {
 		return fmt.Errorf("%w: shard %d: corrupt header", ErrReplDamaged, s)
 	}
-	lastSeq, records := sl.baseSeq, 0
-	off := replHeaderSize
-	for off+8 <= len(data) {
-		length := binary.LittleEndian.Uint32(data[off:])
-		crc := binary.LittleEndian.Uint32(data[off+4:])
-		if length > maxWALRecord || off+8+int(length) > len(data) {
-			break
-		}
-		payload := data[off+8 : off+8+int(length)]
-		if crc32.ChecksumIEEE(payload) != crc {
-			break
-		}
-		rec, err := decodeRecord(payload)
-		if err != nil || rec.Seq <= lastSeq {
-			break
-		}
-		lastSeq = rec.Seq
-		records++
-		off += 8 + int(length)
-	}
-	if lastSeq < sl.lastSeq || records < sl.records {
+	disk := shardLog{lastSeq: sl.baseSeq}
+	scanRecords(bytes.NewReader(data[replHeaderSize:]), disk.accept)
+	if disk.lastSeq < sl.lastSeq || disk.records < sl.records {
 		return fmt.Errorf("%w: shard %d: durable prefix ends at seq %d (%d records), acknowledged through seq %d (%d records)",
-			ErrReplDamaged, s, lastSeq, records, sl.lastSeq, sl.records)
+			ErrReplDamaged, s, disk.lastSeq, disk.records, sl.lastSeq, sl.records)
 	}
 	return nil
 }

@@ -206,3 +206,51 @@ func TestReplicaLogDrop(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// A flipped bit inside a label leaves a payload that still decodes; only the
+// CRC tells. Replay must end at it, where Verify reports the damage and a
+// reopen truncates.
+func TestReplicaLogReplayChecksCRC(t *testing.T) {
+	dir := t.TempDir()
+	l, err := OpenReplicaLog(dir, SyncNone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if err := l.Reset(1, 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []uint64{1, 2, 3} {
+		if err := l.Append(1, s-1, replRec(s, s)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	frame, err := appendFramedRecord(nil, 2, 2, replRec(2, 2).Batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "repl-001.log")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Three equal-length frames; the last byte of each is the to-label "b".
+	at := replHeaderSize + 2*len(frame) - 1
+	if data[at] != 'b' {
+		t.Fatalf("byte %d of the log is %q, want the second record's to-label", at, data[at])
+	}
+	data[at] ^= 0x01
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := l.Replay(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 || recs[0].Seq != 1 {
+		t.Fatalf("replay past a CRC mismatch returned %d records, want the 1 before it", len(recs))
+	}
+	if err := l.Verify(1); !errors.Is(err, ErrReplDamaged) {
+		t.Fatalf("Verify = %v, want ErrReplDamaged", err)
+	}
+}

@@ -32,12 +32,10 @@ import (
 //
 // # Torn tails
 //
-// A crash mid-append leaves a torn tail: a truncated length field, a
-// payload shorter than its length, or a CRC mismatch. Replay treats the
-// first such frame as the end of the log — the valid prefix is the log —
-// and OpenWAL truncates the file there so subsequent appends extend a
-// clean tail. Corruption is never fatal to recovery; it only bounds how
-// much of the suffix survives.
+// A crash mid-append leaves a torn tail. scanRecords has the rule for where
+// a log ends — the valid prefix is the log — and OpenWAL truncates the file
+// there so subsequent appends extend a clean tail. Corruption is never fatal
+// to recovery; it only bounds how much of the suffix survives.
 //
 // # Fsync policy
 //
@@ -191,9 +189,9 @@ func ReplayWAL(path string) ([]ReplayRecord, int64, error) {
 	return records, end, err
 }
 
-// replay reads records from the header on, stopping at the first torn or
-// corrupt frame. It returns the decoded records, the clean end offset, and
-// the log's start generation.
+// replay reads records from the header on, contiguous in sequence and
+// non-decreasing in generation. It returns the decoded records, the clean end
+// offset, and the log's start generation.
 func replay(f io.Reader) ([]ReplayRecord, int64, uint64, error) {
 	hdr := make([]byte, walHeaderSize)
 	if _, err := io.ReadFull(f, hdr); err != nil {
@@ -207,40 +205,47 @@ func replay(f io.Reader) ([]ReplayRecord, int64, uint64, error) {
 	}
 	startGen := binary.LittleEndian.Uint64(hdr[12:])
 
-	var (
-		records []ReplayRecord
-		end     = int64(walHeaderSize)
-		frame   [8]byte
-		lastGen = startGen
-	)
-	for {
-		if _, err := io.ReadFull(f, frame[:]); err != nil {
-			break // clean EOF or torn length field: prefix ends here
-		}
-		length := binary.LittleEndian.Uint32(frame[:4])
-		crc := binary.LittleEndian.Uint32(frame[4:])
-		if length > maxWALRecord {
-			break // implausible length: corrupt frame
-		}
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(f, payload); err != nil {
-			break // torn payload
-		}
-		if crc32.ChecksumIEEE(payload) != crc {
-			break // corrupt payload
-		}
-		rec, err := decodeRecord(payload)
-		if err != nil {
-			break // CRC-valid but undecodable: treat as corruption, stop
-		}
+	var records []ReplayRecord
+	lastGen := startGen
+	n := scanRecords(f, func(rec ReplayRecord) bool {
 		if rec.Seq != uint64(len(records))+1 || rec.Gen < lastGen {
-			break // out-of-sequence record: the prefix before it stands
+			return false
 		}
 		lastGen = rec.Gen
 		records = append(records, rec)
-		end += 8 + int64(length)
+		return true
+	})
+	return records, walHeaderSize + n, startGen, nil
+}
+
+// scanRecords reads framed records from r — the one decoder of the framing,
+// behind the WAL and the per-shard replica logs alike — hands each to accept,
+// and returns the bytes the accepted frames occupy. A log ends at the first
+// frame that fails any check below; the prefix before it stands.
+func scanRecords(r io.Reader, accept func(ReplayRecord) bool) int64 {
+	var n int64
+	var frame [8]byte
+	for {
+		if _, err := io.ReadFull(r, frame[:]); err != nil {
+			return n // clean EOF or torn length field
+		}
+		length := binary.LittleEndian.Uint32(frame[:4])
+		if length > maxWALRecord {
+			return n // implausible length: corrupt frame
+		}
+		payload := make([]byte, length)
+		if _, err := io.ReadFull(r, payload); err != nil {
+			return n // torn payload
+		}
+		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(frame[4:]) {
+			return n // corrupt payload
+		}
+		rec, err := decodeRecord(payload)
+		if err != nil || !accept(rec) {
+			return n // CRC-valid but undecodable, or out of the caller's sequence
+		}
+		n += 8 + int64(length)
 	}
-	return records, end, startGen, nil
 }
 
 // appendFramedRecord appends one complete framed record — header plus
