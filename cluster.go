@@ -51,11 +51,6 @@ func WithClusterTerm(term uint64) ClusterOption {
 	return func(o *cluster.CoordinatorOptions) { o.Term = term }
 }
 
-// WithReplication sets the log-shipping policy (default ReplOff).
-func WithReplication(p ReplPolicy) ClusterOption {
-	return func(o *cluster.CoordinatorOptions) { o.Repl = p }
-}
-
 // WithCallTimeout overrides the per-RPC base deadline (default 60s); it
 // still scales with request size.
 func WithCallTimeout(d time.Duration) ClusterOption {
@@ -75,9 +70,9 @@ func WithOnCommit(fn func(seq, preGen, postGen uint64, b Batch)) ClusterOption {
 var ErrClusterOverloaded = cluster.ErrOverloaded
 
 // NewCluster attaches the linked workers as shard workers of g,
-// handshaking each and placing every shard round-robin. Options select
-// the HA behaviors (fencing term, replication, commit hook) and the
-// commit-pipeline switches. While the cluster is attached, the cluster
+// handshaking each and placing every shard round-robin. Options set the
+// fencing term, the per-RPC deadline and the commit hook a standby feed
+// rides. While the cluster is attached, the cluster
 // commit path (Durable.Commit with ApplyOptions.Via, or Cluster.Apply
 // directly) must be the only mutation path of g.
 func NewCluster(g *Graph, links []ClusterLink, opts ...ClusterOption) (*Cluster, error) {

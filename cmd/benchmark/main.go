@@ -7,7 +7,6 @@
 //	benchmark [-fig 8a,8b,... | -fig all] [-scale 1.0] [-seed 1] [-points 0] [-workers 0] [-shards 0] [-json]
 //	benchmark -store [-json]        # durability: snapshot-load vs text-rebuild
 //	benchmark -cluster [-json]      # distribution: coordinator+2 workers vs single process
-//	benchmark -replication [-json]  # HA: distributed apply under off/async/quorum log shipping
 package main
 
 import (
@@ -28,7 +27,6 @@ func main() {
 	shards := flag.Int("shards", 0, "graph shard count, rounded to a power of two (0 = default, 1 = unsharded baseline)")
 	storeMode := flag.Bool("store", false, "run only the durability experiment: snapshot-load vs text-rebuild timings")
 	clusterMode := flag.Bool("cluster", false, "run only the distribution experiment: distributed vs single-process ΔG apply")
-	replMode := flag.Bool("replication", false, "run only the HA experiment: distributed apply under off/async/quorum log shipping")
 	list := flag.Bool("list", false, "list available experiments and exit")
 	asJSON := flag.Bool("json", false, "emit one JSON object per experiment (id, points, ns/op) instead of tables")
 	flag.Parse()
@@ -47,9 +45,6 @@ func main() {
 	}
 	if *clusterMode {
 		ids = []string{"cluster"}
-	}
-	if *replMode {
-		ids = []string{"replication"}
 	}
 	for _, id := range ids {
 		res, err := bench.Run(strings.TrimSpace(id), cfg)

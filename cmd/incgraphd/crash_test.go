@@ -9,6 +9,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -167,16 +168,33 @@ func startDaemon(t *testing.T, bin string, args []string, addr string) *exec.Cmd
 	return nil
 }
 
-// pickAddr reserves a free localhost port.
+// picked holds every address pickAddr has handed out in this process.
+var (
+	pickedMu sync.Mutex
+	picked   = map[string]bool{}
+)
+
+// pickAddr reserves a free localhost port. The port is released before the
+// caller binds it, so the kernel may offer it again to the next pick; a
+// test that picks several addresses before starting its daemons would then
+// start two on one port. pickAddr never returns the same address twice.
 func pickAddr(t *testing.T) string {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	for {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr := ln.Addr().String()
+		ln.Close()
+		pickedMu.Lock()
+		seen := picked[addr]
+		picked[addr] = true
+		pickedMu.Unlock()
+		if !seen {
+			return addr
+		}
 	}
-	addr := ln.Addr().String()
-	ln.Close()
-	return addr
 }
 
 // lineClient drives the daemon's line protocol.

@@ -16,14 +16,13 @@ import (
 )
 
 // TestStandbyFailoverSmoke is the daemon-level HA drill: a primary with
-// two shard workers, quorum log shipping, and a feed hub; a standby
-// daemon tailing the hub into its own fresh store. The primary is
-// SIGKILLed mid-stream, the standby notices the dead feed (degraded
-// reads keep working), an operator "promote" attaches it to the same
-// workers at term+1, and the remaining stream goes through the promoted
-// daemon. Every query class's final answer must be byte-identical to a
-// single-process daemon fed the same stream — the cmd-level version of
-// TestHAFailoverMatchesUninterruptedRun.
+// two shard workers and a feed hub; a standby daemon tailing the hub into
+// its own fresh store. The primary is SIGKILLed mid-stream, the standby
+// notices the dead feed (degraded reads keep working), an operator
+// "promote" attaches it to the same workers at term+1, and the remaining
+// stream goes through the promoted daemon. Every query class's final
+// answer must be byte-identical to a single-process daemon fed the same
+// stream — the cmd-level version of TestHAFailoverMatchesUninterruptedRun.
 func TestStandbyFailoverSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exec-based smoke test")
@@ -85,7 +84,7 @@ func TestStandbyFailoverSmoke(t *testing.T) {
 	defer func() { w2.Process.Kill(); w2.Wait() }()
 
 	primaryAddr, hubAddr, standbyAddr, singleAddr := pickAddr(t), pickAddr(t), pickAddr(t), pickAddr(t)
-	clusterArgs := []string{"-cluster", w1Addr + "," + w2Addr, "-repl", "quorum", "-term", "1"}
+	clusterArgs := []string{"-cluster", w1Addr + "," + w2Addr, "-term", "1"}
 	primary := startDaemon(t, bin,
 		append(append([]string{"-store", filepath.Join(dir, "store-primary"), "-graph", graphPath,
 			"-addr", primaryAddr, "-hub", hubAddr,
@@ -102,7 +101,7 @@ func TestStandbyFailoverSmoke(t *testing.T) {
 		append([]string{"standby", "-primary", hubAddr,
 			"-store", filepath.Join(dir, "store-standby"), "-addr", standbyAddr,
 			"-ttl", "1s", "-fsync", "none", "-checkpoint-bytes", "0",
-			"-cluster", w1Addr + "," + w2Addr, "-repl", "quorum"}, engineArgs...),
+			"-cluster", w1Addr + "," + w2Addr}, engineArgs...),
 		standbyAddr)
 	defer func() { standby.Process.Kill(); standby.Wait() }()
 
@@ -218,7 +217,7 @@ func TestStandbyFailoverSmoke(t *testing.T) {
 		}
 	}
 	statLine := bc.cmd(t, "stat")
-	for _, field := range []string{"role=primary", "cluster_workers=2/2", "cluster_term=2", "repl=quorum"} {
+	for _, field := range []string{"role=primary", "cluster_workers=2/2", "cluster_term=2"} {
 		if !strings.Contains(statLine, field) {
 			t.Fatalf("promoted stat %q missing %q", statLine, field)
 		}

@@ -87,7 +87,7 @@ func linFixture(t *testing.T, dir string) (config, *incgraph.Graph) {
 		t.Fatal(err)
 	}
 	return config{
-		graphPath: graphPath, fsync: "none", repl: "off", term: 1,
+		graphPath: graphPath, fsync: "none", term: 1,
 		kwsQuery: strings.Join(kwsQ.Keywords, ","), bound: kwsQ.Bound,
 		rpqQuery: "l0.l1*.l2", isoPath: patPath, scc: true,
 	}, g

@@ -16,15 +16,15 @@
 //	          [-shards N] [-workers N] [-fsync always|none]
 //	          [-checkpoint-bytes N]
 //	          [-cluster addr1,addr2 | -cluster-spawn N]
-//	          [-repl off|async|quorum] [-term N] [-hub :7423]
+//	          [-term N] [-hub :7423]
 //	          [-scrub-every D] [-disk-fault SPEC]
 //	          [-max-conns N] [-idle-timeout D] [-op-timeout D]
 //	          [-max-staged N] [-commit-inflight N] [-commit-queue N]
 //	          [-read-inflight N] [-read-queue N]
-//	incgraphd worker [-addr :7431] [-logdir DIR [-fsync always|none]]
+//	incgraphd worker [-addr :7431]
 //	incgraphd standby -primary HOST:7423 -store DIR [-addr :7422]
 //	          [engine flags] [-ttl 2s] [-cluster addr1,addr2]
-//	          [-repl off|async|quorum] [overload flags as above]
+//	          [overload flags as above]
 //
 // On first start -graph seeds the store (text or .snap format, sniffed);
 // later starts recover from the store and ignore -graph. The standing
@@ -49,10 +49,8 @@
 //
 // # High availability
 //
-// -repl async|quorum ships every committed batch's WAL record to the
-// workers owning its shards (per-shard replica logs; file-backed with the
-// worker's -logdir); -term sets the coordinator's fencing term; -hub
-// exposes a feed address for standbys. "incgraphd standby" tails that
+// -term sets the coordinator's fencing term; -hub exposes a feed address
+// for standbys, the one replication path. "incgraphd standby" tails that
 // feed into its own fresh store: the handshake snapshot seeds the store,
 // every fed record runs the normal durable apply, and the standby serves
 // the read side of the line protocol the whole time — current reads while
@@ -60,10 +58,11 @@
 // and a redirect (never a stale answer) if the replica diverged from a
 // live primary. When the primary is gone, "promote" on the standby
 // attaches a coordinator at term+1 over its -cluster workers: every shard
-// is re-placed, the deposed primary's sessions are fenced ("err fenced:
-// commit rejected: ..."), and answers continue byte-identical to an
-// uninterrupted run. "health" reports role, term, and tail state without
-// polling workers.
+// is re-placed from the standby's graph (workers keep no history; the
+// standby's store is what survives the primary), the deposed primary's
+// sessions are fenced ("err fenced: commit rejected: ..."), and answers
+// continue byte-identical to an uninterrupted run. "health" reports role,
+// term, and tail state without polling workers.
 //
 // The protocol is line-oriented over TCP — one command per line, one
 // "ok ..."/"err ..." reply line (answer dumps are multi-line, dot-
@@ -81,7 +80,7 @@
 //	                         "ok CLASS SIZE gen=G"
 //	answer CLASS             the same header line, then the full canonical
 //	                         answer, dot-terminated
-//	stat                     graph/WAL/engine/view/cluster/replication counters
+//	stat                     graph/WAL/engine/view/cluster/standby counters
 //	health                   cheap probe: role, term, tail, disk state
 //	promote                  standby only: take over as primary at term+1
 //	scrub                    cluster only: one anti-entropy pass, heal divergence
@@ -162,10 +161,10 @@
 //
 // In cluster mode -scrub-every starts the anti-entropy scrubber: each
 // tick verifies one shard's worker replica byte-for-byte against the
-// coordinator-authoritative state (including the worker's on-disk
-// replica log) and re-places any shard that diverged — bit rot is found
-// and healed in the background, not on the next unlucky read. "scrub"
-// runs one full pass on demand; scrub_* counters appear in "stat".
+// coordinator-authoritative state and re-places any shard that diverged —
+// bit rot is found and healed in the background, not on the next unlucky
+// commit. "scrub" runs one full pass on demand; scrub_* counters appear
+// in "stat".
 package main
 
 import (
@@ -215,7 +214,6 @@ func main() {
 		clusterAddrs = flag.String("cluster", "", "comma-separated shard-worker addresses to attach (cluster mode)")
 		clusterSpawn = flag.Int("cluster-spawn", 0, "spawn N shard-worker child processes on loopback ports (cluster mode)")
 		term         = flag.Uint64("term", 1, "coordinator fencing term (a promoted standby attaches at its primary's term+1)")
-		repl         = flag.String("repl", "off", "cluster log-shipping policy: off|async|quorum")
 		hubAddr      = flag.String("hub", "", "listen address for standby feed connections (HA primary)")
 		scrubEvery   = flag.Duration("scrub-every", 0, "background anti-entropy interval: verify one shard replica per tick (0 = off; cluster mode)")
 		diskFault    = flag.String("disk-fault", "", "seeded disk-fault injection spec for drills, e.g. \"seed=7;op=sync,path=wal,count=3,kind=syncfail\"")
@@ -239,7 +237,6 @@ func main() {
 		clusterAddrs: *clusterAddrs,
 		clusterSpawn: *clusterSpawn,
 		term:         *term,
-		repl:         *repl,
 		hubAddr:      *hubAddr,
 		scrubEvery:   *scrubEvery,
 		diskFault:    *diskFault,
@@ -260,7 +257,6 @@ type config struct {
 	clusterAddrs                string
 	clusterSpawn                int
 	term                        uint64
-	repl                        string
 	hubAddr                     string
 	scrubEvery                  time.Duration
 	diskFault                   string
@@ -279,27 +275,11 @@ func parseSync(name string) (incgraph.SyncPolicy, error) {
 	}
 }
 
-// parseRepl maps the -repl flag to a log-shipping policy.
-func parseRepl(name string) (incgraph.ReplPolicy, error) {
-	switch strings.ToLower(name) {
-	case "", "off":
-		return incgraph.ReplOff, nil
-	case "async":
-		return incgraph.ReplAsync, nil
-	case "quorum":
-		return incgraph.ReplQuorum, nil
-	default:
-		return 0, fmt.Errorf("unknown -repl policy %q (want off|async|quorum)", name)
-	}
-}
-
 // runWorker is the "incgraphd worker" subcommand: a shard worker serving
 // the cluster RPC protocol until SIGTERM/SIGINT.
 func runWorker(args []string) error {
 	fs := flag.NewFlagSet("worker", flag.ExitOnError)
 	addr := fs.String("addr", ":7431", "TCP listen address for the cluster RPC protocol")
-	logDir := fs.String("logdir", "", "directory for file-backed per-shard replica logs (empty = in-memory)")
-	fsync := fs.String("fsync", "none", "replica-log fsync policy: always|none")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -314,18 +294,7 @@ func runWorker(args []string) error {
 		<-sig
 		ln.Close()
 	}()
-	w := incgraph.NewClusterWorker()
-	if *logDir != "" {
-		sync, err := parseSync(*fsync)
-		if err != nil {
-			return err
-		}
-		if err := w.SetLogDir(*logDir, sync); err != nil {
-			return err
-		}
-		log.Printf("replica logs in %s (fsync %s)", *logDir, strings.ToLower(*fsync))
-	}
-	if err := w.Serve(ln); err != nil && !isClosed(err) {
+	if err := incgraph.NewClusterWorker().Serve(ln); err != nil && !isClosed(err) {
 		return err
 	}
 	log.Printf("worker shutting down")
@@ -473,10 +442,6 @@ func run(cfg config, stop <-chan struct{}) error {
 	if err != nil {
 		return err
 	}
-	repl, err := parseRepl(cfg.repl)
-	if err != nil {
-		return err
-	}
 	opts := incgraph.DurableOptions{Sync: sync}
 	// Disk-fault drills: route the store's write path (WAL, snapshots,
 	// MANIFEST rotation) through a seeded FaultFS. The injected failures
@@ -548,7 +513,6 @@ func run(cfg config, stop <-chan struct{}) error {
 	if err != nil {
 		return err
 	}
-	srv.repl = repl
 
 	// HA hub: standbys connect here, handshake a snapshot, and tail every
 	// committed batch. The snapshot callback reads (feedSeq, graph) under
@@ -611,15 +575,14 @@ func run(cfg config, stop <-chan struct{}) error {
 			}
 			links = append(links, link)
 		}
-		cl, err := incgraph.NewCluster(d.Graph(), links,
-			incgraph.WithClusterTerm(cfg.term), incgraph.WithReplication(repl))
+		cl, err := incgraph.NewCluster(d.Graph(), links, incgraph.WithClusterTerm(cfg.term))
 		if err != nil {
 			stopSpawned()
 			return err
 		}
 		srv.publish(false, func(v *view) { v.cl = cl })
-		log.Printf("cluster: %d shards placed across %d workers (term %d, repl %s)",
-			d.Graph().NumShards(), cl.NumWorkers(), cfg.term, repl)
+		log.Printf("cluster: %d shards placed across %d workers (term %d)",
+			d.Graph().NumShards(), cl.NumWorkers(), cfg.term)
 		if cfg.scrubEvery > 0 {
 			// Background anti-entropy: one shard replica verified (and
 			// healed if divergent) per tick, round-robin — the whole

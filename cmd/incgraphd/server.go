@@ -89,15 +89,13 @@ type server struct {
 
 	// HA standby state (the view's role is roleStandby until promote).
 	// tail tracks the feed's liveness for the read path's staleness gate;
-	// standby, tailConn, workerAddrs, and repl are what promote needs to
-	// attach a coordinator at term+1. primaryAddr is where stale reads
-	// redirect.
+	// standby, tailConn and workerAddrs are what promote needs to attach a
+	// coordinator at term+1. primaryAddr is where stale reads redirect.
 	standby     *incgraph.ClusterStandby
 	tailConn    net.Conn
 	tail        atomic.Int32
 	primaryAddr string
 	workerAddrs []string
-	repl        incgraph.ReplPolicy
 	// connMu/conns track live connections so shutdown can cut idle
 	// readers instead of waiting for clients to hang up; nconns mirrors
 	// len(conns) for the accept-time cap and "stat".
@@ -943,19 +941,14 @@ func (s *server) stat(reply func(string, ...any) bool) bool {
 	if cl != nil {
 		sts, age := s.cachedClusterStats(cl)
 		up, retries := 0, uint64(0)
-		var replicated, gaps uint64
 		for _, st := range sts {
 			if !st.Down {
 				up++
 			}
 			retries += st.Retries
-			replicated += st.Remote.Replicated
-			gaps += st.Remote.ReplGaps
 		}
 		line += fmt.Sprintf(" cluster_workers=%d/%d cluster_applied=%d cluster_remote_errs=%d cluster_resyncs=%d cluster_retries=%d cluster_term=%d stat_age_ms=%d",
 			up, cl.NumWorkers(), cl.Applied(), cl.RemoteErrors(), cl.Resyncs(), retries, cl.Term(), age.Milliseconds())
-		line += fmt.Sprintf(" repl=%s repl_seq=%d repl_shipped=%d repl_degraded=%d repl_replicated=%d repl_gaps=%d",
-			s.repl, cl.ReplSeq(), cl.ReplShipped(), cl.ReplDegraded(), replicated, gaps)
 		sc := cl.ScrubCounters()
 		line += fmt.Sprintf(" scrub_passes=%d scrub_checked=%d scrub_mismatches=%d scrub_heals=%d scrub_skips=%d",
 			sc.Passes, sc.Checked, sc.Mismatches, sc.Heals, sc.Skips)
@@ -1031,10 +1024,9 @@ func (s *server) health(reply func(string, ...any) bool) bool {
 }
 
 // scrub runs one anti-entropy pass over every shard (cluster mode only):
-// each worker replica is verified byte-for-byte against the
-// coordinator-authoritative state — parcel bytes and the on-disk replica
-// log — and any divergent shard is re-placed from the authoritative
-// parcel. Busy shards are skipped, not waited for, so the pass is
+// each worker replica's parcel bytes are verified against the
+// coordinator-authoritative state, and any divergent shard is re-placed
+// from the authoritative parcel. Busy shards are skipped, not waited for, so the pass is
 // bounded even under commit load.
 func (s *server) scrub(reply func(string, ...any) bool) bool {
 	cl := s.cluster()
@@ -1110,8 +1102,7 @@ func (s *server) promote(reply func(string, ...any) bool) bool {
 	var cl *incgraph.Cluster
 	if len(links) > 0 {
 		var err error
-		cl, err = incgraph.NewCluster(s.d.Graph(), links,
-			incgraph.WithClusterTerm(term), incgraph.WithReplication(s.repl))
+		cl, err = incgraph.NewCluster(s.d.Graph(), links, incgraph.WithClusterTerm(term))
 		if err != nil {
 			return replyErr(reply, catFenced, "promote failed: %v", err)
 		}

@@ -44,7 +44,6 @@ func runStandby(args []string, stop <-chan struct{}) error {
 		ckptBytes = fs.Int64("checkpoint-bytes", 64<<20, "auto-checkpoint when the WAL exceeds this size (0 = manual only)")
 		ttl       = fs.Duration("ttl", 2*time.Second, "primary lease TTL (a small multiple of the hub's heartbeat)")
 		cluster   = fs.String("cluster", "", "comma-separated shard-worker addresses a promote attaches at term+1")
-		repl      = fs.String("repl", "quorum", "log-shipping policy after promote: off|async|quorum")
 	)
 	lim := limitFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -60,10 +59,6 @@ func runStandby(args []string, stop <-chan struct{}) error {
 		return fmt.Errorf("-store %s already holds a durable store; a standby seeds a fresh one from the primary's snapshot", *storeDir)
 	}
 	sync, err := parseSync(*fsync)
-	if err != nil {
-		return err
-	}
-	replPolicy, err := parseRepl(*repl)
 	if err != nil {
 		return err
 	}
@@ -112,7 +107,6 @@ func runStandby(args []string, stop <-chan struct{}) error {
 			srv.publish(false, func(v *view) { v.role = roleStandby })
 			srv.primaryAddr = *primary
 			srv.workerAddrs = splitAddrs(*cluster)
-			srv.repl = replPolicy
 			srv.tailConn = conn
 			srv.tail.Store(tailLive)
 			log.Printf("seeded from %s: term %d, seq %d, gen %d, %d nodes, %d edges",

@@ -221,57 +221,45 @@
 //
 // # High availability
 //
-// Three layers make the cluster survive the loss of any process
-// (NewCluster options, ClusterHub/ClusterStandby, ClusterReplStates):
+// Two layers and a set of drills (NewCluster options, ClusterHub/
+// ClusterStandby, Cluster.Scrub). What survives which loss: the standby's
+// own crash-safe store survives the loss of the primary, and the workers
+// hold no history at all — a restarted worker, a diverged replica, and
+// every shard after a promotion are rebuilt from the authoritative
+// parcels.
 //
-//   - Log shipping. With WithReplication(ReplAsync) or
-//     WithReplication(ReplQuorum), the coordinator streams every committed batch's WAL
-//     record — the same (seq, gen, ΔG) payload its own log framed — to the
-//     workers owning the touched shards, on one ordered queue per worker.
-//     Each worker keeps per-shard replica logs (file-backed via
-//     ClusterWorker.SetLogDir) whose per-shard sequence chains detect any
-//     missed record; a gap heals by parcel resync from the authoritative
-//     segments, never by guessing. ReplAsync acknowledges on enqueue;
-//     ReplQuorum waits for a majority of the involved workers' clean
-//     appends. Replication never fails a commit — the batch was already
-//     durable at the coordinator — a shortfall only marks it degraded.
-//   - Standby failover and fencing. A ClusterHub beside the primary feeds
-//     committed records to ClusterStandby processes (a handshake that
-//     registers the connection and then snapshots under the lock the
-//     owner's commits and Feed calls run under, so no commit falls between
-//     snapshot and feed; then a tail whose heartbeats double as the
-//     primary's lease). Every
-//     coordinator session carries a fencing term; workers remember the
-//     highest term seen and reject mutating requests from any older
-//     session. On lease expiry — or an operator's explicit promote — the
-//     standby's owner attaches a coordinator at term+1 over the same
-//     workers, which re-places every shard and fences the deposed
-//     coordinator: its late commits fail with "fenced" instead of forking
-//     history. The differential tests pin that a SIGKILL'd primary plus a
-//     promoted standby produce answers, snapshot bytes, and worker
-//     replicas identical to the uninterrupted run.
-//   - Replica reads and degradation. ClusterReplStates asks any worker —
-//     no coordinator session needed — which generation each of its shards
-//     has proven current, the currency check for serving reads from
-//     replicas. The serving tier degrades monotonically: a standby with a
-//     live feed serves reads that are current through the last fed commit;
-//     a standby that outlived its primary keeps serving reads from its
-//     last durable generation (never a write); a replica that diverged
-//     from a live primary redirects reads to the primary rather than
-//     answer stale. Writes are only ever accepted at the single fenced
-//     primary.
-//   - Anti-entropy scrubbing. Gap detection only catches a replica that
-//     missed a record; a replica rotted by anything that preserves the
-//     sequence chain — a bit flip in a replica log file, silently
-//     diverged in-memory state — would stay wrong until a commit
-//     happened to abort on it. The coordinator's background scrubber
-//     (Cluster.Scrub, Cluster.StartScrubber) walks shards round-robin,
-//     one per interval: it compares the worker's parcel bytes against the
-//     authoritative segment and asks the worker to re-scan its replica
-//     log file against what it acknowledged, and re-places any shard
-//     that fails either check — the same heal a gap triggers, driven by
-//     verification instead of luck. Busy shards are skipped, not waited
-//     for; passes, mismatches, and heals are lifetime counters.
+//   - Standby failover and fencing — the one replication path. A
+//     ClusterHub beside the primary feeds every committed record to
+//     ClusterStandby processes (a handshake that registers the connection
+//     and then snapshots under the lock the owner's commits and Feed calls
+//     run under, so no commit falls between snapshot and feed; then a tail
+//     whose heartbeats double as the primary's lease), and each standby
+//     commits the record to its own store. Every coordinator session
+//     carries a fencing term; workers remember the highest term seen and
+//     reject mutating requests from any older session. On lease expiry —
+//     or an operator's explicit promote — the standby's owner attaches a
+//     coordinator at term+1 over the same workers, which re-places every
+//     shard from the standby's graph and fences the deposed coordinator:
+//     its late commits fail with "fenced" instead of forking history. The
+//     differential tests pin that a SIGKILL'd primary plus a promoted
+//     standby produce answers, snapshot bytes, and worker replicas
+//     identical to the uninterrupted run. The serving tier degrades
+//     monotonically: a standby with a live feed serves reads that are
+//     current through the last fed commit; a standby that outlived its
+//     primary keeps serving reads from its last durable generation (never
+//     a write); a replica that diverged from a live primary redirects
+//     reads to the primary rather than answer stale. Writes are only ever
+//     accepted at the single fenced primary.
+//   - Anti-entropy scrubbing. Phase 1's per-shard delta cross-check only
+//     catches a diverged worker replica when a batch touches it; silently
+//     diverged in-memory state would stay wrong until a commit happened to
+//     abort on it. The coordinator's background scrubber (Cluster.Scrub,
+//     Cluster.StartScrubber) walks shards round-robin, one per interval,
+//     compares the worker's parcel bytes against the authoritative
+//     segment, and re-places any shard that differs — the same heal an
+//     aborted batch triggers, driven by verification instead of luck. Busy
+//     shards are skipped, not waited for; passes, mismatches, and heals are
+//     lifetime counters.
 //   - Fault drills. FaultScript wraps any cluster connection in a seeded
 //     frame-level shim (drop/delay/duplicate/sever, matched by direction,
 //     frame index, and message type) with an event log that is
@@ -285,12 +273,12 @@
 //
 // cmd/incgraphd exposes all of this operationally: "incgraphd worker"
 // runs a shard worker, the serving daemon attaches workers with
-// -cluster addr,addr or -cluster-spawn N (plus -repl/-term/-hub for
-// replication, fencing, and the standby feed), and "incgraphd standby"
-// runs a warm replica that serves reads while tailing and becomes the
-// primary on "promote". "stat" reports worker health, replication
-// counters, and the fencing term alongside the accept/commit error
-// counters; "health" is the cheap role/liveness probe.
+// -cluster addr,addr or -cluster-spawn N (plus -term/-hub for fencing and
+// the standby feed), and "incgraphd standby" runs a warm replica that
+// serves reads while tailing and becomes the primary on "promote". "stat"
+// reports worker health, scrub counters, and the fencing term alongside
+// the accept/commit error counters; "health" is the cheap role/liveness
+// probe.
 //
 // # Overload and admission control
 //
@@ -359,7 +347,7 @@
 //	internal/bench      the harness that regenerates the paper's figures
 //	internal/store      per-shard snapshots, the WAL, checkpoint/recover
 //	internal/cluster    shard workers, framed RPC, the distributed apply,
-//	                    log shipping, standby failover, fault injection
+//	                    standby failover, scrubbing, fault injection
 //
 // A minimal session:
 //

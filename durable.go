@@ -351,7 +351,7 @@ func (d *Durable) SyncWAL() error { return d.st.Sync() }
 func WriteSnapshot(w io.Writer, g *Graph) error { return store.WriteSnapshot(w, g) }
 
 // WriteSnapshotFile writes a snapshot atomically (temp file + rename).
-func WriteSnapshotFile(path string, g *Graph) error { return store.WriteSnapshotFile(path, g) }
+func WriteSnapshotFile(path string, g *Graph) error { return store.WriteSnapshotFile(nil, path, g) }
 
 // ReadSnapshotFile loads a snapshot file into an identical graph — shard
 // count, slot assignment and mutation generation included — loading

@@ -1,15 +1,15 @@
 // High availability end to end: a primary coordinator over two in-process
-// shard workers with quorum log shipping, a hub feeding a live standby,
-// a deterministic fault drill, and a failover. The primary commits half
-// of an update stream (each batch is replicated to the workers' per-shard
-// logs and fed to the standby), then dies without ceremony; the standby
-// promotes at term+1 over the same workers — fencing the corpse, whose
-// late commit bounces — and commits the rest. The final graph and the
-// canonical snapshot bytes must equal an uninterrupted single-process
-// run: failing over costs nothing in fidelity.
+// shard workers, a hub feeding a live standby, a deterministic fault
+// drill, and a failover. The primary commits half of an update stream
+// (each batch is fed to the standby), then dies without ceremony; the
+// standby promotes at term+1 over the same workers — re-placing every
+// shard from its own graph, fencing the corpse, whose late commit
+// bounces — and commits the rest. The final graph and the canonical
+// snapshot bytes must equal an uninterrupted single-process run: failing
+// over costs nothing in fidelity.
 //
 // The long-lived network-facing version of this topology is cmd/incgraphd
-// (-repl/-term/-hub on the primary, "incgraphd standby" + "promote").
+// (-term/-hub on the primary, "incgraphd standby" + "promote").
 //
 // Run with: go run ./examples/ha_cluster
 package main
@@ -69,8 +69,8 @@ func main() {
 		links[i] = faults.WrapLink(links[i])
 	}
 
-	// Primary: quorum log shipping, fencing term 1, and a hub whose Feed
-	// hook streams every committed batch to attached standbys. The
+	// Primary: fencing term 1, and a hub whose Feed hook streams every
+	// committed batch to attached standbys. The
 	// snapshot callback and the commit path serialize over the same state,
 	// so no committed batch can fall between a standby's snapshot and its
 	// feed stream.
@@ -108,14 +108,13 @@ func main() {
 
 	primary, err := incgraph.NewCluster(primaryGraph, links,
 		incgraph.WithClusterTerm(1),
-		incgraph.WithReplication(incgraph.ReplQuorum),
 		incgraph.WithCallTimeout(300*time.Millisecond), // fail dropped frames fast
 		incgraph.WithOnCommit(hub.Feed),
 	)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("primary up: term 1, %d shards on 2 workers, quorum shipping, 1 standby\n",
+	fmt.Printf("primary up: term 1, %d shards on 2 workers, 1 standby\n",
 		primaryGraph.NumShards())
 
 	// First half of the stream. The faulted batch fails once (the drill)
@@ -163,9 +162,7 @@ func main() {
 		promoted[i] = incgraph.ClusterLink{Conn: conn, Name: links[i].Name, Redial: links[i].Redial}
 	}
 	successor, err := incgraph.NewCluster(standbyGraph, promoted,
-		incgraph.WithClusterTerm(standby.Term()+1),
-		incgraph.WithReplication(incgraph.ReplQuorum),
-	)
+		incgraph.WithClusterTerm(standby.Term()+1))
 	if err != nil {
 		log.Fatal(err)
 	}

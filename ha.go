@@ -2,39 +2,28 @@ package incgraph
 
 import (
 	"bytes"
-	"net"
-	"time"
 
 	"incgraph/internal/cluster"
 	"incgraph/internal/store"
 )
 
-// High availability. The cluster of cluster.go gains three HA layers, all
-// re-exported here:
+// High availability. The cluster of cluster.go gains one replication
+// path, re-exported here, plus the drills that exercise it:
 //
-//   - Log shipping: a coordinator built with WithReplication(ReplAsync)
-//     or WithReplication(ReplQuorum) streams every committed batch's WAL
-//     record to the workers owning the touched shards; each worker keeps a
-//     per-shard replica log whose sequence chain detects missed records
-//     and heals them by parcel resync.
 //   - Standby failover: a ClusterHub next to the primary feeds committed
 //     records to ClusterStandby processes (a handshake that registers the
-//     connection and then snapshots under the owner's commit lock, + tail).
-//     Heartbeats double as the primary's lease; on expiry or a severed
-//     feed the standby's owner promotes by attaching a new coordinator at
-//     a higher fencing term, which the workers enforce — a deposed
-//     coordinator's late commits are rejected as fenced.
-//   - Replica reads: ClusterReplStates asks any worker, without a
-//     coordinator session, which generation each of its shards has proven
-//     current — the currency check behind serving queries from replicas.
-//
-// A FaultScript wraps any of these connections in a seeded, scriptable
-// frame shim (drop/delay/duplicate/sever) so every failure mode above is
-// exercised deterministically in tests and chaos drills.
+//     connection and then snapshots under the owner's commit lock, + tail),
+//     each of which keeps its own copy of the state. Heartbeats double as
+//     the primary's lease; on expiry or a severed feed the standby's owner
+//     promotes by attaching a new coordinator at a higher fencing term,
+//     which re-places every shard on the workers from the standby's graph
+//     and which the workers enforce — a deposed coordinator's late commits
+//     are rejected as fenced.
+//   - Drills: a FaultScript wraps any of these connections in a seeded,
+//     scriptable frame shim (drop/delay/duplicate/sever) so every failure
+//     mode above is exercised deterministically in tests and chaos drills.
 
 type (
-	// ReplPolicy selects how Apply waits on replica acknowledgements.
-	ReplPolicy = cluster.ReplPolicy
 	// ClusterHub feeds committed records to attached standbys.
 	ClusterHub = cluster.Hub
 	// ClusterHubOptions configures a hub: term, snapshot callback,
@@ -49,9 +38,6 @@ type (
 	// exponential backoff with jitter; its Retries counter surfaces in
 	// Cluster.Stats.
 	ClusterDialer = cluster.Dialer
-	// ReplState is one shard's replication position on a worker: the last
-	// replicated sequence and the generation it proves.
-	ReplState = cluster.ReplState
 
 	// FaultScript deterministically injects faults into wrapped
 	// connections; FaultRule matches frames by direction, index, and
@@ -60,13 +46,6 @@ type (
 	FaultRule   = cluster.FaultRule
 	FaultDir    = cluster.FaultDir
 	FaultAction = cluster.FaultAction
-)
-
-// Replication policies for WithReplication.
-const (
-	ReplOff    = cluster.ReplOff
-	ReplAsync  = cluster.ReplAsync
-	ReplQuorum = cluster.ReplQuorum
 )
 
 // Fault directions and actions for FaultRule.
@@ -108,22 +87,13 @@ func NewFaultScript(seed int64, rules ...FaultRule) *FaultScript {
 
 // Fault message selectors for FaultRule.Msg.
 const (
-	FaultMsgHello     = cluster.FaultMsgHello
-	FaultMsgPlace     = cluster.FaultMsgPlace
-	FaultMsgApply     = cluster.FaultMsgApply
-	FaultMsgReplicate = cluster.FaultMsgReplicate
-	FaultMsgTail      = cluster.FaultMsgTail
-	FaultMsgFeed      = cluster.FaultMsgFeed
-	FaultMsgPing      = cluster.FaultMsgPing
+	FaultMsgHello = cluster.FaultMsgHello
+	FaultMsgPlace = cluster.FaultMsgPlace
+	FaultMsgApply = cluster.FaultMsgApply
+	FaultMsgTail  = cluster.FaultMsgTail
+	FaultMsgFeed  = cluster.FaultMsgFeed
+	FaultMsgPing  = cluster.FaultMsgPing
 )
-
-// ClusterReplStates asks the worker on conn for its per-shard replication
-// state. It needs no coordinator session, so any process can check which
-// shards a worker has proven current — the gate for routing reads to
-// replicas.
-func ClusterReplStates(conn net.Conn, timeout time.Duration) (map[int]ReplState, error) {
-	return cluster.FetchReplStates(conn, timeout)
-}
 
 // EncodeSnapshot serializes g to canonical snapshot bytes — the natural
 // payload for ClusterHubOptions.Snapshot.

@@ -2,8 +2,8 @@ package incgraph_test
 
 // Differential test of the HA failover path — the PR's acceptance pin. The
 // same update stream drives (a) a plain single-process run at shards=8 and
-// (b) an HA deployment: a primary coordinator over two shard workers with
-// quorum log shipping and a hub feeding a live standby. Mid-stream the
+// (b) an HA deployment: a primary coordinator over two shard workers and a
+// hub feeding a live standby. Mid-stream the
 // primary is killed without ceremony (feed severed, coordinator abandoned
 // un-Closed, exactly what SIGKILL leaves behind); the standby notices,
 // promotes at term+1 over the same workers — fencing the corpse — and
@@ -121,7 +121,7 @@ func TestHAFailoverMatchesUninterruptedRun(t *testing.T) {
 	}
 
 	primary, err := incgraph.NewCluster(cg, links, incgraph.WithClusterTerm(1),
-		incgraph.WithReplication(incgraph.ReplQuorum), incgraph.WithOnCommit(hub.Feed))
+		incgraph.WithOnCommit(hub.Feed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestHAFailoverMatchesUninterruptedRun(t *testing.T) {
 		promotedLinks[i] = incgraph.ClusterLink{Conn: conn, Name: links[i].Name, Redial: links[i].Redial}
 	}
 	successor, err := incgraph.NewCluster(standbyGraph, promotedLinks,
-		incgraph.WithClusterTerm(standby.Term()+1), incgraph.WithReplication(incgraph.ReplQuorum))
+		incgraph.WithClusterTerm(standby.Term()+1))
 	if err != nil {
 		t.Fatalf("promote: %v", err)
 	}

@@ -11,10 +11,10 @@ var tinyCfg = Config{Scale: 0.05, Seed: 42, MaxPoints: 2}
 
 func TestFiguresList(t *testing.T) {
 	ids := Figures()
-	if len(ids) != 22 { // 16 panels + unit + opt + ablation + store + cluster + replication
+	if len(ids) != 21 { // 16 panels + unit + opt + ablation + store + cluster
 		t.Fatalf("experiments = %v", ids)
 	}
-	for _, want := range []string{"8a", "8p", "unit", "opt", "ablation", "store", "cluster", "replication"} {
+	for _, want := range []string{"8a", "8p", "unit", "opt", "ablation", "store", "cluster"} {
 		found := false
 		for _, id := range ids {
 			if id == want {

@@ -8,83 +8,6 @@ import (
 	"incgraph/internal/graph"
 )
 
-// figCluster measures the distributed two-phase apply against the
-// single-process ApplyBatch on the same ΔG sweep: a coordinator with two
-// shard workers over the in-process transport (net.Pipe — real framing,
-// real parcels, no TCP stack in the loop), so the series isolates the
-// protocol cost: plan export, RPC round trips, remote phase 1, delta
-// cross-check. On a single-core host the interesting number is the
-// overhead ratio; wall-clock wins need workers on other machines.
-// figReplication prices the HA log-shipping policies on the same sweep:
-// the two-phase apply with replication off, with asynchronous shipping
-// (records stream to the workers' replica logs off the commit path), and
-// with quorum shipping (the commit waits for a majority of clean acks).
-// Async should ride within noise of off — the ship happens after Apply
-// returns its deltas — while quorum pays one extra round trip per
-// involved worker, which is the durability premium an operator buys.
-func figReplication(cfg Config) (*Result, error) {
-	g, err := gen.Dataset("synthetic", 0.4*cfg.scale(), cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	g = cfg.tune(g)
-	if g.NumShards() == 1 {
-		g.SetShards(8)
-	}
-	pcts := clip(cfg, deltaPcts)
-	batches := pctBatches(g, pcts, cfg.Seed+100)
-	mk := func(policy cluster.ReplPolicy) func(*graph.Graph, graph.Batch) (sample, error) {
-		return func(g *graph.Graph, b graph.Batch) (sample, error) {
-			h := g.Clone()
-			links, _, stop := cluster.InProcess(2)
-			defer stop()
-			co, err := cluster.NewCoordinator(h, links, cluster.CoordinatorOptions{
-				Term: 1, Repl: policy,
-			})
-			if err != nil {
-				return sample{}, err
-			}
-			defer co.Close()
-			return timed(func() error {
-				return co.Apply(b, func(bb graph.Batch) error { return h.ApplyBatch(bb) })
-			})
-		}
-	}
-	runners := []runner{
-		{"ReplOff", mk(cluster.ReplOff)},
-		{"ReplAsync", mk(cluster.ReplAsync)},
-		{"ReplQuorum", mk(cluster.ReplQuorum)},
-	}
-	series, err := sweep(g, batches, runners)
-	if err != nil {
-		return nil, err
-	}
-	x := make([]string, len(pcts))
-	for i, p := range pcts {
-		x[i] = fmt.Sprintf("%d%%", p)
-	}
-	res := &Result{
-		ID:     "replication",
-		Title:  fmt.Sprintf("log-shipping premium — distributed ΔG apply under off/async/quorum replication (synthetic |V|=%d |E|=%d, %d shards, 2 workers)", g.NumNodes(), g.NumEdges(), g.NumShards()),
-		XLabel: "|ΔG|/|G|",
-		X:      x,
-		Series: series,
-	}
-	ratio := func(s Series) float64 {
-		var tot float64
-		for i := range pcts {
-			if series[0].Seconds[i] > 0 {
-				tot += s.Seconds[i] / series[0].Seconds[i]
-			}
-		}
-		return tot / float64(len(pcts))
-	}
-	res.Notes = append(res.Notes,
-		fmt.Sprintf("async/off apply-latency ratio: avg %.2fx; quorum/off: avg %.2fx (in-process transport; memory replica logs)",
-			ratio(series[1]), ratio(series[2])))
-	return res, nil
-}
-
 // batchChain prepares reps sequentially-valid batches of n updates each:
 // batch i is generated against (and then applied to) a scratch clone that
 // has absorbed batches 0..i-1, so a runner can replay the whole chain
@@ -114,6 +37,13 @@ const (
 	clusterTimedReps   = 5
 )
 
+// figCluster measures the distributed two-phase apply against the
+// single-process ApplyBatch on the same ΔG sweep: a coordinator with two
+// shard workers over the in-process transport (net.Pipe — real framing,
+// real parcels, no TCP stack in the loop), so the series isolates the
+// protocol cost: plan export, RPC round trips, remote phase 1, delta
+// cross-check. On a single-core host the interesting number is the
+// overhead ratio; wall-clock wins need workers on other machines.
 func figCluster(cfg Config) (*Result, error) {
 	g, err := gen.Dataset("synthetic", 0.4*cfg.scale(), cfg.Seed)
 	if err != nil {

@@ -515,19 +515,18 @@ var registry = map[string]func(Config) (*Result, error){
 	"8i": func(c Config) (*Result, error) {
 		return varyDeltaFigure(c, "8i", "SCC", "synthetic", sccScale, mkSCC(c))
 	},
-	"8j":          figVaryKWSQuery,
-	"8k":          figVaryRPQQuery,
-	"8l":          figVaryISOQuery,
-	"8m":          func(c Config) (*Result, error) { return varyGFigure(c, "8m", "KWS", kwsScale, mkKWS(c)) },
-	"8n":          func(c Config) (*Result, error) { return varyGFigure(c, "8n", "RPQ", rpqScale, mkRPQ(c)) },
-	"8o":          func(c Config) (*Result, error) { return varyGFigure(c, "8o", "SCC", sccScale, mkSCC(c)) },
-	"8p":          func(c Config) (*Result, error) { return varyGFigure(c, "8p", "ISO", isoScale, mkISO(c)) },
-	"unit":        figUnit,
-	"opt":         figOpt,
-	"ablation":    figAblation,
-	"store":       figStore,
-	"cluster":     figCluster,
-	"replication": figReplication,
+	"8j":       figVaryKWSQuery,
+	"8k":       figVaryRPQQuery,
+	"8l":       figVaryISOQuery,
+	"8m":       func(c Config) (*Result, error) { return varyGFigure(c, "8m", "KWS", kwsScale, mkKWS(c)) },
+	"8n":       func(c Config) (*Result, error) { return varyGFigure(c, "8n", "RPQ", rpqScale, mkRPQ(c)) },
+	"8o":       func(c Config) (*Result, error) { return varyGFigure(c, "8o", "SCC", sccScale, mkSCC(c)) },
+	"8p":       func(c Config) (*Result, error) { return varyGFigure(c, "8p", "ISO", isoScale, mkISO(c)) },
+	"unit":     figUnit,
+	"opt":      figOpt,
+	"ablation": figAblation,
+	"store":    figStore,
+	"cluster":  figCluster,
 }
 
 // figAblation measures two design choices of IncSCC: the

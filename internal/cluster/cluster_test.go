@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -376,5 +377,51 @@ func TestWorkerRejectsProtocolGarbage(t *testing.T) {
 		if !strings.Contains(err.Error(), "closed pipe") {
 			t.Fatalf("ServeConn exit: %v", err)
 		}
+	}
+}
+
+// TestHelloRefusesOtherProtocolVersion: a peer one protocol version behind
+// is refused at both handshakes — a worker hello and a hub tail request —
+// with "protocol version … not supported", and opens no session: the
+// worker still answers as un-helloed, and the hub registers no standby and
+// never cuts a snapshot.
+func TestHelloRefusesOtherProtocolVersion(t *testing.T) {
+	old := uint32(protocolVersion - 1)
+	notSupported := fmt.Sprintf("protocol version %d not supported", old)
+
+	w := NewWorker()
+	client, server := net.Pipe()
+	done := make(chan error, 1)
+	go func() { done <- w.ServeConn(server) }()
+	hello := encodeHello(8, 1)
+	binary.LittleEndian.PutUint32(hello[1:], old)
+	if _, err := roundTrip(client, hello); err == nil || !strings.Contains(err.Error(), notSupported) {
+		t.Fatalf("old-version hello: got %v, want %q", err, notSupported)
+	}
+	if _, err := roundTrip(client, []byte{byte(msgApply)}); err == nil || !strings.Contains(err.Error(), "before hello") {
+		t.Fatalf("apply after a refused hello: got %v, want a before-hello refusal", err)
+	}
+	client.Close()
+	<-done
+
+	snapshots := 0
+	hub := NewHub(HubOptions{Term: 1, Snapshot: func() (uint64, uint64, []byte, error) {
+		snapshots++
+		return 0, 0, nil, nil
+	}})
+	hc, sc := net.Pipe()
+	defer sc.Close()
+	served := make(chan error, 1)
+	go func() { served <- hub.ServeConn(hc) }()
+	tail := encodeTailReq()
+	binary.LittleEndian.PutUint32(tail[1:], old)
+	if _, err := roundTrip(sc, tail); err == nil || !strings.Contains(err.Error(), notSupported) {
+		t.Fatalf("old-version tail request: got %v, want %q", err, notSupported)
+	}
+	if err := <-served; err == nil || !strings.Contains(err.Error(), notSupported) {
+		t.Fatalf("hub ServeConn returned %v, want %q", err, notSupported)
+	}
+	if n := hub.Standbys(); n != 0 || snapshots != 0 {
+		t.Fatalf("refused tail left %d standbys and cut %d snapshots, want none", n, snapshots)
 	}
 }

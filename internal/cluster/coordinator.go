@@ -60,9 +60,6 @@ type workerLink struct {
 	// applyQ coalesces concurrently admitted batches' phase-1 shares into
 	// group frames on this link.
 	applyQ applyQueue
-	// replQ is the ordered log-shipping queue (nil when replication is
-	// off); see replication.go.
-	replQ chan replJob
 }
 
 // applyCall is one batch's phase-1 share on one worker, queued on the
@@ -284,27 +281,18 @@ func (l *workerLink) fail(conn net.Conn) {
 // down, and the batch aborts through the usual resync path.
 const rpcTimeout = 60 * time.Second
 
-// rpcDeadline scales the round-trip deadline with the request size, so a
-// multi-hundred-MB shard parcel on a slow link gets proportionally longer
-// than a 20-byte stat poll instead of timing out forever on retry: the
-// base covers latency and the response, plus one second per MiB shipped
-// (a ≥1 MiB/s floor on usable links).
-func rpcDeadline(reqBytes int) time.Time {
-	return deadlineFrom(rpcTimeout, reqBytes)
-}
-
-func deadlineFrom(base time.Duration, reqBytes int) time.Time {
-	return time.Now().Add(base + time.Duration(reqBytes>>20)*time.Second)
-}
-
 // deadline is the link's per-call deadline: the coordinator's configured
-// base (CallTimeout) scaled by request size.
+// base (CallTimeout, default rpcTimeout) scaled with the request size, so
+// a multi-hundred-MB shard parcel on a slow link gets proportionally
+// longer than a 20-byte stat poll instead of timing out forever on retry:
+// the base covers latency and the response, plus one second per MiB
+// shipped (a ≥1 MiB/s floor on usable links).
 func (l *workerLink) deadline(reqBytes int) time.Time {
 	base := l.timeout
 	if base <= 0 {
 		base = rpcTimeout
 	}
-	return deadlineFrom(base, reqBytes)
+	return time.Now().Add(base + time.Duration(reqBytes>>20)*time.Second)
 }
 
 // request performs one round trip, marking the link down on transport
@@ -365,13 +353,9 @@ type Coordinator struct {
 	// dirty marks shards whose remote replica diverged (aborted batch,
 	// worker restart); they are re-placed before next use.
 	dirty []bool
-	// replLast maps shard → the sequence of the last committed record
-	// that touched it: the chain link the next replicate (or placement
-	// reset) for the shard carries. Guarded by mu.
-	replLast []uint64
 	// lastGen is the post-commit generation of the latest committed batch
 	// (initially the graph's generation at attach). Guarded by mu; it is
-	// the generation placements stamp replicas with.
+	// the generation the next batch's log record is stamped with.
 	lastGen uint64
 
 	// logMu orders the pipelined durability-log appends: it is taken
@@ -383,16 +367,15 @@ type Coordinator struct {
 	logMu sync.Mutex
 	// commitMu serializes the local commit (phase 2 + the caller's
 	// mutation of the authoritative graph and engines); the remote phase 1
-	// of disjoint batches overlaps freely around it. The replication
-	// sequence counter advances under it, so record order is commit order.
+	// of disjoint batches overlaps freely around it. replSeq, the sequence
+	// OnCommit numbers batches with, advances under it, so sequence order
+	// is commit order.
 	commitMu sync.Mutex
 	replSeq  uint64
 
-	applied      atomic.Uint64
-	remoteErrs   atomic.Uint64
-	resyncs      atomic.Uint64
-	replShipped  atomic.Uint64
-	replDegraded atomic.Uint64
+	applied    atomic.Uint64
+	remoteErrs atomic.Uint64
+	resyncs    atomic.Uint64
 
 	// Anti-entropy counters; see scrub.go.
 	scrubPasses     atomic.Uint64
@@ -401,9 +384,26 @@ type Coordinator struct {
 	scrubHeals      atomic.Uint64
 	scrubSkips      atomic.Uint64
 
-	// quit stops the shipping goroutines; closed once by Close.
+	// quit stops the background scrubber; closed once by Close.
 	quit     chan struct{}
 	quitOnce sync.Once
+}
+
+// CoordinatorOptions tunes NewCoordinator.
+type CoordinatorOptions struct {
+	// Term is the coordinator's fencing term. Workers remember the
+	// highest term they have seen; a promoted standby attaches at a
+	// higher term, which fences every session of the coordinator it
+	// replaced (their mutating requests are rejected).
+	Term uint64
+	// CallTimeout overrides the per-RPC base deadline (default 60s); it
+	// still scales with request size. Fault drills shorten it so dropped
+	// frames fail in milliseconds instead of a minute.
+	CallTimeout time.Duration
+	// OnCommit, when set, observes every committed batch in sequence
+	// order — the hook the standby feed (Hub) rides. It is called after
+	// the commit, while the batch's shards are still held.
+	OnCommit func(seq, preGen, postGen uint64, b graph.Batch)
 }
 
 // NewCoordinator attaches the links as shard workers of g: it handshakes
@@ -411,21 +411,20 @@ type Coordinator struct {
 // owned by the caller (it is the graph the engines and the durability
 // layer see); the coordinator only requires that Apply/ApplyCommit is the
 // sole mutation path while the cluster is attached. The zero options are
-// term 0, no replication, the default call deadline and no commit hook.
+// term 0, the default call deadline and no commit hook.
 func NewCoordinator(g *graph.Graph, links []Link, opts CoordinatorOptions) (*Coordinator, error) {
 	if len(links) == 0 {
 		return nil, fmt.Errorf("cluster: no workers")
 	}
 	p := g.NumShards()
 	c := &Coordinator{
-		g:        g,
-		opts:     opts,
-		assign:   make([]int, p),
-		busy:     make([]bool, p),
-		dirty:    make([]bool, p),
-		replLast: make([]uint64, p),
-		lastGen:  g.Generation(),
-		quit:     make(chan struct{}),
+		g:       g,
+		opts:    opts,
+		assign:  make([]int, p),
+		busy:    make([]bool, p),
+		dirty:   make([]bool, p),
+		lastGen: g.Generation(),
+		quit:    make(chan struct{}),
 	}
 	c.cond = sync.NewCond(&c.mu)
 	for i, l := range links {
@@ -487,9 +486,6 @@ func NewCoordinator(g *graph.Graph, links []Link, opts CoordinatorOptions) (*Coo
 			}
 		}
 	}
-	if c.opts.Repl != ReplOff {
-		c.startShippers()
-	}
 	return c, nil
 }
 
@@ -519,22 +515,14 @@ func decodeOwned(r *reader) (map[int]bool, error) {
 	return owned, nil
 }
 
-// place ships the authoritative segment of shard s to l, stamped with the
-// shard's replication chain position and the last committed generation so
-// the worker's replica log restarts exactly where the parcel's state ends.
-// The caller must hold shard s (busy) or be inside NewCoordinator/reattach.
+// place ships the authoritative segment of shard s to l. The caller must
+// hold shard s (busy) or be inside NewCoordinator/reattach.
 func (c *Coordinator) place(l *workerLink, s int) error {
 	parcel, err := store.EncodeShardParcel(c.g, s)
 	if err != nil {
 		return err
 	}
-	c.mu.Lock()
-	replSeq := c.replLast[s]
-	placeGen := c.lastGen
-	c.mu.Unlock()
 	req := appendUvarint([]byte{byte(msgPlace)}, uint64(s))
-	req = appendUvarint(req, replSeq)
-	req = appendUvarint(req, placeGen)
 	r, err := l.request(append(req, parcel...))
 	if err != nil {
 		return err
@@ -565,16 +553,8 @@ func (c *Coordinator) Resyncs() uint64 { return c.resyncs.Load() }
 // Term returns the coordinator's fencing term.
 func (c *Coordinator) Term() uint64 { return c.opts.Term }
 
-// ReplShipped returns the number of per-worker replicate requests fully
-// acknowledged since attach.
-func (c *Coordinator) ReplShipped() uint64 { return c.replShipped.Load() }
-
-// ReplDegraded returns the number of committed batches whose replication
-// fell short of the policy's ack requirement (the commit itself is
-// unaffected — it was already locally durable).
-func (c *Coordinator) ReplDegraded() uint64 { return c.replDegraded.Load() }
-
-// ReplSeq returns the sequence of the last committed, replicated record.
+// ReplSeq returns the sequence of the last committed batch: the seq the
+// OnCommit hook last saw.
 func (c *Coordinator) ReplSeq() uint64 {
 	c.commitMu.Lock()
 	defer c.commitMu.Unlock()
@@ -1008,32 +988,18 @@ func (c *Coordinator) ApplyCommit(b graph.Batch, deadline time.Time, cb Commit) 
 	}
 
 	// Commit: the local, authoritative application — serialized, because
-	// it merges into graph-global state. When replication is on, the
-	// record's sequence and per-shard chain links are assigned here too,
-	// so replication order is commit order.
+	// it merges into graph-global state. The batch's sequence is assigned
+	// here too, so sequence order is commit order.
 	c.commitMu.Lock()
-	var rep *replRecord
 	preGen := c.g.Generation()
 	err := cb.Apply(b)
 	if err == nil {
 		postGen := c.g.Generation()
 		c.mu.Lock()
 		c.lastGen = postGen
+		c.mu.Unlock()
 		c.replSeq++
 		seq := c.replSeq
-		if c.opts.Repl != ReplOff {
-			rep = &replRecord{seq: seq, preGen: preGen, postGen: postGen,
-				prev: make(map[int]uint64, len(shards))}
-			for _, s := range shards {
-				rep.prev[s] = c.replLast[s]
-				c.replLast[s] = seq
-			}
-		} else {
-			for _, s := range shards {
-				c.replLast[s] = seq
-			}
-		}
-		c.mu.Unlock()
 		// The standby feed runs inside the commit critical section:
 		// Hub.Feed requires commit order across ALL batches, and the
 		// per-shard locks alone would let two disjoint batches' post-unlock
@@ -1062,13 +1028,6 @@ func (c *Coordinator) ApplyCommit(b graph.Batch, deadline time.Time, cb Commit) 
 		return abort(err)
 	}
 	c.applied.Add(1)
-	// Worker log shipping fans out while the touched shards are still
-	// held, so same-shard records stay in commit order (cross-shard order
-	// is irrelevant to the per-shard chains). It cannot fail the batch —
-	// it is already durable locally.
-	if c.opts.Repl != ReplOff {
-		c.replicate(b, workerIDs, shardsByWorker, rep)
-	}
 	return nil
 }
 

@@ -62,13 +62,12 @@ const (
 // so drills outside this package can match on them without learning the
 // wire encoding.
 const (
-	FaultMsgHello     = byte(msgHello)
-	FaultMsgPlace     = byte(msgPlace)
-	FaultMsgApply     = byte(msgApply)
-	FaultMsgReplicate = byte(msgReplicate)
-	FaultMsgTail      = byte(msgTail)
-	FaultMsgFeed      = byte(msgFeed)
-	FaultMsgPing      = byte(msgPing)
+	FaultMsgHello = byte(msgHello)
+	FaultMsgPlace = byte(msgPlace)
+	FaultMsgApply = byte(msgApply)
+	FaultMsgTail  = byte(msgTail)
+	FaultMsgFeed  = byte(msgFeed)
+	FaultMsgPing  = byte(msgPing)
 )
 
 func (a FaultAction) String() string {
@@ -210,18 +209,12 @@ func msgName(b byte) string {
 		return "ok"
 	case msgErr:
 		return "err"
-	case msgReplicate:
-		return "replicate"
-	case msgReplState:
-		return "replstate"
 	case msgTail:
 		return "tail"
 	case msgFeed:
 		return "feed"
 	case msgPing:
 		return "ping"
-	case msgScrub:
-		return "scrub"
 	default:
 		return fmt.Sprintf("type%d", b)
 	}

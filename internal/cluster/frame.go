@@ -26,18 +26,18 @@
 //
 // # High availability
 //
-// Three layers on top of that substrate survive the loss of any process:
-// log shipping (replication.go, store.ReplicaLog) streams every committed
-// batch's WAL record to the workers owning its shards, with per-shard
-// sequence chains that turn any missed record into a detected gap healed
-// by parcel resync; standby failover (lease.go) feeds committed records
-// from a Hub beside the primary to Standby tails whose heartbeats double
-// as the primary's lease, with promotion at term+1 fencing the deposed
-// coordinator's sessions at every worker; and replica reads
-// (FetchReplStates) let any process ask a worker which generation each of
-// its shards has proven current, without a coordinator session. A
-// FaultScript (fault.go) wraps any of these connections in a seeded
-// frame-level shim so every failure mode is drilled deterministically.
+// Two layers on top of that substrate, plus drills. Standby failover
+// (lease.go) is the one replication path: a Hub beside the primary feeds
+// every committed record to Standby tails, each of which keeps its own
+// crash-safe store, and whose heartbeats double as the primary's lease;
+// promotion attaches a new coordinator over the standby's state at term+1,
+// fencing the deposed coordinator's sessions at every worker. Workers hold
+// no history of their own: a restarted or diverged worker — or every
+// worker, after a promotion — is rebuilt from the authoritative parcels,
+// and the anti-entropy scrubber (scrub.go) re-verifies their replicas
+// against those parcels in the background. A FaultScript (fault.go) wraps
+// any of these connections in a seeded frame-level shim so every failure
+// mode is drilled deterministically.
 package cluster
 
 import (

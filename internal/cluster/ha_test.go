@@ -47,135 +47,6 @@ func redialLinks(t *testing.T, links []Link) []Link {
 	return out
 }
 
-func TestClusterReplicationQuorum(t *testing.T) {
-	g := testGraph(t, 8)
-	links, _, stop := InProcess(2)
-	defer stop()
-	co, err := NewCoordinator(g, links, CoordinatorOptions{Term: 1, Repl: ReplQuorum})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer co.Close()
-
-	batches, ref := haBatches(t, g, 6, 60, 300)
-	for i, b := range batches {
-		if err := co.Apply(b, commitLocal(g)); err != nil {
-			t.Fatalf("batch %d: %v", i, err)
-		}
-	}
-	if !g.Equal(ref) {
-		t.Fatal("replicated run diverged from reference application")
-	}
-	if err := co.VerifyAll(); err != nil {
-		t.Fatalf("replicas diverged: %v", err)
-	}
-	if got := co.ReplSeq(); got != 6 {
-		t.Fatalf("replication seq = %d, want 6", got)
-	}
-	if got := co.ReplDegraded(); got != 0 {
-		t.Fatalf("degraded batches = %d, want 0", got)
-	}
-	if co.ReplShipped() == 0 {
-		t.Fatal("no replicate requests shipped")
-	}
-	var replicated, gaps uint64
-	for _, st := range co.Stats() {
-		replicated += st.Remote.Replicated
-		gaps += st.Remote.ReplGaps
-		if st.Remote.Term != 1 {
-			t.Fatalf("worker %s at term %d, want 1", st.Name, st.Remote.Term)
-		}
-	}
-	if replicated == 0 {
-		t.Fatal("workers report no replicated records")
-	}
-	if gaps != 0 {
-		t.Fatalf("workers report %d gaps on a clean run", gaps)
-	}
-
-	// The currency proof behind replica reads: a hello-less connection can
-	// ask any worker for its per-shard replication state, and a shard whose
-	// log is current proves the latest committed generation.
-	seen := make(map[int]bool)
-	var maxSeq uint64
-	for i := range links {
-		conn, err := links[i].Redial()
-		if err != nil {
-			t.Fatal(err)
-		}
-		states, err := FetchReplStates(conn, time.Second)
-		conn.Close()
-		if err != nil {
-			t.Fatalf("repl states from worker %d: %v", i, err)
-		}
-		for s, rs := range states {
-			seen[s] = true
-			if rs.LastSeq > maxSeq {
-				maxSeq = rs.LastSeq
-			}
-			if rs.LastSeq == co.ReplSeq() && rs.Gen != g.Generation() {
-				t.Fatalf("shard %d current at seq %d but gen %d, want %d", s, rs.LastSeq, rs.Gen, g.Generation())
-			}
-		}
-	}
-	if len(seen) != 8 {
-		t.Fatalf("repl states cover %d shards, want 8", len(seen))
-	}
-	if maxSeq != co.ReplSeq() {
-		t.Fatalf("max replicated seq = %d, want %d", maxSeq, co.ReplSeq())
-	}
-}
-
-func TestClusterReplicationGapHealsByResync(t *testing.T) {
-	g := testGraph(t, 8)
-	links, _, stop := InProcess(2)
-	defer stop()
-	// Drop the first replicate shipped to worker 0: its shard chains fall
-	// behind, the next replicate for those shards reports a gap, and the
-	// coordinator heals by parcel resync.
-	script := NewFaultScript(7, FaultRule{
-		Dir: FaultOut, Frame: -1, Msg: byte(msgReplicate), Action: FaultDrop, Count: 1,
-	})
-	links[0] = script.WrapLink(links[0])
-	co, err := NewCoordinator(g, links, CoordinatorOptions{
-		Term: 1, Repl: ReplQuorum, CallTimeout: 300 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer co.Close()
-
-	batches, ref := haBatches(t, g, 5, 60, 400)
-	for i, b := range batches {
-		// Replication failures must never fail the commit.
-		if err := co.Apply(b, commitLocal(g)); err != nil {
-			t.Fatalf("batch %d: %v", i, err)
-		}
-	}
-	if len(script.Events()) == 0 {
-		t.Fatal("fault rule never fired")
-	}
-	if co.ReplDegraded() == 0 {
-		t.Fatal("dropped replicate not counted as degraded")
-	}
-	if co.Resyncs() == 0 {
-		t.Fatal("gapped shards were never resynced")
-	}
-	var gaps uint64
-	for _, st := range co.Stats() {
-		gaps += st.Remote.ReplGaps
-	}
-	if gaps == 0 {
-		t.Fatal("workers report no replication gaps")
-	}
-	if !g.Equal(ref) {
-		t.Fatal("graph diverged across replication faults")
-	}
-	if err := co.VerifyAll(); err != nil {
-		t.Fatalf("replicas diverged after gap healing: %v", err)
-	}
-}
-
 func TestClusterFencingRejectsDeposedCoordinator(t *testing.T) {
 	g := testGraph(t, 8)
 	links, _, stop := InProcess(2)
@@ -227,6 +98,12 @@ func TestClusterFencingRejectsDeposedCoordinator(t *testing.T) {
 	}
 	if err := co2.VerifyAll(); err != nil {
 		t.Fatalf("successor replicas diverged: %v", err)
+	}
+	// Every worker reports the successor's term as the highest it has seen.
+	for _, st := range co2.Stats() {
+		if st.Remote.Term != 2 {
+			t.Fatalf("worker %s at term %d, want 2", st.Name, st.Remote.Term)
+		}
 	}
 }
 
@@ -289,9 +166,7 @@ func TestClusterStandbyPromoteRecoversIdentically(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	co1, err := NewCoordinator(g, links, CoordinatorOptions{
-		Term: 1, Repl: ReplQuorum, OnCommit: hub.Feed,
-	})
+	co1, err := NewCoordinator(g, links, CoordinatorOptions{Term: 1, OnCommit: hub.Feed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,9 +201,7 @@ func TestClusterStandbyPromoteRecoversIdentically(t *testing.T) {
 	if promoted.Generation() != standby.Gen() {
 		t.Fatalf("promoted graph at gen %d, standby tracked %d", promoted.Generation(), standby.Gen())
 	}
-	co2, err := NewCoordinator(promoted, redialLinks(t, links), CoordinatorOptions{
-		Term: standby.Term() + 1, Repl: ReplQuorum,
-	})
+	co2, err := NewCoordinator(promoted, redialLinks(t, links), CoordinatorOptions{Term: standby.Term() + 1})
 	if err != nil {
 		t.Fatalf("promote: %v", err)
 	}
@@ -437,7 +310,7 @@ func TestHubFeedCommitOrderUnderConcurrentCommits(t *testing.T) {
 	// encode time): the ordering guarantee must come from the coordinator
 	// serializing OnCommit with the commit, not from the hook being fast.
 	co, err := NewCoordinator(g, links, CoordinatorOptions{
-		Term: 1, Repl: ReplAsync,
+		Term: 1,
 		OnCommit: func(seq, preGen, postGen uint64, b graph.Batch) {
 			time.Sleep(time.Duration(seq%3) * time.Millisecond)
 			hub.Feed(seq, preGen, postGen, b)

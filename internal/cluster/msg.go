@@ -26,12 +26,15 @@ import (
 // This removes the per-node label strings (and the worker-side intern
 // locks) from the hot apply path.
 
-// protocolVersion guards the wire format; hello rejects mismatches.
-// Version 2 added coordinator terms (fencing), per-shard WAL replication
-// and the standby tail stream. Version 3 made apply a group request
-// (several shard-disjoint batches per frame, each acked independently)
-// with session-interned label references instead of per-node strings.
-const protocolVersion = 3
+// protocolVersion guards the wire format; hello and the tail request
+// reject mismatches. Version 2 added coordinator terms (fencing), per-shard
+// WAL replication and the standby tail stream. Version 3 made apply a group
+// request (several shard-disjoint batches per frame, each acked
+// independently) with session-interned label references instead of
+// per-node strings. Version 4 removed worker log shipping: the replicate,
+// repl-state and scrub requests, place's sequence and generation stamps,
+// and the two replication counters of a worker's stat.
+const protocolVersion = 4
 
 type msgType byte
 
@@ -60,14 +63,11 @@ const (
 	// msgErr reports a request-level failure; body is the error text. The
 	// connection remains usable.
 	msgErr
-	// msgReplicate ships one committed WAL record to the shards this worker
-	// owns: per-shard prevSeq chain links, the post-commit generation, and
-	// the record payload. The worker appends to each shard's replica log
-	// and answers with per-shard ok/gap statuses.
-	msgReplicate
-	// msgReplState reports per-shard replication state: last replicated
-	// sequence and proven generation for every shard with a replica log.
-	msgReplState
+	// Type bytes 9 and 10 were version 3's replicate and repl-state
+	// requests; they stay unassigned so a version-3 peer's tail request
+	// still reaches the version check.
+	_
+	_
 	// msgTail opens a standby feed on a coordinator hub: the response
 	// carries term, sequence, generation and a full snapshot, after which
 	// the connection role-flips — the hub pushes msgFeed/msgPing requests
@@ -78,11 +78,6 @@ const (
 	msgFeed
 	// msgPing is the hub's lease heartbeat on a tail stream: u64 term.
 	msgPing
-	// msgScrub asks a worker to verify the on-disk integrity of a shard's
-	// replica log: uvarint shard. The response is msgOK + status byte (0
-	// intact, 1 damaged) + optional damage description. Additive: an older
-	// worker answers msgErr, which the scrubber treats as unverifiable.
-	msgScrub
 )
 
 // ErrProtocol reports a semantically malformed message: unknown type,
@@ -487,11 +482,6 @@ type WorkerStat struct {
 	Applied uint64
 	// Errors counts requests the worker rejected since start.
 	Errors uint64
-	// Replicated counts WAL records appended to replica logs since start.
-	Replicated uint64
-	// ReplGaps counts replica-log gap detections since start (each one
-	// forced a parcel resync).
-	ReplGaps uint64
 	// Term is the highest coordinator fencing term the worker has seen.
 	Term uint64
 }
@@ -511,8 +501,6 @@ func encodeStat(st WorkerStat) []byte {
 	}
 	buf = binary.AppendUvarint(buf, st.Applied)
 	buf = binary.AppendUvarint(buf, st.Errors)
-	buf = binary.AppendUvarint(buf, st.Replicated)
-	buf = binary.AppendUvarint(buf, st.ReplGaps)
 	buf = binary.AppendUvarint(buf, st.Term)
 	return buf
 }
@@ -543,158 +531,10 @@ func decodeStat(r *reader) (WorkerStat, error) {
 	if st.Errors, err = r.uvarint(); err != nil {
 		return st, err
 	}
-	if st.Replicated, err = r.uvarint(); err != nil {
-		return st, err
-	}
-	if st.ReplGaps, err = r.uvarint(); err != nil {
-		return st, err
-	}
 	if st.Term, err = r.uvarint(); err != nil {
 		return st, err
 	}
 	return st, r.done()
-}
-
-// ---- replication codecs ------------------------------------------------
-
-// replEntry is one shard's chain link in a replicate request: the
-// sequence of the previous committed record that touched the shard.
-type replEntry struct {
-	shard   int
-	prevSeq uint64
-}
-
-// Per-shard replicate ack statuses.
-const (
-	replOK  byte = 0 // appended
-	replGap byte = 1 // chain broken: shard needs a parcel resync
-)
-
-// encodeReplicate builds the replicate request: the post-commit
-// generation, the per-shard chain links, and the raw record payload
-// (store.EncodeRecord bytes carrying seq, gen-at-append, batch).
-func encodeReplicate(entries []replEntry, postGen uint64, record []byte) []byte {
-	buf := []byte{byte(msgReplicate)}
-	buf = binary.LittleEndian.AppendUint64(buf, postGen)
-	buf = binary.AppendUvarint(buf, uint64(len(entries)))
-	for _, e := range entries {
-		buf = binary.AppendUvarint(buf, uint64(e.shard))
-		buf = binary.AppendUvarint(buf, e.prevSeq)
-	}
-	return append(buf, record...)
-}
-
-func decodeReplicate(r *reader) (entries []replEntry, postGen uint64, record []byte, err error) {
-	b, err := r.bytes(8)
-	if err != nil {
-		return nil, 0, nil, err
-	}
-	postGen = binary.LittleEndian.Uint64(b)
-	n, err := r.uvarint()
-	if err != nil {
-		return nil, 0, nil, err
-	}
-	if n > graph.MaxShards {
-		return nil, 0, nil, fmt.Errorf("%w: replicate names %d shards", ErrProtocol, n)
-	}
-	entries = make([]replEntry, n)
-	for i := range entries {
-		s, err := r.uvarint()
-		if err != nil {
-			return nil, 0, nil, err
-		}
-		prev, err := r.uvarint()
-		if err != nil {
-			return nil, 0, nil, err
-		}
-		entries[i] = replEntry{shard: int(s), prevSeq: prev}
-	}
-	return entries, postGen, r.rest(), nil
-}
-
-// encodeReplAck builds the replicate response: per-shard statuses in
-// request order.
-func encodeReplAck(entries []replEntry, statuses []byte) []byte {
-	buf := []byte{byte(msgOK)}
-	buf = binary.AppendUvarint(buf, uint64(len(entries)))
-	for i, e := range entries {
-		buf = binary.AppendUvarint(buf, uint64(e.shard))
-		buf = append(buf, statuses[i])
-	}
-	return buf
-}
-
-func decodeReplAck(r *reader) (map[int]byte, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > graph.MaxShards {
-		return nil, fmt.Errorf("%w: %d ack entries", ErrProtocol, n)
-	}
-	out := make(map[int]byte, n)
-	for i := uint64(0); i < n; i++ {
-		s, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		st, err := r.byte()
-		if err != nil {
-			return nil, err
-		}
-		out[int(s)] = st
-	}
-	return out, r.done()
-}
-
-// ReplState is one shard's replication state on a worker: the last
-// replicated sequence and the generation that sequence proved.
-type ReplState struct {
-	LastSeq uint64
-	Gen     uint64
-}
-
-func encodeReplStates(states map[int]ReplState) []byte {
-	buf := []byte{byte(msgOK)}
-	buf = binary.AppendUvarint(buf, uint64(len(states)))
-	keys := make([]int, 0, len(states))
-	for s := range states {
-		keys = append(keys, s)
-	}
-	sort.Ints(keys)
-	for _, s := range keys {
-		buf = binary.AppendUvarint(buf, uint64(s))
-		buf = binary.AppendUvarint(buf, states[s].LastSeq)
-		buf = binary.AppendUvarint(buf, states[s].Gen)
-	}
-	return buf
-}
-
-func decodeReplStates(r *reader) (map[int]ReplState, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > graph.MaxShards {
-		return nil, fmt.Errorf("%w: %d repl-state entries", ErrProtocol, n)
-	}
-	out := make(map[int]ReplState, n)
-	for i := uint64(0); i < n; i++ {
-		s, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		seq, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		gen, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		out[int(s)] = ReplState{LastSeq: seq, Gen: gen}
-	}
-	return out, r.done()
 }
 
 // ---- standby tail codecs -----------------------------------------------

@@ -8,29 +8,20 @@ import (
 	"incgraph/internal/store"
 )
 
-// Anti-entropy scrubbing. Replication heals a replica only when it
-// notices a sequence gap; a replica rotted by anything that preserves the
-// chain — a bit flip in the shard's replica log file, a worker whose
-// in-memory state silently diverged — stays wrong until the shard happens
-// to abort a batch. The scrubber turns resync from a gap-triggered repair
-// into a continuously verified guarantee: it walks shards in the
-// background, compares the worker's parcel bytes against the
-// coordinator-authoritative segment (parcels are byte-deterministic, so
-// equality is exact), asks the worker to re-scan its replica log file
-// against what it acknowledged (msgScrub), and re-places any shard that
-// fails either check from the authoritative parcel — the same heal a gap
+// Anti-entropy scrubbing. Phase 1's per-shard delta cross-check catches a
+// diverged replica only when a batch touches the shard; a replica whose
+// in-memory state silently diverged stays wrong until then. The scrubber
+// turns resync from an abort-triggered repair into a continuously verified
+// guarantee: it walks shards in the background, compares the worker's
+// parcel bytes against the coordinator-authoritative segment (parcels are
+// byte-deterministic, so equality is exact), and re-places any shard that
+// differs from the authoritative parcel — the same heal an aborted batch
 // triggers, now driven by verification instead of luck.
 //
 // Scrubbing never competes with commits: a shard busy under an in-flight
 // batch is skipped after a bounded wait (scrubAcquireWait) and revisited
 // on the next pass, and the background loop paces one shard per interval
 // rather than sweeping in a burst.
-
-// scrub status bytes in msgScrub responses.
-const (
-	scrubIntact  byte = 0
-	scrubDamaged byte = 1
-)
 
 // scrubAcquireWait bounds how long a scrub waits for a busy shard before
 // skipping it; commits hold shard locks for whole RPC round trips, so
@@ -45,7 +36,7 @@ type ScrubReport struct {
 	// owner down, or already marked for resync.
 	Skipped int
 	// Mismatches counts shards that failed verification: divergent parcel
-	// bytes or a damaged replica log.
+	// bytes, or a worker that could not export the shard.
 	Mismatches int
 	// Heals counts mismatched shards successfully re-placed.
 	Heals int
@@ -72,8 +63,7 @@ func (c *Coordinator) ScrubCounters() ScrubStats {
 }
 
 // ScrubShard verifies shard s's remote replica — parcel bytes against the
-// authoritative segment, then the worker's replica log file against its
-// acknowledged state — and re-places the shard on any mismatch. It
+// authoritative segment — and re-places the shard on a mismatch. It
 // returns whether a heal happened. A shard that cannot be verified right
 // now (busy under a commit, owner down) is skipped without error: the
 // next pass gets it.
@@ -123,19 +113,6 @@ func (c *Coordinator) ScrubShard(s int) (healed bool, err error) {
 		// Transport failure: the link is marked down; nothing verifiable.
 		c.scrubSkips.Add(1)
 		return false, nil
-	}
-	if !divergent {
-		r, rerr = l.request(appendUvarint([]byte{byte(msgScrub)}, uint64(s)))
-		switch {
-		case rerr == nil:
-			status, berr := r.byte()
-			divergent = berr != nil || status != scrubIntact
-		case IsRemote(rerr):
-			divergent = true
-		default:
-			c.scrubSkips.Add(1)
-			return false, nil
-		}
 	}
 	if !divergent {
 		return false, nil

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -31,14 +30,6 @@ type Worker struct {
 	// has not yet noticed its standby promoted — have their hello and all
 	// mutating requests rejected as fenced.
 	maxTerm uint64
-	// repl holds the per-shard replica logs (memory mode by default; file
-	// mode via SetLogDir). replGen maps shard → the post-commit generation
-	// its last replicated record proved — the currency proof replica reads
-	// check.
-	repl       *store.ReplicaLog
-	replGen    map[int]uint64
-	replicated uint64
-	replGaps   uint64
 
 	// applyDeltas is phase-1 scratch, reused across requests (safe: every
 	// request runs under mu).
@@ -47,30 +38,7 @@ type Worker struct {
 
 // NewWorker returns an empty worker; the coordinator's hello sizes it.
 func NewWorker() *Worker {
-	return &Worker{
-		owned:   make(map[int]bool),
-		repl:    store.NewMemReplicaLog(),
-		replGen: make(map[int]uint64),
-	}
-}
-
-// SetLogDir switches the worker's replica logs to file-backed mode in
-// dir, reopening any logs a previous process left there (their sequence
-// chains survive restarts; any record missed while down surfaces as a
-// gap on the next replicate and heals through resync). Call before
-// serving connections.
-func (w *Worker) SetLogDir(dir string, policy store.SyncPolicy) error {
-	l, err := store.OpenReplicaLog(dir, policy)
-	if err != nil {
-		return err
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.repl != nil {
-		w.repl.Close()
-	}
-	w.repl = l
-	return nil
+	return &Worker{owned: make(map[int]bool)}
 }
 
 // Serve accepts connections until the listener closes, serving each on its
@@ -239,13 +207,9 @@ func (w *Worker) dispatch(t msgType, r *reader, sessTerm *uint64, sess *applySes
 		*sessTerm = term
 		if w.g == nil || w.g.NumShards() != int(shards) {
 			// Fresh session with a different partitioning: any held state
-			// is for the wrong shard space, drop it — replica logs too.
+			// is for the wrong shard space, drop it.
 			w.g = graph.NewSharded(int(shards))
 			w.owned = make(map[int]bool)
-			for _, s := range w.repl.Shards() {
-				w.repl.Drop(s)
-			}
-			w.replGen = make(map[int]uint64)
 		}
 		owned := make([]int, 0, len(w.owned))
 		for s := range w.owned {
@@ -264,14 +228,6 @@ func (w *Worker) dispatch(t msgType, r *reader, sessTerm *uint64, sess *applySes
 		if err != nil {
 			return nil, err
 		}
-		replSeq, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		placeGen, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
 		if s >= uint64(w.g.NumShards()) {
 			return nil, fmt.Errorf("shard %d out of range [0,%d)", s, w.g.NumShards())
 		}
@@ -287,12 +243,6 @@ func (w *Worker) dispatch(t msgType, r *reader, sessTerm *uint64, sess *applySes
 			return nil, err
 		}
 		w.owned[int(s)] = true
-		// The parcel embodies every record through replSeq: restart the
-		// shard's replica log chain there.
-		if err := w.repl.Reset(int(s), replSeq); err != nil {
-			return nil, err
-		}
-		w.replGen[int(s)] = placeGen
 		return []byte{byte(msgOK)}, nil
 
 	case msgDrop:
@@ -314,8 +264,6 @@ func (w *Worker) dispatch(t msgType, r *reader, sessTerm *uint64, sess *applySes
 		}
 		w.g.ResetShard(int(s))
 		delete(w.owned, int(s))
-		w.repl.Drop(int(s))
-		delete(w.replGen, int(s))
 		return []byte{byte(msgOK)}, nil
 
 	case msgApply:
@@ -375,87 +323,15 @@ func (w *Worker) dispatch(t msgType, r *reader, sessTerm *uint64, sess *applySes
 		}
 		return append([]byte{byte(msgOK)}, parcel...), nil
 
-	case msgReplicate:
-		if w.g == nil {
-			return nil, fmt.Errorf("replicate before hello")
-		}
-		if err := w.fenced(*sessTerm); err != nil {
-			return nil, err
-		}
-		entries, postGen, recPayload, err := decodeReplicate(r)
-		if err != nil {
-			return nil, err
-		}
-		rec, err := store.DecodeRecord(recPayload)
-		if err != nil {
-			return nil, err
-		}
-		statuses := make([]byte, len(entries))
-		for i, e := range entries {
-			if e.shard < 0 || e.shard >= w.g.NumShards() || !w.owned[e.shard] {
-				statuses[i] = replGap
-				w.replGaps++
-				continue
-			}
-			if err := w.repl.Append(e.shard, e.prevSeq, rec); err != nil {
-				if errors.Is(err, store.ErrSeqGap) {
-					// The chain broke — a record this replica missed, or a
-					// torn tail truncated on restart. Report the gap; the
-					// coordinator resyncs the shard by parcel.
-					statuses[i] = replGap
-					w.replGaps++
-					continue
-				}
-				return nil, err
-			}
-			w.replGen[e.shard] = postGen
-			w.replicated++
-		}
-		return encodeReplAck(entries, statuses), nil
-
-	case msgReplState:
-		if err := r.done(); err != nil {
-			return nil, err
-		}
-		states := make(map[int]ReplState)
-		for _, s := range w.repl.Shards() {
-			seq, _ := w.repl.LastSeq(s)
-			states[s] = ReplState{LastSeq: seq, Gen: w.replGen[s]}
-		}
-		return encodeReplStates(states), nil
-
-	case msgScrub:
-		if w.g == nil {
-			return nil, fmt.Errorf("scrub before hello")
-		}
-		s, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if err := r.done(); err != nil {
-			return nil, err
-		}
-		if s >= uint64(w.g.NumShards()) || !w.owned[int(s)] {
-			return nil, fmt.Errorf("shard %d not placed here", s)
-		}
-		// Read-only like export: no fencing needed, and a deposed
-		// coordinator scrubbing does no harm.
-		if err := w.repl.Verify(int(s)); err != nil {
-			return append([]byte{byte(msgOK), scrubDamaged}, err.Error()...), nil
-		}
-		return []byte{byte(msgOK), scrubIntact}, nil
-
 	case msgStat:
 		if err := r.done(); err != nil {
 			return nil, err
 		}
 		st := WorkerStat{
-			Shards:     map[int]int{},
-			Applied:    w.applied,
-			Errors:     w.errs,
-			Replicated: w.replicated,
-			ReplGaps:   w.replGaps,
-			Term:       w.maxTerm,
+			Shards:  map[int]int{},
+			Applied: w.applied,
+			Errors:  w.errs,
+			Term:    w.maxTerm,
 		}
 		if w.g != nil {
 			for s := range w.owned {

@@ -422,10 +422,6 @@ func (f *FaultFS) SyncDir(dir string) error {
 	return fsOrOS(f.Inner).SyncDir(dir)
 }
 
-func (f *FaultFS) Glob(pattern string) ([]string, error) {
-	return fsOrOS(f.Inner).Glob(pattern)
-}
-
 // faultFile shims one open file through the rules.
 type faultFile struct {
 	fs    *FaultFS

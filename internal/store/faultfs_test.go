@@ -98,130 +98,133 @@ func TestFaultFSCrashWedges(t *testing.T) {
 	}
 }
 
-// TestReplicaLogAppendFaultEveryByteBoundary drives a replica-log append
-// into an injected partial write at every byte boundary of the record
-// frame — 0 bytes landed through the whole frame landed — for both the
-// ENOSPC and torn-write kinds. The contract at every boundary is the
-// same: the failed append is rolled back (Verify stays clean, LastSeq
-// does not advance), a reopen sees exactly the pre-fault records, and the
-// chain continues from there.
-func TestReplicaLogAppendFaultEveryByteBoundary(t *testing.T) {
-	rec1, rec2 := replRec(2, 20), replRec(5, 50)
-	payload, err := EncodeRecord(rec2.Seq, rec2.Gen, rec2.Batch)
+// faultBatch is the one-update batch the every-byte-boundary drills append:
+// its WAL frame is 32 bytes.
+func faultBatch(i int) graph.Batch {
+	return graph.Batch{graph.InsNew(graph.NodeID(i), graph.NodeID(i+1), "a", "b")}
+}
+
+// faultFrameLen is the length of faultBatch's WAL frame: the length+CRC
+// header plus the record payload.
+func faultFrameLen(t *testing.T) int {
+	t.Helper()
+	payload, err := EncodeRecord(2, 2, faultBatch(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	frameLen := len(payload) + 8 // length+CRC header precedes the payload
+	return len(payload) + 8
+}
+
+// TestReplicaLogAppendFaultEveryByteBoundary drives a WAL append into an
+// injected partial write at every byte boundary of the record frame — 0
+// bytes landed through the whole frame landed — for both the ENOSPC and
+// torn-write kinds. The WAL is the one replica log left: a standby appends
+// every fed record to its own store's WAL. The contract at every boundary is
+// the same: the failed append is rolled back (Seq does not advance, the log
+// is not wedged), a reopen sees exactly the pre-fault records, and the log
+// continues from there.
+func TestReplicaLogAppendFaultEveryByteBoundary(t *testing.T) {
+	b1, b2 := faultBatch(2), faultBatch(5)
+	frameLen := faultFrameLen(t)
 	for _, kind := range []FaultKind{FaultENOSPC, FaultTornWrite} {
 		for keep := 0; keep <= frameLen; keep++ {
 			t.Run(fmt.Sprintf("%s/keep%d", kind, keep), func(t *testing.T) {
-				dir := t.TempDir()
-				// Write #0 is the header Reset writes, #1 is rec1, #2 is the
+				path := filepath.Join(t.TempDir(), "wal.log")
+				// Write #0 is the header CreateWAL writes, #1 is b1, #2 is the
 				// append under fire.
-				ffs := NewFaultFS(9, FSRule{Op: "write", Path: "repl-", Index: 2, Kind: kind, Keep: keep})
-				l, err := OpenReplicaLogFS(ffs, dir, SyncNone)
+				ffs := NewFaultFS(9, FSRule{Op: "write", Path: "wal", Index: 2, Kind: kind, Keep: keep})
+				w, err := CreateWAL(ffs, path, 0, SyncNone)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := l.Reset(3, 0); err != nil {
+				if err := w.Append(b1, 1); err != nil {
 					t.Fatal(err)
 				}
-				if err := l.Append(3, 0, rec1); err != nil {
-					t.Fatal(err)
-				}
-				if err := l.Append(3, rec1.Seq, rec2); err == nil {
+				if err := w.Append(b2, 2); err == nil {
 					t.Fatal("faulted append succeeded")
 				}
-				if got, _ := l.LastSeq(3); got != rec1.Seq {
-					t.Fatalf("LastSeq after failed append = %d, want %d", got, rec1.Seq)
+				if w.Seq() != 1 {
+					t.Fatalf("Seq after failed append = %d, want 1", w.Seq())
 				}
-				if err := l.Verify(3); err != nil {
-					t.Fatalf("Verify after rollback: %v", err)
+				if err := w.Broken(); err != nil {
+					t.Fatalf("rolled-back append wedged the log: %v", err)
 				}
-				l.Close()
+				w.Close()
 
 				// Reopen on the real filesystem: the torn bytes must be gone.
-				l2, err := OpenReplicaLog(dir, SyncNone)
+				w2, recs, err := OpenWAL(nil, path, SyncNone)
 				if err != nil {
 					t.Fatal(err)
 				}
-				defer l2.Close()
-				if got, ok := l2.LastSeq(3); !ok || got != rec1.Seq {
-					t.Fatalf("reopened LastSeq = %d,%v, want %d,true", got, ok, rec1.Seq)
+				defer w2.Close()
+				if len(recs) != 1 || !reflect.DeepEqual(recs[0].Batch, b1) {
+					t.Fatalf("reopened log holds %d records, want only the pre-fault one", len(recs))
 				}
-				if n := l2.Records(3); n != 1 {
-					t.Fatalf("reopened Records = %d, want 1", n)
+				if err := w2.Append(b2, 2); err != nil {
+					t.Fatalf("append after heal: %v", err)
 				}
-				if err := l2.Append(3, rec1.Seq, rec2); err != nil {
-					t.Fatalf("chain continuation after heal: %v", err)
-				}
-				recs, err := l2.Replay(3)
+				recs, _, err = ReplayWAL(path)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(recs) != 2 || recs[0].Seq != rec1.Seq || recs[1].Seq != rec2.Seq {
-					t.Fatalf("replay after heal = %v, want seqs [%d %d]", recs, rec1.Seq, rec2.Seq)
+				if len(recs) != 2 || recs[1].Seq != 2 || !reflect.DeepEqual(recs[1].Batch, b2) {
+					t.Fatalf("replay after heal = %v, want b1 then b2 at seq 2", recs)
 				}
 			})
 		}
 	}
 }
 
-// TestReplicaLogTornTailHealsAsGap covers the double-fault path: the
-// append's write tears AND the rollback truncate fails, so torn bytes
-// stay on disk. The next open must truncate the invalid tail, and the
-// log must accept the successor of whatever sequence survived — replay
-// is always a clean prefix of the sent chain.
-func TestReplicaLogTornTailHealsAsGap(t *testing.T) {
-	rec1, rec2 := replRec(2, 20), replRec(5, 50)
-	payload, err := EncodeRecord(rec2.Seq, rec2.Gen, rec2.Batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	frameLen := len(payload) + 8
+// TestWALTornAppendWedgesUntilReopen covers the double-fault path: the
+// append's write tears AND the rollback truncate fails, so torn bytes stay
+// on disk. The log must refuse every later append rather than acknowledge
+// records behind bytes replay would stop at; the next open truncates the
+// invalid tail, and the log continues from whatever survived — replay is
+// always a clean prefix of what was appended.
+func TestWALTornAppendWedgesUntilReopen(t *testing.T) {
+	b1, b2, b3 := faultBatch(2), faultBatch(5), faultBatch(9)
+	frameLen := faultFrameLen(t)
 	for keep := 0; keep <= frameLen; keep++ {
 		t.Run(fmt.Sprintf("keep%d", keep), func(t *testing.T) {
-			dir := t.TempDir()
+			path := filepath.Join(t.TempDir(), "wal.log")
 			ffs := NewFaultFS(9,
-				FSRule{Op: "write", Path: "repl-", Index: 2, Kind: FaultTornWrite, Keep: keep},
-				FSRule{Op: "truncate", Path: "repl-", Kind: FaultEIO})
-			l, err := OpenReplicaLogFS(ffs, dir, SyncNone)
+				FSRule{Op: "write", Path: "wal", Index: 2, Kind: FaultTornWrite, Keep: keep},
+				FSRule{Op: "truncate", Path: "wal", Kind: FaultEIO})
+			w, err := CreateWAL(ffs, path, 0, SyncNone)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := l.Reset(3, 0); err != nil {
+			if err := w.Append(b1, 1); err != nil {
 				t.Fatal(err)
 			}
-			if err := l.Append(3, 0, rec1); err != nil {
-				t.Fatal(err)
-			}
-			if err := l.Append(3, rec1.Seq, rec2); err == nil {
+			if err := w.Append(b2, 2); err == nil {
 				t.Fatal("faulted append succeeded")
 			}
-			l.Close()
+			if err := w.Append(b3, 3); !errors.Is(err, ErrWALBroken) {
+				t.Fatalf("append behind unrolled torn bytes: got %v, want ErrWALBroken", err)
+			}
+			w.Close()
 
-			l2, err := OpenReplicaLog(dir, SyncNone)
+			w2, recs, err := OpenWAL(nil, path, SyncNone)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer l2.Close()
-			last, ok := l2.LastSeq(3)
-			if !ok {
-				t.Fatal("shard log vanished")
-			}
+			defer w2.Close()
 			// keep == frameLen leaves a complete, CRC-valid record: the
 			// reopen legitimately adopts it. Anything shorter is a torn tail
-			// the open truncates back to rec1.
-			want := rec1.Seq
+			// the open truncates back to b1.
+			want := 1
 			if keep == frameLen {
-				want = rec2.Seq
+				want = 2
 			}
-			if last != want {
-				t.Fatalf("reopened LastSeq = %d, want %d", last, want)
+			if len(recs) != want {
+				t.Fatalf("reopened log holds %d records, want %d", len(recs), want)
 			}
-			next := replRec(9, 90)
-			if err := l2.Append(3, last, next); err != nil {
-				t.Fatalf("chain from survived seq %d: %v", last, err)
+			if err := w2.Append(b3, 3); err != nil {
+				t.Fatalf("append after seq %d survived: %v", want, err)
+			}
+			if w2.Seq() != uint64(want+1) {
+				t.Fatalf("Seq = %d, want %d", w2.Seq(), want+1)
 			}
 		})
 	}
@@ -351,7 +354,7 @@ func TestWALSyncLieVersusSyncFailParity(t *testing.T) {
 			ffs := NewFaultFS(3,
 				FSRule{Op: "sync", Path: "wal", Index: 3, Kind: tc.kind},
 				FSRule{Op: "sync", Path: "wal", Index: tc.pfIndex, Kind: FaultPowerFail})
-			w, err := CreateWALFS(ffs, path, 0, SyncAlways)
+			w, err := CreateWAL(ffs, path, 0, SyncAlways)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -3,15 +3,14 @@ package store
 import (
 	"io"
 	"os"
-	"path/filepath"
 )
 
 // Filesystem seam. Every write-path file operation in the store — WAL
-// append, snapshot encode, MANIFEST tmp+rename+dir-fsync rotation,
-// replica-log append — goes through an FS, so a fault-injecting
-// implementation (FaultFS) can fail any single syscall deterministically
-// while the default (OS) compiles down to the os package with no
-// indirection cost worth measuring against an fsync.
+// append, snapshot encode, MANIFEST tmp+rename+dir-fsync rotation — goes
+// through an FS, so a fault-injecting implementation (FaultFS) can fail
+// any single syscall deterministically while the default (OS) compiles
+// down to the os package with no indirection cost worth measuring against
+// an fsync.
 //
 // The seam deliberately covers only what the store uses: open/create,
 // temp files, rename, remove, mkdir, and directory fsync. Read-side
@@ -45,8 +44,6 @@ type FS interface {
 	MkdirAll(path string, perm os.FileMode) error
 	// SyncDir fsyncs a directory so a rename within it is durable.
 	SyncDir(dir string) error
-	// Glob matches like filepath.Glob.
-	Glob(pattern string) ([]string, error)
 }
 
 // OS is the default FS: the real filesystem via the os package.
@@ -84,8 +81,6 @@ func (osFS) SyncDir(dir string) error {
 	defer d.Close()
 	return d.Sync()
 }
-
-func (osFS) Glob(pattern string) ([]string, error) { return filepath.Glob(pattern) }
 
 // fsOrOS returns fsys, defaulting nil to the real filesystem.
 func fsOrOS(fsys FS) FS {

@@ -458,14 +458,10 @@ func readAdjacency(sr *segReader) ([]graph.NodeID, error) {
 	return vs, nil
 }
 
-// WriteSnapshotFile writes a snapshot atomically: to a temp file in the
-// same directory, fsynced, then renamed over path.
-func WriteSnapshotFile(path string, g *graph.Graph) error {
-	return WriteSnapshotFileFS(OS, path, g)
-}
-
-// WriteSnapshotFileFS is WriteSnapshotFile through an explicit filesystem.
-func WriteSnapshotFileFS(fsys FS, path string, g *graph.Graph) error {
+// WriteSnapshotFile writes a snapshot atomically through fsys (nil means
+// the real filesystem): to a temp file in the same directory, fsynced,
+// then renamed over path.
+func WriteSnapshotFile(fsys FS, path string, g *graph.Graph) error {
 	fsys = fsOrOS(fsys)
 	tmp, err := fsys.CreateTemp(filepath.Dir(path), ".snap-*")
 	if err != nil {

@@ -120,7 +120,7 @@ func TestSnapshotFileAndSniff(t *testing.T) {
 	dir := t.TempDir()
 	g := testGraph(t, 4, 200, 800)
 	snapPath := filepath.Join(dir, "g.snap")
-	if err := WriteSnapshotFile(snapPath, g); err != nil {
+	if err := WriteSnapshotFile(nil, snapPath, g); err != nil {
 		t.Fatal(err)
 	}
 	ok, err := IsSnapshotFile(snapPath)

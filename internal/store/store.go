@@ -72,10 +72,10 @@ func Create(dir string, g *graph.Graph, opts Options) (*Store, error) {
 	s := &Store{dir: dir, opts: opts, epoch: 1}
 	s.snap = snapName(s.epoch)
 	s.walRel = walName(s.epoch)
-	if err := WriteSnapshotFileFS(s.fs(), filepath.Join(dir, s.snap), g); err != nil {
+	if err := WriteSnapshotFile(opts.FS, filepath.Join(dir, s.snap), g); err != nil {
 		return nil, err
 	}
-	w, err := CreateWALFS(s.fs(), filepath.Join(dir, s.walRel), g.Generation(), opts.Sync)
+	w, err := CreateWAL(opts.FS, filepath.Join(dir, s.walRel), g.Generation(), opts.Sync)
 	if err != nil {
 		return nil, err
 	}
@@ -102,7 +102,7 @@ func Open(dir string, opts Options) (*Store, *graph.Graph, []ReplayRecord, error
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	w, records, err := OpenWALFS(opts.FS, filepath.Join(dir, walRel), opts.Sync)
+	w, records, err := OpenWAL(opts.FS, filepath.Join(dir, walRel), opts.Sync)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -129,10 +129,10 @@ func (s *Store) Checkpoint(g *graph.Graph) error {
 	oldSnap, oldWALRel, oldWAL := s.snap, s.walRel, s.wal
 	epoch := s.epoch + 1
 	snapRel, walRel := snapName(epoch), walName(epoch)
-	if err := WriteSnapshotFileFS(s.fs(), filepath.Join(s.dir, snapRel), g); err != nil {
+	if err := WriteSnapshotFile(s.opts.FS, filepath.Join(s.dir, snapRel), g); err != nil {
 		return err
 	}
-	w, err := CreateWALFS(s.fs(), filepath.Join(s.dir, walRel), g.Generation(), s.opts.Sync)
+	w, err := CreateWAL(s.opts.FS, filepath.Join(s.dir, walRel), g.Generation(), s.opts.Sync)
 	if err != nil {
 		s.fs().Remove(filepath.Join(s.dir, snapRel))
 		return err

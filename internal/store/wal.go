@@ -113,14 +113,10 @@ type ReplayRecord struct {
 	Batch graph.Batch
 }
 
-// CreateWAL creates a fresh log at path (truncating any existing file),
-// stamped as extending a snapshot at generation startGen.
-func CreateWAL(path string, startGen uint64, policy SyncPolicy) (*WAL, error) {
-	return CreateWALFS(OS, path, startGen, policy)
-}
-
-// CreateWALFS is CreateWAL through an explicit filesystem.
-func CreateWALFS(fsys FS, path string, startGen uint64, policy SyncPolicy) (*WAL, error) {
+// CreateWAL creates a fresh log at path through fsys (nil means the real
+// filesystem), truncating any existing file, stamped as extending a
+// snapshot at generation startGen.
+func CreateWAL(fsys FS, path string, startGen uint64, policy SyncPolicy) (*WAL, error) {
 	f, err := fsOrOS(fsys).OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, err
@@ -143,15 +139,11 @@ func CreateWALFS(fsys FS, path string, startGen uint64, policy SyncPolicy) (*WAL
 	return &WAL{f: f, policy: policy, size: int64(len(hdr))}, nil
 }
 
-// OpenWAL opens an existing log for appending: it replays the valid record
-// prefix (returned for the caller to re-apply), truncates any torn or
-// corrupt tail, and positions the log at its clean end.
-func OpenWAL(path string, policy SyncPolicy) (*WAL, []ReplayRecord, error) {
-	return OpenWALFS(OS, path, policy)
-}
-
-// OpenWALFS is OpenWAL through an explicit filesystem.
-func OpenWALFS(fsys FS, path string, policy SyncPolicy) (*WAL, []ReplayRecord, error) {
+// OpenWAL opens an existing log for appending through fsys (nil means the
+// real filesystem): it replays the valid record prefix (returned for the
+// caller to re-apply), truncates any torn or corrupt tail, and positions
+// the log at its clean end.
+func OpenWAL(fsys FS, path string, policy SyncPolicy) (*WAL, []ReplayRecord, error) {
 	f, err := fsOrOS(fsys).OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, nil, err
@@ -218,9 +210,8 @@ func replay(f io.Reader) ([]ReplayRecord, int64, uint64, error) {
 	return records, walHeaderSize + n, startGen, nil
 }
 
-// scanRecords reads framed records from r — the one decoder of the framing,
-// behind the WAL and the per-shard replica logs alike — hands each to accept,
-// and returns the bytes the accepted frames occupy. A log ends at the first
+// scanRecords reads framed records from r, hands each to accept, and
+// returns the bytes the accepted frames occupy. A log ends at the first
 // frame that fails any check below; the prefix before it stands.
 func scanRecords(r io.Reader, accept func(ReplayRecord) bool) int64 {
 	var n int64
@@ -248,11 +239,29 @@ func scanRecords(r io.Reader, accept func(ReplayRecord) bool) int64 {
 	}
 }
 
+// EncodeRecord serializes one (seq, gen, batch) record payload in the
+// WAL's record encoding without the length+CRC framing — the standby feed
+// ships records inside the cluster's own integrity-framed messages, so the
+// file framing would be redundant on the wire.
+func EncodeRecord(seq, gen uint64, b graph.Batch) ([]byte, error) {
+	frame, err := appendFramedRecord(nil, seq, gen, b)
+	if err != nil {
+		return nil, err
+	}
+	return frame[8:], nil
+}
+
+// DecodeRecord parses a record payload produced by EncodeRecord (or
+// carried inside a WAL frame).
+func DecodeRecord(payload []byte) (ReplayRecord, error) {
+	return decodeRecord(payload)
+}
+
 // appendFramedRecord appends one complete framed record — header plus
 // (seq, gen, batch) payload — to buf, reusing its capacity. It is the one
-// encoder behind both the WAL and the per-shard replica logs, so records
-// replicated over the wire and records appended locally are byte-identical
-// for identical stamps.
+// encoder behind both the WAL and the standby feed, so records fed over
+// the wire and records appended locally are byte-identical for identical
+// stamps.
 func appendFramedRecord(buf []byte, seq, gen uint64, b graph.Batch) ([]byte, error) {
 	frame := append(buf, 0, 0, 0, 0, 0, 0, 0, 0)
 	frame = binary.LittleEndian.AppendUint64(frame, seq)

@@ -24,7 +24,7 @@ func TestWALAppendReplay(t *testing.T) {
 	for _, policy := range []SyncPolicy{SyncAlways, SyncNone} {
 		t.Run(policy.String(), func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "wal.log")
-			w, err := CreateWAL(path, 7, policy)
+			w, err := CreateWAL(nil, path, 7, policy)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -67,7 +67,7 @@ func TestWALAppendReplay(t *testing.T) {
 func TestWALTornTail(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "wal.log")
-	w, err := CreateWAL(path, 0, SyncAlways)
+	w, err := CreateWAL(nil, path, 0, SyncAlways)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestWALTornTail(t *testing.T) {
 	}
 
 	// OpenWAL truncates the tail and stays appendable.
-	w2, records, err := OpenWAL(tornPath, SyncAlways)
+	w2, records, err := OpenWAL(nil, tornPath, SyncAlways)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestWALCorruptRecordNeverFatal(t *testing.T) {
 	for name, poison := range cases {
 		t.Run(name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "wal.log")
-			w, err := CreateWAL(path, 0, SyncAlways)
+			w, err := CreateWAL(nil, path, 0, SyncAlways)
 			if err != nil {
 				t.Fatal(err)
 			}

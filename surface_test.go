@@ -43,7 +43,7 @@ func TestWriteSurface(t *testing.T) {
 		{"(*Durable) methods taking a Batch", takesBatch(reflect.TypeOf(&incgraph.Durable{})), []string{"Commit", "LogPlanned"}},
 		{"(*Cluster) methods taking a Batch", takesBatch(reflect.TypeOf(&incgraph.Cluster{})), []string{"Apply", "ApplyCommit"}},
 		{"ApplyOptions fields", fields(reflect.TypeOf(incgraph.ApplyOptions{})), []string{"Via", "Deadline", "Log", "Exclusive"}},
-		{"cluster.CoordinatorOptions fields", fields(coordinatorOptions), []string{"Term", "Repl", "CallTimeout", "OnCommit"}},
+		{"cluster.CoordinatorOptions fields", fields(coordinatorOptions), []string{"Term", "CallTimeout", "OnCommit"}},
 		{"cluster.Commit fields", fields(reflect.TypeOf(incgraph.ClusterCommit{})), []string{"Log", "Unlog", "Apply"}},
 	} {
 		if !slices.Equal(tc.got, tc.want) {
