@@ -12,12 +12,12 @@ import (
 // the graph's shards, and the coordinator drives a two-phase protocol
 // over a length+CRC-framed RPC — phase 1 ships each shard's slice of the
 // validated batch plan to the worker owning it, in parallel; phase 2 (the
-// commit callback) applies the batch locally — so the distributed
-// application is byte-identical to the single-process
-// one. Shard placement and rebalancing ship the per-shard snapshot
-// segments of internal/store. Batches with disjoint TouchedShards are
-// routed concurrently. See internal/cluster for the protocol contract and
-// doc.go "Distribution" for what is and is not replicated yet.
+// commit callback) logs and applies the batch locally — so the distributed
+// application is byte-identical to the single-process one. Shard
+// placement and rebalancing ship the per-shard snapshot segments of
+// internal/store. The coordinator commits one batch at a time. See
+// internal/cluster for the protocol contract and doc.go "Distribution" for
+// what is and is not replicated.
 
 type (
 	// Cluster is the coordinator side of a shard-worker deployment.
@@ -33,12 +33,6 @@ type (
 	// ClusterScrubStats are the lifetime anti-entropy counters
 	// (Cluster.ScrubCounters).
 	ClusterScrubStats = cluster.ScrubStats
-	// ClusterCommit is the split commit callback of Cluster.ApplyCommit:
-	// the log and apply halves of a batch's local commit, pipelined by
-	// the coordinator around the remote phase 1. Durable.Commit builds it
-	// for you; it is exported for callers driving a cluster without a
-	// Durable.
-	ClusterCommit = cluster.Commit
 )
 
 // ClusterOption configures NewCluster.
@@ -57,24 +51,19 @@ func WithCallTimeout(d time.Duration) ClusterOption {
 	return func(o *cluster.CoordinatorOptions) { o.CallTimeout = d }
 }
 
-// WithOnCommit observes every committed batch in sequence order — wire a
-// ClusterHub's Feed here to drive standbys.
-func WithOnCommit(fn func(seq, preGen, postGen uint64, b Batch)) ClusterOption {
-	return func(o *cluster.CoordinatorOptions) { o.OnCommit = fn }
-}
-
-// ErrClusterOverloaded reports a commit that was shed at shard admission:
-// its per-op deadline (ApplyOptions.Deadline) expired while conflicting
-// batches held its shards. Nothing was applied anywhere; the batch is safe
-// to retry. Serving layers surface it as an explicit backpressure reply.
+// ErrClusterOverloaded reports a commit that was shed before phase 1: its
+// per-op deadline (ApplyOptions.Deadline) had passed by the time its turn
+// came. Nothing was applied anywhere; the batch is safe to retry. Serving
+// layers surface it as an explicit backpressure reply.
 var ErrClusterOverloaded = cluster.ErrOverloaded
 
 // NewCluster attaches the linked workers as shard workers of g,
 // handshaking each and placing every shard round-robin. Options set the
-// fencing term, the per-RPC deadline and the commit hook a standby feed
-// rides. While the cluster is attached, the cluster
-// commit path (Durable.Commit with ApplyOptions.Via, or Cluster.Apply
-// directly) must be the only mutation path of g.
+// fencing term and the per-RPC deadline. While the cluster is attached,
+// the cluster commit path (Durable.Commit with ApplyOptions.Via, or
+// Cluster.Apply directly) must be the only mutation path of g; a standby
+// feed is fed from the commit callback, which runs under the coordinator
+// mutex in commit order.
 func NewCluster(g *Graph, links []ClusterLink, opts ...ClusterOption) (*Cluster, error) {
 	var o cluster.CoordinatorOptions
 	for _, opt := range opts {

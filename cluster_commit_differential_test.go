@@ -1,13 +1,11 @@
 package incgraph_test
 
-// Differential test of the pipelined distributed commit: the same update
-// stream drives Durable.Commit locally (no Via) and through a cluster
-// (log append pipelined with phase 1, shares coalesced per link), and both
-// must produce byte-identical per-batch summaries, final answers, and raw
-// WAL file bytes. The pipeline is pure performance: it may change when the
-// WAL append overlaps the worker round trips and how many batches share a
-// frame, but never what is committed, in what order, or what recovery
-// would replay.
+// Differential test of the one commit road: the same update stream drives
+// Durable.Commit locally (no Via) and through a cluster (phase 1 on two
+// workers before the log append), and both must produce byte-identical
+// per-batch summaries, final answers, and raw WAL file bytes. Via changes
+// only how a batch is validated, never what is committed, in what order,
+// or what recovery would replay.
 
 import (
 	"bytes"
@@ -19,13 +17,13 @@ import (
 	"incgraph"
 )
 
-func TestPipelinedCommitMatchesSerial(t *testing.T) {
+func TestClusterCommitMatchesLocal(t *testing.T) {
 	cells := []struct {
 		name    string
 		cluster bool
 	}{
 		{"local", false},
-		{"pipelined", true},
+		{"cluster", true},
 	}
 
 	type result struct {
@@ -121,6 +119,47 @@ func TestPipelinedCommitMatchesSerial(t *testing.T) {
 		if !bytes.Equal(got.wal, ref.wal) {
 			t.Errorf("%s: WAL bytes diverged from local run (%d vs %d bytes)",
 				cells[ci].name, len(got.wal), len(ref.wal))
+		}
+	}
+}
+
+// TestClusterCommitBeforeRecoverSendsNothing: a Commit with Via on a store
+// that OpenDurable left mid-recovery is refused before the cluster sees
+// the batch: no phase-1 frame reaches a worker.
+func TestClusterCommitBeforeRecoverSendsNothing(t *testing.T) {
+	g, batches := diffWorkload(t, 4343)
+	g.SetShards(8)
+	dir := t.TempDir()
+	d, err := incgraph.CreateDurable(dir, g, incgraph.DurableOptions{Sync: incgraph.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Commit(batches[0], incgraph.ApplyOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	d.Close()
+
+	r, err := incgraph.OpenDurable(dir, incgraph.DurableOptions{Sync: incgraph.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	links, _, stop := incgraph.InProcessLinks(2)
+	defer stop()
+	cl, err := incgraph.NewCluster(r.Graph(), links)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if _, err := r.Commit(batches[1], incgraph.ApplyOptions{Via: cl}); err == nil || !strings.Contains(err.Error(), "before Recover") {
+		t.Fatalf("Commit via a cluster before Recover: %v, want a refusal", err)
+	}
+	if n := cl.RemoteErrors(); n != 0 {
+		t.Fatalf("the refused commit cost %d remote errors", n)
+	}
+	for _, st := range cl.Stats() {
+		if st.Remote.Applied != 0 {
+			t.Fatalf("worker %s applied %d phase-1 batches of a refused commit", st.Name, st.Remote.Applied)
 		}
 	}
 }

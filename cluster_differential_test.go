@@ -16,6 +16,7 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+	"time"
 
 	"incgraph"
 )
@@ -91,12 +92,12 @@ func TestClusterMatchesSingleProcess(t *testing.T) {
 		// batch to the authoritative graph and every engine, exactly like
 		// the durable path does.
 		var clusterSums []string
-		err := cl.Apply(b, func(bb incgraph.Batch) error {
-			if err := cg.ApplyBatch(bb); err != nil {
+		err := cl.Apply(b, time.Time{}, func() error {
+			if err := cg.ApplyBatch(b); err != nil {
 				return err
 			}
 			for _, m := range clusterEngines {
-				sum, err := m.Apply(bb)
+				sum, err := m.Apply(b)
 				if err != nil {
 					return fmt.Errorf("%s: %w", m.Class(), err)
 				}

@@ -22,7 +22,7 @@
 // A third gate is absolute rather than differential: when the fresh run
 // carries the "cluster" experiment, the geometric mean of the per-point
 // Cluster2w/SingleProc overhead must stay under -cluster-overhead
-// (default 2.5x). This pins the pipelined-commit budget — the distributed
+// (default 2.5x). This pins the distributed-commit budget — the distributed
 // two-phase apply must cost less than 2.5x the single-process apply on
 // the same sweep — against the run's own measurements, so a slow runner
 // cannot mask protocol bloat the way it can mask a wall-clock diff.

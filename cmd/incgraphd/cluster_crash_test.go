@@ -79,34 +79,25 @@ func TestClusterCrashRecovery(t *testing.T) {
 		"-shards", "8", "-checkpoint-bytes", "0", "-fsync", "none",
 	}
 
-	// Two shard workers on reserved loopback ports.
-	w1Addr, w2Addr := pickAddr(t), pickAddr(t)
-	startWorker := func(addr string) *exec.Cmd {
-		cmd := exec.Command(bin, "worker", "-addr", addr)
-		cmd.Stdout = os.Stderr
-		cmd.Stderr = os.Stderr
-		if err := cmd.Start(); err != nil {
-			t.Fatal(err)
-		}
-		if err := waitForAddr(addr, 15*time.Second); err != nil {
-			t.Fatalf("worker on %s never came up: %v", addr, err)
-		}
-		return cmd
+	// Two shard workers, each on a loopback port it binds itself; a
+	// restarted worker rebinds the address it first announced.
+	startWorker := func(addr string) (*exec.Cmd, string) {
+		cmd, addrs := startProc(t, bin, []string{"worker", "-addr", addr}, "worker")
+		return cmd, addrs[0]
 	}
-	w1 := startWorker(w1Addr)
+	w1, w1Addr := startWorker("127.0.0.1:0")
 	defer func() { w1.Process.Kill(); w1.Wait() }()
-	w2 := startWorker(w2Addr)
+	w2, w2Addr := startWorker("127.0.0.1:0")
 	defer func() { w2.Process.Kill(); w2.Wait() }()
 
 	// Coordinator daemon (cluster) and single-process reference daemon.
-	clusterAddr, singleAddr := pickAddr(t), pickAddr(t)
-	clusterDaemon := startDaemon(t, bin,
+	clusterDaemon, clusterAddr := startDaemon(t, bin,
 		append([]string{"-store", filepath.Join(dir, "store-cluster"), "-graph", graphPath,
-			"-addr", clusterAddr, "-cluster", w1Addr + "," + w2Addr}, engineArgs...), clusterAddr)
+			"-addr", "127.0.0.1:0", "-cluster", w1Addr + "," + w2Addr}, engineArgs...))
 	defer func() { clusterDaemon.Process.Kill(); clusterDaemon.Wait() }()
-	singleDaemon := startDaemon(t, bin,
+	singleDaemon, singleAddr := startDaemon(t, bin,
 		append([]string{"-store", filepath.Join(dir, "store-single"), "-graph", graphPath,
-			"-addr", singleAddr}, engineArgs...), singleAddr)
+			"-addr", "127.0.0.1:0"}, engineArgs...))
 	defer func() { singleDaemon.Process.Kill(); singleDaemon.Wait() }()
 
 	cc := dialLine(t, clusterAddr)
@@ -172,7 +163,7 @@ func TestClusterCrashRecovery(t *testing.T) {
 
 	// Restart the worker on the same address: the next commit reattaches
 	// it and re-ships its shards from the coordinator's segments.
-	w1 = startWorker(w1Addr)
+	w1, _ = startWorker(w1Addr)
 	stage(cc, killed)
 	cc.cmd(t, "commit")
 	stage(sc, killed)

@@ -9,7 +9,6 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -61,15 +60,14 @@ func TestCrashRecoverySmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	storeDir := filepath.Join(dir, "store")
-	addr := pickAddr(t)
 	args := []string{
-		"-store", storeDir, "-graph", graphPath, "-addr", addr,
+		"-store", storeDir, "-graph", graphPath, "-addr", "127.0.0.1:0",
 		"-kws", strings.Join(kwsQ.Keywords, ","), "-bound", fmt.Sprint(kwsQ.Bound),
 		"-rpq", "l1.l2*.l3", "-iso", patPath, "-scc",
 		"-shards", "4", "-checkpoint-bytes", "0",
 	}
 
-	daemon := startDaemon(t, bin, args, addr)
+	daemon, addr := startDaemon(t, bin, args)
 
 	// Ingest bursts of random updates through the protocol.
 	c := dialLine(t, addr)
@@ -115,7 +113,7 @@ func TestCrashRecoverySmoke(t *testing.T) {
 	daemon.Wait()
 
 	// Restart on the same store and compare every answer byte for byte.
-	daemon = startDaemon(t, bin, args, addr)
+	daemon, addr = startDaemon(t, bin, args)
 	defer func() {
 		daemon.Process.Kill()
 		daemon.Wait()
@@ -141,58 +139,6 @@ func TestCrashRecoverySmoke(t *testing.T) {
 	for _, field := range []string{"accept_errs=0", "commit_errs=0", "fanout_loops=", "fanout_engaged=", "fanout_helpers=", " graphs=1 ", " engines_inplace="} {
 		if !strings.Contains(statLine, field) {
 			t.Fatalf("stat %q missing %q", statLine, field)
-		}
-	}
-}
-
-// startDaemon launches the binary and waits until its port accepts.
-func startDaemon(t *testing.T, bin string, args []string, addr string) *exec.Cmd {
-	t.Helper()
-	cmd := exec.Command(bin, args...)
-	cmd.Stdout = os.Stderr
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(30 * time.Second)
-	for time.Now().Before(deadline) {
-		conn, err := net.DialTimeout("tcp", addr, time.Second)
-		if err == nil {
-			conn.Close()
-			return cmd
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	cmd.Process.Kill()
-	t.Fatalf("daemon on %s never came up", addr)
-	return nil
-}
-
-// picked holds every address pickAddr has handed out in this process.
-var (
-	pickedMu sync.Mutex
-	picked   = map[string]bool{}
-)
-
-// pickAddr reserves a free localhost port. The port is released before the
-// caller binds it, so the kernel may offer it again to the next pick; a
-// test that picks several addresses before starting its daemons would then
-// start two on one port. pickAddr never returns the same address twice.
-func pickAddr(t *testing.T) string {
-	t.Helper()
-	for {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		addr := ln.Addr().String()
-		ln.Close()
-		pickedMu.Lock()
-		seen := picked[addr]
-		picked[addr] = true
-		pickedMu.Unlock()
-		if !seen {
-			return addr
 		}
 	}
 }

@@ -85,19 +85,7 @@ func diskTestServer(t *testing.T, ffs *incgraph.FaultFS) (*server, string) {
 	}
 	srv.diskBackoff = time.Millisecond
 	srv.diskProbeEvery = 10 * time.Millisecond
-	addr := pickAddr(t)
-	stop := make(chan struct{})
-	done := make(chan error, 1)
-	go func() { done <- srv.serve(addr, stop) }()
-	if err := waitForAddr(addr, 10*time.Second); err != nil {
-		t.Fatalf("test server on %s never came up: %v", addr, err)
-	}
-	t.Cleanup(func() {
-		close(stop)
-		if err := <-done; err != nil {
-			t.Errorf("serve: %v", err)
-		}
-	})
+	addr, _, _ := serveInProcess(t, func(stop <-chan struct{}) error { return srv.serve("127.0.0.1:0", stop) })
 	return srv, addr
 }
 

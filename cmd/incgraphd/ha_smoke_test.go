@@ -65,44 +65,32 @@ func TestStandbyFailoverSmoke(t *testing.T) {
 		"-rpq", "l1.l2*.l3", "-iso", patPath, "-scc",
 	}
 
-	w1Addr, w2Addr := pickAddr(t), pickAddr(t)
-	startWorker := func(addr string) *exec.Cmd {
-		cmd := exec.Command(bin, "worker", "-addr", addr)
-		cmd.Stdout = os.Stderr
-		cmd.Stderr = os.Stderr
-		if err := cmd.Start(); err != nil {
-			t.Fatal(err)
-		}
-		if err := waitForAddr(addr, 15*time.Second); err != nil {
-			t.Fatalf("worker on %s never came up: %v", addr, err)
-		}
-		return cmd
+	var workerAddrs []string
+	for i := 0; i < 2; i++ {
+		w, addrs := startProc(t, bin, []string{"worker", "-addr", "127.0.0.1:0"}, "worker")
+		defer func() { w.Process.Kill(); w.Wait() }()
+		workerAddrs = append(workerAddrs, addrs[0])
 	}
-	w1 := startWorker(w1Addr)
-	defer func() { w1.Process.Kill(); w1.Wait() }()
-	w2 := startWorker(w2Addr)
-	defer func() { w2.Process.Kill(); w2.Wait() }()
+	workers := strings.Join(workerAddrs, ",")
 
-	primaryAddr, hubAddr, standbyAddr, singleAddr := pickAddr(t), pickAddr(t), pickAddr(t), pickAddr(t)
-	clusterArgs := []string{"-cluster", w1Addr + "," + w2Addr, "-term", "1"}
-	primary := startDaemon(t, bin,
+	clusterArgs := []string{"-cluster", workers, "-term", "1"}
+	primary, addrs := startProc(t, bin,
 		append(append([]string{"-store", filepath.Join(dir, "store-primary"), "-graph", graphPath,
-			"-addr", primaryAddr, "-hub", hubAddr,
+			"-addr", "127.0.0.1:0", "-hub", "127.0.0.1:0",
 			"-shards", "8", "-checkpoint-bytes", "0", "-fsync", "none"}, clusterArgs...), engineArgs...),
-		primaryAddr)
+		"", "hub")
+	primaryAddr, hubAddr := addrs[0], addrs[1]
 	defer func() { primary.Process.Kill(); primary.Wait() }()
-	single := startDaemon(t, bin,
+	single, singleAddr := startDaemon(t, bin,
 		append([]string{"-store", filepath.Join(dir, "store-single"), "-graph", graphPath,
-			"-addr", singleAddr, "-shards", "8", "-checkpoint-bytes", "0", "-fsync", "none"}, engineArgs...),
-		singleAddr)
+			"-addr", "127.0.0.1:0", "-shards", "8", "-checkpoint-bytes", "0", "-fsync", "none"}, engineArgs...))
 	defer func() { single.Process.Kill(); single.Wait() }()
 
-	standby := startDaemon(t, bin,
+	standby, standbyAddr := startDaemon(t, bin,
 		append([]string{"standby", "-primary", hubAddr,
-			"-store", filepath.Join(dir, "store-standby"), "-addr", standbyAddr,
+			"-store", filepath.Join(dir, "store-standby"), "-addr", "127.0.0.1:0",
 			"-ttl", "1s", "-fsync", "none", "-checkpoint-bytes", "0",
-			"-cluster", w1Addr + "," + w2Addr}, engineArgs...),
-		standbyAddr)
+			"-cluster", workers}, engineArgs...))
 	defer func() { standby.Process.Kill(); standby.Wait() }()
 
 	pc := dialLine(t, primaryAddr)
@@ -230,11 +218,11 @@ func TestStandbyFailoverSmoke(t *testing.T) {
 func TestPromoteFailureClosesDialedLinks(t *testing.T) {
 	dir := t.TempDir()
 	cfg, _ := linFixture(t, dir)
-	cfg.storeDir, cfg.addr, cfg.hubAddr = filepath.Join(dir, "store"), pickAddr(t), pickAddr(t)
-	linServe(t, cfg.addr, func(stop <-chan struct{}) error { return run(cfg, stop) })
+	cfg.storeDir, cfg.addr, cfg.hubAddr = filepath.Join(dir, "store"), "127.0.0.1:0", "127.0.0.1:0"
+	_, hubAddr, _ := serveInProcess(t, func(stop <-chan struct{}) error { return run(cfg, stop) })
 
 	// The live "worker" only accepts; the dead one is an address nobody
-	// listens on.
+	// listens on (port 1, tcpmux, is not served on loopback).
 	live, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -246,11 +234,10 @@ func TestPromoteFailureClosesDialedLinks(t *testing.T) {
 			accepted <- conn
 		}
 	}()
-	standbyAddr := pickAddr(t)
-	linServe(t, standbyAddr, func(stop <-chan struct{}) error {
+	standbyAddr, _, _ := serveInProcess(t, func(stop <-chan struct{}) error {
 		return runStandby([]string{
-			"-primary", cfg.hubAddr, "-store", filepath.Join(dir, "store-standby"), "-addr", standbyAddr,
-			"-fsync", "none", "-cluster", live.Addr().String() + "," + pickAddr(t),
+			"-primary", hubAddr, "-store", filepath.Join(dir, "store-standby"), "-addr", "127.0.0.1:0",
+			"-fsync", "none", "-cluster", live.Addr().String() + ",127.0.0.1:1",
 			"-kws", cfg.kwsQuery, "-bound", fmt.Sprint(cfg.bound), "-rpq", cfg.rpqQuery, "-iso", cfg.isoPath, "-scc",
 		}, stop)
 	})

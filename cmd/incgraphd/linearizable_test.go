@@ -436,29 +436,6 @@ func linReaders(t *testing.T, addr string, n int, o *linOracle, acked *atomic.Ui
 	}
 }
 
-// linServe runs a daemon in-process until the returned stop function is
-// called (also at cleanup).
-func linServe(t *testing.T, addr string, serve func(stop <-chan struct{}) error) (stop func()) {
-	t.Helper()
-	ch := make(chan struct{})
-	done := make(chan error, 1)
-	go func() { done <- serve(ch) }()
-	if err := waitForAddr(addr, 20*time.Second); err != nil {
-		t.Fatalf("daemon on %s never came up: %v", addr, err)
-	}
-	var once sync.Once
-	stop = func() {
-		once.Do(func() {
-			close(ch)
-			if err := <-done; err != nil {
-				t.Errorf("daemon on %s: %v", addr, err)
-			}
-		})
-	}
-	t.Cleanup(stop)
-	return stop
-}
-
 // TestLinearizableReads: the check on a single-process primary and on a
 // cluster coordinator over two in-process shard workers.
 func TestLinearizableReads(t *testing.T) {
@@ -466,7 +443,7 @@ func TestLinearizableReads(t *testing.T) {
 		t.Run(shape, func(t *testing.T) {
 			dir := t.TempDir()
 			cfg, g := linFixture(t, dir)
-			cfg.storeDir, cfg.addr = filepath.Join(dir, "store"), pickAddr(t)
+			cfg.storeDir, cfg.addr = filepath.Join(dir, "store"), "127.0.0.1:0"
 			if shape == "cluster" {
 				cfg.shards = 4
 				var addrs []string
@@ -483,13 +460,13 @@ func TestLinearizableReads(t *testing.T) {
 			}
 			steps := linHistory(g, 29, 30)
 			o := linReplay(t, cfg, steps)
-			linServe(t, cfg.addr, func(stop <-chan struct{}) error { return run(cfg, stop) })
+			addr, _, _ := serveInProcess(t, func(stop <-chan struct{}) error { return run(cfg, stop) })
 
 			var acked atomic.Uint64
 			acked.Store(o.gens[0])
 			done := make(chan struct{})
-			wait := linReaders(t, cfg.addr, 4, o, &acked, done)
-			if next := linWrite(t, cfg.addr, steps, o, 1, &acked); next != len(o.gens) {
+			wait := linReaders(t, addr, 4, o, &acked, done)
+			if next := linWrite(t, addr, steps, o, 1, &acked); next != len(o.gens) {
 				t.Fatalf("the writer acked %d commits, the replay made %d", next-1, len(o.gens)-1)
 			}
 			close(done)
@@ -501,7 +478,7 @@ func TestLinearizableReads(t *testing.T) {
 				t.Fatalf("readers saw %d generations: they did not overlap the writer", len(seen))
 			}
 			// The readers above were served across folds, too.
-			c, err := linDial(cfg.addr)
+			c, err := linDial(addr)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -520,15 +497,14 @@ func TestLinearizableReads(t *testing.T) {
 func TestLinearizableStandbyReads(t *testing.T) {
 	dir := t.TempDir()
 	cfg, g := linFixture(t, dir)
-	cfg.storeDir, cfg.addr, cfg.hubAddr = filepath.Join(dir, "store"), pickAddr(t), pickAddr(t)
+	cfg.storeDir, cfg.addr, cfg.hubAddr = filepath.Join(dir, "store"), "127.0.0.1:0", "127.0.0.1:0"
 	steps := linHistory(g, 31, 24)
 	o := linReplay(t, cfg, steps)
 	half := len(steps) / 2
-	stopPrimary := linServe(t, cfg.addr, func(stop <-chan struct{}) error { return run(cfg, stop) })
-	standbyAddr := pickAddr(t)
-	linServe(t, standbyAddr, func(stop <-chan struct{}) error {
+	primaryAddr, hubAddr, stopPrimary := serveInProcess(t, func(stop <-chan struct{}) error { return run(cfg, stop) })
+	standbyAddr, _, _ := serveInProcess(t, func(stop <-chan struct{}) error {
 		return runStandby([]string{
-			"-primary", cfg.hubAddr, "-store", filepath.Join(dir, "store-standby"), "-addr", standbyAddr,
+			"-primary", hubAddr, "-store", filepath.Join(dir, "store-standby"), "-addr", "127.0.0.1:0",
 			"-ttl", "1s", "-fsync", "none", "-checkpoint-bytes", "0",
 			"-kws", cfg.kwsQuery, "-bound", fmt.Sprint(cfg.bound), "-rpq", cfg.rpqQuery, "-iso", cfg.isoPath, "-scc",
 		}, stop)
@@ -542,7 +518,8 @@ func TestLinearizableStandbyReads(t *testing.T) {
 	// A second standby attaches once the writer below is two commits in: its
 	// snapshot is cut between two commits of a running writer, and the feed
 	// carries on from exactly there.
-	lateAddr, lateStop, lateDone := pickAddr(t), make(chan struct{}), make(chan error, 1)
+	lateStop, lateDone := make(chan struct{}), make(chan error, 1)
+	lateLines, _ := watchListening(t)
 	go func() {
 		for acked.Load() < o.gens[2] {
 			select {
@@ -553,7 +530,7 @@ func TestLinearizableStandbyReads(t *testing.T) {
 			}
 		}
 		lateDone <- runStandby([]string{
-			"-primary", cfg.hubAddr, "-store", filepath.Join(dir, "store-late"), "-addr", lateAddr,
+			"-primary", hubAddr, "-store", filepath.Join(dir, "store-late"), "-addr", "127.0.0.1:0",
 			"-ttl", "1s", "-fsync", "none", "-checkpoint-bytes", "0",
 			"-kws", cfg.kwsQuery, "-bound", fmt.Sprint(cfg.bound), "-rpq", cfg.rpqQuery, "-iso", cfg.isoPath, "-scc",
 		}, lateStop)
@@ -565,7 +542,7 @@ func TestLinearizableStandbyReads(t *testing.T) {
 		}
 	})
 	t.Cleanup(stopLate)
-	next := linWrite(t, cfg.addr, steps[:half], o, 1, &acked)
+	next := linWrite(t, primaryAddr, steps[:half], o, 1, &acked)
 	sc, err := linDial(standbyAddr)
 	if err != nil {
 		t.Fatal(err)
@@ -589,10 +566,14 @@ func TestLinearizableStandbyReads(t *testing.T) {
 	}
 
 	// The writer is quiet: the late standby converges to the primary's bytes.
-	if err := waitForAddr(lateAddr, 20*time.Second); err != nil {
-		t.Fatalf("late standby never came up: %v", err)
+	var lateAddr string
+	select {
+	case line := <-lateLines:
+		lateAddr, _ = listenedOn(line, "")
+	case <-time.After(20 * time.Second):
+		t.Fatal("late standby never came up")
 	}
-	pc, err := linDial(cfg.addr)
+	pc, err := linDial(primaryAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -664,17 +645,16 @@ func TestLinearizableStandbyReads(t *testing.T) {
 func TestStandbyAutoCheckpoints(t *testing.T) {
 	dir := t.TempDir()
 	cfg, g := linFixture(t, dir)
-	cfg.storeDir, cfg.addr, cfg.hubAddr = filepath.Join(dir, "store"), pickAddr(t), pickAddr(t)
-	linServe(t, cfg.addr, func(stop <-chan struct{}) error { return run(cfg, stop) })
-	standbyAddr := pickAddr(t)
-	linServe(t, standbyAddr, func(stop <-chan struct{}) error {
+	cfg.storeDir, cfg.addr, cfg.hubAddr = filepath.Join(dir, "store"), "127.0.0.1:0", "127.0.0.1:0"
+	primaryAddr, hubAddr, _ := serveInProcess(t, func(stop <-chan struct{}) error { return run(cfg, stop) })
+	standbyAddr, _, _ := serveInProcess(t, func(stop <-chan struct{}) error {
 		return runStandby([]string{
-			"-primary", cfg.hubAddr, "-store", filepath.Join(dir, "store-standby"), "-addr", standbyAddr,
+			"-primary", hubAddr, "-store", filepath.Join(dir, "store-standby"), "-addr", "127.0.0.1:0",
 			"-ttl", "5s", "-fsync", "none", "-checkpoint-bytes", "2048",
 			"-kws", cfg.kwsQuery, "-bound", fmt.Sprint(cfg.bound), "-rpq", cfg.rpqQuery, "-iso", cfg.isoPath, "-scc",
 		}, stop)
 	})
-	pc, err := linDial(cfg.addr)
+	pc, err := linDial(primaryAddr)
 	if err != nil {
 		t.Fatal(err)
 	}

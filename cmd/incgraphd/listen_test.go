@@ -1,0 +1,137 @@
+package main
+
+// Port handoff for tests. Every daemon, worker and hub a test starts binds
+// 127.0.0.1:0 and announces the address it got in a "listening on" log
+// line (listenedOn); the test reads the address from there — a child's
+// stderr, or the standard logger an in-process daemon writes to — so no
+// port is ever picked for a daemon and released before it binds.
+
+import (
+	"log"
+	"os"
+	"os/exec"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+)
+
+// logTap tees the standard logger to stderr and hands its listening lines
+// to the tests waiting for them.
+type logTap struct {
+	mu   sync.Mutex
+	subs map[chan string]bool
+}
+
+var (
+	tap     = logTap{subs: make(map[chan string]bool)}
+	tapOnce sync.Once
+)
+
+func (lt *logTap) Write(p []byte) (int, error) {
+	os.Stderr.Write(p)
+	if strings.Contains(string(p), "listening on ") {
+		lt.mu.Lock()
+		for ch := range lt.subs {
+			select {
+			case ch <- string(p):
+			default:
+			}
+		}
+		lt.mu.Unlock()
+	}
+	return len(p), nil
+}
+
+// watchListening subscribes to the listening lines the standard logger
+// writes from now on, until unsubscribe (or the end of the test).
+func watchListening(t *testing.T) (lines <-chan string, unsubscribe func()) {
+	tapOnce.Do(func() { log.SetOutput(&tap) })
+	// A daemon announces at most a handful of listeners, and a line that
+	// finds the buffer full is dropped rather than block the logger.
+	ch := make(chan string, 16)
+	tap.mu.Lock()
+	tap.subs[ch] = true
+	tap.mu.Unlock()
+	unsubscribe = func() {
+		tap.mu.Lock()
+		delete(tap.subs, ch)
+		tap.mu.Unlock()
+	}
+	t.Cleanup(unsubscribe)
+	return ch, unsubscribe
+}
+
+// serveInProcess runs serve on its own goroutine until the returned stop is
+// called (also at cleanup), and returns the addresses it announced: the
+// line protocol's, and the hub's when it runs one. serve's listeners must
+// bind 127.0.0.1:0.
+func serveInProcess(t *testing.T, serve func(stop <-chan struct{}) error) (addr, hubAddr string, stop func()) {
+	t.Helper()
+	lines, unsubscribe := watchListening(t)
+	defer unsubscribe()
+	ch := make(chan struct{})
+	done := make(chan error, 1)
+	go func() { done <- serve(ch) }()
+	timeout := time.After(30 * time.Second)
+	for addr == "" {
+		select {
+		case line := <-lines:
+			if a, ok := listenedOn(line, "hub"); ok {
+				hubAddr = a
+			}
+			if a, ok := listenedOn(line, ""); ok {
+				addr = a
+			}
+		case err := <-done:
+			t.Fatalf("daemon exited before listening: %v", err)
+		case <-timeout:
+			t.Fatal("daemon not listening after 30s")
+		}
+	}
+	var once sync.Once
+	stop = func() {
+		once.Do(func() {
+			close(ch)
+			if err := <-done; err != nil {
+				t.Errorf("daemon on %s: %v", addr, err)
+			}
+		})
+	}
+	t.Cleanup(stop)
+	return addr, hubAddr, stop
+}
+
+// startProc starts bin with args, copies its log to stderr, and returns
+// once it has announced an address for each of kinds, in kinds' order.
+func startProc(t *testing.T, bin string, args []string, kinds ...string) (*exec.Cmd, []string) {
+	t.Helper()
+	logs, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(bin, args...)
+	cmd.Stdout = os.Stderr
+	cmd.Stderr = w
+	err = cmd.Start()
+	w.Close()
+	if err != nil {
+		logs.Close()
+		t.Fatal(err)
+	}
+	addrs, err := announced(logs, 30*time.Second, kinds...)
+	if err != nil {
+		cmd.Process.Kill()
+		cmd.Wait()
+		t.Fatalf("%s %v: %v", bin, args, err)
+	}
+	return cmd, addrs
+}
+
+// startDaemon starts a daemon (its -addr 127.0.0.1:0) and returns it with
+// the line-protocol address it announced.
+func startDaemon(t *testing.T, bin string, args []string) (*exec.Cmd, string) {
+	t.Helper()
+	cmd, addrs := startProc(t, bin, args, "")
+	return cmd, addrs[0]
+}

@@ -140,7 +140,10 @@
 // bytes) or drain a reply within -op-timeout is cut; staging past
 // -max-staged is refused; and commit/query admission is gated (bounded in
 // flight, bounded queue, bounded wait) with excess load shed as
-// "err overloaded: ...; retry in 100ms". Every shed, refused stage,
+// "err overloaded: ...; retry in 100ms". In cluster mode commits run one
+// at a time, phase 1 included, and one whose -op-timeout budget ran out
+// while it waited for its turn is shed the same way before phase 1
+// (commit_cluster_shed in "stat"). Every shed, refused stage,
 // oversized line and deadline drop is a counter in "stat". See the
 // package documentation's "Overload & admission control" section for the
 // degradation contract.
@@ -168,9 +171,11 @@
 package main
 
 import (
+	"bufio"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"os"
@@ -304,8 +309,9 @@ func runWorker(args []string) error {
 // isClosed reports the listener-closed error a clean shutdown produces.
 func isClosed(err error) bool { return errors.Is(err, net.ErrClosed) }
 
-// spawnWorkers launches n "incgraphd worker" child processes on loopback
-// ports and waits for each to accept. The returned stop kills them.
+// spawnWorkers launches n "incgraphd worker" child processes, each on a
+// loopback port it binds itself, and returns the addresses their "worker
+// listening on" log lines announce. The returned stop kills them.
 func spawnWorkers(n int) (addrs []string, stop func(), err error) {
 	self, err := os.Executable()
 	if err != nil {
@@ -319,46 +325,88 @@ func spawnWorkers(n int) (addrs []string, stop func(), err error) {
 		}
 	}
 	for i := 0; i < n; i++ {
-		// Reserve a free loopback port, release it, hand it to the child.
-		// The tiny window is acceptable for a local dev topology.
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		logs, w, err := os.Pipe()
 		if err != nil {
 			stop()
 			return nil, nil, err
 		}
-		addr := ln.Addr().String()
-		ln.Close()
-		cmd := exec.Command(self, "worker", "-addr", addr)
+		cmd := exec.Command(self, "worker", "-addr", "127.0.0.1:0")
 		cmd.Stdout = os.Stderr
-		cmd.Stderr = os.Stderr
-		if err := cmd.Start(); err != nil {
+		cmd.Stderr = w
+		err = cmd.Start()
+		w.Close() // the child holds its own copy
+		if err != nil {
+			logs.Close()
 			stop()
 			return nil, nil, err
 		}
 		procs = append(procs, cmd)
-		if err := waitForAddr(addr, 10*time.Second); err != nil {
+		addr, err := announced(logs, 10*time.Second, "worker")
+		if err != nil {
 			stop()
-			return nil, nil, fmt.Errorf("spawned worker on %s never came up: %w", addr, err)
+			return nil, nil, fmt.Errorf("spawned worker: %w", err)
 		}
-		addrs = append(addrs, addr)
+		addrs = append(addrs, addr[0])
 	}
 	return addrs, stop, nil
 }
 
-// waitForAddr polls until a TCP dial to addr succeeds.
-func waitForAddr(addr string, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		conn, err := net.DialTimeout("tcp", addr, time.Second)
-		if err == nil {
-			conn.Close()
-			return nil
+// announced copies a child's log to stderr line by line until it ends,
+// and returns, as soon as they have all arrived, the addresses its
+// listening lines (see listenedOn) announced for kinds, in kinds' order.
+func announced(logs io.ReadCloser, timeout time.Duration, kinds ...string) ([]string, error) {
+	addrs := make([]string, len(kinds))
+	found := make(chan struct{})
+	go func() {
+		defer logs.Close()
+		left := len(kinds)
+		sc := bufio.NewScanner(logs)
+		for sc.Scan() {
+			fmt.Fprintln(os.Stderr, sc.Text())
+			for i, kind := range kinds {
+				if addr, ok := listenedOn(sc.Text(), kind); ok && left > 0 && addrs[i] == "" {
+					addrs[i] = addr
+					if left--; left == 0 {
+						close(found)
+					}
+				}
+			}
 		}
-		if time.Now().After(deadline) {
-			return err
+		if left > 0 {
+			close(found)
 		}
-		time.Sleep(25 * time.Millisecond)
+	}()
+	select {
+	case <-found:
+		for i, addr := range addrs {
+			if addr == "" {
+				return nil, fmt.Errorf("exited before announcing its %q address", kinds[i])
+			}
+		}
+		return addrs, nil
+	case <-time.After(timeout):
+		return nil, fmt.Errorf("no address announced within %v", timeout)
 	}
+}
+
+// listenedOn parses a "[KIND ]listening on ADDR ..." log line — how every
+// listener of this binary announces the address it bound — and returns
+// ADDR when the line is kind's: "" for the line protocol, "hub" or
+// "worker".
+func listenedOn(line, kind string) (string, bool) {
+	before, after, ok := strings.Cut(line, "listening on ")
+	if !ok {
+		return "", false
+	}
+	got := ""
+	if f := strings.Fields(before); len(f) > 0 && (f[len(f)-1] == "hub" || f[len(f)-1] == "worker") {
+		got = f[len(f)-1]
+	}
+	addr := strings.Fields(after)
+	if len(addr) == 0 || got != kind {
+		return "", false
+	}
+	return addr[0], true
 }
 
 // attachEngines builds the standing-query engines the flags describe

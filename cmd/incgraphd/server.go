@@ -22,20 +22,20 @@ import (
 // commitMu and then publishes an immutable view of the result
 // (view.go); query, answer, stat and health load the current view and take
 // no lock, so a read never waits for a commit and a commit never waits for
-// a render. In cluster mode the remote phase 1 of a commit runs before any
-// lock is taken, so the wire round trips of one commit overlap with the
-// remote phase of other commits on disjoint shards; only the local durable
-// apply is exclusive.
+// a render. A commit holds commitMu around the whole Durable.Commit in both
+// modes — in cluster mode phase 1's round trips included — so commits are
+// validated, logged and applied one at a time, in one order.
 //
 // Lock order, written down here and nowhere else:
 //
-//	coordinator logMu → coordinator commitMu → server commitMu
+//	server commitMu → coordinator mutex
 //
-// The coordinator holds logMu from a batch's log hook through its apply hook,
-// so the hooks taking the server's commitMu one at a time cannot invert WAL
-// order against commit order. The hub's mutex is a leaf: Hub.Feed takes it
-// under commitMu and calls nothing while holding it, and Hub.ServeConn calls
-// the snapshot callback, which takes commitMu, holding no lock.
+// In cluster mode Durable.Commit takes the coordinator's mutex (Cluster.Apply)
+// and calls the log and apply hooks back under both; move and scrub take only
+// the coordinator's, and the scrubber never waits for it. The hub's mutex is a
+// leaf: Hub.Feed takes it under commitMu and calls nothing while holding it,
+// and Hub.ServeConn calls the snapshot callback, which takes commitMu, holding
+// no lock.
 type server struct {
 	d *incgraph.Durable
 	// ckptBytes auto-checkpoints after a commit grows the WAL past it.
@@ -115,7 +115,7 @@ type server struct {
 	stagedShed   atomic.Uint64 // stage commands refused at max-staged
 	linesTooLong atomic.Uint64 // oversized protocol lines (replied, then cut)
 	idleDrops    atomic.Uint64 // connections cut by the per-line read deadline
-	clusterShed  atomic.Uint64 // commits shed by the cluster's shard-admission deadline
+	clusterShed  atomic.Uint64 // cluster commits whose op budget ran out before phase 1
 
 	// Disk-degradation state (doc.go "Overload & admission control" has
 	// the matrix row). The commit path moves diskState healthy→retrying
@@ -609,28 +609,18 @@ func (s *server) commitAdmitted(batch incgraph.Batch, v *view) (shed bool, line 
 		deadline = time.Now().Add(s.lim.opTimeout)
 	}
 	opts, res := s.applyOptions(v, deadline, batch)
-	var (
-		sums []incgraph.DeltaSummary
-		err  error
-	)
-	if v.cl != nil {
-		// The coordinator plans and validates the batch, runs the log hook
-		// alongside phase 1 and the apply hook inside its serialized commit
-		// section. The per-op deadline caps the shard-admission wait and the
-		// phase-1 round trips.
-		sums, err = s.d.Commit(batch, opts)
+	// commitMu around the whole validate (or phase 1) + log + apply keeps WAL
+	// order equal to commit order. In cluster mode a commit whose op budget
+	// ran out waiting here is shed before phase 1, and the rest of the budget
+	// caps the phase-1 round trips.
+	s.commitMu.Lock()
+	sums, err := s.d.Commit(batch, opts)
+	s.commitMu.Unlock()
+	if err != nil {
 		if errors.Is(err, incgraph.ErrClusterOverloaded) {
 			s.clusterShed.Add(1)
-			return true, errLine(catOverloaded, "shards busy past the op deadline; retry in %dms", retryHintMS)
+			return true, errLine(catOverloaded, "op budget spent before phase 1; retry in %dms", retryHintMS)
 		}
-	} else {
-		// Single process: commitMu around the whole validate+log+apply keeps
-		// WAL order equal to commit order.
-		s.commitMu.Lock()
-		sums, err = s.d.Commit(batch, opts)
-		s.commitMu.Unlock()
-	}
-	if err != nil {
 		if errors.Is(err, errDiskDegraded) {
 			// The append retries were exhausted and the daemon just went
 			// read-only. Nothing was logged or applied, so this commit is a
@@ -664,10 +654,7 @@ type commitResult struct{ gen uint64 }
 // (a replica whose disk fails ends its tail, it does not go read-only). The
 // apply step applies, publishes the view and — the one place, for every role
 // and mode — feeds the hub, so feed order is commit order. Both steps run
-// under commitMu: a coordinator calls them at separate points of its
-// pipelined schedule (the apply step inside its serialized commit section),
-// so there each takes it itself; everywhere else — a lone primary's commit, a
-// standby's feed apply — the caller holds it around the whole Commit.
+// under commitMu, which the caller holds around the whole Commit.
 func (s *server) applyOptions(v *view, deadline time.Time, batch incgraph.Batch) (incgraph.ApplyOptions, *commitResult) {
 	res := new(commitResult)
 	opts := incgraph.ApplyOptions{Via: v.cl, Deadline: deadline}
@@ -698,19 +685,6 @@ func (s *server) applyOptions(v *view, deadline time.Time, batch incgraph.Batch)
 		}
 		s.syncDurableMeta()
 		return err
-	}
-	if v.cl != nil {
-		logStep, applyStep := opts.Log, opts.Exclusive
-		opts.Log = func(b incgraph.Batch, gen uint64) error {
-			s.commitMu.Lock()
-			defer s.commitMu.Unlock()
-			return logStep(b, gen)
-		}
-		opts.Exclusive = func(apply func() error) error {
-			s.commitMu.Lock()
-			defer s.commitMu.Unlock()
-			return applyStep(apply)
-		}
 	}
 	return opts, res
 }
@@ -754,7 +728,7 @@ func appliedLine(n int, gen uint64, engines []incgraph.Maintained, sums []incgra
 // truly succeeded — the WAL itself rolls back seq and truncates on
 // failure, so "acked ⇒ durable" holds across every retry. The caller
 // holds commitMu and has already validated the batch (Durable.Commit
-// plans or validates before its Log hook runs), so the append is
+// validates, or runs phase 1, before its Log hook runs), so the append is
 // LogPlanned with the caller's generation stamp.
 func (s *server) logWithRetry(b incgraph.Batch, gen uint64) error {
 	err := s.d.LogPlanned(b, gen)
@@ -1026,8 +1000,8 @@ func (s *server) health(reply func(string, ...any) bool) bool {
 // scrub runs one anti-entropy pass over every shard (cluster mode only):
 // each worker replica's parcel bytes are verified against the
 // coordinator-authoritative state, and any divergent shard is re-placed
-// from the authoritative parcel. Busy shards are skipped, not waited for, so the pass is
-// bounded even under commit load.
+// from the authoritative parcel. A shard whose turn meets a commit in flight
+// is skipped, not waited for, so the pass is bounded even under commit load.
 func (s *server) scrub(reply func(string, ...any) bool) bool {
 	cl := s.cluster()
 	if cl == nil {

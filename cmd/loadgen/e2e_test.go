@@ -1,11 +1,12 @@
 package main
 
 import (
+	"bufio"
 	"fmt"
-	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -28,24 +29,18 @@ func TestLoadgenSmoke(t *testing.T) {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
 
-	addr := pickAddr(t)
 	daemon := exec.Command(bin,
-		"-store", filepath.Join(dir, "store"), "-addr", addr, "-scc",
+		"-store", filepath.Join(dir, "store"), "-addr", "127.0.0.1:0", "-scc",
 		"-checkpoint-bytes", "0", "-fsync", "none",
 		"-commit-inflight", "1", "-commit-queue", "2",
 		"-read-inflight", "2", "-read-queue", "4",
 		"-idle-timeout", "500ms",
 	)
-	daemon.Stdout = os.Stderr
-	daemon.Stderr = os.Stderr
-	if err := daemon.Start(); err != nil {
-		t.Fatal(err)
-	}
+	addr := startAnnounced(t, daemon)
 	defer func() {
 		daemon.Process.Kill()
 		daemon.Wait()
 	}()
-	waitAccept(t, addr)
 
 	sc, err := parseScenario([]byte(`{
   "name": "smoke",
@@ -88,28 +83,47 @@ func TestLoadgenSmoke(t *testing.T) {
 	t.Logf("admitted %d ops; slow client cut after %v", admitted, res.SlowCuts[0])
 }
 
-func pickAddr(t *testing.T) string {
+// startAnnounced starts the daemon — its -addr 127.0.0.1:0 — copies its
+// log to stderr, and returns the address its "listening on" line
+// announced.
+func startAnnounced(t *testing.T, daemon *exec.Cmd) string {
 	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
+	logs, w, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := l.Addr().String()
-	l.Close()
-	return addr
-}
-
-func waitAccept(t *testing.T, addr string) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		c, err := net.DialTimeout("tcp", addr, time.Second)
-		if err == nil {
-			fmt.Fprintln(c, "quit")
-			c.Close()
-			return
-		}
-		time.Sleep(25 * time.Millisecond)
+	daemon.Stdout = os.Stderr
+	daemon.Stderr = w
+	err = daemon.Start()
+	w.Close()
+	if err != nil {
+		logs.Close()
+		t.Fatal(err)
 	}
-	t.Fatalf("daemon never accepted on %s", addr)
+	found := make(chan string, 1)
+	go func() {
+		defer logs.Close()
+		sc := bufio.NewScanner(logs)
+		for sc.Scan() {
+			line := sc.Text()
+			fmt.Fprintln(os.Stderr, line)
+			// The line protocol's socket; workers and the hub announce
+			// themselves with a qualifier in front.
+			if _, addr, ok := strings.Cut(line, " listening on "); ok && !strings.Contains(line, "worker listening") && !strings.Contains(line, "hub listening") {
+				select {
+				case found <- strings.Fields(addr)[0]:
+				default:
+				}
+			}
+		}
+	}()
+	select {
+	case addr := <-found:
+		return addr
+	case <-time.After(30 * time.Second):
+		daemon.Process.Kill()
+		daemon.Wait()
+		t.Fatal("daemon announced no address within 30s")
+		return ""
+	}
 }

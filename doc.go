@@ -184,40 +184,46 @@
 //   - Determinism. A distributed commit is a two-phase protocol over the
 //     batch's validated, shard-partitioned plan: phase 1 ships each
 //     shard's slice of the plan to its owning worker, in parallel; phase 2
-//     — the commit callback — applies the batch locally, once the
+//     — the commit callback — logs and applies the batch locally, once the
 //     workers' edge deltas have been cross-checked against the plan. The result (graph bytes,
 //     engine deltas, canonical answers) is byte-identical to the
 //     single-process application; the differential tests pin
 //     cluster(workers=2) ≡ single-process for all four query classes,
 //     mid-stream rebalance included.
-//   - Failure. A batch commits only after every involved worker
-//     acknowledged phase 1. A worker failure mid-batch aborts the commit
-//     atomically — nothing is logged or applied locally — and every shard
-//     the batch planned to touch is re-shipped from the authoritative
-//     segments before its next use; a restarted worker is reattached and
-//     rebuilt the same way. Batches whose TouchedShards sets are disjoint
-//     are routed concurrently.
+//   - Failure. A batch is logged and applied locally only after every
+//     involved worker acknowledged phase 1. A worker failure mid-batch
+//     aborts the commit atomically — nothing is logged or applied locally
+//     — and every shard the batch planned to touch is re-shipped from the
+//     authoritative segments before its next use; a restarted worker is
+//     reattached and rebuilt the same way. A failure after phase 1 (a WAL
+//     append that meets a full disk) aborts the same way: the local state
+//     never saw the batch, and the shards the workers applied it to are
+//     re-shipped.
 //   - One write path. Durable.Commit(b, ApplyOptions{...}) is the only
-//     way a batch reaches a store, local and distributed: the zero
-//     ApplyOptions is the plain durable apply, Via routes the batch
-//     through a Cluster (Cluster.ApplyCommit underneath; Cluster.Apply is
-//     the same protocol for a graph with no Durable), Deadline carries
-//     the serving layer's per-op budget, and the Log/Exclusive hooks
-//     splice in the serving tier's degradation and read-exclusion
-//     policies — incgraphd builds them in one place for all its roles.
-//   - Pipelined commit. The distributed hop prices close to the local
-//     one (the benchcmp gate pins the 2-worker/single-process geomean)
-//     because the protocol ships the already-validated plan zero-copy —
-//     effects encode straight off the planner's pooled state, and
-//     interned label tables travel once per session as deltas — overlaps
-//     the WAL append with the phase-1 round trips (log order still equals
-//     commit order, so the WAL bytes are identical to the serial path),
-//     and coalesces concurrent batches' shares into one frame per worker
-//     (group commit). There is no switch: the pipeline differential pins
-//     byte-identical summaries, answers and WAL files between a cluster
-//     commit and the local one. A batch that aborts after its record was
-//     logged takes the record back; if that fails, the commit's error
-//     says so.
+//     way a batch reaches a store, and it has one shape, local or
+//     distributed: refuse while WAL replay is pending, validate, log,
+//     apply. The zero ApplyOptions validates against the base graph; Via
+//     validates through a Cluster instead — Cluster.Apply plans the batch,
+//     runs phase 1 and the per-shard cross-check, and then calls Commit's
+//     log-and-apply back (it is also the protocol for a graph with no
+//     Durable). Deadline carries the serving layer's per-op budget, and
+//     the Log/Exclusive hooks splice in the serving tier's degradation and
+//     read-exclusion policies — incgraphd builds them in one place for all
+//     its roles.
+//   - One commit at a time. The coordinator holds one mutex from plan to
+//     local apply, so distributed commits reach the workers, the WAL and
+//     the authoritative graph in one order — one ΔG on one G, as IncX
+//     assumes. MoveShard and VerifyShard take the same mutex; the scrubber
+//     only tries it and skips the shard when a commit holds it. A commit
+//     whose op budget ran out before phase 1 is shed with
+//     ErrClusterOverloaded. The protocol ships the already-validated plan
+//     zero-copy — effects encode straight off the planner's pooled state,
+//     and interned label tables travel once per session as deltas — and
+//     the WAL append follows phase 1 rather than overlapping it. The
+//     cluster commit differential pins byte-identical summaries, answers
+//     and WAL files between a cluster commit and the local one; perf/
+//     reports what the distributed hop costs (cluster.commit_p50_ms,
+//     cluster.overhead_ratio) without gating it.
 //
 // # High availability
 //
@@ -257,9 +263,9 @@
 //     Cluster.StartScrubber) walks shards round-robin, one per interval,
 //     compares the worker's parcel bytes against the authoritative
 //     segment, and re-places any shard that differs — the same heal an
-//     aborted batch triggers, driven by verification instead of luck. Busy
-//     shards are skipped, not waited for; passes, mismatches, and heals are
-//     lifetime counters.
+//     aborted batch triggers, driven by verification instead of luck. A
+//     shard whose turn meets a commit in flight is skipped, not waited
+//     for; passes, mismatches, and heals are lifetime counters.
 //   - Fault drills. FaultScript wraps any cluster connection in a seeded
 //     frame-level shim (drop/delay/duplicate/sever, matched by direction,
 //     frame index, and message type) with an event log that is

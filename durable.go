@@ -202,18 +202,18 @@ func (d *Durable) advance(b Batch) ([]DeltaSummary, error) {
 // durable apply: validate, WAL-append, apply to the base graph and every
 // attached engine.
 type ApplyOptions struct {
-	// Via, when non-nil, runs the batch through the cluster's distributed
-	// two-phase protocol: phase 1 fans the planned effects out to the
-	// shard workers, the WAL append overlaps those round trips (pipelined
-	// by the coordinator, which keeps log order equal to commit order and
-	// the WAL bytes identical to the local path), and only after every
-	// worker acknowledged does the local application run. A worker
-	// failure aborts atomically — the logged record is durably taken back
-	// and nothing is applied.
+	// Via, when non-nil, validates the batch through the cluster's
+	// distributed two-phase protocol instead of locally: the coordinator
+	// plans it, runs phase 1 on the shard workers and cross-checks their
+	// per-shard deltas, and only then does Commit log and apply it, still
+	// under the coordinator's mutex — one cluster commit at a time. A
+	// worker failure aborts before anything is logged; a failure after
+	// phase 1 (the WAL append, say) leaves the graph and engines untouched
+	// and the batch's shards marked for re-placement.
 	Via *Cluster
 	// Deadline is the serving layer's per-op budget, used by the cluster
-	// path: it bounds the shard-admission wait (expiry sheds the batch
-	// with ErrClusterOverloaded, nothing applied anywhere) and caps every
+	// path: a batch that reaches phase 1 past it is shed with
+	// ErrClusterOverloaded (nothing applied anywhere), and it caps every
 	// phase-1 round trip. Zero means no budget; ignored without Via.
 	Deadline time.Time
 	// Log, when set, replaces the WAL-append step. It receives the batch
@@ -230,15 +230,20 @@ type ApplyOptions struct {
 	Exclusive func(apply func() error) error
 }
 
-// Commit is the one write path: it validates b, appends it to the
-// write-ahead log, and applies it to the base graph and every attached
-// engine, returning the per-engine summaries in attach order — locally,
-// or through a cluster when opts.Via is set, with identical results and
-// identical WAL bytes. Validation happens before the append, so a logged
+// Commit is the one write path, and it has one shape, local or through a
+// cluster: refuse while WAL replay is pending; validate b — against the
+// base graph, or with opts.Via by the cluster's plan, phase 1 and per-shard
+// cross-check; append it to the write-ahead log; apply it to the base graph
+// and every attached engine. It returns the per-engine summaries in attach
+// order, with identical results and identical WAL bytes either way.
+// Nothing is logged before validation (and phase 1) succeeded, so a logged
 // batch is always replayable and a rejected batch changes nothing. A crash
 // between the append and the apply is safe: recovery replays the logged
 // batch exactly as if the crash had hit mid-apply.
 func (d *Durable) Commit(b Batch, opts ApplyOptions) ([]DeltaSummary, error) {
+	if !d.replayed {
+		return nil, fmt.Errorf("incgraph: Commit before Recover: WAL replay pending")
+	}
 	logFn := opts.Log
 	if logFn == nil {
 		logFn = d.LogPlanned
@@ -252,37 +257,22 @@ func (d *Durable) Commit(b Batch, opts ApplyOptions) ([]DeltaSummary, error) {
 		}
 		return nil
 	}
-	applyFn := func(Batch) error {
+	commit := func() error {
+		if err := logFn(b, d.base.Generation()); err != nil {
+			return err
+		}
 		if opts.Exclusive != nil {
 			return opts.Exclusive(apply)
 		}
 		return apply()
 	}
+	var err error
 	if opts.Via != nil {
-		// The coordinator validates by planning, orders the pipelined log
-		// appends, supplies the generation stamp, and on an abort after the
-		// append has the record durably taken back off the WAL's end — or
-		// recovery would replay a batch that never committed.
-		err := opts.Via.ApplyCommit(b, opts.Deadline, ClusterCommit{
-			Log:   logFn,
-			Unlog: d.st.Unappend,
-			Apply: applyFn,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return sums, nil
+		err = opts.Via.Apply(b, opts.Deadline, commit)
+	} else if err = d.base.ValidateBatch(b); err == nil {
+		err = commit()
 	}
-	if !d.replayed {
-		return nil, fmt.Errorf("incgraph: Commit before Recover: WAL replay pending")
-	}
-	if err := d.base.ValidateBatch(b); err != nil {
-		return nil, err
-	}
-	if err := logFn(b, d.base.Generation()); err != nil {
-		return nil, err
-	}
-	if err := applyFn(b); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	return sums, nil

@@ -15,7 +15,7 @@ import (
 	"incgraph"
 )
 
-func TestLogApplyLoggedMatchesApply(t *testing.T) {
+func TestHookedCommitMatchesPlain(t *testing.T) {
 	g := incgraph.SyntheticGraph(incgraph.GraphSpec{
 		Nodes: 300, Edges: 1500, Labels: 6, GiantSCCFrac: 0.4, Seed: 21,
 	})
@@ -79,7 +79,7 @@ func TestLogApplyLoggedMatchesApply(t *testing.T) {
 	plain.Close()
 }
 
-func TestCrashBetweenLogAndApplyLoggedReplays(t *testing.T) {
+func TestCrashBetweenLogAndApplyReplays(t *testing.T) {
 	g := incgraph.SyntheticGraph(incgraph.GraphSpec{
 		Nodes: 200, Edges: 900, Labels: 5, GiantSCCFrac: 0.4, Seed: 31,
 	})

@@ -69,11 +69,10 @@ func main() {
 		links[i] = faults.WrapLink(links[i])
 	}
 
-	// Primary: fencing term 1, and a hub whose Feed hook streams every
-	// committed batch to attached standbys. The
-	// snapshot callback and the commit path serialize over the same state,
-	// so no committed batch can fall between a standby's snapshot and its
-	// feed stream.
+	// Primary: fencing term 1, and a hub that streams every committed batch
+	// to attached standbys. The snapshot callback and the commit path
+	// serialize over the same state, so no committed batch can fall between
+	// a standby's snapshot and its feed stream.
 	primaryGraph := g.Clone()
 	hub := incgraph.NewClusterHub(incgraph.ClusterHubOptions{
 		Term:      1,
@@ -109,7 +108,6 @@ func main() {
 	primary, err := incgraph.NewCluster(primaryGraph, links,
 		incgraph.WithClusterTerm(1),
 		incgraph.WithCallTimeout(300*time.Millisecond), // fail dropped frames fast
-		incgraph.WithOnCommit(hub.Feed),
 	)
 	if err != nil {
 		log.Fatal(err)
@@ -117,28 +115,42 @@ func main() {
 	fmt.Printf("primary up: term 1, %d shards on 2 workers, 1 standby\n",
 		primaryGraph.NumShards())
 
-	// First half of the stream. The faulted batch fails once (the drill)
-	// and succeeds on retry after resync.
-	commitTo := func(c *incgraph.Cluster, dst *incgraph.Graph, b incgraph.Batch) error {
-		return c.Apply(b, func(bb incgraph.Batch) error { return dst.ApplyBatch(bb) })
+	// The commit callback runs once phase 1 succeeded, under the
+	// coordinator mutex — in commit order — so it is where the primary
+	// feeds its standby. The first half of the stream goes through the
+	// primary; the faulted batch fails once (the drill) and succeeds on
+	// retry after resync.
+	var feedSeq uint64
+	commitTo := func(c *incgraph.Cluster, dst *incgraph.Graph, hub *incgraph.ClusterHub, b incgraph.Batch) error {
+		return c.Apply(b, time.Time{}, func() error {
+			preGen := dst.Generation()
+			if err := dst.ApplyBatch(b); err != nil {
+				return err
+			}
+			if hub != nil {
+				feedSeq++
+				hub.Feed(feedSeq, preGen, dst.Generation(), b)
+			}
+			return nil
+		})
 	}
 	for i := 0; i < 4; i++ {
-		err := commitTo(primary, primaryGraph, batches[i])
+		err := commitTo(primary, primaryGraph, hub, batches[i])
 		if err != nil {
 			fmt.Printf("  batch %d: %v (injected fault; retrying)\n", i, err)
-			err = commitTo(primary, primaryGraph, batches[i])
+			err = commitTo(primary, primaryGraph, hub, batches[i])
 		}
 		if err != nil {
 			log.Fatal(err)
 		}
 	}
 	fmt.Printf("primary committed 4 batches (repl seq %d, %d resyncs); faults fired: %s\n",
-		primary.ReplSeq(), primary.Resyncs(), strings.Join(faults.Events(), "; "))
+		feedSeq, primary.Resyncs(), strings.Join(faults.Events(), "; "))
 	// Feeds are enqueued in commit order but acked asynchronously; wait
 	// for the standby to catch up before killing the primary.
-	for deadline := time.Now().Add(5 * time.Second); standby.LastSeq() != primary.ReplSeq(); {
+	for deadline := time.Now().Add(5 * time.Second); standby.LastSeq() != feedSeq; {
 		if time.Now().After(deadline) {
-			log.Fatalf("standby at seq %d, primary at %d", standby.LastSeq(), primary.ReplSeq())
+			log.Fatalf("standby at seq %d, primary at %d", standby.LastSeq(), feedSeq)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -173,7 +185,7 @@ func main() {
 	late := incgraph.RandomUpdates(primaryGraph.Clone(), incgraph.UpdateSpec{
 		Count: 10, InsertRatio: 1.0, Seed: 99,
 	})
-	if err := commitTo(primary, primaryGraph, late); err != nil {
+	if err := commitTo(primary, primaryGraph, hub, late); err != nil {
 		fmt.Printf("deposed primary's late commit: %v\n", err)
 	} else {
 		log.Fatal("deposed primary was allowed to commit")
@@ -181,7 +193,7 @@ func main() {
 
 	// The successor finishes the stream.
 	for i := 4; i < len(batches); i++ {
-		if err := commitTo(successor, standbyGraph, batches[i]); err != nil {
+		if err := commitTo(successor, standbyGraph, nil, batches[i]); err != nil {
 			log.Fatal(err)
 		}
 	}

@@ -69,8 +69,9 @@ var ErrClusterFenced = cluster.ErrFenced
 
 // NewClusterHub returns a hub ready to accept standby connections; serve
 // each on ClusterHub.ServeConn and call Feed from the serialized commit path,
-// under the lock the Snapshot callback takes (a library coordinator's
-// WithOnCommit hook is one such path; incgraphd feeds from its apply hook).
+// under the lock the Snapshot callback takes (the commit callback a library
+// caller hands Cluster.Apply is one such path; incgraphd feeds from its
+// apply hook).
 func NewClusterHub(opts ClusterHubOptions) *ClusterHub { return cluster.NewHub(opts) }
 
 // NewClusterStandby returns a standby tail; drive it with Run over a

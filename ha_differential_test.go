@@ -120,15 +120,19 @@ func TestHAFailoverMatchesUninterruptedRun(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	primary, err := incgraph.NewCluster(cg, links, incgraph.WithClusterTerm(1),
-		incgraph.WithOnCommit(hub.Feed))
+	primary, err := incgraph.NewCluster(cg, links, incgraph.WithClusterTerm(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer primary.Close()
 	primaryEngines := buildEngines(cg)
-	commitTo := func(g *incgraph.Graph, engines []incgraph.Maintained) func(incgraph.Batch) error {
-		return func(b incgraph.Batch) error {
+	// commitTo is the local commit a cluster calls back after phase 1: the
+	// graph, the engines, and — on the primary — the standby feed, which
+	// the coordinator mutex keeps in commit order.
+	var feedSeq uint64
+	commitTo := func(g *incgraph.Graph, engines []incgraph.Maintained, hub *incgraph.ClusterHub, b incgraph.Batch) func() error {
+		return func() error {
+			preGen := g.Generation()
 			if err := g.ApplyBatch(b); err != nil {
 				return err
 			}
@@ -137,13 +141,17 @@ func TestHAFailoverMatchesUninterruptedRun(t *testing.T) {
 					return fmt.Errorf("%s: %w", m.Class(), err)
 				}
 			}
+			if hub != nil {
+				feedSeq++
+				hub.Feed(feedSeq, preGen, g.Generation(), b)
+			}
 			return nil
 		}
 	}
 
 	cut := len(batches) / 2
 	for i := 0; i < cut; i++ {
-		if err := primary.Apply(batches[i], commitTo(cg, primaryEngines)); err != nil {
+		if err := primary.Apply(batches[i], time.Time{}, commitTo(cg, primaryEngines, hub, batches[i])); err != nil {
 			t.Fatalf("primary batch %d: %v", i, err)
 		}
 	}
@@ -184,7 +192,7 @@ func TestHAFailoverMatchesUninterruptedRun(t *testing.T) {
 	defer successor.Close()
 	successorEngines := buildEngines(standbyGraph)
 	for i := cut; i < len(batches); i++ {
-		if err := successor.Apply(batches[i], commitTo(standbyGraph, successorEngines)); err != nil {
+		if err := successor.Apply(batches[i], time.Time{}, commitTo(standbyGraph, successorEngines, nil, batches[i])); err != nil {
 			t.Fatalf("successor batch %d: %v", i, err)
 		}
 	}
@@ -192,7 +200,7 @@ func TestHAFailoverMatchesUninterruptedRun(t *testing.T) {
 	// The deposed primary's late commit must bounce off the fence without
 	// mutating its graph.
 	late := incgraph.RandomUpdates(cg.Clone(), incgraph.UpdateSpec{Count: 20, InsertRatio: 0.5, Locality: 0.8, Seed: 31})
-	if err := primary.Apply(late, func(b incgraph.Batch) error { return cg.ApplyBatch(b) }); err == nil ||
+	if err := primary.Apply(late, time.Time{}, func() error { return cg.ApplyBatch(late) }); err == nil ||
 		!strings.Contains(err.Error(), "fenced") {
 		t.Fatalf("deposed primary's late commit: got %v, want fenced", err)
 	}

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"time"
 
 	"incgraph/internal/cluster"
 	"incgraph/internal/gen"
@@ -112,7 +113,7 @@ func figCluster(cfg Config) (*Result, error) {
 			}
 			defer co.Close()
 			return chainMin(chain, warm, func(b graph.Batch) error {
-				return co.Apply(b, func(bb graph.Batch) error { return h.ApplyBatch(bb) })
+				return co.Apply(b, time.Time{}, func() error { return h.ApplyBatch(b) })
 			})
 		}},
 	}

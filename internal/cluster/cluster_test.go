@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"incgraph/internal/gen"
 	"incgraph/internal/graph"
@@ -21,9 +22,10 @@ func testGraph(t *testing.T, shards int) *graph.Graph {
 	return g
 }
 
-// commitLocal is the single-process commit half of the protocol.
-func commitLocal(g *graph.Graph) func(graph.Batch) error {
-	return func(b graph.Batch) error { return g.ApplyBatch(b) }
+// applyLocal runs b through co with no op budget, committing it to g —
+// the single-process commit half of the protocol.
+func applyLocal(co *Coordinator, g *graph.Graph, b graph.Batch) error {
+	return co.Apply(b, time.Time{}, func() error { return g.ApplyBatch(b) })
 }
 
 func TestCoordinatorApplyAndVerify(t *testing.T) {
@@ -44,7 +46,7 @@ func TestCoordinatorApplyAndVerify(t *testing.T) {
 		if err := scratch.ApplyBatch(b); err != nil {
 			t.Fatal(err)
 		}
-		if err := co.Apply(b, commitLocal(g)); err != nil {
+		if err := applyLocal(co, g, b); err != nil {
 			t.Fatalf("batch %d: %v", i, err)
 		}
 	}
@@ -83,7 +85,7 @@ func TestCoordinatorRejectsInvalidBatch(t *testing.T) {
 	}
 	bad := graph.Batch{graph.Ins(v, w)} // insert of an existing edge
 	committed := false
-	err = co.Apply(bad, func(graph.Batch) error { committed = true; return nil })
+	err = co.Apply(bad, time.Time{}, func() error { committed = true; return nil })
 	if !errors.Is(err, graph.ErrBadUpdate) {
 		t.Fatalf("invalid batch: got %v, want ErrBadUpdate", err)
 	}
@@ -135,7 +137,7 @@ func TestWorkerDisconnectMidPhase1FailsAtomically(t *testing.T) {
 	scratch := g.Clone()
 	b := gen.Updates(scratch, gen.UpdateSpec{Count: 80, InsertRatio: 0.6, Locality: 0.2, Seed: 7})
 	committed := false
-	err = co.Apply(b, func(graph.Batch) error { committed = true; return g.ApplyBatch(b) })
+	err = co.Apply(b, time.Time{}, func() error { committed = true; return g.ApplyBatch(b) })
 	if err == nil {
 		t.Fatal("apply succeeded despite worker disconnect")
 	}
@@ -151,7 +153,7 @@ func TestWorkerDisconnectMidPhase1FailsAtomically(t *testing.T) {
 
 	// The redial path reattaches the same worker (state intact but marked
 	// dirty): the next apply must resync and succeed, converging replicas.
-	if err := co.Apply(b, commitLocal(g)); err != nil {
+	if err := applyLocal(co, g, b); err != nil {
 		t.Fatalf("apply after reattach: %v", err)
 	}
 	if co.Resyncs() == 0 {
@@ -189,8 +191,8 @@ func TestWorkerRestartLosesStateAndIsReplaced(t *testing.T) {
 	b := gen.Updates(scratch, gen.UpdateSpec{Count: 60, InsertRatio: 0.5, Locality: 0.5, Seed: 9})
 	// First apply may fail while the crash is discovered; the next must
 	// recover via redial + segment re-shipping.
-	if err := co.Apply(b, commitLocal(g)); err != nil {
-		if cerr := co.Apply(b, commitLocal(g)); cerr != nil {
+	if err := applyLocal(co, g, b); err != nil {
+		if cerr := applyLocal(co, g, b); cerr != nil {
 			t.Fatalf("apply after worker restart: %v (first error: %v)", cerr, err)
 		}
 	}
@@ -214,7 +216,7 @@ func TestMoveShardMidStream(t *testing.T) {
 		if err := scratch.ApplyBatch(b); err != nil {
 			t.Fatal(err)
 		}
-		if err := co.Apply(b, commitLocal(g)); err != nil {
+		if err := applyLocal(co, g, b); err != nil {
 			t.Fatalf("batch %d: %v", i, err)
 		}
 		if i == 1 {
@@ -259,7 +261,10 @@ func (w *Worker) statFor(t *testing.T) WorkerStat {
 	return st
 }
 
-func TestDisjointBatchesRouteConcurrently(t *testing.T) {
+// TestConcurrentBatchesMatchSerial: batches fired from concurrent callers
+// commit one at a time, in whatever order they took the coordinator, and
+// reach exactly the serial result.
+func TestConcurrentBatchesMatchSerial(t *testing.T) {
 	g := testGraph(t, 8)
 	links, _, stop := InProcess(2)
 	defer stop()
@@ -269,16 +274,16 @@ func TestDisjointBatchesRouteConcurrently(t *testing.T) {
 	}
 	defer co.Close()
 
-	// Split a workload into per-shard-pair batches with disjoint
-	// TouchedShards and fire them concurrently; the final graph must match
-	// a serial application, whatever the interleaving.
+	// Split a workload into single-shard batches, so that they commute,
+	// and fire them concurrently; the final graph must match a serial
+	// application, whatever the order.
 	scratch := g.Clone()
 	all := gen.Updates(scratch, gen.UpdateSpec{Count: 200, InsertRatio: 0.6, Locality: 0.3, Seed: 77})
 	byShard := make(map[int]graph.Batch)
 	for _, u := range all {
 		sf, st := g.ShardOf(u.From), g.ShardOf(u.To)
 		if sf != st {
-			continue // keep each batch single-shard so sets stay disjoint
+			continue // keep each batch single-shard so the batches commute
 		}
 		byShard[sf] = append(byShard[sf], u)
 	}
@@ -304,7 +309,7 @@ func TestDisjointBatchesRouteConcurrently(t *testing.T) {
 		wg.Add(1)
 		go func(i int, b graph.Batch) {
 			defer wg.Done()
-			errs[i] = co.Apply(b, commitLocal(g))
+			errs[i] = applyLocal(co, g, b)
 		}(i, b)
 	}
 	wg.Wait()
@@ -314,7 +319,7 @@ func TestDisjointBatchesRouteConcurrently(t *testing.T) {
 		}
 	}
 	if !g.Equal(ref) {
-		t.Fatal("concurrent disjoint batches diverged from serial application")
+		t.Fatal("concurrent batches diverged from serial application")
 	}
 	if err := co.VerifyAll(); err != nil {
 		t.Fatalf("replicas diverged: %v", err)

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"net"
 	"sync"
@@ -31,9 +30,8 @@ type Link struct {
 
 // workerLink is the coordinator's per-worker session state. Its mutex
 // serializes requests on the connection (the protocol is one request in
-// flight per session); coordinator scheduling state lives under
-// Coordinator.mu, and no code path holds Coordinator.mu while taking a
-// link mutex.
+// flight per session). The lock order is Coordinator.mu → mu → connMu;
+// Stats polls take only the link's own locks, and never wait for mu.
 type workerLink struct {
 	name    string
 	redial  func() (net.Conn, error)
@@ -41,10 +39,6 @@ type workerLink struct {
 	// timeout is the base per-call deadline (rpcTimeout unless the
 	// coordinator was built with CallTimeout).
 	timeout time.Duration
-	// redialMu serializes reattachment so concurrent batches discovering
-	// the same downed worker produce one session, fully handshaken and
-	// reconciled before it is published.
-	redialMu sync.Mutex
 	// mu serializes requests: one in flight per session.
 	mu sync.Mutex
 	// connMu guards the session fields below. It is held only for field
@@ -57,151 +51,49 @@ type workerLink struct {
 	// respBuf is the apply fast path's response scratch, guarded by mu
 	// (held for the whole round trip).
 	respBuf []byte
-	// applyQ coalesces concurrently admitted batches' phase-1 shares into
-	// group frames on this link.
-	applyQ applyQueue
-}
 
-// applyCall is one batch's phase-1 share on one worker, queued on the
-// link's applyQueue for (possibly grouped) delivery.
-type applyCall struct {
-	body   []byte // encoded batch section (appendApplyBatch)
-	capAt  time.Time
-	deltas []shardDelta // response: per-shard deltas in request order
-	err    error
-	done   bool
-}
-
-var applyCallPool = sync.Pool{New: func() any { return new(applyCall) }}
-
-func getApplyCall() *applyCall {
-	call := applyCallPool.Get().(*applyCall)
-	call.body = call.body[:0]
-	call.deltas = call.deltas[:0]
-	call.capAt = time.Time{}
-	call.err = nil
-	call.done = false
-	return call
-}
-
-// applyQueue implements per-link group commit for phase 1. The protocol
-// allows one request in flight per session, so concurrently admitted
-// disjoint batches sharing a worker would serialize round trip by round
-// trip; instead, whichever caller finds the line idle becomes leader,
-// ships every pending batch section in one group frame, and distributes
-// the per-batch verdicts. Small consecutive commits thus cost one
-// rendezvous per group, not per batch.
-type applyQueue struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	pending []*applyCall
-	sending bool
-	// labelsSent counts the intern-table prefix already shipped on this
-	// session; the next group's label delta starts there. Only the active
-	// leader (sending == true) advances it; ensureUp resets it with the
-	// session.
+	// Phase-1 session state, guarded by Coordinator.mu (phase 1 runs under
+	// it). labelsSent counts the intern-table prefix already shipped on this
+	// session — the next apply's label delta starts there — and ensureUp
+	// resets it with the session; frame and deltas are reused scratch.
 	labelsSent int
-	// frame is the leader's group-frame scratch (header-prefixed).
-	frame []byte
+	frame      []byte
+	deltas     []shardDelta
 }
 
-// sendApply queues call on l and blocks until its verdict is in,
-// leading a group send whenever the line is idle.
-func (c *Coordinator) sendApply(l *workerLink, call *applyCall) error {
-	q := &l.applyQ
-	q.mu.Lock()
-	q.pending = append(q.pending, call)
-	for {
-		if call.done {
-			q.mu.Unlock()
-			return call.err
-		}
-		if !q.sending {
-			q.sending = true
-			group := q.pending
-			q.pending = nil
-			q.mu.Unlock()
-			c.sendGroup(l, group)
-			q.mu.Lock()
-			q.sending = false
-			q.cond.Broadcast()
-			continue
-		}
-		q.cond.Wait()
-	}
-}
-
-// sendGroup ships one group frame — label delta plus every call's batch
-// section — and distributes the per-batch results. Caller owns the
-// sending flag; results are published (done = true) under the queue
-// mutex, which is the happens-before edge the waiters in sendApply read
-// their call's fields through.
-func (c *Coordinator) sendGroup(l *workerLink, group []*applyCall) {
-	q := &l.applyQ
+// sendApply ships one batch's phase-1 share to l — the session's label
+// delta, then the plan's effects for shards — and returns the worker's
+// per-shard edge deltas, valid until the next call. capAt caps the round
+// trip (zero = no cap).
+func (l *workerLink) sendApply(plan *graph.Plan, shards []int, capAt time.Time) ([]shardDelta, error) {
 	cur := graph.InternedLabels()
-	q.mu.Lock()
-	base := q.labelsSent
+	frame := append(l.frame[:0], zeroFrameHeader[:]...)
+	frame = appendApplyHeader(frame, l.labelsSent, cur)
+	frame = appendApplyBatch(frame, plan, shards)
+	l.frame = frame[:0]
 	// Advanced optimistically: a failed send poisons the session, and the
 	// reattach handshake resets the counter with it.
-	q.labelsSent = cur
-	q.mu.Unlock()
-	frame := append(q.frame[:0], zeroFrameHeader[:]...)
-	frame = appendApplyHeader(frame, base, cur)
-	frame = binary.AppendUvarint(frame, uint64(len(group)))
-	// The group's deadline cap is the loosest member's: any one uncapped
-	// call uncaps the round trip (per-batch budgets were already enforced
-	// at admission).
-	var capAt time.Time
-	uncapped := false
-	for _, call := range group {
-		frame = append(frame, call.body...)
-		if call.capAt.IsZero() {
-			uncapped = true
-		} else if call.capAt.After(capAt) {
-			capAt = call.capAt
-		}
-	}
-	if uncapped {
-		capAt = time.Time{}
-	}
-	q.frame = frame[:0]
-	// groupErr, when set, overrides every member's verdict: the response
-	// (or the session) was untrustworthy as a whole.
-	var groupErr error
+	l.labelsSent = cur
 	r, err := l.requestPrefixedCapped(frame, capAt)
-	switch {
-	case err != nil:
+	if err != nil {
 		if IsRemote(err) {
 			// An envelope-level rejection (fencing, label-chain mismatch)
 			// leaves the session's label state untrustworthy: drop the
 			// connection so the next batch re-handshakes from scratch.
 			l.poison()
 		}
-		groupErr = err
-	default:
-		var n uint64
-		if n, groupErr = r.uvarint(); groupErr == nil && n != uint64(len(group)) {
-			l.poison()
-			groupErr = fmt.Errorf("%w: group response carries %d batches, sent %d", ErrProtocol, n, len(group))
-		}
-		if groupErr == nil {
-			for _, call := range group {
-				call.deltas, call.err = decodeBatchResult(r, call.deltas[:0])
-			}
-			if derr := r.done(); derr != nil {
-				l.poison()
-				groupErr = derr
-			}
-		}
+		return nil, err
 	}
-	q.mu.Lock()
-	for _, call := range group {
-		if groupErr != nil {
-			call.err = groupErr
-		}
-		call.done = true
+	deltas, err := decodeBatchResult(r, l.deltas[:0])
+	if err == nil {
+		l.deltas = deltas
+		err = r.done()
 	}
-	q.mu.Unlock()
+	if err != nil && !IsRemote(err) {
+		// A malformed response: the stream cannot be trusted either.
+		l.poison()
+	}
+	return deltas, err
 }
 
 // requestPrefixedCapped is requestCapped for header-prefixed frames: one
@@ -341,37 +233,18 @@ type Coordinator struct {
 	workers []*workerLink
 	opts    CoordinatorOptions
 
-	// mu guards the scheduling state below; cond wakes batches waiting for
-	// their shards to free up.
-	mu   sync.Mutex
-	cond *sync.Cond
-	// assign maps shard index → worker index.
-	assign []int
-	// busy marks shards of in-flight batches: two batches proceed
-	// concurrently iff their TouchedShards sets are disjoint.
-	busy []bool
+	// mu is the coordinator mutex. Apply holds it from plan to commit, and
+	// MoveShard, VerifyShard and the scrubber hold it for their RPCs, so
+	// one batch at a time meets the workers and the authoritative graph. It
+	// guards dirty and every link's phase-1 session state.
+	mu sync.Mutex
+	// assign maps shard index → worker index. A published slice is never
+	// written: MoveShard stores a changed copy under mu, so Stats and
+	// WorkerOf read it without waiting behind a commit.
+	assign atomic.Pointer[[]int]
 	// dirty marks shards whose remote replica diverged (aborted batch,
 	// worker restart); they are re-placed before next use.
 	dirty []bool
-	// lastGen is the post-commit generation of the latest committed batch
-	// (initially the graph's generation at attach). Guarded by mu; it is
-	// the generation the next batch's log record is stamped with.
-	lastGen uint64
-
-	// logMu orders the pipelined durability-log appends: it is taken
-	// before a batch's Log callback starts and held until its commit
-	// completes, so log order equals commit order and the generation
-	// stamped on each record is exactly the post-commit generation of the
-	// previous batch — while the fsync itself overlaps the batch's own
-	// phase-1 round trip.
-	logMu sync.Mutex
-	// commitMu serializes the local commit (phase 2 + the caller's
-	// mutation of the authoritative graph and engines); the remote phase 1
-	// of disjoint batches overlaps freely around it. replSeq, the sequence
-	// OnCommit numbers batches with, advances under it, so sequence order
-	// is commit order.
-	commitMu sync.Mutex
-	replSeq  uint64
 
 	applied    atomic.Uint64
 	remoteErrs atomic.Uint64
@@ -400,44 +273,34 @@ type CoordinatorOptions struct {
 	// still scales with request size. Fault drills shorten it so dropped
 	// frames fail in milliseconds instead of a minute.
 	CallTimeout time.Duration
-	// OnCommit, when set, observes every committed batch in sequence
-	// order — the hook the standby feed (Hub) rides. It is called after
-	// the commit, while the batch's shards are still held.
-	OnCommit func(seq, preGen, postGen uint64, b graph.Batch)
 }
 
 // NewCoordinator attaches the links as shard workers of g: it handshakes
 // each one at g's shard count and places every shard round-robin. g stays
 // owned by the caller (it is the graph the engines and the durability
-// layer see); the coordinator only requires that Apply/ApplyCommit is the
-// sole mutation path while the cluster is attached. The zero options are
-// term 0, the default call deadline and no commit hook.
+// layer see); the coordinator only requires that Apply is the sole
+// mutation path while the cluster is attached. The zero options are term
+// 0 and the default call deadline.
 func NewCoordinator(g *graph.Graph, links []Link, opts CoordinatorOptions) (*Coordinator, error) {
 	if len(links) == 0 {
 		return nil, fmt.Errorf("cluster: no workers")
 	}
 	p := g.NumShards()
 	c := &Coordinator{
-		g:       g,
-		opts:    opts,
-		assign:  make([]int, p),
-		busy:    make([]bool, p),
-		dirty:   make([]bool, p),
-		lastGen: g.Generation(),
-		quit:    make(chan struct{}),
+		g:     g,
+		opts:  opts,
+		dirty: make([]bool, p),
+		quit:  make(chan struct{}),
 	}
-	c.cond = sync.NewCond(&c.mu)
 	for i, l := range links {
 		name := l.Name
 		if name == "" {
 			name = fmt.Sprintf("worker-%d", i)
 		}
-		wl := &workerLink{
+		c.workers = append(c.workers, &workerLink{
 			name: name, redial: l.Redial, conn: l.Conn,
 			retries: l.Retries, timeout: opts.CallTimeout,
-		}
-		wl.applyQ.cond = sync.NewCond(&wl.applyQ.mu)
-		c.workers = append(c.workers, wl)
+		})
 	}
 	held := make([]map[int]bool, len(c.workers))
 	for i, l := range c.workers {
@@ -450,11 +313,13 @@ func NewCoordinator(g *graph.Graph, links []Link, opts CoordinatorOptions) (*Coo
 	// Initial placement fans out per worker, like phase 1: requests to
 	// distinct workers are independent (same-link requests serialize on
 	// the link mutex), so startup costs the slowest worker, not the sum.
+	assign := make([]int, p)
 	byWorker := make([][]int, len(c.workers))
-	for s := 0; s < p; s++ {
-		c.assign[s] = s % len(c.workers)
-		byWorker[c.assign[s]] = append(byWorker[c.assign[s]], s)
+	for s := range assign {
+		assign[s] = s % len(c.workers)
+		byWorker[assign[s]] = append(byWorker[assign[s]], s)
 	}
+	c.assign.Store(&assign)
 	placeErrs := make([]error, len(c.workers))
 	var wg sync.WaitGroup
 	for i := range c.workers {
@@ -481,7 +346,7 @@ func NewCoordinator(g *graph.Graph, links []Link, opts CoordinatorOptions) (*Coo
 	// as ensureUp reconciles after a redial.
 	for i, l := range c.workers {
 		for s := range held[i] {
-			if s < p && c.assign[s] != i {
+			if s < p && assign[s] != i {
 				l.request(appendUvarint([]byte{byte(msgDrop)}, uint64(s)))
 			}
 		}
@@ -515,8 +380,8 @@ func decodeOwned(r *reader) (map[int]bool, error) {
 	return owned, nil
 }
 
-// place ships the authoritative segment of shard s to l. The caller must
-// hold shard s (busy) or be inside NewCoordinator/reattach.
+// place ships the authoritative segment of shard s to l. The caller holds
+// mu or is inside NewCoordinator.
 func (c *Coordinator) place(l *workerLink, s int) error {
 	parcel, err := store.EncodeShardParcel(c.g, s)
 	if err != nil {
@@ -534,11 +399,7 @@ func (c *Coordinator) place(l *workerLink, s int) error {
 func (c *Coordinator) NumWorkers() int { return len(c.workers) }
 
 // WorkerOf returns the index of the worker shard s is assigned to.
-func (c *Coordinator) WorkerOf(s int) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.assign[s]
-}
+func (c *Coordinator) WorkerOf(s int) int { return (*c.assign.Load())[s] }
 
 // Applied returns the number of batches committed through the cluster.
 func (c *Coordinator) Applied() uint64 { return c.applied.Load() }
@@ -553,97 +414,20 @@ func (c *Coordinator) Resyncs() uint64 { return c.resyncs.Load() }
 // Term returns the coordinator's fencing term.
 func (c *Coordinator) Term() uint64 { return c.opts.Term }
 
-// ReplSeq returns the sequence of the last committed batch: the seq the
-// OnCommit hook last saw.
-func (c *Coordinator) ReplSeq() uint64 {
-	c.commitMu.Lock()
-	defer c.commitMu.Unlock()
-	return c.replSeq
-}
-
-// ErrOverloaded reports an Apply whose per-op deadline expired while
-// waiting for its shards: the batch was shed before any remote work, the
-// authoritative graph and every replica are untouched, and the client
+// ErrOverloaded reports an Apply whose per-op deadline had passed before
+// phase 1 started (it waited for the coordinator mutex, or for the
+// caller's own commit lock): the batch was shed before any remote work,
+// the authoritative graph and every replica are untouched, and the client
 // can safely retry. Serving layers map it to their explicit
 // overload/backpressure reply instead of queuing unboundedly.
-var ErrOverloaded = fmt.Errorf("cluster: overloaded: shard admission deadline exceeded")
-
-// acquire blocks until every shard in touched is free, then marks them
-// busy. touched must be sorted and duplicate-free (TouchedShards is).
-func (c *Coordinator) acquire(touched []int) {
-	c.acquireDeadline(touched, time.Time{})
-}
-
-// acquireDeadline is acquire with a give-up point: it reports whether the
-// shards were acquired before deadline (zero = wait forever). On timeout
-// nothing is held.
-func (c *Coordinator) acquireDeadline(touched []int, deadline time.Time) bool {
-	var wake *time.Timer
-	if !deadline.IsZero() {
-		// sync.Cond has no timed wait; a broadcast at the deadline bounds it.
-		// Broadcasting under the lock orders it after the waiter enters Wait,
-		// so the wakeup cannot slip between the deadline check and the sleep.
-		wake = time.AfterFunc(time.Until(deadline), func() {
-			c.mu.Lock()
-			c.cond.Broadcast()
-			c.mu.Unlock()
-		})
-		defer wake.Stop()
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for {
-		free := true
-		for _, s := range touched {
-			if c.busy[s] {
-				free = false
-				break
-			}
-		}
-		if free {
-			break
-		}
-		if !deadline.IsZero() && !time.Now().Before(deadline) {
-			return false
-		}
-		c.cond.Wait()
-	}
-	for _, s := range touched {
-		c.busy[s] = true
-	}
-	return true
-}
-
-// release frees the shards and wakes waiting batches.
-func (c *Coordinator) release(touched []int) {
-	c.mu.Lock()
-	for _, s := range touched {
-		c.busy[s] = false
-	}
-	c.mu.Unlock()
-	c.cond.Broadcast()
-}
-
-// markDirty flags shards whose remote replica can no longer be trusted.
-func (c *Coordinator) markDirty(shards []int) {
-	c.mu.Lock()
-	for _, s := range shards {
-		c.dirty[s] = true
-	}
-	c.mu.Unlock()
-}
+var ErrOverloaded = fmt.Errorf("cluster: overloaded: op budget spent before phase 1")
 
 // ensureUp reconnects a downed worker: redial, hello, then reconcile —
 // assigned shards the (possibly restarted) worker no longer holds are
 // marked dirty for re-placement, and holdovers from a previous assignment
-// are dropped best-effort. The new session is published only after the
-// handshake AND the dirty marks are in place: a concurrent disjoint batch
-// must never reach a reattached worker that has not been helloed, nor see
-// the link up before its lost shards are flagged for resync.
+// are dropped best-effort. The caller holds mu.
 func (c *Coordinator) ensureUp(w int) error {
 	l := c.workers[w]
-	l.redialMu.Lock()
-	defer l.redialMu.Unlock()
 	if _, err := l.session(); err == nil {
 		return nil
 	}
@@ -668,8 +452,7 @@ func (c *Coordinator) ensureUp(w int) error {
 		return fmt.Errorf("cluster: worker %s: hello: %w", l.name, err)
 	}
 	var stale []int
-	c.mu.Lock()
-	for s, wi := range c.assign {
+	for s, wi := range *c.assign.Load() {
 		if wi == w && !owned[s] {
 			c.dirty[s] = true
 		}
@@ -677,12 +460,9 @@ func (c *Coordinator) ensureUp(w int) error {
 			stale = append(stale, s)
 		}
 	}
-	c.mu.Unlock()
 	// The fresh session's label chain restarts at zero (the worker reset
 	// its translation table at the hello above).
-	l.applyQ.mu.Lock()
-	l.applyQ.labelsSent = 0
-	l.applyQ.mu.Unlock()
+	l.labelsSent = 0
 	l.connMu.Lock()
 	l.conn = conn
 	l.down = false
@@ -695,19 +475,14 @@ func (c *Coordinator) ensureUp(w int) error {
 }
 
 // prepareShards brings the remote side of the touched shards current:
-// reconnect downed owners, re-place dirty replicas. Caller holds the
-// shards busy. Never holds c.mu across an RPC.
+// reconnect downed owners, re-place dirty replicas. The caller holds mu.
 func (c *Coordinator) prepareShards(touched []int) error {
-	c.mu.Lock()
-	owner := make([]int, len(touched))
-	for i, s := range touched {
-		owner[i] = c.assign[s]
-	}
-	c.mu.Unlock()
+	assign := *c.assign.Load()
 	// Reconnect downed owners first; a reattach may mark further shards
 	// dirty (a restarted worker comes back empty).
-	seen := make(map[int]bool, len(owner))
-	for _, w := range owner {
+	seen := make(map[int]bool, len(c.workers))
+	for _, s := range touched {
+		w := assign[s]
 		if seen[w] {
 			continue
 		}
@@ -719,14 +494,12 @@ func (c *Coordinator) prepareShards(touched []int) error {
 		}
 	}
 	// Re-place diverged replicas from the authoritative segments, fanned
-	// out per worker like the initial placement.
+	// out per worker like the initial placement. Each goroutine clears the
+	// dirty marks of its own shards only.
 	need := make(map[int][]int)
-	for i, s := range touched {
-		c.mu.Lock()
-		needs := c.dirty[s]
-		c.mu.Unlock()
-		if needs {
-			need[owner[i]] = append(need[owner[i]], s)
+	for _, s := range touched {
+		if c.dirty[s] {
+			need[assign[s]] = append(need[assign[s]], s)
 		}
 	}
 	if len(need) == 0 {
@@ -751,9 +524,7 @@ func (c *Coordinator) prepareShards(touched []int) error {
 					return
 				}
 				c.resyncs.Add(1)
-				c.mu.Lock()
 				c.dirty[s] = false
-				c.mu.Unlock()
 			}
 		}(w, shards)
 	}
@@ -761,77 +532,45 @@ func (c *Coordinator) prepareShards(touched []int) error {
 	return firstErr
 }
 
-// Commit is what a batch does locally once every worker has acknowledged
-// phase 1: the caller's durability-log append and its authoritative
-// application, split so the coordinator can pipeline them around the
-// remote work.
-type Commit struct {
-	// Log, when set, appends the batch to the caller's durability log,
-	// stamped with gen — the post-commit generation of the previous
-	// committed batch (advisory; recovery checks monotonicity). It runs
-	// concurrently with the batch's own phase-1 fan-out, ordered against
-	// other batches' logs and commits by the coordinator.
-	Log func(b graph.Batch, gen uint64) error
-	// Unlog undoes the latest successful Log when the batch aborts after
-	// logging (a phase-1 or commit failure). Required when Log is set.
-	Unlog func() error
-	// Apply is the commit itself: the local authoritative application —
-	// the same ApplyBatch phase-2 merge in shard order, plus whatever
-	// engines the caller maintains.
-	Apply func(b graph.Batch) error
-}
-
-// Apply runs one batch through the distributed two-phase protocol:
+// Apply runs one batch through the distributed two-phase protocol, then
+// commits it locally:
 //
-//  1. The touched shards are locked (batches with disjoint TouchedShards
-//     proceed concurrently), downed workers are reattached and diverged
+//  1. Downed owners of the batch's shards are reattached and diverged
 //     replicas re-placed from authoritative segments.
 //  2. The batch is validated and compiled into a per-shard plan
 //     (graph.PlanBatch) against the authoritative graph.
 //  3. Phase 1 fans the effects out to the owning workers in parallel;
 //     every worker applies its shards' slices and reports per-shard
 //     edge-count deltas, which are cross-checked against the plan.
-//  4. Only after every worker acknowledged does commit run (serialized
-//     across batches): the caller's local application — the same
-//     ApplyBatch phase-2 merge in shard order, plus engines and WAL —
+//  4. Only after every worker acknowledged does commit run: the caller's
+//     local commit — its durability log, then the same ApplyBatch phase-2
+//     merge in shard order on the authoritative graph, plus engines —
 //     making the distributed result byte-identical to single-process.
+//
+// The coordinator mutex is held throughout, so batches meet the workers
+// and the authoritative graph one at a time, in the order they took it;
+// commit runs under it too, and so must not call back into the
+// coordinator.
 //
 // Failure anywhere before commit aborts the batch atomically: commit never
 // runs, the authoritative graph is untouched, and every shard the batch
 // planned to touch is marked for re-placement (workers that applied the
-// aborted effects are resynced before those shards are used again).
-func (c *Coordinator) Apply(b graph.Batch, commit func(graph.Batch) error) error {
-	return c.ApplyCommit(b, time.Time{}, Commit{Apply: commit})
-}
-
-// ApplyCommit is the entry point behind Apply: the commit callback is
-// split into its log and apply halves so the durability write overlaps
-// phase 1 (see Commit), and the batch carries the serving layer's per-op
-// budget. Everything Apply documents — atomic abort, byte-identity with
-// the single-process path — holds unchanged; a batch that aborts after its
-// record was logged takes the record back, and an Unlog that fails is
-// wrapped into the returned error beside the abort's cause (the log then
-// holds a record for a batch that never committed).
+// aborted effects are resynced before those shards are used again). A
+// commit that fails aborts the same way; the caller's own state is the
+// caller's to keep whole (Durable.Commit logs nothing it does not apply).
 //
-// The deadline bounds the shard-admission wait — a batch still queued
-// behind conflicting batches at the deadline is shed with ErrOverloaded,
-// nothing applied anywhere, safe to retry — and caps every phase-1 round
-// trip, so one op cannot hold its shards for the transport's full
-// size-scaled deadline when the client's budget is smaller. Repair traffic
-// (redial, parcel resync) keeps its own deadlines: healing a diverged
-// replica is not the client op's work to bound, and capping it would just
-// make the next op repeat it. A zero deadline means no budget.
-func (c *Coordinator) ApplyCommit(b graph.Batch, deadline time.Time, cb Commit) error {
-	if cb.Log != nil && cb.Unlog == nil {
-		return fmt.Errorf("cluster: Commit.Log without Commit.Unlog: an aborted batch could not take its record back")
-	}
-	touched := b.TouchedShards(c.g)
-	if !c.acquireDeadline(touched, deadline) {
-		return ErrOverloaded
-	}
-	defer c.release(touched)
-
-	if err := c.prepareShards(touched); err != nil {
+// deadline is the serving layer's per-op budget. A batch that reaches
+// phase 1 past it is shed with ErrOverloaded, nothing applied anywhere,
+// safe to retry; and it caps every phase-1 round trip, so one op cannot
+// hold the workers for the transport's full size-scaled deadline when the
+// client's budget is smaller. Repair traffic (redial, parcel resync) keeps
+// its own deadlines: healing a diverged replica is not the client op's
+// work to bound, and capping it would just make the next op repeat it. A
+// zero deadline means no budget.
+func (c *Coordinator) Apply(b graph.Batch, deadline time.Time, commit func() error) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err := c.prepareShards(b.TouchedShards(c.g)); err != nil {
 		c.remoteErrs.Add(1)
 		return err
 	}
@@ -848,204 +587,93 @@ func (c *Coordinator) ApplyCommit(b graph.Batch, deadline time.Time, cb Commit) 
 
 	// Group the shards per owning worker, preserving shard order within
 	// each group (workers apply and report in request order).
-	nw := len(c.workers)
-	grouped := make([][]int, nw)
-	c.mu.Lock()
+	assign := *c.assign.Load()
+	grouped := make([][]int, len(c.workers))
 	for _, s := range shards {
-		w := c.assign[s]
-		grouped[w] = append(grouped[w], s)
+		grouped[assign[s]] = append(grouped[assign[s]], s)
 	}
-	c.mu.Unlock()
 	var workerIDs []int
-	var shardsByWorker [][]int
-	for w := 0; w < nw; w++ {
-		if len(grouped[w]) > 0 {
+	for w, ws := range grouped {
+		if len(ws) > 0 {
 			workerIDs = append(workerIDs, w)
-			shardsByWorker = append(shardsByWorker, grouped[w])
 		}
 	}
 
-	// Past the admission wait but out of budget: shed before any remote
-	// work, while the abort is still free (no worker has applied anything,
-	// so no shard needs resync).
+	// Out of budget before phase 1: shed while the abort is still free (no
+	// worker has applied anything, so no shard needs resync).
 	if !deadline.IsZero() && !time.Now().Before(deadline) {
 		return ErrOverloaded
 	}
 
-	// Pipelined durability: the log append starts now, concurrent with the
-	// batch's own phase-1 round trips. logMu is taken before the append and
-	// held through the commit, so across batches log order equals commit
-	// order and the stamped generation is exact (the previous commit's
-	// postGen) — the WAL byte stream is that of a single-process serial run.
-	pipelined := cb.Log != nil
-	var (
-		logErr  error
-		logDone chan struct{}
-	)
-	if pipelined {
-		logDone = make(chan struct{})
-		go func() {
-			c.logMu.Lock()
-			c.mu.Lock()
-			gen := c.lastGen
-			c.mu.Unlock()
-			logErr = cb.Log(b, gen)
-			close(logDone)
-		}()
+	// Phase 1: one apply per involved worker, each capped by the op's
+	// budget. The first worker's round trip rides this goroutine.
+	deltas := make([][]shardDelta, len(workerIDs))
+	errs := make([]error, len(workerIDs))
+	send := func(i int) {
+		l := c.workers[workerIDs[i]]
+		if deltas[i], errs[i] = l.sendApply(plan, grouped[workerIDs[i]], deadline); errs[i] != nil {
+			errs[i] = fmt.Errorf("cluster: phase 1 on %s: %w", l.name, errs[i])
+		}
 	}
-
-	// Phase 1: one group send per involved worker, each capped by the op's
-	// remaining budget. Calls to the same worker from concurrently admitted
-	// batches coalesce (sendApply); the single-worker case stays on this
-	// goroutine.
-	calls := make([]*applyCall, len(workerIDs))
-	for i := range workerIDs {
-		call := getApplyCall()
-		call.body = appendApplyBatch(call.body, plan, shardsByWorker[i])
-		call.capAt = deadline
-		calls[i] = call
+	var wg sync.WaitGroup
+	for i := 1; i < len(workerIDs); i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			send(i)
+		}(i)
 	}
-	var phase1Err error
-	if len(workerIDs) == 1 {
-		if err := c.sendApply(c.workers[workerIDs[0]], calls[0]); err != nil {
-			phase1Err = fmt.Errorf("cluster: phase 1 on %s: %w", c.workers[workerIDs[0]].name, err)
-		}
-	} else if len(workerIDs) > 1 {
-		errs := make([]error, len(workerIDs))
-		var wg sync.WaitGroup
-		send := func(i, w int) {
-			if err := c.sendApply(c.workers[w], calls[i]); err != nil {
-				errs[i] = fmt.Errorf("cluster: phase 1 on %s: %w", c.workers[w].name, err)
-			}
-		}
-		for i := 1; i < len(workerIDs); i++ {
-			wg.Add(1)
-			go func(i, w int) {
-				defer wg.Done()
-				send(i, w)
-			}(i, workerIDs[i])
-		}
-		// The first worker's round trip rides this goroutine — one fewer
-		// spawn per apply, overlapping the spawned sends all the same.
-		send(0, workerIDs[0])
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				phase1Err = err
-				break
-			}
+	if len(workerIDs) > 0 {
+		send(0)
+	}
+	wg.Wait()
+	var err error
+	for _, e := range errs {
+		if e != nil {
+			err = e
+			break
 		}
 	}
 
 	// Phase 2 cross-check: the per-shard deltas are a pure function of the
 	// plan; a mismatch means the replica diverged from the authoritative
 	// shard. Checked in shard order, like the merge itself.
-	if phase1Err == nil {
-		for i, w := range workerIDs {
-			ws := shardsByWorker[i]
-			got := calls[i].deltas
-			if len(got) != len(ws) {
-				phase1Err = fmt.Errorf("cluster: %s reported %d shard deltas, want %d",
-					c.workers[w].name, len(got), len(ws))
-				break
-			}
-			for j, s := range ws {
-				if got[j].shard != s || got[j].delta != plan.EdgeDelta(s) {
-					phase1Err = fmt.Errorf("cluster: shard %d on %s diverged: edge delta %d, want %d",
-						s, c.workers[w].name, got[j].delta, plan.EdgeDelta(s))
-					break
-				}
-			}
-			if phase1Err != nil {
+	for i := 0; err == nil && i < len(workerIDs); i++ {
+		name, ws, got := c.workers[workerIDs[i]].name, grouped[workerIDs[i]], deltas[i]
+		if len(got) != len(ws) {
+			err = fmt.Errorf("cluster: %s reported %d shard deltas, want %d", name, len(got), len(ws))
+			break
+		}
+		for j, s := range ws {
+			if got[j].shard != s || got[j].delta != plan.EdgeDelta(s) {
+				err = fmt.Errorf("cluster: shard %d on %s diverged: edge delta %d, want %d",
+					s, name, got[j].delta, plan.EdgeDelta(s))
 				break
 			}
 		}
 	}
-	for _, call := range calls {
-		applyCallPool.Put(call)
-	}
 
-	abort := func(err error) error {
-		c.markDirty(shards)
+	if err == nil {
+		if err = commit(); err != nil {
+			// Workers applied a batch the caller did not commit.
+			err = fmt.Errorf("cluster: commit failed after phase 1; resyncing: %w", err)
+		}
+	}
+	if err != nil {
+		for _, s := range shards {
+			c.dirty[s] = true
+		}
 		c.remoteErrs.Add(1)
 		return err
-	}
-	if pipelined {
-		<-logDone
-	}
-	if phase1Err != nil {
-		if pipelined {
-			if logErr == nil {
-				phase1Err = joinUnlog(phase1Err, cb.Unlog())
-			}
-			c.logMu.Unlock()
-		}
-		return abort(phase1Err)
-	}
-	if pipelined && logErr != nil {
-		c.logMu.Unlock()
-		return abort(fmt.Errorf("cluster: log after phase 1; resyncing: %w", logErr))
-	}
-
-	// Commit: the local, authoritative application — serialized, because
-	// it merges into graph-global state. The batch's sequence is assigned
-	// here too, so sequence order is commit order.
-	c.commitMu.Lock()
-	preGen := c.g.Generation()
-	err := cb.Apply(b)
-	if err == nil {
-		postGen := c.g.Generation()
-		c.mu.Lock()
-		c.lastGen = postGen
-		c.mu.Unlock()
-		c.replSeq++
-		seq := c.replSeq
-		// The standby feed runs inside the commit critical section:
-		// Hub.Feed requires commit order across ALL batches, and the
-		// per-shard locks alone would let two disjoint batches' post-unlock
-		// feeds invert (the standby's generation check then rejects the
-		// reordered record and marks a healthy replica stale). Feed only
-		// enqueues — it never waits on a standby — so this does not extend
-		// the serialized section by any network time.
-		if c.opts.OnCommit != nil {
-			c.opts.OnCommit(seq, preGen, postGen, b)
-		}
-	}
-	c.commitMu.Unlock()
-	if err != nil {
-		// Workers applied a batch the authoritative side rejected.
-		err = fmt.Errorf("cluster: commit failed after phase 1; resyncing: %w", err)
-		if pipelined {
-			// The record is logged but will never apply: take it back so
-			// the WAL keeps matching the committed state.
-			err = joinUnlog(err, cb.Unlog())
-		}
-	}
-	if pipelined {
-		c.logMu.Unlock()
-	}
-	if err != nil {
-		return abort(err)
 	}
 	c.applied.Add(1)
 	return nil
 }
 
-// joinUnlog adds a failed Unlog to the abort it happened under: the caller's
-// log still holds the record of a batch it is being told did not commit.
-// Both errors stay matchable, on one line (errors.Join would put a newline
-// into what serving layers send as a one-line reply).
-func joinUnlog(abort, unlogErr error) error {
-	if unlogErr == nil {
-		return abort
-	}
-	return fmt.Errorf("%w; and its log record could not be taken back: %w", abort, unlogErr)
-}
-
 // MoveShard rebalances shard s onto worker w: the authoritative segment is
 // shipped to the new owner, the old replica is dropped (best-effort), and
-// the assignment flips. Safe between and during Apply traffic — the shard
-// is locked like a batch touching it.
+// the assignment flips. Safe between and during Apply traffic: it holds
+// the coordinator mutex like a batch.
 func (c *Coordinator) MoveShard(s, w int) error {
 	if s < 0 || s >= c.g.NumShards() {
 		return fmt.Errorf("cluster: MoveShard: shard %d out of range [0,%d)", s, c.g.NumShards())
@@ -1053,12 +681,10 @@ func (c *Coordinator) MoveShard(s, w int) error {
 	if w < 0 || w >= len(c.workers) {
 		return fmt.Errorf("cluster: MoveShard: worker %d out of range [0,%d)", w, len(c.workers))
 	}
-	touched := []int{s}
-	c.acquire(touched)
-	defer c.release(touched)
 	c.mu.Lock()
-	old := c.assign[s]
-	c.mu.Unlock()
+	defer c.mu.Unlock()
+	assign := *c.assign.Load()
+	old := assign[s]
 	if old == w {
 		return nil
 	}
@@ -1069,10 +695,10 @@ func (c *Coordinator) MoveShard(s, w int) error {
 		c.remoteErrs.Add(1)
 		return fmt.Errorf("cluster: MoveShard: placing shard %d on %s: %w", s, c.workers[w].name, err)
 	}
-	c.mu.Lock()
-	c.assign[s] = w
+	assign = append([]int(nil), assign...)
+	assign[s] = w
+	c.assign.Store(&assign)
 	c.dirty[s] = false
-	c.mu.Unlock()
 	req := appendUvarint([]byte{byte(msgDrop)}, uint64(s))
 	c.workers[old].request(req) // best-effort: stale replicas are inert
 	return nil
@@ -1080,28 +706,26 @@ func (c *Coordinator) MoveShard(s, w int) error {
 
 // VerifyShard compares the remote replica of shard s against the
 // authoritative local segment, byte for byte (parcels are deterministic).
-// It is the distributed analogue of the snapshot round-trip check.
+// It is the distributed analogue of the snapshot round-trip check, and
+// holds the coordinator mutex like a batch.
 func (c *Coordinator) VerifyShard(s int) error {
 	if s < 0 || s >= c.g.NumShards() {
 		return fmt.Errorf("cluster: VerifyShard: shard %d out of range [0,%d)", s, c.g.NumShards())
 	}
-	touched := []int{s}
-	c.acquire(touched)
-	defer c.release(touched)
 	c.mu.Lock()
-	w := c.assign[s]
-	c.mu.Unlock()
+	defer c.mu.Unlock()
+	l := c.workers[c.WorkerOf(s)]
 	want, err := store.EncodeShardParcel(c.g, s)
 	if err != nil {
 		return err
 	}
-	r, err := c.workers[w].requestHint(appendUvarint([]byte{byte(msgExport)}, uint64(s)), len(want))
+	r, err := l.requestHint(appendUvarint([]byte{byte(msgExport)}, uint64(s)), len(want))
 	if err != nil {
-		return fmt.Errorf("cluster: export shard %d from %s: %w", s, c.workers[w].name, err)
+		return fmt.Errorf("cluster: export shard %d from %s: %w", s, l.name, err)
 	}
 	if got := r.rest(); !bytes.Equal(got, want) {
 		return fmt.Errorf("cluster: shard %d on %s diverged: parcel %d bytes != authoritative %d bytes",
-			s, c.workers[w].name, len(got), len(want))
+			s, l.name, len(got), len(want))
 	}
 	return nil
 }
@@ -1156,12 +780,10 @@ func (c *Coordinator) StatsWithin(timeout time.Duration) []Stat {
 		timeout = statTimeout
 	}
 	out := make([]Stat, len(c.workers))
-	c.mu.Lock()
 	assigned := make([]int, len(c.workers))
-	for _, w := range c.assign {
+	for _, w := range *c.assign.Load() {
 		assigned[w]++
 	}
-	c.mu.Unlock()
 	var wg sync.WaitGroup
 	for i, l := range c.workers {
 		wg.Add(1)

@@ -7,8 +7,8 @@
 // coordinator — so a distributed application produces state byte-identical
 // to the single-process one. Shard placement and rebalancing ship the
 // per-shard snapshot segments of internal/store (EncodeShardParcel /
-// DecodeShardParcel feeding graph.LoadShard); batches whose TouchedShards
-// sets are disjoint are routed concurrently by the coordinator.
+// DecodeShardParcel feeding graph.LoadShard). The coordinator commits one
+// batch at a time: its mutex is held from plan to local commit.
 //
 // # Division of state
 //

@@ -32,6 +32,21 @@ func haBatches(t *testing.T, g *graph.Graph, n, count int, seed int64) ([]graph.
 	return batches, ref
 }
 
+// applyFed is applyLocal for a primary with a standby feed: the commit
+// callback applies b to g and hands it to hub, numbered by *seq, under the
+// coordinator mutex — the way a library caller feeds its hub.
+func applyFed(co *Coordinator, hub *Hub, seq *uint64, g *graph.Graph, b graph.Batch) error {
+	return co.Apply(b, time.Time{}, func() error {
+		preGen := g.Generation()
+		if err := g.ApplyBatch(b); err != nil {
+			return err
+		}
+		*seq++
+		hub.Feed(*seq, preGen, g.Generation(), b)
+		return nil
+	})
+}
+
 // redialLinks opens a fresh session to every worker behind links — the
 // connections a successor coordinator attaches over.
 func redialLinks(t *testing.T, links []Link) []Link {
@@ -57,7 +72,7 @@ func TestClusterFencingRejectsDeposedCoordinator(t *testing.T) {
 	}
 	defer co1.Close()
 	batches, _ := haBatches(t, g, 3, 50, 600)
-	if err := co1.Apply(batches[0], commitLocal(g)); err != nil {
+	if err := applyLocal(co1, g, batches[0]); err != nil {
 		t.Fatal(err)
 	}
 
@@ -71,7 +86,7 @@ func TestClusterFencingRejectsDeposedCoordinator(t *testing.T) {
 
 	// The deposed coordinator's writes bounce off the fence...
 	before := g.Clone()
-	err = co1.Apply(batches[1], commitLocal(g))
+	err = applyLocal(co1, g, batches[1])
 	if err == nil || !strings.Contains(err.Error(), "fenced") {
 		t.Fatalf("deposed apply: got %v, want fenced", err)
 	}
@@ -79,7 +94,7 @@ func TestClusterFencingRejectsDeposedCoordinator(t *testing.T) {
 		t.Fatal("fenced apply mutated the deposed coordinator's graph")
 	}
 	// ...including the resync path its abort queued up.
-	if err = co1.Apply(batches[1], commitLocal(g)); err == nil || !strings.Contains(err.Error(), "fenced") {
+	if err = applyLocal(co1, g, batches[1]); err == nil || !strings.Contains(err.Error(), "fenced") {
 		t.Fatalf("deposed resync: got %v, want fenced", err)
 	}
 	// A low-term hello cannot rejoin either.
@@ -93,7 +108,7 @@ func TestClusterFencingRejectsDeposedCoordinator(t *testing.T) {
 	}
 
 	// The successor operates normally.
-	if err := co2.Apply(batches[1], commitLocal(g2)); err != nil {
+	if err := applyLocal(co2, g2, batches[1]); err != nil {
 		t.Fatalf("successor apply: %v", err)
 	}
 	if err := co2.VerifyAll(); err != nil {
@@ -166,13 +181,14 @@ func TestClusterStandbyPromoteRecoversIdentically(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	co1, err := NewCoordinator(g, links, CoordinatorOptions{Term: 1, OnCommit: hub.Feed})
+	co1, err := NewCoordinator(g, links, CoordinatorOptions{Term: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer co1.Close()
+	var seq uint64
 	for i := 0; i < 4; i++ {
-		if err := co1.Apply(batches[i], commitLocal(g)); err != nil {
+		if err := applyFed(co1, hub, &seq, g, batches[i]); err != nil {
 			t.Fatalf("batch %d: %v", i, err)
 		}
 	}
@@ -207,14 +223,14 @@ func TestClusterStandbyPromoteRecoversIdentically(t *testing.T) {
 	}
 	defer co2.Close()
 	for i := 4; i < 8; i++ {
-		if err := co2.Apply(batches[i], commitLocal(promoted)); err != nil {
+		if err := applyLocal(co2, promoted, batches[i]); err != nil {
 			t.Fatalf("post-promotion batch %d: %v", i, err)
 		}
 	}
 
 	// The deposed primary's late commit is fenced out.
 	late := gen.Updates(g.Clone(), gen.UpdateSpec{Count: 30, InsertRatio: 0.6, Locality: 0.5, Seed: 99})
-	if err := co1.Apply(late, commitLocal(g)); err == nil || !strings.Contains(err.Error(), "fenced") {
+	if err := applyLocal(co1, g, late); err == nil || !strings.Contains(err.Error(), "fenced") {
 		t.Fatalf("deposed late commit: got %v, want fenced", err)
 	}
 
@@ -239,9 +255,9 @@ func TestClusterStandbyPromoteRecoversIdentically(t *testing.T) {
 }
 
 // TestHubFeedCommitOrderUnderConcurrentCommits pins the ordering
-// guarantee behind standby replication: OnCommit runs inside the
-// coordinator's commit critical section, so shard-disjoint batches
-// committing concurrently can never reach the hub out of sequence. The
+// guarantee behind standby replication: the commit callback runs under the
+// coordinator mutex, so batches committed from concurrent callers can
+// never reach the hub out of sequence. The
 // standby here is stricter than incgraphd's — it requires gapless,
 // strictly increasing sequences AND the exact post-commit generation —
 // so a single inverted feed fails the run.
@@ -306,24 +322,32 @@ func TestHubFeedCommitOrderUnderConcurrentCommits(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	// The hook adds seq-dependent latency (a stand-in for variable record
-	// encode time): the ordering guarantee must come from the coordinator
-	// serializing OnCommit with the commit, not from the hook being fast.
-	co, err := NewCoordinator(g, links, CoordinatorOptions{
-		Term: 1,
-		OnCommit: func(seq, preGen, postGen uint64, b graph.Batch) {
-			time.Sleep(time.Duration(seq%3) * time.Millisecond)
-			hub.Feed(seq, preGen, postGen, b)
-		},
-	})
+	co, err := NewCoordinator(g, links, CoordinatorOptions{Term: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer co.Close()
+	// The callback adds seq-dependent latency before the feed (a stand-in
+	// for variable record encode time): the ordering guarantee must come
+	// from the coordinator serializing commits, not from the callback being
+	// fast.
+	var seq uint64
+	commit := func(b graph.Batch) func() error {
+		return func() error {
+			preGen := g.Generation()
+			if err := g.ApplyBatch(b); err != nil {
+				return err
+			}
+			seq++
+			time.Sleep(time.Duration(seq%3) * time.Millisecond)
+			hub.Feed(seq, preGen, g.Generation(), b)
+			return nil
+		}
+	}
 
-	// Rounds of single-shard batches with disjoint TouchedShards fired
-	// concurrently (the TestDisjointBatchesRouteConcurrently workload), so
-	// overlapping-in-time commits are the norm, not the exception.
+	// Rounds of single-shard batches fired from concurrent callers (the
+	// TestConcurrentBatchesMatchSerial workload), so callers racing for
+	// the coordinator are the norm, not the exception.
 	var total uint64
 	for round := 0; round < 5; round++ {
 		scratch := g.Clone()
@@ -350,7 +374,7 @@ func TestHubFeedCommitOrderUnderConcurrentCommits(t *testing.T) {
 			wg.Add(1)
 			go func(i int, b graph.Batch) {
 				defer wg.Done()
-				errs[i] = co.Apply(b, commitLocal(g))
+				errs[i] = co.Apply(b, time.Time{}, commit(b))
 			}(i, b)
 		}
 		wg.Wait()
@@ -535,11 +559,11 @@ func runFaultDrill(t *testing.T) []string {
 	defer co.Close()
 
 	batches, ref := haBatches(t, g, 2, 40, 900)
-	if err := co.Apply(batches[0], commitLocal(g)); err == nil {
+	if err := applyLocal(co, g, batches[0]); err == nil {
 		t.Fatal("apply survived a dropped phase-1 frame")
 	}
 	for i, b := range batches {
-		if err := co.Apply(b, commitLocal(g)); err != nil {
+		if err := applyLocal(co, g, b); err != nil {
 			t.Fatalf("batch %d after fault: %v", i, err)
 		}
 	}
@@ -612,8 +636,8 @@ func TestClusterConcurrentDisjointBatchAbort(t *testing.T) {
 	var wg sync.WaitGroup
 	var errA, errB error
 	wg.Add(2)
-	go func() { defer wg.Done(); errA = co.Apply(bA, commitLocal(g)) }()
-	go func() { defer wg.Done(); errB = co.Apply(bB, commitLocal(g)) }()
+	go func() { defer wg.Done(); errA = applyLocal(co, g, bA) }()
+	go func() { defer wg.Done(); errB = applyLocal(co, g, bB) }()
 	wg.Wait()
 	if errA != nil {
 		t.Fatalf("batch on the healthy worker: %v", errA)
@@ -623,7 +647,7 @@ func TestClusterConcurrentDisjointBatchAbort(t *testing.T) {
 	}
 
 	// The aborted batch's shards resync cleanly and the retry commits.
-	if err := co.Apply(bB, commitLocal(g)); err != nil {
+	if err := applyLocal(co, g, bB); err != nil {
 		t.Fatalf("retry after abort: %v", err)
 	}
 	if co.Resyncs() == 0 {

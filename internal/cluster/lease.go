@@ -50,8 +50,8 @@ type HubOptions struct {
 }
 
 // Hub fans committed records out to attached standbys. Call Feed from a
-// serialized commit path (a coordinator's OnCommit hook is one). Its mutex
-// is a leaf: nothing is called with it held.
+// serialized commit path (the commit callback of Coordinator.Apply is
+// one). Its mutex is a leaf: nothing is called with it held.
 type Hub struct {
 	opts HubOptions
 

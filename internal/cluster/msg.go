@@ -33,8 +33,10 @@ import (
 // independently) with session-interned label references instead of
 // per-node strings. Version 4 removed worker log shipping: the replicate,
 // repl-state and scrub requests, place's sequence and generation stamps,
-// and the two replication counters of a worker's stat.
-const protocolVersion = 4
+// and the two replication counters of a worker's stat. Version 5 made apply
+// carry one batch again — the coordinator commits one at a time — keeping
+// the session label references.
+const protocolVersion = 5
 
 type msgType byte
 
@@ -48,11 +50,11 @@ const (
 	msgPlace
 	// msgDrop removes a shard replica: uvarint shard.
 	msgDrop
-	// msgApply runs phase 1 for a group of shard-disjoint planned batches:
-	// a label-table delta (chained per session), then each batch's
-	// ShardEffects. The worker answers with a per-batch status — edge
-	// deltas on success, an error text on divergence — so one failed batch
-	// does not poison the others in its frame.
+	// msgApply runs phase 1 for one planned batch: a label-table delta
+	// (chained per session), then the batch's ShardEffects. The worker
+	// answers with a status — edge deltas on success, an error text on
+	// divergence — inside msgOK, so a diverged replica does not cost the
+	// session its label chain.
 	msgApply
 	// msgExport returns the parcel of an owned shard: uvarint shard.
 	msgExport
@@ -224,29 +226,27 @@ func decodeShardList(r *reader) ([]int, error) {
 	return out, nil
 }
 
-// ---- apply codecs (protocol v3) ----------------------------------------
+// ---- apply codecs (protocol v5) ----------------------------------------
 //
-// An apply request is a GROUP: a label-table delta for the session
-// followed by one or more shard-disjoint batches. The coordinator encodes
-// each batch's effects straight off the validated graph.Plan into a
-// pooled buffer with the frame header reserved up front, so the hot path
-// allocates nothing and the frame leaves in a single write.
+// An apply request is a label-table delta for the session followed by one
+// batch's effects. The coordinator encodes them straight off the
+// validated graph.Plan into the link's reused buffer with the frame header
+// reserved up front, so the hot path allocates nothing and the frame
+// leaves in a single write.
 //
 //	request:  byte msgApply
 //	          uvarint labelBase (labels already shipped on this session)
 //	          uvarint nLabels, then per label: uvarint len + bytes
-//	          uvarint nBatches, then per batch:
-//	            uvarint nShards, per shard:
-//	              uvarint shard
-//	              uvarint nNew, per node: varint id, uvarint labelRef
-//	              uvarint nOps, per op: byte op, varint from, varint to
+//	          uvarint nShards, per shard:
+//	            uvarint shard
+//	            uvarint nNew, per node: varint id, uvarint labelRef
+//	            uvarint nOps, per op: byte op, varint from, varint to
 //	response: byte msgOK
-//	          uvarint nBatches, then per batch:
-//	            byte status (0 ok, 1 failed)
-//	            ok:     uvarint nShards, per shard: uvarint shard, varint delta
-//	            failed: uvarint len + error text
+//	          byte status (0 ok, 1 failed)
+//	          ok:     uvarint nShards, per shard: uvarint shard, varint delta
+//	          failed: uvarint len + error text
 
-// applyStatus bytes in a group response.
+// applyStatus bytes in an apply response.
 const (
 	applyOK     byte = 0
 	applyFailed byte = 1
@@ -325,8 +325,8 @@ func decodeApplyLabels(r *reader, coordLabels []graph.LabelID) ([]graph.LabelID,
 	return coordLabels, nil
 }
 
-// decodeApplyBatch parses one batch of a group into the session's scratch
-// slices (reused across batches and requests), translating label
+// decodeApplyBatch parses the batch of an apply request into the
+// session's scratch slices (reused across requests), translating label
 // references through coordLabels. The returned effects alias the scratch;
 // they are valid until the next call.
 func decodeApplyBatch(r *reader, sess *applySession) ([]graph.ShardEffects, error) {
@@ -410,8 +410,8 @@ type shardDelta struct {
 	delta int
 }
 
-// appendBatchDeltas appends one batch's ok status and per-shard deltas to
-// a group response body.
+// appendBatchDeltas appends the batch's ok status and per-shard deltas to
+// an apply response body.
 func appendBatchDeltas(buf []byte, effs []graph.ShardEffects, deltas []int) []byte {
 	buf = append(buf, applyOK)
 	buf = binary.AppendUvarint(buf, uint64(len(effs)))
@@ -422,7 +422,7 @@ func appendBatchDeltas(buf []byte, effs []graph.ShardEffects, deltas []int) []by
 	return buf
 }
 
-// appendBatchError appends one batch's failure status and error text.
+// appendBatchError appends the batch's failure status and error text.
 func appendBatchError(buf []byte, err error) []byte {
 	buf = append(buf, applyFailed)
 	text := err.Error()
@@ -430,8 +430,8 @@ func appendBatchError(buf []byte, err error) []byte {
 	return append(buf, text...)
 }
 
-// decodeBatchResult parses one batch's slot of a group response into out
-// (reused capacity). A failed batch returns a remoteError.
+// decodeBatchResult parses an apply response body into out (reused
+// capacity). A failed batch returns a remoteError.
 func decodeBatchResult(r *reader, out []shardDelta) ([]shardDelta, error) {
 	status, err := r.byte()
 	if err != nil {

@@ -1,7 +1,7 @@
 package cluster
 
-// Overload-protection tests: the per-op deadline of ApplyCommit (shard
-// admission shedding with ErrOverloaded, safe retry) and the bounded
+// Overload-protection tests: the per-op deadline of Apply (a budget spent
+// before phase 1 sheds with ErrOverloaded, safe retry) and the bounded
 // stats poll (a stalled worker must not stretch Stats by its full RPC
 // deadline).
 
@@ -12,12 +12,15 @@ import (
 	"time"
 
 	"incgraph/internal/gen"
-	"incgraph/internal/graph"
 )
 
-func TestApplyDeadlineShedsWhenShardsBusy(t *testing.T) {
+// TestApplyShedsBudgetSpentWaiting: a batch whose op budget runs out while
+// it waits for the coordinator mutex (another batch's commit holds it) is
+// shed with ErrOverloaded before phase 1 — its commit never runs and no
+// worker applies it — and a retry with a fresh budget commits.
+func TestApplyShedsBudgetSpentWaiting(t *testing.T) {
 	g := testGraph(t, 4)
-	links, _, stop := InProcess(1)
+	links, workers, stop := InProcess(1)
 	defer stop()
 	co, err := NewCoordinator(g, links, CoordinatorOptions{})
 	if err != nil {
@@ -30,53 +33,53 @@ func TestApplyDeadlineShedsWhenShardsBusy(t *testing.T) {
 	if err := scratch.ApplyBatch(b1); err != nil {
 		t.Fatal(err)
 	}
-	// Hold b1's shards by blocking its commit callback; a touched-shard
-	// overlap then forces b2 to queue.
-	hold := make(chan struct{})
-	entered := make(chan struct{})
-	done := make(chan error, 1)
-	go func() {
-		done <- co.Apply(b1, func(b graph.Batch) error {
-			close(entered)
-			<-hold
-			return g.ApplyBatch(b)
-		})
-	}()
-	<-entered
-
-	// b2 touches at least one of b1's shards (same touched set by
-	// construction: re-generate from the same scratch state pre-apply is
-	// not possible, so use b1 itself — identical batch, identical shards).
-	if err := co.ApplyCommit(b1, time.Now().Add(50*time.Millisecond), Commit{Apply: func(graph.Batch) error {
-		t.Error("commit ran for a shed batch")
-		return nil
-	}}); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("busy-shard apply: got %v, want ErrOverloaded", err)
-	}
-
-	close(hold)
-	if err := <-done; err != nil {
-		t.Fatalf("held batch: %v", err)
-	}
-	// The shed left nothing dirty and nothing half-applied: replicas still
-	// match the authoritative graph, and a clean retry of a fresh batch
-	// works.
-	if err := co.VerifyAll(); err != nil {
-		t.Fatalf("replicas diverged after a shed: %v", err)
-	}
 	b2 := gen.Updates(scratch, gen.UpdateSpec{Count: 40, InsertRatio: 0.6, Locality: 0.5, Seed: 302})
 	if err := scratch.ApplyBatch(b2); err != nil {
 		t.Fatal(err)
 	}
-	if err := co.ApplyCommit(b2, time.Now().Add(rpcTimeout), Commit{Apply: commitLocal(g)}); err != nil {
+	// b1's commit blocks, holding the coordinator mutex.
+	hold := make(chan struct{})
+	entered := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		done <- co.Apply(b1, time.Time{}, func() error {
+			close(entered)
+			<-hold
+			return g.ApplyBatch(b1)
+		})
+	}()
+	<-entered
+	deadline := time.Now().Add(50 * time.Millisecond)
+	shed := make(chan error, 1)
+	go func() {
+		shed <- co.Apply(b2, deadline, func() error {
+			t.Error("commit ran for a shed batch")
+			return nil
+		})
+	}()
+	time.Sleep(time.Until(deadline) + 50*time.Millisecond)
+	close(hold)
+	if err := <-done; err != nil {
+		t.Fatalf("held batch: %v", err)
+	}
+	if err := <-shed; !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("budget spent waiting: got %v, want ErrOverloaded", err)
+	}
+	if n := workers[0].statFor(t).Applied; n != 1 || co.Applied() != 1 || co.RemoteErrors() != 0 {
+		t.Fatalf("worker applied %d, coordinator applied %d with %d remote errors; want 1, 1, 0", n, co.Applied(), co.RemoteErrors())
+	}
+	if err := co.Apply(b2, time.Now().Add(rpcTimeout), func() error { return g.ApplyBatch(b2) }); err != nil {
 		t.Fatalf("retry after shed: %v", err)
 	}
 	if !g.Equal(scratch) {
 		t.Fatal("graph diverged from reference after shed + retry")
 	}
+	if err := co.VerifyAll(); err != nil {
+		t.Fatalf("replicas diverged after a shed: %v", err)
+	}
 }
 
-func TestApplyDeadlineZeroIsUnbounded(t *testing.T) {
+func TestZeroDeadlineIsUnbounded(t *testing.T) {
 	g := testGraph(t, 4)
 	links, _, stop := InProcess(1)
 	defer stop()
@@ -90,7 +93,7 @@ func TestApplyDeadlineZeroIsUnbounded(t *testing.T) {
 	if err := scratch.ApplyBatch(b); err != nil {
 		t.Fatal(err)
 	}
-	if err := co.ApplyCommit(b, time.Time{}, Commit{Apply: commitLocal(g)}); err != nil {
+	if err := applyLocal(co, g, b); err != nil {
 		t.Fatalf("zero-deadline apply: %v", err)
 	}
 	if !g.Equal(scratch) {

@@ -68,13 +68,15 @@ func BenchmarkApplyCluster(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer co.Close()
-	commit := func(bb graph.Batch) error { return h.ApplyBatch(bb) }
-	if err := co.Apply(batches[0], commit); err != nil {
+	apply := func(bb graph.Batch) error {
+		return co.Apply(bb, time.Time{}, func() error { return h.ApplyBatch(bb) })
+	}
+	if err := apply(batches[0]); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 1; i <= b.N; i++ {
-		if err := co.ApplyCommit(batches[i], time.Time{}, Commit{Apply: commit}); err != nil {
+		if err := apply(batches[i]); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -18,21 +18,16 @@ import (
 // differs from the authoritative parcel — the same heal an aborted batch
 // triggers, now driven by verification instead of luck.
 //
-// Scrubbing never competes with commits: a shard busy under an in-flight
-// batch is skipped after a bounded wait (scrubAcquireWait) and revisited
-// on the next pass, and the background loop paces one shard per interval
+// Scrubbing never waits for commits: a shard whose check finds the
+// coordinator mutex held (a batch in flight) is skipped and revisited on
+// the next pass, and the background loop paces one shard per interval
 // rather than sweeping in a burst.
-
-// scrubAcquireWait bounds how long a scrub waits for a busy shard before
-// skipping it; commits hold shard locks for whole RPC round trips, so
-// anything longer would make the scrubber a writer's competitor.
-const scrubAcquireWait = 2 * time.Millisecond
 
 // ScrubReport summarizes one scrub pass.
 type ScrubReport struct {
 	// Checked counts shards fully verified (or found divergent).
 	Checked int
-	// Skipped counts shards not verified this pass: busy under a commit,
+	// Skipped counts shards not verified this pass: a commit in flight,
 	// owner down, or already marked for resync.
 	Skipped int
 	// Mismatches counts shards that failed verification: divergent parcel
@@ -65,24 +60,19 @@ func (c *Coordinator) ScrubCounters() ScrubStats {
 // ScrubShard verifies shard s's remote replica — parcel bytes against the
 // authoritative segment — and re-places the shard on a mismatch. It
 // returns whether a heal happened. A shard that cannot be verified right
-// now (busy under a commit, owner down) is skipped without error: the
-// next pass gets it.
+// now (a commit in flight, owner down) is skipped without error: the next
+// pass gets it.
 func (c *Coordinator) ScrubShard(s int) (healed bool, err error) {
 	if s < 0 || s >= c.g.NumShards() {
 		return false, fmt.Errorf("cluster: ScrubShard: shard %d out of range [0,%d)", s, c.g.NumShards())
 	}
-	touched := []int{s}
-	if !c.acquireDeadline(touched, time.Now().Add(scrubAcquireWait)) {
+	if !c.mu.TryLock() {
 		c.scrubSkips.Add(1)
 		return false, nil
 	}
-	defer c.release(touched)
-	c.mu.Lock()
-	w := c.assign[s]
-	dirty := c.dirty[s]
-	c.mu.Unlock()
-	l := c.workers[w]
-	if dirty {
+	defer c.mu.Unlock()
+	l := c.workers[c.WorkerOf(s)]
+	if c.dirty[s] {
 		// Already awaiting resync; the next batch (or heal below on a
 		// later pass) re-places it. Nothing to verify against.
 		c.scrubSkips.Add(1)
@@ -121,7 +111,7 @@ func (c *Coordinator) ScrubShard(s int) (healed bool, err error) {
 	if err := c.place(l, s); err != nil {
 		// Heal failed: flag the shard so the next batch's prepareShards
 		// retries the placement before using it.
-		c.markDirty(touched)
+		c.dirty[s] = true
 		c.remoteErrs.Add(1)
 		return false, fmt.Errorf("cluster: scrub heal of shard %d on %s: %w", s, l.name, err)
 	}
@@ -131,7 +121,8 @@ func (c *Coordinator) ScrubShard(s int) (healed bool, err error) {
 }
 
 // Scrub runs one full anti-entropy pass over every shard and reports what
-// it found. Shards busy under commits are skipped, not waited for.
+// it found. A shard whose turn meets a commit in flight is skipped, not
+// waited for.
 func (c *Coordinator) Scrub() (ScrubReport, error) {
 	var rep ScrubReport
 	var firstErr error

@@ -18,7 +18,7 @@ func scrubWorkload(t *testing.T, co *Coordinator, g *graph.Graph, batches int) {
 		if err := scratch.ApplyBatch(b); err != nil {
 			t.Fatal(err)
 		}
-		if err := co.Apply(b, commitLocal(g)); err != nil {
+		if err := applyLocal(co, g, b); err != nil {
 			t.Fatalf("batch %d: %v", i, err)
 		}
 	}
@@ -31,7 +31,7 @@ func corruptWorkerShard(t *testing.T, co *Coordinator, w *Worker, widx int) int 
 	t.Helper()
 	co.mu.Lock()
 	owned := map[int]bool{}
-	for s, wi := range co.assign {
+	for s, wi := range *co.assign.Load() {
 		if wi == widx {
 			owned[s] = true
 		}

@@ -146,10 +146,10 @@ func (w *Worker) handle(t msgType, r *reader, sessTerm *uint64, sess *applySessi
 	return resp
 }
 
-// applyBatchEffects runs phase 1 for one batch of a group — ownership
-// check across all its shards first, then ApplyShardEffects per shard —
-// and appends the batch's verdict (per-shard deltas, or an error) to the
-// group response. Caller holds w.mu.
+// applyBatchEffects runs phase 1 for one batch — ownership check across
+// all its shards first, then ApplyShardEffects per shard — and appends the
+// batch's verdict (per-shard deltas, or an error) to the response. Caller
+// holds w.mu.
 func (w *Worker) applyBatchEffects(resp []byte, effs []graph.ShardEffects) []byte {
 	for _, e := range effs {
 		if e.Shard < 0 || e.Shard >= w.g.NumShards() || !w.owned[e.Shard] {
@@ -278,28 +278,14 @@ func (w *Worker) dispatch(t msgType, r *reader, sessTerm *uint64, sess *applySes
 		if err != nil {
 			return nil, err
 		}
-		nBatches, err := r.uvarint()
+		effs, err := decodeApplyBatch(r, sess)
 		if err != nil {
 			return nil, err
-		}
-		if nBatches == 0 || nBatches > uint64(len(r.buf)) {
-			return nil, fmt.Errorf("%w: implausible batch count %d", ErrProtocol, nBatches)
-		}
-		resp := append(sess.resp[:0], byte(msgOK))
-		resp = binary.AppendUvarint(resp, nBatches)
-		for b := uint64(0); b < nBatches; b++ {
-			effs, err := decodeApplyBatch(r, sess)
-			if err != nil {
-				return nil, err
-			}
-			// The batches of one group touch disjoint shard sets (the
-			// coordinator's admission gate guarantees it), so each gets an
-			// independent verdict: one failing does not poison the rest.
-			resp = w.applyBatchEffects(resp, effs)
 		}
 		if err := r.done(); err != nil {
 			return nil, err
 		}
+		resp := w.applyBatchEffects(append(sess.resp[:0], byte(msgOK)), effs)
 		sess.resp = resp[:0]
 		return resp, nil
 

@@ -116,13 +116,6 @@ func (s *Store) Append(b graph.Batch, gen uint64) error {
 	return s.wal.Append(b, gen)
 }
 
-// Unappend durably rolls back the latest Append before any further
-// append — the write-ahead half of a batch whose distributed phase 1
-// failed after logging. See WAL.Unappend for the contract.
-func (s *Store) Unappend() error {
-	return s.wal.Unappend()
-}
-
 // Checkpoint makes g the new durable baseline: snapshot under the next
 // epoch, fresh WAL, manifest flip, then removal of the superseded pair.
 func (s *Store) Checkpoint(g *graph.Graph) error {

@@ -304,12 +304,11 @@ func (w *WAL) Append(b graph.Batch, gen uint64) error {
 	// common crash leaves either no bytes or a cleanly torn tail, never an
 	// interleaving.
 	frame, err := appendFramedRecord(w.buf[:0], w.seq, gen, b)
+	w.buf = frame[:0]
 	if err != nil {
 		w.seq--
-		w.buf = frame[:0]
 		return fmt.Errorf("store: WAL append: %w", err)
 	}
-	w.buf = frame
 	_, err = w.f.Write(frame)
 	if err == nil {
 		w.size += int64(len(frame))
@@ -329,39 +328,12 @@ func (w *WAL) Append(b graph.Batch, gen uint64) error {
 		// log's end, and an unsynced-but-written record is a lie about
 		// durability — both roll the file back to the last clean end. If
 		// even that fails, wedge the log so no further append can be
-		// acknowledged after the orphaned bytes. The scratch is emptied so
-		// a (contract-violating) Unappend cannot roll back twice.
+		// acknowledged after the orphaned bytes.
 		w.seq--
-		w.buf = w.buf[:0]
 		if terr := w.truncateToSize(); terr != nil {
 			w.broken = fmt.Errorf("%w: append: %v; truncate: %v", ErrWALBroken, err, terr)
 		}
 		return err
-	}
-	return nil
-}
-
-// Unappend rolls back the most recent successful Append: the record's
-// bytes come off the file end (durably — the truncation is fsynced) and
-// the sequence counter steps back, as if the append never happened. Only
-// the latest record can be taken back, and only before any further
-// append; the caller guarantees that ordering (the coordinator's
-// pipelined log holds its order lock from append through commit, so an
-// aborted batch unlogs before the next batch logs). A failed truncation
-// wedges the log like any rollback failure.
-func (w *WAL) Unappend() error {
-	if w.broken != nil {
-		return w.broken
-	}
-	if w.seq == 0 || len(w.buf) == 0 {
-		return fmt.Errorf("store: WAL unappend: no record to take back")
-	}
-	w.seq--
-	w.size -= int64(len(w.buf))
-	w.buf = w.buf[:0]
-	if err := w.truncateToSize(); err != nil {
-		w.broken = fmt.Errorf("%w: unappend truncate: %v", ErrWALBroken, err)
-		return w.broken
 	}
 	return nil
 }

@@ -10,7 +10,7 @@ import (
 
 // TestWriteSurface pins the ways a batch can be moved and the knobs on that
 // path against golden lists: a method of *Durable or *Cluster that takes a
-// Batch, or a field of the three structs a commit is configured through, is
+// Batch, or a field of the two structs a commit is configured through, is
 // added or removed by editing this test.
 func TestWriteSurface(t *testing.T) {
 	batch := reflect.TypeOf(incgraph.Batch(nil))
@@ -41,10 +41,9 @@ func TestWriteSurface(t *testing.T) {
 		got, want []string
 	}{
 		{"(*Durable) methods taking a Batch", takesBatch(reflect.TypeOf(&incgraph.Durable{})), []string{"Commit", "LogPlanned"}},
-		{"(*Cluster) methods taking a Batch", takesBatch(reflect.TypeOf(&incgraph.Cluster{})), []string{"Apply", "ApplyCommit"}},
+		{"(*Cluster) methods taking a Batch", takesBatch(reflect.TypeOf(&incgraph.Cluster{})), []string{"Apply"}},
 		{"ApplyOptions fields", fields(reflect.TypeOf(incgraph.ApplyOptions{})), []string{"Via", "Deadline", "Log", "Exclusive"}},
-		{"cluster.CoordinatorOptions fields", fields(coordinatorOptions), []string{"Term", "CallTimeout", "OnCommit"}},
-		{"cluster.Commit fields", fields(reflect.TypeOf(incgraph.ClusterCommit{})), []string{"Log", "Unlog", "Apply"}},
+		{"cluster.CoordinatorOptions fields", fields(coordinatorOptions), []string{"Term", "CallTimeout"}},
 	} {
 		if !slices.Equal(tc.got, tc.want) {
 			t.Errorf("%s: %v, want %v", tc.what, tc.got, tc.want)
