@@ -1,17 +1,20 @@
 package incgraph_test
 
-// One testing.B benchmark per figure/table of the paper's evaluation
-// (Section 6), on scaled-down dataset simulations. Sub-benchmarks compare
-// the incremental algorithm (IncX), its unit-at-a-time variant (IncXn) and
-// the batch baseline (BLINKS / RPQ_NFA / Tarjan / VF2) at the figure's
-// representative operating point (|ΔG| = 10% of |G| unless the panel varies
-// something else). `go test -bench=. -benchmem` regenerates the whole set;
-// cmd/benchmark runs the full sweeps with all baselines.
+// One testing.B benchmark per figure and table of the paper's evaluation
+// (Section 6), on scaled-down dataset simulations:
+//
+//	go test -run '^$' -bench 'Fig08|UnitUpdate|BatchOpt' .
+//
+// regenerates the whole set. Fig. 8 a–i sweep |ΔG| from 5% to 40% of |E|,
+// j–l vary the query and m–p the graph, at five points each. Every point
+// runs every series of its class: the incremental algorithm (IncX), its
+// unit-at-a-time variant (IncXn), the batch rival (BLINKS / RPQNFA /
+// Tarjan / VF2) and, on SCC, the DynSCC baseline.
 //
 // Incremental benchmarks use the apply/undo pattern: each iteration applies
 // ΔG and then its inverse, so the maintained state returns to the start
 // without untimed per-iteration rebuilds. One op therefore measures two
-// batch applications; the batch baselines recompute from a fixed updated
+// batch applications; the batch rivals recompute from a fixed updated
 // graph, so one op is one recomputation. Relative comparisons are
 // unaffected (halve the incremental numbers for absolute per-batch times).
 
@@ -23,11 +26,21 @@ import (
 	"incgraph"
 	"incgraph/internal/gen"
 	"incgraph/internal/graph"
+	"incgraph/internal/rpq"
+	"incgraph/internal/scc"
 )
 
-// benchScale keeps `go test -bench=.` affordable; cmd/benchmark -scale
-// controls the full harness independently.
+// benchScale keeps the figures affordable: dbpedia-sim at 2k nodes.
 const benchScale = 0.1
+
+// rpqScale and isoScale halve the RPQ and ISO panels' graphs: RPQ_NFA has
+// the heaviest per-node cost of the batch algorithms, and IncISOn runs VF2
+// on a d_Q-neighbourhood per unit update (at full size, Fig. 8h alone takes
+// a minute).
+const (
+	rpqScale = 0.5
+	isoScale = 0.5
+)
 
 func dataset(b *testing.B, name string, classScale float64) *incgraph.Graph {
 	b.Helper()
@@ -38,17 +51,20 @@ func dataset(b *testing.B, name string, classScale float64) *incgraph.Graph {
 	return g
 }
 
-func deltaBatch(g *incgraph.Graph, pct int, seed int64) incgraph.Batch {
-	count := pct * g.NumEdges() / 100
-	if count < 1 {
-		count = 1
-	}
+// updates is a ΔG of count updates valid against g: half of them
+// insertions, each a 2-hop shortcut along an existing path.
+func updates(g *incgraph.Graph, count int, seed int64) incgraph.Batch {
 	return incgraph.RandomUpdates(g, incgraph.UpdateSpec{
-		Count:       count,
+		Count:       max(count, 1),
 		InsertRatio: 0.5,
 		Locality:    1.0,
 		Seed:        seed,
 	})
+}
+
+// deltaBatch is a ΔG of pct% of g's edges.
+func deltaBatch(g *incgraph.Graph, pct int, seed int64) incgraph.Batch {
+	return updates(g, pct*g.NumEdges()/100, seed)
 }
 
 // applyUndo is the incremental benchmark kernel.
@@ -67,313 +83,306 @@ func applyUndo(b *testing.B, fwd, rev incgraph.Batch, apply applier) {
 	}
 }
 
-// ---- KWS panels: Fig. 8(a) dbpedia, 8(e) livej, 8(j) vary Q, 8(m) vary G.
+// ---- the four classes.
 
-func benchKWS(b *testing.B, ds string, m, bound, pct int) {
-	g := dataset(b, ds, 1.0)
+// engine is one class's IncX on a graph it owns: the Maintained adapter
+// (Apply, and |Q(G)|) and the unit-at-a-time loop IncXn.
+type engine struct {
+	incgraph.Maintained
+	unitwise applier
+}
+
+// A class is one query class with its graph and query fixed. g is G in the
+// shape the class's panels use; build runs the batch algorithm on a copy of
+// G and returns the engine, and recompute is the batch rival, Q(G) from
+// scratch. The series are named IncX, IncXn and rival, with X the name.
+type class struct {
+	name, rival string
+	g           *incgraph.Graph
+	build       func(g *incgraph.Graph) (engine, error)
+	recompute   func(g *incgraph.Graph) error
+	// dyn is SCC's further incremental baseline, DynSCC; nil elsewhere.
+	dyn func(g *incgraph.Graph) applier
+}
+
+func kwsClass(b *testing.B, g *incgraph.Graph, m, bound int) class {
 	q, err := incgraph.RandomKWSQuery(g, m, bound, 2)
 	if err != nil {
 		b.Fatal(err)
 	}
-	batch := deltaBatch(g, pct, 3)
-	undo := batch.Inverse()
-	b.Run("IncKWS", func(b *testing.B) {
-		ix, err := incgraph.NewKWS(g.Clone(), q)
-		if err != nil {
-			b.Fatal(err)
-		}
-		applyUndo(b, batch, undo, func(bb incgraph.Batch) error { _, err := ix.Apply(bb); return err })
-	})
-	b.Run("IncKWSn", func(b *testing.B) {
-		ix, err := incgraph.NewKWS(g.Clone(), q)
-		if err != nil {
-			b.Fatal(err)
-		}
-		applyUndo(b, batch, undo, func(bb incgraph.Batch) error { _, err := ix.ApplyUnitwise(bb); return err })
-	})
-	b.Run("BLINKS", func(b *testing.B) {
-		h := g.Clone()
-		if err := h.ApplyBatch(batch); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := incgraph.NewKWS(h.Clone(), q); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-func BenchmarkFig08a_KWS_dbpedia(b *testing.B) { benchKWS(b, "dbpedia", 3, 2, 10) }
-func BenchmarkFig08e_KWS_livej(b *testing.B)   { benchKWS(b, "livej", 3, 2, 10) }
-func BenchmarkFig08j_KWS_varyQ(b *testing.B) {
-	for _, mb := range [][2]int{{2, 1}, {4, 3}, {6, 5}} {
-		b.Run(fmt.Sprintf("m%d_b%d", mb[0], mb[1]), func(b *testing.B) {
-			benchKWS(b, "dbpedia", mb[0], mb[1], 10)
-		})
-	}
-}
-func BenchmarkFig08m_KWS_varyG(b *testing.B) {
-	for _, sc := range []float64{0.2, 0.6, 1.0} {
-		b.Run(fmt.Sprintf("scale%.1f", sc), func(b *testing.B) {
-			g, err := incgraph.Dataset("synthetic", sc*benchScale, 1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			q, err := incgraph.RandomKWSQuery(g, 3, 2, 2)
-			if err != nil {
-				b.Fatal(err)
-			}
-			batch := deltaBatch(g, 15, 3)
+	return class{
+		name: "KWS", rival: "BLINKS", g: g,
+		build: func(g *incgraph.Graph) (engine, error) {
 			ix, err := incgraph.NewKWS(g, q)
 			if err != nil {
-				b.Fatal(err)
+				return engine{}, err
 			}
-			applyUndo(b, batch, batch.Inverse(), func(bb incgraph.Batch) error { _, err := ix.Apply(bb); return err })
-		})
+			return engine{incgraph.MaintainKWS(ix), func(bb incgraph.Batch) error { _, err := ix.ApplyUnitwise(bb); return err }}, nil
+		},
+		// BLINKS's answer is the set of match trees, so the rival pays for
+		// every one; the incremental runs touch the changed roots only.
+		recompute: func(g *incgraph.Graph) error {
+			ix, err := incgraph.NewKWS(g, q)
+			if err != nil {
+				return err
+			}
+			for _, r := range ix.MatchRoots() {
+				ix.MatchTree(r)
+			}
+			return nil
+		},
 	}
 }
 
-// ---- RPQ panels: Fig. 8(b) dbpedia, 8(f) livej, 8(k) vary Q, 8(n) vary G.
-
-func benchRPQ(b *testing.B, ds string, size, pct int) {
-	g := dataset(b, ds, 0.5)
-	ast, err := incgraph.RandomRPQQuery(g, size, 2)
+// rpqClass folds g's alphabet to 5 labels and asks gen.RPQDense's query of
+// size label occurrences: a fully random expression's answer on the
+// simulated graphs is often empty.
+func rpqClass(b *testing.B, g *incgraph.Graph, size int) class {
+	g = gen.Relabel(g, 5)
+	q, err := gen.RPQDense(g, size, 2)
 	if err != nil {
 		b.Fatal(err)
 	}
-	batch := deltaBatch(g, pct, 3)
-	undo := batch.Inverse()
-	b.Run("IncRPQ", func(b *testing.B) {
-		e, err := incgraph.NewRPQFromAst(g.Clone(), ast)
-		if err != nil {
-			b.Fatal(err)
-		}
-		applyUndo(b, batch, undo, func(bb incgraph.Batch) error { _, err := e.Apply(bb); return err })
-	})
-	b.Run("IncRPQn", func(b *testing.B) {
-		e, err := incgraph.NewRPQFromAst(g.Clone(), ast)
-		if err != nil {
-			b.Fatal(err)
-		}
-		applyUndo(b, batch, undo, func(bb incgraph.Batch) error { _, err := e.ApplyUnitwise(bb); return err })
-	})
-	b.Run("RPQNFA", func(b *testing.B) {
-		h := g.Clone()
-		if err := h.ApplyBatch(batch); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := incgraph.NewRPQFromAst(h.Clone(), ast); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-func BenchmarkFig08b_RPQ_dbpedia(b *testing.B) { benchRPQ(b, "dbpedia", 4, 10) }
-func BenchmarkFig08f_RPQ_livej(b *testing.B)   { benchRPQ(b, "livej", 4, 10) }
-func BenchmarkFig08k_RPQ_varyQ(b *testing.B) {
-	for _, size := range []int{3, 5, 7} {
-		b.Run(fmt.Sprintf("size%d", size), func(b *testing.B) {
-			benchRPQ(b, "dbpedia", size, 10)
-		})
-	}
-}
-func BenchmarkFig08n_RPQ_varyG(b *testing.B) {
-	for _, sc := range []float64{0.2, 0.6, 1.0} {
-		b.Run(fmt.Sprintf("scale%.1f", sc), func(b *testing.B) {
-			g, err := incgraph.Dataset("synthetic", 0.5*sc*benchScale, 1)
+	return class{
+		name: "RPQ", rival: "RPQNFA", g: g,
+		build: func(g *incgraph.Graph) (engine, error) {
+			e, err := incgraph.NewRPQFromAst(g, q)
 			if err != nil {
-				b.Fatal(err)
+				return engine{}, err
 			}
-			ast, err := incgraph.RandomRPQQuery(g, 4, 2)
-			if err != nil {
-				b.Fatal(err)
-			}
-			batch := deltaBatch(g, 15, 3)
-			e, err := incgraph.NewRPQFromAst(g, ast)
-			if err != nil {
-				b.Fatal(err)
-			}
-			applyUndo(b, batch, batch.Inverse(), func(bb incgraph.Batch) error { _, err := e.Apply(bb); return err })
-		})
+			return engine{incgraph.MaintainRPQ(e), func(bb incgraph.Batch) error { _, err := e.ApplyUnitwise(bb); return err }}, nil
+		},
+		recompute: func(g *incgraph.Graph) error { _, err := rpq.BatchAnswer(g, q, nil); return err },
 	}
 }
 
-// ---- SCC panels: Fig. 8(c) dbpedia, 8(g) livej, 8(i) synthetic,
-// 8(o) vary G.
-
-func benchSCC(b *testing.B, ds string, pct int) {
-	g := dataset(b, ds, 1.0)
-	batch := deltaBatch(g, pct, 3)
-	undo := batch.Inverse()
-	b.Run("IncSCC", func(b *testing.B) {
-		s := incgraph.NewSCC(g.Clone())
-		applyUndo(b, batch, undo, func(bb incgraph.Batch) error { _, err := s.Apply(bb); return err })
-	})
-	b.Run("IncSCCn", func(b *testing.B) {
-		s := incgraph.NewSCC(g.Clone())
-		applyUndo(b, batch, undo, func(bb incgraph.Batch) error { _, err := s.ApplyUnitwise(bb); return err })
-	})
-	b.Run("Tarjan", func(b *testing.B) {
-		h := g.Clone()
-		if err := h.ApplyBatch(batch); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			incgraph.SCCOf(h)
-		}
-	})
-}
-
-func BenchmarkFig08c_SCC_dbpedia(b *testing.B)   { benchSCC(b, "dbpedia", 10) }
-func BenchmarkFig08g_SCC_livej(b *testing.B)     { benchSCC(b, "livej", 10) }
-func BenchmarkFig08i_SCC_synthetic(b *testing.B) { benchSCC(b, "synthetic", 10) }
-func BenchmarkFig08o_SCC_varyG(b *testing.B) {
-	for _, sc := range []float64{0.2, 0.6, 1.0} {
-		b.Run(fmt.Sprintf("scale%.1f", sc), func(b *testing.B) {
-			g, err := incgraph.Dataset("synthetic", sc*benchScale, 1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			batch := deltaBatch(g, 15, 3)
+func sccClass(g *incgraph.Graph) class {
+	return class{
+		name: "SCC", rival: "Tarjan", g: g,
+		build: func(g *incgraph.Graph) (engine, error) {
 			s := incgraph.NewSCC(g)
-			applyUndo(b, batch, batch.Inverse(), func(bb incgraph.Batch) error { _, err := s.Apply(bb); return err })
-		})
+			return engine{incgraph.MaintainSCC(s), func(bb incgraph.Batch) error { _, err := s.ApplyUnitwise(bb); return err }}, nil
+		},
+		recompute: func(g *incgraph.Graph) error { incgraph.SCCOf(g); return nil },
+		dyn:       func(g *incgraph.Graph) applier { return scc.BuildDyn(g, nil).Apply },
 	}
 }
 
-// ---- ISO panels: Fig. 8(d) dbpedia, 8(h) livej, 8(l) vary Q, 8(p) vary G.
-
-func benchISO(b *testing.B, ds string, vq, eq, dq, pct int) {
-	g := dataset(b, ds, 1.0)
-	p, err := incgraph.RandomISOPattern(g, vq, eq, dq, 2)
+// isoClass folds g to 6 labels and adds |E|/2 short-range edges, as
+// perf/'s repair-match graph does, so that motifs have embeddings, and
+// matches a tree pattern of v nodes and diameter d: the paper's patterns
+// with |E_Q| > |V_Q| have none in the simulated graphs.
+func isoClass(b *testing.B, g *incgraph.Graph, v, d int) class {
+	g = gen.Densify(gen.Relabel(g, 6), g.NumEdges()/2, 51)
+	p, err := incgraph.RandomISOPattern(g, v, v-1, d, 2)
 	if err != nil {
 		b.Fatal(err)
 	}
-	batch := deltaBatch(g, pct, 3)
-	undo := batch.Inverse()
-	b.Run("IncISO", func(b *testing.B) {
-		ix := incgraph.NewISO(g.Clone(), p)
-		applyUndo(b, batch, undo, func(bb incgraph.Batch) error { _, err := ix.Apply(bb); return err })
+	return class{
+		name: "ISO", rival: "VF2", g: g,
+		build: func(g *incgraph.Graph) (engine, error) {
+			ix := incgraph.NewISO(g, p)
+			return engine{incgraph.MaintainISO(ix), func(bb incgraph.Batch) error { _, err := ix.ApplyUnitwise(bb); return err }}, nil
+		},
+		recompute: func(g *incgraph.Graph) error { incgraph.FindMatches(g, p, 0); return nil },
+	}
+}
+
+// point runs every series of c at one point of a panel: IncX, IncXn, the
+// batch rival and, on SCC, DynSCC.
+func (c class) point(b *testing.B, batch incgraph.Batch) {
+	c.timeInc(b, batch, false)
+	c.timeInc(b, batch, true)
+	c.timeRival(b, batch)
+	if c.dyn != nil {
+		b.Run("DynSCC", func(b *testing.B) { applyUndo(b, batch, batch.Inverse(), c.dyn(c.g.Clone())) })
+	}
+}
+
+// timeInc times IncX, or IncXn if unitwise, on an engine built on a copy
+// of G. An empty Q(G) fails the benchmark: the engine would have nothing
+// to maintain.
+func (c class) timeInc(b *testing.B, batch incgraph.Batch, unitwise bool) {
+	name := "Inc" + c.name
+	if unitwise {
+		name += "n"
+	}
+	b.Run(name, func(b *testing.B) {
+		e, err := c.build(c.g.Clone())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if e.Size() == 0 {
+			b.Fatalf("%s: Q(G) is empty", name)
+		}
+		apply := e.unitwise
+		if !unitwise {
+			apply = func(bb incgraph.Batch) error { _, err := e.Apply(bb); return err }
+		}
+		applyUndo(b, batch, batch.Inverse(), apply)
 	})
-	b.Run("IncISOn", func(b *testing.B) {
-		ix := incgraph.NewISO(g.Clone(), p)
-		applyUndo(b, batch, undo, func(bb incgraph.Batch) error { _, err := ix.ApplyUnitwise(bb); return err })
-	})
-	b.Run("VF2", func(b *testing.B) {
-		h := g.Clone()
+}
+
+// timeRival times the batch rival recomputing Q(G ⊕ ΔG).
+func (c class) timeRival(b *testing.B, batch incgraph.Batch) {
+	b.Run(c.rival, func(b *testing.B) {
+		h := c.g.Clone()
 		if err := h.ApplyBatch(batch); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			incgraph.FindMatches(h, p, 0)
+			if err := c.recompute(h); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 }
 
-func BenchmarkFig08d_ISO_dbpedia(b *testing.B) { benchISO(b, "dbpedia", 4, 6, 2, 10) }
-func BenchmarkFig08h_ISO_livej(b *testing.B)   { benchISO(b, "livej", 4, 6, 2, 10) }
-func BenchmarkFig08l_ISO_varyQ(b *testing.B) {
-	for _, q := range [][3]int{{3, 5, 1}, {5, 7, 3}, {7, 9, 5}} {
-		b.Run(fmt.Sprintf("v%d_e%d_d%d", q[0], q[1], q[2]), func(b *testing.B) {
-			benchISO(b, "dbpedia", q[0], q[1], q[2], 10)
+// ---- the panels' three axes.
+
+// varyDelta is a Fig. 8 a–i panel (Exp-1): c at |ΔG| = 5%, 10%, …, 40%.
+func varyDelta(b *testing.B, c class) {
+	for pct := 5; pct <= 40; pct += 5 {
+		b.Run(fmt.Sprintf("dG=%d%%", pct), func(b *testing.B) { c.point(b, deltaBatch(c.g, pct, 3)) })
+	}
+}
+
+// varyQ is one point of a Fig. 8 j–l panel: c under one of five queries,
+// at |ΔG| = 10%.
+func varyQ(b *testing.B, query string, c class) {
+	b.Run(query, func(b *testing.B) { c.point(b, deltaBatch(c.g, 10, 3)) })
+}
+
+// varyG is a Fig. 8 m–p panel (Exp-3): the class mk builds on synthetic
+// graphs at five scales, under one |ΔG| fixed at 15% of the full-scale
+// graph's edges.
+func varyG(b *testing.B, classScale float64, mk func(g *incgraph.Graph) class) {
+	scales := []float64{0.2, 0.4, 0.6, 0.8, 1.0}
+	classes := make([]class, len(scales))
+	for i, sc := range scales {
+		classes[i] = mk(dataset(b, "synthetic", sc*classScale))
+	}
+	count := 15 * classes[len(classes)-1].g.NumEdges() / 100
+	for i, c := range classes {
+		b.Run(fmt.Sprintf("scale%.1f", scales[i]), func(b *testing.B) {
+			c.point(b, updates(c.g, count, 3))
 		})
 	}
 }
-func BenchmarkFig08p_ISO_varyG(b *testing.B) {
-	for _, sc := range []float64{0.2, 0.6, 1.0} {
-		b.Run(fmt.Sprintf("scale%.1f", sc), func(b *testing.B) {
-			g, err := incgraph.Dataset("synthetic", sc*benchScale, 1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			p, err := incgraph.RandomISOPattern(g, 4, 6, 2, 2)
-			if err != nil {
-				b.Fatal(err)
-			}
-			batch := deltaBatch(g, 15, 3)
-			ix := incgraph.NewISO(g, p)
-			applyUndo(b, batch, batch.Inverse(), func(bb incgraph.Batch) error { _, err := ix.Apply(bb); return err })
-		})
+
+// ---- Fig. 8: KWS (a, e, j, m), RPQ (b, f, k, n), SCC (c, g, i, o),
+// ISO (d, h, l, p).
+
+func BenchmarkFig08a_KWS_dbpedia(b *testing.B) {
+	varyDelta(b, kwsClass(b, dataset(b, "dbpedia", 1), 3, 2))
+}
+
+func BenchmarkFig08b_RPQ_dbpedia(b *testing.B) {
+	varyDelta(b, rpqClass(b, dataset(b, "dbpedia", rpqScale), 4))
+}
+
+func BenchmarkFig08c_SCC_dbpedia(b *testing.B) {
+	varyDelta(b, sccClass(dataset(b, "dbpedia", 1)))
+}
+
+func BenchmarkFig08d_ISO_dbpedia(b *testing.B) {
+	varyDelta(b, isoClass(b, dataset(b, "dbpedia", isoScale), 4, 2))
+}
+
+func BenchmarkFig08e_KWS_livej(b *testing.B) {
+	varyDelta(b, kwsClass(b, dataset(b, "livej", 1), 3, 2))
+}
+
+func BenchmarkFig08f_RPQ_livej(b *testing.B) {
+	varyDelta(b, rpqClass(b, dataset(b, "livej", rpqScale), 4))
+}
+
+func BenchmarkFig08g_SCC_livej(b *testing.B) {
+	varyDelta(b, sccClass(dataset(b, "livej", 1)))
+}
+
+func BenchmarkFig08h_ISO_livej(b *testing.B) {
+	varyDelta(b, isoClass(b, dataset(b, "livej", isoScale), 4, 2))
+}
+
+func BenchmarkFig08i_SCC_synthetic(b *testing.B) {
+	varyDelta(b, sccClass(dataset(b, "synthetic", 1)))
+}
+
+func BenchmarkFig08j_KWS_varyQ(b *testing.B) {
+	g := dataset(b, "dbpedia", 1)
+	for _, mb := range [][2]int{{2, 1}, {3, 2}, {4, 3}, {5, 4}, {6, 5}} {
+		varyQ(b, fmt.Sprintf("m%d_b%d", mb[0], mb[1]), kwsClass(b, g, mb[0], mb[1]))
 	}
+}
+
+func BenchmarkFig08k_RPQ_varyQ(b *testing.B) {
+	g := dataset(b, "dbpedia", rpqScale)
+	for size := 3; size <= 7; size++ {
+		varyQ(b, fmt.Sprintf("size%d", size), rpqClass(b, g, size))
+	}
+}
+
+func BenchmarkFig08l_ISO_varyQ(b *testing.B) {
+	g := dataset(b, "dbpedia", isoScale)
+	for _, vd := range [][2]int{{3, 2}, {4, 2}, {5, 3}, {6, 4}, {7, 5}} {
+		varyQ(b, fmt.Sprintf("v%d_e%d_d%d", vd[0], vd[0]-1, vd[1]), isoClass(b, g, vd[0], vd[1]))
+	}
+}
+
+func BenchmarkFig08m_KWS_varyG(b *testing.B) {
+	varyG(b, 1, func(g *incgraph.Graph) class { return kwsClass(b, g, 3, 2) })
+}
+
+func BenchmarkFig08n_RPQ_varyG(b *testing.B) {
+	varyG(b, rpqScale, func(g *incgraph.Graph) class { return rpqClass(b, g, 4) })
+}
+
+func BenchmarkFig08o_SCC_varyG(b *testing.B) {
+	varyG(b, 1, sccClass)
+}
+
+func BenchmarkFig08p_ISO_varyG(b *testing.B) {
+	varyG(b, isoScale, func(g *incgraph.Graph) class { return isoClass(b, g, 4, 2) })
 }
 
 // ---- in-text tables: unit-update speedups and batching gains.
 
-func BenchmarkUnitUpdate(b *testing.B) {
-	g := dataset(b, "dbpedia", 1.0)
-	one := deltaBatch(g, 0, 5) // a single unit update
-	undo := one.Inverse()
-	q, err := incgraph.RandomKWSQuery(g, 3, 2, 2)
-	if err != nil {
-		b.Fatal(err)
+// dbpediaClasses are the four classes at the queries of Fig. 8 a–d.
+func dbpediaClasses(b *testing.B) []class {
+	g := dataset(b, "dbpedia", 1)
+	return []class{
+		kwsClass(b, g, 3, 2),
+		rpqClass(b, dataset(b, "dbpedia", rpqScale), 4),
+		sccClass(g),
+		isoClass(b, dataset(b, "dbpedia", isoScale), 4, 2),
 	}
-	b.Run("KWS_inc", func(b *testing.B) {
-		ix, err := incgraph.NewKWS(g.Clone(), q)
-		if err != nil {
-			b.Fatal(err)
-		}
-		applyUndo(b, one, undo, func(bb incgraph.Batch) error { _, err := ix.Apply(bb); return err })
-	})
-	b.Run("KWS_batch", func(b *testing.B) {
-		h := g.Clone()
-		if err := h.ApplyBatch(one); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := incgraph.NewKWS(h.Clone(), q); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("SCC_inc", func(b *testing.B) {
-		s := incgraph.NewSCC(g.Clone())
-		applyUndo(b, one, undo, func(bb incgraph.Batch) error { _, err := s.Apply(bb); return err })
-	})
-	b.Run("SCC_batch", func(b *testing.B) {
-		h := g.Clone()
-		if err := h.ApplyBatch(one); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			incgraph.SCCOf(h)
-		}
-	})
 }
 
-func BenchmarkBatchOpt(b *testing.B) {
-	// The "optimization strategies improve performance by 1.6x" table:
-	// grouped IncX vs unit-at-a-time IncXn at |ΔG| = 10%, KWS shown here;
-	// the full table comes from cmd/benchmark -fig opt.
-	g := dataset(b, "dbpedia", 1.0)
-	q, err := incgraph.RandomKWSQuery(g, 3, 2, 2)
-	if err != nil {
-		b.Fatal(err)
+// BenchmarkUnitUpdate is Exp-1's unit-update table: IncX against its
+// batch rival on a single update.
+func BenchmarkUnitUpdate(b *testing.B) {
+	for _, c := range dbpediaClasses(b) {
+		one := updates(c.g, 1, 5)
+		b.Run(c.name, func(b *testing.B) {
+			c.timeInc(b, one, false)
+			c.timeRival(b, one)
+		})
 	}
-	batch := deltaBatch(g, 10, 3)
-	undo := batch.Inverse()
-	b.Run("grouped", func(b *testing.B) {
-		ix, err := incgraph.NewKWS(g.Clone(), q)
-		if err != nil {
-			b.Fatal(err)
-		}
-		applyUndo(b, batch, undo, func(bb incgraph.Batch) error { _, err := ix.Apply(bb); return err })
-	})
-	b.Run("unitwise", func(b *testing.B) {
-		ix, err := incgraph.NewKWS(g.Clone(), q)
-		if err != nil {
-			b.Fatal(err)
-		}
-		applyUndo(b, batch, undo, func(bb incgraph.Batch) error { _, err := ix.ApplyUnitwise(bb); return err })
-	})
+}
+
+// BenchmarkBatchOpt is the "optimization strategies improve performance by
+// 1.6 times" table: grouped IncX against unit-at-a-time IncXn at
+// |ΔG| = 10%.
+func BenchmarkBatchOpt(b *testing.B) {
+	for _, c := range dbpediaClasses(b) {
+		batch := deltaBatch(c.g, 10, 3)
+		b.Run(c.name, func(b *testing.B) {
+			c.timeInc(b, batch, false)
+			c.timeInc(b, batch, true)
+		})
+	}
 }
 
 // ---- commit path: the shapes of the repository benchmark's workloads.

@@ -350,7 +350,6 @@
 //	internal/reach      SSRP (the unboundedness anchor)
 //	internal/reduction  executable ∆-reductions from the Theorem 1 proofs
 //	internal/gen        dataset simulators, update and query generators
-//	internal/bench      the harness that regenerates the paper's figures
 //	internal/store      per-shard snapshots, the WAL, checkpoint/recover
 //	internal/cluster    shard workers, framed RPC, the distributed apply,
 //	                    standby failover, scrubbing, fault injection
@@ -368,7 +367,8 @@
 //	delta, _ := e.Apply(incgraph.Batch{incgraph.Del(1, 2)})
 //	_ = delta.Removed // [(1,2)]
 //
-// The sections above are the architecture overview; internal/bench
-// regenerates the paper's figures (cmd/benchmark), and perf/README.md has
-// the daemon's end-to-end and per-layer measurements.
+// The sections above are the architecture overview; the benchmarks of
+// bench_test.go regenerate the paper's figures (go test -run '^$' -bench
+// 'Fig08|UnitUpdate|BatchOpt' .), and perf/README.md has the daemon's
+// end-to-end and per-layer measurements.
 package incgraph

@@ -308,7 +308,7 @@ func RPQQuery(g *graph.Graph, size int, seed int64) (*rex.Ast, error) {
 	return build(size), nil
 }
 
-// RPQDense builds the benchmark RPQ of the harness: first · (union)* · last
+// RPQDense builds the RPQ of the figure benchmarks: first · (union)* · last
 // over g's frequent labels, with `size` label occurrences in total. Unlike
 // fully random expressions — whose language intersection with a uniformly
 // labeled graph is almost always empty — the star over a label union keeps

@@ -85,11 +85,6 @@ func normalizeShards(n int) int {
 	return p
 }
 
-// EffectiveShards reports the shard count SetShards(n)/NewSharded(n)
-// would produce: the normalized power of two. Benchmark harnesses use it
-// to label runs.
-func EffectiveShards(n int) int { return normalizeShards(n) }
-
 // shardIdxOf maps a node ID to its owning shard: a Fibonacci multiplicative
 // hash keeps sequential IDs (the common case in generated workloads) spread
 // evenly. Deterministic for a fixed shard count.

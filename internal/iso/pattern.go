@@ -227,7 +227,7 @@ func (p *Pattern) Verify(g *graph.Graph, m Match) error {
 }
 
 // TrianglePattern, PathPattern and StarPattern are convenience constructors
-// used by tests, examples and the benchmark harness.
+// used by tests.
 
 // PathPattern builds the pattern l0 → l1 → … → lk.
 func PathPattern(labels ...string) *Pattern {

@@ -115,6 +115,48 @@ func BenchmarkIncSCCSplitGiant(b *testing.B) {
 	benchCycle(b, g, cycleOf(fwd))
 }
 
+// BenchmarkIncSCCAblation measures the two levers behind IncSCC's profile
+// at |ΔG| = 10% of the giant-SCC graph, one op being ΔG and then its undo.
+// On the unit path, the tree-arc re-parenting fast path
+// of IncSCC− on and off (a grouped batch amortizes a failed repair into one
+// scoped Tarjan either way). On the batch path, local shortcut insertions
+// against uniform random ones, which trigger rank-window reorders.
+func BenchmarkIncSCCAblation(b *testing.B) {
+	g := giantGraph(b)
+	spec := gen.UpdateSpec{Count: g.NumEdges() / 10, InsertRatio: 0.5, Locality: 1, Seed: 101}
+	local := gen.Updates(g, spec)
+	spec.Locality = 0
+	uniform := gen.Updates(g, spec)
+	for _, v := range []struct {
+		name             string
+		batch            graph.Batch
+		repair, unitwise bool
+	}{
+		{"unit/repair", local, true, true},
+		{"unit/norepair", local, false, true},
+		{"batch/local-ins", local, true, false},
+		{"batch/uniform-ins", uniform, true, false},
+	} {
+		b.Run(v.name, func(b *testing.B) {
+			s := Build(g.Clone(), nil)
+			s.SetTreeArcRepair(v.repair)
+			apply := s.Apply
+			if v.unitwise {
+				apply = s.ApplyUnitwise
+			}
+			undo := v.batch.Inverse()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, batch := range []graph.Batch{v.batch, undo} {
+					if _, err := apply(batch); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}
+
 var benchSink int
 
 // BenchmarkTarjanBuild is the batch side: Tarjan from scratch plus the

@@ -145,7 +145,7 @@ func (s *State) WriteAnswer(w io.Writer) error {
 }
 
 // SetTreeArcRepair toggles the tree-arc re-parenting fast path (on by
-// default). The ablation experiment of the harness measures its effect.
+// default). BenchmarkIncSCCAblation measures its effect.
 func (s *State) SetTreeArcRepair(enabled bool) { s.noRepair = !enabled }
 
 // NumLow returns the maintained (num, lowlink) of v, local to v's

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"incgraph/internal/gen"
 	"incgraph/internal/graph"
 )
 
@@ -150,5 +151,42 @@ func TestSnapshotFileAndSniff(t *testing.T) {
 	}
 	if !hs.Equal(g) || !ht.Equal(g) {
 		t.Fatal("ReadGraphFile lost graph state")
+	}
+}
+
+// BenchmarkSnapshotLoad is the snapshot format's reason to exist: loading
+// a binary snapshot ("snap-load", which fans out across shards) against
+// the line-by-line rebuild from the text format ("text-read"), on synthetic
+// graphs with |E| = 5|V|. Both read from memory, so the comparison is
+// decode and construction cost, not disk bandwidth.
+func BenchmarkSnapshotLoad(b *testing.B) {
+	for _, n := range []int{25_000, 50_000, 100_000} {
+		g := gen.Synthetic(gen.GraphSpec{Nodes: n, Edges: 5 * n, Labels: 50, GiantSCCFrac: 0.3, Seed: 1})
+		var text, snap bytes.Buffer
+		if err := graph.Write(&text, g); err != nil {
+			b.Fatal(err)
+		}
+		if err := WriteSnapshot(&snap, g); err != nil {
+			b.Fatal(err)
+		}
+		for _, load := range []struct {
+			name string
+			read func() (*graph.Graph, error)
+		}{
+			{"text-read", func() (*graph.Graph, error) { return graph.Read(bytes.NewReader(text.Bytes())) }},
+			{"snap-load", func() (*graph.Graph, error) { return ReadSnapshot(bytes.NewReader(snap.Bytes()), int64(snap.Len())) }},
+		} {
+			b.Run(fmt.Sprintf("V=%d/%s", n, load.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					h, err := load.read()
+					if err != nil {
+						b.Fatal(err)
+					}
+					if h.NumNodes() != g.NumNodes() {
+						b.Fatalf("loaded %d nodes of %d", h.NumNodes(), g.NumNodes())
+					}
+				}
+			})
+		}
 	}
 }
