@@ -634,7 +634,7 @@ func BenchmarkApplyBatchSweep(b *testing.B) {
 }
 
 // BenchmarkKWSBuild is the batch build whose loops must keep their width:
-// per node, per keyword, per node again.
+// the node list per shard, then the BFS per keyword.
 func BenchmarkKWSBuild(b *testing.B) {
 	g, err := matchShapeGraph()
 	if err != nil {

@@ -114,7 +114,7 @@
 // caller is Durable: engines built on its graph are repaired in place, so
 // a commit with k engines validates and applies ΔG once, not k+1 times,
 // and one graph is resident, not k+1. Nodes a batch created are recognised
-// by each engine's own index (a kdist row or dense index not yet there),
+// by each engine's own index (a NodeID its dense index does not know yet),
 // and the kws cost model is fed the pre-state |V| and |E| on both paths,
 // so verdicts, metered work and ΔO are identical whichever way an engine
 // is driven.
@@ -338,7 +338,10 @@
 //
 //	internal/graph      directed labeled graphs, the update model, and
 //	                    the NodeID → dense-index map of the flat engines
-//	internal/kws        keyword search: batch build + IncKWS±/IncKWS
+//	internal/kws        keyword search: batch build + IncKWS±/IncKWS over a
+//	                    flat kdist (m entries per dense node) with
+//	                    per-keyword scratch: epoch-stamped marks and a
+//	                    bucket queue over distances 0…b
 //	internal/rex        regular path expressions and the Glushkov NFA
 //	internal/rpq        RPQ_NFA and IncRPQ over flat pmark_e tables: one
 //	                    open-addressed array of (key, dist, |mpre|) per
@@ -346,7 +349,9 @@
 //	internal/scc        Tarjan, contracted graph, ranks, IncSCC±/IncSCC
 //	                    over a dense node index and an index-space mirror
 //	                    of the adjacency that every pass walks
-//	internal/iso        VF2 and the localizable IncISO
+//	internal/iso        VF2 and the localizable IncISO on a pattern
+//	                    compiled to index space: neighbour lists, degrees,
+//	                    the edge list with its anchored search orders
 //	internal/reach      SSRP (the unboundedness anchor)
 //	internal/reduction  executable ∆-reductions from the Theorem 1 proofs
 //	internal/gen        dataset simulators, update and query generators

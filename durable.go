@@ -161,7 +161,7 @@ func (d *Durable) Recover() error {
 		return nil
 	}
 	for _, rec := range d.pending {
-		if _, err := d.advance(rec.Batch); err != nil {
+		if _, err := d.advance(rec.Batch, rec.Batch.Normalize()); err != nil {
 			return fmt.Errorf("incgraph: recovery replay of WAL record %d: %w", rec.Seq, err)
 		}
 	}
@@ -174,13 +174,12 @@ func (d *Durable) Recover() error {
 // once, then every engine in attach order — a repair against the base
 // graph for those built on it, their own Apply for those on a private
 // graph — and flushes the sorted caches of every graph involved so readers
-// can fan out immediately. b must be valid on the base graph.
-func (d *Durable) advance(b Batch) ([]DeltaSummary, error) {
+// can fan out immediately. b must be valid on the base graph, and norm is
+// its normal form (b.Normalize()), the same for every engine in place.
+func (d *Durable) advance(b, norm Batch) ([]DeltaSummary, error) {
 	if err := d.base.ApplyBatch(b); err != nil {
 		return nil, err
 	}
-	// The normal form is the same for every engine in place: taken once.
-	norm := b.Normalize()
 	sums := make([]DeltaSummary, len(d.engines))
 	for i, m := range d.engines {
 		if r := d.inPlace[i]; r != nil {
@@ -249,9 +248,13 @@ func (d *Durable) Commit(b Batch, opts ApplyOptions) ([]DeltaSummary, error) {
 		logFn = d.LogPlanned
 	}
 	var sums []DeltaSummary
+	var norm Batch // b's normal form, which local validation takes on the way
 	apply := func() error {
+		if opts.Via != nil {
+			norm = b.Normalize()
+		}
 		var err error
-		if sums, err = d.advance(b); err != nil {
+		if sums, err = d.advance(b, norm); err != nil {
 			// Unreachable after validation; surface loudly if it ever happens.
 			return fmt.Errorf("incgraph: validated batch failed to apply: %w", err)
 		}
@@ -269,7 +272,7 @@ func (d *Durable) Commit(b Batch, opts ApplyOptions) ([]DeltaSummary, error) {
 	var err error
 	if opts.Via != nil {
 		err = opts.Via.Apply(b, opts.Deadline, commit)
-	} else if err = d.base.ValidateBatch(b); err == nil {
+	} else if norm, err = d.base.ValidateNormalize(b); err == nil {
 		err = commit()
 	}
 	if err != nil {

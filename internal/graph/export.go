@@ -189,53 +189,68 @@ func (g *Graph) FinishLoad(gen uint64) error {
 // Nearly every batch touches no edge twice; then there is no in-batch state
 // to track, and each update is checked against the graph on its own.
 func (g *Graph) ValidateBatch(b Batch) error {
-	var exists map[Edge]bool // stays nil, and so empty, without a repeat
-	if b.repeatsEdge() {
-		exists = make(map[Edge]bool, len(b))
+	_, err := g.ValidateNormalize(b)
+	return err
+}
+
+// ValidateNormalize is ValidateBatch returning, for a valid batch, its
+// normal form (Normalize) as well: both rest on one comparison of the
+// batch's edges, taken once. A batch that repeats an edge is still checked
+// update by update against the running in-batch state before it is
+// normalized — an invalid batch can normalize to a valid one.
+func (g *Graph) ValidateNormalize(b Batch) (Batch, error) {
+	if !b.repeatsEdge() {
+		// The node lookups of a batch are independent; issued back to back,
+		// their cache misses overlap.
+		var buf [64]*node
+		recs := buf[:0]
+		for _, u := range b {
+			recs = append(recs, g.rec(u.From))
+		}
+		for i, u := range b {
+			if err := checkUpdate(u, recs[i] != nil && recs[i].out.has(u.To)); err != nil {
+				return nil, fmt.Errorf("update %d: %w", i, err)
+			}
+		}
+		return b, nil
 	}
+	exists := make(map[Edge]bool, len(b))
 	for i, u := range b {
-		e := u.Edge()
-		cur, seen := exists[e]
+		has, seen := exists[u.Edge()]
 		if !seen {
-			cur = g.HasEdge(u.From, u.To)
+			has = g.HasEdge(u.From, u.To)
 		}
-		switch u.Op {
-		case Insert:
-			if cur {
-				return fmt.Errorf("update %d: %w: insert of existing edge (%d,%d)", i, ErrBadUpdate, u.From, u.To)
-			}
-			if exists != nil {
-				exists[e] = true
-			}
-		case Delete:
-			if !cur {
-				return fmt.Errorf("update %d: %w: delete of missing edge (%d,%d)", i, ErrBadUpdate, u.From, u.To)
-			}
-			if exists != nil {
-				exists[e] = false
-			}
-		default:
-			return fmt.Errorf("update %d: %w: unknown op %v", i, ErrBadUpdate, u.Op)
+		if err := checkUpdate(u, has); err != nil {
+			return nil, fmt.Errorf("update %d: %w", i, err)
 		}
+		exists[u.Edge()] = u.Op == Insert
+	}
+	return b.normalize(), nil
+}
+
+// checkUpdate is the rule Apply enforces, for an update whose edge exists
+// or not: an insertion needs it absent, a deletion present.
+func checkUpdate(u Update, has bool) error {
+	switch {
+	case u.Op == Insert && has:
+		return fmt.Errorf("%w: insert of existing edge (%d,%d)", ErrBadUpdate, u.From, u.To)
+	case u.Op == Delete && !has:
+		return fmt.Errorf("%w: delete of missing edge (%d,%d)", ErrBadUpdate, u.From, u.To)
+	case u.Op != Insert && u.Op != Delete:
+		return fmt.Errorf("%w: unknown op %v", ErrBadUpdate, u.Op)
 	}
 	return nil
 }
 
 // ValidateNormalized is ValidateBatch for a batch in normal form (see
 // Normalize): no two of its updates touch one edge, so each is checked
-// against the graph on its own — an insertion needs the edge absent, a
-// deletion needs it present — with no running state and no allocation.
+// against the graph on its own, with no running state and no allocation.
 // The engines call it on the normalized batch before their first side
 // effect, so a batch they reject leaves graph and engine untouched.
 func (g *Graph) ValidateNormalized(b Batch) error {
 	for _, u := range b {
-		switch has := g.HasEdge(u.From, u.To); {
-		case u.Op == Insert && has:
-			return fmt.Errorf("%w: insert of existing edge (%d,%d)", ErrBadUpdate, u.From, u.To)
-		case u.Op == Delete && !has:
-			return fmt.Errorf("%w: delete of missing edge (%d,%d)", ErrBadUpdate, u.From, u.To)
-		case u.Op != Insert && u.Op != Delete:
-			return fmt.Errorf("%w: unknown op %v", ErrBadUpdate, u.Op)
+		if err := checkUpdate(u, g.HasEdge(u.From, u.To)); err != nil {
+			return err
 		}
 	}
 	return nil

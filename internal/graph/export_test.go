@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -120,13 +121,18 @@ func TestValidateBatch(t *testing.T) {
 		{Batch{Ins(1, 2)}, false},                        // exists
 		{Batch{Del(2, 1)}, false},                        // missing
 		{Batch{Del(1, 2), Ins(1, 2)}, true},              // delete then re-insert
-		{Batch{Ins(2, 1), Ins(2, 1)}, false},             // in-batch duplicate
+		{Batch{Ins(2, 1), Ins(2, 1)}, false},             // in-batch duplicate, though its normal form is valid
 		{Batch{InsNew(3, 4, "c", "d"), Del(3, 4)}, true}, // new nodes then delete
 	}
 	for i, c := range cases {
 		err := g.ValidateBatch(c.b)
 		if (err == nil) != c.ok {
 			t.Errorf("case %d: ValidateBatch=%v want ok=%v", i, err, c.ok)
+		}
+		// ValidateNormalize agrees, and hands over the normal form.
+		norm, nerr := g.ValidateNormalize(c.b)
+		if fmt.Sprint(nerr) != fmt.Sprint(err) || c.ok && !slices.Equal(norm, c.b.Normalize()) {
+			t.Errorf("case %d: ValidateNormalize = %v, %v; want %v, %v", i, norm, nerr, c.b.Normalize(), err)
 		}
 	}
 	if g.Generation() != gen {

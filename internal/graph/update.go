@@ -87,6 +87,11 @@ func (b Batch) Normalize() Batch {
 	if !b.repeatsEdge() {
 		return b
 	}
+	return b.normalize()
+}
+
+// normalize is Normalize for a batch known to repeat an edge.
+func (b Batch) normalize() Batch {
 	first := make(map[Edge]Op, len(b))
 	last := make(map[Edge]int, len(b))
 	for i, u := range b {
@@ -105,9 +110,19 @@ func (b Batch) Normalize() Batch {
 }
 
 // repeatsEdge reports whether two updates of the batch touch the same
-// edge, by sorting the edges and comparing neighbours; batches of up to 64
-// updates sort on the stack.
+// edge: pair by pair for a handful of updates, otherwise by sorting the
+// edges and comparing neighbours (on the stack up to 64 updates).
 func (b Batch) repeatsEdge() bool {
+	if len(b) <= 8 {
+		for i := range b {
+			for j := i + 1; j < len(b); j++ {
+				if b[i].From == b[j].From && b[i].To == b[j].To {
+					return true
+				}
+			}
+		}
+		return false
+	}
 	var buf [64]Edge
 	edges := buf[:0]
 	for _, u := range b {

@@ -29,6 +29,8 @@ type Index struct {
 	// Apply (cost-based fallback); see Apply and LastEstimate.
 	lastEst cost.Estimate
 	meter   *cost.Meter
+	// searchers are the repair's VF2 searchers, one per worker, reused.
+	searchers []*searcher
 }
 
 // Delta describes changes ΔO to Q(G).
@@ -187,28 +189,28 @@ func (ix *Index) Apply(batch graph.Batch) (Delta, error) {
 func (ix *Index) Repair(norm graph.Batch) Delta {
 	var d Delta
 	ins, dels := norm.Split()
-	rootCands := ix.g.NumNodesWithLabelID(ix.p.Graph().LabelIDAt(ix.p.order[0]))
+	rootCands := ix.g.NumNodesWithLabelID(ix.p.lbl[ix.p.order[0]])
 	// Count the anchored enumerations the incremental path would seed: one
 	// per label-compatible pattern edge per insertion (anchoredMatches).
 	// Both this count and the shard footprint are skipped on the tiny-batch
 	// hot path, which the estimator's floor always routes incremental.
 	anchors, shardsTouched := 0, 0
 	if len(norm) >= cost.FallbackMinBatch {
-		pg := ix.p.Graph()
 		for _, u := range ins {
 			lf, lt := ix.g.LabelIDAt(u.From), ix.g.LabelIDAt(u.To)
-			pg.Edges(func(pe graph.Edge) bool {
-				if pg.LabelIDAt(pe.From) == lf && pg.LabelIDAt(pe.To) == lt &&
-					(pe.From != pe.To || u.From == u.To) {
+			for k := range ix.p.edges {
+				if ix.p.edges[k].anchors(u, lf, lt) {
 					anchors++
 				}
-				return true
-			})
+			}
 		}
 		shardsTouched = len(norm.TouchedShards(ix.g))
 	}
 	ix.lastEst = cost.EstimateISO(len(ins), len(dels), rootCands, anchors, shardsTouched)
-	if ix.lastEst.PreferBatch() {
+	// A pattern without edges is one node, and its Q(G) a label class that
+	// only the nodes a batch created can grow: no anchor finds those, so
+	// re-enumerate when the class outgrew the match set.
+	if ix.lastEst.PreferBatch() || len(ix.p.edges) == 0 && rootCands != len(ix.matches) {
 		return ix.rebuildDiff()
 	}
 	// (1) Deletions: remove dead matches via the inverted index (which
@@ -239,8 +241,13 @@ func (ix *Index) Repair(norm graph.Batch) Delta {
 	if len(ins) > 0 {
 		found := make([][]Match, len(ins))
 		meters := make([]cost.Meter, workers)
+		for len(ix.searchers) < workers {
+			ix.searchers = append(ix.searchers, newSearcher(ix.g, ix.p, nil))
+		}
 		graph.ParallelFor(workers, len(ins), func(worker, i int) {
-			found[i] = ix.anchoredMatches(ins[i], &meters[worker])
+			s := ix.searchers[worker]
+			s.meter = &meters[worker]
+			found[i] = ix.anchoredMatches(s, ins[i])
 		})
 		for i := range meters {
 			ix.meter.Merge(&meters[i])
@@ -298,31 +305,30 @@ func (ix *Index) rebuildDiff() Delta {
 // of the batch. Benchmarks and tests use it to observe routing.
 func (ix *Index) LastEstimate() cost.Estimate { return ix.lastEst }
 
-// anchoredMatches enumerates the matches created by inserted edge u by
-// pinning every label-compatible pattern edge onto it. Read-only (the
-// same match may surface from several anchors; the caller dedups via add),
-// so anchors enumerate concurrently.
-func (ix *Index) anchoredMatches(u graph.Update, meter *cost.Meter) []Match {
-	var out []Match
+// anchoredMatches enumerates, on searcher s, the matches created by
+// inserted edge u by pinning every label-compatible pattern edge onto it:
+// From first, then To. Read-only (the same match may surface from several
+// anchors; the caller dedups via add), so insertions enumerate concurrently
+// on one searcher per worker.
+func (ix *Index) anchoredMatches(s *searcher, u graph.Update) []Match {
 	lf, lt := ix.g.LabelIDAt(u.From), ix.g.LabelIDAt(u.To)
-	pg := ix.p.Graph()
-	pg.Edges(func(pe graph.Edge) bool {
-		if pg.LabelIDAt(pe.From) != lf || pg.LabelIDAt(pe.To) != lt {
-			return true
+	for k := range ix.p.edges {
+		pe := &ix.p.edges[k]
+		if !pe.anchors(u, lf, lt) {
+			continue
 		}
-		if pe.From == pe.To && u.From != u.To {
-			return true
+		s.order = pe.order
+		if s.install(pe.from, u.From) {
+			if pe.from == pe.to {
+				s.extend(1)
+			} else if s.install(pe.to, u.To) {
+				s.extend(2)
+			}
 		}
-		anchor := map[graph.NodeID]graph.NodeID{pe.From: u.From}
-		if pe.From != pe.To {
-			anchor[pe.To] = u.To
-		}
-		EnumerateAnchored(ix.g, ix.p, anchor, meter, func(m Match) bool {
-			out = append(out, m)
-			return true
-		})
-		return true
-	})
+		clear(s.mapped)
+	}
+	out := s.out
+	s.out = nil
 	return out
 }
 

@@ -5,10 +5,25 @@
 // edge→match inverted index), and insertions re-run VF2 only inside the
 // d_Q-neighborhood of the inserted edges, where d_Q is the pattern
 // diameter — which is what makes IncISO localizable (Theorem 3).
+//
+// # Layout
+//
+// A Pattern is compiled once, when it is made, into index space: pattern
+// node u is its position in the ascending node list, and u carries its
+// label, its successor and predecessor lists (positions, ascending NodeID,
+// a self-loop included — so their lengths are u's degrees) and a self-loop
+// flag. The pattern's edges are one list, (From, To) ascending, each with
+// its label pair and the search order used when it is anchored on an
+// inserted graph edge. The VF2 searcher keeps the partial embedding in two
+// k-slices (image and mapped flag per pattern node, k = |V_Q|), so neither
+// an enumeration nor an anchored one reads the pattern graph or builds a
+// map. The match store is a map from canonical key to embedding plus the
+// edge→matches index.
 package iso
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -20,23 +35,40 @@ import (
 type Pattern struct {
 	g *graph.Graph
 	// nodes is the canonical (sorted) pattern node order; matches are
-	// reported aligned with it.
+	// reported aligned with it, and a pattern node is known by its position
+	// in it everywhere else.
 	nodes []graph.NodeID
-	// idx maps a pattern node to its position in nodes.
-	idx map[graph.NodeID]int
+	lbl   []graph.LabelID
+	// out[u] and in[u] are u's successors and predecessors, ascending, a
+	// self-loop included; loop[u] reports the self-loop.
+	out, in [][]int32
+	loop    []bool
 	// order is the VF2 search order: each node after the first is adjacent
 	// (ignoring direction) to an earlier one.
-	order []graph.NodeID
-	// edgeOrders precomputes, per pattern edge, the search order used when
-	// that edge is anchored on an inserted graph edge (IncISO's delta
-	// enumeration); the edge endpoints come first.
-	edgeOrders map[graph.Edge][]graph.NodeID
+	order []int32
+	// edges are the pattern edges, (From, To) ascending.
+	edges []patternEdge
 	// diameter d_Q: the longest undirected shortest path between pattern
 	// nodes.
 	diameter int
 }
 
-// NewPattern validates q and prepares the search structures.
+// patternEdge is one pattern edge with its label pair and the search order
+// of IncISO's delta enumeration when the edge is anchored on an inserted
+// graph edge: the edge's endpoints first.
+type patternEdge struct {
+	from, to       int32
+	fromLbl, toLbl graph.LabelID
+	order          []int32
+}
+
+// anchors reports whether the edge can be pinned onto inserted graph edge
+// u, whose endpoints are labeled lf and lt.
+func (pe *patternEdge) anchors(u graph.Update, lf, lt graph.LabelID) bool {
+	return pe.fromLbl == lf && pe.toLbl == lt && (pe.from != pe.to || u.From == u.To)
+}
+
+// NewPattern validates q and compiles it.
 func NewPattern(q *graph.Graph) (*Pattern, error) {
 	if q.NumNodes() == 0 {
 		return nil, fmt.Errorf("iso: empty pattern")
@@ -45,59 +77,96 @@ func NewPattern(q *graph.Graph) (*Pattern, error) {
 	if len(comps) != 1 {
 		return nil, fmt.Errorf("iso: pattern must be weakly connected (has %d components)", len(comps))
 	}
-	p := &Pattern{g: q, nodes: q.NodesSorted(), idx: make(map[graph.NodeID]int)}
-	for i, v := range p.nodes {
-		p.idx[v] = i
-	}
-	p.computeOrder()
-	p.computeDiameter()
-	// Parallel enumerators read the pattern graph from many goroutines;
-	// flush its lazily sorted caches once, up front.
-	q.PrepareConcurrentReads()
-	p.edgeOrders = make(map[graph.Edge][]graph.NodeID, q.NumEdges())
-	q.Edges(func(e graph.Edge) bool {
-		seed := []graph.NodeID{e.From}
-		if e.To != e.From {
-			seed = append(seed, e.To)
+	p := &Pattern{g: q, nodes: q.NodesSorted()}
+	k := len(p.nodes)
+	p.lbl, p.loop = make([]graph.LabelID, k), make([]bool, k)
+	p.out, p.in = make([][]int32, k), make([][]int32, k)
+	positions := func(vs []graph.NodeID) []int32 {
+		out := make([]int32, len(vs))
+		for j, v := range vs {
+			out[j], _ = p.pos(v)
 		}
-		p.edgeOrders[e] = p.greedyOrder(seed)
-		return true
-	})
+		return out
+	}
+	for u, v := range p.nodes {
+		p.lbl[u] = q.LabelIDAt(v)
+		p.out[u] = positions(q.SuccessorsSorted(v))
+		p.in[u] = positions(q.PredecessorsSorted(v))
+		p.loop[u] = q.HasEdge(v, v)
+	}
+	// The batch order starts from the highest-degree node.
+	start := 0
+	for u := range p.nodes {
+		if len(p.out[u])+len(p.in[u]) > len(p.out[start])+len(p.in[start]) {
+			start = u
+		}
+	}
+	p.order = p.greedyOrder([]int32{int32(start)})
+	for u, succ := range p.out {
+		for _, w := range succ {
+			seed := []int32{int32(u)}
+			if w != int32(u) {
+				seed = append(seed, w)
+			}
+			p.edges = append(p.edges, patternEdge{
+				from: int32(u), to: w, fromLbl: p.lbl[u], toLbl: p.lbl[w], order: p.greedyOrder(seed),
+			})
+		}
+	}
+	p.computeDiameter()
 	return p, nil
 }
 
-// greedyOrder extends seed to a full most-constrained-first search order.
-func (p *Pattern) greedyOrder(seed []graph.NodeID) []graph.NodeID {
-	placed := make(map[graph.NodeID]bool, len(p.nodes))
-	order := make([]graph.NodeID, 0, len(p.nodes))
-	for _, v := range seed {
-		placed[v] = true
-		order = append(order, v)
+// pos returns the position of pattern node v.
+func (p *Pattern) pos(v graph.NodeID) (int32, bool) {
+	i, ok := slices.BinarySearch(p.nodes, v)
+	return int32(i), ok
+}
+
+// greedyOrder extends seed to a full most-constrained-first search order:
+// next comes the node with the most already-ordered neighbours (counted
+// per edge, both directions), the smallest on a tie.
+func (p *Pattern) greedyOrder(seed []int32) []int32 {
+	placed := make([]bool, len(p.nodes))
+	order := make([]int32, 0, len(p.nodes))
+	for _, u := range seed {
+		placed[u] = true
+		order = append(order, u)
 	}
 	for len(order) < len(p.nodes) {
-		best := graph.NodeID(-1)
-		bestScore := -1
-		for _, v := range p.nodes {
+		best, bestScore := int32(-1), -1
+		for v := range p.nodes {
 			if placed[v] {
 				continue
 			}
 			score := 0
-			count := func(w graph.NodeID) bool {
+			for _, w := range slices.Concat(p.out[v], p.in[v]) {
 				if placed[w] {
 					score++
 				}
-				return true
 			}
-			p.g.Successors(v, count)
-			p.g.Predecessors(v, count)
-			if score > bestScore || score == bestScore && (best == -1 || v < best) {
-				best, bestScore = v, score
+			if score > bestScore {
+				best, bestScore = int32(v), score
 			}
 		}
 		placed[best] = true
 		order = append(order, best)
 	}
 	return order
+}
+
+// anchoredOrder is the search order of an enumeration anchored at the
+// pattern nodes of seed (ascending): the precomputed order of the pattern
+// edge they form, if any, and a greedy extension otherwise.
+func (p *Pattern) anchoredOrder(seed []int32) []int32 {
+	for _, pe := range p.edges {
+		switch {
+		case len(seed) == 1 && pe.from == seed[0] && pe.to == seed[0],
+			len(seed) == 2 && (pe.from == seed[0] && pe.to == seed[1] || pe.from == seed[1] && pe.to == seed[0]):
+			return pe.order
+		}
+	}
+	return p.greedyOrder(seed)
 }
 
 // MustPattern is NewPattern panicking on error.
@@ -107,45 +176,6 @@ func MustPattern(q *graph.Graph) *Pattern {
 		panic(err)
 	}
 	return p
-}
-
-// computeOrder picks a connectivity-preserving search order, starting from
-// the highest-degree node and greedily preferring nodes with the most
-// already-ordered neighbors (most constrained first).
-func (p *Pattern) computeOrder() {
-	q := p.g
-	degree := func(v graph.NodeID) int { return q.OutDegree(v) + q.InDegree(v) }
-	start := p.nodes[0]
-	for _, v := range p.nodes {
-		if degree(v) > degree(start) {
-			start = v
-		}
-	}
-	placed := map[graph.NodeID]bool{start: true}
-	p.order = []graph.NodeID{start}
-	for len(p.order) < len(p.nodes) {
-		best := graph.NodeID(-1)
-		bestScore := -1
-		for _, v := range p.nodes {
-			if placed[v] {
-				continue
-			}
-			score := 0
-			count := func(w graph.NodeID) bool {
-				if placed[w] {
-					score++
-				}
-				return true
-			}
-			q.Successors(v, count)
-			q.Predecessors(v, count)
-			if score > bestScore || score == bestScore && (best == -1 || v < best) {
-				best, bestScore = v, score
-			}
-		}
-		placed[best] = true
-		p.order = append(p.order, best)
-	}
 }
 
 func (p *Pattern) computeDiameter() {
@@ -171,7 +201,7 @@ func (p *Pattern) Nodes() []graph.NodeID { return p.nodes }
 func (p *Pattern) Diameter() int { return p.diameter }
 
 // Size returns (|V_Q|, |E_Q|).
-func (p *Pattern) Size() (int, int) { return p.g.NumNodes(), p.g.NumEdges() }
+func (p *Pattern) Size() (int, int) { return len(p.nodes), len(p.edges) }
 
 // Match is an embedding h of the pattern: Match[i] = h(Nodes()[i]).
 type Match []graph.NodeID
@@ -190,15 +220,15 @@ func (m Match) Key() string {
 
 // ImageOf returns h(u) for pattern node u.
 func (p *Pattern) ImageOf(m Match, u graph.NodeID) graph.NodeID {
-	return m[p.idx[u]]
+	i, _ := p.pos(u)
+	return m[i]
 }
 
 // EdgeImages calls fn with the image of every pattern edge.
 func (p *Pattern) EdgeImages(m Match, fn func(e graph.Edge)) {
-	p.g.Edges(func(e graph.Edge) bool {
-		fn(graph.Edge{From: m[p.idx[e.From]], To: m[p.idx[e.To]]})
-		return true
-	})
+	for _, pe := range p.edges {
+		fn(graph.Edge{From: m[pe.from], To: m[pe.to]})
+	}
 }
 
 // Verify checks that m is a valid embedding of p into g: labels match, the

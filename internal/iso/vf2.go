@@ -1,6 +1,8 @@
 package iso
 
 import (
+	"slices"
+
 	"incgraph/internal/cost"
 	"incgraph/internal/graph"
 )
@@ -49,70 +51,39 @@ func FindAll(g *graph.Graph, p *Pattern, limit int, meter *cost.Meter) []Match {
 func findAllParallel(g *graph.Graph, p *Pattern, workers int, meter *cost.Meter) []Match {
 	g.PrepareConcurrentReads()
 	u0 := p.order[0]
-	lbl := p.g.LabelIDAt(u0)
-	cands := make([]graph.NodeID, 0, g.NumNodesWithLabelID(lbl))
-	g.NodesWithLabelID(lbl, func(v graph.NodeID) bool {
+	cands := make([]graph.NodeID, 0, g.NumNodesWithLabelID(p.lbl[u0]))
+	g.NodesWithLabelID(p.lbl[u0], func(v graph.NodeID) bool {
 		cands = append(cands, v)
 		return true
 	})
 	buckets := make([][]Match, len(cands))
 	meters := make([]cost.Meter, workers)
-	// One searcher per worker, reset per candidate: the candidate-level
-	// tasks are tiny, so per-candidate map allocations would dominate.
+	// One searcher per worker, reused for every candidate it takes.
 	searchers := make([]*searcher, workers)
-	curIdx := make([]int, workers)
 	graph.ParallelFor(workers, len(cands), func(worker, i int) {
 		s := searchers[worker]
 		if s == nil {
-			s = &searcher{
-				g:     g,
-				p:     p,
-				core:  make(map[graph.NodeID]graph.NodeID, len(p.nodes)),
-				used:  make(map[graph.NodeID]bool, len(p.nodes)),
-				meter: &meters[worker],
-			}
-			s.order = p.order
-			w := worker
-			s.fn = func(m Match) bool {
-				buckets[curIdx[w]] = append(buckets[curIdx[w]], m)
-				return true
-			}
+			s = newSearcher(g, p, &meters[worker])
 			searchers[worker] = s
 		}
-		curIdx[worker] = i
-		clear(s.core)
-		clear(s.used)
-		v := cands[i]
-		if s.feasible(u0, v) {
-			s.core[u0] = v
-			s.used[v] = true
+		if s.install(u0, cands[i]) {
 			s.extend(1)
+			s.mapped[u0] = false
 		}
+		buckets[i], s.out = s.out, nil
 	})
 	for i := range meters {
 		meter.Merge(&meters[i])
 	}
-	var out []Match
-	for _, b := range buckets {
-		out = append(out, b...)
-	}
-	return out
+	return slices.Concat(buckets...)
 }
 
 // Enumerate calls fn for every match of p in g whose image nodes all lie in
 // scope (pass nil for the whole graph). Iteration stops when fn returns
 // false. Matches are reported aligned with p.Nodes().
 func Enumerate(g *graph.Graph, p *Pattern, scope map[graph.NodeID]bool, meter *cost.Meter, fn func(Match) bool) {
-	s := &searcher{
-		g:     g,
-		p:     p,
-		scope: scope,
-		core:  make(map[graph.NodeID]graph.NodeID, len(p.nodes)),
-		used:  make(map[graph.NodeID]bool, len(p.nodes)),
-		meter: meter,
-		fn:    fn,
-	}
-	s.order = p.order
+	s := newSearcher(g, p, meter)
+	s.scope, s.fn = scope, fn
 	s.extend(0)
 }
 
@@ -121,172 +92,142 @@ func Enumerate(g *graph.Graph, p *Pattern, scope map[graph.NodeID]bool, meter *c
 // anchor itself is infeasible. IncISO anchors each pattern edge on each
 // inserted graph edge.
 func EnumerateAnchored(g *graph.Graph, p *Pattern, anchor map[graph.NodeID]graph.NodeID, meter *cost.Meter, fn func(Match) bool) {
-	s := &searcher{
-		g:     g,
-		p:     p,
-		core:  make(map[graph.NodeID]graph.NodeID, len(p.nodes)),
-		used:  make(map[graph.NodeID]bool, len(p.nodes)),
-		meter: meter,
-		fn:    fn,
-	}
-	// Install and validate the anchor.
-	for u, v := range anchor {
-		if !s.feasible(u, v) {
+	seed := make([]int32, 0, len(anchor))
+	for u := range anchor {
+		i, ok := p.pos(u)
+		if !ok {
 			return
 		}
-		s.core[u] = v
-		s.used[v] = true
+		seed = append(seed, i)
 	}
-	// Search order: anchored nodes first (already mapped), then the same
-	// most-constrained greedy extension used by the batch order. Orders for
-	// pattern-edge anchors are precomputed on the Pattern.
-	seed := make([]graph.NodeID, 0, len(anchor))
-	for u := range anchor {
-		seed = append(seed, u)
-	}
-	if len(seed) == 2 {
-		if o, ok := p.edgeOrders[graph.Edge{From: seed[0], To: seed[1]}]; ok {
-			s.order = o
-		} else if o, ok := p.edgeOrders[graph.Edge{From: seed[1], To: seed[0]}]; ok {
-			s.order = o
-		}
-	} else if len(seed) == 1 {
-		if o, ok := p.edgeOrders[graph.Edge{From: seed[0], To: seed[0]}]; ok {
-			s.order = o
+	slices.Sort(seed)
+	s := newSearcher(g, p, meter)
+	s.fn, s.order = fn, p.anchoredOrder(seed)
+	// Anchored nodes come first in the order; they are installed in it.
+	for _, u := range s.order[:len(seed)] {
+		if !s.install(u, anchor[p.nodes[u]]) {
+			return
 		}
 	}
-	if s.order == nil {
-		s.order = p.greedyOrder(seed)
-	}
-	s.extend(len(anchor))
+	s.extend(len(seed))
 }
 
-// searcher carries the state of one enumeration.
+// searcher carries the state of one enumeration: the partial embedding as
+// k-slices over pattern positions.
 type searcher struct {
 	g     *graph.Graph
 	p     *Pattern
 	scope map[graph.NodeID]bool
-	order []graph.NodeID
-	core  map[graph.NodeID]graph.NodeID
-	used  map[graph.NodeID]bool
-	meter *cost.Meter
-	fn    func(Match) bool
-	stop  bool
+	order []int32
+	// core[u] is the image of pattern node u while mapped[u].
+	core   []graph.NodeID
+	mapped []bool
+	meter  *cost.Meter
+	// fn receives each match; when nil, matches collect in out.
+	fn   func(Match) bool
+	out  []Match
+	stop bool
+}
+
+func newSearcher(g *graph.Graph, p *Pattern, meter *cost.Meter) *searcher {
+	k := len(p.nodes)
+	return &searcher{g: g, p: p, order: p.order, core: make([]graph.NodeID, k), mapped: make([]bool, k), meter: meter}
 }
 
 func (s *searcher) inScope(v graph.NodeID) bool { return s.scope == nil || s.scope[v] }
 
+// used reports whether graph node v is already an image.
+func (s *searcher) used(v graph.NodeID) bool {
+	for u, ok := range s.mapped {
+		if ok && s.core[u] == v {
+			return true
+		}
+	}
+	return false
+}
+
+// install maps u→v when that is feasible.
+func (s *searcher) install(u int32, v graph.NodeID) bool {
+	if !s.feasible(u, v) {
+		return false
+	}
+	s.core[u], s.mapped[u] = v, true
+	return true
+}
+
 // feasible reports whether mapping u→v keeps the partial embedding
 // consistent: labels equal, v unused and in scope, and every pattern edge
 // between u and an already-mapped node has its image in g.
-func (s *searcher) feasible(u, v graph.NodeID) bool {
+func (s *searcher) feasible(u int32, v graph.NodeID) bool {
 	s.meter.AddNodes(1)
-	pg := s.p.g
-	if s.used[v] || s.g.LabelIDAt(v) != pg.LabelIDAt(u) || !s.inScope(v) {
+	p := s.p
+	if s.used(v) || s.g.LabelIDAt(v) != p.lbl[u] || !s.inScope(v) {
 		return false
 	}
-	if s.g.OutDegree(v) < pg.OutDegree(u) || s.g.InDegree(v) < pg.InDegree(u) {
+	if s.g.OutDegree(v) < len(p.out[u]) || s.g.InDegree(v) < len(p.in[u]) {
 		return false
 	}
-	ok := true
-	pg.Successors(u, func(q graph.NodeID) bool {
+	for _, q := range p.out[u] {
 		s.meter.AddEdges(1)
-		if q == u {
-			return true // self-loop handled below
-		}
-		if img, mapped := s.core[q]; mapped && !s.g.HasEdge(v, img) {
-			ok = false
+		if q != u && s.mapped[q] && !s.g.HasEdge(v, s.core[q]) { // a self-loop is checked below
 			return false
 		}
-		return true
-	})
-	if !ok {
-		return false
 	}
-	pg.Predecessors(u, func(q graph.NodeID) bool {
+	for _, q := range p.in[u] {
 		s.meter.AddEdges(1)
-		if q == u {
-			return true
-		}
-		if img, mapped := s.core[q]; mapped && !s.g.HasEdge(img, v) {
-			ok = false
+		if q != u && s.mapped[q] && !s.g.HasEdge(s.core[q], v) {
 			return false
 		}
-		return true
-	})
-	if !ok {
-		return false
 	}
-	if pg.HasEdge(u, u) && !s.g.HasEdge(v, v) {
-		return false
-	}
-	return true
+	return !p.loop[u] || s.g.HasEdge(v, v)
 }
 
 // candidates yields the possible images of pattern node u given the current
 // partial mapping.
-func (s *searcher) candidates(u graph.NodeID, yield func(graph.NodeID) bool) {
-	pg := s.p.g
-	var anchor graph.NodeID
-	anchorDir := 0
-	pg.Predecessors(u, func(q graph.NodeID) bool {
-		if _, mapped := s.core[q]; mapped && q != u {
-			anchor, anchorDir = s.core[q], +1
-			return false
-		}
-		return true
-	})
-	if anchorDir == 0 {
-		pg.Successors(u, func(q graph.NodeID) bool {
-			if _, mapped := s.core[q]; mapped && q != u {
-				anchor, anchorDir = s.core[q], -1
-				return false
-			}
-			return true
-		})
-	}
-	switch anchorDir {
-	case +1:
-		s.g.Successors(anchor, yield)
-	case -1:
-		s.g.Predecessors(anchor, yield)
-	default:
-		if s.scope != nil {
-			for v := range s.scope {
-				if !yield(v) {
-					return
-				}
-			}
+func (s *searcher) candidates(u int32, yield func(graph.NodeID) bool) {
+	for _, q := range s.p.in[u] {
+		if q != u && s.mapped[q] {
+			s.g.Successors(s.core[q], yield)
 			return
 		}
-		// No mapped neighbor to anchor on: enumerate u's label class
-		// straight off the inverted label index.
-		s.g.NodesWithLabelID(pg.LabelIDAt(u), yield)
 	}
+	for _, q := range s.p.out[u] {
+		if q != u && s.mapped[q] {
+			s.g.Predecessors(s.core[q], yield)
+			return
+		}
+	}
+	if s.scope != nil {
+		for v := range s.scope {
+			if !yield(v) {
+				return
+			}
+		}
+		return
+	}
+	// No mapped neighbor to anchor on: enumerate u's label class straight
+	// off the inverted label index.
+	s.g.NodesWithLabelID(s.p.lbl[u], yield)
 }
 
 func (s *searcher) extend(depth int) {
 	if s.stop {
 		return
 	}
-	if depth == len(s.p.nodes) {
-		m := make(Match, len(s.p.nodes))
-		for u, v := range s.core {
-			m[s.p.idx[u]] = v
-		}
-		if !s.fn(m) {
+	if depth == len(s.order) {
+		m := Match(slices.Clone(s.core))
+		if s.fn == nil {
+			s.out = append(s.out, m)
+		} else if !s.fn(m) {
 			s.stop = true
 		}
 		return
 	}
 	u := s.order[depth]
 	s.candidates(u, func(v graph.NodeID) bool {
-		if s.feasible(u, v) {
-			s.core[u] = v
-			s.used[v] = true
+		if s.install(u, v) {
 			s.extend(depth + 1)
-			delete(s.core, u)
-			delete(s.used, v)
+			s.mapped[u] = false
 		}
 		return !s.stop
 	})

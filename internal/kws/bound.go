@@ -2,10 +2,9 @@ package kws
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"incgraph/internal/graph"
-	"incgraph/internal/pq"
 )
 
 // This file implements the Remark of Section 4.2: answering KWS queries
@@ -30,22 +29,20 @@ func (ix *Index) ExtendBound(b int) (Delta, error) {
 	}
 	old := ix.q.Bound
 	ix.q.Bound = b
-	t := newTracker(ix)
-	for i := range ix.q.Keywords {
+	ix.begin()
+	for i, s := range ix.kw {
 		// The breakpoints w.r.t. keyword i: nodes whose propagation was cut
 		// at exactly the old bound. Everything nearer is final; everything
 		// farther is Unreachable and will be discovered from here.
-		q := pq.New[graph.NodeID]()
-		for v, row := range ix.kdist {
-			if row[i].Dist == old {
-				q.Push(v, old)
+		for x := range ix.ids {
+			if ix.at(int32(x), i).Dist == old {
+				s.push(int32(x), old)
 			}
 		}
-		ix.settle(i, q, t, ix.meter)
-		ix.meter.AddHeapOps(q.Ops)
+		ix.settle(i)
 	}
 	// Every node that gained a finite distance may have become a match.
-	return t.delta(), nil
+	return ix.delta(), nil
 }
 
 // MatchRootsWithin answers the query under a smaller (or equal) bound b
@@ -57,18 +54,11 @@ func (ix *Index) MatchRootsWithin(b int) ([]graph.NodeID, error) {
 		return nil, fmt.Errorf("kws: bound %d exceeds maintained bound %d (use ExtendBound first)", b, ix.q.Bound)
 	}
 	var roots []graph.NodeID
-	for v, row := range ix.kdist {
-		ok := true
-		for i := range row {
-			if row[i].Dist > b {
-				ok = false
-				break
-			}
-		}
-		if ok {
+	for x, v := range ix.ids {
+		if !slices.ContainsFunc(ix.row(int32(x)), func(e Entry) bool { return e.Dist > b }) {
 			roots = append(roots, v)
 		}
 	}
-	sort.Slice(roots, func(i, j int) bool { return roots[i] < roots[j] })
+	slices.Sort(roots)
 	return roots, nil
 }

@@ -1,0 +1,396 @@
+package kws_test
+
+// Tests of the flat layout: randomized histories checked against the batch
+// algorithm after every step, a digest pin of deltas, answers, distances
+// and metered work over one fixed history, the keyword-node edge case of
+// affected identification, and allocation regressions of a warm repair.
+
+import (
+	"cmp"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"hash"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"incgraph/internal/cost"
+	"incgraph/internal/graph"
+	"incgraph/internal/kws"
+)
+
+// history generates batches that are valid against sim in order, and
+// applies them to sim: deletions, insertions between existing nodes, and —
+// every tenth update or so — an insertion that hangs a new node off an
+// existing one, in either direction. New nodes take, in turn, the next
+// small ID, the next negative one and the next one past 2⁴⁰, so the dense
+// index sees both its array and its map path.
+type history struct {
+	rng             *rand.Rand
+	sim             *graph.Graph
+	nodes           []graph.NodeID
+	labels          []string
+	next, neg, huge graph.NodeID
+	created         int
+}
+
+func newHistory(g *graph.Graph, seed int64) *history {
+	h := &history{rng: rand.New(rand.NewSource(seed)), sim: g.Clone(), neg: -2, huge: 1<<40 + 1<<20}
+	h.nodes = h.sim.NodesSorted()
+	h.sim.Labels(func(l string, _ int) bool {
+		h.labels = append(h.labels, l)
+		return true
+	})
+	slices.Sort(h.labels)
+	return h
+}
+
+// fresh returns an ID no node has.
+func (h *history) fresh() graph.NodeID {
+	for {
+		var v graph.NodeID
+		switch h.created++; h.created % 3 {
+		case 0:
+			v, h.next = h.next, h.next+1
+		case 1:
+			v, h.neg = h.neg, h.neg-1
+		default:
+			v, h.huge = h.huge, h.huge+1
+		}
+		if !h.sim.HasNode(v) {
+			return v
+		}
+	}
+}
+
+func (h *history) batch(k int) graph.Batch {
+	var b graph.Batch
+	for len(b) < k {
+		v := h.nodes[h.rng.Intn(len(h.nodes))]
+		var u graph.Update
+		switch h.rng.Intn(10) {
+		case 0, 1, 2, 3:
+			succ := h.sim.SuccessorsSorted(v)
+			if len(succ) == 0 {
+				continue
+			}
+			u = graph.Del(v, succ[h.rng.Intn(len(succ))])
+		case 4:
+			l, w := h.labels[h.rng.Intn(len(h.labels))], h.fresh()
+			if h.rng.Intn(2) == 0 {
+				u = graph.InsNew(v, w, "", l)
+			} else {
+				u = graph.InsNew(w, v, l, "")
+			}
+			h.nodes = append(h.nodes, w)
+		default:
+			w := h.nodes[h.rng.Intn(len(h.nodes))]
+			if h.sim.HasEdge(v, w) {
+				continue
+			}
+			u = graph.Ins(v, w)
+		}
+		if err := h.sim.Apply(u); err != nil {
+			panic(err)
+		}
+		b = append(b, u)
+	}
+	return b
+}
+
+// sparseToy is a random graph over {a, …, e} whose IDs are small, negative
+// (never -1, NoNext's value) and past 2⁴⁰ in turn.
+func sparseToy(seed int64) *graph.Graph {
+	rng := rand.New(rand.NewSource(seed))
+	const n = 60
+	id := func(i int) graph.NodeID {
+		switch i % 3 {
+		case 0:
+			return graph.NodeID(i)
+		case 1:
+			return graph.NodeID(-2 - i)
+		}
+		return 1<<40 + graph.NodeID(i)
+	}
+	g := graph.New()
+	for i := 0; i < n; i++ {
+		g.AddNode(id(i), string(rune('a'+rng.Intn(5))))
+	}
+	for i := 0; i < 3*n; i++ {
+		g.AddEdge(id(rng.Intn(n)), id(rng.Intn(n)))
+	}
+	return g
+}
+
+// diffAnswers is ΔO computed the slow way, from two batch answers.
+func diffAnswers(before, after map[graph.NodeID][]int) kws.Delta {
+	var d kws.Delta
+	for r, ds := range after {
+		switch pre, was := before[r]; {
+		case !was:
+			d.Added = append(d.Added, kws.Match{Root: r, Dists: ds})
+		case !slices.Equal(pre, ds):
+			d.Updated = append(d.Updated, kws.Match{Root: r, Dists: ds})
+		}
+	}
+	for r := range before {
+		if _, is := after[r]; !is {
+			d.Removed = append(d.Removed, r)
+		}
+	}
+	byRoot := func(a, b kws.Match) int { return cmp.Compare(a.Root, b.Root) }
+	slices.SortFunc(d.Added, byRoot)
+	slices.SortFunc(d.Updated, byRoot)
+	slices.Sort(d.Removed)
+	return d
+}
+
+func batchAnswer(t *testing.T, g *graph.Graph, q kws.Query) map[graph.NodeID][]int {
+	t.Helper()
+	ans, err := kws.BatchAnswer(g.Clone(), q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ans
+}
+
+// TestRandomHistory drives seeded histories — batches of 1, 4, 32 and 256
+// mixing deletions, insertions and insertions that create nodes with
+// small, negative and huge IDs, and every fifth step a bound extension —
+// over the repair-match graph shape at small scale and over a sparse-ID
+// toy graph, and after every step audits the index and compares ΔO with
+// the difference of consecutive batch answers, for IncKWS and the
+// unit-at-a-time IncKWSn, at 1 and 8 workers (helpers forced in: these
+// repairs are over before one would arrive).
+func TestRandomHistory(t *testing.T) {
+	defer graph.EagerFanOut()()
+	match, mq := matchGraph(t, 0.05)
+	graphs := []struct {
+		name    string
+		g       *graph.Graph
+		queries []kws.Query
+	}{
+		{"match", match, []kws.Query{mq, {Keywords: mq.Keywords[:1], Bound: 1}}},
+		{"sparse", sparseToy(3), []kws.Query{{Keywords: []string{"a", "d"}, Bound: 2}, {Keywords: []string{"a", "b", "c"}, Bound: 0}}},
+	}
+	apply := []struct {
+		name string
+		do   func(*kws.Index, graph.Batch) (kws.Delta, error)
+	}{
+		{"Apply", (*kws.Index).Apply},
+		{"ApplyUnitwise", (*kws.Index).ApplyUnitwise},
+	}
+	sizes := []int{1, 4, 32, 256, 4, 1, 32}
+	for _, gr := range graphs {
+		for qi, q := range gr.queries {
+			for _, ap := range apply {
+				for _, workers := range []int{1, 8} {
+					name := fmt.Sprintf("%s/q%d/%s/workers%d", gr.name, qi, ap.name, workers)
+					t.Run(name, func(t *testing.T) {
+						g := gr.g.Clone()
+						g.SetParallelism(workers)
+						h := newHistory(g, int64(200+qi))
+						ix, err := kws.Build(g, q, nil)
+						if err != nil {
+							t.Fatal(err)
+						}
+						before := batchAnswer(t, g, q)
+						rounds := 2
+						if testing.Short() {
+							rounds = 1
+						}
+						for step := 0; step < rounds*len(sizes); step++ {
+							var got kws.Delta
+							what := "ExtendBound"
+							if step%5 == 4 {
+								got, err = ix.ExtendBound(ix.Query().Bound + 1)
+							} else {
+								b := h.batch(sizes[step%len(sizes)])
+								what = fmt.Sprintf("|ΔG|=%d", len(b))
+								got, err = ap.do(ix, b)
+							}
+							if err != nil {
+								t.Fatalf("step %d: %v", step, err)
+							}
+							if err := ix.Check(); err != nil {
+								t.Fatalf("step %d (%s): %v", step, what, err)
+							}
+							after := batchAnswer(t, g, ix.Query())
+							if want := diffAnswers(before, after); fmt.Sprint(got) != fmt.Sprint(want) {
+								t.Fatalf("step %d (%s): ΔO = %v, diff of batch answers = %v", step, what, got, want)
+							}
+							before = after
+						}
+						if !g.Equal(h.sim) {
+							t.Fatal("index graph diverged from the simulated history")
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// digestHistory runs one fixed history — batches through Apply and
+// ApplyUnitwise, unit insertions and deletions, two bound extensions — on
+// the sparse toy graph and the small repair-match graph, and hashes every
+// ΔO, every answer, every kdist distance and the metered work.
+func digestHistory(t *testing.T, workers int) string {
+	h := sha256.New()
+	match, mq := matchGraph(t, 0.05)
+	for gi, start := range []struct {
+		g *graph.Graph
+		q kws.Query
+	}{
+		{sparseToy(11), kws.Query{Keywords: []string{"b", "e", "a"}, Bound: 2}},
+		{match, mq},
+	} {
+		g := start.g.Clone()
+		g.SetParallelism(workers)
+		hist := newHistory(g, int64(300+gi))
+		meter := &cost.Meter{}
+		ix, err := kws.Build(g, start.q, meter)
+		if err != nil {
+			t.Fatal(err)
+		}
+		digestState(h, ix, meter)
+		for step, size := range []int{1, 4, 32, 256, 4, 1, 32, 8, 16, 2} {
+			var d kws.Delta
+			switch step % 5 {
+			case 0, 1:
+				d, err = ix.Apply(hist.batch(size))
+			case 2:
+				d, err = ix.ApplyUnitwise(hist.batch(size))
+			case 3:
+				b := hist.batch(1)
+				if b[0].Op == graph.Insert {
+					d, err = ix.ApplyInsert(b[0])
+				} else {
+					d, err = ix.ApplyDelete(b[0])
+				}
+			case 4:
+				d, err = ix.ExtendBound(ix.Query().Bound + 1)
+			}
+			if err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+			fmt.Fprintf(h, "%v\n", d)
+			digestState(h, ix, meter)
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+func digestState(h hash.Hash, ix *kws.Index, meter *cost.Meter) {
+	if err := ix.WriteAnswer(h); err != nil {
+		panic(err)
+	}
+	for _, v := range ix.Graph().NodesSorted() {
+		for i := range ix.Query().Keywords {
+			fmt.Fprintf(h, "%d ", ix.Entry(v, i).Dist)
+		}
+	}
+	fmt.Fprintf(h, "\nwork %d\n", meter.Total())
+}
+
+// TestDigestPin pins digestHistory to the value the map-keyed layout
+// (kdist as a map of rows, an indexed heap per keyword) produced: the flat
+// layout computes the same deltas, answers, distances and metered work, at
+// 1 and at 8 workers.
+func TestDigestPin(t *testing.T) {
+	defer graph.EagerFanOut()()
+	const want = "c3540095aeaa0854d018918dffbbe67a437dd125b5d18010ae0b12c2f6a1fc0d"
+	for _, workers := range []int{1, 8} {
+		if got := digestHistory(t, workers); got != want {
+			t.Errorf("workers %d: digest %s, want %s", workers, got, want)
+		}
+	}
+}
+
+// TestKeywordNodeStaysAtZero: a keyword node's entry has dist 0 and next
+// pointer NoNext, which is -1, a valid NodeID. Deleting the node's edge to
+// node -1 must not take the edge for its shortest path.
+func TestKeywordNodeStaysAtZero(t *testing.T) {
+	g := graph.New()
+	g.AddNode(5, "a")
+	g.AddNode(-1, "b")
+	g.AddNode(6, "c")
+	g.AddEdge(5, -1)
+	g.AddEdge(-1, 5)
+	g.AddEdge(6, 5)
+	ix, err := kws.Build(g, kws.Query{Keywords: []string{"a"}, Bound: 2}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := ix.Apply(graph.Batch{graph.Del(5, -1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !d.Empty() {
+		t.Fatalf("ΔO = %+v, want none", d)
+	}
+	if err := ix.Check(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ix.Apply(graph.Batch{graph.Del(-1, 5)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Check(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWarmRepairAllocs pins the allocation behaviour of a warm index: an
+// update that no kdist entry can see allocates a constant, and so does a
+// repair that resets and re-settles a hundred and fifty entries of rows
+// that are no match before or after.
+func TestWarmRepairAllocs(t *testing.T) {
+	// A chain of L nodes leads to a k-node; no z-node exists, so nothing
+	// matches (k, z). An x-labeled island carries no finite entry.
+	const L, chain, island = 150, 1000, 5000
+	g := graph.New()
+	g.SetParallelism(1)
+	g.AddNode(chain+L, "k")
+	for i := 0; i < L; i++ {
+		g.AddNode(chain+graph.NodeID(i), "y")
+		if i > 0 {
+			g.AddEdge(chain+graph.NodeID(i-1), chain+graph.NodeID(i))
+		}
+	}
+	g.AddEdge(chain+L-1, chain+L)
+	g.AddNode(island, "x")
+	g.AddNode(island+1, "x")
+	g.AddEdge(island, island+1)
+	ix, err := kws.Build(g, kws.Query{Keywords: []string{"k", "z"}, Bound: L}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e := ix.Entry(chain, 0); e.Dist != L || ix.NumMatches() != 0 {
+		t.Fatalf("setup: kdist(chain head) = %+v, %d matches", e, ix.NumMatches())
+	}
+	flip := func(u graph.Update) func() {
+		return func() {
+			if _, err := ix.Apply(graph.Batch{u}); err != nil {
+				t.Fatal(err)
+			}
+			u = u.Inverse()
+		}
+	}
+	const constant = 2 // the batch, and the closure the keywords fan out through
+	far := flip(graph.Del(island, island+1))
+	far()
+	far()
+	if allocs := testing.AllocsPerRun(20, far); allocs > constant {
+		t.Fatalf("update that touches no entry: %.1f allocs/op, want at most %d", allocs, constant)
+	}
+	cut := flip(graph.Del(chain+L-1, chain+L))
+	cut()
+	cut()
+	if allocs := testing.AllocsPerRun(20, cut); allocs > constant {
+		t.Fatalf("repair of %d entries: %.1f allocs/op, want at most %d", L, allocs, constant)
+	}
+	if err := ix.Check(); err != nil {
+		t.Fatal(err)
+	}
+}

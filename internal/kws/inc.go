@@ -1,12 +1,12 @@
 package kws
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"incgraph/internal/cost"
 	"incgraph/internal/graph"
-	"incgraph/internal/pq"
 )
 
 // This file implements the incremental side of KWS:
@@ -41,97 +41,73 @@ func (d Delta) Empty() bool {
 	return len(d.Added) == 0 && len(d.Removed) == 0 && len(d.Updated) == 0
 }
 
-// touchTracker remembers the pre-update match row of every node whose kdist
-// changed, so the final Delta is computed locally.
-type touchTracker struct {
-	ix  *Index
-	pre map[graph.NodeID][]int // nil slice = was not a match
+// sortByRoot puts the delta into its canonical order (roots ascending in
+// every class). Both the incremental repair and the batch-fallback path
+// emit through it, so their deltas stay comparable.
+func (d *Delta) sortByRoot() {
+	byRoot := func(a, b Match) int { return cmp.Compare(a.Root, b.Root) }
+	slices.SortFunc(d.Added, byRoot)
+	slices.SortFunc(d.Updated, byRoot)
+	slices.Sort(d.Removed)
 }
 
-func newTracker(ix *Index) *touchTracker {
-	return &touchTracker{ix: ix, pre: make(map[graph.NodeID][]int)}
-}
-
-// touch records v before its first modification.
-func (t *touchTracker) touch(v graph.NodeID) {
-	if _, ok := t.pre[v]; ok {
-		return
-	}
-	if ds, ok := t.ix.matches[v]; ok {
-		cp := make([]int, len(ds))
-		copy(cp, ds)
-		t.pre[v] = cp
-	} else {
-		t.pre[v] = nil
+// begin starts a repair: no row is listed as touched yet.
+func (ix *Index) begin() {
+	ix.rowMarks.clear()
+	ix.rows = ix.rows[:0]
+	for _, s := range ix.kw {
+		s.touched.clear()
+		s.touchedList = s.touchedList[:0]
 	}
 }
 
-// merge folds another tracker's pre-state into t. Workers repairing
-// different keywords may touch the same node; the remembered pre-rows are
-// identical (the match set is immutable during repair), so first-write-wins
-// makes the union independent of worker scheduling.
-func (t *touchTracker) merge(o *touchTracker) {
-	for v, pre := range o.pre {
-		if _, ok := t.pre[v]; !ok {
-			t.pre[v] = pre
+// touchRow lists row x among the rows ΔO is diffed from.
+func (ix *Index) touchRow(x int32) {
+	if ix.rowMarks.add(x) {
+		ix.rows = append(ix.rows, x)
+	}
+}
+
+// delta ends a repair: it drains the keywords' meters and diffs every
+// touched row against the match set, which no keyword pass wrote, updating
+// the match set as it goes.
+func (ix *Index) delta() Delta {
+	for _, s := range ix.kw {
+		for _, x := range s.touchedList {
+			ix.touchRow(x)
 		}
+		ix.meter.Merge(&s.meter)
+		s.meter.Reset()
 	}
-}
-
-// delta refreshes the match rows of all touched nodes and diffs them
-// against the remembered pre-state. Output slices are sorted by root, so
-// the delta is deterministic regardless of map iteration and of how many
-// workers repaired the keywords.
-func (t *touchTracker) delta() Delta {
 	var d Delta
-	for v, old := range t.pre {
-		t.ix.refreshMatch(v)
-		now, isMatch := t.ix.matches[v]
-		switch {
-		case old == nil && isMatch:
-			m, _ := t.ix.MatchAt(v)
-			d.Added = append(d.Added, m)
-		case old != nil && !isMatch:
+	for _, x := range ix.rows {
+		v, row := ix.ids[x], ix.row(x)
+		old, was := ix.matches[v]
+		switch is := ix.isMatch(row); {
+		case is && !was:
+			ix.matches[v] = dists(row)
+			d.Added = append(d.Added, Match{Root: v, Dists: dists(row)})
+		case was && !is:
+			delete(ix.matches, v)
 			d.Removed = append(d.Removed, v)
-		case old != nil && isMatch && !intsEqual(old, now):
-			m, _ := t.ix.MatchAt(v)
-			d.Updated = append(d.Updated, m)
+		case is && !sameDists(old, row):
+			for i, e := range row {
+				old[i] = e.Dist
+			}
+			d.Updated = append(d.Updated, Match{Root: v, Dists: dists(row)})
 		}
 	}
 	d.sortByRoot()
 	return d
 }
 
-// sortByRoot puts the delta into its canonical order (roots ascending in
-// every class). Both the incremental repair and the batch-fallback path
-// emit through it, so their deltas stay comparable.
-func (d *Delta) sortByRoot() {
-	byRoot := func(ms []Match) func(i, j int) bool {
-		return func(i, j int) bool { return ms[i].Root < ms[j].Root }
-	}
-	sort.Slice(d.Added, byRoot(d.Added))
-	sort.Slice(d.Updated, byRoot(d.Updated))
-	sort.Slice(d.Removed, func(i, j int) bool { return d.Removed[i] < d.Removed[j] })
-}
-
-func intsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
+func sameDists(ds []int, row []Entry) bool {
+	for i, e := range row {
+		if ds[i] != e.Dist {
 			return false
 		}
 	}
 	return true
-}
-
-// ensureRow creates kdist rows for nodes introduced by insertions.
-func (ix *Index) ensureRow(v graph.NodeID, t *touchTracker) {
-	if _, ok := ix.kdist[v]; !ok {
-		t.touch(v)
-		ix.kdist[v] = ix.freshEntries(v)
-	}
 }
 
 // ApplyInsert applies a unit edge insertion with IncKWS+ (Fig. 1). The edge
@@ -140,51 +116,7 @@ func (ix *Index) ApplyInsert(u graph.Update) (Delta, error) {
 	if u.Op != graph.Insert {
 		return Delta{}, fmt.Errorf("kws: ApplyInsert got %v", u)
 	}
-	t := newTracker(ix)
-	if err := ix.g.Apply(u); err != nil {
-		return Delta{}, err
-	}
-	ix.ensureRow(u.From, t)
-	ix.ensureRow(u.To, t)
-	for i := range ix.q.Keywords {
-		ix.insertKeyword(i, u.From, u.To, t, ix.meter)
-	}
-	return t.delta(), nil
-}
-
-// insertKeyword is IncKWS+ lines 1–8 for a single keyword: if (v,w) creates
-// a shorter path from v to keyword i, update kdist(v) and propagate the
-// decrease to ancestors with a FIFO queue.
-func (ix *Index) insertKeyword(i int, v, w graph.NodeID, t *touchTracker, meter *cost.Meter) {
-	wRow := ix.kdist[w]
-	vRow := ix.kdist[v]
-	meter.AddEntries(1)
-	if wRow[i].Dist+1 >= vRow[i].Dist || wRow[i].Dist+1 > ix.q.Bound {
-		return
-	}
-	t.touch(v)
-	vRow[i] = Entry{Dist: wRow[i].Dist + 1, Next: w}
-	queue := []graph.NodeID{v}
-	for len(queue) > 0 {
-		x := queue[0]
-		queue = queue[1:]
-		meter.AddNodes(1)
-		xd := ix.kdist[x][i].Dist
-		if xd >= ix.q.Bound {
-			continue // propagation cannot improve beyond the bound
-		}
-		ix.g.Predecessors(x, func(p graph.NodeID) bool {
-			meter.AddEdges(1)
-			pRow := ix.kdist[p]
-			if xd+1 < pRow[i].Dist && xd+1 <= ix.q.Bound {
-				t.touch(p)
-				pRow[i] = Entry{Dist: xd + 1, Next: x}
-				meter.AddEntries(1)
-				queue = append(queue, p)
-			}
-			return true
-		})
-	}
+	return ix.ApplyUnitwise(graph.Batch{u})
 }
 
 // ApplyDelete applies a unit edge deletion with IncKWS− (Fig. 3).
@@ -192,81 +124,99 @@ func (ix *Index) ApplyDelete(u graph.Update) (Delta, error) {
 	if u.Op != graph.Delete {
 		return Delta{}, fmt.Errorf("kws: ApplyDelete got %v", u)
 	}
-	t := newTracker(ix)
-	if err := ix.g.Apply(u); err != nil {
-		return Delta{}, err
-	}
-	for i := range ix.q.Keywords {
-		affected := ix.identifyAffected(i, []graph.Update{u}, ix.meter)
-		q := pq.New[graph.NodeID]()
-		ix.computePotentials(i, affected, q, t, ix.meter)
-		ix.settle(i, q, t, ix.meter)
-		ix.meter.AddHeapOps(q.Ops)
-	}
-	return t.delta(), nil
+	return ix.ApplyUnitwise(graph.Batch{u})
 }
 
-// identifyAffected is IncKWS− lines 1–6 generalized to several deletions:
-// every node whose chosen shortest path to keyword i ran through a deleted
-// edge, transitively along next pointers, is marked affected.
-func (ix *Index) identifyAffected(i int, dels []graph.Update, meter *cost.Meter) map[graph.NodeID]bool {
-	affected := make(map[graph.NodeID]bool)
-	var stack []graph.NodeID
-	for _, d := range dels {
-		row, ok := ix.kdist[d.From]
-		if !ok {
-			continue
-		}
-		if row[i].Next == d.To && row[i].Dist <= ix.q.Bound && !affected[d.From] {
-			affected[d.From] = true
-			stack = append(stack, d.From)
-		}
+// insertKeyword is IncKWS+ lines 1–8 for a single keyword: if (v,w) creates
+// a shorter path from v to keyword i, update kdist(v) and propagate the
+// decrease to ancestors with a FIFO queue.
+func (ix *Index) insertKeyword(i int, v, w graph.NodeID) {
+	s, b := ix.kw[i], ix.q.Bound
+	iv := ix.idx.Of(v)
+	wd, ve := ix.at(ix.idx.Of(w), i).Dist, ix.at(iv, i)
+	s.meter.AddEntries(1)
+	if wd+1 >= ve.Dist || wd+1 > b {
+		return
 	}
-	for len(stack) > 0 {
-		x := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		meter.AddNodes(1)
-		ix.g.Predecessors(x, func(p graph.NodeID) bool {
-			meter.AddEdges(1)
-			pRow := ix.kdist[p]
-			if !affected[p] && pRow[i].Next == x && pRow[i].Dist <= ix.q.Bound {
-				affected[p] = true
-				stack = append(stack, p)
+	s.touch(iv)
+	*ve = Entry{Dist: wd + 1, Next: w}
+	queue := append(s.fifo[:0], iv)
+	for head := 0; head < len(queue); head++ {
+		x := queue[head]
+		s.meter.AddNodes(1)
+		xd := ix.at(x, i).Dist
+		if xd >= b {
+			continue // propagation cannot improve beyond the bound
+		}
+		for _, p := range ix.g.PredecessorsSorted(ix.ids[x]) {
+			s.meter.AddEdges(1)
+			ip := ix.idx.Of(p)
+			if pe := ix.at(ip, i); xd+1 < pe.Dist {
+				s.touch(ip)
+				*pe = Entry{Dist: xd + 1, Next: ix.ids[x]}
+				s.meter.AddEntries(1)
+				queue = append(queue, ip)
 			}
-			return true
-		})
+		}
 	}
-	return affected
+	s.fifo = queue
+}
+
+// identifyAffected is IncKWS− lines 1–6 generalized to the deletions of
+// norm: every node whose chosen shortest path to keyword i ran through a
+// deleted edge, transitively along next pointers, is marked affected.
+func (ix *Index) identifyAffected(i int, norm graph.Batch) {
+	s, b := ix.kw[i], ix.q.Bound
+	s.aff.clear()
+	s.affList = s.affList[:0]
+	// affect marks x affected when its shortest path to keyword i starts
+	// with the edge to next. A keyword node (dist 0) has no such edge.
+	affect := func(x int32, next graph.NodeID) {
+		if e := ix.at(x, i); e.Next == next && 0 < e.Dist && e.Dist <= b && s.aff.add(x) {
+			s.affList = append(s.affList, x)
+		}
+	}
+	for _, u := range norm {
+		if u.Op == graph.Delete {
+			affect(ix.idx.Of(u.From), u.To)
+		}
+	}
+	for j := 0; j < len(s.affList); j++ {
+		v := ix.ids[s.affList[j]]
+		s.meter.AddNodes(1)
+		for _, p := range ix.g.PredecessorsSorted(v) {
+			s.meter.AddEdges(1)
+			affect(ix.idx.Of(p), v)
+		}
+	}
 }
 
 // computePotentials is IncKWS− lines 7–9: each affected node gets a
-// tentative distance computed from its unaffected successors, and is queued
-// for the settle phase when within bound.
-func (ix *Index) computePotentials(i int, affected map[graph.NodeID]bool, q *pq.Heap[graph.NodeID], t *touchTracker, meter *cost.Meter) {
-	for v := range affected {
-		t.touch(v)
-		best := Entry{Dist: Unreachable, Next: NoNext}
-		ix.g.Successors(v, func(s graph.NodeID) bool {
-			meter.AddEdges(1)
-			if affected[s] {
-				return true
+// tentative distance computed from its unaffected successors — the first
+// minimum in ascending NodeID order — and is queued for the settle phase
+// when within bound.
+func (ix *Index) computePotentials(i int) {
+	s, b := ix.kw[i], ix.q.Bound
+	for _, x := range s.affList {
+		s.touch(x)
+		best := unreachable
+		for _, y := range ix.g.SuccessorsSorted(ix.ids[x]) {
+			s.meter.AddEdges(1)
+			iy := ix.idx.Of(y)
+			if s.aff.has(iy) {
+				continue
 			}
-			sRow, ok := ix.kdist[s]
-			if !ok {
-				return true
+			if d := ix.at(iy, i).Dist + 1; d < best.Dist {
+				best = Entry{Dist: d, Next: y}
 			}
-			if d := sRow[i].Dist + 1; d < best.Dist || d == best.Dist && s < best.Next {
-				best = Entry{Dist: d, Next: s}
-			}
-			return true
-		})
-		if best.Dist > ix.q.Bound {
-			best = Entry{Dist: Unreachable, Next: NoNext}
 		}
-		ix.kdist[v][i] = best
-		meter.AddEntries(1)
-		if best.Dist <= ix.q.Bound {
-			q.Push(v, best.Dist)
+		if best.Dist > b {
+			best = unreachable
+		}
+		*ix.at(x, i) = best
+		s.meter.AddEntries(1)
+		if best.Dist <= b {
+			s.push(x, best.Dist)
 		}
 	}
 }
@@ -274,27 +224,32 @@ func (ix *Index) computePotentials(i int, affected map[graph.NodeID]bool, q *pq.
 // settle is IncKWS− lines 10–14: Dijkstra-style settling of exact values in
 // monotonically increasing distance order, relaxing predecessors within the
 // bound.
-func (ix *Index) settle(i int, q *pq.Heap[graph.NodeID], t *touchTracker, meter *cost.Meter) {
-	for q.Len() > 0 {
-		v, d, _ := q.Pop()
-		meter.AddNodes(1)
-		if d != ix.kdist[v][i].Dist {
+func (ix *Index) settle(i int) {
+	s, b := ix.kw[i], ix.q.Bound
+	for {
+		x, d, ok := s.q.pop()
+		if !ok {
+			return
+		}
+		if d != ix.at(x, i).Dist {
 			continue // superseded by a later decrease
 		}
-		if d >= ix.q.Bound {
+		s.meter.AddNodes(1)
+		s.meter.AddHeapOps(1)
+		if d >= b {
 			continue // cannot relax anyone within the bound
 		}
-		ix.g.Predecessors(v, func(p graph.NodeID) bool {
-			meter.AddEdges(1)
-			pRow := ix.kdist[p]
-			if d+1 < pRow[i].Dist && d+1 <= ix.q.Bound {
-				t.touch(p)
-				pRow[i] = Entry{Dist: d + 1, Next: v}
-				meter.AddEntries(1)
-				q.Push(p, d+1)
+		v := ix.ids[x]
+		for _, p := range ix.g.PredecessorsSorted(v) {
+			s.meter.AddEdges(1)
+			ip := ix.idx.Of(p)
+			if pe := ix.at(ip, i); d+1 < pe.Dist {
+				s.touch(ip)
+				*pe = Entry{Dist: d + 1, Next: v}
+				s.meter.AddEntries(1)
+				s.push(ip, d+1)
 			}
-			return true
-		})
+		}
 	}
 }
 
@@ -345,73 +300,62 @@ func (ix *Index) Repair(batch, norm graph.Batch) Delta {
 	}
 	// The model is fed G's size, not G ⊕ ΔG's: kdist still has one row per
 	// node of G, and a valid normalized batch moves |E| by its own counts.
-	ix.lastEst = cost.EstimateKWS(len(ix.kdist), ix.g.NumEdges()-insN+delsN, insN, delsN,
+	ix.lastEst = cost.EstimateKWS(len(ix.ids), ix.g.NumEdges()-insN+delsN, insN, delsN,
 		ix.q.Bound, len(ix.q.Keywords), shardsTouched)
 	if ix.lastEst.PreferBatch() {
 		return ix.rebuildDiff()
 	}
-	t := newTracker(ix)
+	ix.begin()
 	// Nodes the batch created are the endpoints without a row. Creation is
 	// a side effect of insertions even when the edge is later cancelled by
 	// a deletion, so the raw batch is scanned.
 	for _, u := range batch {
 		if u.Op == graph.Insert {
-			ix.ensureRow(u.From, t)
-			ix.ensureRow(u.To, t)
+			ix.ensureRow(u.From)
+			ix.ensureRow(u.To)
 		}
 	}
-	ins, dels := norm.Split()
 	// The per-keyword repairs are independent (keyword i reads the shared
-	// graph and writes only column i of the kdist rows), so they fan out
-	// across workers. Each worker repairs with a private tracker and meter;
-	// the merged result — kdist columns, touched set, delta — is identical
-	// to the sequential loop.
+	// graph and writes only column i of kdist and its own scratch), so they
+	// fan out across workers; the result is identical to the sequential
+	// loop.
 	workers := ix.g.Parallelism()
 	if workers > 1 {
 		ix.g.PrepareConcurrentReads()
 	}
-	m := len(ix.q.Keywords)
-	trackers := make([]*touchTracker, m)
-	meters := make([]cost.Meter, m)
-	graph.ParallelFor(workers, m, func(_, i int) {
-		trackers[i] = newTracker(ix)
-		ix.repairKeyword(i, ins, dels, trackers[i], &meters[i])
-	})
-	for i := 0; i < m; i++ {
-		t.merge(trackers[i])
-		ix.meter.Merge(&meters[i])
-	}
-	return t.delta()
+	graph.ParallelFor(workers, len(ix.kw), func(_, i int) { ix.repairKeyword(i, norm) })
+	return ix.delta()
 }
 
 // repairKeyword runs the three phases of IncKWS for one keyword: affected
 // identification over ΔG−, potentials, insertion seeding over ΔG+, and the
-// shared-queue settle. It touches only column i of the kdist rows plus the
-// caller's private tracker and meter, so keywords repair concurrently.
-func (ix *Index) repairKeyword(i int, ins, dels graph.Batch, t *touchTracker, meter *cost.Meter) {
+// shared-queue settle.
+func (ix *Index) repairKeyword(i int, norm graph.Batch) {
+	s, b := ix.kw[i], ix.q.Bound
 	// Phase (a): affected entries w.r.t. keyword i due to ΔG−, with
 	// potential values, all in one global queue q_i.
-	affected := ix.identifyAffected(i, dels, meter)
-	q := pq.New[graph.NodeID]()
-	ix.computePotentials(i, affected, q, t, meter)
+	ix.identifyAffected(i, norm)
+	ix.computePotentials(i)
 	// Phase (b): insertions between unaffected endpoints seed the queue
 	// instead of propagating directly, interleaving with deletions.
-	for _, u := range ins {
-		if affected[u.From] || affected[u.To] {
+	for _, u := range norm {
+		if u.Op != graph.Insert {
 			continue
 		}
-		wRow := ix.kdist[u.To]
-		vRow := ix.kdist[u.From]
-		meter.AddEntries(1)
-		if wRow[i].Dist+1 < vRow[i].Dist && wRow[i].Dist+1 <= ix.q.Bound {
-			t.touch(u.From)
-			vRow[i] = Entry{Dist: wRow[i].Dist + 1, Next: u.To}
-			q.Push(u.From, vRow[i].Dist)
+		iv, iw := ix.idx.Of(u.From), ix.idx.Of(u.To)
+		if s.aff.has(iv) || s.aff.has(iw) {
+			continue
+		}
+		wd, ve := ix.at(iw, i).Dist, ix.at(iv, i)
+		s.meter.AddEntries(1)
+		if wd+1 < ve.Dist && wd+1 <= b {
+			s.touch(iv)
+			*ve = Entry{Dist: wd + 1, Next: u.To}
+			s.push(iv, wd+1)
 		}
 	}
 	// Phase (c): settle exact values once per affected entry.
-	ix.settle(i, q, t, meter)
-	meter.AddHeapOps(q.Ops)
+	ix.settle(i)
 }
 
 // rebuildDiff is the batch-fallback path of Repair: with the graph at
@@ -421,17 +365,15 @@ func (ix *Index) repairKeyword(i int, ins, dels graph.Batch, t *touchTracker, me
 func (ix *Index) rebuildDiff() Delta {
 	old := ix.matches
 	fresh := build(ix.g, ix.q, ix.meter)
-	ix.kdist, ix.matches = fresh.kdist, fresh.matches
+	ix.ids, ix.idx, ix.kdist, ix.matches = fresh.ids, fresh.idx, fresh.kdist, fresh.matches
 	var d Delta
 	for r, ds := range ix.matches {
 		pre, was := old[r]
 		switch {
 		case !was:
-			m, _ := ix.MatchAt(r)
-			d.Added = append(d.Added, m)
-		case !intsEqual(pre, ds):
-			m, _ := ix.MatchAt(r)
-			d.Updated = append(d.Updated, m)
+			d.Added = append(d.Added, Match{Root: r, Dists: slices.Clone(ds)})
+		case !slices.Equal(pre, ds):
+			d.Updated = append(d.Updated, Match{Root: r, Dists: slices.Clone(ds)})
 		}
 	}
 	for r := range old {
@@ -450,46 +392,25 @@ func (ix *Index) LastEstimate() cost.Estimate { return ix.lastEst }
 
 // ApplyUnitwise is IncKWSn: it processes the batch one unit update at a
 // time using the unit algorithms, the baseline the paper compares IncKWS
-// against.
+// against. Matches are diffed once, at the end.
 func (ix *Index) ApplyUnitwise(batch graph.Batch) (Delta, error) {
-	t := newTracker(ix)
+	ix.begin()
 	for _, u := range batch {
-		var err error
-		if u.Op == graph.Insert {
-			_, err = ix.applyInsertTracked(u, t)
-		} else {
-			_, err = ix.applyDeleteTracked(u, t)
-		}
-		if err != nil {
+		if err := ix.g.Apply(u); err != nil {
 			return Delta{}, err
 		}
+		if u.Op == graph.Insert {
+			ix.ensureRow(u.From)
+			ix.ensureRow(u.To)
+			for i := range ix.kw {
+				ix.insertKeyword(i, u.From, u.To)
+			}
+			continue
+		}
+		// IncKWS− is the three phases of IncKWS with nothing to seed.
+		for i := range ix.kw {
+			ix.repairKeyword(i, graph.Batch{u})
+		}
 	}
-	return t.delta(), nil
-}
-
-func (ix *Index) applyInsertTracked(u graph.Update, t *touchTracker) (Delta, error) {
-	if err := ix.g.Apply(u); err != nil {
-		return Delta{}, err
-	}
-	ix.ensureRow(u.From, t)
-	ix.ensureRow(u.To, t)
-	for i := range ix.q.Keywords {
-		ix.insertKeyword(i, u.From, u.To, t, ix.meter)
-	}
-	// Matches are refreshed once at the end by the caller's tracker.
-	return Delta{}, nil
-}
-
-func (ix *Index) applyDeleteTracked(u graph.Update, t *touchTracker) (Delta, error) {
-	if err := ix.g.Apply(u); err != nil {
-		return Delta{}, err
-	}
-	for i := range ix.q.Keywords {
-		affected := ix.identifyAffected(i, []graph.Update{u}, ix.meter)
-		q := pq.New[graph.NodeID]()
-		ix.computePotentials(i, affected, q, t, ix.meter)
-		ix.settle(i, q, t, ix.meter)
-		ix.meter.AddHeapOps(q.Ops)
-	}
-	return Delta{}, nil
+	return ix.delta(), nil
 }

@@ -14,13 +14,31 @@
 // Distances are maintained only up to the bound b; anything farther is
 // recorded as Unreachable, which is what makes every operation local to the
 // b-neighborhood of the update (localizability, Theorem 3).
+//
+// # Layout
+//
+// The index numbers the graph's nodes densely (ids/idx: ascending NodeID at
+// build, nodes a batch creates appended; deliberately not the graph's slot,
+// which resharding moves), and kdist is one flat []Entry with m entries per
+// dense node: kdist[x·m+i] is kdist(ids[x])[ki]. A traversal reads a node's
+// neighbours from PredecessorsSorted/SuccessorsSorted — ascending NodeID,
+// which is also the predefined tie-break order — and translates each once
+// (graph.NodeIndex: an array lookup for IDs issued from zero).
+//
+// Each keyword owns a scratch (scratch.go), allocated once and reused by
+// every repair: epoch-stamped affected and touched marks, the touched list,
+// and a monotone bucket queue over distances 0…b in place of an indexed
+// heap. Keyword i writes only column i of kdist and its own scratch, so the
+// keywords repair concurrently. The match set is a map from root to
+// distance vector that no keyword pass writes: ΔO is diffed from the
+// touched rows against it afterwards, so no pre-state is copied.
 package kws
 
 import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 
 	"incgraph/internal/cost"
@@ -67,6 +85,8 @@ type Entry struct {
 	Next graph.NodeID
 }
 
+var unreachable = Entry{Dist: Unreachable, Next: NoNext}
+
 // Match is a query answer rooted at Root; Dists[i] is the shortest distance
 // from Root to a node labeled Keywords[i] (all ≤ Bound).
 type Match struct {
@@ -77,12 +97,16 @@ type Match struct {
 // Index is the incrementally-maintained state: the graph, the kdist lists,
 // and the current match set Q(G).
 type Index struct {
-	g     *graph.Graph
-	q     Query
-	kdist map[graph.NodeID][]Entry
-	// kwIDs holds the interned form of q.Keywords: the per-node label
-	// checks in freshEntries compare uint32 IDs instead of strings.
+	g *graph.Graph
+	q Query
+	// kwIDs holds the interned form of q.Keywords.
 	kwIDs []graph.LabelID
+	// ids and idx are the dense node index: ids[x] is the x-th node, idx
+	// its inverse.
+	ids []graph.NodeID
+	idx graph.NodeIndex
+	// kdist[x*m+i] is kdist(ids[x])[i], m = len(q.Keywords).
+	kdist []Entry
 	// matches maps each match root to its per-keyword distance vector.
 	matches map[graph.NodeID][]int
 	// roots memoizes MatchRoots against the graph mutation generation:
@@ -94,6 +118,12 @@ type Index struct {
 	// Apply (cost-based fallback); see Apply and LastEstimate.
 	lastEst cost.Estimate
 	meter   *cost.Meter
+	// kw[i] is keyword i's scratch. rows lists, deduplicated by rowMarks,
+	// the rows of the repair under way that ΔO is diffed from: the nodes it
+	// created and the rows every keyword touched.
+	kw       []*scratch
+	rows     []int32
+	rowMarks marks
 }
 
 // Build runs the batch algorithm: for each keyword a bounded multi-source
@@ -101,10 +131,8 @@ type Index struct {
 // The meter may be nil.
 //
 // The per-keyword BFS fan-outs are independent — keyword i only ever
-// writes column i of the kdist rows — so they run through
-// graph.ParallelFor, up to g.Parallelism() wide, as do the row-allocation
-// and match-detection sweeps (their map installs stay serial). The result
-// is identical to a sequential build.
+// writes column i of kdist — so they run through graph.ParallelFor, up to
+// g.Parallelism() wide. The result is identical to a sequential build.
 func Build(g *graph.Graph, q Query, meter *cost.Meter) (*Index, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
@@ -114,132 +142,96 @@ func Build(g *graph.Graph, q Query, meter *cost.Meter) (*Index, error) {
 
 // build is Build for a query already validated.
 func build(g *graph.Graph, q Query, meter *cost.Meter) *Index {
+	m := len(q.Keywords)
 	ix := &Index{
 		g:       g,
 		q:       q,
-		kdist:   make(map[graph.NodeID][]Entry, g.NumNodes()),
-		kwIDs:   make([]graph.LabelID, len(q.Keywords)),
+		kwIDs:   make([]graph.LabelID, m),
 		matches: make(map[graph.NodeID][]int),
 		meter:   meter,
+		kw:      make([]*scratch, m),
 	}
 	for i, kw := range q.Keywords {
 		ix.kwIDs[i] = graph.InternLabel(kw)
+		ix.kw[i] = &scratch{}
 	}
 	workers := g.Parallelism()
 	if workers > 1 {
 		g.PrepareConcurrentReads()
 	}
-	// Dense node list once; the parallel sweeps index into it. With shards
-	// and workers available the collection fans out per shard (order is
-	// irrelevant — every row lands in a map — so it skips sorting);
-	// otherwise a single append loop, as before sharding.
-	nodes := make([]graph.NodeID, 0, g.NumNodes())
-	if p := g.NumShards(); p > 1 && workers > 1 {
-		shardRuns := make([][]graph.NodeID, p)
-		graph.ParallelFor(workers, p, func(_, s int) {
-			run := make([]graph.NodeID, 0, g.NumShardNodes(s))
-			g.ShardNodes(s, func(v graph.NodeID, _ graph.LabelID) bool {
-				run = append(run, v)
-				return true
-			})
-			shardRuns[s] = run
-		})
-		for _, run := range shardRuns {
-			nodes = append(nodes, run...)
-		}
-	} else {
-		g.Nodes(func(v graph.NodeID, _ string) bool {
-			nodes = append(nodes, v)
-			return true
-		})
+	ix.ids = g.NodesSortedParallel()
+	ix.idx = graph.IndexNodes(ix.ids)
+	ix.kdist = make([]Entry, len(ix.ids)*m)
+	for j := range ix.kdist {
+		ix.kdist[j] = unreachable
 	}
-	rows := make([][]Entry, len(nodes))
-	graph.ParallelFor(workers, len(nodes), func(_, j int) {
-		rows[j] = ix.freshEntries(nodes[j])
-	})
-	for j, v := range nodes {
-		ix.kdist[v] = rows[j]
+	graph.ParallelFor(workers, m, func(_, i int) { ix.buildKeyword(i) })
+	for _, s := range ix.kw {
+		meter.Merge(&s.meter)
+		s.meter.Reset()
 	}
-	meters := make([]cost.Meter, len(q.Keywords))
-	graph.ParallelFor(workers, len(q.Keywords), func(_, i int) {
-		ix.buildKeyword(i, &meters[i])
-	})
-	for i := range meters {
-		meter.Merge(&meters[i])
-	}
-	matchRows := make([][]int, len(nodes))
-	graph.ParallelFor(workers, len(nodes), func(_, j int) {
-		matchRows[j] = ix.matchRow(nodes[j])
-	})
-	for j, v := range nodes {
-		if matchRows[j] != nil {
-			ix.matches[v] = matchRows[j]
+	for x, v := range ix.ids {
+		if row := ix.row(int32(x)); ix.isMatch(row) {
+			ix.matches[v] = dists(row)
 		}
 	}
 	return ix
 }
 
-// freshEntries returns the initial kdist row of node v: dist 0 for keywords
-// equal to l(v), Unreachable otherwise.
-func (ix *Index) freshEntries(v graph.NodeID) []Entry {
-	row := make([]Entry, len(ix.q.Keywords))
-	lbl := ix.g.LabelIDAt(v)
-	for i, kw := range ix.kwIDs {
-		if lbl == kw {
-			row[i] = Entry{Dist: 0, Next: NoNext}
-		} else {
-			row[i] = Entry{Dist: Unreachable, Next: NoNext}
-		}
-	}
-	return row
+// row returns kdist(ids[x]), m entries.
+func (ix *Index) row(x int32) []Entry {
+	m := len(ix.kw)
+	return ix.kdist[int(x)*m : int(x)*m+m]
 }
 
-// buildKeyword fills kdist(·)[i] by reverse BFS from all nodes labeled the
-// keyword, bounded by q.Bound. It runs concurrently with other keywords:
-// the meter is the caller's private accumulator, and every write lands in
-// column i only.
-func (ix *Index) buildKeyword(i int, meter *cost.Meter) {
-	type item struct {
-		v graph.NodeID
-		d int
-	}
-	var queue []item
+// at returns kdist(ids[x])[i].
+func (ix *Index) at(x int32, i int) *Entry { return &ix.kdist[int(x)*len(ix.kw)+i] }
+
+// buildKeyword fills column i of kdist by reverse BFS from all nodes
+// labeled the keyword, bounded by q.Bound. It runs concurrently with other
+// keywords: it writes column i and keyword i's scratch only.
+func (ix *Index) buildKeyword(i int) {
+	s, b := ix.kw[i], ix.q.Bound
+	queue := s.fifo[:0]
 	ix.g.NodesWithLabelID(ix.kwIDs[i], func(v graph.NodeID) bool {
-		queue = append(queue, item{v, 0})
+		x := ix.idx.Of(v)
+		*ix.at(x, i) = Entry{Dist: 0, Next: NoNext}
+		queue = append(queue, x)
 		return true
 	})
-	for len(queue) > 0 {
-		it := queue[0]
-		queue = queue[1:]
-		meter.AddNodes(1)
-		if it.d == ix.q.Bound {
+	for head := 0; head < len(queue); head++ {
+		x := queue[head]
+		s.meter.AddNodes(1)
+		d := ix.at(x, i).Dist
+		if d == b {
 			continue
 		}
-		ix.g.Predecessors(it.v, func(u graph.NodeID) bool {
-			meter.AddEdges(1)
-			row := ix.kdist[u]
-			if it.d+1 < row[i].Dist {
-				row[i] = Entry{Dist: it.d + 1, Next: it.v}
-				meter.AddEntries(1)
-				queue = append(queue, item{u, it.d + 1})
+		v := ix.ids[x]
+		for _, u := range ix.g.PredecessorsSorted(v) {
+			s.meter.AddEdges(1)
+			iu := ix.idx.Of(u)
+			if e := ix.at(iu, i); d+1 < e.Dist {
+				*e = Entry{Dist: d + 1, Next: v}
+				s.meter.AddEntries(1)
+				queue = append(queue, iu)
 			}
-			return true
-		})
-	}
-}
-
-// matchRow returns v's per-keyword distance vector when v is a match root,
-// nil otherwise. Read-only: safe to call concurrently between mutations.
-func (ix *Index) matchRow(v graph.NodeID) []int {
-	row, ok := ix.kdist[v]
-	if !ok {
-		return nil
-	}
-	for _, e := range row {
-		if e.Dist > ix.q.Bound {
-			return nil
 		}
 	}
+	s.fifo = queue
+}
+
+// isMatch reports whether a kdist row makes its node a match root.
+func (ix *Index) isMatch(row []Entry) bool {
+	for _, e := range row {
+		if e.Dist > ix.q.Bound {
+			return false
+		}
+	}
+	return true
+}
+
+// dists returns the distance vector of a row.
+func dists(row []Entry) []int {
 	ds := make([]int, len(row))
 	for i, e := range row {
 		ds[i] = e.Dist
@@ -247,13 +239,25 @@ func (ix *Index) matchRow(v graph.NodeID) []int {
 	return ds
 }
 
-// refreshMatch recomputes whether v is a match root, updating the match set.
-func (ix *Index) refreshMatch(v graph.NodeID) {
-	if ds := ix.matchRow(v); ds != nil {
-		ix.matches[v] = ds
-	} else {
-		delete(ix.matches, v)
+// ensureRow gives a node the batch created a fresh kdist row — dist 0 for
+// the keywords equal to its label, Unreachable otherwise — and lists it
+// among the rows ΔO is diffed from.
+func (ix *Index) ensureRow(v graph.NodeID) {
+	if _, ok := ix.idx.Get(v); ok {
+		return
 	}
+	x := int32(len(ix.ids))
+	ix.idx.Add(v, x)
+	ix.ids = append(ix.ids, v)
+	lbl := ix.g.LabelIDAt(v)
+	for _, kw := range ix.kwIDs {
+		if lbl == kw {
+			ix.kdist = append(ix.kdist, Entry{Dist: 0, Next: NoNext})
+		} else {
+			ix.kdist = append(ix.kdist, unreachable)
+		}
+	}
+	ix.touchRow(x)
 }
 
 // Graph returns the underlying graph: mutated by Apply* when the index
@@ -265,11 +269,11 @@ func (ix *Index) Query() Query { return ix.q }
 
 // Entry returns kdist(v)[i].
 func (ix *Index) Entry(v graph.NodeID, i int) Entry {
-	row, ok := ix.kdist[v]
+	x, ok := ix.idx.Get(v)
 	if !ok {
-		return Entry{Dist: Unreachable, Next: NoNext}
+		return unreachable
 	}
-	return row[i]
+	return *ix.at(x, i)
 }
 
 // MatchRoots returns the roots of Q(G) in ascending order. The slice is
@@ -282,7 +286,7 @@ func (ix *Index) MatchRoots() []graph.NodeID {
 		for r := range ix.matches {
 			roots = append(roots, r)
 		}
-		sort.Slice(roots, func(i, j int) bool { return roots[i] < roots[j] })
+		slices.Sort(roots)
 		return roots
 	})
 }
@@ -293,9 +297,7 @@ func (ix *Index) MatchAt(r graph.NodeID) (Match, bool) {
 	if !ok {
 		return Match{}, false
 	}
-	out := make([]int, len(ds))
-	copy(out, ds)
-	return Match{Root: r, Dists: out}, true
+	return Match{Root: r, Dists: slices.Clone(ds)}, true
 }
 
 // NumMatches returns |Q(G)|.
@@ -325,9 +327,7 @@ func (ix *Index) WriteAnswer(w io.Writer) error {
 func (ix *Index) Snapshot() map[graph.NodeID][]int {
 	out := make(map[graph.NodeID][]int, len(ix.matches))
 	for r, ds := range ix.matches {
-		cp := make([]int, len(ds))
-		copy(cp, ds)
-		out[r] = cp
+		out[r] = slices.Clone(ds)
 	}
 	return out
 }

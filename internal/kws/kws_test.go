@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"incgraph/internal/cost"
@@ -352,7 +353,7 @@ func TestIncrementalEqualsBatchRandomized(t *testing.T) {
 			t.Fatalf("seed %d: match sets diverge: %d vs %d", seed, len(a), len(b))
 		}
 		for r, ds := range a {
-			if !intsEqual(b[r], ds) {
+			if !slices.Equal(b[r], ds) {
 				t.Fatalf("seed %d: root %d: %v vs %v", seed, r, ds, b[r])
 			}
 		}
@@ -397,7 +398,7 @@ func TestDeltaConsistencyRandomized(t *testing.T) {
 			t.Fatalf("seed %d: delta application wrong size: %d vs %d", seed, len(before), len(after))
 		}
 		for r, ds := range after {
-			if !intsEqual(before[r], ds) {
+			if !slices.Equal(before[r], ds) {
 				t.Fatalf("seed %d: root %d: %v vs %v", seed, before[r], ds, r)
 			}
 		}

@@ -2,6 +2,7 @@ package kws
 
 import (
 	"fmt"
+	"slices"
 
 	"incgraph/internal/graph"
 )
@@ -24,10 +25,8 @@ func (ix *Index) MatchTree(r graph.NodeID) (Tree, bool) {
 	tr := Tree{Root: r, Paths: make([][]graph.NodeID, len(ix.q.Keywords))}
 	for i := range ix.q.Keywords {
 		path := []graph.NodeID{r}
-		v := r
-		for ix.kdist[v][i].Dist > 0 {
-			v = ix.kdist[v][i].Next
-			path = append(path, v)
+		for e := ix.Entry(r, i); e.Dist > 0; e = ix.Entry(e.Next, i) {
+			path = append(path, e.Next)
 		}
 		tr.Paths[i] = path
 	}
@@ -69,21 +68,27 @@ func (tr Tree) Edges() []graph.Edge {
 //     dist exactly one smaller (so next chains terminate at the keyword);
 //  4. dist equals the true bounded shortest distance (recomputed);
 //  5. the match set is exactly the set of nodes with all dists ≤ bound.
+//
+// It also audits the layout: one row per graph node, found through the
+// dense index.
 func (ix *Index) Check() error {
 	fresh, err := Build(ix.g.Clone(), ix.q, nil)
 	if err != nil {
 		return err
 	}
 	truth := fresh.matches
+	if len(ix.ids) != ix.g.NumNodes() || len(ix.kdist) != len(ix.ids)*len(ix.kw) {
+		return fmt.Errorf("kws: %d rows (%d entries) for %d nodes", len(ix.ids), len(ix.kdist), ix.g.NumNodes())
+	}
 	var fail error
 	ix.g.Nodes(func(v graph.NodeID, lbl string) bool {
-		row, ok := ix.kdist[v]
-		if !ok {
+		x, ok := ix.idx.Get(v)
+		if !ok || ix.ids[x] != v {
 			fail = fmt.Errorf("kws: node %d missing kdist row", v)
 			return false
 		}
 		for i, kw := range ix.q.Keywords {
-			e := row[i]
+			e := *ix.at(x, i)
 			if (e.Dist == 0) != (lbl == kw) {
 				fail = fmt.Errorf("kws: node %d kw %q: dist 0 iff label, got dist=%d label=%q", v, kw, e.Dist, lbl)
 				return false
@@ -97,9 +102,8 @@ func (ix *Index) Check() error {
 					fail = fmt.Errorf("kws: node %d kw %q: next %d is not a successor", v, kw, e.Next)
 					return false
 				}
-				if ix.kdist[e.Next][i].Dist != e.Dist-1 {
-					fail = fmt.Errorf("kws: node %d kw %q: next %d has dist %d, want %d",
-						v, kw, e.Next, ix.kdist[e.Next][i].Dist, e.Dist-1)
+				if nd := ix.Entry(e.Next, i).Dist; nd != e.Dist-1 {
+					fail = fmt.Errorf("kws: node %d kw %q: next %d has dist %d, want %d", v, kw, e.Next, nd, e.Dist-1)
 					return false
 				}
 			}
@@ -107,7 +111,7 @@ func (ix *Index) Check() error {
 				fail = fmt.Errorf("kws: node %d kw %q: unreachable with next pointer", v, kw)
 				return false
 			}
-			if want := fresh.kdist[v][i].Dist; e.Dist != want {
+			if want := fresh.Entry(v, i).Dist; e.Dist != want {
 				fail = fmt.Errorf("kws: node %d kw %q: dist %d, batch recompute says %d", v, kw, e.Dist, want)
 				return false
 			}
@@ -126,7 +130,7 @@ func (ix *Index) Check() error {
 		if !ok {
 			return fmt.Errorf("kws: missing match root %d", r)
 		}
-		if !intsEqual(got, want) {
+		if !slices.Equal(got, want) {
 			return fmt.Errorf("kws: root %d dists %v, batch says %v", r, got, want)
 		}
 	}
