@@ -14,7 +14,7 @@ import (
 // validated batch plan to the worker owning it, in parallel; phase 2 (the
 // commit callback) logs and applies the batch locally — so the distributed
 // application is byte-identical to the single-process one. Shard
-// placement and rebalancing ship the per-shard snapshot segments of
+// placement and resync ship the per-shard snapshot segments of
 // internal/store. The coordinator commits one batch at a time. See
 // internal/cluster for the protocol contract and doc.go "Distribution" for
 // what is and is not replicated.
@@ -28,11 +28,6 @@ type (
 	ClusterLink = cluster.Link
 	// ClusterStat is one worker's entry in Cluster.Stats.
 	ClusterStat = cluster.Stat
-	// ClusterScrubReport summarizes one anti-entropy pass (Cluster.Scrub).
-	ClusterScrubReport = cluster.ScrubReport
-	// ClusterScrubStats are the lifetime anti-entropy counters
-	// (Cluster.ScrubCounters).
-	ClusterScrubStats = cluster.ScrubStats
 )
 
 // ClusterOption configures NewCluster.

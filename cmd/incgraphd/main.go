@@ -16,8 +16,7 @@
 //	          [-shards N] [-workers N] [-fsync always|none]
 //	          [-checkpoint-bytes N]
 //	          [-cluster addr1,addr2 | -cluster-spawn N]
-//	          [-term N] [-hub :7423]
-//	          [-scrub-every D] [-disk-fault SPEC]
+//	          [-term N] [-hub :7423] [-disk-fault SPEC]
 //	          [-max-conns N] [-idle-timeout D] [-op-timeout D]
 //	          [-max-staged N] [-commit-inflight N] [-commit-queue N]
 //	          [-read-inflight N] [-read-queue N]
@@ -83,8 +82,6 @@
 //	stat                     graph/WAL/engine/view/cluster/standby counters
 //	health                   cheap probe: role, term, tail, disk state
 //	promote                  standby only: take over as primary at term+1
-//	scrub                    cluster only: one anti-entropy pass, heal divergence
-//	move S W                 cluster only: re-place shard S onto worker W
 //	checkpoint               force a snapshot + fresh WAL
 //	quit                     close the connection
 //
@@ -105,16 +102,6 @@
 // "stat" shows the read side as view_gen, view_delta_rows (ΔO rows waiting
 // in chains, all classes) and view_folds. Commits, checkpoints and
 // promotion are serialized among themselves.
-//
-// The process holds one graph: the engines are built on the store's graph,
-// a commit validates and applies ΔG to it once, and each engine repairs its
-// answer in place against the result. "stat" says so as graphs (distinct
-// graphs resident: the store's plus every private engine graph) and
-// engines_inplace (engines repairing on the store's graph): this daemon
-// reads graphs=1 and engines_inplace equal to its class count. An engine
-// attached on a clone of the graph — the library allows it — adds one to
-// graphs and a full copy of the graph to resident memory, and is validated
-// and applied to separately on every commit.
 //
 // # Parallelism
 //
@@ -148,7 +135,7 @@
 // package documentation's "Overload & admission control" section for the
 // degradation contract.
 //
-// # Disk degradation & anti-entropy
+// # Disk degradation
 //
 // A failing disk degrades the daemon the same way overload does:
 // explicitly. A failed WAL append is retried with capped backoff (the
@@ -161,13 +148,6 @@
 // transition counters. -disk-fault arms a seeded fault-injection layer
 // under the store (EIO, ENOSPC, torn writes, failed or lying fsync,
 // crash) for reproducible drills: same seed, same traffic, same faults.
-//
-// In cluster mode -scrub-every starts the anti-entropy scrubber: each
-// tick verifies one shard's worker replica byte-for-byte against the
-// coordinator-authoritative state and re-places any shard that diverged —
-// bit rot is found and healed in the background, not on the next unlucky
-// commit. "scrub" runs one full pass on demand; scrub_* counters appear
-// in "stat".
 package main
 
 import (
@@ -220,7 +200,6 @@ func main() {
 		clusterSpawn = flag.Int("cluster-spawn", 0, "spawn N shard-worker child processes on loopback ports (cluster mode)")
 		term         = flag.Uint64("term", 1, "coordinator fencing term (a promoted standby attaches at its primary's term+1)")
 		hubAddr      = flag.String("hub", "", "listen address for standby feed connections (HA primary)")
-		scrubEvery   = flag.Duration("scrub-every", 0, "background anti-entropy interval: verify one shard replica per tick (0 = off; cluster mode)")
 		diskFault    = flag.String("disk-fault", "", "seeded disk-fault injection spec for drills, e.g. \"seed=7;op=sync,path=wal,count=3,kind=syncfail\"")
 	)
 	lim := limitFlags(flag.CommandLine)
@@ -243,7 +222,6 @@ func main() {
 		clusterSpawn: *clusterSpawn,
 		term:         *term,
 		hubAddr:      *hubAddr,
-		scrubEvery:   *scrubEvery,
 		diskFault:    *diskFault,
 		lim:          *lim,
 	}, stopOnSignal()); err != nil {
@@ -263,7 +241,6 @@ type config struct {
 	clusterSpawn                int
 	term                        uint64
 	hubAddr                     string
-	scrubEvery                  time.Duration
 	diskFault                   string
 	lim                         limits
 }
@@ -631,13 +608,6 @@ func run(cfg config, stop <-chan struct{}) error {
 		srv.publish(false, func(v *view) { v.cl = cl })
 		log.Printf("cluster: %d shards placed across %d workers (term %d)",
 			d.Graph().NumShards(), cl.NumWorkers(), cfg.term)
-		if cfg.scrubEvery > 0 {
-			// Background anti-entropy: one shard replica verified (and
-			// healed if divergent) per tick, round-robin — the whole
-			// cluster is re-verified every shards×interval.
-			cl.StartScrubber(cfg.scrubEvery)
-			log.Printf("scrubber: verifying one shard replica every %v", cfg.scrubEvery)
-		}
 	}
 
 	serveErr := srv.serve(cfg.addr, stop)

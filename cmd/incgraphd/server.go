@@ -31,8 +31,7 @@ import (
 //	server commitMu → coordinator mutex
 //
 // In cluster mode Durable.Commit takes the coordinator's mutex (Cluster.Apply)
-// and calls the log and apply hooks back under both; move and scrub take only
-// the coordinator's, and the scrubber never waits for it. The hub's mutex is a
+// and calls the log and apply hooks back under both. The hub's mutex is a
 // leaf: Hub.Feed takes it under commitMu and calls nothing while holding it,
 // and Hub.ServeConn calls the snapshot callback, which takes commitMu, holding
 // no lock.
@@ -511,14 +510,6 @@ func (s *server) handle(conn net.Conn) {
 			if !s.promote(reply) {
 				return
 			}
-		case "scrub":
-			if !s.scrub(reply) {
-				return
-			}
-		case "move":
-			if !s.move(fields, reply) {
-				return
-			}
 		case "checkpoint":
 			// Snapshot writing only reads the graph, which no one mutates
 			// without commitMu; readers keep answering from the view while
@@ -860,17 +851,11 @@ func (s *server) read(cmd, class string, conn net.Conn, out *bufio.Writer, reply
 }
 
 func (s *server) stat(reply func(string, ...any) bool) bool {
-	// The engines' classes and which graph each was built on are fixed at
-	// attach; neither read touches engine state. An engine not in place has
-	// a graph to itself (Attach refuses two on one), so the graphs resident
-	// are the store's plus one per such engine.
+	// The engines' classes are fixed at attach; reading them touches no
+	// engine state.
 	classes := make([]string, 0, len(s.d.Engines()))
-	inPlace := 0
 	for _, m := range s.d.Engines() {
 		classes = append(classes, m.Class())
-		if m.Graph() == s.d.Graph() {
-			inPlace++
-		}
 	}
 	// Graph counters come from the view, durable metadata from the mirror:
 	// the graph and the store mutate under locks a read does not take.
@@ -879,7 +864,6 @@ func (s *server) stat(reply func(string, ...any) bool) bool {
 	line := fmt.Sprintf("ok role=%s nodes=%d edges=%d gen=%d shards=%d epoch=%d walseq=%d walbytes=%d classes=%s",
 		v.role, v.nodes, v.edges, v.gen, v.shards,
 		s.epoch.Load(), s.walSeq.Load(), s.walBytes.Load(), strings.Join(classes, ","))
-	line += fmt.Sprintf(" graphs=%d engines_inplace=%d", 1+len(classes)-inPlace, inPlace)
 	// The read side: the generation on view, the ΔO rows waiting in chains
 	// for a reader to merge, and how often a chain was folded into its base.
 	chainRows := 0
@@ -923,9 +907,6 @@ func (s *server) stat(reply func(string, ...any) bool) bool {
 		}
 		line += fmt.Sprintf(" cluster_workers=%d/%d cluster_applied=%d cluster_remote_errs=%d cluster_resyncs=%d cluster_retries=%d cluster_term=%d stat_age_ms=%d",
 			up, cl.NumWorkers(), cl.Applied(), cl.RemoteErrors(), cl.Resyncs(), retries, cl.Term(), age.Milliseconds())
-		sc := cl.ScrubCounters()
-		line += fmt.Sprintf(" scrub_passes=%d scrub_checked=%d scrub_mismatches=%d scrub_heals=%d scrub_skips=%d",
-			sc.Passes, sc.Checked, sc.Mismatches, sc.Heals, sc.Skips)
 	}
 	if hub != nil {
 		line += fmt.Sprintf(" standbys=%d", hub.Standbys())
@@ -995,46 +976,6 @@ func (s *server) health(reply func(string, ...any) bool) bool {
 		line += fmt.Sprintf(" tail=%s tail_seq=%d", tailName(s.tail.Load()), s.standby.LastSeq())
 	}
 	return reply("%s", line)
-}
-
-// scrub runs one anti-entropy pass over every shard (cluster mode only):
-// each worker replica's parcel bytes are verified against the
-// coordinator-authoritative state, and any divergent shard is re-placed
-// from the authoritative parcel. A shard whose turn meets a commit in flight
-// is skipped, not waited for, so the pass is bounded even under commit load.
-func (s *server) scrub(reply func(string, ...any) bool) bool {
-	cl := s.cluster()
-	if cl == nil {
-		return replyErr(reply, catProto, "scrub: not in cluster mode")
-	}
-	rep, err := cl.Scrub()
-	if err != nil {
-		return replyErr(reply, catProto, "scrub failed: %v", err)
-	}
-	return reply("ok scrub checked=%d skipped=%d mismatches=%d heals=%d",
-		rep.Checked, rep.Skipped, rep.Mismatches, rep.Heals)
-}
-
-// move re-places one shard onto another worker by shipping its snapshot
-// segment (cluster mode only) — the rebalance drills drive it under
-// live commit traffic.
-func (s *server) move(fields []string, reply func(string, ...any) bool) bool {
-	cl := s.cluster()
-	if cl == nil {
-		return replyErr(reply, catProto, "move: not in cluster mode")
-	}
-	if len(fields) != 3 {
-		return replyErr(reply, catProto, "usage: move SHARD WORKER")
-	}
-	shard, err1 := strconv.Atoi(fields[1])
-	w, err2 := strconv.Atoi(fields[2])
-	if err1 != nil || err2 != nil {
-		return replyErr(reply, catProto, "usage: move SHARD WORKER")
-	}
-	if err := cl.MoveShard(shard, w); err != nil {
-		return replyErr(reply, catProto, "move failed: %v", err)
-	}
-	return reply("ok moved shard=%d worker=%d", shard, w)
 }
 
 // promote flips a standby into a primary: the replica's durable state

@@ -18,25 +18,18 @@ import (
 // before the kill whose feed frames died with the primary), kills the
 // primary with -fault-exec, promotes -failover-addr, swaps the shared
 // address, and resumes. Workers reconnect to the promoted standby.
-//
-// rebalance needs no pause: it cycles "move S W" against the live
-// coordinator every fault.every — segment shipping competes with
-// commits, which is exactly the contention under test.
 
-// runFault dispatches the scenario's fault action at its scheduled time.
+// runFault runs the scenario's fault action at its scheduled time.
 func runFault(sc *Scenario, env *runEnv, opts runOpts, stop <-chan struct{}, logf func(string, ...any)) (string, error) {
 	select {
 	case <-stop:
 		return "", nil
 	case <-time.After(time.Until(env.epoch.Add(time.Duration(sc.Fault.At)))):
 	}
-	switch sc.Fault.Action {
-	case "failover":
-		return runFailover(env, opts, logf)
-	case "rebalance":
-		return runRebalance(sc, env, stop, logf)
+	if sc.Fault.Action != "failover" {
+		return "", fmt.Errorf("unknown fault action %q", sc.Fault.Action)
 	}
-	return "", fmt.Errorf("unknown fault action %q", sc.Fault.Action)
+	return runFailover(env, opts, logf)
 }
 
 func runFailover(env *runEnv, opts runOpts, logf func(string, ...any)) (string, error) {
@@ -99,52 +92,6 @@ func runFailover(env *runEnv, opts runOpts, logf func(string, ...any)) (string, 
 	env.book.set(opts.failoverAddr)
 	logf("failover complete: %s now serves at %s", promoted, opts.failoverAddr)
 	return fmt.Sprintf("failover: killed %s, %s", primary, promoted), nil
-}
-
-func runRebalance(sc *Scenario, env *runEnv, stop <-chan struct{}, logf func(string, ...any)) (string, error) {
-	// Learn the topology once: shard count from "stat" shards=, worker
-	// count from cluster_workers=U/T.
-	stat, err := oneShot(env.book.get(), "stat")
-	if err != nil {
-		return "", fmt.Errorf("rebalance: stat: %v", err)
-	}
-	shards, workers := 0, 0
-	for _, f := range strings.Fields(stat) {
-		if v, ok := strings.CutPrefix(f, "shards="); ok {
-			shards, _ = strconv.Atoi(v)
-		}
-		if v, ok := strings.CutPrefix(f, "cluster_workers="); ok {
-			if _, t, ok := strings.Cut(v, "/"); ok {
-				workers, _ = strconv.Atoi(t)
-			}
-		}
-	}
-	if shards == 0 || workers < 2 {
-		return "", fmt.Errorf("rebalance needs a cluster with >=2 workers (stat: shards=%d workers=%d)", shards, workers)
-	}
-	moves, failures := 0, 0
-	t := time.NewTicker(time.Duration(sc.Fault.Every))
-	defer t.Stop()
-	for i := 0; ; i++ {
-		select {
-		case <-stop:
-			if failures > 0 {
-				return "", fmt.Errorf("rebalance: %d of %d moves failed", failures, moves+failures)
-			}
-			return fmt.Sprintf("rebalance: %d shard moves across %d workers", moves, workers), nil
-		case <-t.C:
-		}
-		s := i % shards
-		w := (i + 1) % workers
-		reply, err := oneShot(env.book.get(), fmt.Sprintf("move %d %d", s, w))
-		if err != nil || !strings.HasPrefix(reply, "ok moved") {
-			failures++
-			logf("rebalance: move %d %d: %v %s", s, w, err, reply)
-			continue
-		}
-		moves++
-		logf("rebalance: shard %d -> worker %d", s, w)
-	}
 }
 
 // oneShot runs a single command on a fresh connection and returns the

@@ -189,7 +189,7 @@ func runScenario(addr string, sc *Scenario, opts runOpts, logf func(string, ...a
 	}
 
 	// The soak sampler emits periodic time-series lines; the fault driver
-	// runs the scenario's failover or rebalance mid-storm.
+	// runs the scenario's failover mid-storm.
 	if env.soak != nil {
 		wg.Add(1)
 		go func() {

@@ -14,7 +14,7 @@ import (
 )
 
 // Scenario describes one load shape. Scenarios live as JSON files — the
-// eight built-ins are embedded below, and -scenario also accepts a path to
+// seven built-ins are embedded below, and -scenario also accepts a path to
 // a user-written file (same schema; scenarios/README.md says what each
 // built-in is for and how to run the daemon under it).
 type Scenario struct {
@@ -50,13 +50,11 @@ type Scenario struct {
 	// Fault, when Action is non-empty, injects a topology fault mid-run.
 	// "failover" drains commits, kills the primary (-fault-exec), promotes
 	// the standby (-failover-addr), and redirects every worker to it at
-	// At. "rebalance" moves one shard to the next worker every Every
-	// starting at At, under full load. Workers reconnect through faults
-	// instead of dying, and the degradation contract stays asserted.
+	// At. Workers reconnect through the fault instead of dying, and the
+	// degradation contract stays asserted.
 	Fault struct {
 		At     Duration `json:"at"`
 		Action string   `json:"action"`
-		Every  Duration `json:"every"`
 	} `json:"fault"`
 
 	// Check bounds for -check; zero values disable the individual checks.
@@ -147,15 +145,12 @@ func parseScenario(data []byte) (*Scenario, error) {
 	}
 	switch sc.Fault.Action {
 	case "":
-	case "failover", "rebalance":
+	case "failover":
 		if sc.Fault.At <= 0 || sc.Fault.At >= sc.Duration {
 			return nil, fmt.Errorf("scenario %s: fault.at must fall inside the run", sc.Name)
 		}
-		if sc.Fault.Action == "rebalance" && sc.Fault.Every <= 0 {
-			sc.Fault.Every = Duration(time.Second)
-		}
 	default:
-		return nil, fmt.Errorf("fault.action: want failover|rebalance")
+		return nil, fmt.Errorf("fault.action: want failover")
 	}
 	return sc, nil
 }

@@ -19,6 +19,7 @@ func TestParseScenarioValidation(t *testing.T) {
 		"non-numeric int":  `{"name": "x", "clients": "two", "duration": "1s", "mix": {"query": 1}}`,
 		"non-duration dur": `{"name": "x", "clients": 2, "duration": "soon", "mix": {"query": 1}}`,
 		"bad fault action": `{` + ok + `, "fault": {"action": "explode", "at": "500ms"}}`,
+		"rebalance fault":  `{` + ok + `, "fault": {"action": "rebalance", "at": "500ms"}}`,
 		"fault past end":   `{` + ok + `, "fault": {"action": "failover", "at": "2s"}}`,
 		"unknown nested":   `{` + ok + `, "check": {"p99_maximum": "2s"}}`,
 		"duplicate key":    `{` + ok + `, "clients": 3}`,
@@ -45,8 +46,8 @@ func TestParseScenarioValidation(t *testing.T) {
 // Every embedded scenario must load; they are the CLI's public surface.
 func TestBuiltinScenariosLoad(t *testing.T) {
 	names := builtinScenarios()
-	if len(names) != 8 {
-		t.Fatalf("want 8 built-in scenarios, have %v", names)
+	if len(names) != 7 {
+		t.Fatalf("want 7 built-in scenarios, have %v", names)
 	}
 	for _, name := range names {
 		sc, err := loadScenario(name)

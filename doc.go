@@ -156,9 +156,9 @@
 // ingests "+/-" update streams over a line protocol and checkpoints on
 // demand or past a WAL-size threshold. It holds one graph — primary,
 // cluster coordinator, standby and crash recovery all build the engines
-// on the store's graph and attach them in place ("stat": graphs=1) — and
-// serves rpq/kws/scc/iso answers
-// the way the paper defines their maintenance, as Q(G) ⊕ ΔO: every commit
+// on the store's graph and attach them in place — and serves
+// rpq/kws/scc/iso answers the way the paper defines their maintenance, as
+// Q(G) ⊕ ΔO: every commit
 // publishes, with one atomic pointer store, an immutable view holding per
 // class the answer's rows as of some earlier commit and the engines' ΔO of
 // every commit since (RowAnswer is the row surface the Maintain* adapters
@@ -179,8 +179,9 @@
 //     a length+CRC-framed RPC protocol (the WAL's framing). The
 //     coordinator keeps the authoritative full graph: batches are
 //     validated and planned there, the engines and the Durable live
-//     there, and shard placement/rebalancing ship the snapshot's
+//     there, and shard placement and resync ship the snapshot's
 //     per-shard segments (the wire format the store was designed around).
+//     Placement is round-robin and fixed for a coordinator's lifetime.
 //   - Determinism. A distributed commit is a two-phase protocol over the
 //     batch's validated, shard-partitioned plan: phase 1 ships each
 //     shard's slice of the plan to its owning worker, in parallel; phase 2
@@ -188,8 +189,7 @@
 //     workers' edge deltas have been cross-checked against the plan. The result (graph bytes,
 //     engine deltas, canonical answers) is byte-identical to the
 //     single-process application; the differential tests pin
-//     cluster(workers=2) ≡ single-process for all four query classes,
-//     mid-stream rebalance included.
+//     cluster(workers=2) ≡ single-process for all four query classes.
 //   - Failure. A batch is logged and applied locally only after every
 //     involved worker acknowledged phase 1. A worker failure mid-batch
 //     aborts the commit atomically — nothing is logged or applied locally
@@ -213,9 +213,8 @@
 //   - One commit at a time. The coordinator holds one mutex from plan to
 //     local apply, so distributed commits reach the workers, the WAL and
 //     the authoritative graph in one order — one ΔG on one G, as IncX
-//     assumes. MoveShard and VerifyShard take the same mutex; the scrubber
-//     only tries it and skips the shard when a commit holds it. A commit
-//     whose op budget ran out before phase 1 is shed with
+//     assumes. VerifyShard takes the same mutex. A commit whose op
+//     budget ran out before phase 1 is shed with
 //     ErrClusterOverloaded. The protocol ships the already-validated plan
 //     zero-copy — effects encode straight off the planner's pooled state,
 //     and interned label tables travel once per session as deltas — and
@@ -227,8 +226,8 @@
 //
 // # High availability
 //
-// Two layers and a set of drills (NewCluster options, ClusterHub/
-// ClusterStandby, Cluster.Scrub). What survives which loss: the standby's
+// One replication layer and a set of drills (NewCluster options,
+// ClusterHub/ClusterStandby). What survives which loss: the standby's
 // own crash-safe store survives the loss of the primary, and the workers
 // hold no history at all — a restarted worker, a diverged replica, and
 // every shard after a promotion are rebuilt from the authoritative
@@ -256,16 +255,6 @@
 //     a write); a replica that diverged from a live primary redirects
 //     reads to the primary rather than answer stale. Writes are only ever
 //     accepted at the single fenced primary.
-//   - Anti-entropy scrubbing. Phase 1's per-shard delta cross-check only
-//     catches a diverged worker replica when a batch touches it; silently
-//     diverged in-memory state would stay wrong until a commit happened to
-//     abort on it. The coordinator's background scrubber (Cluster.Scrub,
-//     Cluster.StartScrubber) walks shards round-robin, one per interval,
-//     compares the worker's parcel bytes against the authoritative
-//     segment, and re-places any shard that differs — the same heal an
-//     aborted batch triggers, driven by verification instead of luck. A
-//     shard whose turn meets a commit in flight is skipped, not waited
-//     for; passes, mismatches, and heals are lifetime counters.
 //   - Fault drills. FaultScript wraps any cluster connection in a seeded
 //     frame-level shim (drop/delay/duplicate/sever, matched by direction,
 //     frame index, and message type) with an event log that is
@@ -282,7 +271,7 @@
 // -cluster addr,addr or -cluster-spawn N (plus -term/-hub for fencing and
 // the standby feed), and "incgraphd standby" runs a warm replica that
 // serves reads while tailing and becomes the primary on "promote". "stat"
-// reports worker health, scrub counters, and the fencing term alongside
+// reports worker health and the fencing term alongside
 // the accept/commit error counters; "health" is the cheap role/liveness
 // probe.
 //
@@ -357,7 +346,7 @@
 //	internal/gen        dataset simulators, update and query generators
 //	internal/store      per-shard snapshots, the WAL, checkpoint/recover
 //	internal/cluster    shard workers, framed RPC, the distributed apply,
-//	                    standby failover, scrubbing, fault injection
+//	                    standby failover, fault injection
 //
 // A minimal session:
 //

@@ -113,9 +113,11 @@ func TestHAFailoverMatchesUninterruptedRun(t *testing.T) {
 	go hub.ServeConn(hubConn)
 	go func() { tailDone <- standby.Run(standbyConn) }()
 	deadline := time.Now().Add(5 * time.Second)
-	for hub.Standbys() == 0 {
+	// The standby knows the term once it has loaded the handshake
+	// snapshot; committing before then would race the snapshot's cut.
+	for standby.Term() == 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("standby never attached")
+			t.Fatal("standby never loaded the handshake snapshot")
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -201,7 +201,10 @@ func TestWorkerRestartLosesStateAndIsReplaced(t *testing.T) {
 	}
 }
 
-func TestMoveShardMidStream(t *testing.T) {
+// TestCoordinatorDropsHoldovers: a coordinator attaching to workers that
+// still hold replicas from an earlier coordinator drops every replica it
+// did not assign, so each worker ends up holding exactly its own shards.
+func TestCoordinatorDropsHoldovers(t *testing.T) {
 	g := testGraph(t, 8)
 	links, workers, stop := InProcess(2)
 	defer stop()
@@ -209,9 +212,8 @@ func TestMoveShardMidStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer co.Close()
 	scratch := g.Clone()
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 3; i++ {
 		b := gen.Updates(scratch, gen.UpdateSpec{Count: 50, InsertRatio: 0.6, Locality: 0.5, Seed: int64(40 + i)})
 		if err := scratch.ApplyBatch(b); err != nil {
 			t.Fatal(err)
@@ -219,31 +221,46 @@ func TestMoveShardMidStream(t *testing.T) {
 		if err := applyLocal(co, g, b); err != nil {
 			t.Fatalf("batch %d: %v", i, err)
 		}
-		if i == 1 {
-			// Rebalance two shards onto the other worker mid-stream.
-			for s := 0; s < 2; s++ {
-				to := 1 - co.WorkerOf(s)
-				if err := co.MoveShard(s, to); err != nil {
-					t.Fatalf("MoveShard(%d,%d): %v", s, to, err)
-				}
-				if co.WorkerOf(s) != to {
-					t.Fatalf("shard %d still on worker %d", s, co.WorkerOf(s))
-				}
+	}
+	co.Close()
+
+	// Reattach with the links reversed: every shard's owner flips, so
+	// every replica the workers hold is a holdover.
+	var reversed []Link
+	for _, i := range []int{1, 0} {
+		conn, err := links[i].Redial()
+		if err != nil {
+			t.Fatal(err)
+		}
+		reversed = append(reversed, Link{Conn: conn, Name: links[i].Name, Redial: links[i].Redial})
+	}
+	owners := []*Worker{workers[1], workers[0]}
+	for wi, w := range owners {
+		held := w.statFor(t).Shards
+		if len(held) == 0 {
+			t.Fatalf("%s holds no replicas before the reattach; the flip proves nothing", reversed[wi].Name)
+		}
+		for s := range held {
+			if co.WorkerOf(s) == wi {
+				t.Fatalf("%s already holds shard %d of its new assignment; the flip proves nothing", reversed[wi].Name, s)
 			}
 		}
 	}
-	if !g.Equal(scratch) {
-		t.Fatal("graph diverged across rebalance")
+	co2, err := NewCoordinator(g, reversed, CoordinatorOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := co.VerifyAll(); err != nil {
-		t.Fatalf("replicas diverged across rebalance: %v", err)
-	}
-	// The old owner must actually have dropped the moved shards.
-	st := workers[0].statFor(t)
-	for s := 0; s < 2; s++ {
-		if _, held := st.Shards[s]; held && co.WorkerOf(s) != 0 {
-			t.Fatalf("worker 0 still holds moved shard %d", s)
+	defer co2.Close()
+	for wi, w := range owners {
+		held := w.statFor(t).Shards
+		for s := 0; s < g.NumShards(); s++ {
+			if _, ok := held[s]; ok != (co2.WorkerOf(s) == wi) {
+				t.Fatalf("%s holds shard %d = %v, want %v", reversed[wi].Name, s, ok, !ok)
+			}
 		}
+	}
+	if err := co2.VerifyAll(); err != nil {
+		t.Fatalf("replicas diverged across the reattach: %v", err)
 	}
 }
 

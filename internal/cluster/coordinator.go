@@ -234,14 +234,10 @@ type Coordinator struct {
 	opts    CoordinatorOptions
 
 	// mu is the coordinator mutex. Apply holds it from plan to commit, and
-	// MoveShard, VerifyShard and the scrubber hold it for their RPCs, so
-	// one batch at a time meets the workers and the authoritative graph. It
-	// guards dirty and every link's phase-1 session state.
+	// VerifyShard holds it for its RPC, so one batch at a time meets the
+	// workers and the authoritative graph. It guards dirty and every link's
+	// phase-1 session state.
 	mu sync.Mutex
-	// assign maps shard index → worker index. A published slice is never
-	// written: MoveShard stores a changed copy under mu, so Stats and
-	// WorkerOf read it without waiting behind a commit.
-	assign atomic.Pointer[[]int]
 	// dirty marks shards whose remote replica diverged (aborted batch,
 	// worker restart); they are re-placed before next use.
 	dirty []bool
@@ -249,17 +245,6 @@ type Coordinator struct {
 	applied    atomic.Uint64
 	remoteErrs atomic.Uint64
 	resyncs    atomic.Uint64
-
-	// Anti-entropy counters; see scrub.go.
-	scrubPasses     atomic.Uint64
-	scrubChecked    atomic.Uint64
-	scrubMismatches atomic.Uint64
-	scrubHeals      atomic.Uint64
-	scrubSkips      atomic.Uint64
-
-	// quit stops the background scrubber; closed once by Close.
-	quit     chan struct{}
-	quitOnce sync.Once
 }
 
 // CoordinatorOptions tunes NewCoordinator.
@@ -290,7 +275,6 @@ func NewCoordinator(g *graph.Graph, links []Link, opts CoordinatorOptions) (*Coo
 		g:     g,
 		opts:  opts,
 		dirty: make([]bool, p),
-		quit:  make(chan struct{}),
 	}
 	for i, l := range links {
 		name := l.Name
@@ -313,13 +297,11 @@ func NewCoordinator(g *graph.Graph, links []Link, opts CoordinatorOptions) (*Coo
 	// Initial placement fans out per worker, like phase 1: requests to
 	// distinct workers are independent (same-link requests serialize on
 	// the link mutex), so startup costs the slowest worker, not the sum.
-	assign := make([]int, p)
 	byWorker := make([][]int, len(c.workers))
-	for s := range assign {
-		assign[s] = s % len(c.workers)
-		byWorker[assign[s]] = append(byWorker[assign[s]], s)
+	for s := 0; s < p; s++ {
+		w := c.WorkerOf(s)
+		byWorker[w] = append(byWorker[w], s)
 	}
-	c.assign.Store(&assign)
 	placeErrs := make([]error, len(c.workers))
 	var wg sync.WaitGroup
 	for i := range c.workers {
@@ -346,7 +328,7 @@ func NewCoordinator(g *graph.Graph, links []Link, opts CoordinatorOptions) (*Coo
 	// as ensureUp reconciles after a redial.
 	for i, l := range c.workers {
 		for s := range held[i] {
-			if s < p && assign[s] != i {
+			if s < p && c.WorkerOf(s) != i {
 				l.request(appendUvarint([]byte{byte(msgDrop)}, uint64(s)))
 			}
 		}
@@ -399,7 +381,8 @@ func (c *Coordinator) place(l *workerLink, s int) error {
 func (c *Coordinator) NumWorkers() int { return len(c.workers) }
 
 // WorkerOf returns the index of the worker shard s is assigned to.
-func (c *Coordinator) WorkerOf(s int) int { return (*c.assign.Load())[s] }
+// Placement is round-robin and fixed for the coordinator's lifetime.
+func (c *Coordinator) WorkerOf(s int) int { return s % len(c.workers) }
 
 // Applied returns the number of batches committed through the cluster.
 func (c *Coordinator) Applied() uint64 { return c.applied.Load() }
@@ -452,7 +435,8 @@ func (c *Coordinator) ensureUp(w int) error {
 		return fmt.Errorf("cluster: worker %s: hello: %w", l.name, err)
 	}
 	var stale []int
-	for s, wi := range *c.assign.Load() {
+	for s := 0; s < c.g.NumShards(); s++ {
+		wi := c.WorkerOf(s)
 		if wi == w && !owned[s] {
 			c.dirty[s] = true
 		}
@@ -477,12 +461,11 @@ func (c *Coordinator) ensureUp(w int) error {
 // prepareShards brings the remote side of the touched shards current:
 // reconnect downed owners, re-place dirty replicas. The caller holds mu.
 func (c *Coordinator) prepareShards(touched []int) error {
-	assign := *c.assign.Load()
 	// Reconnect downed owners first; a reattach may mark further shards
 	// dirty (a restarted worker comes back empty).
 	seen := make(map[int]bool, len(c.workers))
 	for _, s := range touched {
-		w := assign[s]
+		w := c.WorkerOf(s)
 		if seen[w] {
 			continue
 		}
@@ -499,7 +482,8 @@ func (c *Coordinator) prepareShards(touched []int) error {
 	need := make(map[int][]int)
 	for _, s := range touched {
 		if c.dirty[s] {
-			need[assign[s]] = append(need[assign[s]], s)
+			w := c.WorkerOf(s)
+			need[w] = append(need[w], s)
 		}
 	}
 	if len(need) == 0 {
@@ -587,10 +571,10 @@ func (c *Coordinator) Apply(b graph.Batch, deadline time.Time, commit func() err
 
 	// Group the shards per owning worker, preserving shard order within
 	// each group (workers apply and report in request order).
-	assign := *c.assign.Load()
 	grouped := make([][]int, len(c.workers))
 	for _, s := range shards {
-		grouped[assign[s]] = append(grouped[assign[s]], s)
+		w := c.WorkerOf(s)
+		grouped[w] = append(grouped[w], s)
 	}
 	var workerIDs []int
 	for w, ws := range grouped {
@@ -667,40 +651,6 @@ func (c *Coordinator) Apply(b graph.Batch, deadline time.Time, commit func() err
 		return err
 	}
 	c.applied.Add(1)
-	return nil
-}
-
-// MoveShard rebalances shard s onto worker w: the authoritative segment is
-// shipped to the new owner, the old replica is dropped (best-effort), and
-// the assignment flips. Safe between and during Apply traffic: it holds
-// the coordinator mutex like a batch.
-func (c *Coordinator) MoveShard(s, w int) error {
-	if s < 0 || s >= c.g.NumShards() {
-		return fmt.Errorf("cluster: MoveShard: shard %d out of range [0,%d)", s, c.g.NumShards())
-	}
-	if w < 0 || w >= len(c.workers) {
-		return fmt.Errorf("cluster: MoveShard: worker %d out of range [0,%d)", w, len(c.workers))
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	assign := *c.assign.Load()
-	old := assign[s]
-	if old == w {
-		return nil
-	}
-	if err := c.ensureUp(w); err != nil {
-		return err
-	}
-	if err := c.place(c.workers[w], s); err != nil {
-		c.remoteErrs.Add(1)
-		return fmt.Errorf("cluster: MoveShard: placing shard %d on %s: %w", s, c.workers[w].name, err)
-	}
-	assign = append([]int(nil), assign...)
-	assign[s] = w
-	c.assign.Store(&assign)
-	c.dirty[s] = false
-	req := appendUvarint([]byte{byte(msgDrop)}, uint64(s))
-	c.workers[old].request(req) // best-effort: stale replicas are inert
 	return nil
 }
 
@@ -781,8 +731,8 @@ func (c *Coordinator) StatsWithin(timeout time.Duration) []Stat {
 	}
 	out := make([]Stat, len(c.workers))
 	assigned := make([]int, len(c.workers))
-	for _, w := range *c.assign.Load() {
-		assigned[w]++
+	for s := 0; s < c.g.NumShards(); s++ {
+		assigned[c.WorkerOf(s)]++
 	}
 	var wg sync.WaitGroup
 	for i, l := range c.workers {
@@ -829,7 +779,6 @@ func (c *Coordinator) StatsWithin(timeout time.Duration) []Stat {
 // (its blocked read fails as the conn closes) instead of pinning shutdown
 // until the RPC deadline expires.
 func (c *Coordinator) Close() error {
-	c.quitOnce.Do(func() { close(c.quit) })
 	for _, l := range c.workers {
 		l.connMu.Lock()
 		if l.conn != nil {

@@ -5,9 +5,10 @@
 // validated batch plan out to the worker owning it, in parallel; phase 2
 // merges the per-shard deltas deterministically in shard order on the
 // coordinator — so a distributed application produces state byte-identical
-// to the single-process one. Shard placement and rebalancing ship the
+// to the single-process one. Shard placement and resync ship the
 // per-shard snapshot segments of internal/store (EncodeShardParcel /
-// DecodeShardParcel feeding graph.LoadShard). The coordinator commits one
+// DecodeShardParcel feeding graph.LoadShard); placement is round-robin
+// and fixed for the coordinator's lifetime. The coordinator commits one
 // batch at a time: its mutex is held from plan to local commit.
 //
 // # Division of state
@@ -24,20 +25,28 @@
 // marked stale and re-placed from the coordinator's authoritative segments
 // before its shards are used again.
 //
+// No read, recovery or promotion is served from a worker's replicas. What
+// a worker's copy is read by, the whole list:
+//   - phase 1's per-shard cross-check: the worker applies its slice of the
+//     plan and reports each shard's edge delta, which must match the plan's;
+//   - VerifyShard/VerifyAll: the worker exports a shard's parcel and the
+//     coordinator compares it byte for byte with its own (the tests' and
+//     examples/ha_cluster's parity oracle);
+//   - term fencing: the worker refuses to let a deposed coordinator's
+//     session mutate it.
+//
 // # High availability
 //
-// Two layers on top of that substrate, plus drills. Standby failover
-// (lease.go) is the one replication path: a Hub beside the primary feeds
-// every committed record to Standby tails, each of which keeps its own
-// crash-safe store, and whose heartbeats double as the primary's lease;
-// promotion attaches a new coordinator over the standby's state at term+1,
-// fencing the deposed coordinator's sessions at every worker. Workers hold
-// no history of their own: a restarted or diverged worker — or every
-// worker, after a promotion — is rebuilt from the authoritative parcels,
-// and the anti-entropy scrubber (scrub.go) re-verifies their replicas
-// against those parcels in the background. A FaultScript (fault.go) wraps
-// any of these connections in a seeded frame-level shim so every failure
-// mode is drilled deterministically.
+// Standby failover (lease.go) is the one replication path: a Hub beside
+// the primary feeds every committed record to Standby tails, each of which
+// keeps its own crash-safe store, and whose heartbeats double as the
+// primary's lease; promotion attaches a new coordinator over the standby's
+// state at term+1, fencing the deposed coordinator's sessions at every
+// worker. Workers hold no history of their own: a restarted or diverged
+// worker — or every worker, after a promotion — is rebuilt from the
+// authoritative parcels. A FaultScript (fault.go) wraps any of these
+// connections in a seeded frame-level shim so every failure mode is
+// drilled deterministically.
 package cluster
 
 import (

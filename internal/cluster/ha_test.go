@@ -174,9 +174,11 @@ func TestClusterStandbyPromoteRecoversIdentically(t *testing.T) {
 	go hub.ServeConn(hc)
 	go func() { tailDone <- standby.Run(sc) }()
 	deadline := time.Now().Add(5 * time.Second)
-	for hub.Standbys() == 0 {
+	// The standby knows the term once it has loaded the handshake
+	// snapshot; committing before then would race the snapshot's cut.
+	for standby.Term() == 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("standby never attached")
+			t.Fatal("standby never loaded the handshake snapshot")
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -315,9 +317,11 @@ func TestHubFeedCommitOrderUnderConcurrentCommits(t *testing.T) {
 	go hub.ServeConn(hc)
 	go func() { tailDone <- standby.Run(sc) }()
 	deadline := time.Now().Add(5 * time.Second)
-	for hub.Standbys() == 0 {
+	// The standby knows the term once it has loaded the handshake
+	// snapshot; committing before then would race the snapshot's cut.
+	for standby.Term() == 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("standby never attached")
+			t.Fatal("standby never loaded the handshake snapshot")
 		}
 		time.Sleep(time.Millisecond)
 	}

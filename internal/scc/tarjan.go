@@ -11,9 +11,9 @@
 // insertion takes the next free index; NodeID → index is graph.NodeIndex, an
 // array lookup for IDs issued from zero and a map only for negative or huge
 // ones (rpq numbers its nodes through the same type). The index is
-// deliberately not the graph's slot, which interleaves shards: SetShards,
-// MoveShard and a snapshot reload renumber slots, and an index that followed
-// them would make the DFS order — hence the maintained certificate and the
+// deliberately not the graph's slot, which interleaves shards: SetShards
+// and a snapshot reload renumber slots, and an index that followed them
+// would make the DFS order — hence the maintained certificate and the
 // work metered — depend on the deployment shape. comp, num, low, desc and
 // parent are slices over the index; a component's members are one ascending
 // []NodeID that is never modified once published (splits and merges build

@@ -13,7 +13,7 @@ import (
 // table restricted to the labels actually present on the shard, followed
 // by the segment body in the exact encoding WriteSnapshot uses — so a
 // single shard can be shipped between processes (cluster shard placement,
-// rebalancing, resync after divergence) without dragging the whole
+// resync after divergence) without dragging the whole
 // snapshot along. Like snapshots, parcels are byte-deterministic:
 // identical shard state produces identical parcels whichever process
 // encoded it, which is what lets a coordinator verify a remote worker's
