@@ -22,7 +22,8 @@ import (
 // "promote" attaches it to the same workers at term+1, and the remaining
 // stream goes through the promoted daemon. Every query class's final
 // answer must be byte-identical to a single-process daemon fed the same
-// stream — the cmd-level version of TestHAFailoverMatchesUninterruptedRun.
+// stream — the cmd-level version of the root package's TestHistory
+// "failover" shape.
 func TestStandbyFailoverSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exec-based smoke test")

@@ -188,8 +188,9 @@
 //     — the commit callback — logs and applies the batch locally, once the
 //     workers' edge deltas have been cross-checked against the plan. The result (graph bytes,
 //     engine deltas, canonical answers) is byte-identical to the
-//     single-process application; the differential tests pin
-//     cluster(workers=2) ≡ single-process for all four query classes.
+//     single-process application; TestHistory pins it: its "cluster" shape
+//     (workers=2) reports the summaries, ΔO rows, answers and metered work
+//     of every class that the single-process shapes do, after every step.
 //   - Failure. A batch is logged and applied locally only after every
 //     involved worker acknowledged phase 1. A worker failure mid-batch
 //     aborts the commit atomically — nothing is logged or applied locally
@@ -218,9 +219,9 @@
 //     ErrClusterOverloaded. The protocol ships the already-validated plan
 //     zero-copy — effects encode straight off the planner's pooled state,
 //     and interned label tables travel once per session as deltas — and
-//     the WAL append follows phase 1 rather than overlapping it. The
-//     cluster commit differential pins byte-identical summaries, answers
-//     and WAL files between a cluster commit and the local one; perf/
+//     the WAL append follows phase 1 rather than overlapping it.
+//     TestHistory pins byte-identical summaries, answers and WAL files
+//     between a cluster commit and the local one; perf/
 //     reports what the distributed hop costs (cluster.commit_p50_ms,
 //     cluster.overhead_ratio) without gating it.
 //
@@ -245,10 +246,11 @@
 //     or an operator's explicit promote — the standby's owner attaches a
 //     coordinator at term+1 over the same workers, which re-places every
 //     shard from the standby's graph and fences the deposed coordinator:
-//     its late commits fail with "fenced" instead of forking history. The
-//     differential tests pin that a SIGKILL'd primary plus a promoted
-//     standby produce answers, snapshot bytes, and worker replicas
-//     identical to the uninterrupted run. The serving tier degrades
+//     its late commits fail with "fenced" instead of forking history.
+//     TestHistory's "failover" shape pins that a SIGKILL'd primary plus a
+//     promoted standby produce the summaries, ΔO, answers, snapshot bytes
+//     and worker replicas of the uninterrupted run, and that the deposed
+//     primary's late commit is fenced. The serving tier degrades
 //     monotonically: a standby with a live feed serves reads that are
 //     current through the last fed commit; a standby that outlived its
 //     primary keeps serving reads from its last durable generation (never

@@ -1,11 +1,12 @@
 package incgraph_test
 
-// Seeded disk-fault drills over the Durable layer: the "acked ⇒ durable,
-// not-acked ⇒ absent after replay" invariant must hold when the WAL's
-// fsync fails mid-stream and the process then dies. Every Apply that
-// returned success must be visible after recovery; every Apply the fault
-// refused must have left no trace — the recovered graph equals a
-// reference graph that applied exactly the acknowledged batches.
+// Targeted drills over the Durable layer, beside TestHistory: disk faults
+// (an fsync that fails, a WAL append that fails after phase 1), a torn or
+// corrupt WAL tail, a cluster commit refused before Recover, and the
+// attach-time guards. The invariant of the disk drills is "acked ⇒
+// durable, not acked ⇒ absent after replay": a recovered store holds
+// exactly the acknowledged history, and its engines, attached in place,
+// answer what from-scratch builds on that history do.
 
 import (
 	"bytes"
@@ -18,83 +19,205 @@ import (
 	"incgraph"
 )
 
+// matchesOracle fails unless d holds sim and every engine answers what a
+// from-scratch build on sim does, with its audit green.
+func matchesOracle(t *testing.T, what string, d *incgraph.Durable, engines map[string]rowEngine, build builders, sim *incgraph.Graph) {
+	t.Helper()
+	if !d.Graph().Equal(sim) {
+		t.Fatalf("%s: the store's graph is not the history's", what)
+	}
+	for class, e := range engines {
+		if got, want := e.answer(), build[class](sim.Clone()).answer(); got != want {
+			t.Fatalf("%s: %s answers differently from a fresh build: %s", what, class, firstDiff(got, want))
+		}
+		if err := e.audit(); err != nil {
+			t.Fatalf("%s: %s audit: %v", what, class, err)
+		}
+	}
+}
+
+// TestRecoveryTornTail crashes mid-append: the WAL's last record is torn
+// (truncated) or corrupted (CRC flip). Recovery must succeed with the
+// valid prefix and serve the history without the lost batch, and the
+// truncated log must take that batch again.
+func TestRecoveryTornTail(t *testing.T) {
+	for _, mode := range []string{"torn", "crc"} {
+		t.Run(mode, func(t *testing.T) {
+			g := historyGraph()
+			build, _ := rowEngines(t, g)
+			h := newRowHistory(g, 777)
+			dir := t.TempDir()
+			d, err := incgraph.CreateDurable(dir, g.Clone(), incgraph.DurableOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			attachInPlace(d, build)
+			var kept *incgraph.Graph
+			var lost incgraph.Batch
+			for i := 0; i < 6; i++ {
+				kept, lost = h.sim.Clone(), h.batch(60)
+				if _, err := d.Commit(lost, incgraph.ApplyOptions{}); err != nil {
+					t.Fatalf("batch %d: %v", i, err)
+				}
+			}
+			d.Close()
+
+			// Damage the tail of the WAL so the final record is lost.
+			walPath := filepath.Join(dir, "wal-00000001.log")
+			data, err := os.ReadFile(walPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch mode {
+			case "torn":
+				data = data[:len(data)-7] // cut inside the last record
+			case "crc":
+				data[len(data)-1] ^= 0xFF // corrupt the last payload byte
+			}
+			if err := os.WriteFile(walPath, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			r, err := incgraph.OpenDurable(dir, incgraph.DurableOptions{})
+			if err != nil {
+				t.Fatalf("OpenDurable after %s tail: %v", mode, err)
+			}
+			defer r.Close()
+			engines := attachInPlace(r, build)
+			if err := r.Recover(); err != nil {
+				t.Fatalf("Recover after %s tail: %v", mode, err)
+			}
+			matchesOracle(t, "torn-tail recovery", r, engines, build, kept)
+			if _, err := r.Commit(lost, incgraph.ApplyOptions{}); err != nil {
+				t.Fatalf("re-apply after truncation: %v", err)
+			}
+			matchesOracle(t, "post-truncation apply", r, engines, build, h.sim)
+		})
+	}
+}
+
+// maintainedOnly shows an engine's Maintained methods and nothing else: the
+// shape of a caller's wrapper, which hides the in-place repair entry.
+type maintainedOnly struct{ incgraph.Maintained }
+
+// TestDurableGuards pins what Attach decides and the misuse errors: an
+// adapter on the base graph attaches and shares it; a wrapper on the base
+// graph, and a second engine on one private graph, are refused at attach
+// time — each would otherwise fail on the first commit, after the WAL
+// append — and applying before recovery completed is refused. It is the
+// one test that attaches an engine on a clone on purpose.
+func TestDurableGuards(t *testing.T) {
+	g := historyGraph()
+	build, _ := rowEngines(t, g)
+	h := newRowHistory(g, 99)
+	dir := t.TempDir()
+	d, err := incgraph.CreateDurable(dir, g.Clone(), incgraph.DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inPlace := build["kws"](d.Graph()).m
+	err = d.Attach(maintainedOnly{inPlace})
+	if err == nil || !strings.Contains(err.Error(), "Graph().Clone()") || !strings.Contains(err.Error(), "Maintain* adapter") {
+		t.Fatalf("attaching a wrapper on the base graph: %v, want a refusal naming both remedies", err)
+	}
+	if err := d.Attach(inPlace); err != nil {
+		t.Fatalf("attaching an adapter on the base graph: %v", err)
+	}
+	if inPlace.Graph() != d.Graph() {
+		t.Fatal("the attached engine does not share the base graph")
+	}
+	clone := d.Graph().Clone()
+	if err := d.Attach(maintainedOnly{build["rpq"](clone).m}); err != nil {
+		t.Fatalf("attaching a wrapped engine on a clone: %v", err)
+	}
+	err = d.Attach(build["scc"](clone).m)
+	if err == nil || !strings.Contains(err.Error(), "scc") || !strings.Contains(err.Error(), "rpq") {
+		t.Fatalf("attaching a second engine on one clone: %v, want a refusal naming both classes", err)
+	}
+	if n := len(d.Engines()); n != 2 {
+		t.Fatalf("%d engines attached, want the 2 accepted", n)
+	}
+	b := h.batch(60)
+	if _, err := d.Commit(b, incgraph.ApplyOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	// Validation failures must not reach the WAL: re-applying the same
+	// batch is invalid, and recovery must replay only the good record.
+	if _, err := d.Commit(b, incgraph.ApplyOptions{}); err == nil {
+		t.Fatal("want validation error for duplicate batch")
+	}
+	d.Close()
+
+	r, err := incgraph.OpenDurable(dir, incgraph.DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	b = h.batch(60)
+	if _, err := r.Commit(b, incgraph.ApplyOptions{}); err == nil {
+		t.Fatal("want error applying before Recover")
+	}
+	if err := r.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Commit(b, incgraph.ApplyOptions{}); err != nil {
+		t.Fatalf("apply after Recover: %v", err)
+	}
+}
+
 // TestDurableFsyncFailThenCrashParity injects an fsync failure on the
-// k-th WAL sync for several k, applies a stream of batches (the faulted
-// one is refused), "crashes" by abandoning the handle without Close, and
-// recovers the directory on the clean filesystem. Recovery must land on
-// exactly the acknowledged prefix, with the SCC engine's maintained
-// answers byte-identical to a reference engine fed the same acked batches.
+// k-th WAL sync for several k and commits a stream of batches: the faulted
+// commit is refused, leaving the store where it was, and committed again.
+// Then the process "crashes" — the handle is abandoned without Close — and
+// the directory recovers on the clean filesystem to exactly the
+// acknowledged history: a refused record left behind would replay twice.
 func TestDurableFsyncFailThenCrashParity(t *testing.T) {
 	// Sync #0 is the WAL-create header fsync, so k >= 1 targets an append.
 	for _, k := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("sync-%d", k), func(t *testing.T) {
 			dir := t.TempDir()
-			g := incgraph.SyntheticGraph(incgraph.GraphSpec{
-				Nodes: 100, Edges: 400, Labels: 4, GiantSCCFrac: 0.4, Seed: 17,
-			})
-			ref := g.Clone()
-
+			g := historyGraph()
+			build, _ := rowEngines(t, g)
+			h := newRowHistory(g, 17)
 			ffs := incgraph.NewFaultFS(21, incgraph.FSRule{
 				Op: "sync", Path: "wal", Index: k, Kind: incgraph.FaultSyncFail,
 			})
-			d, err := incgraph.CreateDurable(dir, g, incgraph.DurableOptions{FS: ffs})
+			d, err := incgraph.CreateDurable(dir, g.Clone(), incgraph.DurableOptions{FS: ffs})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := d.Attach(incgraph.MaintainSCC(incgraph.NewSCC(g.Clone()))); err != nil {
-				t.Fatal(err)
-			}
-
-			acked := 0
+			attachInPlace(d, build)
+			refused := 0
 			for i := 0; i < 6; i++ {
-				b := incgraph.RandomUpdates(ref, incgraph.UpdateSpec{
-					Count: 25, InsertRatio: 0.6, Locality: 0.5, Seed: int64(700 + i),
-				})
+				b := h.batch(25)
+				gen, seq := d.Generation(), d.WALSeq()
 				if _, err := d.Commit(b, incgraph.ApplyOptions{}); err != nil {
-					// Refused: the batch must not exist anywhere. Later
-					// batches are generated against ref, which never saw it.
-					continue
+					refused++
+					if d.Generation() != gen || d.WALSeq() != seq {
+						t.Fatalf("batch %d: the refused commit moved the store: generation %d → %d, WAL seq %d → %d",
+							i, gen, d.Generation(), seq, d.WALSeq())
+					}
+					if _, err := d.Commit(b, incgraph.ApplyOptions{}); err != nil {
+						t.Fatalf("batch %d, committed again: %v", i, err)
+					}
 				}
-				if err := ref.ApplyBatch(b); err != nil {
-					t.Fatal(err)
-				}
-				acked++
 			}
-			if acked != 5 {
-				t.Fatalf("acked %d batches, want 5 (exactly one refusal)", acked)
+			if refused != 1 {
+				t.Fatalf("%d commits refused, want exactly one", refused)
 			}
 			// Crash: no Close, no final sync. The faulted append was rolled
 			// back at refusal time, so the on-disk WAL is already clean.
 
-			d2, err := incgraph.OpenDurable(dir, incgraph.DurableOptions{})
+			r, err := incgraph.OpenDurable(dir, incgraph.DurableOptions{})
 			if err != nil {
 				t.Fatalf("recovery open: %v", err)
 			}
-			defer d2.Close()
-			scc := incgraph.MaintainSCC(incgraph.NewSCC(d2.Graph().Clone()))
-			if err := d2.Attach(scc); err != nil {
-				t.Fatal(err)
-			}
-			if err := d2.Recover(); err != nil {
+			defer r.Close()
+			engines := attachInPlace(r, build)
+			if err := r.Recover(); err != nil {
 				t.Fatalf("recovery replay: %v", err)
 			}
-			if !d2.Graph().Equal(ref) {
-				t.Fatal("recovered graph != reference of acked batches: parity broken")
-			}
-
-			// Maintained answers match an engine that lived through the
-			// acked stream without any disk trouble.
-			refSCC := incgraph.MaintainSCC(incgraph.NewSCC(ref.Clone()))
-			var got, want bytes.Buffer
-			if err := scc.WriteAnswer(&got); err != nil {
-				t.Fatal(err)
-			}
-			if err := refSCC.WriteAnswer(&want); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got.Bytes(), want.Bytes()) {
-				t.Fatal("recovered SCC answers diverge from reference")
-			}
+			matchesOracle(t, "recovered", r, engines, build, h.sim)
 		})
 	}
 }
@@ -106,23 +229,25 @@ func TestDurableFsyncFailThenCrashParity(t *testing.T) {
 // replicas verify clean, and the store recovers to exactly what a
 // single-process run of the same stream holds: WAL bytes, graph and answers.
 func TestClusterCommitWALFailureAfterPhase1(t *testing.T) {
-	g, batches := diffWorkload(t, 5151)
+	g := historyGraph()
 	g.SetShards(8)
-	q := mkDurableQueries(t, g, 51)
+	build, _ := rowEngines(t, g)
+	h := newRowHistory(g, 5151)
+	batches := make([]incgraph.Batch, 6)
+	for i := range batches {
+		batches[i] = h.batch(60)
+	}
 	dir := t.TempDir()
-	open := func(name string, fs incgraph.FS) *incgraph.Durable {
+	open := func(name string, fs incgraph.FS) (*incgraph.Durable, map[string]rowEngine) {
 		d, err := incgraph.CreateDurable(filepath.Join(dir, name), g.Clone(), incgraph.DurableOptions{FS: fs})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := d.Attach(mkEngines(t, d.Graph(), q)...); err != nil {
-			t.Fatal(err)
-		}
-		return d
+		return d, attachInPlace(d, build)
 	}
 
 	// WAL write #0 is the header, so #3 is the third batch's record.
-	d := open("cluster", incgraph.NewFaultFS(5, incgraph.FSRule{
+	d, engines := open("cluster", incgraph.NewFaultFS(5, incgraph.FSRule{
 		Op: "write", Path: "wal", Index: 3, Kind: incgraph.FaultENOSPC, Keep: 7,
 	}))
 	links, _, stop := incgraph.InProcessLinks(2)
@@ -138,14 +263,22 @@ func TestClusterCommitWALFailureAfterPhase1(t *testing.T) {
 			t.Fatalf("batch %d: %v", i, err)
 		}
 	}
-	seq, graph, ans := d.WALSeq(), d.Graph().Clone(), answers(t, d.Engines())
+	seq, graph := d.WALSeq(), d.Graph().Clone()
+	before := map[string]string{}
+	for class, e := range engines {
+		before[class] = e.observe()
+	}
 	if _, err := d.Commit(batches[2], via); err == nil || !strings.Contains(err.Error(), "WAL append") {
 		t.Fatalf("commit over a full disk: %v, want the WAL append's error", err)
 	}
 	if d.WALSeq() != seq || !d.Graph().Equal(graph) {
 		t.Fatalf("the failed commit moved the store: WAL seq %d → %d, graph changed %v", seq, d.WALSeq(), !d.Graph().Equal(graph))
 	}
-	compareAnswers(t, "after the failed append", ans, answers(t, d.Engines()))
+	for class, e := range engines {
+		if got := e.observe(); got != before[class] {
+			t.Fatalf("the failed commit moved %s: %s", class, firstDiff(got, before[class]))
+		}
+	}
 
 	resyncs := cl.Resyncs()
 	for i := 2; i < len(batches); i++ {
@@ -161,7 +294,7 @@ func TestClusterCommitWALFailureAfterPhase1(t *testing.T) {
 	}
 	d.Close()
 
-	single := open("single", nil)
+	single, _ := open("single", nil)
 	for i, b := range batches {
 		if _, err := single.Commit(b, incgraph.ApplyOptions{}); err != nil {
 			t.Fatalf("single-process batch %d: %v", i, err)
@@ -182,23 +315,58 @@ func TestClusterCommitWALFailureAfterPhase1(t *testing.T) {
 	if !bytes.Equal(walOf("cluster"), walOf("single")) {
 		t.Fatal("the cluster's WAL differs from the single-process one")
 	}
-	reopen := func(name string) *incgraph.Durable {
+	for _, name := range []string{"cluster", "single"} {
 		r, err := incgraph.OpenDurable(filepath.Join(dir, name), incgraph.DurableOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { r.Close() })
-		if err := r.Attach(mkEngines(t, r.Graph(), q)...); err != nil {
-			t.Fatal(err)
-		}
+		defer r.Close()
+		engines := attachInPlace(r, build)
 		if err := r.Recover(); err != nil {
 			t.Fatal(err)
 		}
-		return r
+		matchesOracle(t, "recovered "+name, r, engines, build, h.sim)
 	}
-	rc, rs := reopen("cluster"), reopen("single")
-	if !rc.Graph().Equal(rs.Graph()) {
-		t.Fatal("the recovered cluster store's graph differs from the single-process one")
+}
+
+// TestClusterCommitBeforeRecoverSendsNothing: a Commit with Via on a store
+// that OpenDurable left mid-recovery is refused before the cluster sees
+// the batch: no phase-1 frame reaches a worker.
+func TestClusterCommitBeforeRecoverSendsNothing(t *testing.T) {
+	g := historyGraph()
+	g.SetShards(8)
+	h := newRowHistory(g, 4343)
+	dir := t.TempDir()
+	d, err := incgraph.CreateDurable(dir, g, incgraph.DurableOptions{Sync: incgraph.SyncNone})
+	if err != nil {
+		t.Fatal(err)
 	}
-	compareAnswers(t, "recovered cluster vs single-process", answers(t, rs.Engines()), answers(t, rc.Engines()))
+	if _, err := d.Commit(h.batch(60), incgraph.ApplyOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	d.Close()
+
+	r, err := incgraph.OpenDurable(dir, incgraph.DurableOptions{Sync: incgraph.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	links, _, stop := incgraph.InProcessLinks(2)
+	defer stop()
+	cl, err := incgraph.NewCluster(r.Graph(), links)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if _, err := r.Commit(h.batch(60), incgraph.ApplyOptions{Via: cl}); err == nil || !strings.Contains(err.Error(), "before Recover") {
+		t.Fatalf("Commit via a cluster before Recover: %v, want a refusal", err)
+	}
+	if n := cl.RemoteErrors(); n != 0 {
+		t.Fatalf("the refused commit cost %d remote errors", n)
+	}
+	for _, st := range cl.Stats() {
+		if st.Remote.Applied != 0 {
+			t.Fatalf("worker %s applied %d phase-1 batches of a refused commit", st.Name, st.Remote.Applied)
+		}
+	}
 }

@@ -176,11 +176,16 @@ func lazyFanOut(t *testing.T) {
 // the calling goroutine, in order; one helper was offered the work, found
 // none, and nobody waited for it. One processor makes "before the helper
 // gets to run" certain: the helper cannot start until the caller yields,
-// and the loop never does.
+// and the loop never does. Nor may the runtime make it: the loop allocates
+// nothing, so it cannot start a GC cycle, none is under way when it begins,
+// and it begins on a fresh time slice, so it is not preempted for running
+// long unless its thread stalls for a whole slice in a loop of microseconds.
 func TestParallelForShortLoopWaitsForNobody(t *testing.T) {
 	lazyFanOut(t)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	var order []int // appended without synchronization: one goroutine or a race report
+	order := make([]int, 0, 1000) // appended without synchronization: one goroutine or a race report
+	runtime.GC()
+	runtime.Gosched()
 	d := fanOutDelta(func() {
 		ParallelFor(8, 1000, func(worker, i int) {
 			if worker != 0 {
