@@ -115,12 +115,11 @@ func BenchmarkIncSCCSplitGiant(b *testing.B) {
 	benchCycle(b, g, cycleOf(fwd))
 }
 
-// BenchmarkIncSCCAblation measures the two levers behind IncSCC's profile
-// at |ΔG| = 10% of the giant-SCC graph, one op being ΔG and then its undo.
-// On the unit path, the tree-arc re-parenting fast path
-// of IncSCC− on and off (a grouped batch amortizes a failed repair into one
-// scoped Tarjan either way). On the batch path, local shortcut insertions
-// against uniform random ones, which trigger rank-window reorders.
+// BenchmarkIncSCCAblation measures IncSCC's profile at |ΔG| = 10% of the
+// giant-SCC graph, one op being ΔG and then its undo: the unit path
+// (IncSCC−'s certificate and searches, update by update) against the
+// batch path, and on the batch path local shortcut insertions against
+// uniform random ones, which trigger rank-window reorders.
 func BenchmarkIncSCCAblation(b *testing.B) {
 	g := giantGraph(b)
 	spec := gen.UpdateSpec{Count: g.NumEdges() / 10, InsertRatio: 0.5, Locality: 1, Seed: 101}
@@ -128,18 +127,16 @@ func BenchmarkIncSCCAblation(b *testing.B) {
 	spec.Locality = 0
 	uniform := gen.Updates(g, spec)
 	for _, v := range []struct {
-		name             string
-		batch            graph.Batch
-		repair, unitwise bool
+		name     string
+		batch    graph.Batch
+		unitwise bool
 	}{
-		{"unit/repair", local, true, true},
-		{"unit/norepair", local, false, true},
-		{"batch/local-ins", local, true, false},
-		{"batch/uniform-ins", uniform, true, false},
+		{"unit/repair", local, true},
+		{"batch/local-ins", local, false},
+		{"batch/uniform-ins", uniform, false},
 	} {
 		b.Run(v.name, func(b *testing.B) {
 			s := Build(g.Clone(), nil)
-			s.SetTreeArcRepair(v.repair)
 			apply := s.Apply
 			if v.unitwise {
 				apply = s.ApplyUnitwise

@@ -2,11 +2,15 @@ package scc
 
 // Tests of the dense layout: a randomized history on a giant-SCC graph
 // checked against the batch algorithm after every batch, allocation
-// regressions of the scoped repair, and run-to-run and shard-count
-// determinism of the metered work.
+// regressions of the scoped repair and the searches, run-to-run and
+// shard-count determinism of the metered work, and the pins on the
+// benchmark's cycles: exact work, batch and unit, and a digest of what the
+// engine publishes.
 
 import (
+	"crypto/sha256"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -170,7 +174,8 @@ func giantOf(s *State) CompID {
 
 // TestScopedRepairAllocs pins the allocation behaviour of the scoped
 // repair on a warm state: a pass that finds the component intact allocates
-// nothing, and one that splits it allocates per part, not per member.
+// nothing, nor do the searches that prove it intact without a pass, and one
+// that splits it allocates per part, not per member.
 func TestScopedRepairAllocs(t *testing.T) {
 	g := giantGraph(t)
 	s := mustState(t, g)
@@ -186,6 +191,21 @@ func TestScopedRepairAllocs(t *testing.T) {
 	}
 	if len(dt.born)+len(dt.destroyed) != 0 {
 		t.Fatal("an intact repair reported a change")
+	}
+	// The searches that prove a dirty component intact allocate nothing
+	// once their scratch is warm: here from the smallest member to the
+	// largest, as if an edge between them had gone.
+	members := s.members[giant]
+	far := []graph.Update{graph.Del(members[0], members[len(members)-1])}
+	s.dirty[giant] = true
+	search := func() {
+		if !s.intact(giant, far) {
+			t.Fatal("the search lost a path inside the giant component")
+		}
+	}
+	search()
+	if allocs := testing.AllocsPerRun(20, search); allocs != 0 {
+		t.Fatalf("searches proving a %d-node component intact: %.1f allocs/op, want 0", size, allocs)
 	}
 
 	// A member whose only way in from the component is one edge: deleting
@@ -300,21 +320,81 @@ func TestMeteredWorkDeterministic(t *testing.T) {
 	}
 
 	// The cycle BenchmarkIncSCCRepairGiant commits, held to the work the
-	// engine metered for it when every pass read the graph's own sorted
-	// adjacency: a pass that visits neighbours in another order builds
-	// another DFS tree, and these totals move.
+	// engine meters for it: a pass that visits neighbours in another order
+	// builds another DFS tree, or a search that expands its sides in
+	// another order meets elsewhere, and these totals move.
+	const want = "cost{nodes=36478 edges=385474 entries=59037 heap=0 total=480989}"
+	if got := cycleWork(t, (*State).Apply).String(); got != want {
+		t.Fatalf("the benchmark cycle metered %s, want %s", got, want)
+	}
+}
+
+// cycleWork meters apply over the cycle BenchmarkIncSCCRepairGiant commits,
+// from a state built on the seed graph.
+func cycleWork(t *testing.T, apply func(*State, graph.Batch) (Delta, error)) *cost.Meter {
 	g := giantGraph(t)
 	m := &cost.Meter{}
 	s := Build(g, m)
 	m.Reset()
 	for _, b := range repairCycle(g) {
-		if _, err := s.Apply(b); err != nil {
+		if _, err := apply(s, b); err != nil {
 			t.Fatal(err)
 		}
 	}
-	const want = "cost{nodes=133184 edges=872866 entries=171591 heap=0 total=1177641}"
-	if got := m.String(); got != want {
-		t.Fatalf("the benchmark cycle metered %s, want %s", got, want)
+	return m
+}
+
+// TestBatchWorkAtMostUnit is the paper's Exp-2 for IncSCC as an exact
+// count: over the cycle BenchmarkIncSCCRepairGiant commits, batch IncSCC
+// meters no more work than IncSCCn, which applies the same updates one at a
+// time. Both totals are pinned.
+func TestBatchWorkAtMostUnit(t *testing.T) {
+	batch, unit := cycleWork(t, (*State).Apply), cycleWork(t, (*State).ApplyUnitwise)
+	if batch.Total() > unit.Total() {
+		t.Fatalf("batch IncSCC metered %v, more than IncSCCn's %v", batch, unit)
+	}
+	const want = "cost{nodes=37220 edges=389343 entries=59037 heap=0 total=485600}"
+	if got := unit.String(); got != want {
+		t.Fatalf("IncSCCn over the benchmark cycle metered %s, want %s", got, want)
+	}
+}
+
+// TestOutputDigest hashes everything the engine publishes — ΔO, the
+// WriteAnswer bytes, and every component's CompID and rank — after every
+// batch of the benchmark's repair cycle and of the split cycle, through
+// Apply and through ApplyUnitwise. Unlike the meter pins, these must never
+// move: how a component is proved intact is the engine's business, what it
+// mints and publishes is not.
+func TestOutputDigest(t *testing.T) {
+	g := giantGraph(t)
+	cycle := append(repairCycle(g), cycleOf(splitStream(g, 32))...)
+	for _, mode := range []struct {
+		name  string
+		apply func(*State, graph.Batch) (Delta, error)
+		want  string
+	}{
+		{"Apply", (*State).Apply, "d54ae751798d8a843cf4915eb45d2f1f9bb24f19d0360ac9e4b8cf3e2171cb54"},
+		{"ApplyUnitwise", (*State).ApplyUnitwise, "694b8bc658cb7bac618cf589aad725bee50e019cb5d7250f2699c61369b54c40"},
+	} {
+		s := Build(g.Clone(), nil)
+		h := sha256.New()
+		for _, b := range cycle {
+			d, err := mode.apply(s, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(h, "+%v -%v\n", d.Added, d.Removed)
+			if err := s.WriteAnswer(h); err != nil {
+				t.Fatal(err)
+			}
+			for _, members := range s.ComponentsSorted() {
+				c := s.compOf(members[0])
+				fmt.Fprintf(h, "%d %x\n", c, math.Float64bits(s.rank[c]))
+			}
+		}
+		if got := fmt.Sprintf("%x", h.Sum(nil)); got != mode.want {
+			t.Errorf("%s: %d batches digest to %s, want %s", mode.name, len(cycle), got, mode.want)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package scc
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -10,19 +11,26 @@ import (
 
 // This file implements the incremental side of SCC (Section 5.3):
 //
-//   - IncSCC+ (ApplyInsert, Fig. 7): an intra-component insertion refreshes
-//     num/lowlink with a Tarjan pass scoped to the component; an
-//     inter-component insertion that respects topological ranks only bumps
-//     a counter of G_c; a rank violation triggers the bounded bidirectional
-//     search DFSf/DFSb over G_c, cycle detection with Tarjan on the
-//     affected area, merging, and reallocRank.
+//   - IncSCC+ (ApplyInsert, Fig. 7): an intra-component insertion changes
+//     nothing but the mirror (it only adds paths, so the lowlink certificate
+//     stays sound); an inter-component insertion that respects topological
+//     ranks only bumps a counter of G_c; a rank violation triggers the
+//     bounded bidirectional search DFSf/DFSb over G_c, cycle detection with
+//     Tarjan on the affected area, merging, and reallocRank.
 //   - IncSCC− (ApplyDelete): an inter-component deletion decrements a G_c
-//     counter; an intra-component deletion of a non-tree edge first runs
-//     the chkReach lowlink walk (cost proportional to the affected path),
-//     falling back to a component-scoped Tarjan that performs the split.
+//     counter. An intra-component deletion (v, w) leaves the component C
+//     whole iff v still reaches w inside C (any old path through (v, w)
+//     reroutes through the new one). A fresh component first tries the
+//     chkReach lowlink walk (cost proportional to the affected path) on a
+//     non-tree edge; where that certificate cannot vouch — a tree arc, a
+//     lowlink that reached its own num, a dirty component — a bidirectional
+//     search decides exactly, and a component-scoped Tarjan runs only to
+//     perform a real split, or once the searches have expanded as many
+//     nodes as C has members.
 //   - IncSCC  (Apply): batch updates, grouping all intra-component updates
-//     of one component into a single scoped Tarjan pass and then handling
-//     inter-component updates against G_c.
+//     of one component into one decision (certificate, then searches, then
+//     at most one scoped Tarjan) and then handling inter-component updates
+//     against G_c.
 //   - IncSCCn (ApplyUnitwise): the unit-at-a-time baseline.
 //
 // The affected area AFF of the paper — changes to num/lowlink, their
@@ -139,8 +147,10 @@ func (s *State) Apply(batch graph.Batch) (Delta, error) {
 }
 
 // Repair brings the partition from SCC(G) to SCC(G ⊕ ΔG) and returns ΔO:
-// intra-component updates are grouped per component (one scoped Tarjan
-// each), then inter-component deletions update G_c counters, then
+// intra-component updates are grouped per component — a component whose
+// deletions the lowlink certificate or the bounded searches prove harmless
+// mints nothing, and one that split runs one scoped Tarjan — then
+// inter-component deletions update G_c counters, then
 // inter-component insertions run the rank-window machinery with an
 // already-satisfied fast path. It assumes the graph was G when the state
 // last returned and has just been moved to G ⊕ ΔG by whoever owns it —
@@ -172,7 +182,7 @@ func (s *State) Repair(batch, norm graph.Batch) Delta {
 		}
 	}
 	// (a) Intra-component updates, grouped: apply the group's edges, then
-	// one scoped Tarjan decides refresh vs split.
+	// decide once whether the deletions split the component.
 	comps := make([]CompID, 0, len(intra))
 	for c := range intra {
 		comps = append(comps, c)
@@ -186,18 +196,7 @@ func (s *State) Repair(batch, norm graph.Batch) Delta {
 				dels = append(dels, u)
 			}
 		}
-		if len(dels) == 0 {
-			continue // insertions alone never change the partition
-		}
-		// chkReach the deletions together: each walk repairs the lowlinks
-		// its deletion invalidated; surviving certificates mean no split
-		// and no Tarjan at all. Tree-arc deletions break the DFS tree the
-		// certificate rests on, so they force the full pass.
-		intact := !s.dirty[c]
-		for i := 0; intact && i < len(dels); i++ {
-			intact = s.chkReach(dels[i], c)
-		}
-		if !intact {
+		if len(dels) > 0 && !s.intact(c, dels) { // insertions alone never split
 			s.repair(c, dt)
 		}
 	}
@@ -256,27 +255,139 @@ func (s *State) applyDelete(u graph.Update, dt *deltaTracker) error {
 		s.gcDecrement(cv, cw)
 		return nil
 	}
-	// Intra-component deletion. A stale (dirty) component goes straight to
-	// the scoped Tarjan, which also settles the deferred refresh; a fresh
-	// one tries chkReach first.
-	if s.dirty[cv] || !s.chkReach(u, cv) {
+	if !s.intact(cv, []graph.Update{u}) {
 		s.repair(cv, dt)
 	}
 	return nil
 }
 
+// intact decides whether component c, its intra-component updates already
+// on the mirror, is still strongly connected after the deletions dels: it
+// is iff every deleted (v, w) still has v ⇝ w inside c. A fresh component
+// asks the lowlink certificate first; where the certificate cannot vouch,
+// or c is dirty, one search per deletion decides. The searches share a
+// budget of |c| node expansions, so that a batch whose searches would cost
+// more than the scoped Tarjan pays at most about twice the Tarjan: an
+// exhausted budget answers false and the caller runs the pass. A component
+// the searches prove intact is marked dirty, as the certificate no longer
+// describes it.
+func (s *State) intact(c CompID, dels []graph.Update) bool {
+	if !s.dirty[c] {
+		ok := true
+		for i := 0; ok && i < len(dels); i++ {
+			ok = s.chkReach(dels[i], c)
+		}
+		if ok {
+			return true
+		}
+	}
+	if !s.searchAll(c, dels, len(s.members[c])) {
+		return false
+	}
+	s.dirty[c] = true
+	return true
+}
+
 // chkReach handles the already applied deletion u inside the fresh
-// component c without a Tarjan pass where it can: a non-tree edge repairs
-// lowlinks along the ancestor path, a tree arc — which breaks the DFS tree
-// the certificate rests on — is re-parented first. It reports whether the
-// certificate survived, i.e. the component is intact and nothing else
-// changes; otherwise the caller runs the scoped pass.
+// component c without a search where it can: a non-tree edge repairs
+// lowlinks along the ancestor path. It reports whether the certificate
+// survived, i.e. the component is intact as far as u is concerned. A tree
+// arc breaks the DFS tree the certificate rests on, so it fails at once.
 func (s *State) chkReach(u graph.Update, c CompID) bool {
 	v, w := s.idx.Of(u.From), s.idx.Of(u.To)
-	if s.parent[w] == v {
-		return !s.noRepair && s.tryRepairTreeArc(v, w, c)
+	return s.parent[w] != v && s.lowlinkWalkIntact(v, c)
+}
+
+// searchAll reports whether every deletion in dels still has its source
+// reaching its target inside c, within budget node expansions in all.
+func (s *State) searchAll(c CompID, dels []graph.Update, budget int) bool {
+	for _, u := range dels {
+		if !s.reaches(s.idx.Of(u.From), s.idx.Of(u.To), c, &budget) {
+			return false
+		}
 	}
-	return s.lowlinkWalkIntact(v, c)
+	return true
+}
+
+// reaches reports whether v reaches w through nodes of component c, by a
+// breadth-first search forward from v over the successor rows alternating
+// node by node with one backward from w over the predecessor rows; the two
+// meet on any path. Each expansion spends one unit of *budget, and an
+// exhausted budget answers false.
+func (s *State) reaches(v, w int32, c CompID, budget *int) bool {
+	if v == w {
+		return true
+	}
+	sr := &s.sr
+	sr.begin(len(s.ids))
+	fwd, bwd := sr.epoch, sr.epoch+1
+	sr.stamp[v], sr.stamp[w] = fwd, bwd
+	sr.fwd = append(sr.fwd[:0], v)
+	sr.bwd = append(sr.bwd[:0], w)
+	for f, b := 0, 0; ; {
+		if f == len(sr.fwd) || *budget <= 0 {
+			return false
+		}
+		if s.expand(sr.fwd[f], s.succ, c, fwd, bwd, &sr.fwd) {
+			return true
+		}
+		f++
+		*budget--
+		if b == len(sr.bwd) || *budget <= 0 {
+			return false
+		}
+		if s.expand(sr.bwd[b], s.pred, c, bwd, fwd, &sr.bwd) {
+			return true
+		}
+		b++
+		*budget--
+	}
+}
+
+// expand visits x's row for one side of a search: a neighbour in c the
+// other side has stamped means the sides met; an unstamped one is stamped
+// mine and queued.
+func (s *State) expand(x int32, rows [][]int32, c CompID, mine, theirs uint32, queue *[]int32) bool {
+	row := rows[x]
+	s.meter.AddNodes(1)
+	s.meter.AddEdges(len(row))
+	stamp := s.sr.stamp
+	for _, y := range row {
+		if s.comp[y] != c {
+			continue
+		}
+		switch stamp[y] {
+		case theirs:
+			return true
+		case mine:
+		default:
+			stamp[y] = mine
+			*queue = append(*queue, y)
+		}
+	}
+	return false
+}
+
+// searcher is the scratch of reaches: per node a stamp — epoch for the
+// forward side, epoch+1 for the backward one, anything lower unvisited —
+// and the two sides' queues. A warm search allocates nothing.
+type searcher struct {
+	epoch    uint32
+	stamp    []uint32
+	fwd, bwd []int32
+}
+
+// begin readies the scratch for a search over indices below n.
+func (sr *searcher) begin(n int) {
+	if len(sr.stamp) < n {
+		sr.stamp = make([]uint32, n+n/2+8)
+		sr.epoch = 0
+	}
+	if sr.epoch >= math.MaxUint32-3 { // stale stamps could collide after a wrap
+		clear(sr.stamp)
+		sr.epoch = 0
+	}
+	sr.epoch += 2
 }
 
 // repair runs the component-scoped Tarjan over c and either refreshes its
@@ -307,7 +418,6 @@ func (s *State) ensureNode(v graph.NodeID, dt *deltaTracker) {
 	s.reg.insert(r)
 	s.num = append(s.num, 1)
 	s.low = append(s.low, 1)
-	s.desc = append(s.desc, 1)
 	s.parent = append(s.parent, -1)
 	dt.create(id)
 	s.meter.AddEntries(1)
@@ -326,15 +436,14 @@ func (s *State) gcDecrement(cv, cw CompID) {
 	}
 }
 
-// store installs the last scoped run's num/lowlink/parent/desc for every
-// node it covered. Parent pointers crossing component boundaries (possible
-// after a split) are dropped.
+// store installs the last scoped run's num/lowlink/parent for every node it
+// covered. Parent pointers crossing component boundaries (possible after a
+// split) are dropped.
 func (s *State) store() {
 	t := &s.t
 	for _, v := range t.order {
 		s.num[v] = t.num[v]
 		s.low[v] = t.low[v]
-		s.desc[v] = t.desc[v]
 		p := t.parent[v]
 		if p >= 0 && s.comp[p] != s.comp[v] {
 			p = -1
@@ -389,40 +498,6 @@ func (s *State) lowlinkWalkIntact(v int32, c CompID) bool {
 		}
 		x = p
 	}
-}
-
-// tryRepairTreeArc handles the deletion of tree arc (v, w) without a full
-// Tarjan pass: it re-parents w to another in-neighbor x in the same
-// component with num(x) < num(w) (the smallest such NodeID, so the choice
-// does not depend on how the adjacency is stored), then repairs lowlinks
-// upward from both the old parent (which lost a child) and the new one
-// (which gained one).
-//
-// Soundness: num strictly increases along tree edges after any Tarjan pass,
-// and choosing num(x) < num(w) preserves that invariant, so the tree
-// remains an acyclic spanning arborescence of real edges rooted at the
-// component root. The surviving certificate "low < num for every non-root"
-// then still witnesses strong connectivity: each node reaches a lower-num
-// node through real edges, hence the root by induction, and the root
-// reaches everyone through the tree. (The preorder-interval property of
-// desc is given up, which only weakens the split test towards conservative
-// full passes — never towards wrong "intact" verdicts.)
-func (s *State) tryRepairTreeArc(v, w int32, c CompID) bool {
-	numW := s.num[w]
-	x := int32(-1)
-	for _, p := range s.pred[w] {
-		s.meter.AddEdges(1)
-		if s.comp[p] == c && s.num[p] < numW {
-			x = p
-			break
-		}
-	}
-	if x < 0 {
-		return false
-	}
-	s.parent[w] = x
-	s.meter.AddEntries(1)
-	return s.lowlinkWalkIntact(v, c) && s.lowlinkWalkIntact(x, c)
 }
 
 // splitRanks returns k strictly increasing rank values in (pred(r), r] for
@@ -586,21 +661,21 @@ func (s *State) dfsGc(start CompID, fwd bool, admit func(CompID) bool) map[CompI
 }
 
 // processInterInsert registers the inter-component edge (cv, cw) in G_c and
-// restores the rank invariant (Fig. 7 lines 3–9). It returns the merged
-// component's ID when a cycle forced a merge, else nil.
-func (s *State) processInterInsert(cv, cw CompID, dt *deltaTracker) *CompID {
+// restores the rank invariant (Fig. 7 lines 3–9), merging the components a
+// new cycle joins.
+func (s *State) processInterInsert(cv, cw CompID, dt *deltaTracker) {
 	s.meter.AddEntries(1)
 	if s.gcOut[cv][cw] > 0 {
 		// Multiplicity bump; ranks already consistent.
 		s.gcOut[cv][cw]++
 		s.gcIn[cw][cv]++
-		return nil
+		return
 	}
 	s.gcOut[cv][cw] = 1
 	s.gcIn[cw][cv] = 1
 	rv, rw := s.rank[cv], s.rank[cw]
 	if rv > rw {
-		return nil // Fig. 7 line 3: order already correct
+		return // Fig. 7 line 3: order already correct
 	}
 	// Fig. 7 line 5: bounded bidirectional search. Forward from cw keeps
 	// ranks ≥ rank(cv) (only cv itself has rank(cv)); backward from cv
@@ -637,10 +712,9 @@ func (s *State) processInterInsert(cv, cw CompID, dt *deltaTracker) *CompID {
 	sort.Float64s(pool)
 	if cycle == nil {
 		s.reallocRank(affr, affl, pool)
-		return nil
+		return
 	}
-	id := s.mergeComps(cycle, affr, affl, pool, dt)
-	return &id
+	s.mergeComps(cycle, affr, affl, pool, dt)
 }
 
 // byRank returns the members of set \ excl sorted by ascending rank.
@@ -677,7 +751,7 @@ func (s *State) reallocRank(affr, affl map[CompID]bool, pool []float64) {
 // mergeComps merges the cycle components into one (Fig. 7 lines 7–8),
 // placing the merged node between the forward and backward regions and
 // retiring surplus rank values.
-func (s *State) mergeComps(cycle []CompID, affr, affl map[CompID]bool, pool []float64, dt *deltaTracker) CompID {
+func (s *State) mergeComps(cycle []CompID, affr, affl map[CompID]bool, pool []float64, dt *deltaTracker) {
 	cycleSet := make(map[CompID]bool, len(cycle))
 	for _, c := range cycle {
 		cycleSet[c] = true
@@ -737,8 +811,8 @@ func (s *State) mergeComps(cycle []CompID, affr, affl map[CompID]bool, pool []fl
 	dt.create(id)
 	s.meter.AddEntries(len(members))
 	// The num/lowlink refresh of the new component (Fig. 7 line 8) is
-	// deferred to the next deletion inside it: a chain of k merges would
-	// otherwise pay k scoped Tarjans over a growing component.
+	// deferred to the next scoped Tarjan over it: a chain of k merges would
+	// otherwise pay k of them over a growing component, and until then its
+	// deletions go to the search.
 	s.dirty[id] = true
-	return id
 }

@@ -51,7 +51,7 @@ type partition struct {
 
 // init indexes g's nodes, mirrors its adjacency and partitions it with one
 // Tarjan run; the components take CompIDs 0..k-1 in emission (reverse
-// topological) order. The run's num/low/desc/parent stay in p.t for the
+// topological) order. The run's num/low/parent stay in p.t for the
 // caller to adopt.
 func (p *partition) init(g *graph.Graph, meter *cost.Meter) {
 	p.g, p.meter = g, meter

@@ -18,9 +18,9 @@ import (
 type CompID int64
 
 // State is the incrementally maintained SCC state: the partition of G into
-// components, the per-node Tarjan structures (num, lowlink, DFS parent,
-// subtree extent — local to each component), and the contracted graph G_c
-// with per-edge multiplicity counters and topological ranks.
+// components, the per-node Tarjan structures (num, lowlink, DFS parent —
+// local to each component), and the contracted graph G_c with per-edge
+// multiplicity counters and topological ranks.
 //
 // Rank invariant: for every edge (x, y) of G_c, rank(x) > rank(y). This is
 // the "r(v) > r(v′) if (v, v′) is a cross-link in G_c" invariant of Section
@@ -34,19 +34,20 @@ type State struct {
 	// Per-node Tarjan structures over the dense index, numbered locally per
 	// component. parent is the index of the DFS parent within the
 	// component, -1 where there is none.
-	num, low, desc, parent []int32
+	num, low, parent []int32
 	// dirty marks components whose num/lowlink structures do not describe
 	// them: a merged component is born dirty (mergeComps), because a chain
 	// of k merges would otherwise pay k scoped Tarjans over a growing
-	// component. Nothing reads the certificate until a deletion inside the
-	// component, which then runs the scoped pass it needs anyway and
-	// clears the mark. Intra-component insertions do not set it: they only
-	// add paths, so a fresh certificate stays sound.
+	// component, and a component the searches proved intact becomes dirty
+	// (intact), because the certificate could not vouch for it or the walks
+	// that failed left it half repaired. A deletion in a dirty component
+	// skips the certificate and goes to the search; the next scoped Tarjan
+	// over it — a split, or an exhausted search budget — clears the mark.
+	// Intra-component insertions do not set it: they only add paths, so a
+	// fresh certificate stays sound.
 	dirty map[CompID]bool
-	// noRepair disables the tree-arc re-parenting fast path of IncSCC−
-	// (every tree-arc deletion then runs a component-scoped Tarjan). It
-	// exists for the ablation benchmark; see SetTreeArcRepair.
-	noRepair bool
+	// sr is the scratch of the searches.
+	sr searcher
 }
 
 // Build runs Tarjan once over g and constructs the maintained state.
@@ -75,7 +76,6 @@ func Build(g *graph.Graph, meter *cost.Meter) *State {
 	n := len(s.ids)
 	s.num = slices.Clone(s.t.num[:n])
 	s.low = slices.Clone(s.t.low[:n])
-	s.desc = slices.Clone(s.t.desc[:n])
 	s.parent = make([]int32, n)
 	for v, p := range s.t.parent[:n] {
 		if p >= 0 && s.comp[p] != s.comp[v] {
@@ -142,20 +142,6 @@ func (s *State) WriteAnswer(w io.Writer) error {
 		bw.WriteByte('\n')
 	}
 	return bw.Flush() // a bufio.Writer keeps its first write error
-}
-
-// SetTreeArcRepair toggles the tree-arc re-parenting fast path (on by
-// default). BenchmarkIncSCCAblation measures its effect.
-func (s *State) SetTreeArcRepair(enabled bool) { s.noRepair = !enabled }
-
-// NumLow returns the maintained (num, lowlink) of v, local to v's
-// component's most recent Tarjan pass.
-func (s *State) NumLow(v graph.NodeID) (num, low int) {
-	i, ok := s.idx.Get(v)
-	if !ok {
-		return 0, 0
-	}
-	return int(s.num[i]), int(s.low[i])
 }
 
 // CheckInvariants audits the whole state against a fresh Tarjan run:
@@ -279,9 +265,9 @@ func (s *State) CheckInvariants() error {
 	}
 	// Local Tarjan structures: present for every node, and a DFS parent
 	// lies in the node's own component.
-	if len(s.num) != n || len(s.low) != n || len(s.desc) != n || len(s.parent) != n {
-		return fmt.Errorf("scc: num/low/desc/parent cover %d/%d/%d/%d of %d nodes",
-			len(s.num), len(s.low), len(s.desc), len(s.parent), n)
+	if len(s.num) != n || len(s.low) != n || len(s.parent) != n {
+		return fmt.Errorf("scc: num/low/parent cover %d/%d/%d of %d nodes",
+			len(s.num), len(s.low), len(s.parent), n)
 	}
 	for i, p := range s.parent {
 		if p >= 0 && s.comp[p] != s.comp[i] {

@@ -14,8 +14,8 @@
 // deliberately not the graph's slot, which interleaves shards: SetShards
 // and a snapshot reload renumber slots, and an index that followed them
 // would make the DFS order — hence the maintained certificate and the
-// work metered — depend on the deployment shape. comp, num, low, desc and
-// parent are slices over the index; a component's members are one ascending
+// work metered — depend on the deployment shape. comp, num, low and parent
+// are slices over the index; a component's members are one ascending
 // []NodeID that is never modified once published (splits and merges build
 // new slices), so ΔO, MembersOf and WriteAnswer hand it out without a copy,
 // and "is w in component c" is comp[i] == c.
@@ -26,7 +26,8 @@
 // changed in one place, partition.applyEdge, which replays an edge update
 // the graph has taken onto the two rows it sits in; a new node starts with
 // empty rows. Every pass — the scoped repair, chkReach's lowlink walk, the
-// tree-arc re-parenting, a split's rebuild of the G_c counters, Build's
+// bidirectional searches of IncSCC− (successor rows forward, predecessor
+// rows backward), a split's rebuild of the G_c counters, Build's
 // cross-edge count, DynSCC — walks these rows and nothing else, so an edge
 // examined is a slice element and a scoped pass over a component whose IDs
 // are direct-indexed probes no hash table at all. The graph is advanced —
