@@ -130,7 +130,9 @@ func (g *Graph) ShardOf(v NodeID) int { return int(g.shardIdxOf(v)) }
 // every node record and reissues dense slots — O(|V|) — so configure
 // shards up front or at rare topology milestones, not per batch. Requires
 // exclusive access (a mutation under the concurrency contract). Clones
-// inherit the shard count.
+// inherit the shard count. Each shard issues its slots in ascending NodeID
+// order, so the result depends on the graph and n alone, not on how the
+// graph was built.
 func (g *Graph) SetShards(n int) {
 	p := normalizeShards(n)
 	if p == len(g.shards) {
@@ -143,13 +145,15 @@ func (g *Graph) SetShards(n int) {
 	for i := range g.shards {
 		g.shards[i].nodes = make(map[NodeID]*node, perShard)
 	}
-	p32 := int32(p)
 	for i := range old {
 		for v, rec := range old[i].nodes {
-			si := g.shardIdxOf(v)
-			sh := &g.shards[si]
-			rec.slot = sh.allocSlot(p32, int32(si))
-			sh.nodes[v] = rec
+			g.shards[g.shardIdxOf(v)].nodes[v] = rec
+		}
+	}
+	for si := range g.shards {
+		sh := &g.shards[si]
+		for _, v := range g.ShardNodesSorted(si) {
+			sh.nodes[v].slot = sh.allocSlot(int32(p), int32(si))
 		}
 	}
 	g.refreshSlotCeil()

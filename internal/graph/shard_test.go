@@ -168,6 +168,45 @@ func TestSetShardsRebalance(t *testing.T) {
 	}
 }
 
+// TestSetShardsCanonical re-shards two Equal graphs with different histories
+// — one built in ascending order on one shard, the other in descending order
+// on two, with nodes and edges that came and went — and requires every shard
+// of the two to export the same state, slots and allocator included: a
+// re-shard issues slots by NodeID, not by the old shards' map order. One run
+// can pass by luck of map order; CI runs it repeated.
+func TestSetShardsCanonical(t *testing.T) {
+	a := randomSharded(t, 300, 1, 1, 3)
+	b := NewSharded(2)
+	nodes := a.NodesSorted()
+	for i := len(nodes) - 1; i >= 0; i-- {
+		b.AddNode(nodes[i], a.Label(nodes[i]))
+		b.AddNode(NodeID(1000+i), "gone")
+	}
+	edges := a.EdgesSorted()
+	for i := len(edges) - 1; i >= 0; i-- {
+		e := edges[i]
+		b.AddEdge(e.From, e.To)
+		b.AddEdge(e.To, NodeID(1000+i%len(nodes)))
+	}
+	for i := range nodes {
+		b.DeleteNode(NodeID(1000 + i))
+	}
+	if !a.Equal(b) || !b.Equal(a) {
+		t.Fatal("setup: the two histories built different graphs")
+	}
+	for _, p := range []int{4, 8, 16} {
+		a.SetShards(p)
+		b.SetShards(p)
+		for s := 0; s < p; s++ {
+			// Printed, an empty adjacency list reads the same whether the
+			// history left it nil or not.
+			if x, y := fmt.Sprint(a.ExportShard(s)), fmt.Sprint(b.ExportShard(s)); x != y {
+				t.Fatalf("at %d shards, shard %d exports differently:\n%s\n%s", p, s, x, y)
+			}
+		}
+	}
+}
+
 // TestShardedApplyBatchMatchesUnsharded drives the same randomized update
 // stream through ApplyBatch on an 8-shard graph and the unit loop on a
 // one-shard graph, and requires identical graphs after every batch. This

@@ -47,8 +47,9 @@ func repairCycle(g *graph.Graph) []graph.Batch { return cycleOf(repairStream(g, 
 // splitStream returns delete-only batches of size that take the giant
 // component apart at its fringe: the deletions remove, member by member,
 // every edge into a member that has at most two from the rest of the
-// component, which cuts it off. Each batch is one scoped pass that ends in
-// a split into a few dozen parts.
+// component, which cuts it off. A batch of 32 peels the side its first
+// failed search closed, and a scoped pass over the rest splits it into a few
+// dozen parts.
 func splitStream(g *graph.Graph, size int) []graph.Batch {
 	s := Build(g, nil)
 	giant := s.MembersOf(giantOf(s))
@@ -95,8 +96,9 @@ func benchCycle(b *testing.B, g *graph.Graph, cycle []graph.Batch) {
 }
 
 // BenchmarkIncSCCRepairGiant commits a cycle of the repair-scc stream —
-// the forward pass, then its undo — in batches of 32: mostly scoped passes
-// that find the giant component intact.
+// the forward pass, then its undo — in batches of 32: mostly searches that
+// find the giant component intact, and peels that cut a member or two off
+// it.
 func BenchmarkIncSCCRepairGiant(b *testing.B) {
 	g := giantGraph(b)
 	benchCycle(b, g, repairCycle(g))
@@ -104,8 +106,8 @@ func BenchmarkIncSCCRepairGiant(b *testing.B) {
 
 // BenchmarkIncSCCSplitGiant is the split-heavy sibling: delete-only
 // batches of 32 that each cut that many members off the giant component
-// (the scoped pass, then splitComp's rebuild of the G_c counters), and the
-// insertions that merge them back.
+// (a peel, then the scoped pass over the rest and splitComp's rebuild of the
+// G_c counters), and the insertions that merge them back.
 func BenchmarkIncSCCSplitGiant(b *testing.B) {
 	g := giantGraph(b)
 	fwd := splitStream(g, 32)

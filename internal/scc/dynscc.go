@@ -170,7 +170,7 @@ func (d *DynSCC) delete(u graph.Update) error {
 		return nil
 	}
 	// Always recompute the touched component.
-	d.runScoped(cv)
+	d.runScoped(cv, d.members[cv])
 	k := d.t.numComps()
 	if k == 1 {
 		return nil

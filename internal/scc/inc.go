@@ -24,13 +24,17 @@ import (
 //     chkReach lowlink walk (cost proportional to the affected path) on a
 //     non-tree edge; where that certificate cannot vouch — a tree arc, a
 //     lowlink that reached its own num, a dirty component — a bidirectional
-//     search decides exactly, and a component-scoped Tarjan runs only to
-//     perform a real split, or once the searches have expanded as many
-//     nodes as C has members.
+//     search decides exactly. A search that fails because one of its sides
+//     ran dry has that side, the smaller side of the split, closed: it is
+//     carved off as fresh components by a Tarjan over it alone (peel), and
+//     searches between the boundary nodes of the rest decide whether the
+//     rest is still one component. A component-scoped Tarjan runs only over
+//     a rest that is not, or once the searches have expanded as many nodes
+//     as C has members.
 //   - IncSCC  (Apply): batch updates, grouping all intra-component updates
-//     of one component into one decision (certificate, then searches, then
-//     at most one scoped Tarjan) and then handling inter-component updates
-//     against G_c.
+//     of one component into one decision (settle: certificate, then
+//     searches, then at most one peel and at most one scoped Tarjan) and
+//     then handling inter-component updates against G_c.
 //   - IncSCCn (ApplyUnitwise): the unit-at-a-time baseline.
 //
 // The affected area AFF of the paper — changes to num/lowlink, their
@@ -149,7 +153,8 @@ func (s *State) Apply(batch graph.Batch) (Delta, error) {
 // Repair brings the partition from SCC(G) to SCC(G ⊕ ΔG) and returns ΔO:
 // intra-component updates are grouped per component — a component whose
 // deletions the lowlink certificate or the bounded searches prove harmless
-// mints nothing, and one that split runs one scoped Tarjan — then
+// mints nothing, and one that split peels the closed side a search found,
+// or runs one scoped Tarjan — then
 // inter-component deletions update G_c counters, then
 // inter-component insertions run the rank-window machinery with an
 // already-satisfied fast path. It assumes the graph was G when the state
@@ -196,8 +201,8 @@ func (s *State) Repair(batch, norm graph.Batch) Delta {
 				dels = append(dels, u)
 			}
 		}
-		if len(dels) > 0 && !s.intact(c, dels) { // insertions alone never split
-			s.repair(c, dt)
+		if len(dels) > 0 { // insertions alone never split
+			s.settle(c, dels, dt)
 		}
 	}
 	// (b) Inter-component deletions: G_c counter maintenance.
@@ -255,37 +260,54 @@ func (s *State) applyDelete(u graph.Update, dt *deltaTracker) error {
 		s.gcDecrement(cv, cw)
 		return nil
 	}
-	if !s.intact(cv, []graph.Update{u}) {
-		s.repair(cv, dt)
-	}
+	s.settle(cv, []graph.Update{u}, dt)
 	return nil
 }
 
-// intact decides whether component c, its intra-component updates already
-// on the mirror, is still strongly connected after the deletions dels: it
-// is iff every deleted (v, w) still has v ⇝ w inside c. A fresh component
-// asks the lowlink certificate first; where the certificate cannot vouch,
-// or c is dirty, one search per deletion decides. The searches share a
-// budget of |c| node expansions, so that a batch whose searches would cost
-// more than the scoped Tarjan pays at most about twice the Tarjan: an
-// exhausted budget answers false and the caller runs the pass. A component
-// the searches prove intact is marked dirty, as the certificate no longer
-// describes it.
-func (s *State) intact(c CompID, dels []graph.Update) bool {
+// settle decides component c after its intra-component updates, already on
+// the mirror, deleted the edges dels. c is still one component iff every
+// deleted (v, w) still has v ⇝ w inside it. A fresh component asks the
+// lowlink certificate first; where the certificate cannot vouch, or c is
+// dirty, one search per deletion decides. The searches share a budget of |c|
+// node expansions, so that a batch whose searches would cost more than the
+// scoped Tarjan pays at most about twice the Tarjan: an exhausted budget
+// runs the pass. A component the searches prove intact is marked dirty, as
+// the certificate no longer describes it.
+//
+// A search that fails because one of its sides ran dry, not because the
+// budget ran out, has found a closed part of the split: everything v reaches
+// (no edge leaves it) or everything that reaches w (no edge enters it), and
+// the smaller side of the split, since the two sides grow in turn. peel
+// carves it off, and the rest of c is checked by searches between its
+// boundary nodes (remainderIntact); only a second dry side or a spent budget
+// runs the scoped Tarjan, over the remainder alone. One peel per component
+// per call: a loop of peels measured no faster.
+func (s *State) settle(c CompID, dels []graph.Update, dt *deltaTracker) {
 	if !s.dirty[c] {
 		ok := true
 		for i := 0; ok && i < len(dels); i++ {
 			ok = s.chkReach(dels[i], c)
 		}
 		if ok {
-			return true
+			return
 		}
 	}
-	if !s.searchAll(c, dels, len(s.members[c])) {
-		return false
+	budget := len(s.members[c])
+	for i, u := range dels {
+		switch o := s.search(s.idx.Of(u.From), s.idx.Of(u.To), c, &budget); o {
+		case met:
+			continue
+		case spent:
+			s.repair(c, dt)
+		default:
+			r := s.peel(c, o == sinkDry, dels, dt)
+			if !s.remainderIntact(r, dels[i+1:], budget) {
+				s.repair(r, dt)
+			}
+		}
+		return
 	}
 	s.dirty[c] = true
-	return true
 }
 
 // chkReach handles the already applied deletion u inside the fresh
@@ -298,25 +320,37 @@ func (s *State) chkReach(u graph.Update, c CompID) bool {
 	return s.parent[w] != v && s.lowlinkWalkIntact(v, c)
 }
 
-// searchAll reports whether every deletion in dels still has its source
-// reaching its target inside c, within budget node expansions in all.
+// searchAll reports whether every deletion in dels with both ends in c
+// still has its source reaching its target inside c, within budget node
+// expansions in all.
 func (s *State) searchAll(c CompID, dels []graph.Update, budget int) bool {
 	for _, u := range dels {
-		if !s.reaches(s.idx.Of(u.From), s.idx.Of(u.To), c, &budget) {
+		v, w := s.idx.Of(u.From), s.idx.Of(u.To)
+		if s.comp[v] == c && s.comp[w] == c && s.search(v, w, c, &budget) != met {
 			return false
 		}
 	}
 	return true
 }
 
-// reaches reports whether v reaches w through nodes of component c, by a
+// outcome is how a search ended.
+type outcome int8
+
+const (
+	met     outcome = iota // the sides met: v reaches w
+	spent                  // the budget ran out first
+	sinkDry                // the forward side ran dry: it is all v reaches, and no edge leaves it
+	srcDry                 // the backward side ran dry: it is all that reaches w, and no edge enters it
+)
+
+// search decides whether v reaches w through nodes of component c, by a
 // breadth-first search forward from v over the successor rows alternating
 // node by node with one backward from w over the predecessor rows; the two
-// meet on any path. Each expansion spends one unit of *budget, and an
-// exhausted budget answers false.
-func (s *State) reaches(v, w int32, c CompID, budget *int) bool {
+// meet on any path. Each expansion spends one unit of *budget. A side that
+// runs dry is left in s.sr.fwd or s.sr.bwd until the next search.
+func (s *State) search(v, w int32, c CompID, budget *int) outcome {
 	if v == w {
-		return true
+		return met
 	}
 	sr := &s.sr
 	sr.begin(len(s.ids))
@@ -325,19 +359,25 @@ func (s *State) reaches(v, w int32, c CompID, budget *int) bool {
 	sr.fwd = append(sr.fwd[:0], v)
 	sr.bwd = append(sr.bwd[:0], w)
 	for f, b := 0, 0; ; {
-		if f == len(sr.fwd) || *budget <= 0 {
-			return false
+		if f == len(sr.fwd) {
+			return sinkDry
+		}
+		if *budget <= 0 {
+			return spent
 		}
 		if s.expand(sr.fwd[f], s.succ, c, fwd, bwd, &sr.fwd) {
-			return true
+			return met
 		}
 		f++
 		*budget--
-		if b == len(sr.bwd) || *budget <= 0 {
-			return false
+		if b == len(sr.bwd) {
+			return srcDry
+		}
+		if *budget <= 0 {
+			return spent
 		}
 		if s.expand(sr.bwd[b], s.pred, c, bwd, fwd, &sr.bwd) {
-			return true
+			return met
 		}
 		b++
 		*budget--
@@ -368,7 +408,7 @@ func (s *State) expand(x int32, rows [][]int32, c CompID, mine, theirs uint32, q
 	return false
 }
 
-// searcher is the scratch of reaches: per node a stamp — epoch for the
+// searcher is the scratch of search: per node a stamp — epoch for the
 // forward side, epoch+1 for the backward one, anything lower unvisited —
 // and the two sides' queues. A warm search allocates nothing.
 type searcher struct {
@@ -390,11 +430,166 @@ func (sr *searcher) begin(n int) {
 	sr.epoch += 2
 }
 
+// peeling labels the nodes of a closed side while the scoped pass over them
+// runs; no component has a negative ID.
+const peeling CompID = -1
+
+// peel carves the side of the last search that ran dry — a sink side (the
+// forward one) when sink, else a source side — off component c as fresh
+// components, and gives what is left of c, R, a fresh CompID, which it
+// returns; R is born dirty. ΔO is what a scoped Tarjan over c would publish
+// if R is one component, which remainderIntact decides; peel leaves R's
+// boundary in s.bnd for it.
+//
+// The side S is closed in c after the batch: no edge leaves a sink side, none
+// enters a source side, so no component straddles S and R and a scoped
+// Tarjan over S alone finds S's components. Their ranks are slotted with R's
+// into c's window (splitRanks): a sink side's parts take the lowest values
+// and R keeps c's rank, a source side's parts take the highest and R the
+// lowest. Their G_c counters come from S's rows alone, R's by renaming c's.
+// The cost is O(|S| + S's edges) for S, and one pass over c's members to
+// restamp R, with R's DFS parent pointers into S cleared.
+func (s *State) peel(c CompID, sink bool, dels []graph.Update, dt *deltaTracker) CompID {
+	side := s.sr.bwd
+	if sink {
+		side = s.sr.fwd
+	}
+	old := s.members[c]
+	from := s.from[:0]
+	for _, x := range side {
+		s.comp[x] = peeling
+		from = append(from, s.ids[x])
+	}
+	slices.Sort(from)
+	s.from = from
+	s.runScoped(peeling, from)
+	k := s.t.numComps()
+	vals := s.splitRanks(c, k+1) // the last value is c's rank: it stays registered
+	partRanks, rRank := vals[:k], vals[k]
+	if !sink {
+		partRanks, rRank = vals[1:], vals[0]
+	}
+	dt.destroy(c, old)
+	first := s.mint(from)
+	for i, rk := range partRanks {
+		id := first + CompID(i)
+		s.gcOut[id] = make(map[CompID]int)
+		s.gcIn[id] = make(map[CompID]int)
+		s.rank[id] = rk
+		s.reg.insert(vals[i])
+		dt.create(id)
+	}
+	s.store()
+	// R: a fresh ID over the members left in c.
+	r := s.next
+	s.next++
+	rest := make([]graph.NodeID, 0, len(old)-len(from))
+	for _, v := range old {
+		x := s.idx.Of(v)
+		if s.comp[x] != c {
+			continue
+		}
+		s.comp[x] = r
+		rest = append(rest, v)
+		if p := s.parent[x]; p >= 0 && s.comp[p] != c && s.comp[p] != r {
+			s.parent[x] = -1 // a parent in S
+		}
+	}
+	s.meter.AddEntries(len(old))
+	s.members[r] = rest
+	delete(s.members, c)
+	out, in := s.gcOut[c], s.gcIn[c]
+	for o, n := range out {
+		delete(s.gcIn[o], c)
+		s.gcIn[o][r] = n
+	}
+	for i, n := range in {
+		delete(s.gcOut[i], c)
+		s.gcOut[i][r] = n
+	}
+	s.meter.AddEntries(len(out) + len(in))
+	s.gcOut[r], s.gcIn[r] = out, in
+	delete(s.gcOut, c)
+	delete(s.gcIn, c)
+	s.rank[r] = rRank
+	delete(s.rank, c)
+	delete(s.dirty, c)
+	s.dirty[r] = true
+	dt.create(r)
+	// S's edges: those to another part or to R are new G_c edges, those
+	// outside c move from R's count to the part's. An edge between R and S
+	// puts its R end on the boundary.
+	bnd := s.bnd[:0]
+	for _, x := range s.t.order {
+		cx := s.comp[x]
+		succ := s.succ[x]
+		s.meter.AddEdges(len(succ))
+		for _, y := range succ {
+			switch cy := s.comp[y]; {
+			case cy == cx:
+			case cy < first:
+				s.gcAdd(r, cy, -1)
+				s.gcAdd(cx, cy, 1)
+			default:
+				s.gcAdd(cx, cy, 1)
+				if cy == r {
+					bnd = append(bnd, y)
+				}
+			}
+		}
+		pred := s.pred[x]
+		s.meter.AddEdges(len(pred))
+		for _, y := range pred {
+			switch cy := s.comp[y]; {
+			case cy < first:
+				s.gcAdd(cy, r, -1)
+				s.gcAdd(cy, cx, 1)
+			case cy == r:
+				s.gcAdd(r, cx, 1)
+				bnd = append(bnd, y)
+			}
+		}
+	}
+	// A deleted edge between R and S puts its R end there too: a path in c
+	// before the batch may have crossed it.
+	for _, u := range dels {
+		v, w := s.idx.Of(u.From), s.idx.Of(u.To)
+		if s.comp[v] == r && s.comp[w] != r {
+			bnd = append(bnd, v)
+		} else if s.comp[w] == r && s.comp[v] != r {
+			bnd = append(bnd, w)
+		}
+	}
+	slices.Sort(bnd)
+	s.bnd = slices.Compact(bnd)
+	return r
+}
+
+// remainderIntact reports whether R, what peel left of a component, is
+// strongly connected, within budget node expansions: it is iff its boundary
+// nodes are mutually reachable inside R — one search from each to the next,
+// round the sorted boundary — and every deletion dels[i] inside R still has
+// its source reaching its target. Any path of the old component between two
+// nodes of R leaves R only through S, coming back over an edge between S
+// and R, or over a deleted edge; each such detour runs between boundary nodes
+// or is a deletion, and can be replaced by a path inside R. The deletions
+// searched before the peel need no second search: a path between two nodes
+// of R never enters a closed side.
+func (s *State) remainderIntact(r CompID, dels []graph.Update, budget int) bool {
+	bnd := s.bnd
+	for i, x := range bnd {
+		if s.search(x, bnd[(i+1)%len(bnd)], r, &budget) != met {
+			return false
+		}
+	}
+	return s.searchAll(r, dels, budget)
+}
+
 // repair runs the component-scoped Tarjan over c and either refreshes its
 // num/lowlink structures (still one component) or splits it.
 func (s *State) repair(c CompID, dt *deltaTracker) {
 	delete(s.dirty, c)
-	s.runScoped(c)
+	s.runScoped(c, s.members[c])
 	if s.t.numComps() == 1 {
 		s.store()
 	} else {
@@ -427,9 +622,15 @@ func (s *State) ensureNode(v graph.NodeID, dt *deltaTracker) {
 // zero. Removing edges can never violate the rank invariant.
 func (s *State) gcDecrement(cv, cw CompID) {
 	s.meter.AddEntries(1)
-	if n := s.gcOut[cv][cw]; n > 1 {
-		s.gcOut[cv][cw] = n - 1
-		s.gcIn[cw][cv] = n - 1
+	s.gcAdd(cv, cw, -1)
+}
+
+// gcAdd adds d to the multiplicity of G_c edge (cv, cw), removing the edge
+// at zero.
+func (s *State) gcAdd(cv, cw CompID, d int) {
+	if n := s.gcOut[cv][cw] + d; n > 0 {
+		s.gcOut[cv][cw] = n
+		s.gcIn[cw][cv] = n
 	} else {
 		delete(s.gcOut[cv], cw)
 		delete(s.gcIn[cw], cv)

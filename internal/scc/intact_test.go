@@ -1,8 +1,10 @@
 package scc
 
-// Tests of IncSCC−'s split decision: the searches' verdict against a fresh
-// scoped Tarjan over randomized histories, and the budget that caps what a
-// batch of searches may spend before the Tarjan runs anyway.
+// Tests of IncSCC−'s split decision: the searches' verdict and the parts a
+// split publishes against a fresh scoped Tarjan over randomized histories,
+// the cost of peeling one member off the giant component, and the budget
+// that caps what a batch of searches may spend before the Tarjan runs
+// anyway.
 
 import (
 	"maps"
@@ -21,8 +23,10 @@ import (
 // on the state after b, confined to the component's members before b) with
 // a scoped Tarjan over the same members: the component is still one iff
 // every deleted (v, w) has v ⇝ w inside it. A component found split must be
-// gone from the partition. The state is audited against Components
-// afterwards.
+// gone from the partition, and each of the Tarjan's parts must be what the
+// engine published: a component of the state, in ΔO, unless a later
+// insertion of the batch merged it with nodes from outside the old
+// component. The state is audited against Components afterwards.
 func checkVerdicts(t *testing.T, s *State, b graph.Batch, apply func(*State, graph.Batch) (Delta, error)) {
 	t.Helper()
 	comp := slices.Clone(s.comp)
@@ -35,7 +39,8 @@ func checkVerdicts(t *testing.T, s *State, b graph.Batch, apply func(*State, gra
 			dels[comp[i]] = append(dels[comp[i]], u)
 		}
 	}
-	if _, err := apply(s, b); err != nil {
+	d, err := apply(s, b)
+	if err != nil {
 		t.Fatal(err)
 	}
 	// The probe reads the state's mirror, which now also holds the batch's
@@ -45,8 +50,8 @@ func checkVerdicts(t *testing.T, s *State, b graph.Batch, apply func(*State, gra
 		comp = append(comp, -1)
 	}
 	probe := &State{partition: partition{ids: s.ids, idx: s.idx, succ: s.succ, pred: s.pred, comp: comp, members: members}}
-	for c, d := range dels {
-		got := probe.searchAll(c, d, math.MaxInt)
+	for c, dl := range dels {
+		got := probe.searchAll(c, dl, math.MaxInt)
 		probe.roots = probe.roots[:0]
 		for _, v := range members[c] {
 			probe.roots = append(probe.roots, s.idx.Of(v))
@@ -54,10 +59,16 @@ func checkVerdicts(t *testing.T, s *State, b graph.Batch, apply func(*State, gra
 		probe.t.run(probe.succ, probe.roots, comp, c)
 		if want := probe.t.numComps() == 1; got != want {
 			t.Fatalf("component of %d members after deleting %v: search says intact=%v, scoped Tarjan %v",
-				len(members[c]), d, got, want)
+				len(members[c]), dl, got, want)
 		}
-		if _, alive := s.members[c]; !got && alive {
-			t.Fatalf("component of %d members split by %v but still in the partition", len(members[c]), d)
+		if got {
+			continue
+		}
+		if _, alive := s.members[c]; alive {
+			t.Fatalf("component of %d members split by %v but still in the partition", len(members[c]), dl)
+		}
+		for i := 0; i < probe.t.numComps(); i++ {
+			checkPart(t, s, d, probe.t.comp(i), func(v graph.NodeID) bool { return comp[s.idx.Of(v)] == c })
 		}
 	}
 	if err := s.CheckInvariants(); err != nil {
@@ -65,12 +76,41 @@ func checkVerdicts(t *testing.T, s *State, b graph.Batch, apply func(*State, gra
 	}
 }
 
+// checkPart requires the part of a split component, given as indices, to be
+// a component of s published in d — unless s's component of the part holds
+// a node the old component did not (inOld), when it need only contain the
+// part.
+func checkPart(t *testing.T, s *State, d Delta, part []int32, inOld func(graph.NodeID) bool) {
+	t.Helper()
+	want := make([]graph.NodeID, 0, len(part))
+	for _, x := range part {
+		want = append(want, s.ids[x])
+	}
+	slices.Sort(want)
+	got := s.members[s.comp[part[0]]]
+	if !slices.ContainsFunc(got, func(v graph.NodeID) bool { return !inOld(v) }) {
+		if !slices.Equal(got, want) {
+			t.Fatalf("split part %v published as %v", want, got)
+		}
+		if !slices.ContainsFunc(d.Added, func(a []graph.NodeID) bool { return slices.Equal(a, want) }) {
+			t.Fatalf("split part %v missing from ΔO", want)
+		}
+		return
+	}
+	for _, x := range part {
+		if s.comp[x] != s.comp[part[0]] {
+			t.Fatalf("split part %v torn apart: %d and %d in different components", want, s.ids[part[0]], s.ids[x])
+		}
+	}
+}
+
 // TestSearchMatchesScopedTarjan drives randomized histories — small random
 // digraphs, and livej-sim with its giant component — whose batches mix
-// intra- and inter-component insertions and deletions and create nodes,
-// through Apply and, update by update, through ApplyUnitwise. After every
-// step the searches' verdict equals the scoped Tarjan's and the partition
-// equals Components.
+// intra- and inter-component insertions and deletions and create nodes, and
+// the split stream, which cuts the giant component's fringe off a few
+// members at a time, through Apply and, update by update, through
+// ApplyUnitwise. After every step the searches' verdict and the split's
+// parts equal the scoped Tarjan's, and the partition equals Components.
 func TestSearchMatchesScopedTarjan(t *testing.T) {
 	modes := []struct {
 		name string
@@ -116,6 +156,75 @@ func TestSearchMatchesScopedTarjan(t *testing.T) {
 			for _, k := range sizes {
 				mode.run(t, s, h.batch(k))
 			}
+		})
+		t.Run(mode.name+"/split", func(t *testing.T) {
+			g := giantGraph(t)
+			s := mustState(t, g)
+			for _, b := range splitStream(g, 4) {
+				mode.run(t, s, b)
+			}
+		})
+	}
+}
+
+// TestPeelBounded cuts one member off the giant component, once by deleting
+// its only edge in from the component (the search's backward side runs dry:
+// a source side) and once its only edge out (a sink side). Either peel
+// meters at most a quarter of one scoped Tarjan over the component, and
+// leaves the remainder dirty; the partition equals Components, and ranks and
+// G_c counters pass the audit.
+func TestPeelBounded(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		rows func(s *State, x int32) []int32
+		cut  func(x, y graph.NodeID) graph.Update
+	}{
+		{"source", func(s *State, x int32) []int32 { return s.pred[x] }, func(w, p graph.NodeID) graph.Update { return graph.Del(p, w) }},
+		{"sink", func(s *State, x int32) []int32 { return s.succ[x] }, func(v, q graph.NodeID) graph.Update { return graph.Del(v, q) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := giantGraph(t)
+			s := mustState(t, g)
+			giant := giantOf(s)
+			m := &cost.Meter{}
+			s.meter = m
+			s.repair(giant, s.newDeltaTracker())
+			tarjan := m.Total()
+			var cut graph.Update
+			for _, v := range s.members[giant] {
+				x := s.idx.Of(v)
+				var inside []int32
+				for _, y := range tc.rows(s, x) {
+					if s.comp[y] == giant && y != x {
+						inside = append(inside, y)
+					}
+				}
+				if len(inside) == 1 {
+					cut = tc.cut(v, s.ids[inside[0]])
+					break
+				}
+			}
+			if cut.From == cut.To {
+				t.Fatal("no member hangs on a single edge")
+			}
+			m.Reset()
+			d, err := s.Apply(graph.Batch{cut})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(d.Removed) != 1 || len(d.Added) != 2 {
+				t.Fatalf("cutting %v gave +%d −%d components, want +2 −1", cut, len(d.Added), len(d.Removed))
+			}
+			if err := s.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			if work := m.Total(); work > tarjan/4 {
+				t.Fatalf("the peel metered %d, more than a quarter of one scoped Tarjan's %d", work, tarjan)
+			}
+			if !s.dirty[giantOf(s)] {
+				t.Fatal("the remainder is not dirty")
+			}
+			t.Logf("peel %d, scoped Tarjan %d", m.Total(), tarjan)
 		})
 	}
 }

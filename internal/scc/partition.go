@@ -179,10 +179,10 @@ func (p *partition) addNode(v graph.NodeID) CompID {
 // compOf returns the component of a node the partition has indexed.
 func (p *partition) compOf(v graph.NodeID) CompID { return p.comp[p.idx.Of(v)] }
 
-// runScoped runs Tarjan on the subgraph induced by component c, from its
-// members in ascending order. Nodes and edges examined are metered.
-func (p *partition) runScoped(c CompID) {
-	members := p.members[c]
+// runScoped runs Tarjan on the subgraph induced by the nodes labelled c,
+// from members, those nodes in ascending order. Nodes and edges examined
+// are metered.
+func (p *partition) runScoped(c CompID, members []graph.NodeID) {
 	p.meter.AddNodes(len(members))
 	p.roots = p.roots[:0]
 	for _, v := range members {

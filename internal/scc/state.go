@@ -38,16 +38,21 @@ type State struct {
 	// dirty marks components whose num/lowlink structures do not describe
 	// them: a merged component is born dirty (mergeComps), because a chain
 	// of k merges would otherwise pay k scoped Tarjans over a growing
-	// component, and a component the searches proved intact becomes dirty
-	// (intact), because the certificate could not vouch for it or the walks
-	// that failed left it half repaired. A deletion in a dirty component
-	// skips the certificate and goes to the search; the next scoped Tarjan
-	// over it — a split, or an exhausted search budget — clears the mark.
+	// component; so is the remainder a peel leaves (peel), whose DFS tree
+	// ran through the side carved off; and a component the searches proved
+	// intact becomes dirty (settle), because the certificate could not vouch
+	// for it or the walks that failed left it half repaired. A deletion in a
+	// dirty component skips the certificate and goes to the search; the next
+	// scoped Tarjan over it — a split the peel could not finish, or an
+	// exhausted search budget — clears the mark.
 	// Intra-component insertions do not set it: they only add paths, so a
 	// fresh certificate stays sound.
 	dirty map[CompID]bool
-	// sr is the scratch of the searches.
-	sr searcher
+	// sr is the scratch of the searches; from and bnd are peel's: a closed
+	// side's members in ascending order, and the remainder's boundary.
+	sr   searcher
+	from []graph.NodeID
+	bnd  []int32
 }
 
 // Build runs Tarjan once over g and constructs the maintained state.

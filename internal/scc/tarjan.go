@@ -27,7 +27,8 @@
 // the graph has taken onto the two rows it sits in; a new node starts with
 // empty rows. Every pass — the scoped repair, chkReach's lowlink walk, the
 // bidirectional searches of IncSCC− (successor rows forward, predecessor
-// rows backward), a split's rebuild of the G_c counters, Build's
+// rows backward), a split's rebuild of the G_c counters and a peel's move of
+// them, Build's
 // cross-edge count, DynSCC — walks these rows and nothing else, so an edge
 // examined is a slice element and a scoped pass over a component whose IDs
 // are direct-indexed probes no hash table at all. The graph is advanced —
@@ -50,9 +51,9 @@
 // same Meter totals: TestMeteredWorkDeterministic pins them.
 //
 // One Tarjan. Every pass — Build, the Components batch rival, the
-// component-scoped repair of IncSCC−, DynSCC, and the passes over the
-// affected area of G_c (candidates numbered 0..k-1) — is the kernel in this
-// file, run over rows of indices: the mirror's successor rows, walked in
+// component-scoped repair of IncSCC− and its pass over the closed side a
+// peel carves off, DynSCC, and the passes over the affected area of G_c
+// (candidates numbered 0..k-1) — is the kernel in this file, run over rows of indices: the mirror's successor rows, walked in
 // place (a scoped pass skips the entries outside its component), or, for a
 // digraph that is not stored as rows — G_c, and the graph Components is
 // handed, which no engine mirrors — rows collected into the scratch's arena
