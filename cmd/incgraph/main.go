@@ -21,10 +21,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 
 	"incgraph"
+	"incgraph/internal/graph"
 )
 
 func main() {
@@ -188,33 +188,11 @@ func loadUpdates(path string) (incgraph.Batch, error) {
 		if text == "" || strings.HasPrefix(text, "#") {
 			continue
 		}
-		fields := strings.Fields(text)
-		if len(fields) < 3 {
-			return nil, fmt.Errorf("%s:%d: want '+|- v w [vlabel wlabel]'", path, line)
-		}
-		v, err := strconv.ParseInt(fields[1], 10, 64)
+		u, err := graph.ParseUpdate(strings.Fields(text))
 		if err != nil {
 			return nil, fmt.Errorf("%s:%d: %v", path, line, err)
 		}
-		w, err := strconv.ParseInt(fields[2], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("%s:%d: %v", path, line, err)
-		}
-		switch fields[0] {
-		case "+":
-			vl, wl := "", ""
-			if len(fields) > 3 {
-				vl = fields[3]
-			}
-			if len(fields) > 4 {
-				wl = fields[4]
-			}
-			batch = append(batch, incgraph.InsNew(incgraph.NodeID(v), incgraph.NodeID(w), vl, wl))
-		case "-":
-			batch = append(batch, incgraph.Del(incgraph.NodeID(v), incgraph.NodeID(w)))
-		default:
-			return nil, fmt.Errorf("%s:%d: unknown op %q", path, line, fields[0])
-		}
+		batch = append(batch, u)
 	}
 	return batch, sc.Err()
 }

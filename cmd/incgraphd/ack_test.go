@@ -47,26 +47,6 @@ func pipeClient(t *testing.T, srv *server) (*lineClient, *countingConn) {
 	return &lineClient{conn: client, r: bufio.NewReader(client)}, cc
 }
 
-// send writes text in one Write without waiting for replies (a pipe write
-// returns only when the handler has read it all). A failed write shows as
-// the reply that never comes.
-func (c *lineClient) send(text string) {
-	go c.conn.Write([]byte(text))
-}
-
-func (c *lineClient) expect(t *testing.T, prefix string) string {
-	t.Helper()
-	c.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	reply, err := c.r.ReadString('\n')
-	if err != nil {
-		t.Fatalf("waiting for %q: %v", prefix, err)
-	}
-	if !strings.HasPrefix(reply, prefix) {
-		t.Fatalf("reply %q, want %q…", strings.TrimSpace(reply), prefix)
-	}
-	return reply
-}
-
 func stageBurst(n int) string {
 	var sb strings.Builder
 	for i := 0; i < n; i++ {

@@ -13,20 +13,6 @@ import (
 	"incgraph"
 )
 
-// raw sends one command and returns the reply line without requiring an
-// "ok" prefix (for asserting error replies).
-func (c *lineClient) raw(t *testing.T, line string) string {
-	t.Helper()
-	if _, err := fmt.Fprintln(c.conn, line); err != nil {
-		t.Fatalf("send %q: %v", line, err)
-	}
-	reply, err := c.r.ReadString('\n')
-	if err != nil {
-		t.Fatalf("reply to %q: %v", line, err)
-	}
-	return strings.TrimSpace(reply)
-}
-
 // TestClusterCrashRecovery is the distributed crash drill CI runs: build
 // the real binary, start a coordinator daemon plus two shard-worker
 // processes, ingest update bursts over the line protocol, SIGKILL one
@@ -105,17 +91,6 @@ func TestClusterCrashRecovery(t *testing.T) {
 	sc := dialLine(t, singleAddr)
 	defer sc.close()
 
-	// stage sends one burst to a connection without committing.
-	stage := func(c *lineClient, b incgraph.Batch) {
-		for _, u := range b {
-			if u.Op == incgraph.OpInsert {
-				c.cmd(t, fmt.Sprintf("+ %d %d %s %s", u.From, u.To, u.FromLabel, u.ToLabel))
-			} else {
-				c.cmd(t, fmt.Sprintf("- %d %d", u.From, u.To))
-			}
-		}
-	}
-
 	scratch := g.Clone()
 	rng := rand.New(rand.NewSource(31))
 	nextBurst := func() incgraph.Batch {
@@ -131,9 +106,9 @@ func TestClusterCrashRecovery(t *testing.T) {
 	// Normal streaming: both daemons get the same bursts.
 	for burst := 0; burst < 3; burst++ {
 		b := nextBurst()
-		stage(cc, b)
+		cc.stage(t, b)
 		cc.cmd(t, "commit")
-		stage(sc, b)
+		sc.stage(t, b)
 		sc.cmd(t, "commit")
 	}
 
@@ -145,7 +120,7 @@ func TestClusterCrashRecovery(t *testing.T) {
 	}
 	w1.Wait()
 	killed := nextBurst()
-	stage(cc, killed)
+	cc.stage(t, killed)
 	if reply := cc.raw(t, "commit"); !strings.HasPrefix(reply, "err staged: commit failed") {
 		t.Fatalf("commit with a dead worker replied %q, want err", reply)
 	}
@@ -164,17 +139,17 @@ func TestClusterCrashRecovery(t *testing.T) {
 	// Restart the worker on the same address: the next commit reattaches
 	// it and re-ships its shards from the coordinator's segments.
 	w1, _ = startWorker(w1Addr)
-	stage(cc, killed)
+	cc.stage(t, killed)
 	cc.cmd(t, "commit")
-	stage(sc, killed)
+	sc.stage(t, killed)
 	sc.cmd(t, "commit")
 
 	// Post-recovery streaming still works.
 	for burst := 0; burst < 2; burst++ {
 		b := nextBurst()
-		stage(cc, b)
+		cc.stage(t, b)
 		cc.cmd(t, "commit")
-		stage(sc, b)
+		sc.stage(t, b)
 		sc.cmd(t, "commit")
 	}
 

@@ -1,16 +1,13 @@
 package main
 
 import (
-	"bufio"
 	"fmt"
 	"math/rand"
-	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"incgraph"
 )
@@ -80,13 +77,7 @@ func TestCrashRecoverySmoke(t *testing.T) {
 		if err := scratch.ApplyBatch(b); err != nil {
 			t.Fatal(err)
 		}
-		for _, u := range b {
-			if u.Op == incgraph.OpInsert {
-				c.cmd(t, fmt.Sprintf("+ %d %d %s %s", u.From, u.To, u.FromLabel, u.ToLabel))
-			} else {
-				c.cmd(t, fmt.Sprintf("- %d %d", u.From, u.To))
-			}
-		}
+		c.stage(t, b)
 		c.cmd(t, "commit")
 		if burst == 2 {
 			c.cmd(t, "checkpoint") // mid-stream checkpoint: recovery = snapshot + partial WAL
@@ -140,56 +131,5 @@ func TestCrashRecoverySmoke(t *testing.T) {
 		if !strings.Contains(statLine, field) {
 			t.Fatalf("stat %q missing %q", statLine, field)
 		}
-	}
-}
-
-// lineClient drives the daemon's line protocol.
-type lineClient struct {
-	conn net.Conn
-	r    *bufio.Reader
-}
-
-func dialLine(t *testing.T, addr string) *lineClient {
-	t.Helper()
-	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &lineClient{conn: conn, r: bufio.NewReader(conn)}
-}
-
-func (c *lineClient) close() { c.conn.Close() }
-
-// cmd sends one command and requires an "ok" reply.
-func (c *lineClient) cmd(t *testing.T, line string) string {
-	t.Helper()
-	if _, err := fmt.Fprintln(c.conn, line); err != nil {
-		t.Fatalf("send %q: %v", line, err)
-	}
-	reply, err := c.r.ReadString('\n')
-	if err != nil {
-		t.Fatalf("reply to %q: %v", line, err)
-	}
-	reply = strings.TrimSpace(reply)
-	if !strings.HasPrefix(reply, "ok") {
-		t.Fatalf("command %q failed: %s", line, reply)
-	}
-	return reply
-}
-
-// answer fetches the dot-terminated canonical answer dump of one class.
-func (c *lineClient) answer(t *testing.T, class string) string {
-	t.Helper()
-	c.cmd(t, "answer "+class)
-	var sb strings.Builder
-	for {
-		line, err := c.r.ReadString('\n')
-		if err != nil {
-			t.Fatalf("answer %s: %v", class, err)
-		}
-		if strings.TrimSpace(line) == "." {
-			return sb.String()
-		}
-		sb.WriteString(line)
 	}
 }

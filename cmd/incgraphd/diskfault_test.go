@@ -68,25 +68,10 @@ func TestParseDiskFault(t *testing.T) {
 // diskTestServer is testServer over a store running on the given FaultFS,
 // with the disk-degradation knobs tightened for test speed.
 func diskTestServer(t *testing.T, ffs *incgraph.FaultFS) (*server, string) {
-	t.Helper()
-	g := incgraph.SyntheticGraph(incgraph.GraphSpec{
-		Nodes: 120, Edges: 600, Labels: 4, GiantSCCFrac: 0.5, Seed: 9,
-	})
-	d, err := incgraph.CreateDurable(t.TempDir(), g, incgraph.DurableOptions{FS: ffs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Attach(incgraph.MaintainSCC(incgraph.NewSCC(g.Clone()))); err != nil {
-		t.Fatal(err)
-	}
-	srv, err := newServer(d, 0, limits{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := newTestServer(t, nil, incgraph.DurableOptions{FS: ffs}, limits{})
 	srv.diskBackoff = time.Millisecond
 	srv.diskProbeEvery = 10 * time.Millisecond
-	addr, _, _ := serveInProcess(t, func(stop <-chan struct{}) error { return srv.serve("127.0.0.1:0", stop) })
-	return srv, addr
+	return srv, serveTest(t, srv)
 }
 
 // TestDiskDegradationReadOnlyCycle pins the daemon's disk contract under

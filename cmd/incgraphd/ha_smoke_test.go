@@ -101,15 +101,6 @@ func TestStandbyFailoverSmoke(t *testing.T) {
 	bc := dialLine(t, standbyAddr)
 	defer bc.close()
 
-	stage := func(c *lineClient, b incgraph.Batch) {
-		for _, u := range b {
-			if u.Op == incgraph.OpInsert {
-				c.cmd(t, fmt.Sprintf("+ %d %d %s %s", u.From, u.To, u.FromLabel, u.ToLabel))
-			} else {
-				c.cmd(t, fmt.Sprintf("- %d %d", u.From, u.To))
-			}
-		}
-	}
 	scratch := g.Clone()
 	rng := rand.New(rand.NewSource(23))
 	nextBurst := func() incgraph.Batch {
@@ -125,9 +116,9 @@ func TestStandbyFailoverSmoke(t *testing.T) {
 	// First half of the stream through the primary.
 	for burst := 0; burst < 3; burst++ {
 		b := nextBurst()
-		stage(pc, b)
+		pc.stage(t, b)
 		pc.cmd(t, "commit")
-		stage(sc, b)
+		sc.stage(t, b)
 		sc.cmd(t, "commit")
 	}
 
@@ -192,9 +183,9 @@ func TestStandbyFailoverSmoke(t *testing.T) {
 	}
 	for burst := 0; burst < 3; burst++ {
 		b := nextBurst()
-		stage(bc, b)
+		bc.stage(t, b)
 		bc.cmd(t, "commit")
-		stage(sc, b)
+		sc.stage(t, b)
 		sc.cmd(t, "commit")
 	}
 
@@ -218,8 +209,8 @@ func TestStandbyFailoverSmoke(t *testing.T) {
 // reach, instead of holding their sessions until the process exits.
 func TestPromoteFailureClosesDialedLinks(t *testing.T) {
 	dir := t.TempDir()
-	cfg, _ := linFixture(t, dir)
-	cfg.storeDir, cfg.addr, cfg.hubAddr = filepath.Join(dir, "store"), "127.0.0.1:0", "127.0.0.1:0"
+	cfg := historyConfig(t, dir)
+	cfg.hubAddr = "127.0.0.1:0"
 	_, hubAddr, _ := serveInProcess(t, func(stop <-chan struct{}) error { return run(cfg, stop) })
 
 	// The live "worker" only accepts; the dead one is an address nobody
@@ -236,19 +227,12 @@ func TestPromoteFailureClosesDialedLinks(t *testing.T) {
 		}
 	}()
 	standbyAddr, _, _ := serveInProcess(t, func(stop <-chan struct{}) error {
-		return runStandby([]string{
-			"-primary", hubAddr, "-store", filepath.Join(dir, "store-standby"), "-addr", "127.0.0.1:0",
-			"-fsync", "none", "-cluster", live.Addr().String() + ",127.0.0.1:1",
-			"-kws", cfg.kwsQuery, "-bound", fmt.Sprint(cfg.bound), "-rpq", cfg.rpqQuery, "-iso", cfg.isoPath, "-scc",
-		}, stop)
+		return runStandby(standbyArgs(cfg, hubAddr, filepath.Join(dir, "store-standby"), "-cluster", live.Addr().String()+",127.0.0.1:1"), stop)
 	})
-	sc, err := linDial(standbyAddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sc.conn.Close()
-	if reply, err := sc.line("promote"); err != nil || !strings.HasPrefix(reply, "err fenced: promote failed") {
-		t.Fatalf("promote with a dead worker: %q, %v", reply, err)
+	sc := dialLine(t, standbyAddr)
+	defer sc.close()
+	if reply := sc.raw(t, "promote"); !strings.HasPrefix(reply, "err fenced: promote failed") {
+		t.Fatalf("promote with a dead worker: %q", reply)
 	}
 	select {
 	case conn := <-accepted:
@@ -261,7 +245,7 @@ func TestPromoteFailureClosesDialedLinks(t *testing.T) {
 		t.Fatal("the promote never dialed the live worker")
 	}
 	// Still a standby.
-	if h, err := sc.line("health"); err != nil || !strings.Contains(h, "role=standby") {
-		t.Fatalf("health after the failed promote: %q, %v", h, err)
+	if h := sc.cmd(t, "health"); !strings.Contains(h, "role=standby") {
+		t.Fatalf("health after the failed promote: %q", h)
 	}
 }

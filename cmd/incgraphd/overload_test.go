@@ -21,27 +21,43 @@ import (
 	"incgraph"
 )
 
-// testServer starts an in-process server with the given limits over a
-// fresh single-shard-topology durable store (SCC standing query attached,
-// so query/answer have a class to hit). Cleanup stops the serve loop.
-func testServer(t *testing.T, lim limits) (*server, string) {
+// newTestServer builds a server with the given limits over a fresh store
+// of g, or of a small synthetic graph if g is nil, with scc standing on
+// the store's own graph as incgraphd attaches it, so that query and answer
+// have a class to hit. The store closes when the test ends.
+func newTestServer(t *testing.T, g *incgraph.Graph, opts incgraph.DurableOptions, lim limits) *server {
 	t.Helper()
-	g := incgraph.SyntheticGraph(incgraph.GraphSpec{
-		Nodes: 120, Edges: 600, Labels: 4, GiantSCCFrac: 0.5, Seed: 9,
-	})
-	d, err := incgraph.CreateDurable(t.TempDir(), g, incgraph.DurableOptions{})
+	if g == nil {
+		g = incgraph.SyntheticGraph(incgraph.GraphSpec{
+			Nodes: 120, Edges: 600, Labels: 4, GiantSCCFrac: 0.5, Seed: 9,
+		})
+	}
+	d, err := incgraph.CreateDurable(t.TempDir(), g, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Attach(incgraph.MaintainSCC(incgraph.NewSCC(g.Clone()))); err != nil {
+	t.Cleanup(func() { d.Close() })
+	if err := d.Attach(incgraph.MaintainSCC(incgraph.NewSCC(d.Graph()))); err != nil {
 		t.Fatal(err)
 	}
 	srv, err := newServer(d, 0, lim)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return srv
+}
+
+// serveTest serves srv at 127.0.0.1:0 until the test ends and returns its
+// address.
+func serveTest(t *testing.T, srv *server) string {
 	addr, _, _ := serveInProcess(t, func(stop <-chan struct{}) error { return srv.serve("127.0.0.1:0", stop) })
-	return srv, addr
+	return addr
+}
+
+// testServer serves newTestServer's small store with the given limits.
+func testServer(t *testing.T, lim limits) (*server, string) {
+	srv := newTestServer(t, nil, incgraph.DurableOptions{}, lim)
+	return srv, serveTest(t, srv)
 }
 
 func TestConnCapShedsWithExplicitReply(t *testing.T) {
@@ -106,6 +122,8 @@ type rowless struct{ incgraph.Maintained }
 // TestEngineWithoutRowsRefused: the daemon serves answers from the engines'
 // row deltas and has no other read path, so an attached engine that lacks
 // incgraph.RowAnswer is refused when the server is built, by class and type.
+// Attach takes a wrapper only on a private graph; nothing is committed, so
+// an empty one does.
 func TestEngineWithoutRowsRefused(t *testing.T) {
 	g := incgraph.SyntheticGraph(incgraph.GraphSpec{Nodes: 20, Edges: 40, Labels: 2, Seed: 3})
 	d, err := incgraph.CreateDurable(t.TempDir(), g, incgraph.DurableOptions{})
@@ -113,7 +131,7 @@ func TestEngineWithoutRowsRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	if err := d.Attach(rowless{incgraph.MaintainSCC(incgraph.NewSCC(g.Clone()))}); err != nil {
+	if err := d.Attach(rowless{incgraph.MaintainSCC(incgraph.NewSCC(incgraph.NewGraph()))}); err != nil {
 		t.Fatal(err)
 	}
 	_, err = newServer(d, 0, limits{})
@@ -144,6 +162,22 @@ func TestReadErrorStaysInErrorGrammar(t *testing.T) {
 		}
 	}
 	c.cmd(t, "query scc")
+}
+
+// TestUpdateLineWithExtraFieldsRefused: an update line with a field too
+// many is a protocol error, not an update: "+ v w vlabel wlabel junk" and
+// "- v w x" stage nothing.
+func TestUpdateLineWithExtraFieldsRefused(t *testing.T) {
+	srv, _ := testServer(t, limits{})
+	c, _ := pipeClient(t, srv)
+	for _, line := range []string{"+ 1 2 a b junk", "- 1 2 x"} {
+		if reply := c.raw(t, line); !strings.HasPrefix(reply, "err proto: ") {
+			t.Fatalf("%q replied %q, want err proto", line, reply)
+		}
+	}
+	if reply := c.raw(t, "commit"); !strings.HasPrefix(reply, "err staged: nothing staged") {
+		t.Fatalf("commit after the refused lines replied %q, want nothing staged", reply)
+	}
 }
 
 func TestOversizedLineRepliedBeforeCut(t *testing.T) {

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"incgraph"
+	"incgraph/internal/graph"
 )
 
 // server multiplexes the line protocol over one Durable. Writers and
@@ -451,7 +452,7 @@ func (s *server) handle(conn net.Conn) {
 		fields := strings.Fields(line)
 		switch fields[0] {
 		case "+", "-":
-			u, err := parseUpdate(fields)
+			u, err := graph.ParseUpdate(fields)
 			if err != nil {
 				if !replyErr(reply, catProto, "%v", err) {
 					return
@@ -1027,31 +1028,4 @@ func (s *server) promote(reply func(string, ...any) bool) bool {
 	s.tail.Store(tailNone)
 	log.Printf("promoted to primary at term %d (%d workers)", term, len(links))
 	return reply("ok promoted term=%d workers=%d", term, len(links))
-}
-
-// parseUpdate decodes "+ v w [vlabel wlabel]" / "- v w" (the update-file
-// format of cmd/incgraph).
-func parseUpdate(fields []string) (incgraph.Update, error) {
-	if len(fields) < 3 {
-		return incgraph.Update{}, fmt.Errorf("want '+|- v w [vlabel wlabel]'")
-	}
-	v, err := strconv.ParseInt(fields[1], 10, 64)
-	if err != nil {
-		return incgraph.Update{}, fmt.Errorf("bad source id: %v", err)
-	}
-	w, err := strconv.ParseInt(fields[2], 10, 64)
-	if err != nil {
-		return incgraph.Update{}, fmt.Errorf("bad target id: %v", err)
-	}
-	if fields[0] == "-" {
-		return incgraph.Del(incgraph.NodeID(v), incgraph.NodeID(w)), nil
-	}
-	vl, wl := "", ""
-	if len(fields) > 3 {
-		vl = fields[3]
-	}
-	if len(fields) > 4 {
-		wl = fields[4]
-	}
-	return incgraph.InsNew(incgraph.NodeID(v), incgraph.NodeID(w), vl, wl), nil
 }

@@ -23,19 +23,7 @@ func ringServer(t *testing.T, ring, loose int) *server {
 	for v := 0; v < ring; v++ {
 		g.AddEdge(incgraph.NodeID(v), incgraph.NodeID((v+1)%ring))
 	}
-	d, err := incgraph.CreateDurable(t.TempDir(), g, incgraph.DurableOptions{Sync: incgraph.SyncNone})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { d.Close() })
-	if err := d.Attach(incgraph.MaintainSCC(incgraph.NewSCC(g.Clone()))); err != nil {
-		t.Fatal(err)
-	}
-	srv, err := newServer(d, 0, limits{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return srv
+	return newTestServer(t, g, incgraph.DurableOptions{Sync: incgraph.SyncNone}, limits{})
 }
 
 // TestPublishAllocsIndependentOfSizes pins what a commit pays for the read

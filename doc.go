@@ -165,7 +165,13 @@
 // give it; MergeRows is the ⊕). Reads load that pointer and take no lock —
 // they never wait for a commit, see one whole generation and say which
 // ("ok CLASS SIZE gen=G") — and the engines themselves are never read
-// after start-up. The CLI tools accept .snap files anywhere a text graph
+// after start-up. TestDaemonHistory (cmd/incgraphd) pins it against the
+// same seeded history and from-scratch oracle as TestHistory
+// (internal/history): staged and committed over the wire to a daemon, a
+// cluster coordinator and a promoted standby while readers read every
+// class, each reply must be what from-scratch builds answer at the step
+// its generation ended, never older than an acked commit, and never older
+// than its connection's last. The CLI tools accept .snap files anywhere a text graph
 // is accepted (LoadGraphFile sniffs the format).
 //
 // # Distribution

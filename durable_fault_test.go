@@ -17,20 +17,21 @@ import (
 	"testing"
 
 	"incgraph"
+	"incgraph/internal/history"
 )
 
 // matchesOracle fails unless d holds sim and every engine answers what a
 // from-scratch build on sim does, with its audit green.
-func matchesOracle(t *testing.T, what string, d *incgraph.Durable, engines map[string]rowEngine, build builders, sim *incgraph.Graph) {
+func matchesOracle(t *testing.T, what string, d *incgraph.Durable, engines map[string]history.Engine, build history.Builders, sim *incgraph.Graph) {
 	t.Helper()
 	if !d.Graph().Equal(sim) {
 		t.Fatalf("%s: the store's graph is not the history's", what)
 	}
 	for class, e := range engines {
-		if got, want := e.answer(), build[class](sim.Clone()).answer(); got != want {
-			t.Fatalf("%s: %s answers differently from a fresh build: %s", what, class, firstDiff(got, want))
+		if got, want := e.Answer(), build[class](sim.Clone()).Answer(); got != want {
+			t.Fatalf("%s: %s answers differently from a fresh build: %s", what, class, history.FirstDiff(got, want))
 		}
-		if err := e.audit(); err != nil {
+		if err := e.Audit(); err != nil {
 			t.Fatalf("%s: %s audit: %v", what, class, err)
 		}
 	}
@@ -43,9 +44,9 @@ func matchesOracle(t *testing.T, what string, d *incgraph.Durable, engines map[s
 func TestRecoveryTornTail(t *testing.T) {
 	for _, mode := range []string{"torn", "crc"} {
 		t.Run(mode, func(t *testing.T) {
-			g := historyGraph()
-			build, _ := rowEngines(t, g)
-			h := newRowHistory(g, 777)
+			g := history.Graph()
+			build, _ := history.Engines(g)
+			h := history.New(g, 777)
 			dir := t.TempDir()
 			d, err := incgraph.CreateDurable(dir, g.Clone(), incgraph.DurableOptions{})
 			if err != nil {
@@ -55,7 +56,7 @@ func TestRecoveryTornTail(t *testing.T) {
 			var kept *incgraph.Graph
 			var lost incgraph.Batch
 			for i := 0; i < 6; i++ {
-				kept, lost = h.sim.Clone(), h.batch(60)
+				kept, lost = h.Sim.Clone(), h.Batch(60)
 				if _, err := d.Commit(lost, incgraph.ApplyOptions{}); err != nil {
 					t.Fatalf("batch %d: %v", i, err)
 				}
@@ -91,7 +92,7 @@ func TestRecoveryTornTail(t *testing.T) {
 			if _, err := r.Commit(lost, incgraph.ApplyOptions{}); err != nil {
 				t.Fatalf("re-apply after truncation: %v", err)
 			}
-			matchesOracle(t, "post-truncation apply", r, engines, build, h.sim)
+			matchesOracle(t, "post-truncation apply", r, engines, build, h.Sim)
 		})
 	}
 }
@@ -107,15 +108,15 @@ type maintainedOnly struct{ incgraph.Maintained }
 // append — and applying before recovery completed is refused. It is the
 // one test that attaches an engine on a clone on purpose.
 func TestDurableGuards(t *testing.T) {
-	g := historyGraph()
-	build, _ := rowEngines(t, g)
-	h := newRowHistory(g, 99)
+	g := history.Graph()
+	build, _ := history.Engines(g)
+	h := history.New(g, 99)
 	dir := t.TempDir()
 	d, err := incgraph.CreateDurable(dir, g.Clone(), incgraph.DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	inPlace := build["kws"](d.Graph()).m
+	inPlace := build["kws"](d.Graph()).M
 	err = d.Attach(maintainedOnly{inPlace})
 	if err == nil || !strings.Contains(err.Error(), "Graph().Clone()") || !strings.Contains(err.Error(), "Maintain* adapter") {
 		t.Fatalf("attaching a wrapper on the base graph: %v, want a refusal naming both remedies", err)
@@ -127,17 +128,17 @@ func TestDurableGuards(t *testing.T) {
 		t.Fatal("the attached engine does not share the base graph")
 	}
 	clone := d.Graph().Clone()
-	if err := d.Attach(maintainedOnly{build["rpq"](clone).m}); err != nil {
+	if err := d.Attach(maintainedOnly{build["rpq"](clone).M}); err != nil {
 		t.Fatalf("attaching a wrapped engine on a clone: %v", err)
 	}
-	err = d.Attach(build["scc"](clone).m)
+	err = d.Attach(build["scc"](clone).M)
 	if err == nil || !strings.Contains(err.Error(), "scc") || !strings.Contains(err.Error(), "rpq") {
 		t.Fatalf("attaching a second engine on one clone: %v, want a refusal naming both classes", err)
 	}
 	if n := len(d.Engines()); n != 2 {
 		t.Fatalf("%d engines attached, want the 2 accepted", n)
 	}
-	b := h.batch(60)
+	b := h.Batch(60)
 	if _, err := d.Commit(b, incgraph.ApplyOptions{}); err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +154,7 @@ func TestDurableGuards(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	b = h.batch(60)
+	b = h.Batch(60)
 	if _, err := r.Commit(b, incgraph.ApplyOptions{}); err == nil {
 		t.Fatal("want error applying before Recover")
 	}
@@ -176,9 +177,9 @@ func TestDurableFsyncFailThenCrashParity(t *testing.T) {
 	for _, k := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("sync-%d", k), func(t *testing.T) {
 			dir := t.TempDir()
-			g := historyGraph()
-			build, _ := rowEngines(t, g)
-			h := newRowHistory(g, 17)
+			g := history.Graph()
+			build, _ := history.Engines(g)
+			h := history.New(g, 17)
 			ffs := incgraph.NewFaultFS(21, incgraph.FSRule{
 				Op: "sync", Path: "wal", Index: k, Kind: incgraph.FaultSyncFail,
 			})
@@ -189,7 +190,7 @@ func TestDurableFsyncFailThenCrashParity(t *testing.T) {
 			attachInPlace(d, build)
 			refused := 0
 			for i := 0; i < 6; i++ {
-				b := h.batch(25)
+				b := h.Batch(25)
 				gen, seq := d.Generation(), d.WALSeq()
 				if _, err := d.Commit(b, incgraph.ApplyOptions{}); err != nil {
 					refused++
@@ -217,7 +218,7 @@ func TestDurableFsyncFailThenCrashParity(t *testing.T) {
 			if err := r.Recover(); err != nil {
 				t.Fatalf("recovery replay: %v", err)
 			}
-			matchesOracle(t, "recovered", r, engines, build, h.sim)
+			matchesOracle(t, "recovered", r, engines, build, h.Sim)
 		})
 	}
 }
@@ -229,16 +230,16 @@ func TestDurableFsyncFailThenCrashParity(t *testing.T) {
 // replicas verify clean, and the store recovers to exactly what a
 // single-process run of the same stream holds: WAL bytes, graph and answers.
 func TestClusterCommitWALFailureAfterPhase1(t *testing.T) {
-	g := historyGraph()
+	g := history.Graph()
 	g.SetShards(8)
-	build, _ := rowEngines(t, g)
-	h := newRowHistory(g, 5151)
+	build, _ := history.Engines(g)
+	h := history.New(g, 5151)
 	batches := make([]incgraph.Batch, 6)
 	for i := range batches {
-		batches[i] = h.batch(60)
+		batches[i] = h.Batch(60)
 	}
 	dir := t.TempDir()
-	open := func(name string, fs incgraph.FS) (*incgraph.Durable, map[string]rowEngine) {
+	open := func(name string, fs incgraph.FS) (*incgraph.Durable, map[string]history.Engine) {
 		d, err := incgraph.CreateDurable(filepath.Join(dir, name), g.Clone(), incgraph.DurableOptions{FS: fs})
 		if err != nil {
 			t.Fatal(err)
@@ -266,7 +267,7 @@ func TestClusterCommitWALFailureAfterPhase1(t *testing.T) {
 	seq, graph := d.WALSeq(), d.Graph().Clone()
 	before := map[string]string{}
 	for class, e := range engines {
-		before[class] = e.observe()
+		before[class] = e.Observe()
 	}
 	if _, err := d.Commit(batches[2], via); err == nil || !strings.Contains(err.Error(), "WAL append") {
 		t.Fatalf("commit over a full disk: %v, want the WAL append's error", err)
@@ -275,8 +276,8 @@ func TestClusterCommitWALFailureAfterPhase1(t *testing.T) {
 		t.Fatalf("the failed commit moved the store: WAL seq %d → %d, graph changed %v", seq, d.WALSeq(), !d.Graph().Equal(graph))
 	}
 	for class, e := range engines {
-		if got := e.observe(); got != before[class] {
-			t.Fatalf("the failed commit moved %s: %s", class, firstDiff(got, before[class]))
+		if got := e.Observe(); got != before[class] {
+			t.Fatalf("the failed commit moved %s: %s", class, history.FirstDiff(got, before[class]))
 		}
 	}
 
@@ -325,7 +326,7 @@ func TestClusterCommitWALFailureAfterPhase1(t *testing.T) {
 		if err := r.Recover(); err != nil {
 			t.Fatal(err)
 		}
-		matchesOracle(t, "recovered "+name, r, engines, build, h.sim)
+		matchesOracle(t, "recovered "+name, r, engines, build, h.Sim)
 	}
 }
 
@@ -333,15 +334,15 @@ func TestClusterCommitWALFailureAfterPhase1(t *testing.T) {
 // that OpenDurable left mid-recovery is refused before the cluster sees
 // the batch: no phase-1 frame reaches a worker.
 func TestClusterCommitBeforeRecoverSendsNothing(t *testing.T) {
-	g := historyGraph()
+	g := history.Graph()
 	g.SetShards(8)
-	h := newRowHistory(g, 4343)
+	h := history.New(g, 4343)
 	dir := t.TempDir()
 	d, err := incgraph.CreateDurable(dir, g, incgraph.DurableOptions{Sync: incgraph.SyncNone})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Commit(h.batch(60), incgraph.ApplyOptions{}); err != nil {
+	if _, err := d.Commit(h.Batch(60), incgraph.ApplyOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	d.Close()
@@ -358,7 +359,7 @@ func TestClusterCommitBeforeRecoverSendsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if _, err := r.Commit(h.batch(60), incgraph.ApplyOptions{Via: cl}); err == nil || !strings.Contains(err.Error(), "before Recover") {
+	if _, err := r.Commit(h.Batch(60), incgraph.ApplyOptions{Via: cl}); err == nil || !strings.Contains(err.Error(), "before Recover") {
 		t.Fatalf("Commit via a cluster before Recover: %v, want a refusal", err)
 	}
 	if n := cl.RemoteErrors(); n != 0 {

@@ -7,345 +7,44 @@ package incgraph_test
 // every step each shape is judged against the reference shape ("clones"
 // in TestHistory) for everything a caller can observe, and the reference
 // against from-scratch builds on the simulated graph for every class's
-// answer and ΔO. The tests after TestHistory each run a short history
-// through the few shapes one concern sets side by side.
+// answer and ΔO. The history, the engine builders and that oracle are
+// internal/history's, which cmd/incgraphd's TestDaemonHistory drives over
+// the wire. The tests after TestHistory each run a short history through
+// the few shapes one concern sets side by side.
 
 import (
 	"bytes"
 	"errors"
 	"fmt"
 	"maps"
-	"math/rand"
 	"net"
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"incgraph"
-	"incgraph/internal/cost"
 	"incgraph/internal/graph"
-	"incgraph/internal/iso"
-	"incgraph/internal/kws"
-	"incgraph/internal/rpq"
-	"incgraph/internal/scc"
+	"incgraph/internal/history"
 )
 
-// historyGraph is the graph every history starts from: two labels, half
-// the nodes in one giant SCC.
-func historyGraph() *incgraph.Graph {
-	return incgraph.SyntheticGraph(incgraph.GraphSpec{
-		Nodes: 300, Edges: 1200, Labels: 2, GiantSCCFrac: 0.5, Seed: 41,
-	})
-}
-
-// rowHistory generates batches that are valid against sim in order and
-// applies them to sim: deletions, insertions between existing nodes,
-// insertions that hang a new node off an existing one — IDs below the
-// range (negative), just above it and from 2⁴⁰ up, labeled from the graph's
-// alphabet — and pairs that cancel within the batch: an edge inserted and
-// deleted again (its new node stays), an edge deleted and put back.
-type rowHistory struct {
-	rng          *rand.Rand
-	sim          *incgraph.Graph
-	nodes        []incgraph.NodeID
-	labels       []string
-	lo, hi, huge incgraph.NodeID
-	fresh        int
-}
-
-func newRowHistory(g *incgraph.Graph, seed int64) *rowHistory {
-	sim := g.Clone()
-	nodes := sim.NodesSorted()
-	h := &rowHistory{
-		rng: rand.New(rand.NewSource(seed)), sim: sim, nodes: nodes,
-		lo: min(nodes[0], 0) - 1, hi: nodes[len(nodes)-1] + 1, huge: 1 << 40,
-	}
-	sim.Labels(func(l string, _ int) bool {
-		h.labels = append(h.labels, l)
-		return true
-	})
-	slices.Sort(h.labels)
-	return h
-}
-
-func (h *rowHistory) freshNode() (incgraph.NodeID, string) {
-	var id incgraph.NodeID
-	switch h.fresh % 3 {
-	case 0:
-		id = h.lo
-		h.lo--
-	case 1:
-		id = h.hi
-		h.hi++
-	default:
-		id = h.huge
-		h.huge += 1 << 20
-	}
-	h.fresh++
-	h.nodes = append(h.nodes, id)
-	return id, h.labels[h.rng.Intn(len(h.labels))]
-}
-
-func (h *rowHistory) batch(k int) incgraph.Batch {
-	var b incgraph.Batch
-	for len(b) < k {
-		v := h.nodes[h.rng.Intn(len(h.nodes))]
-		var us []incgraph.Update
-		switch h.rng.Intn(12) {
-		case 0, 1, 2, 3:
-			succ := h.sim.SuccessorsSorted(v)
-			if len(succ) == 0 {
-				continue
-			}
-			us = append(us, incgraph.Del(v, succ[h.rng.Intn(len(succ))]))
-		case 4:
-			id, l := h.freshNode()
-			if h.rng.Intn(2) == 0 {
-				us = append(us, incgraph.InsNew(v, id, "", l))
-			} else {
-				us = append(us, incgraph.InsNew(id, v, l, ""))
-			}
-		case 5:
-			if succ := h.sim.SuccessorsSorted(v); len(succ) > 0 && h.rng.Intn(2) == 0 {
-				w := succ[h.rng.Intn(len(succ))]
-				us = append(us, incgraph.Del(v, w), incgraph.Ins(v, w))
-			} else {
-				id, l := h.freshNode()
-				us = append(us, incgraph.InsNew(v, id, "", l), incgraph.Del(v, id))
-			}
-		default:
-			w := h.nodes[h.rng.Intn(len(h.nodes))]
-			if h.sim.HasEdge(v, w) {
-				continue
-			}
-			us = append(us, incgraph.Ins(v, w))
-		}
-		for _, u := range us {
-			if err := h.sim.Apply(u); err != nil {
-				panic(err)
-			}
-		}
-		b = append(b, us...)
-	}
-	return b
-}
-
-// badBatch fails on its last update, after a prefix that would have created
-// a node and deleted an edge.
-func (h *rowHistory) badBatch() incgraph.Batch {
-	for {
-		v := h.nodes[h.rng.Intn(len(h.nodes))]
-		if succ := h.sim.SuccessorsSorted(v); len(succ) > 0 {
-			return incgraph.Batch{
-				incgraph.InsNew(v, h.huge+1, "", h.labels[0]),
-				incgraph.Del(v, succ[0]),
-				incgraph.Del(h.huge+1, h.huge+2),
-			}
-		}
-	}
-}
-
-// rowEngine is one class's engine as the tests drive it: the adapter, the
-// engine's own audit of its state, its work meter, and — for kws and iso,
-// which have a rebuild-and-diff path — the cost model's last verdict.
-type rowEngine struct {
-	m        incgraph.Maintained
-	audit    func() error
-	meter    *cost.Meter
-	estimate func() cost.Estimate
-}
-
-// rebuilt reports whether the engine's last repair took rebuild-and-diff.
-func (e rowEngine) rebuilt() bool { return e.estimate != nil && e.estimate().PreferBatch() }
-
-// classes is the order every store attaches its engines in.
-var classes = []string{"kws", "rpq", "scc", "iso"}
-
-// builders builds each class's engine on a graph, by class.
-type builders map[string]func(g *incgraph.Graph) rowEngine
-
-// classes returns the classes b builds, in classes order.
-func (b builders) classes() []string {
-	return slices.DeleteFunc(slices.Clone(classes), func(class string) bool { return b[class] == nil })
-}
-
-// rowEngines returns the one builder of every class's engine, with the
-// queries all the tests fix on a graph derived from seed. The builders may
-// run on any goroutine: with the queries valid, a build cannot fail.
-func rowEngines(t *testing.T, seed *incgraph.Graph) (builders, incgraph.KWSQuery) {
-	kwsQ, err := incgraph.RandomKWSQuery(seed, 2, 2, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pg := incgraph.NewGraph()
-	pg.AddNode(0, "l0")
-	pg.AddNode(1, "l0")
-	pg.AddNode(2, "l0")
-	pg.AddEdge(0, 1)
-	pg.AddEdge(0, 2)
-	pat, err := incgraph.NewPattern(pg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return builders{
-		"kws": func(g *incgraph.Graph) rowEngine {
-			meter := new(cost.Meter)
-			ix, err := kws.Build(g, kwsQ, meter)
-			if err != nil {
-				panic(err)
-			}
-			return rowEngine{incgraph.MaintainKWS(ix), ix.Check, meter, ix.LastEstimate}
-		},
-		"rpq": func(g *incgraph.Graph) rowEngine {
-			meter := new(cost.Meter)
-			e, err := rpq.Parse(g, "l0.l1*.l0", meter)
-			if err != nil {
-				panic(err)
-			}
-			return rowEngine{incgraph.MaintainRPQ(e), e.Check, meter, nil}
-		},
-		"scc": func(g *incgraph.Graph) rowEngine {
-			meter := new(cost.Meter)
-			st := scc.Build(g, meter)
-			return rowEngine{incgraph.MaintainSCC(st), st.CheckInvariants, meter, nil}
-		},
-		"iso": func(g *incgraph.Graph) rowEngine {
-			meter := new(cost.Meter)
-			ix := iso.Build(g, pat, meter)
-			return rowEngine{incgraph.MaintainISO(ix), ix.Check, meter, ix.LastEstimate}
-		},
-	}, kwsQ
-}
-
 // attachInPlace builds every class's engine build has on d's own graph,
-// the way incgraphd attaches its engines, and attaches them in classes
-// order: Attach takes any adapter built on the store's graph.
-func attachInPlace(d *incgraph.Durable, build builders) map[string]rowEngine {
-	engines := make(map[string]rowEngine, len(build))
-	for _, class := range build.classes() {
+// the way incgraphd attaches its engines, and attaches them in
+// history.Classes order: Attach takes any adapter built on the store's
+// graph.
+func attachInPlace(d *incgraph.Durable, build history.Builders) map[string]history.Engine {
+	engines := make(map[string]history.Engine, len(build))
+	for _, class := range build.Classes() {
 		e := build[class](d.Graph())
-		if err := d.Attach(e.m); err != nil {
+		if err := d.Attach(e.M); err != nil {
 			panic(err)
 		}
 		engines[class] = e
 	}
 	return engines
-}
-
-// answer renders the engine's answer: WriteAnswer's bytes.
-func (e rowEngine) answer() string {
-	var buf bytes.Buffer
-	if err := e.m.WriteAnswer(&buf); err != nil {
-		panic(err) // a bytes.Buffer takes every write
-	}
-	return buf.String()
-}
-
-// observe renders everything a commit leaves behind in one engine that a
-// caller can see: ΔO row by row, the answer, the work metered since build,
-// the cost model's verdict — less the shards ΔG touched, which depends on
-// the shard count.
-func (e rowEngine) observe() string {
-	est := "none"
-	if e.estimate != nil {
-		v := e.estimate()
-		v.TouchedShards = 0
-		est = v.String()
-	}
-	return "ΔO:\n" + renderLastDelta(e.m) + "answer:\n" + e.answer() + "meter: " + e.meter.String() + "\nestimate: " + est + "\n"
-}
-
-// sansMeter drops observe's meter line: an engine a recovery rebuilt has
-// metered its build and the replay, not the history's repairs.
-func sansMeter(obs string) string {
-	i := strings.LastIndex(obs, "meter: ")
-	return obs[:i] + obs[i+strings.IndexByte(obs[i:], '\n')+1:]
-}
-
-// renderLastDelta renders the ΔO an adapter holds row by row, one line
-// each: "-" and the row for one that left Q(G), "+" for one that entered.
-func renderLastDelta(m incgraph.Maintained) string {
-	ra := m.(incgraph.RowAnswer)
-	var out []byte
-	ra.LastDelta().Each(func(row []incgraph.NodeID, gone bool) {
-		sign := byte('+')
-		if gone {
-			sign = '-'
-		}
-		out = ra.AppendRow(append(out, sign), row)
-	})
-	return string(out)
-}
-
-// firstDiff returns the first line at which two observations part.
-func firstDiff(got, want string) string {
-	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
-	for i := 0; i < len(g) && i < len(w); i++ {
-		if g[i] != w[i] {
-			return fmt.Sprintf("line %d: %q, want %q", i+1, g[i], w[i])
-		}
-	}
-	return fmt.Sprintf("%d lines, want %d", len(g), len(w))
-}
-
-// oracle holds every class's answer as rows, built from scratch on the
-// simulated graph as the history last left it.
-type oracle struct {
-	build builders
-	rows  map[string]incgraph.Rows
-}
-
-func newOracle(build builders, sim *incgraph.Graph) *oracle {
-	o := &oracle{build, make(map[string]incgraph.Rows, len(build))}
-	for class := range build {
-		o.rows[class] = o.build[class](sim.Clone()).m.(incgraph.RowAnswer).Rows()
-	}
-	return o
-}
-
-// check rebuilds every class from scratch on sim and holds the engines'
-// last ΔO to the keyed diff of the builds before and after: folded onto
-// the old answer it renders the new one, byte for byte, and it names no
-// key whose row is the same in both. The engines' answers must be the new
-// builds' too.
-func (o *oracle) check(t *testing.T, step int, sim *incgraph.Graph, engines map[string]rowEngine) {
-	t.Helper()
-	for class, e := range engines {
-		fresh := o.build[class](sim.Clone())
-		ra := fresh.m.(incgraph.RowAnswer)
-		was, now := o.rows[class], ra.Rows()
-		d := e.m.(incgraph.RowAnswer).LastDelta()
-		var folded []byte
-		incgraph.MergeRows(ra, was, []incgraph.RowDelta{d}, func(row []incgraph.NodeID) { folded = ra.AppendRow(folded, row) })
-		want := fresh.answer()
-		if string(folded) != want {
-			t.Fatalf("step %d: %s: the old answer ⊕ ΔO is not a fresh build's: %s", step, class, firstDiff(string(folded), want))
-		}
-		if got := e.answer(); got != want {
-			t.Fatalf("step %d: %s answers differently from a fresh build: %s", step, class, firstDiff(got, want))
-		}
-		d.Each(func(row []incgraph.NodeID, gone bool) {
-			before, after := rowOf(ra, was, row), rowOf(ra, now, row)
-			if before == nil && after == nil || before != nil && after != nil && slices.Equal(before, after) {
-				t.Fatalf("step %d: %s: ΔO names %v, whose row did not change", step, class, row)
-			}
-		})
-		o.rows[class] = now
-	}
-}
-
-// rowOf returns the row of rows with row's key, or nil.
-func rowOf(ra incgraph.RowAnswer, rows incgraph.Rows, row []incgraph.NodeID) []incgraph.NodeID {
-	i := sort.Search(rows.Len(), func(i int) bool { return ra.CompareRows(rows.At(i), row) >= 0 })
-	if i < rows.Len() && ra.CompareRows(rows.At(i), row) == 0 {
-		return rows.At(i)
-	}
-	return nil
 }
 
 // shape is one deployment the history runs through: a store, the engines
@@ -354,7 +53,7 @@ type shape struct {
 	name    string
 	dir     string
 	d       *incgraph.Durable
-	engines map[string]rowEngine
+	engines map[string]history.Engine
 	shards  int
 	// resharded is set once the store's graph went from 2 shards to 8.
 	resharded bool
@@ -369,15 +68,13 @@ type shape struct {
 	commit func(step int, b incgraph.Batch) ([]incgraph.DeltaSummary, error)
 }
 
-// history is one run of the harness: the first graph, the builder and the
+// harness is one run of runHistory: the first graph, the builder and the
 // length of the history.
-type history struct {
+type harness struct {
 	t *testing.T
-	// g is the first graph at 4 shards, a count no shape runs at; at holds
-	// it re-sharded once per shard count a shape starts at.
+	// g is the first graph at 4 shards, a count no shape runs at.
 	g     *incgraph.Graph
-	at    map[int]*incgraph.Graph
-	build builders
+	build history.Builders
 	steps int
 }
 
@@ -386,7 +83,7 @@ type history struct {
 type shapeSpec struct {
 	name   string
 	shards int
-	open   func(hs *history, s *shape)
+	open   func(hs *harness, s *shape)
 }
 
 // shapes are the deployments, each opened on a store of its shard count.
@@ -395,23 +92,23 @@ type shapeSpec struct {
 var shapes = []shapeSpec{
 	// The reference: every engine on a clone of its own, advanced by its
 	// own Apply — the path perf/ measures.
-	{"clones", 2, func(hs *history, s *shape) {
-		for _, class := range hs.build.classes() {
+	{"clones", 2, func(hs *harness, s *shape) {
+		for _, class := range hs.build.Classes() {
 			hs.attach(s, class, s.d.Graph().Clone())
 		}
 	}},
-	{"inplace", 2, func(hs *history, s *shape) { s.engines = attachInPlace(s.d, hs.build) }},
+	{"inplace", 2, func(hs *harness, s *shape) { s.engines = attachInPlace(s.d, hs.build) }},
 	// kws in place beside scc on a clone.
-	{"mixed", 2, func(hs *history, s *shape) {
+	{"mixed", 2, func(hs *harness, s *shape) {
 		hs.attach(s, "kws", s.d.Graph())
 		hs.attach(s, "scc", s.d.Graph().Clone())
 	}},
-	{"serial", 1, func(hs *history, s *shape) {
+	{"serial", 1, func(hs *harness, s *shape) {
 		s.d.Graph().SetParallelism(1)
 		s.engines = attachInPlace(s.d, hs.build)
 	}},
 	// Every loop starts all of its helpers before its first iteration.
-	{"wide", 2, func(hs *history, s *shape) {
+	{"wide", 2, func(hs *harness, s *shape) {
 		defer graph.EagerFanOut()()
 		s.d.Graph().SetParallelism(8)
 		s.engines = attachInPlace(s.d, hs.build)
@@ -422,7 +119,7 @@ var shapes = []shapeSpec{
 	}},
 	{"hooked", 2, openHooked},
 	{"recovering", 2, recovering(true)},
-	{"cluster", 8, func(hs *history, s *shape) {
+	{"cluster", 8, func(hs *harness, s *shape) {
 		s.engines = attachInPlace(s.d, hs.build)
 		links, _, stop := incgraph.InProcessLinks(2)
 		hs.t.Cleanup(stop)
@@ -432,9 +129,9 @@ var shapes = []shapeSpec{
 }
 
 // attach builds class's engine on g and attaches it to s's store.
-func (hs *history) attach(s *shape, class string, g *incgraph.Graph) {
+func (hs *harness) attach(s *shape, class string, g *incgraph.Graph) {
 	e := hs.build[class](g)
-	if err := s.d.Attach(e.m); err != nil {
+	if err := s.d.Attach(e.M); err != nil {
 		hs.t.Fatal(err)
 	}
 	s.engines[class] = e
@@ -442,7 +139,7 @@ func (hs *history) attach(s *shape, class string, g *incgraph.Graph) {
 
 // cluster attaches the linked workers to g under a coordinator the test
 // closes.
-func (hs *history) cluster(g *incgraph.Graph, links []incgraph.ClusterLink, opts ...incgraph.ClusterOption) *incgraph.Cluster {
+func (hs *harness) cluster(g *incgraph.Graph, links []incgraph.ClusterLink, opts ...incgraph.ClusterOption) *incgraph.Cluster {
 	cl, err := incgraph.NewCluster(g, links, opts...)
 	if err != nil {
 		hs.t.Fatal(err)
@@ -460,19 +157,14 @@ func pick(names ...string) []shapeSpec {
 	return specs
 }
 
-// open creates the shape's store on a copy of the first graph at the
-// shape's shard count. The shapes at one shard count share a slot layout,
-// and every store's generation moved once on the way in.
-func (hs *history) open(spec shapeSpec) *shape {
+// open creates the shape's store on a copy of the first graph re-sharded
+// to the shape's shard count. The shapes at one shard count share a slot
+// layout: SetShards issues slots by NodeID.
+func (hs *harness) open(spec shapeSpec) *shape {
 	t := hs.t
-	base, ok := hs.at[spec.shards]
-	if !ok {
-		base = hs.g.Clone()
-		base.SetShards(spec.shards)
-		hs.at[spec.shards] = base
-	}
-	g := base.Clone()
-	s := &shape{name: spec.name, dir: t.TempDir(), engines: map[string]rowEngine{}, shards: spec.shards, logsAll: true}
+	g := hs.g.Clone()
+	g.SetShards(spec.shards)
+	s := &shape{name: spec.name, dir: t.TempDir(), engines: map[string]history.Engine{}, shards: spec.shards, logsAll: true}
 	d, err := incgraph.CreateDurable(s.dir, g, incgraph.DurableOptions{Sync: incgraph.SyncNone})
 	if err != nil {
 		t.Fatal(err)
@@ -490,7 +182,7 @@ func (hs *history) open(spec shapeSpec) *shape {
 // does: its own log step around LogPlanned, the apply step under its own
 // exclusion. The log step must run first, and neither may run for a
 // rejected batch.
-func openHooked(hs *history, s *shape) {
+func openHooked(hs *harness, s *shape) {
 	t := hs.t
 	s.engines = attachInPlace(s.d, hs.build)
 	s.commit = func(step int, b incgraph.Batch) ([]incgraph.DeltaSummary, error) {
@@ -520,11 +212,11 @@ func openHooked(hs *history, s *shape) {
 // crashes between the log step and the apply step at three quarters. Each
 // crash keeps only the directory; the store comes back the way a restarted
 // incgraphd's does.
-func recovering(checkpoint bool) func(hs *history, s *shape) {
-	return func(hs *history, s *shape) { openRecovering(hs, s, checkpoint) }
+func recovering(checkpoint bool) func(hs *harness, s *shape) {
+	return func(hs *harness, s *shape) { openRecovering(hs, s, checkpoint) }
 }
 
-func openRecovering(hs *history, s *shape, checkpoint bool) {
+func openRecovering(hs *harness, s *shape, checkpoint bool) {
 	t := hs.t
 	s.engines = attachInPlace(s.d, hs.build)
 	s.logsAll = false
@@ -559,7 +251,7 @@ func openRecovering(hs *history, s *shape, checkpoint bool) {
 // reopen drops everything s holds in memory but its directory, then opens
 // the store, attaches the engines in place on the graph it loaded and
 // replays the log.
-func (hs *history) reopen(s *shape) {
+func (hs *harness) reopen(s *shape) {
 	t := hs.t
 	s.d.Close()
 	d, err := incgraph.OpenDurable(s.dir, incgraph.DurableOptions{Sync: incgraph.SyncNone})
@@ -581,7 +273,7 @@ func (hs *history) reopen(s *shape) {
 // every fed record to it. Half way through the history the primary dies
 // without ceremony; the standby is promoted at term+1 over the same
 // workers, and the deposed primary's late commit bounces off the fence.
-func openFailover(hs *history, s *shape) {
+func openFailover(hs *harness, s *shape) {
 	t := hs.t
 	s.engines = attachInPlace(s.d, hs.build)
 	s.logsAll = false
@@ -597,7 +289,7 @@ func openFailover(hs *history, s *shape) {
 		},
 	})
 	var standby *incgraph.Durable
-	var standbyEngines map[string]rowEngine
+	var standbyEngines map[string]history.Engine
 	standbyDir := t.TempDir()
 	fed := make(chan uint64, 1) // 0 once loaded, then each applied record's seq
 	tail := make(chan error, 1)
@@ -707,7 +399,7 @@ func openFailover(hs *history, s *shape) {
 		}
 		s.d, s.engines = standby, standbyEngines
 		s.cl = hs.cluster(standby.Graph(), promoted, incgraph.WithClusterTerm(st.Term()+1))
-		late := newRowHistory(primary.Graph(), int64(step)).batch(20)
+		late := history.New(primary.Graph(), int64(step)).Batch(20)
 		gen, wal := primary.Generation(), primary.WALBytes()
 		if _, err := primary.Commit(late, incgraph.ApplyOptions{Via: deposed}); err == nil || !strings.Contains(err.Error(), "fenced") {
 			t.Fatalf("the deposed primary's late commit: %v, want fenced", err)
@@ -727,20 +419,20 @@ func openFailover(hs *history, s *shape) {
 // parts from the reference or the reference from the oracle, and returns
 // how often each class took rebuild-and-diff.
 func runHistory(t *testing.T, seed int64, sizes []int, only []string, specs ...shapeSpec) map[string]int {
-	hs := &history{t: t, g: historyGraph(), at: map[int]*incgraph.Graph{}, steps: len(sizes)}
+	hs := &harness{t: t, g: history.Graph(), steps: len(sizes)}
 	hs.g.SetShards(4)
-	var kwsQ incgraph.KWSQuery
-	hs.build, kwsQ = rowEngines(t, hs.g)
+	var q history.Queries
+	hs.build, q = history.Engines(hs.g)
 	if only != nil {
-		maps.DeleteFunc(hs.build, func(class string, _ func(*incgraph.Graph) rowEngine) bool { return !slices.Contains(only, class) })
+		maps.DeleteFunc(hs.build, func(class string, _ func(*incgraph.Graph) history.Engine) bool { return !slices.Contains(only, class) })
 	}
 	all := make([]*shape, len(specs))
 	for i, spec := range specs {
 		all[i] = hs.open(spec)
 	}
 	ref := all[0]
-	h := newRowHistory(hs.g, seed)
-	o := newOracle(hs.build, h.sim)
+	h := history.New(hs.g, seed)
+	o := history.NewOracle(hs.build, h.Sim)
 	rebuilds := map[string]int{}
 	for step, size := range sizes {
 		if step == hs.steps/2 {
@@ -749,17 +441,17 @@ func runHistory(t *testing.T, seed int64, sizes []int, only []string, specs ...s
 					s.shards, s.resharded = 8, true
 					s.d.Graph().SetShards(8)
 					for _, e := range s.engines {
-						e.m.Graph().SetShards(8)
+						e.M.Graph().SetShards(8)
 					}
 				}
 			}
 		}
 		if step%3 == 0 {
-			bad := h.badBatch()
+			bad := h.BadBatch()
 			for _, s := range all {
 				before := map[string]string{}
 				for class, e := range s.engines {
-					before[class] = e.observe()
+					before[class] = e.Observe()
 				}
 				g := s.d.Graph()
 				nodes, edges, gen, wal := g.NumNodes(), g.NumEdges(), s.d.Generation(), s.d.WALBytes()
@@ -770,14 +462,14 @@ func runHistory(t *testing.T, seed int64, sizes []int, only []string, specs ...s
 					t.Fatalf("step %d, %s: a rejected batch moved the graph or the WAL", step, s.name)
 				}
 				for class, e := range s.engines {
-					if got := e.observe(); got != before[class] {
-						t.Fatalf("step %d, %s: a rejected batch moved %s: %s", step, s.name, class, firstDiff(got, before[class]))
+					if got := e.Observe(); got != before[class] {
+						t.Fatalf("step %d, %s: a rejected batch moved %s: %s", step, s.name, class, history.FirstDiff(got, before[class]))
 					}
 				}
 			}
 		}
-		preV, preE := h.sim.NumNodes(), h.sim.NumEdges()
-		b := h.batch(size)
+		preV, preE := h.Sim.NumNodes(), h.Sim.NumEdges()
+		b := h.Batch(size)
 		sums := make([][]incgraph.DeltaSummary, len(all))
 		for i, s := range all {
 			var err error
@@ -785,15 +477,18 @@ func runHistory(t *testing.T, seed int64, sizes []int, only []string, specs ...s
 				t.Fatalf("step %d, %s: %v", step, s.name, err)
 			}
 		}
-		o.check(t, step, h.sim, ref.engines)
+		o.Advance(h.Sim)
+		if err := o.Check(ref.engines); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
 		refSums := map[string]incgraph.DeltaSummary{}
 		for j, m := range ref.d.Engines() {
 			refSums[m.Class()] = sums[0][j]
 		}
 		want := map[string]string{}
 		for class, e := range ref.engines {
-			want[class] = e.observe()
-			if e.rebuilt() {
+			want[class] = e.Observe()
+			if e.Rebuilt() {
 				rebuilds[class]++
 			}
 		}
@@ -805,7 +500,7 @@ func runHistory(t *testing.T, seed int64, sizes []int, only []string, specs ...s
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if errs[i] = s.check(h.sim, len(kwsQ.Keywords)*(preV+preE)); errs[i] == nil && i > 0 {
+				if errs[i] = s.check(h.Sim, len(q.KWS.Keywords)*(preV+preE)); errs[i] == nil && i > 0 {
 					errs[i] = s.matches(sums[i], refSums, want)
 				}
 			}()
@@ -819,20 +514,19 @@ func runHistory(t *testing.T, seed int64, sizes []int, only []string, specs ...s
 		}
 	}
 	verifyClusters(t, all)
-	// SetShards reissues slots in node-map order, so two graphs re-sharded
-	// apart hold their nodes in different slots. Every snapshot decodes to
-	// the history's graph; the shapes born at 8 shards share one slot
-	// layout, and so one snapshot's bytes. SetShards also moves the
-	// generation every WAL record is stamped with: the shapes that logged
-	// every commit share one WAL's bytes with those that re-sharded alike.
-	var snap0 []byte
-	wal0 := map[bool][]byte{}
+	// Every snapshot decodes to the history's graph. Slots depend on
+	// re-shard history — a store re-sharded to 8 half way holds the nodes
+	// the first half inserted in NodeID order, one born at 8 in the order
+	// they came — so only the shapes born at 8 shards share one snapshot's
+	// bytes. The WAL depends on the history alone: the shapes that logged
+	// every commit share one WAL's bytes.
+	var snap0, wal0 []byte
 	for _, s := range all {
 		snap, err := incgraph.EncodeSnapshot(s.d.Graph())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if g, err := incgraph.DecodeSnapshot(snap); err != nil || !g.Equal(h.sim) {
+		if g, err := incgraph.DecodeSnapshot(snap); err != nil || !g.Equal(h.Sim) {
 			t.Fatalf("%s: the snapshot does not decode to the history's graph (%v)", s.name, err)
 		}
 		if s.shards == 8 && !s.resharded {
@@ -854,10 +548,10 @@ func runHistory(t *testing.T, seed int64, sizes []int, only []string, specs ...s
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want, ok := wal0[s.resharded]; !ok {
-				wal0[s.resharded] = wal
-			} else if !bytes.Equal(wal, want) {
-				t.Fatalf("%s: the WAL differs from the other shapes' that re-sharded alike (%d bytes, %d)", s.name, len(wal), len(want))
+			if wal0 == nil {
+				wal0 = wal
+			} else if !bytes.Equal(wal, wal0) {
+				t.Fatalf("%s: the WAL differs from the other shapes' (%d bytes, %d)", s.name, len(wal), len(wal0))
 			}
 		}
 	}
@@ -871,12 +565,12 @@ func (s *shape) check(sim *incgraph.Graph, batchCost int) error {
 		return fmt.Errorf("%s: the store's graph diverged from the simulated history", s.name)
 	}
 	for class, e := range s.engines {
-		if err := e.audit(); err != nil {
+		if err := e.Audit(); err != nil {
 			return fmt.Errorf("%s: %s audit: %v", s.name, class, err)
 		}
 	}
 	if e, ok := s.engines["kws"]; ok {
-		if est := e.estimate(); est.BatchCost != batchCost {
+		if est := e.Estimate(); est.BatchCost != batchCost {
 			return fmt.Errorf("%s: kws estimated a batch build at %d, want %d: keywords × (|V| + |E|) of the pre-state", s.name, est.BatchCost, batchCost)
 		}
 	}
@@ -893,12 +587,12 @@ func (s *shape) matches(sums []incgraph.DeltaSummary, ref map[string]incgraph.De
 		}
 	}
 	for class, e := range s.engines {
-		got, want := e.observe(), want[class]
+		got, want := e.Observe(), want[class]
 		if s.reborn {
-			got, want = sansMeter(got), sansMeter(want)
+			got, want = history.SansMeter(got), history.SansMeter(want)
 		}
 		if got != want {
-			return fmt.Errorf("%s: %s differs from the reference: %s", s.name, class, firstDiff(got, want))
+			return fmt.Errorf("%s: %s differs from the reference: %s", s.name, class, history.FirstDiff(got, want))
 		}
 	}
 	return nil
@@ -922,16 +616,12 @@ func verifyClusters(t *testing.T, all []*shape) {
 	}
 }
 
-// historySizes is one round of TestHistory's batches: 1 to 1536, the
-// large ones taking kws' and iso's rebuild-and-diff path.
-var historySizes = []int{1, 4, 32, 1536, 32, 4, 1, 32}
-
 // focusSizes are the batches of the tests that hold one concern to the
 // harness: none large enough for rebuild-and-diff, which
 // TestShardedBatchFallbackParity and TestHistory reach.
 var focusSizes = []int{4, 64, 32, 64}
 
-// TestHistory runs the seeded history — two rounds of historySizes, one
+// TestHistory runs the seeded history — two rounds of history.Sizes, one
 // with -short — through all nine shapes. After every step each shape must
 // report the reference's summaries and show what it shows (ΔO rows in
 // order, answer bytes, metered work, cost-model verdict), hold the
@@ -939,8 +629,8 @@ var focusSizes = []int{4, 64, 32, 64}
 // rejected batch move nothing; the reference's ΔO must be the keyed diff
 // of from-scratch builds. The cluster replicas verify clean half way and
 // at the end, when the WALs of the shapes that neither checkpointed nor
-// crashed are byte-identical among those that re-sharded alike, and the
-// snapshots of those born at 8 shards are too.
+// crashed are byte-identical, and the snapshots of those born at 8 shards
+// are too.
 func TestHistory(t *testing.T) {
 	t.Parallel()
 	rounds := 2
@@ -949,7 +639,7 @@ func TestHistory(t *testing.T) {
 	}
 	var steps []int
 	for range rounds {
-		steps = append(steps, historySizes...)
+		steps = append(steps, history.Sizes...)
 	}
 	mustRebuild(t, runHistory(t, 200, steps, nil, shapes...))
 }
@@ -974,7 +664,7 @@ func mustRebuild(t *testing.T, rebuilds map[string]int) {
 // TestParallelMatchesSequential: each class alone on its store, its loops
 // on one worker and on eight that all start before the first iteration.
 func TestParallelMatchesSequential(t *testing.T) {
-	for _, class := range classes {
+	for _, class := range history.Classes {
 		t.Run(class, func(t *testing.T) {
 			runHistory(t, 42, focusSizes, []string{class}, pick("serial", "wide")...)
 		})
@@ -985,7 +675,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 // one shard and at two re-sharded to eight.
 func TestShardedMatchesUnsharded(t *testing.T) {
 	t.Parallel()
-	for _, class := range classes {
+	for _, class := range history.Classes {
 		t.Run(class, func(t *testing.T) {
 			runHistory(t, 1337, focusSizes, []string{class}, pick("serial", "inplace")...)
 		})
@@ -1066,19 +756,15 @@ func TestCrashBetweenLogAndApplyReplays(t *testing.T) {
 }
 
 // FuzzHistory runs the local shapes through a history of the fuzzer's
-// choosing: its seed, and one batch of 1 + b%64 updates per byte b (at
-// most 16 batches). The corpus is TestHistory's seed and sizes, capped at
-// 64; plain go test runs only that.
+// choosing: its seed, and the batch sizes history.FuzzSizes decodes. The
+// corpus is TestHistory's seed and sizes, capped at 64; plain go test runs
+// only that.
 func FuzzHistory(f *testing.F) {
-	f.Add(int64(200), []byte{0, 3, 31, 63, 31, 3, 0, 31})
+	f.Add(int64(200), history.FuzzCorpus)
 	f.Fuzz(func(t *testing.T, seed int64, sizes []byte) {
 		if len(sizes) == 0 {
 			return
 		}
-		ks := make([]int, min(len(sizes), 16))
-		for i := range ks {
-			ks[i] = 1 + int(sizes[i])%64
-		}
-		runHistory(t, seed, ks, nil, pick("clones", "inplace", "serial", "wide")...)
+		runHistory(t, seed, history.FuzzSizes(sizes), nil, pick("clones", "inplace", "serial", "wide")...)
 	})
 }

@@ -445,6 +445,53 @@ func TestStandbyLeaseExpires(t *testing.T) {
 	}
 }
 
+// TestStandbySlowApplyKeepsTail: the lease bounds the standby's wait for
+// the hub's next push, not its own apply. A fed record whose apply outlasts
+// the TTL is acked, and the tail goes on to the next.
+func TestStandbySlowApplyKeepsTail(t *testing.T) {
+	hub := NewHub(HubOptions{
+		Term:      1,
+		Heartbeat: 20 * time.Millisecond,
+		Snapshot:  func() (uint64, uint64, []byte, error) { return 0, 0, nil, nil },
+	})
+	applied := make(chan uint64, 2)
+	standby := NewStandby(StandbyOptions{
+		TTL:  100 * time.Millisecond,
+		Load: func(uint64, uint64, uint64, []byte) error { return nil },
+		Apply: func(seq, _ uint64, _ graph.Batch) error {
+			if seq == 1 {
+				time.Sleep(300 * time.Millisecond)
+			}
+			applied <- seq
+			return nil
+		},
+	})
+	hc, sc := net.Pipe()
+	defer hc.Close()
+	go hub.ServeConn(hc)
+	tail := make(chan error, 1)
+	go func() { tail <- standby.Run(sc) }()
+	for hub.Standbys() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	hub.Feed(1, 0, 1, graph.Batch{graph.InsNew(1, 2, "a", "b")})
+	hub.Feed(2, 1, 2, graph.Batch{graph.Del(1, 2)})
+	for want := uint64(1); want <= 2; want++ {
+		select {
+		case seq := <-applied:
+			if seq != want {
+				t.Fatalf("the standby applied record %d, want %d", seq, want)
+			}
+		case err := <-tail:
+			t.Fatalf("the tail ended before record %d: %v", want, err)
+		case <-time.After(10 * time.Second):
+			t.Fatalf("record %d was never applied", want)
+		}
+	}
+	hub.Close()
+	<-tail
+}
+
 // TestHubAttachMidStorm: standbys that attach while commits are landing see
 // no gap and no duplicate, and the handshake cannot deadlock the feeder. The
 // owner here is what incgraphd is: every commit moves the state and calls Feed

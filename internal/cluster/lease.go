@@ -399,6 +399,9 @@ func (s *Standby) Run(conn net.Conn) error {
 				s.seq, s.gen = rec.Seq, postGen
 			}
 			s.mu.Unlock()
+			// The lease bounds the wait for the hub, not the apply: the
+			// ack gets a deadline of its own.
+			conn.SetDeadline(time.Now().Add(s.ttl()))
 			if err := writeFrame(conn, []byte{byte(msgOK)}); err != nil {
 				return err
 			}

@@ -126,8 +126,10 @@ func NewSharded(n int) *Graph {
 }
 
 // Generation returns the mutation generation: it changes whenever the
-// graph changes (nodes, labels, edges, or a reshard). Derived-answer
-// caches stamp their results with it; see GenCache.
+// graph changes (nodes, labels, edges). A reshard moves no node, label or
+// edge, and no cached value is slot-indexed, so it leaves the generation
+// as it was. Derived-answer caches stamp their results with it; see
+// GenCache.
 func (g *Graph) Generation() uint64 { return g.gen }
 
 // NumNodes returns |V|.

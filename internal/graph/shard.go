@@ -157,7 +157,6 @@ func (g *Graph) SetShards(n int) {
 		}
 	}
 	g.refreshSlotCeil()
-	g.gen++
 }
 
 // shardShiftFor returns the right-shift that maps the hash to [0, p).

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strconv"
 )
 
 // Op is the kind of a unit update.
@@ -49,6 +50,36 @@ func InsNew(v, w NodeID, vl, wl string) Update {
 
 // Del returns an edge-deletion update.
 func Del(v, w NodeID) Update { return Update{Op: Delete, From: v, To: w} }
+
+// ParseUpdate decodes one update line, split into fields: "+ v w [vlabel
+// [wlabel]]" is an insertion with labels for endpoints that may be new,
+// "- v w" a deletion. Anything else — another op, an ID that is not a
+// decimal int64, a field too many — is an error. It is the one reader of
+// the line format incgraphd's clients stage and cmd/incgraph's update
+// files hold.
+func ParseUpdate(fields []string) (Update, error) {
+	most := 3
+	if len(fields) > 0 && fields[0] == "+" {
+		most = 5
+	}
+	if len(fields) < 3 || len(fields) > most || fields[0] != "+" && fields[0] != "-" {
+		return Update{}, errors.New("want '+ v w [vlabel [wlabel]]' or '- v w'")
+	}
+	v, err := strconv.ParseInt(fields[1], 10, 64)
+	if err != nil {
+		return Update{}, fmt.Errorf("bad source id: %v", err)
+	}
+	w, err := strconv.ParseInt(fields[2], 10, 64)
+	if err != nil {
+		return Update{}, fmt.Errorf("bad target id: %v", err)
+	}
+	if fields[0] == "-" {
+		return Del(NodeID(v), NodeID(w)), nil
+	}
+	var labels [2]string
+	copy(labels[:], fields[3:])
+	return InsNew(NodeID(v), NodeID(w), labels[0], labels[1]), nil
+}
 
 func (u Update) String() string {
 	return fmt.Sprintf("%s(%d,%d)", u.Op, u.From, u.To)

@@ -2,7 +2,9 @@ package graph
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -125,4 +127,33 @@ func TestUpdateStrings(t *testing.T) {
 	if Op(9).String() == "" {
 		t.Fatalf("unknown op must render")
 	}
+}
+
+// FuzzParseUpdate: ParseUpdate never panics, and a line it accepts,
+// re-encoded canonically, parses to the same Update.
+func FuzzParseUpdate(f *testing.F) {
+	for _, line := range []string{
+		"+ 1 2", "+ -5 7 a", "+ 1 1099511627776 a b", "- 3 -4", " +\t01  +2 a ",
+		"+ 1 2 a b junk", "- 1 2 x", "* 1 2", "+ 1", "- 1 0x2", "",
+	} {
+		f.Add(line)
+	}
+	f.Fuzz(func(t *testing.T, line string) {
+		u, err := ParseUpdate(strings.Fields(line))
+		if err != nil {
+			return
+		}
+		canon := []string{"-", fmt.Sprint(u.From), fmt.Sprint(u.To)}
+		if u.Op == Insert {
+			canon[0] = "+"
+			canon = append(canon, u.FromLabel, u.ToLabel)
+			for canon[len(canon)-1] == "" {
+				canon = canon[:len(canon)-1]
+			}
+		}
+		again, err := ParseUpdate(strings.Fields(strings.Join(canon, " ")))
+		if err != nil || again != u {
+			t.Fatalf("%q parsed to %+v; its canonical form %q to %+v (%v)", line, u, strings.Join(canon, " "), again, err)
+		}
+	})
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"incgraph"
+	"incgraph/internal/history"
 )
 
 func TestMaintainedUniformDriver(t *testing.T) {
@@ -167,7 +168,7 @@ func TestRejectedBatchLeavesEngineUntouched(t *testing.T) {
 			state := func() string {
 				out := fmt.Sprintf("|V| %d |E| %d generation %d WAL %d bytes\n", g.NumNodes(), g.NumEdges(), g.Generation(), d.WALBytes())
 				for _, m := range d.Engines() {
-					out += m.Class() + " answer:\n" + answer(m) + "last ΔO:\n" + renderLastDelta(m)
+					out += m.Class() + " answer:\n" + answer(m) + "last ΔO:\n" + history.RenderLastDelta(m)
 				}
 				return out
 			}

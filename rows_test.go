@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"incgraph"
+	"incgraph/internal/history"
 )
 
 // TestRowDeltaFoldsToAnswer makes ΔO load-bearing for every class at once:
@@ -20,8 +21,8 @@ import (
 // FoldRows are on the path. For scc every member slice ever published is
 // kept beside a deep copy and compared at the end.
 func TestRowDeltaFoldsToAnswer(t *testing.T) {
-	seed := historyGraph()
-	build, _ := rowEngines(t, seed)
+	seed := history.Graph()
+	build, _ := history.Engines(seed)
 	sizes := []int{1, 4, 32, 1536, 32, 4, 1, 32}
 	rounds := 3
 	if testing.Short() {
@@ -31,9 +32,9 @@ func TestRowDeltaFoldsToAnswer(t *testing.T) {
 		t.Run(class, func(t *testing.T) {
 			g := seed.Clone()
 			g.SetShards(2)
-			h := newRowHistory(g, 200)
+			h := history.New(g, 200)
 			e := mk(g)
-			m := e.m
+			m := e.M
 			ra := m.(incgraph.RowAnswer)
 			if n := ra.LastDelta().Len(); n != 0 {
 				t.Fatalf("LastDelta before any Apply has %d rows", n)
@@ -80,16 +81,16 @@ func TestRowDeltaFoldsToAnswer(t *testing.T) {
 				}
 				if step%3 == 0 {
 					// ΔO of the last successful Apply stands.
-					if _, err := m.Apply(h.badBatch()); !errors.Is(err, incgraph.ErrBadUpdate) {
+					if _, err := m.Apply(h.BadBatch()); !errors.Is(err, incgraph.ErrBadUpdate) {
 						t.Fatalf("step %d: bad batch: %v", step, err)
 					}
 					check(step)
 				}
-				b := h.batch(sizes[step%len(sizes)])
+				b := h.Batch(sizes[step%len(sizes)])
 				if _, err := m.Apply(b); err != nil {
 					t.Fatalf("step %d: %v", step, err)
 				}
-				if e.rebuilt() {
+				if e.Rebuilt() {
 					rebuilds++
 				}
 				d := ra.LastDelta()
@@ -110,7 +111,7 @@ func TestRowDeltaFoldsToAnswer(t *testing.T) {
 			if (class == "kws" || class == "iso") && rebuilds == 0 {
 				t.Fatal("no batch took the rebuild-and-diff path")
 			}
-			if !g.Equal(h.sim) {
+			if !g.Equal(h.Sim) {
 				t.Fatal("engine graph diverged from the simulated history")
 			}
 			for _, p := range pub {
