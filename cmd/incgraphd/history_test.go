@@ -260,27 +260,95 @@ func (w *wireHistory) check(t *testing.T, conns [][]reply) map[uint64]bool {
 	return seen
 }
 
-// TestDaemonHistory runs the seeded history — two rounds of history.Sizes,
-// a rejected batch before every third — through a daemon alone, a
-// coordinator over two in-process shard workers, and a primary whose
-// standby is promoted half way. Readers must have seen the writer's
-// commits land, and a chain must have been folded under them.
+// TestDaemonHistory runs the seeded history through a daemon alone and
+// through a coordinator over two in-process shard workers.
 func TestDaemonHistory(t *testing.T) {
+	for _, shape := range []string{"single", "cluster"} {
+		t.Run(shape, func(t *testing.T) { daemonHistory(t, shape) })
+	}
+}
+
+// TestLinearizableStandbyReads runs the seeded history through a primary
+// whose standby is promoted half way (standbyHistory).
+func TestLinearizableStandbyReads(t *testing.T) { daemonHistory(t, "standby") }
+
+// historySizes is two rounds of history.Sizes.
+func historySizes() []int {
 	var sizes []int
 	for range 2 {
 		sizes = append(sizes, history.Sizes...)
 	}
-	for _, shape := range []string{"single", "cluster", "standby"} {
-		t.Run(shape, func(t *testing.T) {
-			gens, folds := runDaemonHistory(t, shape, 200, sizes)
-			if gens < 3 {
-				t.Fatalf("readers saw %d generations: they did not overlap the writer", gens)
-			}
-			if folds == 0 {
-				t.Fatal("no chain was folded during the history")
-			}
-		})
+	return sizes
+}
+
+// daemonHistory runs the seeded history — historySizes, a rejected batch
+// before every third — through shape. Readers must have seen the writer's
+// commits land, and a chain must have been folded under them.
+func daemonHistory(t *testing.T, shape string) {
+	gens, folds := runDaemonHistory(t, shape, 200, historySizes())
+	if gens < 3 {
+		t.Fatalf("readers saw %d generations: they did not overlap the writer", gens)
 	}
+	if folds == 0 {
+		t.Fatal("no chain was folded during the history")
+	}
+}
+
+// TestStandbyAutoCheckpoints commits the seeded history through a primary
+// that never checkpoints while a replica at -checkpoint-bytes 2048 tails
+// it, one record at a time. The replica must checkpoint on its own — its
+// epoch rises and its WAL shrinks — while the primary stays at epoch 1,
+// and it must then answer what from-scratch builds do at the last step.
+func TestStandbyAutoCheckpoints(t *testing.T) {
+	dir := t.TempDir()
+	cfg := historyConfig(t, dir)
+	cfg.hubAddr = "127.0.0.1:0"
+	w := newWireHistory(200, historySizes())
+	primaryAddr, hubAddr, _ := serveInProcess(t, func(stop <-chan struct{}) error { return run(cfg, stop) })
+	standbyAddr, _, _ := serveInProcess(t, func(stop <-chan struct{}) error {
+		return runStandby(standbyArgs(cfg, hubAddr, filepath.Join(dir, "store-standby"), "-ttl", "5s", "-checkpoint-bytes", "2048"), stop)
+	})
+	pc := dialLine(t, primaryAddr)
+	defer pc.close()
+	sc := dialLine(t, standbyAddr)
+	defer sc.close()
+
+	w.begin(t, pc)
+	fell, last := 0, 0
+	for i := range w.steps {
+		w.write(t, pc, i, i+1, -1)
+		// tail_seq moves once the feed apply has returned, after any
+		// checkpoint it led to.
+		for deadline := time.Now().Add(20 * time.Second); statInt(t, sc.cmd(t, "stat"), "tail_seq") != i+1; time.Sleep(2 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("the replica never applied feed record %d", i+1)
+			}
+		}
+		now := statInt(t, sc.cmd(t, "stat"), "walbytes")
+		if now < last {
+			fell++
+		}
+		last = now
+	}
+	if e := statInt(t, pc.cmd(t, "stat"), "epoch"); e != 1 {
+		t.Fatalf("the primary never checkpoints, and is at epoch %d", e)
+	}
+	if wb := statInt(t, pc.cmd(t, "stat"), "walbytes"); wb <= 2048 {
+		t.Fatalf("the history logged %d bytes: too short to cross the replica's threshold", wb)
+	}
+	if e := statInt(t, sc.cmd(t, "stat"), "epoch"); e <= 1 || fell == 0 {
+		t.Fatalf("the replica at -checkpoint-bytes 2048 is at epoch %d and its walbytes fell %d times", e, fell)
+	}
+	var got []reply
+	for _, class := range history.Classes {
+		gen, size, dump, err := sc.read("answer", class)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256([]byte(dump))
+		got = append(got, reply{floor: w.acked.Load(), gen: gen, class: class, size: size, answer: &sum})
+	}
+	w.check(t, [][]reply{got})
 }
 
 // FuzzDaemonHistory runs a single daemon through FuzzHistory's input: a

@@ -165,9 +165,9 @@
 // give it; MergeRows is the ⊕). Reads load that pointer and take no lock —
 // they never wait for a commit, see one whole generation and say which
 // ("ok CLASS SIZE gen=G") — and the engines themselves are never read
-// after start-up. TestDaemonHistory (cmd/incgraphd) pins it against the
-// same seeded history and from-scratch oracle as TestHistory
-// (internal/history): staged and committed over the wire to a daemon, a
+// after start-up. TestDaemonHistory and TestLinearizableStandbyReads
+// (cmd/incgraphd) pin it against the same seeded history and from-scratch
+// oracle as TestHistory (internal/history): staged and committed over the wire to a daemon, a
 // cluster coordinator and a promoted standby while readers read every
 // class, each reply must be what from-scratch builds answer at the step
 // its generation ended, never older than an acked commit, and never older
