@@ -56,7 +56,7 @@ func stageBurst(n int) string {
 }
 
 func TestStageBurstAckedInOneWrite(t *testing.T) {
-	srv, _ := testServer(t, limits{opTimeout: 5 * time.Second, idle: 5 * time.Second})
+	srv := newTestServer(t, nil, incgraph.DurableOptions{}, limits{opTimeout: 5 * time.Second, idle: 5 * time.Second})
 	c, cc := pipeClient(t, srv)
 	const n = 32
 	c.send(stageBurst(n))
@@ -77,7 +77,7 @@ func TestStageBurstAckedInOneWrite(t *testing.T) {
 }
 
 func TestStageBurstEndingInBlankLineIsAcked(t *testing.T) {
-	srv, _ := testServer(t, limits{opTimeout: 5 * time.Second, idle: 5 * time.Second})
+	srv := newTestServer(t, nil, incgraph.DurableOptions{}, limits{opTimeout: 5 * time.Second, idle: 5 * time.Second})
 	for _, tail := range []string{"\n", "# done\n", "\n\n# done\n   \n"} {
 		c, _ := pipeClient(t, srv)
 		// The last ack is held when the handler sees the blank line behind
@@ -90,9 +90,9 @@ func TestStageBurstEndingInBlankLineIsAcked(t *testing.T) {
 }
 
 func TestPipelinedStageCommitQueryRepliesInOrder(t *testing.T) {
-	srv, addr := testServer(t, limits{opTimeout: 5 * time.Second, idle: 5 * time.Second})
+	srv := newTestServer(t, nil, incgraph.DurableOptions{}, limits{opTimeout: 5 * time.Second, idle: 5 * time.Second})
 	pipe, _ := pipeClient(t, srv)
-	tcp := dialLine(t, addr)
+	tcp := dialLine(t, serveTest(t, srv))
 	defer tcp.close()
 	for i, c := range []*lineClient{pipe, tcp} {
 		// Distinct edges per connection: both commit into the same store.
@@ -110,7 +110,7 @@ func TestPipelinedStageCommitQueryRepliesInOrder(t *testing.T) {
 // A burst of stage lines larger than the reply buffer still goes out under
 // the write deadline, in order, with nothing lost.
 func TestStageBurstLargerThanReplyBuffer(t *testing.T) {
-	srv, _ := testServer(t, limits{opTimeout: 5 * time.Second, idle: 5 * time.Second})
+	srv := newTestServer(t, nil, incgraph.DurableOptions{}, limits{opTimeout: 5 * time.Second, idle: 5 * time.Second})
 	c, cc := pipeClient(t, srv)
 	const n = 1500 // ~24 KB of acks through a 4 KB buffer
 	c.send(stageBurst(n))

@@ -65,8 +65,8 @@ func TestParseDiskFault(t *testing.T) {
 	}
 }
 
-// diskTestServer is testServer over a store running on the given FaultFS,
-// with the disk-degradation knobs tightened for test speed.
+// diskTestServer serves newTestServer's store running on the given
+// FaultFS, with the disk-degradation knobs tightened for test speed.
 func diskTestServer(t *testing.T, ffs *incgraph.FaultFS) (*server, string) {
 	srv := newTestServer(t, nil, incgraph.DurableOptions{FS: ffs}, limits{})
 	srv.diskBackoff = time.Millisecond

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -77,20 +78,28 @@ type wireStep struct {
 	want       map[string]reading
 }
 
-// wireHistory is one seeded history and the generations the daemon acked
-// it at: gens[0] is the one it started at, gens[i+1] step i's.
+// wireHistory is one seeded history, the classes whose engines took
+// rebuild-and-diff on it, and the generations the daemon acked it at:
+// gens[0] is the one it started at, gens[i+1] step i's.
 type wireHistory struct {
-	start map[string]reading
-	steps []wireStep
-	gens  []uint64
-	acked atomic.Uint64
+	start   map[string]reading
+	steps   []wireStep
+	rebuilt map[string]bool
+	gens    []uint64
+	acked   atomic.Uint64
 }
 
+// newWireHistory generates the history of seed and sizes, reads the oracle
+// after every step, and runs a set of engines of its own along it.
 func newWireHistory(seed int64, sizes []int) *wireHistory {
 	g := history.Graph()
 	build, _ := history.Engines(g)
 	h := history.New(g, seed)
 	o := history.NewOracle(build, h.Sim)
+	engines := make(map[string]history.Engine, len(build))
+	for class, mk := range build {
+		engines[class] = mk(g.Clone())
+	}
 	read := func() map[string]reading {
 		m := make(map[string]reading, len(history.Classes))
 		for _, class := range history.Classes {
@@ -99,13 +108,19 @@ func newWireHistory(seed int64, sizes []int) *wireHistory {
 		}
 		return m
 	}
-	w := &wireHistory{start: read()}
+	w := &wireHistory{start: read(), rebuilt: make(map[string]bool)}
 	for i, size := range sizes {
 		var st wireStep
 		if i%3 == 0 {
 			st.bad = h.BadBatch()
 		}
 		st.batch = h.Batch(size)
+		for class, e := range engines {
+			if _, err := e.M.Apply(st.batch); err != nil {
+				panic(err)
+			}
+			w.rebuilt[class] = w.rebuilt[class] || e.Rebuilt()
+		}
 		o.Advance(h.Sim)
 		st.want = read()
 		w.steps = append(w.steps, st)
@@ -273,19 +288,35 @@ func TestDaemonHistory(t *testing.T) {
 func TestLinearizableStandbyReads(t *testing.T) { daemonHistory(t, "standby") }
 
 // historySizes is two rounds of history.Sizes.
-func historySizes() []int {
-	var sizes []int
-	for range 2 {
-		sizes = append(sizes, history.Sizes...)
-	}
-	return sizes
-}
+var historySizes = append(slices.Clone(history.Sizes), history.Sizes...)
 
 // daemonHistory runs the seeded history — historySizes, a rejected batch
-// before every third — through shape. Readers must have seen the writer's
-// commits land, and a chain must have been folded under them.
+// before every third — through shape. The history must test something:
+// every class answers non-empty throughout and moves on at least 3 steps,
+// and kws and iso take rebuild-and-diff. Readers must have seen the
+// writer's commits land, and a chain must have been folded under them.
 func daemonHistory(t *testing.T, shape string) {
-	gens, folds := runDaemonHistory(t, shape, 200, historySizes())
+	w := newWireHistory(200, historySizes)
+	for _, class := range history.Classes {
+		moves, was := 0, w.start[class]
+		for i, st := range w.steps {
+			now := st.want[class]
+			if was.size == 0 || now.size == 0 {
+				t.Fatalf("around step %d, %s answers nothing", i, class)
+			}
+			if now != was {
+				moves++
+			}
+			was = now
+		}
+		if moves < 3 {
+			t.Fatalf("%s's answer moved on %d steps", class, moves)
+		}
+	}
+	if !w.rebuilt["kws"] || !w.rebuilt["iso"] {
+		t.Fatalf("kws and iso must take rebuild-and-diff; taken: %v", w.rebuilt)
+	}
+	gens, folds := runDaemonHistory(t, shape, w)
 	if gens < 3 {
 		t.Fatalf("readers saw %d generations: they did not overlap the writer", gens)
 	}
@@ -303,7 +334,7 @@ func TestStandbyAutoCheckpoints(t *testing.T) {
 	dir := t.TempDir()
 	cfg := historyConfig(t, dir)
 	cfg.hubAddr = "127.0.0.1:0"
-	w := newWireHistory(200, historySizes())
+	w := newWireHistory(200, historySizes)
 	primaryAddr, hubAddr, _ := serveInProcess(t, func(stop <-chan struct{}) error { return run(cfg, stop) })
 	standbyAddr, _, _ := serveInProcess(t, func(stop <-chan struct{}) error {
 		return runStandby(standbyArgs(cfg, hubAddr, filepath.Join(dir, "store-standby"), "-ttl", "5s", "-checkpoint-bytes", "2048"), stop)
@@ -339,16 +370,31 @@ func TestStandbyAutoCheckpoints(t *testing.T) {
 	if e := statInt(t, sc.cmd(t, "stat"), "epoch"); e <= 1 || fell == 0 {
 		t.Fatalf("the replica at -checkpoint-bytes 2048 is at epoch %d and its walbytes fell %d times", e, fell)
 	}
+	w.check(t, [][]reply{answersAt(t, sc, w.acked.Load())})
+}
+
+// answersAt reads every class's answer at c until it is served at gen, as
+// replies with gen for their floor.
+func answersAt(t *testing.T, c *lineClient, gen uint64) []reply {
+	t.Helper()
 	var got []reply
 	for _, class := range history.Classes {
-		gen, size, dump, err := sc.read("answer", class)
-		if err != nil {
-			t.Fatal(err)
+		for deadline := time.Now().Add(20 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+			at, size, dump, err := c.read("answer", class)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if at == gen {
+				sum := sha256.Sum256([]byte(dump))
+				got = append(got, reply{floor: gen, gen: gen, class: class, size: size, answer: &sum})
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %s at gen %d never reached gen %d", c.conn.RemoteAddr(), class, at, gen)
+			}
 		}
-		sum := sha256.Sum256([]byte(dump))
-		got = append(got, reply{floor: w.acked.Load(), gen: gen, class: class, size: size, answer: &sum})
 	}
-	w.check(t, [][]reply{got})
+	return got
 }
 
 // FuzzDaemonHistory runs a single daemon through FuzzHistory's input: a
@@ -359,20 +405,19 @@ func FuzzDaemonHistory(f *testing.F) {
 		if len(sizes) == 0 {
 			return
 		}
-		runDaemonHistory(t, "single", seed, history.FuzzSizes(sizes))
+		runDaemonHistory(t, "single", newWireHistory(seed, history.FuzzSizes(sizes)))
 	})
 }
 
-// runDaemonHistory drives the history of seed and sizes through shape. A
+// runDaemonHistory drives the history w through shape. A
 // daemon that takes the writer checkpoints a quarter of the way through,
 // and readers run on it the whole time; at the end every reply must match
 // the oracle and a reader must have seen the last generation. It returns
 // how many generations the readers saw and how many chains the last
 // daemon's view folded.
-func runDaemonHistory(t *testing.T, shape string, seed int64, sizes []int) (gens, folds int) {
+func runDaemonHistory(t *testing.T, shape string, w *wireHistory) (gens, folds int) {
 	dir := t.TempDir()
 	cfg := historyConfig(t, dir)
-	w := newWireHistory(seed, sizes)
 	var conns [][]reply
 	var addr string
 	switch shape {
@@ -396,17 +441,13 @@ func runDaemonHistory(t *testing.T, shape string, seed int64, sizes []int) (gens
 		defer c.close()
 		w.begin(t, c)
 		stop := readers(t, addr, 4, &w.acked)
-		w.write(t, c, 0, len(sizes), len(sizes)/4)
+		w.write(t, c, 0, len(w.steps), len(w.steps)/4)
 		conns = stop()
 	case "standby":
 		addr, conns = standbyHistory(t, cfg, w)
 	}
 	seen := w.check(t, conns)
-	n := 0
-	for _, replies := range conns {
-		n += len(replies)
-	}
-	t.Logf("%d replies at %d of %d generations", n, len(seen), len(w.gens))
+	t.Logf("readers saw %d of %d generations", len(seen), len(w.gens))
 	if last := w.gens[len(w.gens)-1]; !seen[last] {
 		t.Fatalf("no reader saw the last generation, %d", last)
 	}
@@ -419,10 +460,11 @@ func runDaemonHistory(t *testing.T, shape string, seed int64, sizes []int) (gens
 // at -checkpoint-bytes 2048 tailing it. The first half of the history goes
 // through the primary, which never checkpoints, with readers on the live
 // replica and no floor (the feed is asynchronous); a second replica
-// attaches two commits in and must serve the oracle's answers once the
-// writer is quiet. Then the primary stops, the replica notices, is
-// promoted, and takes the rest of the history under the full check. It
-// returns the promoted replica's address and every reply read.
+// attaches two commits in, while the writer goes on, and must serve the
+// oracle's answers with its tail live once the writer is quiet. Then the
+// primary stops, the replica notices, is promoted, and takes the rest of
+// the history under the full check. It returns the promoted replica's
+// address and every reply read.
 func standbyHistory(t *testing.T, cfg config, w *wireHistory) (string, [][]reply) {
 	dir, half := filepath.Dir(cfg.storeDir), len(w.steps)/2
 	cfg.hubAddr = "127.0.0.1:0"
@@ -437,38 +479,31 @@ func standbyHistory(t *testing.T, cfg config, w *wireHistory) (string, [][]reply
 	w.begin(t, pc)
 	stopLive := readers(t, standbyAddr, 4, nil)
 	w.write(t, pc, 0, min(2, half), -1)
-	lateAddr, _, stopLate := serveInProcess(t, func(stop <-chan struct{}) error {
+	// The late replica's snapshot is cut between two commits of the running
+	// writer, and its feed must carry on from exactly there.
+	lateListening, stopLate := startInProcess(t, func(stop <-chan struct{}) error {
 		return runStandby(standbyArgs(cfg, hubAddr, filepath.Join(dir, "store-late"), "-ttl", "1s"), stop)
 	})
 	w.write(t, pc, min(2, half), half, -1)
+	lateAddr, _ := lateListening()
 	acked := w.acked.Load()
 	// The writer is quiet: both replicas catch up with it, and the late one,
 	// read alongside the primary, answers what they do.
 	var conns [][]reply
 	for _, at := range []string{standbyAddr, lateAddr, primaryAddr} {
 		c := dialLine(t, at)
-		var got []reply
-		for _, class := range history.Classes {
-			for deadline := time.Now().Add(20 * time.Second); ; time.Sleep(5 * time.Millisecond) {
-				gen, size, dump, err := c.read("answer", class)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if gen == acked {
-					sum := sha256.Sum256([]byte(dump))
-					got = append(got, reply{floor: acked, gen: gen, class: class, size: size, answer: &sum})
-					break
-				}
-				if time.Now().After(deadline) {
-					t.Fatalf("%s: %s at gen %d never reached gen %d", at, class, gen, acked)
-				}
-			}
+		conns = append(conns, answersAt(t, c, acked))
+		if h := c.cmd(t, "health"); at == lateAddr && !strings.Contains(h, "tail=live") {
+			t.Fatalf("the late replica's health: %q", h)
 		}
 		c.close()
-		conns = append(conns, got)
 	}
-	conns = append(conns, stopLive()...)
 	stopLate()
+	// The live replica was at acked before its readers stopped, and their
+	// last round reads it.
+	if seen := w.check(t, stopLive()); len(seen) < 2 || !seen[acked] {
+		t.Fatalf("the live replica's readers saw %d generations, gen %d: %v", len(seen), acked, seen[acked])
+	}
 	if e := statInt(t, pc.cmd(t, "stat"), "epoch"); e != 1 {
 		t.Fatalf("the primary never checkpoints, and is at epoch %d", e)
 	}

@@ -68,38 +68,51 @@ func watchListening(t *testing.T) (lines <-chan string, unsubscribe func()) {
 // bind 127.0.0.1:0.
 func serveInProcess(t *testing.T, serve func(stop <-chan struct{}) error) (addr, hubAddr string, stop func()) {
 	t.Helper()
+	listening, stop := startInProcess(t, serve)
+	addr, hubAddr = listening()
+	return addr, hubAddr, stop
+}
+
+// startInProcess is serveInProcess without the wait: it returns at once,
+// and listening waits for the addresses serve announces (call it once, on
+// the test's goroutine).
+func startInProcess(t *testing.T, serve func(stop <-chan struct{}) error) (listening func() (addr, hubAddr string), stop func()) {
+	t.Helper()
 	lines, unsubscribe := watchListening(t)
-	defer unsubscribe()
 	ch := make(chan struct{})
 	done := make(chan error, 1)
 	go func() { done <- serve(ch) }()
-	timeout := time.After(30 * time.Second)
-	for addr == "" {
-		select {
-		case line := <-lines:
-			if a, ok := listenedOn(line, "hub"); ok {
-				hubAddr = a
+	var addr string
+	listening = func() (_, hubAddr string) {
+		t.Helper()
+		defer unsubscribe()
+		timeout := time.After(30 * time.Second)
+		for addr == "" {
+			select {
+			case line := <-lines:
+				if a, ok := listenedOn(line, "hub"); ok {
+					hubAddr = a
+				}
+				if a, ok := listenedOn(line, ""); ok {
+					addr = a
+				}
+			case err := <-done:
+				done <- err // for stop
+				t.Fatalf("daemon exited before listening: %v", err)
+			case <-timeout:
+				t.Fatal("daemon not listening after 30s")
 			}
-			if a, ok := listenedOn(line, ""); ok {
-				addr = a
-			}
-		case err := <-done:
-			t.Fatalf("daemon exited before listening: %v", err)
-		case <-timeout:
-			t.Fatal("daemon not listening after 30s")
 		}
+		return addr, hubAddr
 	}
-	var once sync.Once
-	stop = func() {
-		once.Do(func() {
-			close(ch)
-			if err := <-done; err != nil {
-				t.Errorf("daemon on %s: %v", addr, err)
-			}
-		})
-	}
+	stop = sync.OnceFunc(func() {
+		close(ch)
+		if err := <-done; err != nil {
+			t.Errorf("daemon on %s: %v", addr, err)
+		}
+	})
 	t.Cleanup(stop)
-	return addr, hubAddr, stop
+	return listening, stop
 }
 
 // startProc starts bin with args, copies its log to stderr, and returns

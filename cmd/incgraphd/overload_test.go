@@ -54,14 +54,9 @@ func serveTest(t *testing.T, srv *server) string {
 	return addr
 }
 
-// testServer serves newTestServer's small store with the given limits.
-func testServer(t *testing.T, lim limits) (*server, string) {
-	srv := newTestServer(t, nil, incgraph.DurableOptions{}, lim)
-	return srv, serveTest(t, srv)
-}
-
 func TestConnCapShedsWithExplicitReply(t *testing.T) {
-	srv, addr := testServer(t, limits{maxConns: 2})
+	srv := newTestServer(t, nil, incgraph.DurableOptions{}, limits{maxConns: 2})
+	addr := serveTest(t, srv)
 	c1 := dialLine(t, addr)
 	defer c1.close()
 	c1.cmd(t, "health") // round trip ⇒ the connection is tracked
@@ -95,8 +90,8 @@ func TestConnCapShedsWithExplicitReply(t *testing.T) {
 }
 
 func TestStagedCapRefusesWithoutCorruptingBatch(t *testing.T) {
-	srv, addr := testServer(t, limits{maxStaged: 3})
-	c := dialLine(t, addr)
+	srv := newTestServer(t, nil, incgraph.DurableOptions{}, limits{maxStaged: 3})
+	c := dialLine(t, serveTest(t, srv))
 	defer c.close()
 	for i := 0; i < 3; i++ {
 		c.cmd(t, fmt.Sprintf("+ %d %d a a", 9000+2*i, 9001+2*i))
@@ -150,7 +145,7 @@ func TestEngineWithoutRowsRefused(t *testing.T) {
 // the six error categories clients dispatch on, and the connection keeps
 // serving.
 func TestReadErrorStaysInErrorGrammar(t *testing.T) {
-	srv, _ := testServer(t, limits{})
+	srv := newTestServer(t, nil, incgraph.DurableOptions{}, limits{})
 	c, _ := pipeClient(t, srv)
 	for _, cmd := range []string{"answer kws", "query kws"} {
 		reply := c.raw(t, cmd)
@@ -168,7 +163,7 @@ func TestReadErrorStaysInErrorGrammar(t *testing.T) {
 // many is a protocol error, not an update: "+ v w vlabel wlabel junk" and
 // "- v w x" stage nothing.
 func TestUpdateLineWithExtraFieldsRefused(t *testing.T) {
-	srv, _ := testServer(t, limits{})
+	srv := newTestServer(t, nil, incgraph.DurableOptions{}, limits{})
 	c, _ := pipeClient(t, srv)
 	for _, line := range []string{"+ 1 2 a b junk", "- 1 2 x"} {
 		if reply := c.raw(t, line); !strings.HasPrefix(reply, "err proto: ") {
@@ -181,7 +176,8 @@ func TestUpdateLineWithExtraFieldsRefused(t *testing.T) {
 }
 
 func TestOversizedLineRepliedBeforeCut(t *testing.T) {
-	srv, addr := testServer(t, limits{})
+	srv := newTestServer(t, nil, incgraph.DurableOptions{}, limits{})
+	addr := serveTest(t, srv)
 	c := dialLine(t, addr)
 	defer c.close()
 	c.cmd(t, "health")
@@ -221,7 +217,8 @@ func TestOversizedLineRepliedBeforeCut(t *testing.T) {
 }
 
 func TestCommitGateShedsWhenQueueFull(t *testing.T) {
-	srv, addr := testServer(t, limits{commitSlots: 1})
+	srv := newTestServer(t, nil, incgraph.DurableOptions{}, limits{commitSlots: 1})
+	addr := serveTest(t, srv)
 	// Wedge the durable half of commits: the gate's single slot will be
 	// held by the first committer, and with a zero-length queue the second
 	// is shed immediately with an explicit reply.
@@ -280,7 +277,8 @@ func TestCommitGateShedsWhenQueueFull(t *testing.T) {
 // keeps its staged batch, so the bare retry commits.
 func TestClusterCommitShedsWhenBudgetSpentWaiting(t *testing.T) {
 	const budget = 300 * time.Millisecond
-	srv, addr := testServer(t, limits{commitSlots: 1, commitQueue: 1, opTimeout: budget})
+	srv := newTestServer(t, nil, incgraph.DurableOptions{}, limits{commitSlots: 1, commitQueue: 1, opTimeout: budget})
+	addr := serveTest(t, srv)
 	links, _, stopWorkers := incgraph.InProcessLinks(2)
 	defer stopWorkers()
 	cl, err := incgraph.NewCluster(srv.d.Graph(), links)
@@ -340,7 +338,8 @@ func TestSlowLorisCut(t *testing.T) {
 	lim := limits{idle: 400 * time.Millisecond, opTimeout: 5 * time.Second}
 	for _, role := range []string{rolePrimary, roleStandby} {
 		t.Run(role, func(t *testing.T) {
-			srv, addr := testServer(t, lim)
+			srv := newTestServer(t, nil, incgraph.DurableOptions{}, lim)
+			addr := serveTest(t, srv)
 			if role == roleStandby {
 				srv.publish(false, func(v *view) { v.role = roleStandby })
 				srv.tail.Store(tailDegraded) // serving reads, primary gone
