@@ -68,7 +68,7 @@ const (
 )
 
 // answerClass is the standing query every scenario exercises and the
-// parity replay recomputes. SCC needs no query configuration, so any
+// parity check builds from scratch. SCC needs no query configuration, so any
 // daemon started with -scc can serve every built-in scenario.
 const answerClass = "scc"
 

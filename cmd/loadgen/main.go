@@ -6,9 +6,10 @@
 // instead of collapsing, the p99 of admitted ops stays bounded, excess
 // load is shed with explicit "err overloaded" replies (never hangs),
 // and slow clients are cut without degrading healthy ones. With
-// -parity it additionally replays every acked commit serially onto an
-// empty graph and requires the daemon's post-storm state to match byte
-// for byte — admitted is admitted, even under the storm.
+// -parity it additionally replays every acked commit onto an empty graph
+// and requires the daemon's post-storm graph to match it, and its answers
+// a from-scratch build on it byte for byte — admitted is admitted, even
+// under the storm.
 package main
 
 import (
@@ -33,10 +34,12 @@ throughput and latency quantiles per op class and phase.
   -duration dur      override the scenario's run length
   -op-budget dur     per-op reply budget; no reply within it = hang (10s)
   -check             assert the scenario's degradation contract; exit 1 on violation
-  -parity            byte-compare the post-storm graph with a serial replay of
-                     the acked commits (daemon must start empty, loadgen must
-                     be its only writer; after a failover scenario the replay
-                     is checked against the promoted standby)
+  -parity            replay the acked commits onto an empty graph and require
+                     the daemon's node and edge counts to match it and its
+                     answers to match a from-scratch build on it, byte for
+                     byte (daemon must start empty, loadgen must be its only
+                     writer; after a failover scenario the replay is checked
+                     against the promoted standby)
   -failover-addr A   standby to promote when the scenario's fault is failover
   -fault-exec CMD    shell command that kills the primary (failover scenarios)
   -soak              emit one JSON line per sampling window to stdout:

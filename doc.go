@@ -43,9 +43,10 @@
 //     graph's mutation generation (Graph.Generation): repeated reads
 //     between updates are O(1), and any mutation implicitly invalidates
 //     them. The returned slices are shared; treat them as read-only.
-//   - Adjacency is hybrid: sorted []NodeID slices for low-degree nodes,
-//     promoted to hash sets past a degree threshold (with hysteresis on
-//     the way back down). Iteration is a cache-friendly linear scan and
+//   - Adjacency is one ascending []NodeID per node and direction, at every
+//     degree, and so is each label class of the inverted label index.
+//     Iteration is a cache-friendly linear scan in NodeID order, so every
+//     traversal visits in the same order on every run, and
 //     SuccessorsSorted returns the storage itself — allocation-free, but
 //     borrowed: valid only until the next mutation of that node.
 //   - The traversal kernels (BFSFrom, ReverseBFSFrom, ForEachWithin,
@@ -59,12 +60,9 @@
 //
 // The engine is multi-core end to end, built on one contract: mutating a
 // graph (AddNode, AddEdge, Apply, ...) requires exclusive access, while
-// between mutations any number of goroutines may read and traverse it
-// concurrently once Graph.PrepareConcurrentReads has run after the last
-// mutation. The KWS/RPQ/ISO engines call it themselves whenever
-// Parallelism() > 1; after hand-rolled mutations, at Parallelism() == 1,
-// or behind the sequential SCC engine, call it yourself before sharing
-// reads.
+// between mutations the graph is read-shareable: any number of goroutines
+// may read and traverse it concurrently, at any parallelism and behind
+// every engine, with no preparation step.
 //
 // On top of that split, the batch builds can fan out — NewKWS per keyword
 // and per node, NewRPQ per source node, NewISO/FindMatches over partitioned

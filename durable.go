@@ -39,10 +39,9 @@ import (
 //     run, at any worker or shard count.
 //
 // Concurrency: Commit, Checkpoint, Recover and Close require exclusive
-// access (they mutate). Between them the attached engines are
-// read-shareable per the usual contract — a commit runs
-// PrepareConcurrentReads on every graph involved before returning, so
-// concurrent readers can start immediately.
+// access (they mutate). Between them the graphs and the attached engines
+// are read-shareable per the usual contract, so concurrent readers can
+// start as soon as a commit returns.
 
 // SyncPolicy selects when the write-ahead log fsyncs; see the constants.
 type SyncPolicy = store.SyncPolicy
@@ -173,9 +172,8 @@ func (d *Durable) Recover() error {
 // advance moves everything in memory from G to G ⊕ ΔG: the base graph
 // once, then every engine in attach order — a repair against the base
 // graph for those built on it, their own Apply for those on a private
-// graph — and flushes the sorted caches of every graph involved so readers
-// can fan out immediately. b must be valid on the base graph, and norm is
-// its normal form (b.Normalize()), the same for every engine in place.
+// graph. b must be valid on the base graph, and norm is its normal form
+// (b.Normalize()), the same for every engine in place.
 func (d *Durable) advance(b, norm Batch) ([]DeltaSummary, error) {
 	if err := d.base.ApplyBatch(b); err != nil {
 		return nil, err
@@ -191,9 +189,7 @@ func (d *Durable) advance(b, norm Batch) ([]DeltaSummary, error) {
 			return nil, fmt.Errorf("%s: %w", m.Class(), err)
 		}
 		sums[i] = sum
-		m.Graph().PrepareConcurrentReads()
 	}
-	d.base.PrepareConcurrentReads()
 	return sums, nil
 }
 

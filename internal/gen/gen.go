@@ -343,12 +343,11 @@ func RPQDense(g *graph.Graph, size int, seed int64) (*rex.Ast, error) {
 // heavy-hitter label distributions of real knowledge graphs.
 func Relabel(g *graph.Graph, k int) *graph.Graph {
 	out := graph.New()
-	g.Nodes(func(v graph.NodeID, l string) bool {
+	for _, v := range g.NodesSorted() {
 		var idx int
-		fmt.Sscanf(l, "l%d", &idx)
+		fmt.Sscanf(g.Label(v), "l%d", &idx)
 		out.AddNode(v, LabelName(idx%k))
-		return true
-	})
+	}
 	g.Edges(func(e graph.Edge) bool {
 		out.AddEdge(e.From, e.To)
 		return true

@@ -6,8 +6,8 @@ package graph_test
 // internal/gen's generator), and every few steps the full observable state
 // is compared — NodesWithLabel for every live label, degrees, sorted
 // adjacency, node and edge sets, and Equal against a rebuilt graph. This is
-// what pins the inverted label index, the hybrid adjacency promotion/
-// demotion, and the slot recycling to the simple semantics they replace.
+// what pins the inverted label index, the sorted-slice adjacency at every
+// degree, and the slot recycling to the simple semantics they replace.
 
 import (
 	"fmt"
@@ -250,13 +250,12 @@ func TestDifferentialRandomStream(t *testing.T) {
 	}
 }
 
-// TestHybridAdjacencyPromotion pushes one node's degree across the
-// promotion threshold and back down, checking sorted adjacency and
-// membership at every size.
-func TestHybridAdjacencyPromotion(t *testing.T) {
+// TestHighDegreeAdjacency grows one node's degree to 100 in random order
+// and back down, checking sorted adjacency and membership at every size.
+func TestHighDegreeAdjacency(t *testing.T) {
 	g := graph.New()
 	g.AddNode(0, "hub")
-	const n = 100 // far past any promotion threshold
+	const n = 100 // a hub far above the mean degree
 	for i := 1; i <= n; i++ {
 		g.AddNode(graph.NodeID(i), "leaf")
 	}

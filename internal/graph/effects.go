@@ -249,7 +249,6 @@ func (g *Graph) ApplyShardEffects(e ShardEffects) (int, error) {
 				}
 				delta--
 			}
-			sh.noteDirty(&rec.out)
 		}
 		if g.shardIdxOf(op.To) == u64si {
 			owned = true
@@ -262,26 +261,16 @@ func (g *Graph) ApplyShardEffects(e ShardEffects) (int, error) {
 			} else {
 				rec.in.remove(op.From)
 			}
-			sh.noteDirty(&rec.in)
 		}
 		if !owned {
 			return delta, fmt.Errorf("graph: ApplyShardEffects: op %v(%d,%d) has no endpoint on shard %d", op.Op, op.From, op.To, e.Shard)
 		}
 	}
-	// There is no phase 2 here, and shard containers never run
-	// PrepareConcurrentReads (worker requests serialize, so sorted caches
-	// rebuild lazily and race-free): discard the phase-1 dirty queue
-	// instead of parking it on the graph, where it would grow without
-	// bound and pin dropped replicas' records across ResetShard cycles.
-	for _, a := range sh.dirty {
-		a.queued = false
-	}
-	sh.dirty = sh.dirty[:0]
 	g.refreshSlotCeil()
 	return delta, nil
 }
 
-// ResetShard erases shard s — node records, slot allocator, dirty queue —
+// ResetShard erases shard s — node records and slot allocator —
 // returning it to the freshly created state LoadShard requires, so an
 // authoritative segment can be (re-)placed over a diverged or stale copy.
 // Like ApplyShardEffects it maintains only shard-owned state: calling it
@@ -293,6 +282,5 @@ func (g *Graph) ResetShard(s int) {
 	sh.nodes = make(map[NodeID]*node)
 	sh.free = nil
 	sh.slotCap = 0
-	sh.dirty = nil
 	g.refreshSlotCeil()
 }

@@ -67,8 +67,8 @@ func (g *Graph) ExportShard(s int) ShardState {
 			ID:    v,
 			Label: rec.label,
 			Slot:  rec.slot,
-			Out:   rec.out.sorted(),
-			In:    rec.in.sorted(),
+			Out:   rec.out,
+			In:    rec.in,
 		})
 	}
 	return st
@@ -135,8 +135,8 @@ func (g *Graph) LoadShard(s int, st ShardState) error {
 		sh.nodes[n.ID] = &node{
 			label: n.Label,
 			slot:  n.Slot,
-			out:   adjSetFromSorted(n.Out),
-			in:    adjSetFromSorted(n.In),
+			out:   n.Out,
+			in:    n.In,
 		}
 	}
 	return nil
@@ -158,14 +158,14 @@ func ascending(vs []NodeID) bool {
 // Call it exactly once, serially, after every LoadShard returned.
 func (g *Graph) FinishLoad(gen uint64) error {
 	edges, inEdges := 0, 0
-	for s := range g.shards {
-		sh := &g.shards[s]
-		for _, v := range g.ShardNodesSorted(s) {
-			rec := sh.nodes[v]
-			g.labelIndexAdd(rec.label, v)
-			edges += rec.out.len()
-			inEdges += rec.in.len()
-		}
+	// In global ascending order, every label-index add is an append; shard
+	// by shard, each shard's run would be inserted into the middle of the
+	// runs before it.
+	for _, v := range g.NodesSortedParallel() {
+		rec := g.rec(v)
+		g.labelIndexAdd(rec.label, v)
+		edges += len(rec.out)
+		inEdges += len(rec.in)
 	}
 	if edges != inEdges {
 		return fmt.Errorf("graph: FinishLoad: out-degree sum %d != in-degree sum %d", edges, inEdges)
@@ -173,9 +173,6 @@ func (g *Graph) FinishLoad(gen uint64) error {
 	g.edges = edges
 	g.refreshSlotCeil()
 	g.gen = gen
-	// The label index was just built with mutating adds; leave no stale
-	// dirty queue behind for the first concurrent read.
-	g.PrepareConcurrentReads()
 	return nil
 }
 

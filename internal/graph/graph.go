@@ -29,10 +29,12 @@
 //     graph a serial ApplyBatch builds. In-process, ApplyBatch is that
 //     serial loop (update.go says why).
 //
-//   - Hybrid adjacency. Out- and in-adjacency are sorted []NodeID slices
-//     for low-degree nodes, promoted to hash sets past a degree threshold
-//     (adjset.go). Unit updates stay O(degree) ≈ O(1), iteration is a
-//     cache-friendly linear scan, and SuccessorsSorted is allocation-free.
+//   - Sorted-slice adjacency. Out-adjacency, in-adjacency and every label
+//     class of the inverted index are one ascending []NodeID each
+//     (adjset.go), at every degree. Degrees are bounded in practice, so a
+//     unit update is an O(degree) ≈ O(1) insertion, iteration is a
+//     cache-friendly linear scan in NodeID order, and SuccessorsSorted
+//     returns the storage itself.
 //
 //   - Dense slots + scratch. Each node gets a dense slot index at
 //     insertion (interleaved across shards); the traversal kernels in
@@ -41,9 +43,9 @@
 //     per call.
 //
 // Concurrency contract (parallel.go): mutations require exclusive access,
-// but between mutations any number of goroutines may read and traverse the
-// graph concurrently — call PrepareConcurrentReads after the last mutation
-// to flush the lazily rebuilt sorted-adjacency caches first. The parallel
+// and between mutations the graph is read-shareable: any number of
+// goroutines may read and traverse it concurrently, with no preparation
+// step, because no read writes anything back. The parallel
 // engines in kws, rpq and iso are built on exactly this split; their loops
 // fan out through ParallelFor, whose caller always takes part and never
 // waits for a helper that arrived too late to find work.
@@ -51,6 +53,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -96,9 +99,6 @@ type Graph struct {
 	// check out their own buffer.
 	primaryScratch atomic.Pointer[scratch]
 	scratchPool    sync.Pool
-	// dirtySorted queues map-mode adjacency sets whose sorted cache a
-	// mutation invalidated; PrepareConcurrentReads drains it (parallel.go).
-	dirtySorted []*adjSet
 	// workers is the SetParallelism budget; 0 means runtime.GOMAXPROCS(0).
 	workers int
 	// edgesSorted memoizes EdgesSorted between mutations.
@@ -177,15 +177,13 @@ func (g *Graph) labelIndexAdd(lid LabelID, v NodeID) {
 		g.byLabel[lid] = set
 	}
 	set.add(v)
-	g.noteDirty(set)
 }
 
 // labelIndexRemove removes v from the inverted index under lid.
 func (g *Graph) labelIndexRemove(lid LabelID, v NodeID) {
 	if set := g.byLabel[lid]; set != nil {
 		set.remove(v)
-		g.noteDirty(set)
-		if set.len() == 0 {
+		if len(*set) == 0 {
 			delete(g.byLabel, lid)
 		}
 	}
@@ -248,8 +246,6 @@ func (g *Graph) AddEdge(v, w NodeID) bool {
 		return false
 	}
 	rw.in.add(v)
-	g.noteDirty(&rv.out)
-	g.noteDirty(&rw.in)
 	g.edges++
 	g.gen++
 	return true
@@ -264,8 +260,6 @@ func (g *Graph) DeleteEdge(v, w NodeID) bool {
 	}
 	rw := g.rec(w)
 	rw.in.remove(v)
-	g.noteDirty(&rv.out)
-	g.noteDirty(&rw.in)
 	g.edges--
 	g.gen++
 	return true
@@ -280,24 +274,16 @@ func (g *Graph) DeleteNode(v NodeID) bool {
 	if !ok {
 		return false
 	}
-	rec.out.forEach(func(w NodeID) bool {
-		set := &g.rec(w).in
-		set.remove(v)
-		g.noteDirty(set)
+	for _, w := range rec.out {
+		g.rec(w).in.remove(v)
 		g.edges--
-		return true
-	})
-	rec.in.forEach(func(u NodeID) bool {
-		// A self-loop was already discounted via the out set.
-		if u == v {
-			return true
-		}
-		set := &g.rec(u).out
-		set.remove(v)
-		g.noteDirty(set)
+	}
+	// A self-loop left rec.in with the loop above, so it is not counted
+	// twice.
+	for _, u := range rec.in {
+		g.rec(u).out.remove(v)
 		g.edges--
-		return true
-	})
+	}
 	g.labelIndexRemove(rec.label, v)
 	sh.recycleSlot(rec.slot, int32(len(g.shards)))
 	delete(sh.nodes, v)
@@ -311,7 +297,7 @@ func (g *Graph) OutDegree(v NodeID) int {
 	if rec == nil {
 		return 0
 	}
-	return rec.out.len()
+	return len(rec.out)
 }
 
 // InDegree returns the number of predecessors of v.
@@ -320,23 +306,7 @@ func (g *Graph) InDegree(v NodeID) int {
 	if rec == nil {
 		return 0
 	}
-	return rec.in.len()
-}
-
-// Successors calls fn for every successor of v until fn returns false.
-// Iteration order is unspecified.
-func (g *Graph) Successors(v NodeID, fn func(w NodeID) bool) {
-	if rec := g.rec(v); rec != nil {
-		rec.out.forEach(fn)
-	}
-}
-
-// Predecessors calls fn for every predecessor of v until fn returns false.
-// Iteration order is unspecified.
-func (g *Graph) Predecessors(v NodeID, fn func(u NodeID) bool) {
-	if rec := g.rec(v); rec != nil {
-		rec.in.forEach(fn)
-	}
+	return len(rec.in)
 }
 
 // SuccessorsSorted returns the successors of v in ascending NodeID order.
@@ -348,7 +318,7 @@ func (g *Graph) SuccessorsSorted(v NodeID) []NodeID {
 	if rec == nil {
 		return nil
 	}
-	return rec.out.sorted()
+	return rec.out
 }
 
 // PredecessorsSorted returns the predecessors of v in ascending NodeID
@@ -358,7 +328,7 @@ func (g *Graph) PredecessorsSorted(v NodeID) []NodeID {
 	if rec == nil {
 		return nil
 	}
-	return rec.in.sorted()
+	return rec.in
 }
 
 // Nodes calls fn for every node until fn returns false.
@@ -381,7 +351,7 @@ func (g *Graph) NodesSorted() []NodeID {
 			vs = append(vs, v)
 		}
 	}
-	sortNodeIDs(vs)
+	slices.Sort(vs)
 	return vs
 }
 
@@ -389,16 +359,10 @@ func (g *Graph) NodesSorted() []NodeID {
 func (g *Graph) Edges(fn func(e Edge) bool) {
 	for i := range g.shards {
 		for v, rec := range g.shards[i].nodes {
-			stop := false
-			rec.out.forEach(func(w NodeID) bool {
+			for _, w := range rec.out {
 				if !fn(Edge{v, w}) {
-					stop = true
-					return false
+					return
 				}
-				return true
-			})
-			if stop {
-				return
 			}
 		}
 	}
@@ -435,10 +399,7 @@ func (g *Graph) NodesWithLabel(label string) []NodeID {
 	if set == nil {
 		return nil
 	}
-	s := set.sorted()
-	out := make([]NodeID, len(s))
-	copy(out, s)
-	return out
+	return slices.Clone(*set)
 }
 
 // NumNodesWithLabelID returns |{v : l(v) = lid}| in O(1).
@@ -447,7 +408,7 @@ func (g *Graph) NumNodesWithLabelID(lid LabelID) int {
 	if set == nil {
 		return 0
 	}
-	return set.len()
+	return len(*set)
 }
 
 // NodesWithLabelID calls fn for every node labeled lid, in ascending order,
@@ -457,7 +418,7 @@ func (g *Graph) NodesWithLabelID(lid LabelID, fn func(v NodeID) bool) {
 	if set == nil {
 		return
 	}
-	for _, v := range set.sorted() {
+	for _, v := range *set {
 		if !fn(v) {
 			return
 		}
@@ -468,7 +429,7 @@ func (g *Graph) NodesWithLabelID(lid LabelID, fn func(v NodeID) bool) {
 // nodes carrying it, until fn returns false. Order is unspecified.
 func (g *Graph) Labels(fn func(label string, count int) bool) {
 	for lid, set := range g.byLabel {
-		if !fn(LabelOf(lid), set.len()) {
+		if !fn(LabelOf(lid), len(*set)) {
 			return
 		}
 	}
@@ -497,49 +458,19 @@ func (g *Graph) Clone() *Graph {
 			copy(csh.free, sh.free)
 		}
 		for v, rec := range sh.nodes {
-			cn := &node{
+			csh.nodes[v] = &node{
 				label: rec.label,
 				slot:  rec.slot,
-				out:   rec.out.clone(),
-				in:    rec.in.clone(),
+				out:   slices.Clone(rec.out),
+				in:    slices.Clone(rec.in),
 			}
-			csh.nodes[v] = cn
-			c.noteDirty(&cn.out)
-			c.noteDirty(&cn.in)
 		}
 	}
 	for lid, set := range g.byLabel {
-		cs := set.clone()
+		cs := slices.Clone(*set)
 		c.byLabel[lid] = &cs
-		c.noteDirty(&cs)
 	}
 	return c
-}
-
-// InducedSubgraph returns the subgraph of g induced by the node set keep:
-// its nodes are keep ∩ V and its edges are every edge of g with both
-// endpoints in keep (Section 2 of the paper). The subgraph inherits g's
-// shard count.
-func (g *Graph) InducedSubgraph(keep map[NodeID]bool) *Graph {
-	s := NewSharded(len(g.shards))
-	for v, in := range keep {
-		if !in {
-			continue
-		}
-		if rec := g.rec(v); rec != nil {
-			s.addNodeID(v, rec.label)
-		}
-	}
-	s.Nodes(func(v NodeID, _ string) bool {
-		g.rec(v).out.forEach(func(w NodeID) bool {
-			if s.HasNode(w) {
-				s.AddEdge(v, w)
-			}
-			return true
-		})
-		return true
-	})
-	return s
 }
 
 // MaxNodeID returns the largest node ID in g, or -1 if g is empty.
@@ -574,16 +505,10 @@ func (g *Graph) Equal(h *Graph) bool {
 	}
 	for i := range g.shards {
 		for v, rec := range g.shards[i].nodes {
-			same := true
-			rec.out.forEach(func(w NodeID) bool {
+			for _, w := range rec.out {
 				if !h.HasEdge(v, w) {
-					same = false
 					return false
 				}
-				return true
-			})
-			if !same {
-				return false
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -151,25 +152,6 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
-func TestInducedSubgraph(t *testing.T) {
-	g := buildDiamond(t)
-	s := g.InducedSubgraph(map[NodeID]bool{1: true, 2: true, 4: true})
-	if s.NumNodes() != 3 {
-		t.Fatalf("induced nodes = %d", s.NumNodes())
-	}
-	if !s.HasEdge(1, 2) || !s.HasEdge(2, 4) || s.HasEdge(1, 3) || s.HasEdge(3, 4) {
-		t.Fatalf("induced edges wrong: %v", s.EdgesSorted())
-	}
-	if s.Label(2) != "b" {
-		t.Fatalf("induced label lost")
-	}
-	// keep entries set to false must be ignored.
-	s2 := g.InducedSubgraph(map[NodeID]bool{1: true, 2: false})
-	if s2.NumNodes() != 1 {
-		t.Fatalf("false keep entries included: %d nodes", s2.NumNodes())
-	}
-}
-
 func TestMaxNodeID(t *testing.T) {
 	g := New()
 	if g.MaxNodeID() != -1 {
@@ -238,20 +220,11 @@ func TestInOutConsistency(t *testing.T) {
 		g := randomGraph(rng, 20, 60, []string{"a", "b"})
 		ok := true
 		g.Nodes(func(v NodeID, _ string) bool {
-			g.Successors(v, func(w NodeID) bool {
-				found := false
-				g.Predecessors(w, func(u NodeID) bool {
-					if u == v {
-						found = true
-						return false
-					}
-					return true
-				})
-				if !found {
+			for _, w := range g.SuccessorsSorted(v) {
+				if !slices.Contains(g.PredecessorsSorted(w), v) {
 					ok = false
 				}
-				return ok
-			})
+			}
 			return ok
 		})
 		return ok
@@ -276,22 +249,6 @@ func TestIterationEarlyStop(t *testing.T) {
 	})
 	if count != 3 {
 		t.Fatalf("Nodes early stop visited %d", count)
-	}
-	count = 0
-	g.Successors(0, func(NodeID) bool {
-		count++
-		return false
-	})
-	if count != 1 {
-		t.Fatalf("Successors early stop visited %d", count)
-	}
-	count = 0
-	g.Predecessors(5, func(NodeID) bool {
-		count++
-		return false
-	})
-	if count != 1 {
-		t.Fatalf("Predecessors early stop visited %d", count)
 	}
 	count = 0
 	g.Edges(func(Edge) bool {

@@ -13,10 +13,10 @@ import (
 //     exclusive access: no other goroutine may touch the graph while one
 //     runs.
 //   - Between mutations the graph is read-shareable: any number of
-//     goroutines may run queries and traversal kernels concurrently,
-//     provided PrepareConcurrentReads ran after the last mutation (it
-//     flushes the lazily rebuilt sorted-adjacency caches that reads would
-//     otherwise race to rebuild).
+//     goroutines may run queries and traversal kernels concurrently, at any
+//     parallelism, with no preparation step. Adjacency and the label index
+//     are sorted slices kept sorted by the mutations themselves (adjset.go),
+//     so no read writes anything back.
 //
 // The incremental engines (kws, rpq, iso) lean on this split: they apply
 // ΔG under exclusive access, then run their repair loops — per keyword,
@@ -52,31 +52,10 @@ func (g *Graph) Parallelism() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// PrepareConcurrentReads makes the graph safe for concurrent readers by
-// eagerly rebuilding every sorted-adjacency cache invalidated since the
-// last call. Sorted access (SuccessorsSorted, NodesWithLabelID, ...) is
-// otherwise rebuilt lazily on first use — a benign single-threaded
-// optimization that becomes a data race when two readers hit the same
-// stale cache. Engines call this after applying ΔG, before fanning out;
-// cost is proportional to the adjacency actually dirtied by the mutations.
-func (g *Graph) PrepareConcurrentReads() {
-	for _, a := range g.dirtySorted {
-		a.queued = false
-		if a.set != nil && a.dirty {
-			a.sorted()
-		}
-	}
-	g.dirtySorted = g.dirtySorted[:0]
-}
-
-// noteDirty registers an adjacency set whose sorted cache a mutation just
-// invalidated, so PrepareConcurrentReads can rebuild it eagerly.
-func (g *Graph) noteDirty(a *adjSet) {
-	if a.set != nil && a.dirty && !a.queued {
-		a.queued = true
-		g.dirtySorted = append(g.dirtySorted, a)
-	}
-}
+// PrepareConcurrentReads does nothing: the graph is read-shareable between
+// mutations as it stands. It remains only because the perf module's
+// replay still calls it; it goes when that call does.
+func (g *Graph) PrepareConcurrentReads() {}
 
 // EagerFanOut is a test hook: until the returned function is called, every
 // ParallelFor starts all the helpers its budget allows and holds its first

@@ -1,13 +1,14 @@
 package graph
 
 // Tests for the concurrency layer: the worker-keyed scratch pool under
-// concurrent and nested traversals, the eager sorted-cache flush of
-// PrepareConcurrentReads, and the ParallelFor kernel.
+// concurrent and nested traversals, sorted reads shared straight after
+// mutations, and the ParallelFor kernel.
 // Run with -race to make the concurrent cases meaningful.
 
 import (
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -20,7 +21,6 @@ import (
 // other's visited state nor disagree with a lone run.
 func TestConcurrentTraversals(t *testing.T) {
 	g := warmGraph(t, 800)
-	g.PrepareConcurrentReads()
 
 	bfsCount := func(src NodeID) int {
 		n := 0
@@ -75,47 +75,45 @@ func TestConcurrentTraversals(t *testing.T) {
 	wg.Wait()
 }
 
-// TestConcurrentSortedReads mutates a hub past the map-mode threshold,
-// flushes with PrepareConcurrentReads, and then reads the sorted adjacency
-// and label index from many goroutines. Without the eager flush the lazy
-// cache rebuild inside sorted() is a write that -race flags.
+// TestConcurrentSortedReads mutates a degree-64 hub and the label index,
+// then at once, with no preparation step, reads the sorted adjacency and
+// the label index from 8 goroutines. Under -race, a read that wrote
+// anything back (a lazily rebuilt cache) would be flagged.
 func TestConcurrentSortedReads(t *testing.T) {
 	g := New()
 	hub := NodeID(0)
 	g.AddNode(hub, "hub")
-	for i := 1; i <= 4*promoteDegree; i++ {
+	for i := 64; i >= 1; i-- {
 		g.AddNode(NodeID(i), "leaf")
 		g.AddEdge(hub, NodeID(i))
 	}
-	// Dirty the map-mode caches: delete a few edges, relabel some nodes.
 	for i := 1; i <= 4; i++ {
 		g.DeleteEdge(hub, NodeID(i))
 		g.AddNode(NodeID(i), "spare")
 	}
-	g.PrepareConcurrentReads()
 
-	wantSucc := append([]NodeID(nil), g.SuccessorsSorted(hub)...)
-	wantLeaves := g.NodesWithLabel("leaf")
+	var want []NodeID // the hub's successors and the leaves alike
+	for i := NodeID(5); i <= 64; i++ {
+		want = append(want, i)
+	}
+	leaf, _ := LabelIDOf("leaf")
 	var wg sync.WaitGroup
 	for worker := 0; worker < 8; worker++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for rep := 0; rep < 50; rep++ {
-				succ := g.SuccessorsSorted(hub)
-				if len(succ) != len(wantSucc) {
-					t.Errorf("SuccessorsSorted: %d successors, want %d", len(succ), len(wantSucc))
+				if succ := g.SuccessorsSorted(hub); !slices.Equal(succ, want) {
+					t.Errorf("SuccessorsSorted(hub) = %v, want %v", succ, want)
 					return
 				}
-				for i := range succ {
-					if succ[i] != wantSucc[i] {
-						t.Errorf("SuccessorsSorted[%d] = %d, want %d", i, succ[i], wantSucc[i])
-						return
-					}
-				}
-				leaves := g.NodesWithLabel("leaf")
-				if len(leaves) != len(wantLeaves) {
-					t.Errorf("NodesWithLabel: %d leaves, want %d", len(leaves), len(wantLeaves))
+				var leaves []NodeID
+				g.NodesWithLabelID(leaf, func(v NodeID) bool {
+					leaves = append(leaves, v)
+					return true
+				})
+				if !slices.Equal(leaves, want) {
+					t.Errorf("NodesWithLabelID(leaf) = %v, want %v", leaves, want)
 					return
 				}
 			}
@@ -389,8 +387,8 @@ func TestScratchPoolReuse(t *testing.T) {
 }
 
 // TestCloneInheritsParallelismAndFlushes checks that clones carry the
-// worker budget and that a clone of a graph with dirty sorted caches can
-// serve concurrent sorted reads right after PrepareConcurrentReads.
+// worker budget and that a clone serves concurrent sorted reads as soon as
+// it is made.
 func TestCloneInheritsParallelismAndFlushes(t *testing.T) {
 	g := New()
 	g.SetParallelism(3)
@@ -401,14 +399,13 @@ func TestCloneInheritsParallelismAndFlushes(t *testing.T) {
 	for i := 0; i < 3000; i++ {
 		v, w := NodeID(rng.Intn(200)), NodeID(rng.Intn(200))
 		if v != w && !g.HasEdge(v, w) {
-			g.AddEdge(v, w) // hubs promote to map mode with dirty caches
+			g.AddEdge(v, w) // mean degree 15, hubs well above it
 		}
 	}
 	c := g.Clone()
 	if got := c.Parallelism(); got != 3 {
 		t.Fatalf("clone Parallelism() = %d, want 3", got)
 	}
-	c.PrepareConcurrentReads()
 	var wg sync.WaitGroup
 	for worker := 0; worker < 4; worker++ {
 		wg.Add(1)

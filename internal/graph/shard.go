@@ -3,6 +3,7 @@ package graph
 import (
 	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 )
 
@@ -19,8 +20,8 @@ import (
 // Ownership invariant: a node record is written only (a) under the
 // exclusive-mutation half of the concurrency contract, or (b) by
 // ApplyShardEffects on a shard-container graph, for the one shard it was
-// called for. Graph-global state (byLabel, edges, dirtySorted, slotCeil,
-// gen) is written only under (a).
+// called for. Graph-global state (byLabel, edges, slotCeil, gen) is
+// written only under (a).
 
 // MaxShards caps the shard count. Far above any sensible core count; it
 // bounds the per-graph fixed cost of the shard table.
@@ -33,17 +34,6 @@ type shard struct {
 	free []int32
 	// slotCap is the number of local slot indices ever issued.
 	slotCap int32
-	// dirty buffers the adjacency sets one ApplyShardEffects call dirtied,
-	// so it can clear their queued marks when it returns.
-	dirty []*adjSet
-}
-
-// noteDirty is the per-shard counterpart of Graph.noteDirty.
-func (sh *shard) noteDirty(a *adjSet) {
-	if a.set != nil && a.dirty && !a.queued {
-		a.queued = true
-		sh.dirty = append(sh.dirty, a)
-	}
 }
 
 // allocSlot issues a dense global slot for a new node of shard si: local
@@ -192,7 +182,7 @@ func (g *Graph) ShardNodesSorted(s int) []NodeID {
 	for v := range sh.nodes {
 		out = append(out, v)
 	}
-	sortNodeIDs(out)
+	slices.Sort(out)
 	return out
 }
 

@@ -2,7 +2,10 @@ package graph
 
 // This file contains the traversal primitives shared by the batch and
 // incremental algorithms: directed and undirected BFS, d-hop neighborhoods
-// (Section 4.1 of the paper), and reachability probes.
+// (Section 4.1 of the paper), and reachability probes. Every kernel
+// expands a node's adjacency in ascending NodeID order (adjset.go;
+// successors before predecessors in the undirected kernels), so a walk
+// and any early exit are the same on every run.
 //
 // All kernels run on buffers from the graph's scratch pool (scratch.go):
 // an epoch-stamped visited array over dense node slots and reusable
@@ -16,6 +19,8 @@ package graph
 // that deletes or adds nodes invalidates state mid-walk (deleted nodes
 // are skipped defensively, but added nodes may be missed or overflow the
 // visited array). None of the engines mutate during traversal.
+
+import "slices"
 
 // bfsFrom is the shared directed-BFS kernel. rev walks predecessors.
 func (g *Graph) bfsFrom(sources []NodeID, rev bool, fn func(v NodeID, dist int) bool) {
@@ -37,16 +42,15 @@ func (g *Graph) bfsFrom(sources []NodeID, rev bool, fn func(v NodeID, dist int) 
 		if rec == nil {
 			continue // deleted by the callback; see the contract above
 		}
-		adj := &rec.out
+		adj := rec.out
 		if rev {
-			adj = &rec.in
+			adj = rec.in
 		}
-		adj.forEach(func(w NodeID) bool {
+		for _, w := range adj {
 			if !s.seen(g.rec(w).slot) {
 				s.queue = append(s.queue, qitem{w, it.d + 1})
 			}
-			return true
-		})
+		}
 	}
 }
 
@@ -80,16 +84,15 @@ func (g *Graph) Reaches(v, w NodeID) bool {
 	for n := len(s.stack); n > 0 && !found; n = len(s.stack) {
 		x := s.stack[n-1]
 		s.stack = s.stack[:n-1]
-		g.rec(x).out.forEach(func(y NodeID) bool {
+		for _, y := range g.rec(x).out {
 			if y == w {
 				found = true
-				return false
+				break
 			}
 			if !s.seen(g.rec(y).slot) {
 				s.stack = append(s.stack, y)
 			}
-			return true
-		})
+		}
 	}
 	return found
 }
@@ -120,14 +123,13 @@ func (g *Graph) ForEachWithin(seeds []NodeID, d int, fn func(v NodeID, dist int)
 		if rec == nil {
 			continue // deleted by the callback; see the contract above
 		}
-		expand := func(w NodeID) bool {
-			if !s.seen(g.rec(w).slot) {
-				s.queue = append(s.queue, qitem{w, it.d + 1})
+		for _, adj := range [2]adjSet{rec.out, rec.in} {
+			for _, w := range adj {
+				if !s.seen(g.rec(w).slot) {
+					s.queue = append(s.queue, qitem{w, it.d + 1})
+				}
 			}
-			return true
 		}
-		rec.out.forEach(expand)
-		rec.in.forEach(expand)
 	}
 }
 
@@ -142,17 +144,6 @@ func (g *Graph) NeighborhoodNodes(seeds []NodeID, d int) map[NodeID]int {
 		return true
 	})
 	return dist
-}
-
-// Neighborhood returns G_d(seeds): the subgraph induced by V_d(seeds).
-// For a single seed v this is the d-neighbor G_d(v) of the paper.
-func (g *Graph) Neighborhood(seeds []NodeID, d int) *Graph {
-	nodes := g.NeighborhoodNodes(seeds, d)
-	keep := make(map[NodeID]bool, len(nodes))
-	for v := range nodes {
-		keep[v] = true
-	}
-	return g.InducedSubgraph(keep)
 }
 
 // ShortestDist returns the hop length of a shortest directed path from v to
@@ -172,16 +163,15 @@ func (g *Graph) ShortestDist(v, w NodeID) int {
 	res := -1
 	for head := 0; head < len(s.queue) && res < 0; head++ {
 		it := s.queue[head]
-		g.rec(it.v).out.forEach(func(y NodeID) bool {
+		for _, y := range g.rec(it.v).out {
 			if y == w {
 				res = int(it.d) + 1
-				return false
+				break
 			}
 			if !s.seen(g.rec(y).slot) {
 				s.queue = append(s.queue, qitem{y, it.d + 1})
 			}
-			return true
-		})
+		}
 	}
 	return res
 }
@@ -203,16 +193,15 @@ func (g *Graph) UndirectedComponents() [][]NodeID {
 			s.stack = s.stack[:n-1]
 			comp = append(comp, v)
 			rec := g.rec(v)
-			grow := func(w NodeID) bool {
-				if !s.seen(g.rec(w).slot) {
-					s.stack = append(s.stack, w)
+			for _, adj := range [2]adjSet{rec.out, rec.in} {
+				for _, w := range adj {
+					if !s.seen(g.rec(w).slot) {
+						s.stack = append(s.stack, w)
+					}
 				}
-				return true
 			}
-			rec.out.forEach(grow)
-			rec.in.forEach(grow)
 		}
-		sortNodeIDs(comp)
+		slices.Sort(comp)
 		comps = append(comps, comp)
 	}
 	return comps

@@ -233,11 +233,6 @@ func (ix *Index) Repair(norm graph.Batch) Delta {
 	// out across workers; indexing (with its cross-anchor dedup) stays
 	// serial, in insertion order, matching the sequential result exactly.
 	workers := ix.g.Parallelism()
-	if workers > 1 {
-		// Unconditionally (even for delete-only batches): parallel engines
-		// leave the graph read-shareable between repairs.
-		ix.g.PrepareConcurrentReads()
-	}
 	if len(ins) > 0 {
 		found := make([][]Match, len(ins))
 		meters := make([]cost.Meter, workers)

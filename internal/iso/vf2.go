@@ -49,7 +49,6 @@ func FindAll(g *graph.Graph, p *Pattern, limit int, meter *cost.Meter) []Match {
 // buckets are concatenated in candidate (ascending NodeID) order, which is
 // the order the sequential searcher would have produced.
 func findAllParallel(g *graph.Graph, p *Pattern, workers int, meter *cost.Meter) []Match {
-	g.PrepareConcurrentReads()
 	u0 := p.order[0]
 	cands := make([]graph.NodeID, 0, g.NumNodesWithLabelID(p.lbl[u0]))
 	g.NodesWithLabelID(p.lbl[u0], func(v graph.NodeID) bool {
@@ -187,13 +186,21 @@ func (s *searcher) feasible(u int32, v graph.NodeID) bool {
 func (s *searcher) candidates(u int32, yield func(graph.NodeID) bool) {
 	for _, q := range s.p.in[u] {
 		if q != u && s.mapped[q] {
-			s.g.Successors(s.core[q], yield)
+			for _, v := range s.g.SuccessorsSorted(s.core[q]) {
+				if !yield(v) {
+					return
+				}
+			}
 			return
 		}
 	}
 	for _, q := range s.p.out[u] {
 		if q != u && s.mapped[q] {
-			s.g.Predecessors(s.core[q], yield)
+			for _, v := range s.g.PredecessorsSorted(s.core[q]) {
+				if !yield(v) {
+					return
+				}
+			}
 			return
 		}
 	}

@@ -319,11 +319,7 @@ func (ix *Index) Repair(batch, norm graph.Batch) Delta {
 	// graph and writes only column i of kdist and its own scratch), so they
 	// fan out across workers; the result is identical to the sequential
 	// loop.
-	workers := ix.g.Parallelism()
-	if workers > 1 {
-		ix.g.PrepareConcurrentReads()
-	}
-	graph.ParallelFor(workers, len(ix.kw), func(_, i int) { ix.repairKeyword(i, norm) })
+	graph.ParallelFor(ix.g.Parallelism(), len(ix.kw), func(_, i int) { ix.repairKeyword(i, norm) })
 	return ix.delta()
 }
 

@@ -156,9 +156,6 @@ func build(g *graph.Graph, q Query, meter *cost.Meter) *Index {
 		ix.kw[i] = &scratch{}
 	}
 	workers := g.Parallelism()
-	if workers > 1 {
-		g.PrepareConcurrentReads()
-	}
 	ix.ids = g.NodesSortedParallel()
 	ix.idx = graph.IndexNodes(ix.ids)
 	ix.kdist = make([]Entry, len(ix.ids)*m)

@@ -85,15 +85,14 @@ func (s *SSRP) ApplyInsert(u graph.Update) ([]graph.NodeID, error) {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		s.meter.AddNodes(1)
-		s.g.Successors(v, func(w graph.NodeID) bool {
+		for _, w := range s.g.SuccessorsSorted(v) {
 			s.meter.AddEdges(1)
 			if !s.reach[w] {
 				s.reach[w] = true
 				added = append(added, w)
 				stack = append(stack, w)
 			}
-			return true
-		})
+		}
 	}
 	sort.Slice(added, func(i, j int) bool { return added[i] < added[j] })
 	return added, nil

@@ -49,14 +49,13 @@ func F(in SSRPInstance) (RPQInstance, error) {
 		return RPQInstance{}, fmt.Errorf("reduction: source %d missing", in.Src)
 	}
 	g2 := graph.New()
-	in.G.Nodes(func(v graph.NodeID, _ string) bool {
+	for _, v := range in.G.NodesSorted() {
 		if v == in.Src {
 			g2.AddNode(v, Alpha1)
 		} else {
 			g2.AddNode(v, Alpha2)
 		}
-		return true
-	})
+	}
 	in.G.Edges(func(e graph.Edge) bool {
 		g2.AddEdge(e.From, e.To)
 		return true

@@ -193,9 +193,6 @@ func NewEngine(g *graph.Graph, ast *rex.Ast, meter *cost.Meter) (*Engine, error)
 		}
 	}
 	workers := g.Parallelism()
-	if workers > 1 {
-		g.PrepareConcurrentReads()
-	}
 	// Nodes in ascending order, collected and sorted per shard across the
 	// worker pool (identical output to NodesSorted).
 	e.ids = g.NodesSortedParallel()

@@ -99,12 +99,8 @@ func (e *Engine) Repair(batch, norm graph.Batch) Delta {
 	// repairs fan out across workers against the read-shared graph. Global
 	// effects are logged per worker and merged serially; the merged engine
 	// and the sorted delta are identical to the sequential loop.
-	workers := e.g.Parallelism()
-	if workers > 1 {
-		e.g.PrepareConcurrentReads()
-	}
 	var d Delta
-	e.runTasks(workers, norm)
+	e.runTasks(e.g.Parallelism(), norm)
 	e.mergeTasks(&d)
 	slices.SortFunc(d.Added, comparePairs)
 	slices.SortFunc(d.Removed, comparePairs)

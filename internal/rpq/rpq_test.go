@@ -447,11 +447,10 @@ func TestMatchesAgreeWithASTSemantics(t *testing.T) {
 				if len(cur.path) >= 6 {
 					continue
 				}
-				g.Successors(cur.v, func(w graph.NodeID) bool {
+				for _, w := range g.SuccessorsSorted(cur.v) {
 					np := append(append([]string{}, cur.path...), g.Label(w))
 					stack = append(stack, st{w, np})
-					return true
-				})
+				}
 			}
 		}
 	}

@@ -266,8 +266,7 @@ func TestScopedRepairAllocs(t *testing.T) {
 	}
 }
 
-// hubbed adds hub nodes whose adjacency sets are in map mode, where
-// Successors walks a Go map in random order.
+// hubbed adds hub nodes of degree ~40, far above the graph's mean.
 func hubbed(tb testing.TB, shards int) *graph.Graph {
 	g := giantGraph(tb)
 	g.SetShards(shards)
@@ -292,9 +291,9 @@ func hubbed(tb testing.TB, shards int) *graph.Graph {
 
 // TestMeteredWorkDeterministic replays one stream twice on the same
 // deployment shape and once on another shard count: the work metered per
-// batch and ΔO must be the same in all three. The DFS order used to follow
-// Go's map iteration on promoted adjacency sets, which made the totals
-// differ from run to run. The totals of one fixed cycle are pinned as well.
+// batch and ΔO must be the same in all three. The DFS order once followed
+// Go's map iteration over hub adjacency, which made the totals differ from
+// run to run. The totals of one fixed cycle are pinned as well.
 func TestMeteredWorkDeterministic(t *testing.T) {
 	replay := func(shards int) []string {
 		g := hubbed(t, shards)

@@ -272,9 +272,8 @@ var scratchPool = sync.Pool{New: func() any { return new(tarjan) }}
 
 // Components computes SCC(G) from scratch with Tarjan: the batch baseline.
 // It has no mirror to read: every edge examined is translated through the
-// same index the engines use. It reads the graph's sorted adjacency, so
-// concurrent callers need PrepareConcurrentReads after the last mutation,
-// as for any shared read.
+// same index the engines use. It only reads the graph, so concurrent
+// callers may run it between mutations, as any shared read.
 func Components(g *graph.Graph) [][]graph.NodeID {
 	ids := g.NodesSorted()
 	idx := graph.IndexNodes(ids)

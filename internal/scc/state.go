@@ -356,8 +356,13 @@ func (r *rankRegistry) check(live map[float64]CompID) error {
 // a snapshot — later updates do not affect it.
 func (s *State) Condensation() *graph.Graph {
 	out := graph.New()
-	for c, members := range s.members {
-		out.AddNode(graph.NodeID(c), strconv.Itoa(len(members)))
+	ids := make([]CompID, 0, len(s.members))
+	for c := range s.members {
+		ids = append(ids, c)
+	}
+	slices.Sort(ids) // ascending: every label-index add is an append
+	for _, c := range ids {
+		out.AddNode(graph.NodeID(c), strconv.Itoa(len(s.members[c])))
 	}
 	for c, adj := range s.gcOut {
 		for o := range adj {

@@ -43,11 +43,8 @@
 // Row order. A row is kept in ascending order of its entries' NodeIDs, not
 // of the indices it stores. The two agree for build-time nodes and part ways
 // as soon as a late node has a small ID; NodeID order is the order
-// SuccessorsSorted yields, the order the engine followed before it had a
-// mirror (Successors, on a promoted adjacency set, walks a Go map, which
-// made the DFS tree and the metered work differ from run to run), and the
-// one order that does not depend on when a node arrived relative to a
-// rebuild. Same order, same DFS, same num/low/parent, same minted CompIDs,
+// SuccessorsSorted yields, and the one order that does not depend on when
+// a node arrived relative to a rebuild. Same order, same DFS, same num/low/parent, same minted CompIDs,
 // same Meter totals: TestMeteredWorkDeterministic pins them.
 //
 // One Tarjan. Every pass — Build, the Components batch rival, the

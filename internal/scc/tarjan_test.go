@@ -146,12 +146,11 @@ func kosaraju(g *graph.Graph) [][]graph.NodeID {
 	var dfs1 func(v graph.NodeID)
 	dfs1 = func(v graph.NodeID) {
 		seen[v] = true
-		g.Successors(v, func(w graph.NodeID) bool {
+		for _, w := range g.SuccessorsSorted(v) {
 			if !seen[w] {
 				dfs1(w)
 			}
-			return true
-		})
+		}
 		order = append(order, v)
 	}
 	for _, v := range g.NodesSorted() {
@@ -166,12 +165,11 @@ func kosaraju(g *graph.Graph) [][]graph.NodeID {
 	dfs2 = func(v graph.NodeID) {
 		compOf[v] = comp
 		comps[comp] = append(comps[comp], v)
-		g.Predecessors(v, func(w graph.NodeID) bool {
+		for _, w := range g.PredecessorsSorted(v) {
 			if _, ok := compOf[w]; !ok {
 				dfs2(w)
 			}
-			return true
-		})
+		}
 	}
 	for i := len(order) - 1; i >= 0; i-- {
 		if _, ok := compOf[order[i]]; !ok {

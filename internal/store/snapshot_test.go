@@ -162,31 +162,43 @@ func TestSnapshotFileAndSniff(t *testing.T) {
 func BenchmarkSnapshotLoad(b *testing.B) {
 	for _, n := range []int{25_000, 50_000, 100_000} {
 		g := gen.Synthetic(gen.GraphSpec{Nodes: n, Edges: 5 * n, Labels: 50, GiantSCCFrac: 0.3, Seed: 1})
-		var text, snap bytes.Buffer
-		if err := graph.Write(&text, g); err != nil {
-			b.Fatal(err)
-		}
-		if err := WriteSnapshot(&snap, g); err != nil {
-			b.Fatal(err)
-		}
-		for _, load := range []struct {
-			name string
-			read func() (*graph.Graph, error)
-		}{
-			{"text-read", func() (*graph.Graph, error) { return graph.Read(bytes.NewReader(text.Bytes())) }},
-			{"snap-load", func() (*graph.Graph, error) { return ReadSnapshot(bytes.NewReader(snap.Bytes()), int64(snap.Len())) }},
-		} {
-			b.Run(fmt.Sprintf("V=%d/%s", n, load.name), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					h, err := load.read()
-					if err != nil {
-						b.Fatal(err)
-					}
-					if h.NumNodes() != g.NumNodes() {
-						b.Fatalf("loaded %d nodes of %d", h.NumNodes(), g.NumNodes())
-					}
+		benchmarkLoads(b, fmt.Sprintf("V=%d", n), g)
+	}
+	// Every node in one label class, over 8 shards: a load rebuilds that
+	// class of the label index from 200k nodes, in linear time only if it
+	// adds them in global ascending order rather than shard by shard.
+	g := gen.Synthetic(gen.GraphSpec{Nodes: 200_000, Edges: 400_000, Labels: 1, Seed: 1})
+	g.SetShards(8)
+	benchmarkLoads(b, "V=200000/labels=1/shards=8", g)
+}
+
+// benchmarkLoads times reading g back from its text form and from its
+// snapshot, as the sub-benchmarks name/text-read and name/snap-load.
+func benchmarkLoads(b *testing.B, name string, g *graph.Graph) {
+	var text, snap bytes.Buffer
+	if err := graph.Write(&text, g); err != nil {
+		b.Fatal(err)
+	}
+	if err := WriteSnapshot(&snap, g); err != nil {
+		b.Fatal(err)
+	}
+	for _, load := range []struct {
+		name string
+		read func() (*graph.Graph, error)
+	}{
+		{"text-read", func() (*graph.Graph, error) { return graph.Read(bytes.NewReader(text.Bytes())) }},
+		{"snap-load", func() (*graph.Graph, error) { return ReadSnapshot(bytes.NewReader(snap.Bytes()), int64(snap.Len())) }},
+	} {
+		b.Run(name+"/"+load.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				h, err := load.read()
+				if err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+				if h.NumNodes() != g.NumNodes() {
+					b.Fatalf("loaded %d nodes of %d", h.NumNodes(), g.NumNodes())
+				}
+			}
+		})
 	}
 }

@@ -33,13 +33,9 @@ import (
 // arrive in time, so an ordinary small batch is repaired by the caller
 // alone. Deltas are merged deterministically, so results are
 // identical at any worker or shard count and any width. Between Apply
-// calls the KWS, RPQ and ISO engines with
-// Parallelism() > 1 leave the graph read-shareable, so their read-only
-// methods (Size, Class, Graph and the concrete types' accessors) may be
-// called from multiple goroutines. At Parallelism() == 1 — and for SCC,
-// which repairs sequentially — the engines skip that housekeeping: call
-// Graph().PrepareConcurrentReads() before sharing reads across
-// goroutines.
+// calls the graph is read-shareable, for every class at any parallelism,
+// so the read-only methods (Size, Class, Graph and the concrete types'
+// accessors) may be called from multiple goroutines.
 //
 // The values MaintainKWS, MaintainRPQ, MaintainSCC and MaintainISO return
 // also implement RowAnswer (rows.go): the answer and every ΔO as rows of
