@@ -450,11 +450,19 @@ func (s commitShape) open(tb testing.TB, passes, workers int, inPlace bool) (*in
 		tb.Fatal(err)
 	}
 	tb.Cleanup(func() { d.Close() })
+	s.attach(tb, d, g, engineGraph)
+	return d, s.cycle(g, passes)
+}
+
+// attach builds the shape's engines, each on engineGraph() with its query
+// drawn from seed, and attaches them to d in the shape's class order.
+func (s commitShape) attach(tb testing.TB, d *incgraph.Durable, seed *incgraph.Graph, engineGraph func() *incgraph.Graph) {
+	tb.Helper()
 	for _, class := range s.classes {
 		var m incgraph.Maintained
 		switch class {
 		case "kws":
-			q, err := gen.KWSQuery(g, 3, 2, 1)
+			q, err := gen.KWSQuery(seed, 3, 2, 1)
 			if err != nil {
 				tb.Fatal(err)
 			}
@@ -468,7 +476,7 @@ func (s commitShape) open(tb testing.TB, passes, workers int, inPlace bool) (*in
 			if s.dense {
 				query = gen.RPQDense
 			}
-			q, err := query(g, 4, 1)
+			q, err := query(seed, 4, 1)
 			if err != nil {
 				tb.Fatal(err)
 			}
@@ -478,7 +486,7 @@ func (s commitShape) open(tb testing.TB, passes, workers int, inPlace bool) (*in
 			}
 			m = incgraph.MaintainRPQ(e)
 		case "iso":
-			p, err := gen.ISOQuery(g, 4, 3, 2, 1)
+			p, err := gen.ISOQuery(seed, 4, 3, 2, 1)
 			if err != nil {
 				tb.Fatal(err)
 			}
@@ -490,6 +498,11 @@ func (s commitShape) open(tb testing.TB, passes, workers int, inPlace bool) (*in
 			tb.Fatal(err)
 		}
 	}
+}
+
+// cycle is the shape's stream on g: passes forward batches, then their
+// undo.
+func (s commitShape) cycle(g *incgraph.Graph, passes int) []incgraph.Batch {
 	all := gen.Updates(g, gen.UpdateSpec{Count: passes * s.batch, InsertRatio: 0.5, Locality: 0.8, Seed: 5})
 	cycle := make([]incgraph.Batch, 0, 2*passes)
 	for i := 0; i < passes; i++ {
@@ -498,7 +511,7 @@ func (s commitShape) open(tb testing.TB, passes, workers int, inPlace bool) (*in
 	for i := passes - 1; i >= 0; i-- {
 		cycle = append(cycle, cycle[i].Inverse())
 	}
-	return d, cycle
+	return cycle
 }
 
 func benchCommit(b *testing.B, s commitShape) {
@@ -527,6 +540,61 @@ func benchCommit(b *testing.B, s commitShape) {
 func BenchmarkCommitMatch(b *testing.B)  { benchCommit(b, commitMatch) }
 func BenchmarkCommitIngest(b *testing.B) { benchCommit(b, commitIngest) }
 func BenchmarkCommitSCC(b *testing.B)    { benchCommit(b, commitSCC) }
+
+// BenchmarkRecover times a restart of each commit shape's store, whose
+// state is a checkpoint of the shape's graph and, as the WAL's tail, one
+// forward pass of its stream (200 batches). One op is what incgraphd does
+// on a restart: OpenDurable, the shape's engines built in place on
+// Graph() — queries drawn from the shape's graph, as at creation — and
+// attached, then Recover.
+func BenchmarkRecover(b *testing.B) {
+	for _, shape := range []struct {
+		name string
+		s    commitShape
+	}{{"ingest", commitIngest}, {"scc", commitSCC}, {"match", commitMatch}} {
+		b.Run(shape.name, func(b *testing.B) {
+			s := shape.s
+			g, err := s.graph()
+			if err != nil {
+				b.Fatal(err)
+			}
+			seed, dir := g.Clone(), b.TempDir()
+			d, err := incgraph.CreateDurable(dir, g, incgraph.DurableOptions{Sync: incgraph.SyncNone})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := d.Checkpoint(); err != nil {
+				b.Fatal(err)
+			}
+			cycle := s.cycle(seed, 200)
+			for _, batch := range cycle[:len(cycle)/2] {
+				if _, err := d.Commit(batch, incgraph.ApplyOptions{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := d.Close(); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r, err := incgraph.OpenDurable(dir, incgraph.DurableOptions{Sync: incgraph.SyncNone})
+				if err != nil {
+					b.Fatal(err)
+				}
+				s.attach(b, r, seed, r.Graph)
+				if err := r.Recover(); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				if !r.Graph().Equal(g) {
+					b.Fatal("the recovered graph is not the committed one")
+				}
+				r.Close()
+				b.StartTimer()
+			}
+		})
+	}
+}
 
 // TestWarmCommitWaitsForNobody pins what the commit benchmarks measure: at
 // a worker budget of 2, an ordinary warm batch-32 commit on the match

@@ -5,9 +5,10 @@
 // Every committed batch is appended to a write-ahead log before it is
 // applied (fsync policy via -fsync), checkpoints fold the log into a
 // per-shard binary snapshot (on demand or past -checkpoint-bytes), and on
-// restart the daemon recovers by snapshot-load + WAL replay through the
-// engines' normal repair path — answers come back byte-identical to the
-// uninterrupted run, so a SIGKILL costs recovery time, never correctness.
+// restart the daemon recovers by snapshot-load + WAL replay onto the graph,
+// then builds its engines once on the recovered graph — answers come back
+// byte-identical to the uninterrupted run, so a SIGKILL costs recovery
+// time, never correctness.
 //
 // Usage:
 //
@@ -387,9 +388,9 @@ func listenedOn(line, kind string) (string, bool) {
 }
 
 // attachEngines builds the standing-query engines the flags describe
-// directly on the durable's (snapshot-time) graph and attaches them, ready
-// for Recover to replay the WAL through: the process holds one graph, which
-// a commit moves once and every engine then repairs against in place.
+// directly on the durable's graph (recovered, when the store was opened)
+// and attaches them: the process holds one graph, which a commit moves
+// once and every engine then repairs against in place.
 // Shared by the primary and standby paths — a standby must run the same
 // engines to serve the same answers.
 func attachEngines(d *incgraph.Durable, cfg config) error {
@@ -512,12 +513,9 @@ func run(cfg config, stop <-chan struct{}) error {
 	}
 	d.Graph().SetParallelism(cfg.workers)
 
-	// Standing queries: build engines on the (snapshot-time) graph,
-	// attach, then replay the WAL through graph and engines.
+	// Standing queries: build engines on the graph (a recovered store's is
+	// already the snapshot ⊕ the WAL tail) and attach them.
 	if err := attachEngines(d, cfg); err != nil {
-		return err
-	}
-	if err := d.Recover(); err != nil {
 		return err
 	}
 	if recovered {

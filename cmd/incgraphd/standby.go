@@ -74,8 +74,8 @@ func runStandby(args []string, stop <-chan struct{}) error {
 	defer conn.Close()
 
 	// The tail's Load callback builds the whole serving state: decode the
-	// snapshot, seed the store, attach engines, recover (a no-op replay on
-	// a fresh store), and construct the server the listener below serves.
+	// snapshot, seed the store, attach engines, and construct the server
+	// the listener below serves.
 	// The hub guarantees Load completes before the first fed record, and
 	// the feed applies strictly after loaded is signaled.
 	var srv *server
@@ -95,9 +95,6 @@ func runStandby(args []string, stop <-chan struct{}) error {
 			// on this graph and follow its budget.
 			d.Graph().SetParallelism(*workers)
 			if err := attachEngines(d, cfg); err != nil {
-				return err
-			}
-			if err := d.Recover(); err != nil {
 				return err
 			}
 			srv, err = newServer(d, *ckptBytes, *lim)

@@ -138,13 +138,15 @@
 //     applies it to that copy itself). The fsync policy is explicit:
 //     SyncAlways (the default) makes every acknowledged batch survive
 //     power failure; SyncNone trades bounded loss for append throughput.
-//   - Recovery. OpenDurable loads the snapshot, the caller rebuilds its
-//     engines on it, and Recover replays the WAL's valid record prefix
-//     through the same apply-then-repair path — repairs run exactly as
-//     they did the first time, so every answer (Maintained.WriteAnswer)
-//     is byte-identical to the uninterrupted run, at any worker or shard
-//     count. A torn or corrupt WAL tail — the signature of a crash mid-
-//     append — is truncated, never fatal.
+//   - Recovery. OpenDurable loads the snapshot and applies the WAL's
+//     valid record prefix to it in log order, so the graph, its
+//     generation and the WAL sequence come back as logged; the caller
+//     then builds its engines once on the recovered graph, as on a fresh
+//     store. A repair's answer equals a from-scratch build's on the same
+//     graph, so every answer (Maintained.WriteAnswer) is byte-identical to
+//     the uninterrupted run, at any worker or shard count. A torn or corrupt
+//     WAL tail — the signature of a crash mid-append — is truncated,
+//     never fatal.
 //   - Checkpoints. Checkpoint folds the log into a fresh snapshot under a
 //     new epoch and commits the pair via an atomically-renamed manifest;
 //     a crash at any instant leaves either the old pair or the new pair
@@ -206,15 +208,14 @@
 //     re-shipped.
 //   - One write path. Durable.Commit(b, ApplyOptions{...}) is the only
 //     way a batch reaches a store, and it has one shape, local or
-//     distributed: refuse while WAL replay is pending, validate, log,
-//     apply. The zero ApplyOptions validates against the base graph; Via
-//     validates through a Cluster instead — Cluster.Apply plans the batch,
-//     runs phase 1 and the per-shard cross-check, and then calls Commit's
-//     log-and-apply back (it is also the protocol for a graph with no
-//     Durable). Deadline carries the serving layer's per-op budget, and
-//     the Log/Exclusive hooks splice in the serving tier's degradation and
-//     read-exclusion policies — incgraphd builds them in one place for all
-//     its roles.
+//     distributed: validate, log, apply. The zero ApplyOptions validates
+//     against the base graph; Via validates through a Cluster instead —
+//     Cluster.Apply plans the batch, runs phase 1 and the per-shard
+//     cross-check, and then calls Commit's log-and-apply back (it is also
+//     the protocol for a graph with no Durable). Deadline carries the
+//     serving layer's per-op budget, and the Log/Exclusive hooks splice in
+//     the serving tier's degradation and read-exclusion policies —
+//     incgraphd builds them in one place for all its roles.
 //   - One commit at a time. The coordinator holds one mutex from plan to
 //     local apply, so distributed commits reach the workers, the WAL and
 //     the authoritative graph in one order — one ΔG on one G, as IncX

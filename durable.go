@@ -31,17 +31,19 @@ import (
 //     the answers are byte-identical either way.
 //   - Checkpoint folds the WAL into a fresh snapshot (written atomically,
 //     manifest-committed) and starts an empty log.
-//   - OpenDurable + Recover rebuilds everything: the snapshot loads into
-//     an identical graph (slot assignment included), engines are built on
-//     it exactly as on first boot, and the WAL's batches replay through
-//     the same apply-then-repair path a commit takes — so every maintained
-//     answer comes back byte-identical (WriteAnswer) to the uninterrupted
-//     run, at any worker or shard count.
+//   - OpenDurable recovers the graph: the snapshot loads into an
+//     identical graph (slot assignment included) and the WAL's batches
+//     are applied to it in log order, so the generation and WAL sequence
+//     come back as logged. Engines are then built once on the recovered
+//     graph, exactly as on a fresh store — the paper's batch algorithm run
+//     once on G_snap ⊕ the tail, cheaper than repairing batch by batch —
+//     and every maintained answer comes back byte-identical (WriteAnswer)
+//     to the uninterrupted run, at any worker or shard count.
 //
-// Concurrency: Commit, Checkpoint, Recover and Close require exclusive
-// access (they mutate). Between them the graphs and the attached engines
-// are read-shareable per the usual contract, so concurrent readers can
-// start as soon as a commit returns.
+// Concurrency: Commit, Checkpoint and Close require exclusive access (they
+// mutate). Between them the graphs and the attached engines are
+// read-shareable per the usual contract, so concurrent readers can start
+// as soon as a commit returns.
 
 // SyncPolicy selects when the write-ahead log fsyncs; see the constants.
 type SyncPolicy = store.SyncPolicy
@@ -72,10 +74,6 @@ type Durable struct {
 	// inPlace[i] is engines[i]'s repair entry when that engine was built on
 	// base itself, nil when it keeps a private graph its own Apply advances.
 	inPlace []repairer
-	// pending holds WAL records recovered by OpenDurable until Recover
-	// replays them; non-nil means Commit must refuse (recovery incomplete).
-	pending  []store.ReplayRecord
-	replayed bool
 }
 
 // CreateDurable initializes a new store at dir from the current state of
@@ -87,34 +85,40 @@ func CreateDurable(dir string, g *Graph, opts DurableOptions) (*Durable, error) 
 	if err != nil {
 		return nil, err
 	}
-	return &Durable{st: st, base: g, replayed: true}, nil
+	return &Durable{st: st, base: g}, nil
 }
 
-// OpenDurable opens the store at dir and loads its snapshot. The returned
-// Durable is mid-recovery: build engines on Graph() (which is the
-// snapshot-time graph), Attach them, then call Recover to replay the WAL
-// through the graph and every engine the way the commits went. Commit
-// refuses until Recover has run.
+// OpenDurable opens the store at dir and recovers it: the snapshot loads,
+// and the WAL's records are applied to that graph in log order (each
+// update checked as it is applied), so Graph() is the state the last
+// logged batch left and Generation and WALSeq are as logged. The returned
+// Durable is then just like a fresh one: build engines on Graph(), Attach
+// them, and commit. A record that does not apply fails the open.
 func OpenDurable(dir string, opts DurableOptions) (*Durable, error) {
 	st, g, records, err := store.Open(dir, store.Options{Sync: opts.Sync, FS: opts.FS})
 	if err != nil {
 		return nil, err
 	}
-	return &Durable{st: st, base: g, pending: records}, nil
+	for _, rec := range records {
+		if err := g.ApplyBatch(rec.Batch); err != nil {
+			st.Close()
+			return nil, fmt.Errorf("incgraph: recovery replay of WAL record %d: %w", rec.Seq, err)
+		}
+	}
+	return &Durable{st: st, base: g}, nil
 }
 
 // DurableExists reports whether dir holds a store a previous run created.
 func DurableExists(dir string) bool { return store.Exists(dir) }
 
 // Graph returns the base graph: after CreateDurable, the graph the store
-// was created from; after OpenDurable (before Recover), the snapshot-time
-// graph engines should be built on. Read it freely under the concurrency
-// contract; mutating it is the Durable's alone.
+// was created from; after OpenDurable, the recovered graph. Engines are
+// built on it. Read it freely under the concurrency contract; mutating it
+// is the Durable's alone.
 func (d *Durable) Graph() *Graph { return d.base }
 
-// Attach registers engines to be kept in lockstep: every commit reaches
-// them, and Recover replays the WAL through them. What an engine was built
-// on is the whole choice of how:
+// Attach registers engines to be kept in lockstep: every commit from here
+// on reaches them. What an engine was built on is the whole choice of how:
 //
 //   - on Graph() itself, as one of the Maintain* adapters: the Durable
 //     applies each batch to the graph once and the engine repairs in place.
@@ -151,23 +155,10 @@ func (d *Durable) Attach(ms ...Maintained) error {
 // Engines returns the attached engines, in attach order.
 func (d *Durable) Engines() []Maintained { return d.engines }
 
-// Recover replays the WAL records recovered by OpenDurable through the
-// base graph and every attached engine, in log order, completing crash
-// recovery. It is a no-op on a freshly created store. Engines attached
-// after Recover has run would miss the replayed batches, so attach first.
-func (d *Durable) Recover() error {
-	if d.replayed {
-		return nil
-	}
-	for _, rec := range d.pending {
-		if _, err := d.advance(rec.Batch, rec.Batch.Normalize()); err != nil {
-			return fmt.Errorf("incgraph: recovery replay of WAL record %d: %w", rec.Seq, err)
-		}
-	}
-	d.pending = nil
-	d.replayed = true
-	return nil
-}
+// Recover does nothing: OpenDurable returns a recovered store. It remains
+// only because the perf module's replay still calls it; it goes when that
+// call does.
+func (d *Durable) Recover() error { return nil }
 
 // advance moves everything in memory from G to G ⊕ ΔG: the base graph
 // once, then every engine in attach order — a repair against the base
@@ -226,19 +217,16 @@ type ApplyOptions struct {
 }
 
 // Commit is the one write path, and it has one shape, local or through a
-// cluster: refuse while WAL replay is pending; validate b — against the
-// base graph, or with opts.Via by the cluster's plan, phase 1 and per-shard
-// cross-check; append it to the write-ahead log; apply it to the base graph
-// and every attached engine. It returns the per-engine summaries in attach
-// order, with identical results and identical WAL bytes either way.
-// Nothing is logged before validation (and phase 1) succeeded, so a logged
-// batch is always replayable and a rejected batch changes nothing. A crash
-// between the append and the apply is safe: recovery replays the logged
-// batch exactly as if the crash had hit mid-apply.
+// cluster: validate b — against the base graph, or with opts.Via by the
+// cluster's plan, phase 1 and per-shard cross-check; append it to the
+// write-ahead log; apply it to the base graph and every attached engine.
+// It returns the per-engine summaries in attach order, with identical
+// results and identical WAL bytes either way. Nothing is logged before
+// validation (and phase 1) succeeded, so a logged batch is always
+// replayable and a rejected batch changes nothing. A crash between the
+// append and the apply is safe: recovery applies the logged batch exactly
+// as if the crash had hit mid-apply.
 func (d *Durable) Commit(b Batch, opts ApplyOptions) ([]DeltaSummary, error) {
-	if !d.replayed {
-		return nil, fmt.Errorf("incgraph: Commit before Recover: WAL replay pending")
-	}
 	logFn := opts.Log
 	if logFn == nil {
 		logFn = d.LogPlanned
@@ -284,9 +272,6 @@ func (d *Durable) Commit(b Batch, opts ApplyOptions) ([]DeltaSummary, error) {
 // validated against the state the stamp describes before any Log hook
 // runs; calling LogPlanned outside one is not supported.
 func (d *Durable) LogPlanned(b Batch, gen uint64) error {
-	if !d.replayed {
-		return fmt.Errorf("incgraph: Commit before Recover: WAL replay pending")
-	}
 	if err := d.st.Append(b, gen); err != nil {
 		return fmt.Errorf("incgraph: WAL append: %w", err)
 	}
@@ -297,9 +282,6 @@ func (d *Durable) LogPlanned(b Batch, gen uint64) error {
 // per-shard snapshot of the base graph, an empty WAL, and removal of the
 // superseded files. Recovery time drops to a snapshot load.
 func (d *Durable) Checkpoint() error {
-	if !d.replayed {
-		return fmt.Errorf("incgraph: Checkpoint before Recover: WAL replay pending")
-	}
 	return d.st.Checkpoint(d.base)
 }
 

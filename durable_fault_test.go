@@ -2,7 +2,7 @@ package incgraph_test
 
 // Targeted drills over the Durable layer, beside TestHistory: disk faults
 // (an fsync that fails, a WAL append that fails after phase 1), a torn or
-// corrupt WAL tail, a cluster commit refused before Recover, and the
+// corrupt WAL tail, a cluster placed on a recovered store, and the
 // attach-time guards. The invariant of the disk drills is "acked ⇒
 // durable, not acked ⇒ absent after replay": a recovered store holds
 // exactly the acknowledged history, and its engines, attached in place,
@@ -18,6 +18,7 @@ import (
 
 	"incgraph"
 	"incgraph/internal/history"
+	"incgraph/internal/store"
 )
 
 // matchesOracle fails unless d holds sim and every engine answers what a
@@ -85,15 +86,87 @@ func TestRecoveryTornTail(t *testing.T) {
 			}
 			defer r.Close()
 			engines := attachInPlace(r, build)
-			if err := r.Recover(); err != nil {
-				t.Fatalf("Recover after %s tail: %v", mode, err)
-			}
 			matchesOracle(t, "torn-tail recovery", r, engines, build, kept)
 			if _, err := r.Commit(lost, incgraph.ApplyOptions{}); err != nil {
 				t.Fatalf("re-apply after truncation: %v", err)
 			}
 			matchesOracle(t, "post-truncation apply", r, engines, build, h.Sim)
 		})
+	}
+}
+
+// TestRecoveryBuildsOnce reopens a store over a checkpoint and a WAL tail.
+// The tail is applied to the graph alone, so the graph, its generation and
+// the WAL sequence come back as logged, and each engine built on the
+// recovered graph meters exactly what the same build on a copy of it does:
+// recovery repairs nothing.
+func TestRecoveryBuildsOnce(t *testing.T) {
+	g := history.Graph()
+	build, _ := history.Engines(g)
+	h := history.New(g, 2024)
+	dir := t.TempDir()
+	d, err := incgraph.CreateDurable(dir, g.Clone(), incgraph.DurableOptions{Sync: incgraph.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	attachInPlace(d, build)
+	for i := 0; i < 8; i++ {
+		if _, err := d.Commit(h.Batch(40), incgraph.ApplyOptions{}); err != nil {
+			t.Fatalf("batch %d: %v", i, err)
+		}
+		if i == 3 {
+			if err := d.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	gen, seq := d.Generation(), d.WALSeq()
+	d.Close()
+
+	r, err := incgraph.OpenDurable(dir, incgraph.DurableOptions{Sync: incgraph.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if r.Generation() != gen || r.WALSeq() != seq || seq != 4 {
+		t.Fatalf("recovered at generation %d, WAL seq %d; logged %d, %d over a 4-record tail", r.Generation(), r.WALSeq(), gen, seq)
+	}
+	engines := attachInPlace(r, build)
+	matchesOracle(t, "recovered", r, engines, build, h.Sim)
+	for _, class := range build.Classes() {
+		if got, want := engines[class].Meter.Total(), build[class](r.Graph().Clone()).Meter.Total(); got != want {
+			t.Errorf("%s metered %d on recovery, one build on the recovered graph %d", class, got, want)
+		}
+	}
+}
+
+// TestRecoveryRefusesUnappliableRecord: a CRC-valid WAL record that does
+// not apply to the graph the records before it left — here, the deletion
+// of an edge the graph does not hold — fails OpenDurable, naming the
+// record, rather than serving a graph that is not the logged history.
+func TestRecoveryRefusesUnappliableRecord(t *testing.T) {
+	g := history.Graph()
+	h := history.New(g, 11)
+	dir := t.TempDir()
+	d, err := incgraph.CreateDurable(dir, g.Clone(), incgraph.DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Commit(h.Batch(20), incgraph.ApplyOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	gen := d.Generation()
+	d.Close()
+	w, _, err := store.OpenWAL(nil, filepath.Join(dir, "wal-00000001.log"), store.SyncAlways)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(incgraph.Batch{incgraph.Del(-5, -6)}, gen); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	if _, err := incgraph.OpenDurable(dir, incgraph.DurableOptions{}); err == nil || !strings.Contains(err.Error(), "recovery replay of WAL record 2") {
+		t.Fatalf("OpenDurable over a record that does not apply: %v, want a refusal naming record 2", err)
 	}
 }
 
@@ -105,8 +178,10 @@ type maintainedOnly struct{ incgraph.Maintained }
 // adapter on the base graph attaches and shares it; a wrapper on the base
 // graph, and a second engine on one private graph, are refused at attach
 // time — each would otherwise fail on the first commit, after the WAL
-// append — and applying before recovery completed is refused. It is the
-// one test that attaches an engine on a clone on purpose.
+// append — and a rejected batch never reaches the WAL. A store OpenDurable
+// returns is already recovered: its graph is the committed history, and
+// it takes a commit straight away. It is the one test that attaches an
+// engine on a clone on purpose.
 func TestDurableGuards(t *testing.T) {
 	g := history.Graph()
 	build, _ := history.Engines(g)
@@ -154,15 +229,14 @@ func TestDurableGuards(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	b = h.Batch(60)
-	if _, err := r.Commit(b, incgraph.ApplyOptions{}); err == nil {
-		t.Fatal("want error applying before Recover")
+	if !r.Graph().Equal(h.Sim) {
+		t.Fatal("the opened store's graph is not the committed history")
 	}
-	if err := r.Recover(); err != nil {
-		t.Fatal(err)
+	if _, err := r.Commit(h.Batch(60), incgraph.ApplyOptions{}); err != nil {
+		t.Fatalf("commit straight after OpenDurable: %v", err)
 	}
-	if _, err := r.Commit(b, incgraph.ApplyOptions{}); err != nil {
-		t.Fatalf("apply after Recover: %v", err)
+	if !r.Graph().Equal(h.Sim) {
+		t.Fatal("after a commit, the opened store's graph is not the committed history")
 	}
 }
 
@@ -215,9 +289,6 @@ func TestDurableFsyncFailThenCrashParity(t *testing.T) {
 			}
 			defer r.Close()
 			engines := attachInPlace(r, build)
-			if err := r.Recover(); err != nil {
-				t.Fatalf("recovery replay: %v", err)
-			}
 			matchesOracle(t, "recovered", r, engines, build, h.Sim)
 		})
 	}
@@ -323,27 +394,28 @@ func TestClusterCommitWALFailureAfterPhase1(t *testing.T) {
 		}
 		defer r.Close()
 		engines := attachInPlace(r, build)
-		if err := r.Recover(); err != nil {
-			t.Fatal(err)
-		}
 		matchesOracle(t, "recovered "+name, r, engines, build, h.Sim)
 	}
 }
 
-// TestClusterCommitBeforeRecoverSendsNothing: a Commit with Via on a store
-// that OpenDurable left mid-recovery is refused before the cluster sees
-// the batch: no phase-1 frame reaches a worker.
-func TestClusterCommitBeforeRecoverSendsNothing(t *testing.T) {
+// TestClusterOnRecoveredStore: NewCluster on a store OpenDurable just
+// returned places the recovered graph — the snapshot with the WAL's tail
+// applied — so a commit through it succeeds and every replica verifies
+// clean, with no remote error.
+func TestClusterOnRecoveredStore(t *testing.T) {
 	g := history.Graph()
 	g.SetShards(8)
+	build, _ := history.Engines(g)
 	h := history.New(g, 4343)
 	dir := t.TempDir()
-	d, err := incgraph.CreateDurable(dir, g, incgraph.DurableOptions{Sync: incgraph.SyncNone})
+	d, err := incgraph.CreateDurable(dir, g.Clone(), incgraph.DurableOptions{Sync: incgraph.SyncNone})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Commit(h.Batch(60), incgraph.ApplyOptions{}); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 3; i++ {
+		if _, err := d.Commit(h.Batch(60), incgraph.ApplyOptions{}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	d.Close()
 
@@ -352,6 +424,7 @@ func TestClusterCommitBeforeRecoverSendsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
+	engines := attachInPlace(r, build)
 	links, _, stop := incgraph.InProcessLinks(2)
 	defer stop()
 	cl, err := incgraph.NewCluster(r.Graph(), links)
@@ -359,15 +432,17 @@ func TestClusterCommitBeforeRecoverSendsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if _, err := r.Commit(h.Batch(60), incgraph.ApplyOptions{Via: cl}); err == nil || !strings.Contains(err.Error(), "before Recover") {
-		t.Fatalf("Commit via a cluster before Recover: %v, want a refusal", err)
+	if err := cl.VerifyAll(); err != nil {
+		t.Fatalf("replicas placed from the recovered store: %v", err)
+	}
+	if _, err := r.Commit(h.Batch(60), incgraph.ApplyOptions{Via: cl}); err != nil {
+		t.Fatalf("Commit via a cluster on the recovered store: %v", err)
+	}
+	if err := cl.VerifyAll(); err != nil {
+		t.Fatalf("replicas after the commit: %v", err)
 	}
 	if n := cl.RemoteErrors(); n != 0 {
-		t.Fatalf("the refused commit cost %d remote errors", n)
+		t.Fatalf("%d remote errors", n)
 	}
-	for _, st := range cl.Stats() {
-		if st.Remote.Applied != 0 {
-			t.Fatalf("worker %s applied %d phase-1 batches of a refused commit", st.Name, st.Remote.Applied)
-		}
-	}
+	matchesOracle(t, "after the commit", r, engines, build, h.Sim)
 }

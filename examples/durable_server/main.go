@@ -3,8 +3,8 @@
 // keyword search) are made durable — every update burst is write-ahead
 // logged before it is applied, a checkpoint folds the log into a binary
 // per-shard snapshot, and a simulated crash (dropping all in-memory state)
-// is recovered by snapshot-load + WAL replay through the engines' normal
-// repair path. The final answers are compared byte for byte against an
+// is recovered by snapshot-load + WAL replay onto the graph, and the
+// engines are built once on the recovered graph. The final answers are compared byte for byte against an
 // uninterrupted in-memory run: they must be identical, which is the
 // durability subsystem's core guarantee.
 //
@@ -93,15 +93,13 @@ func main() {
 	d.Close()
 	fmt.Println("crash (all in-memory state dropped)")
 
-	// Recovery: snapshot load, engine rebuild, WAL replay through the commit path.
+	// Recovery: snapshot load and WAL replay onto the graph, then one
+	// engine build on the recovered graph.
 	r, err := incgraph.OpenDurable(dir, incgraph.DurableOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	if err := r.Attach(mkEngines(r.Graph)...); err != nil {
-		log.Fatal(err)
-	}
-	if err := r.Recover(); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("recovered: %d nodes, %d edges, WAL seq %d\n",

@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"incgraph"
+	"incgraph/internal/cost"
 	"incgraph/internal/graph"
 	"incgraph/internal/history"
 )
@@ -59,8 +60,10 @@ type shape struct {
 	resharded bool
 	// cl is the coordinator commits go through, nil for a local store.
 	cl *incgraph.Cluster
-	// reborn is set once a recovery rebuilt the engines.
-	reborn bool
+	// reborn is set once a recovery rebuilt the engines, and fresh from
+	// that rebuild to the end of the step it happened in: engines just
+	// built have applied no batch.
+	reborn, fresh bool
 	// logsAll is cleared on a shape whose WAL is not one record per
 	// commit of the history: it checkpoints, or crashes.
 	logsAll bool
@@ -249,8 +252,8 @@ func openRecovering(hs *harness, s *shape, checkpoint bool) {
 }
 
 // reopen drops everything s holds in memory but its directory, then opens
-// the store, attaches the engines in place on the graph it loaded and
-// replays the log.
+// the store, which recovers its graph, and builds and attaches the engines
+// in place on that graph.
 func (hs *harness) reopen(s *shape) {
 	t := hs.t
 	s.d.Close()
@@ -261,10 +264,7 @@ func (hs *harness) reopen(s *shape) {
 	t.Cleanup(func() { d.Close() })
 	d.Graph().SetShards(s.shards)
 	s.engines = attachInPlace(d, hs.build)
-	if err := d.Recover(); err != nil {
-		t.Fatal(err)
-	}
-	s.d, s.reborn = d, true
+	s.d, s.reborn, s.fresh = d, true, true
 }
 
 // openFailover is a primary behind a cluster whose apply step feeds a hub,
@@ -305,9 +305,6 @@ func openFailover(hs *harness, s *shape) {
 				return err
 			}
 			standbyEngines = attachInPlace(d, hs.build)
-			if err := d.Recover(); err != nil {
-				return err
-			}
 			standby = d
 			fed <- 0
 			return nil
@@ -415,7 +412,7 @@ func openFailover(hs *harness, s *shape) {
 // rejected batch before every third — through the shapes in lockstep,
 // each with an engine of every class in only (of all four if only is nil).
 // The first shape is the reference, and must not recover: a rebuilt
-// engine's ΔO is the replay's. It fails the test at the first step a shape
+// engine holds no ΔO. It fails the test at the first step a shape
 // parts from the reference or the reference from the oracle, and returns
 // how often each class took rebuild-and-diff.
 func runHistory(t *testing.T, seed int64, sizes []int, only []string, specs ...shapeSpec) map[string]int {
@@ -485,9 +482,9 @@ func runHistory(t *testing.T, seed int64, sizes []int, only []string, specs ...s
 		for j, m := range ref.d.Engines() {
 			refSums[m.Class()] = sums[0][j]
 		}
-		want := map[string]string{}
+		want, answers := map[string]string{}, map[string]string{}
 		for class, e := range ref.engines {
-			want[class] = e.Observe()
+			want[class], answers[class] = e.Observe(), e.Answer()
 			if e.Rebuilt() {
 				rebuilds[class]++
 			}
@@ -501,7 +498,7 @@ func runHistory(t *testing.T, seed int64, sizes []int, only []string, specs ...s
 			go func() {
 				defer wg.Done()
 				if errs[i] = s.check(h.Sim, len(q.KWS.Keywords)*(preV+preE)); errs[i] == nil && i > 0 {
-					errs[i] = s.matches(sums[i], refSums, want)
+					errs[i] = s.matches(sums[i], refSums, want, answers)
 				}
 			}()
 		}
@@ -511,6 +508,9 @@ func runHistory(t *testing.T, seed int64, sizes []int, only []string, specs ...s
 		}
 		if step == hs.steps/2 {
 			verifyClusters(t, all)
+		}
+		for _, s := range all {
+			s.fresh = false
 		}
 	}
 	verifyClusters(t, all)
@@ -559,7 +559,8 @@ func runHistory(t *testing.T, seed int64, sizes []int, only []string, specs ...s
 }
 
 // check holds s, after a step, to the simulated graph and every engine's
-// audit, and kws' estimate to a batch build priced at batchCost.
+// audit, and kws' estimate to a batch build priced at batchCost — unless
+// kws was just built, when matches holds it to the zero estimate.
 func (s *shape) check(sim *incgraph.Graph, batchCost int) error {
 	if !s.d.Graph().Equal(sim) {
 		return fmt.Errorf("%s: the store's graph diverged from the simulated history", s.name)
@@ -569,7 +570,7 @@ func (s *shape) check(sim *incgraph.Graph, batchCost int) error {
 			return fmt.Errorf("%s: %s audit: %v", s.name, class, err)
 		}
 	}
-	if e, ok := s.engines["kws"]; ok {
+	if e, ok := s.engines["kws"]; ok && !s.fresh {
 		if est := e.Estimate(); est.BatchCost != batchCost {
 			return fmt.Errorf("%s: kws estimated a batch build at %d, want %d: keywords × (|V| + |E|) of the pre-state", s.name, est.BatchCost, batchCost)
 		}
@@ -579,14 +580,27 @@ func (s *shape) check(sim *incgraph.Graph, batchCost int) error {
 
 // matches holds s's summaries of a step (nil when a crash took them) and
 // what its engines show to the reference's: an engine a recovery rebuilt
-// is held to all but its meter.
-func (s *shape) matches(sums []incgraph.DeltaSummary, ref map[string]incgraph.DeltaSummary, want map[string]string) error {
+// is held to all but its meter, and in the step it was built to the
+// reference's answer, an empty ΔO and the zero estimate.
+func (s *shape) matches(sums []incgraph.DeltaSummary, ref map[string]incgraph.DeltaSummary, want, answers map[string]string) error {
 	for j, m := range s.d.Engines() {
 		if r := ref[m.Class()]; sums != nil && sums[j] != r {
 			return fmt.Errorf("%s: %s summary %v, the reference's %v", s.name, m.Class(), sums[j], r)
 		}
 	}
 	for class, e := range s.engines {
+		if s.fresh {
+			if got := e.Answer(); got != answers[class] {
+				return fmt.Errorf("%s: rebuilt %s answers differently from the reference: %s", s.name, class, history.FirstDiff(got, answers[class]))
+			}
+			if d := history.RenderLastDelta(e.M); d != "" {
+				return fmt.Errorf("%s: %s, just built, holds a ΔO: %q", s.name, class, d)
+			}
+			if e.Estimate != nil && e.Estimate() != (cost.Estimate{}) {
+				return fmt.Errorf("%s: %s, just built, holds the estimate %v", s.name, class, e.Estimate())
+			}
+			continue
+		}
 		got, want := e.Observe(), want[class]
 		if s.reborn {
 			got, want = history.SansMeter(got), history.SansMeter(want)

@@ -89,10 +89,9 @@ func Create(dir string, g *graph.Graph, opts Options) (*Store, error) {
 
 // Open opens the store at dir: it loads the manifest's snapshot into a
 // fresh graph and replays the WAL's valid prefix, truncating any torn
-// tail. The returned records have NOT been applied to the graph — the
-// caller replays them through its normal Apply path (so maintained
-// answers are repaired exactly as they were the first time), or over the
-// bare graph with ApplyBatch when no engines are attached.
+// tail. The returned records have NOT been applied to the graph: the
+// caller applies them in log order (ApplyBatch), which brings the graph
+// and its generation to where the last logged batch left them.
 func Open(dir string, opts Options) (*Store, *graph.Graph, []ReplayRecord, error) {
 	epoch, snapRel, walRel, err := readManifest(filepath.Join(dir, manifestName))
 	if err != nil {

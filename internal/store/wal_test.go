@@ -147,6 +147,85 @@ func TestWALTornTail(t *testing.T) {
 	}
 }
 
+// TestWALTornTailPastBuffer: a log several read-ahead buffers long, with
+// a record larger than the buffer and frames straddling its edges, whose
+// last frame is torn or has a flipped payload byte. The buffered replay
+// must end where the accepted frames end — where an unbuffered scan of the
+// file ends — and OpenWAL must truncate there.
+func TestWALTornTailPastBuffer(t *testing.T) {
+	for _, mode := range []string{"torn", "crc"} {
+		t.Run(mode, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "wal.log")
+			w, err := CreateWAL(nil, path, 0, SyncNone)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sizes []int64
+			for i := 0; i < 600; i++ {
+				k := 32
+				if i == 100 {
+					k = 2 * replayBuffer / 9 // one record larger than the buffer
+				}
+				b := make(graph.Batch, k)
+				for j := range b {
+					b[j] = graph.InsNew(graph.NodeID(i*k+j), graph.NodeID(-j), "from", "to")
+				}
+				if err := w.Append(b, uint64(i)); err != nil {
+					t.Fatal(err)
+				}
+				sizes = append(sizes, w.Size())
+			}
+			w.Close()
+			clean := sizes[len(sizes)-2]
+			if clean < 4*replayBuffer {
+				t.Fatalf("the log's clean prefix is %d bytes, want several %d-byte buffers", clean, replayBuffer)
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch mode {
+			case "torn":
+				data = data[:len(data)-5]
+			case "crc":
+				data[len(data)-1] ^= 0xFF
+			}
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			f, err := os.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Seek(walHeaderSize, 0); err != nil {
+				t.Fatal(err)
+			}
+			unbuffered := walHeaderSize + scanRecords(f, func(ReplayRecord) bool { return true })
+			f.Close()
+			records, end, err := ReplayWAL(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if end != clean || unbuffered != clean || len(records) != len(sizes)-1 {
+				t.Fatalf("replay ends at %d with %d records, an unbuffered scan at %d; want %d and %d", end, len(records), unbuffered, clean, len(sizes)-1)
+			}
+			w, records, err = OpenWAL(nil, path, SyncNone)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.Close()
+			st, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Size() != clean || w.Size() != clean || len(records) != len(sizes)-1 {
+				t.Fatalf("OpenWAL left %d bytes, size %d, %d records; want %d bytes, %d records", st.Size(), w.Size(), len(records), clean, len(sizes)-1)
+			}
+		})
+	}
+}
+
 // TestWALCorruptRecordNeverFatal hand-crafts CRC-valid but undecodable
 // records — a label length near 2^64 (the overflow probe) and an
 // implausible update count — and requires recovery to truncate at them
