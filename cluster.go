@@ -26,8 +26,6 @@ type (
 	ClusterWorker = cluster.Worker
 	// ClusterLink is one worker connection handed to NewCluster.
 	ClusterLink = cluster.Link
-	// ClusterStat is one worker's entry in Cluster.Stats.
-	ClusterStat = cluster.Stat
 )
 
 // ClusterOption configures NewCluster.
@@ -45,12 +43,6 @@ func WithClusterTerm(term uint64) ClusterOption {
 func WithCallTimeout(d time.Duration) ClusterOption {
 	return func(o *cluster.CoordinatorOptions) { o.CallTimeout = d }
 }
-
-// ErrClusterOverloaded reports a commit that was shed before phase 1: its
-// per-op deadline (ApplyOptions.Deadline) had passed by the time its turn
-// came. Nothing was applied anywhere; the batch is safe to retry. Serving
-// layers surface it as an explicit backpressure reply.
-var ErrClusterOverloaded = cluster.ErrOverloaded
 
 // NewCluster attaches the linked workers as shard workers of g,
 // handshaking each and placing every shard round-robin. Options set the

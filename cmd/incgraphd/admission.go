@@ -38,10 +38,8 @@ type limits struct {
 	// idle is the per-line read deadline: a full command line must arrive
 	// within it, however slowly the bytes trickle (0 = none).
 	idle time.Duration
-	// opTimeout is the per-op budget: the admission queue wait; in
-	// cluster mode, the wait for the commit lock (a commit that spent its
-	// budget there is shed before phase 1) and each phase-1 round trip; and
-	// each reply flush (0 = none).
+	// opTimeout is the per-op budget: the admission queue wait and each
+	// reply flush (0 = none).
 	opTimeout time.Duration
 	// maxStaged caps updates staged on one connection (0 = unlimited).
 	maxStaged int
@@ -71,7 +69,7 @@ func limitFlags(fs *flag.FlagSet) *limits {
 	lim := defaultLimits()
 	fs.IntVar(&lim.maxConns, "max-conns", lim.maxConns, "max concurrent connections; excess are shed at accept with an explicit error (0 = unlimited)")
 	fs.DurationVar(&lim.idle, "idle-timeout", lim.idle, "per-line read deadline: a full command line must arrive within this, however slowly bytes trickle (0 = none)")
-	fs.DurationVar(&lim.opTimeout, "op-timeout", lim.opTimeout, "per-op budget: admission queue wait; in cluster mode the commit-lock wait (spent: shed before phase 1) and each phase-1 round trip; each reply flush (0 = none)")
+	fs.DurationVar(&lim.opTimeout, "op-timeout", lim.opTimeout, "per-op budget: admission queue wait; each reply flush (0 = none)")
 	fs.IntVar(&lim.maxStaged, "max-staged", lim.maxStaged, "max updates staged per connection (0 = unlimited)")
 	fs.IntVar(&lim.commitSlots, "commit-inflight", lim.commitSlots, "max commits in flight; more queue, then shed (0 = ungated)")
 	fs.IntVar(&lim.commitQueue, "commit-queue", lim.commitQueue, "max commits queued behind the in-flight ones before shedding")

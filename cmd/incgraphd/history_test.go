@@ -275,10 +275,10 @@ func (w *wireHistory) check(t *testing.T, conns [][]reply) map[uint64]bool {
 	return seen
 }
 
-// TestDaemonHistory runs the seeded history through a daemon alone and
-// through a coordinator over two in-process shard workers.
+// TestDaemonHistory runs the seeded history through a daemon at the default
+// shard count and through one at four shards.
 func TestDaemonHistory(t *testing.T) {
-	for _, shape := range []string{"single", "cluster"} {
+	for _, shape := range []string{"single", "sharded"} {
 		t.Run(shape, func(t *testing.T) { daemonHistory(t, shape) })
 	}
 }
@@ -421,20 +421,9 @@ func runDaemonHistory(t *testing.T, shape string, w *wireHistory) (gens, folds i
 	var conns [][]reply
 	var addr string
 	switch shape {
-	case "single", "cluster":
-		if shape == "cluster" {
+	case "single", "sharded":
+		if shape == "sharded" {
 			cfg.shards = 4
-			var addrs []string
-			for range 2 {
-				ln, err := incgraph.ListenCluster("127.0.0.1:0")
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(func() { ln.Close() })
-				go incgraph.NewClusterWorker().Serve(ln)
-				addrs = append(addrs, ln.Addr().String())
-			}
-			cfg.clusterAddrs = strings.Join(addrs, ",")
 		}
 		addr, _, _ = serveInProcess(t, func(stop <-chan struct{}) error { return run(cfg, stop) })
 		c := dialLine(t, addr)

@@ -1,12 +1,15 @@
 package main
 
-// Port handoff for tests. Every daemon, worker and hub a test starts binds
+// Port handoff for tests. Every daemon and hub a test starts binds
 // 127.0.0.1:0 and announces the address it got in a "listening on" log
 // line (listenedOn); the test reads the address from there — a child's
 // stderr, or the standard logger an in-process daemon writes to — so no
 // port is ever picked for a daemon and released before it binds.
 
 import (
+	"bufio"
+	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/exec"
@@ -147,4 +150,62 @@ func startDaemon(t *testing.T, bin string, args []string) (*exec.Cmd, string) {
 	t.Helper()
 	cmd, addrs := startProc(t, bin, args, "")
 	return cmd, addrs[0]
+}
+
+// announced copies a child's log to stderr line by line until it ends,
+// and returns, as soon as they have all arrived, the addresses its
+// listening lines (see listenedOn) announced for kinds, in kinds' order.
+func announced(logs io.ReadCloser, timeout time.Duration, kinds ...string) ([]string, error) {
+	addrs := make([]string, len(kinds))
+	found := make(chan struct{})
+	go func() {
+		defer logs.Close()
+		left := len(kinds)
+		sc := bufio.NewScanner(logs)
+		for sc.Scan() {
+			fmt.Fprintln(os.Stderr, sc.Text())
+			for i, kind := range kinds {
+				if addr, ok := listenedOn(sc.Text(), kind); ok && left > 0 && addrs[i] == "" {
+					addrs[i] = addr
+					if left--; left == 0 {
+						close(found)
+					}
+				}
+			}
+		}
+		if left > 0 {
+			close(found)
+		}
+	}()
+	select {
+	case <-found:
+		for i, addr := range addrs {
+			if addr == "" {
+				return nil, fmt.Errorf("exited before announcing its %q address", kinds[i])
+			}
+		}
+		return addrs, nil
+	case <-time.After(timeout):
+		return nil, fmt.Errorf("no address announced within %v", timeout)
+	}
+}
+
+// listenedOn parses a "[hub ]listening on ADDR ..." log line — how both
+// listeners of the daemon announce the address they bound — and returns
+// ADDR when the line is kind's: "" for the line protocol, "hub" for the
+// standby feed.
+func listenedOn(line, kind string) (string, bool) {
+	before, after, ok := strings.Cut(line, "listening on ")
+	if !ok {
+		return "", false
+	}
+	got := ""
+	if f := strings.Fields(before); len(f) > 0 && f[len(f)-1] == "hub" {
+		got = "hub"
+	}
+	addr := strings.Fields(after)
+	if len(addr) == 0 || got != kind {
+		return "", false
+	}
+	return addr[0], true
 }

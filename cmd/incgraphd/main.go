@@ -16,53 +16,41 @@
 //	          [-kws "a,b" -bound 2] [-rpq "a.b*.c"] [-iso pattern.txt] [-scc]
 //	          [-shards N] [-workers N] [-fsync always|none]
 //	          [-checkpoint-bytes N]
-//	          [-cluster addr1,addr2 | -cluster-spawn N]
 //	          [-term N] [-hub :7423] [-disk-fault SPEC]
 //	          [-max-conns N] [-idle-timeout D] [-op-timeout D]
 //	          [-max-staged N] [-commit-inflight N] [-commit-queue N]
 //	          [-read-inflight N] [-read-queue N]
-//	incgraphd worker [-addr :7431]
 //	incgraphd standby -primary HOST:7423 -store DIR [-addr :7422]
-//	          [engine flags] [-ttl 2s] [-cluster addr1,addr2]
+//	          [engine flags] [-ttl 2s]
 //	          [overload flags as above]
+//
+// The engine flags — -kws, -bound, -rpq, -iso, -scc, -workers, -fsync and
+// -checkpoint-bytes — mean the same on the primary and the standby.
 //
 // On first start -graph seeds the store (text or .snap format, sniffed);
 // later starts recover from the store and ignore -graph. The standing
 // queries must be configured on every start (they are compiled state, not
 // stored state; the store holds the graph and its update history).
 //
-// # Cluster mode
-//
-// "incgraphd worker" runs a shard worker: a process that owns a subset of
-// the graph's shards behind the framed RPC protocol of internal/cluster
-// and applies phase 1 of every committed batch for them. The serving
-// daemon attaches workers with -cluster (comma-separated addresses of
-// already-running workers) or -cluster-spawn N (N worker child processes
-// on loopback ports); shards are placed round-robin by shipping snapshot
-// segments. Commits then run the distributed two-phase protocol: phase 1
-// fans out to the workers in parallel, and only after every worker
-// acknowledged does the usual durable path run, so answers are
-// byte-identical to a single-process daemon. A worker crash fails the
-// in-flight commit atomically ("err staged: commit failed: ..."); once
-// the worker is back on its address, the next commit reattaches it and
-// re-ships its shards from the authoritative graph.
+// The daemon is one process: the graph, the engines, the WAL and the
+// published view all live in it, and -shards only partitions the graph in
+// memory.
 //
 // # High availability
 //
-// -term sets the coordinator's fencing term; -hub exposes a feed address
-// for standbys, the one replication path. "incgraphd standby" tails that
+// -hub exposes a feed address for standbys, the one replication path, and
+// -term names the primary's term on it. "incgraphd standby" tails that
 // feed into its own fresh store: the handshake snapshot seeds the store,
 // every fed record runs the normal durable apply, and the standby serves
 // the read side of the line protocol the whole time — current reads while
 // the feed is live, last-durable-generation reads once the primary dies,
 // and a redirect (never a stale answer) if the replica diverged from a
-// live primary. When the primary is gone, "promote" on the standby
-// attaches a coordinator at term+1 over its -cluster workers: every shard
-// is re-placed from the standby's graph (workers keep no history; the
-// standby's store is what survives the primary), the deposed primary's
-// sessions are fenced ("err fenced: commit rejected: ..."), and answers
-// continue byte-identical to an uninterrupted run. "health" reports role,
-// term, and tail state without polling workers.
+// live primary. When the primary is gone, "promote" on the standby makes
+// it the primary at term+1 ("ok promoted term=N"): the standby's store is
+// what survives the primary, and answers continue byte-identical to an
+// uninterrupted run. The deposed primary is not fenced: nothing refuses
+// its commits if it is still alive, so promote only a standby whose
+// primary is gone. "health" reports role and tail state.
 //
 // The protocol is line-oriented over TCP — one command per line, one
 // "ok ..."/"err ..." reply line (answer dumps are multi-line, dot-
@@ -80,7 +68,7 @@
 //	                         "ok CLASS SIZE gen=G"
 //	answer CLASS             the same header line, then the full canonical
 //	                         answer, dot-terminated
-//	stat                     graph/WAL/engine/view/cluster/standby counters
+//	stat                     graph/WAL/engine/view/standby counters
 //	health                   cheap probe: role, term, tail, disk state
 //	promote                  standby only: take over as primary at term+1
 //	checkpoint               force a snapshot + fresh WAL
@@ -128,10 +116,7 @@
 // bytes) or drain a reply within -op-timeout is cut; staging past
 // -max-staged is refused; and commit/query admission is gated (bounded in
 // flight, bounded queue, bounded wait) with excess load shed as
-// "err overloaded: ...; retry in 100ms". In cluster mode commits run one
-// at a time, phase 1 included, and one whose -op-timeout budget ran out
-// while it waited for its turn is shed the same way before phase 1
-// (commit_cluster_shed in "stat"). Every shed, refused stage,
+// "err overloaded: ...; retry in 100ms". Every shed, refused stage,
 // oversized line and deadline drop is a counter in "stat". See the
 // package documentation's "Overload & admission control" section for the
 // degradation contract.
@@ -152,31 +137,20 @@
 package main
 
 import (
-	"bufio"
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"net"
 	"os"
-	"os/exec"
 	"os/signal"
 	"strings"
 	"syscall"
-	"time"
 
 	"incgraph"
 )
 
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "worker" {
-		if err := runWorker(os.Args[2:]); err != nil {
-			fmt.Fprintf(os.Stderr, "incgraphd worker: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if len(os.Args) > 1 && os.Args[1] == "standby" {
 		if err := runStandby(os.Args[2:], stopOnSignal()); err != nil {
 			fmt.Fprintf(os.Stderr, "incgraphd standby: %v\n", err)
@@ -184,48 +158,23 @@ func main() {
 		}
 		return
 	}
-	var (
-		storeDir     = flag.String("store", "", "store directory (required; created on first start)")
-		graphPath    = flag.String("graph", "", "initial graph file, text or .snap (first start only)")
-		addr         = flag.String("addr", ":7421", "TCP listen address")
-		kwsQuery     = flag.String("kws", "", "standing KWS query: comma-separated keywords")
-		bound        = flag.Int("bound", 2, "KWS distance bound b")
-		rpqQuery     = flag.String("rpq", "", "standing RPQ query expression")
-		isoPath      = flag.String("iso", "", "standing ISO pattern graph file")
-		scc          = flag.Bool("scc", false, "maintain strongly connected components")
-		shards       = flag.Int("shards", 0, "graph shard count (0 = default; first start only)")
-		workers      = flag.Int("workers", 0, "engine worker pool size (0 = all cores)")
-		fsync        = flag.String("fsync", "always", "WAL fsync policy: always|none")
-		ckptBytes    = flag.Int64("checkpoint-bytes", 64<<20, "auto-checkpoint when the WAL exceeds this size (0 = manual only)")
-		clusterAddrs = flag.String("cluster", "", "comma-separated shard-worker addresses to attach (cluster mode)")
-		clusterSpawn = flag.Int("cluster-spawn", 0, "spawn N shard-worker child processes on loopback ports (cluster mode)")
-		term         = flag.Uint64("term", 1, "coordinator fencing term (a promoted standby attaches at its primary's term+1)")
-		hubAddr      = flag.String("hub", "", "listen address for standby feed connections (HA primary)")
-		diskFault    = flag.String("disk-fault", "", "seeded disk-fault injection spec for drills, e.g. \"seed=7;op=sync,path=wal,count=3,kind=syncfail\"")
-	)
+	cfg := engineFlags(flag.CommandLine)
+	flag.StringVar(&cfg.storeDir, "store", "", "store directory (required; created on first start)")
+	flag.StringVar(&cfg.graphPath, "graph", "", "initial graph file, text or .snap (first start only)")
+	flag.StringVar(&cfg.addr, "addr", ":7421", "TCP listen address")
+	flag.IntVar(&cfg.shards, "shards", 0, "graph shard count (0 = default; first start only)")
+	flag.Uint64Var(&cfg.term, "term", 1, "the primary's term on its standby feed (a promoted standby takes its primary's term+1)")
+	flag.StringVar(&cfg.hubAddr, "hub", "", "listen address for standby feed connections (HA primary)")
+	flag.StringVar(&cfg.diskFault, "disk-fault", "", "seeded disk-fault injection spec for drills, e.g. \"seed=7;op=sync,path=wal,count=3,kind=syncfail\"")
 	lim := limitFlags(flag.CommandLine)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "incgraphd: unknown command %q (the one subcommand is standby)\n", flag.Arg(0))
+		os.Exit(2)
+	}
+	cfg.lim = *lim
 
-	if err := run(config{
-		storeDir:     *storeDir,
-		graphPath:    *graphPath,
-		addr:         *addr,
-		kwsQuery:     *kwsQuery,
-		bound:        *bound,
-		rpqQuery:     *rpqQuery,
-		isoPath:      *isoPath,
-		scc:          *scc,
-		shards:       *shards,
-		workers:      *workers,
-		fsync:        *fsync,
-		ckptBytes:    *ckptBytes,
-		clusterAddrs: *clusterAddrs,
-		clusterSpawn: *clusterSpawn,
-		term:         *term,
-		hubAddr:      *hubAddr,
-		diskFault:    *diskFault,
-		lim:          *lim,
-	}, stopOnSignal()); err != nil {
+	if err := run(*cfg, stopOnSignal()); err != nil {
 		fmt.Fprintf(os.Stderr, "incgraphd: %v\n", err)
 		os.Exit(1)
 	}
@@ -238,12 +187,27 @@ type config struct {
 	scc                         bool
 	fsync                       string
 	ckptBytes                   int64
-	clusterAddrs                string
-	clusterSpawn                int
 	term                        uint64
 	hubAddr                     string
 	diskFault                   string
 	lim                         limits
+}
+
+// engineFlags registers the flags that describe the engines and their store
+// on fs and returns the config they fill (shared by the primary and standby
+// subcommands): the standing queries, the engines' parallelism, and the
+// WAL's fsync and checkpoint policy.
+func engineFlags(fs *flag.FlagSet) *config {
+	cfg := new(config)
+	fs.StringVar(&cfg.kwsQuery, "kws", "", "standing KWS query: comma-separated keywords")
+	fs.IntVar(&cfg.bound, "bound", 2, "KWS distance bound b")
+	fs.StringVar(&cfg.rpqQuery, "rpq", "", "standing RPQ query expression")
+	fs.StringVar(&cfg.isoPath, "iso", "", "standing ISO pattern graph file")
+	fs.BoolVar(&cfg.scc, "scc", false, "maintain strongly connected components")
+	fs.IntVar(&cfg.workers, "workers", 0, "engine worker pool size (0 = all cores)")
+	fs.StringVar(&cfg.fsync, "fsync", "always", "WAL fsync policy: always|none")
+	fs.Int64Var(&cfg.ckptBytes, "checkpoint-bytes", 64<<20, "auto-checkpoint when the WAL exceeds this size (0 = manual only)")
+	return cfg
 }
 
 // parseSync maps the -fsync flag to a WAL sync policy.
@@ -258,134 +222,8 @@ func parseSync(name string) (incgraph.SyncPolicy, error) {
 	}
 }
 
-// runWorker is the "incgraphd worker" subcommand: a shard worker serving
-// the cluster RPC protocol until SIGTERM/SIGINT.
-func runWorker(args []string) error {
-	fs := flag.NewFlagSet("worker", flag.ExitOnError)
-	addr := fs.String("addr", ":7431", "TCP listen address for the cluster RPC protocol")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	ln, err := incgraph.ListenCluster(*addr)
-	if err != nil {
-		return err
-	}
-	log.Printf("worker listening on %s", ln.Addr())
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-sig
-		ln.Close()
-	}()
-	if err := incgraph.NewClusterWorker().Serve(ln); err != nil && !isClosed(err) {
-		return err
-	}
-	log.Printf("worker shutting down")
-	return nil
-}
-
 // isClosed reports the listener-closed error a clean shutdown produces.
 func isClosed(err error) bool { return errors.Is(err, net.ErrClosed) }
-
-// spawnWorkers launches n "incgraphd worker" child processes, each on a
-// loopback port it binds itself, and returns the addresses their "worker
-// listening on" log lines announce. The returned stop kills them.
-func spawnWorkers(n int) (addrs []string, stop func(), err error) {
-	self, err := os.Executable()
-	if err != nil {
-		return nil, nil, err
-	}
-	var procs []*exec.Cmd
-	stop = func() {
-		for _, p := range procs {
-			p.Process.Kill()
-			p.Wait()
-		}
-	}
-	for i := 0; i < n; i++ {
-		logs, w, err := os.Pipe()
-		if err != nil {
-			stop()
-			return nil, nil, err
-		}
-		cmd := exec.Command(self, "worker", "-addr", "127.0.0.1:0")
-		cmd.Stdout = os.Stderr
-		cmd.Stderr = w
-		err = cmd.Start()
-		w.Close() // the child holds its own copy
-		if err != nil {
-			logs.Close()
-			stop()
-			return nil, nil, err
-		}
-		procs = append(procs, cmd)
-		addr, err := announced(logs, 10*time.Second, "worker")
-		if err != nil {
-			stop()
-			return nil, nil, fmt.Errorf("spawned worker: %w", err)
-		}
-		addrs = append(addrs, addr[0])
-	}
-	return addrs, stop, nil
-}
-
-// announced copies a child's log to stderr line by line until it ends,
-// and returns, as soon as they have all arrived, the addresses its
-// listening lines (see listenedOn) announced for kinds, in kinds' order.
-func announced(logs io.ReadCloser, timeout time.Duration, kinds ...string) ([]string, error) {
-	addrs := make([]string, len(kinds))
-	found := make(chan struct{})
-	go func() {
-		defer logs.Close()
-		left := len(kinds)
-		sc := bufio.NewScanner(logs)
-		for sc.Scan() {
-			fmt.Fprintln(os.Stderr, sc.Text())
-			for i, kind := range kinds {
-				if addr, ok := listenedOn(sc.Text(), kind); ok && left > 0 && addrs[i] == "" {
-					addrs[i] = addr
-					if left--; left == 0 {
-						close(found)
-					}
-				}
-			}
-		}
-		if left > 0 {
-			close(found)
-		}
-	}()
-	select {
-	case <-found:
-		for i, addr := range addrs {
-			if addr == "" {
-				return nil, fmt.Errorf("exited before announcing its %q address", kinds[i])
-			}
-		}
-		return addrs, nil
-	case <-time.After(timeout):
-		return nil, fmt.Errorf("no address announced within %v", timeout)
-	}
-}
-
-// listenedOn parses a "[KIND ]listening on ADDR ..." log line — how every
-// listener of this binary announces the address it bound — and returns
-// ADDR when the line is kind's: "" for the line protocol, "hub" or
-// "worker".
-func listenedOn(line, kind string) (string, bool) {
-	before, after, ok := strings.Cut(line, "listening on ")
-	if !ok {
-		return "", false
-	}
-	got := ""
-	if f := strings.Fields(before); len(f) > 0 && (f[len(f)-1] == "hub" || f[len(f)-1] == "worker") {
-		got = f[len(f)-1]
-	}
-	addr := strings.Fields(after)
-	if len(addr) == 0 || got != kind {
-		return "", false
-	}
-	return addr[0], true
-}
 
 // attachEngines builds the standing-query engines the flags describe
 // directly on the durable's graph (recovered, when the store was opened)
@@ -432,19 +270,6 @@ func attachEngines(d *incgraph.Durable, cfg config) error {
 		}
 	}
 	return nil
-}
-
-// splitAddrs splits a comma-separated address list, tolerating stray
-// commas ("a,b," / "a,,b"): an empty element would otherwise abort
-// startup with a confusing dial error.
-func splitAddrs(list string) []string {
-	var addrs []string
-	for _, a := range strings.Split(list, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			addrs = append(addrs, a)
-		}
-	}
-	return addrs
 }
 
 // stopOnSignal returns a channel closed at SIGTERM/SIGINT.
@@ -529,9 +354,8 @@ func run(cfg config, stop <-chan struct{}) error {
 		log.Printf("standing query %s: %d answers", m.Class(), m.Size())
 	}
 
-	// The server is built before the cluster so the HA hub's snapshot
-	// callback can serialize against its lock; the coordinator (if any)
-	// is installed below, before serving starts.
+	// The server is built before the hub so the hub's snapshot callback can
+	// serialize against its lock.
 	srv, err := newServer(d, cfg.ckptBytes, cfg.lim)
 	if err != nil {
 		return err
@@ -576,38 +400,6 @@ func run(cfg config, stop <-chan struct{}) error {
 		}()
 	}
 
-	// Cluster mode: attach (or spawn) shard workers and place every shard
-	// by shipping its snapshot segment.
-	stopSpawned := func() {}
-	if cfg.clusterAddrs != "" || cfg.clusterSpawn > 0 {
-		addrs := splitAddrs(cfg.clusterAddrs)
-		if cfg.clusterSpawn > 0 {
-			spawned, stop, err := spawnWorkers(cfg.clusterSpawn)
-			if err != nil {
-				return err
-			}
-			stopSpawned = stop
-			addrs = append(addrs, spawned...)
-		}
-		links := make([]incgraph.ClusterLink, 0, len(addrs))
-		for _, a := range addrs {
-			link, err := incgraph.DialClusterWorker(a)
-			if err != nil {
-				stopSpawned()
-				return err
-			}
-			links = append(links, link)
-		}
-		cl, err := incgraph.NewCluster(d.Graph(), links, incgraph.WithClusterTerm(cfg.term))
-		if err != nil {
-			stopSpawned()
-			return err
-		}
-		srv.publish(false, func(v *view) { v.cl = cl })
-		log.Printf("cluster: %d shards placed across %d workers (term %d)",
-			d.Graph().NumShards(), cl.NumWorkers(), cfg.term)
-	}
-
 	serveErr := srv.serve(cfg.addr, stop)
 	if hubLn != nil {
 		hubLn.Close()
@@ -615,6 +407,5 @@ func run(cfg config, stop <-chan struct{}) error {
 	if hub != nil {
 		hub.Close()
 	}
-	stopSpawned()
 	return serveErr
 }

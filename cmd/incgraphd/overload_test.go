@@ -270,63 +270,19 @@ func TestCommitGateShedsWhenQueueFull(t *testing.T) {
 	c2.cmd(t, "commit")
 }
 
-// TestClusterCommitShedsWhenBudgetSpentWaiting: in cluster mode a commit
-// waits for the commit lock with its op budget running, and one that
-// spent it there is shed before phase 1 — "err overloaded", counted as
-// commit_cluster_shed, nothing logged or applied here or on a worker — and
-// keeps its staged batch, so the bare retry commits.
-func TestClusterCommitShedsWhenBudgetSpentWaiting(t *testing.T) {
-	const budget = 300 * time.Millisecond
-	srv := newTestServer(t, nil, incgraph.DurableOptions{}, limits{commitSlots: 1, commitQueue: 1, opTimeout: budget})
-	addr := serveTest(t, srv)
-	links, _, stopWorkers := incgraph.InProcessLinks(2)
-	defer stopWorkers()
-	cl, err := incgraph.NewCluster(srv.d.Graph(), links)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	srv.publish(false, func(v *view) { v.cl = cl })
-
-	// A commit in flight holds the commit lock past the next one's budget.
-	srv.commitMu.Lock()
-	unwedge := sync.OnceFunc(srv.commitMu.Unlock)
-	defer unwedge()
+// TestStatCarriesEveryKeyPerfReads: perf/e2e.go fails a benchmark run
+// whose "stat" lacks any of these nine overload counters, so a fresh
+// daemon's stat must carry each of them as an integer — removing one fails
+// here first.
+func TestStatCarriesEveryKeyPerfReads(t *testing.T) {
+	cfg := config{storeDir: t.TempDir(), addr: "127.0.0.1:0", fsync: "none", term: 1, lim: defaultLimits()}
+	addr, _, _ := serveInProcess(t, func(stop <-chan struct{}) error { return run(cfg, stop) })
 	c := dialLine(t, addr)
 	defer c.close()
-	c.cmd(t, "+ 9200 9201 a a")
-	if _, err := fmt.Fprintln(c.conn, "commit"); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "commit admitted", func() bool {
-		admitted, _, _ := srv.commitGate.stats()
-		return admitted == 1
-	})
-	time.Sleep(2 * budget)
-	gen := srv.d.Generation()
-	unwedge()
-	reply, err := c.r.ReadString('\n')
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(reply, "err overloaded: op budget spent before phase 1") {
-		t.Fatalf("commit past its budget replied %q, want an overload shed", reply)
-	}
 	stat := c.cmd(t, "stat")
-	if n := statInt(t, stat, "commit_cluster_shed"); n != 1 {
-		t.Fatalf("commit_cluster_shed=%d, want 1", n)
-	}
-	if srv.d.Generation() != gen || srv.d.WALSeq() != 0 || cl.Applied() != 0 || cl.RemoteErrors() != 0 {
-		t.Fatalf("the shed commit moved something: gen %d → %d, WAL seq %d, cluster applied %d, remote errors %d",
-			gen, srv.d.Generation(), srv.d.WALSeq(), cl.Applied(), cl.RemoteErrors())
-	}
-	for _, st := range cl.Stats() {
-		if st.Remote.Applied != 0 {
-			t.Fatalf("worker %s applied %d phase-1 batches of a shed commit", st.Name, st.Remote.Applied)
-		}
-	}
-	if reply := c.cmd(t, "commit"); !strings.HasPrefix(reply, "ok applied 1 ") {
-		t.Fatalf("retry replied %q", reply)
+	for _, key := range []string{"conns_shed", "staged_shed", "commit_shed", "commit_timeouts", "commit_cluster_shed",
+		"read_shed", "read_timeouts", "commit_admitted", "read_admitted"} {
+		statInt(t, stat, key)
 	}
 }
 

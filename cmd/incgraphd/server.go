@@ -23,28 +23,21 @@ import (
 // commitMu and then publishes an immutable view of the result
 // (view.go); query, answer, stat and health load the current view and take
 // no lock, so a read never waits for a commit and a commit never waits for
-// a render. A commit holds commitMu around the whole Durable.Commit in both
-// modes — in cluster mode phase 1's round trips included — so commits are
-// validated, logged and applied one at a time, in one order.
+// a render. A commit holds commitMu around the whole Durable.Commit, so
+// commits are validated, logged and applied one at a time, in one order.
 //
-// Lock order, written down here and nowhere else:
-//
-//	server commitMu → coordinator mutex
-//
-// In cluster mode Durable.Commit takes the coordinator's mutex (Cluster.Apply)
-// and calls the log and apply hooks back under both. The hub's mutex is a
-// leaf: Hub.Feed takes it under commitMu and calls nothing while holding it,
-// and Hub.ServeConn calls the snapshot callback, which takes commitMu, holding
-// no lock.
+// Lock order, written down here and nowhere else: commitMu is the one server
+// lock a commit takes, and the hub's mutex is a leaf under it — Hub.Feed
+// takes it under commitMu and calls nothing while holding it, and
+// Hub.ServeConn calls the snapshot callback, which takes commitMu, holding no
+// lock.
 type server struct {
 	d *incgraph.Durable
 	// ckptBytes auto-checkpoints after a commit grows the WAL past it.
 	ckptBytes int64
 
-	// view is the read side (view.go). It also carries the role and the
-	// cluster and hub handles: a coordinator, when set, routes commits
-	// through the distributed two-phase protocol (promote installs one at
-	// runtime); a hub feeds every committed batch to attached standbys.
+	// view is the read side (view.go). It also carries the role and the hub
+	// handle: a hub feeds every committed batch to attached standbys.
 	// rows and classAt are fixed at construction: the engines' row
 	// surfaces in attach order, and the position of each class.
 	view      atomic.Pointer[view]
@@ -70,15 +63,6 @@ type server struct {
 	// callback reads a (seq, state) pair no committed batch can fall between.
 	feedSeq uint64
 
-	// Cluster-stat cache: "stat" must answer in bounded time even with a
-	// dead or stalled worker, so worker polls run at most once per statTTL,
-	// in the background once a first result exists, and with a short
-	// parallel poll timeout. Guarded by statMu.
-	statMu    sync.Mutex
-	statCache []incgraph.ClusterStat
-	statAt    time.Time
-	statBusy  bool
-
 	// Durable-metadata mirror for stat/health: the store's counters mutate
 	// under commitMu, so readers load these mirrors (refreshed by
 	// syncDurableMeta after every durable mutation) instead of racing the
@@ -89,13 +73,12 @@ type server struct {
 
 	// HA standby state (the view's role is roleStandby until promote).
 	// tail tracks the feed's liveness for the read path's staleness gate;
-	// standby, tailConn and workerAddrs are what promote needs to attach a
-	// coordinator at term+1. primaryAddr is where stale reads redirect.
+	// standby and tailConn are what promote needs to cut the feed and name
+	// the new term. primaryAddr is where stale reads redirect.
 	standby     *incgraph.ClusterStandby
 	tailConn    net.Conn
 	tail        atomic.Int32
 	primaryAddr string
-	workerAddrs []string
 	// connMu/conns track live connections so shutdown can cut idle
 	// readers instead of waiting for clients to hang up; nconns mirrors
 	// len(conns) for the accept-time cap and "stat".
@@ -104,7 +87,7 @@ type server struct {
 	nconns atomic.Int64
 	// Operational counters, exposed by "stat" so operators can see what
 	// the logs saw: transient accept failures, and commits that failed
-	// for operational reasons (cluster phase-1 failure, WAL trouble) —
+	// for operational reasons (WAL trouble) —
 	// batch-validation rejections are client input errors and are only
 	// replied to, not counted or logged. The overload counters below track
 	// every shed and deadline drop so graceful degradation is observable,
@@ -115,7 +98,6 @@ type server struct {
 	stagedShed   atomic.Uint64 // stage commands refused at max-staged
 	linesTooLong atomic.Uint64 // oversized protocol lines (replied, then cut)
 	idleDrops    atomic.Uint64 // connections cut by the per-line read deadline
-	clusterShed  atomic.Uint64 // cluster commits whose op budget ran out before phase 1
 
 	// Disk-degradation state (doc.go "Overload & admission control" has
 	// the matrix row). The commit path moves diskState healthy→retrying
@@ -155,7 +137,7 @@ const maxLineBytes = 1 << 20
 //	disk        durability degraded (read-only mode, or a disk operation
 //	            failed); nothing changed; retry after the hinted delay
 //	fenced      this node's role or authority cannot serve the request
-//	            (standby, deposed or stale replica, failed promotion) —
+//	            (standby, stale replica, promote on a primary) —
 //	            redirect to the primary or promote, retrying here is
 //	            useless
 //	staged      the staging area refused the request, or the staged
@@ -186,13 +168,6 @@ func replyErr(reply func(string, ...any) bool, cat errCategory, format string, a
 func errLine(cat errCategory, format string, args ...any) string {
 	return fmt.Sprintf("err %s: %s", cat, fmt.Sprintf(format, args...))
 }
-
-// Cluster-stat cache tuning: results are fresh for statTTL; refresh polls
-// run in parallel across workers with statPollTimeout each.
-const (
-	statTTL         = time.Second
-	statPollTimeout = time.Second
-)
 
 // Serving roles. A standby is read-only until "promote" flips it.
 const (
@@ -248,8 +223,8 @@ func tailName(s int32) string {
 }
 
 // newServer builds the serving state over a recovered Durable and cuts the
-// first view from its engines; the result is a primary without cluster or
-// hub (publish changes that). Every attached engine must have a row surface.
+// first view from its engines; the result is a primary without a hub
+// (publish changes that). Every attached engine must have a row surface.
 func newServer(d *incgraph.Durable, ckptBytes int64, lim limits) (*server, error) {
 	rows, err := rowAnswers(d)
 	if err != nil {
@@ -282,9 +257,6 @@ func (s *server) syncDurableMeta() {
 	s.walSeq.Store(s.d.WALSeq())
 	s.epoch.Store(s.d.Epoch())
 }
-
-// cluster returns the current coordinator (promote installs one late).
-func (s *server) cluster() *incgraph.Cluster { return s.view.Load().cl }
 
 // track registers or unregisters a live connection.
 func (s *server) track(conn net.Conn, add bool) {
@@ -322,15 +294,6 @@ func (s *server) serve(addr string, stop <-chan struct{}) error {
 		<-stop
 		close(done)
 		ln.Close()
-		// Abort any in-flight remote phase 1 before cutting connections:
-		// closing the coordinator tears down its worker sessions, so a
-		// commit blocked on a slow or dead worker fails immediately
-		// instead of pinning the drain below for the full RPC deadline.
-		// The commit was not acknowledged, so failing it is as safe as a
-		// crash; the aborted shards resync on the next start.
-		if cl := s.cluster(); cl != nil {
-			cl.Close()
-		}
 		s.closeConns()
 	}()
 	var wg sync.WaitGroup
@@ -349,9 +312,6 @@ func (s *server) serve(addr string, stop <-chan struct{}) error {
 				s.commitMu.Lock()
 				defer s.commitMu.Unlock()
 				log.Printf("shutting down (gen %d, WAL seq %d)", s.d.Generation(), s.d.WALSeq())
-				if cl := s.cluster(); cl != nil {
-					cl.Close()
-				}
 				return s.d.Close()
 			default:
 			}
@@ -596,23 +556,13 @@ func (s *server) commit(batch incgraph.Batch, reply func(string, ...any) bool) (
 // line instead of sending it, so that the caller can release the gate slot
 // first.
 func (s *server) commitAdmitted(batch incgraph.Batch, v *view) (shed bool, line string) {
-	var deadline time.Time
-	if s.lim.opTimeout > 0 {
-		deadline = time.Now().Add(s.lim.opTimeout)
-	}
-	opts, res := s.applyOptions(v, deadline, batch)
-	// commitMu around the whole validate (or phase 1) + log + apply keeps WAL
-	// order equal to commit order. In cluster mode a commit whose op budget
-	// ran out waiting here is shed before phase 1, and the rest of the budget
-	// caps the phase-1 round trips.
+	opts, res := s.applyOptions(v, batch)
+	// commitMu around the whole validate + log + apply keeps WAL order equal
+	// to commit order.
 	s.commitMu.Lock()
 	sums, err := s.d.Commit(batch, opts)
 	s.commitMu.Unlock()
 	if err != nil {
-		if errors.Is(err, incgraph.ErrClusterOverloaded) {
-			s.clusterShed.Add(1)
-			return true, errLine(catOverloaded, "op budget spent before phase 1; retry in %dms", retryHintMS)
-		}
 		if errors.Is(err, errDiskDegraded) {
 			// The append retries were exhausted and the daemon just went
 			// read-only. Nothing was logged or applied, so this commit is a
@@ -620,11 +570,6 @@ func (s *server) commitAdmitted(batch incgraph.Batch, v *view) (shed bool, line 
 			// batch stays staged and the same reply tells the client why.
 			s.diskShed.Add(1)
 			return true, errLine(catDisk, "degraded; read-only; retry in %dms", retryHintMS)
-		}
-		if errors.Is(err, incgraph.ErrClusterFenced) {
-			// A worker at a higher fencing term refused phase 1: this
-			// coordinator was deposed. The batch was not applied anywhere.
-			return false, errLine(catFenced, "commit rejected: %v", err)
 		}
 		if !errors.Is(err, incgraph.ErrBadUpdate) {
 			s.commitErrs.Add(1)
@@ -639,17 +584,17 @@ func (s *server) commitAdmitted(batch incgraph.Batch, v *view) (shed bool, line 
 // generation the batch produced.
 type commitResult struct{ gen uint64 }
 
-// applyOptions builds the hooks of one Durable.Commit of batch, for every
-// role: a primary alone, a primary as cluster coordinator (v.cl), and a
-// standby applying a fed batch. A primary's log step is the WAL append under
+// applyOptions builds the hooks of one Durable.Commit of batch, for both
+// roles: a primary, and a standby applying a fed batch. A primary's log step
+// is the WAL append under
 // the disk-degradation retry loop; a standby keeps the Durable's bare append
 // (a replica whose disk fails ends its tail, it does not go read-only). The
-// apply step applies, publishes the view and — the one place, for every role
-// and mode — feeds the hub, so feed order is commit order. Both steps run
-// under commitMu, which the caller holds around the whole Commit.
-func (s *server) applyOptions(v *view, deadline time.Time, batch incgraph.Batch) (incgraph.ApplyOptions, *commitResult) {
+// apply step applies, publishes the view and — the one place, for both
+// roles — feeds the hub, so feed order is commit order. Both steps run under
+// commitMu, which the caller holds around the whole Commit.
+func (s *server) applyOptions(v *view, batch incgraph.Batch) (incgraph.ApplyOptions, *commitResult) {
 	res := new(commitResult)
-	opts := incgraph.ApplyOptions{Via: v.cl, Deadline: deadline}
+	var opts incgraph.ApplyOptions
 	if v.role == rolePrimary {
 		opts.Log = s.logWithRetry
 	}
@@ -720,7 +665,7 @@ func appliedLine(n int, gen uint64, engines []incgraph.Maintained, sums []incgra
 // truly succeeded — the WAL itself rolls back seq and truncates on
 // failure, so "acked ⇒ durable" holds across every retry. The caller
 // holds commitMu and has already validated the batch (Durable.Commit
-// validates, or runs phase 1, before its Log hook runs), so the append is
+// validates before its Log hook runs), so the append is
 // LogPlanned with the caller's generation stamp.
 func (s *server) logWithRetry(b incgraph.Batch, gen uint64) error {
 	err := s.d.LogPlanned(b, gen)
@@ -861,7 +806,6 @@ func (s *server) stat(reply func(string, ...any) bool) bool {
 	// Graph counters come from the view, durable metadata from the mirror:
 	// the graph and the store mutate under locks a read does not take.
 	v := s.view.Load()
-	cl, hub := v.cl, v.hub
 	line := fmt.Sprintf("ok role=%s nodes=%d edges=%d gen=%d shards=%d epoch=%d walseq=%d walbytes=%d classes=%s",
 		v.role, v.nodes, v.edges, v.gen, v.shards,
 		s.epoch.Load(), s.walSeq.Load(), s.walBytes.Load(), strings.Join(classes, ","))
@@ -880,10 +824,14 @@ func (s *server) stat(reply func(string, ...any) bool) bool {
 	line += fmt.Sprintf(" conns=%d conns_shed=%d staged_shed=%d lines_too_long=%d idle_drops=%d",
 		s.nconns.Load(), s.connsShed.Load(), s.stagedShed.Load(),
 		s.linesTooLong.Load(), s.idleDrops.Load())
+	// commit_cluster_shed is always 0: the daemon has no cluster phase 1 to
+	// shed a commit before. Its last reader is perf/e2e.go, which fails a run
+	// whose stat lacks it, so it goes with the benchmark's next change, as
+	// Durable.Recover does.
 	ca, cs, ct := s.commitGate.stats()
 	ra, rs, rt := s.readGate.stats()
-	line += fmt.Sprintf(" commit_admitted=%d commit_shed=%d commit_timeouts=%d commit_cluster_shed=%d read_admitted=%d read_shed=%d read_timeouts=%d",
-		ca, cs, ct, s.clusterShed.Load(), ra, rs, rt)
+	line += fmt.Sprintf(" commit_admitted=%d commit_shed=%d commit_timeouts=%d commit_cluster_shed=0 read_admitted=%d read_shed=%d read_timeouts=%d",
+		ca, cs, ct, ra, rs, rt)
 	// Disk-degradation state and counters: every retried append and every
 	// read-only transition is observable, not just logged.
 	line += fmt.Sprintf(" disk=%s disk_retries=%d disk_ro_enters=%d disk_ro_exits=%d disk_shed=%d",
@@ -897,20 +845,8 @@ func (s *server) stat(reply func(string, ...any) bool) bool {
 	// run, loops a helper arrived in time to share, helpers started.
 	fo := incgraph.ReadFanOutStats()
 	line += fmt.Sprintf(" fanout_loops=%d fanout_engaged=%d fanout_helpers=%d", fo.Loops, fo.Engaged, fo.Helpers)
-	if cl != nil {
-		sts, age := s.cachedClusterStats(cl)
-		up, retries := 0, uint64(0)
-		for _, st := range sts {
-			if !st.Down {
-				up++
-			}
-			retries += st.Retries
-		}
-		line += fmt.Sprintf(" cluster_workers=%d/%d cluster_applied=%d cluster_remote_errs=%d cluster_resyncs=%d cluster_retries=%d cluster_term=%d stat_age_ms=%d",
-			up, cl.NumWorkers(), cl.Applied(), cl.RemoteErrors(), cl.Resyncs(), retries, cl.Term(), age.Milliseconds())
-	}
-	if hub != nil {
-		line += fmt.Sprintf(" standbys=%d", hub.Standbys())
+	if v.hub != nil {
+		line += fmt.Sprintf(" standbys=%d", v.hub.Standbys())
 	}
 	if st := s.standby; st != nil {
 		line += fmt.Sprintf(" tail=%s tail_term=%d tail_seq=%d tail_gen=%d",
@@ -919,57 +855,11 @@ func (s *server) stat(reply func(string, ...any) bool) bool {
 	return reply("%s", line)
 }
 
-// cachedClusterStats answers stat's worker section from a bounded-
-// staleness cache: polls run at most once per statTTL, in parallel across
-// workers with statPollTimeout each, and in the background once a first
-// result exists — so "stat" stays cheap and bounded even while a worker
-// is dead or stalled (exactly when operators run it in a tight loop).
-func (s *server) cachedClusterStats(cl *incgraph.Cluster) ([]incgraph.ClusterStat, time.Duration) {
-	s.statMu.Lock()
-	if s.statCache != nil && time.Since(s.statAt) < statTTL {
-		st, age := s.statCache, time.Since(s.statAt)
-		s.statMu.Unlock()
-		return st, age
-	}
-	if s.statBusy {
-		// A refresh is already in flight; serve the stale cache rather
-		// than stack a second poll (or a wait) on top of it.
-		st, age := s.statCache, time.Since(s.statAt)
-		s.statMu.Unlock()
-		return st, age
-	}
-	s.statBusy = true
-	first := s.statCache == nil
-	s.statMu.Unlock()
-	refresh := func() []incgraph.ClusterStat {
-		st := cl.StatsWithin(statPollTimeout)
-		s.statMu.Lock()
-		s.statCache, s.statAt, s.statBusy = st, time.Now(), false
-		s.statMu.Unlock()
-		return st
-	}
-	if first {
-		// No result yet: poll synchronously — still bounded by the poll
-		// timeout — so the very first stat is not empty.
-		return refresh(), 0
-	}
-	go refresh()
-	s.statMu.Lock()
-	st, age := s.statCache, time.Since(s.statAt)
-	s.statMu.Unlock()
-	return st, age
-}
-
-// health is the cheap liveness probe: one line of role and position, no
-// worker polling (stat's per-worker poll can take seconds during an
-// incident, exactly when probes must not).
+// health is the cheap liveness probe: one line of role and position.
 func (s *server) health(reply func(string, ...any) bool) bool {
 	v := s.view.Load()
 	line := fmt.Sprintf("ok role=%s gen=%d walseq=%d disk=%s",
 		v.role, v.gen, s.walSeq.Load(), diskName(s.diskState.Load()))
-	if v.cl != nil {
-		line += fmt.Sprintf(" term=%d", v.cl.Term())
-	}
 	if v.hub != nil {
 		line += fmt.Sprintf(" standbys=%d", v.hub.Standbys())
 	}
@@ -979,12 +869,10 @@ func (s *server) health(reply func(string, ...any) bool) bool {
 	return reply("%s", line)
 }
 
-// promote flips a standby into a primary: the replica's durable state
-// becomes authoritative, and if shard-worker addresses were configured a
-// coordinator is attached over them at the deposed primary's term+1 —
-// re-placing every shard and fencing the old coordinator's sessions.
-// Reads keep answering from the standby's last view during the attach (it
-// ships shard segments); the view with the new role appears when it is done.
+// promote flips a standby into a primary at the deposed primary's term+1:
+// it cuts the tail, and the replica's durable state becomes authoritative.
+// Nothing fences the deposed primary (the daemon has no shard workers to
+// refuse it); the operator promotes once it is gone.
 func (s *server) promote(reply func(string, ...any) bool) bool {
 	// A feed apply holds commitMu for its whole body, so once we have it no
 	// fed batch can slip in after the role check below.
@@ -999,33 +887,8 @@ func (s *server) promote(reply func(string, ...any) bool) bool {
 		s.tailConn.Close()
 	}
 	term := s.standby.Term() + 1
-	var links []incgraph.ClusterLink
-	promoted := false
-	defer func() {
-		if !promoted {
-			for _, l := range links {
-				l.Conn.Close()
-			}
-		}
-	}()
-	for _, a := range s.workerAddrs {
-		link, err := incgraph.DialClusterWorker(a)
-		if err != nil {
-			return replyErr(reply, catFenced, "promote failed: worker %s: %v", a, err)
-		}
-		links = append(links, link)
-	}
-	var cl *incgraph.Cluster
-	if len(links) > 0 {
-		var err error
-		cl, err = incgraph.NewCluster(s.d.Graph(), links, incgraph.WithClusterTerm(term))
-		if err != nil {
-			return replyErr(reply, catFenced, "promote failed: %v", err)
-		}
-	}
-	promoted = true
-	s.publish(false, func(v *view) { v.role, v.cl = rolePrimary, cl })
+	s.publish(false, func(v *view) { v.role = rolePrimary })
 	s.tail.Store(tailNone)
-	log.Printf("promoted to primary at term %d (%d workers)", term, len(links))
-	return reply("ok promoted term=%d workers=%d", term, len(links))
+	log.Printf("promoted to primary at term %d", term)
+	return reply("ok promoted term=%d", term)
 }

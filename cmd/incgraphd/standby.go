@@ -20,9 +20,9 @@ import (
 //
 // The standby serves the read side of the line protocol the whole time
 // (query/answer/stat/health); commits are rejected until "promote" flips
-// it into a primary — cutting the tail, and attaching a coordinator at
-// the deposed primary's term+1 over the -cluster workers (fencing the
-// old coordinator's sessions). When the primary dies the tail ends with
+// it into a primary at the deposed primary's term+1, cutting the tail.
+// Nothing fences the deposed primary: promote once it is gone. When the
+// primary dies the tail ends with
 // a lease expiry or a severed connection; the standby keeps serving
 // reads from its last durable generation and waits for the operator's
 // promote. A tail that ends because the replica itself diverged (an
@@ -30,20 +30,12 @@ import (
 // a stale replica must not answer. It serves until stop is closed.
 func runStandby(args []string, stop <-chan struct{}) error {
 	fs := flag.NewFlagSet("standby", flag.ExitOnError)
+	cfg := engineFlags(fs)
 	var (
-		primary   = fs.String("primary", "", "primary hub address to tail (required)")
-		storeDir  = fs.String("store", "", "replica store directory (required; must be fresh — the handshake snapshot seeds it)")
-		addr      = fs.String("addr", ":7422", "TCP listen address for the read-only line protocol")
-		kwsQuery  = fs.String("kws", "", "standing KWS query: comma-separated keywords")
-		bound     = fs.Int("bound", 2, "KWS distance bound b")
-		rpqQuery  = fs.String("rpq", "", "standing RPQ query expression")
-		isoPath   = fs.String("iso", "", "standing ISO pattern graph file")
-		scc       = fs.Bool("scc", false, "maintain strongly connected components")
-		workers   = fs.Int("workers", 0, "engine worker pool size (0 = all cores)")
-		fsync     = fs.String("fsync", "always", "WAL fsync policy: always|none")
-		ckptBytes = fs.Int64("checkpoint-bytes", 64<<20, "auto-checkpoint when the WAL exceeds this size (0 = manual only)")
-		ttl       = fs.Duration("ttl", 2*time.Second, "primary lease TTL (a small multiple of the hub's heartbeat)")
-		cluster   = fs.String("cluster", "", "comma-separated shard-worker addresses a promote attaches at term+1")
+		primary  = fs.String("primary", "", "primary hub address to tail (required)")
+		storeDir = fs.String("store", "", "replica store directory (required; must be fresh — the handshake snapshot seeds it)")
+		addr     = fs.String("addr", ":7422", "TCP listen address for the read-only line protocol")
+		ttl      = fs.Duration("ttl", 2*time.Second, "primary lease TTL (a small multiple of the hub's heartbeat)")
 	)
 	lim := limitFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -58,13 +50,9 @@ func runStandby(args []string, stop <-chan struct{}) error {
 	if incgraph.DurableExists(*storeDir) {
 		return fmt.Errorf("-store %s already holds a durable store; a standby seeds a fresh one from the primary's snapshot", *storeDir)
 	}
-	sync, err := parseSync(*fsync)
+	sync, err := parseSync(cfg.fsync)
 	if err != nil {
 		return err
-	}
-	cfg := config{
-		kwsQuery: *kwsQuery, bound: *bound, rpqQuery: *rpqQuery,
-		isoPath: *isoPath, scc: *scc,
 	}
 
 	conn, err := net.DialTimeout("tcp", *primary, 10*time.Second)
@@ -93,17 +81,16 @@ func runStandby(args []string, stop <-chan struct{}) error {
 			}
 			// Before the engines are built, as on the primary: they repair
 			// on this graph and follow its budget.
-			d.Graph().SetParallelism(*workers)
-			if err := attachEngines(d, cfg); err != nil {
+			d.Graph().SetParallelism(cfg.workers)
+			if err := attachEngines(d, *cfg); err != nil {
 				return err
 			}
-			srv, err = newServer(d, *ckptBytes, *lim)
+			srv, err = newServer(d, cfg.ckptBytes, *lim)
 			if err != nil {
 				return err
 			}
 			srv.publish(false, func(v *view) { v.role = roleStandby })
 			srv.primaryAddr = *primary
-			srv.workerAddrs = splitAddrs(*cluster)
 			srv.tailConn = conn
 			srv.tail.Store(tailLive)
 			log.Printf("seeded from %s: term %d, seq %d, gen %d, %d nodes, %d edges",
@@ -125,7 +112,7 @@ func runStandby(args []string, stop <-chan struct{}) error {
 			}
 			// The same hooks a primary commits through, with the default log
 			// step.
-			opts, res := srv.applyOptions(v, time.Time{}, b)
+			opts, res := srv.applyOptions(v, b)
 			if _, err := srv.d.Commit(b, opts); err != nil {
 				srv.syncDurableMeta()
 				return err

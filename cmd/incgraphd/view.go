@@ -22,7 +22,6 @@ import (
 type view struct {
 	gen                  uint64
 	role                 string
-	cl                   *incgraph.Cluster
 	hub                  *incgraph.ClusterHub
 	nodes, edges, shards int
 	classes              []classView // in attach order

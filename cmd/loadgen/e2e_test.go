@@ -107,9 +107,9 @@ func startAnnounced(t *testing.T, daemon *exec.Cmd) string {
 		for sc.Scan() {
 			line := sc.Text()
 			fmt.Fprintln(os.Stderr, line)
-			// The line protocol's socket; workers and the hub announce
-			// themselves with a qualifier in front.
-			if _, addr, ok := strings.Cut(line, " listening on "); ok && !strings.Contains(line, "worker listening") && !strings.Contains(line, "hub listening") {
+			// The line protocol's socket; the hub announces
+			// itself with a qualifier in front.
+			if _, addr, ok := strings.Cut(line, " listening on "); ok && !strings.Contains(line, "hub listening") {
 				select {
 				case found <- strings.Fields(addr)[0]:
 				default:

@@ -1,5 +1,5 @@
 // Command loadgen replays JSON-described load scenarios against a
-// running incgraphd (single-process, cluster coordinator, or standby)
+// running incgraphd (a primary or a standby)
 // and reports throughput and p50/p99/p999 latency per op class and
 // phase. With -check it asserts the degradation contract the daemon's
 // admission gates promise: under overload, admitted throughput plateaus

@@ -154,9 +154,9 @@
 //
 // cmd/incgraphd is the long-lived server built on this subsystem: it
 // ingests "+/-" update streams over a line protocol and checkpoints on
-// demand or past a WAL-size threshold. It holds one graph — primary,
-// cluster coordinator, standby and crash recovery all build the engines
-// on the store's graph and attach them in place — and serves
+// demand or past a WAL-size threshold. It is one process and holds one
+// graph — primary, standby and crash recovery all build the engines on
+// the store's graph and attach them in place — and serves
 // rpq/kws/scc/iso answers the way the paper defines their maintenance, as
 // Q(G) ⊕ ΔO: every commit
 // publishes, with one atomic pointer store, an immutable view holding per
@@ -168,7 +168,7 @@
 // after start-up. TestDaemonHistory and TestLinearizableStandbyReads
 // (cmd/incgraphd) pin it against the same seeded history and from-scratch
 // oracle as TestHistory (internal/history): staged and committed over the wire to a daemon, a
-// cluster coordinator and a promoted standby while readers read every
+// daemon at four shards and a promoted standby while readers read every
 // class, each reply must be what from-scratch builds answer at the step
 // its generation ended, never older than an acked commit, and never older
 // than its connection's last. The CLI tools accept .snap files anywhere a text graph
@@ -176,8 +176,11 @@
 //
 // # Distribution
 //
-// The substrate outgrows one process along the boundary it was sharded
-// on (internal/cluster, surfaced here as Cluster/ClusterWorker):
+// The library can run the sharded substrate across processes, along the
+// boundary it was sharded on (internal/cluster, surfaced here as
+// Cluster/ClusterWorker). The daemon does not: cmd/incgraphd is one
+// process, and the coordinator is kept for perf/'s measurement of what the
+// distributed hop costs and for examples/ha_cluster.
 //
 //   - Coordinator/worker contract. Shard worker processes each hold
 //     authoritative replicas of a subset of the graph's shards — node
@@ -212,16 +215,14 @@
 //     against the base graph; Via validates through a Cluster instead —
 //     Cluster.Apply plans the batch, runs phase 1 and the per-shard
 //     cross-check, and then calls Commit's log-and-apply back (it is also
-//     the protocol for a graph with no Durable). Deadline carries the
-//     serving layer's per-op budget, and the Log/Exclusive hooks splice in
-//     the serving tier's degradation and read-exclusion policies —
-//     incgraphd builds them in one place for all its roles.
+//     the protocol for a graph with no Durable). The Log/Exclusive hooks
+//     splice in the serving tier's degradation and read-exclusion
+//     policies — incgraphd builds them in one place for all its roles.
 //   - One commit at a time. The coordinator holds one mutex from plan to
 //     local apply, so distributed commits reach the workers, the WAL and
 //     the authoritative graph in one order — one ΔG on one G, as IncX
-//     assumes. VerifyShard takes the same mutex. A commit whose op
-//     budget ran out before phase 1 is shed with
-//     ErrClusterOverloaded. The protocol ships the already-validated plan
+//     assumes. VerifyShard takes the same mutex. The protocol ships the
+//     already-validated plan
 //     zero-copy — effects encode straight off the planner's pooled state,
 //     and interned label tables travel once per session as deltas — and
 //     the WAL append follows phase 1 rather than overlapping it.
@@ -232,12 +233,12 @@
 //
 // # High availability
 //
-// One replication layer and a set of drills (NewCluster options,
-// ClusterHub/ClusterStandby). What survives which loss: the standby's
-// own crash-safe store survives the loss of the primary, and the workers
-// hold no history at all — a restarted worker, a diverged replica, and
-// every shard after a promotion are rebuilt from the authoritative
-// parcels.
+// One replication layer and a set of drills (ClusterHub/ClusterStandby,
+// and NewCluster's fencing term for a library coordinator). What survives
+// which loss: the standby's own crash-safe store survives the loss of the
+// primary, and a library coordinator's workers hold no history at all — a
+// restarted worker, a diverged replica, and every shard after a promotion
+// are rebuilt from the authoritative parcels.
 //
 //   - Standby failover and fencing — the one replication path. A
 //     ClusterHub beside the primary feeds every committed record to
@@ -245,13 +246,17 @@
 //     and then snapshots under the lock the owner's commits and Feed calls
 //     run under, so no commit falls between snapshot and feed; then a tail
 //     whose heartbeats double as the primary's lease), and each standby
-//     commits the record to its own store. Every coordinator session
-//     carries a fencing term; workers remember the highest term seen and
-//     reject mutating requests from any older session. On lease expiry —
-//     or an operator's explicit promote — the standby's owner attaches a
-//     coordinator at term+1 over the same workers, which re-places every
-//     shard from the standby's graph and fences the deposed coordinator:
-//     its late commits fail with "fenced" instead of forking history.
+//     commits the record to its own store. On lease expiry — or an
+//     operator's explicit promote — the standby's owner takes over at
+//     term+1. Fencing needs workers: every library coordinator session
+//     carries a fencing term, workers remember the highest term seen and
+//     reject mutating requests from any older session, so a promoted
+//     owner that attaches a coordinator at term+1 over the same workers
+//     re-places every shard from the standby's graph and fences the
+//     deposed coordinator — its late commits fail with "fenced" instead of
+//     forking history. A primary without workers (every incgraphd primary)
+//     is not fenced: the operator must know the old primary is dead
+//     before promoting.
 //     TestHistory's "failover" shape pins that a SIGKILL'd primary plus a
 //     promoted standby produce the summaries, ΔO, answers, snapshot bytes
 //     and worker replicas of the uninterrupted run, and that the deposed
@@ -260,8 +265,7 @@
 //     current through the last fed commit; a standby that outlived its
 //     primary keeps serving reads from its last durable generation (never
 //     a write); a replica that diverged from a live primary redirects
-//     reads to the primary rather than answer stale. Writes are only ever
-//     accepted at the single fenced primary.
+//     reads to the primary rather than answer stale.
 //   - Fault drills. FaultScript wraps any cluster connection in a seeded
 //     frame-level shim (drop/delay/duplicate/sever, matched by direction,
 //     frame index, and message type) with an event log that is
@@ -273,14 +277,12 @@
 //     power-loss at write K — with the same determinism pin, so disk
 //     drills replay byte-for-byte.
 //
-// cmd/incgraphd exposes all of this operationally: "incgraphd worker"
-// runs a shard worker, the serving daemon attaches workers with
-// -cluster addr,addr or -cluster-spawn N (plus -term/-hub for fencing and
-// the standby feed), and "incgraphd standby" runs a warm replica that
-// serves reads while tailing and becomes the primary on "promote". "stat"
-// reports worker health and the fencing term alongside
-// the accept/commit error counters; "health" is the cheap role/liveness
-// probe.
+// cmd/incgraphd exposes the replication path operationally: the serving
+// daemon feeds standbys from -hub (its term set by -term), and "incgraphd
+// standby" runs a warm replica that serves reads while tailing and
+// becomes the primary at term+1 on "promote". "stat" reports the role,
+// the standbys and the tail alongside the accept/commit error counters;
+// "health" is the cheap role/liveness probe.
 //
 // # Overload and admission control
 //

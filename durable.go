@@ -3,7 +3,6 @@ package incgraph
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"incgraph/internal/store"
 )
@@ -197,11 +196,6 @@ type ApplyOptions struct {
 	// phase 1 (the WAL append, say) leaves the graph and engines untouched
 	// and the batch's shards marked for re-placement.
 	Via *Cluster
-	// Deadline is the serving layer's per-op budget, used by the cluster
-	// path: a batch that reaches phase 1 past it is shed with
-	// ErrClusterOverloaded (nothing applied anywhere), and it caps every
-	// phase-1 round trip. Zero means no budget; ignored without Via.
-	Deadline time.Time
 	// Log, when set, replaces the WAL-append step. It receives the batch
 	// (already validated) and the generation stamp the record should
 	// carry, and must append exactly one record per successful return —
@@ -255,7 +249,7 @@ func (d *Durable) Commit(b Batch, opts ApplyOptions) ([]DeltaSummary, error) {
 	}
 	var err error
 	if opts.Via != nil {
-		err = opts.Via.Apply(b, opts.Deadline, commit)
+		err = opts.Via.Apply(b, commit)
 	} else if norm, err = d.base.ValidateNormalize(b); err == nil {
 		err = commit()
 	}

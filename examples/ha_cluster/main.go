@@ -8,8 +8,10 @@
 // snapshot bytes must equal an uninterrupted single-process run: failing
 // over costs nothing in fidelity.
 //
-// The long-lived network-facing version of this topology is cmd/incgraphd
-// (-term/-hub on the primary, "incgraphd standby" + "promote").
+// cmd/incgraphd runs the replication half of this topology as long-lived
+// network-facing processes (-term/-hub on the primary, "incgraphd
+// standby" + "promote"), but without shard workers: it is one process, so
+// it has nothing that fences a deposed primary.
 //
 // Run with: go run ./examples/ha_cluster
 package main
@@ -122,7 +124,7 @@ func main() {
 	// retry after resync.
 	var feedSeq uint64
 	commitTo := func(c *incgraph.Cluster, dst *incgraph.Graph, hub *incgraph.ClusterHub, b incgraph.Batch) error {
-		return c.Apply(b, time.Time{}, func() error {
+		return c.Apply(b, func() error {
 			preGen := dst.Generation()
 			if err := dst.ApplyBatch(b); err != nil {
 				return err

@@ -34,10 +34,6 @@ type (
 	// ClusterStandbyOptions configures a standby: load/apply callbacks and
 	// the lease TTL.
 	ClusterStandbyOptions = cluster.StandbyOptions
-	// ClusterDialer dials workers with per-attempt timeouts and capped
-	// exponential backoff with jitter; its Retries counter surfaces in
-	// Cluster.Stats.
-	ClusterDialer = cluster.Dialer
 
 	// FaultScript deterministically injects faults into wrapped
 	// connections; FaultRule matches frames by direction, index, and
@@ -60,12 +56,6 @@ const (
 
 // ErrLeaseExpired reports a standby that outlived its primary's lease.
 var ErrLeaseExpired = cluster.ErrLeaseExpired
-
-// ErrClusterFenced matches (errors.Is) commits refused because a worker
-// enforced a higher fencing term: this coordinator was deposed by a
-// promoted standby. Nothing was applied; the caller should redirect
-// clients to the new primary rather than retry.
-var ErrClusterFenced = cluster.ErrFenced
 
 // NewClusterHub returns a hub ready to accept standby connections; serve
 // each on ClusterHub.ServeConn and call Feed from the serialized commit path,

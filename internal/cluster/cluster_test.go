@@ -4,11 +4,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"net"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"incgraph/internal/gen"
 	"incgraph/internal/graph"
@@ -25,7 +25,7 @@ func testGraph(t *testing.T, shards int) *graph.Graph {
 // applyLocal runs b through co with no op budget, committing it to g —
 // the single-process commit half of the protocol.
 func applyLocal(co *Coordinator, g *graph.Graph, b graph.Batch) error {
-	return co.Apply(b, time.Time{}, func() error { return g.ApplyBatch(b) })
+	return co.Apply(b, func() error { return g.ApplyBatch(b) })
 }
 
 func TestCoordinatorApplyAndVerify(t *testing.T) {
@@ -85,7 +85,7 @@ func TestCoordinatorRejectsInvalidBatch(t *testing.T) {
 	}
 	bad := graph.Batch{graph.Ins(v, w)} // insert of an existing edge
 	committed := false
-	err = co.Apply(bad, time.Time{}, func() error { committed = true; return nil })
+	err = co.Apply(bad, func() error { committed = true; return nil })
 	if !errors.Is(err, graph.ErrBadUpdate) {
 		t.Fatalf("invalid batch: got %v, want ErrBadUpdate", err)
 	}
@@ -137,7 +137,7 @@ func TestWorkerDisconnectMidPhase1FailsAtomically(t *testing.T) {
 	scratch := g.Clone()
 	b := gen.Updates(scratch, gen.UpdateSpec{Count: 80, InsertRatio: 0.6, Locality: 0.2, Seed: 7})
 	committed := false
-	err = co.Apply(b, time.Time{}, func() error { committed = true; return g.ApplyBatch(b) })
+	err = co.Apply(b, func() error { committed = true; return g.ApplyBatch(b) })
 	if err == nil {
 		t.Fatal("apply succeeded despite worker disconnect")
 	}
@@ -236,7 +236,7 @@ func TestCoordinatorDropsHoldovers(t *testing.T) {
 	}
 	owners := []*Worker{workers[1], workers[0]}
 	for wi, w := range owners {
-		held := w.statFor(t).Shards
+		held := w.heldShards()
 		if len(held) == 0 {
 			t.Fatalf("%s holds no replicas before the reattach; the flip proves nothing", reversed[wi].Name)
 		}
@@ -252,7 +252,7 @@ func TestCoordinatorDropsHoldovers(t *testing.T) {
 	}
 	defer co2.Close()
 	for wi, w := range owners {
-		held := w.statFor(t).Shards
+		held := w.heldShards()
 		for s := 0; s < g.NumShards(); s++ {
 			if _, ok := held[s]; ok != (co2.WorkerOf(s) == wi) {
 				t.Fatalf("%s holds shard %d = %v, want %v", reversed[wi].Name, s, ok, !ok)
@@ -264,18 +264,11 @@ func TestCoordinatorDropsHoldovers(t *testing.T) {
 	}
 }
 
-// statFor reads a worker's stat directly (test helper).
-func (w *Worker) statFor(t *testing.T) WorkerStat {
-	t.Helper()
+// heldShards returns the shards a worker holds a replica of (test helper).
+func (w *Worker) heldShards() map[int]bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	st := WorkerStat{Shards: map[int]int{}, Applied: w.applied, Errors: w.errs}
-	if w.g != nil {
-		for s := range w.owned {
-			st.Shards[s] = w.g.NumShardNodes(s)
-		}
-	}
-	return st
+	return maps.Clone(w.owned)
 }
 
 // TestConcurrentBatchesMatchSerial: batches fired from concurrent callers

@@ -7,7 +7,6 @@ package cluster
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"incgraph/internal/gen"
 	"incgraph/internal/graph"
@@ -80,7 +79,7 @@ func TestCommitHookOrderUnderDisjointConcurrency(t *testing.T) {
 				wg.Add(1)
 				go func(i int, b graph.Batch) {
 					defer wg.Done()
-					errs[i] = co.Apply(b, time.Time{}, commit(b))
+					errs[i] = co.Apply(b, commit(b))
 				}(i, b)
 			}
 			wg.Wait()

@@ -21,21 +21,16 @@ import (
 type Link struct {
 	Conn   net.Conn
 	Redial func() (net.Conn, error)
-	// Name labels the worker in errors and stats (an address, usually).
+	// Name labels the worker in errors (an address, usually).
 	Name string
-	// Retries, when non-nil, exposes the transport's cumulative dial
-	// attempt counter (see Dialer) so Stats can report it.
-	Retries *atomic.Uint64
 }
 
 // workerLink is the coordinator's per-worker session state. Its mutex
 // serializes requests on the connection (the protocol is one request in
-// flight per session). The lock order is Coordinator.mu → mu → connMu;
-// Stats polls take only the link's own locks, and never wait for mu.
+// flight per session). The lock order is Coordinator.mu → mu → connMu.
 type workerLink struct {
-	name    string
-	redial  func() (net.Conn, error)
-	retries *atomic.Uint64
+	name   string
+	redial func() (net.Conn, error)
 	// timeout is the base per-call deadline (rpcTimeout unless the
 	// coordinator was built with CallTimeout).
 	timeout time.Duration
@@ -63,9 +58,8 @@ type workerLink struct {
 
 // sendApply ships one batch's phase-1 share to l — the session's label
 // delta, then the plan's effects for shards — and returns the worker's
-// per-shard edge deltas, valid until the next call. capAt caps the round
-// trip (zero = no cap).
-func (l *workerLink) sendApply(plan *graph.Plan, shards []int, capAt time.Time) ([]shardDelta, error) {
+// per-shard edge deltas, valid until the next call.
+func (l *workerLink) sendApply(plan *graph.Plan, shards []int) ([]shardDelta, error) {
 	cur := graph.InternedLabels()
 	frame := append(l.frame[:0], zeroFrameHeader[:]...)
 	frame = appendApplyHeader(frame, l.labelsSent, cur)
@@ -74,7 +68,7 @@ func (l *workerLink) sendApply(plan *graph.Plan, shards []int, capAt time.Time) 
 	// Advanced optimistically: a failed send poisons the session, and the
 	// reattach handshake resets the counter with it.
 	l.labelsSent = cur
-	r, err := l.requestPrefixedCapped(frame, capAt)
+	r, err := l.requestPrefixed(frame)
 	if err != nil {
 		if IsRemote(err) {
 			// An envelope-level rejection (fencing, label-chain mismatch)
@@ -96,20 +90,16 @@ func (l *workerLink) sendApply(plan *graph.Plan, shards []int, capAt time.Time) 
 	return deltas, err
 }
 
-// requestPrefixedCapped is requestCapped for header-prefixed frames: one
-// write out, response decoded into the link's reusable scratch.
-func (l *workerLink) requestPrefixedCapped(frame []byte, capAt time.Time) (*reader, error) {
+// requestPrefixed is request for header-prefixed frames: one write out,
+// response decoded into the link's reusable scratch.
+func (l *workerLink) requestPrefixed(frame []byte) (*reader, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	conn, err := l.session()
 	if err != nil {
 		return nil, err
 	}
-	dl := l.deadline(len(frame))
-	if !capAt.IsZero() && capAt.Before(dl) {
-		dl = capAt
-	}
-	conn.SetDeadline(dl)
+	conn.SetDeadline(l.deadline(len(frame)))
 	err = writeFramePrefixed(conn, frame)
 	var payload []byte
 	if err == nil {
@@ -176,7 +166,7 @@ const rpcTimeout = 60 * time.Second
 // deadline is the link's per-call deadline: the coordinator's configured
 // base (CallTimeout, default rpcTimeout) scaled with the request size, so
 // a multi-hundred-MB shard parcel on a slow link gets proportionally
-// longer than a 20-byte stat poll instead of timing out forever on retry:
+// longer than a 20-byte drop instead of timing out forever on retry:
 // the base covers latency and the response, plus one second per MiB
 // shipped (a ≥1 MiB/s floor on usable links).
 func (l *workerLink) deadline(reqBytes int) time.Time {
@@ -190,32 +180,20 @@ func (l *workerLink) deadline(reqBytes int) time.Time {
 // request performs one round trip, marking the link down on transport
 // failure (remote errors leave the session usable).
 func (l *workerLink) request(req []byte) (*reader, error) {
-	return l.requestCapped(req, 0, time.Time{})
+	return l.requestHint(req, 0)
 }
 
 // requestHint is request with a response-size hint: exports return whole
 // parcels, so their deadline must scale with the expected response the
 // way a placement's scales with its request.
 func (l *workerLink) requestHint(req []byte, respHint int) (*reader, error) {
-	return l.requestCapped(req, respHint, time.Time{})
-}
-
-// requestCapped is requestHint with an absolute deadline cap: when the
-// caller carries a per-op budget (Apply under admission control), the
-// round trip must not outlive it, however large the link's size-scaled
-// deadline would be. A zero cap means no cap.
-func (l *workerLink) requestCapped(req []byte, respHint int, capAt time.Time) (*reader, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	conn, err := l.session()
 	if err != nil {
 		return nil, err
 	}
-	dl := l.deadline(len(req) + respHint)
-	if !capAt.IsZero() && capAt.Before(dl) {
-		dl = capAt
-	}
-	conn.SetDeadline(dl)
+	conn.SetDeadline(l.deadline(len(req) + respHint))
 	r, err := roundTrip(conn, req)
 	conn.SetDeadline(time.Time{})
 	if err != nil && !IsRemote(err) {
@@ -283,7 +261,7 @@ func NewCoordinator(g *graph.Graph, links []Link, opts CoordinatorOptions) (*Coo
 		}
 		c.workers = append(c.workers, &workerLink{
 			name: name, redial: l.Redial, conn: l.Conn,
-			retries: l.Retries, timeout: opts.CallTimeout,
+			timeout: opts.CallTimeout,
 		})
 	}
 	held := make([]map[int]bool, len(c.workers))
@@ -324,8 +302,8 @@ func NewCoordinator(g *graph.Graph, links []Link, opts CoordinatorOptions) (*Coo
 	}
 	// A pre-populated worker (coordinator restart against still-running
 	// workers) may hold replicas now assigned elsewhere: drop them so its
-	// self-reported stats and memory reflect the new assignment, exactly
-	// as ensureUp reconciles after a redial.
+	// memory reflects the new assignment, exactly as ensureUp reconciles
+	// after a redial.
 	for i, l := range c.workers {
 		for s := range held[i] {
 			if s < p && c.WorkerOf(s) != i {
@@ -377,9 +355,6 @@ func (c *Coordinator) place(l *workerLink, s int) error {
 	return r.done()
 }
 
-// NumWorkers returns the worker count.
-func (c *Coordinator) NumWorkers() int { return len(c.workers) }
-
 // WorkerOf returns the index of the worker shard s is assigned to.
 // Placement is round-robin and fixed for the coordinator's lifetime.
 func (c *Coordinator) WorkerOf(s int) int { return s % len(c.workers) }
@@ -393,17 +368,6 @@ func (c *Coordinator) RemoteErrors() uint64 { return c.remoteErrs.Load() }
 // Resyncs returns the number of shard re-placements performed after
 // divergence (aborted batches, worker restarts).
 func (c *Coordinator) Resyncs() uint64 { return c.resyncs.Load() }
-
-// Term returns the coordinator's fencing term.
-func (c *Coordinator) Term() uint64 { return c.opts.Term }
-
-// ErrOverloaded reports an Apply whose per-op deadline had passed before
-// phase 1 started (it waited for the coordinator mutex, or for the
-// caller's own commit lock): the batch was shed before any remote work,
-// the authoritative graph and every replica are untouched, and the client
-// can safely retry. Serving layers map it to their explicit
-// overload/backpressure reply instead of queuing unboundedly.
-var ErrOverloaded = fmt.Errorf("cluster: overloaded: op budget spent before phase 1")
 
 // ensureUp reconnects a downed worker: redial, hello, then reconcile —
 // assigned shards the (possibly restarted) worker no longer holds are
@@ -542,16 +506,7 @@ func (c *Coordinator) prepareShards(touched []int) error {
 // aborted effects are resynced before those shards are used again). A
 // commit that fails aborts the same way; the caller's own state is the
 // caller's to keep whole (Durable.Commit logs nothing it does not apply).
-//
-// deadline is the serving layer's per-op budget. A batch that reaches
-// phase 1 past it is shed with ErrOverloaded, nothing applied anywhere,
-// safe to retry; and it caps every phase-1 round trip, so one op cannot
-// hold the workers for the transport's full size-scaled deadline when the
-// client's budget is smaller. Repair traffic (redial, parcel resync) keeps
-// its own deadlines: healing a diverged replica is not the client op's
-// work to bound, and capping it would just make the next op repeat it. A
-// zero deadline means no budget.
-func (c *Coordinator) Apply(b graph.Batch, deadline time.Time, commit func() error) error {
+func (c *Coordinator) Apply(b graph.Batch, commit func() error) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err := c.prepareShards(b.TouchedShards(c.g)); err != nil {
@@ -583,19 +538,13 @@ func (c *Coordinator) Apply(b graph.Batch, deadline time.Time, commit func() err
 		}
 	}
 
-	// Out of budget before phase 1: shed while the abort is still free (no
-	// worker has applied anything, so no shard needs resync).
-	if !deadline.IsZero() && !time.Now().Before(deadline) {
-		return ErrOverloaded
-	}
-
-	// Phase 1: one apply per involved worker, each capped by the op's
-	// budget. The first worker's round trip rides this goroutine.
+	// Phase 1: one apply per involved worker. The first worker's round trip
+	// rides this goroutine.
 	deltas := make([][]shardDelta, len(workerIDs))
 	errs := make([]error, len(workerIDs))
 	send := func(i int) {
 		l := c.workers[workerIDs[i]]
-		if deltas[i], errs[i] = l.sendApply(plan, grouped[workerIDs[i]], deadline); errs[i] != nil {
+		if deltas[i], errs[i] = l.sendApply(plan, grouped[workerIDs[i]]); errs[i] != nil {
 			errs[i] = fmt.Errorf("cluster: phase 1 on %s: %w", l.name, errs[i])
 		}
 	}
@@ -688,90 +637,6 @@ func (c *Coordinator) VerifyAll() error {
 		}
 	}
 	return nil
-}
-
-// Stat is one worker's view in Stats.
-type Stat struct {
-	Name string
-	// Down reports a broken session awaiting redial.
-	Down bool
-	// Busy reports a link mid-request (a large placement, a slow phase 1):
-	// the worker is up but was not polled, so Remote is zero-valued.
-	Busy bool
-	// Assigned is the number of shards assigned to this worker.
-	Assigned int
-	// Retries is the transport's cumulative dial attempt count (zero when
-	// the link has no Dialer-style transport).
-	Retries uint64
-	// Remote is the worker's self-report; zero-valued when Down or Busy.
-	Remote WorkerStat
-}
-
-// statTimeout bounds one health poll: operators read stats during
-// incidents, exactly when a full rpcTimeout wait is unaffordable. A poll
-// that times out closes the session (a late response would desync the
-// request/response stream), which the next batch heals via redial —
-// links without a Redial path lose the worker permanently, one reason
-// Link.Redial is strongly recommended outside tests.
-const statTimeout = 5 * time.Second
-
-// Stats polls every worker (best-effort, short deadline, never queuing
-// behind an in-flight request) and returns per-worker stats.
-func (c *Coordinator) Stats() []Stat {
-	return c.StatsWithin(statTimeout)
-}
-
-// StatsWithin is Stats with an explicit per-worker poll deadline. Workers
-// are polled in parallel, so the whole call is bounded by one timeout —
-// not timeout × dead workers — which is what lets a serving layer answer
-// "stat" in bounded time during exactly the incidents stats exist for.
-func (c *Coordinator) StatsWithin(timeout time.Duration) []Stat {
-	if timeout <= 0 {
-		timeout = statTimeout
-	}
-	out := make([]Stat, len(c.workers))
-	assigned := make([]int, len(c.workers))
-	for s := 0; s < c.g.NumShards(); s++ {
-		assigned[c.WorkerOf(s)]++
-	}
-	var wg sync.WaitGroup
-	for i, l := range c.workers {
-		wg.Add(1)
-		go func(i int, l *workerLink) {
-			defer wg.Done()
-			st := Stat{Name: l.name, Assigned: assigned[i]}
-			if l.retries != nil {
-				st.Retries = l.retries.Load()
-			}
-			if !l.mu.TryLock() {
-				st.Busy = true
-				out[i] = st
-				return
-			}
-			conn, err := l.session()
-			if err != nil {
-				l.mu.Unlock()
-				st.Down = true
-				out[i] = st
-				return
-			}
-			conn.SetDeadline(time.Now().Add(timeout))
-			r, rerr := roundTrip(conn, []byte{byte(msgStat)})
-			conn.SetDeadline(time.Time{})
-			if rerr != nil && !IsRemote(rerr) {
-				l.fail(conn)
-			}
-			l.mu.Unlock()
-			if rerr != nil {
-				st.Down = true
-			} else if remote, derr := decodeStat(r); derr == nil {
-				st.Remote = remote
-			}
-			out[i] = st
-		}(i, l)
-	}
-	wg.Wait()
-	return out
 }
 
 // Close tears down every worker session. It takes only connMu — never the

@@ -203,8 +203,6 @@ func msgName(b byte) string {
 		return "apply"
 	case msgExport:
 		return "export"
-	case msgStat:
-		return "stat"
 	case msgOK:
 		return "ok"
 	case msgErr:

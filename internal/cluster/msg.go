@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
-	"strings"
 
 	"incgraph/internal/graph"
 )
@@ -35,8 +33,8 @@ import (
 // repl-state and scrub requests, place's sequence and generation stamps,
 // and the two replication counters of a worker's stat. Version 5 made apply
 // carry one batch again — the coordinator commits one at a time — keeping
-// the session label references.
-const protocolVersion = 5
+// the session label references. Version 6 removed the stat request.
+const protocolVersion = 6
 
 type msgType byte
 
@@ -58,8 +56,8 @@ const (
 	msgApply
 	// msgExport returns the parcel of an owned shard: uvarint shard.
 	msgExport
-	// msgStat reports owned shards with node counts and counters.
-	msgStat
+	// Type byte 6 was version 5's stat request; it stays unassigned.
+	_
 	// msgOK acknowledges a request; body depends on the request type.
 	msgOK
 	// msgErr reports a request-level failure; body is the error text. The
@@ -91,18 +89,6 @@ var ErrProtocol = errors.New("cluster: protocol error")
 type remoteError string
 
 func (e remoteError) Error() string { return "cluster: remote: " + string(e) }
-
-// ErrFenced matches (errors.Is) worker refusals caused by fencing: the
-// session's term was superseded by a newer coordinator. A fenced commit
-// failed before any worker applied anything; serving layers surface it
-// as "this node was deposed", not as a batch error.
-var ErrFenced = errors.New("cluster: fenced")
-
-// Is lets errors.Is(err, ErrFenced) see through the remote wrapper: the
-// worker's fencing refusals all carry the "fenced:" prefix.
-func (e remoteError) Is(target error) bool {
-	return target == ErrFenced && strings.HasPrefix(string(e), "fenced:")
-}
 
 // IsRemote reports whether err is a worker-reported error rather than a
 // transport or framing failure.
@@ -198,7 +184,7 @@ func decodeHello(r *reader) (version, shards uint32, term uint64, err error) {
 		binary.LittleEndian.Uint64(b[4:]), r.done()
 }
 
-// encodeShardList is the hello/stat-style "uvarint count + shards" body.
+// encodeShardList is the hello response's "uvarint count + shards" body.
 func encodeShardList(buf []byte, shards []int) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(shards)))
 	for _, s := range shards {
@@ -471,70 +457,6 @@ func decodeBatchResult(r *reader, out []shardDelta) ([]shardDelta, error) {
 		out = append(out, shardDelta{shard: int(s), delta: int(d)})
 	}
 	return out, nil
-}
-
-// WorkerStat is one worker's self-report: owned shards with node counts
-// plus lifetime counters.
-type WorkerStat struct {
-	// Shards maps owned shard index to its node count.
-	Shards map[int]int
-	// Applied counts phase-1 batch applications since start.
-	Applied uint64
-	// Errors counts requests the worker rejected since start.
-	Errors uint64
-	// Term is the highest coordinator fencing term the worker has seen.
-	Term uint64
-}
-
-func encodeStat(st WorkerStat) []byte {
-	buf := []byte{byte(msgOK)}
-	buf = binary.AppendUvarint(buf, uint64(len(st.Shards)))
-	// Deterministic order keeps responses reproducible for tests.
-	keys := make([]int, 0, len(st.Shards))
-	for s := range st.Shards {
-		keys = append(keys, s)
-	}
-	sort.Ints(keys)
-	for _, s := range keys {
-		buf = binary.AppendUvarint(buf, uint64(s))
-		buf = binary.AppendUvarint(buf, uint64(st.Shards[s]))
-	}
-	buf = binary.AppendUvarint(buf, st.Applied)
-	buf = binary.AppendUvarint(buf, st.Errors)
-	buf = binary.AppendUvarint(buf, st.Term)
-	return buf
-}
-
-func decodeStat(r *reader) (WorkerStat, error) {
-	st := WorkerStat{Shards: map[int]int{}}
-	n, err := r.uvarint()
-	if err != nil {
-		return st, err
-	}
-	if n > graph.MaxShards {
-		return st, fmt.Errorf("%w: %d stat entries", ErrProtocol, n)
-	}
-	for i := uint64(0); i < n; i++ {
-		s, err := r.uvarint()
-		if err != nil {
-			return st, err
-		}
-		c, err := r.uvarint()
-		if err != nil {
-			return st, err
-		}
-		st.Shards[int(s)] = int(c)
-	}
-	if st.Applied, err = r.uvarint(); err != nil {
-		return st, err
-	}
-	if st.Errors, err = r.uvarint(); err != nil {
-		return st, err
-	}
-	if st.Term, err = r.uvarint(); err != nil {
-		return st, err
-	}
-	return st, r.done()
 }
 
 // ---- standby tail codecs -----------------------------------------------

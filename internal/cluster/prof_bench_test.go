@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"testing"
-	"time"
 
 	"incgraph/internal/gen"
 	"incgraph/internal/graph"
@@ -69,7 +68,7 @@ func BenchmarkApplyCluster(b *testing.B) {
 	}
 	defer co.Close()
 	apply := func(bb graph.Batch) error {
-		return co.Apply(bb, time.Time{}, func() error { return h.ApplyBatch(bb) })
+		return co.Apply(bb, func() error { return h.ApplyBatch(bb) })
 	}
 	if err := apply(batches[0]); err != nil {
 		b.Fatal(err)

@@ -72,8 +72,7 @@ func (d *Dialer) backoff() (base, cap time.Duration) {
 func (d *Dialer) Retries() uint64 { return d.retries.Load() }
 
 // Dial connects to addr, retrying with backoff, and returns a redialable
-// Link wired to the same policy. The Link's Retries counter is this
-// dialer's.
+// Link wired to the same policy.
 func (d *Dialer) Dial(addr string) (Link, error) {
 	seed := d.Seed
 	if seed == 0 {
@@ -112,7 +111,7 @@ func (d *Dialer) Dial(addr string) (Link, error) {
 	if err != nil {
 		return Link{}, err
 	}
-	return Link{Conn: conn, Name: addr, Redial: redial, Retries: &d.retries}, nil
+	return Link{Conn: conn, Name: addr, Redial: redial}, nil
 }
 
 // Dial connects to a worker at addr and returns a redialable Link using

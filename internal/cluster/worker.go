@@ -15,15 +15,13 @@ import (
 // records, slot allocators and adjacency for every shard placed on it, in
 // a shard-container graph whose global indexes are never built (see
 // graph.ApplyShardEffects). It serves the coordinator's RPCs — place,
-// drop, apply (phase 1), export, stat — over any net.Conn; requests from
+// drop, apply (phase 1), export — over any net.Conn; requests from
 // concurrent connections serialize on the worker's mutex, so state
 // transitions are atomic per request.
 type Worker struct {
-	mu      sync.Mutex
-	g       *graph.Graph
-	owned   map[int]bool
-	applied uint64
-	errs    uint64
+	mu    sync.Mutex
+	g     *graph.Graph
+	owned map[int]bool
 
 	// maxTerm is the highest coordinator fencing term this worker has
 	// seen. Sessions opened at a lower term — a deposed coordinator that
@@ -126,8 +124,8 @@ func (w *Worker) ServeConn(conn io.ReadWriter) error {
 			return err
 		}
 		// Only a successful hello — the coordinator handshake — earns the
-		// full frame budget; other pre-hello requests (stat works without
-		// one) must not unlock gigabyte allocations for strangers.
+		// full frame budget; other pre-hello requests must not unlock
+		// gigabyte allocations for strangers.
 		if t == msgHello && msgType(resp[0]) == msgOK {
 			limit = maxFrame
 		}
@@ -140,7 +138,6 @@ func (w *Worker) handle(t msgType, r *reader, sessTerm *uint64, sess *applySessi
 	defer w.mu.Unlock()
 	resp, err := w.dispatch(t, r, sessTerm, sess)
 	if err != nil {
-		w.errs++
 		return append([]byte{byte(msgErr)}, err.Error()...)
 	}
 	return resp
@@ -153,7 +150,6 @@ func (w *Worker) handle(t msgType, r *reader, sessTerm *uint64, sess *applySessi
 func (w *Worker) applyBatchEffects(resp []byte, effs []graph.ShardEffects) []byte {
 	for _, e := range effs {
 		if e.Shard < 0 || e.Shard >= w.g.NumShards() || !w.owned[e.Shard] {
-			w.errs++
 			return appendBatchError(resp, fmt.Errorf("shard %d not placed here", e.Shard))
 		}
 	}
@@ -164,12 +160,10 @@ func (w *Worker) applyBatchEffects(resp []byte, effs []graph.ShardEffects) []byt
 			// The shard may be partially applied: disown it so the
 			// coordinator's resync must re-place it before reuse.
 			delete(w.owned, e.Shard)
-			w.errs++
 			return appendBatchError(resp, err)
 		}
 		w.applyDeltas = append(w.applyDeltas, d)
 	}
-	w.applied++
 	return appendBatchDeltas(resp, effs, w.applyDeltas)
 }
 
@@ -308,23 +302,6 @@ func (w *Worker) dispatch(t msgType, r *reader, sessTerm *uint64, sess *applySes
 			return nil, err
 		}
 		return append([]byte{byte(msgOK)}, parcel...), nil
-
-	case msgStat:
-		if err := r.done(); err != nil {
-			return nil, err
-		}
-		st := WorkerStat{
-			Shards:  map[int]int{},
-			Applied: w.applied,
-			Errors:  w.errs,
-			Term:    w.maxTerm,
-		}
-		if w.g != nil {
-			for s := range w.owned {
-				st.Shards[s] = w.g.NumShardNodes(s)
-			}
-		}
-		return encodeStat(st), nil
 
 	default:
 		return nil, fmt.Errorf("unknown message type %d", t)

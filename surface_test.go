@@ -42,7 +42,7 @@ func TestWriteSurface(t *testing.T) {
 	}{
 		{"(*Durable) methods taking a Batch", takesBatch(reflect.TypeOf(&incgraph.Durable{})), []string{"Commit", "LogPlanned"}},
 		{"(*Cluster) methods taking a Batch", takesBatch(reflect.TypeOf(&incgraph.Cluster{})), []string{"Apply"}},
-		{"ApplyOptions fields", fields(reflect.TypeOf(incgraph.ApplyOptions{})), []string{"Via", "Deadline", "Log", "Exclusive"}},
+		{"ApplyOptions fields", fields(reflect.TypeOf(incgraph.ApplyOptions{})), []string{"Via", "Log", "Exclusive"}},
 		{"cluster.CoordinatorOptions fields", fields(coordinatorOptions), []string{"Term", "CallTimeout"}},
 	} {
 		if !slices.Equal(tc.got, tc.want) {
