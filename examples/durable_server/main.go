@@ -34,11 +34,11 @@ func main() {
 	})
 	q := incgraph.KWSQuery{Keywords: []string{"l1", "l2"}, Bound: 2}
 
-	// mkEngines builds the standing queries, each on the graph on() hands
+	// buildEngines builds the standing queries, each on the graph on() hands
 	// it — the same constructor runs at first boot and at recovery. Under a
 	// Durable that is the store's own graph for every engine: a commit
 	// applies the burst to it once and each engine repairs in place.
-	mkEngines := func(on func() *incgraph.Graph) []incgraph.Maintained {
+	buildEngines := func(on func() *incgraph.Graph) []incgraph.Maintained {
 		kws, err := incgraph.NewKWS(on(), q)
 		if err != nil {
 			log.Fatal(err)
@@ -51,14 +51,14 @@ func main() {
 
 	// The uninterrupted reference run, for the parity check at the end:
 	// standalone engines, each owning a clone that its Apply advances.
-	reference := mkEngines(g.Clone)
+	reference := buildEngines(g.Clone)
 
 	// Durable run: create the store, attach engines, stream update bursts.
 	d, err := incgraph.CreateDurable(dir, g.Clone(), incgraph.DurableOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := d.Attach(mkEngines(d.Graph)...); err != nil {
+	if err := d.Attach(buildEngines(d.Graph)...); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("store %s: %d members, %d follow edges\n", dir, g.NumNodes(), g.NumEdges())
@@ -99,7 +99,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := r.Attach(mkEngines(r.Graph)...); err != nil {
+	if err := r.Attach(buildEngines(r.Graph)...); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("recovered: %d nodes, %d edges, WAL seq %d\n",

@@ -173,8 +173,16 @@ func TestSetShardsRebalance(t *testing.T) {
 // on two, with nodes and edges that came and went — and requires every shard
 // of the two to export the same state, slots and allocator included: a
 // re-shard issues slots by NodeID, not by the old shards' map order. One run
-// can pass by luck of map order; CI runs it repeated.
+// can pass by luck of map order, so the test rebuilds both histories and
+// checks them 20 times.
 func TestSetShardsCanonical(t *testing.T) {
+	for run := 0; run < 20; run++ {
+		checkSetShardsCanonical(t, run)
+	}
+}
+
+func checkSetShardsCanonical(t *testing.T, run int) {
+	t.Helper()
 	a := randomSharded(t, 300, 1, 1, 3)
 	b := NewSharded(2)
 	nodes := a.NodesSorted()
@@ -192,7 +200,7 @@ func TestSetShardsCanonical(t *testing.T) {
 		b.DeleteNode(NodeID(1000 + i))
 	}
 	if !a.Equal(b) || !b.Equal(a) {
-		t.Fatal("setup: the two histories built different graphs")
+		t.Fatalf("run %d setup: the two histories built different graphs", run)
 	}
 	for _, p := range []int{4, 8, 16} {
 		a.SetShards(p)
@@ -201,7 +209,7 @@ func TestSetShardsCanonical(t *testing.T) {
 			// Printed, an empty adjacency list reads the same whether the
 			// history left it nil or not.
 			if x, y := fmt.Sprint(a.ExportShard(s)), fmt.Sprint(b.ExportShard(s)); x != y {
-				t.Fatalf("at %d shards, shard %d exports differently:\n%s\n%s", p, s, x, y)
+				t.Fatalf("run %d: at %d shards, shard %d exports differently:\n%s\n%s", run, p, s, x, y)
 			}
 		}
 	}

@@ -257,8 +257,8 @@ func readSnapHeader(r io.ReaderAt, size int64) (*snapHeader, error) {
 			length: binary.LittleEndian.Uint64(b[8:]),
 			crc:    binary.LittleEndian.Uint32(b[16:]),
 		}
-		end := h.segments[s].offset + h.segments[s].length
-		if end > uint64(size) || h.segments[s].offset > uint64(size) {
+		// offset+length can wrap around uint64; compare without adding.
+		if seg := h.segments[s]; seg.length > uint64(size) || seg.offset > uint64(size)-seg.length {
 			return nil, fmt.Errorf("%w: segment %d extends past file end", ErrBadSnapshot, s)
 		}
 	}

@@ -2,7 +2,10 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -83,37 +86,110 @@ func TestSnapshotDeterministic(t *testing.T) {
 }
 
 func TestSnapshotRejectsCorruption(t *testing.T) {
-	g := testGraph(t, 2, 100, 400)
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := WriteSnapshot(&buf, testGraph(t, shards, 100, 400)); err != nil {
+				t.Fatal(err)
+			}
+			good := buf.Bytes()
+			corrupt := func(edit func([]byte)) []byte {
+				bad := append([]byte(nil), good...)
+				edit(bad)
+				return bad
+			}
+			for _, c := range []struct {
+				name string
+				snap []byte
+			}{
+				// A flipped byte in the last segment: the CRC catches it.
+				{"corrupt segment", corrupt(func(b []byte) { b[len(b)-1] ^= 0xFF })},
+				{"bad magic", corrupt(func(b []byte) { b[0] = 'X' })},
+				{"unknown version", corrupt(func(b []byte) { b[8] = 99 })},
+				{"truncated", good[:len(good)/2]},
+				{"wrapped segment length", wrapSegmentLength(good)},
+			} {
+				if _, err := ReadSnapshot(bytes.NewReader(c.snap), int64(len(c.snap))); !errors.Is(err, ErrBadSnapshot) {
+					t.Errorf("%s: err = %v, want ErrBadSnapshot", c.name, err)
+				}
+			}
+		})
+	}
+}
+
+// wrapSegmentLength returns a copy of snap whose first directory entry has
+// offset 10 and length 2⁶⁴−9: their sum wraps around to 1, inside any file.
+func wrapSegmentLength(snap []byte) []byte {
+	bad := append([]byte(nil), snap...)
+	dir := directoryAt(bad)
+	binary.LittleEndian.PutUint64(bad[dir:], 10)
+	binary.LittleEndian.PutUint64(bad[dir+8:], 1<<64-9)
+	return bad
+}
+
+// directoryAt returns the position of the segment directory in a snapshot
+// whose header parses: after the fixed 44 bytes and the label table.
+func directoryAt(snap []byte) int {
+	pos := 44
+	for i := uint32(0); i < binary.LittleEndian.Uint32(snap[40:]); i++ {
+		pos += 4 + int(binary.LittleEndian.Uint32(snap[pos:]))
+	}
+	return pos
+}
+
+// FuzzReadSnapshot decodes arbitrary bytes as a snapshot: the decoder never
+// panics, every error it returns is ErrBadSnapshot, and a graph it accepts
+// writes and reads back Equal. Each input is decoded twice, as given and
+// with its directory CRCs recomputed, so mutations reach the segment
+// decoder instead of stopping at the CRC check.
+func FuzzReadSnapshot(f *testing.F) {
+	var oneShard []byte
+	for _, g := range []*graph.Graph{graph.New(), testGraph(f, 1, 30, 90), testGraph(f, 2, 30, 90)} {
+		var buf bytes.Buffer
+		if err := WriteSnapshot(&buf, g); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+		if g.NumShards() == 1 {
+			oneShard = buf.Bytes()
+		}
+	}
+	f.Add(wrapSegmentLength(oneShard))
+	f.Fuzz(func(t *testing.T, snap []byte) {
+		checkSnapshotDecode(t, snap)
+		h, err := readSnapHeader(bytes.NewReader(snap), int64(len(snap)))
+		if err != nil {
+			return
+		}
+		fixed := append([]byte(nil), snap...)
+		dir := directoryAt(fixed)
+		for s, seg := range h.segments {
+			crc := crc32.ChecksumIEEE(fixed[seg.offset : seg.offset+seg.length])
+			binary.LittleEndian.PutUint32(fixed[dir+20*s+16:], crc)
+		}
+		checkSnapshotDecode(t, fixed)
+	})
+}
+
+func checkSnapshotDecode(t *testing.T, snap []byte) {
+	t.Helper()
+	g, err := ReadSnapshot(bytes.NewReader(snap), int64(len(snap)))
+	if err != nil {
+		if !errors.Is(err, ErrBadSnapshot) {
+			t.Fatalf("error is not ErrBadSnapshot: %v", err)
+		}
+		return
+	}
 	var buf bytes.Buffer
 	if err := WriteSnapshot(&buf, g); err != nil {
-		t.Fatal(err)
+		t.Fatalf("an accepted graph does not write back: %v", err)
 	}
-	good := buf.Bytes()
-
-	// Flip a byte in the last segment: CRC must catch it.
-	bad := append([]byte(nil), good...)
-	bad[len(bad)-1] ^= 0xFF
-	if _, err := ReadSnapshot(bytes.NewReader(bad), int64(len(bad))); err == nil {
-		t.Fatal("want CRC error for corrupt segment")
+	h, err := ReadSnapshot(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+	if err != nil {
+		t.Fatalf("an accepted graph's snapshot does not read back: %v", err)
 	}
-
-	// Wrong magic.
-	bad = append([]byte(nil), good...)
-	bad[0] = 'X'
-	if _, err := ReadSnapshot(bytes.NewReader(bad), int64(len(bad))); err == nil {
-		t.Fatal("want error for bad magic")
-	}
-
-	// Future version.
-	bad = append([]byte(nil), good...)
-	bad[8] = 99
-	if _, err := ReadSnapshot(bytes.NewReader(bad), int64(len(bad))); err == nil {
-		t.Fatal("want error for unknown version")
-	}
-
-	// Truncated file.
-	if _, err := ReadSnapshot(bytes.NewReader(good[:len(good)/2]), int64(len(good)/2)); err == nil {
-		t.Fatal("want error for truncated snapshot")
+	if !h.Equal(g) || !g.Equal(h) {
+		t.Fatal("an accepted graph changed through WriteSnapshot → ReadSnapshot")
 	}
 }
 
