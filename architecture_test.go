@@ -50,7 +50,11 @@ func TestArchitecture(t *testing.T) {
 		// replayed flag).
 		{"one recovery path", structFields(".", "Durable", anyField, "st", "base", "engines", "inPlace")},
 		{"commitMu is the one write lock", structFields("cmd/incgraphd", "server", syncLock, "commitMu", "connMu")},
-		{"one adjacency representation", noMapType("internal/graph/adjset.go")},
+		{"one adjacency representation", noMapType("internal/graph/adjset.go", "adjacency is one ascending []NodeID")},
+		// Node records live in one slot-indexed table, found through a
+		// NodeIndex; a shard is a slot allocator and a count.
+		{"one node table", structFields("internal/graph", "shard", anyField, "free", "slotCap", "live")},
+		{"one node table", noMapType("internal/graph/shard.go", "node records are one slot-indexed table")},
 		{"no worker-stat poll", noMethod("", "", "StatsWithin")},
 		// IncSCC− decides a split in settle; the intact-then-repair pair
 		// was replaced by the peel.
@@ -269,8 +273,9 @@ func structFields(dir, typeName string, keep func(ast.Expr) bool, want ...string
 	}
 }
 
-// noMapType bans map types, declared or used, from one file.
-func noMapType(file string) func(*archTree, func(at, msg string)) {
+// noMapType bans map types, declared or used, from one file; why says
+// what stands in their place.
+func noMapType(file, why string) func(*archTree, func(at, msg string)) {
 	return func(tr *archTree, report func(at, msg string)) {
 		for _, f := range tr.files {
 			if f.path != file {
@@ -278,7 +283,7 @@ func noMapType(file string) func(*archTree, func(at, msg string)) {
 			}
 			ast.Inspect(f.ast, func(n ast.Node) bool {
 				if m, ok := n.(*ast.MapType); ok {
-					report(tr.at(m.Pos()), "a map type; adjacency is one ascending []NodeID")
+					report(tr.at(m.Pos()), "a map type; "+why)
 				}
 				return true
 			})

@@ -27,14 +27,17 @@
 //     integer IDs instead of strings. Invariant: relabeling a node
 //     (AddNode on an existing ID) updates the inverted index atomically
 //     with the label.
-//   - The node space is sharded: nodes hash into a power-of-two number of
-//     partitions (Graph.SetShards, default sized to the core count), each
-//     owning its slice of the node table, its dense-slot allocator, and
-//     the adjacency of its nodes, with cross-shard edges recorded on both
-//     endpoint shards. A validated batch compiles into per-shard effects
-//     with no cross-shard writes — what the multi-process runtime ships
-//     to its shard workers — and snapshots are cut along the same lines.
-//     Per-shard iteration hooks (ShardNodes, ShardNodesSorted,
+//   - Node records live in one table indexed by each node's dense slot,
+//     and a NodeIndex maps NodeID → slot, so a node lookup is an array
+//     read for the dense IDs every loader and generator issues (a map
+//     probe only for others). The node space is sharded: nodes hash into
+//     a power-of-two number of partitions (Graph.SetShards, default sized
+//     to the core count), and shard s issues the slots ≡ s (mod P), so its
+//     nodes are a stride of the table; cross-shard edges are recorded on
+//     both endpoint shards. A validated batch compiles into per-shard
+//     effects with no cross-shard writes — what the multi-process runtime
+//     ships to its shard workers — and snapshots are cut along the same
+//     lines. Per-shard iteration hooks (ShardNodes, ShardNodesSorted,
 //     NodesSortedParallel, Batch.TouchedShards) let the engines collect
 //     and partition work along the same boundaries.
 //   - Answers that are expensive to materialize but stable between

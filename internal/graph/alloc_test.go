@@ -103,7 +103,7 @@ func TestTraversalAllocFreeSharded(t *testing.T) {
 		{"Reaches", func() { g.Reaches(0, 499) }},
 	}
 	for _, k := range kernels {
-		k.run() // warm the scratch buffers at the resharded slot ceiling
+		k.run() // warm the scratch buffers at the resharded table length
 		if allocs := testing.AllocsPerRun(20, k.run); allocs != 0 {
 			t.Errorf("%s on a warm 4-shard graph: %.1f allocs/op, want 0", k.name, allocs)
 		}

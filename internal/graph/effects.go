@@ -6,8 +6,8 @@ import (
 )
 
 // Remote phase-1 hooks. A batch validated and planned against the graph
-// (planBatch, shard.go) splits into per-shard effects, and applying one
-// shard's effects touches nothing but shard-owned state. That is exactly
+// (planBatch, below) splits into per-shard effects, and applying one
+// shard's effects touches no node record of another shard. That is exactly
 // the property a multi-process deployment needs: a coordinator can compile
 // the plan once, ship each shard's slice of it to the worker process
 // owning that shard (phase 1), and apply the batch to its own full graph
@@ -205,9 +205,10 @@ func (p *Plan) EdgeDelta(si int) int {
 // creates the shard's new nodes in plan order (so slot assignment is
 // identical to the coordinator's own application) and applies the owned
 // halves of every edge effect, returning the shard's edge-count delta.
-// It writes only shard-owned state; the graph-global indexes are left
-// untouched, which is correct for shard-container graphs (see the file
-// comment) and would corrupt a fully indexed one.
+// It writes only the shard's nodes and allocator; the graph-global indexes
+// are left untouched, which is correct for shard-container graphs (see the
+// file comment) and would corrupt a fully indexed one. Calls on one graph
+// run serially: new nodes go into its one node table.
 //
 // Errors report divergence between the shipped effects and the local shard
 // state (a node missing, an edge already present); the shard may then be
@@ -224,17 +225,17 @@ func (g *Graph) ApplyShardEffects(e ShardEffects) (int, error) {
 		if g.shardIdxOf(n.ID) != u64si {
 			return 0, fmt.Errorf("graph: ApplyShardEffects: node %d does not hash to shard %d", n.ID, e.Shard)
 		}
-		if _, ok := sh.nodes[n.ID]; ok {
+		if g.HasNode(n.ID) {
 			return 0, fmt.Errorf("graph: ApplyShardEffects: node %d already exists on shard %d", n.ID, e.Shard)
 		}
-		sh.nodes[n.ID] = &node{label: n.Label, slot: sh.allocSlot(p32, si32)}
+		g.place(sh.allocSlot(p32, si32), node{id: n.ID, label: n.Label})
 	}
 	delta := 0
 	for _, op := range e.Ops {
 		owned := false
 		if g.shardIdxOf(op.From) == u64si {
 			owned = true
-			rec := sh.nodes[op.From]
+			rec := g.rec(op.From)
 			if rec == nil {
 				return delta, fmt.Errorf("graph: ApplyShardEffects: source %d missing from shard %d", op.From, e.Shard)
 			}
@@ -252,7 +253,7 @@ func (g *Graph) ApplyShardEffects(e ShardEffects) (int, error) {
 		}
 		if g.shardIdxOf(op.To) == u64si {
 			owned = true
-			rec := sh.nodes[op.To]
+			rec := g.rec(op.To)
 			if rec == nil {
 				return delta, fmt.Errorf("graph: ApplyShardEffects: target %d missing from shard %d", op.To, e.Shard)
 			}
@@ -266,21 +267,182 @@ func (g *Graph) ApplyShardEffects(e ShardEffects) (int, error) {
 			return delta, fmt.Errorf("graph: ApplyShardEffects: op %v(%d,%d) has no endpoint on shard %d", op.Op, op.From, op.To, e.Shard)
 		}
 	}
-	g.refreshSlotCeil()
 	return delta, nil
 }
 
 // ResetShard erases shard s — node records and slot allocator —
 // returning it to the freshly created state LoadShard requires, so an
 // authoritative segment can be (re-)placed over a diverged or stale copy.
-// Like ApplyShardEffects it maintains only shard-owned state: calling it
+// Like ApplyShardEffects it maintains only the shard's own state: calling it
 // on a graph whose global indexes were built through the normal mutation
 // API would leave the inverted label index and edge count stale. It exists
 // for shard-container graphs.
 func (g *Graph) ResetShard(s int) {
+	for i := s; i < len(g.nodes); i += len(g.shards) {
+		if g.nodes[i].live {
+			g.unplace(int32(i))
+		}
+	}
 	sh := &g.shards[s]
-	sh.nodes = make(map[NodeID]*node)
 	sh.free = nil
 	sh.slotCap = 0
-	g.refreshSlotCeil()
+}
+
+// ---- Batch planning (what PlanBatch exports) ----
+
+// planNode is a node the batch will create, with its first-mention label.
+type planNode struct {
+	v   NodeID
+	lid LabelID
+}
+
+// planOp is one net edge effect of a normalized view of the batch.
+type planOp struct {
+	e  Edge
+	op Op
+}
+
+// batchPlan is a validated, shard-partitioned execution plan for one batch.
+type batchPlan struct {
+	newNodes []planNode
+	ops      []planOp
+	// nodesByShard / opsByShard index into newNodes / ops per owning shard;
+	// an op appears on both endpoint shards when they differ.
+	nodesByShard [][]int32
+	opsByShard   [][]int32
+	// edges/sts hold every distinct edge the batch touches in first-touch
+	// order with its running validation state; edgeIdx maps an edge to its
+	// index there. Keeping the state in a slice means repeat touches and
+	// the net-op emission pass cost slice reads, not map probes — the maps
+	// are the planner's hot spot (hashing dominates planBatch's profile).
+	// All scratch is retained across pooled reuses (cleared, keeping
+	// buckets/capacity) so planning allocates nothing once the pool warms.
+	edges    []Edge
+	sts      []edgeState
+	edgeIdx  map[Edge]int32
+	newLabel map[NodeID]struct{}
+}
+
+// edgeState tracks one edge's running state during plan validation:
+// whether it currently exists under the in-batch view and whether it
+// existed before the batch.
+type edgeState uint8
+
+const (
+	stCur     edgeState = 1 << iota // exists under the running in-batch view
+	stInitial                       // existed before the batch
+)
+
+// batchPlanPool recycles plans (and their scratch maps) across PlanBatch
+// calls; the distributed apply path compiles one plan
+// per commit, so this is a hot allocation site.
+var batchPlanPool sync.Pool
+
+// getBatchPlan returns a cleared plan sized for p shards.
+func getBatchPlan(p int) *batchPlan {
+	plan, _ := batchPlanPool.Get().(*batchPlan)
+	if plan == nil {
+		plan = &batchPlan{
+			edgeIdx:  make(map[Edge]int32, 64),
+			newLabel: make(map[NodeID]struct{}, 64),
+		}
+	}
+	plan.newNodes = plan.newNodes[:0]
+	plan.ops = plan.ops[:0]
+	if cap(plan.nodesByShard) < p {
+		plan.nodesByShard = make([][]int32, p)
+		plan.opsByShard = make([][]int32, p)
+	} else {
+		plan.nodesByShard = plan.nodesByShard[:p]
+		plan.opsByShard = plan.opsByShard[:p]
+	}
+	for i := range plan.nodesByShard {
+		plan.nodesByShard[i] = plan.nodesByShard[i][:0]
+		plan.opsByShard[i] = plan.opsByShard[i][:0]
+	}
+	plan.edges = plan.edges[:0]
+	plan.sts = plan.sts[:0]
+	clear(plan.edgeIdx)
+	clear(plan.newLabel)
+	return plan
+}
+
+// putBatchPlan returns a plan to the pool.
+func putBatchPlan(plan *batchPlan) { batchPlanPool.Put(plan) }
+
+// planBatch validates b against the current graph (the same sequential
+// applicability rule Apply enforces: no insert of an existing edge, no
+// delete of a missing one, per the running in-batch state) and compiles
+// the shard-partitioned plan of its net effects. Read-only; reports
+// ok=false when any update would fail (ValidateBatch names the update).
+func (g *Graph) planBatch(b Batch) (*batchPlan, bool) {
+	plan := getBatchPlan(len(g.shards))
+	ensure := func(v NodeID, label string) {
+		if g.HasNode(v) {
+			return
+		}
+		if _, ok := plan.newLabel[v]; ok {
+			return
+		}
+		plan.newLabel[v] = struct{}{}
+		si := g.shardIdxOf(v)
+		plan.nodesByShard[si] = append(plan.nodesByShard[si], int32(len(plan.newNodes)))
+		plan.newNodes = append(plan.newNodes, planNode{v: v, lid: InternLabel(label)})
+	}
+	for _, u := range b {
+		e := u.Edge()
+		i, seen := plan.edgeIdx[e]
+		var st edgeState
+		if seen {
+			st = plan.sts[i]
+		} else if g.HasEdge(u.From, u.To) {
+			st = stCur | stInitial
+		}
+		switch u.Op {
+		case Insert:
+			if st&stCur != 0 {
+				putBatchPlan(plan)
+				return nil, false
+			}
+			ensure(u.From, u.FromLabel)
+			ensure(u.To, u.ToLabel)
+			st |= stCur
+		case Delete:
+			if st&stCur == 0 {
+				putBatchPlan(plan)
+				return nil, false
+			}
+			st &^= stCur
+		default:
+			putBatchPlan(plan)
+			return nil, false
+		}
+		if seen {
+			plan.sts[i] = st
+		} else {
+			plan.edgeIdx[e] = int32(len(plan.edges))
+			plan.edges = append(plan.edges, e)
+			plan.sts = append(plan.sts, st)
+		}
+	}
+	// Emit net ops in first-touch order (deterministic schedule): one pass
+	// over the distinct-edge slice, no map probes.
+	for i, e := range plan.edges {
+		st := plan.sts[i]
+		if (st&stCur != 0) == (st&stInitial != 0) {
+			continue // cancelled within the batch
+		}
+		op := Delete
+		if st&stCur != 0 {
+			op = Insert
+		}
+		oi := int32(len(plan.ops))
+		plan.ops = append(plan.ops, planOp{e: e, op: op})
+		sf, st64 := g.shardIdxOf(e.From), g.shardIdxOf(e.To)
+		plan.opsByShard[sf] = append(plan.opsByShard[sf], oi)
+		if st64 != sf {
+			plan.opsByShard[st64] = append(plan.opsByShard[st64], oi)
+		}
+	}
+	return plan, true
 }

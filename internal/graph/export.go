@@ -1,12 +1,17 @@
 package graph
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"slices"
+)
 
 // Per-shard state export and import. This is the substrate half of the
 // durability subsystem (internal/store): a snapshot serializes each shard
-// independently — node table, dense-slot allocator, adjacency — and a load
-// reconstructs the shards in parallel, then finishes the graph-global
-// state (inverted label index, edge count, slot ceiling) serially. The
+// independently — its nodes with their slots and adjacency, its dense-slot
+// allocator — and a load decodes the shards in parallel and places each
+// node back at its slot of the one node table, then finishes the
+// graph-global state (inverted label index, edge count) serially. The
 // round trip restores the graph exactly, slot assignment included, so
 // traversal schedules, scratch sizing and every downstream answer are
 // identical to the pre-snapshot graph. The shard is also the intended unit
@@ -16,10 +21,11 @@ import "fmt"
 //
 // Contract: ExportShard reads are safe whenever the graph is
 // read-shareable (between mutations); distinct shards may be exported
-// concurrently. LoadShard writes only shard-owned state, so distinct
-// shards of a fresh graph may load concurrently (ParallelFor in
-// internal/store does exactly that); FinishLoad then runs exactly once,
-// serially, after every LoadShard completed.
+// concurrently. Distinct shards of a fresh graph may load concurrently
+// (ParallelFor in internal/store does exactly that): LoadShard checks the
+// state without a lock and places the nodes into the one node table under
+// the graph's load lock. FinishLoad then runs exactly once, serially, after
+// every LoadShard completed.
 
 // ShardNodeState is the serializable state of one node: identity, interned
 // label, dense slot, and both adjacency directions in ascending order.
@@ -54,38 +60,31 @@ type ShardState struct {
 func (g *Graph) ExportShard(s int) ShardState {
 	sh := &g.shards[s]
 	st := ShardState{
-		Nodes:   make([]ShardNodeState, 0, len(sh.nodes)),
+		Nodes:   make([]ShardNodeState, 0, sh.live),
 		SlotCap: sh.slotCap,
+		Free:    slices.Clone(sh.free),
 	}
-	if len(sh.free) > 0 {
-		st.Free = make([]int32, len(sh.free))
-		copy(st.Free, sh.free)
+	for i := s; i < len(g.nodes); i += len(g.shards) {
+		if n := &g.nodes[i]; n.live {
+			st.Nodes = append(st.Nodes, ShardNodeState{ID: n.id, Label: n.label, Slot: int32(i), Out: n.out, In: n.in})
+		}
 	}
-	for _, v := range g.ShardNodesSorted(s) {
-		rec := sh.nodes[v]
-		st.Nodes = append(st.Nodes, ShardNodeState{
-			ID:    v,
-			Label: rec.label,
-			Slot:  rec.slot,
-			Out:   rec.out,
-			In:    rec.in,
-		})
-	}
+	slices.SortFunc(st.Nodes, func(a, b ShardNodeState) int { return cmp.Compare(a.ID, b.ID) })
 	return st
 }
 
 // LoadShard installs st as the complete state of shard s. The graph must
 // be freshly created (NewSharded) and shard s must not have been loaded
-// before. It writes only shard-owned state, so distinct shards may load
-// concurrently; call FinishLoad once afterwards to rebuild the
-// graph-global indexes. Adjacency slices in st transfer ownership to the
-// graph.
+// before. Distinct shards may load concurrently (see the contract above);
+// call FinishLoad once afterwards to rebuild the graph-global indexes. A
+// state that fails its checks leaves the shard as it was. Adjacency slices
+// in st transfer ownership to the graph.
 func (g *Graph) LoadShard(s int, st ShardState) error {
 	if s < 0 || s >= len(g.shards) {
 		return fmt.Errorf("graph: LoadShard: shard %d out of range [0,%d)", s, len(g.shards))
 	}
 	sh := &g.shards[s]
-	if len(sh.nodes) != 0 {
+	if sh.live != 0 {
 		return fmt.Errorf("graph: LoadShard: shard %d already populated", s)
 	}
 	// Allocator invariant: every local slot ever issued is either held by
@@ -112,11 +111,6 @@ func (g *Graph) LoadShard(s int, st ShardState) error {
 			return fmt.Errorf("graph: LoadShard: shard %d free list has invalid or duplicate slot %d", s, f)
 		}
 	}
-	sh.slotCap = st.SlotCap
-	if len(st.Free) > 0 {
-		sh.free = make([]int32, len(st.Free))
-		copy(sh.free, st.Free)
-	}
 	var prev NodeID
 	for i, n := range st.Nodes {
 		if i > 0 && n.ID <= prev {
@@ -132,12 +126,14 @@ func (g *Graph) LoadShard(s int, st ShardState) error {
 		if !ascending(n.Out) || !ascending(n.In) {
 			return fmt.Errorf("graph: LoadShard: node %d adjacency not strictly ascending", n.ID)
 		}
-		sh.nodes[n.ID] = &node{
-			label: n.Label,
-			slot:  n.Slot,
-			out:   n.Out,
-			in:    n.In,
-		}
+	}
+	sh.slotCap, sh.free = st.SlotCap, slices.Clone(st.Free)
+	g.loadMu.Lock()
+	defer g.loadMu.Unlock()
+	// The shard's slots end below slotCap·P: grow the table once.
+	g.nodes = lengthen(g.nodes, int(st.SlotCap)*int(p))
+	for _, n := range st.Nodes {
+		g.place(n.Slot, node{id: n.ID, label: n.Label, out: n.Out, in: n.In})
 	}
 	return nil
 }
@@ -153,8 +149,8 @@ func ascending(vs []NodeID) bool {
 }
 
 // FinishLoad completes a per-shard load: it rebuilds the inverted label
-// index and the edge count from the loaded node records, restores the slot
-// ceiling, and stamps the graph with the snapshot's mutation generation.
+// index and the edge count from the loaded node records and stamps the
+// graph with the snapshot's mutation generation.
 // Call it exactly once, serially, after every LoadShard returned.
 func (g *Graph) FinishLoad(gen uint64) error {
 	edges, inEdges := 0, 0
@@ -171,7 +167,6 @@ func (g *Graph) FinishLoad(gen uint64) error {
 		return fmt.Errorf("graph: FinishLoad: out-degree sum %d != in-degree sum %d", edges, inEdges)
 	}
 	g.edges = edges
-	g.refreshSlotCeil()
 	g.gen = gen
 	return nil
 }

@@ -7,12 +7,13 @@ import (
 	"math/rand"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
 // exportLoadRoundTrip exports every shard of g and reloads them into a
 // fresh graph with the same shard count, mimicking what a snapshot load
-// does (including concurrent per-shard loads).
+// does, with all P shards loading at once, one goroutine each.
 func exportLoadRoundTrip(t *testing.T, g *Graph) *Graph {
 	t.Helper()
 	p := g.NumShards()
@@ -28,11 +29,21 @@ func exportLoadRoundTrip(t *testing.T, g *Graph) *Graph {
 		states[s] = st
 	}
 	h := NewSharded(p)
-	ParallelFor(4, p, func(_, s int) {
-		if err := h.LoadShard(s, states[s]); err != nil {
-			panic(err)
+	var wg sync.WaitGroup
+	errs := make([]error, p)
+	for s := range states {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[s] = h.LoadShard(s, states[s])
+		}()
+	}
+	wg.Wait()
+	for s, err := range errs {
+		if err != nil {
+			t.Fatalf("LoadShard(%d): %v", s, err)
 		}
-	})
+	}
 	if err := h.FinishLoad(g.Generation()); err != nil {
 		t.Fatalf("FinishLoad: %v", err)
 	}
@@ -66,12 +77,12 @@ func TestExportLoadRoundTrip(t *testing.T) {
 			// node must pick the same slot in both graphs.
 			g.AddNode(10_000, "fresh")
 			h.AddNode(10_000, "fresh")
-			if gs, hs := g.rec(10_000).slot, h.rec(10_000).slot; gs != hs {
+			if gs, hs := g.index.Of(10_000), h.index.Of(10_000); gs != hs {
 				t.Fatalf("slot divergence after load: got %d want %d", hs, gs)
 			}
 			// And the rest of every shard's node table slots must match.
 			g.Nodes(func(v NodeID, _ string) bool {
-				if g.rec(v).slot != h.rec(v).slot {
+				if g.index.Of(v) != h.index.Of(v) {
 					t.Fatalf("node %d slot mismatch", v)
 				}
 				return true

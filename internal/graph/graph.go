@@ -18,16 +18,17 @@
 //     that changes l(v) — AddNode relabels, DeleteNode — must update the
 //     inverted index in the same step.
 //
-//   - Sharded node space. Nodes hash into a power-of-two number of shards
-//     (shard.go), each owning its slice of the node table, its dense-slot
-//     allocator, and the adjacency of its nodes; cross-shard edges are
-//     recorded on both endpoint shards. The partition is what the
-//     snapshot format, the per-shard node collection of the batch builds
-//     and the multi-process runtime are cut along: a validated batch
-//     compiles into per-shard effects (PlanBatch, effects.go) that shard
-//     workers in other processes apply independently, reproducing the
-//     graph a serial ApplyBatch builds. In-process, ApplyBatch is that
-//     serial loop (update.go says why).
+//   - One node table, sharded by slot. Node records live in one
+//     slot-indexed table and a NodeIndex maps NodeID → slot (shard.go), so
+//     a lookup is an array read for dense IDs. Nodes hash into a
+//     power-of-two number of shards; shard s owns the slots ≡ s (mod P),
+//     and cross-shard edges are recorded on both endpoint shards. The
+//     partition is what the snapshot format, the per-shard node
+//     collection of the batch builds and the multi-process runtime are
+//     cut along: a validated batch compiles into per-shard effects
+//     (PlanBatch, effects.go) that shard workers in other processes apply
+//     independently, reproducing the graph a serial ApplyBatch builds.
+//     In-process, ApplyBatch is that serial loop (update.go says why).
 //
 //   - Sorted-slice adjacency. Out-adjacency, in-adjacency and every label
 //     class of the inverted index are one ascending []NodeID each
@@ -36,11 +37,11 @@
 //     cache-friendly linear scan in NodeID order, and SuccessorsSorted
 //     returns the storage itself.
 //
-//   - Dense slots + scratch. Each node gets a dense slot index at
-//     insertion (interleaved across shards); the traversal kernels in
-//     traverse.go use an epoch-stamped visited array over slots plus
-//     pooled queues (scratch.go) instead of allocating map[NodeID]bool
-//     per call.
+//   - Dense slots + scratch. A node's slot, issued at insertion
+//     (interleaved across shards), is both its place in the node table
+//     and its index into the traversal kernels' epoch-stamped visited
+//     array (traverse.go), which with pooled queues (scratch.go) stands in
+//     for a map[NodeID]bool per call.
 //
 // Concurrency contract (parallel.go): mutations require exclusive access,
 // and between mutations the graph is read-shareable: any number of
@@ -53,6 +54,7 @@ package graph
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"sync"
@@ -67,10 +69,12 @@ type Edge struct {
 	From, To NodeID
 }
 
-// node is the per-node record: interned label, dense slot, adjacency.
+// node is the record at a node's slot in the node table; live is false
+// in a slot no node holds.
 type node struct {
+	id    NodeID
 	label LabelID
-	slot  int32
+	live  bool
 	out   adjSet
 	in    adjSet
 }
@@ -78,14 +82,18 @@ type node struct {
 // Graph is a directed graph with string-labeled nodes.
 // The zero value is not usable; call New.
 type Graph struct {
+	// nodes is the node table: nodes[i] is the record of the node at
+	// slot i. index maps a NodeID to its slot (shard.go).
+	nodes    []node
+	index    NodeIndex
+	numNodes int
+	// loadMu serializes the placements of concurrent LoadShard calls.
+	loadMu sync.Mutex
 	// shards partition the node space by a hash of the NodeID (shard.go);
 	// the count is a power of two, fixed between SetShards calls.
 	shards []shard
 	// shardShift maps the node hash to a shard index (64 - log2(len(shards))).
 	shardShift uint
-	// slotCeil is the exclusive upper bound of global dense slot indices;
-	// the traversal scratch sizes its visited array to it.
-	slotCeil int32
 	// byLabel is the inverted label index: every node appears in the set
 	// of its current label, and nowhere else. Graph-global: shard workers
 	// applying planned effects (effects.go) never touch it.
@@ -114,15 +122,11 @@ func New() *Graph { return NewSharded(0) }
 // default, matching Parallelism()).
 func NewSharded(n int) *Graph {
 	p := normalizeShards(n)
-	g := &Graph{
+	return &Graph{
 		shards:     make([]shard, p),
 		shardShift: shardShiftFor(p),
 		byLabel:    make(map[LabelID]*adjSet),
 	}
-	for i := range g.shards {
-		g.shards[i].nodes = make(map[NodeID]*node)
-	}
-	return g
 }
 
 // Generation returns the mutation generation: it changes whenever the
@@ -133,13 +137,7 @@ func NewSharded(n int) *Graph {
 func (g *Graph) Generation() uint64 { return g.gen }
 
 // NumNodes returns |V|.
-func (g *Graph) NumNodes() int {
-	n := 0
-	for i := range g.shards {
-		n += len(g.shards[i].nodes)
-	}
-	return n
-}
+func (g *Graph) NumNodes() int { return g.numNodes }
 
 // NumEdges returns |E|.
 func (g *Graph) NumEdges() int { return g.edges }
@@ -197,9 +195,7 @@ func (g *Graph) AddNode(v NodeID, label string) {
 
 // addNodeID is AddNode for an already-interned label.
 func (g *Graph) addNodeID(v NodeID, lid LabelID) {
-	si := g.shardIdxOf(v)
-	sh := &g.shards[si]
-	if rec, ok := sh.nodes[v]; ok {
+	if rec := g.rec(v); rec != nil {
 		if rec.label != lid {
 			g.labelIndexRemove(rec.label, v)
 			rec.label = lid
@@ -208,9 +204,8 @@ func (g *Graph) addNodeID(v NodeID, lid LabelID) {
 		}
 		return
 	}
-	slot := sh.allocSlot(int32(len(g.shards)), int32(si))
-	sh.nodes[v] = &node{label: lid, slot: slot}
-	g.bumpSlotCeil(slot)
+	si := g.shardIdxOf(v)
+	g.place(g.shards[si].allocSlot(int32(len(g.shards)), int32(si)), node{id: v, label: lid})
 	g.labelIndexAdd(lid, v)
 	g.gen++
 }
@@ -268,12 +263,11 @@ func (g *Graph) DeleteEdge(v, w NodeID) bool {
 // DeleteNode removes node v together with all incident edges, and reports
 // whether it existed.
 func (g *Graph) DeleteNode(v NodeID) bool {
-	si := g.shardIdxOf(v)
-	sh := &g.shards[si]
-	rec, ok := sh.nodes[v]
+	slot, ok := g.index.Get(v)
 	if !ok {
 		return false
 	}
+	rec := &g.nodes[slot]
 	for _, w := range rec.out {
 		g.rec(w).in.remove(v)
 		g.edges--
@@ -285,8 +279,8 @@ func (g *Graph) DeleteNode(v NodeID) bool {
 		g.edges--
 	}
 	g.labelIndexRemove(rec.label, v)
-	sh.recycleSlot(rec.slot, int32(len(g.shards)))
-	delete(sh.nodes, v)
+	g.shards[g.shardIdxOf(v)].recycleSlot(slot, int32(len(g.shards)))
+	g.unplace(slot)
 	g.gen++
 	return true
 }
@@ -334,21 +328,19 @@ func (g *Graph) PredecessorsSorted(v NodeID) []NodeID {
 // Nodes calls fn for every node until fn returns false.
 // Iteration order is unspecified.
 func (g *Graph) Nodes(fn func(v NodeID, label string) bool) {
-	for i := range g.shards {
-		for v, rec := range g.shards[i].nodes {
-			if !fn(v, LabelOf(rec.label)) {
-				return
-			}
+	for i := range g.nodes {
+		if n := &g.nodes[i]; n.live && !fn(n.id, LabelOf(n.label)) {
+			return
 		}
 	}
 }
 
 // NodesSorted returns all node IDs in ascending order.
 func (g *Graph) NodesSorted() []NodeID {
-	vs := make([]NodeID, 0, g.NumNodes())
-	for i := range g.shards {
-		for v := range g.shards[i].nodes {
-			vs = append(vs, v)
+	vs := make([]NodeID, 0, g.numNodes)
+	for i := range g.nodes {
+		if g.nodes[i].live {
+			vs = append(vs, g.nodes[i].id)
 		}
 	}
 	slices.Sort(vs)
@@ -357,12 +349,11 @@ func (g *Graph) NodesSorted() []NodeID {
 
 // Edges calls fn for every edge until fn returns false.
 func (g *Graph) Edges(fn func(e Edge) bool) {
-	for i := range g.shards {
-		for v, rec := range g.shards[i].nodes {
-			for _, w := range rec.out {
-				if !fn(Edge{v, w}) {
-					return
-				}
+	for i := range g.nodes {
+		n := &g.nodes[i]
+		for _, w := range n.out {
+			if !fn(Edge{n.id, w}) {
+				return
 			}
 		}
 	}
@@ -435,36 +426,28 @@ func (g *Graph) Labels(fn func(label string, count int) bool) {
 	}
 }
 
-// Clone returns a deep copy of g. The copy shares the process-wide label
-// intern table (IDs remain comparable) but no mutable state; it inherits
-// the shard count and parallelism budget.
+// Clone returns a deep copy of g: the node table, its index and the slot
+// allocators, so every node keeps its slot. The copy shares the
+// process-wide label intern table (IDs remain comparable) but no mutable
+// state; it inherits the shard count and parallelism budget.
 func (g *Graph) Clone() *Graph {
-	p := len(g.shards)
 	c := &Graph{
-		shards:     make([]shard, p),
+		nodes:      slices.Clone(g.nodes),
+		index:      NodeIndex{direct: slices.Clone(g.index.direct), sparse: maps.Clone(g.index.sparse)},
+		numNodes:   g.numNodes,
+		shards:     slices.Clone(g.shards),
 		shardShift: g.shardShift,
-		slotCeil:   g.slotCeil,
 		byLabel:    make(map[LabelID]*adjSet, len(g.byLabel)),
 		edges:      g.edges,
 		gen:        g.gen,
 		workers:    g.workers,
 	}
-	for i := range g.shards {
-		sh, csh := &g.shards[i], &c.shards[i]
-		csh.nodes = make(map[NodeID]*node, len(sh.nodes))
-		csh.slotCap = sh.slotCap
-		if len(sh.free) > 0 {
-			csh.free = make([]int32, len(sh.free))
-			copy(csh.free, sh.free)
-		}
-		for v, rec := range sh.nodes {
-			csh.nodes[v] = &node{
-				label: rec.label,
-				slot:  rec.slot,
-				out:   slices.Clone(rec.out),
-				in:    slices.Clone(rec.in),
-			}
-		}
+	for i := range c.shards {
+		c.shards[i].free = slices.Clone(c.shards[i].free)
+	}
+	for i := range c.nodes {
+		n := &c.nodes[i]
+		n.out, n.in = slices.Clone(n.out), slices.Clone(n.in)
 	}
 	for lid, set := range g.byLabel {
 		cs := slices.Clone(*set)
@@ -477,11 +460,9 @@ func (g *Graph) Clone() *Graph {
 // Generators use it to mint fresh IDs.
 func (g *Graph) MaxNodeID() NodeID {
 	max := NodeID(-1)
-	for i := range g.shards {
-		for v := range g.shards[i].nodes {
-			if v > max {
-				max = v
-			}
+	for i := range g.nodes {
+		if n := &g.nodes[i]; n.live && n.id > max {
+			max = n.id
 		}
 	}
 	return max
@@ -495,20 +476,18 @@ func (g *Graph) Equal(h *Graph) bool {
 	if g.NumNodes() != h.NumNodes() || g.NumEdges() != h.NumEdges() {
 		return false
 	}
-	for i := range g.shards {
-		for v, rec := range g.shards[i].nodes {
-			hrec := h.rec(v)
-			if hrec == nil || hrec.label != rec.label {
-				return false
-			}
+	for i := range g.nodes {
+		n := &g.nodes[i]
+		if !n.live {
+			continue
 		}
-	}
-	for i := range g.shards {
-		for v, rec := range g.shards[i].nodes {
-			for _, w := range rec.out {
-				if !h.HasEdge(v, w) {
-					return false
-				}
+		hrec := h.rec(n.id)
+		if hrec == nil || hrec.label != n.label {
+			return false
+		}
+		for _, w := range n.out {
+			if !hrec.out.has(w) {
+				return false
 			}
 		}
 	}

@@ -1,12 +1,14 @@
 package graph
 
-// NodeIndex maps NodeIDs to an engine's dense node indices 0..n-1: the one
-// NodeID→index translation of the engines that keep their state in slices
-// (rpq, scc). Their traversals translate every neighbour they visit, so the
-// common case — IDs issued from zero upwards, as every generator and loader
-// here does — is an array lookup; an ID that is negative, or far beyond the
-// number of nodes, goes through the map. The index is the engine's own and
-// not the graph's slot, which a reshard or a reload renumbers.
+import "slices"
+
+// NodeIndex maps NodeIDs to dense indices: the graph's NodeID → slot
+// (shard.go), and NodeID → index for the engines that keep their state in
+// slices (rpq, scc; their indices are their own, not the slots a reshard
+// renumbers). Every node lookup and every neighbour visited goes through
+// one, so the common case — IDs issued from zero upwards, as every
+// generator and loader here does — is an array read; an ID that is
+// negative, or far beyond its index, goes through the map.
 //
 // The zero value is an empty index.
 type NodeIndex struct {
@@ -23,9 +25,10 @@ func IndexNodes(ids []NodeID) NodeIndex {
 	return x
 }
 
-// Add maps v, which must be new, to index i (the number of nodes so far).
+// Add maps v, which must not be indexed, to index i.
 func (x *NodeIndex) Add(v NodeID, i int32) {
-	// Direct slots are worth a bounded multiple of the node count.
+	// Direct slots are worth a bounded multiple of the index: dense IDs
+	// map to indices of about their own size.
 	if v < 0 || v >= 4*NodeID(i)+1024 {
 		if x.sparse == nil {
 			x.sparse = make(map[NodeID]int32)
@@ -33,13 +36,20 @@ func (x *NodeIndex) Add(v NodeID, i int32) {
 		x.sparse[v] = i
 		return
 	}
-	if int(v) >= len(x.direct) {
-		x.direct = append(x.direct, make([]int32, int(v)+1-len(x.direct))...)
-	}
+	x.direct = lengthen(x.direct, int(v)+1)
 	x.direct[v] = i + 1
 }
 
-// Get returns the index of v; ok is false when v was never added.
+// Remove unmaps v; removing an ID that is not indexed does nothing.
+func (x *NodeIndex) Remove(v NodeID) {
+	if uint64(v) < uint64(len(x.direct)) && x.direct[v] != 0 {
+		x.direct[v] = 0
+		return
+	}
+	delete(x.sparse, v)
+}
+
+// Get returns the index of v; ok is false when v is not indexed.
 func (x *NodeIndex) Get(v NodeID) (i int32, ok bool) {
 	if uint64(v) < uint64(len(x.direct)) && x.direct[v] != 0 {
 		return x.direct[v] - 1, true
@@ -64,4 +74,16 @@ func (x *NodeIndex) Len() int {
 		}
 	}
 	return n
+}
+
+// lengthen returns s with length at least n, the new elements zero; the
+// backing array grows geometrically.
+func lengthen[T any](s []T, n int) []T {
+	if n <= len(s) {
+		return s
+	}
+	old := len(s)
+	s = slices.Grow(s, n-old)[:n]
+	clear(s[old:])
+	return s
 }

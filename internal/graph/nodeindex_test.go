@@ -32,3 +32,45 @@ func TestNodeIndex(t *testing.T) {
 		t.Fatal("the zero index is not empty")
 	}
 }
+
+// TestNodeIndexRemove: removing an ID unmaps it on either path and
+// leaves the others mapped; removing an absent ID does nothing; a removed
+// ID can be added again, under a new index.
+func TestNodeIndexRemove(t *testing.T) {
+	ids := []NodeID{0, 7, -3, 1 << 40, 2, 5000}
+	x := IndexNodes(ids)
+	if len(x.sparse) != 3 { // -3, 1<<40, 5000
+		t.Fatalf("%d IDs went through the map, want 3", len(x.sparse))
+	}
+	x.Remove(1)        // never added, inside the window
+	x.Remove(-1 << 50) // never added, sparse
+	if x.Len() != len(ids) {
+		t.Fatalf("removing absent IDs changed Len to %d", x.Len())
+	}
+	for n, v := range []NodeID{7, -3, 1 << 40} {
+		x.Remove(v)
+		if i, ok := x.Get(v); ok {
+			t.Fatalf("Get(%d) = %d after Remove", v, i)
+		}
+		if x.Len() != len(ids)-n-1 {
+			t.Fatalf("Len = %d after removing %d IDs", x.Len(), n+1)
+		}
+		x.Remove(v)
+		if x.Len() != len(ids)-n-1 {
+			t.Fatalf("a second Remove(%d) changed Len to %d", v, x.Len())
+		}
+	}
+	for i, v := range ids {
+		if v == 7 || v == -3 || v == 1<<40 {
+			continue
+		}
+		if j, ok := x.Get(v); !ok || int(j) != i {
+			t.Fatalf("Get(%d) = %d, %v after removing others, want %d", v, j, ok, i)
+		}
+	}
+	x.Add(7, 40)
+	x.Add(1<<40, 41)
+	if x.Of(7) != 40 || x.Of(1<<40) != 41 {
+		t.Fatalf("re-added IDs map to %d and %d, want 40 and 41", x.Of(7), x.Of(1<<40))
+	}
+}

@@ -379,8 +379,8 @@ func TestScratchPoolReuse(t *testing.T) {
 	if s3 == s2 {
 		t.Fatal("overlapping acquires returned the same buffer")
 	}
-	if len(s2.visited) < int(g.slotCeil) || len(s3.visited) < int(g.slotCeil) {
-		t.Fatal("acquired buffer not sized to slotCeil")
+	if len(s2.visited) < len(g.nodes) || len(s3.visited) < len(g.nodes) {
+		t.Fatal("acquired buffer not sized to the node table")
 	}
 	g.release(s2)
 	g.release(s3)

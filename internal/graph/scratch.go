@@ -33,7 +33,7 @@ type scratch struct {
 }
 
 // acquire checks a scratch buffer out of the graph's pool, ready for one
-// traversal over g (visited sized to slotCeil, fresh epoch, empty queue and
+// traversal over g (visited sized to the node table, fresh epoch, empty queue and
 // stack). Call g.release on the result when done. Safe for concurrent use
 // as long as the graph is not mutated underneath (see the concurrency
 // contract in the package comment).
@@ -45,7 +45,7 @@ func (g *Graph) acquire() *scratch {
 	if s == nil {
 		s = &scratch{}
 	}
-	if n := int(g.slotCeil); len(s.visited) < n {
+	if n := len(g.nodes); len(s.visited) < n {
 		grown := make([]uint32, n+n/2+8)
 		copy(grown, s.visited)
 		s.visited = grown

@@ -27,8 +27,8 @@ func (g *Graph) bfsFrom(sources []NodeID, rev bool, fn func(v NodeID, dist int) 
 	s := g.acquire()
 	defer g.release(s)
 	for _, src := range sources {
-		rec := g.rec(src)
-		if rec == nil || s.seen(rec.slot) {
+		slot, ok := g.index.Get(src)
+		if !ok || s.seen(slot) {
 			continue
 		}
 		s.queue = append(s.queue, qitem{src, 0})
@@ -47,7 +47,7 @@ func (g *Graph) bfsFrom(sources []NodeID, rev bool, fn func(v NodeID, dist int) 
 			adj = rec.in
 		}
 		for _, w := range adj {
-			if !s.seen(g.rec(w).slot) {
+			if !s.seen(g.index.Of(w)) {
 				s.queue = append(s.queue, qitem{w, it.d + 1})
 			}
 		}
@@ -69,8 +69,8 @@ func (g *Graph) ReverseBFSFrom(sources []NodeID, fn func(v NodeID, dist int) boo
 // Reaches reports whether there is a directed path from v to w. The search
 // stops the moment w is dequeued.
 func (g *Graph) Reaches(v, w NodeID) bool {
-	rec := g.rec(v)
-	if rec == nil || !g.HasNode(w) {
+	slot, ok := g.index.Get(v)
+	if !ok || !g.HasNode(w) {
 		return false
 	}
 	if v == w {
@@ -78,7 +78,7 @@ func (g *Graph) Reaches(v, w NodeID) bool {
 	}
 	s := g.acquire()
 	defer g.release(s)
-	s.seen(rec.slot)
+	s.seen(slot)
 	s.stack = append(s.stack, v)
 	found := false
 	for n := len(s.stack); n > 0 && !found; n = len(s.stack) {
@@ -89,7 +89,7 @@ func (g *Graph) Reaches(v, w NodeID) bool {
 				found = true
 				break
 			}
-			if !s.seen(g.rec(y).slot) {
+			if !s.seen(g.index.Of(y)) {
 				s.stack = append(s.stack, y)
 			}
 		}
@@ -105,8 +105,8 @@ func (g *Graph) ForEachWithin(seeds []NodeID, d int, fn func(v NodeID, dist int)
 	s := g.acquire()
 	defer g.release(s)
 	for _, seed := range seeds {
-		rec := g.rec(seed)
-		if rec == nil || s.seen(rec.slot) {
+		slot, ok := g.index.Get(seed)
+		if !ok || s.seen(slot) {
 			continue
 		}
 		s.queue = append(s.queue, qitem{seed, 0})
@@ -125,7 +125,7 @@ func (g *Graph) ForEachWithin(seeds []NodeID, d int, fn func(v NodeID, dist int)
 		}
 		for _, adj := range [2]adjSet{rec.out, rec.in} {
 			for _, w := range adj {
-				if !s.seen(g.rec(w).slot) {
+				if !s.seen(g.index.Of(w)) {
 					s.queue = append(s.queue, qitem{w, it.d + 1})
 				}
 			}
@@ -149,8 +149,8 @@ func (g *Graph) NeighborhoodNodes(seeds []NodeID, d int) map[NodeID]int {
 // ShortestDist returns the hop length of a shortest directed path from v to
 // w, or -1 if w is unreachable from v. The BFS stops as soon as w is seen.
 func (g *Graph) ShortestDist(v, w NodeID) int {
-	rec := g.rec(v)
-	if rec == nil || !g.HasNode(w) {
+	slot, ok := g.index.Get(v)
+	if !ok || !g.HasNode(w) {
 		return -1
 	}
 	if v == w {
@@ -158,7 +158,7 @@ func (g *Graph) ShortestDist(v, w NodeID) int {
 	}
 	s := g.acquire()
 	defer g.release(s)
-	s.seen(rec.slot)
+	s.seen(slot)
 	s.queue = append(s.queue, qitem{v, 0})
 	res := -1
 	for head := 0; head < len(s.queue) && res < 0; head++ {
@@ -168,7 +168,7 @@ func (g *Graph) ShortestDist(v, w NodeID) int {
 				res = int(it.d) + 1
 				break
 			}
-			if !s.seen(g.rec(y).slot) {
+			if !s.seen(g.index.Of(y)) {
 				s.queue = append(s.queue, qitem{y, it.d + 1})
 			}
 		}
@@ -183,7 +183,7 @@ func (g *Graph) UndirectedComponents() [][]NodeID {
 	defer g.release(s)
 	var comps [][]NodeID
 	for _, start := range g.NodesSorted() {
-		if s.seen(g.rec(start).slot) {
+		if s.seen(g.index.Of(start)) {
 			continue
 		}
 		var comp []NodeID
@@ -195,7 +195,7 @@ func (g *Graph) UndirectedComponents() [][]NodeID {
 			rec := g.rec(v)
 			for _, adj := range [2]adjSet{rec.out, rec.in} {
 				for _, w := range adj {
-					if !s.seen(g.rec(w).slot) {
+					if !s.seen(g.index.Of(w)) {
 						s.stack = append(s.stack, w)
 					}
 				}

@@ -193,6 +193,31 @@ func checkSnapshotDecode(t *testing.T, snap []byte) {
 	}
 }
 
+// TestReadSnapshotAllocations pins what a load allocates: the adjacency
+// slices, at most two per node, plus a per-shard constant (the segment
+// buffer, the decoded state, the merge runs, the node table and index
+// growth, the label classes) — at most 2·|V| + 64·P in all. A node record
+// that comes back as a heap object of its own adds |V| and fails it.
+func TestReadSnapshotAllocations(t *testing.T) {
+	for _, p := range []int{1, 8} {
+		g := testGraph(t, p, 10_000, 50_000)
+		var buf bytes.Buffer
+		if err := WriteSnapshot(&buf, g); err != nil {
+			t.Fatal(err)
+		}
+		snap := buf.Bytes()
+		allocs := testing.AllocsPerRun(3, func() {
+			if _, err := ReadSnapshot(bytes.NewReader(snap), int64(len(snap))); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if bound := 2*g.NumNodes() + 64*p; allocs > float64(bound) {
+			t.Errorf("shards=%d: ReadSnapshot of |V|=%d allocates %.0f times, want ≤ 2·|V| + 64·P = %d",
+				p, g.NumNodes(), allocs, bound)
+		}
+	}
+}
+
 func TestSnapshotFileAndSniff(t *testing.T) {
 	dir := t.TempDir()
 	g := testGraph(t, 4, 200, 800)

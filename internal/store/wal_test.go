@@ -2,13 +2,17 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 
+	"incgraph/internal/gen"
 	"incgraph/internal/graph"
 )
 
@@ -369,4 +373,88 @@ func mustCreate(t *testing.T, path string) *os.File {
 		t.Fatal(err)
 	}
 	return f
+}
+
+// FuzzDecodeRecord feeds the WAL record decoder arbitrary payloads. It
+// must never panic, must fail only with ErrBadWAL, must allocate no more
+// than a bound the payload's length sets, and a payload it accepts must
+// decode to a record that re-encodes and decodes to itself. The seeds are
+// every record of a real WAL and every truncation of each.
+func FuzzDecodeRecord(f *testing.F) {
+	for _, payload := range realWALPayloads(f) {
+		for n := 0; n <= len(payload); n++ {
+			f.Add(payload[:n])
+		}
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		var rec ReplayRecord
+		var err error
+		// A record holds at most len/3 updates of a fixed size plus label
+		// bytes the payload carries, so 32 bytes per payload byte is ample;
+		// a count or length the decoder trusted would exceed it.
+		if used, bound := allocatedBytes(func() { rec, err = DecodeRecord(payload) }), 32*uint64(len(payload))+4096; used > bound {
+			t.Fatalf("decoding %d bytes allocated %d, want ≤ %d", len(payload), used, bound)
+		}
+		if err != nil {
+			if !errors.Is(err, ErrBadWAL) {
+				t.Fatalf("error is not ErrBadWAL: %v", err)
+			}
+			return
+		}
+		again, err := EncodeRecord(rec.Seq, rec.Gen, rec.Batch)
+		if err != nil {
+			t.Fatalf("an accepted record does not re-encode: %v", err)
+		}
+		back, err := DecodeRecord(again)
+		if err != nil {
+			t.Fatalf("a re-encoded record does not decode: %v", err)
+		}
+		if back.Seq != rec.Seq || back.Gen != rec.Gen || !slices.Equal(back.Batch, rec.Batch) {
+			t.Fatalf("re-encoding changed the record:\n got %+v\nwant %+v", back, rec)
+		}
+	})
+}
+
+// realWALPayloads appends generated batches to a WAL file and returns the
+// payloads of its frames as the file holds them.
+func realWALPayloads(tb testing.TB) [][]byte {
+	g := gen.Synthetic(gen.GraphSpec{Nodes: 40, Edges: 120, Labels: 5, Seed: 3})
+	updates := gen.Updates(g, gen.UpdateSpec{Count: 24, InsertRatio: 0.5, Locality: 0.8, Seed: 3})
+	batches := append(walBatches(), updates[:8], updates[8:9], updates[9:24])
+	path := filepath.Join(tb.TempDir(), "wal.log")
+	w, err := CreateWAL(nil, path, 0, SyncNone)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i, b := range batches {
+		if err := w.Append(b, uint64(i)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	file, err := os.ReadFile(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var payloads [][]byte
+	for rest := file[walHeaderSize:]; len(rest) > 0; {
+		n := binary.LittleEndian.Uint32(rest)
+		payloads = append(payloads, rest[8:8+n])
+		rest = rest[8+n:]
+	}
+	if len(payloads) != len(batches) {
+		tb.Fatalf("read %d records of %d", len(payloads), len(batches))
+	}
+	return payloads
+}
+
+// allocatedBytes returns the heap bytes f allocates.
+func allocatedBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }
