@@ -52,8 +52,9 @@ func TestArchitecture(t *testing.T) {
 		{"commitMu is the one write lock", structFields("cmd/incgraphd", "server", syncLock, "commitMu", "connMu")},
 		{"one adjacency representation", noMapType("internal/graph/adjset.go", "adjacency is one ascending []NodeID")},
 		// Node records live in one slot-indexed table, found through a
-		// NodeIndex; a shard is a slot allocator and a count.
-		{"one node table", structFields("internal/graph", "shard", anyField, "free", "slotCap", "live")},
+		// NodeIndex; nodes are never deleted, so a shard is its node count,
+		// which is also its next local slot.
+		{"one node table", structFields("internal/graph", "shard", anyField, "live")},
 		{"one node table", noMapType("internal/graph/shard.go", "node records are one slot-indexed table")},
 		{"no worker-stat poll", noMethod("", "", "StatsWithin")},
 		// IncSCC− decides a split in settle; the intact-then-repair pair
@@ -64,17 +65,20 @@ func TestArchitecture(t *testing.T) {
 			[]string{"cmd/incgraphd/main.go", "cmd/incgraphd/admission.go", "cmd/incgraphd/standby.go"},
 			"addr", "bound", "checkpoint-bytes", "commit-inflight", "commit-queue", "disk-fault",
 			"fsync", "graph", "hub", "idle-timeout", "iso", "kws", "max-conns", "max-staged",
-			"op-timeout", "primary", "read-inflight", "read-queue", "rpq", "scc", "shards",
+			"op-timeout", "primary", "read-inflight", "read-queue", "rpq", "scc",
 			"store", "term", "ttl", "workers")},
 
 		// Names of deleted subsystems: worker log shipping, the
 		// concurrent-batch scheduler and pipelined log, shard moves and
-		// the scrubber, tree-arc re-parenting, loadgen's YAML parser.
+		// the scrubber, tree-arc re-parenting, loadgen's YAML parser, node
+		// deletion with its slot recycling and the slot state snapshots and
+		// parcels used to carry.
 		{"deleted names stay deleted", idents(nonTest,
 			"ReplicaLog", "ReplPolicy", "WithReplication", "SetLogDir", "FetchReplStates", "ClusterReplStates", "msgReplicate",
 			"applyQueue", "acquireDeadline", "logMu", "Unappend", "ClusterCommit", "WithOnCommit", "OnCommit",
 			"MoveShard", "StartScrubber", "ScrubShard", "ScrubCounters",
-			"SetTreeArcRepair", "noRepair", "tryRepairTreeArc", "parseYAML")},
+			"SetTreeArcRepair", "noRepair", "tryRepairTreeArc", "parseYAML",
+			"DeleteNode", "recycleSlot", "SlotCap")},
 		// The differentials are TestHistory and TestDaemonHistory over
 		// internal/history; the per-subsystem scaffolds stay gone.
 		{"one differential harness", idents(anyFile,

@@ -12,7 +12,7 @@
 //
 //	incgraph -graph g.txt -class rpq -query "a.b*.c" [-updates du.txt]
 //	incgraph -graph g.snap -class kws -query "author,venue" -bound 2
-//	incgraph -graph g.txt -class scc [-shards 8] [-workers 8]
+//	incgraph -graph g.txt -class scc [-workers 8]
 //	incgraph -graph g.txt -class iso -pattern p.txt
 package main
 
@@ -35,17 +35,16 @@ func main() {
 	patternPath := flag.String("pattern", "", "iso pattern graph file")
 	updatesPath := flag.String("updates", "", "optional update file applied incrementally")
 	workers := flag.Int("workers", 0, "engine worker pool size (0 = all cores, 1 = sequential)")
-	shards := flag.Int("shards", 0, "graph shard count, rounded to a power of two (0 = default, 1 = unsharded)")
 	verbose := flag.Bool("v", false, "print full answers, not just counts")
 	flag.Parse()
 
-	if err := run(*graphPath, *class, *query, *bound, *patternPath, *updatesPath, *workers, *shards, *verbose); err != nil {
+	if err := run(*graphPath, *class, *query, *bound, *patternPath, *updatesPath, *workers, *verbose); err != nil {
 		fmt.Fprintf(os.Stderr, "incgraph: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(graphPath, class, query string, bound int, patternPath, updatesPath string, workers, shards int, verbose bool) error {
+func run(graphPath, class, query string, bound int, patternPath, updatesPath string, workers int, verbose bool) error {
 	if graphPath == "" || class == "" {
 		return fmt.Errorf("-graph and -class are required")
 	}
@@ -54,11 +53,8 @@ func run(graphPath, class, query string, bound int, patternPath, updatesPath str
 		return err
 	}
 	g.SetParallelism(workers)
-	if shards != 0 {
-		g.SetShards(shards)
-	}
-	fmt.Printf("graph: %d nodes, %d edges (%d workers, %d shards)\n",
-		g.NumNodes(), g.NumEdges(), g.Parallelism(), g.NumShards())
+	fmt.Printf("graph: %d nodes, %d edges (%d workers)\n",
+		g.NumNodes(), g.NumEdges(), g.Parallelism())
 
 	var batch incgraph.Batch
 	if updatesPath != "" {

@@ -34,6 +34,8 @@ func TestCrashRecoverySmoke(t *testing.T) {
 	g := incgraph.SyntheticGraph(incgraph.GraphSpec{
 		Nodes: 400, Edges: 2000, Labels: 6, GiantSCCFrac: 0.5, Seed: 3,
 	})
+	// The store keeps the seed snapshot's shard count.
+	g.SetShards(4)
 	graphPath := filepath.Join(dir, "seed.snap")
 	if err := incgraph.WriteSnapshotFile(graphPath, g); err != nil {
 		t.Fatal(err)
@@ -61,7 +63,7 @@ func TestCrashRecoverySmoke(t *testing.T) {
 		"-store", storeDir, "-graph", graphPath, "-addr", "127.0.0.1:0",
 		"-kws", strings.Join(kwsQ.Keywords, ","), "-bound", fmt.Sprint(kwsQ.Bound),
 		"-rpq", "l1.l2*.l3", "-iso", patPath, "-scc",
-		"-shards", "4", "-checkpoint-bytes", "0",
+		"-checkpoint-bytes", "0",
 	}
 
 	daemon, addr := startDaemon(t, bin, args)

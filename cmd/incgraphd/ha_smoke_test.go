@@ -38,6 +38,8 @@ func TestStandbyFailoverSmoke(t *testing.T) {
 	g := incgraph.SyntheticGraph(incgraph.GraphSpec{
 		Nodes: 300, Edges: 1500, Labels: 6, GiantSCCFrac: 0.5, Seed: 17,
 	})
+	// Every store keeps the seed snapshot's shard count.
+	g.SetShards(8)
 	graphPath := filepath.Join(dir, "seed.snap")
 	if err := incgraph.WriteSnapshotFile(graphPath, g); err != nil {
 		t.Fatal(err)
@@ -67,13 +69,13 @@ func TestStandbyFailoverSmoke(t *testing.T) {
 	primary, addrs := startProc(t, bin,
 		append([]string{"-store", filepath.Join(dir, "store-primary"), "-graph", graphPath,
 			"-addr", "127.0.0.1:0", "-hub", "127.0.0.1:0", "-term", "1",
-			"-shards", "8", "-checkpoint-bytes", "0", "-fsync", "none"}, engineArgs...),
+			"-checkpoint-bytes", "0", "-fsync", "none"}, engineArgs...),
 		"", "hub")
 	primaryAddr, hubAddr := addrs[0], addrs[1]
 	defer func() { primary.Process.Kill(); primary.Wait() }()
 	single, singleAddr := startDaemon(t, bin,
 		append([]string{"-store", filepath.Join(dir, "store-single"), "-graph", graphPath,
-			"-addr", "127.0.0.1:0", "-shards", "8", "-checkpoint-bytes", "0", "-fsync", "none"}, engineArgs...))
+			"-addr", "127.0.0.1:0", "-checkpoint-bytes", "0", "-fsync", "none"}, engineArgs...))
 	defer func() { single.Process.Kill(); single.Wait() }()
 
 	standby, standbyAddr := startDaemon(t, bin,

@@ -276,7 +276,7 @@ func (w *wireHistory) check(t *testing.T, conns [][]reply) map[uint64]bool {
 }
 
 // TestDaemonHistory runs the seeded history through a daemon at the default
-// shard count and through one at four shards.
+// shard count and through one whose seed snapshot is at four shards.
 func TestDaemonHistory(t *testing.T) {
 	for _, shape := range []string{"single", "sharded"} {
 		t.Run(shape, func(t *testing.T) { daemonHistory(t, shape) })
@@ -423,7 +423,12 @@ func runDaemonHistory(t *testing.T, shape string, w *wireHistory) (gens, folds i
 	switch shape {
 	case "single", "sharded":
 		if shape == "sharded" {
-			cfg.shards = 4
+			// A store keeps the shard count of the snapshot it starts from.
+			g := history.Graph()
+			g.SetShards(4)
+			if err := incgraph.WriteSnapshotFile(cfg.graphPath, g); err != nil {
+				t.Fatal(err)
+			}
 		}
 		addr, _, _ = serveInProcess(t, func(stop <-chan struct{}) error { return run(cfg, stop) })
 		c := dialLine(t, addr)

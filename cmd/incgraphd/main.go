@@ -14,7 +14,7 @@
 //
 //	incgraphd -store DIR [-graph g.txt|g.snap] [-addr :7421]
 //	          [-kws "a,b" -bound 2] [-rpq "a.b*.c"] [-iso pattern.txt] [-scc]
-//	          [-shards N] [-workers N] [-fsync always|none]
+//	          [-workers N] [-fsync always|none]
 //	          [-checkpoint-bytes N]
 //	          [-term N] [-hub :7423] [-disk-fault SPEC]
 //	          [-max-conns N] [-idle-timeout D] [-op-timeout D]
@@ -33,8 +33,8 @@
 // stored state; the store holds the graph and its update history).
 //
 // The daemon is one process: the graph, the engines, the WAL and the
-// published view all live in it, and -shards only partitions the graph in
-// memory.
+// published view all live in it. The graph keeps the shard count of the
+// -graph it was seeded from (a .snap its own, a text graph the default).
 //
 // # High availability
 //
@@ -162,7 +162,6 @@ func main() {
 	flag.StringVar(&cfg.storeDir, "store", "", "store directory (required; created on first start)")
 	flag.StringVar(&cfg.graphPath, "graph", "", "initial graph file, text or .snap (first start only)")
 	flag.StringVar(&cfg.addr, "addr", ":7421", "TCP listen address")
-	flag.IntVar(&cfg.shards, "shards", 0, "graph shard count (0 = default; first start only)")
 	flag.Uint64Var(&cfg.term, "term", 1, "the primary's term on its standby feed (a promoted standby takes its primary's term+1)")
 	flag.StringVar(&cfg.hubAddr, "hub", "", "listen address for standby feed connections (HA primary)")
 	flag.StringVar(&cfg.diskFault, "disk-fault", "", "seeded disk-fault injection spec for drills, e.g. \"seed=7;op=sync,path=wal,count=3,kind=syncfail\"")
@@ -183,7 +182,7 @@ func main() {
 type config struct {
 	storeDir, graphPath, addr   string
 	kwsQuery, rpqQuery, isoPath string
-	bound, shards, workers      int
+	bound, workers              int
 	scc                         bool
 	fsync                       string
 	ckptBytes                   int64
@@ -327,9 +326,6 @@ func run(cfg config, stop <-chan struct{}) error {
 				return err
 			}
 		}
-		if cfg.shards != 0 {
-			g.SetShards(cfg.shards)
-		}
 		var err error
 		d, err = incgraph.CreateDurable(cfg.storeDir, g, opts)
 		if err != nil {
@@ -347,8 +343,8 @@ func run(cfg config, stop <-chan struct{}) error {
 		log.Printf("recovered store %s: %d nodes, %d edges, gen %d, WAL seq %d",
 			cfg.storeDir, d.Graph().NumNodes(), d.Graph().NumEdges(), d.Generation(), d.WALSeq())
 	} else {
-		log.Printf("created store %s: %d nodes, %d edges (%d shards)",
-			cfg.storeDir, d.Graph().NumNodes(), d.Graph().NumEdges(), d.Graph().NumShards())
+		log.Printf("created store %s: %d nodes, %d edges",
+			cfg.storeDir, d.Graph().NumNodes(), d.Graph().NumEdges())
 	}
 	for _, m := range d.Engines() {
 		log.Printf("standing query %s: %d answers", m.Class(), m.Size())

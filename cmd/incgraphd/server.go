@@ -806,8 +806,8 @@ func (s *server) stat(reply func(string, ...any) bool) bool {
 	// Graph counters come from the view, durable metadata from the mirror:
 	// the graph and the store mutate under locks a read does not take.
 	v := s.view.Load()
-	line := fmt.Sprintf("ok role=%s nodes=%d edges=%d gen=%d shards=%d epoch=%d walseq=%d walbytes=%d classes=%s",
-		v.role, v.nodes, v.edges, v.gen, v.shards,
+	line := fmt.Sprintf("ok role=%s nodes=%d edges=%d gen=%d epoch=%d walseq=%d walbytes=%d classes=%s",
+		v.role, v.nodes, v.edges, v.gen,
 		s.epoch.Load(), s.walSeq.Load(), s.walBytes.Load(), strings.Join(classes, ","))
 	// The read side: the generation on view, the ΔO rows waiting in chains
 	// for a reader to merge, and how often a chain was folded into its base.

@@ -20,11 +20,11 @@ import (
 // of "answer" makes rows of the chain and merges them with the base while it
 // renders (incgraph.MergeRows).
 type view struct {
-	gen                  uint64
-	role                 string
-	hub                  *incgraph.ClusterHub
-	nodes, edges, shards int
-	classes              []classView // in attach order
+	gen          uint64
+	role         string
+	hub          *incgraph.ClusterHub
+	nodes, edges int
+	classes      []classView // in attach order
 }
 
 type classView struct {
@@ -86,7 +86,7 @@ func (s *server) cutView() *view {
 func (s *server) publish(applied bool, edit func(v *view)) {
 	v := s.nextView()
 	g := s.d.Graph()
-	v.gen, v.nodes, v.edges, v.shards = g.Generation(), g.NumNodes(), g.NumEdges(), g.NumShards()
+	v.gen, v.nodes, v.edges = g.Generation(), g.NumNodes(), g.NumEdges()
 	for i, m := range s.d.Engines() {
 		c := &v.classes[i]
 		c.size = m.Size()

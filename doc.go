@@ -37,9 +37,9 @@
 //     both endpoint shards. A validated batch compiles into per-shard
 //     effects with no cross-shard writes — what the multi-process runtime
 //     ships to its shard workers — and snapshots are cut along the same
-//     lines. Per-shard iteration hooks (ShardNodes, ShardNodesSorted,
-//     NodesSortedParallel, Batch.TouchedShards) let the engines collect
-//     and partition work along the same boundaries.
+//     lines. Nodes are never deleted, so shard s's nodes hold its local
+//     slots 0…n−1; a slot is private to the process, and neither a
+//     snapshot nor a shard parcel carries one.
 //   - Answers that are expensive to materialize but stable between
 //     updates — Graph.EdgesSorted, KWSIndex.MatchRoots,
 //     RPQEngine.Matches, ISOIndex.Matches — are memoized against the
@@ -129,9 +129,10 @@
 //     format, one independently-encoded segment per shard behind a
 //     manifest header (shard count, generation, label table, per-segment
 //     CRC-32). Segments encode and load in parallel, and a load restores
-//     the graph exactly — node set, labels, adjacency, dense-slot
-//     assignment, mutation generation — so engines built on a loaded
-//     graph behave byte-identically to engines built on the original.
+//     the graph — node set, labels, adjacency, mutation generation — so
+//     engines built on a loaded graph behave byte-identically to engines
+//     built on the original. Slots are not stored: the load issues them
+//     afresh, and no answer depends on one.
 //     The format is versioned by a magic+version header; readers reject
 //     unknown versions rather than guessing.
 //   - Write-ahead log. Durable.Commit, the one way to write, validates
@@ -187,7 +188,7 @@
 //
 //   - Coordinator/worker contract. Shard worker processes each hold
 //     authoritative replicas of a subset of the graph's shards — node
-//     records, slot allocators, adjacency, nothing graph-global — behind
+//     records and adjacency, nothing graph-global — behind
 //     a length+CRC-framed RPC protocol (the WAL's framing). The
 //     coordinator keeps the authoritative full graph: batches are
 //     validated and planned there, the engines and the Durable live

@@ -31,7 +31,7 @@ import (
 //   - Checkpoint folds the WAL into a fresh snapshot (written atomically,
 //     manifest-committed) and starts an empty log.
 //   - OpenDurable recovers the graph: the snapshot loads into an
-//     identical graph (slot assignment included) and the WAL's batches
+//     Equal graph with the logged generation and the WAL's batches
 //     are applied to it in log order, so the generation and WAL sequence
 //     come back as logged. Engines are then built once on the recovered
 //     graph, exactly as on a fresh store — the paper's batch algorithm run
@@ -318,9 +318,9 @@ func WriteSnapshot(w io.Writer, g *Graph) error { return store.WriteSnapshot(w, 
 // WriteSnapshotFile writes a snapshot atomically (temp file + rename).
 func WriteSnapshotFile(path string, g *Graph) error { return store.WriteSnapshotFile(nil, path, g) }
 
-// ReadSnapshotFile loads a snapshot file into an identical graph — shard
-// count, slot assignment and mutation generation included — loading
-// segments in parallel.
+// ReadSnapshotFile loads a snapshot file into an Equal graph with the
+// snapshot's shard count and mutation generation, loading segments in
+// parallel.
 func ReadSnapshotFile(path string) (*Graph, error) { return store.ReadSnapshotFile(path) }
 
 // LoadGraphFile loads a graph from path in either supported format,

@@ -96,8 +96,8 @@ func EncodeSnapshot(g *Graph) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// DecodeSnapshot reconstructs a graph from EncodeSnapshot bytes, exactly —
-// slot allocator state included, so engines built on it behave
+// DecodeSnapshot reconstructs a graph from EncodeSnapshot bytes: nodes,
+// labels, edges, shard count and generation, so engines built on it behave
 // byte-identically to ones built on the never-serialized graph.
 func DecodeSnapshot(data []byte) (*Graph, error) {
 	return store.ReadSnapshot(bytes.NewReader(data), int64(len(data)))

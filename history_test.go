@@ -56,8 +56,6 @@ type shape struct {
 	d       *incgraph.Durable
 	engines map[string]history.Engine
 	shards  int
-	// resharded is set once the store's graph went from 2 shards to 8.
-	resharded bool
 	// cl is the coordinator commits go through, nil for a local store.
 	cl *incgraph.Cluster
 	// reborn is set once a recovery rebuilt the engines, and fresh from
@@ -161,8 +159,7 @@ func pick(names ...string) []shapeSpec {
 }
 
 // open creates the shape's store on a copy of the first graph re-sharded
-// to the shape's shard count. The shapes at one shard count share a slot
-// layout: SetShards issues slots by NodeID.
+// to the shape's shard count.
 func (hs *harness) open(spec shapeSpec) *shape {
 	t := hs.t
 	g := hs.g.Clone()
@@ -435,7 +432,7 @@ func runHistory(t *testing.T, seed int64, sizes []int, only []string, specs ...s
 		if step == hs.steps/2 {
 			for _, s := range all {
 				if s.shards == 2 {
-					s.shards, s.resharded = 8, true
+					s.shards = 8
 					s.d.Graph().SetShards(8)
 					for _, e := range s.engines {
 						e.M.Graph().SetShards(8)
@@ -514,12 +511,11 @@ func runHistory(t *testing.T, seed int64, sizes []int, only []string, specs ...s
 		}
 	}
 	verifyClusters(t, all)
-	// Every snapshot decodes to the history's graph. Slots depend on
-	// re-shard history — a store re-sharded to 8 half way holds the nodes
-	// the first half inserted in NodeID order, one born at 8 in the order
-	// they came — so only the shapes born at 8 shards share one snapshot's
-	// bytes. The WAL depends on the history alone: the shapes that logged
-	// every commit share one WAL's bytes.
+	// Every snapshot decodes to the history's graph, and a snapshot stores
+	// no slot, so every shape at 8 shards — born there, re-sharded half
+	// way or recovered — writes one snapshot's bytes. The WAL depends on
+	// the history alone: the shapes that logged every commit share one
+	// WAL's bytes.
 	var snap0, wal0 []byte
 	for _, s := range all {
 		snap, err := incgraph.EncodeSnapshot(s.d.Graph())
@@ -529,11 +525,11 @@ func runHistory(t *testing.T, seed int64, sizes []int, only []string, specs ...s
 		if g, err := incgraph.DecodeSnapshot(snap); err != nil || !g.Equal(h.Sim) {
 			t.Fatalf("%s: the snapshot does not decode to the history's graph (%v)", s.name, err)
 		}
-		if s.shards == 8 && !s.resharded {
+		if s.shards == 8 {
 			if snap0 == nil {
 				snap0 = snap
 			} else if !bytes.Equal(snap, snap0) {
-				t.Fatalf("%s: the snapshot differs from the other shapes' born at 8 shards", s.name)
+				t.Fatalf("%s: the snapshot differs from the other shapes' at 8 shards", s.name)
 			}
 		}
 		if s.logsAll {
@@ -643,7 +639,7 @@ var focusSizes = []int{4, 64, 32, 64}
 // rejected batch move nothing; the reference's ΔO must be the keyed diff
 // of from-scratch builds. The cluster replicas verify clean half way and
 // at the end, when the WALs of the shapes that neither checkpointed nor
-// crashed are byte-identical, and the snapshots of those born at 8 shards
+// crashed are byte-identical, and the snapshots of every shape at 8 shards
 // are too.
 func TestHistory(t *testing.T) {
 	t.Parallel()

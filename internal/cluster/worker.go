@@ -12,7 +12,7 @@ import (
 )
 
 // Worker owns a subset of the cluster graph's shards: authoritative node
-// records, slot allocators and adjacency for every shard placed on it, in
+// records and adjacency for every shard placed on it, in
 // a shard-container graph whose global indexes are never built (see
 // graph.ApplyShardEffects). It serves the coordinator's RPCs — place,
 // drop, apply (phase 1), export — over any net.Conn; requests from
@@ -225,7 +225,7 @@ func (w *Worker) dispatch(t msgType, r *reader, sessTerm *uint64, sess *applySes
 		if s >= uint64(w.g.NumShards()) {
 			return nil, fmt.Errorf("shard %d out of range [0,%d)", s, w.g.NumShards())
 		}
-		st, err := store.DecodeShardParcel(r.rest(), int(s), w.g.NumShards())
+		st, err := store.DecodeShardParcel(r.rest(), int(s))
 		if err != nil {
 			return nil, err
 		}

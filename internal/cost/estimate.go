@@ -16,9 +16,8 @@ import "fmt"
 
 // FallbackMinBatch is the batch size below which the incremental path is
 // always taken: tiny batches are the incremental algorithms' home turf,
-// and the estimates are too coarse to overrule them there. Engines also
-// use it to skip estimator bookkeeping (shard footprints) on the tiny-
-// batch hot path.
+// and the estimates are too coarse to overrule them there. IncISO also
+// uses it to skip counting anchors on the tiny-batch hot path.
 const FallbackMinBatch = 32
 
 // Estimate is one repair-vs-batch prediction.
@@ -30,10 +29,6 @@ type Estimate struct {
 	// to Meter.Total scale) of the incremental repair and the batch
 	// recomputation.
 	RepairCost, BatchCost int
-	// TouchedShards counts the graph shards ΔG writes — the locality
-	// footprint of the batch, reported for observability (benchmarks and
-	// tests); it does not enter PreferBatch.
-	TouchedShards int
 }
 
 // PreferBatch reports whether the model predicts the batch algorithm to
@@ -47,8 +42,8 @@ func (e Estimate) String() string {
 	if e.PreferBatch() {
 		mode = "batch"
 	}
-	return fmt.Sprintf("est{aff=%d repair=%d batch=%d shards=%d -> %s}",
-		e.Aff, e.RepairCost, e.BatchCost, e.TouchedShards, mode)
+	return fmt.Sprintf("est{aff=%d repair=%d batch=%d -> %s}",
+		e.Aff, e.RepairCost, e.BatchCost, mode)
 }
 
 // EstimateKWS models the IncKWS repair of one batch against the BLINKS
@@ -61,9 +56,9 @@ func (e Estimate) String() string {
 // nodes on average. Insertions only propagate decreases (cheap); they
 // contribute their endpoints. Repair pays heap-and-scan work per affected
 // entry; batch pays one bounded BFS per keyword.
-func EstimateKWS(numNodes, numEdges, ins, dels, bound, keywords, touchedShards int) Estimate {
+func EstimateKWS(numNodes, numEdges, ins, dels, bound, keywords int) Estimate {
 	if numNodes == 0 || keywords == 0 {
-		return Estimate{TouchedShards: touchedShards}
+		return Estimate{}
 	}
 	avgDeg := (numEdges + numNodes - 1) / numNodes
 	if avgDeg < 1 {
@@ -91,7 +86,7 @@ func EstimateKWS(numNodes, numEdges, ins, dels, bound, keywords, touchedShards i
 	if ins+dels < FallbackMinBatch {
 		repair = 0 // force the incremental side for tiny batches
 	}
-	return Estimate{Aff: aff, RepairCost: repair, BatchCost: batch, TouchedShards: touchedShards}
+	return Estimate{Aff: aff, RepairCost: repair, BatchCost: batch}
 }
 
 // EstimateISO models the IncISO anchored delta enumeration against the
@@ -102,7 +97,7 @@ func EstimateKWS(numNodes, numEdges, ins, dels, bound, keywords, touchedShards i
 // node. Deletions are near-free on the incremental side (inverted-index
 // lookups), so the decision reduces to comparing seed counts; the subtree
 // factor cancels and graph size drops out of the model entirely.
-func EstimateISO(ins, dels, rootCandidates, anchors, touchedShards int) Estimate {
+func EstimateISO(ins, dels, rootCandidates, anchors int) Estimate {
 	if anchors < 0 {
 		anchors = 0
 	}
@@ -112,5 +107,5 @@ func EstimateISO(ins, dels, rootCandidates, anchors, touchedShards int) Estimate
 	if ins+dels < FallbackMinBatch {
 		repair = 0 // force the incremental side for tiny batches
 	}
-	return Estimate{Aff: aff, RepairCost: repair, BatchCost: batch, TouchedShards: touchedShards}
+	return Estimate{Aff: aff, RepairCost: repair, BatchCost: batch}
 }

@@ -2,12 +2,12 @@ package graph_test
 
 // Differential test of the performance substrate: a plain map-based
 // reference implementation and the real Graph are driven through the same
-// random insert/delete/relabel/delete-node stream (edge updates drawn from
+// random insert/delete/relabel/isolate stream (edge updates drawn from
 // internal/gen's generator), and every few steps the full observable state
 // is compared — NodesWithLabel for every live label, degrees, sorted
 // adjacency, node and edge sets, and Equal against a rebuilt graph. This is
 // what pins the inverted label index, the sorted-slice adjacency at every
-// degree, and the slot recycling to the simple semantics they replace.
+// degree, and the slot allocation to the simple semantics they replace.
 
 import (
 	"fmt"
@@ -59,18 +59,6 @@ func (r *refGraph) addEdge(v, w graph.NodeID) {
 func (r *refGraph) deleteEdge(v, w graph.NodeID) {
 	delete(r.out[v], w)
 	delete(r.in[w], v)
-}
-
-func (r *refGraph) deleteNode(v graph.NodeID) {
-	for w := range r.out[v] {
-		delete(r.in[w], v)
-	}
-	for u := range r.in[v] {
-		delete(r.out[u], v)
-	}
-	delete(r.out, v)
-	delete(r.in, v)
-	delete(r.labels, v)
 }
 
 func (r *refGraph) numEdges() int {
@@ -229,14 +217,20 @@ func TestDifferentialRandomStream(t *testing.T) {
 					g.AddNode(v, l)
 					step++
 				}
-				// Occasional node deletions recycle dense slots.
+				// Occasionally a node loses every edge; it stays a node.
 				for i := 0; i < 3 && len(nodes) > 3; i++ {
 					v := nodes[rng.Intn(len(nodes))]
-					ref.deleteNode(v)
-					g.DeleteNode(v)
+					for w := range ref.out[v] {
+						ref.deleteEdge(v, w)
+						g.DeleteEdge(v, w)
+					}
+					for u := range ref.in[v] {
+						ref.deleteEdge(u, v)
+						g.DeleteEdge(u, v)
+					}
 					step++
 				}
-				// And fresh nodes reuse them.
+				// And fresh nodes take the next slots.
 				for i := 0; i < 3; i++ {
 					v := g.MaxNodeID() + 1 + graph.NodeID(rng.Intn(5))
 					l := fmt.Sprintf("l%d", rng.Intn(9))

@@ -21,7 +21,7 @@ import (
 // the receiving end.
 //
 // A worker's graph is a shard container: it holds authoritative node
-// records, slot allocators and adjacency for the shards placed on it
+// records and adjacency for the shards placed on it
 // (graph.LoadShard), and nothing else — the graph-global indexes (inverted
 // label index, edge count) are never built, FinishLoad is never called,
 // and cross-shard edges are present only on their owned endpoint's shard.
@@ -29,9 +29,7 @@ import (
 // more.
 
 // ShardNewNode is one node a planned batch creates, with the interned
-// label of its first mention. Order matters: nodes are created in plan
-// order so slot assignment matches the coordinator's application exactly.
-// The LabelID is process-local; effects that crossed a process boundary
+// label of its first mention. The LabelID is process-local; effects that crossed a process boundary
 // must carry IDs already translated into the local intern table.
 type ShardNewNode struct {
 	ID    NodeID
@@ -164,7 +162,7 @@ func (p *Plan) NumNewNodes(si int) int { return len(p.bp.nodesByShard[si]) }
 func (p *Plan) NumOps(si int) int { return len(p.bp.opsByShard[si]) }
 
 // NewNodes calls fn for every node the plan creates on shard si, in plan
-// order (the order phase 1 must allocate slots in).
+// order.
 func (p *Plan) NewNodes(si int, fn func(id NodeID, lid LabelID)) {
 	for _, ni := range p.bp.nodesByShard[si] {
 		n := p.bp.newNodes[ni]
@@ -202,10 +200,10 @@ func (p *Plan) EdgeDelta(si int) int {
 }
 
 // ApplyShardEffects is phase 1 for one shard, driven from outside: it
-// creates the shard's new nodes in plan order (so slot assignment is
-// identical to the coordinator's own application) and applies the owned
-// halves of every edge effect, returning the shard's edge-count delta.
-// It writes only the shard's nodes and allocator; the graph-global indexes
+// creates the shard's new nodes and applies the owned halves of every
+// edge effect, returning the shard's edge-count delta. Which slots the new
+// nodes get is this graph's own affair; nothing compares them across
+// processes. It writes only the shard's nodes; the graph-global indexes
 // are left untouched, which is correct for shard-container graphs (see the
 // file comment) and would corrupt a fully indexed one. Calls on one graph
 // run serially: new nodes go into its one node table.
@@ -218,8 +216,6 @@ func (g *Graph) ApplyShardEffects(e ShardEffects) (int, error) {
 	if e.Shard < 0 || e.Shard >= len(g.shards) {
 		return 0, fmt.Errorf("graph: ApplyShardEffects: shard %d out of range [0,%d)", e.Shard, len(g.shards))
 	}
-	sh := &g.shards[e.Shard]
-	p32, si32 := int32(len(g.shards)), int32(e.Shard)
 	u64si := uint64(e.Shard)
 	for _, n := range e.NewNodes {
 		if g.shardIdxOf(n.ID) != u64si {
@@ -228,7 +224,7 @@ func (g *Graph) ApplyShardEffects(e ShardEffects) (int, error) {
 		if g.HasNode(n.ID) {
 			return 0, fmt.Errorf("graph: ApplyShardEffects: node %d already exists on shard %d", n.ID, e.Shard)
 		}
-		g.place(sh.allocSlot(p32, si32), node{id: n.ID, label: n.Label})
+		g.place(node{id: n.ID, label: n.Label})
 	}
 	delta := 0
 	for _, op := range e.Ops {
@@ -270,22 +266,22 @@ func (g *Graph) ApplyShardEffects(e ShardEffects) (int, error) {
 	return delta, nil
 }
 
-// ResetShard erases shard s — node records and slot allocator —
-// returning it to the freshly created state LoadShard requires, so an
-// authoritative segment can be (re-)placed over a diverged or stale copy.
-// Like ApplyShardEffects it maintains only the shard's own state: calling it
-// on a graph whose global indexes were built through the normal mutation
-// API would leave the inverted label index and edge count stale. It exists
-// for shard-container graphs.
+// ResetShard erases shard s — its node records, which also empties its
+// slot count — returning it to the freshly created state LoadShard
+// requires, so an authoritative segment can be (re-)placed over a diverged
+// or stale copy. Like ApplyShardEffects it maintains only the shard's own
+// state: calling it on a graph whose global indexes were built through the
+// normal mutation API would leave the inverted label index and edge count
+// stale. It exists for shard-container graphs.
 func (g *Graph) ResetShard(s int) {
 	for i := s; i < len(g.nodes); i += len(g.shards) {
 		if g.nodes[i].live {
-			g.unplace(int32(i))
+			g.index.Remove(g.nodes[i].id)
+			g.nodes[i] = node{}
+			g.numNodes--
 		}
 	}
-	sh := &g.shards[s]
-	sh.free = nil
-	sh.slotCap = 0
+	g.shards[s].live = 0
 }
 
 // ---- Batch planning (what PlanBatch exports) ----

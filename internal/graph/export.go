@@ -3,21 +3,21 @@ package graph
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 )
 
 // Per-shard state export and import. This is the substrate half of the
 // durability subsystem (internal/store): a snapshot serializes each shard
-// independently — its nodes with their slots and adjacency, its dense-slot
-// allocator — and a load decodes the shards in parallel and places each
-// node back at its slot of the one node table, then finishes the
-// graph-global state (inverted label index, edge count) serially. The
-// round trip restores the graph exactly, slot assignment included, so
-// traversal schedules, scratch sizing and every downstream answer are
-// identical to the pre-snapshot graph. The shard is also the intended unit
-// of a future multi-process deployment: the same per-shard encoding a
-// snapshot writes to disk is what a distributed incgraph would ship over
-// RPC.
+// independently — its nodes with their labels and adjacency — and a load
+// decodes the shards in parallel, places each shard's nodes into the one
+// node table under slots its allocator issues in ID order, then finishes
+// the graph-global state (inverted label index, edge count) serially. The
+// round trip restores the graph — nodes, labels, edges, generation — but
+// not its slots: a slot is private to the process that holds the graph,
+// and no answer, ΔO or metered count depends on one. The same per-shard
+// encoding a snapshot writes to disk is what the cluster coordinator
+// ships to a worker (internal/store's shard parcels).
 //
 // Contract: ExportShard reads are safe whenever the graph is
 // read-shareable (between mutations); distinct shards may be exported
@@ -28,12 +28,10 @@ import (
 // every LoadShard completed.
 
 // ShardNodeState is the serializable state of one node: identity, interned
-// label, dense slot, and both adjacency directions in ascending order.
+// label, and both adjacency directions in ascending order.
 type ShardNodeState struct {
 	ID    NodeID
 	Label LabelID
-	// Slot is the node's global dense slot (local·P + shard).
-	Slot int32
 	// Out and In list the adjacency ascending. On export the slices are
 	// borrowed from the graph (valid until the next mutation); on load
 	// ownership transfers to the graph.
@@ -41,32 +39,21 @@ type ShardNodeState struct {
 }
 
 // ShardState is the serializable state of one shard: its nodes in
-// ascending ID order (the stable encode order of the snapshot format) and
-// its dense-slot allocator.
+// ascending ID order, the stable encode order of the snapshot format.
 type ShardState struct {
 	// Nodes is ascending by ID.
 	Nodes []ShardNodeState
-	// SlotCap is the number of local slot indices ever issued.
-	SlotCap int32
-	// Free lists the recycled local slot indices (order preserved: it is
-	// allocator state, popped LIFO).
-	Free []int32
 }
 
 // ExportShard returns the state of shard s in the stable encode order
-// (nodes ascending by ID, adjacency ascending). The adjacency slices are
+// (nodes ascending by ID, adjacency ascending), which depends on the
+// shard's nodes alone, not on their slots. The adjacency slices are
 // borrowed from the graph: valid until the next mutation, do not mutate.
-// The free-list slice is copied.
 func (g *Graph) ExportShard(s int) ShardState {
-	sh := &g.shards[s]
-	st := ShardState{
-		Nodes:   make([]ShardNodeState, 0, sh.live),
-		SlotCap: sh.slotCap,
-		Free:    slices.Clone(sh.free),
-	}
+	st := ShardState{Nodes: make([]ShardNodeState, 0, g.shards[s].live)}
 	for i := s; i < len(g.nodes); i += len(g.shards) {
 		if n := &g.nodes[i]; n.live {
-			st.Nodes = append(st.Nodes, ShardNodeState{ID: n.id, Label: n.label, Slot: int32(i), Out: n.out, In: n.in})
+			st.Nodes = append(st.Nodes, ShardNodeState{ID: n.id, Label: n.label, Out: n.out, In: n.in})
 		}
 	}
 	slices.SortFunc(st.Nodes, func(a, b ShardNodeState) int { return cmp.Compare(a.ID, b.ID) })
@@ -76,9 +63,10 @@ func (g *Graph) ExportShard(s int) ShardState {
 // LoadShard installs st as the complete state of shard s. The graph must
 // be freshly created (NewSharded) and shard s must not have been loaded
 // before. Distinct shards may load concurrently (see the contract above);
-// call FinishLoad once afterwards to rebuild the graph-global indexes. A
-// state that fails its checks leaves the shard as it was. Adjacency slices
-// in st transfer ownership to the graph.
+// call FinishLoad once afterwards to rebuild the graph-global indexes. The
+// shard's allocator issues the nodes' slots in ID order. A state that
+// fails its checks leaves the shard as it was. Adjacency slices in st
+// transfer ownership to the graph.
 func (g *Graph) LoadShard(s int, st ShardState) error {
 	if s < 0 || s >= len(g.shards) {
 		return fmt.Errorf("graph: LoadShard: shard %d out of range [0,%d)", s, len(g.shards))
@@ -87,29 +75,9 @@ func (g *Graph) LoadShard(s int, st ShardState) error {
 	if sh.live != 0 {
 		return fmt.Errorf("graph: LoadShard: shard %d already populated", s)
 	}
-	// Allocator invariant: every local slot ever issued is either held by
-	// a live node or parked on the free list, so the cap is exactly their
-	// sum. Enforcing it both rejects corrupt state and bounds the
-	// used-slot table below by the size of the decoded data.
-	if int(st.SlotCap) != len(st.Nodes)+len(st.Free) {
-		return fmt.Errorf("graph: LoadShard: shard %d slot cap %d != %d nodes + %d free",
-			s, st.SlotCap, len(st.Nodes), len(st.Free))
-	}
-	p := int32(len(g.shards))
-	// used tracks local slot occupancy: a duplicate would alias two nodes
-	// onto one epoch-stamped scratch slot and silently corrupt traversals.
-	used := make([]bool, st.SlotCap)
-	claim := func(local int32) bool {
-		if local < 0 || local >= st.SlotCap || used[local] {
-			return false
-		}
-		used[local] = true
-		return true
-	}
-	for _, f := range st.Free {
-		if !claim(f) {
-			return fmt.Errorf("graph: LoadShard: shard %d free list has invalid or duplicate slot %d", s, f)
-		}
+	// Slots are int32: the shard's last, (n−1)·P + s, must fit.
+	if int64(len(st.Nodes))*int64(len(g.shards)) > math.MaxInt32 {
+		return fmt.Errorf("graph: LoadShard: shard %d: %d nodes overflow the slot space", s, len(st.Nodes))
 	}
 	var prev NodeID
 	for i, n := range st.Nodes {
@@ -120,20 +88,16 @@ func (g *Graph) LoadShard(s int, st ShardState) error {
 		if int(g.shardIdxOf(n.ID)) != s {
 			return fmt.Errorf("graph: LoadShard: node %d does not hash to shard %d", n.ID, s)
 		}
-		if n.Slot < 0 || n.Slot%p != int32(s) || !claim(n.Slot/p) {
-			return fmt.Errorf("graph: LoadShard: node %d has invalid or duplicate slot %d for shard %d", n.ID, n.Slot, s)
-		}
 		if !ascending(n.Out) || !ascending(n.In) {
 			return fmt.Errorf("graph: LoadShard: node %d adjacency not strictly ascending", n.ID)
 		}
 	}
-	sh.slotCap, sh.free = st.SlotCap, slices.Clone(st.Free)
 	g.loadMu.Lock()
 	defer g.loadMu.Unlock()
-	// The shard's slots end below slotCap·P: grow the table once.
-	g.nodes = lengthen(g.nodes, int(st.SlotCap)*int(p))
+	// The shard's slots end below len(st.Nodes)·P: grow the table once.
+	g.nodes = lengthen(g.nodes, len(st.Nodes)*len(g.shards))
 	for _, n := range st.Nodes {
-		g.place(n.Slot, node{id: n.ID, label: n.Label, out: n.Out, in: n.In})
+		g.place(node{id: n.ID, label: n.Label, out: n.Out, in: n.In})
 	}
 	return nil
 }
@@ -157,7 +121,7 @@ func (g *Graph) FinishLoad(gen uint64) error {
 	// In global ascending order, every label-index add is an append; shard
 	// by shard, each shard's run would be inserted into the middle of the
 	// runs before it.
-	for _, v := range g.NodesSortedParallel() {
+	for _, v := range g.NodesSorted() {
 		rec := g.rec(v)
 		g.labelIndexAdd(rec.label, v)
 		edges += len(rec.out)

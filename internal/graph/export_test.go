@@ -62,31 +62,32 @@ func TestExportLoadRoundTrip(t *testing.T) {
 				v, w := NodeID(rng.Intn(300)), NodeID(rng.Intn(300))
 				g.AddEdge(v, w)
 			}
-			// Deletions exercise the free list so allocator state round-trips.
-			for v := 0; v < 40; v++ {
-				g.DeleteNode(NodeID(v * 7 % 300))
+			// Deleted edges leave nodes isolated; the nodes stay.
+			for i := 0; i < 40; i++ {
+				v := NodeID(i * 7 % 300)
+				for _, w := range slices.Clone(g.SuccessorsSorted(v)) {
+					g.DeleteEdge(v, w)
+				}
 			}
 			h := exportLoadRoundTrip(t, g)
-			if !g.Equal(h) {
+			if !g.Equal(h) || !h.Equal(g) {
 				t.Fatal("round trip lost graph state")
 			}
 			if got, want := h.Generation(), g.Generation(); got != want {
 				t.Fatalf("generation: got %d want %d", got, want)
 			}
-			// Slot assignment must be restored exactly: allocating the next
-			// node must pick the same slot in both graphs.
-			g.AddNode(10_000, "fresh")
-			h.AddNode(10_000, "fresh")
-			if gs, hs := g.index.Of(10_000), h.index.Of(10_000); gs != hs {
-				t.Fatalf("slot divergence after load: got %d want %d", hs, gs)
-			}
-			// And the rest of every shard's node table slots must match.
-			g.Nodes(func(v NodeID, _ string) bool {
-				if g.index.Of(v) != h.index.Of(v) {
-					t.Fatalf("node %d slot mismatch", v)
+			// The load issues each shard's slots in ID order: shard s's
+			// i-th smallest node holds local slot i.
+			for s := 0; s < shards; s++ {
+				if x, y := fmt.Sprint(g.ExportShard(s)), fmt.Sprint(h.ExportShard(s)); x != y {
+					t.Fatalf("shard %d exports differently after the round trip", s)
 				}
-				return true
-			})
+				for i, n := range h.ExportShard(s).Nodes {
+					if got, want := h.index.Of(n.ID), int32(i*shards+s); got != want {
+						t.Fatalf("shard %d: node %d at slot %d, want %d", s, n.ID, got, want)
+					}
+				}
+			}
 		})
 	}
 }
@@ -103,10 +104,12 @@ func TestLoadShardRejectsBadState(t *testing.T) {
 	}
 	h = NewSharded(4)
 	bad := st
-	bad.Nodes = append([]ShardNodeState(nil), st.Nodes...)
-	bad.Nodes[0].Slot = bad.Nodes[0].Slot + 1 // breaks slot%P == shard
+	bad.Nodes = append(slices.Clone(st.Nodes), st.Nodes[0]) // node 1 twice
 	if err := h.LoadShard(g.ShardOf(1), bad); err == nil {
-		t.Fatal("want error for invalid slot")
+		t.Fatal("want error for a duplicate node")
+	}
+	if h.NumNodes() != 0 || h.NumShardNodes(g.ShardOf(1)) != 0 {
+		t.Fatal("a rejected state left nodes behind")
 	}
 	h = NewSharded(2)
 	if err := h.LoadShard(0, ShardState{}); err != nil {

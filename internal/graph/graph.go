@@ -15,8 +15,8 @@
 //     graph maintains an inverted label→sorted-nodes index, so
 //     NodesWithLabel is an index lookup rather than an O(|V|) scan and hot
 //     loops compare uint32s instead of strings. Invariant: every mutation
-//     that changes l(v) — AddNode relabels, DeleteNode — must update the
-//     inverted index in the same step.
+//     that changes l(v) — an AddNode relabel — must update the inverted
+//     index in the same step.
 //
 //   - One node table, sharded by slot. Node records live in one
 //     slot-indexed table and a NodeIndex maps NodeID → slot (shard.go), so
@@ -204,8 +204,7 @@ func (g *Graph) addNodeID(v NodeID, lid LabelID) {
 		}
 		return
 	}
-	si := g.shardIdxOf(v)
-	g.place(g.shards[si].allocSlot(int32(len(g.shards)), int32(si)), node{id: v, label: lid})
+	g.place(node{id: v, label: lid})
 	g.labelIndexAdd(lid, v)
 	g.gen++
 }
@@ -260,31 +259,6 @@ func (g *Graph) DeleteEdge(v, w NodeID) bool {
 	return true
 }
 
-// DeleteNode removes node v together with all incident edges, and reports
-// whether it existed.
-func (g *Graph) DeleteNode(v NodeID) bool {
-	slot, ok := g.index.Get(v)
-	if !ok {
-		return false
-	}
-	rec := &g.nodes[slot]
-	for _, w := range rec.out {
-		g.rec(w).in.remove(v)
-		g.edges--
-	}
-	// A self-loop left rec.in with the loop above, so it is not counted
-	// twice.
-	for _, u := range rec.in {
-		g.rec(u).out.remove(v)
-		g.edges--
-	}
-	g.labelIndexRemove(rec.label, v)
-	g.shards[g.shardIdxOf(v)].recycleSlot(slot, int32(len(g.shards)))
-	g.unplace(slot)
-	g.gen++
-	return true
-}
-
 // OutDegree returns the number of successors of v.
 func (g *Graph) OutDegree(v NodeID) int {
 	rec := g.rec(v)
@@ -335,16 +309,29 @@ func (g *Graph) Nodes(fn func(v NodeID, label string) bool) {
 	}
 }
 
-// NodesSorted returns all node IDs in ascending order.
+// NodesSorted returns all node IDs in ascending order. It walks the node
+// index rather than the table: the direct window lists the dense IDs in
+// order, so only the sparse IDs (negative, or far beyond |V|) are sorted,
+// and the two runs merge.
 func (g *Graph) NodesSorted() []NodeID {
-	vs := make([]NodeID, 0, g.numNodes)
-	for i := range g.nodes {
-		if g.nodes[i].live {
-			vs = append(vs, g.nodes[i].id)
-		}
+	sparse := make([]NodeID, 0, len(g.index.sparse))
+	for v := range g.index.sparse {
+		sparse = append(sparse, v)
 	}
-	slices.Sort(vs)
-	return vs
+	slices.Sort(sparse)
+	vs := make([]NodeID, 0, g.numNodes)
+	j := 0
+	for v, e := range g.index.direct {
+		if e == 0 {
+			continue
+		}
+		for j < len(sparse) && sparse[j] < NodeID(v) {
+			vs = append(vs, sparse[j])
+			j++
+		}
+		vs = append(vs, NodeID(v))
+	}
+	return append(vs, sparse[j:]...)
 }
 
 // Edges calls fn for every edge until fn returns false.
@@ -427,7 +414,7 @@ func (g *Graph) Labels(fn func(label string, count int) bool) {
 }
 
 // Clone returns a deep copy of g: the node table, its index and the slot
-// allocators, so every node keeps its slot. The copy shares the
+// counts, so every node keeps its slot. The copy shares the
 // process-wide label intern table (IDs remain comparable) but no mutable
 // state; it inherits the shard count and parallelism budget.
 func (g *Graph) Clone() *Graph {
@@ -441,9 +428,6 @@ func (g *Graph) Clone() *Graph {
 		edges:      g.edges,
 		gen:        g.gen,
 		workers:    g.workers,
-	}
-	for i := range c.shards {
-		c.shards[i].free = slices.Clone(c.shards[i].free)
 	}
 	for i := range c.nodes {
 		n := &c.nodes[i]

@@ -93,22 +93,11 @@ func TestSelfLoop(t *testing.T) {
 	if g.NumEdges() != 1 || !g.HasEdge(1, 1) {
 		t.Fatalf("self-loop not stored")
 	}
-	if !g.DeleteNode(1) {
-		t.Fatalf("delete node failed")
+	if !g.DeleteEdge(1, 1) {
+		t.Fatalf("self-loop deletion failed")
 	}
-	if g.NumNodes() != 0 || g.NumEdges() != 0 {
-		t.Fatalf("self-loop node deletion left residue: %v", g)
-	}
-}
-
-func TestDeleteNodeRemovesIncidentEdges(t *testing.T) {
-	g := buildDiamond(t)
-	g.DeleteNode(2)
-	if g.HasEdge(1, 2) || g.HasEdge(2, 4) {
-		t.Fatalf("edges to deleted node survive")
-	}
-	if g.NumEdges() != 2 || g.NumNodes() != 3 {
-		t.Fatalf("counts wrong after node delete: %v", g)
+	if g.NumNodes() != 1 || g.NumEdges() != 0 || g.OutDegree(1) != 0 || g.InDegree(1) != 0 {
+		t.Fatalf("self-loop deletion left residue: %v", g)
 	}
 }
 

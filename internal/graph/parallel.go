@@ -9,7 +9,7 @@ import (
 // Parallel execution support. The graph substrate follows a two-part
 // concurrency contract:
 //
-//   - Mutations (AddNode, AddEdge, DeleteEdge, DeleteNode, Apply*) require
+//   - Mutations (AddNode, AddEdge, DeleteEdge, Apply*) require
 //     exclusive access: no other goroutine may touch the graph while one
 //     runs.
 //   - Between mutations the graph is read-shareable: any number of

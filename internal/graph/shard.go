@@ -1,10 +1,8 @@
 package graph
 
 import (
-	"cmp"
 	"math/bits"
 	"runtime"
-	"slices"
 )
 
 // Sharded node space over one node table. A node's record is the node
@@ -16,6 +14,12 @@ import (
 // recorded on both endpoint shards, so a planned batch splits into
 // per-shard effects that shard workers in other processes apply
 // independently (effects.go).
+//
+// Nodes are never deleted (the paper's unit updates insert and delete
+// edges, and a node appears only through an insertion), so shard s's nodes
+// hold exactly its local slots 0…live−1, and its allocator is that count.
+// A slot is private to the process that holds the graph: neither snapshots
+// nor shard parcels carry one, and a load issues slots afresh.
 //
 // Ownership invariant: node records, and their table and index entries,
 // are written only (a) under the exclusive-mutation half of the
@@ -32,34 +36,10 @@ import (
 // bounds the per-graph fixed cost of the shard table.
 const MaxShards = 256
 
-// shard is one partition of the node space: its slot allocator and the
-// number of its nodes.
+// shard is one partition of the node space: the number of its nodes,
+// which is also its next local slot.
 type shard struct {
-	// free recycles local slot indices of deleted nodes.
-	free []int32
-	// slotCap is the number of local slot indices ever issued.
-	slotCap int32
-	live    int32
-}
-
-// allocSlot issues a dense global slot for a new node of shard si: local
-// slots interleave across shards (global = local·P + si), so the node
-// table stays compact as long as the hash keeps shards balanced.
-func (sh *shard) allocSlot(p, si int32) int32 {
-	var local int32
-	if n := len(sh.free); n > 0 {
-		local = sh.free[n-1]
-		sh.free = sh.free[:n-1]
-	} else {
-		local = sh.slotCap
-		sh.slotCap++
-	}
-	return local*p + si
-}
-
-// recycleSlot returns a deleted node's global slot to the owning shard.
-func (sh *shard) recycleSlot(slot, p int32) {
-	sh.free = append(sh.free, slot/p)
+	live int32
 }
 
 // normalizeShards rounds n to the effective shard count: n <= 0 selects
@@ -92,23 +72,20 @@ func (g *Graph) rec(v NodeID) *node {
 	return nil
 }
 
-// place installs n, a node not in g, at slot, which its shard's allocator
-// issued: the table grows to cover the slot and the index maps n.id to it.
-func (g *Graph) place(slot int32, n node) {
+// place installs n, a node not in g, at its shard's next slot: local
+// slots interleave across shards (global = local·P + shard), so the node
+// table stays compact as long as the hash keeps shards balanced. The table
+// grows to cover the slot and the index maps n.id to it.
+func (g *Graph) place(n node) {
+	si := g.shardIdxOf(n.id)
+	sh := &g.shards[si]
+	slot := sh.live*int32(len(g.shards)) + int32(si)
 	g.nodes = lengthen(g.nodes, int(slot)+1)
 	n.live = true
 	g.nodes[slot] = n
 	g.index.Add(n.id, slot)
-	g.shards[int(slot)&(len(g.shards)-1)].live++
+	sh.live++
 	g.numNodes++
-}
-
-// unplace empties slot, which a node holds; the slot is not recycled.
-func (g *Graph) unplace(slot int32) {
-	g.index.Remove(g.nodes[slot].id)
-	g.nodes[slot] = node{}
-	g.shards[int(slot)&(len(g.shards)-1)].live--
-	g.numNodes--
 }
 
 // NumShards returns the shard count P (a power of two).
@@ -122,33 +99,24 @@ func (g *Graph) ShardOf(v NodeID) int { return int(g.shardIdxOf(v)) }
 // power of two, capped at MaxShards; n <= 0 restores the default, the
 // smallest power of two ≥ runtime.GOMAXPROCS(0)). Rebalancing rehashes
 // every node and re-places it in a new table under a reissued slot —
-// O(|V| log |V|) — so configure shards up front or at rare topology
-// milestones, not per batch. Requires exclusive access (a mutation under
-// the concurrency contract). Clones inherit the shard count. Nodes are
-// re-placed in ascending NodeID order, so each shard issues its slots in
-// ascending NodeID order and the result depends on the graph and n alone,
-// not on how the graph was built.
+// O(|V|) — so configure shards up front or at rare topology milestones,
+// not per batch. Requires exclusive access (a mutation under the
+// concurrency contract). Clones inherit the shard count.
 func (g *Graph) SetShards(n int) {
 	p := normalizeShards(n)
 	if p == len(g.shards) {
 		return
 	}
 	old := g.nodes
-	order := make([]int32, 0, g.numNodes)
-	for i := range old {
-		if old[i].live {
-			order = append(order, int32(i))
-		}
-	}
-	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(old[a].id, old[b].id) })
 	g.shards = make([]shard, p)
 	g.shardShift = shardShiftFor(p)
-	g.nodes = make([]node, 0, len(order)+p)
+	g.nodes = make([]node, 0, g.numNodes+p)
 	g.index = NodeIndex{}
 	g.numNodes = 0
-	for _, i := range order {
-		si := g.shardIdxOf(old[i].id)
-		g.place(g.shards[si].allocSlot(int32(p), int32(si)), old[i])
+	for i := range old {
+		if old[i].live {
+			g.place(old[i])
+		}
 	}
 }
 
@@ -170,73 +138,10 @@ func (g *Graph) ShardNodes(s int, fn func(v NodeID, lid LabelID) bool) {
 // NumShardNodes returns the number of nodes owned by shard s in O(1).
 func (g *Graph) NumShardNodes(s int) int { return int(g.shards[s].live) }
 
-// ShardNodesSorted returns the nodes owned by shard s in ascending order.
-// The slice is freshly allocated and owned by the caller. The engines'
-// batch builds use it to collect the node universe shard-parallel with a
-// deterministic (shard-grouped, ascending) order.
-func (g *Graph) ShardNodesSorted(s int) []NodeID {
-	out := make([]NodeID, 0, g.shards[s].live)
-	g.ShardNodes(s, func(v NodeID, _ LabelID) bool {
-		out = append(out, v)
-		return true
-	})
-	slices.Sort(out)
-	return out
-}
-
-// NodesSortedParallel returns all node IDs in ascending order, like
-// NodesSorted, but collects and sorts per shard across Parallelism()
-// workers and then merges the shard runs. Output is identical to
-// NodesSorted; only the schedule differs. Callers must hold the graph
-// read-shareable (no concurrent mutation).
-func (g *Graph) NodesSortedParallel() []NodeID {
-	p := len(g.shards)
-	workers := g.Parallelism()
-	if p == 1 || workers <= 1 {
-		return g.NodesSorted()
-	}
-	runs := make([][]NodeID, p)
-	ParallelFor(workers, p, func(_, s int) {
-		runs[s] = g.ShardNodesSorted(s)
-	})
-	// Pairwise merge: O(n log P) total, versus O(n·P) for a linear-scan
-	// selection over all heads.
-	for len(runs) > 1 {
-		merged := runs[:0]
-		for i := 0; i < len(runs); i += 2 {
-			if i+1 == len(runs) {
-				merged = append(merged, runs[i])
-				break
-			}
-			merged = append(merged, mergeSortedIDs(runs[i], runs[i+1]))
-		}
-		runs = merged
-	}
-	return runs[0]
-}
-
-// mergeSortedIDs merges two ascending runs into a fresh ascending slice.
-func mergeSortedIDs(a, b []NodeID) []NodeID {
-	out := make([]NodeID, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i] <= b[j] {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
-}
-
 // TouchedShards returns the sorted, de-duplicated indices of the shards
 // owning any endpoint of the batch: the partitions a distributed
-// application of b will write. Engines use it as a locality signal (how
-// concentrated ΔG is) when deciding between incremental repair and batch
-// fallback.
+// application of b will write. The coordinator prepares exactly those
+// shards before it plans the batch.
 func (b Batch) TouchedShards(g *Graph) []int {
 	// Shard indices fit a fixed 256-bit set (MaxShards), so dedup and sort
 	// cost no map and no sort.Ints — this runs per distributed apply.

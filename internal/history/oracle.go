@@ -106,14 +106,11 @@ func (e Engine) Answer() string {
 
 // Observe renders everything a commit leaves behind in one engine that a
 // caller can see: ΔO row by row, the answer, the work metered since build,
-// the cost model's verdict — less the shards ΔG touched, which depends on
-// the shard count.
+// and the cost model's verdict.
 func (e Engine) Observe() string {
 	est := "none"
 	if e.Estimate != nil {
-		v := e.Estimate()
-		v.TouchedShards = 0
-		est = v.String()
+		est = e.Estimate().String()
 	}
 	return "ΔO:\n" + RenderLastDelta(e.M) + "answer:\n" + e.Answer() + "meter: " + e.Meter.String() + "\nestimate: " + est + "\n"
 }

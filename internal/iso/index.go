@@ -192,9 +192,9 @@ func (ix *Index) Repair(norm graph.Batch) Delta {
 	rootCands := ix.g.NumNodesWithLabelID(ix.p.lbl[ix.p.order[0]])
 	// Count the anchored enumerations the incremental path would seed: one
 	// per label-compatible pattern edge per insertion (anchoredMatches).
-	// Both this count and the shard footprint are skipped on the tiny-batch
-	// hot path, which the estimator's floor always routes incremental.
-	anchors, shardsTouched := 0, 0
+	// The count is skipped on the tiny-batch hot path, which the
+	// estimator's floor always routes incremental.
+	anchors := 0
 	if len(norm) >= cost.FallbackMinBatch {
 		for _, u := range ins {
 			lf, lt := ix.g.LabelIDAt(u.From), ix.g.LabelIDAt(u.To)
@@ -204,9 +204,8 @@ func (ix *Index) Repair(norm graph.Batch) Delta {
 				}
 			}
 		}
-		shardsTouched = len(norm.TouchedShards(ix.g))
 	}
-	ix.lastEst = cost.EstimateISO(len(ins), len(dels), rootCands, anchors, shardsTouched)
+	ix.lastEst = cost.EstimateISO(len(ins), len(dels), rootCands, anchors)
 	// A pattern without edges is one node, and its Q(G) a label class that
 	// only the nodes a batch created can grow: no anchor finds those, so
 	// re-enumerate when the class outgrew the match set.
@@ -296,8 +295,8 @@ func (ix *Index) rebuildDiff() Delta {
 }
 
 // LastEstimate returns the cost-model verdict of the most recent repair:
-// the predicted |AFF|, the repair-vs-batch costs, and the shard footprint
-// of the batch. Benchmarks and tests use it to observe routing.
+// the predicted |AFF| and the repair-vs-batch costs. Benchmarks and tests
+// use it to observe routing.
 func (ix *Index) LastEstimate() cost.Estimate { return ix.lastEst }
 
 // anchoredMatches enumerates, on searcher s, the matches created by

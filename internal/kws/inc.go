@@ -292,16 +292,10 @@ func (ix *Index) Repair(batch, norm graph.Batch) Delta {
 			delsN++
 		}
 	}
-	// The shard footprint is observability only; skip its map-and-sort on
-	// the tiny-batch hot path the floor always routes incremental.
-	shardsTouched := 0
-	if len(norm) >= cost.FallbackMinBatch {
-		shardsTouched = len(norm.TouchedShards(ix.g))
-	}
 	// The model is fed G's size, not G ⊕ ΔG's: kdist still has one row per
 	// node of G, and a valid normalized batch moves |E| by its own counts.
 	ix.lastEst = cost.EstimateKWS(len(ix.ids), ix.g.NumEdges()-insN+delsN, insN, delsN,
-		ix.q.Bound, len(ix.q.Keywords), shardsTouched)
+		ix.q.Bound, len(ix.q.Keywords))
 	if ix.lastEst.PreferBatch() {
 		return ix.rebuildDiff()
 	}
@@ -382,8 +376,8 @@ func (ix *Index) rebuildDiff() Delta {
 }
 
 // LastEstimate returns the cost-model verdict of the most recent repair:
-// the predicted |AFF|, the repair-vs-batch costs, and the shard footprint
-// of the batch. Benchmarks and tests use it to observe routing.
+// the predicted |AFF| and the repair-vs-batch costs. Benchmarks and tests
+// use it to observe routing.
 func (ix *Index) LastEstimate() cost.Estimate { return ix.lastEst }
 
 // ApplyUnitwise is IncKWSn: it processes the batch one unit update at a

@@ -156,7 +156,7 @@ func build(g *graph.Graph, q Query, meter *cost.Meter) *Index {
 		ix.kw[i] = &scratch{}
 	}
 	workers := g.Parallelism()
-	ix.ids = g.NodesSortedParallel()
+	ix.ids = g.NodesSorted()
 	ix.idx = graph.IndexNodes(ix.ids)
 	ix.kdist = make([]Entry, len(ix.ids)*m)
 	for j := range ix.kdist {

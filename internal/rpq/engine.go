@@ -193,9 +193,8 @@ func NewEngine(g *graph.Graph, ast *rex.Ast, meter *cost.Meter) (*Engine, error)
 		}
 	}
 	workers := g.Parallelism()
-	// Nodes in ascending order, collected and sorted per shard across the
-	// worker pool (identical output to NodesSorted).
-	e.ids = g.NodesSortedParallel()
+	// Nodes in ascending order.
+	e.ids = g.NodesSorted()
 	n := len(e.ids)
 	e.lbl = make([]graph.LabelID, n)
 	e.marks = make([]*table, n)

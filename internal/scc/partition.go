@@ -55,10 +55,9 @@ type partition struct {
 // caller to adopt.
 func (p *partition) init(g *graph.Graph, meter *cost.Meter) {
 	p.g, p.meter = g, meter
-	// Tarjan needs the global ascending node order; collect it per shard
-	// across the worker pool (identical output to NodesSorted). The DFS
-	// itself stays sequential — IncSCC's certificate is order-dependent.
-	p.ids = g.NodesSortedParallel()
+	// Tarjan needs the global ascending node order. The DFS itself stays
+	// sequential — IncSCC's certificate is order-dependent.
+	p.ids = g.NodesSorted()
 	p.idx = graph.IndexNodes(p.ids)
 	p.succ = mirror(g, p.ids, &p.idx)
 	p.pred = transpose(p.succ)

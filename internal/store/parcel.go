@@ -65,10 +65,10 @@ func EncodeShardParcel(g *graph.Graph, s int) ([]byte, error) {
 	return append(buf, seg...), nil
 }
 
-// DecodeShardParcel parses a parcel into the ShardState of shard s for a
-// graph of the given shard count, interning the carried labels into this
-// process's table. The result feeds graph.LoadShard.
-func DecodeShardParcel(buf []byte, s, shards int) (graph.ShardState, error) {
+// DecodeShardParcel parses a parcel into the ShardState of shard s,
+// interning the carried labels into this process's table. The result feeds
+// graph.LoadShard.
+func DecodeShardParcel(buf []byte, s int) (graph.ShardState, error) {
 	var st graph.ShardState
 	off := 0
 	uvarint := func() (uint64, bool) {
@@ -92,5 +92,5 @@ func DecodeShardParcel(buf []byte, s, shards int) (graph.ShardState, error) {
 		labels[i] = graph.InternLabel(string(buf[off : off+int(l)]))
 		off += int(l)
 	}
-	return decodeSegment(buf[off:], s, &snapHeader{labels: labels}, int64(shards))
+	return decodeSegment(buf[off:], s, &snapHeader{labels: labels})
 }

@@ -28,7 +28,7 @@ func TestParcelRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("encode shard %d: %v", s, err)
 		}
-		st, err := DecodeShardParcel(parcel, s, g.NumShards())
+		st, err := DecodeShardParcel(parcel, s)
 		if err != nil {
 			t.Fatalf("decode shard %d: %v", s, err)
 		}
@@ -58,7 +58,7 @@ func TestParcelAfterEffects(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := DecodeShardParcel(parcel, s, g.NumShards())
+		st, err := DecodeShardParcel(parcel, s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,13 +114,13 @@ func TestParcelRejectsCorruption(t *testing.T) {
 	// Truncations at every boundary must error, never panic or succeed
 	// with partial state.
 	for cut := 0; cut < len(parcel); cut++ {
-		if _, err := DecodeShardParcel(parcel[:cut], 3, g.NumShards()); err == nil {
+		if _, err := DecodeShardParcel(parcel[:cut], 3); err == nil {
 			t.Fatalf("truncated parcel at %d decoded", cut)
 		}
 	}
-	// The wrong shard index must be rejected (nodes hash elsewhere);
-	// LoadShard would also catch it, but the decoder checks slots.
-	if st, err := DecodeShardParcel(parcel, 3, g.NumShards()); err != nil {
+	// The wrong shard index must be rejected: the nodes hash elsewhere,
+	// which LoadShard checks.
+	if st, err := DecodeShardParcel(parcel, 3); err != nil {
 		t.Fatal(err)
 	} else {
 		fresh := graph.NewSharded(g.NumShards())
@@ -128,7 +128,7 @@ func TestParcelRejectsCorruption(t *testing.T) {
 			t.Fatal("parcel of shard 3 loaded as shard 4")
 		}
 	}
-	if _, err := DecodeShardParcel(nil, 0, g.NumShards()); !errors.Is(err, ErrBadSnapshot) {
+	if _, err := DecodeShardParcel(nil, 0); !errors.Is(err, ErrBadSnapshot) {
 		t.Fatalf("empty parcel: got %v, want ErrBadSnapshot", err)
 	}
 }

@@ -3,14 +3,14 @@
 // batches, and the Store that composes the two into checkpoint/recover
 // cycles under a crash-safe directory layout.
 //
-// # Snapshot format (.snap, version 1)
+// # Snapshot format (.snap, version 2)
 //
 // A snapshot is one file: a manifest header followed by one binary segment
 // per shard. All fixed-width integers are little-endian; segment bodies
 // use varint/uvarint coding with delta-compressed adjacency.
 //
 //	magic     [8]byte  "incgsnp1"
-//	version   uint32   (currently 1)
+//	version   uint32   (currently 2; a reader rejects any other)
 //	shards    uint32   (power of two, ≤ graph.MaxShards)
 //	gen       uint64   mutation generation at snapshot time
 //	nodes     uint64   |V| (load-time integrity check)
@@ -24,23 +24,24 @@
 //
 // Each segment encodes its shard in the stable order of
 // graph.ExportShard — nodes ascending by ID, adjacency ascending — so
-// identical graphs produce byte-identical snapshots:
+// Equal graphs at one shard count produce byte-identical snapshots,
+// whatever history built them:
 //
 //	uvarint nodeCount
-//	uvarint slotCap
-//	uvarint freeCount, then uvarint per recycled local slot
-//	per node: varint id, uvarint label index, uvarint local slot,
+//	per node: varint id, uvarint label index,
 //	          uvarint out-degree + delta-coded ids,
 //	          uvarint in-degree  + delta-coded ids
+//
+// No slot is stored (version 1 stored them, and is rejected): a load
+// issues each shard's slots in ID order.
 //
 // Segments are independent: WriteSnapshot encodes them in parallel, and
 // ReadSnapshot loads them in parallel (graph.ParallelFor over shards, one
 // graph.LoadShard per segment) before a serial graph.FinishLoad rebuilds
-// the global label index. The load restores the graph exactly — slot
-// allocator state included — so every downstream engine behaves
-// byte-identically to one built on the never-serialized graph. The
-// per-shard segment is deliberately the unit a multi-process deployment
-// would ship over RPC.
+// the global label index. The load restores nodes, labels, edges and the
+// generation, so every downstream engine behaves byte-identically to one
+// built on the never-serialized graph. The per-shard segment is the unit
+// the cluster coordinator ships to a worker (parcel.go).
 package store
 
 import (
@@ -62,13 +63,13 @@ import (
 var snapMagic = [8]byte{'i', 'n', 'c', 'g', 's', 'n', 'p', '1'}
 
 // SnapshotVersion is the current snapshot format revision.
-const SnapshotVersion = 1
+const SnapshotVersion = 2
 
 // ErrBadSnapshot reports a snapshot that cannot be decoded: wrong magic,
 // unknown version, or corruption the CRCs caught.
 var ErrBadSnapshot = errors.New("store: bad snapshot")
 
-// WriteSnapshot serializes g as a version-1 snapshot. The graph must be
+// WriteSnapshot serializes g as a version-2 snapshot. The graph must be
 // read-shareable for the duration (no concurrent mutation); segments are
 // encoded in parallel across g.Parallelism() workers.
 func WriteSnapshot(w io.Writer, g *graph.Graph) error {
@@ -137,14 +138,8 @@ func WriteSnapshot(w io.Writer, g *graph.Graph) error {
 // encodeSegment serializes shard s using the stable export order.
 func encodeSegment(g *graph.Graph, s int, labelIdx map[graph.LabelID]uint64) ([]byte, error) {
 	st := g.ExportShard(s)
-	p64 := int64(g.NumShards())
 	buf := make([]byte, 0, 16+24*len(st.Nodes))
 	buf = binary.AppendUvarint(buf, uint64(len(st.Nodes)))
-	buf = binary.AppendUvarint(buf, uint64(st.SlotCap))
-	buf = binary.AppendUvarint(buf, uint64(len(st.Free)))
-	for _, f := range st.Free {
-		buf = binary.AppendUvarint(buf, uint64(f))
-	}
 	for _, n := range st.Nodes {
 		li, ok := labelIdx[n.Label]
 		if !ok {
@@ -152,7 +147,6 @@ func encodeSegment(g *graph.Graph, s int, labelIdx map[graph.LabelID]uint64) ([]
 		}
 		buf = binary.AppendVarint(buf, int64(n.ID))
 		buf = binary.AppendUvarint(buf, li)
-		buf = binary.AppendUvarint(buf, uint64(int64(n.Slot)/p64))
 		buf = appendAdjacency(buf, n.Out)
 		buf = appendAdjacency(buf, n.In)
 	}
@@ -266,9 +260,8 @@ func readSnapHeader(r io.ReaderAt, size int64) (*snapHeader, error) {
 }
 
 // ReadSnapshot decodes a snapshot into a fresh graph with the snapshot's
-// shard count, loading segments in parallel. The result is identical to
-// the serialized graph: nodes, labels, edges, slot allocation, and
-// mutation generation.
+// shard count, loading segments in parallel. The result is Equal to the
+// serialized graph and carries its mutation generation.
 func ReadSnapshot(r io.ReaderAt, size int64) (*graph.Graph, error) {
 	h, err := readSnapHeader(r, size)
 	if err != nil {
@@ -307,7 +300,7 @@ func loadSegment(r io.ReaderAt, g *graph.Graph, s int, h *snapHeader) error {
 	if crc := crc32.ChecksumIEEE(buf); crc != seg.crc {
 		return fmt.Errorf("%w: segment %d: CRC mismatch (%08x != %08x)", ErrBadSnapshot, s, crc, seg.crc)
 	}
-	st, err := decodeSegment(buf, s, h, int64(g.NumShards()))
+	st, err := decodeSegment(buf, s, h)
 	if err != nil {
 		return err
 	}
@@ -343,41 +336,12 @@ func (sr *segReader) varint() (int64, error) {
 }
 
 // decodeSegment parses one shard segment body.
-func decodeSegment(buf []byte, s int, h *snapHeader, p int64) (graph.ShardState, error) {
+func decodeSegment(buf []byte, s int, h *snapHeader) (graph.ShardState, error) {
 	sr := &segReader{buf: buf, s: s}
 	var st graph.ShardState
 	nNodes, err := sr.uvarint()
 	if err != nil {
 		return st, err
-	}
-	slotCap, err := sr.uvarint()
-	if err != nil {
-		return st, err
-	}
-	// Every issued slot corresponds to at least one encoded byte (a node
-	// record or a free-list entry), so a cap past the segment length is
-	// corrupt; the bound also makes the int32 casts below exact.
-	if slotCap > uint64(len(buf)) || slotCap > 1<<31-1 {
-		return st, fmt.Errorf("%w: segment %d: implausible slot cap %d", ErrBadSnapshot, s, slotCap)
-	}
-	st.SlotCap = int32(slotCap)
-	nFree, err := sr.uvarint()
-	if err != nil {
-		return st, err
-	}
-	if nFree > uint64(len(buf)) {
-		return st, fmt.Errorf("%w: segment %d: implausible free count %d", ErrBadSnapshot, s, nFree)
-	}
-	st.Free = make([]int32, nFree)
-	for i := range st.Free {
-		f, err := sr.uvarint()
-		if err != nil {
-			return st, err
-		}
-		if f >= slotCap {
-			return st, fmt.Errorf("%w: segment %d: free slot %d out of cap %d", ErrBadSnapshot, s, f, slotCap)
-		}
-		st.Free[i] = int32(f)
 	}
 	if nNodes > uint64(len(buf)) {
 		return st, fmt.Errorf("%w: segment %d: implausible node count %d", ErrBadSnapshot, s, nNodes)
@@ -395,13 +359,6 @@ func decodeSegment(buf []byte, s int, h *snapHeader, p int64) (graph.ShardState,
 		if li >= uint64(len(h.labels)) {
 			return st, fmt.Errorf("%w: segment %d: label index %d out of table", ErrBadSnapshot, s, li)
 		}
-		local, err := sr.uvarint()
-		if err != nil {
-			return st, err
-		}
-		if local >= slotCap {
-			return st, fmt.Errorf("%w: segment %d: local slot %d out of cap %d", ErrBadSnapshot, s, local, slotCap)
-		}
 		out, err := readAdjacency(sr)
 		if err != nil {
 			return st, err
@@ -410,17 +367,7 @@ func decodeSegment(buf []byte, s int, h *snapHeader, p int64) (graph.ShardState,
 		if err != nil {
 			return st, err
 		}
-		slot := int64(local)*p + int64(s)
-		if slot > 1<<31-1 {
-			return st, fmt.Errorf("%w: segment %d: slot %d overflows", ErrBadSnapshot, s, slot)
-		}
-		st.Nodes[i] = graph.ShardNodeState{
-			ID:    graph.NodeID(id),
-			Label: h.labels[li],
-			Slot:  int32(slot),
-			Out:   out,
-			In:    in,
-		}
+		st.Nodes[i] = graph.ShardNodeState{ID: graph.NodeID(id), Label: h.labels[li], Out: out, In: in}
 	}
 	if sr.off != len(buf) {
 		return st, fmt.Errorf("%w: segment %d: %d trailing bytes", ErrBadSnapshot, s, len(buf)-sr.off)

@@ -8,14 +8,15 @@ import (
 	"hash/crc32"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"incgraph/internal/gen"
 	"incgraph/internal/graph"
 )
 
-// testGraph builds a deterministic random graph with deletions (so slot
-// free lists are non-trivial) on the given shard count.
+// testGraph builds a deterministic random graph on the given shard count,
+// with edge deletions that leave some nodes isolated.
 func testGraph(t testing.TB, shards, nodes, edges int) *graph.Graph {
 	t.Helper()
 	rng := rand.New(rand.NewSource(42))
@@ -27,7 +28,10 @@ func testGraph(t testing.TB, shards, nodes, edges int) *graph.Graph {
 		g.AddEdge(graph.NodeID(rng.Intn(nodes)), graph.NodeID(rng.Intn(nodes)))
 	}
 	for i := 0; i < nodes/10; i++ {
-		g.DeleteNode(graph.NodeID(rng.Intn(nodes)))
+		v := graph.NodeID(rng.Intn(nodes))
+		for _, w := range slices.Clone(g.SuccessorsSorted(v)) {
+			g.DeleteEdge(v, w)
+		}
 	}
 	return g
 }
@@ -53,7 +57,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			if h.NumShards() != g.NumShards() {
 				t.Fatalf("shards %d != %d", h.NumShards(), g.NumShards())
 			}
-			// Slot parity: the next insertion must take the same slot.
+			// The loaded graph takes further mutations like the original.
 			fresh := graph.NodeID(1_000_000)
 			g.AddNode(fresh, "x")
 			h.AddNode(fresh, "x")
@@ -83,6 +87,36 @@ func TestSnapshotDeterministic(t *testing.T) {
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatal("snapshot encoding is not deterministic")
 	}
+	// Equal graphs built in opposite orders, whose nodes hold other slots,
+	// write the same bytes.
+	var up, down bytes.Buffer
+	if err := WriteSnapshot(&up, rebuilt(g, false)); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteSnapshot(&down, rebuilt(g, true)); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(up.Bytes(), down.Bytes()) {
+		t.Fatal("Equal graphs built in different orders wrote different snapshots")
+	}
+}
+
+// rebuilt returns a copy of g at g's shard count built node by node, then
+// edge by edge, in ascending or descending order.
+func rebuilt(g *graph.Graph, descending bool) *graph.Graph {
+	nodes, edges := g.NodesSorted(), slices.Clone(g.EdgesSorted())
+	if descending {
+		slices.Reverse(nodes)
+		slices.Reverse(edges)
+	}
+	h := graph.NewSharded(g.NumShards())
+	for _, v := range nodes {
+		h.AddNode(v, g.Label(v))
+	}
+	for _, e := range edges {
+		h.AddEdge(e.From, e.To)
+	}
+	return h
 }
 
 func TestSnapshotRejectsCorruption(t *testing.T) {
@@ -106,6 +140,8 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 				{"corrupt segment", corrupt(func(b []byte) { b[len(b)-1] ^= 0xFF })},
 				{"bad magic", corrupt(func(b []byte) { b[0] = 'X' })},
 				{"unknown version", corrupt(func(b []byte) { b[8] = 99 })},
+				// Version 1 carried slots; its segments are not read.
+				{"version 1", corrupt(func(b []byte) { b[8] = 1 })},
 				{"truncated", good[:len(good)/2]},
 				{"wrapped segment length", wrapSegmentLength(good)},
 			} {
@@ -195,8 +231,8 @@ func checkSnapshotDecode(t *testing.T, snap []byte) {
 
 // TestReadSnapshotAllocations pins what a load allocates: the adjacency
 // slices, at most two per node, plus a per-shard constant (the segment
-// buffer, the decoded state, the merge runs, the node table and index
-// growth, the label classes) — at most 2·|V| + 64·P in all. A node record
+// buffer, the decoded state, the node table and index growth, the sorted
+// node list, the label classes) — at most 2·|V| + 64·P in all. A node record
 // that comes back as a heap object of its own adds |V| and fails it.
 func TestReadSnapshotAllocations(t *testing.T) {
 	for _, p := range []int{1, 8} {
