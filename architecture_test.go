@@ -7,6 +7,7 @@ import (
 	"io/fs"
 	"os"
 	"path"
+	"regexp"
 	"slices"
 	"sort"
 	"strconv"
@@ -38,7 +39,7 @@ func TestArchitecture(t *testing.T) {
 			"incgraph/internal/bench", "incgraph/cmd/benchmark", "incgraph/cmd/benchcmp")},
 
 		// The daemon attaches no shard workers; the coordinator lives on
-		// for perf/ and examples/ha_cluster only.
+		// for perf/ only.
 		{"incgraphd is one process", idents(nonTestUnder("cmd/"),
 			"NewCluster", "DialClusterWorker", "NewClusterWorker", "ListenCluster", "InProcessLinks")},
 		// OpenDurable returns a recovered store and the graph is
@@ -63,7 +64,7 @@ func TestArchitecture(t *testing.T) {
 		// Every knob the daemon has; a new flag is added here too.
 		{"incgraphd's flags", flagNames(
 			[]string{"cmd/incgraphd/main.go", "cmd/incgraphd/admission.go", "cmd/incgraphd/standby.go"},
-			"addr", "bound", "checkpoint-bytes", "commit-inflight", "commit-queue", "disk-fault",
+			"addr", "bound", "checkpoint-bytes", "commit-inflight", "commit-queue",
 			"fsync", "graph", "hub", "idle-timeout", "iso", "kws", "max-conns", "max-staged",
 			"op-timeout", "primary", "read-inflight", "read-queue", "rpq", "scc",
 			"store", "term", "ttl", "workers")},
@@ -72,13 +73,17 @@ func TestArchitecture(t *testing.T) {
 		// concurrent-batch scheduler and pipelined log, shard moves and
 		// the scrubber, tree-arc re-parenting, loadgen's YAML parser, node
 		// deletion with its slot recycling and the slot state snapshots and
-		// parcels used to carry.
+		// parcels used to carry, the coordinator's worker fault tolerance
+		// (frame fault script, redial, resync, fencing, holdover drops)
+		// and the daemon's disk-fault flag.
 		{"deleted names stay deleted", idents(nonTest,
 			"ReplicaLog", "ReplPolicy", "WithReplication", "SetLogDir", "FetchReplStates", "ClusterReplStates", "msgReplicate",
 			"applyQueue", "acquireDeadline", "logMu", "Unappend", "ClusterCommit", "WithOnCommit", "OnCommit",
 			"MoveShard", "StartScrubber", "ScrubShard", "ScrubCounters",
 			"SetTreeArcRepair", "noRepair", "tryRepairTreeArc", "parseYAML",
-			"DeleteNode", "recycleSlot", "SlotCap")},
+			"DeleteNode", "recycleSlot", "SlotCap",
+			"FaultScript", "Dialer", "WithClusterTerm", "WithCallTimeout", "ensureUp", "prepareShards",
+			"Resyncs", "msgDrop", "parseDiskFault")},
 		// The differentials are TestHistory and TestDaemonHistory over
 		// internal/history; the per-subsystem scaffolds stay gone.
 		{"one differential harness", idents(anyFile,
@@ -90,7 +95,11 @@ func TestArchitecture(t *testing.T) {
 			"cmd/incgraphd/linearizable_test.go",
 			"internal/bench", "cmd/benchmark", "cmd/benchcmp", "BENCH_*.json",
 			"cmd/loadgen/**/*.yaml",
-			"cmd/loadgen/scenarios/rebalance-under-load*", "cmd/loadgen/scenarios/scrub-every*")},
+			"cmd/loadgen/scenarios/rebalance-under-load*", "cmd/loadgen/scenarios/scrub-every*",
+			"internal/cluster/fault.go", "cmd/incgraphd/diskfault.go")},
+		// go test -run with a pattern that matches nothing exits 0, so a CI
+		// step naming deleted tests passes silently.
+		{"CI names only tests that exist", ciPatterns(".github/workflows/ci.yml")},
 	} {
 		rule.check(tr, func(at, msg string) {
 			t.Errorf("%s: %s: %s", rule.name, at, msg)
@@ -397,6 +406,62 @@ func noPaths(patterns ...string) func(*archTree, func(at, msg string)) {
 				}
 				if hit {
 					report(p, "exists; it matches the deleted "+pat)
+				}
+			}
+		}
+	}
+}
+
+// ciFlag finds the test-selection flags of go test command lines in a
+// workflow file: -run, -bench or -fuzz and its pattern, quoted or bare.
+var ciFlag = regexp.MustCompile(`-(run|bench|fuzz)[ =]('[^']*'|"[^"]*"|[^\s'"]+)`)
+
+// ciPatterns requires every |-alternative of every -run, -bench and -fuzz
+// pattern in the workflow file to match the name of at least one Test,
+// Benchmark or Fuzz function of the module's test files. '^$', the "run
+// nothing" idiom, is exempt. A pattern's first /-level names top-level
+// functions; deeper levels name subtests and are not checked.
+func ciPatterns(file string) func(*archTree, func(at, msg string)) {
+	return func(tr *archTree, report func(at, msg string)) {
+		var names []string
+		for _, f := range tr.files {
+			if !f.test {
+				continue
+			}
+			for _, decl := range f.ast.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || fd.Recv != nil {
+					continue
+				}
+				for _, prefix := range []string{"Test", "Benchmark", "Fuzz"} {
+					if strings.HasPrefix(fd.Name.Name, prefix) {
+						names = append(names, fd.Name.Name)
+					}
+				}
+			}
+		}
+		src, err := os.ReadFile(file)
+		if err != nil {
+			report(file, err.Error())
+			return
+		}
+		for i, line := range strings.Split(string(src), "\n") {
+			at := file + ":" + strconv.Itoa(i+1)
+			for _, m := range ciFlag.FindAllStringSubmatch(line, -1) {
+				pattern := strings.Trim(m[2], `'"`)
+				top, _, _ := strings.Cut(pattern, "/")
+				for _, alt := range strings.Split(top, "|") {
+					if alt == "^$" {
+						continue
+					}
+					re, err := regexp.Compile(alt)
+					if err != nil {
+						report(at, "-"+m[1]+" alternative "+alt+": "+err.Error())
+						continue
+					}
+					if !slices.ContainsFunc(names, re.MatchString) {
+						report(at, "-"+m[1]+" alternative "+alt+" matches no Test, Benchmark or Fuzz function")
+					}
 				}
 			}
 		}

@@ -2,7 +2,6 @@ package incgraph
 
 import (
 	"net"
-	"time"
 
 	"incgraph/internal/cluster"
 )
@@ -14,10 +13,11 @@ import (
 // validated batch plan to the worker owning it, in parallel; phase 2 (the
 // commit callback) logs and applies the batch locally — so the distributed
 // application is byte-identical to the single-process one. Shard
-// placement and resync ship the per-shard snapshot segments of
-// internal/store. The coordinator commits one batch at a time. See
-// internal/cluster for the protocol contract and doc.go "Distribution" for
-// what is and is not replicated.
+// placement ships the per-shard snapshot segments of internal/store. The
+// coordinator commits one batch at a time and is fail-stop: after a
+// failed Apply every later one returns that failure. See internal/cluster
+// for the protocol contract and doc.go "Distribution" for what is and is
+// not replicated.
 
 type (
 	// Cluster is the coordinator side of a shard-worker deployment.
@@ -28,35 +28,14 @@ type (
 	ClusterLink = cluster.Link
 )
 
-// ClusterOption configures NewCluster.
-type ClusterOption func(*cluster.CoordinatorOptions)
-
-// WithClusterTerm sets the coordinator's fencing term. Workers remember
-// the highest term seen; a promoted standby attaches at a higher term,
-// fencing every session of the coordinator it replaced.
-func WithClusterTerm(term uint64) ClusterOption {
-	return func(o *cluster.CoordinatorOptions) { o.Term = term }
-}
-
-// WithCallTimeout overrides the per-RPC base deadline (default 60s); it
-// still scales with request size.
-func WithCallTimeout(d time.Duration) ClusterOption {
-	return func(o *cluster.CoordinatorOptions) { o.CallTimeout = d }
-}
-
 // NewCluster attaches the linked workers as shard workers of g,
-// handshaking each and placing every shard round-robin. Options set the
-// fencing term and the per-RPC deadline. While the cluster is attached,
-// the cluster commit path (Durable.Commit with ApplyOptions.Via, or
-// Cluster.Apply directly) must be the only mutation path of g; a standby
-// feed is fed from the commit callback, which runs under the coordinator
-// mutex in commit order.
-func NewCluster(g *Graph, links []ClusterLink, opts ...ClusterOption) (*Cluster, error) {
-	var o cluster.CoordinatorOptions
-	for _, opt := range opts {
-		opt(&o)
-	}
-	return cluster.NewCoordinator(g, links, o)
+// handshaking each (which resets it) and placing every shard round-robin.
+// While the cluster is attached, the cluster commit path (Durable.Commit
+// with ApplyOptions.Via, or Cluster.Apply directly) must be the only
+// mutation path of g; a standby feed is fed from the commit callback,
+// which runs under the coordinator mutex in commit order.
+func NewCluster(g *Graph, links []ClusterLink) (*Cluster, error) {
+	return cluster.NewCoordinator(g, links)
 }
 
 // NewClusterWorker returns an empty shard worker; serve it with
@@ -64,12 +43,11 @@ func NewCluster(g *Graph, links []ClusterLink, opts ...ClusterOption) (*Cluster,
 // coordinator's handshake sizes and populates it.
 func NewClusterWorker() *ClusterWorker { return cluster.NewWorker() }
 
-// DialClusterWorker connects to a worker's TCP address, returning a
-// redialable link: a worker that crashes and restarts on the same address
-// is reattached and rebuilt from shipped segments automatically.
+// DialClusterWorker connects to a worker's TCP address: one attempt,
+// bounded by a 5 s timeout.
 func DialClusterWorker(addr string) (ClusterLink, error) { return cluster.Dial(addr) }
 
-// InProcessLinks starts n workers over synchronous in-memory pipes — the
+// InProcessLinks starts n workers over buffered in-memory pipes — the
 // deterministic transport used by tests and benchmarks — and returns
 // links ready for NewCluster. stop tears the serving goroutines down.
 func InProcessLinks(n int) (links []ClusterLink, workers []*ClusterWorker, stop func()) {

@@ -1,9 +1,9 @@
 package main
 
-// Disk-degradation drills for the serving layer: the -disk-fault spec
-// parser, and the full retrying → read-only → probe → healed cycle of
-// doc.go's disk column, driven end-to-end over the line protocol against
-// an in-process server whose store runs on a seeded FaultFS.
+// Disk-degradation drills for the serving layer: the full retrying →
+// read-only → probe → healed cycle of doc.go's disk column, driven
+// end-to-end over the line protocol against an in-process server whose
+// store runs on a seeded FaultFS.
 
 import (
 	"strings"
@@ -12,58 +12,6 @@ import (
 
 	"incgraph"
 )
-
-func TestParseDiskFault(t *testing.T) {
-	ffs, err := parseDiskFault("seed=7;op=sync,path=wal,index=2,count=3,kind=syncfail;op=write,keep=10,prob=0.5,kind=enospc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ffs.Seed != 7 {
-		t.Fatalf("seed = %d, want 7", ffs.Seed)
-	}
-	if len(ffs.Rules) != 2 {
-		t.Fatalf("rules = %d, want 2", len(ffs.Rules))
-	}
-	r0, r1 := ffs.Rules[0], ffs.Rules[1]
-	if r0.Op != "sync" || r0.Path != "wal" || r0.Index != 2 || r0.Count != 3 || r0.Kind != incgraph.FaultSyncFail {
-		t.Fatalf("rule 0 = %+v", r0)
-	}
-	if r1.Op != "write" || r1.Keep != 10 || r1.Prob != 0.5 || r1.Kind != incgraph.FaultENOSPC {
-		t.Fatalf("rule 1 = %+v", r1)
-	}
-	if r1.Index != -1 {
-		t.Fatalf("rule 1 index = %d, want -1 (every match) by default", r1.Index)
-	}
-
-	kinds := map[string]incgraph.FaultKind{
-		"eio": incgraph.FaultEIO, "enospc": incgraph.FaultENOSPC,
-		"short": incgraph.FaultShortWrite, "shortwrite": incgraph.FaultShortWrite,
-		"torn": incgraph.FaultTornWrite, "tornwrite": incgraph.FaultTornWrite,
-		"syncfail": incgraph.FaultSyncFail, "synclie": incgraph.FaultSyncLie,
-		"crash": incgraph.FaultCrash, "POWERFAIL": incgraph.FaultPowerFail,
-	}
-	for name, want := range kinds {
-		got, err := parseFaultKind(name)
-		if err != nil || got != want {
-			t.Fatalf("parseFaultKind(%q) = %v, %v; want %v", name, got, err, want)
-		}
-	}
-
-	for _, bad := range []string{
-		"",                     // no rules
-		"seed=7",               // seed alone arms nothing
-		"seed=x;op=sync",       // unparsable seed
-		"op=sync,kind=bogus",   // unknown kind
-		"op=sync,volume=11",    // unknown key
-		"nonsense",             // not key=value
-		"op=sync,index=twelve", // unparsable int
-		"op=write,prob=lots",   // unparsable float
-	} {
-		if _, err := parseDiskFault(bad); err == nil {
-			t.Fatalf("parseDiskFault(%q) accepted", bad)
-		}
-	}
-}
 
 // diskTestServer serves newTestServer's store running on the given
 // FaultFS, with the disk-degradation knobs tightened for test speed.

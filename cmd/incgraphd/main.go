@@ -16,7 +16,7 @@
 //	          [-kws "a,b" -bound 2] [-rpq "a.b*.c"] [-iso pattern.txt] [-scc]
 //	          [-workers N] [-fsync always|none]
 //	          [-checkpoint-bytes N]
-//	          [-term N] [-hub :7423] [-disk-fault SPEC]
+//	          [-term N] [-hub :7423]
 //	          [-max-conns N] [-idle-timeout D] [-op-timeout D]
 //	          [-max-staged N] [-commit-inflight N] [-commit-queue N]
 //	          [-read-inflight N] [-read-queue N]
@@ -131,9 +131,7 @@
 // while reads keep answering — and a background probe flips it back to
 // healthy the moment appends work again, with no restart. "stat" and
 // "health" expose disk=healthy|retrying|read-only plus retry and
-// transition counters. -disk-fault arms a seeded fault-injection layer
-// under the store (EIO, ENOSPC, torn writes, failed or lying fsync,
-// crash) for reproducible drills: same seed, same traffic, same faults.
+// transition counters.
 package main
 
 import (
@@ -164,7 +162,6 @@ func main() {
 	flag.StringVar(&cfg.addr, "addr", ":7421", "TCP listen address")
 	flag.Uint64Var(&cfg.term, "term", 1, "the primary's term on its standby feed (a promoted standby takes its primary's term+1)")
 	flag.StringVar(&cfg.hubAddr, "hub", "", "listen address for standby feed connections (HA primary)")
-	flag.StringVar(&cfg.diskFault, "disk-fault", "", "seeded disk-fault injection spec for drills, e.g. \"seed=7;op=sync,path=wal,count=3,kind=syncfail\"")
 	lim := limitFlags(flag.CommandLine)
 	flag.Parse()
 	if flag.NArg() > 0 {
@@ -188,7 +185,6 @@ type config struct {
 	ckptBytes                   int64
 	term                        uint64
 	hubAddr                     string
-	diskFault                   string
 	lim                         limits
 }
 
@@ -293,19 +289,6 @@ func run(cfg config, stop <-chan struct{}) error {
 		return err
 	}
 	opts := incgraph.DurableOptions{Sync: sync}
-	// Disk-fault drills: route the store's write path (WAL, snapshots,
-	// MANIFEST rotation) through a seeded FaultFS. The injected failures
-	// exercise the degradation contract — retry, read-only, heal — while
-	// the event log keeps the drill reproducible.
-	var faultFS *incgraph.FaultFS
-	if cfg.diskFault != "" {
-		faultFS, err = parseDiskFault(cfg.diskFault)
-		if err != nil {
-			return err
-		}
-		opts.FS = faultFS
-		log.Printf("disk-fault injection armed: seed %d, %d rule(s)", faultFS.Seed, len(faultFS.Rules))
-	}
 
 	// Open-or-create the durable state.
 	var d *incgraph.Durable

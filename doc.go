@@ -184,7 +184,7 @@
 // boundary it was sharded on (internal/cluster, surfaced here as
 // Cluster/ClusterWorker). The daemon does not: cmd/incgraphd is one
 // process, and the coordinator is kept for perf/'s measurement of what the
-// distributed hop costs and for examples/ha_cluster.
+// distributed hop costs.
 //
 //   - Coordinator/worker contract. Shard worker processes each hold
 //     authoritative replicas of a subset of the graph's shards — node
@@ -192,9 +192,10 @@
 //     a length+CRC-framed RPC protocol (the WAL's framing). The
 //     coordinator keeps the authoritative full graph: batches are
 //     validated and planned there, the engines and the Durable live
-//     there, and shard placement and resync ship the snapshot's
-//     per-shard segments (the wire format the store was designed around).
-//     Placement is round-robin and fixed for a coordinator's lifetime.
+//     there, and shard placement ships the snapshot's per-shard segments
+//     (the wire format the store was designed around). Placement is
+//     round-robin, done once when the coordinator attaches (its hello
+//     resets each worker), and fixed for the coordinator's lifetime.
 //   - Determinism. A distributed commit is a two-phase protocol over the
 //     batch's validated, shard-partitioned plan: phase 1 ships each
 //     shard's slice of the plan to its owning worker, in parallel; phase 2
@@ -204,15 +205,17 @@
 //     single-process application; TestHistory pins it: its "cluster" shape
 //     (workers=2) reports the summaries, ΔO rows, answers and metered work
 //     of every class that the single-process shapes do, after every step.
-//   - Failure. A batch is logged and applied locally only after every
-//     involved worker acknowledged phase 1. A worker failure mid-batch
-//     aborts the commit atomically — nothing is logged or applied locally
-//     — and every shard the batch planned to touch is re-shipped from the
-//     authoritative segments before its next use; a restarted worker is
-//     reattached and rebuilt the same way. A failure after phase 1 (a WAL
-//     append that meets a full disk) aborts the same way: the local state
-//     never saw the batch, and the shards the workers applied it to are
-//     re-shipped.
+//   - Failure: fail-stop. A batch is logged and applied locally only
+//     after every involved worker acknowledged phase 1. A worker failure
+//     mid-batch aborts the commit atomically — nothing is logged or
+//     applied locally — and so does a failure after phase 1 (a WAL append
+//     that meets a full disk): the local state never saw the batch. The
+//     workers may have, so the coordinator then stops: every later Apply
+//     returns the first failure and touches nothing. Nothing redials a
+//     worker, re-ships a shard or fences a session; the store goes on
+//     with local commits, or under a new coordinator over fresh workers.
+//     A batch that fails validation is rejected before phase 1 and is no
+//     failure.
 //   - One write path. Durable.Commit(b, ApplyOptions{...}) is the only
 //     way a batch reaches a store, and it has one shape, local or
 //     distributed: validate, log, apply. The zero ApplyOptions validates
@@ -237,49 +240,34 @@
 //
 // # High availability
 //
-// One replication layer and a set of drills (ClusterHub/ClusterStandby,
-// and NewCluster's fencing term for a library coordinator). What survives
-// which loss: the standby's own crash-safe store survives the loss of the
-// primary, and a library coordinator's workers hold no history at all — a
-// restarted worker, a diverged replica, and every shard after a promotion
-// are rebuilt from the authoritative parcels.
+// One replication layer (ClusterHub/ClusterStandby) and a set of drills.
+// What survives which loss: the standby's own crash-safe store survives
+// the loss of the primary. No shard worker takes part, and nothing is
+// fenced: a library coordinator is fail-stop (Distribution, above), and a
+// deposed primary is not refused by anyone.
 //
-//   - Standby failover and fencing — the one replication path. A
-//     ClusterHub beside the primary feeds every committed record to
-//     ClusterStandby processes (a handshake that registers the connection
-//     and then snapshots under the lock the owner's commits and Feed calls
-//     run under, so no commit falls between snapshot and feed; then a tail
+//   - Standby failover — the one replication path. A ClusterHub beside
+//     the primary feeds every committed record to ClusterStandby
+//     processes (a handshake that registers the connection and then
+//     snapshots under the lock the owner's commits and Feed calls run
+//     under, so no commit falls between snapshot and feed; then a tail
 //     whose heartbeats double as the primary's lease), and each standby
 //     commits the record to its own store. On lease expiry — or an
 //     operator's explicit promote — the standby's owner takes over at
-//     term+1. Fencing needs workers: every library coordinator session
-//     carries a fencing term, workers remember the highest term seen and
-//     reject mutating requests from any older session, so a promoted
-//     owner that attaches a coordinator at term+1 over the same workers
-//     re-places every shard from the standby's graph and fences the
-//     deposed coordinator — its late commits fail with "fenced" instead of
-//     forking history. A primary without workers (every incgraphd primary)
-//     is not fenced: the operator must know the old primary is dead
-//     before promoting.
-//     TestHistory's "failover" shape pins that a SIGKILL'd primary plus a
-//     promoted standby produce the summaries, ΔO, answers, snapshot bytes
-//     and worker replicas of the uninterrupted run, and that the deposed
-//     primary's late commit is fenced. The serving tier degrades
-//     monotonically: a standby with a live feed serves reads that are
-//     current through the last fed commit; a standby that outlived its
-//     primary keeps serving reads from its last durable generation (never
-//     a write); a replica that diverged from a live primary redirects
-//     reads to the primary rather than answer stale.
-//   - Fault drills. FaultScript wraps any cluster connection in a seeded
-//     frame-level shim (drop/delay/duplicate/sever, matched by direction,
-//     frame index, and message type) with an event log that is
-//     reproducible run-to-run — the chaos drills in CI assert the same
-//     faults fire at the same frames twice in a row. FaultFS is its
-//     storage counterpart: a seeded filesystem shim under the store's
+//     term+1. The operator must know the old primary is dead before
+//     promoting. TestHistory's "failover" shape pins that a primary that
+//     dies mid-history plus a promoted standby produce the summaries, ΔO,
+//     answers and snapshot bytes of the uninterrupted run. The serving
+//     tier degrades monotonically: a standby with a live feed serves
+//     reads that are current through the last fed commit; a standby that
+//     outlived its primary keeps serving reads from its last durable
+//     generation (never a write); a replica that diverged from a live
+//     primary redirects reads to the primary rather than answer stale.
+//   - Disk drills. FaultFS is a seeded filesystem shim under the store's
 //     write path (DurableOptions.FS) that fails chosen syscalls — EIO,
 //     ENOSPC, short and torn writes, fsyncs that fail or lie, crash and
-//     power-loss at write K — with the same determinism pin, so disk
-//     drills replay byte-for-byte.
+//     power-loss at write K — with an event log that is reproducible run
+//     to run, so disk drills replay byte-for-byte.
 //
 // cmd/incgraphd exposes the replication path operationally: the serving
 // daemon feeds standbys from -hub (its term set by -term), and "incgraphd
@@ -358,8 +346,8 @@
 //	internal/reduction  executable ∆-reductions from the Theorem 1 proofs
 //	internal/gen        dataset simulators, update and query generators
 //	internal/store      per-shard snapshots, the WAL, checkpoint/recover
-//	internal/cluster    shard workers, framed RPC, the distributed apply,
-//	                    standby failover, fault injection
+//	internal/cluster    shard workers, framed RPC, the fail-stop
+//	                    distributed apply, standby failover
 //
 // A minimal session:
 //

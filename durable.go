@@ -193,8 +193,9 @@ type ApplyOptions struct {
 	// per-shard deltas, and only then does Commit log and apply it, still
 	// under the coordinator's mutex — one cluster commit at a time. A
 	// worker failure aborts before anything is logged; a failure after
-	// phase 1 (the WAL append, say) leaves the graph and engines untouched
-	// and the batch's shards marked for re-placement.
+	// phase 1 (the WAL append, say) leaves the graph and engines
+	// untouched. Either stops the coordinator: every later Commit through
+	// it returns that failure and logs nothing, while local commits go on.
 	Via *Cluster
 	// Log, when set, replaces the WAL-append step. It receives the batch
 	// (already validated) and the generation stamp the record should
@@ -333,10 +334,9 @@ func LoadGraphFile(path string) (*Graph, error) { return store.ReadGraphFile(pat
 func ValidateBatch(g *Graph, b Batch) error { return g.ValidateBatch(b) }
 
 // Disk-fault injection, re-exported from internal/store. A FaultFS wraps
-// the real filesystem and fails chosen syscalls deterministically — the
-// storage counterpart of the cluster FaultScript — so disk drills
-// (ENOSPC mid-append, lying fsync, power loss at write K) run seeded and
-// reproducible through DurableOptions.FS; see store.FaultFS.
+// the real filesystem and fails chosen syscalls deterministically, so disk
+// drills (ENOSPC mid-append, lying fsync, power loss at write K) run seeded
+// and reproducible through DurableOptions.FS; see store.FaultFS.
 type (
 	// FS is the filesystem seam every store write goes through.
 	FS = store.FS

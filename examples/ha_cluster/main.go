@@ -1,17 +1,14 @@
-// High availability end to end: a primary coordinator over two in-process
-// shard workers, a hub feeding a live standby, a deterministic fault
-// drill, and a failover. The primary commits half of an update stream
-// (each batch is fed to the standby), then dies without ceremony; the
-// standby promotes at term+1 over the same workers — re-placing every
-// shard from its own graph, fencing the corpse, whose late commit
-// bounces — and commits the rest. The final graph and the canonical
-// snapshot bytes must equal an uninterrupted single-process run: failing
-// over costs nothing in fidelity.
+// High availability end to end: a primary, a hub feeding a live standby,
+// and a failover. The primary commits half of an update stream (each
+// batch is fed to the standby), then dies without ceremony; the standby
+// promotes at term+1 and commits the rest. The final graph and the
+// canonical snapshot bytes must equal an uninterrupted single-process
+// run: failing over costs nothing in fidelity.
 //
-// cmd/incgraphd runs the replication half of this topology as long-lived
-// network-facing processes (-term/-hub on the primary, "incgraphd
-// standby" + "promote"), but without shard workers: it is one process, so
-// it has nothing that fences a deposed primary.
+// cmd/incgraphd runs this topology as long-lived network-facing processes
+// (-term/-hub on the primary, "incgraphd standby" + "promote"). Nothing
+// fences a deposed primary: the operator must know the old primary is
+// dead before promoting.
 //
 // Run with: go run ./examples/ha_cluster
 package main
@@ -21,7 +18,7 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"strings"
+	"sync"
 	"time"
 
 	"incgraph"
@@ -31,7 +28,6 @@ func main() {
 	g := incgraph.SyntheticGraph(incgraph.GraphSpec{
 		Nodes: 2000, Edges: 10000, Labels: 20, GiantSCCFrac: 0.6, Seed: 7,
 	})
-	g.SetShards(8)
 
 	// The update stream, fixed up front so the reference run and the HA
 	// run apply literally the same batches.
@@ -55,31 +51,18 @@ func main() {
 		}
 	}
 
-	// Two shard workers, and a fault script on the coordinator's links: a
-	// seeded, scriptable frame shim. This one drops the first phase-1
-	// apply on the wire — the commit fails atomically, the coordinator
-	// marks the planned shards dirty, and the retry heals them by parcel
-	// resync. The event log is deterministic: same seed + same traffic =
-	// same faults, which is how the CI chaos drills pin reproducibility.
-	links, _, stopWorkers := incgraph.InProcessLinks(2)
-	defer stopWorkers()
-	faults := incgraph.NewFaultScript(42, incgraph.FaultRule{
-		Dir: incgraph.FaultOut, Frame: -1, Msg: incgraph.FaultMsgApply,
-		Action: incgraph.FaultDrop, Count: 1,
-	})
-	for i := range links {
-		links[i] = faults.WrapLink(links[i])
-	}
-
-	// Primary: fencing term 1, and a hub that streams every committed batch
-	// to attached standbys. The snapshot callback and the commit path
-	// serialize over the same state, so no committed batch can fall between
-	// a standby's snapshot and its feed stream.
+	// Primary: term 1, and a hub that streams every committed batch to
+	// attached standbys. A commit applies the batch and feeds it under
+	// commitMu, and the snapshot callback takes the same lock, so no
+	// committed batch can fall between a standby's snapshot and its feed.
 	primaryGraph := g.Clone()
+	var commitMu sync.Mutex
 	hub := incgraph.NewClusterHub(incgraph.ClusterHubOptions{
 		Term:      1,
 		Heartbeat: 50 * time.Millisecond,
 		Snapshot: func() (uint64, uint64, []byte, error) {
+			commitMu.Lock()
+			defer commitMu.Unlock()
 			snap, err := incgraph.EncodeSnapshot(primaryGraph)
 			return 0, primaryGraph.Generation(), snap, err
 		},
@@ -106,48 +89,24 @@ func main() {
 	for hub.Standbys() == 0 {
 		time.Sleep(time.Millisecond)
 	}
+	fmt.Println("primary up: term 1, 1 standby")
 
-	primary, err := incgraph.NewCluster(primaryGraph, links,
-		incgraph.WithClusterTerm(1),
-		incgraph.WithCallTimeout(300*time.Millisecond), // fail dropped frames fast
-	)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("primary up: term 1, %d shards on 2 workers, 1 standby\n",
-		primaryGraph.NumShards())
-
-	// The commit callback runs once phase 1 succeeded, under the
-	// coordinator mutex — in commit order — so it is where the primary
-	// feeds its standby. The first half of the stream goes through the
-	// primary; the faulted batch fails once (the drill) and succeeds on
-	// retry after resync.
+	// The first half of the stream goes through the primary.
 	var feedSeq uint64
-	commitTo := func(c *incgraph.Cluster, dst *incgraph.Graph, hub *incgraph.ClusterHub, b incgraph.Batch) error {
-		return c.Apply(b, func() error {
-			preGen := dst.Generation()
-			if err := dst.ApplyBatch(b); err != nil {
-				return err
-			}
-			if hub != nil {
-				feedSeq++
-				hub.Feed(feedSeq, preGen, dst.Generation(), b)
-			}
-			return nil
-		})
-	}
-	for i := 0; i < 4; i++ {
-		err := commitTo(primary, primaryGraph, hub, batches[i])
-		if err != nil {
-			fmt.Printf("  batch %d: %v (injected fault; retrying)\n", i, err)
-			err = commitTo(primary, primaryGraph, hub, batches[i])
+	for _, b := range batches[:4] {
+		commitMu.Lock()
+		preGen := primaryGraph.Generation()
+		err := primaryGraph.ApplyBatch(b)
+		if err == nil {
+			feedSeq++
+			hub.Feed(feedSeq, preGen, primaryGraph.Generation(), b)
 		}
+		commitMu.Unlock()
 		if err != nil {
 			log.Fatal(err)
 		}
 	}
-	fmt.Printf("primary committed 4 batches (repl seq %d, %d resyncs); faults fired: %s\n",
-		feedSeq, primary.Resyncs(), strings.Join(faults.Events(), "; "))
+	fmt.Printf("primary committed 4 batches (repl seq %d)\n", feedSeq)
 	// Feeds are enqueued in commit order but acked asynchronously; wait
 	// for the standby to catch up before killing the primary.
 	for deadline := time.Now().Add(5 * time.Second); standby.LastSeq() != feedSeq; {
@@ -157,51 +116,25 @@ func main() {
 		time.Sleep(time.Millisecond)
 	}
 
-	// The primary dies: feed severed, coordinator abandoned un-Closed —
-	// exactly what SIGKILL leaves behind. The standby notices.
+	// The primary dies: feed severed — exactly what SIGKILL leaves behind.
+	// The standby notices.
 	hub.Close()
 	hubConn.Close()
 	if err := <-tailDone; err != nil {
 		fmt.Printf("standby tail ended: %v\n", err)
 	}
 
-	// Promote: fresh sessions to the same workers at term 2. Every shard
-	// is re-placed from the standby's graph; the workers fence term 1.
-	promoted := make([]incgraph.ClusterLink, len(links))
-	for i := range links {
-		conn, err := links[i].Redial()
-		if err != nil {
-			log.Fatal(err)
-		}
-		promoted[i] = incgraph.ClusterLink{Conn: conn, Name: links[i].Name, Redial: links[i].Redial}
-	}
-	successor, err := incgraph.NewCluster(standbyGraph, promoted,
-		incgraph.WithClusterTerm(standby.Term()+1))
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer successor.Close()
+	// Promote: the standby's graph is the primary's now, at term 2, and
+	// it finishes the stream.
 	fmt.Printf("standby promoted: term %d\n", standby.Term()+1)
-
-	// The deposed primary's late commit bounces off the fence.
-	late := incgraph.RandomUpdates(primaryGraph.Clone(), incgraph.UpdateSpec{
-		Count: 10, InsertRatio: 1.0, Seed: 99,
-	})
-	if err := commitTo(primary, primaryGraph, hub, late); err != nil {
-		fmt.Printf("deposed primary's late commit: %v\n", err)
-	} else {
-		log.Fatal("deposed primary was allowed to commit")
-	}
-
-	// The successor finishes the stream.
-	for i := 4; i < len(batches); i++ {
-		if err := commitTo(successor, standbyGraph, nil, batches[i]); err != nil {
+	for _, b := range batches[4:] {
+		if err := standbyGraph.ApplyBatch(b); err != nil {
 			log.Fatal(err)
 		}
 	}
 
-	// Fidelity: graph, canonical snapshot bytes, and worker replicas all
-	// match the uninterrupted run.
+	// Fidelity: graph and canonical snapshot bytes match the
+	// uninterrupted run.
 	if !standbyGraph.Equal(ref) {
 		log.Fatal("failover graph diverged from the uninterrupted run")
 	}
@@ -215,9 +148,6 @@ func main() {
 	}
 	if !bytes.Equal(got, want) {
 		log.Fatal("failover snapshot differs from the uninterrupted run's")
-	}
-	if err := successor.VerifyAll(); err != nil {
-		log.Fatal(err)
 	}
 	fmt.Printf("failover complete: %d nodes, %d edges, gen %d — byte-identical to the uninterrupted run\n",
 		standbyGraph.NumNodes(), standbyGraph.NumEdges(), standbyGraph.Generation())

@@ -7,21 +7,14 @@ import (
 	"incgraph/internal/store"
 )
 
-// High availability. The cluster of cluster.go gains one replication
-// path, re-exported here, plus the drills that exercise it:
-//
-//   - Standby failover: a ClusterHub next to the primary feeds committed
-//     records to ClusterStandby processes (a handshake that registers the
-//     connection and then snapshots under the owner's commit lock, + tail),
-//     each of which keeps its own copy of the state. Heartbeats double as
-//     the primary's lease; on expiry or a severed feed the standby's owner
-//     promotes by attaching a new coordinator at a higher fencing term,
-//     which re-places every shard on the workers from the standby's graph
-//     and which the workers enforce — a deposed coordinator's late commits
-//     are rejected as fenced.
-//   - Drills: a FaultScript wraps any of these connections in a seeded,
-//     scriptable frame shim (drop/delay/duplicate/sever) so every failure
-//     mode above is exercised deterministically in tests and chaos drills.
+// High availability. One replication path, re-exported here: a
+// ClusterHub next to the primary feeds committed records to
+// ClusterStandby processes (a handshake that registers the connection and
+// then snapshots under the owner's commit lock, + tail), each of which
+// keeps its own copy of the state. Heartbeats double as the primary's
+// lease; on expiry or a severed feed the standby's owner promotes its own
+// copy to primary at term+1. Nothing fences the deposed primary, and no
+// shard worker takes part: a library coordinator is fail-stop (cluster.go).
 
 type (
 	// ClusterHub feeds committed records to attached standbys.
@@ -34,24 +27,6 @@ type (
 	// ClusterStandbyOptions configures a standby: load/apply callbacks and
 	// the lease TTL.
 	ClusterStandbyOptions = cluster.StandbyOptions
-
-	// FaultScript deterministically injects faults into wrapped
-	// connections; FaultRule matches frames by direction, index, and
-	// message type.
-	FaultScript = cluster.FaultScript
-	FaultRule   = cluster.FaultRule
-	FaultDir    = cluster.FaultDir
-	FaultAction = cluster.FaultAction
-)
-
-// Fault directions and actions for FaultRule.
-const (
-	FaultOut   = cluster.FaultOut
-	FaultIn    = cluster.FaultIn
-	FaultDrop  = cluster.FaultDrop
-	FaultDelay = cluster.FaultDelay
-	FaultDup   = cluster.FaultDup
-	FaultSever = cluster.FaultSever
 )
 
 // ErrLeaseExpired reports a standby that outlived its primary's lease.
@@ -69,22 +44,6 @@ func NewClusterHub(opts ClusterHubOptions) *ClusterHub { return cluster.NewHub(o
 func NewClusterStandby(opts ClusterStandbyOptions) *ClusterStandby {
 	return cluster.NewStandby(opts)
 }
-
-// NewFaultScript builds a deterministic fault-injection script from rules;
-// wrap connections (or links) with Wrap/WrapLink.
-func NewFaultScript(seed int64, rules ...FaultRule) *FaultScript {
-	return cluster.NewFaultScript(seed, rules...)
-}
-
-// Fault message selectors for FaultRule.Msg.
-const (
-	FaultMsgHello = cluster.FaultMsgHello
-	FaultMsgPlace = cluster.FaultMsgPlace
-	FaultMsgApply = cluster.FaultMsgApply
-	FaultMsgTail  = cluster.FaultMsgTail
-	FaultMsgFeed  = cluster.FaultMsgFeed
-	FaultMsgPing  = cluster.FaultMsgPing
-)
 
 // EncodeSnapshot serializes g to canonical snapshot bytes — the natural
 // payload for ClusterHubOptions.Snapshot.

@@ -32,7 +32,7 @@ func TestCoordinatorApplyAndVerify(t *testing.T) {
 	g := testGraph(t, 8)
 	links, _, stop := InProcess(2)
 	defer stop()
-	co, err := NewCoordinator(g, links, CoordinatorOptions{})
+	co, err := NewCoordinator(g, links)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,19 +56,13 @@ func TestCoordinatorApplyAndVerify(t *testing.T) {
 	if err := co.VerifyAll(); err != nil {
 		t.Fatalf("replicas diverged after batches: %v", err)
 	}
-	if co.Applied() != 6 {
-		t.Fatalf("applied = %d, want 6", co.Applied())
-	}
-	if co.RemoteErrors() != 0 {
-		t.Fatalf("remote errors = %d, want 0", co.RemoteErrors())
-	}
 }
 
 func TestCoordinatorRejectsInvalidBatch(t *testing.T) {
 	g := testGraph(t, 4)
 	links, _, stop := InProcess(2)
 	defer stop()
-	co, err := NewCoordinator(g, links, CoordinatorOptions{})
+	co, err := NewCoordinator(g, links)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,6 +89,14 @@ func TestCoordinatorRejectsInvalidBatch(t *testing.T) {
 	if err := co.VerifyAll(); err != nil {
 		t.Fatalf("replicas touched by a rejected batch: %v", err)
 	}
+	// A batch rejected before phase 1 is no failure: the coordinator goes on.
+	good := gen.Updates(g.Clone(), gen.UpdateSpec{Count: 40, InsertRatio: 0.6, Locality: 0.5, Seed: 3})
+	if err := applyLocal(co, g, good); err != nil {
+		t.Fatalf("valid batch after a rejected one: %v", err)
+	}
+	if err := co.VerifyAll(); err != nil {
+		t.Fatalf("replicas after the valid batch: %v", err)
+	}
 }
 
 // droppingConn fails every Write after the first n, simulating a worker
@@ -118,6 +120,17 @@ func (d *droppingConn) Write(p []byte) (int, error) {
 	return d.Conn.Write(p)
 }
 
+// TestWorkerDisconnectMidPhase1FailsAtomically: a worker lost in phase 1
+// fails the batch atomically — the commit callback never runs and the
+// authoritative graph stays where it was — and the coordinator stops: the
+// next Applies return the first failure without running phase 1 or their
+// commit.
+func (d *droppingConn) count() int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.writes
+}
+
 func TestWorkerDisconnectMidPhase1FailsAtomically(t *testing.T) {
 	g := testGraph(t, 8)
 	links, _, stop := InProcess(2)
@@ -127,7 +140,7 @@ func TestWorkerDisconnectMidPhase1FailsAtomically(t *testing.T) {
 	// placements = 10 writes; the next request's header write fails.
 	dc := &droppingConn{Conn: links[1].Conn, budget: 10}
 	links[1].Conn = dc
-	co, err := NewCoordinator(g, links, CoordinatorOptions{})
+	co, err := NewCoordinator(g, links)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,79 +149,48 @@ func TestWorkerDisconnectMidPhase1FailsAtomically(t *testing.T) {
 	before := g.Clone()
 	scratch := g.Clone()
 	b := gen.Updates(scratch, gen.UpdateSpec{Count: 80, InsertRatio: 0.6, Locality: 0.2, Seed: 7})
-	committed := false
-	err = co.Apply(b, func() error { committed = true; return g.ApplyBatch(b) })
-	if err == nil {
+	committed := 0
+	commit := func() error { committed++; return g.ApplyBatch(b) }
+	first := co.Apply(b, commit)
+	if first == nil {
 		t.Fatal("apply succeeded despite worker disconnect")
 	}
-	if committed {
+	if !strings.Contains(first.Error(), "phase 1") {
+		t.Fatalf("first failure %q does not name phase 1", first)
+	}
+	if committed != 0 {
 		t.Fatal("commit ran despite phase-1 failure: batch not atomic")
 	}
 	if !g.Equal(before) {
 		t.Fatal("authoritative graph changed on an aborted batch")
 	}
-	if co.RemoteErrors() == 0 {
-		t.Fatal("disconnect not counted")
-	}
 
-	// The redial path reattaches the same worker (state intact but marked
-	// dirty): the next apply must resync and succeed, converging replicas.
-	if err := applyLocal(co, g, b); err != nil {
-		t.Fatalf("apply after reattach: %v", err)
-	}
-	if co.Resyncs() == 0 {
-		t.Fatal("no resync recorded after aborted batch")
-	}
-	if err := co.VerifyAll(); err != nil {
-		t.Fatalf("replicas diverged after resync: %v", err)
-	}
-}
-
-func TestWorkerRestartLosesStateAndIsReplaced(t *testing.T) {
-	g := testGraph(t, 8)
-	links, _, stop := InProcess(2)
-	defer stop()
-	// Rewire link 0's redial to attach a brand-new empty worker: the
-	// in-process analogue of SIGKILL + restart.
-	links[0].Redial = func() (net.Conn, error) {
-		fresh := NewWorker()
-		client, server := net.Pipe()
-		go func() {
-			defer server.Close()
-			fresh.ServeConn(server)
-		}()
-		return client, nil
-	}
-	co, err := NewCoordinator(g, links, CoordinatorOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer co.Close()
-
-	links[0].Conn.Close() // crash
-
-	scratch := g.Clone()
-	b := gen.Updates(scratch, gen.UpdateSpec{Count: 60, InsertRatio: 0.5, Locality: 0.5, Seed: 9})
-	// First apply may fail while the crash is discovered; the next must
-	// recover via redial + segment re-shipping.
-	if err := applyLocal(co, g, b); err != nil {
-		if cerr := applyLocal(co, g, b); cerr != nil {
-			t.Fatalf("apply after worker restart: %v (first error: %v)", cerr, err)
+	writes := dc.count()
+	for i := 0; i < 2; i++ {
+		err := co.Apply(b, commit)
+		if !errors.Is(err, first) || !strings.Contains(err.Error(), first.Error()) {
+			t.Fatalf("apply %d after the failure: got %v, want the first failure %q", i+1, err, first)
 		}
 	}
-	if err := co.VerifyAll(); err != nil {
-		t.Fatalf("restarted worker not rebuilt from segments: %v", err)
+	if committed != 0 || !g.Equal(before) {
+		t.Fatalf("a stopped coordinator committed: %d commit callbacks, graph moved %v", committed, !g.Equal(before))
+	}
+	if n := dc.count(); n != writes {
+		t.Fatalf("a stopped coordinator made %d more writes to its workers", n-writes)
+	}
+	if err := co.VerifyAll(); !errors.Is(err, first) {
+		t.Fatalf("VerifyAll on a stopped coordinator: got %v, want the first failure", err)
 	}
 }
 
-// TestCoordinatorDropsHoldovers: a coordinator attaching to workers that
-// still hold replicas from an earlier coordinator drops every replica it
-// did not assign, so each worker ends up holding exactly its own shards.
-func TestCoordinatorDropsHoldovers(t *testing.T) {
+// TestHelloResetsWorker: a coordinator attaching to workers that still
+// hold replicas from an earlier coordinator finds them reset by its hello,
+// so each worker ends up holding exactly the shards the new one placed.
+func TestHelloResetsWorker(t *testing.T) {
 	g := testGraph(t, 8)
 	links, workers, stop := InProcess(2)
 	defer stop()
-	co, err := NewCoordinator(g, links, CoordinatorOptions{})
+	co, err := NewCoordinator(g, links)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,29 +206,27 @@ func TestCoordinatorDropsHoldovers(t *testing.T) {
 	}
 	co.Close()
 
-	// Reattach with the links reversed: every shard's owner flips, so
-	// every replica the workers hold is a holdover.
-	var reversed []Link
-	for _, i := range []int{1, 0} {
-		conn, err := links[i].Redial()
-		if err != nil {
-			t.Fatal(err)
-		}
-		reversed = append(reversed, Link{Conn: conn, Name: links[i].Name, Redial: links[i].Redial})
-	}
+	// Reattach over fresh sessions with the workers reversed: every
+	// shard's owner flips, so every replica the workers hold is a
+	// holdover.
 	owners := []*Worker{workers[1], workers[0]}
+	var reversed []Link
 	for wi, w := range owners {
 		held := w.heldShards()
 		if len(held) == 0 {
-			t.Fatalf("%s holds no replicas before the reattach; the flip proves nothing", reversed[wi].Name)
+			t.Fatalf("worker %d holds no replicas before the reattach; the flip proves nothing", wi)
 		}
 		for s := range held {
 			if co.WorkerOf(s) == wi {
-				t.Fatalf("%s already holds shard %d of its new assignment; the flip proves nothing", reversed[wi].Name, s)
+				t.Fatalf("worker %d already holds shard %d of its new assignment; the flip proves nothing", wi, s)
 			}
 		}
+		client, server := BufferedPipe()
+		defer client.Close()
+		go w.ServeConn(server)
+		reversed = append(reversed, Link{Conn: client})
 	}
-	co2, err := NewCoordinator(g, reversed, CoordinatorOptions{})
+	co2, err := NewCoordinator(g, reversed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,8 +234,8 @@ func TestCoordinatorDropsHoldovers(t *testing.T) {
 	for wi, w := range owners {
 		held := w.heldShards()
 		for s := 0; s < g.NumShards(); s++ {
-			if _, ok := held[s]; ok != (co2.WorkerOf(s) == wi) {
-				t.Fatalf("%s holds shard %d = %v, want %v", reversed[wi].Name, s, ok, !ok)
+			if held[s] != (co2.WorkerOf(s) == wi) {
+				t.Fatalf("worker %d holds shard %d = %v, want %v", wi, s, held[s], !held[s])
 			}
 		}
 	}
@@ -278,7 +258,7 @@ func TestConcurrentBatchesMatchSerial(t *testing.T) {
 	g := testGraph(t, 8)
 	links, _, stop := InProcess(2)
 	defer stop()
-	co, err := NewCoordinator(g, links, CoordinatorOptions{})
+	co, err := NewCoordinator(g, links)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +388,7 @@ func TestHelloRefusesOtherProtocolVersion(t *testing.T) {
 	client, server := net.Pipe()
 	done := make(chan error, 1)
 	go func() { done <- w.ServeConn(server) }()
-	hello := encodeHello(8, 1)
+	hello := encodeHello(8)
 	binary.LittleEndian.PutUint32(hello[1:], old)
 	if _, err := roundTrip(client, hello); err == nil || !strings.Contains(err.Error(), notSupported) {
 		t.Fatalf("old-version hello: got %v, want %q", err, notSupported)

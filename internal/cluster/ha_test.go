@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"slices"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -47,79 +45,10 @@ func applyFed(co *Coordinator, hub *Hub, seq *uint64, g *graph.Graph, b graph.Ba
 	})
 }
 
-// redialLinks opens a fresh session to every worker behind links — the
-// connections a successor coordinator attaches over.
-func redialLinks(t *testing.T, links []Link) []Link {
-	t.Helper()
-	out := make([]Link, len(links))
-	for i := range links {
-		conn, err := links[i].Redial()
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[i] = Link{Conn: conn, Name: links[i].Name, Redial: links[i].Redial}
-	}
-	return out
-}
-
-func TestClusterFencingRejectsDeposedCoordinator(t *testing.T) {
-	g := testGraph(t, 8)
-	links, _, stop := InProcess(2)
-	defer stop()
-	co1, err := NewCoordinator(g, links, CoordinatorOptions{Term: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer co1.Close()
-	batches, _ := haBatches(t, g, 3, 50, 600)
-	if err := applyLocal(co1, g, batches[0]); err != nil {
-		t.Fatal(err)
-	}
-
-	// A successor attaches over fresh sessions at a higher term.
-	g2 := g.Clone()
-	co2, err := NewCoordinator(g2, redialLinks(t, links), CoordinatorOptions{Term: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer co2.Close()
-
-	// The deposed coordinator's writes bounce off the fence...
-	before := g.Clone()
-	err = applyLocal(co1, g, batches[1])
-	if err == nil || !strings.Contains(err.Error(), "fenced") {
-		t.Fatalf("deposed apply: got %v, want fenced", err)
-	}
-	if !g.Equal(before) {
-		t.Fatal("fenced apply mutated the deposed coordinator's graph")
-	}
-	// ...including the resync path its abort queued up.
-	if err = applyLocal(co1, g, batches[1]); err == nil || !strings.Contains(err.Error(), "fenced") {
-		t.Fatalf("deposed resync: got %v, want fenced", err)
-	}
-
-	// The successor operates normally.
-	if err := applyLocal(co2, g2, batches[1]); err != nil {
-		t.Fatalf("successor apply: %v", err)
-	}
-	if err := co2.VerifyAll(); err != nil {
-		t.Fatalf("successor replicas diverged: %v", err)
-	}
-	// Every worker has seen the successor's term: a low-term hello cannot
-	// rejoin any of them.
-	for _, l := range links {
-		conn, err := l.Redial()
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = roundTrip(conn, encodeHello(g.NumShards(), 1))
-		conn.Close()
-		if err == nil || !strings.Contains(err.Error(), "fenced") {
-			t.Fatalf("low-term hello to %s: got %v, want fenced", l.Name, err)
-		}
-	}
-}
-
+// TestClusterStandbyPromoteRecoversIdentically: a primary behind a
+// coordinator feeds its standby from the commit callback; the primary dies
+// mid-stream, the standby's graph is promoted and finishes the stream, and
+// the result is byte-identical to the uninterrupted run.
 func TestClusterStandbyPromoteRecoversIdentically(t *testing.T) {
 	g := testGraph(t, 8)
 	batches, ref := haBatches(t, g, 8, 60, 500)
@@ -181,7 +110,7 @@ func TestClusterStandbyPromoteRecoversIdentically(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	co1, err := NewCoordinator(g, links, CoordinatorOptions{Term: 1})
+	co1, err := NewCoordinator(g, links)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,36 +131,25 @@ func TestClusterStandbyPromoteRecoversIdentically(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	// The primary dies mid-stream: feed severed, coordinator abandoned
-	// without Close — its worker sessions stay open, like a hung process.
+	// The primary dies mid-stream: feed severed, coordinator abandoned.
 	hub.Close()
 	hc.Close()
 	if err := <-tailDone; err == nil {
 		t.Fatal("standby tail survived a severed feed")
 	}
 
-	// Promote: the standby's graph becomes authoritative under term+1.
+	// Promote: the standby's graph becomes the primary's and commits the
+	// rest of the stream.
 	sgMu.Lock()
 	promoted := sg
 	sgMu.Unlock()
 	if promoted.Generation() != standby.Gen() {
 		t.Fatalf("promoted graph at gen %d, standby tracked %d", promoted.Generation(), standby.Gen())
 	}
-	co2, err := NewCoordinator(promoted, redialLinks(t, links), CoordinatorOptions{Term: standby.Term() + 1})
-	if err != nil {
-		t.Fatalf("promote: %v", err)
-	}
-	defer co2.Close()
 	for i := 4; i < 8; i++ {
-		if err := applyLocal(co2, promoted, batches[i]); err != nil {
+		if err := promoted.ApplyBatch(batches[i]); err != nil {
 			t.Fatalf("post-promotion batch %d: %v", i, err)
 		}
-	}
-
-	// The deposed primary's late commit is fenced out.
-	late := gen.Updates(g.Clone(), gen.UpdateSpec{Count: 30, InsertRatio: 0.6, Locality: 0.5, Seed: 99})
-	if err := applyLocal(co1, g, late); err == nil || !strings.Contains(err.Error(), "fenced") {
-		t.Fatalf("deposed late commit: got %v, want fenced", err)
 	}
 
 	// Recovery is byte-identical to the uninterrupted run: same graph, and
@@ -248,9 +166,6 @@ func TestClusterStandbyPromoteRecoversIdentically(t *testing.T) {
 	}
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
 		t.Fatal("recovered snapshot differs from the uninterrupted run's")
-	}
-	if err := co2.VerifyAll(); err != nil {
-		t.Fatalf("replicas diverged after failover: %v", err)
 	}
 }
 
@@ -324,7 +239,7 @@ func TestHubFeedCommitOrderUnderConcurrentCommits(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	co, err := NewCoordinator(g, links, CoordinatorOptions{Term: 1})
+	co, err := NewCoordinator(g, links)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -586,169 +501,5 @@ func TestHubAttachMidStorm(t *testing.T) {
 		if got := tl.base + uint64(len(tl.seen)); got != commits {
 			t.Errorf("standby %d covered through seq %d, want %d", k, got, commits)
 		}
-	}
-}
-
-// runFaultDrill is one chaos drill: drop the first phase-1 apply, let the
-// batch abort on its call deadline, and verify the retry resyncs and the
-// run converges. It returns the script's event log — the determinism pin.
-func runFaultDrill(t *testing.T) []string {
-	t.Helper()
-	g := testGraph(t, 8)
-	links, _, stop := InProcess(1)
-	defer stop()
-	script := NewFaultScript(42, FaultRule{
-		Dir: FaultOut, Frame: -1, Msg: byte(msgApply), Action: FaultDrop, Count: 1,
-	})
-	links[0] = script.WrapLink(links[0])
-	co, err := NewCoordinator(g, links, CoordinatorOptions{CallTimeout: 250 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer co.Close()
-
-	batches, ref := haBatches(t, g, 2, 40, 900)
-	if err := applyLocal(co, g, batches[0]); err == nil {
-		t.Fatal("apply survived a dropped phase-1 frame")
-	}
-	for i, b := range batches {
-		if err := applyLocal(co, g, b); err != nil {
-			t.Fatalf("batch %d after fault: %v", i, err)
-		}
-	}
-	if co.Resyncs() == 0 {
-		t.Fatal("aborted batch never resynced")
-	}
-	if !g.Equal(ref) {
-		t.Fatal("drill run diverged from reference application")
-	}
-	if err := co.VerifyAll(); err != nil {
-		t.Fatalf("replicas diverged after drill: %v", err)
-	}
-	return script.Events()
-}
-
-func TestClusterFaultDrillDeterministic(t *testing.T) {
-	first := runFaultDrill(t)
-	second := runFaultDrill(t)
-	if len(first) == 0 {
-		t.Fatal("drill fired no faults")
-	}
-	if !strings.Contains(first[0], "apply drop") {
-		t.Fatalf("unexpected first event %q", first[0])
-	}
-	if !slices.Equal(first, second) {
-		t.Fatalf("drill not deterministic:\n  first:  %v\n  second: %v", first, second)
-	}
-}
-
-func TestClusterConcurrentDisjointBatchAbort(t *testing.T) {
-	g := testGraph(t, 8)
-	links, _, stop := InProcess(2)
-	defer stop()
-	// Worker 1 loses the first phase-1 apply sent to it; worker 0 is
-	// healthy. Two shard-disjoint batches race: the one routed to worker 1
-	// must abort alone, the other must commit.
-	script := NewFaultScript(11, FaultRule{
-		Dir: FaultOut, Frame: -1, Msg: byte(msgApply), Action: FaultDrop, Count: 1,
-	})
-	links[1] = script.WrapLink(links[1])
-	co, err := NewCoordinator(g, links, CoordinatorOptions{CallTimeout: 300 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer co.Close()
-
-	// Two individually valid single-shard batches owned by different
-	// workers (shard s lives on worker s%2).
-	g0 := g.Clone()
-	all := gen.Updates(g.Clone(), gen.UpdateSpec{Count: 300, InsertRatio: 0.6, Locality: 0.3, Seed: 78})
-	byShard := make(map[int]graph.Batch)
-	for _, u := range all {
-		if sf, st := g.ShardOf(u.From), g.ShardOf(u.To); sf == st {
-			byShard[sf] = append(byShard[sf], u)
-		}
-	}
-	pick := func(worker int) graph.Batch {
-		for s := 0; s < 8; s++ {
-			if s%2 == worker {
-				if b := byShard[s]; len(b) > 0 && g.ValidateBatch(b) == nil {
-					return b
-				}
-			}
-		}
-		t.Skipf("workload produced no single-shard batch for worker %d", worker)
-		return nil
-	}
-	bA, bB := pick(0), pick(1)
-
-	var wg sync.WaitGroup
-	var errA, errB error
-	wg.Add(2)
-	go func() { defer wg.Done(); errA = applyLocal(co, g, bA) }()
-	go func() { defer wg.Done(); errB = applyLocal(co, g, bB) }()
-	wg.Wait()
-	if errA != nil {
-		t.Fatalf("batch on the healthy worker: %v", errA)
-	}
-	if errB == nil {
-		t.Fatal("batch on the faulted worker survived a dropped phase-1 frame")
-	}
-
-	// The aborted batch's shards resync cleanly and the retry commits.
-	if err := applyLocal(co, g, bB); err != nil {
-		t.Fatalf("retry after abort: %v", err)
-	}
-	if co.Resyncs() == 0 {
-		t.Fatal("no resync after aborted batch")
-	}
-	ref := g0
-	if err := ref.ApplyBatch(bA); err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.ApplyBatch(bB); err != nil {
-		t.Fatal(err)
-	}
-	if !g.Equal(ref) {
-		t.Fatal("concurrent abort left the graph diverged")
-	}
-	if err := co.VerifyAll(); err != nil {
-		t.Fatalf("replicas diverged after concurrent abort: %v", err)
-	}
-}
-
-func TestDialerRetriesAndBackoff(t *testing.T) {
-	// A dead port exhausts the attempt budget.
-	d := &Dialer{Timeout: 200 * time.Millisecond, Attempts: 3, Backoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond, Seed: 1}
-	if _, err := d.Dial("127.0.0.1:1"); err == nil {
-		t.Fatal("dial of a dead port succeeded")
-	}
-	if got := d.Retries(); got != 3 {
-		t.Fatalf("retries = %d, want 3", got)
-	}
-
-	// A live listener connects on the first attempt.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Skipf("no loopback listener: %v", err)
-	}
-	defer ln.Close()
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			conn.Close()
-		}
-	}()
-	d2 := &Dialer{Timeout: time.Second, Attempts: 3, Backoff: time.Millisecond, Seed: 1}
-	link, err := d2.Dial(ln.Addr().String())
-	if err != nil {
-		t.Fatalf("dial of live listener: %v", err)
-	}
-	link.Conn.Close()
-	if got := d2.Retries(); got != 1 {
-		t.Fatalf("retries = %d, want 1", got)
 	}
 }

@@ -12,19 +12,17 @@ import (
 	"incgraph/internal/store"
 )
 
-// Standby failover. A Hub runs next to the primary coordinator and feeds
-// committed records to standby processes over the same framed transport
-// the workers speak, with the request/response roles flipped after the
+// Standby failover. A Hub runs next to the primary and feeds committed
+// records to standby processes over the same framed transport the
+// workers speak, with the request/response roles flipped after the
 // handshake: the standby connects and sends one msgTail, the hub answers
 // with (term, seq, gen, full snapshot), and from then on the hub is the
 // requester — it pushes msgFeed records and msgPing heartbeats, the
 // standby acks each. The heartbeats double as the primary's lease: a
 // standby that has not heard one within its TTL concludes the primary is
 // gone and returns from Run with ErrLeaseExpired, at which point its
-// owner promotes — builds a coordinator over the same workers at term+1,
-// which re-places every shard (healing workers a dead coordinator left
-// ahead of its last commit) and fences the deposed coordinator's
-// sessions.
+// owner promotes: its own store, current through the last fed record,
+// becomes the primary's at term+1. Nothing fences the deposed primary.
 //
 // The hub and standby exchange state, not behavior: what "load a
 // snapshot" and "apply a record" mean is the owner's business (incgraphd
@@ -37,7 +35,7 @@ var ErrLeaseExpired = errors.New("cluster: primary lease expired")
 
 // HubOptions configures a primary-side feed hub.
 type HubOptions struct {
-	// Term is the primary's fencing term, echoed to standbys.
+	// Term is the primary's term, echoed to standbys.
 	Term uint64
 	// Snapshot captures the primary's current durable state: the last
 	// sequence number handed to Feed, the generation, and snapshot bytes.
@@ -258,8 +256,8 @@ func (h *Hub) Close() {
 
 // StandbyOptions configures a standby tail.
 type StandbyOptions struct {
-	// Load installs the handshake snapshot: term is the primary's fencing
-	// term, seq/gen the replication position the snapshot embodies.
+	// Load installs the handshake snapshot: term is the primary's term,
+	// seq/gen the replication position the snapshot embodies.
 	Load func(term, seq, gen uint64, snapshot []byte) error
 	// Apply applies one fed record (already past Load's position). It
 	// runs in feed order; an error tears the tail down (the standby's

@@ -34,20 +34,21 @@ import (
 // and the two replication counters of a worker's stat. Version 5 made apply
 // carry one batch again — the coordinator commits one at a time — keeping
 // the session label references. Version 6 removed the stat request.
-const protocolVersion = 6
+// Version 7 made the coordinator fail-stop: the hello lost its term and
+// its owned-shard reply and resets the worker, and the drop request went.
+const protocolVersion = 7
 
 type msgType byte
 
 const (
 	// msgHello opens a session: u32 version, u32 shard count P. The worker
-	// adopts P (fresh container graph if it had none or a different P) and
-	// answers with its currently owned shards.
+	// drops whatever it held and starts an empty container graph at P.
 	msgHello msgType = iota + 1
 	// msgPlace installs an authoritative shard replica: uvarint shard,
 	// then a store.EncodeShardParcel body. Replaces any existing copy.
 	msgPlace
-	// msgDrop removes a shard replica: uvarint shard.
-	msgDrop
+	// Type byte 3 was version 6's drop request; it stays unassigned.
+	_
 	// msgApply runs phase 1 for one planned batch: a label-table delta
 	// (chained per session), then the batch's ShardEffects. The worker
 	// answers with a status — edge deltas on success, an error text on
@@ -150,66 +151,32 @@ func (r *reader) done() error {
 	return nil
 }
 
-// encodeHello builds the hello request body. term is the coordinator's
-// fencing term: workers remember the highest term they have seen and
-// reject sessions (and the mutating requests of already-open sessions)
-// below it.
-func encodeHello(shards int, term uint64) []byte {
+// encodeHello builds the hello request body.
+func encodeHello(shards int) []byte {
 	buf := []byte{byte(msgHello)}
 	buf = binary.LittleEndian.AppendUint32(buf, protocolVersion)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(shards))
-	buf = binary.LittleEndian.AppendUint64(buf, term)
-	return buf
+	return binary.LittleEndian.AppendUint32(buf, uint32(shards))
 }
 
 // decodeHello parses a hello body (type byte already consumed). The body
-// past the version field is version-specific (v2 added the term), so an
-// unsupported version returns with only version populated and no error —
-// the caller rejects on version with a proper "not supported" message
-// instead of a confusing short-read/trailing-bytes protocol error.
-func decodeHello(r *reader) (version, shards uint32, term uint64, err error) {
+// past the version field is version-specific, so an unsupported version
+// returns with only version populated and no error — the caller rejects
+// on version with a proper "not supported" message instead of a confusing
+// short-read/trailing-bytes protocol error.
+func decodeHello(r *reader) (version, shards uint32, err error) {
 	b, err := r.bytes(4)
 	if err != nil {
-		return 0, 0, 0, err
+		return 0, 0, err
 	}
 	version = binary.LittleEndian.Uint32(b)
 	if version != protocolVersion {
-		return version, 0, 0, nil
+		return version, 0, nil
 	}
-	b, err = r.bytes(12)
+	b, err = r.bytes(4)
 	if err != nil {
-		return version, 0, 0, err
+		return version, 0, err
 	}
-	return version, binary.LittleEndian.Uint32(b),
-		binary.LittleEndian.Uint64(b[4:]), r.done()
-}
-
-// encodeShardList is the hello response's "uvarint count + shards" body.
-func encodeShardList(buf []byte, shards []int) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(shards)))
-	for _, s := range shards {
-		buf = binary.AppendUvarint(buf, uint64(s))
-	}
-	return buf
-}
-
-func decodeShardList(r *reader) ([]int, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(len(r.buf)) {
-		return nil, fmt.Errorf("%w: implausible shard count %d", ErrProtocol, n)
-	}
-	out := make([]int, n)
-	for i := range out {
-		s, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		out[i] = int(s)
-	}
-	return out, nil
+	return version, binary.LittleEndian.Uint32(b), r.done()
 }
 
 // ---- apply codecs (protocol v5) ----------------------------------------

@@ -62,7 +62,7 @@ func BenchmarkApplyCluster(b *testing.B) {
 	h := g.Clone()
 	links, _, stop := InProcess(2)
 	defer stop()
-	co, err := NewCoordinator(h, links, CoordinatorOptions{})
+	co, err := NewCoordinator(h, links)
 	if err != nil {
 		b.Fatal(err)
 	}

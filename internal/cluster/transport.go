@@ -3,152 +3,46 @@ package cluster
 import (
 	"fmt"
 	"io"
-	"math/rand"
 	"net"
 	"os"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
 // Transports. The protocol runs over any net.Conn; two constructions are
-// provided: TCP for real deployments (Dial, with a redial path so the
-// coordinator can reattach a restarted worker) and synchronous in-process
-// pipes for deterministic tests and benchmarks (InProcess — no ports, no
-// OS scheduling in the loop beyond goroutines).
+// provided: TCP for real deployments (Dial) and buffered in-memory pipes
+// for deterministic tests and benchmarks (InProcess — no ports, no OS
+// scheduling in the loop beyond goroutines).
 
-// dialTimeout bounds one TCP connection attempt.
+// dialTimeout bounds the TCP connection attempt.
 const dialTimeout = 5 * time.Second
 
-// Dialer configures worker dialing: per-attempt timeout and a capped
-// exponential backoff with jitter between redial attempts, so a worker
-// that is restarting is retried quickly at first and gently afterwards —
-// and a fleet of coordinators redialing the same worker does not
-// stampede in lockstep. The zero value uses the defaults.
-type Dialer struct {
-	// Timeout bounds one connection attempt (default 5s).
-	Timeout time.Duration
-	// Attempts is the number of connection attempts per Redial call
-	// (default 4): the first immediately, the rest after backoff.
-	Attempts int
-	// Backoff is the delay before the second attempt (default 100ms); it
-	// doubles per attempt, capped at MaxBackoff (default 3s), with up to
-	// 50% random jitter subtracted.
-	Backoff    time.Duration
-	MaxBackoff time.Duration
-	// Seed fixes the jitter sequence for deterministic tests; 0 derives
-	// one from the address.
-	Seed int64
-
-	retries atomic.Uint64
-}
-
-func (d *Dialer) timeout() time.Duration {
-	if d.Timeout > 0 {
-		return d.Timeout
-	}
-	return dialTimeout
-}
-
-func (d *Dialer) attempts() int {
-	if d.Attempts > 0 {
-		return d.Attempts
-	}
-	return 4
-}
-
-func (d *Dialer) backoff() (base, cap time.Duration) {
-	base, cap = d.Backoff, d.MaxBackoff
-	if base <= 0 {
-		base = 100 * time.Millisecond
-	}
-	if cap <= 0 {
-		cap = 3 * time.Second
-	}
-	return base, cap
-}
-
-// Retries returns the cumulative connection attempt count.
-func (d *Dialer) Retries() uint64 { return d.retries.Load() }
-
-// Dial connects to addr, retrying with backoff, and returns a redialable
-// Link wired to the same policy.
-func (d *Dialer) Dial(addr string) (Link, error) {
-	seed := d.Seed
-	if seed == 0 {
-		for _, b := range []byte(addr) {
-			seed = seed*131 + int64(b)
-		}
-		seed++
-	}
-	rng := rand.New(rand.NewSource(seed))
-	var rngMu sync.Mutex
-	redial := func() (net.Conn, error) {
-		base, max := d.backoff()
-		delay := base
-		var lastErr error
-		for i := 0; i < d.attempts(); i++ {
-			if i > 0 {
-				rngMu.Lock()
-				jitter := time.Duration(rng.Int63n(int64(delay)/2 + 1))
-				rngMu.Unlock()
-				time.Sleep(delay - jitter)
-				delay *= 2
-				if delay > max {
-					delay = max
-				}
-			}
-			d.retries.Add(1)
-			conn, err := net.DialTimeout("tcp", addr, d.timeout())
-			if err == nil {
-				return conn, nil
-			}
-			lastErr = err
-		}
-		return nil, fmt.Errorf("cluster: dial %s: %w", addr, lastErr)
-	}
-	conn, err := redial()
-	if err != nil {
-		return Link{}, err
-	}
-	return Link{Conn: conn, Name: addr, Redial: redial}, nil
-}
-
-// Dial connects to a worker at addr and returns a redialable Link using
-// the default Dialer policy.
+// Dial connects to a worker at addr: one attempt, bounded by dialTimeout.
 func Dial(addr string) (Link, error) {
-	d := &Dialer{}
-	return d.Dial(addr)
+	conn, err := net.DialTimeout("tcp", addr, dialTimeout)
+	if err != nil {
+		return Link{}, fmt.Errorf("cluster: dial %s: %w", addr, err)
+	}
+	return Link{Conn: conn, Name: addr}, nil
 }
 
-// InProcess starts n workers, each served over a buffered in-memory
-// pipe, and returns coordinator links for them. Redial is wired: closing a
-// link's conn and redialing attaches a fresh pipe to the same worker
-// (state intact), which is what the disconnect/reattach tests exercise.
-// stop tears the serving goroutines down.
+// InProcess starts n workers, each served over a BufferedPipe, and returns
+// coordinator links for them. stop closes the pipes, which ends the
+// serving goroutines.
 func InProcess(n int) (links []Link, workers []*Worker, stop func()) {
-	var mu sync.Mutex
 	var conns []net.Conn
 	for i := 0; i < n; i++ {
 		w := NewWorker()
 		workers = append(workers, w)
-		attach := func() (net.Conn, error) {
-			client, server := BufferedPipe()
-			go func() {
-				defer server.Close()
-				w.ServeConn(server)
-			}()
-			mu.Lock()
-			conns = append(conns, client)
-			mu.Unlock()
-			return client, nil
-		}
-		conn, _ := attach()
-		links = append(links, Link{Conn: conn, Name: fmt.Sprintf("local-%d", i), Redial: attach})
+		client, server := BufferedPipe()
+		go func() {
+			defer server.Close()
+			w.ServeConn(server)
+		}()
+		conns = append(conns, client)
+		links = append(links, Link{Conn: client, Name: fmt.Sprintf("local-%d", i)})
 	}
 	return links, workers, func() {
-		mu.Lock()
-		defer mu.Unlock()
 		for _, c := range conns {
 			c.Close()
 		}

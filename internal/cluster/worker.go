@@ -14,20 +14,15 @@ import (
 // Worker owns a subset of the cluster graph's shards: authoritative node
 // records and adjacency for every shard placed on it, in
 // a shard-container graph whose global indexes are never built (see
-// graph.ApplyShardEffects). It serves the coordinator's RPCs — place,
-// drop, apply (phase 1), export — over any net.Conn; requests from
+// graph.ApplyShardEffects). It serves the coordinator's RPCs — hello,
+// place, apply (phase 1), export — over any net.Conn; requests from
 // concurrent connections serialize on the worker's mutex, so state
-// transitions are atomic per request.
+// transitions are atomic per request. A hello resets it: the worker keeps
+// nothing from one coordinator to the next.
 type Worker struct {
 	mu    sync.Mutex
 	g     *graph.Graph
 	owned map[int]bool
-
-	// maxTerm is the highest coordinator fencing term this worker has
-	// seen. Sessions opened at a lower term — a deposed coordinator that
-	// has not yet noticed its standby promoted — have their hello and all
-	// mutating requests rejected as fenced.
-	maxTerm uint64
 
 	// applyDeltas is phase-1 scratch, reused across requests (safe: every
 	// request runs under mu).
@@ -86,16 +81,12 @@ var zeroFrameHeader [frameHeaderSize]byte
 // ServeConn answers framed requests on conn until EOF or a framing error.
 // Request-level failures (unknown shard, diverged state) are answered with
 // msgErr and the connection stays up; framing errors tear it down — the
-// coordinator treats that as a worker failure and resyncs. Until the
+// coordinator treats that as a failure and stops. Until the
 // connection's first request has been handled successfully (a hello, on a
 // real coordinator), frames are capped small so a stray non-protocol
 // connection cannot provoke a near-gigabyte allocation.
 func (w *Worker) ServeConn(conn io.ReadWriter) error {
 	limit := uint32(preHelloMaxFrame)
-	// sessTerm is the fencing term this connection's hello established;
-	// it lags w.maxTerm once a newer coordinator appears, which is what
-	// fences the old one's in-flight session.
-	var sessTerm uint64
 	sess := &applySession{}
 	for {
 		payload, err := readFrameInto(conn, sess.readBuf, limit)
@@ -112,7 +103,7 @@ func (w *Worker) ServeConn(conn io.ReadWriter) error {
 			return fmt.Errorf("%w: empty message", ErrProtocol)
 		}
 		t := msgType(payload[0])
-		resp := w.handle(t, &reader{buf: payload, off: 1}, &sessTerm, sess)
+		resp := w.handle(t, &reader{buf: payload, off: 1}, sess)
 		if len(resp) <= smallResp {
 			frame := append(sess.frame[:0], zeroFrameHeader[:]...)
 			frame = append(frame, resp...)
@@ -133,10 +124,10 @@ func (w *Worker) ServeConn(conn io.ReadWriter) error {
 }
 
 // handle dispatches one request and builds the response frame payload.
-func (w *Worker) handle(t msgType, r *reader, sessTerm *uint64, sess *applySession) []byte {
+func (w *Worker) handle(t msgType, r *reader, sess *applySession) []byte {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	resp, err := w.dispatch(t, r, sessTerm, sess)
+	resp, err := w.dispatch(t, r, sess)
 	if err != nil {
 		return append([]byte{byte(msgErr)}, err.Error()...)
 	}
@@ -157,8 +148,8 @@ func (w *Worker) applyBatchEffects(resp []byte, effs []graph.ShardEffects) []byt
 	for _, e := range effs {
 		d, err := w.g.ApplyShardEffects(e)
 		if err != nil {
-			// The shard may be partially applied: disown it so the
-			// coordinator's resync must re-place it before reuse.
+			// The shard may be partially applied: disown it so it is never
+			// exported or applied to as a replica.
 			delete(w.owned, e.Shard)
 			return appendBatchError(resp, err)
 		}
@@ -167,26 +158,15 @@ func (w *Worker) applyBatchEffects(resp []byte, effs []graph.ShardEffects) []byt
 	return appendBatchDeltas(resp, effs, w.applyDeltas)
 }
 
-// fenced guards mutating requests: a session helloed at a term below the
-// highest this worker has seen belongs to a deposed coordinator, and its
-// writes must not land after the successor's.
-func (w *Worker) fenced(sessTerm uint64) error {
-	if sessTerm < w.maxTerm {
-		return fmt.Errorf("fenced: session term %d superseded by term %d", sessTerm, w.maxTerm)
-	}
-	return nil
-}
-
-func (w *Worker) dispatch(t msgType, r *reader, sessTerm *uint64, sess *applySession) ([]byte, error) {
+func (w *Worker) dispatch(t msgType, r *reader, sess *applySession) ([]byte, error) {
 	switch t {
 	case msgHello:
-		version, shards, term, err := decodeHello(r)
+		version, shards, err := decodeHello(r)
 		if err != nil {
 			return nil, err
 		}
 		// The session's label chain restarts with the handshake: a
-		// coordinator (or promoted standby) that hellos resends its label
-		// table from zero.
+		// coordinator that hellos resends its label table from zero.
 		sess.coordLabels = sess.coordLabels[:0]
 		if version != protocolVersion {
 			return nil, fmt.Errorf("protocol version %d not supported (have %d)", version, protocolVersion)
@@ -194,29 +174,15 @@ func (w *Worker) dispatch(t msgType, r *reader, sessTerm *uint64, sess *applySes
 		if shards < 1 || shards > graph.MaxShards || shards&(shards-1) != 0 {
 			return nil, fmt.Errorf("invalid shard count %d", shards)
 		}
-		if term < w.maxTerm {
-			return nil, fmt.Errorf("fenced: hello term %d superseded by term %d", term, w.maxTerm)
-		}
-		w.maxTerm = term
-		*sessTerm = term
-		if w.g == nil || w.g.NumShards() != int(shards) {
-			// Fresh session with a different partitioning: any held state
-			// is for the wrong shard space, drop it.
-			w.g = graph.NewSharded(int(shards))
-			w.owned = make(map[int]bool)
-		}
-		owned := make([]int, 0, len(w.owned))
-		for s := range w.owned {
-			owned = append(owned, s)
-		}
-		return encodeShardList([]byte{byte(msgOK)}, owned), nil
+		// A new coordinator places every shard it assigns here: whatever
+		// the worker held before is dropped.
+		w.g = graph.NewSharded(int(shards))
+		w.owned = make(map[int]bool)
+		return []byte{byte(msgOK)}, nil
 
 	case msgPlace:
 		if w.g == nil {
 			return nil, fmt.Errorf("place before hello")
-		}
-		if err := w.fenced(*sessTerm); err != nil {
-			return nil, err
 		}
 		s, err := r.uvarint()
 		if err != nil {
@@ -239,33 +205,9 @@ func (w *Worker) dispatch(t msgType, r *reader, sessTerm *uint64, sess *applySes
 		w.owned[int(s)] = true
 		return []byte{byte(msgOK)}, nil
 
-	case msgDrop:
-		if w.g == nil {
-			return nil, fmt.Errorf("drop before hello")
-		}
-		if err := w.fenced(*sessTerm); err != nil {
-			return nil, err
-		}
-		s, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if err := r.done(); err != nil {
-			return nil, err
-		}
-		if s >= uint64(w.g.NumShards()) {
-			return nil, fmt.Errorf("shard %d out of range [0,%d)", s, w.g.NumShards())
-		}
-		w.g.ResetShard(int(s))
-		delete(w.owned, int(s))
-		return []byte{byte(msgOK)}, nil
-
 	case msgApply:
 		if w.g == nil {
 			return nil, fmt.Errorf("apply before hello")
-		}
-		if err := w.fenced(*sessTerm); err != nil {
-			return nil, err
 		}
 		var err error
 		sess.coordLabels, err = decodeApplyLabels(r, sess.coordLabels)

@@ -335,7 +335,9 @@ func RPQDense(g *graph.Graph, size int, seed int64) (*rex.Ast, error) {
 	for i := 3; i < size && i < len(perm); i++ {
 		union = rex.Or(union, rex.Label(top[perm[i]]))
 	}
-	return rex.Cat(first, rex.Cat(rex.Rep(union), last)), nil
+	// Left-nested, as the parser builds a chain: the expression prints as
+	// first.(union)*.last and parses back to this very tree.
+	return rex.Cat(rex.Cat(first, rex.Rep(union)), last), nil
 }
 
 // Relabel returns a copy of g with its alphabet folded down to k labels

@@ -210,8 +210,7 @@ func (p *Plan) EdgeDelta(si int) int {
 //
 // Errors report divergence between the shipped effects and the local shard
 // state (a node missing, an edge already present); the shard may then be
-// partially applied and must be re-placed from an authoritative segment
-// before further use.
+// partially applied and must not be used as a replica again.
 func (g *Graph) ApplyShardEffects(e ShardEffects) (int, error) {
 	if e.Shard < 0 || e.Shard >= len(g.shards) {
 		return 0, fmt.Errorf("graph: ApplyShardEffects: shard %d out of range [0,%d)", e.Shard, len(g.shards))

@@ -100,7 +100,10 @@ func (a *Ast) String() string {
 	return b.String()
 }
 
-// precedence: Union < Concat < Star.
+// precedence: Union < Concat < Star. The parser builds chains of one
+// operator left-nested, so a right child of the same operator is
+// parenthesized: Cat(a, Cat(b, c)) prints as a.(b.c), not as a.b.c,
+// which would parse back as Cat(Cat(a, b), c).
 func (a *Ast) render(b *strings.Builder, parentPrec int) {
 	if a == nil {
 		return
@@ -126,11 +129,11 @@ func (a *Ast) render(b *strings.Builder, parentPrec int) {
 	case Concat:
 		a.Left.render(b, 2)
 		b.WriteByte('.')
-		a.Right.render(b, 2)
+		a.Right.render(b, 3)
 	case Union:
 		a.Left.render(b, 1)
 		b.WriteByte('+')
-		a.Right.render(b, 1)
+		a.Right.render(b, 2)
 	case Star:
 		a.Left.render(b, 4)
 		b.WriteByte('*')

@@ -301,3 +301,43 @@ func TestNestedStars(t *testing.T) {
 		}
 	}
 }
+
+// FuzzParse feeds the parser arbitrary text. It must never panic; an
+// expression it accepts must print to text that parses back Equal, and its
+// Glushkov automaton must decide every prefix of a label sequence drawn
+// from the expression's alphabet (plus one label outside it) exactly as
+// the reference matcher does.
+func FuzzParse(f *testing.F) {
+	for i, c := range corpus {
+		f.Add(c, []byte{byte(i), 1, 0, 2, 1})
+	}
+	f.Add("((a))**+ε b", []byte{0, 0, 1})
+	f.Fuzz(func(t *testing.T, expr string, seq []byte) {
+		a, err := Parse(expr)
+		if err != nil {
+			return
+		}
+		if err := a.Validate(); err != nil {
+			t.Fatalf("Parse(%q) built an invalid tree: %v", expr, err)
+		}
+		text := a.String()
+		b, err := Parse(text)
+		if err != nil {
+			t.Fatalf("Parse(%q) printed %q, which does not parse: %v", expr, text, err)
+		}
+		if !a.Equal(b) {
+			t.Fatalf("Parse(%q) printed %q, which parses to %q", expr, text, b.String())
+		}
+		alphabet := append(a.Alphabet(), "") // "" is never a label
+		labels := make([]string, 0, 8)
+		for _, c := range seq[:min(len(seq), 8)] {
+			labels = append(labels, alphabet[int(c)%len(alphabet)])
+		}
+		nfa := Compile(a)
+		for n := 0; n <= len(labels); n++ {
+			if got, want := nfa.MatchSeq(labels[:n]), a.MatchSeq(labels[:n]); got != want {
+				t.Fatalf("%q on %q: automaton %v, reference %v", text, labels[:n], got, want)
+			}
+		}
+	})
+}

@@ -13,8 +13,7 @@ import (
 
 // Deterministic disk-fault injection. A FaultFS wraps a real FS and fails
 // chosen syscalls — matched by operation, file name, and per-rule
-// occurrence index — the storage counterpart of the cluster package's
-// FaultScript frame shim. Every fired fault is recorded in an event log,
+// occurrence index. Every fired fault is recorded in an event log,
 // and a drill run twice from the same seed over the same traffic produces
 // identical logs (the CI disk-chaos job's determinism pin).
 //

@@ -12,9 +12,8 @@ import (
 // parcel is one shard's snapshot segment made self-contained — a label
 // table restricted to the labels actually present on the shard, followed
 // by the segment body in the exact encoding WriteSnapshot uses — so a
-// single shard can be shipped between processes (cluster shard placement,
-// resync after divergence) without dragging the whole
-// snapshot along. Like snapshots, parcels are byte-deterministic:
+// single shard can be shipped between processes (cluster shard placement)
+// without dragging the whole snapshot along. Like snapshots, parcels are byte-deterministic:
 // identical shard state produces identical parcels whichever process
 // encoded it, which is what lets a coordinator verify a remote worker's
 // copy by comparing parcel bytes.

@@ -34,8 +34,6 @@ func TestWriteSurface(t *testing.T) {
 		}
 		return names
 	}
-	// ClusterOption is func(*cluster.CoordinatorOptions).
-	coordinatorOptions := reflect.TypeOf(incgraph.ClusterOption(nil)).In(0).Elem()
 	for _, tc := range []struct {
 		what      string
 		got, want []string
@@ -43,7 +41,6 @@ func TestWriteSurface(t *testing.T) {
 		{"(*Durable) methods taking a Batch", takesBatch(reflect.TypeOf(&incgraph.Durable{})), []string{"Commit", "LogPlanned"}},
 		{"(*Cluster) methods taking a Batch", takesBatch(reflect.TypeOf(&incgraph.Cluster{})), []string{"Apply"}},
 		{"ApplyOptions fields", fields(reflect.TypeOf(incgraph.ApplyOptions{})), []string{"Via", "Log", "Exclusive"}},
-		{"cluster.CoordinatorOptions fields", fields(coordinatorOptions), []string{"Term", "CallTimeout"}},
 	} {
 		if !slices.Equal(tc.got, tc.want) {
 			t.Errorf("%s: %v, want %v", tc.what, tc.got, tc.want)
