@@ -57,10 +57,13 @@ func TestArchitecture(t *testing.T) {
 		// which is also its next local slot.
 		{"one node table", structFields("internal/graph", "shard", anyField, "live")},
 		{"one node table", noMapType("internal/graph/shard.go", "node records are one slot-indexed table")},
-		{"no worker-stat poll", noMethod("", "", "StatsWithin")},
+		{"no worker-stat poll", noMethod(anyFile, "", "StatsWithin")},
 		// IncSCC− decides a split in settle; the intact-then-repair pair
 		// was replaced by the peel.
-		{"one split decision", noMethod("internal/scc", "State", "intact")},
+		{"one split decision", noMethod(inDirOf("internal/scc"), "State", "intact")},
+		// A class's row order and line format live in its engine's package;
+		// the root package and the commands only forward them.
+		{"one home for the row format", noMethod(rootOrCmd, "", "AppendRow", "CompareRows")},
 		// Every knob the daemon has; a new flag is added here too.
 		{"incgraphd's flags", flagNames(
 			[]string{"cmd/incgraphd/main.go", "cmd/incgraphd/admission.go", "cmd/incgraphd/standby.go"},
@@ -75,7 +78,9 @@ func TestArchitecture(t *testing.T) {
 		// deletion with its slot recycling and the slot state snapshots and
 		// parcels used to carry, the coordinator's worker fault tolerance
 		// (frame fault script, redial, resync, fencing, holdover drops)
-		// and the daemon's disk-fault flag.
+		// and the daemon's disk-fault flag, the row surface beside
+		// Maintained with its four per-class adapters and the daemon's
+		// refusal of engines without it.
 		{"deleted names stay deleted", idents(nonTest,
 			"ReplicaLog", "ReplPolicy", "WithReplication", "SetLogDir", "FetchReplStates", "ClusterReplStates", "msgReplicate",
 			"applyQueue", "acquireDeadline", "logMu", "Unappend", "ClusterCommit", "WithOnCommit", "OnCommit",
@@ -83,7 +88,8 @@ func TestArchitecture(t *testing.T) {
 			"SetTreeArcRepair", "noRepair", "tryRepairTreeArc", "parseYAML",
 			"DeleteNode", "recycleSlot", "SlotCap",
 			"FaultScript", "Dialer", "WithClusterTerm", "WithCallTimeout", "ensureUp", "prepareShards",
-			"Resyncs", "msgDrop", "parseDiskFault")},
+			"Resyncs", "msgDrop", "parseDiskFault",
+			"RowAnswer", "kwsAdapter", "rpqAdapter", "sccAdapter", "isoAdapter", "rowAnswers")},
 		// The differentials are TestHistory and TestDaemonHistory over
 		// internal/history; the per-subsystem scaffolds stay gone.
 		{"one differential harness", idents(anyFile,
@@ -166,6 +172,13 @@ func nonTestUnder(dir string) func(archFile) bool {
 
 // inDir reports whether f is in directory dir itself ("." is the root).
 func inDir(f archFile, dir string) bool { return path.Dir(f.path) == dir }
+
+func inDirOf(dir string) func(archFile) bool {
+	return func(f archFile) bool { return inDir(f, dir) }
+}
+
+// rootOrCmd selects the root package's files and every file under cmd/.
+func rootOrCmd(f archFile) bool { return inDir(f, ".") || strings.HasPrefix(f.path, "cmd/") }
 
 func deprecatedComments(tr *archTree, report func(at, msg string)) {
 	for _, f := range tr.files {
@@ -304,17 +317,17 @@ func noMapType(file, why string) func(*archTree, func(at, msg string)) {
 	}
 }
 
-// noMethod bans methods named name on receiver type recv ("" is any type)
-// declared in dir ("" is any directory), test files included.
-func noMethod(dir, recv, name string) func(*archTree, func(at, msg string)) {
+// noMethod bans methods with any of names on receiver type recv ("" is
+// any type) declared in the files keep selects, test files included.
+func noMethod(keep func(archFile) bool, recv string, names ...string) func(*archTree, func(at, msg string)) {
 	return func(tr *archTree, report func(at, msg string)) {
 		for _, f := range tr.files {
-			if dir != "" && !inDir(f, dir) {
+			if !keep(f) {
 				continue
 			}
 			for _, decl := range f.ast.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Recv == nil || fd.Name.Name != name {
+				if !ok || fd.Recv == nil || !slices.Contains(names, fd.Name.Name) {
 					continue
 				}
 				typ := fd.Recv.List[0].Type
@@ -322,7 +335,7 @@ func noMethod(dir, recv, name string) func(*archTree, func(at, msg string)) {
 					typ = star.X
 				}
 				if id, ok := typ.(*ast.Ident); recv == "" || ok && id.Name == recv {
-					report(tr.at(fd.Name.Pos()), "declares method "+name)
+					report(tr.at(fd.Name.Pos()), "declares method "+fd.Name.Name)
 				}
 			}
 		}

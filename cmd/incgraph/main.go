@@ -73,7 +73,7 @@ func run(graphPath, class, query string, bound int, patternPath, updatesPath str
 		if err != nil {
 			return err
 		}
-		fmt.Printf("rpq %q: %d matches\n", query, e.NumMatches())
+		fmt.Printf("rpq %q: %d matches\n", query, e.Size())
 		if verbose {
 			for _, p := range e.Matches() {
 				fmt.Printf("  (%d,%d)\n", p.Src, p.Dst)
@@ -85,7 +85,7 @@ func run(graphPath, class, query string, bound int, patternPath, updatesPath str
 				return err
 			}
 			fmt.Printf("after %d updates: %d matches (+%d −%d)\n",
-				len(batch), e.NumMatches(), len(d.Added), len(d.Removed))
+				len(batch), e.Size(), len(d.Added), len(d.Removed))
 		}
 	case "kws":
 		if query == "" {
@@ -96,7 +96,7 @@ func run(graphPath, class, query string, bound int, patternPath, updatesPath str
 		if err != nil {
 			return err
 		}
-		fmt.Printf("kws %v b=%d: %d match roots\n", q.Keywords, q.Bound, ix.NumMatches())
+		fmt.Printf("kws %v b=%d: %d match roots\n", q.Keywords, q.Bound, ix.Size())
 		if verbose {
 			for _, r := range ix.MatchRoots() {
 				m, _ := ix.MatchAt(r)
@@ -109,11 +109,11 @@ func run(graphPath, class, query string, bound int, patternPath, updatesPath str
 				return err
 			}
 			fmt.Printf("after %d updates: %d roots (+%d −%d ~%d)\n",
-				len(batch), ix.NumMatches(), len(d.Added), len(d.Removed), len(d.Updated))
+				len(batch), ix.Size(), len(d.Added), len(d.Removed), len(d.Updated))
 		}
 	case "scc":
 		s := incgraph.NewSCC(g)
-		fmt.Printf("scc: %d components\n", s.NumComponents())
+		fmt.Printf("scc: %d components\n", s.Size())
 		if verbose {
 			for _, c := range s.ComponentsSorted() {
 				if len(c) > 1 {
@@ -127,7 +127,7 @@ func run(graphPath, class, query string, bound int, patternPath, updatesPath str
 				return err
 			}
 			fmt.Printf("after %d updates: %d components (+%d −%d)\n",
-				len(batch), s.NumComponents(), len(d.Added), len(d.Removed))
+				len(batch), s.Size(), len(d.Added), len(d.Removed))
 		}
 	case "iso":
 		if patternPath == "" {
@@ -143,7 +143,7 @@ func run(graphPath, class, query string, bound int, patternPath, updatesPath str
 		}
 		ix := incgraph.NewISO(g, p)
 		fmt.Printf("iso pattern (%d nodes, diameter %d): %d matches\n",
-			len(p.Nodes()), p.Diameter(), ix.NumMatches())
+			len(p.Nodes()), p.Diameter(), ix.Size())
 		if verbose {
 			for _, m := range ix.Matches() {
 				fmt.Printf("  %v\n", m)
@@ -155,7 +155,7 @@ func run(graphPath, class, query string, bound int, patternPath, updatesPath str
 				return err
 			}
 			fmt.Printf("after %d updates: %d matches (+%d −%d)\n",
-				len(batch), ix.NumMatches(), len(d.Added), len(d.Removed))
+				len(batch), ix.Size(), len(d.Added), len(d.Removed))
 		}
 	default:
 		return fmt.Errorf("unknown class %q", class)

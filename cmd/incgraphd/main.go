@@ -335,10 +335,7 @@ func run(cfg config, stop <-chan struct{}) error {
 
 	// The server is built before the hub so the hub's snapshot callback can
 	// serialize against its lock.
-	srv, err := newServer(d, cfg.ckptBytes, cfg.lim)
-	if err != nil {
-		return err
-	}
+	srv := newServer(d, cfg.ckptBytes, cfg.lim)
 
 	// HA hub: standbys connect here, handshake a snapshot, and tail every
 	// committed batch. The snapshot callback reads (feedSeq, graph) under

@@ -40,11 +40,7 @@ func newTestServer(t *testing.T, g *incgraph.Graph, opts incgraph.DurableOptions
 	if err := d.Attach(incgraph.MaintainSCC(incgraph.NewSCC(d.Graph()))); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := newServer(d, 0, lim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return srv
+	return newServer(d, 0, lim)
 }
 
 // serveTest serves srv at 127.0.0.1:0 until the test ends and returns its
@@ -107,36 +103,6 @@ func TestStagedCapRefusesWithoutCorruptingBatch(t *testing.T) {
 	reply = c.cmd(t, "commit")
 	if !strings.Contains(reply, "ok applied 3 ") {
 		t.Fatalf("commit reply = %q, want 3 applied", reply)
-	}
-}
-
-// rowless is a standing query without a row surface: embedding the interface
-// hides the adapter's RowAnswer methods, as any wrapper of a Maintained does.
-type rowless struct{ incgraph.Maintained }
-
-// TestEngineWithoutRowsRefused: the daemon serves answers from the engines'
-// row deltas and has no other read path, so an attached engine that lacks
-// incgraph.RowAnswer is refused when the server is built, by class and type.
-// Attach takes a wrapper only on a private graph; nothing is committed, so
-// an empty one does.
-func TestEngineWithoutRowsRefused(t *testing.T) {
-	g := incgraph.SyntheticGraph(incgraph.GraphSpec{Nodes: 20, Edges: 40, Labels: 2, Seed: 3})
-	d, err := incgraph.CreateDurable(t.TempDir(), g, incgraph.DurableOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	if err := d.Attach(rowless{incgraph.MaintainSCC(incgraph.NewSCC(incgraph.NewGraph()))}); err != nil {
-		t.Fatal(err)
-	}
-	_, err = newServer(d, 0, limits{})
-	if err == nil {
-		t.Fatal("newServer accepted an engine without a row surface")
-	}
-	for _, want := range []string{"scc", "main.rowless", "incgraph.RowAnswer"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Fatalf("newServer: %q, want it to name %q", err, want)
-		}
 	}
 }
 

@@ -38,10 +38,9 @@ type server struct {
 
 	// view is the read side (view.go). It also carries the role and the hub
 	// handle: a hub feeds every committed batch to attached standbys.
-	// rows and classAt are fixed at construction: the engines' row
-	// surfaces in attach order, and the position of each class.
+	// classAt is fixed at construction: the position of each class among
+	// the attached engines.
 	view      atomic.Pointer[view]
-	rows      []incgraph.RowAnswer
 	classAt   map[string]int
 	folding   []atomic.Bool // per class: a fold is under way (view.go)
 	viewFolds atomic.Uint64 // chains folded into a new base
@@ -224,18 +223,14 @@ func tailName(s int32) string {
 
 // newServer builds the serving state over a recovered Durable and cuts the
 // first view from its engines; the result is a primary without a hub
-// (publish changes that). Every attached engine must have a row surface.
-func newServer(d *incgraph.Durable, ckptBytes int64, lim limits) (*server, error) {
-	rows, err := rowAnswers(d)
-	if err != nil {
-		return nil, err
-	}
-	classAt := make(map[string]int, len(rows))
+// (publish changes that).
+func newServer(d *incgraph.Durable, ckptBytes int64, lim limits) *server {
+	classAt := make(map[string]int, len(d.Engines()))
 	for i, m := range d.Engines() {
 		classAt[m.Class()] = i
 	}
-	s := &server{d: d, ckptBytes: ckptBytes, rows: rows, classAt: classAt,
-		folding:        make([]atomic.Bool, len(rows)),
+	s := &server{d: d, ckptBytes: ckptBytes, classAt: classAt,
+		folding:        make([]atomic.Bool, len(d.Engines())),
 		lim:            lim,
 		commitGate:     newGate(lim.commitSlots, lim.commitQueue, lim.opTimeout),
 		readGate:       newGate(lim.readSlots, lim.readQueue, lim.opTimeout),
@@ -247,7 +242,7 @@ func newServer(d *incgraph.Durable, ckptBytes int64, lim limits) (*server, error
 	s.syncDurableMeta()
 	s.view.Store(s.cutView())
 	s.publish(false, nil)
-	return s, nil
+	return s
 }
 
 // syncDurableMeta refreshes the durable-metadata mirror stat and health
@@ -773,8 +768,8 @@ func (s *server) read(cmd, class string, conn net.Conn, out *bufio.Writer, reply
 	c := &v.classes[i]
 	var dump []byte
 	if cmd == "answer" {
-		ra := s.rows[i]
-		incgraph.MergeRows(ra, c.base, c.chain, func(row []incgraph.NodeID) { dump = ra.AppendRow(dump, row) })
+		m := s.d.Engines()[i]
+		incgraph.MergeRows(m, c.base, c.chain, func(row []incgraph.NodeID) { dump = m.AppendRow(dump, row) })
 	}
 	s.readGate.exit()
 	if !reply("ok %s %d gen=%d", class, c.size, v.gen) {

@@ -85,10 +85,7 @@ func runStandby(args []string, stop <-chan struct{}) error {
 			if err := attachEngines(d, *cfg); err != nil {
 				return err
 			}
-			srv, err = newServer(d, cfg.ckptBytes, *lim)
-			if err != nil {
-				return err
-			}
+			srv = newServer(d, cfg.ckptBytes, *lim)
 			srv.publish(false, func(v *view) { v.role = roleStandby })
 			srv.primaryAddr = *primary
 			srv.tailConn = conn

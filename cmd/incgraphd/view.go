@@ -1,7 +1,6 @@
 package main
 
 import (
-	"fmt"
 	"slices"
 
 	"incgraph"
@@ -50,27 +49,12 @@ const (
 	foldFrac = 4
 )
 
-// rowAnswers returns the row surface of every attached engine, in attach
-// order. The daemon has no other way to read an answer, so an engine
-// without one cannot be served.
-func rowAnswers(d *incgraph.Durable) ([]incgraph.RowAnswer, error) {
-	rows := make([]incgraph.RowAnswer, len(d.Engines()))
-	for i, m := range d.Engines() {
-		ra, ok := m.(incgraph.RowAnswer)
-		if !ok {
-			return nil, fmt.Errorf("standing query %s (%T) does not implement incgraph.RowAnswer: the daemon serves answers from row deltas only", m.Class(), m)
-		}
-		rows[i] = ra
-	}
-	return rows, nil
-}
-
 // cutView returns the first view of a server: a primary's, with every base
 // cut from what its engine holds now. publish fills in the rest.
 func (s *server) cutView() *view {
-	v := &view{role: rolePrimary, classes: make([]classView, len(s.rows))}
-	for i, ra := range s.rows {
-		v.classes[i].base = ra.Rows()
+	v := &view{role: rolePrimary, classes: make([]classView, len(s.d.Engines()))}
+	for i, m := range s.d.Engines() {
+		v.classes[i].base = m.Rows()
 	}
 	return v
 }
@@ -93,7 +77,7 @@ func (s *server) publish(applied bool, edit func(v *view)) {
 		if !applied {
 			continue
 		}
-		if d := s.rows[i].LastDelta(); d.Len() > 0 {
+		if d := m.LastDelta(); d.Len() > 0 {
 			c.chain = append(c.chain, d)
 			c.chainRows += d.Len()
 		}
@@ -128,7 +112,7 @@ func (s *server) nextView() *view {
 // The goroutine ends with this one bounded computation and holds nothing
 // anyone waits for.
 func (s *server) fold(i int, c classView) {
-	base := incgraph.FoldRows(s.rows[i], c.base, c.chain, c.size)
+	base := incgraph.FoldRows(s.d.Engines()[i], c.base, c.chain, c.size)
 	s.commitMu.Lock()
 	v := s.nextView()
 	nc := &v.classes[i]

@@ -38,7 +38,7 @@ func TestPublishAllocsIndependentOfSizes(t *testing.T) {
 		if _, err := srv.d.Commit(incgraph.Batch{incgraph.Del(0, 1)}, incgraph.ApplyOptions{}); err != nil {
 			t.Fatal(err)
 		}
-		if n := srv.rows[0].LastDelta().Len(); n != ring+1 {
+		if n := srv.d.Engines()[0].LastDelta().Len(); n != ring+1 {
 			t.Fatalf("ΔO has %d rows, want %d", n, ring+1)
 		}
 		// The same ΔO again and again: the views are nonsense, the cost of

@@ -101,7 +101,7 @@ func main() {
 	}
 	if *duration > 0 {
 		sc.Duration = Duration(*duration)
-		if sc.Spike.Multiplier > 0 && sc.Spike.At+sc.Spike.Duration > sc.Duration {
+		if sc.Spike.Multiplier > 0 && !sc.spikeInside() {
 			fmt.Fprintf(os.Stderr, "loadgen: -duration %v cuts off the scenario's spike window\n", *duration)
 			os.Exit(2)
 		}

@@ -140,8 +140,8 @@ func parseScenario(data []byte) (*Scenario, error) {
 	if len(sc.Mix) == 0 && sc.Clients > 0 {
 		return nil, fmt.Errorf("scenario %s: mix must name at least one op weight", sc.Name)
 	}
-	if sc.Spike.Multiplier > 0 && sc.Spike.At+sc.Spike.Duration > sc.Duration {
-		return nil, fmt.Errorf("scenario %s: spike window ends after the run", sc.Name)
+	if sc.Spike.Multiplier > 0 && !sc.spikeInside() {
+		return nil, fmt.Errorf("scenario %s: spike window does not lie inside the run", sc.Name)
 	}
 	switch sc.Fault.Action {
 	case "":
@@ -153,6 +153,14 @@ func parseScenario(data []byte) (*Scenario, error) {
 		return nil, fmt.Errorf("fault.action: want failover")
 	}
 	return sc, nil
+}
+
+// spikeInside reports whether the spike window [At, At+Duration) lies
+// inside the run. It adds no durations, so huge ones cannot wrap past the
+// check.
+func (sc *Scenario) spikeInside() bool {
+	sp := sc.Spike
+	return sp.At >= 0 && sp.Duration >= 0 && sp.At <= sc.Duration && sp.Duration <= sc.Duration-sp.At
 }
 
 // checkKeys walks one JSON value and refuses an object that names a key

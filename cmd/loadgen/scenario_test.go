@@ -6,9 +6,11 @@ import (
 	"time"
 )
 
-func TestParseScenarioValidation(t *testing.T) {
+// validationCases are scenario files parseScenario must refuse, by what is
+// wrong with each.
+var validationCases = func() map[string]string {
 	const ok = `"name": "x", "clients": 2, "duration": "1s", "mix": {"query": 1}`
-	cases := map[string]string{
+	return map[string]string{
 		"missing name":     `{"clients": 2, "duration": "1s", "mix": {"query": 1}}`,
 		"no clients":       `{"name": "x", "duration": "1s", "mix": {"query": 1}}`,
 		"no duration":      `{"name": "x", "clients": 2, "mix": {"query": 1}}`,
@@ -16,6 +18,8 @@ func TestParseScenarioValidation(t *testing.T) {
 		"unknown op":       `{"name": "x", "clients": 2, "duration": "1s", "mix": {"frobnicate": 1}}`,
 		"unknown key":      `{` + ok + `, "bogus": 7}`,
 		"spike past end":   `{` + ok + `, "spike": {"at": "900ms", "duration": "500ms", "multiplier": 2}}`,
+		"spike wraps":      `{` + ok + `, "spike": {"at": "2562047h", "duration": "2562047h", "multiplier": 2}}`,
+		"spike before run": `{` + ok + `, "spike": {"at": "-1s", "duration": "500ms", "multiplier": 2}}`,
 		"non-numeric int":  `{"name": "x", "clients": "two", "duration": "1s", "mix": {"query": 1}}`,
 		"non-duration dur": `{"name": "x", "clients": 2, "duration": "soon", "mix": {"query": 1}}`,
 		"bad fault action": `{` + ok + `, "fault": {"action": "explode", "at": "500ms"}}`,
@@ -29,7 +33,11 @@ func TestParseScenarioValidation(t *testing.T) {
 		"trailing data":    `{` + ok + `} {}`,
 		"not json":         "name: x\nclients: 2\n",
 	}
-	for name, in := range cases {
+}()
+
+func TestParseScenarioValidation(t *testing.T) {
+	const ok = `"name": "x", "clients": 2, "duration": "1s", "mix": {"query": 1}`
+	for name, in := range validationCases {
 		if _, err := parseScenario([]byte(in)); err == nil {
 			t.Errorf("%s: validated without error", name)
 		}
@@ -66,4 +74,50 @@ func TestBuiltinScenariosLoad(t *testing.T) {
 		!strings.Contains(err.Error(), "not a built-in") {
 		t.Fatalf("unknown scenario: err = %v, want the built-in listing", err)
 	}
+}
+
+// FuzzParseScenario feeds the scenario parser arbitrary bytes. It must
+// never panic, must return a scenario exactly when it returns no error,
+// and a scenario it accepts must hold every rule the parser enforces: the
+// run has a name, a positive duration and someone to run it, every mix
+// weight names a known op, and the spike and the fault fall inside the run.
+// The seeds are the built-in scenarios and the refused cases of
+// TestParseScenarioValidation.
+func FuzzParseScenario(f *testing.F) {
+	for _, name := range builtinScenarios() {
+		data, err := scenarioFS.ReadFile("scenarios/" + name + ".json")
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	for _, in := range validationCases {
+		f.Add([]byte(in))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sc, err := parseScenario(data)
+		if (sc == nil) == (err == nil) {
+			t.Fatalf("parseScenario returned %+v and %v", sc, err)
+		}
+		if err != nil {
+			return
+		}
+		if sc.Name == "" || sc.Duration <= 0 || sc.Clients <= 0 && sc.SlowClients <= 0 {
+			t.Fatalf("accepted a scenario without a name, a duration or clients: %+v", sc)
+		}
+		if sc.Clients > 0 && len(sc.Mix) == 0 {
+			t.Fatalf("accepted clients without a mix: %+v", sc)
+		}
+		for op := range sc.Mix {
+			if op != "query" && op != "answer" && op != "commit" {
+				t.Fatalf("accepted mix op %q", op)
+			}
+		}
+		if sp := sc.Spike; sp.Multiplier > 0 && (sp.At < 0 || sp.Duration < 0 || uint64(sp.At)+uint64(sp.Duration) > uint64(sc.Duration)) {
+			t.Fatalf("accepted a spike outside the run: %+v", sc)
+		}
+		if sc.Fault.Action != "" && (sc.Fault.Action != "failover" || sc.Fault.At <= 0 || sc.Fault.At >= sc.Duration) {
+			t.Fatalf("accepted fault %+v in a %v run", sc.Fault, sc.Duration)
+		}
+	})
 }

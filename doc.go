@@ -165,12 +165,12 @@
 // Q(G) ⊕ ΔO: every commit
 // publishes, with one atomic pointer store, an immutable view holding per
 // class the answer's rows as of some earlier commit and the engines' ΔO of
-// every commit since (RowAnswer is the row surface the Maintain* adapters
-// give it; MergeRows is the ⊕). Reads load that pointer and take no lock —
-// they never wait for a commit, see one whole generation and say which
-// ("ok CLASS SIZE gen=G") — and the engines themselves are never read
-// after start-up. TestDaemonHistory and TestLinearizableStandbyReads
-// (cmd/incgraphd) pin it against the same seeded history and from-scratch
+// every commit since (Maintained's Rows and LastDelta give them;
+// MergeRows is the ⊕). Reads load that pointer and take no lock — they
+// never wait for a commit, see one whole generation and say which ("ok
+// CLASS SIZE gen=G") — and read no engine state after start-up: an engine
+// only orders and renders their rows (CompareRows, AppendRow).
+// TestDaemonHistory and TestLinearizableStandbyReads (cmd/incgraphd) pin it against the same seeded history and from-scratch
 // oracle as TestHistory (internal/history): staged and committed over the wire to a daemon, a
 // daemon at four shards and a promoted standby while readers read every
 // class, each reply must be what from-scratch builds answer at the step

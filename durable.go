@@ -117,19 +117,21 @@ func DurableExists(dir string) bool { return store.Exists(dir) }
 func (d *Durable) Graph() *Graph { return d.base }
 
 // Attach registers engines to be kept in lockstep: every commit from here
-// on reaches them. What an engine was built on is the whole choice of how:
+// on reaches them, and each one's LastDelta is that commit's ΔO. What an
+// engine was built on is the whole choice of how:
 //
-//   - on Graph() itself, as one of the Maintain* adapters: the Durable
-//     applies each batch to the graph once and the engine repairs in place.
-//     Any number of engines share the graph this way.
+//   - on Graph() itself, as the value a Maintain* constructor returned: the
+//     Durable applies each batch to the graph once and the engine repairs
+//     in place. Any number of engines share the graph this way.
 //   - on a graph of its own (Graph().Clone()): the engine's Apply advances
 //     that copy batch by batch, whatever type wraps it.
 //
 // Attach refuses, before anything is logged, what would otherwise fail on
 // the first commit after the WAL append: a value on Graph() that does not
-// offer the in-place repair (a wrapper around an adapter — its Apply would
-// apply every batch to the base graph a second time), and two engines on
-// one private graph (the second one's Apply would find the batch applied).
+// offer the in-place repair (a type wrapping a Maintain* value — its Apply
+// would apply every batch to the base graph a second time), and two
+// engines on one private graph (the second one's Apply would find the
+// batch applied).
 func (d *Durable) Attach(ms ...Maintained) error {
 	for _, m := range ms {
 		var r repairer

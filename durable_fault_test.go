@@ -10,6 +10,7 @@ package incgraph_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -39,11 +40,12 @@ func matchesOracle(t *testing.T, what string, d *incgraph.Durable, engines map[s
 }
 
 // TestRecoveryTornTail crashes mid-append: the WAL's last record is torn
-// (truncated) or corrupted (CRC flip). Recovery must succeed with the
-// valid prefix and serve the history without the lost batch, and the
+// (truncated), corrupted (CRC flip), or cut to a frame header whose length
+// claims a gigabyte. Recovery must succeed with the valid prefix, truncate
+// the log to it, and serve the history without the lost batch, and the
 // truncated log must take that batch again.
 func TestRecoveryTornTail(t *testing.T) {
-	for _, mode := range []string{"torn", "crc"} {
+	for _, mode := range []string{"torn", "crc", "claim"} {
 		t.Run(mode, func(t *testing.T) {
 			g := history.Graph()
 			build, _ := history.Engines(g)
@@ -56,8 +58,9 @@ func TestRecoveryTornTail(t *testing.T) {
 			attachInPlace(d, build)
 			var kept *incgraph.Graph
 			var lost incgraph.Batch
+			var clean int64 // the WAL's size before the lost batch
 			for i := 0; i < 6; i++ {
-				kept, lost = h.Sim.Clone(), h.Batch(60)
+				kept, lost, clean = h.Sim.Clone(), h.Batch(60), d.WALBytes()
 				if _, err := d.Commit(lost, incgraph.ApplyOptions{}); err != nil {
 					t.Fatalf("batch %d: %v", i, err)
 				}
@@ -75,6 +78,9 @@ func TestRecoveryTornTail(t *testing.T) {
 				data = data[:len(data)-7] // cut inside the last record
 			case "crc":
 				data[len(data)-1] ^= 0xFF // corrupt the last payload byte
+			case "claim":
+				data = binary.LittleEndian.AppendUint32(data[:clean], 1<<30)
+				data = append(data, 0, 0, 0, 0) // the frame's CRC
 			}
 			if err := os.WriteFile(walPath, data, 0o644); err != nil {
 				t.Fatal(err)
@@ -85,6 +91,9 @@ func TestRecoveryTornTail(t *testing.T) {
 				t.Fatalf("OpenDurable after %s tail: %v", mode, err)
 			}
 			defer r.Close()
+			if r.WALBytes() != clean {
+				t.Fatalf("recovery left a %d-byte WAL, want it truncated to %d", r.WALBytes(), clean)
+			}
 			engines := attachInPlace(r, build)
 			matchesOracle(t, "torn-tail recovery", r, engines, build, kept)
 			if _, err := r.Commit(lost, incgraph.ApplyOptions{}); err != nil {

@@ -58,7 +58,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("person.(city+company)*.country → %d matches\n", q2.NumMatches())
+	fmt.Printf("person.(city+company)*.country → %d matches\n", q2.Size())
 
 	// A stream of edits, answered incrementally.
 	stream := []incgraph.Batch{
@@ -74,7 +74,7 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("edit %d %-24v → +%d −%d (total %d)\n",
-			i+1, batch, len(d.Added), len(d.Removed), q2.NumMatches())
+			i+1, batch, len(d.Added), len(d.Removed), q2.Size())
 	}
 
 	// The Theorem 1 phenomenon: two single-edge edits, the first changing

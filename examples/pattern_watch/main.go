@@ -62,7 +62,7 @@ func main() {
 
 	ix := incgraph.NewISO(g, pattern)
 	fmt.Printf("transaction graph: %d nodes, %d edges; initial alerts: %d\n\n",
-		g.NumNodes(), g.NumEdges(), ix.NumMatches())
+		g.NumNodes(), g.NumEdges(), ix.Size())
 
 	// The event feed. Each event is one wire transfer (edge). Alerts fire
 	// exactly when new motif embeddings appear.
@@ -85,9 +85,9 @@ func main() {
 		}
 		switch {
 		case len(d.Added) > 0:
-			fmt.Printf("%-32s → ALERT: %d new embeddings (total %d)\n", ev.what, len(d.Added), ix.NumMatches())
+			fmt.Printf("%-32s → ALERT: %d new embeddings (total %d)\n", ev.what, len(d.Added), ix.Size())
 		case len(d.Removed) > 0:
-			fmt.Printf("%-32s → %d alerts retracted (total %d)\n", ev.what, len(d.Removed), ix.NumMatches())
+			fmt.Printf("%-32s → %d alerts retracted (total %d)\n", ev.what, len(d.Removed), ix.Size())
 		default:
 			fmt.Printf("%-32s → no change\n", ev.what)
 		}
@@ -98,12 +98,12 @@ func main() {
 	churn := incgraph.RandomUpdates(ix.Graph(), incgraph.UpdateSpec{
 		Count: 500, InsertRatio: 0.5, Locality: 0.9, Seed: 99,
 	})
-	before := ix.NumMatches()
+	before := ix.Size()
 	start = time.Now()
 	d, err := ix.Apply(churn)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("500 background events in %v: %d → %d embeddings (+%d −%d)\n",
-		time.Since(start), before, ix.NumMatches(), len(d.Added), len(d.Removed))
+		time.Since(start), before, ix.Size(), len(d.Added), len(d.Removed))
 }

@@ -36,11 +36,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("RPQ  paper.paper*.venue  → %d matches: %v\n", rpq.NumMatches(), rpq.Matches())
+	fmt.Printf("RPQ  paper.paper*.venue  → %d matches: %v\n", rpq.Size(), rpq.Matches())
 
 	// SCC: the citation cycle is one strongly connected component.
 	scc := incgraph.NewSCC(g.Clone())
-	fmt.Printf("SCC  → %d components\n", scc.NumComponents())
+	fmt.Printf("SCC  → %d components\n", scc.Size())
 
 	// KWS: papers within 1 hop of both an author and a venue.
 	kws, err := incgraph.NewKWS(g.Clone(), incgraph.KWSQuery{Keywords: []string{"author", "venue"}, Bound: 1})
@@ -61,7 +61,7 @@ func main() {
 		log.Fatal(err)
 	}
 	iso := incgraph.NewISO(g.Clone(), pattern)
-	fmt.Printf("ISO  co-citation motif  → %d matches\n", iso.NumMatches())
+	fmt.Printf("ISO  co-citation motif  → %d matches\n", iso.Size())
 
 	// One batch of updates: a new paper appears citing paper1, the cycle is
 	// broken, and paper3 gains an author.
@@ -78,14 +78,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("RPQ  now %d matches (+%d −%d)\n", rpq.NumMatches(), len(d1.Added), len(d1.Removed))
+	fmt.Printf("RPQ  now %d matches (+%d −%d)\n", rpq.Size(), len(d1.Added), len(d1.Removed))
 
 	d2, err := scc.Apply(batch)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("SCC  now %d components (+%d −%d): cycle broken\n",
-		scc.NumComponents(), len(d2.Added), len(d2.Removed))
+		scc.Size(), len(d2.Added), len(d2.Removed))
 
 	d3, err := kws.Apply(batch)
 	if err != nil {
@@ -98,5 +98,5 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("ISO  now %d matches (+%d −%d)\n", iso.NumMatches(), len(d4.Added), len(d4.Removed))
+	fmt.Printf("ISO  now %d matches (+%d −%d)\n", iso.Size(), len(d4.Added), len(d4.Removed))
 }

@@ -39,7 +39,7 @@ func main() {
 
 	// Standing query 1: community structure.
 	scc := incgraph.NewSCC(g.Clone())
-	fmt.Printf("communities: %d strongly connected components\n", scc.NumComponents())
+	fmt.Printf("communities: %d strongly connected components\n", scc.Size())
 
 	// Standing query 2: members within 2 hops of both interest labels.
 	q := incgraph.KWSQuery{Keywords: []string{"l1", "l2"}, Bound: 2}
@@ -47,7 +47,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("keyword roots (%v, b=%d): %d\n", q.Keywords, q.Bound, kws.NumMatches())
+	fmt.Printf("keyword roots (%v, b=%d): %d\n", q.Keywords, q.Bound, kws.Size())
 
 	// The event stream: bursts of follows/unfollows (ρ = 1, like the
 	// paper's stable-size workloads).
@@ -84,8 +84,8 @@ func main() {
 		kwsTotal += time.Since(start)
 
 		fmt.Printf("  burst %2d: communities %5d (+%d −%d) | keyword roots %4d (+%d −%d)\n",
-			burst+1, scc.NumComponents(), len(ds.Added), len(ds.Removed),
-			kws.NumMatches(), len(dk.Added), len(dk.Removed))
+			burst+1, scc.Size(), len(ds.Added), len(ds.Removed),
+			kws.Size(), len(dk.Added), len(dk.Removed))
 	}
 	fmt.Printf("\nincremental maintenance time over 2000 events: SCC %v, KWS %v\n", sccTotal, kwsTotal)
 

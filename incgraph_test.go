@@ -27,14 +27,14 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.NumMatches() != 3 { // (1,2),(4,2),(4,5)
+	if e.Size() != 3 { // (1,2),(4,2),(4,5)
 		t.Fatalf("rpq matches = %v", e.Matches())
 	}
 
 	// SCC.
 	s := incgraph.NewSCC(g)
-	if s.NumComponents() != 4 { // {1,2}, {3}, {4}, {5}
-		t.Fatalf("scc count = %d", s.NumComponents())
+	if s.Size() != 4 { // {1,2}, {3}, {4}, {5}
+		t.Fatalf("scc count = %d", s.Size())
 	}
 
 	// KWS.
@@ -56,8 +56,8 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	iso := incgraph.NewISO(g, p)
-	if iso.NumMatches() != 3 {
-		t.Fatalf("iso matches = %d", iso.NumMatches())
+	if iso.Size() != 3 {
+		t.Fatalf("iso matches = %d", iso.Size())
 	}
 	if got := incgraph.FindMatches(g, p, 0); len(got) != 3 {
 		t.Fatalf("FindMatches = %d", len(got))
@@ -191,7 +191,7 @@ func TestFacadeKWSBoundExtension(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ix.NumMatches() != 2 { // nodes 2 and 3
+	if ix.Size() != 2 { // nodes 2 and 3
 		t.Fatalf("b=1 matches = %v", ix.MatchRoots())
 	}
 	d, err := ix.ExtendBound(2)

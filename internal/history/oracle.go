@@ -125,14 +125,13 @@ func SansMeter(obs string) string {
 // RenderLastDelta renders the ΔO an adapter holds row by row, one line
 // each: "-" and the row for one that left Q(G), "+" for one that entered.
 func RenderLastDelta(m incgraph.Maintained) string {
-	ra := m.(incgraph.RowAnswer)
 	var out []byte
-	ra.LastDelta().Each(func(row []incgraph.NodeID, gone bool) {
+	m.LastDelta().Each(func(row []incgraph.NodeID, gone bool) {
 		sign := byte('+')
 		if gone {
 			sign = '-'
 		}
-		out = ra.AppendRow(append(out, sign), row)
+		out = m.AppendRow(append(out, sign), row)
 	})
 	return string(out)
 }
@@ -168,7 +167,7 @@ func NewOracle(build Builders, sim *incgraph.Graph) *Oracle {
 func (o *Oracle) Advance(sim *incgraph.Graph) {
 	for class, mk := range o.build {
 		if e, ok := o.fresh[class]; ok {
-			o.was[class] = e.M.(incgraph.RowAnswer).Rows()
+			o.was[class] = e.M.Rows()
 		}
 		o.fresh[class] = mk(sim.Clone())
 	}
@@ -188,11 +187,11 @@ func (o *Oracle) Read(class string) (size int, answer string) {
 func (o *Oracle) Check(engines map[string]Engine) error {
 	for class, e := range engines {
 		fresh := o.fresh[class]
-		ra := fresh.M.(incgraph.RowAnswer)
-		was, now := o.was[class], ra.Rows()
-		d := e.M.(incgraph.RowAnswer).LastDelta()
+		m := fresh.M
+		was, now := o.was[class], m.Rows()
+		d := e.M.LastDelta()
 		var folded []byte
-		incgraph.MergeRows(ra, was, []incgraph.RowDelta{d}, func(row []incgraph.NodeID) { folded = ra.AppendRow(folded, row) })
+		incgraph.MergeRows(m, was, []incgraph.RowDelta{d}, func(row []incgraph.NodeID) { folded = m.AppendRow(folded, row) })
 		want := fresh.Answer()
 		if string(folded) != want {
 			return fmt.Errorf("%s: the old answer ⊕ ΔO is not a fresh build's: %s", class, FirstDiff(string(folded), want))
@@ -202,7 +201,7 @@ func (o *Oracle) Check(engines map[string]Engine) error {
 		}
 		var err error
 		d.Each(func(row []incgraph.NodeID, gone bool) {
-			before, after := rowOf(ra, was, row), rowOf(ra, now, row)
+			before, after := rowOf(m, was, row), rowOf(m, now, row)
 			if err == nil && (before == nil && after == nil || before != nil && after != nil && slices.Equal(before, after)) {
 				err = fmt.Errorf("%s: ΔO names %v, whose row did not change", class, row)
 			}
@@ -215,9 +214,9 @@ func (o *Oracle) Check(engines map[string]Engine) error {
 }
 
 // rowOf returns the row of rows with row's key, or nil.
-func rowOf(ra incgraph.RowAnswer, rows incgraph.Rows, row []incgraph.NodeID) []incgraph.NodeID {
-	i := sort.Search(rows.Len(), func(i int) bool { return ra.CompareRows(rows.At(i), row) >= 0 })
-	if i < rows.Len() && ra.CompareRows(rows.At(i), row) == 0 {
+func rowOf(m incgraph.Maintained, rows incgraph.Rows, row []incgraph.NodeID) []incgraph.NodeID {
+	i := sort.Search(rows.Len(), func(i int) bool { return m.CompareRows(rows.At(i), row) >= 0 })
+	if i < rows.Len() && m.CompareRows(rows.At(i), row) == 0 {
 		return rows.At(i)
 	}
 	return nil

@@ -114,7 +114,7 @@ func TestAnchoredSelfLoop(t *testing.T) {
 	g2.AddNode(6, "b")
 	g2.AddEdge(5, 6)
 	ix := Build(g2, p, nil)
-	if ix.NumMatches() != 0 {
+	if ix.Size() != 0 {
 		t.Fatalf("premature match")
 	}
 	d, err := ix.Apply(graph.Batch{graph.Ins(5, 5)})

@@ -50,7 +50,7 @@ func BenchmarkIncISORepairMatch(b *testing.B) {
 	g, p := matchGraph(b, 1)
 	cycle := repairCycle(g, 100, 32, 7)
 	ix := iso.Build(g, p, nil)
-	if ix.NumMatches() == 0 {
+	if ix.Size() == 0 {
 		b.Fatal("empty Q(G): the benchmark would time nothing")
 	}
 	for _, batch := range cycle { // warm the searchers

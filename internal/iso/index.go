@@ -1,7 +1,7 @@
 package iso
 
 import (
-	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"sort"
@@ -39,8 +39,23 @@ type Delta struct {
 	Removed []Match
 }
 
-// Empty reports whether the output was unaffected.
-func (d Delta) Empty() bool { return len(d.Added) == 0 && len(d.Removed) == 0 }
+// Counts returns the numbers of embeddings added and removed; none is
+// updated.
+func (d Delta) Counts() (added, removed, updated int) { return len(d.Added), len(d.Removed), 0 }
+
+// Len returns |ΔO| in rows.
+func (d Delta) Len() int { return len(d.Removed) + len(d.Added) }
+
+// Each calls yield with every removed embedding as gone, then with every
+// added one: the index's own match slices, shared.
+func (d Delta) Each(yield func(row []graph.NodeID, gone bool)) {
+	for _, m := range d.Removed {
+		yield(m, true)
+	}
+	for _, m := range d.Added {
+		yield(m, false)
+	}
+}
 
 // Build enumerates Q(G) with VF2 and indexes it. The meter may be nil.
 // With workers available the enumeration fans out across g.Parallelism()
@@ -116,8 +131,8 @@ func (ix *Index) Graph() *graph.Graph { return ix.g }
 // Pattern returns the pattern.
 func (ix *Index) Pattern() *Pattern { return ix.p }
 
-// NumMatches returns |Q(G)|.
-func (ix *Index) NumMatches() int { return len(ix.matches) }
+// Size returns |Q(G)|, the number of embeddings.
+func (ix *Index) Size() int { return len(ix.matches) }
 
 // Matches returns Q(G) sorted by canonical key. The slice is memoized
 // against the graph's mutation generation — repeated calls between
@@ -138,24 +153,44 @@ func (ix *Index) Matches() []Match {
 	})
 }
 
-// WriteAnswer serializes Q(G) in canonical text form: one line per
-// embedding, "match <v1> <v2> ...", aligned with Pattern.Nodes(), in
-// canonical-key order. Identical match sets produce identical bytes
-// regardless of the path that computed them (build, incremental repair,
-// batch fallback, or recovery replay); the durability layer's parity
-// checks and the incgraphd answer dumps rely on this.
-func (ix *Index) WriteAnswer(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	for _, m := range ix.Matches() {
-		bw.WriteString("match")
-		for _, v := range m {
-			bw.WriteByte(' ')
-			bw.Write(strconv.AppendInt(bw.AvailableBuffer(), int64(v), 10))
-		}
-		bw.WriteByte('\n')
+// Rows returns Q(G) as rows, one embedding each aligned with
+// Pattern.Nodes(), in canonical-key order: the order and, through
+// AppendRow, the bytes of WriteAnswer.
+func (ix *Index) Rows() graph.Rows {
+	ms := ix.Matches()
+	width := len(ix.p.nodes)
+	flat := make([]graph.NodeID, 0, len(ms)*width)
+	for _, m := range ms {
+		flat = append(flat, m...)
 	}
-	return bw.Flush() // a bufio.Writer keeps its first write error
+	return graph.FlatRows(width, flat)
 }
+
+// CompareRows orders embeddings as their Match.Key() strings order — node
+// by node, each as its decimal text: a separator sorts below every digit
+// and sign, so the joined keys and the texts in turn compare alike.
+func (ix *Index) CompareRows(a, b []graph.NodeID) int {
+	var ba, bb [20]byte
+	for i := range a {
+		if a[i] == b[i] {
+			continue
+		}
+		return bytes.Compare(strconv.AppendInt(ba[:0], int64(a[i]), 10), strconv.AppendInt(bb[:0], int64(b[i]), 10))
+	}
+	return 0
+}
+
+// AppendRow appends the answer line of row: "match <v1> <v2> …".
+func (ix *Index) AppendRow(dst []byte, row []graph.NodeID) []byte {
+	return graph.AppendRow(dst, "match", row)
+}
+
+// WriteAnswer serializes Q(G) in canonical text form, one AppendRow line
+// per embedding, in canonical-key order. Identical match sets produce
+// identical bytes regardless of the path that computed them (build,
+// incremental repair, batch fallback, or recovery replay); the durability
+// layer's parity checks rely on this.
+func (ix *Index) WriteAnswer(w io.Writer) error { return graph.WriteRows(w, ix.Rows(), ix.AppendRow) }
 
 // Apply processes a batch ΔG with IncISO on an index that owns its graph:
 // it advances the graph to G ⊕ ΔG (graph.Advance: the batch is normalized,
@@ -166,7 +201,7 @@ func (ix *Index) Apply(batch graph.Batch) (Delta, error) {
 	if err != nil {
 		return Delta{}, fmt.Errorf("iso: %w", err)
 	}
-	return ix.Repair(norm), nil
+	return ix.Repair(batch, norm), nil
 }
 
 // Repair brings the match set from Q(G) to Q(G ⊕ ΔG) and returns ΔO:
@@ -178,7 +213,7 @@ func (ix *Index) Apply(batch graph.Batch) (Delta, error) {
 // norm the normal form (Batch.Normalize) of a batch valid on G. It reads
 // the post-state graph and mutates nothing but the index, which knows the
 // graph by its edges only: the nodes a batch creates need no bookkeeping
-// here, so the raw batch is not asked for.
+// here, so the raw batch goes unread.
 //
 // Before repairing, Repair consults the cost model (cost.EstimateISO): when
 // the batch seeds more anchored enumerations than VF2 would open
@@ -186,7 +221,7 @@ func (ix *Index) Apply(batch graph.Batch) (Delta, error) {
 // granularity — it falls back to re-enumerating Q(G) from scratch and
 // diffing the match sets. The decision is a pure function of graph and
 // batch statistics, so it is identical at every worker and shard count.
-func (ix *Index) Repair(norm graph.Batch) Delta {
+func (ix *Index) Repair(_, norm graph.Batch) Delta {
 	var d Delta
 	ins, dels := norm.Split()
 	rootCands := ix.g.NumNodesWithLabelID(ix.p.lbl[ix.p.order[0]])

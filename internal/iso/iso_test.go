@@ -137,14 +137,14 @@ func TestIncDeleteRemovesMatches(t *testing.T) {
 	g.AddEdge(1, 2)
 	p := PathPattern("a", "b", "c")
 	ix := Build(g, p, nil)
-	if ix.NumMatches() != 1 {
-		t.Fatalf("setup: %d matches", ix.NumMatches())
+	if ix.Size() != 1 {
+		t.Fatalf("setup: %d matches", ix.Size())
 	}
 	d, err := ix.Apply(graph.Batch{graph.Del(1, 2)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(d.Removed) != 1 || ix.NumMatches() != 0 {
+	if len(d.Removed) != 1 || ix.Size() != 0 {
 		t.Fatalf("delta = %+v", d)
 	}
 	if err := ix.Check(); err != nil {
@@ -164,7 +164,7 @@ func TestIncInsertAddsMatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(d.Added) != 1 || ix.NumMatches() != 1 {
+	if len(d.Added) != 1 || ix.Size() != 1 {
 		t.Fatalf("delta = %+v", d)
 	}
 	if err := ix.Check(); err != nil {
@@ -278,8 +278,8 @@ func TestIncrementalEqualsBatchRandomized(t *testing.T) {
 			t.Fatalf("seed %d: IncISOn: %v", seed, err)
 		}
 
-		if ixb.NumMatches() != ixu.NumMatches() {
-			t.Fatalf("seed %d: IncISO %d matches, IncISOn %d", seed, ixb.NumMatches(), ixu.NumMatches())
+		if ixb.Size() != ixu.Size() {
+			t.Fatalf("seed %d: IncISO %d matches, IncISOn %d", seed, ixb.Size(), ixu.Size())
 		}
 	}
 }
@@ -312,8 +312,8 @@ func TestDeltaConsistencyRandomized(t *testing.T) {
 			}
 			before[m.Key()] = true
 		}
-		if len(before) != ix.NumMatches() {
-			t.Fatalf("seed %d: delta inconsistent: %d vs %d", seed, len(before), ix.NumMatches())
+		if len(before) != ix.Size() {
+			t.Fatalf("seed %d: delta inconsistent: %d vs %d", seed, len(before), ix.Size())
 		}
 	}
 }
@@ -389,7 +389,7 @@ func TestWriteAnswerBytes(t *testing.T) {
 	if err := ix.WriteAnswer(&got); err != nil {
 		t.Fatal(err)
 	}
-	if ix.NumMatches() != 2 || got.String() != want.String() {
-		t.Fatalf("answer of %d matches:\n%swant:\n%s", ix.NumMatches(), got.String(), want.String())
+	if ix.Size() != 2 || got.String() != want.String() {
+		t.Fatalf("answer of %d matches:\n%swant:\n%s", ix.Size(), got.String(), want.String())
 	}
 }

@@ -19,7 +19,7 @@ func TestExtendBoundOnChain(t *testing.T) {
 	}
 	g.AddEdge(3, 9)
 	ix := mustBuild(t, g, Query{Keywords: []string{"k"}, Bound: 1})
-	if ix.NumMatches() != 2 { // node 3 (dist 1) and 9 itself (dist 0)
+	if ix.Size() != 2 { // node 3 (dist 1) and 9 itself (dist 0)
 		t.Fatalf("b=1 matches = %v", ix.MatchRoots())
 	}
 	d, err := ix.ExtendBound(3)
@@ -36,7 +36,7 @@ func TestExtendBoundOnChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Extending to the same bound is free; shrinking is refused.
-	if d, err := ix.ExtendBound(3); err != nil || !d.Empty() {
+	if d, err := ix.ExtendBound(3); err != nil || d.Len() != 0 {
 		t.Fatalf("same-bound extend: %v %+v", err, d)
 	}
 	if _, err := ix.ExtendBound(1); err == nil {
@@ -118,7 +118,7 @@ func TestExtendBoundFromZero(t *testing.T) {
 	g.AddNode(1, "k")
 	g.AddEdge(0, 1)
 	ix := mustBuild(t, g, Query{Keywords: []string{"k"}, Bound: 0})
-	if ix.NumMatches() != 1 { // only the k-node itself
+	if ix.Size() != 1 { // only the k-node itself
 		t.Fatalf("b=0 matches = %v", ix.MatchRoots())
 	}
 	d, err := ix.ExtendBound(1)

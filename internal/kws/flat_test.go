@@ -327,7 +327,7 @@ func TestKeywordNodeStaysAtZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !d.Empty() {
+	if d.Len() != 0 {
 		t.Fatalf("ΔO = %+v, want none", d)
 	}
 	if err := ix.Check(); err != nil {
@@ -366,8 +366,8 @@ func TestWarmRepairAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e := ix.Entry(chain, 0); e.Dist != L || ix.NumMatches() != 0 {
-		t.Fatalf("setup: kdist(chain head) = %+v, %d matches", e, ix.NumMatches())
+	if e := ix.Entry(chain, 0); e.Dist != L || ix.Size() != 0 {
+		t.Fatalf("setup: kdist(chain head) = %+v, %d matches", e, ix.Size())
 	}
 	flip := func(u graph.Update) func() {
 		return func() {
@@ -392,5 +392,34 @@ func TestWarmRepairAllocs(t *testing.T) {
 	}
 	if err := ix.Check(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRowsAllocsIndependentOfAnswer: Rows reads the match table directly,
+// so a warm index hands out its answer in one allocation, the rows' array,
+// whether |Q(G)| is 10 or 10000 — no distance vector is copied per root.
+func TestRowsAllocsIndependentOfAnswer(t *testing.T) {
+	allocs := func(n int) float64 {
+		// n a-nodes each point at one b-node: every a-node and the b-node
+		// are roots of (a, b).
+		g := graph.New()
+		g.AddNode(0, "b")
+		for v := graph.NodeID(1); v <= graph.NodeID(n); v++ {
+			g.AddNode(v, "a")
+			g.AddEdge(v, 0)
+			g.AddEdge(0, v)
+		}
+		ix, err := kws.Build(g, kws.Query{Keywords: []string{"a", "b"}, Bound: 2}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ix.Size() != n+1 || ix.Rows().Len() != n+1 {
+			t.Fatalf("%d roots, %d rows; want %d", ix.Size(), ix.Rows().Len(), n+1)
+		}
+		return testing.AllocsPerRun(10, func() { ix.Rows() })
+	}
+	small, large := allocs(10), allocs(10000)
+	if small != large || large > 1 {
+		t.Fatalf("Rows allocates %.1f times over 11 roots and %.1f over 10001, want 1 both", small, large)
 	}
 }

@@ -36,9 +36,36 @@ type Delta struct {
 	Updated []Match
 }
 
-// Empty reports whether the delta changes nothing.
-func (d Delta) Empty() bool {
-	return len(d.Added) == 0 && len(d.Removed) == 0 && len(d.Updated) == 0
+// Counts returns the numbers of roots added, removed and updated.
+func (d Delta) Counts() (added, removed, updated int) {
+	return len(d.Added), len(d.Removed), len(d.Updated)
+}
+
+// Len returns |ΔO| in rows.
+func (d Delta) Len() int { return len(d.Removed) + len(d.Added) + len(d.Updated) }
+
+// Each calls yield with every removed root, as a gone row of the root
+// alone, then with the row of every added and updated match. The rows lie
+// in one array made per call.
+func (d Delta) Each(yield func(row []graph.NodeID, gone bool)) {
+	n := len(d.Removed)
+	for _, ms := range [][]Match{d.Added, d.Updated} {
+		for _, m := range ms {
+			n += 1 + len(m.Dists)
+		}
+	}
+	arena := make([]graph.NodeID, 0, n)
+	for _, r := range d.Removed {
+		arena = append(arena, r)
+		yield(arena[len(arena)-1:len(arena):len(arena)], true)
+	}
+	for _, ms := range [][]Match{d.Added, d.Updated} {
+		for _, m := range ms {
+			lo := len(arena)
+			arena = appendMatchRow(arena, m.Root, m.Dists)
+			yield(arena[lo:len(arena):len(arena)], false)
+		}
+	}
 }
 
 // sortByRoot puts the delta into its canonical order (roots ascending in

@@ -35,11 +35,10 @@
 package kws
 
 import (
-	"bufio"
+	"cmp"
 	"fmt"
 	"io"
 	"slices"
-	"strconv"
 
 	"incgraph/internal/cost"
 	"incgraph/internal/graph"
@@ -297,27 +296,45 @@ func (ix *Index) MatchAt(r graph.NodeID) (Match, bool) {
 	return Match{Root: r, Dists: slices.Clone(ds)}, true
 }
 
-// NumMatches returns |Q(G)|.
-func (ix *Index) NumMatches() int { return len(ix.matches) }
+// Size returns |Q(G)|, the number of match roots.
+func (ix *Index) Size() int { return len(ix.matches) }
 
-// WriteAnswer serializes Q(G) in canonical text form: one line per match
-// root, ascending, "root <id> <d1> <d2> ...". Identical answers always
-// produce identical bytes, whatever worker, shard or recovery path built
-// them — the durability layer's recovery-parity checks and the incgraphd
-// answer dumps both rely on this. Safe under the read-share contract.
-func (ix *Index) WriteAnswer(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	for _, r := range ix.MatchRoots() {
-		bw.WriteString("root ")
-		bw.Write(strconv.AppendInt(bw.AvailableBuffer(), int64(r), 10))
-		for _, d := range ix.matches[r] {
-			bw.WriteByte(' ')
-			bw.Write(strconv.AppendInt(bw.AvailableBuffer(), int64(d), 10))
-		}
-		bw.WriteByte('\n')
+// Rows returns Q(G) as rows [root d1 … dm], roots ascending: the order and,
+// through AppendRow, the bytes of WriteAnswer. It reads the match table
+// directly, so it allocates the rows' one array whatever |Q(G)| is.
+func (ix *Index) Rows() graph.Rows {
+	roots := ix.MatchRoots()
+	width := 1 + len(ix.kw)
+	flat := make([]graph.NodeID, 0, len(roots)*width)
+	for _, r := range roots {
+		flat = appendMatchRow(flat, r, ix.matches[r])
 	}
-	return bw.Flush() // a bufio.Writer keeps its first write error
+	return graph.FlatRows(width, flat)
 }
+
+func appendMatchRow(dst []graph.NodeID, root graph.NodeID, ds []int) []graph.NodeID {
+	dst = append(dst, root)
+	for _, d := range ds {
+		dst = append(dst, graph.NodeID(d))
+	}
+	return dst
+}
+
+// CompareRows orders rows by root; rows of one root compare equal whatever
+// their distances.
+func (ix *Index) CompareRows(a, b []graph.NodeID) int { return cmp.Compare(a[0], b[0]) }
+
+// AppendRow appends the answer line of row: "root <id> <d1> <d2> …".
+func (ix *Index) AppendRow(dst []byte, row []graph.NodeID) []byte {
+	return graph.AppendRow(dst, "root", row)
+}
+
+// WriteAnswer serializes Q(G) in canonical text form, one AppendRow line
+// per match root, ascending. Identical answers always produce identical
+// bytes, whatever worker, shard or recovery path built them — the
+// durability layer's recovery-parity checks rely on this. Safe under the
+// read-share contract.
+func (ix *Index) WriteAnswer(w io.Writer) error { return graph.WriteRows(w, ix.Rows(), ix.AppendRow) }
 
 // Snapshot returns a copy of the match set, root → dist vector. Tests and
 // the public Delta computation use it.

@@ -433,7 +433,7 @@ func TestLocalizability(t *testing.T) {
 		if _, err := ix.Apply(graph.Batch{graph.Del(2, 1), graph.Ins(3, 1)}); err != nil {
 			t.Fatal(err)
 		}
-		return meter.Total(), ix.NumMatches()
+		return meter.Total(), ix.Size()
 	}
 	smallCost, smallMatches := build(10)
 	bigCost, bigMatches := build(10000)
@@ -454,8 +454,8 @@ func TestBatchAnswerMatchesIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	ix := mustBuild(t, g, q)
-	if len(ans) != ix.NumMatches() {
-		t.Fatalf("BatchAnswer %d matches, index %d", len(ans), ix.NumMatches())
+	if len(ans) != ix.Size() {
+		t.Fatalf("BatchAnswer %d matches, index %d", len(ans), ix.Size())
 	}
 }
 
@@ -480,7 +480,7 @@ func TestBoundZero(t *testing.T) {
 		t.Fatalf("b=0 roots = %v", roots)
 	}
 	ix2 := mustBuild(t, g, Query{Keywords: []string{"a", "d"}, Bound: 0})
-	if ix2.NumMatches() != 0 {
+	if ix2.Size() != 0 {
 		t.Fatalf("two keywords at b=0 cannot match")
 	}
 }
@@ -510,7 +510,7 @@ func TestWriteAnswerBytes(t *testing.T) {
 	if err := ix.WriteAnswer(&got); err != nil {
 		t.Fatal(err)
 	}
-	if ix.NumMatches() != len(ids) || got.String() != want.String() {
-		t.Fatalf("answer of %d matches:\n%swant:\n%s", ix.NumMatches(), got.String(), want.String())
+	if ix.Size() != len(ids) || got.String() != want.String() {
+		t.Fatalf("answer of %d matches:\n%swant:\n%s", ix.Size(), got.String(), want.String())
 	}
 }

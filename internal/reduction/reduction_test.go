@@ -110,14 +110,14 @@ func TestInsertionGadget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.NumMatches() != 0 {
+	if e.Size() != 0 {
 		t.Fatalf("gadget must start with no matches")
 	}
 	d1, err := e.ApplyInsert(gad.BridgeAB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !d1.Empty() {
+	if d1.Len() != 0 {
 		t.Fatalf("first bridge alone changed the output: %+v", d1)
 	}
 	d2, err := e.ApplyInsert(gad.BridgeBC)

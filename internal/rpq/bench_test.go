@@ -79,6 +79,6 @@ func BenchmarkRPQNFABuild(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		benchSink += e.NumMatches()
+		benchSink += e.Size()
 	}
 }

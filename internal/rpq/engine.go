@@ -83,13 +83,11 @@
 package rpq
 
 import (
-	"bufio"
 	"cmp"
 	"fmt"
 	"io"
 	"math/bits"
 	"slices"
-	"strconv"
 
 	"incgraph/internal/cost"
 	"incgraph/internal/graph"
@@ -442,8 +440,8 @@ func (e *Engine) Graph() *graph.Graph { return e.g }
 // Query returns the compiled query.
 func (e *Engine) Query() *rex.Ast { return e.ast }
 
-// NumMatches returns |Q(G)|.
-func (e *Engine) NumMatches() int { return e.numMatches }
+// Size returns |Q(G)|, the number of match pairs.
+func (e *Engine) Size() int { return e.numMatches }
 
 // HasMatch reports whether (src, dst) ∈ Q(G).
 func (e *Engine) HasMatch(src, dst graph.NodeID) bool {
@@ -477,22 +475,33 @@ func (e *Engine) Matches() []Pair {
 	})
 }
 
-// WriteAnswer serializes Q(G) in canonical text form: one line per match,
-// "pair <src> <dst>", sorted by (Src, Dst). Identical answers produce
-// identical bytes regardless of how they were computed (build, repair, or
-// recovery replay); the durability layer's parity checks and the incgraphd
-// answer dumps rely on this. Safe under the read-share contract.
-func (e *Engine) WriteAnswer(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	for _, p := range e.Matches() {
-		bw.WriteString("pair ")
-		bw.Write(strconv.AppendInt(bw.AvailableBuffer(), int64(p.Src), 10))
-		bw.WriteByte(' ')
-		bw.Write(strconv.AppendInt(bw.AvailableBuffer(), int64(p.Dst), 10))
-		bw.WriteByte('\n')
+// Rows returns Q(G) as rows [src dst], sorted by (src, dst): the order
+// and, through AppendRow, the bytes of WriteAnswer.
+func (e *Engine) Rows() graph.Rows {
+	ps := e.Matches()
+	flat := make([]graph.NodeID, 0, 2*len(ps))
+	for _, p := range ps {
+		flat = append(flat, p.Src, p.Dst)
 	}
-	return bw.Flush() // a bufio.Writer keeps its first write error
+	return graph.FlatRows(2, flat)
 }
+
+// CompareRows orders rows by (src, dst).
+func (e *Engine) CompareRows(a, b []graph.NodeID) int {
+	return comparePairs(Pair{a[0], a[1]}, Pair{b[0], b[1]})
+}
+
+// AppendRow appends the answer line of row: "pair <src> <dst>".
+func (e *Engine) AppendRow(dst []byte, row []graph.NodeID) []byte {
+	return graph.AppendRow(dst, "pair", row)
+}
+
+// WriteAnswer serializes Q(G) in canonical text form, one AppendRow line
+// per match, sorted by (Src, Dst). Identical answers produce identical
+// bytes regardless of how they were computed (build, repair, or recovery
+// replay); the durability layer's parity checks rely on this. Safe under
+// the read-share contract.
+func (e *Engine) WriteAnswer(w io.Writer) error { return graph.WriteRows(w, e.Rows(), e.AppendRow) }
 
 // BatchAnswer evaluates Q(G) from scratch and returns the match set: the
 // RPQ_NFA baseline of the experiments.

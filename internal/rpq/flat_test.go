@@ -257,7 +257,7 @@ func TestInsertedEdgeIntoAffectedHead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !d.Empty() {
+	if d.Len() != 0 {
 		t.Fatalf("ΔO = %+v, want none: y stays a match at distance 3", d)
 	}
 	if dist, ok := e.Dist(u, y, 2); !ok || dist != 3 {
@@ -316,7 +316,7 @@ func TestSparseNodeIDs(t *testing.T) {
 		map[graph.NodeID]string{-5: "a", 3: "b", far: "b", 7: "c"},
 		[][2]graph.NodeID{{-5, 3}, {3, far}, {far, 7}})
 	e := mustEngine(t, g, "a.b*.c")
-	if !e.HasMatch(-5, 7) || e.NumMatches() != 1 {
+	if !e.HasMatch(-5, 7) || e.Size() != 1 {
 		t.Fatalf("matches = %v", e.Matches())
 	}
 	d, err := e.Apply(graph.Batch{
@@ -370,8 +370,8 @@ func TestWarmApplyAllocs(t *testing.T) {
 	g.AddNode(island+1, "z")
 	g.AddEdge(island, island+1)
 	e := mustEngine(t, g, "a.b*")
-	if e.NumMatches() != S*(L+2) { // itself, the hub, the chain
-		t.Fatalf("setup: %d matches, want %d", e.NumMatches(), S*(L+2))
+	if e.Size() != S*(L+2) { // itself, the hub, the chain
+		t.Fatalf("setup: %d matches, want %d", e.Size(), S*(L+2))
 	}
 
 	flip := func(u graph.Update) func() {

@@ -16,8 +16,23 @@ type Delta struct {
 	Removed []Pair
 }
 
-// Empty reports whether the output was unaffected.
-func (d *Delta) Empty() bool { return len(d.Added) == 0 && len(d.Removed) == 0 }
+// Counts returns the numbers of pairs added and removed; none is updated.
+func (d Delta) Counts() (added, removed, updated int) { return len(d.Added), len(d.Removed), 0 }
+
+// Len returns |ΔO| in rows.
+func (d Delta) Len() int { return len(d.Removed) + len(d.Added) }
+
+// Each calls yield with the row [src dst] of every removed pair as gone,
+// then of every added one. The rows lie in one array made per call.
+func (d Delta) Each(yield func(row []graph.NodeID, gone bool)) {
+	arena := make([]graph.NodeID, 0, 2*d.Len())
+	for i, ps := range [][]Pair{d.Removed, d.Added} {
+		for _, p := range ps {
+			arena = append(arena, p.Src, p.Dst)
+			yield(arena[len(arena)-2:len(arena):len(arena)], i == 0)
+		}
+	}
+}
 
 func compareEdges(a, b graph.Edge) int {
 	return comparePairs(Pair{a.From, a.To}, Pair{b.From, b.To})

@@ -36,11 +36,11 @@ func TestSingleNodeMatch(t *testing.T) {
 	// l(v) ∈ L(Q).
 	g := lineGraph("a")
 	e := mustEngine(t, g, "a")
-	if !e.HasMatch(0, 0) || e.NumMatches() != 1 {
+	if !e.HasMatch(0, 0) || e.Size() != 1 {
 		t.Fatalf("matches = %v", e.Matches())
 	}
 	e2 := mustEngine(t, g, "b")
-	if e2.NumMatches() != 0 {
+	if e2.Size() != 0 {
 		t.Fatalf("label mismatch matched")
 	}
 }
@@ -54,7 +54,7 @@ func TestChainMatches(t *testing.T) {
 	}
 	// Prefix queries match shorter paths.
 	e2 := mustEngine(t, g, "a.b")
-	if !e2.HasMatch(0, 1) || e2.NumMatches() != 1 {
+	if !e2.HasMatch(0, 1) || e2.Size() != 1 {
 		t.Fatalf("prefix matches = %v", e2.Matches())
 	}
 }
@@ -64,15 +64,15 @@ func TestStarAndUnion(t *testing.T) {
 	e := mustEngine(t, g, "a.a*")
 	// Every a-node reaches every later a-node (including itself).
 	want := 3 + 2 + 1
-	if e.NumMatches() != want {
+	if e.Size() != want {
 		t.Fatalf("a.a* matches = %v", e.Matches())
 	}
 	e2 := mustEngine(t, g, "a.a*.b")
-	if e2.NumMatches() != 3 || !e2.HasMatch(0, 3) {
+	if e2.Size() != 3 || !e2.HasMatch(0, 3) {
 		t.Fatalf("a.a*.b matches = %v", e2.Matches())
 	}
 	e3 := mustEngine(t, g, "a.(a+b)")
-	if e3.NumMatches() != 3 { // (0,1),(1,2),(2,3)
+	if e3.Size() != 3 { // (0,1),(1,2),(2,3)
 		t.Fatalf("a.(a+b) matches = %v", e3.Matches())
 	}
 }
@@ -110,7 +110,7 @@ func TestUnitInsertCreatesMatches(t *testing.T) {
 	g := lineGraph("a", "b")
 	g.AddNode(10, "c")
 	e := mustEngine(t, g, "a.b.c")
-	if e.NumMatches() != 0 {
+	if e.Size() != 0 {
 		t.Fatalf("premature matches")
 	}
 	d, err := e.ApplyInsert(graph.Ins(1, 10))
@@ -135,7 +135,7 @@ func TestUnitDeleteRemovesMatches(t *testing.T) {
 	if len(d.Removed) != 1 || d.Removed[0] != (Pair{0, 2}) {
 		t.Fatalf("delta = %+v", d)
 	}
-	if e.NumMatches() != 0 {
+	if e.Size() != 0 {
 		t.Fatalf("stale matches: %v", e.Matches())
 	}
 	if err := e.Check(); err != nil {
@@ -163,7 +163,7 @@ func TestAlternatePathSurvivesDeletion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !d.Empty() {
+	if d.Len() != 0 {
 		t.Fatalf("match should survive: %+v", d)
 	}
 	if !e.HasMatch(0, 3) {
@@ -243,7 +243,7 @@ func TestUnboundednessGadget(t *testing.T) {
 	}
 	g.AddNode(999, "c")
 	e := mustEngine(t, g, "a.a*.b.b*.c")
-	if e.NumMatches() != 0 {
+	if e.Size() != 0 {
 		t.Fatalf("no matches expected yet")
 	}
 	// Insertion 1: connect the chains; still no match (no c reachable).
@@ -251,7 +251,7 @@ func TestUnboundednessGadget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !d1.Empty() {
+	if d1.Len() != 0 {
 		t.Fatalf("d1 = %+v", d1)
 	}
 	// Insertion 2: attach the c sink; every a-node now matches.
@@ -570,7 +570,7 @@ func TestWriteAnswerBytes(t *testing.T) {
 	if err := e.WriteAnswer(&got); err != nil {
 		t.Fatal(err)
 	}
-	if e.NumMatches() != len(ids)*len(ids) || got.String() != want.String() {
-		t.Fatalf("answer of %d pairs:\n%swant:\n%s", e.NumMatches(), got.String(), want.String())
+	if e.Size() != len(ids)*len(ids) || got.String() != want.String() {
+		t.Fatalf("answer of %d pairs:\n%swant:\n%s", e.Size(), got.String(), want.String())
 	}
 }

@@ -24,7 +24,7 @@ func TestRepairedTreeStaysSound(t *testing.T) {
 		g.AddEdge(graph.NodeID(i), graph.NodeID((i+7)%n))
 	}
 	s := mustState(t, g)
-	if s.NumComponents() != 1 {
+	if s.Size() != 1 {
 		t.Fatalf("setup: want one scc")
 	}
 	for step := 0; step < 400; step++ {
@@ -69,7 +69,7 @@ func TestDeltaTrackerTransients(t *testing.T) {
 	if err := s.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if s.NumComponents() != 1 {
+	if s.Size() != 1 {
 		t.Fatalf("want single merged component, have %v", s.ComponentsSorted())
 	}
 	if len(delta.Added) != 1 || len(delta.Added[0]) != 6 {

@@ -165,7 +165,7 @@ func BenchmarkTarjanBuild(b *testing.B) {
 	b.Run("Build", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			benchSink += Build(g, nil).NumComponents()
+			benchSink += Build(g, nil).Size()
 		}
 	})
 	b.Run("Components", func(b *testing.B) {

@@ -48,8 +48,23 @@ type Delta struct {
 	Removed [][]graph.NodeID
 }
 
-// Empty reports whether the output was unaffected.
-func (d Delta) Empty() bool { return len(d.Added) == 0 && len(d.Removed) == 0 }
+// Counts returns the numbers of components added and removed; none is
+// updated.
+func (d Delta) Counts() (added, removed, updated int) { return len(d.Added), len(d.Removed), 0 }
+
+// Len returns |ΔO| in rows.
+func (d Delta) Len() int { return len(d.Removed) + len(d.Added) }
+
+// Each calls yield with every removed component as gone, then with every
+// added one: the member slices themselves, shared.
+func (d Delta) Each(yield func(row []graph.NodeID, gone bool)) {
+	for _, c := range d.Removed {
+		yield(c, true)
+	}
+	for _, c := range d.Added {
+		yield(c, false)
+	}
+}
 
 // deltaTracker accumulates component births and deaths across one Apply.
 // CompIDs are minted in increasing order, so a component was born in this

@@ -46,8 +46,8 @@ func TestBuildPartition(t *testing.T) {
 	s := mustState(t, g)
 	// Expected sccs: {a1=1, d2=32}, {b2=12, c2=22, b3=13, a2=2},
 	// singletons b1=11, b4=14, c1=21, d1=31.
-	if s.NumComponents() != 6 {
-		t.Fatalf("components = %d, want 6: %v", s.NumComponents(), s.ComponentsSorted())
+	if s.Size() != 6 {
+		t.Fatalf("components = %d, want 6: %v", s.Size(), s.ComponentsSorted())
 	}
 	if !s.SameComp(1, 32) || !s.SameComp(12, 2) || s.SameComp(1, 12) {
 		t.Fatalf("memberships wrong: %v", s.ComponentsSorted())
@@ -106,7 +106,7 @@ func TestInsertRespectingRanksIsCheap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !delta.Empty() {
+	if delta.Len() != 0 {
 		t.Fatalf("unexpected delta %+v", delta)
 	}
 	if !partitionsEqual(before, s.ComponentsSorted()) {
@@ -124,7 +124,7 @@ func TestInsertIntraComponent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !delta.Empty() {
+	if delta.Len() != 0 {
 		t.Fatalf("intra insert changed output: %+v", delta)
 	}
 	if err := s.CheckInvariants(); err != nil {
@@ -157,14 +157,14 @@ func TestDeleteFrondNoSplit(t *testing.T) {
 	// the lowlink fast path (no partition change).
 	g := mkGraph(4, [][2]int64{{0, 1}, {1, 2}, {2, 3}, {3, 0}, {2, 0}})
 	s := mustState(t, g)
-	if s.NumComponents() != 1 {
+	if s.Size() != 1 {
 		t.Fatalf("setup: want a single scc")
 	}
 	delta, err := s.ApplyDelete(graph.Del(2, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !delta.Empty() || s.NumComponents() != 1 {
+	if delta.Len() != 0 || s.Size() != 1 {
 		t.Fatalf("frond deletion broke the scc: %+v", delta)
 	}
 	if err := s.CheckInvariants(); err != nil {
@@ -177,7 +177,7 @@ func TestDeleteInterComponentCounter(t *testing.T) {
 	// contracted edge; deleting both removes it. Output never changes.
 	g := mkGraph(4, [][2]int64{{0, 1}, {1, 0}, {2, 3}, {3, 2}, {0, 2}, {1, 3}})
 	s := mustState(t, g)
-	if s.NumComponents() != 2 {
+	if s.Size() != 2 {
 		t.Fatalf("setup: want 2 sccs")
 	}
 	for _, e := range [][2]graph.NodeID{{0, 2}, {1, 3}} {
@@ -185,7 +185,7 @@ func TestDeleteInterComponentCounter(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !delta.Empty() {
+		if delta.Len() != 0 {
 			t.Fatalf("inter deletion changed output")
 		}
 		if err := s.CheckInvariants(); err != nil {
@@ -411,8 +411,8 @@ func TestDeltaAccumulation(t *testing.T) {
 	}
 	// Normalized batch cancels nothing here; final state: {0,1} and {2,3}
 	// with edge 3→0. Output partition is unchanged overall.
-	if s.NumComponents() != 2 {
-		t.Fatalf("components = %d", s.NumComponents())
+	if s.Size() != 2 {
+		t.Fatalf("components = %d", s.Size())
 	}
 	// The delta must net out: any added component must currently exist.
 	for _, c := range delta.Added {
@@ -464,8 +464,8 @@ func TestCondensationAndTopologicalOrder(t *testing.T) {
 	g := paperGraph()
 	s := mustState(t, g)
 	gc := s.Condensation()
-	if gc.NumNodes() != s.NumComponents() {
-		t.Fatalf("condensation nodes = %d, want %d", gc.NumNodes(), s.NumComponents())
+	if gc.NumNodes() != s.Size() {
+		t.Fatalf("condensation nodes = %d, want %d", gc.NumNodes(), s.Size())
 	}
 	// The condensation must be a DAG: Tarjan on it gives only singletons.
 	for _, comp := range Components(gc) {
@@ -490,7 +490,7 @@ func TestCondensationAndTopologicalOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	order = s.TopologicalComponents()
-	if len(order) != s.NumComponents() {
+	if len(order) != s.Size() {
 		t.Fatalf("order misses components")
 	}
 }

@@ -275,7 +275,7 @@ func TestSearchBudgetRingWithChords(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !d.Empty() || s.NumComponents() != 1 {
+			if d.Len() != 0 || s.Size() != 1 {
 				t.Fatalf("the ring fell apart: +%d −%d components", len(d.Added), len(d.Removed))
 			}
 			if err := s.CheckInvariants(); err != nil {

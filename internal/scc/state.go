@@ -1,7 +1,7 @@
 package scc
 
 import (
-	"bufio"
+	"cmp"
 	"fmt"
 	"io"
 	"slices"
@@ -100,8 +100,8 @@ func Build(g *graph.Graph, meter *cost.Meter) *State {
 // owns it, by its owner alone when the state is only ever Repair-ed.
 func (s *State) Graph() *graph.Graph { return s.g }
 
-// NumComponents returns |SCC(G)|.
-func (s *State) NumComponents() int { return len(s.members) }
+// Size returns |SCC(G)|, the number of components.
+func (s *State) Size() int { return len(s.members) }
 
 // CompOf returns the component of v; ok is false when v is absent.
 func (s *State) CompOf(v graph.NodeID) (CompID, bool) {
@@ -131,23 +131,25 @@ func (s *State) MembersOf(c CompID) []graph.NodeID { return s.members[c] }
 // are the state's own and must not be modified.
 func (s *State) ComponentsSorted() [][]graph.NodeID { return s.componentsSorted() }
 
-// WriteAnswer serializes SCC(G) in canonical text form: one line per
-// component, "comp <v1> <v2> ...", members ascending, components ordered
-// by smallest member. Identical partitions produce identical bytes
-// whatever update path produced them; the durability layer's
-// recovery-parity checks and the incgraphd answer dumps rely on this.
-func (s *State) WriteAnswer(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	for _, c := range s.componentsSorted() {
-		bw.WriteString("comp")
-		for _, v := range c {
-			bw.WriteByte(' ')
-			bw.Write(strconv.AppendInt(bw.AvailableBuffer(), int64(v), 10))
-		}
-		bw.WriteByte('\n')
-	}
-	return bw.Flush() // a bufio.Writer keeps its first write error
+// Rows returns SCC(G) as rows, one member list per component: the order
+// and, through AppendRow, the bytes of WriteAnswer. Each row is the state's
+// own member slice, shared, never copied.
+func (s *State) Rows() graph.Rows { return graph.RaggedRows(s.componentsSorted()) }
+
+// CompareRows orders components by smallest member.
+func (s *State) CompareRows(a, b []graph.NodeID) int { return cmp.Compare(a[0], b[0]) }
+
+// AppendRow appends the answer line of row: "comp <v1> <v2> …".
+func (s *State) AppendRow(dst []byte, row []graph.NodeID) []byte {
+	return graph.AppendRow(dst, "comp", row)
 }
+
+// WriteAnswer serializes SCC(G) in canonical text form, one AppendRow line
+// per component, members ascending, components ordered by smallest member.
+// Identical partitions produce identical bytes whatever update path
+// produced them; the durability layer's recovery-parity checks rely on
+// this.
+func (s *State) WriteAnswer(w io.Writer) error { return graph.WriteRows(w, s.Rows(), s.AppendRow) }
 
 // CheckInvariants audits the whole state against a fresh Tarjan run:
 // partition, contracted-graph counters, rank invariant and registry.

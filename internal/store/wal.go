@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 
 	"incgraph/internal/graph"
 )
@@ -55,8 +56,8 @@ const WALVersion = 1
 const walHeaderSize = 8 + 4 + 8
 
 // maxWALRecord bounds a single record's payload; frames claiming more are
-// treated as corruption, keeping a torn length field from provoking a
-// gigantic allocation.
+// treated as corruption. What a frame's length may cost before its bytes
+// have arrived is bounded by readPayload, not by this.
 const maxWALRecord = 1 << 30
 
 // ErrBadWAL reports a WAL whose header cannot be parsed. Torn or corrupt
@@ -231,8 +232,8 @@ func scanRecords(r io.Reader, accept func(ReplayRecord) bool) int64 {
 		if length > maxWALRecord {
 			return n // implausible length: corrupt frame
 		}
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(r, payload); err != nil {
+		payload, err := readPayload(r, int(length))
+		if err != nil {
 			return n // torn payload
 		}
 		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(frame[4:]) {
@@ -244,6 +245,24 @@ func scanRecords(r io.Reader, accept func(ReplayRecord) bool) int64 {
 		}
 		n += 8 + int64(length)
 	}
+}
+
+// readPayload reads length bytes from r. It allocates in steps of at most
+// replayBuffer as the bytes arrive, so a torn frame whose length field
+// claims far more than r holds costs about what r supplied (at most twice
+// that, plus one step), not what the frame claimed. A payload that fits one
+// step — every ordinary record — is one exact allocation.
+func readPayload(r io.Reader, length int) ([]byte, error) {
+	var payload []byte
+	for len(payload) < length {
+		step := min(length-len(payload), replayBuffer)
+		payload = slices.Grow(payload, step)
+		if _, err := io.ReadFull(r, payload[len(payload):len(payload)+step]); err != nil {
+			return nil, err
+		}
+		payload = payload[:len(payload)+step]
+	}
+	return payload, nil
 }
 
 // EncodeRecord serializes one (seq, gen, batch) record payload in the
@@ -358,7 +377,9 @@ func (w *WAL) truncateToSize() error {
 	return w.f.Sync()
 }
 
-// decodeRecord parses one CRC-validated payload.
+// decodeRecord parses one CRC-validated payload. It accepts only what
+// appendFramedRecord writes — every varint minimal — so an accepted payload
+// re-encodes to its own bytes.
 func decodeRecord(payload []byte) (ReplayRecord, error) {
 	var rec ReplayRecord
 	if len(payload) < 16 {
@@ -371,14 +392,14 @@ func decodeRecord(payload []byte) (ReplayRecord, error) {
 	// A delete is the smallest update (op byte + two 1-byte varints), so a
 	// CRC-valid but corrupt count past len/3 is impossible — reject before
 	// the allocation, not after.
-	if k <= 0 || n > uint64(len(payload))/3 {
+	if !minimal(payload[off:], k) || n > uint64(len(payload))/3 {
 		return rec, fmt.Errorf("%w: bad update count", ErrBadWAL)
 	}
 	off += k
 	rec.Batch = make(graph.Batch, 0, n)
 	readVarint := func() (int64, bool) {
 		v, k := binary.Varint(payload[off:])
-		if k <= 0 {
+		if !minimal(payload[off:], k) {
 			return 0, false
 		}
 		off += k
@@ -388,7 +409,7 @@ func decodeRecord(payload []byte) (ReplayRecord, error) {
 		l, k := binary.Uvarint(payload[off:])
 		// Compare against the remaining bytes without addition, so a
 		// corrupt length near 2^64 cannot overflow past the check.
-		if k <= 0 || l > uint64(len(payload)-off-k) {
+		if !minimal(payload[off:], k) || l > uint64(len(payload)-off-k) {
 			return "", false
 		}
 		off += k
@@ -432,6 +453,11 @@ func decodeRecord(payload []byte) (ReplayRecord, error) {
 	}
 	return rec, nil
 }
+
+// minimal reports whether the varint that binary.Uvarint or binary.Varint
+// read from b in k bytes was read whole and is minimally encoded: a longer
+// form ends in a zero byte.
+func minimal(b []byte, k int) bool { return k == 1 || k > 1 && b[k-1] != 0 }
 
 // Seq returns the sequence number of the last appended record.
 func (w *WAL) Seq() uint64 { return w.seq }

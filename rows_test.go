@@ -35,11 +35,10 @@ func TestRowDeltaFoldsToAnswer(t *testing.T) {
 			h := history.New(g, 200)
 			e := mk(g)
 			m := e.M
-			ra := m.(incgraph.RowAnswer)
-			if n := ra.LastDelta().Len(); n != 0 {
+			if n := m.LastDelta().Len(); n != 0 {
 				t.Fatalf("LastDelta before any Apply has %d rows", n)
 			}
-			base := ra.Rows()
+			base := m.Rows()
 			if base.Len() == 0 {
 				t.Fatal("empty answer at the start: the history would pin nothing")
 			}
@@ -58,8 +57,8 @@ func TestRowDeltaFoldsToAnswer(t *testing.T) {
 				t.Helper()
 				var got []byte
 				n := 0
-				incgraph.MergeRows(ra, base, chain, func(row []incgraph.NodeID) {
-					got = ra.AppendRow(got, row)
+				incgraph.MergeRows(m, base, chain, func(row []incgraph.NodeID) {
+					got = m.AppendRow(got, row)
 					n++
 				})
 				var want bytes.Buffer
@@ -93,7 +92,7 @@ func TestRowDeltaFoldsToAnswer(t *testing.T) {
 				if e.Rebuilt() {
 					rebuilds++
 				}
-				d := ra.LastDelta()
+				d := m.LastDelta()
 				d.Each(func(row []incgraph.NodeID, gone bool) { keep(row) })
 				if d.Len() > 0 {
 					changed++
@@ -101,7 +100,7 @@ func TestRowDeltaFoldsToAnswer(t *testing.T) {
 				chain = append(chain, d)
 				check(step)
 				if step%7 == 6 {
-					base, chain = incgraph.FoldRows(ra, base, chain, m.Size()), nil
+					base, chain = incgraph.FoldRows(m, base, chain, m.Size()), nil
 					check(step)
 				}
 			}
@@ -152,19 +151,18 @@ func TestRowOrderIsAnswerOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := incgraph.MaintainISO(incgraph.NewISO(g, pat))
-	ra := m.(incgraph.RowAnswer)
-	rows := ra.Rows()
+	rows := m.Rows()
 	if rows.Len() != len(ids)*(len(ids)-1) {
 		t.Fatalf("%d embeddings, want %d", rows.Len(), len(ids)*(len(ids)-1))
 	}
 	for i := 1; i < rows.Len(); i++ {
-		if ra.CompareRows(rows.At(i-1), rows.At(i)) >= 0 {
+		if m.CompareRows(rows.At(i-1), rows.At(i)) >= 0 {
 			t.Fatalf("rows %v, %v are in answer order but CompareRows says %d",
-				rows.At(i-1), rows.At(i), ra.CompareRows(rows.At(i-1), rows.At(i)))
+				rows.At(i-1), rows.At(i), m.CompareRows(rows.At(i-1), rows.At(i)))
 		}
 	}
 	var got []byte
-	incgraph.MergeRows(ra, rows, nil, func(row []incgraph.NodeID) { got = ra.AppendRow(got, row) })
+	incgraph.MergeRows(m, rows, nil, func(row []incgraph.NodeID) { got = m.AppendRow(got, row) })
 	var want bytes.Buffer
 	if err := m.WriteAnswer(&want); err != nil {
 		t.Fatal(err)
