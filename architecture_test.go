@@ -90,6 +90,13 @@ func TestArchitecture(t *testing.T) {
 			"FaultScript", "Dialer", "WithClusterTerm", "WithCallTimeout", "ensureUp", "prepareShards",
 			"Resyncs", "msgDrop", "parseDiskFault",
 			"RowAnswer", "kwsAdapter", "rpqAdapter", "sccAdapter", "isoAdapter", "rowAnswers")},
+		// The reply parsers and writers the wire grammar replaced, the test
+		// client among them.
+		{"deleted names stay deleted", idents(anyFile,
+			"replyCategory", "isShed", "parseGen", "queryGen", "oneShot", "appliedLine", "appendStagedLine",
+			"errLine", "replyErr", "errCategory", "lineClient", "dialLine", "statInt")},
+		// incgraphd's replies are written and parsed by internal/wire alone.
+		{"one wire grammar", oneGrammar("internal/wire")},
 		// The differentials are TestHistory and TestDaemonHistory over
 		// internal/history; the per-subsystem scaffolds stay gone.
 		{"one differential harness", idents(anyFile,
@@ -338,6 +345,47 @@ func noMethod(keep func(archFile) bool, recv string, names ...string) func(*arch
 					report(tr.at(fd.Name.Pos()), "declares method "+fd.Name.Name)
 				}
 			}
+		}
+	}
+}
+
+// oneGrammar requires the reply grammar to be declared in dir alone:
+// outside it, no type is named like an error category and no function is
+// named, ignoring case, like one of dir's Append or Parse functions.
+func oneGrammar(dir string) func(*archTree, func(at, msg string)) {
+	return func(tr *archTree, report func(at, msg string)) {
+		grammar := map[string]bool{}
+		for _, f := range tr.files {
+			if f.test || !inDir(f, dir) {
+				continue
+			}
+			for _, decl := range f.ast.Decls {
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv == nil &&
+					(strings.HasPrefix(fd.Name.Name, "Append") || strings.HasPrefix(fd.Name.Name, "Parse")) {
+					grammar[strings.ToLower(fd.Name.Name)] = true
+				}
+			}
+		}
+		if len(grammar) == 0 {
+			report(dir, "declares no Append or Parse function")
+		}
+		for _, f := range tr.files {
+			if inDir(f, dir) {
+				continue
+			}
+			ast.Inspect(f.ast, func(n ast.Node) bool {
+				switch d := n.(type) {
+				case *ast.TypeSpec:
+					if strings.HasSuffix(strings.ToLower(d.Name.Name), "category") {
+						report(tr.at(d.Pos()), "declares "+d.Name.Name+": error categories are wire.Category")
+					}
+				case *ast.FuncDecl:
+					if grammar[strings.ToLower(d.Name.Name)] {
+						report(tr.at(d.Pos()), "declares "+d.Name.Name+": a reply is written and parsed in "+dir)
+					}
+				}
+				return true
+			})
 		}
 	}
 }

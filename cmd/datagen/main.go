@@ -18,6 +18,7 @@ import (
 	"strings"
 
 	"incgraph"
+	"incgraph/internal/graph"
 )
 
 func main() {
@@ -70,18 +71,12 @@ func run(dataset string, scale float64, graphPath string, updates int, ratio, lo
 		batch := incgraph.RandomUpdates(g, incgraph.UpdateSpec{
 			Count: updates, InsertRatio: ratio, Locality: locality, Seed: seed,
 		})
+		var lines []byte
 		for _, u := range batch {
-			var err error
-			if u.Op == incgraph.OpInsert {
-				_, err = fmt.Fprintf(w, "+ %d %d %s %s\n", u.From, u.To, u.FromLabel, u.ToLabel)
-			} else {
-				_, err = fmt.Fprintf(w, "- %d %d\n", u.From, u.To)
-			}
-			if err != nil {
-				return err
-			}
+			lines = graph.AppendUpdate(lines, u)
 		}
-		return nil
+		_, err = w.Write(lines)
+		return err
 	default:
 		return fmt.Errorf("need -dataset or -graph; see -h")
 	}

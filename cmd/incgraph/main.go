@@ -35,7 +35,7 @@ func main() {
 	patternPath := flag.String("pattern", "", "iso pattern graph file")
 	updatesPath := flag.String("updates", "", "optional update file applied incrementally")
 	workers := flag.Int("workers", 0, "engine worker pool size (0 = all cores, 1 = sequential)")
-	verbose := flag.Bool("v", false, "print full answers, not just counts")
+	verbose := flag.Bool("v", false, "print the answer's rows (as incgraphd's answer serves them), not just counts")
 	flag.Parse()
 
 	if err := run(*graphPath, *class, *query, *bound, *patternPath, *updatesPath, *workers, *verbose); err != nil {
@@ -64,7 +64,11 @@ func run(graphPath, class, query string, bound int, patternPath, updatesPath str
 		}
 	}
 
-	switch strings.ToLower(class) {
+	// The class decides the engine and how its answer is named; the rest is
+	// the same for every class.
+	var m incgraph.Maintained
+	var title, rows, after string // "<title>: N <rows>", "after K updates: N <after> (+a −b)"
+	switch class = strings.ToLower(class); class {
 	case "rpq":
 		if query == "" {
 			return fmt.Errorf("rpq needs -query")
@@ -73,20 +77,7 @@ func run(graphPath, class, query string, bound int, patternPath, updatesPath str
 		if err != nil {
 			return err
 		}
-		fmt.Printf("rpq %q: %d matches\n", query, e.Size())
-		if verbose {
-			for _, p := range e.Matches() {
-				fmt.Printf("  (%d,%d)\n", p.Src, p.Dst)
-			}
-		}
-		if batch != nil {
-			d, err := e.Apply(batch)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("after %d updates: %d matches (+%d −%d)\n",
-				len(batch), e.Size(), len(d.Added), len(d.Removed))
-		}
+		m, title, rows, after = incgraph.MaintainRPQ(e), fmt.Sprintf("rpq %q", query), "matches", "matches"
 	case "kws":
 		if query == "" {
 			return fmt.Errorf("kws needs -query (comma-separated keywords)")
@@ -96,39 +87,9 @@ func run(graphPath, class, query string, bound int, patternPath, updatesPath str
 		if err != nil {
 			return err
 		}
-		fmt.Printf("kws %v b=%d: %d match roots\n", q.Keywords, q.Bound, ix.Size())
-		if verbose {
-			for _, r := range ix.MatchRoots() {
-				m, _ := ix.MatchAt(r)
-				fmt.Printf("  root %d dists %v\n", r, m.Dists)
-			}
-		}
-		if batch != nil {
-			d, err := ix.Apply(batch)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("after %d updates: %d roots (+%d −%d ~%d)\n",
-				len(batch), ix.Size(), len(d.Added), len(d.Removed), len(d.Updated))
-		}
+		m, title, rows, after = incgraph.MaintainKWS(ix), fmt.Sprintf("kws %v b=%d", q.Keywords, q.Bound), "match roots", "roots"
 	case "scc":
-		s := incgraph.NewSCC(g)
-		fmt.Printf("scc: %d components\n", s.Size())
-		if verbose {
-			for _, c := range s.ComponentsSorted() {
-				if len(c) > 1 {
-					fmt.Printf("  %v\n", c)
-				}
-			}
-		}
-		if batch != nil {
-			d, err := s.Apply(batch)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("after %d updates: %d components (+%d −%d)\n",
-				len(batch), s.Size(), len(d.Added), len(d.Removed))
-		}
+		m, title, rows, after = incgraph.MaintainSCC(incgraph.NewSCC(g)), "scc", "components", "components"
 	case "iso":
 		if patternPath == "" {
 			return fmt.Errorf("iso needs -pattern")
@@ -141,25 +102,30 @@ func run(graphPath, class, query string, bound int, patternPath, updatesPath str
 		if err != nil {
 			return err
 		}
-		ix := incgraph.NewISO(g, p)
-		fmt.Printf("iso pattern (%d nodes, diameter %d): %d matches\n",
-			len(p.Nodes()), p.Diameter(), ix.Size())
-		if verbose {
-			for _, m := range ix.Matches() {
-				fmt.Printf("  %v\n", m)
-			}
-		}
-		if batch != nil {
-			d, err := ix.Apply(batch)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("after %d updates: %d matches (+%d −%d)\n",
-				len(batch), ix.Size(), len(d.Added), len(d.Removed))
-		}
+		title = fmt.Sprintf("iso pattern (%d nodes, diameter %d)", len(p.Nodes()), p.Diameter())
+		m, rows, after = incgraph.MaintainISO(incgraph.NewISO(g, p)), "matches", "matches"
 	default:
 		return fmt.Errorf("unknown class %q", class)
 	}
+	fmt.Printf("%s: %d %s\n", title, m.Size(), rows)
+	if verbose {
+		if err := m.WriteAnswer(os.Stdout); err != nil {
+			return err
+		}
+	}
+	if batch == nil {
+		return nil
+	}
+	d, err := m.Apply(batch)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("after %d updates: %d %s (+%d −%d", len(batch), m.Size(), after, d.Added, d.Removed)
+	// Only a kws row changes in place (a root's distances move).
+	if class == "kws" {
+		fmt.Printf(" ~%d", d.Updated)
+	}
+	fmt.Println(")")
 	return nil
 }
 

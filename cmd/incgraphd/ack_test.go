@@ -5,7 +5,6 @@ package main
 // for input the client has not sent.
 
 import (
-	"bufio"
 	"fmt"
 	"net"
 	"strings"
@@ -14,6 +13,7 @@ import (
 	"time"
 
 	"incgraph"
+	"incgraph/internal/wire"
 )
 
 // countingConn counts the writes the handler makes to its connection.
@@ -31,7 +31,7 @@ func (c *countingConn) Write(p []byte) (int, error) {
 // returns the other end. A write into a pipe reaches the handler's scanner
 // whole, so what is buffered together is exact (over TCP it is up to the
 // kernel).
-func pipeClient(t *testing.T, srv *server) (*lineClient, *countingConn) {
+func pipeClient(t *testing.T, srv *server) (*wire.Client, *countingConn) {
 	t.Helper()
 	client, server := net.Pipe()
 	cc := &countingConn{Conn: server}
@@ -44,7 +44,7 @@ func pipeClient(t *testing.T, srv *server) (*lineClient, *countingConn) {
 		client.Close()
 		<-done
 	})
-	return &lineClient{conn: client, r: bufio.NewReader(client)}, cc
+	return wire.NewClient(client, 5*time.Second), cc
 }
 
 func stageBurst(n int) string {
@@ -59,17 +59,17 @@ func TestStageBurstAckedInOneWrite(t *testing.T) {
 	srv := newTestServer(t, nil, incgraph.DurableOptions{}, limits{opTimeout: 5 * time.Second, idle: 5 * time.Second})
 	c, cc := pipeClient(t, srv)
 	const n = 32
-	c.send(stageBurst(n))
+	go c.Send(stageBurst(n))
 	for i := 1; i <= n; i++ {
-		c.expect(t, fmt.Sprintf("ok staged %d\n", i))
+		expect(t, c, fmt.Sprintf("ok staged %d\n", i))
 	}
 	if w := cc.writes.Load(); w != 1 {
 		t.Fatalf("%d stage lines in one write were acknowledged in %d writes, want 1", n, w)
 	}
 	// One line at a time is one write per ack, as before.
 	for i := n + 1; i <= n+3; i++ {
-		c.send(fmt.Sprintf("+ %d %d a b\n", 1000+i, 2000+i))
-		c.expect(t, fmt.Sprintf("ok staged %d\n", i))
+		go c.Send(fmt.Sprintf("+ %d %d a b\n", 1000+i, 2000+i))
+		expect(t, c, fmt.Sprintf("ok staged %d\n", i))
 	}
 	if w := cc.writes.Load(); w != 4 {
 		t.Fatalf("3 single stage lines: %d writes in total, want 4", w)
@@ -82,9 +82,9 @@ func TestStageBurstEndingInBlankLineIsAcked(t *testing.T) {
 		c, _ := pipeClient(t, srv)
 		// The last ack is held when the handler sees the blank line behind
 		// it; it must leave before the handler waits for more.
-		c.send(stageBurst(3) + tail)
+		go c.Send(stageBurst(3) + tail)
 		for i := 1; i <= 3; i++ {
-			c.expect(t, fmt.Sprintf("ok staged %d\n", i))
+			expect(t, c, fmt.Sprintf("ok staged %d\n", i))
 		}
 	}
 }
@@ -92,18 +92,17 @@ func TestStageBurstEndingInBlankLineIsAcked(t *testing.T) {
 func TestPipelinedStageCommitQueryRepliesInOrder(t *testing.T) {
 	srv := newTestServer(t, nil, incgraph.DurableOptions{}, limits{opTimeout: 5 * time.Second, idle: 5 * time.Second})
 	pipe, _ := pipeClient(t, srv)
-	tcp := dialLine(t, serveTest(t, srv))
-	defer tcp.close()
-	for i, c := range []*lineClient{pipe, tcp} {
+	tcp := dial(t, serveTest(t, srv))
+	for i, c := range []*wire.Client{pipe, tcp} {
 		// Distinct edges per connection: both commit into the same store.
 		burst := strings.ReplaceAll(stageBurst(5), "+ 1", fmt.Sprintf("+ %d1", i+1))
-		c.send(burst + "commit\nquery scc\n# trailing comment\nhealth\n")
+		go c.Send(burst + "commit\nquery scc\n# trailing comment\nhealth\n")
 		for n := 1; n <= 5; n++ {
-			c.expect(t, fmt.Sprintf("ok staged %d\n", n))
+			expect(t, c, fmt.Sprintf("ok staged %d\n", n))
 		}
-		c.expect(t, "ok applied 5")
-		c.expect(t, "ok scc")
-		c.expect(t, "ok ")
+		expect(t, c, "ok applied 5 ")
+		expect(t, c, "ok scc ")
+		expect(t, c, "ok role=")
 	}
 }
 
@@ -113,50 +112,11 @@ func TestStageBurstLargerThanReplyBuffer(t *testing.T) {
 	srv := newTestServer(t, nil, incgraph.DurableOptions{}, limits{opTimeout: 5 * time.Second, idle: 5 * time.Second})
 	c, cc := pipeClient(t, srv)
 	const n = 1500 // ~24 KB of acks through a 4 KB buffer
-	c.send(stageBurst(n))
+	go c.Send(stageBurst(n))
 	for i := 1; i <= n; i++ {
-		c.expect(t, fmt.Sprintf("ok staged %d\n", i))
+		expect(t, c, fmt.Sprintf("ok staged %d\n", i))
 	}
 	if w := cc.writes.Load(); w < 2 || w > n/50 {
 		t.Fatalf("%d acks left in %d writes, want a handful", n, w)
-	}
-}
-
-// classOnly is a standing query of which the ack uses only the class name.
-type classOnly struct {
-	incgraph.Maintained
-	class string
-}
-
-func (c classOnly) Class() string { return c.class }
-
-// TestAppliedLineMatchesFmt pins the commit ack, which clients parse (perf
-// sums |ΔO| per class out of it), and the stage ack to the fmt renderings
-// they replaced.
-func TestAppliedLineMatchesFmt(t *testing.T) {
-	engines := []incgraph.Maintained{classOnly{class: "kws"}, classOnly{class: "rpq"}, classOnly{class: "iso"}, classOnly{class: "scc"}}
-	cases := []struct {
-		n    int
-		gen  uint64
-		sums []incgraph.DeltaSummary
-	}{
-		{1, 0, []incgraph.DeltaSummary{{}, {}, {}, {}}},
-		{32, 1234567, []incgraph.DeltaSummary{{Added: 3, Removed: 1, Updated: 12}, {Added: 40}, {Removed: 7}, {Added: 1, Removed: 2}}},
-		{1 << 20, 1<<64 - 1, []incgraph.DeltaSummary{{Added: 1 << 40, Removed: 1 << 41, Updated: 1 << 42}, {}, {}, {}}},
-	}
-	for _, c := range cases {
-		if got, want := string(appendStagedLine(nil, c.n)), fmt.Sprintf("ok staged %d\n", c.n); got != want {
-			t.Fatalf("appendStagedLine = %q, fmt renders %q", got, want)
-		}
-		for k := 0; k <= len(engines); k++ {
-			var want strings.Builder
-			fmt.Fprintf(&want, "ok applied %d gen=%d", c.n, c.gen)
-			for i, m := range engines[:k] {
-				fmt.Fprintf(&want, " %s=%s", m.Class(), c.sums[i])
-			}
-			if got := appliedLine(c.n, c.gen, engines[:k], c.sums[:k]); got != want.String() {
-				t.Fatalf("appliedLine = %q, fmt renders %q", got, want.String())
-			}
-		}
 	}
 }

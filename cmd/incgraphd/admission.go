@@ -158,7 +158,7 @@ func (g *gate) stats() (admitted, shed, timeouts uint64) {
 	return g.admitted.Load(), g.shed.Load(), g.timeouts.Load()
 }
 
-// retryHintMS is the client-facing retry hint on a shed: long enough for
-// a queue drain to make progress, short enough that a retrying client
-// converges quickly once load drops.
-const retryHintMS = 100
+// retryHint ends every shed's detail: the client-facing retry delay, long
+// enough for a queue drain to make progress, short enough that a retrying
+// client converges quickly once load drops.
+const retryHint = "; retry in 100ms"

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"incgraph"
+	"incgraph/internal/wire"
 )
 
 // TestCrashRecoverySmoke is the end-to-end crash drill CI runs: build the
@@ -69,7 +70,7 @@ func TestCrashRecoverySmoke(t *testing.T) {
 	daemon, addr := startDaemon(t, bin, args)
 
 	// Ingest bursts of random updates through the protocol.
-	c := dialLine(t, addr)
+	c := dial(t, addr)
 	scratch := g.Clone()
 	rng := rand.New(rand.NewSource(11))
 	for burst := 0; burst < 5; burst++ {
@@ -79,25 +80,22 @@ func TestCrashRecoverySmoke(t *testing.T) {
 		if err := scratch.ApplyBatch(b); err != nil {
 			t.Fatal(err)
 		}
-		c.stage(t, b)
-		c.cmd(t, "commit")
+		noErr(t, c.Stage(b))
+		must(t, c.Commit)
 		if burst == 2 {
-			c.cmd(t, "checkpoint") // mid-stream checkpoint: recovery = snapshot + partial WAL
+			must(t, c.Checkpoint) // mid-stream checkpoint: recovery = snapshot + partial WAL
 		}
 	}
 	classes := []string{"kws", "rpq", "scc", "iso"}
 	// The answers, and the query replies: "ok CLASS SIZE gen=G" must come
 	// back too — the view cut at start-up stands at the recovered generation.
 	want := make(map[string]string, len(classes))
-	wantQuery := make(map[string]string, len(classes))
+	wantQuery := make(map[string]wire.Read, len(classes))
 	for _, class := range classes {
-		want[class] = c.answer(t, class)
-		wantQuery[class] = c.cmd(t, "query "+class)
-		if !strings.Contains(wantQuery[class], " gen=") {
-			t.Fatalf("query %s replied %q, want the generation it was served at", class, wantQuery[class])
-		}
+		want[class] = answer(t, c, class)
+		wantQuery[class] = query(t, c, class)
 	}
-	c.close()
+	c.Close()
 
 	// Crash: SIGKILL, no shutdown path runs.
 	if err := daemon.Process.Kill(); err != nil {
@@ -111,27 +109,26 @@ func TestCrashRecoverySmoke(t *testing.T) {
 		daemon.Process.Kill()
 		daemon.Wait()
 	}()
-	c = dialLine(t, addr)
-	defer c.close()
+	c = dial(t, addr)
 	for _, class := range classes {
-		if got := c.answer(t, class); got != want[class] {
+		if got := answer(t, c, class); got != want[class] {
 			t.Fatalf("%s answers differ after crash recovery\nbefore:\n%s\nafter:\n%s", class, want[class], got)
 		}
-		if got := c.cmd(t, "query "+class); got != wantQuery[class] {
-			t.Fatalf("query %s replied %q after crash recovery, %q before", class, got, wantQuery[class])
+		if got := query(t, c, class); got != wantQuery[class] {
+			t.Fatalf("query %s replied %+v after crash recovery, %+v before", class, got, wantQuery[class])
 		}
 	}
 	// And the recovered daemon still ingests.
-	c.cmd(t, fmt.Sprintf("+ %d %d fresh fresh", scratch.MaxNodeID()+1, scratch.MaxNodeID()+2))
-	c.cmd(t, "commit")
+	noErr(t, c.Stage(incgraph.Batch{incgraph.InsNew(scratch.MaxNodeID()+1, scratch.MaxNodeID()+2, "fresh", "fresh")}))
+	must(t, c.Commit)
 
 	// The operational error counters the accept loop and commit path log
 	// are exposed as stat fields (zero on this healthy restart), next to
 	// the fan-out counters.
-	statLine := c.cmd(t, "stat")
-	for _, field := range []string{"accept_errs=0", "commit_errs=0", "fanout_loops=", "fanout_engaged=", "fanout_helpers="} {
-		if !strings.Contains(statLine, field) {
-			t.Fatalf("stat %q missing %q", statLine, field)
+	st := must(t, c.Stat)
+	for key, want := range map[string]string{"accept_errs": "0", "commit_errs": "0", "fanout_loops": "", "fanout_engaged": "", "fanout_helpers": ""} {
+		if v, ok := st.Get(key); !ok || want != "" && v != want {
+			t.Fatalf("stat %v: %s=%s, want %q", st, key, v, want)
 		}
 	}
 }

@@ -6,7 +6,6 @@ package main
 // store runs on a seeded FaultFS.
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -36,38 +35,33 @@ func TestDiskDegradationReadOnlyCycle(t *testing.T) {
 	}
 	srv, addr := diskTestServer(t, incgraph.NewFaultFS(7, rules...))
 
-	c := dialLine(t, addr)
-	defer c.close()
-	c.cmd(t, "+ 9000 9001 z z")
-	reply := c.raw(t, "commit")
-	if !strings.HasPrefix(reply, "err disk: degraded; read-only") {
-		t.Fatalf("commit under dead disk replied %q, want disk-degraded shed", reply)
-	}
+	c := dial(t, addr)
+	noErr(t, c.Stage(incgraph.Batch{incgraph.InsNew(9000, 9001, "z", "z")}))
+	refused(t, c, "commit", "err disk: degraded; read-only")
 	if got := srv.diskState.Load(); got != diskReadOnly {
 		t.Fatalf("disk state = %s, want read-only", diskName(got))
 	}
-	if health := c.cmd(t, "health"); !strings.Contains(health, "disk=read-only") {
-		t.Fatalf("health = %q, want disk=read-only advertised", health)
+	if disk, _ := must(t, c.Health).Get("disk"); disk != "read-only" {
+		t.Fatalf("health disk=%s, want read-only advertised", disk)
 	}
 
 	// Reads answer while commits are shed: the degradation is partial.
-	c.cmd(t, "query scc")
-	c.answer(t, "scc")
+	query(t, c, "scc")
+	answer(t, c, "scc")
 
 	// The probe heals the disk once the fault window closes; no operator,
 	// no restart.
 	waitFor(t, "disk recovery", func() bool {
 		return srv.diskState.Load() == diskHealthy
 	})
-	if health := c.cmd(t, "health"); !strings.Contains(health, "disk=healthy") {
-		t.Fatalf("health after heal = %q, want disk=healthy", health)
+	if disk, _ := must(t, c.Health).Get("disk"); disk != "healthy" {
+		t.Fatalf("health after heal: disk=%s, want healthy", disk)
 	}
 
 	// The shed kept the staged batch: the same connection commits it now
 	// (possibly through a few more retries as the tail rules burn off).
-	reply = c.cmd(t, "commit")
-	if !strings.Contains(reply, "applied 1 ") {
-		t.Fatalf("post-heal commit replied %q, want the staged batch applied", reply)
+	if ack := must(t, c.Commit); ack.N != 1 {
+		t.Fatalf("post-heal commit applied %d, want the staged batch of 1", ack.N)
 	}
 
 	if enters, exits := srv.diskROEnters.Load(), srv.diskROExits.Load(); enters != 1 || exits != 1 {
@@ -76,10 +70,10 @@ func TestDiskDegradationReadOnlyCycle(t *testing.T) {
 	if shed := srv.diskShed.Load(); shed != 1 {
 		t.Fatalf("disk_shed = %d, want 1", shed)
 	}
-	stat := c.cmd(t, "stat")
-	for _, want := range []string{"disk=healthy", "disk_ro_enters=1", "disk_ro_exits=1", "disk_shed=1"} {
-		if !strings.Contains(stat, want) {
-			t.Fatalf("stat = %q, missing %q", stat, want)
+	st := must(t, c.Stat)
+	for key, want := range map[string]string{"disk": "healthy", "disk_ro_enters": "1", "disk_ro_exits": "1", "disk_shed": "1"} {
+		if v, _ := st.Get(key); v != want {
+			t.Fatalf("stat %s=%s, want %s", key, v, want)
 		}
 	}
 }
@@ -91,12 +85,10 @@ func TestDiskFaultTransientRetryStaysWritable(t *testing.T) {
 	srv, addr := diskTestServer(t, incgraph.NewFaultFS(7,
 		incgraph.FSRule{Op: "sync", Path: "wal", Index: 1, Kind: incgraph.FaultSyncFail}))
 
-	c := dialLine(t, addr)
-	defer c.close()
-	c.cmd(t, "+ 9000 9001 z z")
-	reply := c.cmd(t, "commit")
-	if !strings.Contains(reply, "applied 1 ") {
-		t.Fatalf("commit replied %q, want success through the retry", reply)
+	c := dial(t, addr)
+	noErr(t, c.Stage(incgraph.Batch{incgraph.InsNew(9000, 9001, "z", "z")}))
+	if ack := must(t, c.Commit); ack.N != 1 {
+		t.Fatalf("commit applied %d, want success through the retry", ack.N)
 	}
 	if got := srv.diskState.Load(); got != diskHealthy {
 		t.Fatalf("disk state = %s, want healthy (one flake is not degradation)", diskName(got))

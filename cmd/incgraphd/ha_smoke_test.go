@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"incgraph"
+	"incgraph/internal/wire"
 )
 
 // TestStandbyFailoverSmoke is the daemon-level HA drill: a primary at 8
@@ -84,12 +85,7 @@ func TestStandbyFailoverSmoke(t *testing.T) {
 			"-ttl", "1s", "-fsync", "none", "-checkpoint-bytes", "0"}, engineArgs...))
 	defer func() { standby.Process.Kill(); standby.Wait() }()
 
-	pc := dialLine(t, primaryAddr)
-	defer pc.close()
-	sc := dialLine(t, singleAddr)
-	defer sc.close()
-	bc := dialLine(t, standbyAddr)
-	defer bc.close()
+	pc, sc, bc := dial(t, primaryAddr), dial(t, singleAddr), dial(t, standbyAddr)
 
 	scratch := g.Clone()
 	rng := rand.New(rand.NewSource(23))
@@ -106,39 +102,37 @@ func TestStandbyFailoverSmoke(t *testing.T) {
 	// First half of the stream through the primary.
 	for burst := 0; burst < 3; burst++ {
 		b := nextBurst()
-		pc.stage(t, b)
-		pc.cmd(t, "commit")
-		sc.stage(t, b)
-		sc.cmd(t, "commit")
+		for _, c := range []*wire.Client{pc, sc} {
+			noErr(t, c.Stage(b))
+			must(t, c.Commit)
+		}
 	}
 
 	// The hub feeds in commit order but acks asynchronously: wait for the
 	// standby to drain the stream, then check it serves current reads and
 	// refuses writes.
-	var health string
+	var health wire.Fields
 	for deadline := time.Now().Add(10 * time.Second); ; {
-		health = bc.cmd(t, "health")
-		if strings.Contains(health, "tail_seq=3") {
+		health = must(t, bc.Health)
+		if seq, _ := health.Uint("tail_seq"); seq == 3 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("standby health %q never reached tail_seq=3", health)
+			t.Fatalf("standby health %v never reached tail_seq=3", health)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	for _, field := range []string{"role=standby", "tail=live"} {
-		if !strings.Contains(health, field) {
-			t.Fatalf("standby health %q missing %q", health, field)
+	for key, want := range map[string]string{"role": "standby", "tail": "live"} {
+		if v, _ := health.Get(key); v != want {
+			t.Fatalf("standby health %v: %s=%s, want %s", health, key, v, want)
 		}
 	}
-	if got, want := bc.answer(t, "scc"), sc.answer(t, "scc"); got != want {
+	if got, want := answer(t, bc, "scc"), answer(t, sc, "scc"); got != want {
 		t.Fatalf("standby replica read diverged mid-stream\nstandby:\n%s\nsingle:\n%s", got, want)
 	}
-	bc.cmd(t, fmt.Sprintf("+ %d %d x y", scratch.MaxNodeID()+1, scratch.MaxNodeID()+2))
-	if reply := bc.raw(t, "commit"); !strings.HasPrefix(reply, "err fenced: standby is read-only") {
-		t.Fatalf("standby accepted a commit: %q", reply)
-	}
-	bc.cmd(t, "abort")
+	noErr(t, bc.Stage(incgraph.Batch{incgraph.InsNew(scratch.MaxNodeID()+1, scratch.MaxNodeID()+2, "x", "y")}))
+	refused(t, bc, "commit", "err fenced: standby is read-only")
+	must(t, bc.Abort)
 
 	// Kill the primary without ceremony. The standby's lease expires and
 	// it degrades to serving its last durable generation.
@@ -148,46 +142,46 @@ func TestStandbyFailoverSmoke(t *testing.T) {
 	primary.Wait()
 	deadline := time.Now().Add(15 * time.Second)
 	for {
-		if h := bc.cmd(t, "health"); strings.Contains(h, "tail=degraded") {
+		if tail, _ := must(t, bc.Health).Get("tail"); tail == "degraded" {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("standby never noticed the dead primary: %s", bc.cmd(t, "health"))
+			t.Fatalf("standby never noticed the dead primary: %v", must(t, bc.Health))
 		}
 		time.Sleep(100 * time.Millisecond)
 	}
-	if got, want := bc.answer(t, "kws"), sc.answer(t, "kws"); got != want {
+	if got, want := answer(t, bc, "kws"), answer(t, sc, "kws"); got != want {
 		t.Fatal("degraded standby reads diverged from the last durable generation")
 	}
 
 	// Promote: the standby takes over at term 2 and the rest of the stream
 	// goes through it.
-	if reply := bc.cmd(t, "promote"); reply != "ok promoted term=2" {
-		t.Fatalf("promote replied %q, want \"ok promoted term=2\"", reply)
+	if term := must(t, bc.Promote); term != 2 {
+		t.Fatalf("promoted at term %d, want 2", term)
 	}
-	if reply := bc.raw(t, "promote"); !strings.HasPrefix(reply, "err fenced: already primary") {
-		t.Fatalf("second promote replied %q", reply)
-	}
+	refused(t, bc, "promote", "err fenced: already primary")
 	for burst := 0; burst < 3; burst++ {
 		b := nextBurst()
-		bc.stage(t, b)
-		bc.cmd(t, "commit")
-		sc.stage(t, b)
-		sc.cmd(t, "commit")
+		for _, c := range []*wire.Client{bc, sc} {
+			noErr(t, c.Stage(b))
+			must(t, c.Commit)
+		}
 	}
 
 	// Byte-identical answers across the failover, and the promoted daemon
 	// reports its new role and nothing of shard workers.
 	for _, class := range []string{"kws", "rpq", "scc", "iso"} {
-		if got, want := bc.answer(t, class), sc.answer(t, class); got != want {
+		if got, want := answer(t, bc, class), answer(t, sc, class); got != want {
 			t.Fatalf("%s answers differ after failover\npromoted:\n%s\nsingle:\n%s", class, got, want)
 		}
 	}
-	statLine := bc.cmd(t, "stat")
-	if !strings.Contains(statLine, " role=primary ") {
-		t.Fatalf("promoted stat %q missing role=primary", statLine)
+	st := must(t, bc.Stat)
+	if role, _ := st.Get("role"); role != "primary" {
+		t.Fatalf("promoted stat %v: role=%s, want primary", st, role)
 	}
-	if strings.Contains(statLine, " cluster_") {
-		t.Fatalf("promoted stat %q carries a cluster_ key", statLine)
+	for _, f := range st {
+		if strings.HasPrefix(f.Key, "cluster_") {
+			t.Fatalf("promoted stat %v carries a cluster_ key", st)
+		}
 	}
 }

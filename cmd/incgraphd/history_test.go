@@ -25,6 +25,7 @@ import (
 
 	"incgraph"
 	"incgraph/internal/history"
+	"incgraph/internal/wire"
 )
 
 // historyConfig writes the history's first graph and ISO pattern under dir
@@ -129,12 +130,9 @@ func newWireHistory(seed int64, sizes []int) *wireHistory {
 }
 
 // begin records the generation the daemon at c starts the history at.
-func (w *wireHistory) begin(t *testing.T, c *lineClient) {
+func (w *wireHistory) begin(t *testing.T, c *wire.Client) {
 	t.Helper()
-	gen, _, _, err := c.read("query", "scc")
-	if err != nil {
-		t.Fatal(err)
-	}
+	gen := query(t, c, "scc").Gen
 	w.gens = []uint64{gen}
 	w.acked.Store(gen)
 }
@@ -143,31 +141,26 @@ func (w *wireHistory) begin(t *testing.T, c *lineClient) {
 // step ckpt (none if ckpt < 0). A rejected batch must come back "err
 // staged" and leave the generation where it was; each good commit's ack
 // raises acked.
-func (w *wireHistory) write(t *testing.T, c *lineClient, from, to, ckpt int) {
+func (w *wireHistory) write(t *testing.T, c *wire.Client, from, to, ckpt int) {
 	t.Helper()
 	for i := from; i < to; i++ {
 		st := w.steps[i]
 		if st.bad != nil {
-			c.stage(t, st.bad)
-			if reply := c.raw(t, "commit"); !strings.HasPrefix(reply, "err staged: commit failed") {
-				t.Fatalf("step %d: the bad batch's commit replied %q", i, reply)
-			}
-			if gen, _, _, err := c.read("query", "scc"); err != nil || gen != w.acked.Load() {
-				t.Fatalf("step %d: after a rejected batch the daemon is at gen %d, acked %d (%v)", i, gen, w.acked.Load(), err)
+			noErr(t, c.Stage(st.bad))
+			refused(t, c, "commit", "err staged: commit failed")
+			if r, err := c.Query("scc"); err != nil || r.Gen != w.acked.Load() {
+				t.Fatalf("step %d: after a rejected batch the daemon is at gen %d, acked %d (%v)", i, r.Gen, w.acked.Load(), err)
 			}
 		}
-		c.stage(t, st.batch)
-		reply := c.cmd(t, "commit")
-		var gen uint64
-		if f := strings.Fields(reply); len(f) < 4 || f[1] != "applied" {
-			t.Fatalf("step %d: commit replied %q", i, reply)
-		} else if _, err := fmt.Sscanf(f[3], "gen=%d", &gen); err != nil || gen <= w.acked.Load() {
-			t.Fatalf("step %d: commit replied %q after gen %d was acked (%v)", i, reply, w.acked.Load(), err)
+		noErr(t, c.Stage(st.batch))
+		ack := must(t, c.Commit)
+		if ack.Gen <= w.acked.Load() {
+			t.Fatalf("step %d: commit acked gen %d after gen %d was acked", i, ack.Gen, w.acked.Load())
 		}
-		w.gens = append(w.gens, gen)
-		w.acked.Store(gen)
+		w.gens = append(w.gens, ack.Gen)
+		w.acked.Store(ack.Gen)
 		if i == ckpt {
-			c.cmd(t, "checkpoint")
+			must(t, c.Checkpoint)
 		}
 	}
 }
@@ -193,11 +186,10 @@ func readers(t *testing.T, addr string, n int, floor *atomic.Uint64) (stop func(
 	got := make([][]reply, n)
 	var wg sync.WaitGroup
 	for r := range got {
-		c := dialLine(t, addr)
+		c := dial(t, addr)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			defer c.close()
 			left := -1 // reads left once done is closed: one per class
 			for op := r; left != 0; op++ {
 				if left < 0 {
@@ -213,20 +205,21 @@ func readers(t *testing.T, addr string, n int, floor *atomic.Uint64) (stop func(
 				if floor != nil {
 					rp.floor = floor.Load()
 				}
-				cmd := "query"
-				if op%3 == 0 {
-					cmd = "answer"
-				}
-				var dump string
+				var read wire.Read
+				var rows []byte
 				var err error
-				if rp.gen, rp.size, dump, err = c.read(cmd, rp.class); err != nil {
+				if op%3 == 0 {
+					read, rows, err = c.Answer(rp.class)
+					sum := sha256.Sum256(rows)
+					rp.answer = &sum
+				} else {
+					read, err = c.Query(rp.class)
+				}
+				if err != nil {
 					t.Errorf("reader %d: %v", r, err)
 					return
 				}
-				if cmd == "answer" {
-					sum := sha256.Sum256([]byte(dump))
-					rp.answer = &sum
-				}
+				rp.gen, rp.size = read.Gen, read.Size
 				got[r] = append(got[r], rp)
 			}
 		}()
@@ -339,35 +332,31 @@ func TestStandbyAutoCheckpoints(t *testing.T) {
 	standbyAddr, _, _ := serveInProcess(t, func(stop <-chan struct{}) error {
 		return runStandby(standbyArgs(cfg, hubAddr, filepath.Join(dir, "store-standby"), "-ttl", "5s", "-checkpoint-bytes", "2048"), stop)
 	})
-	pc := dialLine(t, primaryAddr)
-	defer pc.close()
-	sc := dialLine(t, standbyAddr)
-	defer sc.close()
-
+	pc, sc := dial(t, primaryAddr), dial(t, standbyAddr)
 	w.begin(t, pc)
-	fell, last := 0, 0
+	fell, last := 0, uint64(0)
 	for i := range w.steps {
 		w.write(t, pc, i, i+1, -1)
 		// tail_seq moves once the feed apply has returned, after any
 		// checkpoint it led to.
-		for deadline := time.Now().Add(20 * time.Second); statInt(t, sc.cmd(t, "stat"), "tail_seq") != i+1; time.Sleep(2 * time.Millisecond) {
+		for deadline := time.Now().Add(20 * time.Second); statField(t, sc, "tail_seq") != uint64(i+1); time.Sleep(2 * time.Millisecond) {
 			if time.Now().After(deadline) {
 				t.Fatalf("the replica never applied feed record %d", i+1)
 			}
 		}
-		now := statInt(t, sc.cmd(t, "stat"), "walbytes")
+		now := statField(t, sc, "walbytes")
 		if now < last {
 			fell++
 		}
 		last = now
 	}
-	if e := statInt(t, pc.cmd(t, "stat"), "epoch"); e != 1 {
+	if e := statField(t, pc, "epoch"); e != 1 {
 		t.Fatalf("the primary never checkpoints, and is at epoch %d", e)
 	}
-	if wb := statInt(t, pc.cmd(t, "stat"), "walbytes"); wb <= 2048 {
+	if wb := statField(t, pc, "walbytes"); wb <= 2048 {
 		t.Fatalf("the history logged %d bytes: too short to cross the replica's threshold", wb)
 	}
-	if e := statInt(t, sc.cmd(t, "stat"), "epoch"); e <= 1 || fell == 0 {
+	if e := statField(t, sc, "epoch"); e <= 1 || fell == 0 {
 		t.Fatalf("the replica at -checkpoint-bytes 2048 is at epoch %d and its walbytes fell %d times", e, fell)
 	}
 	w.check(t, [][]reply{answersAt(t, sc, w.acked.Load())})
@@ -375,22 +364,22 @@ func TestStandbyAutoCheckpoints(t *testing.T) {
 
 // answersAt reads every class's answer at c until it is served at gen, as
 // replies with gen for their floor.
-func answersAt(t *testing.T, c *lineClient, gen uint64) []reply {
+func answersAt(t *testing.T, c *wire.Client, gen uint64) []reply {
 	t.Helper()
 	var got []reply
 	for _, class := range history.Classes {
 		for deadline := time.Now().Add(20 * time.Second); ; time.Sleep(5 * time.Millisecond) {
-			at, size, dump, err := c.read("answer", class)
+			read, rows, err := c.Answer(class)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if at == gen {
-				sum := sha256.Sum256([]byte(dump))
-				got = append(got, reply{floor: gen, gen: gen, class: class, size: size, answer: &sum})
+			if read.Gen == gen {
+				sum := sha256.Sum256(rows)
+				got = append(got, reply{floor: gen, gen: gen, class: class, size: read.Size, answer: &sum})
 				break
 			}
 			if time.Now().After(deadline) {
-				t.Fatalf("%s: %s at gen %d never reached gen %d", c.conn.RemoteAddr(), class, at, gen)
+				t.Fatalf("%s at gen %d never reached gen %d", class, read.Gen, gen)
 			}
 		}
 	}
@@ -431,8 +420,7 @@ func runDaemonHistory(t *testing.T, shape string, w *wireHistory) (gens, folds i
 			}
 		}
 		addr, _, _ = serveInProcess(t, func(stop <-chan struct{}) error { return run(cfg, stop) })
-		c := dialLine(t, addr)
-		defer c.close()
+		c := dial(t, addr)
 		w.begin(t, c)
 		stop := readers(t, addr, 4, &w.acked)
 		w.write(t, c, 0, len(w.steps), len(w.steps)/4)
@@ -445,9 +433,7 @@ func runDaemonHistory(t *testing.T, shape string, w *wireHistory) (gens, folds i
 	if last := w.gens[len(w.gens)-1]; !seen[last] {
 		t.Fatalf("no reader saw the last generation, %d", last)
 	}
-	c := dialLine(t, addr)
-	defer c.close()
-	return len(seen), statInt(t, c.cmd(t, "stat"), "view_folds")
+	return len(seen), int(statField(t, dial(t, addr), "view_folds"))
 }
 
 // standbyHistory is the standby shape: a primary with a hub, and a replica
@@ -466,10 +452,7 @@ func standbyHistory(t *testing.T, cfg config, w *wireHistory) (string, [][]reply
 	standbyAddr, _, _ := serveInProcess(t, func(stop <-chan struct{}) error {
 		return runStandby(standbyArgs(cfg, hubAddr, filepath.Join(dir, "store-standby"), "-ttl", "1s", "-checkpoint-bytes", "2048"), stop)
 	})
-	pc := dialLine(t, primaryAddr)
-	defer pc.close()
-	sc := dialLine(t, standbyAddr)
-	defer sc.close()
+	pc, sc := dial(t, primaryAddr), dial(t, standbyAddr)
 	w.begin(t, pc)
 	stopLive := readers(t, standbyAddr, 4, nil)
 	w.write(t, pc, 0, min(2, half), -1)
@@ -485,12 +468,12 @@ func standbyHistory(t *testing.T, cfg config, w *wireHistory) (string, [][]reply
 	// read alongside the primary, answers what they do.
 	var conns [][]reply
 	for _, at := range []string{standbyAddr, lateAddr, primaryAddr} {
-		c := dialLine(t, at)
+		c := dial(t, at)
 		conns = append(conns, answersAt(t, c, acked))
-		if h := c.cmd(t, "health"); at == lateAddr && !strings.Contains(h, "tail=live") {
-			t.Fatalf("the late replica's health: %q", h)
+		if h := must(t, c.Health); at == lateAddr && !slices.Contains(h, wire.Field{Key: "tail", Value: "live"}) {
+			t.Fatalf("the late replica's health: %v", h)
 		}
-		c.close()
+		c.Close()
 	}
 	stopLate()
 	// The live replica was at acked before its readers stopped, and their
@@ -498,22 +481,20 @@ func standbyHistory(t *testing.T, cfg config, w *wireHistory) (string, [][]reply
 	if seen := w.check(t, stopLive()); len(seen) < 2 || !seen[acked] {
 		t.Fatalf("the live replica's readers saw %d generations, gen %d: %v", len(seen), acked, seen[acked])
 	}
-	if e := statInt(t, pc.cmd(t, "stat"), "epoch"); e != 1 {
+	if e := statField(t, pc, "epoch"); e != 1 {
 		t.Fatalf("the primary never checkpoints, and is at epoch %d", e)
 	}
-	if e := statInt(t, sc.cmd(t, "stat"), "epoch"); e <= 1 {
-		t.Fatalf("the replica at -checkpoint-bytes 2048 is at epoch %d after the primary logged %d bytes", e, statInt(t, pc.cmd(t, "stat"), "walbytes"))
+	if e := statField(t, sc, "epoch"); e <= 1 {
+		t.Fatalf("the replica at -checkpoint-bytes 2048 is at epoch %d after the primary logged %d bytes", e, statField(t, pc, "walbytes"))
 	}
 
 	stopPrimary()
-	for deadline := time.Now().Add(20 * time.Second); !strings.Contains(sc.cmd(t, "health"), "tail=degraded"); time.Sleep(20 * time.Millisecond) {
+	for deadline := time.Now().Add(20 * time.Second); !slices.Contains(must(t, sc.Health), wire.Field{Key: "tail", Value: "degraded"}); time.Sleep(20 * time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("the replica never noticed the primary gone")
 		}
 	}
-	if r := sc.cmd(t, "promote"); !strings.HasPrefix(r, "ok promoted") {
-		t.Fatalf("promote: %q", r)
-	}
+	must(t, sc.Promote)
 	stop := readers(t, standbyAddr, 4, &w.acked)
 	w.write(t, sc, half, len(w.steps), -1)
 	return standbyAddr, append(conns, stop()...)

@@ -52,27 +52,12 @@
 // its commits if it is still alive, so promote only a standby whose
 // primary is gone. "health" reports role and tail state.
 //
-// The protocol is line-oriented over TCP — one command per line, one
-// "ok ..."/"err ..." reply line (answer dumps are multi-line, dot-
-// terminated). Error replies follow a fixed grammar, "err <category>:
-// <detail>", with a closed category enum clients dispatch on —
-// overloaded, disk, fenced, staged, idle, proto (see the server's
-// errCategory documentation for the recovery action each implies).
-// Updates are staged per connection and applied atomically on commit:
-//
-//	"+ v w [vlabel wlabel]"  stage an edge insertion (labels for new nodes)
-//	"- v w"                  stage an edge deletion
-//	commit                   validate, log, apply the staged batch; report ΔO
-//	abort                    drop the staged batch
-//	query CLASS              answer cardinality for kws|rpq|scc|iso:
-//	                         "ok CLASS SIZE gen=G"
-//	answer CLASS             the same header line, then the full canonical
-//	                         answer, dot-terminated
-//	stat                     graph/WAL/engine/view/standby counters
-//	health                   cheap probe: role, term, tail, disk state
-//	promote                  standby only: take over as primary at term+1
-//	checkpoint               force a snapshot + fresh WAL
-//	quit                     close the connection
+// The protocol is line-oriented over TCP: one request per line, one
+// "ok …" or "err CATEGORY: detail" reply line, updates staged per
+// connection and applied atomically on commit. It is written down once, in
+// the package documentation of internal/wire, which also writes and parses
+// every reply: each command and its reply, and the closed set of error
+// categories with the recovery action each implies.
 //
 // Reads take no lock. Every commit ends by publishing an immutable view of
 // the state it produced — generation, graph counters, and per class the

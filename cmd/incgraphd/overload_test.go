@@ -8,10 +8,9 @@ package main
 // degrade the healthy ones past a small constant factor.
 
 import (
-	"fmt"
+	"errors"
 	"io"
 	"net"
-	"regexp"
 	"sort"
 	"strings"
 	"sync"
@@ -19,6 +18,7 @@ import (
 	"time"
 
 	"incgraph"
+	"incgraph/internal/wire"
 )
 
 // newTestServer builds a server with the given limits over a fresh store
@@ -53,23 +53,16 @@ func serveTest(t *testing.T, srv *server) string {
 func TestConnCapShedsWithExplicitReply(t *testing.T) {
 	srv := newTestServer(t, nil, incgraph.DurableOptions{}, limits{maxConns: 2})
 	addr := serveTest(t, srv)
-	c1 := dialLine(t, addr)
-	defer c1.close()
-	c1.cmd(t, "health") // round trip ⇒ the connection is tracked
-	c2 := dialLine(t, addr)
-	defer c2.close()
-	c2.cmd(t, "health")
+	c1 := dial(t, addr)
+	must(t, c1.Health) // round trip ⇒ the connection is tracked
+	c2 := dial(t, addr)
+	must(t, c2.Health)
 
-	c3 := dialLine(t, addr)
-	defer c3.close()
-	reply, err := c3.r.ReadString('\n')
-	if err != nil {
-		t.Fatalf("shed connection: want an explicit overload reply, got %v", err)
+	c3 := dial(t, addr)
+	if reply, err := c3.ReadLine(); !strings.HasPrefix(reply, "err overloaded: connection limit 2") {
+		t.Fatalf("shed connection replied %q (%v), want a connection-limit overload error", reply, err)
 	}
-	if !strings.Contains(reply, "err overloaded: connection limit 2") {
-		t.Fatalf("shed reply = %q, want connection-limit overload error", reply)
-	}
-	if _, err := c3.r.ReadString('\n'); err != io.EOF {
+	if _, err := c3.ReadLine(); err != io.EOF {
 		t.Fatalf("shed connection stayed open: %v", err)
 	}
 	if got := srv.connsShed.Load(); got != 1 {
@@ -77,76 +70,32 @@ func TestConnCapShedsWithExplicitReply(t *testing.T) {
 	}
 
 	// Capacity freed ⇒ new connections are served again.
-	c1.cmd(t, "quit")
-	c1.close()
+	noErr(t, c1.Quit())
 	waitFor(t, "conn slot freed", func() bool { return srv.nconns.Load() < 2 })
-	c4 := dialLine(t, addr)
-	defer c4.close()
-	c4.cmd(t, "health")
+	must(t, dial(t, addr).Health)
 }
 
 func TestStagedCapRefusesWithoutCorruptingBatch(t *testing.T) {
 	srv := newTestServer(t, nil, incgraph.DurableOptions{}, limits{maxStaged: 3})
-	c := dialLine(t, serveTest(t, srv))
-	defer c.close()
+	c := dial(t, serveTest(t, srv))
 	for i := 0; i < 3; i++ {
-		c.cmd(t, fmt.Sprintf("+ %d %d a a", 9000+2*i, 9001+2*i))
+		noErr(t, c.Stage(incgraph.Batch{incgraph.InsNew(incgraph.NodeID(9000+2*i), incgraph.NodeID(9001+2*i), "a", "a")}))
 	}
-	reply := c.raw(t, "+ 9100 9101 a a")
-	if !strings.Contains(reply, "err staged: limit 3") {
-		t.Fatalf("over-cap stage reply = %q, want staged-limit error", reply)
-	}
+	refused(t, c, "+ 9100 9101 a a", "err staged: limit 3")
 	if got := srv.stagedShed.Load(); got != 1 {
 		t.Fatalf("staged_shed = %d, want 1", got)
 	}
 	// The refused update is not in the batch: exactly the 3 staged apply.
-	reply = c.cmd(t, "commit")
-	if !strings.Contains(reply, "ok applied 3 ") {
-		t.Fatalf("commit reply = %q, want 3 applied", reply)
-	}
-}
-
-// TestReadErrorStaysInErrorGrammar: the one way a read can still fail on a
-// healthy daemon — no standing query of that class — is reported in one of
-// the six error categories clients dispatch on, and the connection keeps
-// serving.
-func TestReadErrorStaysInErrorGrammar(t *testing.T) {
-	srv := newTestServer(t, nil, incgraph.DurableOptions{}, limits{})
-	c, _ := pipeClient(t, srv)
-	for _, cmd := range []string{"answer kws", "query kws"} {
-		reply := c.raw(t, cmd)
-		if !regexp.MustCompile(`^err (overloaded|disk|fenced|staged|idle|proto): `).MatchString(reply) {
-			t.Fatalf("%s replied %q, outside the error grammar", cmd, reply)
-		}
-		if !strings.Contains(reply, `no standing query for class "kws"`) {
-			t.Fatalf("%s replied %q, want the class named", cmd, reply)
-		}
-	}
-	c.cmd(t, "query scc")
-}
-
-// TestUpdateLineWithExtraFieldsRefused: an update line with a field too
-// many is a protocol error, not an update: "+ v w vlabel wlabel junk" and
-// "- v w x" stage nothing.
-func TestUpdateLineWithExtraFieldsRefused(t *testing.T) {
-	srv := newTestServer(t, nil, incgraph.DurableOptions{}, limits{})
-	c, _ := pipeClient(t, srv)
-	for _, line := range []string{"+ 1 2 a b junk", "- 1 2 x"} {
-		if reply := c.raw(t, line); !strings.HasPrefix(reply, "err proto: ") {
-			t.Fatalf("%q replied %q, want err proto", line, reply)
-		}
-	}
-	if reply := c.raw(t, "commit"); !strings.HasPrefix(reply, "err staged: nothing staged") {
-		t.Fatalf("commit after the refused lines replied %q, want nothing staged", reply)
+	if ack := must(t, c.Commit); ack.N != 3 {
+		t.Fatalf("commit applied %d, want 3", ack.N)
 	}
 }
 
 func TestOversizedLineRepliedBeforeCut(t *testing.T) {
 	srv := newTestServer(t, nil, incgraph.DurableOptions{}, limits{})
 	addr := serveTest(t, srv)
-	c := dialLine(t, addr)
-	defer c.close()
-	c.cmd(t, "health")
+	c := dial(t, addr)
+	must(t, c.Health)
 
 	// One line past the scanner cap, no newline needed: the scanner
 	// refuses once the buffer fills.
@@ -155,30 +104,24 @@ func TestOversizedLineRepliedBeforeCut(t *testing.T) {
 		junk[i] = 'a'
 	}
 	for sent := 0; sent <= maxLineBytes; sent += len(junk) {
-		if _, err := c.conn.Write(junk); err != nil {
+		if err := c.Send(string(junk)); err != nil {
 			t.Fatalf("send oversized line: %v", err)
 		}
 	}
-	reply, err := c.r.ReadString('\n')
-	if err != nil {
-		t.Fatalf("oversized line: want an explicit reply before the cut, got %v", err)
-	}
-	if !strings.Contains(reply, "err proto: line too long") {
-		t.Fatalf("oversized-line reply = %q, want 'err line too long'", reply)
+	if reply, err := c.ReadLine(); !strings.HasPrefix(reply, "err proto: line too long") {
+		t.Fatalf("oversized line replied %q (%v), want an explicit reply before the cut", reply, err)
 	}
 	// EOF or RST (the server closes with our junk still unread), never
 	// another protocol line: the stream is unresynchronizable.
-	if _, err := c.r.ReadString('\n'); err == nil {
+	if _, err := c.ReadLine(); err == nil || errors.As(err, new(*wire.Error)) {
 		t.Fatal("connection survived an unresynchronizable stream")
 	}
 	if got := srv.linesTooLong.Load(); got != 1 {
 		t.Fatalf("lines_too_long = %d, want 1", got)
 	}
 	// And the counter is operator-visible.
-	c2 := dialLine(t, addr)
-	defer c2.close()
-	if stat := c2.cmd(t, "stat"); !strings.Contains(stat, "lines_too_long=1") {
-		t.Fatalf("stat %q missing lines_too_long=1", stat)
+	if n := statField(t, dial(t, addr), "lines_too_long"); n != 1 {
+		t.Fatalf("stat lines_too_long=%d, want 1", n)
 	}
 }
 
@@ -192,24 +135,17 @@ func TestCommitGateShedsWhenQueueFull(t *testing.T) {
 	unwedge := sync.OnceFunc(srv.commitMu.Unlock)
 	defer unwedge()
 
-	c1 := dialLine(t, addr)
-	defer c1.close()
-	c1.cmd(t, "+ 9200 9201 a a")
-	if _, err := fmt.Fprintln(c1.conn, "commit"); err != nil {
-		t.Fatal(err)
-	}
+	c1 := dial(t, addr)
+	noErr(t, c1.Stage(incgraph.Batch{incgraph.InsNew(9200, 9201, "a", "a")}))
+	noErr(t, c1.Send("commit\n"))
 	waitFor(t, "first commit admitted", func() bool {
 		admitted, _, _ := srv.commitGate.stats()
 		return admitted == 1
 	})
 
-	c2 := dialLine(t, addr)
-	defer c2.close()
-	c2.cmd(t, "+ 9300 9301 a a")
-	reply := c2.raw(t, "commit")
-	if !strings.Contains(reply, "err overloaded: commit queue full") {
-		t.Fatalf("gated commit reply = %q, want queue-full overload error", reply)
-	}
+	c2 := dial(t, addr)
+	noErr(t, c2.Stage(incgraph.Batch{incgraph.InsNew(9300, 9301, "a", "a")}))
+	refused(t, c2, "commit", "err overloaded: commit queue full")
 	_, shed, _ := srv.commitGate.stats()
 	if shed != 1 {
 		t.Fatalf("commit_shed = %d, want 1", shed)
@@ -218,22 +154,18 @@ func TestCommitGateShedsWhenQueueFull(t *testing.T) {
 	// Reads answer while every commit is wedged: the stalled "disk" holds
 	// commitMu, never the read lock.
 	start := time.Now()
-	c2.cmd(t, "query scc")
-	c2.cmd(t, "stat")
+	query(t, c2, "scc")
+	must(t, c2.Stat)
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("reads took %v behind a wedged commit path", elapsed)
 	}
 
 	unwedge()
-	reply, err := c1.r.ReadString('\n')
-	if err != nil {
-		t.Fatalf("wedged commit after release: %v", err)
-	}
-	if !strings.Contains(reply, "ok applied 1 ") {
-		t.Fatalf("wedged commit reply = %q, want success after release", reply)
+	if ack, err := wire.ParseApplied(must(t, c1.ReadLine)); err != nil || ack.N != 1 {
+		t.Fatalf("wedged commit after release: %+v, %v; want 1 applied", ack, err)
 	}
 	// The retry hint is honest: a shed committer succeeds once load drops.
-	c2.cmd(t, "commit")
+	must(t, c2.Commit)
 }
 
 // TestStatCarriesEveryKeyPerfReads: perf/e2e.go fails a benchmark run
@@ -243,12 +175,12 @@ func TestCommitGateShedsWhenQueueFull(t *testing.T) {
 func TestStatCarriesEveryKeyPerfReads(t *testing.T) {
 	cfg := config{storeDir: t.TempDir(), addr: "127.0.0.1:0", fsync: "none", term: 1, lim: defaultLimits()}
 	addr, _, _ := serveInProcess(t, func(stop <-chan struct{}) error { return run(cfg, stop) })
-	c := dialLine(t, addr)
-	defer c.close()
-	stat := c.cmd(t, "stat")
+	st := must(t, dial(t, addr).Stat)
 	for _, key := range []string{"conns_shed", "staged_shed", "commit_shed", "commit_timeouts", "commit_cluster_shed",
 		"read_shed", "read_timeouts", "commit_admitted", "read_admitted"} {
-		statInt(t, stat, key)
+		if _, err := st.Uint(key); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -268,7 +200,7 @@ func TestSlowLorisCut(t *testing.T) {
 			}
 
 			// Unloaded baseline: one healthy client, cache-hit queries.
-			h := dialLine(t, addr)
+			h := dial(t, addr)
 			baseline := queryP99(t, h, 50)
 
 			// The attack: three slow-loris connections trickling one byte
@@ -301,8 +233,8 @@ func TestSlowLorisCut(t *testing.T) {
 			// Hang the healthy client up cleanly before the deadline can
 			// cut it too, then require every loris dropped and counted and
 			// the connection count drained to zero.
-			h.cmd(t, "quit")
-			h.close()
+			noErr(t, h.Quit())
+			h.Close()
 			wg.Wait()
 			waitFor(t, "connection count drains to zero", func() bool { return srv.nconns.Load() == 0 })
 			if got := srv.idleDrops.Load(); got != 3 {
@@ -313,12 +245,12 @@ func TestSlowLorisCut(t *testing.T) {
 }
 
 // queryP99 runs n cache-hit queries and returns the p99 round-trip time.
-func queryP99(t *testing.T, c *lineClient, n int) time.Duration {
+func queryP99(t *testing.T, c *wire.Client, n int) time.Duration {
 	t.Helper()
 	lat := make([]time.Duration, n)
 	for i := range lat {
 		start := time.Now()
-		c.cmd(t, "query scc")
+		query(t, c, "scc")
 		lat[i] = time.Since(start)
 	}
 	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })

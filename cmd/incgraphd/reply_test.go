@@ -8,9 +8,8 @@ package main
 // change here is a protocol change.
 
 import (
-	"bufio"
+	"errors"
 	"io"
-	"net"
 	"os"
 	"path/filepath"
 	"slices"
@@ -19,6 +18,7 @@ import (
 	"time"
 
 	"incgraph"
+	"incgraph/internal/wire"
 )
 
 // pinConfig writes a four-node graph and a one-edge ISO pattern under dir
@@ -76,93 +76,53 @@ func pinServer(t *testing.T, k int, lim limits) *server {
 	return newServer(d, 0, lim)
 }
 
-// pinConn is one raw connection: lines out, bytes back.
-type pinConn struct {
-	conn net.Conn
-	r    *bufio.Reader
-}
-
 // pipeTo serves one end of an in-memory pipe with srv.handle until the
-// test ends and returns the other.
-func pipeTo(t *testing.T, srv *server) *pinConn {
-	t.Helper()
-	client, server := net.Pipe()
-	done := make(chan struct{})
-	go func() {
-		srv.handle(server)
-		close(done)
-	}()
-	t.Cleanup(func() {
-		client.Close()
-		<-done
-	})
-	return &pinConn{conn: client, r: bufio.NewReader(client)}
+// test ends and returns a client on the other.
+func pipeTo(t *testing.T, srv *server) *wire.Client {
+	c, _ := pipeClient(t, srv)
+	return c
 }
 
-func dialPin(t *testing.T, addr string) *pinConn {
+// replyLines reads n reply lines and returns their bytes.
+func replyLines(t *testing.T, c *wire.Client, n int) string {
 	t.Helper()
-	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { conn.Close() })
-	return &pinConn{conn: conn, r: bufio.NewReader(conn)}
-}
-
-// lines reads n reply lines and returns their bytes.
-func (p *pinConn) lines(t *testing.T, n int) string {
-	t.Helper()
-	p.conn.SetReadDeadline(time.Now().Add(10 * time.Second))
 	var got strings.Builder
 	for i := 0; i < n; i++ {
-		line, err := p.r.ReadString('\n')
-		got.WriteString(line)
-		if err != nil {
+		line, err := c.ReadLine()
+		if e := (*wire.Error)(nil); err != nil && !errors.As(err, &e) {
 			t.Fatalf("after %q: %v", got.String(), err)
 		}
+		got.WriteString(line + "\n")
 	}
 	return got.String()
 }
 
 // say sends line and requires the reply to be want, byte for byte (as
 // many lines as want has).
-func (p *pinConn) say(t *testing.T, line, want string) {
+func say(t *testing.T, c *wire.Client, line, want string) {
 	t.Helper()
-	p.conn.SetWriteDeadline(time.Now().Add(10 * time.Second))
-	if _, err := io.WriteString(p.conn, line+"\n"); err != nil {
-		t.Fatalf("%q: %v", line, err)
-	}
-	if got := p.lines(t, strings.Count(want, "\n")); got != want {
+	noErr(t, c.Send(line+"\n"))
+	if got := replyLines(t, c, strings.Count(want, "\n")); got != want {
 		t.Fatalf("%q replied\n%q\nwant\n%q", line, got, want)
 	}
 }
 
 // keys sends line and requires an "ok" reply whose fields are key=value
-// with exactly want's keys, in want's order; it returns the values.
-func (p *pinConn) keys(t *testing.T, line string, want ...string) map[string]string {
+// with exactly want's keys, in want's order.
+func keys(t *testing.T, c *wire.Client, line string, want ...string) wire.Fields {
 	t.Helper()
-	if _, err := io.WriteString(p.conn, line+"\n"); err != nil {
-		t.Fatalf("%q: %v", line, err)
+	noErr(t, c.Send(line+"\n"))
+	got := replyLines(t, c, 1)
+	f, err := wire.ParseFields(strings.TrimSuffix(got, "\n"))
+	noErr(t, err)
+	var names []string
+	for _, fd := range f {
+		names = append(names, fd.Key)
 	}
-	reply := p.lines(t, 1)
-	rest, ok := strings.CutPrefix(reply, "ok ")
-	if !ok || !strings.HasSuffix(rest, "\n") {
-		t.Fatalf("%q replied %q", line, reply)
+	if !slices.Equal(names, want) {
+		t.Fatalf("%q replied keys\n%v\nwant\n%v", line, names, want)
 	}
-	var got []string
-	vals := make(map[string]string)
-	for _, f := range strings.Split(strings.TrimSuffix(rest, "\n"), " ") {
-		k, v, ok := strings.Cut(f, "=")
-		if !ok || k == "" || strings.Contains(v, "=") {
-			t.Fatalf("%q replied %q: field %q is not key=value", line, reply, f)
-		}
-		got = append(got, k)
-		vals[k] = v
-	}
-	if !slices.Equal(got, want) {
-		t.Fatalf("%q replied keys\n%v\nwant\n%v", line, got, want)
-	}
-	return vals
+	return f
 }
 
 // statKeys are the keys of a primary's stat without a hub; a hub adds
@@ -187,110 +147,113 @@ func TestReplyBytes(t *testing.T) {
 		}
 		for k, want := range applied {
 			c := pipeTo(t, pinServer(t, k, limits{}))
-			c.say(t, "+ 9 9", "ok staged 1\n")
-			c.say(t, "- 1 2", "ok staged 2\n")
-			c.say(t, "abort", "ok aborted 2\n")
-			c.say(t, "abort", "ok aborted 0\n")
-			c.say(t, "+ 4 1", "ok staged 1\n")
-			c.say(t, "+ 5 6 a b", "ok staged 2\n")
-			c.say(t, "commit", want)
+			say(t, c, "+ 9 9", "ok staged 1\n")
+			say(t, c, "- 1 2", "ok staged 2\n")
+			say(t, c, "abort", "ok aborted 2\n")
+			say(t, c, "abort", "ok aborted 0\n")
+			say(t, c, "+ 4 1", "ok staged 1\n")
+			say(t, c, "+ 5 6 a b", "ok staged 2\n")
+			say(t, c, "commit", want)
 		}
 	})
 
 	t.Run("reads", func(t *testing.T) {
 		c := pipeTo(t, pinServer(t, 4, limits{}))
-		c.say(t, "query kws", "ok kws 3 gen=7\n")
-		c.say(t, "query scc", "ok scc 4 gen=7\n")
-		c.say(t, "answer rpq", "ok rpq 2 gen=7\npair 1 2\npair 3 4\n.\n")
-		c.say(t, "answer scc", "ok scc 4 gen=7\ncomp 1\ncomp 2\ncomp 3\ncomp 4\n.\n")
-		c.say(t, "+ 4 1", "ok staged 1\n")
-		c.say(t, "commit", "ok applied 1 gen=8 kws=ΔO{+1 −0 ~0} rpq=ΔO{+0 −0 ~0} iso=ΔO{+0 −0 ~0} scc=ΔO{+1 −4 ~0}\n")
-		c.say(t, "answer scc", "ok scc 1 gen=8\ncomp 1 2 3 4\n.\n")
-		c.say(t, "answer iso", "ok iso 2 gen=8\nmatch 1 2\nmatch 3 4\n.\n")
-		c.say(t, "checkpoint", "ok checkpoint epoch=2\n")
-		c.say(t, "quit", "ok bye\n")
-		if line, err := c.r.ReadString('\n'); err != io.EOF {
+		say(t, c, "query kws", "ok kws 3 gen=7\n")
+		say(t, c, "query scc", "ok scc 4 gen=7\n")
+		say(t, c, "answer rpq", "ok rpq 2 gen=7\npair 1 2\npair 3 4\n.\n")
+		say(t, c, "answer scc", "ok scc 4 gen=7\ncomp 1\ncomp 2\ncomp 3\ncomp 4\n.\n")
+		say(t, c, "+ 4 1", "ok staged 1\n")
+		say(t, c, "commit", "ok applied 1 gen=8 kws=ΔO{+1 −0 ~0} rpq=ΔO{+0 −0 ~0} iso=ΔO{+0 −0 ~0} scc=ΔO{+1 −4 ~0}\n")
+		say(t, c, "answer scc", "ok scc 1 gen=8\ncomp 1 2 3 4\n.\n")
+		say(t, c, "answer iso", "ok iso 2 gen=8\nmatch 1 2\nmatch 3 4\n.\n")
+		say(t, c, "checkpoint", "ok checkpoint epoch=2\n")
+		say(t, c, "quit", "ok bye\n")
+		if line, err := c.ReadLine(); err != io.EOF {
 			t.Fatalf("after bye: %q, %v", line, err)
 		}
 	})
 
 	t.Run("stat and health", func(t *testing.T) {
 		c := pipeTo(t, pinServer(t, 4, limits{}))
-		st := c.keys(t, "stat", statKeys...)
+		st := keys(t, c, "stat", statKeys...)
 		for k, v := range map[string]string{"role": "primary", "nodes": "4", "edges": "3", "gen": "7", "epoch": "1",
 			"classes": "kws,rpq,iso,scc", "disk": "healthy", "commit_cluster_shed": "0"} {
-			if st[k] != v {
-				t.Fatalf("stat %s=%s, want %s", k, st[k], v)
+			if got, _ := st.Get(k); got != v {
+				t.Fatalf("stat %s=%s, want %s", k, got, v)
 			}
 		}
-		c.keys(t, "health", "role", "gen", "walseq", "disk")
+		keys(t, c, "health", "role", "gen", "walseq", "disk")
 		c = pipeTo(t, pinServer(t, 0, limits{}))
-		if st := c.keys(t, "stat", statKeys...); st["classes"] != "" {
-			t.Fatalf("stat without classes: classes=%s", st["classes"])
+		if classes, _ := keys(t, c, "stat", statKeys...).Get("classes"); classes != "" {
+			t.Fatalf("stat without classes: classes=%s", classes)
 		}
 	})
 
 	t.Run("errors", func(t *testing.T) {
 		srv := pinServer(t, 4, limits{maxStaged: 1, commitSlots: 1, readSlots: 1})
 		c := pipeTo(t, srv)
-		c.say(t, "bogus", "err proto: unknown command \"bogus\"\n")
-		c.say(t, "+ 1", "err proto: want '+ v w [vlabel [wlabel]]' or '- v w'\n")
-		c.say(t, "- 1 x", "err proto: bad target id: strconv.ParseInt: parsing \"x\": invalid syntax\n")
-		c.say(t, "query", "err proto: usage: query CLASS\n")
-		c.say(t, "answer scc x", "err proto: usage: answer CLASS\n")
-		c.say(t, "query nope", "err proto: no standing query for class \"nope\"\n")
-		c.say(t, "commit", "err staged: nothing staged\n")
-		c.say(t, "- 1 3", "ok staged 1\n")
-		c.say(t, "- 1 4", "err staged: limit 1 reached; commit or abort first\n")
-		c.say(t, "commit", "err staged: commit failed: update 0: graph: update cannot be applied: delete of missing edge (1,3)\n")
+		say(t, c, "bogus", "err proto: unknown command \"bogus\"\n")
+		say(t, c, "+ 1", "err proto: want '+ v w [vlabel [wlabel]]' or '- v w'\n")
+		say(t, c, "- 1 x", "err proto: bad target id: strconv.ParseInt: parsing \"x\": invalid syntax\n")
+		say(t, c, "query", "err proto: usage: query CLASS\n")
+		say(t, c, "answer scc x", "err proto: usage: answer CLASS\n")
+		say(t, c, "query nope", "err proto: no standing query for class \"nope\"\n")
+		say(t, c, "answer nope", "err proto: no standing query for class \"nope\"\n")
+		say(t, c, "+ 1 2 a b junk", "err proto: want '+ v w [vlabel [wlabel]]' or '- v w'\n")
+		say(t, c, "- 1 2 x", "err proto: want '+ v w [vlabel [wlabel]]' or '- v w'\n")
+		say(t, c, "commit", "err staged: nothing staged\n")
+		say(t, c, "- 1 3", "ok staged 1\n")
+		say(t, c, "- 1 4", "err staged: limit 1 reached; commit or abort first\n")
+		say(t, c, "commit", "err staged: commit failed: update 0: graph: update cannot be applied: delete of missing edge (1,3)\n")
 
 		srv.commitGate.enter()
-		c.say(t, "+ 1 3", "ok staged 1\n")
-		c.say(t, "commit", "err overloaded: commit queue full; retry in 100ms\n")
+		say(t, c, "+ 1 3", "ok staged 1\n")
+		say(t, c, "commit", "err overloaded: commit queue full; retry in 100ms\n")
 		srv.commitGate.exit()
 		srv.readGate.enter()
-		c.say(t, "query scc", "err overloaded: read queue full; retry in 100ms\n")
+		say(t, c, "query scc", "err overloaded: read queue full; retry in 100ms\n")
 		srv.readGate.exit()
 
 		srv.diskState.Store(diskReadOnly)
-		c.say(t, "commit", "err disk: degraded; read-only; retry in 100ms\n")
+		say(t, c, "commit", "err disk: degraded; read-only; retry in 100ms\n")
 		srv.diskState.Store(diskHealthy)
 
-		c.say(t, "promote", "err fenced: already primary\n")
+		say(t, c, "promote", "err fenced: already primary\n")
 		srv.publish(false, func(v *view) { v.role = roleStandby })
-		c.say(t, "commit", "err fenced: standby is read-only; promote to accept commits\n")
+		say(t, c, "commit", "err fenced: standby is read-only; promote to accept commits\n")
 		srv.primaryAddr = "192.0.2.1:7421"
 		srv.tail.Store(tailStale)
-		c.say(t, "query scc", "err fenced: stale replica; redirect 192.0.2.1:7421\n")
+		say(t, c, "query scc", "err fenced: stale replica; redirect 192.0.2.1:7421\n")
 	})
 
 	// A command that takes no argument refuses one.
 	t.Run("trailing fields", func(t *testing.T) {
 		c := pipeTo(t, pinServer(t, 1, limits{}))
 		for _, cmd := range []string{"commit", "abort", "checkpoint", "stat", "health", "promote", "quit"} {
-			c.say(t, cmd+" now", "err proto: usage: "+cmd+"\n")
+			say(t, c, cmd+" now", "err proto: usage: "+cmd+"\n")
 		}
-		c.say(t, "query kws", "ok kws 3 gen=7\n")
+		say(t, c, "query kws", "ok kws 3 gen=7\n")
 	})
 
 	t.Run("cut", func(t *testing.T) {
 		c := pipeTo(t, pinServer(t, 1, limits{idle: 50 * time.Millisecond}))
-		if got := c.lines(t, 1); got != "err idle: no complete line in 50ms\n" {
+		if got := replyLines(t, c, 1); got != "err idle: no complete line in 50ms\n" {
 			t.Fatalf("idle connection: %q", got)
 		}
 		c = pipeTo(t, pinServer(t, 1, limits{}))
-		go c.conn.Write(make([]byte, maxLineBytes+1))
-		if got := c.lines(t, 1); got != "err proto: line too long; max 1048576 bytes per line\n" {
+		go c.Send(string(make([]byte, maxLineBytes+1)))
+		if got := replyLines(t, c, 1); got != "err proto: line too long; max 1048576 bytes per line\n" {
 			t.Fatalf("oversized line: %q", got)
 		}
 		srv := pinServer(t, 1, limits{maxConns: 1})
 		addr := serveTest(t, srv)
-		dialPin(t, addr).say(t, "health", "ok role=primary gen=7 walseq=0 disk=healthy\n")
-		shed := dialPin(t, addr)
-		if got := shed.lines(t, 1); got != "err overloaded: connection limit 1 reached; retry in 100ms\n" {
+		say(t, dial(t, addr), "health", "ok role=primary gen=7 walseq=0 disk=healthy\n")
+		shed := dial(t, addr)
+		if got := replyLines(t, shed, 1); got != "err overloaded: connection limit 1 reached; retry in 100ms\n" {
 			t.Fatalf("shed at accept: %q", got)
 		}
-		if line, err := shed.r.ReadString('\n'); err != io.EOF {
+		if line, err := shed.ReadLine(); err != io.EOF {
 			t.Fatalf("after the shed: %q, %v", line, err)
 		}
 	})
@@ -303,12 +266,12 @@ func TestReplyBytes(t *testing.T) {
 		standbyAddr, _, _ := serveInProcess(t, func(stop <-chan struct{}) error {
 			return runStandby(standbyArgs(cfg, hubAddr, filepath.Join(dir, "store-standby"), "-ttl", "5s"), stop)
 		})
-		p, s := dialPin(t, primaryAddr), dialPin(t, standbyAddr)
-		p.keys(t, "stat", append(slices.Clone(statKeys), "standbys")...)
-		p.keys(t, "health", "role", "gen", "walseq", "disk", "standbys")
-		s.keys(t, "stat", append(slices.Clone(statKeys), "tail", "tail_term", "tail_seq", "tail_gen")...)
-		s.keys(t, "health", "role", "gen", "walseq", "disk", "tail", "tail_seq")
-		s.say(t, "promote", "ok promoted term=2\n")
-		s.say(t, "promote", "err fenced: already primary\n")
+		p, s := dial(t, primaryAddr), dial(t, standbyAddr)
+		keys(t, p, "stat", append(slices.Clone(statKeys), "standbys")...)
+		keys(t, p, "health", "role", "gen", "walseq", "disk", "standbys")
+		keys(t, s, "stat", append(slices.Clone(statKeys), "tail", "tail_term", "tail_seq", "tail_gen")...)
+		keys(t, s, "health", "role", "gen", "walseq", "disk", "tail", "tail_seq")
+		say(t, s, "promote", "ok promoted term=2\n")
+		say(t, s, "promote", "err fenced: already primary\n")
 	})
 }

@@ -8,7 +8,7 @@ import (
 	"log"
 	"net"
 	"runtime"
-	"strconv"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -16,6 +16,7 @@ import (
 
 	"incgraph"
 	"incgraph/internal/graph"
+	"incgraph/internal/wire"
 )
 
 // server multiplexes the line protocol over one Durable. Writers and
@@ -38,9 +39,10 @@ type server struct {
 
 	// view is the read side (view.go). It also carries the role and the hub
 	// handle: a hub feeds every committed batch to attached standbys.
-	// classAt is fixed at construction: the position of each class among
-	// the attached engines.
+	// classes and classAt are fixed at construction: the attached engines'
+	// classes in attach order, and the position of each.
 	view      atomic.Pointer[view]
+	classes   []string
 	classAt   map[string]int
 	folding   []atomic.Bool // per class: a fold is under way (view.go)
 	viewFolds atomic.Uint64 // chains folded into a new base
@@ -123,50 +125,9 @@ type server struct {
 // is cut: the stream cannot be resynchronized mid-line.
 const maxLineBytes = 1 << 20
 
-// Error-reply grammar. Every error reply is one line of the form
-//
-//	err <category>: <detail>
-//
-// where <category> is a closed enum clients dispatch on; the detail text
-// is human-oriented and may change between releases, the categories do
-// not. Each category implies one recovery action:
-//
-//	overloaded  shed by admission control; nothing changed; retry after
-//	            the hinted delay
-//	disk        durability degraded (read-only mode, or a disk operation
-//	            failed); nothing changed; retry after the hinted delay
-//	fenced      this node's role or authority cannot serve the request
-//	            (standby, stale replica, promote on a primary) —
-//	            redirect to the primary or promote, retrying here is
-//	            useless
-//	staged      the staging area refused the request, or the staged
-//	            batch was rejected at commit and dropped — fix the batch
-//	            and re-stage
-//	idle        the per-line read deadline expired; the connection is cut
-//	proto       the request could not be served as issued — malformed,
-//	            unknown, inapplicable to this deployment, or an admin
-//	            operation that failed without tripping the disk or
-//	            admission machinery
-type errCategory string
-
-const (
-	catOverloaded errCategory = "overloaded"
-	catDisk       errCategory = "disk"
-	catFenced     errCategory = "fenced"
-	catStaged     errCategory = "staged"
-	catIdle       errCategory = "idle"
-	catProto      errCategory = "proto"
-)
-
-// replyErr sends one grammar-conformant error reply.
-func replyErr(reply func(string, ...any) bool, cat errCategory, format string, args ...any) bool {
-	return reply("%s", errLine(cat, format, args...))
-}
-
-// errLine formats an error reply without sending it.
-func errLine(cat errCategory, format string, args ...any) string {
-	return fmt.Sprintf("err %s: %s", cat, fmt.Sprintf(format, args...))
-}
+// argless are the commands that take no argument (see internal/wire for
+// the protocol and its error categories).
+var argless = []string{"abort", "commit", "stat", "health", "promote", "checkpoint", "quit"}
 
 // Serving roles. A standby is read-only until "promote" flips it.
 const (
@@ -225,11 +186,13 @@ func tailName(s int32) string {
 // first view from its engines; the result is a primary without a hub
 // (publish changes that).
 func newServer(d *incgraph.Durable, ckptBytes int64, lim limits) *server {
+	classes := make([]string, len(d.Engines()))
 	classAt := make(map[string]int, len(d.Engines()))
 	for i, m := range d.Engines() {
+		classes[i] = m.Class()
 		classAt[m.Class()] = i
 	}
-	s := &server{d: d, ckptBytes: ckptBytes, classAt: classAt,
+	s := &server{d: d, ckptBytes: ckptBytes, classes: classes, classAt: classAt,
 		folding:        make([]atomic.Bool, len(d.Engines())),
 		lim:            lim,
 		commitGate:     newGate(lim.commitSlots, lim.commitQueue, lim.opTimeout),
@@ -335,8 +298,8 @@ func (s *server) serve(addr string, stop <-chan struct{}) error {
 			s.connsShed.Add(1)
 			go func(c net.Conn) {
 				c.SetWriteDeadline(time.Now().Add(2 * time.Second))
-				fmt.Fprintf(c, "err overloaded: connection limit %d reached; retry in %dms\n",
-					s.lim.maxConns, retryHintMS)
+				c.Write(wire.AppendError(nil, wire.Overloaded,
+					fmt.Sprintf("connection limit %d reached%s", s.lim.maxConns, retryHint)))
 				c.Close()
 			}(conn)
 			continue
@@ -367,28 +330,30 @@ func (s *server) handle(conn net.Conn) {
 		return advance, token, err
 	})
 	out := bufio.NewWriter(conn)
-	// Every flush runs under a write deadline: a client that stops
-	// draining its socket is cut at the op timeout instead of holding the
-	// handler goroutine (and whatever it has admitted) forever.
-	flush := func() bool {
+	// send writes one reply (none when nil) and flushes, under a write
+	// deadline: a client that stops draining its socket is cut at the op
+	// timeout instead of holding the handler goroutine (and whatever it has
+	// admitted) forever. The deadline is armed before the write, which goes
+	// to the connection itself when the reply outgrows the buffer.
+	send := func(reply []byte) bool {
 		if s.lim.opTimeout > 0 {
 			conn.SetWriteDeadline(time.Now().Add(s.lim.opTimeout))
 			defer conn.SetWriteDeadline(time.Time{})
 		}
+		out.Write(reply)
 		return out.Flush() == nil
 	}
-	reply := func(format string, args ...any) bool {
-		fmt.Fprintf(out, format+"\n", args...)
-		return flush()
+	fail := func(cat wire.Category, format string, args ...any) bool {
+		return send(wire.AppendError(out.AvailableBuffer(), cat, fmt.Sprintf(format, args...)))
 	}
 	var pending incgraph.Batch
-	for {
+	for alive := true; alive; {
 		// A stage ack is held back while the next line is already here (a
 		// burst of stage lines leaves in one write, not one per line); it
 		// must not stay held across a wait. Every reply but that ack
 		// flushes, so output is pending here only after a held ack followed
 		// by lines that produce no reply (blank, comment).
-		if !more && out.Buffered() > 0 && !flush() {
+		if !more && out.Buffered() > 0 && !send(nil) {
 			return
 		}
 		// Arm the per-line deadline when the wait for a line STARTS and do
@@ -405,68 +370,46 @@ func (s *server) handle(conn net.Conn) {
 			continue
 		}
 		fields := strings.Fields(line)
-		switch fields[0] {
-		case "+", "-":
+		switch cmd := fields[0]; {
+		case (cmd == "query" || cmd == "answer") && len(fields) != 2:
+			alive = fail(wire.Proto, "usage: %s CLASS", cmd)
+		case len(fields) != 1 && slices.Contains(argless, cmd):
+			alive = fail(wire.Proto, "usage: %s", cmd)
+		case cmd == "+" || cmd == "-":
 			u, err := graph.ParseUpdate(fields)
-			if err != nil {
-				if !replyErr(reply, catProto, "%v", err) {
-					return
-				}
-				continue
-			}
-			if s.lim.maxStaged > 0 && len(pending) >= s.lim.maxStaged {
+			switch {
+			case err != nil:
+				alive = fail(wire.Proto, "%v", err)
+			case s.lim.maxStaged > 0 && len(pending) >= s.lim.maxStaged:
 				s.stagedShed.Add(1)
-				if !replyErr(reply, catStaged, "limit %d reached; commit or abort first", s.lim.maxStaged) {
-					return
-				}
-				continue
+				alive = fail(wire.Staged, "limit %d reached; commit or abort first", s.lim.maxStaged)
+			default:
+				pending = append(pending, u)
+				out.Write(wire.AppendStaged(out.AvailableBuffer(), len(pending)))
+				// Held acks never fill the buffer: bufio would then write to
+				// the connection itself, outside the write deadline.
+				alive = more && out.Available() >= 64 || send(nil)
 			}
-			pending = append(pending, u)
-			out.Write(appendStagedLine(out.AvailableBuffer(), len(pending)))
-			// Held acks never fill the buffer: bufio would then write to
-			// the connection itself, outside the write deadline.
-			if (!more || out.Available() < 64) && !flush() {
-				return
-			}
-		case "abort":
-			n := len(pending)
+		case cmd == "abort":
+			alive = send(wire.AppendAborted(out.AvailableBuffer(), len(pending)))
 			pending = nil
-			if !reply("ok aborted %d", n) {
-				return
-			}
-		case "commit":
+		case cmd == "commit":
 			// A shed keeps the staged batch: "retry in 100ms" must mean
 			// re-sending "commit", not re-staging everything.
-			shed, alive := s.commit(pending, reply)
-			if !alive {
-				return
-			}
+			shed, reply := s.commit(out.AvailableBuffer(), pending)
 			if !shed {
 				pending = nil
 			}
-		case "query", "answer":
-			if len(fields) != 2 {
-				if !replyErr(reply, catProto, "usage: %s CLASS", fields[0]) {
-					return
-				}
-				continue
-			}
-			if !s.read(fields[0], fields[1], conn, out, reply) {
-				return
-			}
-		case "stat":
-			if !s.stat(reply) {
-				return
-			}
-		case "health":
-			if !s.health(reply) {
-				return
-			}
-		case "promote":
-			if !s.promote(reply) {
-				return
-			}
-		case "checkpoint":
+			alive = send(reply)
+		case cmd == "query" || cmd == "answer":
+			alive = send(s.read(out.AvailableBuffer(), cmd == "answer", fields[1]))
+		case cmd == "stat":
+			alive = send(s.stat(out.AvailableBuffer()))
+		case cmd == "health":
+			alive = send(s.health(out.AvailableBuffer()))
+		case cmd == "promote":
+			alive = send(s.promote(out.AvailableBuffer()))
+		case cmd == "checkpoint":
 			// Snapshot writing only reads the graph, which no one mutates
 			// without commitMu; readers keep answering from the view while
 			// the checkpoint's I/O drains.
@@ -476,103 +419,90 @@ func (s *server) handle(conn net.Conn) {
 			epoch := s.epoch.Load()
 			s.commitMu.Unlock()
 			if err != nil {
-				if !replyErr(reply, catDisk, "checkpoint failed: %v", err) {
-					return
-				}
-				continue
+				alive = fail(wire.Disk, "checkpoint failed: %v", err)
+			} else {
+				alive = send(wire.AppendCheckpoint(out.AvailableBuffer(), epoch))
 			}
-			if !reply("ok checkpoint epoch=%d", epoch) {
-				return
-			}
-		case "quit":
-			reply("ok bye")
+		case cmd == "quit":
+			send(wire.AppendBye(out.AvailableBuffer()))
 			return
 		default:
-			if !replyErr(reply, catProto, "unknown command %q", fields[0]) {
-				return
-			}
+			alive = fail(wire.Proto, "unknown command %q", cmd)
 		}
 	}
 	// The scan ended without a clean quit: tell the client why before the
 	// deferred close when we can, and count what happened.
 	switch err := sc.Err(); {
 	case err == nil:
-		// EOF: client hung up.
+		// EOF, or the connection died mid-reply.
 	case errors.Is(err, bufio.ErrTooLong):
 		// The stream cannot be resynchronized mid-line, so the connection
 		// must die — but with an explicit reply first, not a silent cut.
 		s.linesTooLong.Add(1)
-		replyErr(reply, catProto, "line too long; max %d bytes per line", maxLineBytes)
+		fail(wire.Proto, "line too long; max %d bytes per line", maxLineBytes)
 	default:
 		var ne net.Error
 		if errors.As(err, &ne) && ne.Timeout() {
 			// Per-line read deadline: idle or slow-loris. The read side is
 			// dead but the write side usually is not; say why we hung up.
 			s.idleDrops.Add(1)
-			replyErr(reply, catIdle, "no complete line in %v", s.lim.idle)
+			fail(wire.Idle, "no complete line in %v", s.lim.idle)
 		}
 	}
 }
 
-// commit applies one staged batch and reports ΔO per class. The path is
-// gated (bounded commits in flight, bounded queue, bounded wait — excess
-// load is shed with an explicit overload reply); applyOptions has the rest.
+// commit applies one staged batch and appends the reply to b: ΔO per
+// class, or why the batch was not applied. The path is gated (bounded
+// commits in flight, bounded queue, bounded wait — excess load is shed with
+// an explicit overload reply); applyOptions has the rest.
 //
 // The returned shed is true when the batch was refused by admission
-// control (nothing was applied; the caller keeps it staged so a bare
-// retry works); alive is false when the connection died mid-reply.
-func (s *server) commit(batch incgraph.Batch, reply func(string, ...any) bool) (shed, alive bool) {
+// control or the read-only disk (nothing was applied; the caller keeps it
+// staged so a bare retry works).
+func (s *server) commit(b []byte, batch incgraph.Batch) (shed bool, reply []byte) {
 	if len(batch) == 0 {
-		return false, replyErr(reply, catStaged, "nothing staged")
+		return false, wire.AppendError(b, wire.Staged, "nothing staged")
 	}
 	v := s.view.Load()
 	if v.role == roleStandby {
-		return false, replyErr(reply, catFenced, "standby is read-only; promote to accept commits")
+		return false, wire.AppendError(b, wire.Fenced, "standby is read-only; promote to accept commits")
 	}
 	// Read-only disk mode sheds before admission: the batch stays staged
 	// (a bare "commit" retry works once the probe heals the disk) and the
 	// gate's slots stay free for the probe-driven recovery.
 	if s.diskState.Load() == diskReadOnly {
 		s.diskShed.Add(1)
-		return true, replyErr(reply, catDisk, "degraded; read-only; retry in %dms", retryHintMS)
+		return true, wire.AppendError(b, wire.Disk, "degraded; read-only"+retryHint)
 	}
 	if s.commitGate.enter() != nil {
-		return true, replyErr(reply, catOverloaded, "commit queue full; retry in %dms", retryHintMS)
+		return true, wire.AppendError(b, wire.Overloaded, "commit queue full"+retryHint)
 	}
-	// The slot goes back before the reply goes out: a client that has read
-	// its ack (or its error) may retry at once, and on a full gate that
-	// retry must find the capacity this commit held, not race its release.
-	shed, line := s.commitAdmitted(batch, v)
-	s.commitGate.exit()
-	return shed, reply("%s", line)
-}
-
-// commitAdmitted is commit past the admission gate. It returns the reply
-// line instead of sending it, so that the caller can release the gate slot
-// first.
-func (s *server) commitAdmitted(batch incgraph.Batch, v *view) (shed bool, line string) {
 	opts, res := s.applyOptions(v, batch)
 	// commitMu around the whole validate + log + apply keeps WAL order equal
 	// to commit order.
 	s.commitMu.Lock()
 	sums, err := s.d.Commit(batch, opts)
 	s.commitMu.Unlock()
-	if err != nil {
-		if errors.Is(err, errDiskDegraded) {
-			// The append retries were exhausted and the daemon just went
-			// read-only. Nothing was logged or applied, so this commit is a
-			// shed like the ones the read-only check above refuses: the
-			// batch stays staged and the same reply tells the client why.
-			s.diskShed.Add(1)
-			return true, errLine(catDisk, "degraded; read-only; retry in %dms", retryHintMS)
-		}
+	// The slot goes back before the reply goes out: a client that has read
+	// its ack (or its error) may retry at once, and on a full gate that
+	// retry must find the capacity this commit held, not race its release.
+	s.commitGate.exit()
+	switch {
+	case errors.Is(err, errDiskDegraded):
+		// The append retries were exhausted and the daemon just went
+		// read-only. Nothing was logged or applied, so this commit is a
+		// shed like the ones the read-only check above refuses: the batch
+		// stays staged and the same reply tells the client why.
+		s.diskShed.Add(1)
+		return true, wire.AppendError(b, wire.Disk, "degraded; read-only"+retryHint)
+	case err != nil:
 		if !errors.Is(err, incgraph.ErrBadUpdate) {
 			s.commitErrs.Add(1)
 			log.Printf("commit failed: %v", err)
 		}
-		return false, errLine(catStaged, "commit failed: %v", err)
+		return false, wire.AppendError(b, wire.Staged, "commit failed: "+err.Error())
 	}
-	return false, appliedLine(len(batch), res.gen, s.d.Engines(), sums)
+	return false, wire.AppendApplied(b, len(batch), res.gen, s.classes, sums)
 }
 
 // commitResult is what one commit's apply hook saw under commitMu: the
@@ -619,37 +549,6 @@ func (s *server) applyOptions(v *view, batch incgraph.Batch) (incgraph.ApplyOpti
 		return err
 	}
 	return opts, res
-}
-
-// appendStagedLine appends the stage ack, "ok staged N" and a newline,
-// without fmt: it is written once per staged update.
-func appendStagedLine(b []byte, n int) []byte {
-	b = append(b, "ok staged "...)
-	b = strconv.AppendInt(b, int64(n), 10)
-	return append(b, '\n')
-}
-
-// appliedLine renders the commit ack, "ok applied N gen=G" followed by
-// " <class>=ΔO{+a −b ~c}" per engine (DeltaSummary.String's rendering;
-// clients parse it), without fmt.
-func appliedLine(n int, gen uint64, engines []incgraph.Maintained, sums []incgraph.DeltaSummary) string {
-	b := make([]byte, 0, 48+40*len(engines))
-	b = append(b, "ok applied "...)
-	b = strconv.AppendInt(b, int64(n), 10)
-	b = append(b, " gen="...)
-	b = strconv.AppendUint(b, gen, 10)
-	for i, m := range engines {
-		b = append(b, ' ')
-		b = append(b, m.Class()...)
-		b = append(b, "=ΔO{+"...)
-		b = strconv.AppendInt(b, int64(sums[i].Added), 10)
-		b = append(b, " −"...)
-		b = strconv.AppendInt(b, int64(sums[i].Removed), 10)
-		b = append(b, " ~"...)
-		b = strconv.AppendInt(b, int64(sums[i].Updated), 10)
-		b = append(b, '}')
-	}
-	return string(b)
 }
 
 // logWithRetry is the WAL append under the disk-degradation contract:
@@ -744,137 +643,116 @@ func (s *server) probeDisk() {
 }
 
 // read serves "query" (cardinality) and "answer" (full canonical dump) from
-// the current view: the size published with it, and for an answer the
-// view's base rows merged with its chain of ΔO, rendered while merging.
-// Nothing here can fail or wait for a commit. Both replies name the
-// generation they were served at. The read gate covers only the in-memory
-// render — never the socket writes, so a stalled client can't hold a slot.
-func (s *server) read(cmd, class string, conn net.Conn, out *bufio.Writer, reply func(string, ...any) bool) bool {
+// the current view, appending the reply to b: the size published with it,
+// and for an answer the view's base rows merged with its chain of ΔO,
+// rendered while merging. Nothing here can fail or wait for a commit. Both
+// replies name the generation they were served at. The read gate covers
+// only this in-memory render — never the socket writes, so a stalled client
+// can't hold a slot.
+func (s *server) read(b []byte, answer bool, class string) []byte {
 	// Replica-read gate: a standby serves reads while its feed is live
 	// (the replica is provably current) and keeps serving from the last
 	// durable generation when the primary is gone — but a replica that
 	// diverged from a live primary redirects instead of answering wrong.
 	if s.tail.Load() == tailStale {
-		return replyErr(reply, catFenced, "stale replica; redirect %s", s.primaryAddr)
+		return wire.AppendError(b, wire.Fenced, "stale replica; redirect "+s.primaryAddr)
 	}
 	i, ok := s.classAt[class]
 	if !ok {
-		return replyErr(reply, catProto, "no standing query for class %q", class)
+		return wire.AppendError(b, wire.Proto, fmt.Sprintf("no standing query for class %q", class))
 	}
 	if s.readGate.enter() != nil {
-		return replyErr(reply, catOverloaded, "read queue full; retry in %dms", retryHintMS)
+		return wire.AppendError(b, wire.Overloaded, "read queue full"+retryHint)
 	}
 	v := s.view.Load()
 	c := &v.classes[i]
-	var dump []byte
-	if cmd == "answer" {
+	b = wire.AppendRead(b, class, c.size, v.gen)
+	if answer {
 		m := s.d.Engines()[i]
-		incgraph.MergeRows(m, c.base, c.chain, func(row []incgraph.NodeID) { dump = m.AppendRow(dump, row) })
+		incgraph.MergeRows(m, c.base, c.chain, func(row []incgraph.NodeID) { b = m.AppendRow(b, row) })
+		b = append(b, wire.DumpEnd...)
 	}
 	s.readGate.exit()
-	if !reply("ok %s %d gen=%d", class, c.size, v.gen) {
-		return false
-	}
-	if cmd == "query" {
-		return true
-	}
-	// The dump can be many buffer-fulls; the whole drain runs under one
-	// write deadline so a stalled client is cut at the op timeout.
-	if s.lim.opTimeout > 0 {
-		conn.SetWriteDeadline(time.Now().Add(s.lim.opTimeout))
-		defer conn.SetWriteDeadline(time.Time{})
-	}
-	if _, err := out.Write(dump); err != nil {
-		return false
-	}
-	fmt.Fprintln(out, ".")
-	return out.Flush() == nil
+	return b
 }
 
-func (s *server) stat(reply func(string, ...any) bool) bool {
-	// The engines' classes are fixed at attach; reading them touches no
-	// engine state.
-	classes := make([]string, 0, len(s.d.Engines()))
-	for _, m := range s.d.Engines() {
-		classes = append(classes, m.Class())
-	}
+// stat appends the counters reply to b.
+func (s *server) stat(b []byte) []byte {
 	// Graph counters come from the view, durable metadata from the mirror:
 	// the graph and the store mutate under locks a read does not take.
 	v := s.view.Load()
-	line := fmt.Sprintf("ok role=%s nodes=%d edges=%d gen=%d epoch=%d walseq=%d walbytes=%d classes=%s",
-		v.role, v.nodes, v.edges, v.gen,
-		s.epoch.Load(), s.walSeq.Load(), s.walBytes.Load(), strings.Join(classes, ","))
+	var f wire.Fields
+	f.Add("role", v.role, "nodes", v.nodes, "edges", v.edges, "gen", v.gen,
+		"epoch", s.epoch.Load(), "walseq", s.walSeq.Load(), "walbytes", s.walBytes.Load(),
+		"classes", strings.Join(s.classes, ","))
 	// The read side: the generation on view, the ΔO rows waiting in chains
 	// for a reader to merge, and how often a chain was folded into its base.
 	chainRows := 0
 	for i := range v.classes {
 		chainRows += v.classes[i].chainRows
 	}
-	line += fmt.Sprintf(" view_gen=%d view_delta_rows=%d view_folds=%d", v.gen, chainRows, s.viewFolds.Load())
+	f.Add("view_gen", v.gen, "view_delta_rows", chainRows, "view_folds", s.viewFolds.Load())
 	// Error counters: what the accept-loop and commit-path logs saw, as
 	// machine-readable fields (the crash drill asserts their presence).
-	line += fmt.Sprintf(" accept_errs=%d commit_errs=%d", s.acceptErrs.Load(), s.commitErrs.Load())
+	f.Add("accept_errs", s.acceptErrs.Load(), "commit_errs", s.commitErrs.Load())
 	// Overload counters: every shed, refused stage, oversized line and
 	// deadline drop, so graceful degradation is observable, not silent.
-	line += fmt.Sprintf(" conns=%d conns_shed=%d staged_shed=%d lines_too_long=%d idle_drops=%d",
-		s.nconns.Load(), s.connsShed.Load(), s.stagedShed.Load(),
-		s.linesTooLong.Load(), s.idleDrops.Load())
+	f.Add("conns", s.nconns.Load(), "conns_shed", s.connsShed.Load(), "staged_shed", s.stagedShed.Load(),
+		"lines_too_long", s.linesTooLong.Load(), "idle_drops", s.idleDrops.Load())
 	// commit_cluster_shed is always 0: the daemon has no cluster phase 1 to
 	// shed a commit before. Its last reader is perf/e2e.go, which fails a run
 	// whose stat lacks it, so it goes with the benchmark's next change, as
 	// Durable.Recover does.
 	ca, cs, ct := s.commitGate.stats()
 	ra, rs, rt := s.readGate.stats()
-	line += fmt.Sprintf(" commit_admitted=%d commit_shed=%d commit_timeouts=%d commit_cluster_shed=0 read_admitted=%d read_shed=%d read_timeouts=%d",
-		ca, cs, ct, ra, rs, rt)
+	f.Add("commit_admitted", ca, "commit_shed", cs, "commit_timeouts", ct, "commit_cluster_shed", 0,
+		"read_admitted", ra, "read_shed", rs, "read_timeouts", rt)
 	// Disk-degradation state and counters: every retried append and every
 	// read-only transition is observable, not just logged.
-	line += fmt.Sprintf(" disk=%s disk_retries=%d disk_ro_enters=%d disk_ro_exits=%d disk_shed=%d",
-		diskName(s.diskState.Load()), s.diskRetries.Load(),
-		s.diskROEnters.Load(), s.diskROExits.Load(), s.diskShed.Load())
+	f.Add("disk", diskName(s.diskState.Load()), "disk_retries", s.diskRetries.Load(),
+		"disk_ro_enters", s.diskROEnters.Load(), "disk_ro_exits", s.diskROExits.Load(), "disk_shed", s.diskShed.Load())
 	// Process runtime gauges, for the load generator's soak sampler.
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	line += fmt.Sprintf(" goroutines=%d heap_bytes=%d", runtime.NumGoroutine(), ms.HeapAlloc)
+	f.Add("goroutines", runtime.NumGoroutine(), "heap_bytes", ms.HeapAlloc)
 	// Whether the engines' fan-out engages on this traffic: parallel loops
 	// run, loops a helper arrived in time to share, helpers started.
 	fo := incgraph.ReadFanOutStats()
-	line += fmt.Sprintf(" fanout_loops=%d fanout_engaged=%d fanout_helpers=%d", fo.Loops, fo.Engaged, fo.Helpers)
+	f.Add("fanout_loops", fo.Loops, "fanout_engaged", fo.Engaged, "fanout_helpers", fo.Helpers)
 	if v.hub != nil {
-		line += fmt.Sprintf(" standbys=%d", v.hub.Standbys())
+		f.Add("standbys", v.hub.Standbys())
 	}
 	if st := s.standby; st != nil {
-		line += fmt.Sprintf(" tail=%s tail_term=%d tail_seq=%d tail_gen=%d",
-			tailName(s.tail.Load()), st.Term(), st.LastSeq(), st.Gen())
+		f.Add("tail", tailName(s.tail.Load()), "tail_term", st.Term(), "tail_seq", st.LastSeq(), "tail_gen", st.Gen())
 	}
-	return reply("%s", line)
+	return wire.AppendFields(b, f)
 }
 
-// health is the cheap liveness probe: one line of role and position.
-func (s *server) health(reply func(string, ...any) bool) bool {
+// health appends the cheap liveness probe's reply to b: role and position.
+func (s *server) health(b []byte) []byte {
 	v := s.view.Load()
-	line := fmt.Sprintf("ok role=%s gen=%d walseq=%d disk=%s",
-		v.role, v.gen, s.walSeq.Load(), diskName(s.diskState.Load()))
+	var f wire.Fields
+	f.Add("role", v.role, "gen", v.gen, "walseq", s.walSeq.Load(), "disk", diskName(s.diskState.Load()))
 	if v.hub != nil {
-		line += fmt.Sprintf(" standbys=%d", v.hub.Standbys())
+		f.Add("standbys", v.hub.Standbys())
 	}
 	if s.standby != nil {
-		line += fmt.Sprintf(" tail=%s tail_seq=%d", tailName(s.tail.Load()), s.standby.LastSeq())
+		f.Add("tail", tailName(s.tail.Load()), "tail_seq", s.standby.LastSeq())
 	}
-	return reply("%s", line)
+	return wire.AppendFields(b, f)
 }
 
 // promote flips a standby into a primary at the deposed primary's term+1:
 // it cuts the tail, and the replica's durable state becomes authoritative.
 // Nothing fences the deposed primary (the daemon has no shard workers to
 // refuse it); the operator promotes once it is gone.
-func (s *server) promote(reply func(string, ...any) bool) bool {
+func (s *server) promote(b []byte) []byte {
 	// A feed apply holds commitMu for its whole body, so once we have it no
 	// fed batch can slip in after the role check below.
 	s.commitMu.Lock()
 	defer s.commitMu.Unlock()
 	if s.view.Load().role != roleStandby {
-		return replyErr(reply, catFenced, "already primary")
+		return wire.AppendError(b, wire.Fenced, "already primary")
 	}
 	// Cut the tail first so a live feed cannot race the role flip; the
 	// apply callback also rejects feeds once the role is primary.
@@ -885,5 +763,5 @@ func (s *server) promote(reply func(string, ...any) bool) bool {
 	s.publish(false, func(v *view) { v.role = rolePrimary })
 	s.tail.Store(tailNone)
 	log.Printf("promoted to primary at term %d", term)
-	return reply("ok promoted term=%d", term)
+	return wire.AppendPromoted(b, term)
 }

@@ -2,9 +2,6 @@ package main
 
 import (
 	"bytes"
-	"fmt"
-	"strconv"
-	"strings"
 	"testing"
 
 	"incgraph"
@@ -61,22 +58,6 @@ func TestPublishAllocsIndependentOfSizes(t *testing.T) {
 	}
 }
 
-// statInt returns the integer field name=N of a stat or health reply.
-func statInt(t *testing.T, reply, name string) int {
-	t.Helper()
-	for _, f := range strings.Fields(reply) {
-		if v, ok := strings.CutPrefix(f, name+"="); ok {
-			n, err := strconv.Atoi(v)
-			if err != nil {
-				t.Fatalf("%s: %v", f, err)
-			}
-			return n
-		}
-	}
-	t.Fatalf("%q has no %s=", reply, name)
-	return 0
-}
-
 // TestChainFoldsWithoutReaders commits a ring open and shut many times over
 // one connection that never reads an answer: once its fold is done the chain
 // must be within its bound after every commit, folds must have happened, and
@@ -85,32 +66,32 @@ func TestChainFoldsWithoutReaders(t *testing.T) {
 	const ring, loose = 50, 150
 	srv := ringServer(t, ring, loose)
 	c, _ := pipeClient(t, srv)
-	statField := func(name string) int { return statInt(t, c.cmd(t, "stat"), name) }
+	stat := func(name string) int { return int(statField(t, c, name)) }
 	for i := 0; i < 40; i++ {
-		op := "-"
+		u := incgraph.Del(0, 1)
 		if i%2 == 1 {
-			op = "+"
+			u = incgraph.Ins(0, 1)
 		}
-		c.cmd(t, fmt.Sprintf("%s 0 1", op))
-		c.cmd(t, "commit")
+		noErr(t, c.Stage(incgraph.Batch{u}))
+		must(t, c.Commit)
 		// The commit that takes a chain past the threshold starts its fold,
 		// and no base has more than ring+loose rows.
 		waitFor(t, "the fold to finish", func() bool { return !srv.folding[0].Load() })
-		if rows, limit := statField("view_delta_rows"), foldMin+(ring+loose)/foldFrac; rows > limit {
+		if rows, limit := stat("view_delta_rows"), foldMin+(ring+loose)/foldFrac; rows > limit {
 			t.Fatalf("commit %d: %d rows wait in the chain, want at most %d", i, rows, limit)
 		}
 	}
-	if statField("view_folds") == 0 {
+	if stat("view_folds") == 0 {
 		t.Fatal("no chain was ever folded")
 	}
-	if gen, vgen := statField("gen"), statField("view_gen"); gen != vgen || gen != int(srv.d.Generation()) {
+	if gen, vgen := stat("gen"), stat("view_gen"); gen != vgen || gen != int(srv.d.Generation()) {
 		t.Fatalf("stat gen=%d view_gen=%d, the graph is at %d", gen, vgen, srv.d.Generation())
 	}
 	var want bytes.Buffer
 	if err := srv.d.Engines()[0].WriteAnswer(&want); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.answer(t, "scc"); got != want.String() {
-		t.Fatalf("answer after %d folds:\n%s\nengine:\n%s", statField("view_folds"), got, want.String())
+	if got := answer(t, c, "scc"); got != want.String() {
+		t.Fatalf("answer after %d folds:\n%s\nengine:\n%s", stat("view_folds"), got, want.String())
 	}
 }

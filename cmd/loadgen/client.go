@@ -1,15 +1,14 @@
 package main
 
 import (
-	"bufio"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
-	"strconv"
-	"strings"
 	"time"
 
 	"incgraph"
+	"incgraph/internal/wire"
 )
 
 // sample is one completed op: its class, when it started (relative to the
@@ -43,9 +42,8 @@ type worker struct {
 	opBudget time.Duration
 	epoch    time.Time // measurement start (end of warmup)
 
-	conn net.Conn
-	r    *bufio.Reader
-	rng  *rand.Rand
+	c   *wire.Client
+	rng *rand.Rand
 
 	nextID int64             // private fresh-node allocator
 	own    []incgraph.Update // own committed inserts, eligible for delete
@@ -79,7 +77,7 @@ func newWorker(id int, env *runEnv, sc *Scenario, seed int64) (*worker, error) {
 	}
 	w := &worker{
 		id: id, sc: sc, env: env, opBudget: env.opBudget, epoch: env.epoch,
-		conn: conn, r: bufio.NewReader(conn),
+		c:      wire.NewClient(conn, env.opBudget),
 		rng:    rand.New(rand.NewSource(seed)),
 		nextID: idBase + int64(id)*idStride,
 	}
@@ -88,7 +86,7 @@ func newWorker(id int, env *runEnv, sc *Scenario, seed int64) (*worker, error) {
 
 // run executes the scenario mix until stop closes, then hangs up.
 func (w *worker) run(stop <-chan struct{}) {
-	defer w.conn.Close()
+	defer func() { w.c.Close() }()
 	var ops []string
 	var weights []int
 	total := 0
@@ -102,7 +100,7 @@ func (w *worker) run(stop <-chan struct{}) {
 	for {
 		select {
 		case <-stop:
-			fmt.Fprintln(w.conn, "quit")
+			w.c.Send("quit\n")
 			return
 		default:
 		}
@@ -158,7 +156,7 @@ func (w *worker) run(stop <-chan struct{}) {
 		if w.sc.Think > 0 {
 			select {
 			case <-stop:
-				fmt.Fprintln(w.conn, "quit")
+				w.c.Send("quit\n")
 				return
 			case <-time.After(time.Duration(w.sc.Think)):
 			}
@@ -170,7 +168,7 @@ func (w *worker) run(stop <-chan struct{}) {
 // have just swapped to the promoted standby) with capped backoff until
 // it succeeds or the run stops.
 func (w *worker) reconnect(stop <-chan struct{}) bool {
-	w.conn.Close()
+	w.c.Close()
 	backoff := 50 * time.Millisecond
 	for {
 		select {
@@ -180,7 +178,7 @@ func (w *worker) reconnect(stop <-chan struct{}) bool {
 		}
 		conn, err := net.DialTimeout("tcp", w.env.book.get(), 2*time.Second)
 		if err == nil {
-			w.conn, w.r = conn, bufio.NewReader(conn)
+			w.c = wire.NewClient(conn, w.opBudget)
 			return true
 		}
 		select {
@@ -194,109 +192,31 @@ func (w *worker) reconnect(stop <-chan struct{}) bool {
 	}
 }
 
-// hangError marks a reply that never arrived within the op budget.
-type hangError struct{ op string }
-
-func (e hangError) Error() string { return fmt.Sprintf("%s: no reply within the op budget", e.op) }
-
+// isHang reports a reply that never arrived within the op budget.
 func isHang(err error) bool {
-	_, ok := err.(hangError)
-	return ok
-}
-
-// readReply reads one reply line under the op budget.
-func (w *worker) readReply(op string) (string, error) {
-	w.conn.SetReadDeadline(time.Now().Add(w.opBudget))
-	line, err := w.r.ReadString('\n')
-	if err != nil {
-		if ne, ok := err.(net.Error); ok && ne.Timeout() {
-			return "", hangError{op}
-		}
-		return "", err
-	}
-	return strings.TrimSpace(line), nil
-}
-
-// replyCategory extracts <category> from the daemon's machine-parseable
-// error grammar, "err <category>: <detail>"; non-error and malformed
-// replies yield "".
-func replyCategory(reply string) string {
-	rest, ok := strings.CutPrefix(reply, "err ")
-	if !ok {
-		return ""
-	}
-	cat, _, ok := strings.Cut(rest, ":")
-	if !ok {
-		return ""
-	}
-	return strings.TrimSpace(cat)
-}
-
-// isShed recognizes the daemon's explicit degradation replies by
-// category: overload shedding and disk-degraded read-only mode. Both
-// keep a staged batch and both mean "the contract held", never a
-// failure.
-func isShed(reply string) bool {
-	switch replyCategory(reply) {
-	case "overloaded", "disk":
-		return true
-	}
-	return false
+	var ne net.Error
+	return errors.As(err, &ne) && ne.Timeout()
 }
 
 // op runs one operation of the given class. It returns shed=true when the
-// daemon refused it with an explicit overload reply (the batch, if any,
-// was aborted cleanly), and err for hangs, transport failures, and
-// non-overload error replies.
+// daemon refused it with an explicit overload or disk reply (the batch, if
+// any, was aborted cleanly), and err for hangs, transport failures, and
+// other error replies.
 func (w *worker) op(op string) (shed bool, err error) {
 	switch op {
 	case "query":
-		if _, err := fmt.Fprintf(w.conn, "query %s\n", answerClass); err != nil {
-			return false, err
-		}
-		reply, err := w.readReply(op)
-		if err != nil {
-			return false, err
-		}
-		if isShed(reply) {
-			return true, nil
-		}
-		if !strings.HasPrefix(reply, "ok") {
-			return false, fmt.Errorf("query: %s", reply)
-		}
-		return false, nil
+		_, err = w.c.Query(answerClass)
 	case "answer":
-		if _, err := fmt.Fprintf(w.conn, "answer %s\n", answerClass); err != nil {
-			return false, err
-		}
-		reply, err := w.readReply(op)
-		if err != nil {
-			return false, err
-		}
-		if isShed(reply) {
-			return true, nil
-		}
-		if !strings.HasPrefix(reply, "ok") {
-			return false, fmt.Errorf("answer: %s", reply)
-		}
-		// Drain the dot-terminated dump under the same budget.
-		w.conn.SetReadDeadline(time.Now().Add(w.opBudget))
-		for {
-			line, err := w.r.ReadString('\n')
-			if err != nil {
-				if ne, ok := err.(net.Error); ok && ne.Timeout() {
-					return false, hangError{op}
-				}
-				return false, err
-			}
-			if strings.TrimSpace(line) == "." {
-				return false, nil
-			}
-		}
+		_, _, err = w.c.Answer(answerClass)
 	case "commit":
 		return w.commit()
+	default:
+		return false, fmt.Errorf("unknown op %q", op)
 	}
-	return false, fmt.Errorf("unknown op %q", op)
+	if wire.Retryable(err) {
+		return true, nil
+	}
+	return false, err
 }
 
 // commit stages one batch and commits it, retrying a shed commit (the
@@ -304,76 +224,31 @@ func (w *worker) op(op string) (shed bool, err error) {
 // batch and its generation are kept for the parity replay.
 func (w *worker) commit() (shed bool, err error) {
 	batch := w.makeBatch()
-	// Pipeline the stage lines, then read all their acks.
-	var sb strings.Builder
-	for _, u := range batch {
-		if u.Op == incgraph.OpInsert {
-			fmt.Fprintf(&sb, "+ %d %d %s %s\n", u.From, u.To, u.FromLabel, u.ToLabel)
-		} else {
-			fmt.Fprintf(&sb, "- %d %d\n", u.From, u.To)
-		}
-	}
-	if _, err := w.conn.Write([]byte(sb.String())); err != nil {
+	if err := w.c.Stage(batch); err != nil {
 		return false, err
 	}
-	for range batch {
-		reply, err := w.readReply("stage")
-		if err != nil {
-			return false, err
-		}
-		if !strings.HasPrefix(reply, "ok staged") {
-			return false, fmt.Errorf("stage: %s", reply)
-		}
-	}
 	for attempt := 0; ; attempt++ {
-		if _, err := fmt.Fprintln(w.conn, "commit"); err != nil {
-			return false, err
-		}
-		reply, err := w.readReply("commit")
-		if err != nil {
-			return false, err
-		}
+		ack, err := w.c.Commit()
 		switch {
-		case strings.HasPrefix(reply, "ok applied"):
-			gen, err := parseGen(reply)
-			if err != nil {
-				return false, err
-			}
-			w.admitted = append(w.admitted, admittedCommit{gen: gen, batch: batch})
+		case err == nil:
+			w.admitted = append(w.admitted, admittedCommit{gen: ack.Gen, batch: batch})
 			for _, u := range batch {
 				if u.Op == incgraph.OpInsert {
 					w.own = append(w.own, u)
 				}
 			}
 			return false, nil
-		case isShed(reply):
-			if attempt < 2 {
-				time.Sleep(100 * time.Millisecond) // the reply's retry hint
-				continue
-			}
+		case !wire.Retryable(err):
+			return false, err
+		case attempt < 2:
+			time.Sleep(100 * time.Millisecond) // the reply's retry hint
+		default:
 			// Still overloaded: abort so the staged batch doesn't leak
 			// into a later unrelated commit.
-			if _, err := fmt.Fprintln(w.conn, "abort"); err != nil {
-				return false, err
-			}
-			if _, err := w.readReply("abort"); err != nil {
-				return false, err
-			}
-			return true, nil
-		default:
-			return false, fmt.Errorf("commit: %s", reply)
+			_, err := w.c.Abort()
+			return err == nil, err
 		}
 	}
-}
-
-// parseGen extracts G from "ok applied N gen=G ...".
-func parseGen(reply string) (uint64, error) {
-	for _, f := range strings.Fields(reply) {
-		if v, ok := strings.CutPrefix(f, "gen="); ok {
-			return strconv.ParseUint(v, 10, 64)
-		}
-	}
-	return 0, fmt.Errorf("commit ack %q carries no gen=", reply)
 }
 
 // makeBatch builds one batch from the worker's private ID range: fresh

@@ -1,13 +1,13 @@
 package main
 
 import (
-	"bufio"
+	"errors"
 	"fmt"
-	"net"
 	"os/exec"
-	"strconv"
 	"strings"
 	"time"
+
+	"incgraph/internal/wire"
 )
 
 // The fault driver: runs the scenario's mid-storm topology fault.
@@ -47,11 +47,11 @@ func runFailover(env *runEnv, opts runOpts, logf func(string, ...any)) (string, 
 	// primary dies, or those commits exist nowhere after promotion.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		pGen, err := queryGen(primary)
+		pGen, err := statGen(primary)
 		if err != nil {
 			return "", fmt.Errorf("drain: primary stat: %v", err)
 		}
-		sGen, err := queryGen(opts.failoverAddr)
+		sGen, err := statGen(opts.failoverAddr)
 		if err != nil {
 			return "", fmt.Errorf("drain: standby stat: %v", err)
 		}
@@ -75,17 +75,22 @@ func runFailover(env *runEnv, opts runOpts, logf func(string, ...any)) (string, 
 	var promoted string
 	deadline = time.Now().Add(10 * time.Second)
 	for {
-		reply, err := oneShot(opts.failoverAddr, "promote")
-		if err == nil && strings.HasPrefix(reply, "ok promoted") {
-			promoted = reply
-			break
+		c, err := wire.Dial(opts.failoverAddr, 5*time.Second)
+		if err == nil {
+			var term uint64
+			term, err = c.Promote()
+			c.Close()
+			promoted = fmt.Sprintf("promoted at term %d", term)
 		}
-		if err == nil && replyCategory(reply) == "fenced" && strings.Contains(reply, "already primary") {
-			promoted = reply // a retried promote raced its own success
+		var refused *wire.Error
+		if errors.As(err, &refused) && refused.Category == wire.Fenced && strings.Contains(refused.Detail, "already primary") {
+			promoted, err = "already primary", nil // a retried promote raced its own success
+		}
+		if err == nil {
 			break
 		}
 		if time.Now().After(deadline) {
-			return "", fmt.Errorf("promote: %v %s", err, reply)
+			return "", fmt.Errorf("promote: %v", err)
 		}
 		time.Sleep(100 * time.Millisecond)
 	}
@@ -94,32 +99,21 @@ func runFailover(env *runEnv, opts runOpts, logf func(string, ...any)) (string, 
 	return fmt.Sprintf("failover: killed %s, %s", primary, promoted), nil
 }
 
-// oneShot runs a single command on a fresh connection and returns the
-// first reply line.
-func oneShot(addr, cmd string) (string, error) {
-	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
+// stat reads a daemon's counters on a connection of its own.
+func stat(addr string) (wire.Fields, error) {
+	c, err := wire.Dial(addr, 5*time.Second)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	defer conn.Close()
-	if _, err := fmt.Fprintln(conn, cmd); err != nil {
-		return "", err
-	}
-	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	reply, err := bufio.NewReader(conn).ReadString('\n')
-	return strings.TrimSpace(reply), err
+	defer c.Close()
+	return c.Stat()
 }
 
-// queryGen reads gen= from a daemon's "stat" line.
-func queryGen(addr string) (uint64, error) {
-	stat, err := oneShot(addr, "stat")
+// statGen reads gen= from a daemon's stat.
+func statGen(addr string) (uint64, error) {
+	st, err := stat(addr)
 	if err != nil {
 		return 0, err
 	}
-	for _, f := range strings.Fields(stat) {
-		if v, ok := strings.CutPrefix(f, "gen="); ok {
-			return strconv.ParseUint(v, 10, 64)
-		}
-	}
-	return 0, fmt.Errorf("stat %q carries no gen=", stat)
+	return st.Uint("gen")
 }

@@ -1,17 +1,15 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"fmt"
-	"net"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"incgraph"
+	"incgraph/internal/wire"
 )
 
 // runResult is the merged outcome of one scenario run, ready for
@@ -449,52 +447,26 @@ func verifyParity(addr string, workers []*worker) error {
 		return err
 	}
 
-	conn, err := net.DialTimeout("tcp", addr, 10*time.Second)
+	c, err := wire.Dial(addr, 30*time.Second)
 	if err != nil {
 		return err
 	}
-	defer conn.Close()
-	r := bufio.NewReader(conn)
-	line := func(cmd string) (string, error) {
-		if _, err := fmt.Fprintln(conn, cmd); err != nil {
-			return "", err
-		}
-		conn.SetReadDeadline(time.Now().Add(30 * time.Second))
-		reply, err := r.ReadString('\n')
-		return strings.TrimSpace(reply), err
-	}
-	stat, err := line("stat")
+	defer c.Close()
+	st, err := c.Stat()
 	if err != nil {
 		return fmt.Errorf("stat: %v", err)
 	}
-	for _, f := range strings.Fields(stat) {
-		if v, ok := strings.CutPrefix(f, "nodes="); ok && v != fmt.Sprint(g.NumNodes()) {
-			return fmt.Errorf("daemon has %s nodes, replay built %d (from %d acked commits)", v, g.NumNodes(), len(commits))
-		}
-		if v, ok := strings.CutPrefix(f, "edges="); ok && v != fmt.Sprint(g.NumEdges()) {
-			return fmt.Errorf("daemon has %s edges, replay built %d (from %d acked commits)", v, g.NumEdges(), len(commits))
+	for key, built := range map[string]int{"nodes": g.NumNodes(), "edges": g.NumEdges()} {
+		if n, err := st.Uint(key); err != nil || n != uint64(built) {
+			v, _ := st.Get(key)
+			return fmt.Errorf("daemon has %s %s, replay built %d (from %d acked commits)", v, key, built, len(commits))
 		}
 	}
-	reply, err := line("answer " + answerClass)
+	_, got, err := c.Answer(answerClass)
 	if err != nil {
 		return fmt.Errorf("answer: %v", err)
 	}
-	if !strings.HasPrefix(reply, "ok") {
-		return fmt.Errorf("answer: %s", reply)
-	}
-	var got strings.Builder
-	for {
-		conn.SetReadDeadline(time.Now().Add(30 * time.Second))
-		l, err := r.ReadString('\n')
-		if err != nil {
-			return fmt.Errorf("answer dump: %v", err)
-		}
-		if strings.TrimSpace(l) == "." {
-			break
-		}
-		got.WriteString(l)
-	}
-	if got.String() != want.String() {
+	if !bytes.Equal(got, want.Bytes()) {
 		return fmt.Errorf("%s answers differ: daemon dump is not byte-identical to a from-scratch build over %d acked commits",
 			answerClass, len(commits))
 	}

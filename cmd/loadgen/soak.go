@@ -4,9 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 )
@@ -39,11 +36,11 @@ type soakSampler struct {
 	admitted int
 	sheds    int
 	errs     int
-	durs     []time.Duration
+	lat      *hist
 }
 
 func newSoakSampler(book *addrBook) *soakSampler {
-	return &soakSampler{book: book}
+	return &soakSampler{book: book, lat: newHist()}
 }
 
 // record adds one completed op to the current window. Workers call it
@@ -57,7 +54,7 @@ func (s *soakSampler) record(smp sample) {
 		s.errs++
 	default:
 		s.admitted++
-		s.durs = append(s.durs, smp.dur)
+		s.lat.record(smp.dur)
 	}
 	s.mu.Unlock()
 }
@@ -86,33 +83,22 @@ func (s *soakSampler) emit(window time.Duration, epoch time.Time) {
 		Sheds:    s.sheds,
 		Errs:     s.errs,
 	}
-	durs := s.durs
-	s.admitted, s.sheds, s.errs, s.durs = 0, 0, 0, nil
+	lat := s.lat
+	s.admitted, s.sheds, s.errs, s.lat = 0, 0, 0, newHist()
 	s.mu.Unlock()
 
 	now := time.Now()
 	pt.T = now.Format(time.RFC3339)
 	pt.ElapsedSec = now.Sub(epoch).Seconds()
 	pt.PerSec = float64(pt.Admitted) / window.Seconds()
-	if len(durs) > 0 {
-		sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
-		q := func(f float64) float64 {
-			i := int(f * float64(len(durs)-1))
-			return float64(durs[i]) / float64(time.Millisecond)
-		}
-		pt.P50Ms, pt.P99Ms = q(0.50), q(0.99)
-	}
+	pt.P50Ms = float64(lat.quantile(0.50)) / float64(time.Millisecond)
+	pt.P99Ms = float64(lat.quantile(0.99)) / float64(time.Millisecond)
 	// The daemon's own gauges ride along when "stat" answers quickly;
 	// a dead daemon (mid-failover) just omits them from this point.
-	if stat, err := oneShot(s.book.get(), "stat"); err == nil {
-		for _, f := range strings.Fields(stat) {
-			if v, ok := strings.CutPrefix(f, "goroutines="); ok {
-				pt.Goroutines, _ = strconv.Atoi(v)
-			}
-			if v, ok := strings.CutPrefix(f, "heap_bytes="); ok {
-				pt.HeapBytes, _ = strconv.ParseUint(v, 10, 64)
-			}
-		}
+	if st, err := stat(s.book.get()); err == nil {
+		goroutines, _ := st.Uint("goroutines")
+		pt.Goroutines = int(goroutines)
+		pt.HeapBytes, _ = st.Uint("heap_bytes")
 	}
 	line, err := json.Marshal(pt)
 	if err != nil {

@@ -157,7 +157,8 @@
 //     fully intact.
 //
 // cmd/incgraphd is the long-lived server built on this subsystem: it
-// ingests "+/-" update streams over a line protocol and checkpoints on
+// ingests "+/-" update streams over a line protocol (internal/wire states
+// it, writes and parses its replies, and is its one client) and checkpoints on
 // demand or past a WAL-size threshold. It is one process and holds one
 // graph — primary, standby and crash recovery all build the engines on
 // the store's graph and attach them in place — and serves
@@ -297,7 +298,7 @@
 //     commits proceed unimpeded on their own gate.
 //   - Slow, idle, and oversized-line clients are cut on per-connection
 //     deadlines — a byte-at-a-time trickle is cut exactly like an idle
-//     connection, an over-limit line gets "err line too long" before the
+//     connection, an over-limit line gets "err proto: line too long" before the
 //     close — and past -max-conns new connections are shed at accept.
 //     A misbehaving client never degrades a healthy one.
 //   - The disk has its own column in the matrix: healthy → retrying →

@@ -56,7 +56,7 @@ func Del(v, w NodeID) Update { return Update{Op: Delete, From: v, To: w} }
 // "- v w" a deletion. Anything else — another op, an ID that is not a
 // decimal int64, a field too many — is an error. It is the one reader of
 // the line format incgraphd's clients stage and cmd/incgraph's update
-// files hold.
+// files hold, and AppendUpdate its one writer.
 func ParseUpdate(fields []string) (Update, error) {
 	most := 3
 	if len(fields) > 0 && fields[0] == "+" {
@@ -79,6 +79,34 @@ func ParseUpdate(fields []string) (Update, error) {
 	var labels [2]string
 	copy(labels[:], fields[3:])
 	return InsNew(NodeID(v), NodeID(w), labels[0], labels[1]), nil
+}
+
+// AppendUpdate appends u as the line ParseUpdate reads, newline included:
+// "- v w" for a deletion, "+ v w" and as many labels as are given for an
+// insertion. An insertion that labels only its target writes "_" for the
+// source's label, since the line cannot say "no label, then one":
+// ParseUpdate reads that back as the label "_", which is the same update
+// whenever the source exists (an existing endpoint's label is ignored).
+func AppendUpdate(b []byte, u Update) []byte {
+	op := byte('+')
+	if u.Op == Delete {
+		op = '-'
+	}
+	b = append(b, op, ' ')
+	b = strconv.AppendInt(b, int64(u.From), 10)
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, int64(u.To), 10)
+	if u.Op == Insert && (u.FromLabel != "" || u.ToLabel != "") {
+		from := u.FromLabel
+		if from == "" {
+			from = "_"
+		}
+		b = append(append(b, ' '), from...)
+		if u.ToLabel != "" {
+			b = append(append(b, ' '), u.ToLabel...)
+		}
+	}
+	return append(b, '\n')
 }
 
 func (u Update) String() string {

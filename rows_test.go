@@ -127,8 +127,10 @@ func TestRowDeltaFoldsToAnswer(t *testing.T) {
 	})
 }
 
-// TestRowOrderIsAnswerOrder pins CompareRows to the order WriteAnswer
-// prints, on IDs whose decimal texts and values order differently.
+// TestRowOrderIsAnswerOrder pins CompareRows to the order of Rows, on IDs
+// whose decimal texts and values order differently. That the rows render
+// to WriteAnswer's bytes is TestRowDeltaFoldsToAnswer's check, for every
+// class.
 func TestRowOrderIsAnswerOrder(t *testing.T) {
 	ids := []incgraph.NodeID{-1234567, -30, -3, 7, 10, 42, 100, 1 << 40}
 	g := incgraph.NewGraph()
@@ -160,14 +162,5 @@ func TestRowOrderIsAnswerOrder(t *testing.T) {
 			t.Fatalf("rows %v, %v are in answer order but CompareRows says %d",
 				rows.At(i-1), rows.At(i), m.CompareRows(rows.At(i-1), rows.At(i)))
 		}
-	}
-	var got []byte
-	incgraph.MergeRows(m, rows, nil, func(row []incgraph.NodeID) { got = m.AppendRow(got, row) })
-	var want bytes.Buffer
-	if err := m.WriteAnswer(&want); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want.Bytes()) {
-		t.Fatalf("rows render\n%s\nWriteAnswer:\n%s", got, want.Bytes())
 	}
 }
