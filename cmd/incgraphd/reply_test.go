@@ -83,44 +83,38 @@ func pipeTo(t *testing.T, srv *server) *wire.Client {
 	return c
 }
 
-// replyLines reads n reply lines and returns their bytes.
-func replyLines(t *testing.T, c *wire.Client, n int) string {
+// say sends line and requires the reply to be want.
+func say(t *testing.T, c *wire.Client, line, want string) {
+	t.Helper()
+	noErr(t, c.Send(line+"\n"))
+	hear(t, c, want)
+}
+
+// hear requires the next reply lines to be want, byte for byte.
+func hear(t *testing.T, c *wire.Client, want string) {
 	t.Helper()
 	var got strings.Builder
-	for i := 0; i < n; i++ {
+	for range strings.Count(want, "\n") {
 		line, err := c.ReadLine()
 		if e := (*wire.Error)(nil); err != nil && !errors.As(err, &e) {
 			t.Fatalf("after %q: %v", got.String(), err)
 		}
 		got.WriteString(line + "\n")
 	}
-	return got.String()
-}
-
-// say sends line and requires the reply to be want, byte for byte (as
-// many lines as want has).
-func say(t *testing.T, c *wire.Client, line, want string) {
-	t.Helper()
-	noErr(t, c.Send(line+"\n"))
-	if got := replyLines(t, c, strings.Count(want, "\n")); got != want {
-		t.Fatalf("%q replied\n%q\nwant\n%q", line, got, want)
+	if got.String() != want {
+		t.Fatalf("replied\n%q\nwant\n%q", got.String(), want)
 	}
 }
 
-// keys sends line and requires an "ok" reply whose fields are key=value
-// with exactly want's keys, in want's order.
-func keys(t *testing.T, c *wire.Client, line string, want ...string) wire.Fields {
+// keys requires f's keys to be want, in want's order, and returns f.
+func keys(t *testing.T, f wire.Fields, want ...string) wire.Fields {
 	t.Helper()
-	noErr(t, c.Send(line+"\n"))
-	got := replyLines(t, c, 1)
-	f, err := wire.ParseFields(strings.TrimSuffix(got, "\n"))
-	noErr(t, err)
-	var names []string
+	var got []string
 	for _, fd := range f {
-		names = append(names, fd.Key)
+		got = append(got, fd.Key)
 	}
-	if !slices.Equal(names, want) {
-		t.Fatalf("%q replied keys\n%v\nwant\n%v", line, names, want)
+	if !slices.Equal(got, want) {
+		t.Fatalf("keys\n%v\nwant\n%v", got, want)
 	}
 	return f
 }
@@ -176,16 +170,16 @@ func TestReplyBytes(t *testing.T) {
 
 	t.Run("stat and health", func(t *testing.T) {
 		c := pipeTo(t, pinServer(t, 4, limits{}))
-		st := keys(t, c, "stat", statKeys...)
+		st := keys(t, must(t, c.Stat), statKeys...)
 		for k, v := range map[string]string{"role": "primary", "nodes": "4", "edges": "3", "gen": "7", "epoch": "1",
 			"classes": "kws,rpq,iso,scc", "disk": "healthy", "commit_cluster_shed": "0"} {
 			if got, _ := st.Get(k); got != v {
 				t.Fatalf("stat %s=%s, want %s", k, got, v)
 			}
 		}
-		keys(t, c, "health", "role", "gen", "walseq", "disk")
+		keys(t, must(t, c.Health), "role", "gen", "walseq", "disk")
 		c = pipeTo(t, pinServer(t, 0, limits{}))
-		if classes, _ := keys(t, c, "stat", statKeys...).Get("classes"); classes != "" {
+		if classes, _ := keys(t, must(t, c.Stat), statKeys...).Get("classes"); classes != "" {
 			t.Fatalf("stat without classes: classes=%s", classes)
 		}
 	})
@@ -238,21 +232,15 @@ func TestReplyBytes(t *testing.T) {
 
 	t.Run("cut", func(t *testing.T) {
 		c := pipeTo(t, pinServer(t, 1, limits{idle: 50 * time.Millisecond}))
-		if got := replyLines(t, c, 1); got != "err idle: no complete line in 50ms\n" {
-			t.Fatalf("idle connection: %q", got)
-		}
+		hear(t, c, "err idle: no complete line in 50ms\n")
 		c = pipeTo(t, pinServer(t, 1, limits{}))
 		go c.Send(string(make([]byte, maxLineBytes+1)))
-		if got := replyLines(t, c, 1); got != "err proto: line too long; max 1048576 bytes per line\n" {
-			t.Fatalf("oversized line: %q", got)
-		}
+		hear(t, c, "err proto: line too long; max 1048576 bytes per line\n")
 		srv := pinServer(t, 1, limits{maxConns: 1})
 		addr := serveTest(t, srv)
 		say(t, dial(t, addr), "health", "ok role=primary gen=7 walseq=0 disk=healthy\n")
 		shed := dial(t, addr)
-		if got := replyLines(t, shed, 1); got != "err overloaded: connection limit 1 reached; retry in 100ms\n" {
-			t.Fatalf("shed at accept: %q", got)
-		}
+		hear(t, shed, "err overloaded: connection limit 1 reached; retry in 100ms\n")
 		if line, err := shed.ReadLine(); err != io.EOF {
 			t.Fatalf("after the shed: %q, %v", line, err)
 		}
@@ -267,10 +255,10 @@ func TestReplyBytes(t *testing.T) {
 			return runStandby(standbyArgs(cfg, hubAddr, filepath.Join(dir, "store-standby"), "-ttl", "5s"), stop)
 		})
 		p, s := dial(t, primaryAddr), dial(t, standbyAddr)
-		keys(t, p, "stat", append(slices.Clone(statKeys), "standbys")...)
-		keys(t, p, "health", "role", "gen", "walseq", "disk", "standbys")
-		keys(t, s, "stat", append(slices.Clone(statKeys), "tail", "tail_term", "tail_seq", "tail_gen")...)
-		keys(t, s, "health", "role", "gen", "walseq", "disk", "tail", "tail_seq")
+		keys(t, must(t, p.Stat), append(slices.Clone(statKeys), "standbys")...)
+		keys(t, must(t, p.Health), "role", "gen", "walseq", "disk", "standbys")
+		keys(t, must(t, s.Stat), append(slices.Clone(statKeys), "tail", "tail_term", "tail_seq", "tail_gen")...)
+		keys(t, must(t, s.Health), "role", "gen", "walseq", "disk", "tail", "tail_seq")
 		say(t, s, "promote", "ok promoted term=2\n")
 		say(t, s, "promote", "err fenced: already primary\n")
 	})

@@ -51,18 +51,6 @@ func (h *hist) record(d time.Duration) {
 	}
 }
 
-// merge folds o into h (combining per-client histograms post-run).
-func (h *hist) merge(o *hist) {
-	for i, c := range o.counts {
-		h.counts[i] += c
-	}
-	h.total += o.total
-	h.sum += o.sum
-	if o.max > h.max {
-		h.max = o.max
-	}
-}
-
 // quantile returns the latency at fraction q (0 < q <= 1), or 0 when the
 // histogram is empty. The true value lies within one bucket width.
 func (h *hist) quantile(q float64) time.Duration {

@@ -11,11 +11,11 @@ import (
 	"incgraph/internal/graph"
 )
 
-// Client is one connection speaking the protocol. Each call sends its
-// request and reads its reply under one deadline, timeout from the call's
-// start (none when timeout is 0); a reply that does not come in time fails
-// the call with a net.Error whose Timeout is true. An error reply fails it
-// with an *Error. A Client is used by one goroutine at a time.
+// Client is one connection speaking the protocol. Each write, and each
+// reply (an answer's with its rows), must finish within the client's
+// timeout (none when it is 0), or the call fails with a net.Error whose
+// Timeout is true. An error reply fails a call with an *Error. One
+// goroutine at a time makes calls; Send may also run on a second one.
 type Client struct {
 	conn    net.Conn
 	r       *bufio.Reader
@@ -23,8 +23,8 @@ type Client struct {
 	timeout time.Duration
 }
 
-// Dial connects to addr within timeout and returns a Client whose calls
-// each take at most timeout.
+// Dial connects to addr and returns a Client with the given timeout,
+// which bounds the dial too.
 func Dial(addr string, timeout time.Duration) (*Client, error) {
 	conn, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
@@ -41,36 +41,24 @@ func NewClient(conn net.Conn, timeout time.Duration) *Client {
 // Close closes the connection.
 func (c *Client) Close() error { return c.conn.Close() }
 
-// Send writes text as it is (lines and their newlines) and reads nothing.
-// It may run on another goroutine than the calls that read replies, so a
+// Send writes text (lines, newlines included) and reads nothing, so a
 // caller can pipeline requests.
-func (c *Client) Send(text string) error {
+func (c *Client) Send(text string) error { return c.write([]byte(text)) }
+
+func (c *Client) write(b []byte) error {
 	if c.timeout > 0 {
 		c.conn.SetWriteDeadline(time.Now().Add(c.timeout))
 	}
-	_, err := c.conn.Write([]byte(text))
+	_, err := c.conn.Write(b)
 	return err
 }
 
 // ReadLine reads one reply line and returns it without its newline; an
-// error reply comes back as an *Error as well.
+// error reply comes back as an *Error too.
 func (c *Client) ReadLine() (string, error) {
 	if c.timeout > 0 {
 		c.conn.SetReadDeadline(time.Now().Add(c.timeout))
 	}
-	return c.readLine()
-}
-
-// Do sends one request line and returns its reply line, as ReadLine does.
-func (c *Client) Do(request string) (string, error) {
-	c.deadline()
-	if _, err := c.conn.Write([]byte(request + "\n")); err != nil {
-		return "", err
-	}
-	return c.readLine()
-}
-
-func (c *Client) readLine() (string, error) {
 	line, err := c.r.ReadString('\n')
 	if err != nil {
 		return line, err
@@ -82,6 +70,14 @@ func (c *Client) readLine() (string, error) {
 	return line, nil
 }
 
+// Do sends one request line and returns its reply line, as ReadLine does.
+func (c *Client) Do(request string) (string, error) {
+	if err := c.Send(request + "\n"); err != nil {
+		return "", err
+	}
+	return c.ReadLine()
+}
+
 // Stage sends b's updates in one write and reads an ack for each. It
 // returns the first error reply, having read every ack.
 func (c *Client) Stage(b incgraph.Batch) error {
@@ -89,14 +85,13 @@ func (c *Client) Stage(b incgraph.Batch) error {
 	for _, u := range b {
 		c.buf = graph.AppendUpdate(c.buf, u)
 	}
-	c.deadline()
-	if _, err := c.conn.Write(c.buf); err != nil {
+	if err := c.write(c.buf); err != nil {
 		return err
 	}
 	var first error
 	var refused *Error
 	for range b {
-		line, err := c.readLine()
+		line, err := c.ReadLine()
 		if err == nil {
 			_, err = ParseStaged(line)
 		}
@@ -123,13 +118,13 @@ func (c *Client) Query(class string) (Read, error) { return call(c, "query "+cla
 // WriteAnswer writes them.
 func (c *Client) Answer(class string) (Read, []byte, error) {
 	h, err := call(c, "answer "+class, ParseRead)
-	var dump bytes.Buffer
+	var rows bytes.Buffer
 	for err == nil {
 		var row string
 		if row, err = c.r.ReadString('\n'); row == DumpEnd {
-			return h, dump.Bytes(), nil
+			return h, rows.Bytes(), nil
 		}
-		dump.WriteString(row)
+		rows.WriteString(row)
 	}
 	return Read{}, nil, err
 }
@@ -148,11 +143,14 @@ func (c *Client) Checkpoint() (uint64, error) { return call(c, "checkpoint", Par
 
 // Quit ends the session; the daemon hangs up after its ack.
 func (c *Client) Quit() error {
-	_, err := call(c, "quit", func(line string) (struct{}, error) { return struct{}{}, ParseBye(line) })
-	return err
+	line, err := c.Do("quit")
+	if err != nil {
+		return err
+	}
+	return ParseBye(line)
 }
 
-// call sends request and parses its reply with parse.
+// call sends request and parses its reply line.
 func call[T any](c *Client, request string, parse func(string) (T, error)) (T, error) {
 	line, err := c.Do(request)
 	if err != nil {
@@ -160,11 +158,4 @@ func call[T any](c *Client, request string, parse func(string) (T, error)) (T, e
 		return zero, err
 	}
 	return parse(line)
-}
-
-// deadline arms the call's deadline, for the write and the reply.
-func (c *Client) deadline() {
-	if c.timeout > 0 {
-		c.conn.SetDeadline(time.Now().Add(c.timeout))
-	}
 }

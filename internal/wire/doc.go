@@ -1,72 +1,54 @@
-// Package wire is incgraphd's line protocol: the grammar of every reply,
-// written by the daemon with the Append functions and read by its clients
-// with the Parse functions, and Client, the one connection that speaks it.
+// Package wire is incgraphd's line protocol: every reply's grammar, written
+// by the daemon with the Append functions and read with the Parse
+// functions, and Client, the one connection that speaks it.
 //
-// The protocol runs over TCP, one request per line and, for each request,
-// one reply line ("ok …" or "err …"); an answer adds a dot-terminated dump.
-// Blank lines and lines starting with "#" are ignored and get no reply.
-// Updates are staged per connection and applied atomically on commit.
+// A client sends one request a line over TCP and gets one reply line for
+// each, "ok …" or "err …"; blank lines and lines starting with "#" get
+// none. Updates are staged per connection and applied atomically on commit.
+// A command other than an update, query or answer takes no argument.
 //
-// # Requests and their replies
-//
-//	"+ v w [vlabel [wlabel]]"  stage an edge insertion, with labels for
-//	                           endpoints that may be new (graph.ParseUpdate
-//	                           reads the line, graph.AppendUpdate writes it)
-//	"- v w"                    stage an edge deletion
-//	                           → "ok staged N": N updates are staged now
-//	abort                      drop the staged batch
-//	                           → "ok aborted N": N staged updates dropped
+//	"+ v w [vlabel [wlabel]]"  stage an insertion, labels for new endpoints
+//	"- v w"                    stage a deletion (graph.ParseUpdate reads both
+//	                           lines, graph.AppendUpdate writes them)
+//	                           → "ok staged N": N updates are staged
+//	abort                      → "ok aborted N": the N staged updates dropped
 //	commit                     validate, log and apply the staged batch
-//	                           → "ok applied N gen=G kws=ΔO{+a −b ~c} …": N
-//	                           updates, the generation the commit produced, and
-//	                           per standing query, in attach order, the rows
-//	                           ΔO added, removed and updated
-//	query CLASS                the answer's cardinality at the current view
-//	                           → "ok CLASS SIZE gen=G"
-//	answer CLASS               the same line, then the answer's canonical rows,
-//	                           one a line (the class's WriteAnswer bytes), and
-//	                           a line "."
-//	stat                       → "ok key=value …": graph, WAL, view, admission,
-//	                           disk, runtime and fan-out counters, standbys=
-//	                           behind a hub, the tail keys on a standby
-//	health                     → "ok role=R gen=G walseq=S disk=D …", the cheap
-//	                           probe
-//	promote                    standby only: take over as primary at term+1
-//	                           → "ok promoted term=T"
-//	checkpoint                 snapshot the graph and start a fresh WAL
-//	                           → "ok checkpoint epoch=E"
+//	                           → "ok applied N gen=G kws=ΔO{+a −b ~c} …": the
+//	                           generation it produced, and |ΔO| per standing
+//	                           query in attach order (added, removed, updated)
+//	query CLASS                → "ok CLASS SIZE gen=G", the view's generation
+//	answer CLASS               the same line, the answer's rows as the class's
+//	                           WriteAnswer writes them, then a line "."
+//	stat                       → "ok key=value …": counters
+//	health                     → "ok role=R gen=G walseq=S disk=D …"
+//	promote                    → "ok promoted term=T": a standby takes over
+//	checkpoint                 → "ok checkpoint epoch=E": snapshot, fresh WAL
 //	quit                       → "ok bye", and the daemon hangs up
 //
-// A command other than an update, query or answer takes no argument. The
-// generation G of a read names the commit its view ended on; a read is never
-// older than a commit whose ack anyone has read, and on one connection
-// generations never go back.
+// A read is never older than a commit whose ack anyone has read, and on one
+// connection generations never go back.
 //
-// # Errors
+// An error reply is "err CATEGORY: detail". The detail is for people and
+// may change; the category is a closed set, and each implies one recovery:
 //
-// Every error reply is one line, "err CATEGORY: detail". The detail is for
-// people and may change between releases; the category is a closed set
-// clients dispatch on, and each implies one recovery action:
-//
-//	overloaded  shed by admission control (a gate's queue is full, or the
-//	            connection limit was reached at accept): nothing changed;
-//	            retry after the hinted delay, a staged batch is kept
-//	disk        durability degraded (read-only mode, or a checkpoint
-//	            failed): nothing changed; retry after the hinted delay,
-//	            a staged batch is kept
-//	fenced      this node's role cannot serve the request (a standby asked
-//	            to commit, a stale replica asked to read, promote on a
-//	            primary): redirect to the primary or promote; retrying here
-//	            is useless
-//	staged      the staging area refused the update (its limit), there was
-//	            nothing to commit, or the batch was rejected at commit and
+//	overloaded  admission control shed the request (a full queue, or the
+//	            connection limit at accept): nothing changed, a staged
+//	            batch is kept; retry after the hinted delay
+//	disk        durability degraded (read-only mode, a failed checkpoint):
+//	            nothing changed, a staged batch is kept; retry after the
+//	            hinted delay
+//	fenced      this node's role cannot serve it (a commit on a standby, a
+//	            read on a stale replica, promote on a primary): go to the
+//	            primary or promote; retrying here is useless
+//	staged      the staging area refused the update (its limit), nothing
+//	            was staged, or the batch was rejected at commit and
 //	            dropped: fix the batch and stage it again
-//	idle        no complete line arrived within the per-line deadline; the
-//	            daemon closes the connection
-//	proto       the request could not be served as issued: malformed,
-//	            unknown, the wrong number of fields, a class with no
-//	            standing query, or a line too long (the connection is then
-//	            closed: the stream cannot be resynchronized mid-line)
+//	idle        no whole line came within the per-line deadline; the daemon
+//	            hangs up
+//	proto       the request cannot be served as sent: malformed, unknown,
+//	            the wrong number of fields, a class with no standing query,
+//	            or a line too long (then the daemon hangs up: the stream
+//	            cannot be resynchronized mid-line)
 //
 // Retryable reports the first two.
 package wire

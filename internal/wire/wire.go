@@ -3,7 +3,6 @@ package wire
 import (
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -68,20 +67,20 @@ func ParseError(line string) (*Error, error) {
 func AppendStaged(b []byte, n int) []byte { return appendNum(b, "ok staged ", uint64(n)) }
 
 // ParseStaged reads a stage ack.
-func ParseStaged(line string) (int, error) { return parseCount(line, "ok staged ") }
+func ParseStaged(line string) (int, error) { return parse[int](line, "ok staged ") }
 
 // AppendAborted appends the abort ack, "ok aborted N": n staged updates
 // were dropped.
 func AppendAborted(b []byte, n int) []byte { return appendNum(b, "ok aborted ", uint64(n)) }
 
 // ParseAborted reads an abort ack.
-func ParseAborted(line string) (int, error) { return parseCount(line, "ok aborted ") }
+func ParseAborted(line string) (int, error) { return parse[int](line, "ok aborted ") }
 
 // AppendPromoted appends the promote ack, "ok promoted term=T".
 func AppendPromoted(b []byte, term uint64) []byte { return appendNum(b, "ok promoted term=", term) }
 
 // ParsePromoted reads a promote ack.
-func ParsePromoted(line string) (uint64, error) { return parseNum(line, "ok promoted term=") }
+func ParsePromoted(line string) (uint64, error) { return parse[uint64](line, "ok promoted term=") }
 
 // AppendCheckpoint appends the checkpoint ack, "ok checkpoint epoch=E".
 func AppendCheckpoint(b []byte, epoch uint64) []byte {
@@ -89,7 +88,7 @@ func AppendCheckpoint(b []byte, epoch uint64) []byte {
 }
 
 // ParseCheckpoint reads a checkpoint ack.
-func ParseCheckpoint(line string) (uint64, error) { return parseNum(line, "ok checkpoint epoch=") }
+func ParseCheckpoint(line string) (uint64, error) { return parse[uint64](line, "ok checkpoint epoch=") }
 
 // AppendBye appends the quit ack, "ok bye".
 func AppendBye(b []byte) []byte { return append(b, "ok bye\n"...) }
@@ -131,16 +130,16 @@ func ParseApplied(line string) (Applied, error) {
 	if len(t) < 4 || (len(t)-4)%3 != 0 || t[0] != "ok" || t[1] != "applied" {
 		return Applied{}, malformed(line)
 	}
-	n, ok1 := count(t[2], "", "")
-	gen, ok2 := num(t[3], "gen=", "")
+	n, ok1 := num[int](t[2], "", "")
+	gen, ok2 := num[uint64](t[3], "gen=", "")
 	a, ok := Applied{N: n, Gen: gen}, ok1 && ok2
 	for t = t[4:]; ok && len(t) > 0; t = t[3:] {
 		class, added, cut := strings.Cut(t[0], "=ΔO{+")
 		var d incgraph.DeltaSummary
 		var ok3 bool
-		d.Added, ok1 = count(added, "", "")
-		d.Removed, ok2 = count(t[1], "−", "")
-		d.Updated, ok3 = count(t[2], "~", "}")
+		d.Added, ok1 = num[int](added, "", "")
+		d.Removed, ok2 = num[int](t[1], "−", "")
+		d.Updated, ok3 = num[int](t[2], "~", "}")
 		ok = cut && class != "" && ok1 && ok2 && ok3
 		a.Classes, a.Deltas = append(a.Classes, class), append(a.Deltas, d)
 	}
@@ -170,8 +169,8 @@ func ParseRead(line string) (Read, error) {
 	if len(t) != 4 || t[0] != "ok" || t[1] == "" {
 		return Read{}, malformed(line)
 	}
-	size, ok1 := count(t[2], "", "")
-	gen, ok2 := num(t[3], "gen=", "")
+	size, ok1 := num[int](t[2], "", "")
+	gen, ok2 := num[uint64](t[3], "gen=", "")
 	if !ok1 || !ok2 {
 		return Read{}, malformed(line)
 	}
@@ -207,7 +206,7 @@ func (f Fields) Get(key string) (string, bool) {
 // Uint returns the value of key as a number.
 func (f Fields) Uint(key string) (uint64, error) {
 	v, _ := f.Get(key)
-	n, ok := num(v, "", "")
+	n, ok := num[uint64](v, "", "")
 	if !ok {
 		return 0, fmt.Errorf("wire: no number in field %s=%s", key, v)
 	}
@@ -244,16 +243,9 @@ func appendNum(b []byte, prefix string, n uint64) []byte {
 	return append(strconv.AppendUint(append(b, prefix...), n, 10), '\n')
 }
 
-func parseNum(line, prefix string) (uint64, error) {
-	n, ok := num(line, prefix, "")
-	if !ok {
-		return 0, malformed(line)
-	}
-	return n, nil
-}
-
-func parseCount(line, prefix string) (int, error) {
-	n, ok := count(line, prefix, "")
+// parse reads line as prefix and a number.
+func parse[T int | uint64](line, prefix string) (T, error) {
+	n, ok := num[T](line, prefix, "")
 	if !ok {
 		return 0, malformed(line)
 	}
@@ -261,18 +253,12 @@ func parseCount(line, prefix string) (int, error) {
 }
 
 // num reads s as prefix, a canonical decimal (no sign, no leading zero)
-// and suffix.
-func num(s, prefix, suffix string) (uint64, bool) {
+// that fits T, and suffix.
+func num[T int | uint64](s, prefix, suffix string) (T, bool) {
 	s, ok1 := strings.CutPrefix(s, prefix)
 	s, ok2 := strings.CutSuffix(s, suffix)
 	n, err := strconv.ParseUint(s, 10, 64)
-	return n, ok1 && ok2 && err == nil && (s[0] != '0' || len(s) == 1)
-}
-
-// count is num for an int.
-func count(s, prefix, suffix string) (int, bool) {
-	n, ok := num(s, prefix, suffix)
-	return int(n), ok && n <= math.MaxInt
+	return T(n), ok1 && ok2 && err == nil && T(n) >= 0 && (s[0] != '0' || len(s) == 1)
 }
 
 func malformed(line string) error { return fmt.Errorf("wire: malformed reply %q", line) }
