@@ -371,10 +371,6 @@ func (s *server) handle(conn net.Conn) {
 		}
 		fields := strings.Fields(line)
 		switch cmd := fields[0]; {
-		case (cmd == "query" || cmd == "answer") && len(fields) != 2:
-			alive = fail(wire.Proto, "usage: %s CLASS", cmd)
-		case len(fields) != 1 && slices.Contains(argless, cmd):
-			alive = fail(wire.Proto, "usage: %s", cmd)
 		case cmd == "+" || cmd == "-":
 			u, err := graph.ParseUpdate(fields)
 			switch {
@@ -390,6 +386,10 @@ func (s *server) handle(conn net.Conn) {
 				// the connection itself, outside the write deadline.
 				alive = more && out.Available() >= 64 || send(nil)
 			}
+		case (cmd == "query" || cmd == "answer") && len(fields) != 2:
+			alive = fail(wire.Proto, "usage: %s CLASS", cmd)
+		case len(fields) != 1 && slices.Contains(argless, cmd):
+			alive = fail(wire.Proto, "usage: %s", cmd)
 		case cmd == "abort":
 			alive = send(wire.AppendAborted(out.AvailableBuffer(), len(pending)))
 			pending = nil
