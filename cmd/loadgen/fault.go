@@ -73,26 +73,24 @@ func runFailover(env *runEnv, opts runOpts, logf func(string, ...any)) (string, 
 	// Promote, with a short retry: the standby notices the dead feed on
 	// its own clock.
 	var promoted string
-	deadline = time.Now().Add(10 * time.Second)
-	for {
+	for deadline = time.Now().Add(10 * time.Second); promoted == ""; {
 		c, err := wire.Dial(opts.failoverAddr, 5*time.Second)
+		var term uint64
 		if err == nil {
-			var term uint64
 			term, err = c.Promote()
 			c.Close()
-			promoted = fmt.Sprintf("promoted at term %d", term)
 		}
 		var refused *wire.Error
-		if errors.As(err, &refused) && refused.Category == wire.Fenced && strings.Contains(refused.Detail, "already primary") {
-			promoted, err = "already primary", nil // a retried promote raced its own success
-		}
-		if err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
+		switch {
+		case err == nil:
+			promoted = fmt.Sprintf("promoted at term %d", term)
+		case errors.As(err, &refused) && refused.Category == wire.Fenced && strings.Contains(refused.Detail, "already primary"):
+			promoted = "already primary" // a retried promote raced its own success
+		case time.Now().After(deadline):
 			return "", fmt.Errorf("promote: %v", err)
+		default:
+			time.Sleep(100 * time.Millisecond)
 		}
-		time.Sleep(100 * time.Millisecond)
 	}
 	env.book.set(opts.failoverAddr)
 	logf("failover complete: %s now serves at %s", promoted, opts.failoverAddr)
