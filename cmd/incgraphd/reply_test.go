@@ -94,9 +94,10 @@ func say(t *testing.T, c *wire.Client, line, want string) {
 func hear(t *testing.T, c *wire.Client, want string) {
 	t.Helper()
 	var got strings.Builder
+	var e *wire.Error
 	for range strings.Count(want, "\n") {
 		line, err := c.ReadLine()
-		if e := (*wire.Error)(nil); err != nil && !errors.As(err, &e) {
+		if err != nil && !errors.As(err, &e) {
 			t.Fatalf("after %q: %v", got.String(), err)
 		}
 		got.WriteString(line + "\n")
