@@ -217,3 +217,20 @@ func checkHubDecoders(t *testing.T, body []byte) {
 	term, err = decodePing(&reader{buf: body})
 	accepted("decodePing", err, encodePing(term))
 }
+
+// TestReadFrameIntoAllocatesNothing: a frame read into a buffer whose
+// capacity holds its payload lands there, allocating nothing — what lets a
+// warm connection read every request without allocating.
+func TestReadFrameIntoAllocatesNothing(t *testing.T) {
+	raw := frameBytes(t, bytes.Repeat([]byte("payload"), 20))
+	buf := make([]byte, 0, 256)
+	r := bytes.NewReader(raw)
+	if allocs := testing.AllocsPerRun(100, func() {
+		r.Reset(raw)
+		if _, err := readFrameInto(r, buf, maxFrame); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("reading a %d-byte frame into a %d-byte buffer allocates %.1f times, want 0", len(raw), cap(buf), allocs)
+	}
+}

@@ -543,3 +543,25 @@ func allocatedBytes(f func()) uint64 {
 	}
 	return least
 }
+
+// TestWALWarmAppendAllocatesNothing pins Append's contract: once its
+// scratch has grown to a record's size, appending a labelled batch builds
+// the frame in that scratch and writes it in one Write, allocating nothing.
+func TestWALWarmAppendAllocatesNothing(t *testing.T) {
+	w, err := CreateWAL(nil, filepath.Join(t.TempDir(), "wal.log"), 0, SyncNone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	b := walBatches()[2]
+	if err := w.Append(b, 1); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := w.Append(b, 1); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("a warm append of %d labelled updates allocates %.1f times, want 0", len(b), allocs)
+	}
+}
