@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"maps"
 	"net"
 	"strings"
@@ -12,6 +13,7 @@ import (
 
 	"incgraph/internal/gen"
 	"incgraph/internal/graph"
+	"incgraph/internal/store"
 )
 
 // testGraph builds a deterministic sharded workload graph.
@@ -136,9 +138,9 @@ func TestWorkerDisconnectMidPhase1FailsAtomically(t *testing.T) {
 	links, _, stop := InProcess(2)
 	defer stop()
 	// Wrap worker 1's conn so it dies after the handshake + placements:
-	// each frame is two writes (header, payload), so hello + its 4
-	// placements = 10 writes; the next request's header write fails.
-	dc := &droppingConn{Conn: links[1].Conn, budget: 10}
+	// each frame is one write, so hello + its 4 placements = 5 writes; the
+	// next request's write fails.
+	dc := &droppingConn{Conn: links[1].Conn, budget: 5}
 	links[1].Conn = dc
 	co, err := NewCoordinator(g, links)
 	if err != nil {
@@ -335,6 +337,15 @@ func TestWorkerCapsPreHelloFrames(t *testing.T) {
 	client.Close()
 }
 
+// roundTrip sends one request and reads its reply.
+func roundTrip(conn io.ReadWriter, frame []byte) (*store.Reader, error) {
+	if err := send(conn, frame); err != nil {
+		return nil, err
+	}
+	r, _, err := readReply(conn, nil)
+	return r, err
+}
+
 func TestWorkerRejectsProtocolGarbage(t *testing.T) {
 	w := NewWorker()
 	client, server := net.Pipe()
@@ -343,26 +354,13 @@ func TestWorkerRejectsProtocolGarbage(t *testing.T) {
 
 	// A message whose type byte is unknown gets a remote error, not a
 	// connection teardown.
-	if err := writeFrame(client, []byte{0xEE}); err != nil {
-		t.Fatal(err)
-	}
-	payload, err := readFrame(client, maxFrame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if msgType(payload[0]) != msgErr || !strings.Contains(string(payload[1:]), "unknown message type") {
-		t.Fatalf("garbage type answered with %q", payload)
+	if _, err := roundTrip(client, appendMsg(nil, 0xEE)); !IsRemote(err) || !strings.Contains(err.Error(), "unknown message type") {
+		t.Fatalf("garbage type answered with %v", err)
 	}
 
 	// Apply before hello is a remote error too.
-	if err := writeFrame(client, []byte{byte(msgApply)}); err != nil {
-		t.Fatal(err)
-	}
-	if payload, err = readFrame(client, maxFrame); err != nil {
-		t.Fatal(err)
-	}
-	if msgType(payload[0]) != msgErr {
-		t.Fatalf("apply before hello answered with %q", payload)
+	if _, err := roundTrip(client, appendMsg(nil, msgApply)); !IsRemote(err) {
+		t.Fatalf("apply before hello answered with %v", err)
 	}
 
 	client.Close()
@@ -389,11 +387,11 @@ func TestHelloRefusesOtherProtocolVersion(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- w.ServeConn(server) }()
 	hello := encodeHello(8)
-	binary.LittleEndian.PutUint32(hello[1:], old)
+	binary.LittleEndian.PutUint32(hello[store.FrameHeaderSize+1:], old)
 	if _, err := roundTrip(client, hello); err == nil || !strings.Contains(err.Error(), notSupported) {
 		t.Fatalf("old-version hello: got %v, want %q", err, notSupported)
 	}
-	if _, err := roundTrip(client, []byte{byte(msgApply)}); err == nil || !strings.Contains(err.Error(), "before hello") {
+	if _, err := roundTrip(client, appendMsg(nil, msgApply)); err == nil || !strings.Contains(err.Error(), "before hello") {
 		t.Fatalf("apply after a refused hello: got %v, want a before-hello refusal", err)
 	}
 	client.Close()
@@ -409,7 +407,7 @@ func TestHelloRefusesOtherProtocolVersion(t *testing.T) {
 	served := make(chan error, 1)
 	go func() { served <- hub.ServeConn(hc) }()
 	tail := encodeTailReq()
-	binary.LittleEndian.PutUint32(tail[1:], old)
+	binary.LittleEndian.PutUint32(tail[store.FrameHeaderSize+1:], old)
 	if _, err := roundTrip(sc, tail); err == nil || !strings.Contains(err.Error(), notSupported) {
 		t.Fatalf("old-version tail request: got %v, want %q", err, notSupported)
 	}

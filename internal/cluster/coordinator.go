@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"net"
 	"sync"
@@ -40,53 +41,25 @@ type workerLink struct {
 // per-shard edge deltas, valid until the next call.
 func (l *workerLink) sendApply(plan *graph.Plan, shards []int) ([]shardDelta, error) {
 	cur := graph.InternedLabels()
-	frame := append(l.frame[:0], zeroFrameHeader[:]...)
-	frame = appendApplyHeader(frame, l.labelsSent, cur)
+	frame := appendApplyHeader(l.frame[:0], l.labelsSent, cur)
 	frame = appendApplyBatch(frame, plan, shards)
 	l.frame = frame[:0]
 	// Advanced optimistically: a failed send fails the coordinator, which
 	// never sends on this session again.
 	l.labelsSent = cur
-	r, err := l.requestPrefixed(frame)
+	r, payload, err := l.request(frame, l.respBuf, 0)
+	if cap(payload) > cap(l.respBuf) {
+		l.respBuf = payload
+	}
 	if err != nil {
 		return nil, err
 	}
 	deltas, err := decodeBatchResult(r, l.deltas[:0])
 	if err == nil {
 		l.deltas = deltas
-		err = r.done()
+		err = r.Done()
 	}
 	return deltas, err
-}
-
-// requestPrefixed is request for header-prefixed frames: one write out,
-// response decoded into the link's reusable scratch.
-func (l *workerLink) requestPrefixed(frame []byte) (*reader, error) {
-	l.conn.SetDeadline(deadline(len(frame)))
-	err := writeFramePrefixed(l.conn, frame)
-	var payload []byte
-	if err == nil {
-		payload, err = readFrameInto(l.conn, l.respBuf, maxFrame)
-	}
-	l.conn.SetDeadline(time.Time{})
-	if err != nil {
-		l.conn.Close()
-		return nil, err
-	}
-	if cap(payload) > cap(l.respBuf) {
-		l.respBuf = payload
-	}
-	if len(payload) == 0 {
-		return nil, fmt.Errorf("%w: empty response", ErrProtocol)
-	}
-	switch msgType(payload[0]) {
-	case msgOK:
-		return &reader{buf: payload, off: 1}, nil
-	case msgErr:
-		return nil, remoteError(payload[1:])
-	default:
-		return nil, fmt.Errorf("%w: unexpected response type %d", ErrProtocol, payload[0])
-	}
 }
 
 // rpcTimeout bounds one request round trip. A worker that is stalled
@@ -103,18 +76,26 @@ func deadline(reqBytes int) time.Time {
 	return time.Now().Add(rpcTimeout + time.Duration(reqBytes>>20)*time.Second)
 }
 
-// request performs one round trip; respHint is the expected response size
-// (exports return whole parcels, so their deadline must scale with it the
-// way a placement's scales with its request). A transport failure closes
-// the session: a stream that lost a frame cannot be trusted again.
-func (l *workerLink) request(req []byte, respHint int) (*reader, error) {
-	l.conn.SetDeadline(deadline(len(req) + respHint))
-	r, err := roundTrip(l.conn, req)
+// request performs one round trip: frame, a message begun by appendMsg,
+// goes out in one write, and the reply is read into buf when it fits —
+// the apply path passes its scratch, one-off requests nil — and returned
+// for the caller to keep. respHint is the expected reply size (exports
+// return whole parcels, so their deadline must scale with it the way a
+// placement's scales with its request). A transport failure closes the
+// session: a stream that lost a frame cannot be trusted again.
+func (l *workerLink) request(frame, buf []byte, respHint int) (*store.Reader, []byte, error) {
+	l.conn.SetDeadline(deadline(len(frame) + respHint))
+	err := send(l.conn, frame)
+	var r *store.Reader
+	var payload []byte
+	if err == nil {
+		r, payload, err = readReply(l.conn, buf)
+	}
 	l.conn.SetDeadline(time.Time{})
 	if err != nil && !IsRemote(err) {
 		l.conn.Close()
 	}
-	return r, err
+	return r, payload, err
 }
 
 // Coordinator drives the distributed two-phase batch protocol over a set
@@ -158,9 +139,9 @@ func NewCoordinator(g *graph.Graph, links []Link) (*Coordinator, error) {
 		c.workers = append(c.workers, &workerLink{name: name, conn: l.Conn})
 	}
 	for _, l := range c.workers {
-		r, err := l.request(encodeHello(g.NumShards()), 0)
+		r, _, err := l.request(encodeHello(g.NumShards()), nil, 0)
 		if err == nil {
-			err = r.done()
+			err = r.Done()
 		}
 		if err != nil {
 			return nil, fmt.Errorf("cluster: worker %s: %w", l.name, err)
@@ -204,12 +185,13 @@ func (c *Coordinator) place(l *workerLink, s int) error {
 	if err != nil {
 		return err
 	}
-	req := appendUvarint([]byte{byte(msgPlace)}, uint64(s))
-	r, err := l.request(append(req, parcel...), 0)
+	req := appendMsg(make([]byte, 0, store.FrameHeaderSize+11+len(parcel)), msgPlace)
+	req = append(binary.AppendUvarint(req, uint64(s)), parcel...)
+	r, _, err := l.request(req, nil, 0)
 	if err != nil {
 		return err
 	}
-	return r.done()
+	return r.Done()
 }
 
 // WorkerOf returns the index of the worker shard s is assigned to.
@@ -358,11 +340,11 @@ func (c *Coordinator) VerifyShard(s int) error {
 	if err != nil {
 		return err
 	}
-	r, err := l.request(appendUvarint([]byte{byte(msgExport)}, uint64(s)), len(want))
+	r, _, err := l.request(binary.AppendUvarint(appendMsg(nil, msgExport), uint64(s)), nil, len(want))
 	if err != nil {
 		return fmt.Errorf("cluster: export shard %d from %s: %w", s, l.name, err)
 	}
-	if got := r.rest(); !bytes.Equal(got, want) {
+	if got := r.Rest(); !bytes.Equal(got, want) {
 		return fmt.Errorf("cluster: shard %d on %s diverged: parcel %d bytes != authoritative %d bytes",
 			s, l.name, len(got), len(want))
 	}

@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"io"
+	"math"
 	"runtime"
 	"testing"
 
@@ -14,93 +14,9 @@ import (
 	"incgraph/internal/store"
 )
 
-func TestFrameRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	payloads := [][]byte{{}, {1}, []byte("hello"), bytes.Repeat([]byte{0xAB}, 1<<16)}
-	for _, p := range payloads {
-		if err := writeFrame(&buf, p); err != nil {
-			t.Fatalf("writeFrame(%d bytes): %v", len(p), err)
-		}
-	}
-	for _, p := range payloads {
-		got, err := readFrame(&buf, maxFrame)
-		if err != nil {
-			t.Fatalf("readFrame: %v", err)
-		}
-		if !bytes.Equal(got, p) {
-			t.Fatalf("payload mismatch: got %d bytes, want %d", len(got), len(p))
-		}
-	}
-	if _, err := readFrame(&buf, maxFrame); err != io.EOF {
-		t.Fatalf("empty stream: got %v, want io.EOF", err)
-	}
-}
-
-func frameBytes(t *testing.T, payload []byte) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := writeFrame(&buf, payload); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-func TestFrameTornHeader(t *testing.T) {
-	raw := frameBytes(t, []byte("payload"))
-	for cut := 1; cut < frameHeaderSize; cut++ {
-		_, err := readFrame(bytes.NewReader(raw[:cut]), maxFrame)
-		if !errors.Is(err, ErrFrame) {
-			t.Fatalf("torn header at %d: got %v, want ErrFrame", cut, err)
-		}
-	}
-}
-
-func TestFrameTornPayload(t *testing.T) {
-	raw := frameBytes(t, []byte("payload"))
-	for cut := frameHeaderSize; cut < len(raw); cut++ {
-		_, err := readFrame(bytes.NewReader(raw[:cut]), maxFrame)
-		if !errors.Is(err, ErrFrame) {
-			t.Fatalf("torn payload at %d: got %v, want ErrFrame", cut, err)
-		}
-	}
-}
-
-func TestFrameOversized(t *testing.T) {
-	hdr := binary.LittleEndian.AppendUint32(nil, maxFrame+1)
-	hdr = binary.LittleEndian.AppendUint32(hdr, 0)
-	_, err := readFrame(bytes.NewReader(hdr), maxFrame)
-	if !errors.Is(err, ErrFrame) {
-		t.Fatalf("oversized length: got %v, want ErrFrame", err)
-	}
-	if err := writeFrame(io.Discard, make([]byte, maxFrame+1)); !errors.Is(err, ErrFrame) {
-		t.Fatalf("oversized write: got %v, want ErrFrame", err)
-	}
-}
-
-func TestFrameCorruptCRC(t *testing.T) {
-	raw := frameBytes(t, []byte("payload"))
-	// Flip one payload bit: the CRC must catch it.
-	raw[len(raw)-1] ^= 0x01
-	_, err := readFrame(bytes.NewReader(raw), maxFrame)
-	if !errors.Is(err, ErrFrame) {
-		t.Fatalf("corrupt payload: got %v, want ErrFrame", err)
-	}
-	// Flip a CRC bit with the payload intact: same verdict.
-	raw = frameBytes(t, []byte("payload"))
-	raw[5] ^= 0x80
-	if _, err := readFrame(bytes.NewReader(raw), maxFrame); !errors.Is(err, ErrFrame) {
-		t.Fatalf("corrupt CRC field: got %v, want ErrFrame", err)
-	}
-	// Sanity: the CRC in a clean frame actually covers the payload.
-	raw = frameBytes(t, []byte("payload"))
-	if crc := binary.LittleEndian.Uint32(raw[4:]); crc != crc32.ChecksumIEEE([]byte("payload")) {
-		t.Fatalf("frame CRC %08x does not cover payload", crc)
-	}
-}
-
 // hubMessages are one real encoding of every message a standby feed
-// carries: the tail request, its response with a snapshot, a fed record,
-// a heartbeat and an ack.
+// carries, each a sealed frame: the tail request, its response with a
+// snapshot, a fed record, a heartbeat and an ack.
 func hubMessages(tb testing.TB) [][]byte {
 	tb.Helper()
 	g := gen.Synthetic(gen.GraphSpec{Nodes: 6, Edges: 10, Labels: 3, Seed: 5})
@@ -112,55 +28,69 @@ func hubMessages(tb testing.TB) [][]byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return [][]byte{
+	msgs := [][]byte{
 		encodeTailReq(),
 		encodeTailResp(2, 4, 9, snap.Bytes()),
 		encodeFeed(10, rec),
 		encodePing(2),
-		{byte(msgOK)},
+		appendMsg(nil, msgOK),
 	}
+	for _, m := range msgs {
+		if err := store.SealFrame(m, ErrFrame); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return msgs
 }
 
-// allocated reports the bytes f allocated.
-func allocated(f func()) uint64 {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	f()
-	runtime.ReadMemStats(&after)
-	return after.TotalAlloc - before.TotalAlloc
+// allocatedBytes returns the heap bytes f allocates, the least of three
+// runs, as internal/store's tests measure it: under -fuzz the fuzzing
+// engine's goroutines allocate beside f, while what f allocates is the
+// same every run. f must be repeatable.
+func allocatedBytes(f func()) uint64 {
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
 }
 
 // FuzzHubMessages reads a byte stream as the standby feed's peers do —
-// frames under the hub's pre-handshake cap and under maxFrame — and hands
+// frames under the hub's pre-handshake cap and under store.MaxFrame — and hands
 // every frame's body to each hub message decoder. Nothing may panic;
 // every error is ErrFrame or ErrProtocol (io.EOF only at a clean end); an
 // accepted frame and an accepted message re-encode to the bytes they were
 // read from; and a frame costs at most its cap, and about four times the
 // bytes the stream actually holds, however large a length it claims.
 func FuzzHubMessages(f *testing.F) {
+	// The reader's first allocation for a payload: store's frameStep.
+	const frameStep = 64 << 10
 	var stream bytes.Buffer
-	for _, m := range hubMessages(f) {
-		var frame bytes.Buffer
-		if err := writeFrame(&frame, m); err != nil {
-			f.Fatal(err)
+	for _, frame := range hubMessages(f) {
+		for n := 0; n <= len(frame); n++ {
+			f.Add(frame[:n])
 		}
-		for n := 0; n <= frame.Len(); n++ {
-			f.Add(frame.Bytes()[:n])
-		}
-		stream.Write(frame.Bytes())
+		stream.Write(frame)
 	}
 	f.Add(stream.Bytes())
-	// A header that claims most of maxFrame over a short body.
-	f.Add(append(binary.LittleEndian.AppendUint32(nil, maxFrame-1), 0, 0, 0, 0, 1, 2, 3))
+	// A header that claims most of store.MaxFrame over a short body.
+	f.Add(append(binary.LittleEndian.AppendUint32(nil, store.MaxFrame-1), 0, 0, 0, 0, 1, 2, 3))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, limit := range []uint32{preHelloMaxFrame, maxFrame} {
+		for _, limit := range []uint32{preHelloMaxFrame, store.MaxFrame} {
 			r := bytes.NewReader(data)
 			for {
 				off, avail := len(data)-r.Len(), uint64(r.Len())
 				var payload []byte
 				var err error
-				used := allocated(func() { payload, err = readFrame(r, limit) })
-				if bound := min(uint64(limit), 4*avail+2*frameChunk) + 4096; used > bound {
+				used := allocatedBytes(func() {
+					r.Seek(int64(off), io.SeekStart)
+					payload, err = store.ReadFrame(r, nil, limit, ErrFrame)
+				})
+				if bound := min(uint64(limit), 4*avail+2*frameStep) + 4096; used > bound {
 					t.Fatalf("a frame read from %d bytes under cap %d allocated %d, want ≤ %d", avail, limit, used, bound)
 				}
 				if err == io.EOF {
@@ -168,16 +98,16 @@ func FuzzHubMessages(f *testing.F) {
 				}
 				if err != nil {
 					if !errors.Is(err, ErrFrame) {
-						t.Fatalf("readFrame: %v is not ErrFrame", err)
+						t.Fatalf("ReadFrame: %v is not ErrFrame", err)
 					}
 					break
 				}
-				var frame bytes.Buffer
-				if err := writeFrame(&frame, payload); err != nil {
+				frame := append(make([]byte, store.FrameHeaderSize), payload...)
+				if err := store.SealFrame(frame, ErrFrame); err != nil {
 					t.Fatal(err)
 				}
-				if read := data[off : len(data)-r.Len()]; !bytes.Equal(frame.Bytes(), read) {
-					t.Fatalf("frame re-encodes to %x, read from %x", frame.Bytes(), read)
+				if read := data[off : len(data)-r.Len()]; !bytes.Equal(frame, read) {
+					t.Fatalf("frame re-encodes to %x, read from %x", frame, read)
 				}
 				if len(payload) > 0 {
 					checkHubDecoders(t, payload[1:])
@@ -191,6 +121,7 @@ func FuzzHubMessages(f *testing.F) {
 // errors must be ErrProtocol, and an accepted body must re-encode to itself.
 func checkHubDecoders(t *testing.T, body []byte) {
 	t.Helper()
+	const bodyAt = store.FrameHeaderSize + 1 // a message's body follows its header and type byte
 	accepted := func(name string, err error, encoded []byte) {
 		t.Helper()
 		if err != nil {
@@ -199,38 +130,21 @@ func checkHubDecoders(t *testing.T, body []byte) {
 			}
 			return
 		}
-		if !bytes.Equal(encoded[1:], body) {
-			t.Fatalf("%s: accepted %x, re-encodes to %x", name, body, encoded[1:])
+		if !bytes.Equal(encoded[bodyAt:], body) {
+			t.Fatalf("%s: accepted %x, re-encodes to %x", name, body, encoded[bodyAt:])
 		}
 	}
-	version, err := decodeTailReq(&reader{buf: body})
+	version, err := decodeTailReq(store.NewReader(body, ErrProtocol))
 	req := encodeTailReq()
-	binary.LittleEndian.PutUint32(req[1:], version)
+	binary.LittleEndian.PutUint32(req[bodyAt:], version)
 	accepted("decodeTailReq", err, req)
 
-	term, seq, gen, snap, err := decodeTailResp(&reader{buf: body})
+	term, seq, gen, snap, err := decodeTailResp(store.NewReader(body, ErrProtocol))
 	accepted("decodeTailResp", err, encodeTailResp(term, seq, gen, snap))
 
-	postGen, rec, err := decodeFeed(&reader{buf: body})
+	postGen, rec, err := decodeFeed(store.NewReader(body, ErrProtocol))
 	accepted("decodeFeed", err, encodeFeed(postGen, rec))
 
-	term, err = decodePing(&reader{buf: body})
+	term, err = decodePing(store.NewReader(body, ErrProtocol))
 	accepted("decodePing", err, encodePing(term))
-}
-
-// TestReadFrameIntoAllocatesNothing: a frame read into a buffer whose
-// capacity holds its payload lands there, allocating nothing — what lets a
-// warm connection read every request without allocating.
-func TestReadFrameIntoAllocatesNothing(t *testing.T) {
-	raw := frameBytes(t, bytes.Repeat([]byte("payload"), 20))
-	buf := make([]byte, 0, 256)
-	r := bytes.NewReader(raw)
-	if allocs := testing.AllocsPerRun(100, func() {
-		r.Reset(raw)
-		if _, err := readFrameInto(r, buf, maxFrame); err != nil {
-			t.Fatal(err)
-		}
-	}); allocs != 0 {
-		t.Fatalf("reading a %d-byte frame into a %d-byte buffer allocates %.1f times, want 0", len(raw), cap(buf), allocs)
-	}
 }

@@ -68,8 +68,9 @@ const pushTimeout = 10 * time.Second
 
 type hubConn struct {
 	conn net.Conn
-	// queue carries encoded push frames (feeds from Feed, pings from the
-	// heartbeat loop) to the sender goroutine, which performs one acked
+	// queue carries sealed push frames (feeds from Feed, pings from the
+	// heartbeat loop; one frame may be queued to every standby, so its
+	// header is stamped once, before) to the sender goroutine, which performs one acked
 	// round trip per frame. The channel preserves enqueue order, and the
 	// sender starts only after the handshake response is on the wire — so
 	// pushes are totally ordered per connection, strictly after the
@@ -128,7 +129,10 @@ func (hc *hubConn) failure() error {
 func (hc *hubConn) sender() {
 	for req := range hc.queue {
 		hc.conn.SetDeadline(time.Now().Add(pushTimeout + time.Duration(len(req)>>20)*time.Second))
-		_, err := roundTrip(hc.conn, req)
+		_, err := hc.conn.Write(req)
+		if err == nil {
+			_, _, err = readReply(hc.conn, nil)
+		}
 		hc.conn.SetDeadline(time.Time{})
 		if err != nil {
 			hc.fail(err)
@@ -162,20 +166,20 @@ func (h *Hub) Standbys() int {
 func (h *Hub) ServeConn(conn net.Conn) error {
 	// Handshake: one ordinary request/response, small frame cap until the
 	// peer proves it speaks the protocol.
-	payload, err := readFrame(conn, preHelloMaxFrame)
+	payload, err := store.ReadFrame(conn, nil, preHelloMaxFrame, ErrFrame)
 	if err != nil {
 		return err
 	}
 	if len(payload) == 0 || msgType(payload[0]) != msgTail {
 		return fmt.Errorf("%w: expected tail request", ErrProtocol)
 	}
-	version, err := decodeTailReq(&reader{buf: payload, off: 1})
+	version, err := decodeTailReq(store.NewReader(payload[1:], ErrProtocol))
 	if err != nil {
 		return err
 	}
 	if version != protocolVersion {
 		err := fmt.Errorf("protocol version %d not supported (have %d)", version, protocolVersion)
-		writeFrame(conn, append([]byte{byte(msgErr)}, err.Error()...))
+		send(conn, append(appendMsg(nil, msgErr), err.Error()...))
 		return err
 	}
 	// Register, then snapshot, h.mu released in between: a commit before the
@@ -195,14 +199,14 @@ func (h *Hub) ServeConn(conn net.Conn) error {
 	}()
 	seq, gen, snap, err := h.opts.Snapshot()
 	if err != nil {
-		writeFrame(conn, append([]byte{byte(msgErr)}, err.Error()...))
+		send(conn, append(appendMsg(nil, msgErr), err.Error()...))
 		return err
 	}
 	// Commits since the registration queue behind the sender, which starts
 	// only after the handshake response is written — so the standby's
 	// first frame is always the tail response, never an early feed, and
 	// the socket has exactly one writer at any time.
-	if err := writeFrame(conn, encodeTailResp(h.opts.Term, seq, gen, snap)); err != nil {
+	if err := send(conn, encodeTailResp(h.opts.Term, seq, gen, snap)); err != nil {
 		return err
 	}
 	go hc.sender()
@@ -211,6 +215,9 @@ func (h *Hub) ServeConn(conn net.Conn) error {
 	tick := time.NewTicker(h.heartbeat())
 	defer tick.Stop()
 	ping := encodePing(h.opts.Term)
+	if err := store.SealFrame(ping, ErrFrame); err != nil {
+		return err
+	}
 	for range tick.C {
 		if !hc.enqueue(ping) {
 			return hc.failure()
@@ -235,13 +242,19 @@ func (h *Hub) Feed(seq, preGen, postGen uint64, b graph.Batch) {
 	if len(targets) == 0 {
 		return
 	}
+	// A record that cannot be fed drops every standby, which re-handshakes
+	// from a snapshot: skipping it would leave a hole in their feed.
 	payload, err := store.EncodeRecord(seq, preGen, b)
-	if err != nil {
-		return
-	}
 	req := encodeFeed(postGen, payload)
+	if err == nil {
+		err = store.SealFrame(req, ErrFrame)
+	}
 	for _, hc := range targets {
-		hc.enqueue(req)
+		if err != nil {
+			hc.fail(err)
+		} else {
+			hc.enqueue(req)
+		}
 	}
 }
 
@@ -314,23 +327,14 @@ func (s *Standby) Gen() uint64 { s.mu.Lock(); defer s.mu.Unlock(); return s.gen 
 // and the owner may promote.
 func (s *Standby) Run(conn net.Conn) error {
 	conn.SetDeadline(time.Now().Add(rpcTimeout))
-	if err := writeFrame(conn, encodeTailReq()); err != nil {
+	if err := send(conn, encodeTailReq()); err != nil {
 		return err
 	}
-	payload, err := readFrame(conn, maxFrame)
+	r, _, err := readReply(conn, nil)
 	if err != nil {
 		return err
 	}
-	if len(payload) == 0 {
-		return fmt.Errorf("%w: empty tail response", ErrProtocol)
-	}
-	if msgType(payload[0]) == msgErr {
-		return remoteError(payload[1:])
-	}
-	if msgType(payload[0]) != msgOK {
-		return fmt.Errorf("%w: unexpected tail response type %d", ErrProtocol, payload[0])
-	}
-	term, seq, gen, snap, err := decodeTailResp(&reader{buf: payload, off: 1})
+	term, seq, gen, snap, err := decodeTailResp(r)
 	if err != nil {
 		return err
 	}
@@ -343,7 +347,7 @@ func (s *Standby) Run(conn net.Conn) error {
 	// Role flip: the hub pushes, we ack. The read deadline is the lease.
 	for {
 		conn.SetDeadline(time.Now().Add(s.ttl()))
-		payload, err := readFrame(conn, maxFrame)
+		payload, err := store.ReadFrame(conn, nil, store.MaxFrame, ErrFrame)
 		if err != nil {
 			var ne net.Error
 			if errors.As(err, &ne) && ne.Timeout() {
@@ -359,14 +363,14 @@ func (s *Standby) Run(conn net.Conn) error {
 		}
 		switch msgType(payload[0]) {
 		case msgPing:
-			if _, err := decodePing(&reader{buf: payload, off: 1}); err != nil {
+			if _, err := decodePing(store.NewReader(payload[1:], ErrProtocol)); err != nil {
 				return err
 			}
-			if err := writeFrame(conn, []byte{byte(msgOK)}); err != nil {
+			if err := send(conn, appendMsg(nil, msgOK)); err != nil {
 				return err
 			}
 		case msgFeed:
-			postGen, recPayload, err := decodeFeed(&reader{buf: payload, off: 1})
+			postGen, recPayload, err := decodeFeed(store.NewReader(payload[1:], ErrProtocol))
 			if err != nil {
 				return err
 			}
@@ -381,7 +385,7 @@ func (s *Standby) Run(conn net.Conn) error {
 			base := s.base
 			s.mu.Unlock()
 			if rec.Seq <= base {
-				if err := writeFrame(conn, []byte{byte(msgOK)}); err != nil {
+				if err := send(conn, appendMsg(nil, msgOK)); err != nil {
 					return err
 				}
 				continue
@@ -389,7 +393,7 @@ func (s *Standby) Run(conn net.Conn) error {
 			if err := s.opts.Apply(rec.Seq, postGen, rec.Batch); err != nil {
 				// Ack the failure so the hub drops us cleanly, then stop:
 				// our state no longer tracks the primary.
-				writeFrame(conn, append([]byte{byte(msgErr)}, err.Error()...))
+				send(conn, append(appendMsg(nil, msgErr), err.Error()...))
 				return err
 			}
 			s.mu.Lock()
@@ -400,7 +404,7 @@ func (s *Standby) Run(conn net.Conn) error {
 			// The lease bounds the wait for the hub, not the apply: the
 			// ack gets a deadline of its own.
 			conn.SetDeadline(time.Now().Add(s.ttl()))
-			if err := writeFrame(conn, []byte{byte(msgOK)}); err != nil {
+			if err := send(conn, appendMsg(nil, msgOK)); err != nil {
 				return err
 			}
 		default:

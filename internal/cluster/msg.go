@@ -4,8 +4,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 
 	"incgraph/internal/graph"
+	"incgraph/internal/store"
 )
 
 // Wire messages. Every frame payload is one message: a type byte followed
@@ -98,62 +100,61 @@ func IsRemote(err error) bool {
 	return errors.As(err, &re)
 }
 
+// ErrFrame reports a malformed frame: torn, oversized, or failing its CRC.
+// Unlike WAL corruption (which truncates replay), a bad frame is fatal to
+// the connection — there is no resynchronization point inside a TCP
+// stream.
+var ErrFrame = errors.New("cluster: bad frame")
+
+// ---- framing -------------------------------------------------------------
+
+// appendMsg starts a message of type t in buf: room for the frame header
+// send stamps, then the type byte.
+func appendMsg(buf []byte, t msgType) []byte {
+	return append(append(buf, make([]byte, store.FrameHeaderSize)...), byte(t))
+}
+
+// send stamps the header of frame, a message begun by appendMsg, and
+// writes it in one Write.
+func send(w io.Writer, frame []byte) error {
+	if err := store.SealFrame(frame, ErrFrame); err != nil {
+		return err
+	}
+	_, err := w.Write(frame)
+	return err
+}
+
+// readReply reads a response frame, into buf when it fits (see
+// store.ReadFrame), and opens its envelope: it returns a Reader over a
+// msgOK's body, or the peer's msgErr as a remoteError. The payload is
+// returned too, for the caller to keep as its next buf. A request is
+// always answered, so a hang-up is ErrFrame.
+func readReply(r io.Reader, buf []byte) (*store.Reader, []byte, error) {
+	payload, err := store.ReadFrame(r, buf, store.MaxFrame, ErrFrame)
+	if err == io.EOF {
+		err = fmt.Errorf("%w: connection closed mid-request", ErrFrame)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	if len(payload) == 0 {
+		return nil, payload, fmt.Errorf("%w: empty response", ErrProtocol)
+	}
+	switch msgType(payload[0]) {
+	case msgOK:
+		return store.NewReader(payload[1:], ErrProtocol), payload, nil
+	case msgErr:
+		return nil, payload, remoteError(payload[1:])
+	default:
+		return nil, payload, fmt.Errorf("%w: unexpected response type %d", ErrProtocol, payload[0])
+	}
+}
+
 // ---- body codecs -------------------------------------------------------
-
-// reader walks a message body with truncation-checked reads.
-type reader struct {
-	buf []byte
-	off int
-}
-
-func (r *reader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.buf[r.off:])
-	if n <= 0 {
-		return 0, fmt.Errorf("%w: truncated at %d", ErrProtocol, r.off)
-	}
-	r.off += n
-	return v, nil
-}
-
-func (r *reader) varint() (int64, error) {
-	v, n := binary.Varint(r.buf[r.off:])
-	if n <= 0 {
-		return 0, fmt.Errorf("%w: truncated at %d", ErrProtocol, r.off)
-	}
-	r.off += n
-	return v, nil
-}
-
-func (r *reader) byte() (byte, error) {
-	if r.off >= len(r.buf) {
-		return 0, fmt.Errorf("%w: truncated at %d", ErrProtocol, r.off)
-	}
-	b := r.buf[r.off]
-	r.off++
-	return b, nil
-}
-
-func (r *reader) bytes(n uint64) ([]byte, error) {
-	if n > uint64(len(r.buf)-r.off) {
-		return nil, fmt.Errorf("%w: truncated at %d", ErrProtocol, r.off)
-	}
-	out := r.buf[r.off : r.off+int(n)]
-	r.off += int(n)
-	return out, nil
-}
-
-func (r *reader) rest() []byte { return r.buf[r.off:] }
-
-func (r *reader) done() error {
-	if r.off != len(r.buf) {
-		return fmt.Errorf("%w: %d trailing bytes", ErrProtocol, len(r.buf)-r.off)
-	}
-	return nil
-}
 
 // encodeHello builds the hello request body.
 func encodeHello(shards int) []byte {
-	buf := []byte{byte(msgHello)}
+	buf := appendMsg(nil, msgHello)
 	buf = binary.LittleEndian.AppendUint32(buf, protocolVersion)
 	return binary.LittleEndian.AppendUint32(buf, uint32(shards))
 }
@@ -163,20 +164,14 @@ func encodeHello(shards int) []byte {
 // returns with only version populated and no error — the caller rejects
 // on version with a proper "not supported" message instead of a confusing
 // short-read/trailing-bytes protocol error.
-func decodeHello(r *reader) (version, shards uint32, err error) {
-	b, err := r.bytes(4)
-	if err != nil {
-		return 0, 0, err
-	}
-	version = binary.LittleEndian.Uint32(b)
-	if version != protocolVersion {
-		return version, 0, nil
-	}
-	b, err = r.bytes(4)
-	if err != nil {
+func decodeHello(r *store.Reader) (version, shards uint32, err error) {
+	if version, err = r.Uint32(); err != nil || version != protocolVersion {
 		return version, 0, err
 	}
-	return version, binary.LittleEndian.Uint32(b), r.done()
+	if shards, err = r.Uint32(); err != nil {
+		return version, 0, err
+	}
+	return version, shards, r.Done()
 }
 
 // ---- apply codecs (protocol v5) ----------------------------------------
@@ -205,10 +200,10 @@ const (
 	applyFailed byte = 1
 )
 
-// appendApplyHeader starts an apply request body in buf: the type byte
+// appendApplyHeader starts an apply request in buf: the message header
 // and the label-table delta [base, cur) of the process intern table.
 func appendApplyHeader(buf []byte, base, cur int) []byte {
-	buf = append(buf, byte(msgApply))
+	buf = appendMsg(buf, msgApply)
 	buf = binary.AppendUvarint(buf, uint64(base))
 	buf = binary.AppendUvarint(buf, uint64(cur-base))
 	for id := base; id < cur; id++ {
@@ -249,31 +244,24 @@ func appendApplyBatch(buf []byte, plan *graph.Plan, shards []int) []byte {
 // translation. The base must chain exactly onto what the session has
 // already translated; a mismatch means the peers disagree about session
 // state and the request is rejected before any effect applies.
-func decodeApplyLabels(r *reader, coordLabels []graph.LabelID) ([]graph.LabelID, error) {
-	base, err := r.uvarint()
+func decodeApplyLabels(r *store.Reader, coordLabels []graph.LabelID) ([]graph.LabelID, error) {
+	base, err := r.Uvarint()
 	if err != nil {
 		return coordLabels, err
 	}
 	if base != uint64(len(coordLabels)) {
 		return coordLabels, fmt.Errorf("%w: label chain base %d, session has %d", ErrProtocol, base, len(coordLabels))
 	}
-	n, err := r.uvarint()
+	n, err := r.Count(1)
 	if err != nil {
 		return coordLabels, err
 	}
-	if n > uint64(len(r.buf)) {
-		return coordLabels, fmt.Errorf("%w: implausible label count %d", ErrProtocol, n)
-	}
-	for i := uint64(0); i < n; i++ {
-		l, err := r.uvarint()
+	for i := 0; i < n; i++ {
+		label, err := r.String()
 		if err != nil {
 			return coordLabels, err
 		}
-		label, err := r.bytes(l)
-		if err != nil {
-			return coordLabels, err
-		}
-		coordLabels = append(coordLabels, graph.InternLabel(string(label)))
+		coordLabels = append(coordLabels, graph.InternLabel(label))
 	}
 	return coordLabels, nil
 }
@@ -282,8 +270,8 @@ func decodeApplyLabels(r *reader, coordLabels []graph.LabelID) ([]graph.LabelID,
 // session's scratch slices (reused across requests), translating label
 // references through coordLabels. The returned effects alias the scratch;
 // they are valid until the next call.
-func decodeApplyBatch(r *reader, sess *applySession) ([]graph.ShardEffects, error) {
-	nShards, err := r.uvarint()
+func decodeApplyBatch(r *store.Reader, sess *applySession) ([]graph.ShardEffects, error) {
+	nShards, err := r.Uvarint()
 	if err != nil {
 		return nil, err
 	}
@@ -294,25 +282,24 @@ func decodeApplyBatch(r *reader, sess *applySession) ([]graph.ShardEffects, erro
 	sess.nodes = sess.nodes[:0]
 	sess.ops = sess.ops[:0]
 	for i := uint64(0); i < nShards; i++ {
-		s, err := r.uvarint()
+		s, err := r.Uvarint()
 		if err != nil {
 			return nil, err
 		}
 		eff := graph.ShardEffects{Shard: int(s)}
-		nNew, err := r.uvarint()
+		// A new node is at least two bytes (id, label reference), an op
+		// three (op byte, from, to).
+		nNew, err := r.Count(2)
 		if err != nil {
 			return nil, err
 		}
-		if nNew > uint64(len(r.buf)) {
-			return nil, fmt.Errorf("%w: implausible node count %d", ErrProtocol, nNew)
-		}
 		nodeLo := len(sess.nodes)
-		for j := uint64(0); j < nNew; j++ {
-			id, err := r.varint()
+		for j := 0; j < nNew; j++ {
+			id, err := r.Varint()
 			if err != nil {
 				return nil, err
 			}
-			ref, err := r.uvarint()
+			ref, err := r.Uvarint()
 			if err != nil {
 				return nil, err
 			}
@@ -322,24 +309,21 @@ func decodeApplyBatch(r *reader, sess *applySession) ([]graph.ShardEffects, erro
 			sess.nodes = append(sess.nodes, graph.ShardNewNode{ID: graph.NodeID(id), Label: sess.coordLabels[ref]})
 		}
 		eff.NewNodes = sess.nodes[nodeLo:]
-		nOps, err := r.uvarint()
+		nOps, err := r.Count(3)
 		if err != nil {
 			return nil, err
 		}
-		if nOps > uint64(len(r.buf)) {
-			return nil, fmt.Errorf("%w: implausible op count %d", ErrProtocol, nOps)
-		}
 		opLo := len(sess.ops)
-		for j := uint64(0); j < nOps; j++ {
-			opb, err := r.byte()
+		for j := 0; j < nOps; j++ {
+			opb, err := r.Byte()
 			if err != nil {
 				return nil, err
 			}
-			from, err := r.varint()
+			from, err := r.Varint()
 			if err != nil {
 				return nil, err
 			}
-			to, err := r.varint()
+			to, err := r.Varint()
 			if err != nil {
 				return nil, err
 			}
@@ -385,17 +369,13 @@ func appendBatchError(buf []byte, err error) []byte {
 
 // decodeBatchResult parses an apply response body into out (reused
 // capacity). A failed batch returns a remoteError.
-func decodeBatchResult(r *reader, out []shardDelta) ([]shardDelta, error) {
-	status, err := r.byte()
+func decodeBatchResult(r *store.Reader, out []shardDelta) ([]shardDelta, error) {
+	status, err := r.Byte()
 	if err != nil {
 		return nil, err
 	}
 	if status == applyFailed {
-		l, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		text, err := r.bytes(l)
+		text, err := r.String()
 		if err != nil {
 			return nil, err
 		}
@@ -404,7 +384,7 @@ func decodeBatchResult(r *reader, out []shardDelta) ([]shardDelta, error) {
 	if status != applyOK {
 		return nil, fmt.Errorf("%w: unknown batch status %d", ErrProtocol, status)
 	}
-	n, err := r.uvarint()
+	n, err := r.Uvarint()
 	if err != nil {
 		return nil, err
 	}
@@ -413,11 +393,11 @@ func decodeBatchResult(r *reader, out []shardDelta) ([]shardDelta, error) {
 	}
 	out = out[:0]
 	for i := uint64(0); i < n; i++ {
-		s, err := r.uvarint()
+		s, err := r.Uvarint()
 		if err != nil {
 			return nil, err
 		}
-		d, err := r.varint()
+		d, err := r.Varint()
 		if err != nil {
 			return nil, err
 		}
@@ -430,64 +410,58 @@ func decodeBatchResult(r *reader, out []shardDelta) ([]shardDelta, error) {
 
 // encodeTailReq opens a standby feed.
 func encodeTailReq() []byte {
-	buf := []byte{byte(msgTail)}
-	buf = binary.LittleEndian.AppendUint32(buf, protocolVersion)
-	return buf
+	return binary.LittleEndian.AppendUint32(appendMsg(nil, msgTail), protocolVersion)
 }
 
-func decodeTailReq(r *reader) (version uint32, err error) {
-	b, err := r.bytes(4)
-	if err != nil {
+func decodeTailReq(r *store.Reader) (version uint32, err error) {
+	if version, err = r.Uint32(); err != nil {
 		return 0, err
 	}
-	return binary.LittleEndian.Uint32(b), r.done()
+	return version, r.Done()
 }
 
 // encodeTailResp answers a tail request: the hub's term, last committed
 // sequence and generation, and a full snapshot of the primary's graph.
 func encodeTailResp(term, seq, gen uint64, snapshot []byte) []byte {
-	buf := []byte{byte(msgOK)}
+	buf := appendMsg(make([]byte, 0, store.FrameHeaderSize+25+len(snapshot)), msgOK)
 	buf = binary.LittleEndian.AppendUint64(buf, term)
 	buf = binary.LittleEndian.AppendUint64(buf, seq)
 	buf = binary.LittleEndian.AppendUint64(buf, gen)
 	return append(buf, snapshot...)
 }
 
-func decodeTailResp(r *reader) (term, seq, gen uint64, snapshot []byte, err error) {
-	b, err := r.bytes(24)
+func decodeTailResp(r *store.Reader) (term, seq, gen uint64, snapshot []byte, err error) {
+	b, err := r.Bytes(24)
 	if err != nil {
 		return 0, 0, 0, nil, err
 	}
 	return binary.LittleEndian.Uint64(b), binary.LittleEndian.Uint64(b[8:]),
-		binary.LittleEndian.Uint64(b[16:]), r.rest(), nil
+		binary.LittleEndian.Uint64(b[16:]), r.Rest(), nil
 }
 
 // encodeFeed pushes one committed record down a tail stream: post-commit
 // generation plus the record payload.
 func encodeFeed(postGen uint64, record []byte) []byte {
-	buf := []byte{byte(msgFeed)}
+	buf := appendMsg(make([]byte, 0, store.FrameHeaderSize+9+len(record)), msgFeed)
 	buf = binary.LittleEndian.AppendUint64(buf, postGen)
 	return append(buf, record...)
 }
 
-func decodeFeed(r *reader) (postGen uint64, record []byte, err error) {
-	b, err := r.bytes(8)
-	if err != nil {
+func decodeFeed(r *store.Reader) (postGen uint64, record []byte, err error) {
+	if postGen, err = r.Uint64(); err != nil {
 		return 0, nil, err
 	}
-	return binary.LittleEndian.Uint64(b), r.rest(), nil
+	return postGen, r.Rest(), nil
 }
 
 // encodePing is the hub's lease heartbeat.
 func encodePing(term uint64) []byte {
-	buf := []byte{byte(msgPing)}
-	return binary.LittleEndian.AppendUint64(buf, term)
+	return binary.LittleEndian.AppendUint64(appendMsg(nil, msgPing), term)
 }
 
-func decodePing(r *reader) (term uint64, err error) {
-	b, err := r.bytes(8)
-	if err != nil {
+func decodePing(r *store.Reader) (term uint64, err error) {
+	if term, err = r.Uint64(); err != nil {
 		return 0, err
 	}
-	return binary.LittleEndian.Uint64(b), r.done()
+	return term, r.Done()
 }

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
@@ -66,17 +65,8 @@ type applySession struct {
 	deltas []int
 
 	readBuf []byte // request frame payloads
-	resp    []byte // response bodies built by the apply handler
-	frame   []byte // header-prefixed single-write response frames
+	resp    []byte // response frames built by the apply handler
 }
-
-// smallResp bounds responses sent via the single-write prefixed-frame
-// path; anything larger (export parcels) goes out as header+payload so
-// the connection's scratch buffer never balloons to parcel size.
-const smallResp = 64 << 10
-
-// zeroFrameHeader reserves header space at the front of a prefixed frame.
-var zeroFrameHeader [frameHeaderSize]byte
 
 // ServeConn answers framed requests on conn until EOF or a framing error.
 // Request-level failures (unknown shard, diverged state) are answered with
@@ -89,7 +79,7 @@ func (w *Worker) ServeConn(conn io.ReadWriter) error {
 	limit := uint32(preHelloMaxFrame)
 	sess := &applySession{}
 	for {
-		payload, err := readFrameInto(conn, sess.readBuf, limit)
+		payload, err := store.ReadFrame(conn, sess.readBuf, limit, ErrFrame)
 		if err != nil {
 			if err == io.EOF {
 				return nil
@@ -103,33 +93,26 @@ func (w *Worker) ServeConn(conn io.ReadWriter) error {
 			return fmt.Errorf("%w: empty message", ErrProtocol)
 		}
 		t := msgType(payload[0])
-		resp := w.handle(t, &reader{buf: payload, off: 1}, sess)
-		if len(resp) <= smallResp {
-			frame := append(sess.frame[:0], zeroFrameHeader[:]...)
-			frame = append(frame, resp...)
-			sess.frame = frame[:0]
-			if err := writeFramePrefixed(conn, frame); err != nil {
-				return err
-			}
-		} else if err := writeFrame(conn, resp); err != nil {
+		resp := w.handle(t, store.NewReader(payload[1:], ErrProtocol), sess)
+		if err := send(conn, resp); err != nil {
 			return err
 		}
 		// Only a successful hello — the coordinator handshake — earns the
 		// full frame budget; other pre-hello requests must not unlock
 		// gigabyte allocations for strangers.
-		if t == msgHello && msgType(resp[0]) == msgOK {
-			limit = maxFrame
+		if t == msgHello && msgType(resp[store.FrameHeaderSize]) == msgOK {
+			limit = store.MaxFrame
 		}
 	}
 }
 
-// handle dispatches one request and builds the response frame payload.
-func (w *Worker) handle(t msgType, r *reader, sess *applySession) []byte {
+// handle dispatches one request and builds the response frame.
+func (w *Worker) handle(t msgType, r *store.Reader, sess *applySession) []byte {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	resp, err := w.dispatch(t, r, sess)
 	if err != nil {
-		return append([]byte{byte(msgErr)}, err.Error()...)
+		return append(appendMsg(nil, msgErr), err.Error()...)
 	}
 	return resp
 }
@@ -158,7 +141,7 @@ func (w *Worker) applyBatchEffects(resp []byte, effs []graph.ShardEffects) []byt
 	return appendBatchDeltas(resp, effs, w.applyDeltas)
 }
 
-func (w *Worker) dispatch(t msgType, r *reader, sess *applySession) ([]byte, error) {
+func (w *Worker) dispatch(t msgType, r *store.Reader, sess *applySession) ([]byte, error) {
 	switch t {
 	case msgHello:
 		version, shards, err := decodeHello(r)
@@ -178,20 +161,20 @@ func (w *Worker) dispatch(t msgType, r *reader, sess *applySession) ([]byte, err
 		// the worker held before is dropped.
 		w.g = graph.NewSharded(int(shards))
 		w.owned = make(map[int]bool)
-		return []byte{byte(msgOK)}, nil
+		return appendMsg(nil, msgOK), nil
 
 	case msgPlace:
 		if w.g == nil {
 			return nil, fmt.Errorf("place before hello")
 		}
-		s, err := r.uvarint()
+		s, err := r.Uvarint()
 		if err != nil {
 			return nil, err
 		}
 		if s >= uint64(w.g.NumShards()) {
 			return nil, fmt.Errorf("shard %d out of range [0,%d)", s, w.g.NumShards())
 		}
-		st, err := store.DecodeShardParcel(r.rest(), int(s))
+		st, err := store.DecodeShardParcel(r.Rest(), int(s))
 		if err != nil {
 			return nil, err
 		}
@@ -203,7 +186,7 @@ func (w *Worker) dispatch(t msgType, r *reader, sess *applySession) ([]byte, err
 			return nil, err
 		}
 		w.owned[int(s)] = true
-		return []byte{byte(msgOK)}, nil
+		return appendMsg(nil, msgOK), nil
 
 	case msgApply:
 		if w.g == nil {
@@ -218,10 +201,10 @@ func (w *Worker) dispatch(t msgType, r *reader, sess *applySession) ([]byte, err
 		if err != nil {
 			return nil, err
 		}
-		if err := r.done(); err != nil {
+		if err := r.Done(); err != nil {
 			return nil, err
 		}
-		resp := w.applyBatchEffects(append(sess.resp[:0], byte(msgOK)), effs)
+		resp := w.applyBatchEffects(appendMsg(sess.resp[:0], msgOK), effs)
 		sess.resp = resp[:0]
 		return resp, nil
 
@@ -229,11 +212,11 @@ func (w *Worker) dispatch(t msgType, r *reader, sess *applySession) ([]byte, err
 		if w.g == nil {
 			return nil, fmt.Errorf("export before hello")
 		}
-		s, err := r.uvarint()
+		s, err := r.Uvarint()
 		if err != nil {
 			return nil, err
 		}
-		if err := r.done(); err != nil {
+		if err := r.Done(); err != nil {
 			return nil, err
 		}
 		if s >= uint64(w.g.NumShards()) || !w.owned[int(s)] {
@@ -243,40 +226,9 @@ func (w *Worker) dispatch(t msgType, r *reader, sess *applySession) ([]byte, err
 		if err != nil {
 			return nil, err
 		}
-		return append([]byte{byte(msgOK)}, parcel...), nil
+		return append(appendMsg(make([]byte, 0, store.FrameHeaderSize+1+len(parcel)), msgOK), parcel...), nil
 
 	default:
 		return nil, fmt.Errorf("unknown message type %d", t)
 	}
 }
-
-// roundTrip sends one request frame and decodes the response envelope,
-// returning the msgOK body reader or the worker's remote error. The
-// response cap stays at maxFrame: the peer is a worker this coordinator
-// handshook, and export responses carry whole parcels.
-func roundTrip(conn io.ReadWriter, req []byte) (*reader, error) {
-	if err := writeFrame(conn, req); err != nil {
-		return nil, err
-	}
-	payload, err := readFrame(conn, maxFrame)
-	if err != nil {
-		if err == io.EOF {
-			return nil, fmt.Errorf("%w: connection closed mid-request", ErrFrame)
-		}
-		return nil, err
-	}
-	if len(payload) == 0 {
-		return nil, fmt.Errorf("%w: empty response", ErrProtocol)
-	}
-	switch msgType(payload[0]) {
-	case msgOK:
-		return &reader{buf: payload, off: 1}, nil
-	case msgErr:
-		return nil, remoteError(payload[1:])
-	default:
-		return nil, fmt.Errorf("%w: unexpected response type %d", ErrProtocol, payload[0])
-	}
-}
-
-// appendUvarint is a tiny helper for request builders.
-func appendUvarint(buf []byte, v uint64) []byte { return binary.AppendUvarint(buf, v) }

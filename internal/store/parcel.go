@@ -66,30 +66,24 @@ func EncodeShardParcel(g *graph.Graph, s int) ([]byte, error) {
 
 // DecodeShardParcel parses a parcel into the ShardState of shard s,
 // interning the carried labels into this process's table. The result feeds
-// graph.LoadShard.
+// graph.LoadShard, which checks that the nodes belong to shard s.
 func DecodeShardParcel(buf []byte, s int) (graph.ShardState, error) {
-	var st graph.ShardState
-	off := 0
-	uvarint := func() (uint64, bool) {
-		v, n := binary.Uvarint(buf[off:])
-		if n <= 0 {
-			return 0, false
-		}
-		off += n
-		return v, true
+	r := &Reader{buf: buf, bad: ErrBadSnapshot}
+	n, err := r.Count(1)
+	if err != nil {
+		return graph.ShardState{}, fmt.Errorf("parcel of shard %d: %w", s, err)
 	}
-	nLabels, ok := uvarint()
-	if !ok || nLabels > uint64(len(buf)) {
-		return st, fmt.Errorf("%w: parcel: bad label count", ErrBadSnapshot)
-	}
-	labels := make([]graph.LabelID, nLabels)
+	labels := make([]graph.LabelID, n)
 	for i := range labels {
-		l, ok := uvarint()
-		if !ok || l > uint64(len(buf)-off) {
-			return st, fmt.Errorf("%w: parcel: truncated label table", ErrBadSnapshot)
+		l, err := r.String()
+		if err != nil {
+			return graph.ShardState{}, fmt.Errorf("parcel of shard %d: %w", s, err)
 		}
-		labels[i] = graph.InternLabel(string(buf[off : off+int(l)]))
-		off += int(l)
+		labels[i] = graph.InternLabel(l)
 	}
-	return decodeSegment(buf[off:], s, &snapHeader{labels: labels})
+	st, err := decodeSegment(r, labels)
+	if err != nil {
+		return st, fmt.Errorf("parcel of shard %d: %w", s, err)
+	}
+	return st, nil
 }

@@ -131,4 +131,9 @@ func TestParcelRejectsCorruption(t *testing.T) {
 	if _, err := DecodeShardParcel(nil, 0); !errors.Is(err, ErrBadSnapshot) {
 		t.Fatalf("empty parcel: got %v, want ErrBadSnapshot", err)
 	}
+	// A label count spelled in one byte more than it needs, which no
+	// encoder writes, is refused like any other corruption.
+	if _, err := DecodeShardParcel(padFirstVarint(t, parcel), 3); !errors.Is(err, ErrBadSnapshot) {
+		t.Fatalf("non-minimal label count: got %v, want ErrBadSnapshot", err)
+	}
 }

@@ -300,9 +300,9 @@ func loadSegment(r io.ReaderAt, g *graph.Graph, s int, h *snapHeader) error {
 	if crc := crc32.ChecksumIEEE(buf); crc != seg.crc {
 		return fmt.Errorf("%w: segment %d: CRC mismatch (%08x != %08x)", ErrBadSnapshot, s, crc, seg.crc)
 	}
-	st, err := decodeSegment(buf, s, h)
+	st, err := decodeSegment(&Reader{buf: buf, bad: ErrBadSnapshot}, h.labels)
 	if err != nil {
-		return err
+		return fmt.Errorf("segment %d: %w", s, err)
 	}
 	if err := g.LoadShard(s, st); err != nil {
 		return fmt.Errorf("%w: segment %d: %v", ErrBadSnapshot, s, err)
@@ -310,92 +310,56 @@ func loadSegment(r io.ReaderAt, g *graph.Graph, s int, h *snapHeader) error {
 	return nil
 }
 
-// segReader walks a segment buffer with truncation-checked varint reads.
-type segReader struct {
-	buf []byte
-	off int
-	s   int
-}
-
-func (sr *segReader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(sr.buf[sr.off:])
-	if n <= 0 {
-		return 0, fmt.Errorf("%w: segment %d: truncated at %d", ErrBadSnapshot, sr.s, sr.off)
-	}
-	sr.off += n
-	return v, nil
-}
-
-func (sr *segReader) varint() (int64, error) {
-	v, n := binary.Varint(sr.buf[sr.off:])
-	if n <= 0 {
-		return 0, fmt.Errorf("%w: segment %d: truncated at %d", ErrBadSnapshot, sr.s, sr.off)
-	}
-	sr.off += n
-	return v, nil
-}
-
-// decodeSegment parses one shard segment body.
-func decodeSegment(buf []byte, s int, h *snapHeader) (graph.ShardState, error) {
-	sr := &segReader{buf: buf, s: s}
+// decodeSegment parses the rest of r as one shard segment body whose node
+// records index labels.
+func decodeSegment(r *Reader, labels []graph.LabelID) (graph.ShardState, error) {
 	var st graph.ShardState
-	nNodes, err := sr.uvarint()
+	// A node record is at least four bytes: id, label and two degrees.
+	nNodes, err := r.Count(4)
 	if err != nil {
 		return st, err
 	}
-	if nNodes > uint64(len(buf)) {
-		return st, fmt.Errorf("%w: segment %d: implausible node count %d", ErrBadSnapshot, s, nNodes)
-	}
 	st.Nodes = make([]graph.ShardNodeState, nNodes)
 	for i := range st.Nodes {
-		id, err := sr.varint()
+		id, err := r.Varint()
 		if err != nil {
 			return st, err
 		}
-		li, err := sr.uvarint()
+		li, err := r.Uvarint()
 		if err != nil {
 			return st, err
 		}
-		if li >= uint64(len(h.labels)) {
-			return st, fmt.Errorf("%w: segment %d: label index %d out of table", ErrBadSnapshot, s, li)
+		if li >= uint64(len(labels)) {
+			return st, fmt.Errorf("%w: label index %d out of table", ErrBadSnapshot, li)
 		}
-		out, err := readAdjacency(sr)
+		out, err := readAdjacency(r)
 		if err != nil {
 			return st, err
 		}
-		in, err := readAdjacency(sr)
+		in, err := readAdjacency(r)
 		if err != nil {
 			return st, err
 		}
-		st.Nodes[i] = graph.ShardNodeState{ID: graph.NodeID(id), Label: h.labels[li], Out: out, In: in}
+		st.Nodes[i] = graph.ShardNodeState{ID: graph.NodeID(id), Label: labels[li], Out: out, In: in}
 	}
-	if sr.off != len(buf) {
-		return st, fmt.Errorf("%w: segment %d: %d trailing bytes", ErrBadSnapshot, s, len(buf)-sr.off)
-	}
-	return st, nil
+	return st, r.Done()
 }
 
 // readAdjacency decodes one delta-coded id list.
-func readAdjacency(sr *segReader) ([]graph.NodeID, error) {
-	n, err := sr.uvarint()
-	if err != nil {
+func readAdjacency(r *Reader) ([]graph.NodeID, error) {
+	n, err := r.Count(1)
+	if err != nil || n == 0 {
 		return nil, err
 	}
-	if n == 0 {
-		return nil, nil
-	}
-	if n > uint64(len(sr.buf)) {
-		return nil, fmt.Errorf("%w: segment %d: implausible degree %d", ErrBadSnapshot, sr.s, n)
-	}
 	vs := make([]graph.NodeID, n)
-	first, err := sr.varint()
+	first, err := r.Varint()
 	if err != nil {
 		return nil, err
 	}
 	vs[0] = graph.NodeID(first)
 	prev := first
-	for i := 1; i < int(n); i++ {
-		gap, err := sr.uvarint()
+	for i := 1; i < n; i++ {
+		gap, err := r.Uvarint()
 		if err != nil {
 			return nil, err
 		}

@@ -144,6 +144,7 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 				{"version 1", corrupt(func(b []byte) { b[8] = 1 })},
 				{"truncated", good[:len(good)/2]},
 				{"wrapped segment length", wrapSegmentLength(good)},
+				{"non-minimal varint", nonMinimalSegment(t, good)},
 			} {
 				if _, err := ReadSnapshot(bytes.NewReader(c.snap), int64(len(c.snap))); !errors.Is(err, ErrBadSnapshot) {
 					t.Errorf("%s: err = %v, want ErrBadSnapshot", c.name, err)
@@ -161,6 +162,45 @@ func wrapSegmentLength(snap []byte) []byte {
 	binary.LittleEndian.PutUint64(bad[dir:], 10)
 	binary.LittleEndian.PutUint64(bad[dir+8:], 1<<64-9)
 	return bad
+}
+
+// nonMinimalSegment returns a copy of snap whose first segment spells its
+// node count in one byte more than it needs — a form no encoder writes —
+// with the directory's offsets, lengths and CRCs rewritten to match.
+func nonMinimalSegment(t *testing.T, snap []byte) []byte {
+	t.Helper()
+	h, err := readSnapHeader(bytes.NewReader(snap), int64(len(snap)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := directoryAt(snap)
+	out := slices.Clone(snap[:dir+20*len(h.segments)])
+	for s, seg := range h.segments {
+		body := snap[seg.offset : seg.offset+seg.length]
+		if s == 0 {
+			body = padFirstVarint(t, body)
+		}
+		binary.LittleEndian.PutUint64(out[dir+20*s:], uint64(len(out)))
+		binary.LittleEndian.PutUint64(out[dir+20*s+8:], uint64(len(body)))
+		binary.LittleEndian.PutUint32(out[dir+20*s+16:], crc32.ChecksumIEEE(body))
+		out = append(out, body...)
+	}
+	return out
+}
+
+// padFirstVarint returns b with its leading varint one byte longer: the
+// same value, with a continuation bit and a zero byte added.
+func padFirstVarint(t *testing.T, b []byte) []byte {
+	t.Helper()
+	r := Reader{buf: b}
+	if _, err := r.Uvarint(); err != nil {
+		t.Fatal(err)
+	}
+	n := r.off
+	out := slices.Clone(b[:n])
+	out[n-1] |= 0x80
+	out = append(out, 0)
+	return append(out, b[n:]...)
 }
 
 // directoryAt returns the position of the segment directory in a snapshot

@@ -5,10 +5,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
-	"slices"
 
 	"incgraph/internal/graph"
 )
@@ -23,7 +21,8 @@ import (
 //
 //	header: magic [8]byte "incgwal1", uint32 version, uint64 startGen
 //	        (the graph generation of the snapshot this log extends)
-//	record: uint32 payload length | uint32 CRC-32 (IEEE) of payload | payload
+//	record: one frame of the byte codec (codec.go): uint32 payload length,
+//	        uint32 CRC-32 (IEEE) of payload, payload
 //	payload: uint64 seq (1-based, contiguous)
 //	         uint64 gen (graph generation when the batch was appended;
 //	                     advisory — see Replay)
@@ -54,11 +53,6 @@ const WALVersion = 1
 
 // walHeaderSize is the fixed header length.
 const walHeaderSize = 8 + 4 + 8
-
-// maxWALRecord bounds a single record's payload; frames claiming more are
-// treated as corruption. What a frame's length may cost before its bytes
-// have arrived is bounded by readPayload, not by this.
-const maxWALRecord = 1 << 30
 
 // ErrBadWAL reports a WAL whose header cannot be parsed. Torn or corrupt
 // record tails are NOT errors — they truncate the replay.
@@ -220,49 +214,24 @@ func replay(f io.Reader) ([]ReplayRecord, int64, uint64, error) {
 
 // scanRecords reads framed records from r, hands each to accept, and
 // returns the bytes the accepted frames occupy. A log ends at the first
-// frame that fails any check below; the prefix before it stands.
+// frame that fails any check below; the prefix before it stands. Every
+// payload is read into one buffer: a record's decoded batch copies what it
+// keeps.
 func scanRecords(r io.Reader, accept func(ReplayRecord) bool) int64 {
 	var n int64
-	var frame [8]byte
+	var buf []byte
 	for {
-		if _, err := io.ReadFull(r, frame[:]); err != nil {
-			return n // clean EOF or torn length field
-		}
-		length := binary.LittleEndian.Uint32(frame[:4])
-		if length > maxWALRecord {
-			return n // implausible length: corrupt frame
-		}
-		payload, err := readPayload(r, int(length))
+		payload, err := ReadFrame(r, buf, MaxFrame, ErrBadWAL)
 		if err != nil {
-			return n // torn payload
+			return n // clean EOF, or a torn, implausibly long or corrupt frame
 		}
-		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(frame[4:]) {
-			return n // corrupt payload
-		}
+		buf = payload
 		rec, err := decodeRecord(payload)
 		if err != nil || !accept(rec) {
 			return n // CRC-valid but undecodable, or out of the caller's sequence
 		}
-		n += 8 + int64(length)
+		n += FrameHeaderSize + int64(len(payload))
 	}
-}
-
-// readPayload reads length bytes from r. It allocates in steps of at most
-// replayBuffer as the bytes arrive, so a torn frame whose length field
-// claims far more than r holds costs about what r supplied (at most twice
-// that, plus one step), not what the frame claimed. A payload that fits one
-// step — every ordinary record — is one exact allocation.
-func readPayload(r io.Reader, length int) ([]byte, error) {
-	var payload []byte
-	for len(payload) < length {
-		step := min(length-len(payload), replayBuffer)
-		payload = slices.Grow(payload, step)
-		if _, err := io.ReadFull(r, payload[len(payload):len(payload)+step]); err != nil {
-			return nil, err
-		}
-		payload = payload[:len(payload)+step]
-	}
-	return payload, nil
 }
 
 // EncodeRecord serializes one (seq, gen, batch) record payload in the
@@ -274,7 +243,7 @@ func EncodeRecord(seq, gen uint64, b graph.Batch) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return frame[8:], nil
+	return frame[FrameHeaderSize:], nil
 }
 
 // DecodeRecord parses a record payload produced by EncodeRecord (or
@@ -289,7 +258,7 @@ func DecodeRecord(payload []byte) (ReplayRecord, error) {
 // the wire and records appended locally are byte-identical for identical
 // stamps.
 func appendFramedRecord(buf []byte, seq, gen uint64, b graph.Batch) ([]byte, error) {
-	frame := append(buf, 0, 0, 0, 0, 0, 0, 0, 0)
+	frame := append(buf, make([]byte, FrameHeaderSize)...)
 	frame = binary.LittleEndian.AppendUint64(frame, seq)
 	frame = binary.LittleEndian.AppendUint64(frame, gen)
 	frame = binary.AppendUvarint(frame, uint64(len(b)))
@@ -311,9 +280,9 @@ func appendFramedRecord(buf []byte, seq, gen uint64, b graph.Batch) ([]byte, err
 			frame = append(frame, u.ToLabel...)
 		}
 	}
-	payload := frame[len(buf)+8:]
-	binary.LittleEndian.PutUint32(frame[len(buf):len(buf)+4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[len(buf)+4:len(buf)+8], crc32.ChecksumIEEE(payload))
+	if err := SealFrame(frame[len(buf):], ErrBadWAL); err != nil {
+		return frame[:len(buf)], err
+	}
 	return frame, nil
 }
 
@@ -382,82 +351,52 @@ func (w *WAL) truncateToSize() error {
 // re-encodes to its own bytes.
 func decodeRecord(payload []byte) (ReplayRecord, error) {
 	var rec ReplayRecord
-	if len(payload) < 16 {
-		return rec, fmt.Errorf("%w: short record", ErrBadWAL)
+	r := Reader{buf: payload, bad: ErrBadWAL}
+	var err error
+	if rec.Seq, err = r.Uint64(); err != nil {
+		return rec, err
 	}
-	rec.Seq = binary.LittleEndian.Uint64(payload)
-	rec.Gen = binary.LittleEndian.Uint64(payload[8:])
-	off := 16
-	n, k := binary.Uvarint(payload[off:])
-	// A delete is the smallest update (op byte + two 1-byte varints), so a
-	// CRC-valid but corrupt count past len/3 is impossible — reject before
-	// the allocation, not after.
-	if !minimal(payload[off:], k) || n > uint64(len(payload))/3 {
-		return rec, fmt.Errorf("%w: bad update count", ErrBadWAL)
+	if rec.Gen, err = r.Uint64(); err != nil {
+		return rec, err
 	}
-	off += k
-	rec.Batch = make(graph.Batch, 0, n)
-	readVarint := func() (int64, bool) {
-		v, k := binary.Varint(payload[off:])
-		if !minimal(payload[off:], k) {
-			return 0, false
-		}
-		off += k
-		return v, true
+	// A delete is the smallest update: an op byte and two 1-byte varints.
+	n, err := r.Count(3)
+	if err != nil {
+		return rec, err
 	}
-	readString := func() (string, bool) {
-		l, k := binary.Uvarint(payload[off:])
-		// Compare against the remaining bytes without addition, so a
-		// corrupt length near 2^64 cannot overflow past the check.
-		if !minimal(payload[off:], k) || l > uint64(len(payload)-off-k) {
-			return "", false
+	rec.Batch = make(graph.Batch, n)
+	for i := range rec.Batch {
+		u := &rec.Batch[i]
+		op, err := r.Byte()
+		if err != nil {
+			return rec, err
 		}
-		off += k
-		s := string(payload[off : off+int(l)])
-		off += int(l)
-		return s, true
-	}
-	for i := uint64(0); i < n; i++ {
-		if off >= len(payload) {
-			return rec, fmt.Errorf("%w: truncated update", ErrBadWAL)
+		from, err := r.Varint()
+		if err != nil {
+			return rec, err
 		}
-		op := payload[off]
-		off++
-		from, ok := readVarint()
-		if !ok {
-			return rec, fmt.Errorf("%w: truncated update", ErrBadWAL)
+		to, err := r.Varint()
+		if err != nil {
+			return rec, err
 		}
-		to, ok := readVarint()
-		if !ok {
-			return rec, fmt.Errorf("%w: truncated update", ErrBadWAL)
-		}
-		u := graph.Update{From: graph.NodeID(from), To: graph.NodeID(to)}
+		u.From, u.To = graph.NodeID(from), graph.NodeID(to)
 		switch op {
 		case 0:
 			u.Op = graph.Insert
-			if u.FromLabel, ok = readString(); !ok {
-				return rec, fmt.Errorf("%w: truncated label", ErrBadWAL)
+			if u.FromLabel, err = r.String(); err != nil {
+				return rec, err
 			}
-			if u.ToLabel, ok = readString(); !ok {
-				return rec, fmt.Errorf("%w: truncated label", ErrBadWAL)
+			if u.ToLabel, err = r.String(); err != nil {
+				return rec, err
 			}
 		case 1:
 			u.Op = graph.Delete
 		default:
 			return rec, fmt.Errorf("%w: unknown op byte %d", ErrBadWAL, op)
 		}
-		rec.Batch = append(rec.Batch, u)
 	}
-	if off != len(payload) {
-		return rec, fmt.Errorf("%w: %d trailing bytes", ErrBadWAL, len(payload)-off)
-	}
-	return rec, nil
+	return rec, r.Done()
 }
-
-// minimal reports whether the varint that binary.Uvarint or binary.Varint
-// read from b in k bytes was read whole and is minimally encoded: a longer
-// form ends in a zero byte.
-func minimal(b []byte, k int) bool { return k == 1 || k > 1 && b[k-1] != 0 }
 
 // Seq returns the sequence number of the last appended record.
 func (w *WAL) Seq() uint64 { return w.seq }

@@ -419,14 +419,14 @@ func FuzzDecodeRecord(f *testing.F) {
 // about what the reader supplied rather than the gigabyte it claimed.
 func TestWALHugeClaimAllocatesLittle(t *testing.T) {
 	var frame [8]byte
-	binary.LittleEndian.PutUint32(frame[:], maxWALRecord)
+	binary.LittleEndian.PutUint32(frame[:], MaxFrame)
 	var n int64
 	used := allocatedBytes(func() { n = scanRecords(bytes.NewReader(frame[:]), func(ReplayRecord) bool { return true }) })
 	if n != 0 {
 		t.Fatalf("the scan accepted %d bytes of a torn frame", n)
 	}
 	if used >= 1<<20 {
-		t.Fatalf("scanning an 8-byte frame that claims %d bytes allocated %d bytes, want < 1 MiB", maxWALRecord, used)
+		t.Fatalf("scanning an 8-byte frame that claims %d bytes allocated %d bytes, want < 1 MiB", MaxFrame, used)
 	}
 }
 
@@ -449,7 +449,7 @@ func FuzzScanRecords(f *testing.F) {
 		f.Add(log[:n], false)
 	}
 	f.Add(log, true)
-	f.Add(binary.LittleEndian.AppendUint32(nil, maxWALRecord), false)
+	f.Add(binary.LittleEndian.AppendUint32(nil, MaxFrame), false)
 	f.Fuzz(func(t *testing.T, data []byte, fix bool) {
 		if fix {
 			data = slices.Clone(data)
