@@ -97,6 +97,15 @@ func TestArchitecture(t *testing.T) {
 			"errLine", "replyErr", "errCategory", "lineClient", "dialLine", "statInt")},
 		// incgraphd's replies are written and parsed by internal/wire alone.
 		{"one wire grammar", oneGrammar("internal/wire")},
+		// Every binary format is framed and read by internal/store's codec:
+		// no second varint reader, whose rules for truncation, allocation
+		// and canonical input would drift from the codec's.
+		{"one byte codec", oneCodec("internal/store/codec.go")},
+		// The second frame codec and the per-format readers it replaced.
+		{"deleted names stay deleted", idents(anyFile,
+			"segReader", "frameChunk", "maxWALRecord", "maxFrame", "frameHeaderSize", "zeroFrameHeader",
+			"smallResp", "writeFrame", "writeFramePrefixed", "readFrame", "readFrameInto", "requestPrefixed",
+			"appendUvarint")},
 		// The differentials are TestHistory and TestDaemonHistory over
 		// internal/history; the per-subsystem scaffolds stay gone.
 		{"one differential harness", idents(anyFile,
@@ -383,6 +392,44 @@ func oneGrammar(dir string) func(*archTree, func(at, msg string)) {
 					if grammar[strings.ToLower(d.Name.Name)] {
 						report(tr.at(d.Pos()), "declares "+d.Name.Name+": a reply is written and parsed in "+dir)
 					}
+				}
+				return true
+			})
+		}
+	}
+}
+
+// oneCodec bans calls to encoding/binary's Uvarint and Varint from every
+// file but codec, the one file whose Reader checks them.
+func oneCodec(codec string) func(*archTree, func(at, msg string)) {
+	return func(tr *archTree, report func(at, msg string)) {
+		for _, f := range tr.files {
+			if f.path == codec {
+				continue
+			}
+			name := ""
+			for _, imp := range f.ast.Imports {
+				if p, _ := strconv.Unquote(imp.Path.Value); p == "encoding/binary" {
+					name = "binary"
+					if imp.Name != nil {
+						name = imp.Name.Name
+					}
+				}
+			}
+			if name == "" {
+				continue
+			}
+			ast.Inspect(f.ast, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok || sel.Sel.Name != "Uvarint" && sel.Sel.Name != "Varint" {
+					return true
+				}
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == name {
+					report(tr.at(call.Pos()), "calls "+name+"."+sel.Sel.Name+": varints are read by the Reader of "+codec)
 				}
 				return true
 			})
