@@ -101,6 +101,11 @@ func TestArchitecture(t *testing.T) {
 		// no second varint reader, whose rules for truncation, allocation
 		// and canonical input would drift from the codec's.
 		{"one byte codec", oneCodec("internal/store/codec.go")},
+		// Disk-fault injection is test support: the tests import it from
+		// internal/store, and the root package re-exports none of it.
+		{"the fault surface is test support", idents(nonTestIn("."),
+			"FaultFS", "FSRule", "FaultKind", "NewFaultFS", "ErrDiskCrashed", "FaultEIO", "FaultENOSPC",
+			"FaultShortWrite", "FaultTornWrite", "FaultSyncFail", "FaultSyncLie", "FaultCrash", "FaultPowerFail")},
 		// The second frame codec and the per-format readers it replaced.
 		{"deleted names stay deleted", idents(anyFile,
 			"segReader", "frameChunk", "maxWALRecord", "maxFrame", "frameHeaderSize", "zeroFrameHeader",
@@ -184,6 +189,11 @@ func nonTest(f archFile) bool { return !f.test }
 
 func nonTestUnder(dir string) func(archFile) bool {
 	return func(f archFile) bool { return !f.test && strings.HasPrefix(f.path, dir) }
+}
+
+// nonTestIn selects the non-test files of directory dir itself.
+func nonTestIn(dir string) func(archFile) bool {
+	return func(f archFile) bool { return !f.test && inDir(f, dir) }
 }
 
 // inDir reports whether f is in directory dir itself ("." is the root).

@@ -10,11 +10,12 @@ import (
 	"time"
 
 	"incgraph"
+	"incgraph/internal/store"
 )
 
 // diskTestServer serves newTestServer's store running on the given
 // FaultFS, with the disk-degradation knobs tightened for test speed.
-func diskTestServer(t *testing.T, ffs *incgraph.FaultFS) (*server, string) {
+func diskTestServer(t *testing.T, ffs *store.FaultFS) (*server, string) {
 	srv := newTestServer(t, nil, incgraph.DurableOptions{FS: ffs}, limits{})
 	srv.diskBackoff = time.Millisecond
 	srv.diskProbeEvery = 10 * time.Millisecond
@@ -29,11 +30,11 @@ func diskTestServer(t *testing.T, ffs *incgraph.FaultFS) (*server, string) {
 // batch commits. WAL sync #0 is store creation, so the per-index rules
 // start at 1: the fault window opens only once the daemon is serving.
 func TestDiskDegradationReadOnlyCycle(t *testing.T) {
-	rules := make([]incgraph.FSRule, 6)
+	rules := make([]store.FSRule, 6)
 	for i := range rules {
-		rules[i] = incgraph.FSRule{Op: "sync", Path: "wal", Index: i + 1, Kind: incgraph.FaultSyncFail}
+		rules[i] = store.FSRule{Op: "sync", Path: "wal", Index: i + 1, Kind: store.FaultSyncFail}
 	}
-	srv, addr := diskTestServer(t, incgraph.NewFaultFS(7, rules...))
+	srv, addr := diskTestServer(t, store.NewFaultFS(7, rules...))
 
 	c := dial(t, addr)
 	noErr(t, c.Stage(incgraph.Batch{incgraph.InsNew(9000, 9001, "z", "z")}))
@@ -82,8 +83,8 @@ func TestDiskDegradationReadOnlyCycle(t *testing.T) {
 // escalates to read-only — the capped-backoff retry absorbs it and the
 // commit is acknowledged, with the retry surfaced in stat.
 func TestDiskFaultTransientRetryStaysWritable(t *testing.T) {
-	srv, addr := diskTestServer(t, incgraph.NewFaultFS(7,
-		incgraph.FSRule{Op: "sync", Path: "wal", Index: 1, Kind: incgraph.FaultSyncFail}))
+	srv, addr := diskTestServer(t, store.NewFaultFS(7,
+		store.FSRule{Op: "sync", Path: "wal", Index: 1, Kind: store.FaultSyncFail}))
 
 	c := dial(t, addr)
 	noErr(t, c.Stage(incgraph.Batch{incgraph.InsNew(9000, 9001, "z", "z")}))

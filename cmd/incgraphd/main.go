@@ -95,28 +95,17 @@
 //
 // # Overload behavior
 //
-// The daemon degrades explicitly, never silently: past -max-conns new
-// connections get "err overloaded" at accept; a connection that cannot
-// deliver a full line within -idle-timeout (however slowly it trickles
-// bytes) or drain a reply within -op-timeout is cut; staging past
-// -max-staged is refused; and commit/query admission is gated (bounded in
-// flight, bounded queue, bounded wait) with excess load shed as
-// "err overloaded: ...; retry in 100ms". Every shed, refused stage,
-// oversized line and deadline drop is a counter in "stat". See the
-// package documentation's "Overload & admission control" section for the
-// degradation contract.
+// The daemon sheds load explicitly, never silently. What it sheds, when,
+// and the counter each shed bumps in "stat" are the root package
+// documentation's "Overload and admission control" matrix; the reply each
+// shed gets and what a client does next are internal/wire's error
+// categories.
 //
 // # Disk degradation
 //
-// A failing disk degrades the daemon the same way overload does:
-// explicitly. A failed WAL append is retried with capped backoff (the
-// WAL rolls back on failure, so nothing is acknowledged that is not
-// durable); a disk that keeps failing flips the daemon into advertised
-// read-only mode — commits shed with "err disk: degraded; read-only"
-// while reads keep answering — and a background probe flips it back to
-// healthy the moment appends work again, with no restart. "stat" and
-// "health" expose disk=healthy|retrying|read-only plus retry and
-// transition counters.
+// A failing disk is the disk column of that same matrix (healthy →
+// retrying → read-only → healed, shown as disk= in "stat" and "health");
+// its refusals are internal/wire's "disk" category.
 package main
 
 import (

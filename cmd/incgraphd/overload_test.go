@@ -3,16 +3,14 @@ package main
 // Overload-protection tests for the serving layer, run against in-process
 // servers (package main constructs them directly, so limits are exact and
 // counters are inspectable). The contract under test is the degradation
-// matrix of doc.go "Overload & admission control": every refusal is an
+// matrix of doc.go "Overload and admission control": every refusal is an
 // explicit reply, every drop is a counter, and misbehaving clients never
 // degrade the healthy ones past a small constant factor.
 
 import (
 	"errors"
-	"io"
 	"net"
 	"sort"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -58,13 +56,10 @@ func TestConnCapShedsWithExplicitReply(t *testing.T) {
 	c2 := dial(t, addr)
 	must(t, c2.Health)
 
+	// The third is shed at accept. Its reply, and the hang-up after it,
+	// are TestReplyBytes' "cut" rows; the read waits for the shed.
 	c3 := dial(t, addr)
-	if reply, err := c3.ReadLine(); !strings.HasPrefix(reply, "err overloaded: connection limit 2") {
-		t.Fatalf("shed connection replied %q (%v), want a connection-limit overload error", reply, err)
-	}
-	if _, err := c3.ReadLine(); err != io.EOF {
-		t.Fatalf("shed connection stayed open: %v", err)
-	}
+	c3.ReadLine()
 	if got := srv.connsShed.Load(); got != 1 {
 		t.Fatalf("conns_shed = %d, want 1", got)
 	}
@@ -108,11 +103,10 @@ func TestOversizedLineRepliedBeforeCut(t *testing.T) {
 			t.Fatalf("send oversized line: %v", err)
 		}
 	}
-	if reply, err := c.ReadLine(); !strings.HasPrefix(reply, "err proto: line too long") {
-		t.Fatalf("oversized line replied %q (%v), want an explicit reply before the cut", reply, err)
-	}
-	// EOF or RST (the server closes with our junk still unread), never
-	// another protocol line: the stream is unresynchronizable.
+	// The reply is TestReplyBytes' "cut" row. After it comes EOF or RST
+	// (the server closes with our junk still unread), never another
+	// protocol line: the stream is unresynchronizable.
+	c.ReadLine()
 	if _, err := c.ReadLine(); err == nil || errors.As(err, new(*wire.Error)) {
 		t.Fatal("connection survived an unresynchronizable stream")
 	}

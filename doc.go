@@ -190,7 +190,8 @@
 //   - Coordinator/worker contract. Shard worker processes each hold
 //     authoritative replicas of a subset of the graph's shards — node
 //     records and adjacency, nothing graph-global — behind
-//     a length+CRC-framed RPC protocol (the WAL's framing). The
+//     a length+CRC-framed RPC protocol (the WAL's frame: one byte codec,
+//     in internal/store, frames and reads every binary format). The
 //     coordinator keeps the authoritative full graph: batches are
 //     validated and planned there, the engines and the Durable live
 //     there, and shard placement ships the snapshot's per-shard segments
@@ -264,11 +265,12 @@
 //     outlived its primary keeps serving reads from its last durable
 //     generation (never a write); a replica that diverged from a live
 //     primary redirects reads to the primary rather than answer stale.
-//   - Disk drills. FaultFS is a seeded filesystem shim under the store's
-//     write path (DurableOptions.FS) that fails chosen syscalls — EIO,
-//     ENOSPC, short and torn writes, fsyncs that fail or lie, crash and
-//     power-loss at write K — with an event log that is reproducible run
-//     to run, so disk drills replay byte-for-byte.
+//   - Disk drills. The tests' FaultFS (internal/store) is a seeded
+//     filesystem shim under the store's write path (DurableOptions.FS)
+//     that fails chosen syscalls — EIO, ENOSPC, short and torn writes,
+//     fsyncs that fail or lie, crash and power-loss at write K — with an
+//     event log that is reproducible run to run, so disk drills replay
+//     byte-for-byte.
 //
 // cmd/incgraphd exposes the replication path operationally: the serving
 // daemon feeds standbys from -hub (its term set by -term), and "incgraphd
@@ -346,7 +348,8 @@
 //	internal/reach      SSRP (the unboundedness anchor)
 //	internal/reduction  executable ∆-reductions from the Theorem 1 proofs
 //	internal/gen        dataset simulators, update and query generators
-//	internal/store      per-shard snapshots, the WAL, checkpoint/recover
+//	internal/store      per-shard snapshots, the WAL, checkpoint/recover,
+//	                    the byte codec every binary format shares
 //	internal/cluster    shard workers, framed RPC, the fail-stop
 //	                    distributed apply, standby failover
 //

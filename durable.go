@@ -61,7 +61,7 @@ type DurableOptions struct {
 	// Sync is the WAL fsync policy; the zero value is SyncAlways.
 	Sync SyncPolicy
 	// FS routes the store's write-path file operations; nil means the
-	// real filesystem. Set a *FaultFS to drill disk failures.
+	// real filesystem.
 	FS FS
 }
 
@@ -335,36 +335,8 @@ func LoadGraphFile(path string) (*Graph, error) { return store.ReadGraphFile(pat
 // mutating anything; see graph.ValidateBatch.
 func ValidateBatch(g *Graph, b Batch) error { return g.ValidateBatch(b) }
 
-// Disk-fault injection, re-exported from internal/store. A FaultFS wraps
-// the real filesystem and fails chosen syscalls deterministically, so disk
-// drills (ENOSPC mid-append, lying fsync, power loss at write K) run seeded
-// and reproducible through DurableOptions.FS; see store.FaultFS.
-type (
-	// FS is the filesystem seam every store write goes through.
-	FS = store.FS
-	// FaultFS is a seeded fault-injecting FS.
-	FaultFS = store.FaultFS
-	// FSRule matches filesystem operations for fault injection.
-	FSRule = store.FSRule
-	// FaultKind is the failure a fired FSRule injects.
-	FaultKind = store.FaultKind
-)
-
-// Disk-fault kinds for FSRule.Kind; see the store package constants.
-const (
-	FaultEIO        = store.FaultEIO
-	FaultENOSPC     = store.FaultENOSPC
-	FaultShortWrite = store.FaultShortWrite
-	FaultTornWrite  = store.FaultTornWrite
-	FaultSyncFail   = store.FaultSyncFail
-	FaultSyncLie    = store.FaultSyncLie
-	FaultCrash      = store.FaultCrash
-	FaultPowerFail  = store.FaultPowerFail
-)
-
-// ErrDiskCrashed reports a filesystem operation attempted after an
-// injected crash or power failure.
-var ErrDiskCrashed = store.ErrCrashed
-
-// NewFaultFS builds a seeded fault-injecting filesystem from rules.
-func NewFaultFS(seed int64, rules ...FSRule) *FaultFS { return store.NewFaultFS(seed, rules...) }
+// FS is the filesystem seam every store write goes through. The tests
+// drill disk failures through it with internal/store's FaultFS, which
+// fails chosen syscalls deterministically (ENOSPC mid-append, lying
+// fsync, power loss at write K).
+type FS = store.FS

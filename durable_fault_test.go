@@ -263,8 +263,8 @@ func TestDurableFsyncFailThenCrashParity(t *testing.T) {
 			g := history.Graph()
 			build, _ := history.Engines(g)
 			h := history.New(g, 17)
-			ffs := incgraph.NewFaultFS(21, incgraph.FSRule{
-				Op: "sync", Path: "wal", Index: k, Kind: incgraph.FaultSyncFail,
+			ffs := store.NewFaultFS(21, store.FSRule{
+				Op: "sync", Path: "wal", Index: k, Kind: store.FaultSyncFail,
 			})
 			d, err := incgraph.CreateDurable(dir, g.Clone(), incgraph.DurableOptions{FS: ffs})
 			if err != nil {
@@ -329,8 +329,8 @@ func TestClusterCommitWALFailureAfterPhase1(t *testing.T) {
 	}
 
 	// WAL write #0 is the header, so #3 is the third batch's record.
-	d, engines := open("cluster", incgraph.NewFaultFS(5, incgraph.FSRule{
-		Op: "write", Path: "wal", Index: 3, Kind: incgraph.FaultENOSPC, Keep: 7,
+	d, engines := open("cluster", store.NewFaultFS(5, store.FSRule{
+		Op: "write", Path: "wal", Index: 3, Kind: store.FaultENOSPC, Keep: 7,
 	}))
 	links, _, stop := incgraph.InProcessLinks(2)
 	defer stop()
