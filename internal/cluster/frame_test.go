@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
-	"math"
 	"runtime"
 	"testing"
 
@@ -43,20 +42,13 @@ func hubMessages(tb testing.TB) [][]byte {
 	return msgs
 }
 
-// allocatedBytes returns the heap bytes f allocates, the least of three
-// runs, as internal/store's tests measure it: under -fuzz the fuzzing
-// engine's goroutines allocate beside f, while what f allocates is the
-// same every run. f must be repeatable.
-func allocatedBytes(f func()) uint64 {
-	least := uint64(math.MaxUint64)
-	for range 3 {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		f()
-		runtime.ReadMemStats(&after)
-		least = min(least, after.TotalAlloc-before.TotalAlloc)
-	}
-	return least
+// allocated reports the bytes f allocated.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }
 
 // FuzzHubMessages reads a byte stream as the standby feed's peers do —
@@ -86,10 +78,7 @@ func FuzzHubMessages(f *testing.F) {
 				off, avail := len(data)-r.Len(), uint64(r.Len())
 				var payload []byte
 				var err error
-				used := allocatedBytes(func() {
-					r.Seek(int64(off), io.SeekStart)
-					payload, err = store.ReadFrame(r, nil, limit, ErrFrame)
-				})
+				used := allocated(func() { payload, err = store.ReadFrame(r, nil, limit, ErrFrame) })
 				if bound := min(uint64(limit), 4*avail+2*frameStep) + 4096; used > bound {
 					t.Fatalf("a frame read from %d bytes under cap %d allocated %d, want ≤ %d", avail, limit, used, bound)
 				}

@@ -69,12 +69,13 @@ const pushTimeout = 10 * time.Second
 type hubConn struct {
 	conn net.Conn
 	// queue carries sealed push frames (feeds from Feed, pings from the
-	// heartbeat loop; one frame may be queued to every standby, so its
-	// header is stamped once, before) to the sender goroutine, which performs one acked
-	// round trip per frame. The channel preserves enqueue order, and the
-	// sender starts only after the handshake response is on the wire — so
-	// pushes are totally ordered per connection, strictly after the
-	// handshake, with a single writer on the socket.
+	// heartbeat loop) to the sender goroutine, which performs one acked
+	// round trip per frame. A feed frame is queued to every standby, so
+	// its header is stamped once, before, and the sender only writes it.
+	// The channel preserves enqueue order, and the sender starts only
+	// after the handshake response is on the wire — so pushes are totally
+	// ordered per connection, strictly after the handshake, with a single
+	// writer on the socket.
 	queue chan []byte
 
 	mu   sync.Mutex
@@ -242,8 +243,8 @@ func (h *Hub) Feed(seq, preGen, postGen uint64, b graph.Batch) {
 	if len(targets) == 0 {
 		return
 	}
-	// A record that cannot be fed drops every standby, which re-handshakes
-	// from a snapshot: skipping it would leave a hole in their feed.
+	// A record that cannot be framed drops every standby, to re-handshake
+	// from a snapshot: skipping it would leave a hole in their feeds.
 	payload, err := store.EncodeRecord(seq, preGen, b)
 	req := encodeFeed(postGen, payload)
 	if err == nil {

@@ -12,7 +12,7 @@ import (
 
 // Wire messages. Every frame payload is one message: a type byte followed
 // by a type-specific body (little-endian fixed ints, varints for counts
-// and IDs — the same conventions as the WAL and snapshot codecs). The
+// and IDs), read by internal/store's Reader as the WAL and snapshot are. The
 // protocol is strict request/response: the coordinator sends one request
 // per connection at a time and the worker answers with msgOK (body per
 // request type) or msgErr (UTF-8 error text).

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math/bits"
 	"slices"
 )
 
@@ -56,16 +57,16 @@ func SealFrame(frame []byte, bad error) error {
 	return nil
 }
 
-// ReadFrame reads one frame of at most max payload bytes from r and
+// ReadFrame reads one frame of at most limit payload bytes from r and
 // returns its payload. When buf's capacity holds the frame, the header and
 // the payload are read into it and the payload aliases buf, so a caller
 // that keeps its buffer reads without allocating once warm. Otherwise the
 // payload gets a buffer that starts at frameStep and doubles as the bytes
 // arrive, so a frame whose length claims far more than r holds costs about
 // what r supplied, never what it claimed. A clean end of r before the
-// frame's first byte returns io.EOF; a torn frame, a length past max and a
-// CRC mismatch return errors wrapping bad.
-func ReadFrame(r io.Reader, buf []byte, max uint32, bad error) ([]byte, error) {
+// frame's first byte returns io.EOF; a torn frame, a length past limit and
+// a CRC mismatch return errors wrapping bad.
+func ReadFrame(r io.Reader, buf []byte, limit uint32, bad error) ([]byte, error) {
 	hdr := buf[:cap(buf)]
 	if len(hdr) < FrameHeaderSize {
 		hdr = make([]byte, FrameHeaderSize)
@@ -79,8 +80,8 @@ func ReadFrame(r io.Reader, buf []byte, max uint32, bad error) ([]byte, error) {
 	}
 	length := binary.LittleEndian.Uint32(hdr)
 	crc := binary.LittleEndian.Uint32(hdr[4:])
-	if length > max {
-		return nil, fmt.Errorf("%w: implausible length %d (cap %d)", bad, length, max)
+	if length > limit {
+		return nil, fmt.Errorf("%w: implausible length %d (cap %d)", bad, length, limit)
 	}
 	var payload []byte
 	var err error
@@ -168,7 +169,7 @@ func (r *Reader) Count(per int) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if n > uint64(len(r.buf)-r.off)/uint64(per) {
+	if hi, lo := bits.Mul64(n, uint64(per)); hi != 0 || lo > uint64(len(r.buf)-r.off) {
 		return 0, r.fail(fmt.Sprintf("implausible count %d", n))
 	}
 	return int(n), nil

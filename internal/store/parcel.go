@@ -26,8 +26,8 @@ import (
 //	segment body, exactly as in the snapshot format (see package doc)
 //
 // Integrity framing (length, CRC) is the transport's job — the cluster
-// RPC layer frames every message the same way the WAL frames records — so
-// parcels carry no checksum of their own.
+// RPC layer sends every message in the WAL's frame (codec.go) — so parcels
+// carry no checksum of their own.
 
 // EncodeShardParcel serializes shard s of g as a self-contained parcel.
 // The graph must be read-shareable for the duration; distinct shards may

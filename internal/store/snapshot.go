@@ -1,7 +1,10 @@
 // Package store is the durability subsystem: versioned per-shard binary
 // snapshots of the graph substrate, a CRC-framed write-ahead log of ΔG
 // batches, and the Store that composes the two into checkpoint/recover
-// cycles under a crash-safe directory layout.
+// cycles under a crash-safe directory layout. Its byte codec (codec.go) —
+// the length+CRC frame and the checked field Reader — is the one every
+// binary format of the module is written and read with, the cluster's
+// messages included.
 //
 // # Snapshot format (.snap, version 2)
 //

@@ -164,27 +164,20 @@ func wrapSegmentLength(snap []byte) []byte {
 	return bad
 }
 
-// nonMinimalSegment returns a copy of snap whose first segment spells its
+// nonMinimalSegment returns a copy of snap whose last segment spells its
 // node count in one byte more than it needs — a form no encoder writes —
-// with the directory's offsets, lengths and CRCs rewritten to match.
+// with that segment's directory length and CRC rewritten to match.
 func nonMinimalSegment(t *testing.T, snap []byte) []byte {
 	t.Helper()
 	h, err := readSnapHeader(bytes.NewReader(snap), int64(len(snap)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := directoryAt(snap)
-	out := slices.Clone(snap[:dir+20*len(h.segments)])
-	for s, seg := range h.segments {
-		body := snap[seg.offset : seg.offset+seg.length]
-		if s == 0 {
-			body = padFirstVarint(t, body)
-		}
-		binary.LittleEndian.PutUint64(out[dir+20*s:], uint64(len(out)))
-		binary.LittleEndian.PutUint64(out[dir+20*s+8:], uint64(len(body)))
-		binary.LittleEndian.PutUint32(out[dir+20*s+16:], crc32.ChecksumIEEE(body))
-		out = append(out, body...)
-	}
+	last, entry := h.segments[len(h.segments)-1], directoryAt(snap)+20*(len(h.segments)-1)
+	body := padFirstVarint(t, snap[last.offset:])
+	out := append(slices.Clone(snap[:last.offset]), body...)
+	binary.LittleEndian.PutUint64(out[entry+8:], uint64(len(body)))
+	binary.LittleEndian.PutUint32(out[entry+16:], crc32.ChecksumIEEE(body))
 	return out
 }
 
