@@ -165,12 +165,10 @@ func encodeHello(shards int) []byte {
 // on version with a proper "not supported" message instead of a confusing
 // short-read/trailing-bytes protocol error.
 func decodeHello(r *store.Reader) (version, shards uint32, err error) {
-	if version, err = r.Uint32(); err != nil || version != protocolVersion {
-		return version, 0, err
+	if version = r.Uint32(); version != protocolVersion {
+		return version, 0, r.Err()
 	}
-	if shards, err = r.Uint32(); err != nil {
-		return version, 0, err
-	}
+	shards = r.Uint32()
 	return version, shards, r.Done()
 }
 
@@ -245,20 +243,16 @@ func appendApplyBatch(buf []byte, plan *graph.Plan, shards []int) []byte {
 // already translated; a mismatch means the peers disagree about session
 // state and the request is rejected before any effect applies.
 func decodeApplyLabels(r *store.Reader, coordLabels []graph.LabelID) ([]graph.LabelID, error) {
-	base, err := r.Uvarint()
-	if err != nil {
+	base, n := r.Uvarint(), r.Count(1)
+	if err := r.Err(); err != nil {
 		return coordLabels, err
 	}
 	if base != uint64(len(coordLabels)) {
 		return coordLabels, fmt.Errorf("%w: label chain base %d, session has %d", ErrProtocol, base, len(coordLabels))
 	}
-	n, err := r.Count(1)
-	if err != nil {
-		return coordLabels, err
-	}
 	for i := 0; i < n; i++ {
-		label, err := r.String()
-		if err != nil {
+		label := r.Text()
+		if err := r.Err(); err != nil {
 			return coordLabels, err
 		}
 		coordLabels = append(coordLabels, graph.InternLabel(label))
@@ -271,10 +265,7 @@ func decodeApplyLabels(r *store.Reader, coordLabels []graph.LabelID) ([]graph.La
 // references through coordLabels. The returned effects alias the scratch;
 // they are valid until the next call.
 func decodeApplyBatch(r *store.Reader, sess *applySession) ([]graph.ShardEffects, error) {
-	nShards, err := r.Uvarint()
-	if err != nil {
-		return nil, err
-	}
+	nShards := r.Uvarint()
 	if nShards > graph.MaxShards {
 		return nil, fmt.Errorf("%w: apply names %d shards", ErrProtocol, nShards)
 	}
@@ -282,51 +273,21 @@ func decodeApplyBatch(r *store.Reader, sess *applySession) ([]graph.ShardEffects
 	sess.nodes = sess.nodes[:0]
 	sess.ops = sess.ops[:0]
 	for i := uint64(0); i < nShards; i++ {
-		s, err := r.Uvarint()
-		if err != nil {
-			return nil, err
-		}
-		eff := graph.ShardEffects{Shard: int(s)}
+		eff := graph.ShardEffects{Shard: int(r.Uvarint())}
 		// A new node is at least two bytes (id, label reference), an op
 		// three (op byte, from, to).
-		nNew, err := r.Count(2)
-		if err != nil {
-			return nil, err
-		}
-		nodeLo := len(sess.nodes)
+		nodeLo, nNew := len(sess.nodes), r.Count(2)
 		for j := 0; j < nNew; j++ {
-			id, err := r.Varint()
-			if err != nil {
-				return nil, err
-			}
-			ref, err := r.Uvarint()
-			if err != nil {
-				return nil, err
-			}
+			id, ref := r.Varint(), r.Uvarint()
 			if ref >= uint64(len(sess.coordLabels)) {
 				return nil, fmt.Errorf("%w: label ref %d past session table (%d)", ErrProtocol, ref, len(sess.coordLabels))
 			}
 			sess.nodes = append(sess.nodes, graph.ShardNewNode{ID: graph.NodeID(id), Label: sess.coordLabels[ref]})
 		}
 		eff.NewNodes = sess.nodes[nodeLo:]
-		nOps, err := r.Count(3)
-		if err != nil {
-			return nil, err
-		}
-		opLo := len(sess.ops)
+		opLo, nOps := len(sess.ops), r.Count(3)
 		for j := 0; j < nOps; j++ {
-			opb, err := r.Byte()
-			if err != nil {
-				return nil, err
-			}
-			from, err := r.Varint()
-			if err != nil {
-				return nil, err
-			}
-			to, err := r.Varint()
-			if err != nil {
-				return nil, err
-			}
+			opb, from, to := r.Byte(), r.Varint(), r.Varint()
 			op := graph.Insert
 			if opb == 1 {
 				op = graph.Delete
@@ -338,7 +299,7 @@ func decodeApplyBatch(r *store.Reader, sess *applySession) ([]graph.ShardEffects
 		eff.Ops = sess.ops[opLo:]
 		sess.effs = append(sess.effs, eff)
 	}
-	return sess.effs, nil
+	return sess.effs, r.Err()
 }
 
 // shardDelta is one shard's phase-1 edge-count report.
@@ -370,40 +331,30 @@ func appendBatchError(buf []byte, err error) []byte {
 // decodeBatchResult parses an apply response body into out (reused
 // capacity). A failed batch returns a remoteError.
 func decodeBatchResult(r *store.Reader, out []shardDelta) ([]shardDelta, error) {
-	status, err := r.Byte()
-	if err != nil {
-		return nil, err
-	}
-	if status == applyFailed {
-		text, err := r.String()
-		if err != nil {
+	switch status := r.Byte(); status {
+	case applyFailed:
+		text := r.Text()
+		if err := r.Err(); err != nil {
 			return nil, err
 		}
 		return nil, remoteError(text)
-	}
-	if status != applyOK {
+	case applyOK:
+	default:
+		if err := r.Err(); err != nil {
+			return nil, err
+		}
 		return nil, fmt.Errorf("%w: unknown batch status %d", ErrProtocol, status)
 	}
-	n, err := r.Uvarint()
-	if err != nil {
-		return nil, err
-	}
+	n := r.Uvarint()
 	if n > graph.MaxShards {
 		return nil, fmt.Errorf("%w: %d delta entries", ErrProtocol, n)
 	}
 	out = out[:0]
 	for i := uint64(0); i < n; i++ {
-		s, err := r.Uvarint()
-		if err != nil {
-			return nil, err
-		}
-		d, err := r.Varint()
-		if err != nil {
-			return nil, err
-		}
+		s, d := r.Uvarint(), r.Varint()
 		out = append(out, shardDelta{shard: int(s), delta: int(d)})
 	}
-	return out, nil
+	return out, r.Err()
 }
 
 // ---- standby tail codecs -----------------------------------------------
@@ -414,9 +365,7 @@ func encodeTailReq() []byte {
 }
 
 func decodeTailReq(r *store.Reader) (version uint32, err error) {
-	if version, err = r.Uint32(); err != nil {
-		return 0, err
-	}
+	version = r.Uint32()
 	return version, r.Done()
 }
 
@@ -431,12 +380,8 @@ func encodeTailResp(term, seq, gen uint64, snapshot []byte) []byte {
 }
 
 func decodeTailResp(r *store.Reader) (term, seq, gen uint64, snapshot []byte, err error) {
-	b, err := r.Bytes(24)
-	if err != nil {
-		return 0, 0, 0, nil, err
-	}
-	return binary.LittleEndian.Uint64(b), binary.LittleEndian.Uint64(b[8:]),
-		binary.LittleEndian.Uint64(b[16:]), r.Rest(), nil
+	term, seq, gen = r.Uint64(), r.Uint64(), r.Uint64()
+	return term, seq, gen, r.Rest(), r.Err()
 }
 
 // encodeFeed pushes one committed record down a tail stream: post-commit
@@ -448,10 +393,8 @@ func encodeFeed(postGen uint64, record []byte) []byte {
 }
 
 func decodeFeed(r *store.Reader) (postGen uint64, record []byte, err error) {
-	if postGen, err = r.Uint64(); err != nil {
-		return 0, nil, err
-	}
-	return postGen, r.Rest(), nil
+	postGen = r.Uint64()
+	return postGen, r.Rest(), r.Err()
 }
 
 // encodePing is the hub's lease heartbeat.
@@ -460,8 +403,6 @@ func encodePing(term uint64) []byte {
 }
 
 func decodePing(r *store.Reader) (term uint64, err error) {
-	if term, err = r.Uint64(); err != nil {
-		return 0, err
-	}
+	term = r.Uint64()
 	return term, r.Done()
 }

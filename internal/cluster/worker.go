@@ -167,8 +167,8 @@ func (w *Worker) dispatch(t msgType, r *store.Reader, sess *applySession) ([]byt
 		if w.g == nil {
 			return nil, fmt.Errorf("place before hello")
 		}
-		s, err := r.Uvarint()
-		if err != nil {
+		s := r.Uvarint()
+		if err := r.Err(); err != nil {
 			return nil, err
 		}
 		if s >= uint64(w.g.NumShards()) {
@@ -212,10 +212,7 @@ func (w *Worker) dispatch(t msgType, r *store.Reader, sess *applySession) ([]byt
 		if w.g == nil {
 			return nil, fmt.Errorf("export before hello")
 		}
-		s, err := r.Uvarint()
-		if err != nil {
-			return nil, err
-		}
+		s := r.Uvarint()
 		if err := r.Done(); err != nil {
 			return nil, err
 		}

@@ -121,39 +121,66 @@ func readPayload(r io.Reader, n int) ([]byte, error) {
 }
 
 // Reader reads a payload's fields in order. Each read checks what is left,
-// so no input can make it index past the end, and fails with an error
-// wrapping the sentinel the Reader was opened with.
+// so no input can make it index past the end. The first read that fails
+// ends the payload: it and every later read return zero values, and Err
+// reports it once, wrapped in the sentinel the Reader was opened with. A
+// decoder reads its fields straight through and checks Err (or Done) at
+// the points where a value must be valid to go on.
 type Reader struct {
 	buf []byte
 	off int
 	bad error
+	why string // the first failure; empty while every read has succeeded
 }
 
 // NewReader returns a Reader over buf whose failures wrap bad.
 func NewReader(buf []byte, bad error) *Reader { return &Reader{buf: buf, bad: bad} }
 
-func (r *Reader) fail(what string) error {
-	return fmt.Errorf("%w: %s at byte %d", r.bad, what, r.off)
+// fail records the first failure and drops the unread bytes, so every
+// later read fails too.
+func (r *Reader) fail(why string) {
+	if r.why == "" {
+		r.why = why
+	}
+	r.buf = r.buf[:r.off]
+}
+
+// Err returns the first failed read's error, or nil.
+func (r *Reader) Err() error {
+	if r.why == "" {
+		return nil
+	}
+	return fmt.Errorf("%w: %s at byte %d", r.bad, r.why, r.off)
+}
+
+// Done returns Err, or an error for bytes left unread.
+func (r *Reader) Done() error {
+	if r.why == "" && r.off != len(r.buf) {
+		return fmt.Errorf("%w: %d trailing bytes", r.bad, len(r.buf)-r.off)
+	}
+	return r.Err()
 }
 
 // Uvarint reads a minimally encoded uvarint.
-func (r *Reader) Uvarint() (uint64, error) {
+func (r *Reader) Uvarint() uint64 {
 	v, n := binary.Uvarint(r.buf[r.off:])
 	if !minimal(r.buf[r.off:], n) {
-		return 0, r.fail("bad uvarint")
+		r.fail("bad varint")
+		return 0
 	}
 	r.off += n
-	return v, nil
+	return v
 }
 
 // Varint reads a minimally encoded varint.
-func (r *Reader) Varint() (int64, error) {
+func (r *Reader) Varint() int64 {
 	v, n := binary.Varint(r.buf[r.off:])
 	if !minimal(r.buf[r.off:], n) {
-		return 0, r.fail("bad varint")
+		r.fail("bad varint")
+		return 0
 	}
 	r.off += n
-	return v, nil
+	return v
 }
 
 // minimal reports whether the varint that binary.Uvarint or binary.Varint
@@ -164,77 +191,57 @@ func minimal(b []byte, n int) bool { return n == 1 || n > 1 && b[n-1] != 0 }
 // Count reads a uvarint count of items that each take at least per bytes
 // and refuses one the bytes left cannot hold, so a corrupt count never
 // buys an allocation larger than the input.
-func (r *Reader) Count(per int) (int, error) {
-	n, err := r.Uvarint()
-	if err != nil {
-		return 0, err
-	}
+func (r *Reader) Count(per int) int {
+	n := r.Uvarint()
 	if hi, lo := bits.Mul64(n, uint64(per)); hi != 0 || lo > uint64(len(r.buf)-r.off) {
-		return 0, r.fail(fmt.Sprintf("implausible count %d", n))
+		r.fail("implausible count")
+		return 0
 	}
-	return int(n), nil
+	return int(n)
 }
 
 // Byte reads one byte.
-func (r *Reader) Byte() (byte, error) {
+func (r *Reader) Byte() byte {
 	if r.off >= len(r.buf) {
-		return 0, r.fail("truncated")
+		r.fail("truncated")
+		return 0
 	}
-	b := r.buf[r.off]
 	r.off++
-	return b, nil
+	return r.buf[r.off-1]
 }
 
 // Bytes reads the next n bytes. The result aliases the Reader's buffer.
-func (r *Reader) Bytes(n uint64) ([]byte, error) {
+func (r *Reader) Bytes(n uint64) []byte {
 	if n > uint64(len(r.buf)-r.off) {
-		return nil, r.fail("truncated")
+		r.fail("truncated")
+		return nil
 	}
-	b := r.buf[r.off : r.off+int(n)]
 	r.off += int(n)
-	return b, nil
+	return r.buf[r.off-int(n) : r.off]
 }
 
 // Uint32 reads a little-endian uint32.
-func (r *Reader) Uint32() (uint32, error) {
-	b, err := r.Bytes(4)
-	if err != nil {
-		return 0, err
+func (r *Reader) Uint32() uint32 {
+	if b := r.Bytes(4); b != nil {
+		return binary.LittleEndian.Uint32(b)
 	}
-	return binary.LittleEndian.Uint32(b), nil
+	return 0
 }
 
 // Uint64 reads a little-endian uint64.
-func (r *Reader) Uint64() (uint64, error) {
-	b, err := r.Bytes(8)
-	if err != nil {
-		return 0, err
+func (r *Reader) Uint64() uint64 {
+	if b := r.Bytes(8); b != nil {
+		return binary.LittleEndian.Uint64(b)
 	}
-	return binary.LittleEndian.Uint64(b), nil
+	return 0
 }
 
-// String reads a uvarint length and that many bytes, as a string of its
-// own.
-func (r *Reader) String() (string, error) {
-	n, err := r.Uvarint()
-	if err != nil {
-		return "", err
-	}
-	b, err := r.Bytes(n)
-	return string(b), err
-}
+// Text reads a uvarint length and that many bytes, as a string of its own.
+func (r *Reader) Text() string { return string(r.Bytes(r.Uvarint())) }
 
 // Rest reads every byte left. The result aliases the Reader's buffer.
 func (r *Reader) Rest() []byte {
 	b := r.buf[r.off:]
 	r.off = len(r.buf)
 	return b
-}
-
-// Done refuses bytes left unread.
-func (r *Reader) Done() error {
-	if r.off != len(r.buf) {
-		return r.fail(fmt.Sprintf("%d trailing bytes", len(r.buf)-r.off))
-	}
-	return nil
 }

@@ -69,15 +69,11 @@ func EncodeShardParcel(g *graph.Graph, s int) ([]byte, error) {
 // graph.LoadShard, which checks that the nodes belong to shard s.
 func DecodeShardParcel(buf []byte, s int) (graph.ShardState, error) {
 	r := &Reader{buf: buf, bad: ErrBadSnapshot}
-	n, err := r.Count(1)
-	if err != nil {
-		return graph.ShardState{}, fmt.Errorf("parcel of shard %d: %w", s, err)
-	}
-	labels := make([]graph.LabelID, n)
+	labels := make([]graph.LabelID, r.Count(1))
 	for i := range labels {
-		l, err := r.String()
-		if err != nil {
-			return graph.ShardState{}, fmt.Errorf("parcel of shard %d: %w", s, err)
+		l := r.Text()
+		if r.Err() != nil {
+			break // intern nothing a corrupt table did not spell out
 		}
 		labels[i] = graph.InternLabel(l)
 	}

@@ -316,60 +316,33 @@ func loadSegment(r io.ReaderAt, g *graph.Graph, s int, h *snapHeader) error {
 // decodeSegment parses the rest of r as one shard segment body whose node
 // records index labels.
 func decodeSegment(r *Reader, labels []graph.LabelID) (graph.ShardState, error) {
-	var st graph.ShardState
 	// A node record is at least four bytes: id, label and two degrees.
-	nNodes, err := r.Count(4)
-	if err != nil {
-		return st, err
-	}
-	st.Nodes = make([]graph.ShardNodeState, nNodes)
+	st := graph.ShardState{Nodes: make([]graph.ShardNodeState, r.Count(4))}
 	for i := range st.Nodes {
-		id, err := r.Varint()
-		if err != nil {
-			return st, err
-		}
-		li, err := r.Uvarint()
-		if err != nil {
-			return st, err
-		}
+		id, li := r.Varint(), r.Uvarint()
 		if li >= uint64(len(labels)) {
 			return st, fmt.Errorf("%w: label index %d out of table", ErrBadSnapshot, li)
 		}
-		out, err := readAdjacency(r)
-		if err != nil {
-			return st, err
-		}
-		in, err := readAdjacency(r)
-		if err != nil {
-			return st, err
-		}
-		st.Nodes[i] = graph.ShardNodeState{ID: graph.NodeID(id), Label: labels[li], Out: out, In: in}
+		out := readAdjacency(r)
+		st.Nodes[i] = graph.ShardNodeState{ID: graph.NodeID(id), Label: labels[li], Out: out, In: readAdjacency(r)}
 	}
 	return st, r.Done()
 }
 
 // readAdjacency decodes one delta-coded id list.
-func readAdjacency(r *Reader) ([]graph.NodeID, error) {
-	n, err := r.Count(1)
-	if err != nil || n == 0 {
-		return nil, err
+func readAdjacency(r *Reader) []graph.NodeID {
+	n := r.Count(1)
+	if n == 0 {
+		return nil
 	}
 	vs := make([]graph.NodeID, n)
-	first, err := r.Varint()
-	if err != nil {
-		return nil, err
-	}
-	vs[0] = graph.NodeID(first)
-	prev := first
+	prev := r.Varint()
+	vs[0] = graph.NodeID(prev)
 	for i := 1; i < n; i++ {
-		gap, err := r.Uvarint()
-		if err != nil {
-			return nil, err
-		}
-		prev += int64(gap)
+		prev += int64(r.Uvarint())
 		vs[i] = graph.NodeID(prev)
 	}
-	return vs, nil
+	return vs
 }
 
 // WriteSnapshotFile writes a snapshot atomically through fsys (nil means

@@ -185,9 +185,9 @@ func nonMinimalSegment(t *testing.T, snap []byte) []byte {
 // same value, with a continuation bit and a zero byte added.
 func padFirstVarint(t *testing.T, b []byte) []byte {
 	t.Helper()
-	r := Reader{buf: b}
-	if _, err := r.Uvarint(); err != nil {
-		t.Fatal(err)
+	r := Reader{buf: b, bad: ErrBadSnapshot}
+	if r.Uvarint(); r.Err() != nil {
+		t.Fatal(r.Err())
 	}
 	n := r.off
 	out := slices.Clone(b[:n])

@@ -350,45 +350,17 @@ func (w *WAL) truncateToSize() error {
 // appendFramedRecord writes — every varint minimal — so an accepted payload
 // re-encodes to its own bytes.
 func decodeRecord(payload []byte) (ReplayRecord, error) {
-	var rec ReplayRecord
 	r := Reader{buf: payload, bad: ErrBadWAL}
-	var err error
-	if rec.Seq, err = r.Uint64(); err != nil {
-		return rec, err
-	}
-	if rec.Gen, err = r.Uint64(); err != nil {
-		return rec, err
-	}
+	rec := ReplayRecord{Seq: r.Uint64(), Gen: r.Uint64()}
 	// A delete is the smallest update: an op byte and two 1-byte varints.
-	n, err := r.Count(3)
-	if err != nil {
-		return rec, err
-	}
-	rec.Batch = make(graph.Batch, n)
+	rec.Batch = make(graph.Batch, r.Count(3))
 	for i := range rec.Batch {
 		u := &rec.Batch[i]
-		op, err := r.Byte()
-		if err != nil {
-			return rec, err
-		}
-		from, err := r.Varint()
-		if err != nil {
-			return rec, err
-		}
-		to, err := r.Varint()
-		if err != nil {
-			return rec, err
-		}
-		u.From, u.To = graph.NodeID(from), graph.NodeID(to)
+		op := r.Byte()
+		u.From, u.To = graph.NodeID(r.Varint()), graph.NodeID(r.Varint())
 		switch op {
 		case 0:
-			u.Op = graph.Insert
-			if u.FromLabel, err = r.String(); err != nil {
-				return rec, err
-			}
-			if u.ToLabel, err = r.String(); err != nil {
-				return rec, err
-			}
+			u.Op, u.FromLabel, u.ToLabel = graph.Insert, r.Text(), r.Text()
 		case 1:
 			u.Op = graph.Delete
 		default:
