@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
 	"runtime"
 	"testing"
@@ -12,6 +13,77 @@ import (
 	"incgraph/internal/graph"
 	"incgraph/internal/store"
 )
+
+// replyFrame returns one msgOK reply carrying body, as send writes it.
+func replyFrame(t *testing.T, body []byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := send(&buf, append(appendMsg(nil, msgOK), body...)); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// readsAsBadFrame reports whether readReply refuses raw with ErrFrame.
+func readsAsBadFrame(t *testing.T, raw []byte) bool {
+	t.Helper()
+	_, _, err := readReply(bytes.NewReader(raw), nil)
+	return errors.Is(err, ErrFrame)
+}
+
+func TestFrameTornHeader(t *testing.T) {
+	raw := replyFrame(t, []byte("payload"))
+	for cut := 0; cut < store.FrameHeaderSize; cut++ {
+		if !readsAsBadFrame(t, raw[:cut]) {
+			t.Fatalf("reply torn in its header at %d: not ErrFrame", cut)
+		}
+	}
+}
+
+func TestFrameTornPayload(t *testing.T) {
+	raw := replyFrame(t, []byte("payload"))
+	for cut := store.FrameHeaderSize; cut < len(raw); cut++ {
+		if !readsAsBadFrame(t, raw[:cut]) {
+			t.Fatalf("reply torn in its payload at %d: not ErrFrame", cut)
+		}
+	}
+}
+
+func TestFrameOversized(t *testing.T) {
+	hdr := binary.LittleEndian.AppendUint32(nil, store.MaxFrame+1)
+	hdr = binary.LittleEndian.AppendUint32(hdr, 0)
+	if !readsAsBadFrame(t, hdr) {
+		t.Fatal("reply whose length passes store.MaxFrame: not ErrFrame")
+	}
+	huge := appendMsg(make([]byte, 0, store.FrameHeaderSize+store.MaxFrame+1), msgOK)
+	if err := send(io.Discard, huge[:store.FrameHeaderSize+store.MaxFrame+1]); !errors.Is(err, ErrFrame) {
+		t.Fatalf("sending a payload past store.MaxFrame: got %v, want ErrFrame", err)
+	}
+}
+
+func TestFrameCorruptCRC(t *testing.T) {
+	// Flip one payload bit: the CRC must catch it.
+	raw := replyFrame(t, []byte("payload"))
+	raw[len(raw)-1] ^= 0x01
+	if !readsAsBadFrame(t, raw) {
+		t.Fatal("reply with a flipped payload bit: not ErrFrame")
+	}
+	// Flip a CRC bit with the payload intact: same verdict.
+	raw = replyFrame(t, []byte("payload"))
+	raw[5] ^= 0x80
+	if !readsAsBadFrame(t, raw) {
+		t.Fatal("reply with a flipped CRC bit: not ErrFrame")
+	}
+	// Sanity: the CRC in a clean frame covers the whole payload, type byte
+	// and body.
+	raw = replyFrame(t, []byte("payload"))
+	if crc := binary.LittleEndian.Uint32(raw[4:]); crc != crc32.ChecksumIEEE(raw[store.FrameHeaderSize:]) {
+		t.Fatalf("frame CRC %08x does not cover the payload", crc)
+	}
+	if _, _, err := readReply(bytes.NewReader(raw), nil); err != nil {
+		t.Fatalf("clean reply: %v", err)
+	}
+}
 
 // hubMessages are one real encoding of every message a standby feed
 // carries, each a sealed frame: the tail request, its response with a
