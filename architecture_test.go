@@ -33,7 +33,14 @@ func TestArchitecture(t *testing.T) {
 		// Generated files, in their tools' wording, are exempt.
 		{"no Deprecated markers", deprecatedComments},
 
-		{"internal/history is test support", imports(nonTest, "incgraph/internal/history")},
+		// The seeded history and its from-scratch oracle: only test files
+		// import them, and the oracle's own package imports the history.
+		{"internal/history is test support", imports(nonTestOutside("internal/history/"),
+			"incgraph/internal/history", "incgraph/internal/history/oracle")},
+		// The engine packages import the history, so its generator half
+		// may import nothing of the module but the graph: the oracle,
+		// which needs the root package, lives in a package of its own.
+		{"the history's generator half imports only internal/graph", importsOnly("internal/history", "incgraph/internal/graph")},
 		// The paper's figures are the benchmarks of bench_test.go.
 		{"one home for the paper's figures", imports(anyFile,
 			"incgraph/internal/bench", "incgraph/cmd/benchmark", "incgraph/cmd/benchcmp")},
@@ -116,6 +123,12 @@ func TestArchitecture(t *testing.T) {
 		{"one differential harness", idents(anyFile,
 			"mkEngines", "maintEngines", "classRun", "diffWorkload", "answerOf",
 			"mkDurableQueries", "linHistory", "linReplay", "linOracle", "linConn")},
+		// The engine packages' histories draw from internal/history and
+		// are judged by history.CheckStep: no private generator, graph
+		// helper or hand-written ΔO diff. (internal/graph's own tests keep
+		// theirs: the history imports the graph package.)
+		{"one differential harness", idents(under("internal/kws/", "internal/rpq/", "internal/scc/", "internal/iso/", "internal/history/"),
+			"randomBatch", "randomLabeled", "randomMutation", "diffAnswers", "diffPartitions", "newHistory")},
 		{"deleted paths stay deleted", noPaths(
 			"parallel_differential_test.go", "sharded_differential_test.go", "cluster_differential_test.go",
 			"cluster_commit_differential_test.go", "ha_differential_test.go", "durable_split_test.go",
@@ -191,6 +204,18 @@ func nonTestUnder(dir string) func(archFile) bool {
 	return func(f archFile) bool { return !f.test && strings.HasPrefix(f.path, dir) }
 }
 
+// nonTestOutside selects the non-test files that are not under dir.
+func nonTestOutside(dir string) func(archFile) bool {
+	return func(f archFile) bool { return !f.test && !strings.HasPrefix(f.path, dir) }
+}
+
+// under selects every file under any of dirs, test files included.
+func under(dirs ...string) func(archFile) bool {
+	return func(f archFile) bool {
+		return slices.ContainsFunc(dirs, func(dir string) bool { return strings.HasPrefix(f.path, dir) })
+	}
+}
+
 // nonTestIn selects the non-test files of directory dir itself.
 func nonTestIn(dir string) func(archFile) bool {
 	return func(f archFile) bool { return !f.test && inDir(f, dir) }
@@ -251,6 +276,25 @@ func idents(keep func(archFile) bool, banned ...string) func(*archTree, func(at,
 				}
 				return true
 			})
+		}
+	}
+}
+
+// importsOnly requires the files of directory dir itself, test files
+// included, to import nothing but the standard library and allowed.
+func importsOnly(dir string, allowed ...string) func(*archTree, func(at, msg string)) {
+	return func(tr *archTree, report func(at, msg string)) {
+		for _, f := range tr.files {
+			if !inDir(f, dir) {
+				continue
+			}
+			for _, imp := range f.ast.Imports {
+				p, _ := strconv.Unquote(imp.Path.Value)
+				first, _, _ := strings.Cut(p, "/")
+				if !slices.Contains(allowed, p) && (first == "incgraph" || strings.Contains(first, ".")) {
+					report(tr.at(imp.Pos()), "imports "+p)
+				}
+			}
 		}
 	}
 }

@@ -1,14 +1,14 @@
 package main
 
 // The root package's seeded history (internal/history) driven through the
-// daemon over the wire, and held to the same from-scratch oracle TestHistory
-// holds the library to. One writer stages and commits the history while
-// readers on connections of their own read every class; each reply names
-// the generation it was served at, and once the writer's last ack is in,
-// every generation maps to a step of the history: a reply must be what
-// from-scratch builds answer at that step, must not be older than a commit
-// acked before it was sent, and must not go back in time on its
-// connection. The daemons run in-process (run / runStandby), so the race
+// daemon over the wire, and held to the same from-scratch oracle
+// (internal/history/oracle) TestHistory holds the library to. One writer
+// stages and commits the history while readers on connections of their
+// own read every class; each reply names the generation it was served at,
+// and once the writer's last ack is in, every generation maps to a step of
+// the history: a reply must be what from-scratch builds answer at that
+// step, must not be older than a commit acked before it was sent, and must
+// not go back in time on its connection. The daemons run in-process (run / runStandby), so the race
 // detector sees publisher and readers together.
 
 import (
@@ -25,6 +25,7 @@ import (
 
 	"incgraph"
 	"incgraph/internal/history"
+	"incgraph/internal/history/oracle"
 	"incgraph/internal/wire"
 )
 
@@ -33,8 +34,8 @@ import (
 // its store under dir.
 func historyConfig(t *testing.T, dir string) config {
 	t.Helper()
-	g := history.Graph()
-	_, q := history.Engines(g)
+	g := oracle.Graph()
+	_, q := oracle.Engines(g)
 	graphPath, patPath := filepath.Join(dir, "seed.snap"), filepath.Join(dir, "pattern.txt")
 	if err := incgraph.WriteSnapshotFile(graphPath, g); err != nil {
 		t.Fatal(err)
@@ -93,17 +94,17 @@ type wireHistory struct {
 // newWireHistory generates the history of seed and sizes, reads the oracle
 // after every step, and runs a set of engines of its own along it.
 func newWireHistory(seed int64, sizes []int) *wireHistory {
-	g := history.Graph()
-	build, _ := history.Engines(g)
+	g := oracle.Graph()
+	build, _ := oracle.Engines(g)
 	h := history.New(g, seed)
-	o := history.NewOracle(build, h.Sim)
-	engines := make(map[string]history.Engine, len(build))
+	o := oracle.New(build, h.Sim)
+	engines := make(map[string]oracle.Engine, len(build))
 	for class, mk := range build {
 		engines[class] = mk(g.Clone())
 	}
 	read := func() map[string]reading {
-		m := make(map[string]reading, len(history.Classes))
-		for _, class := range history.Classes {
+		m := make(map[string]reading, len(oracle.Classes))
+		for _, class := range oracle.Classes {
 			size, answer := o.Read(class)
 			m[class] = reading{size, sha256.Sum256([]byte(answer))}
 		}
@@ -195,13 +196,13 @@ func readers(t *testing.T, addr string, n int, floor *atomic.Uint64) (stop func(
 				if left < 0 {
 					select {
 					case <-done:
-						left = len(history.Classes)
+						left = len(oracle.Classes)
 					default:
 					}
 				} else {
 					left--
 				}
-				rp := reply{class: history.Classes[op%len(history.Classes)]}
+				rp := reply{class: oracle.Classes[op%len(oracle.Classes)]}
 				if floor != nil {
 					rp.floor = floor.Load()
 				}
@@ -290,7 +291,7 @@ var historySizes = append(slices.Clone(history.Sizes), history.Sizes...)
 // writer's commits land, and a chain must have been folded under them.
 func daemonHistory(t *testing.T, shape string) {
 	w := newWireHistory(200, historySizes)
-	for _, class := range history.Classes {
+	for _, class := range oracle.Classes {
 		moves, was := 0, w.start[class]
 		for i, st := range w.steps {
 			now := st.want[class]
@@ -367,7 +368,7 @@ func TestStandbyAutoCheckpoints(t *testing.T) {
 func answersAt(t *testing.T, c *wire.Client, gen uint64) []reply {
 	t.Helper()
 	var got []reply
-	for _, class := range history.Classes {
+	for _, class := range oracle.Classes {
 		for deadline := time.Now().Add(20 * time.Second); ; time.Sleep(5 * time.Millisecond) {
 			read, rows, err := c.Answer(class)
 			if err != nil {
@@ -413,7 +414,7 @@ func runDaemonHistory(t *testing.T, shape string, w *wireHistory) (gens, folds i
 	case "single", "sharded":
 		if shape == "sharded" {
 			// A store keeps the shard count of the snapshot it starts from.
-			g := history.Graph()
+			g := oracle.Graph()
 			g.SetShards(4)
 			if err := incgraph.WriteSnapshotFile(cfg.graphPath, g); err != nil {
 				t.Fatal(err)

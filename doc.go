@@ -172,7 +172,7 @@
 // CLASS SIZE gen=G") — and read no engine state after start-up: an engine
 // only orders and renders their rows (CompareRows, AppendRow).
 // TestDaemonHistory and TestLinearizableStandbyReads (cmd/incgraphd) pin it against the same seeded history and from-scratch
-// oracle as TestHistory (internal/history): staged and committed over the wire to a daemon, a
+// oracle as TestHistory (internal/history and its oracle): staged and committed over the wire to a daemon, a
 // daemon at four shards and a promoted standby while readers read every
 // class, each reply must be what from-scratch builds answer at the step
 // its generation ended, never older than an acked commit, and never older

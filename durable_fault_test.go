@@ -19,19 +19,20 @@ import (
 
 	"incgraph"
 	"incgraph/internal/history"
+	"incgraph/internal/history/oracle"
 	"incgraph/internal/store"
 )
 
 // matchesOracle fails unless d holds sim and every engine answers what a
 // from-scratch build on sim does, with its audit green.
-func matchesOracle(t *testing.T, what string, d *incgraph.Durable, engines map[string]history.Engine, build history.Builders, sim *incgraph.Graph) {
+func matchesOracle(t *testing.T, what string, d *incgraph.Durable, engines map[string]oracle.Engine, build oracle.Builders, sim *incgraph.Graph) {
 	t.Helper()
 	if !d.Graph().Equal(sim) {
 		t.Fatalf("%s: the store's graph is not the history's", what)
 	}
 	for class, e := range engines {
 		if got, want := e.Answer(), build[class](sim.Clone()).Answer(); got != want {
-			t.Fatalf("%s: %s answers differently from a fresh build: %s", what, class, history.FirstDiff(got, want))
+			t.Fatalf("%s: %s answers differently from a fresh build: %s", what, class, oracle.FirstDiff(got, want))
 		}
 		if err := e.Audit(); err != nil {
 			t.Fatalf("%s: %s audit: %v", what, class, err)
@@ -47,8 +48,8 @@ func matchesOracle(t *testing.T, what string, d *incgraph.Durable, engines map[s
 func TestRecoveryTornTail(t *testing.T) {
 	for _, mode := range []string{"torn", "crc", "claim"} {
 		t.Run(mode, func(t *testing.T) {
-			g := history.Graph()
-			build, _ := history.Engines(g)
+			g := oracle.Graph()
+			build, _ := oracle.Engines(g)
 			h := history.New(g, 777)
 			dir := t.TempDir()
 			d, err := incgraph.CreateDurable(dir, g.Clone(), incgraph.DurableOptions{})
@@ -110,8 +111,8 @@ func TestRecoveryTornTail(t *testing.T) {
 // recovered graph meters exactly what the same build on a copy of it does:
 // recovery repairs nothing.
 func TestRecoveryBuildsOnce(t *testing.T) {
-	g := history.Graph()
-	build, _ := history.Engines(g)
+	g := oracle.Graph()
+	build, _ := oracle.Engines(g)
 	h := history.New(g, 2024)
 	dir := t.TempDir()
 	d, err := incgraph.CreateDurable(dir, g.Clone(), incgraph.DurableOptions{Sync: incgraph.SyncNone})
@@ -154,7 +155,7 @@ func TestRecoveryBuildsOnce(t *testing.T) {
 // of an edge the graph does not hold — fails OpenDurable, naming the
 // record, rather than serving a graph that is not the logged history.
 func TestRecoveryRefusesUnappliableRecord(t *testing.T) {
-	g := history.Graph()
+	g := oracle.Graph()
 	h := history.New(g, 11)
 	dir := t.TempDir()
 	d, err := incgraph.CreateDurable(dir, g.Clone(), incgraph.DurableOptions{})
@@ -192,8 +193,8 @@ type maintainedOnly struct{ incgraph.Maintained }
 // it takes a commit straight away. It is the one test that attaches an
 // engine on a clone on purpose.
 func TestDurableGuards(t *testing.T) {
-	g := history.Graph()
-	build, _ := history.Engines(g)
+	g := oracle.Graph()
+	build, _ := oracle.Engines(g)
 	h := history.New(g, 99)
 	dir := t.TempDir()
 	d, err := incgraph.CreateDurable(dir, g.Clone(), incgraph.DurableOptions{})
@@ -260,8 +261,8 @@ func TestDurableFsyncFailThenCrashParity(t *testing.T) {
 	for _, k := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("sync-%d", k), func(t *testing.T) {
 			dir := t.TempDir()
-			g := history.Graph()
-			build, _ := history.Engines(g)
+			g := oracle.Graph()
+			build, _ := oracle.Engines(g)
 			h := history.New(g, 17)
 			ffs := store.NewFaultFS(21, store.FSRule{
 				Op: "sync", Path: "wal", Index: k, Kind: store.FaultSyncFail,
@@ -311,16 +312,16 @@ func TestDurableFsyncFailThenCrashParity(t *testing.T) {
 // on locally, and recovers to exactly what a single-process run of the same
 // stream holds: WAL bytes, graph and answers.
 func TestClusterCommitWALFailureAfterPhase1(t *testing.T) {
-	g := history.Graph()
+	g := oracle.Graph()
 	g.SetShards(8)
-	build, _ := history.Engines(g)
+	build, _ := oracle.Engines(g)
 	h := history.New(g, 5151)
 	batches := make([]incgraph.Batch, 6)
 	for i := range batches {
 		batches[i] = h.Batch(60)
 	}
 	dir := t.TempDir()
-	open := func(name string, fs incgraph.FS) (*incgraph.Durable, map[string]history.Engine) {
+	open := func(name string, fs incgraph.FS) (*incgraph.Durable, map[string]oracle.Engine) {
 		d, err := incgraph.CreateDurable(filepath.Join(dir, name), g.Clone(), incgraph.DurableOptions{FS: fs})
 		if err != nil {
 			t.Fatal(err)
@@ -358,7 +359,7 @@ func TestClusterCommitWALFailureAfterPhase1(t *testing.T) {
 	}
 	for class, e := range engines {
 		if got := e.Observe(); got != before[class] {
-			t.Fatalf("the failed commit moved %s: %s", class, history.FirstDiff(got, before[class]))
+			t.Fatalf("the failed commit moved %s: %s", class, oracle.FirstDiff(got, before[class]))
 		}
 	}
 
@@ -414,9 +415,9 @@ func TestClusterCommitWALFailureAfterPhase1(t *testing.T) {
 // applied — so a commit through it succeeds and every replica verifies
 // clean.
 func TestClusterOnRecoveredStore(t *testing.T) {
-	g := history.Graph()
+	g := oracle.Graph()
 	g.SetShards(8)
-	build, _ := history.Engines(g)
+	build, _ := oracle.Engines(g)
 	h := history.New(g, 4343)
 	dir := t.TempDir()
 	d, err := incgraph.CreateDurable(dir, g.Clone(), incgraph.DurableOptions{Sync: incgraph.SyncNone})

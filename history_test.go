@@ -7,10 +7,11 @@ package incgraph_test
 // every step each shape is judged against the reference shape ("clones"
 // in TestHistory) for everything a caller can observe, and the reference
 // against from-scratch builds on the simulated graph for every class's
-// answer and ΔO. The history, the engine builders and that oracle are
-// internal/history's, which cmd/incgraphd's TestDaemonHistory drives over
-// the wire. The tests after TestHistory each run a short history through
-// the few shapes one concern sets side by side.
+// answer and ΔO. The history is internal/history's, the engine builders
+// and that oracle internal/history/oracle's; cmd/incgraphd's
+// TestDaemonHistory drives both over the wire. The tests after TestHistory
+// each run a short history through the few shapes one concern sets side by
+// side.
 
 import (
 	"bytes"
@@ -29,14 +30,15 @@ import (
 	"incgraph/internal/cost"
 	"incgraph/internal/graph"
 	"incgraph/internal/history"
+	"incgraph/internal/history/oracle"
 )
 
 // attachInPlace builds every class's engine build has on d's own graph,
 // the way incgraphd attaches its engines, and attaches them in
-// history.Classes order: Attach takes any adapter built on the store's
+// oracle.Classes order: Attach takes any adapter built on the store's
 // graph.
-func attachInPlace(d *incgraph.Durable, build history.Builders) map[string]history.Engine {
-	engines := make(map[string]history.Engine, len(build))
+func attachInPlace(d *incgraph.Durable, build oracle.Builders) map[string]oracle.Engine {
+	engines := make(map[string]oracle.Engine, len(build))
 	for _, class := range build.Classes() {
 		e := build[class](d.Graph())
 		if err := d.Attach(e.M); err != nil {
@@ -53,7 +55,7 @@ type shape struct {
 	name    string
 	dir     string
 	d       *incgraph.Durable
-	engines map[string]history.Engine
+	engines map[string]oracle.Engine
 	shards  int
 	// cl is the coordinator commits go through, nil for a local store.
 	cl *incgraph.Cluster
@@ -74,7 +76,7 @@ type harness struct {
 	t *testing.T
 	// g is the first graph at 4 shards, a count no shape runs at.
 	g     *incgraph.Graph
-	build history.Builders
+	build oracle.Builders
 	steps int
 }
 
@@ -163,7 +165,7 @@ func (hs *harness) open(spec shapeSpec) *shape {
 	t := hs.t
 	g := hs.g.Clone()
 	g.SetShards(spec.shards)
-	s := &shape{name: spec.name, dir: t.TempDir(), engines: map[string]history.Engine{}, shards: spec.shards, logsAll: true}
+	s := &shape{name: spec.name, dir: t.TempDir(), engines: map[string]oracle.Engine{}, shards: spec.shards, logsAll: true}
 	d, err := incgraph.CreateDurable(s.dir, g, incgraph.DurableOptions{Sync: incgraph.SyncNone})
 	if err != nil {
 		t.Fatal(err)
@@ -282,7 +284,7 @@ func openFailover(hs *harness, s *shape) {
 		},
 	})
 	var standby *incgraph.Durable
-	var standbyEngines map[string]history.Engine
+	var standbyEngines map[string]oracle.Engine
 	standbyDir := t.TempDir()
 	fed := make(chan uint64, 1) // 0 once loaded, then each applied record's seq
 	tail := make(chan error, 1)
@@ -389,12 +391,12 @@ func openFailover(hs *harness, s *shape) {
 // parts from the reference or the reference from the oracle, and returns
 // how often each class took rebuild-and-diff.
 func runHistory(t *testing.T, seed int64, sizes []int, only []string, specs ...shapeSpec) map[string]int {
-	hs := &harness{t: t, g: history.Graph(), steps: len(sizes)}
+	hs := &harness{t: t, g: oracle.Graph(), steps: len(sizes)}
 	hs.g.SetShards(4)
-	var q history.Queries
-	hs.build, q = history.Engines(hs.g)
+	var q oracle.Queries
+	hs.build, q = oracle.Engines(hs.g)
 	if only != nil {
-		maps.DeleteFunc(hs.build, func(class string, _ func(*incgraph.Graph) history.Engine) bool { return !slices.Contains(only, class) })
+		maps.DeleteFunc(hs.build, func(class string, _ func(*incgraph.Graph) oracle.Engine) bool { return !slices.Contains(only, class) })
 	}
 	all := make([]*shape, len(specs))
 	for i, spec := range specs {
@@ -402,7 +404,7 @@ func runHistory(t *testing.T, seed int64, sizes []int, only []string, specs ...s
 	}
 	ref := all[0]
 	h := history.New(hs.g, seed)
-	o := history.NewOracle(hs.build, h.Sim)
+	o := oracle.New(hs.build, h.Sim)
 	rebuilds := map[string]int{}
 	for step, size := range sizes {
 		if step == hs.steps/2 {
@@ -433,7 +435,7 @@ func runHistory(t *testing.T, seed int64, sizes []int, only []string, specs ...s
 				}
 				for class, e := range s.engines {
 					if got := e.Observe(); got != before[class] {
-						t.Fatalf("step %d, %s: a rejected batch moved %s: %s", step, s.name, class, history.FirstDiff(got, before[class]))
+						t.Fatalf("step %d, %s: a rejected batch moved %s: %s", step, s.name, class, oracle.FirstDiff(got, before[class]))
 					}
 				}
 			}
@@ -563,9 +565,9 @@ func (s *shape) matches(sums []incgraph.DeltaSummary, ref map[string]incgraph.De
 	for class, e := range s.engines {
 		if s.fresh {
 			if got := e.Answer(); got != answers[class] {
-				return fmt.Errorf("%s: rebuilt %s answers differently from the reference: %s", s.name, class, history.FirstDiff(got, answers[class]))
+				return fmt.Errorf("%s: rebuilt %s answers differently from the reference: %s", s.name, class, oracle.FirstDiff(got, answers[class]))
 			}
-			if d := history.RenderLastDelta(e.M); d != "" {
+			if d := oracle.RenderLastDelta(e.M); d != "" {
 				return fmt.Errorf("%s: %s, just built, holds a ΔO: %q", s.name, class, d)
 			}
 			if e.Estimate != nil && e.Estimate() != (cost.Estimate{}) {
@@ -575,10 +577,10 @@ func (s *shape) matches(sums []incgraph.DeltaSummary, ref map[string]incgraph.De
 		}
 		got, want := e.Observe(), want[class]
 		if s.reborn {
-			got, want = history.SansMeter(got), history.SansMeter(want)
+			got, want = oracle.SansMeter(got), oracle.SansMeter(want)
 		}
 		if got != want {
-			return fmt.Errorf("%s: %s differs from the reference: %s", s.name, class, history.FirstDiff(got, want))
+			return fmt.Errorf("%s: %s differs from the reference: %s", s.name, class, oracle.FirstDiff(got, want))
 		}
 	}
 	return nil
@@ -646,7 +648,7 @@ func mustRebuild(t *testing.T, rebuilds map[string]int) {
 // TestParallelMatchesSequential: each class alone on its store, its loops
 // on one worker and on eight that all start before the first iteration.
 func TestParallelMatchesSequential(t *testing.T) {
-	for _, class := range history.Classes {
+	for _, class := range oracle.Classes {
 		t.Run(class, func(t *testing.T) {
 			runHistory(t, 42, focusSizes, []string{class}, pick("serial", "wide")...)
 		})
@@ -657,7 +659,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 // one shard and at two re-sharded to eight.
 func TestShardedMatchesUnsharded(t *testing.T) {
 	t.Parallel()
-	for _, class := range history.Classes {
+	for _, class := range oracle.Classes {
 		t.Run(class, func(t *testing.T) {
 			runHistory(t, 1337, focusSizes, []string{class}, pick("serial", "inplace")...)
 		})

@@ -124,9 +124,6 @@ type (
 	Regexp = rex.Ast
 )
 
-// ParseRPQ parses a regular path expression such as "c.(b.a+c)*.c".
-func ParseRPQ(query string) (*Regexp, error) { return rex.Parse(query) }
-
 // NewRPQ compiles the query and evaluates it on g (the batch step).
 func NewRPQ(g *Graph, query string) (*RPQEngine, error) { return rpq.Parse(g, query, nil) }
 

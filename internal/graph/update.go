@@ -201,17 +201,6 @@ func (b Batch) repeatsEdge() bool {
 	return false
 }
 
-// TouchedNodes returns the set of nodes appearing as an endpoint of any
-// update in the batch. These are the seeds of d_Q-neighborhood localization.
-func (b Batch) TouchedNodes() map[NodeID]bool {
-	set := make(map[NodeID]bool, 2*len(b))
-	for _, u := range b {
-		set[u.From] = true
-		set[u.To] = true
-	}
-	return set
-}
-
 // ErrBadUpdate reports an update that cannot be applied.
 var ErrBadUpdate = errors.New("graph: update cannot be applied")
 

@@ -54,20 +54,11 @@ func TestApplyBatchStopsAtFirstError(t *testing.T) {
 	}
 }
 
-func TestSplitAndTouchedNodes(t *testing.T) {
+func TestSplit(t *testing.T) {
 	b := Batch{Ins(1, 2), Del(3, 4), Ins(5, 6)}
 	ins, del := b.Split()
 	if len(ins) != 2 || len(del) != 1 || ins[1].From != 5 || del[0].To != 4 {
 		t.Fatalf("Split wrong: ins=%v del=%v", ins, del)
-	}
-	touched := b.TouchedNodes()
-	for _, v := range []NodeID{1, 2, 3, 4, 5, 6} {
-		if !touched[v] {
-			t.Fatalf("node %d not touched", v)
-		}
-	}
-	if len(touched) != 6 {
-		t.Fatalf("touched size = %d", len(touched))
 	}
 }
 

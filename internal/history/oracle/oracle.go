@@ -1,19 +1,34 @@
-package history
+// Package oracle is the from-scratch half of internal/history: the graph
+// every root and daemon history starts from, the one builder of every
+// class's engine through the root package's adapters, the renderers the
+// differential tests compare engines by, and the Oracle that holds each
+// step to every class built from scratch on the history's graph, through
+// history.CheckStep. It needs the root package, so the engine packages,
+// which the root package imports, cannot import it. Only test files do.
+package oracle
 
 import (
 	"bytes"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"incgraph"
 	"incgraph/internal/cost"
+	"incgraph/internal/history"
 	"incgraph/internal/iso"
 	"incgraph/internal/kws"
 	"incgraph/internal/rpq"
 	"incgraph/internal/scc"
 )
+
+// Graph returns the graph every history starts from: two labels, half the
+// nodes in one giant SCC.
+func Graph() *incgraph.Graph {
+	return incgraph.SyntheticGraph(incgraph.GraphSpec{
+		Nodes: 300, Edges: 1200, Labels: 2, GiantSCCFrac: 0.5, Seed: 41,
+	})
+}
 
 // Engine is one class's engine as the tests drive it: the adapter, the
 // engine's own audit of its state, its work meter, and — for kws and iso,
@@ -155,8 +170,8 @@ type Oracle struct {
 	was   map[string]incgraph.Rows
 }
 
-// NewOracle builds every class build has from scratch on sim.
-func NewOracle(build Builders, sim *incgraph.Graph) *Oracle {
+// New builds every class build has from scratch on sim.
+func New(build Builders, sim *incgraph.Graph) *Oracle {
 	o := &Oracle{build, make(map[string]Engine, len(build)), make(map[string]incgraph.Rows, len(build))}
 	o.Advance(sim)
 	return o
@@ -180,44 +195,14 @@ func (o *Oracle) Read(class string) (size int, answer string) {
 	return e.M.Size(), e.Answer()
 }
 
-// Check holds the engines' last ΔO to the keyed diff of the builds before
-// and after the last Advance: folded onto the old answer it renders the new
-// one, byte for byte, and it names no key whose row is the same in both.
-// The engines' answers must be the new builds' too.
+// Check holds the engines' last ΔO and answers to the builds before and
+// after the last Advance (history.CheckStep).
 func (o *Oracle) Check(engines map[string]Engine) error {
 	for class, e := range engines {
-		fresh := o.fresh[class]
-		m := fresh.M
-		was, now := o.was[class], m.Rows()
-		d := e.M.LastDelta()
-		var folded []byte
-		incgraph.MergeRows(m, was, []incgraph.RowDelta{d}, func(row []incgraph.NodeID) { folded = m.AppendRow(folded, row) })
-		want := fresh.Answer()
-		if string(folded) != want {
-			return fmt.Errorf("%s: the old answer ⊕ ΔO is not a fresh build's: %s", class, FirstDiff(string(folded), want))
+		fresh := o.fresh[class].M
+		if err := history.CheckStep(fresh, o.was[class], fresh.Rows(), e.M.Rows(), e.M.LastDelta()); err != nil {
+			return fmt.Errorf("%s: %w", class, err)
 		}
-		if got := e.Answer(); got != want {
-			return fmt.Errorf("%s answers differently from a fresh build: %s", class, FirstDiff(got, want))
-		}
-		var err error
-		d.Each(func(row []incgraph.NodeID, gone bool) {
-			before, after := rowOf(m, was, row), rowOf(m, now, row)
-			if err == nil && (before == nil && after == nil || before != nil && after != nil && slices.Equal(before, after)) {
-				err = fmt.Errorf("%s: ΔO names %v, whose row did not change", class, row)
-			}
-		})
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// rowOf returns the row of rows with row's key, or nil.
-func rowOf(m incgraph.Maintained, rows incgraph.Rows, row []incgraph.NodeID) []incgraph.NodeID {
-	i := sort.Search(rows.Len(), func(i int) bool { return m.CompareRows(rows.At(i), row) >= 0 })
-	if i < rows.Len() && m.CompareRows(rows.At(i), row) == 0 {
-		return rows.At(i)
 	}
 	return nil
 }

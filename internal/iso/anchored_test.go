@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"incgraph/internal/graph"
+	"incgraph/internal/history"
 )
 
 func TestEnumerateAnchoredBasics(t *testing.T) {
@@ -52,7 +53,7 @@ func TestAnchoredAgreesWithFullEnumeration(t *testing.T) {
 	// enumerations equals the full match set.
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 8; trial++ {
-		g := randomLabeled(rng, 14, 35, []string{"a", "b"})
+		g := history.RandomGraph(rng, 14, 35, "a", "b")
 		p := PathPattern("a", "b", "a")
 		want := make(map[string]bool)
 		for _, m := range FindAll(g, p, 0, nil) {

@@ -3,7 +3,6 @@ package iso
 import (
 	"bytes"
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"incgraph/internal/cost"
@@ -203,121 +202,6 @@ func TestApplyErrors(t *testing.T) {
 	}
 }
 
-func randomLabeled(rng *rand.Rand, n, m int, labels []string) *graph.Graph {
-	g := graph.New()
-	for i := 0; i < n; i++ {
-		g.AddNode(graph.NodeID(i), labels[rng.Intn(len(labels))])
-	}
-	for i := 0; i < m; i++ {
-		g.AddEdge(graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n)))
-	}
-	return g
-}
-
-func randomBatch(rng *rand.Rand, g *graph.Graph, k int, labels []string) graph.Batch {
-	sim := g.Clone()
-	var batch graph.Batch
-	maxID := sim.MaxNodeID()
-	for len(batch) < k {
-		nodes := sim.NodesSorted()
-		v := nodes[rng.Intn(len(nodes))]
-		switch rng.Intn(5) {
-		case 0, 1:
-			succ := sim.SuccessorsSorted(v)
-			if len(succ) == 0 {
-				continue
-			}
-			u := graph.Del(v, succ[rng.Intn(len(succ))])
-			sim.Apply(u)
-			batch = append(batch, u)
-		case 2:
-			maxID++
-			u := graph.InsNew(v, maxID, "", labels[rng.Intn(len(labels))])
-			sim.Apply(u)
-			batch = append(batch, u)
-		default:
-			w := nodes[rng.Intn(len(nodes))]
-			if sim.HasEdge(v, w) {
-				continue
-			}
-			u := graph.Ins(v, w)
-			sim.Apply(u)
-			batch = append(batch, u)
-		}
-	}
-	return batch
-}
-
-func TestIncrementalEqualsBatchRandomized(t *testing.T) {
-	labels := []string{"a", "b", "c"}
-	patterns := []*Pattern{
-		PathPattern("a", "b"),
-		PathPattern("a", "b", "c"),
-		TrianglePattern("a", "b", "c"),
-		StarPattern("a", "b", "c"),
-	}
-	for seed := int64(0); seed < 24; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		p := patterns[int(seed)%len(patterns)]
-		g := randomLabeled(rng, 18, 40, labels)
-		batch := randomBatch(rng, g, 10, labels)
-
-		ixb := Build(g.Clone(), p, nil)
-		if _, err := ixb.Apply(batch); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if err := ixb.Check(); err != nil {
-			t.Fatalf("seed %d: IncISO: %v", seed, err)
-		}
-
-		ixu := Build(g.Clone(), p, nil)
-		if _, err := ixu.ApplyUnitwise(batch); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if err := ixu.Check(); err != nil {
-			t.Fatalf("seed %d: IncISOn: %v", seed, err)
-		}
-
-		if ixb.Size() != ixu.Size() {
-			t.Fatalf("seed %d: IncISO %d matches, IncISOn %d", seed, ixb.Size(), ixu.Size())
-		}
-	}
-}
-
-func TestDeltaConsistencyRandomized(t *testing.T) {
-	labels := []string{"a", "b"}
-	for seed := int64(70); seed < 82; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		g := randomLabeled(rng, 15, 35, labels)
-		p := PathPattern("a", "b", "a")
-		ix := Build(g, p, nil)
-		before := make(map[string]bool)
-		for _, m := range ix.Matches() {
-			before[m.Key()] = true
-		}
-		batch := randomBatch(rng, g, 8, labels)
-		d, err := ix.Apply(batch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, m := range d.Removed {
-			if !before[m.Key()] {
-				t.Fatalf("seed %d: removed unknown match", seed)
-			}
-			delete(before, m.Key())
-		}
-		for _, m := range d.Added {
-			if before[m.Key()] {
-				t.Fatalf("seed %d: double add", seed)
-			}
-			before[m.Key()] = true
-		}
-		if len(before) != ix.Size() {
-			t.Fatalf("seed %d: delta inconsistent: %d vs %d", seed, len(before), ix.Size())
-		}
-	}
-}
-
 func TestLocalizability(t *testing.T) {
 	// Theorem 3 for ISO: IncISO's work is a function of the
 	// d_Q-neighborhood of ΔG, independent of |G|.
@@ -354,9 +238,6 @@ func TestMatchKeyAndImages(t *testing.T) {
 	m := Match{graph.NodeID(7), graph.NodeID(9)}
 	if m.Key() != "7,9" {
 		t.Fatalf("key = %q", m.Key())
-	}
-	if p.ImageOf(m, 1) != 9 {
-		t.Fatalf("ImageOf wrong")
 	}
 	var es []graph.Edge
 	p.EdgeImages(m, func(e graph.Edge) { es = append(es, e) })

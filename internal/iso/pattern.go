@@ -218,12 +218,6 @@ func (m Match) Key() string {
 	return b.String()
 }
 
-// ImageOf returns h(u) for pattern node u.
-func (p *Pattern) ImageOf(m Match, u graph.NodeID) graph.NodeID {
-	i, _ := p.pos(u)
-	return m[i]
-}
-
 // EdgeImages calls fn with the image of every pattern edge.
 func (p *Pattern) EdgeImages(m Match, fn func(e graph.Edge)) {
 	for _, pe := range p.edges {

@@ -8,6 +8,7 @@ import (
 
 	"incgraph/internal/cost"
 	"incgraph/internal/graph"
+	"incgraph/internal/history"
 )
 
 // randomPattern builds a weakly connected pattern of k nodes: a random tree
@@ -33,17 +34,19 @@ func randomPattern(rng *rand.Rand, k int, labels []string) *Pattern {
 
 // TestRepairEqualsRebuildDiff: on random graphs and random patterns of one
 // to four nodes, the delta enumeration of Repair (batches below the cost
-// model's floor always take it) returns the ΔO that re-enumerating Q(G)
-// from scratch and diffing does, batch after batch.
+// model's floor always take it; a history batch of k is at most k+1
+// updates) returns the ΔO that re-enumerating Q(G) from scratch and
+// diffing does, batch after batch.
 func TestRepairEqualsRebuildDiff(t *testing.T) {
 	labels := []string{"a", "b", "c"}
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		p := randomPattern(rng, 1+int(seed%4), labels)
-		g := randomLabeled(rng, 24, 70, labels)
+		g := history.RandomGraph(rng, 24, 70, labels...)
 		inc, ref := Build(g.Clone(), p, nil), Build(g.Clone(), p, nil)
+		h := history.New(g, seed)
 		for step := 0; step < 5; step++ {
-			batch := randomBatch(rng, inc.Graph(), 1+rng.Intn(cost.FallbackMinBatch-1), labels)
+			batch := h.Batch(1 + rng.Intn(cost.FallbackMinBatch-2))
 			got, err := inc.Apply(batch)
 			if err != nil {
 				t.Fatalf("seed %d step %d: %v", seed, step, err)
@@ -69,15 +72,11 @@ func TestMeterExact(t *testing.T) {
 	defer graph.EagerFanOut()()
 	labels := []string{"a", "b", "c"}
 	rng := rand.New(rand.NewSource(7))
-	g := randomLabeled(rng, 300, 1200, labels)
+	g := history.RandomGraph(rng, 300, 1200, labels...)
+	h := history.New(g, 7)
 	var stream []graph.Batch
-	sim := g.Clone()
 	for _, size := range []int{1, 8, 31, 40, 3, 16} {
-		b := randomBatch(rng, sim, size, labels)
-		if err := sim.ApplyBatch(b); err != nil {
-			t.Fatal(err)
-		}
-		stream = append(stream, b)
+		stream = append(stream, h.Batch(size))
 	}
 	for k := 2; k <= 4; k++ {
 		p := randomPattern(rng, k, labels)

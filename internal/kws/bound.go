@@ -29,6 +29,7 @@ func (ix *Index) ExtendBound(b int) (Delta, error) {
 	}
 	old := ix.q.Bound
 	ix.q.Bound = b
+	ix.roots = graph.GenCache[[]graph.NodeID]{} // the graph stays, the match set moves
 	ix.begin()
 	for i, s := range ix.kw {
 		// The breakpoints w.r.t. keyword i: nodes whose propagation was cut

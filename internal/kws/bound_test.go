@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"incgraph/internal/graph"
+	"incgraph/internal/history"
 )
 
 func TestExtendBoundOnChain(t *testing.T) {
@@ -47,10 +48,9 @@ func TestExtendBoundOnChain(t *testing.T) {
 func TestExtendBoundEqualsFreshBuild(t *testing.T) {
 	// Property: Build(b1) + ExtendBound(b2) == Build(b2), including all
 	// kdist distances, on random graphs.
-	labels := []string{"a", "b", "c", "d"}
 	for seed := int64(0); seed < 15; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		g := randomLabeled(rng, 35, 80, labels)
+		g := history.RandomGraph(rng, 35, 80, "a", "b", "c", "d")
 		q1 := Query{Keywords: []string{"a", "c"}, Bound: 1}
 		ix := mustBuild(t, g, q1)
 		if _, err := ix.ExtendBound(4); err != nil {
@@ -65,10 +65,10 @@ func TestExtendBoundEqualsFreshBuild(t *testing.T) {
 func TestExtendBoundAfterUpdates(t *testing.T) {
 	// Interleave updates and bound extensions.
 	rng := rand.New(rand.NewSource(3))
-	g := randomLabeled(rng, 30, 70, []string{"a", "b", "c"})
+	g := history.RandomGraph(rng, 30, 70, "a", "b", "c")
 	ix := mustBuild(t, g, Query{Keywords: []string{"a", "b"}, Bound: 1})
-	batch := randomBatch(rng, g, 8, []string{"a", "b", "c"})
-	if _, err := ix.Apply(batch); err != nil {
+	h := history.New(g, 3)
+	if _, err := ix.Apply(h.Batch(8)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ix.ExtendBound(3); err != nil {
@@ -77,8 +77,7 @@ func TestExtendBoundAfterUpdates(t *testing.T) {
 	if err := ix.Check(); err != nil {
 		t.Fatal(err)
 	}
-	batch2 := randomBatch(rng, ix.Graph(), 8, []string{"a", "b", "c"})
-	if _, err := ix.Apply(batch2); err != nil {
+	if _, err := ix.Apply(h.Batch(8)); err != nil {
 		t.Fatal(err)
 	}
 	if err := ix.Check(); err != nil {
@@ -88,7 +87,7 @@ func TestExtendBoundAfterUpdates(t *testing.T) {
 
 func TestMatchRootsWithin(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	g := randomLabeled(rng, 40, 100, []string{"a", "b", "c"})
+	g := history.RandomGraph(rng, 40, 100, "a", "b", "c")
 	q3 := Query{Keywords: []string{"a", "b"}, Bound: 3}
 	ix := mustBuild(t, g.Clone(), q3)
 	for b := 0; b <= 3; b++ {

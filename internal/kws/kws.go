@@ -109,9 +109,9 @@ type Index struct {
 	// matches maps each match root to its per-keyword distance vector.
 	matches map[graph.NodeID][]int
 	// roots memoizes MatchRoots against the graph mutation generation:
-	// the match set only moves in a repair, which always follows a
-	// mutation of the graph, so a matching stamp proves the sorted view
-	// is current.
+	// the match set moves in a repair, which always follows a mutation of
+	// the graph, and in ExtendBound, which empties the memo, so a
+	// matching stamp proves the sorted view is current.
 	roots graph.GenCache[[]graph.NodeID]
 	// lastEst records the repair-vs-batch decision of the most recent
 	// Apply (cost-based fallback); see Apply and LastEstimate.

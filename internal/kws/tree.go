@@ -33,15 +33,6 @@ func (ix *Index) MatchTree(r graph.NodeID) (Tree, bool) {
 	return tr, true
 }
 
-// SumDist returns Σ dist(r, p_i), the tree weight the paper minimizes.
-func (tr Tree) SumDist() int {
-	sum := 0
-	for _, p := range tr.Paths {
-		sum += len(p) - 1
-	}
-	return sum
-}
-
 // Edges returns the distinct edges of the tree.
 func (tr Tree) Edges() []graph.Edge {
 	seen := make(map[graph.Edge]bool)

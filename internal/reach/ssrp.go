@@ -52,16 +52,6 @@ func (s *SSRP) Reachable(v graph.NodeID) bool { return s.reach[v] }
 // NumReachable returns |{v : r(v)}|.
 func (s *SSRP) NumReachable() int { return len(s.reach) }
 
-// ReachableSorted returns the reachable set in ascending order.
-func (s *SSRP) ReachableSorted() []graph.NodeID {
-	out := make([]graph.NodeID, 0, len(s.reach))
-	for v := range s.reach {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // ApplyInsert applies a unit insertion; the returned slice lists nodes that
 // became reachable. This path is bounded: its cost is O(|ΔO|) — a BFS over
 // exactly the newly reachable region.

@@ -26,7 +26,7 @@ func TestBuildAndQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	if s.Source() != 1 || s.NumReachable() != 4 {
-		t.Fatalf("reach = %v", s.ReachableSorted())
+		t.Fatalf("source %d, %d reachable; want 1, 4", s.Source(), s.NumReachable())
 	}
 	if s.Reachable(0) || !s.Reachable(4) {
 		t.Fatalf("membership wrong")

@@ -8,6 +8,7 @@ import (
 
 	"incgraph/internal/cost"
 	"incgraph/internal/graph"
+	"incgraph/internal/history"
 	"incgraph/internal/rex"
 )
 
@@ -290,140 +291,12 @@ func TestEngineErrors(t *testing.T) {
 	}
 }
 
-func randomLabeled(rng *rand.Rand, n, m int, labels []string) *graph.Graph {
-	g := graph.New()
-	for i := 0; i < n; i++ {
-		g.AddNode(graph.NodeID(i), labels[rng.Intn(len(labels))])
-	}
-	for i := 0; i < m; i++ {
-		g.AddEdge(graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n)))
-	}
-	return g
-}
-
-func randomBatch(rng *rand.Rand, g *graph.Graph, k int, labels []string) graph.Batch {
-	sim := g.Clone()
-	var batch graph.Batch
-	maxID := sim.MaxNodeID()
-	for len(batch) < k {
-		nodes := sim.NodesSorted()
-		v := nodes[rng.Intn(len(nodes))]
-		switch rng.Intn(5) {
-		case 0, 1:
-			succ := sim.SuccessorsSorted(v)
-			if len(succ) == 0 {
-				continue
-			}
-			u := graph.Del(v, succ[rng.Intn(len(succ))])
-			sim.Apply(u)
-			batch = append(batch, u)
-		case 2:
-			maxID++
-			u := graph.InsNew(v, maxID, "", labels[rng.Intn(len(labels))])
-			sim.Apply(u)
-			batch = append(batch, u)
-		default:
-			w := nodes[rng.Intn(len(nodes))]
-			if sim.HasEdge(v, w) {
-				continue
-			}
-			u := graph.Ins(v, w)
-			sim.Apply(u)
-			batch = append(batch, u)
-		}
-	}
-	return batch
-}
-
-func TestIncrementalEqualsBatchRandomized(t *testing.T) {
-	// The core equivalence property: after random batches, the full
-	// marking tables (dist, cpre, mpre) and the match set must equal a
-	// batch rebuild, for both IncRPQ and IncRPQn.
-	labels := []string{"a", "b", "c"}
-	queries := []string{"a.b", "a.b*.c", "a.(b+c)*.a", "c.(b.a+c)*.c", "a.a*"}
-	for seed := int64(0); seed < 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		q := queries[int(seed)%len(queries)]
-		g := randomLabeled(rng, 20, 45, labels)
-		batch := randomBatch(rng, g, 10, labels)
-
-		eb := mustEngine(t, g.Clone(), q)
-		if _, err := eb.Apply(batch); err != nil {
-			t.Fatalf("seed %d: Apply: %v", seed, err)
-		}
-		if err := eb.Check(); err != nil {
-			t.Fatalf("seed %d (%s): IncRPQ: %v", seed, q, err)
-		}
-
-		eu := mustEngine(t, g.Clone(), q)
-		if _, err := eu.ApplyUnitwise(batch); err != nil {
-			t.Fatalf("seed %d: ApplyUnitwise: %v", seed, err)
-		}
-		if err := eu.Check(); err != nil {
-			t.Fatalf("seed %d (%s): IncRPQn: %v", seed, q, err)
-		}
-
-		if !eb.Graph().Equal(eu.Graph()) {
-			t.Fatalf("seed %d: graphs diverge", seed)
-		}
-		mb, mu := eb.Matches(), eu.Matches()
-		if len(mb) != len(mu) {
-			t.Fatalf("seed %d: match sets diverge: %d vs %d", seed, len(mb), len(mu))
-		}
-		for i := range mb {
-			if mb[i] != mu[i] {
-				t.Fatalf("seed %d: match %d: %v vs %v", seed, i, mb[i], mu[i])
-			}
-		}
-	}
-}
-
-func TestDeltaConsistencyRandomized(t *testing.T) {
-	// Property: old matches ⊕ Delta == new matches.
-	labels := []string{"a", "b", "c"}
-	for seed := int64(50); seed < 62; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		g := randomLabeled(rng, 18, 40, labels)
-		e := mustEngine(t, g, "a.b*.c")
-		before := make(map[Pair]bool)
-		for _, p := range e.Matches() {
-			before[p] = true
-		}
-		batch := randomBatch(rng, g, 8, labels)
-		d, err := e.Apply(batch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, p := range d.Removed {
-			if !before[p] {
-				t.Fatalf("seed %d: removed non-match %v", seed, p)
-			}
-			delete(before, p)
-		}
-		for _, p := range d.Added {
-			if before[p] {
-				t.Fatalf("seed %d: added existing match %v", seed, p)
-			}
-			before[p] = true
-		}
-		after := e.Matches()
-		if len(after) != len(before) {
-			t.Fatalf("seed %d: delta wrong: %d vs %d", seed, len(after), len(before))
-		}
-		for _, p := range after {
-			if !before[p] {
-				t.Fatalf("seed %d: match %v unexplained by delta", seed, p)
-			}
-		}
-	}
-}
-
 func TestMatchesAgreeWithASTSemantics(t *testing.T) {
 	// Cross-validate the engine against brute-force path enumeration with
 	// the AST matcher on tiny graphs (paths up to length 4).
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 10; trial++ {
-		g := randomLabeled(rng, 7, 12, []string{"a", "b"})
+		g := history.RandomGraph(rng, 7, 12, "a", "b")
 		ast := rex.MustParse("a.b*.a")
 		e, err := NewEngine(g, ast, nil)
 		if err != nil {
@@ -529,13 +402,10 @@ func TestWitness(t *testing.T) {
 func TestWitnessSurvivesUpdates(t *testing.T) {
 	// Property: after random update batches, every match has a verifiable
 	// witness of length dist.
-	labels := []string{"a", "b", "c"}
 	for seed := int64(400); seed < 408; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		g := randomLabeled(rng, 15, 35, labels)
+		g := history.RandomGraph(rand.New(rand.NewSource(seed)), 15, 35, "a", "b", "c")
 		e := mustEngine(t, g, "a.b*.c")
-		batch := randomBatch(rng, g, 8, labels)
-		if _, err := e.Apply(batch); err != nil {
+		if _, err := e.Apply(history.New(g, seed).Batch(8)); err != nil {
 			t.Fatal(err)
 		}
 		for _, m := range e.Matches() {

@@ -1,9 +1,9 @@
 package scc
 
-// Tests of the dense layout: a randomized history on a giant-SCC graph
-// checked against the batch algorithm after every batch, allocation
-// regressions of the scoped repair and the searches, run-to-run and
-// shard-count determinism of the metered work, and the pins on the
+// Tests of the dense layout: a randomized history on a giant-SCC graph and
+// a small one, checked against the batch algorithm after every batch,
+// allocation regressions of the scoped repair and the searches, run-to-run
+// and shard-count determinism of the metered work, and the pins on the
 // benchmark's cycles: exact work, batch and unit, and a digest of what the
 // engine publishes.
 
@@ -16,148 +16,82 @@ import (
 	"testing"
 
 	"incgraph/internal/cost"
-	"incgraph/internal/gen"
 	"incgraph/internal/graph"
+	"incgraph/internal/history"
 )
 
-// history generates batches that are valid against sim in order, and
-// applies them to sim. Deletions and insertions pick uniformly, so on a
-// giant-SCC graph most of them land inside the giant component; every
-// fifth insertion or so hangs a new node off an existing one, with IDs on
-// both sides of the existing range so that late nodes sort before, between
-// and after build-time members: negative ones and ones from 2⁴⁰ up, which
-// the node index keeps in its map, and ones just above the range, which it
-// addresses directly.
-type history struct {
-	rng          *rand.Rand
-	sim          *graph.Graph
-	nodes        []graph.NodeID
-	lo, hi, huge graph.NodeID // next fresh IDs below, just above and far above the range
-	freshNew     int
-}
-
-func newHistory(g *graph.Graph, seed int64) *history {
-	sim := g.Clone()
-	nodes := sim.NodesSorted()
-	return &history{
-		rng: rand.New(rand.NewSource(seed)), sim: sim, nodes: nodes,
-		lo: nodes[0] - 1, hi: nodes[len(nodes)-1] + 1, huge: 1 << 40,
+// TestRandomHistory drives internal/history's seeded histories — batches
+// of 1, 4, 32 and 256, insertions that create nodes below, just above and
+// far above the ID range, pairs that cancel within the batch, a
+// shard-count change half way — over livej-sim (one SCC through three
+// quarters of the nodes) and over a small random digraph, and after every
+// batch audits the state and judges ΔO and the answer against Tarjan's
+// partition from scratch (history.CheckStep), for IncSCC and the
+// unit-at-a-time IncSCCn, at 1 and 8 workers (helpers forced in). The
+// DynSCC baseline follows the same batches and must partition as Tarjan
+// does. ΔO must be non-empty at some step.
+func TestRandomHistory(t *testing.T) {
+	defer graph.EagerFanOut()()
+	graphs := []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"giant", giantGraph(t)},
+		{"small", history.RandomGraph(rand.New(rand.NewSource(3)), 30, 60, "x")},
 	}
-}
-
-func (h *history) batch(k int) graph.Batch {
-	var b graph.Batch
-	for len(b) < k {
-		v := h.nodes[h.rng.Intn(len(h.nodes))]
-		var u graph.Update
-		switch h.rng.Intn(10) {
-		case 0, 1, 2, 3: // delete
-			succ := h.sim.SuccessorsSorted(v)
-			if len(succ) == 0 {
-				continue
-			}
-			u = graph.Del(v, succ[h.rng.Intn(len(succ))])
-		case 4: // new node, in turn below, just above and far above the range
-			var id graph.NodeID
-			switch h.freshNew % 3 {
-			case 0:
-				id = h.lo
-				h.lo--
-			case 1:
-				id = h.hi
-				h.hi++
-			default:
-				id = h.huge
-				h.huge += 1 << 20
-			}
-			h.freshNew++
-			if h.rng.Intn(2) == 0 {
-				u = graph.InsNew(v, id, "", "x")
-			} else {
-				u = graph.InsNew(id, v, "x", "")
-			}
-			h.nodes = append(h.nodes, id)
-		default:
-			w := h.nodes[h.rng.Intn(len(h.nodes))]
-			if h.sim.HasEdge(v, w) {
-				continue
-			}
-			u = graph.Ins(v, w)
-		}
-		if err := h.sim.Apply(u); err != nil {
-			panic(err)
-		}
-		b = append(b, u)
-	}
-	return b
-}
-
-// diffPartitions is ΔO computed the slow way: the components of after that
-// before lacks, and the reverse, each in canonical order.
-func diffPartitions(before, after [][]graph.NodeID) Delta {
-	missingFrom := func(have, in [][]graph.NodeID) [][]graph.NodeID {
-		seen := make(map[string]bool, len(in))
-		for _, c := range in {
-			seen[fmt.Sprint(c)] = true
-		}
-		var out [][]graph.NodeID
-		for _, c := range have {
-			if !seen[fmt.Sprint(c)] {
-				out = append(out, c)
-			}
-		}
-		return out
-	}
-	return Delta{Added: missingFrom(after, before), Removed: missingFrom(before, after)}
-}
-
-// TestRandomHistoryGiantSCC drives seeded histories over livej-sim (one SCC
-// through three quarters of the nodes) — batches of 1, 4, 32 and 256,
-// insertions that create nodes, a shard-count change half way — and after
-// every batch audits the state and compares ΔO with the difference of the
-// batch algorithm's answers, for IncSCC and for the unit-at-a-time IncSCCn.
-func TestRandomHistoryGiantSCC(t *testing.T) {
-	apply := map[string]func(*State, graph.Batch) (Delta, error){
-		"Apply":         (*State).Apply,
-		"ApplyUnitwise": (*State).ApplyUnitwise,
+	apply := []struct {
+		name string
+		do   func(*State, graph.Batch) (Delta, error)
+	}{
+		{"Apply", (*State).Apply},
+		{"ApplyUnitwise", (*State).ApplyUnitwise},
 	}
 	sizes := []int{1, 4, 32, 256, 32, 4, 1, 32}
-	for name, do := range apply {
-		for seed := int64(1); seed <= 2; seed++ {
-			t.Run(fmt.Sprintf("%s/seed%d", name, seed), func(t *testing.T) {
-				g, err := gen.Dataset("livej", 0.1, seed)
-				if err != nil {
-					t.Fatal(err)
-				}
-				g.SetShards(2)
-				h := newHistory(g, 100+seed)
-				s := mustState(t, g)
-				before := Components(g)
-				const rounds = 5
-				for step := 0; step < rounds*len(sizes); step++ {
-					if step == rounds*len(sizes)/2 {
-						g.SetShards(8)
+	for gi, gr := range graphs {
+		for _, ap := range apply {
+			for _, workers := range []int{1, 8} {
+				t.Run(fmt.Sprintf("%s/%s/workers%d", gr.name, ap.name, workers), func(t *testing.T) {
+					g := gr.g.Clone()
+					g.SetShards(2)
+					g.SetParallelism(workers)
+					h := history.New(g, int64(101+gi))
+					s := mustState(t, g)
+					dyn := BuildDyn(g.Clone(), nil)
+					was, moved := graph.RaggedRows(Components(g)), 0
+					const rounds = 5
+					for step := 0; step < rounds*len(sizes); step++ {
+						if step == rounds*len(sizes)/2 {
+							g.SetShards(8)
+						}
+						b := h.Batch(sizes[step%len(sizes)])
+						d, err := ap.do(s, b)
+						if err != nil {
+							t.Fatalf("step %d: %v", step, err)
+						}
+						if err := s.CheckInvariants(); err != nil {
+							t.Fatalf("step %d (|ΔG|=%d): %v", step, len(b), err)
+						}
+						now := Components(g)
+						if err := history.CheckStep(s, was, graph.RaggedRows(now), s.Rows(), d); err != nil {
+							t.Fatalf("step %d (|ΔG|=%d): %v", step, len(b), err)
+						}
+						if err := dyn.Apply(b); err != nil {
+							t.Fatalf("step %d: DynSCC: %v", step, err)
+						}
+						if err := dyn.Check(); err != nil || !partitionsEqual(dyn.ComponentsSorted(), now) {
+							t.Fatalf("step %d (|ΔG|=%d): DynSCC partitions otherwise (%v)", step, len(b), err)
+						}
+						was = graph.RaggedRows(now)
+						moved += min(d.Len(), 1)
 					}
-					b := h.batch(sizes[step%len(sizes)])
-					got, err := do(s, b)
-					if err != nil {
-						t.Fatalf("step %d: %v", step, err)
+					if moved == 0 {
+						t.Fatal("ΔO was empty at every step: the history checked nothing")
 					}
-					if err := s.CheckInvariants(); err != nil {
-						t.Fatalf("step %d (|ΔG|=%d): %v", step, len(b), err)
+					if !g.Equal(h.Sim) {
+						t.Fatal("engine graph diverged from the simulated history")
 					}
-					after := Components(g)
-					want := diffPartitions(before, after)
-					if !partitionsEqual(got.Added, want.Added) || !partitionsEqual(got.Removed, want.Removed) {
-						t.Fatalf("step %d (|ΔG|=%d): ΔO = +%d −%d components, diff of batch answers = +%d −%d",
-							step, len(b), len(got.Added), len(got.Removed), len(want.Added), len(want.Removed))
-					}
-					before = after
-				}
-				if !g.Equal(h.sim) {
-					t.Fatal("engine graph diverged from the simulated history")
-				}
-			})
+				})
+			}
 		}
 	}
 }

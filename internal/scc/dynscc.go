@@ -214,9 +214,6 @@ func (d *DynSCC) delete(u graph.Update) error {
 // slices are the baseline's own and must not be modified.
 func (d *DynSCC) ComponentsSorted() [][]graph.NodeID { return d.componentsSorted() }
 
-// NumComponents returns the current component count.
-func (d *DynSCC) NumComponents() int { return len(d.members) }
-
 // Check verifies the partition against a fresh Tarjan run.
 func (d *DynSCC) Check() error {
 	want := Components(d.g)

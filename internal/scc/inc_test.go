@@ -275,88 +275,6 @@ func TestExample8BatchUpdates(t *testing.T) {
 	}
 }
 
-// randomMutation builds a valid batch against a simulation of g.
-func randomMutation(rng *rand.Rand, g *graph.Graph, k int) graph.Batch {
-	sim := g.Clone()
-	var batch graph.Batch
-	maxID := sim.MaxNodeID()
-	for len(batch) < k {
-		nodes := sim.NodesSorted()
-		v := nodes[rng.Intn(len(nodes))]
-		switch rng.Intn(5) {
-		case 0, 1: // delete
-			succ := sim.SuccessorsSorted(v)
-			if len(succ) == 0 {
-				continue
-			}
-			u := graph.Del(v, succ[rng.Intn(len(succ))])
-			sim.Apply(u)
-			batch = append(batch, u)
-		case 2: // new node
-			maxID++
-			u := graph.InsNew(v, maxID, "", "x")
-			sim.Apply(u)
-			batch = append(batch, u)
-		default:
-			w := nodes[rng.Intn(len(nodes))]
-			if sim.HasEdge(v, w) {
-				continue
-			}
-			u := graph.Ins(v, w)
-			sim.Apply(u)
-			batch = append(batch, u)
-		}
-	}
-	return batch
-}
-
-func TestIncrementalEqualsBatchRandomized(t *testing.T) {
-	// The central equivalence property for SCC: after random batches, the
-	// maintained partition equals Tarjan's recomputation and every internal
-	// invariant (ranks, counters, registry, lowlink certificates) holds.
-	for seed := int64(0); seed < 30; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		n := 10 + rng.Intn(25)
-		g := graph.New()
-		for i := 0; i < n; i++ {
-			g.AddNode(graph.NodeID(i), "x")
-		}
-		m := rng.Intn(3 * n)
-		for i := 0; i < m; i++ {
-			g.AddEdge(graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n)))
-		}
-		batch := randomMutation(rng, g, 15)
-
-		sBatch := Build(g.Clone(), nil)
-		if _, err := sBatch.Apply(batch); err != nil {
-			t.Fatalf("seed %d: Apply: %v", seed, err)
-		}
-		if err := sBatch.CheckInvariants(); err != nil {
-			t.Fatalf("seed %d: IncSCC: %v", seed, err)
-		}
-
-		sUnit := Build(g.Clone(), nil)
-		if _, err := sUnit.ApplyUnitwise(batch); err != nil {
-			t.Fatalf("seed %d: ApplyUnitwise: %v", seed, err)
-		}
-		if err := sUnit.CheckInvariants(); err != nil {
-			t.Fatalf("seed %d: IncSCCn: %v", seed, err)
-		}
-
-		dyn := BuildDyn(g.Clone(), nil)
-		if err := dyn.Apply(batch); err != nil {
-			t.Fatalf("seed %d: DynSCC: %v", seed, err)
-		}
-		if err := dyn.Check(); err != nil {
-			t.Fatalf("seed %d: DynSCC: %v", seed, err)
-		}
-
-		if !partitionsEqual(sBatch.ComponentsSorted(), sUnit.ComponentsSorted()) {
-			t.Fatalf("seed %d: IncSCC and IncSCCn disagree", seed)
-		}
-	}
-}
-
 func TestLongUpdateSequence(t *testing.T) {
 	// Many consecutive unit updates with invariant checks along the way:
 	// this exercises repeated splits/merges and the rank registry.

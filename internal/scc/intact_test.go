@@ -16,6 +16,7 @@ import (
 	"incgraph/internal/cost"
 	"incgraph/internal/gen"
 	"incgraph/internal/graph"
+	"incgraph/internal/history"
 )
 
 // checkVerdicts applies b to s through apply and then, for every component
@@ -128,17 +129,11 @@ func TestSearchMatchesScopedTarjan(t *testing.T) {
 			for seed := int64(0); seed < 40; seed++ {
 				rng := rand.New(rand.NewSource(seed))
 				n := 8 + rng.Intn(30)
-				g := graph.New()
-				for i := 0; i < n; i++ {
-					g.AddNode(graph.NodeID(i), "x")
-				}
-				for i := rng.Intn(3 * n); i > 0; i-- {
-					g.AddEdge(graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n)))
-				}
+				g := history.RandomGraph(rng, n, rng.Intn(3*n), "x")
 				s := mustState(t, g)
-				h := newHistory(g, seed)
+				h := history.New(g, seed)
 				for step := 0; step < 8; step++ {
-					mode.run(t, s, h.batch(1+rng.Intn(16)))
+					mode.run(t, s, h.Batch(1+rng.Intn(16)))
 				}
 			}
 		})
@@ -148,13 +143,13 @@ func TestSearchMatchesScopedTarjan(t *testing.T) {
 				t.Fatal(err)
 			}
 			s := mustState(t, g)
-			h := newHistory(g, 17)
+			h := history.New(g, 17)
 			sizes := []int{32, 1, 64, 4, 32, 16}
 			if mode.name == "ApplyUnitwise" {
 				sizes = sizes[:3]
 			}
 			for _, k := range sizes {
-				mode.run(t, s, h.batch(k))
+				mode.run(t, s, h.Batch(k))
 			}
 		})
 		t.Run(mode.name+"/split", func(t *testing.T) {

@@ -7,7 +7,7 @@ import (
 	"testing"
 
 	"incgraph"
-	"incgraph/internal/history"
+	"incgraph/internal/history/oracle"
 )
 
 func TestMaintainedUniformDriver(t *testing.T) {
@@ -168,7 +168,7 @@ func TestRejectedBatchLeavesEngineUntouched(t *testing.T) {
 			state := func() string {
 				out := fmt.Sprintf("|V| %d |E| %d generation %d WAL %d bytes\n", g.NumNodes(), g.NumEdges(), g.Generation(), d.WALBytes())
 				for _, m := range d.Engines() {
-					out += m.Class() + " answer:\n" + answer(m) + "last ΔO:\n" + history.RenderLastDelta(m)
+					out += m.Class() + " answer:\n" + answer(m) + "last ΔO:\n" + oracle.RenderLastDelta(m)
 				}
 				return out
 			}

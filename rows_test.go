@@ -8,6 +8,7 @@ import (
 
 	"incgraph"
 	"incgraph/internal/history"
+	"incgraph/internal/history/oracle"
 )
 
 // TestRowDeltaFoldsToAnswer makes ΔO load-bearing for every class at once:
@@ -21,8 +22,8 @@ import (
 // FoldRows are on the path. For scc every member slice ever published is
 // kept beside a deep copy and compared at the end.
 func TestRowDeltaFoldsToAnswer(t *testing.T) {
-	seed := history.Graph()
-	build, _ := history.Engines(seed)
+	seed := oracle.Graph()
+	build, _ := oracle.Engines(seed)
 	sizes := []int{1, 4, 32, 1536, 32, 4, 1, 32}
 	rounds := 3
 	if testing.Short() {
