@@ -10,18 +10,17 @@ import (
 	"incgraph/internal/iso"
 )
 
-// TestRandomHistory drives internal/history's seeded histories — one
-// round of history.Sizes, batches of 1 to 1536 mixing deletions,
-// insertions, insertions that create nodes with small, negative and huge
-// IDs, and pairs that cancel within the batch — over the repair-match
-// graph shape at small scale with its 4-node tree pattern and over a
-// random graph on {a, b, c} with path, triangle and star patterns, and
-// after every batch audits the index and judges ΔO and the answer against
-// a fresh build (history.CheckStep), for IncISO and the unit-at-a-time
-// IncISOn, at 1 and 8 workers (helpers forced in). ΔO must be non-empty at
-// some step, and for the patterns whose anchors outnumber their root
-// candidates on the large batches IncISO must take rebuild-and-diff at
-// some.
+// TestRandomHistory drives internal/history's seeded histories — batches
+// of 1, 4, 32 and 256 mixing deletions, insertions, insertions that create
+// nodes with small, negative and huge IDs, and pairs that cancel within
+// the batch — over the repair-match graph shape at small scale with its
+// 4-node tree pattern and over a random graph on {a, b, c} with path,
+// triangle and star patterns, and after every batch audits the index and
+// judges ΔO and the answer against a fresh build (history.CheckStep), for
+// IncISO and the unit-at-a-time IncISOn, at 1 and 8 workers (helpers
+// forced in). ΔO must be non-empty at some step, and for the patterns
+// whose anchors outnumber their root candidates on the 256-update batches
+// IncISO must take rebuild-and-diff at some.
 func TestRandomHistory(t *testing.T) {
 	defer graph.EagerFanOut()()
 	match, mp := matchGraph(t, 0.05)
@@ -35,9 +34,9 @@ func TestRandomHistory(t *testing.T) {
 		{"match", match, mp, false},
 		{"ab", random, iso.PathPattern("a", "b"), false},
 		{"aba", random, iso.PathPattern("a", "b", "a"), true},
-		{"abc", random, iso.PathPattern("a", "b", "c"), true},
+		{"abc", random, iso.PathPattern("a", "b", "c"), false},
 		{"triangle", random, iso.TrianglePattern("a", "b", "c"), true},
-		{"star", random, iso.StarPattern("a", "b", "c"), true},
+		{"star", random, iso.StarPattern("a", "b", "c"), false},
 	}
 	apply := []struct {
 		name string
@@ -46,6 +45,7 @@ func TestRandomHistory(t *testing.T) {
 		{"Apply", (*iso.Index).Apply},
 		{"ApplyUnitwise", (*iso.Index).ApplyUnitwise},
 	}
+	sizes := []int{1, 4, 32, 256, 4, 1, 32}
 	for ci, c := range cases {
 		for _, ap := range apply {
 			for _, workers := range []int{1, 8} {
@@ -56,8 +56,8 @@ func TestRandomHistory(t *testing.T) {
 					ix := iso.Build(g, c.p, nil)
 					fresh := func() graph.Rows { return iso.Build(g.Clone(), c.p, nil).Rows() }
 					was, moved, rebuilt := fresh(), 0, 0
-					for step, size := range history.Sizes {
-						b := h.Batch(size)
+					for step := 0; step < 2*len(sizes); step++ {
+						b := h.Batch(sizes[step%len(sizes)])
 						d, err := ap.do(ix, b)
 						if err != nil {
 							t.Fatalf("step %d: %v", step, err)
