@@ -44,9 +44,11 @@ type partition struct {
 	members map[CompID][]graph.NodeID
 	next    CompID
 	// t is the scratch of the passes over the graph; its result stays
-	// readable until the next one. roots is runScoped's root list.
+	// readable until the next one. roots is runScoped's root list, and
+	// scope the number of nodes the scoped runs have covered, in all.
 	t     tarjan
 	roots []int32
+	scope int
 }
 
 // init indexes g's nodes, mirrors its adjacency and partitions it with one
@@ -183,6 +185,7 @@ func (p *partition) compOf(v graph.NodeID) CompID { return p.comp[p.idx.Of(v)] }
 // are metered.
 func (p *partition) runScoped(c CompID, members []graph.NodeID) {
 	p.meter.AddNodes(len(members))
+	p.scope += len(members)
 	p.roots = p.roots[:0]
 	for _, v := range members {
 		p.roots = append(p.roots, p.idx.Of(v))
