@@ -263,7 +263,7 @@ func TestMeteredWorkDeterministic(t *testing.T) {
 	// engine meters for it: a pass that visits neighbours in another order
 	// builds another DFS tree, or a search that expands its sides in
 	// another order meets elsewhere, and these totals move.
-	const want = "cost{nodes=18640 edges=97333 entries=39735 heap=0 total=155708}"
+	const want = "cost{nodes=18640 edges=97333 entries=101 heap=0 total=116074}"
 	if got := cycleWork(t, (*State).Apply).String(); got != want {
 		t.Fatalf("the benchmark cycle metered %s, want %s", got, want)
 	}
@@ -293,7 +293,7 @@ func TestBatchWorkAtMostUnit(t *testing.T) {
 	if batch.Total() > unit.Total() {
 		t.Fatalf("batch IncSCC metered %v, more than IncSCCn's %v", batch, unit)
 	}
-	const want = "cost{nodes=18667 edges=97459 entries=39735 heap=0 total=155861}"
+	const want = "cost{nodes=18667 edges=97459 entries=101 heap=0 total=116227}"
 	if got := unit.String(); got != want {
 		t.Fatalf("IncSCCn over the benchmark cycle metered %s, want %s", got, want)
 	}
@@ -346,8 +346,8 @@ func TestOutputDigest(t *testing.T) {
 // It moves when that order does; TestOutputDigest must not.
 func TestInternalsDigest(t *testing.T) {
 	digestCycle(t, [2]string{
-		"c4ac65f0d2f26275ccd7c4e0ee6c11027b29ae288f9555d402dfe3a98deb6a24",
-		"385f5d79153a003a8a6483aaec116427cc6c2c7ab66d1e1d3297ab2c23fb04e1",
+		"6bd33473960637a55b1d55de9827c7aa405db6bcedfcee1c4a4c6384db0e5227",
+		"1890fc34acd9671e4969315f01cbd05114df97ea8cf55b6497af23d9b74eb0a3",
 	}, func(h io.Writer, s *State, _ Delta) {
 		for _, members := range s.ComponentsSorted() {
 			c := s.compOf(members[0])

@@ -141,7 +141,8 @@ func (d *DynSCC) merge(cycle []CompID) {
 		delete(d.gcOut, c)
 		delete(d.gcIn, c)
 	}
-	id, members := d.union(cycle)
+	id := d.largest(cycle)
+	d.union(id, cycle)
 	d.gcOut[id] = newOut
 	d.gcIn[id] = newIn
 	for o, n := range newOut {
@@ -150,7 +151,7 @@ func (d *DynSCC) merge(cycle []CompID) {
 	for i, n := range newIn {
 		d.gcOut[i][id] = n
 	}
-	d.meter.AddEntries(len(members))
+	d.meter.AddEntries(len(d.members[id]))
 }
 
 func (d *DynSCC) delete(u graph.Update) error {
@@ -186,7 +187,7 @@ func (d *DynSCC) delete(u graph.Update) error {
 	delete(d.gcIn, cv)
 	old := d.members[cv]
 	delete(d.members, cv)
-	first := d.mint(old)
+	first := d.mint(old, -1)
 	for i := 0; i < k; i++ {
 		d.gcOut[first+CompID(i)] = make(map[CompID]int)
 		d.gcIn[first+CompID(i)] = make(map[CompID]int)

@@ -26,15 +26,17 @@ import (
 //     lowlink that reached its own num, a dirty component — a bidirectional
 //     search decides exactly. A search that fails because one of its sides
 //     ran dry has that side, the smaller side of the split, closed: it is
-//     carved off as fresh components by a Tarjan over it alone (peel), and
-//     searches between the boundary nodes of the rest decide whether the
-//     rest is still one component. A component-scoped Tarjan runs only over
-//     a rest that is not, or once the searches have expanded as many nodes
-//     as C has members.
+//     carved off as fresh components by a Tarjan over it alone (peel), C
+//     keeps the rest under its own CompID, and searches between the
+//     boundary nodes of the rest decide whether the rest is still one
+//     component, peeling each further side that runs dry. A
+//     component-scoped Tarjan runs only once the searches have expanded as
+//     many nodes as C has members; its largest part keeps C's CompID too.
 //   - IncSCC  (Apply): batch updates, grouping all intra-component updates
 //     of one component into one decision (settle: certificate, then
-//     searches, then at most one peel and at most one scoped Tarjan) and
-//     then handling inter-component updates against G_c.
+//     searches and peels, then at most one scoped Tarjan) and then
+//     handling inter-component updates against G_c, where a merge folds
+//     the smaller components into the largest.
 //   - IncSCCn (ApplyUnitwise): the unit-at-a-time baseline.
 //
 // The affected area AFF of the paper — changes to num/lowlink, their
@@ -68,20 +70,36 @@ func (d Delta) Each(yield func(row []graph.NodeID, gone bool)) {
 
 // deltaTracker accumulates component births and deaths across one Apply.
 // CompIDs are minted in increasing order, so a component was born in this
-// batch exactly when its ID is at least the first one the batch minted.
+// batch exactly when its ID is at least the first one the batch minted. A
+// component that changes its members under its own ID — the largest of a
+// merge, what a peel leaves — counts as the death of its list before the
+// batch and the birth of its list after it; kept lists those that existed
+// before the batch.
 type deltaTracker struct {
 	base      CompID
 	born      []CompID
 	destroyed [][]graph.NodeID
+	kept      []CompID
 }
 
 func (s *State) newDeltaTracker() *deltaTracker { return &deltaTracker{base: s.next} }
 
 func (dt *deltaTracker) destroy(c CompID, members []graph.NodeID) {
-	if c >= dt.base {
-		return // born and died within this batch: invisible
+	if c >= dt.base || slices.Contains(dt.kept, c) {
+		return // born within this batch, or its old list is recorded
 	}
 	dt.destroyed = append(dt.destroyed, members)
+}
+
+// keep records that c, whose members are members, is about to change them
+// under its own ID.
+func (dt *deltaTracker) keep(c CompID, members []graph.NodeID) {
+	if c >= dt.base || slices.Contains(dt.kept, c) {
+		return
+	}
+	dt.kept = append(dt.kept, c)
+	dt.destroyed = append(dt.destroyed, members)
+	dt.born = append(dt.born, c)
 }
 
 func (dt *deltaTracker) create(c CompID) { dt.born = append(dt.born, c) }
@@ -168,8 +186,8 @@ func (s *State) Apply(batch graph.Batch) (Delta, error) {
 // Repair brings the partition from SCC(G) to SCC(G ⊕ ΔG) and returns ΔO:
 // intra-component updates are grouped per component — a component whose
 // deletions the lowlink certificate or the bounded searches prove harmless
-// mints nothing, and one that split peels the closed side a search found,
-// or runs one scoped Tarjan — then
+// mints nothing, and one that split peels the closed sides the searches
+// find, or runs one scoped Tarjan — then
 // inter-component deletions update G_c counters, then
 // inter-component insertions run the rank-window machinery with an
 // already-satisfied fast path. It assumes the graph was G when the state
@@ -285,18 +303,25 @@ func (s *State) applyDelete(u graph.Update, dt *deltaTracker) error {
 // lowlink certificate first; where the certificate cannot vouch, or c is
 // dirty, one search per deletion decides. The searches share a budget of |c|
 // node expansions, so that a batch whose searches would cost more than the
-// scoped Tarjan pays at most about twice the Tarjan: an exhausted budget
-// runs the pass. A component the searches prove intact is marked dirty, as
-// the certificate no longer describes it.
+// scoped Tarjan runs the pass instead; TestWorkAtScale pins what that buys.
+// A component the searches prove intact is marked dirty, as the
+// certificate no longer describes it.
 //
 // A search that fails because one of its sides ran dry, not because the
 // budget ran out, has found a closed part of the split: everything v reaches
 // (no edge leaves it) or everything that reaches w (no edge enters it), and
 // the smaller side of the split, since the two sides grow in turn. peel
-// carves it off, and the rest of c is checked by searches between its
-// boundary nodes (remainderIntact); only a second dry side or a spent budget
-// runs the scoped Tarjan, over the remainder alone. One peel per component
-// per call: a loop of peels measured no faster.
+// carves it off, and c keeps the rest, R. R is one component iff its
+// boundary nodes are mutually reachable inside it — one search from each to
+// the next, round the sorted boundary — and every deletion inside R still
+// has its source reaching its target: any path of the old component between
+// two nodes of R leaves R only through the sides carved off, coming back
+// over an edge between them and R, or over a deleted edge; each such detour
+// runs between boundary nodes or is a deletion, and can be replaced by a
+// path inside R. A search proved before a peel needs no second one: a path
+// between two nodes of R never enters a closed side. A search of R that runs
+// dry is peeled in turn, and so on while the budget lasts; only a spent
+// budget runs the scoped Tarjan, over what is left of c.
 func (s *State) settle(c CompID, dels []graph.Update, dt *deltaTracker) {
 	if !s.dirty[c] {
 		ok := true
@@ -307,22 +332,40 @@ func (s *State) settle(c CompID, dels []graph.Update, dt *deltaTracker) {
 			return
 		}
 	}
+	// c ends dirty or freshly passed: a deleted tree arc's head gives up its
+	// parent, so that a DFS parent is always a predecessor (peel relies on
+	// it).
+	for _, u := range dels {
+		if v, w := s.idx.Of(u.From), s.idx.Of(u.To); s.parent[w] == v {
+			s.parent[w] = -1
+		}
+	}
 	budget := len(s.members[c])
-	for i, u := range dels {
-		switch o := s.search(s.idx.Of(u.From), s.idx.Of(u.To), c, &budget); o {
-		case met:
-			continue
-		case spent:
-			s.repair(c, dt)
-		default:
-			r := s.peel(c, o == sinkDry, dels, dt)
-			if !s.remainderIntact(r, dels[i+1:], budget) {
-				s.repair(r, dt)
+	s.ring.reset(nil)
+	s.gone = s.gone[:0]
+	var o outcome
+	for next := 0; ; {
+		o = s.searchRing(c, &budget)
+		for o == met && next < len(dels) {
+			v, w := s.idx.Of(dels[next].From), s.idx.Of(dels[next].To)
+			if s.comp[v] == c && s.comp[w] == c {
+				o = s.search(v, w, c, &budget)
+			}
+			if o == met {
+				next++
 			}
 		}
-		return
+		if o == met || o == spent {
+			break
+		}
+		s.peel(c, o == sinkDry, dels, dt)
 	}
-	s.dirty[c] = true
+	s.drop(c, s.gone)
+	if o == spent {
+		s.repair(c, dt)
+	} else {
+		s.dirty[c] = true
+	}
 }
 
 // chkReach handles the already applied deletion u inside the fresh
@@ -346,6 +389,62 @@ func (s *State) searchAll(c CompID, dels []graph.Update, budget int) bool {
 		}
 	}
 	return true
+}
+
+// searchRing proves, inside c, every link of the ring not yet proved, and
+// returns the outcome of the first search that fails, or met.
+func (s *State) searchRing(c CompID, budget *int) outcome {
+	r := &s.ring
+	for i, x := range r.nodes {
+		if r.linked[i] {
+			continue
+		}
+		if o := s.search(x, r.nodes[(i+1)%len(r.nodes)], c, budget); o != met {
+			return o
+		}
+		r.linked[i] = true
+	}
+	return met
+}
+
+// boundaryRing is the boundary of what settle's peels have left of a component R:
+// its nodes in ascending order, and per node whether it is proved to reach
+// the next one — the last node the first — inside R. Once every link is
+// proved, the boundary nodes are mutually reachable inside R.
+type boundaryRing struct {
+	nodes  []int32
+	linked []bool
+	spare  []bool
+}
+
+// reset makes nodes, ascending and distinct, the ring and returns the
+// previous ring's node slice for reuse. A link between two nodes that
+// were neighbours in the previous ring, in the same order, stays proved: a
+// path between two nodes of R never enters a side peeled off it.
+func (r *boundaryRing) reset(nodes []int32) []int32 {
+	old, was := r.nodes, r.linked
+	linked := r.spare[:0]
+	first, prev, j := -1, -1, 0
+	for i, x := range nodes {
+		for j < len(old) && old[j] < x {
+			j++
+		}
+		at := -1
+		if j < len(old) && old[j] == x {
+			at = j
+		}
+		if i == 0 {
+			first = at
+		} else {
+			linked = append(linked, prev >= 0 && at == prev+1 && was[prev])
+		}
+		prev = at
+	}
+	if len(nodes) > 0 { // the link from the last node round to the first
+		linked = append(linked, prev >= 0 && first == (prev+1)%len(old) && was[prev])
+	}
+	r.nodes, r.linked, r.spare = nodes, linked, was
+	return old
 }
 
 // outcome is how a search ended.
@@ -451,25 +550,23 @@ const peeling CompID = -1
 
 // peel carves the side of the last search that ran dry — a sink side (the
 // forward one) when sink, else a source side — off component c as fresh
-// components, and gives what is left of c, R, a fresh CompID, which it
-// returns; R is born dirty. ΔO is what a scoped Tarjan over c would publish
-// if R is one component, which remainderIntact decides; peel leaves R's
-// boundary in s.bnd for it.
+// components; c keeps the rest, R, with its CompID, G_c maps and dirty mark.
+// ΔO is what a scoped Tarjan over c would publish if R is one component,
+// which settle decides; peel leaves R's boundary in s.ring for it, and the
+// side's members in s.gone, which settle takes out of c's list.
 //
 // The side S is closed in c after the batch: no edge leaves a sink side, none
 // enters a source side, so no component straddles S and R and a scoped
 // Tarjan over S alone finds S's components. Their ranks are slotted with R's
 // into c's window (splitRanks): a sink side's parts take the lowest values
 // and R keeps c's rank, a source side's parts take the highest and R the
-// lowest. Their G_c counters come from S's rows alone, R's by renaming c's.
-// The cost is O(|S| + S's edges) for S, and one pass over c's members to
-// restamp R, with R's DFS parent pointers into S cleared.
-func (s *State) peel(c CompID, sink bool, dels []graph.Update, dt *deltaTracker) CompID {
+// lowest. The cost is O(|S| + S's edges) (carve).
+func (s *State) peel(c CompID, sink bool, dels []graph.Update, dt *deltaTracker) {
 	side := s.sr.bwd
 	if sink {
 		side = s.sr.fwd
 	}
-	old := s.members[c]
+	dt.keep(c, s.members[c])
 	from := s.from[:0]
 	for _, x := range side {
 		s.comp[x] = peeling
@@ -477,127 +574,124 @@ func (s *State) peel(c CompID, sink bool, dels []graph.Update, dt *deltaTracker)
 	}
 	slices.Sort(from)
 	s.from = from
+	s.gone = append(s.gone, from...)
 	s.runScoped(peeling, from)
 	k := s.t.numComps()
 	vals := s.splitRanks(c, k+1) // the last value is c's rank: it stays registered
-	partRanks, rRank := vals[:k], vals[k]
-	if !sink {
-		partRanks, rRank = vals[1:], vals[0]
+	for _, v := range vals[:k] {
+		s.reg.insert(v)
 	}
-	dt.destroy(c, old)
-	first := s.mint(from)
-	for i, rk := range partRanks {
-		id := first + CompID(i)
+	if sink {
+		s.rank[c] = vals[k]
+		vals = vals[:k]
+	} else {
+		s.rank[c] = vals[0]
+		vals = vals[1:]
+	}
+	// R's boundary: the nodes of earlier peels' boundaries R still holds,
+	// the R ends of S's edges (carve), and the R end of a deleted edge
+	// between R and S, which a path in c before the batch may have crossed.
+	bnd := s.bnd[:0]
+	for _, y := range s.ring.nodes {
+		if s.comp[y] == c {
+			bnd = append(bnd, y)
+		}
+	}
+	s.bnd = bnd
+	s.carve(c, -1, from, vals, dt)
+	bnd = s.bnd
+	for _, u := range dels {
+		v, w := s.idx.Of(u.From), s.idx.Of(u.To)
+		if s.comp[v] == c && s.comp[w] != c {
+			bnd = append(bnd, v)
+		} else if s.comp[w] == c && s.comp[v] != c {
+			bnd = append(bnd, w)
+		}
+	}
+	slices.Sort(bnd)
+	s.bnd = s.ring.reset(slices.Compact(bnd))[:0]
+}
+
+// carve moves the components of the last scoped run, all but the keep-th
+// (keep < 0: all), out of c as fresh components; the keep-th stays c, with
+// its CompID and G_c maps. from lists the moved nodes in ascending order,
+// ranks the rank of each of the run's components, which the caller has
+// registered. The moved parts' G_c counters come from their rows alone, and
+// so do the moves of c's: an edge between a part and a component outside c
+// was counted on c. A node left in c whose DFS parent moved is the head of
+// a tree arc out of a part, which the part's rows hold too, and an edge
+// between a part and c puts its c end on s.bnd. The cost is the moved
+// nodes and their edges, and the store of the run.
+func (s *State) carve(c CompID, keep int, from []graph.NodeID, ranks []float64, dt *deltaTracker) {
+	first := s.mint(from, keep)
+	id := first
+	for i, rk := range ranks {
+		if i == keep {
+			s.rank[c] = rk
+			continue
+		}
 		s.gcOut[id] = make(map[CompID]int)
 		s.gcIn[id] = make(map[CompID]int)
 		s.rank[id] = rk
-		s.reg.insert(vals[i])
 		dt.create(id)
+		id++
 	}
 	s.store()
-	// R: a fresh ID over the members left in c.
-	r := s.next
-	s.next++
-	rest := make([]graph.NodeID, 0, len(old)-len(from))
-	for _, v := range old {
-		x := s.idx.Of(v)
-		if s.comp[x] != c {
-			continue
-		}
-		s.comp[x] = r
-		rest = append(rest, v)
-		if p := s.parent[x]; p >= 0 && s.comp[p] != c && s.comp[p] != r {
-			s.parent[x] = -1 // a parent in S
-		}
-	}
-	s.meter.AddEntries(len(old))
-	s.members[r] = rest
-	delete(s.members, c)
-	out, in := s.gcOut[c], s.gcIn[c]
-	for o, n := range out {
-		delete(s.gcIn[o], c)
-		s.gcIn[o][r] = n
-	}
-	for i, n := range in {
-		delete(s.gcOut[i], c)
-		s.gcOut[i][r] = n
-	}
-	s.meter.AddEntries(len(out) + len(in))
-	s.gcOut[r], s.gcIn[r] = out, in
-	delete(s.gcOut, c)
-	delete(s.gcIn, c)
-	s.rank[r] = rRank
-	delete(s.rank, c)
-	delete(s.dirty, c)
-	s.dirty[r] = true
-	dt.create(r)
-	// S's edges: those to another part or to R are new G_c edges, those
-	// outside c move from R's count to the part's. An edge between R and S
-	// puts its R end on the boundary.
-	bnd := s.bnd[:0]
+	s.meter.AddEntries(len(from))
 	for _, x := range s.t.order {
 		cx := s.comp[x]
+		if cx == c {
+			continue // the kept part: its edges to the others are theirs
+		}
 		succ := s.succ[x]
 		s.meter.AddEdges(len(succ))
 		for _, y := range succ {
 			switch cy := s.comp[y]; {
 			case cy == cx:
-			case cy < first:
-				s.gcAdd(r, cy, -1)
+			case cy == c:
+				s.gcAdd(cx, c, 1)
+				s.bnd = append(s.bnd, y)
+				if s.parent[y] == x {
+					s.parent[y] = -1
+				}
+			case cy >= first:
 				s.gcAdd(cx, cy, 1)
 			default:
+				s.gcAdd(c, cy, -1)
 				s.gcAdd(cx, cy, 1)
-				if cy == r {
-					bnd = append(bnd, y)
-				}
 			}
 		}
 		pred := s.pred[x]
 		s.meter.AddEdges(len(pred))
 		for _, y := range pred {
 			switch cy := s.comp[y]; {
+			case cy == c:
+				s.gcAdd(c, cx, 1)
+				s.bnd = append(s.bnd, y)
 			case cy < first:
-				s.gcAdd(cy, r, -1)
+				s.gcAdd(cy, c, -1)
 				s.gcAdd(cy, cx, 1)
-			case cy == r:
-				s.gcAdd(r, cx, 1)
-				bnd = append(bnd, y)
 			}
 		}
 	}
-	// A deleted edge between R and S puts its R end there too: a path in c
-	// before the batch may have crossed it.
-	for _, u := range dels {
-		v, w := s.idx.Of(u.From), s.idx.Of(u.To)
-		if s.comp[v] == r && s.comp[w] != r {
-			bnd = append(bnd, v)
-		} else if s.comp[w] == r && s.comp[v] != r {
-			bnd = append(bnd, w)
-		}
-	}
-	slices.Sort(bnd)
-	s.bnd = slices.Compact(bnd)
-	return r
 }
 
-// remainderIntact reports whether R, what peel left of a component, is
-// strongly connected, within budget node expansions: it is iff its boundary
-// nodes are mutually reachable inside R — one search from each to the next,
-// round the sorted boundary — and every deletion dels[i] inside R still has
-// its source reaching its target. Any path of the old component between two
-// nodes of R leaves R only through S, coming back over an edge between S
-// and R, or over a deleted edge; each such detour runs between boundary nodes
-// or is a deletion, and can be replaced by a path inside R. The deletions
-// searched before the peel need no second search: a path between two nodes
-// of R never enters a closed side.
-func (s *State) remainderIntact(r CompID, dels []graph.Update, budget int) bool {
-	bnd := s.bnd
-	for i, x := range bnd {
-		if s.search(x, bnd[(i+1)%len(bnd)], r, &budget) != met {
-			return false
-		}
+// drop takes gone, nodes that have left c, out of c's member list: a new
+// list, as a published one is never modified, copied in runs between them.
+// gone is sorted in place.
+func (s *State) drop(c CompID, gone []graph.NodeID) {
+	if len(gone) == 0 {
+		return
 	}
-	return s.searchAll(r, dels, budget)
+	slices.Sort(gone)
+	old := s.members[c]
+	rest := make([]graph.NodeID, 0, len(old)-len(gone))
+	for _, v := range gone {
+		i, _ := slices.BinarySearch(old, v)
+		rest = append(rest, old[:i]...)
+		old = old[i+1:]
+	}
+	s.members[c] = append(rest, old...)
 }
 
 // repair runs the component-scoped Tarjan over c and either refreshes its
@@ -792,62 +886,36 @@ func (s *State) runGc(cand []CompID) *tarjan {
 	return t
 }
 
-// splitComp replaces component c by the parts the last scoped run found
+// splitComp splits component c into the parts the last scoped run found
 // (≥ 2 components in reverse topological order), slotting their ranks into
-// the window below c's old rank and rebuilding the incident G_c edges.
+// c's window, ascending in that order. The largest part keeps c's CompID and
+// G_c maps; the others move out (carve).
 func (s *State) splitComp(c CompID, dt *deltaTracker) {
-	oldMembers := s.members[c]
-	dt.destroy(c, oldMembers)
-	k := s.t.numComps()
-	ranks := s.splitRanks(c, k)
-	oldRank := s.rank[c]
-	// Detach c from G_c.
-	for o := range s.gcOut[c] {
-		delete(s.gcIn[o], c)
-	}
-	for i := range s.gcIn[c] {
-		delete(s.gcOut[i], c)
-	}
-	delete(s.gcOut, c)
-	delete(s.gcIn, c)
-	delete(s.rank, c)
-	delete(s.members, c)
-	delete(s.dirty, c)
-	s.reg.remove(oldRank)
-	// Create the parts; reverse topological order matches ascending ranks.
-	first := s.mint(oldMembers)
-	for i := 0; i < k; i++ {
-		id := first + CompID(i)
-		s.gcOut[id] = make(map[CompID]int)
-		s.gcIn[id] = make(map[CompID]int)
-		s.rank[id] = ranks[i]
-		s.reg.insert(ranks[i])
-		dt.create(id)
-	}
-	s.meter.AddEntries(len(oldMembers))
-	s.store()
-	// Rebuild incident G_c counters: successors of members cover internal
-	// part-to-part and outgoing edges; external predecessors cover
-	// incoming. The parts are exactly the components minted from first on.
-	for _, v := range s.t.order {
-		cv := s.comp[v]
-		succ := s.succ[v]
-		s.meter.AddEdges(len(succ))
-		for _, w := range succ {
-			if cw := s.comp[w]; cw != cv {
-				s.gcOut[cv][cw]++
-				s.gcIn[cw][cv]++
-			}
+	t := &s.t
+	k := t.numComps()
+	keep := 0
+	for i := 1; i < k; i++ {
+		if len(t.comp(i)) > len(t.comp(keep)) {
+			keep = i
 		}
-		pred := s.pred[v]
-		s.meter.AddEdges(len(pred))
-		for _, u := range pred {
-			if cu := s.comp[u]; cu < first {
-				s.gcOut[cu][cv]++
-				s.gcIn[cv][cu]++
+	}
+	dt.keep(c, s.members[c])
+	from := s.from[:0]
+	for i := range k {
+		if i != keep {
+			for _, x := range t.comp(i) {
+				from = append(from, s.ids[x])
 			}
 		}
 	}
+	slices.Sort(from)
+	s.from = from
+	ranks := s.splitRanks(c, k) // the last value is c's rank: it stays registered
+	for _, v := range ranks[:k-1] {
+		s.reg.insert(v)
+	}
+	s.carve(c, keep, from, ranks, dt)
+	s.drop(c, from)
 }
 
 // dfsGc explores G_c from start (forward when fwd, else backward), visiting
@@ -991,20 +1059,23 @@ func (s *State) mergeComps(cycle []CompID, affr, affl map[CompID]bool, pool []fl
 		s.reg.insert(v)
 		s.meter.AddEntries(1)
 	}
-	// Build the merged component.
-	newOut := make(map[CompID]int)
-	newIn := make(map[CompID]int)
+	// The largest component takes the others in: only their members are
+	// restamped, and only their G_c edges folded into its maps.
+	keep := s.largest(cycle)
 	for _, c := range cycle {
+		if c == keep {
+			continue
+		}
 		for o, n := range s.gcOut[c] {
 			delete(s.gcIn[o], c)
 			if !cycleSet[o] {
-				newOut[o] += n
+				s.gcAdd(keep, o, n)
 			}
 		}
 		for i, n := range s.gcIn[c] {
 			delete(s.gcOut[i], c)
 			if !cycleSet[i] {
-				newIn[i] += n
+				s.gcAdd(i, keep, n)
 			}
 		}
 		dt.destroy(c, s.members[c])
@@ -1013,22 +1084,13 @@ func (s *State) mergeComps(cycle []CompID, affr, affl map[CompID]bool, pool []fl
 		delete(s.rank, c)
 		delete(s.dirty, c)
 	}
-	id, members := s.union(cycle)
-	s.gcOut[id] = newOut
-	s.gcIn[id] = newIn
-	for o, n := range newOut {
-		s.gcIn[o][id] = n
-	}
-	for i, n := range newIn {
-		s.gcOut[i][id] = n
-	}
-	s.rank[id] = mergedRank
+	dt.keep(keep, s.members[keep])
+	s.meter.AddEntries(s.union(keep, cycle))
+	s.rank[keep] = mergedRank
 	s.reg.insert(mergedRank)
-	dt.create(id)
-	s.meter.AddEntries(len(members))
-	// The num/lowlink refresh of the new component (Fig. 7 line 8) is
+	// The num/lowlink refresh of the merged component (Fig. 7 line 8) is
 	// deferred to the next scoped Tarjan over it: a chain of k merges would
 	// otherwise pay k of them over a growing component, and until then its
 	// deletions go to the search.
-	s.dirty[id] = true
+	s.dirty[keep] = true
 }

@@ -40,8 +40,10 @@ type partition struct {
 	// comp maps a dense index to its component.
 	comp []CompID
 	// members lists each component's nodes in ascending NodeID order. A
-	// published slice is immutable: splits and merges build new ones.
+	// published slice is immutable: splits, peels and merges build new ones.
+	// moved is union's scratch.
 	members map[CompID][]graph.NodeID
+	moved   []graph.NodeID
 	next    CompID
 	// t is the scratch of the passes over the graph; its result stays
 	// readable until the next one. roots is runScoped's root list, and
@@ -66,7 +68,7 @@ func (p *partition) init(g *graph.Graph, meter *cost.Meter) {
 	p.comp = make([]CompID, len(p.ids))
 	p.members = make(map[CompID][]graph.NodeID)
 	p.t.run(p.succ, nil, nil, 0)
-	p.mint(p.ids)
+	p.mint(p.ids, -1)
 }
 
 // mirror returns g's successor lists in index space: row i lists the
@@ -194,20 +196,29 @@ func (p *partition) runScoped(c CompID, members []graph.NodeID) {
 	p.meter.AddEdges(p.t.edges)
 }
 
-// mint gives the components of the last run fresh consecutive CompIDs in
-// emission order and builds their member lists out of from, the run's
-// nodes in ascending order. It returns the first new ID; the caller
-// retires whatever component the nodes were in before.
-func (p *partition) mint(from []graph.NodeID) CompID {
-	first := p.next
-	k := p.t.numComps()
-	p.next += CompID(k)
-	for i := 0; i < k; i++ {
-		for _, v := range p.t.comp(i) {
-			p.comp[v] = first + CompID(i)
+// mint gives the components of the last run but the keep-th (keep < 0:
+// all of them) fresh consecutive CompIDs in emission order and builds their
+// member lists out of from, their nodes in ascending order. It returns the
+// first new ID; the caller retires or shrinks whatever component the nodes
+// were in before.
+func (p *partition) mint(from []graph.NodeID, keep int) CompID {
+	first, id := p.next, p.next
+	backing := make([]graph.NodeID, len(from))
+	parts := make([][]graph.NodeID, 0, p.t.numComps())
+	lo := 0
+	for i := range p.t.numComps() {
+		if i == keep {
+			continue
 		}
+		comp := p.t.comp(i)
+		for _, v := range comp {
+			p.comp[v] = id
+		}
+		parts = append(parts, backing[lo:lo:lo+len(comp)])
+		lo += len(comp)
+		id++
 	}
-	parts := p.t.carve()
+	p.next = id
 	for _, v := range from {
 		i := p.comp[p.idx.Of(v)] - first
 		parts[i] = append(parts[i], v)
@@ -218,26 +229,45 @@ func (p *partition) mint(from []graph.NodeID) CompID {
 	return first
 }
 
-// union retires the listed components into one fresh component and
-// returns its ID and members.
-func (p *partition) union(comps []CompID) (CompID, []graph.NodeID) {
-	id := p.next
-	p.next++
-	n := 0
-	for _, c := range comps {
-		n += len(p.members[c])
-	}
-	all := make([]graph.NodeID, 0, n)
-	for _, c := range comps {
-		for _, v := range p.members[c] {
-			p.comp[p.idx.Of(v)] = id
+// largest returns the component of comps with the most members, the first
+// of them on a tie.
+func (p *partition) largest(comps []CompID) CompID {
+	keep := comps[0]
+	for _, c := range comps[1:] {
+		if len(p.members[c]) > len(p.members[keep]) {
+			keep = c
 		}
-		all = append(all, p.members[c]...)
+	}
+	return keep
+}
+
+// union merges the components comps into keep, one of them, and retires the
+// others: only their members are restamped, and keep's new member list is
+// one merge of its old list with theirs, sorted apart. It returns how many
+// nodes moved.
+func (p *partition) union(keep CompID, comps []CompID) int {
+	moved := p.moved[:0]
+	for _, c := range comps {
+		if c == keep {
+			continue
+		}
+		for _, v := range p.members[c] {
+			p.comp[p.idx.Of(v)] = keep
+		}
+		moved = append(moved, p.members[c]...)
 		delete(p.members, c)
 	}
-	slices.Sort(all)
-	p.members[id] = all
-	return id, all
+	slices.Sort(moved)
+	p.moved = moved
+	old := p.members[keep]
+	all := make([]graph.NodeID, 0, len(old)+len(moved))
+	for _, v := range moved {
+		i, _ := slices.BinarySearch(old, v)
+		all = append(append(all, old[:i]...), v)
+		old = old[i:]
+	}
+	p.members[keep] = append(all, old...)
+	return len(moved)
 }
 
 // componentsSorted returns the partition in canonical form: members

@@ -32,11 +32,11 @@ func TestWorkAtScale(t *testing.T) {
 	}{
 		{1, "cost{nodes=20000 edges=100000 entries=0 heap=0 total=120000}", []point{
 			{100, "cost{nodes=4075 edges=20995 entries=0 heap=0 total=25070}", 0},
-			{1000, "cost{nodes=43252 edges=421744 entries=197636 heap=0 total=662632}", 19702},
+			{1000, "cost{nodes=53798 edges=277234 entries=19773 heap=0 total=350805}", 19702},
 		}},
 		{10, "cost{nodes=200000 edges=1000000 entries=0 heap=0 total=1200000}", []point{
 			{100, "cost{nodes=12963 edges=67066 entries=7 heap=0 total=80036}", 0},
-			{1000, "cost{nodes=461447 edges=6308975 entries=2969001 heap=0 total=9739423}", 394243},
+			{1000, "cost{nodes=141887 edges=725791 entries=6579 heap=0 total=874257}", 9},
 		}},
 	} {
 		g, err := gen.Dataset("livej", tc.scale, 7)

@@ -13,8 +13,11 @@ import (
 )
 
 // CompID identifies a strongly connected component (a node of the
-// contracted graph G_c). IDs are minted fresh on every merge/split, so a
-// CompID never changes meaning.
+// contracted graph G_c). A split or a peel mints fresh IDs for the parts
+// that leave a component; the part that stays — a split's largest, the rest
+// a peel leaves — keeps the component's ID, and so does the largest
+// component of a merge, with its G_c maps, changing members under it. An
+// ID is never reused once retired.
 type CompID int64
 
 // State is the incrementally maintained SCC state: the partition of G into
@@ -36,23 +39,28 @@ type State struct {
 	// component, -1 where there is none.
 	num, low, parent []int32
 	// dirty marks components whose num/lowlink structures do not describe
-	// them: a merged component is born dirty (mergeComps), because a chain
-	// of k merges would otherwise pay k scoped Tarjans over a growing
-	// component; so is the remainder a peel leaves (peel), whose DFS tree
-	// ran through the side carved off; and a component the searches proved
-	// intact becomes dirty (settle), because the certificate could not vouch
-	// for it or the walks that failed left it half repaired. A deletion in a
-	// dirty component skips the certificate and goes to the search; the next
-	// scoped Tarjan over it — a split the peel could not finish, or an
-	// exhausted search budget — clears the mark.
-	// Intra-component insertions do not set it: they only add paths, so a
-	// fresh certificate stays sound.
+	// them: the component that takes others in is dirty after the merge
+	// (mergeComps), because a chain of k merges would otherwise pay k
+	// scoped Tarjans over a growing component; so is the remainder a peel
+	// leaves (settle), whose DFS tree ran through the sides carved off; and
+	// a component the searches proved intact becomes dirty (settle), because
+	// the certificate could not vouch for it or the walks that failed left
+	// it half repaired. A deletion in a dirty component skips the
+	// certificate and goes to the search; the next scoped Tarjan over it —
+	// an exhausted search budget — clears the mark. Intra-component
+	// insertions do not set it: they only add paths, so a fresh certificate
+	// stays sound. A DFS parent is always a predecessor in the node's own
+	// component, dirty or not.
 	dirty map[CompID]bool
-	// sr is the scratch of the searches; from and bnd are peel's: a closed
-	// side's members in ascending order, and the remainder's boundary.
+	// sr is the scratch of the searches; from, gone, bnd and ring are
+	// peel's: a closed side's members in ascending order, the members of
+	// every side settle has peeled off one component, the remainder's
+	// boundary while carve collects it, and the ring settle searches round.
 	sr   searcher
 	from []graph.NodeID
+	gone []graph.NodeID
 	bnd  []int32
+	ring boundaryRing
 }
 
 // Build runs Tarjan once over g and constructs the maintained state.
@@ -270,8 +278,8 @@ func (s *State) CheckInvariants() error {
 	if err := s.reg.check(seen); err != nil {
 		return err
 	}
-	// Local Tarjan structures: present for every node, and a DFS parent
-	// lies in the node's own component.
+	// Local Tarjan structures: present for every node, and a DFS parent is
+	// a predecessor in the node's own component.
 	if len(s.num) != n || len(s.low) != n || len(s.parent) != n {
 		return fmt.Errorf("scc: num/low/parent cover %d/%d/%d of %d nodes",
 			len(s.num), len(s.low), len(s.parent), n)
@@ -279,6 +287,9 @@ func (s *State) CheckInvariants() error {
 	for i, p := range s.parent {
 		if p >= 0 && s.comp[p] != s.comp[i] {
 			return fmt.Errorf("scc: node %d has its DFS parent %d in another component", s.ids[i], s.ids[p])
+		}
+		if p >= 0 && !slices.Contains(s.pred[i], p) {
+			return fmt.Errorf("scc: node %d has its DFS parent %d, not a predecessor", s.ids[i], s.ids[p])
 		}
 	}
 	return nil

@@ -27,8 +27,7 @@
 // the graph has taken onto the two rows it sits in; a new node starts with
 // empty rows. Every pass — the scoped repair, chkReach's lowlink walk, the
 // bidirectional searches of IncSCC− (successor rows forward, predecessor
-// rows backward), a split's rebuild of the G_c counters and a peel's move of
-// them, Build's
+// rows backward), a split's or a peel's move of the G_c counters, Build's
 // cross-edge count, DynSCC — walks these rows and nothing else, so an edge
 // examined is a slice element and a scoped pass over a component whose IDs
 // are direct-indexed probes no hash table at all. The graph is advanced —
