@@ -161,8 +161,13 @@ func (r *Reader) Done() error {
 	return r.Err()
 }
 
-// Uvarint reads a minimally encoded uvarint.
+// Uvarint reads a minimally encoded uvarint. A value below 0x80, one byte
+// and always minimal, skips the general decode.
 func (r *Reader) Uvarint() uint64 {
+	if b := r.buf[r.off:]; len(b) > 0 && b[0] < 0x80 {
+		r.off++
+		return uint64(b[0])
+	}
 	v, n := binary.Uvarint(r.buf[r.off:])
 	if !minimal(r.buf[r.off:], n) {
 		r.fail("bad varint")
@@ -172,8 +177,13 @@ func (r *Reader) Uvarint() uint64 {
 	return v
 }
 
-// Varint reads a minimally encoded varint.
+// Varint reads a minimally encoded varint. A value in [-64, 64), one byte
+// and always minimal, skips the general decode.
 func (r *Reader) Varint() int64 {
+	if b := r.buf[r.off:]; len(b) > 0 && b[0] < 0x80 {
+		r.off++
+		return int64(b[0]>>1) ^ -int64(b[0]&1)
+	}
 	v, n := binary.Varint(r.buf[r.off:])
 	if !minimal(r.buf[r.off:], n) {
 		r.fail("bad varint")
