@@ -1,11 +1,13 @@
 package reach
 
 import (
+	"maps"
 	"math/rand"
 	"testing"
 
 	"incgraph/internal/cost"
 	"incgraph/internal/graph"
+	"incgraph/internal/history"
 )
 
 func chain(n int) *graph.Graph {
@@ -127,36 +129,68 @@ func TestErrors(t *testing.T) {
 	}
 }
 
+// TestRandomizedEquivalence drives internal/history's seeded batches over
+// small random digraphs — deletions, insertions between existing nodes and
+// to nodes they create (below, just above and far above the ID range), and
+// pairs that cancel within a batch — through ApplyInsert and ApplyDelete
+// update by update. After every update the set is audited (Check); after
+// every batch the nodes each update reported as newly reachable or
+// unreachable, folded onto the set before the batch, must be the set a
+// fresh Build finds on the simulated graph, and the engine's graph must be
+// that graph.
 func TestRandomizedEquivalence(t *testing.T) {
+	moved := 0
 	for seed := int64(0); seed < 25; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		n := 12
-		g := graph.New()
-		for i := 0; i < n; i++ {
-			g.AddNode(graph.NodeID(i), "x")
-		}
-		for i := 0; i < 20; i++ {
-			g.AddEdge(graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n)))
-		}
+		g := history.RandomGraph(rng, 12, 20, "x", "y")
+		h := history.New(g, seed)
 		s, err := Build(g, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for step := 0; step < 40; step++ {
-			v := graph.NodeID(rng.Intn(n))
-			w := graph.NodeID(rng.Intn(n))
-			if g.HasEdge(v, w) {
-				if _, err := s.ApplyDelete(graph.Del(v, w)); err != nil {
-					t.Fatal(err)
+		for step := 0; step < 10; step++ {
+			b := h.Batch(1 + rng.Intn(8))
+			was := maps.Clone(s.reach)
+			for _, u := range b {
+				var d []graph.NodeID
+				var err error
+				if u.Op == graph.Insert {
+					d, err = s.ApplyInsert(u)
+				} else {
+					d, err = s.ApplyDelete(u)
 				}
-			} else {
-				if _, err := s.ApplyInsert(graph.Ins(v, w)); err != nil {
-					t.Fatal(err)
+				if err != nil {
+					t.Fatalf("seed %d step %d, %v: %v", seed, step, u, err)
+				}
+				for _, v := range d {
+					if was[v] == (u.Op == graph.Insert) {
+						t.Fatalf("seed %d step %d, %v reports %d, whose reachability did not change", seed, step, u, v)
+					}
+					if u.Op == graph.Insert {
+						was[v] = true
+					} else {
+						delete(was, v)
+					}
+				}
+				moved += len(d)
+				if err := s.Check(); err != nil {
+					t.Fatalf("seed %d step %d, after %v: %v", seed, step, u, err)
 				}
 			}
-			if err := s.Check(); err != nil {
-				t.Fatalf("seed %d step %d: %v", seed, step, err)
+			fresh, err := Build(h.Sim.Clone(), 0, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !maps.Equal(was, fresh.reach) || !maps.Equal(s.reach, fresh.reach) {
+				t.Fatalf("seed %d step %d: reported changes fold to %d nodes, the set holds %d, a fresh build %d",
+					seed, step, len(was), len(s.reach), len(fresh.reach))
+			}
+			if !s.g.Equal(h.Sim) {
+				t.Fatalf("seed %d step %d: the engine's graph diverged from the history", seed, step)
 			}
 		}
+	}
+	if moved == 0 {
+		t.Fatal("no update changed reachability: the histories checked nothing")
 	}
 }
