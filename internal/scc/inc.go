@@ -303,9 +303,12 @@ func (s *State) applyDelete(u graph.Update, dt *deltaTracker) error {
 // lowlink certificate first; where the certificate cannot vouch, or c is
 // dirty, one search per deletion decides. The searches share a budget of |c|
 // node expansions, so that a batch whose searches would cost more than the
-// scoped Tarjan runs the pass instead; TestWorkAtScale pins what that buys.
-// A component the searches prove intact is marked dirty, as the
-// certificate no longer describes it.
+// scoped Tarjan runs the pass instead, having paid about one pass's worth
+// of searches first. TestWorkAtScale pins what that costs: a 1,000-update
+// batch and its inverse meter 2.9× one Tarjan over a 20k-node livej-sim,
+// whose forward batch spends the budget, and 0.73× over a 200k-node one,
+// whose batches do not. A component the searches prove intact is marked
+// dirty, as the certificate no longer describes it.
 //
 // A search that fails because one of its sides ran dry, not because the
 // budget ran out, has found a closed part of the split: everything v reaches
@@ -378,19 +381,6 @@ func (s *State) chkReach(u graph.Update, c CompID) bool {
 	return s.parent[w] != v && s.lowlinkWalkIntact(v, c)
 }
 
-// searchAll reports whether every deletion in dels with both ends in c
-// still has its source reaching its target inside c, within budget node
-// expansions in all.
-func (s *State) searchAll(c CompID, dels []graph.Update, budget int) bool {
-	for _, u := range dels {
-		v, w := s.idx.Of(u.From), s.idx.Of(u.To)
-		if s.comp[v] == c && s.comp[w] == c && s.search(v, w, c, &budget) != met {
-			return false
-		}
-	}
-	return true
-}
-
 // searchRing proves, inside c, every link of the ring not yet proved, and
 // returns the outcome of the first search that fails, or met.
 func (s *State) searchRing(c CompID, budget *int) outcome {
@@ -407,10 +397,10 @@ func (s *State) searchRing(c CompID, budget *int) outcome {
 	return met
 }
 
-// boundaryRing is the boundary of what settle's peels have left of a component R:
-// its nodes in ascending order, and per node whether it is proved to reach
-// the next one — the last node the first — inside R. Once every link is
-// proved, the boundary nodes are mutually reachable inside R.
+// boundaryRing is the boundary of what settle's peels have left of a
+// component, R: its nodes in ascending order, and per node whether it is
+// proved to reach the next one — the last node the first — inside R. Once
+// every link is proved, the boundary nodes are mutually reachable inside R.
 type boundaryRing struct {
 	nodes  []int32
 	linked []bool
@@ -591,25 +581,23 @@ func (s *State) peel(c CompID, sink bool, dels []graph.Update, dt *deltaTracker)
 	// R's boundary: the nodes of earlier peels' boundaries R still holds,
 	// the R ends of S's edges (carve), and the R end of a deleted edge
 	// between R and S, which a path in c before the batch may have crossed.
-	bnd := s.bnd[:0]
+	s.bnd = s.bnd[:0]
 	for _, y := range s.ring.nodes {
 		if s.comp[y] == c {
-			bnd = append(bnd, y)
+			s.bnd = append(s.bnd, y)
 		}
 	}
-	s.bnd = bnd
 	s.carve(c, -1, from, vals, dt)
-	bnd = s.bnd
 	for _, u := range dels {
 		v, w := s.idx.Of(u.From), s.idx.Of(u.To)
 		if s.comp[v] == c && s.comp[w] != c {
-			bnd = append(bnd, v)
+			s.bnd = append(s.bnd, v)
 		} else if s.comp[w] == c && s.comp[v] != c {
-			bnd = append(bnd, w)
+			s.bnd = append(s.bnd, w)
 		}
 	}
-	slices.Sort(bnd)
-	s.bnd = s.ring.reset(slices.Compact(bnd))[:0]
+	slices.Sort(s.bnd)
+	s.bnd = s.ring.reset(slices.Compact(s.bnd))
 }
 
 // carve moves the components of the last scoped run, all but the keep-th

@@ -80,6 +80,19 @@ func checkVerdicts(t *testing.T, s *State, b graph.Batch, apply func(*State, gra
 	}
 }
 
+// searchAll reports whether every deletion in dels with both ends in c
+// still has its source reaching its target inside c, within budget node
+// expansions in all.
+func (s *State) searchAll(c CompID, dels []graph.Update, budget int) bool {
+	for _, u := range dels {
+		v, w := s.idx.Of(u.From), s.idx.Of(u.To)
+		if s.comp[v] == c && s.comp[w] == c && s.search(v, w, c, &budget) != met {
+			return false
+		}
+	}
+	return true
+}
+
 // checkPart requires the part of a split component, given as indices, to be
 // a component of s published in d — unless s's component of the part holds
 // a node the old component did not (inOld), when it need only contain the

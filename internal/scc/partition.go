@@ -286,19 +286,6 @@ func sortBySmallest(cs [][]graph.NodeID) {
 	slices.SortFunc(cs, func(a, b []graph.NodeID) int { return cmp.Compare(a[0], b[0]) })
 }
 
-// carve cuts one backing array into an empty slice per component of the
-// last run, each with room for exactly that component.
-func (t *tarjan) carve() [][]graph.NodeID {
-	backing := make([]graph.NodeID, len(t.order))
-	parts := make([][]graph.NodeID, t.numComps())
-	lo := int32(0)
-	for i, hi := range t.ends {
-		parts[i] = backing[lo:lo:hi]
-		lo = hi
-	}
-	return parts
-}
-
 // scratchPool serves passes that have no State to keep a scratch in.
 var scratchPool = sync.Pool{New: func() any { return new(tarjan) }}
 
@@ -318,12 +305,16 @@ func Components(g *graph.Graph) [][]graph.NodeID {
 		return row
 	}), nil, nil, 0)
 	label := make([]int32, len(ids))
-	for i := 0; i < t.numComps(); i++ {
-		for _, v := range t.comp(i) {
+	backing := make([]graph.NodeID, len(ids))
+	out := make([][]graph.NodeID, t.numComps())
+	for i := range out {
+		comp := t.comp(i)
+		for _, v := range comp {
 			label[v] = int32(i)
 		}
+		out[i] = backing[:0:len(comp)]
+		backing = backing[len(comp):]
 	}
-	out := t.carve()
 	for i, v := range ids { // ascending, so every component fills ascending
 		out[label[i]] = append(out[label[i]], v)
 	}
