@@ -344,7 +344,7 @@ func (s *State) settle(c CompID, dels []graph.Update, dt *deltaTracker) {
 		}
 	}
 	budget := len(s.members[c])
-	s.ring.reset(nil)
+	s.bnd = s.ring.reset(s.bnd[:0])
 	s.gone = s.gone[:0]
 	var o outcome
 	for next := 0; ; {
