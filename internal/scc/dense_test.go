@@ -187,7 +187,7 @@ func TestScopedRepairAllocs(t *testing.T) {
 	// The deletion peels the member off (a source side of one node): one
 	// member list for the remainder, one backing array and two G_c maps for
 	// the part; the merge builds one member list and its search sets over
-	// G_c. That is 47 objects; a scoped Tarjan's split and the same merge
+	// G_c. That is 35 objects; a scoped Tarjan's split and the same merge
 	// took 61, the limit. Neither may touch the heap per member (the
 	// map-backed layout allocated 11 105 here), and the two rows the edge
 	// sits in keep their capacity.
