@@ -1032,20 +1032,17 @@ func (s *State) mergeComps(cycle []CompID, affr, affl map[CompID]bool, pool []fl
 	ls := s.byRank(affl, cycleSet) // aff_l \ C
 	// Reassign: aff_r\C take the smallest pool values, the merged node the
 	// next one, aff_l\C the largest; the middle |C|-1 values retire.
-	for _, v := range pool {
-		s.reg.remove(v)
-	}
 	for i, c := range rs {
 		s.rank[c] = pool[i]
-		s.reg.insert(pool[i])
 		s.meter.AddEntries(1)
 	}
 	mergedRank := pool[len(rs)]
 	for j, c := range ls {
-		v := pool[len(pool)-len(ls)+j]
-		s.rank[c] = v
-		s.reg.insert(v)
+		s.rank[c] = pool[len(pool)-len(ls)+j]
 		s.meter.AddEntries(1)
+	}
+	for _, v := range pool[len(rs)+1 : len(pool)-len(ls)] {
+		s.reg.remove(v)
 	}
 	// The largest component takes the others in: only their members are
 	// restamped, and only their G_c edges folded into its maps.
@@ -1075,7 +1072,6 @@ func (s *State) mergeComps(cycle []CompID, affr, affl map[CompID]bool, pool []fl
 	dt.keep(keep, s.members[keep])
 	s.meter.AddEntries(s.union(keep, cycle))
 	s.rank[keep] = mergedRank
-	s.reg.insert(mergedRank)
 	// The num/lowlink refresh of the merged component (Fig. 7 line 8) is
 	// deferred to the next scoped Tarjan over it: a chain of k merges would
 	// otherwise pay k of them over a growing component, and until then its
