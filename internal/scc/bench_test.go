@@ -53,9 +53,9 @@ func fullRepairCycle(g *graph.Graph) []graph.Batch { return cycleOf(repairStream
 // splitStream returns delete-only batches of size that take the giant
 // component apart at its fringe: the deletions remove, member by member,
 // every edge into a member that has at most two from the rest of the
-// component, which cuts it off. A batch of 32 peels the side its first
-// failed search closed, and a scoped pass over the rest splits it into a few
-// dozen parts.
+// component, which cuts it off. A batch of 32 peels six to eight sides
+// before its searches spend the budget, and a scoped pass over the rest
+// splits off the remaining parts.
 func splitStream(g *graph.Graph, size int) []graph.Batch {
 	s := Build(g, nil)
 	giant := s.MembersOf(giantOf(s))
@@ -135,8 +135,9 @@ func BenchmarkIncSCCRepairFull(b *testing.B) {
 
 // BenchmarkIncSCCSplitGiant is the split-heavy sibling: delete-only
 // batches of 32 that each cut that many members off the giant component
-// (a peel, then the scoped pass over the rest and splitComp's rebuild of the
-// G_c counters), and the insertions that merge them back.
+// (peels while the search budget lasts, then the scoped pass over the rest,
+// whose largest part keeps the giant's ID), and the insertions that merge
+// them back.
 func BenchmarkIncSCCSplitGiant(b *testing.B) {
 	g := giantGraph(b)
 	fwd := splitStream(g, 32)
