@@ -66,8 +66,9 @@ func TestArchitecture(t *testing.T) {
 		{"one node table", noMapType("internal/graph/shard.go", "node records are one slot-indexed table")},
 		{"no worker-stat poll", noMethod(anyFile, "", "StatsWithin")},
 		// IncSCC− decides a split in settle; the intact-then-repair pair
-		// was replaced by the peel.
-		{"one split decision", noMethod(inDirOf("internal/scc"), "State", "intact")},
+		// was replaced by the peel, and the one-peel remainder check by
+		// settle's peel loop.
+		{"one split decision", noMethod(inDirOf("internal/scc"), "State", "intact", "remainderIntact")},
 		// A class's row order and line format live in its engine's package;
 		// the root package and the commands only forward them.
 		{"one home for the row format", noMethod(rootOrCmd, "", "AppendRow", "CompareRows")},
