@@ -69,6 +69,11 @@ func TestArchitecture(t *testing.T) {
 		// was replaced by the peel, and the one-peel remainder check by
 		// settle's peel loop.
 		{"one split decision", noMethod(inDirOf("internal/scc"), "State", "intact", "remainderIntact")},
+		// IncSCC is split along the paper's seam: G_c, its counters and its
+		// ranks (IncSCC+) live in order.go, which the rest of the engine
+		// asks for what it needs. DynSCC keeps its own fields of those names.
+		{"one home for IncSCC's rank order", fieldsOnlyIn("internal/scc/order.go", "State", "rank", "reg", "gcOut", "gcIn")},
+		{"IncSCC's files stay small", maxLines("internal/scc", 500)},
 		// A class's row order and line format live in its engine's package;
 		// the root package and the commands only forward them.
 		{"one home for the row format", noMethod(rootOrCmd, "", "AppendRow", "CompareRows")},
@@ -88,7 +93,9 @@ func TestArchitecture(t *testing.T) {
 		// (frame fault script, redial, resync, fencing, holdover drops)
 		// and the daemon's disk-fault flag, the row surface beside
 		// Maintained with its four per-class adapters and the daemon's
-		// refusal of engines without it.
+		// refusal of engines without it, IncSCC's second per-update
+		// dispatch beside the batch repair, and the check of a batch's
+		// normal form that let Advance accept what ApplyBatch rejects.
 		{"deleted names stay deleted", idents(nonTest,
 			"ReplicaLog", "ReplPolicy", "WithReplication", "SetLogDir", "FetchReplStates", "ClusterReplStates", "msgReplicate",
 			"applyQueue", "acquireDeadline", "logMu", "Unappend", "ClusterCommit", "WithOnCommit", "OnCommit",
@@ -97,7 +104,8 @@ func TestArchitecture(t *testing.T) {
 			"DeleteNode", "recycleSlot", "SlotCap",
 			"FaultScript", "Dialer", "WithClusterTerm", "WithCallTimeout", "ensureUp", "prepareShards",
 			"Resyncs", "msgDrop", "parseDiskFault",
-			"RowAnswer", "kwsAdapter", "rpqAdapter", "sccAdapter", "isoAdapter", "rowAnswers")},
+			"RowAnswer", "kwsAdapter", "rpqAdapter", "sccAdapter", "isoAdapter", "rowAnswers",
+			"applyInsert", "applyDelete", "ValidateNormalized")},
 		// The reply parsers and writers the wire grammar replaced, the test
 		// client among them.
 		{"deleted names stay deleted", idents(anyFile,
@@ -408,6 +416,90 @@ func noMethod(keep func(archFile) bool, recv string, names ...string) func(*arch
 				if id, ok := typ.(*ast.Ident); recv == "" || ok && id.Name == recv {
 					report(tr.at(fd.Name.Pos()), "declares method "+fd.Name.Name)
 				}
+			}
+		}
+	}
+}
+
+// fieldsOnlyIn bans the fields of struct typeName from the non-test files
+// of file's directory other than file: a selector whose root is a variable
+// of that type — a receiver or parameter declared typeName or *typeName, or
+// a variable bound to a typeName literal — or a key of a typeName literal.
+// Without type information, that is how a field of the same name on
+// another type is told apart.
+func fieldsOnlyIn(file, typeName string, fields ...string) func(*archTree, func(at, msg string)) {
+	isType := func(e ast.Expr) bool {
+		if u, ok := e.(*ast.UnaryExpr); ok {
+			e = u.X
+		}
+		if star, ok := e.(*ast.StarExpr); ok {
+			e = star.X
+		}
+		if lit, ok := e.(*ast.CompositeLit); ok {
+			e = lit.Type
+		}
+		id, ok := e.(*ast.Ident)
+		return ok && id.Name == typeName
+	}
+	return func(tr *archTree, report func(at, msg string)) {
+		for _, f := range tr.files {
+			if f.test || f.path == file || !inDir(f, path.Dir(file)) {
+				continue
+			}
+			for _, decl := range f.ast.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok {
+					continue
+				}
+				vars := map[string]bool{}
+				for _, fl := range []*ast.FieldList{fd.Recv, fd.Type.Params} {
+					if fl == nil {
+						continue
+					}
+					for _, field := range fl.List {
+						for _, name := range field.Names {
+							vars[name.Name] = vars[name.Name] || isType(field.Type)
+						}
+					}
+				}
+				ast.Inspect(fd, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.AssignStmt:
+						for i, lhs := range n.Lhs {
+							if id, ok := lhs.(*ast.Ident); ok && len(n.Rhs) == len(n.Lhs) && isType(n.Rhs[i]) {
+								vars[id.Name] = true
+							}
+						}
+					case *ast.CompositeLit:
+						for _, elt := range n.Elts {
+							if kv, ok := elt.(*ast.KeyValueExpr); ok && isType(n) {
+								if id, ok := kv.Key.(*ast.Ident); ok && slices.Contains(fields, id.Name) {
+									report(tr.at(id.Pos()), "sets "+typeName+"."+id.Name+": it belongs to "+file)
+								}
+							}
+						}
+					case *ast.SelectorExpr:
+						root := n.X
+						for sel, ok := root.(*ast.SelectorExpr); ok; sel, ok = root.(*ast.SelectorExpr) {
+							root = sel.X
+						}
+						if id, ok := root.(*ast.Ident); ok && vars[id.Name] && slices.Contains(fields, n.Sel.Name) {
+							report(tr.at(n.Sel.Pos()), "touches "+typeName+"."+n.Sel.Name+": it belongs to "+file)
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+}
+
+// maxLines caps the length, in lines, of the non-test files of dir.
+func maxLines(dir string, limit int) func(*archTree, func(at, msg string)) {
+	return func(tr *archTree, report func(at, msg string)) {
+		for _, f := range tr.files {
+			if n := tr.fset.File(f.ast.Pos()).LineCount(); !f.test && inDir(f, dir) && n > limit {
+				report(f.path, strconv.Itoa(n)+" lines, over "+strconv.Itoa(limit))
 			}
 		}
 	}

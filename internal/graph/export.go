@@ -197,17 +197,3 @@ func checkUpdate(u Update, has bool) error {
 	}
 	return nil
 }
-
-// ValidateNormalized is ValidateBatch for a batch in normal form (see
-// Normalize): no two of its updates touch one edge, so each is checked
-// against the graph on its own, with no running state and no allocation.
-// The engines call it on the normalized batch before their first side
-// effect, so a batch they reject leaves graph and engine untouched.
-func (g *Graph) ValidateNormalized(b Batch) error {
-	for _, u := range b {
-		if err := checkUpdate(u, g.HasEdge(u.From, u.To)); err != nil {
-			return err
-		}
-	}
-	return nil
-}

@@ -245,14 +245,15 @@ func (g *Graph) ApplyBatch(b Batch) error {
 }
 
 // Advance moves g from G to G ⊕ ΔG the way an engine that owns its graph
-// does before it repairs: the batch is normalized and validated, a batch
+// does before it repairs: the batch is validated update by update, as
+// ApplyBatch would apply it, and normalized (ValidateNormalize), a batch
 // that cannot be applied is rejected before anything is touched, nodes are
 // created from the raw batch (creation is a side effect of an insertion
 // even when a later deletion cancels the edge), and the normalized updates
 // are applied. It returns the normal form for the repair that follows.
 func (g *Graph) Advance(batch Batch) (Batch, error) {
-	norm := batch.Normalize()
-	if err := g.ValidateNormalized(norm); err != nil {
+	norm, err := g.ValidateNormalize(batch)
+	if err != nil {
 		return nil, err
 	}
 	for _, u := range batch {

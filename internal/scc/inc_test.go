@@ -2,6 +2,7 @@ package scc
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"incgraph/internal/cost"
@@ -70,6 +71,48 @@ func TestRankInvariantOnBuild(t *testing.T) {
 	c1, _ := s.CompOf(1)
 	if s.Rank(c21) <= s.Rank(c1) {
 		t.Fatalf("rank(c1-comp)=%g must exceed rank(a1-comp)=%g", s.Rank(c21), s.Rank(c1))
+	}
+}
+
+// TestCheckInvariantsNamesPlantedFault plants one fault at a time in a
+// fresh state and checks that the check of the half it belongs to names it
+// — G_c's counters and ranks (checkOrder), the DFS trees (checkTrees) —
+// that the other half's check passes, and that CheckInvariants fails.
+func TestCheckInvariantsNamesPlantedFault(t *testing.T) {
+	// A = {0, 1, 2} → B = {3, 4}: one G_c edge, of multiplicity 1.
+	g := mkGraph(5, [][2]int64{{0, 1}, {1, 2}, {2, 0}, {2, 3}, {3, 4}, {4, 3}})
+	for _, tc := range []struct {
+		name        string
+		plant       func(s *State)
+		half, other func(s *State) error
+		want        string
+	}{
+		{"ranks swapped across a G_c edge", func(s *State) {
+			a, b := s.compOf(0), s.compOf(3)
+			s.rank[a], s.rank[b] = s.rank[b], s.rank[a]
+		}, (*State).checkOrder, (*State).checkTrees, "rank invariant broken"},
+		{"a G_c counter off by one", func(s *State) {
+			a, b := s.compOf(0), s.compOf(3)
+			s.gcOut[a][b]++
+			s.gcIn[b][a]++
+		}, (*State).checkOrder, (*State).checkTrees, "counter 2, want 1"},
+		{"a DFS parent that is not a predecessor", func(s *State) {
+			s.parent[s.idx.Of(0)] = s.idx.Of(1) // 0's one predecessor is 2
+		}, (*State).checkTrees, (*State).checkOrder, "not a predecessor"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := mustState(t, g)
+			tc.plant(s)
+			if err := tc.half(s); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("the half's check says %v, want %q", err, tc.want)
+			}
+			if err := tc.other(s); err != nil {
+				t.Fatalf("the other half's check says %v", err)
+			}
+			if err := s.CheckInvariants(); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("CheckInvariants says %v, want %q", err, tc.want)
+			}
+		})
 	}
 }
 

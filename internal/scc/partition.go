@@ -17,7 +17,7 @@ import (
 // Every pass of the engine walks succ and pred and never the graph: an edge
 // examined is one slice element, not a hash probe for the node record and
 // another for the neighbour's index. The graph is advanced by whoever owns it
-// — State.Apply, the unit algorithms and DynSCC at their call sites, or a
+// — State.Apply, the unit loop and DynSCC update by update, or a
 // store holding one graph under several engines — and applyEdge, the one
 // place a row changes, replays each edge update onto the mirror;
 // CheckInvariants audits the two against each other.

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sort"
-	"strconv"
 
 	"incgraph/internal/cost"
 	"incgraph/internal/graph"
@@ -21,19 +19,13 @@ import (
 type CompID int64
 
 // State is the incrementally maintained SCC state: the partition of G into
-// components, the per-node Tarjan structures (num, lowlink, DFS parent —
-// local to each component), and the contracted graph G_c with per-edge
-// multiplicity counters and topological ranks.
-//
-// Rank invariant: for every edge (x, y) of G_c, rank(x) > rank(y). This is
-// the "r(v) > r(v′) if (v, v′) is a cross-link in G_c" invariant of Section
-// 5.3, maintained by the Pearce–Kelly-style window reallocation of IncSCC+.
+// components (partition.go), the contracted graph G_c with per-edge
+// multiplicity counters and topological ranks (gcOrder, order.go), and the
+// per-node Tarjan structures (num, lowlink, DFS parent — local to each
+// component) that IncSCC− decides splits with (split.go).
 type State struct {
 	partition
-	gcOut map[CompID]map[CompID]int
-	gcIn  map[CompID]map[CompID]int
-	rank  map[CompID]float64
-	reg   rankRegistry
+	gcOrder
 	// Per-node Tarjan structures over the dense index, numbered locally per
 	// component. parent is the index of the DFS parent within the
 	// component, -1 where there is none.
@@ -66,24 +58,11 @@ type State struct {
 // Build runs Tarjan once over g and constructs the maintained state.
 // The meter may be nil.
 func Build(g *graph.Graph, meter *cost.Meter) *State {
-	s := &State{
-		gcOut: make(map[CompID]map[CompID]int),
-		gcIn:  make(map[CompID]map[CompID]int),
-		rank:  make(map[CompID]float64),
-		dirty: make(map[CompID]bool),
-	}
+	s := &State{dirty: make(map[CompID]bool)}
 	s.init(g, meter)
 	meter.AddNodes(g.NumNodes())
 	meter.AddEdges(g.NumEdges())
-	// Components arrive in reverse topological order; the output index is
-	// the initial topological rank ("the order of the scc ... in the output
-	// sequence of Tarjan").
-	for id := CompID(0); id < s.next; id++ {
-		s.gcOut[id] = make(map[CompID]int)
-		s.gcIn[id] = make(map[CompID]int)
-		s.rank[id] = float64(id)
-		s.reg.insert(float64(id))
-	}
+	s.buildOrder()
 	// Adopt the global run's structures; they are consistent within each
 	// component (local refreshes later renumber per component).
 	n := len(s.ids)
@@ -96,11 +75,6 @@ func Build(g *graph.Graph, meter *cost.Meter) *State {
 		}
 		s.parent[v] = p
 	}
-	// Contracted-graph edge counters.
-	s.crossEdges(func(cv, cw CompID) {
-		s.gcOut[cv][cw]++
-		s.gcIn[cw][cv]++
-	})
 	return s
 }
 
@@ -126,9 +100,6 @@ func (s *State) SameComp(v, w graph.NodeID) bool {
 	cw, okw := s.CompOf(w)
 	return okv && okw && cv == cw
 }
-
-// Rank returns the topological rank of component c.
-func (s *State) Rank(c CompID) float64 { return s.rank[c] }
 
 // MembersOf returns the members of component c in ascending order. The
 // slice is the state's own and must not be modified.
@@ -159,9 +130,11 @@ func (s *State) AppendRow(dst []byte, row []graph.NodeID) []byte {
 // this.
 func (s *State) WriteAnswer(w io.Writer) error { return graph.WriteRows(w, s.Rows(), s.AppendRow) }
 
-// CheckInvariants audits the whole state against a fresh Tarjan run:
-// partition, contracted-graph counters, rank invariant and registry.
-// Tests call it after every mutation batch.
+// CheckInvariants audits the whole state against a fresh Tarjan run: the
+// partition, the index and the mirror here, then one check per half of the
+// engine — G_c's counters, ranks and registry (checkOrder, order.go), and
+// the per-node Tarjan structures (checkTrees, split.go). Tests call it after
+// every mutation batch.
 func (s *State) CheckInvariants() error {
 	// Partition must match a fresh batch run.
 	want := Components(s.g)
@@ -217,82 +190,10 @@ func (s *State) CheckInvariants() error {
 	if count != n {
 		return fmt.Errorf("scc: membership covers %d of %d nodes", count, n)
 	}
-	// G_c counters recomputed from scratch.
-	wantOut := make(map[CompID]map[CompID]int)
-	s.g.Edges(func(e graph.Edge) bool {
-		cv, cw := s.compOf(e.From), s.compOf(e.To)
-		if cv != cw {
-			m := wantOut[cv]
-			if m == nil {
-				m = make(map[CompID]int)
-				wantOut[cv] = m
-			}
-			m[cw]++
-		}
-		return true
-	})
-	for c, out := range s.gcOut {
-		for o, n := range out {
-			if n <= 0 {
-				return fmt.Errorf("scc: non-positive counter %d on gc edge (%d,%d)", n, c, o)
-			}
-			if wantOut[c][o] != n {
-				return fmt.Errorf("scc: gc edge (%d,%d) counter %d, want %d", c, o, n, wantOut[c][o])
-			}
-			if s.gcIn[o][c] != n {
-				return fmt.Errorf("scc: gc in/out counters disagree on (%d,%d)", c, o)
-			}
-		}
-	}
-	for c, out := range wantOut {
-		for o, n := range out {
-			if s.gcOut[c][o] != n {
-				return fmt.Errorf("scc: missing gc edge (%d,%d) (want counter %d)", c, o, n)
-			}
-		}
-	}
-	// Rank invariant and uniqueness.
-	seen := make(map[float64]CompID, len(s.rank))
-	for c := range s.members {
-		r, ok := s.rank[c]
-		if !ok {
-			return fmt.Errorf("scc: component %d has no rank", c)
-		}
-		if prev, dup := seen[r]; dup {
-			return fmt.Errorf("scc: duplicate rank %g on %d and %d", r, prev, c)
-		}
-		seen[r] = c
-	}
-	for c, out := range s.gcOut {
-		for o := range out {
-			if s.rank[c] <= s.rank[o] {
-				return fmt.Errorf("scc: rank invariant broken on gc edge (%d,%d): %g <= %g",
-					c, o, s.rank[c], s.rank[o])
-			}
-		}
-	}
-	if len(s.rank) != len(s.members) || len(s.gcOut) != len(s.members) || len(s.gcIn) != len(s.members) {
-		return fmt.Errorf("scc: gc maps out of sync with members")
-	}
-	// Registry must hold exactly the rank values.
-	if err := s.reg.check(seen); err != nil {
+	if err := s.checkOrder(); err != nil {
 		return err
 	}
-	// Local Tarjan structures: present for every node, and a DFS parent is
-	// a predecessor in the node's own component.
-	if len(s.num) != n || len(s.low) != n || len(s.parent) != n {
-		return fmt.Errorf("scc: num/low/parent cover %d/%d/%d of %d nodes",
-			len(s.num), len(s.low), len(s.parent), n)
-	}
-	for i, p := range s.parent {
-		if p >= 0 && s.comp[p] != s.comp[i] {
-			return fmt.Errorf("scc: node %d has its DFS parent %d in another component", s.ids[i], s.ids[p])
-		}
-		if p >= 0 && !slices.Contains(s.pred[i], p) {
-			return fmt.Errorf("scc: node %d has its DFS parent %d, not a predecessor", s.ids[i], s.ids[p])
-		}
-	}
-	return nil
+	return s.checkTrees()
 }
 
 // checkRow compares a mirror row of v with the graph's sorted list: same
@@ -307,92 +208,4 @@ func (s *State) checkRow(kind string, v graph.NodeID, row []int32, want []graph.
 		}
 	}
 	return nil
-}
-
-// rankRegistry keeps the sorted multiset (in fact set) of live rank values,
-// so splits can place part ranks strictly between the split component's
-// rank and the next rank below it.
-type rankRegistry struct {
-	vals []float64 // sorted ascending
-}
-
-func (r *rankRegistry) insert(v float64) {
-	i := sort.SearchFloat64s(r.vals, v)
-	r.vals = append(r.vals, 0)
-	copy(r.vals[i+1:], r.vals[i:])
-	r.vals[i] = v
-}
-
-func (r *rankRegistry) remove(v float64) {
-	i := sort.SearchFloat64s(r.vals, v)
-	if i < len(r.vals) && r.vals[i] == v {
-		r.vals = append(r.vals[:i], r.vals[i+1:]...)
-	}
-}
-
-// predecessor returns the largest registered value strictly below v,
-// or v-1 when none exists.
-func (r *rankRegistry) predecessor(v float64) float64 {
-	i := sort.SearchFloat64s(r.vals, v)
-	if i == 0 {
-		return v - 1
-	}
-	return r.vals[i-1]
-}
-
-// max returns the largest registered value, or 0 when empty.
-func (r *rankRegistry) max() float64 {
-	if len(r.vals) == 0 {
-		return 0
-	}
-	return r.vals[len(r.vals)-1]
-}
-
-func (r *rankRegistry) check(live map[float64]CompID) error {
-	if len(r.vals) != len(live) {
-		return fmt.Errorf("scc: registry has %d ranks, live set has %d", len(r.vals), len(live))
-	}
-	for i, v := range r.vals {
-		if i > 0 && r.vals[i-1] >= v {
-			return fmt.Errorf("scc: registry not strictly sorted at %d", i)
-		}
-		if _, ok := live[v]; !ok {
-			return fmt.Errorf("scc: registry value %g not live", v)
-		}
-	}
-	return nil
-}
-
-// Condensation returns the current contracted graph G_c as a graph whose
-// nodes are component IDs (labeled with the decimal member count) and whose
-// edges are the contracted edges; multiplicities are dropped. The result is
-// a snapshot — later updates do not affect it.
-func (s *State) Condensation() *graph.Graph {
-	out := graph.New()
-	ids := make([]CompID, 0, len(s.members))
-	for c := range s.members {
-		ids = append(ids, c)
-	}
-	slices.Sort(ids) // ascending: every label-index add is an append
-	for _, c := range ids {
-		out.AddNode(graph.NodeID(c), strconv.Itoa(len(s.members[c])))
-	}
-	for c, adj := range s.gcOut {
-		for o := range adj {
-			out.AddEdge(graph.NodeID(c), graph.NodeID(o))
-		}
-	}
-	return out
-}
-
-// TopologicalComponents returns the component IDs sorted by descending
-// rank: a valid topological order of the condensation (every contracted
-// edge goes from an earlier to a later element).
-func (s *State) TopologicalComponents() []CompID {
-	out := make([]CompID, 0, len(s.members))
-	for c := range s.members {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return s.rank[out[i]] > s.rank[out[j]] })
-	return out
 }

@@ -14,30 +14,34 @@
 // deliberately not the graph's slot, which interleaves shards: SetShards
 // and a snapshot reload renumber slots, and an index that followed them
 // would make the DFS order — hence the maintained certificate and the
-// work metered — depend on the deployment shape. comp, num, low and parent
-// are slices over the index; a component's members are one ascending
-// []NodeID that is never modified once published (splits and merges build
-// new slices), so ΔO, MembersOf and WriteAnswer hand it out without a copy,
-// and "is w in component c" is comp[i] == c.
+// work metered — depend on the deployment shape. comp (partition.go) and
+// num, low and parent (IncSCC−'s, split.go) are slices over the index; a
+// component's members are one ascending []NodeID that is never modified
+// once published (splits and merges build new slices), so ΔO, MembersOf
+// and WriteAnswer hand it out without a copy, and "is w in component c" is
+// comp[i] == c. G_c, its counters and its ranks are keyed by CompID and
+// live in order.go (IncSCC+), which alone reads or writes them; the entry
+// points and ΔO are inc.go's.
 //
 // The mirror. Beside the index the engine keeps the graph's adjacency in
 // index space: per node a successor row and a predecessor row of int32
 // indices, built once by Build (rows cut from one backing array each) and
 // changed in one place, partition.applyEdge, which replays an edge update
 // the graph has taken onto the two rows it sits in; a new node starts with
-// empty rows. Every pass — the scoped repair, chkReach's lowlink walk, the
-// bidirectional searches of IncSCC− (successor rows forward, predecessor
-// rows backward), a split's or a peel's move of the G_c counters, Build's
-// cross-edge count, DynSCC — walks these rows and nothing else, so an edge
-// examined is a slice element and a scoped pass over a component whose IDs
-// are direct-indexed probes no hash table at all. The graph is advanced —
-// batch validated, nodes created, edges applied — before the repair and
-// outside it: by Apply (graph.Advance) for a state that owns its graph, by
-// the unit algorithms and DynSCC update by update at their call sites, by
-// the store for a state repaired in place on a graph it shares (Repair).
-// The repair recognises a created node by its absence from the index and
-// reads nothing else from the graph; CheckInvariants audits every row
-// against SuccessorsSorted/PredecessorsSorted.
+// empty rows. Every pass — split.go's scoped repair, chkReach's lowlink
+// walk, the bidirectional searches of IncSCC− (successor rows forward,
+// predecessor rows backward) and a split's or a peel's move of the G_c
+// counters, order.go's cross-edge count, DynSCC — walks these rows and
+// nothing else, so an edge examined is a slice element and a scoped pass
+// over a component whose IDs are direct-indexed probes no hash table at
+// all. The graph is advanced — batch validated, nodes created, edges
+// applied — before the repair and outside it: by Apply (graph.Advance) for
+// a state that owns its graph, by the unit loop (ApplyUnitwise, one
+// graph.Apply before each repair) and DynSCC update by update, by the store
+// for a state repaired in place on a graph it shares (Repair). The repair
+// recognises a created node by its absence from the index and reads
+// nothing else from the graph; CheckInvariants audits every row against
+// SuccessorsSorted/PredecessorsSorted.
 //
 // Row order. A row is kept in ascending order of its entries' NodeIDs, not
 // of the indices it stores. The two agree for build-time nodes and part ways

@@ -84,12 +84,12 @@ func TestMaintainedUniformDriver(t *testing.T) {
 // TestRejectedBatchLeavesEngineUntouched pins, for all four classes, that a
 // batch an engine rejects changes neither its graph nor its answer — no
 // node created, no edge moved, no generation consumed — and that the
-// engine goes on to apply a valid batch correctly. The batches fail on
-// their last update, after updates that would have created a node and
-// deleted an edge. The "inplace" rows attach all four engines on a
-// Durable's own graph, where an engine validates nothing itself: Commit
-// rejects the batch before the WAL append, and graph, log, answers and
-// every engine's LastDelta stay as they were.
+// engine goes on to apply a valid batch correctly. The batches fail after
+// updates that would have created a node and deleted an edge. The
+// "inplace" rows attach all four engines on a Durable's own graph, where
+// an engine validates nothing itself: Commit rejects the batch before the
+// WAL append, and graph, log, answers and every engine's LastDelta stay as
+// they were.
 func TestRejectedBatchLeavesEngineUntouched(t *testing.T) {
 	// Triangle 1(a) → 2(b) → 3(c) → 1.
 	base := incgraph.NewGraph()
@@ -136,6 +136,10 @@ func TestRejectedBatchLeavesEngineUntouched(t *testing.T) {
 		"delete of a missing edge": {incgraph.InsNew(1, 99, "a", "b"), incgraph.Del(2, 3), incgraph.Del(7, 8)},
 		"insert of a present edge": {incgraph.InsNew(1, 99, "a", "b"), incgraph.Del(2, 3), incgraph.Ins(3, 1)},
 		"unknown op":               {incgraph.InsNew(1, 99, "a", "b"), incgraph.Del(2, 3), {Op: 7, From: 1, To: 3}},
+		// Invalid update by update, though their normal forms are valid:
+		// the first inserts (1,3) once, the second is a no-op.
+		"a missing edge inserted twice":         {incgraph.InsNew(1, 99, "a", "b"), incgraph.Del(2, 3), incgraph.Ins(1, 3), incgraph.Ins(1, 3)},
+		"a missing edge deleted, then inserted": {incgraph.InsNew(1, 99, "a", "b"), incgraph.Del(2, 3), incgraph.Del(1, 3), incgraph.Ins(1, 3)},
 	}
 	good := incgraph.Batch{incgraph.InsNew(1, 99, "a", "b"), incgraph.Del(2, 3)}
 	answer := func(m incgraph.Maintained) string {
