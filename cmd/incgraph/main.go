@@ -18,6 +18,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"flag"
 	"fmt"
 	"os"
@@ -146,11 +147,11 @@ func loadUpdates(path string) (incgraph.Batch, error) {
 	line := 0
 	for sc.Scan() {
 		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
+		text := bytes.TrimSpace(sc.Bytes())
+		if len(text) == 0 || text[0] == '#' {
 			continue
 		}
-		u, err := graph.ParseUpdate(strings.Fields(text))
+		u, err := graph.ParseUpdate(text)
 		if err != nil {
 			return nil, fmt.Errorf("%s:%d: %v", path, line, err)
 		}

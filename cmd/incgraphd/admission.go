@@ -8,10 +8,13 @@ package main
 //     unboundedly and a healthy client gets an explicit answer instead of
 //     a hang.
 //   - Per-connection deadlines: a full line must arrive within
-//     -idle-timeout (the deadline is armed when the wait starts and NOT
-//     refreshed per byte, so a byte-at-a-time slow-loris is cut exactly
-//     like an idle one), every reply flush must complete within the op
-//     timeout, and a connection can stage at most -max-staged updates.
+//     -idle-timeout. The read deadline is armed when a wait for the
+//     connection starts: not per line already buffered (a burst of lines
+//     that arrived together is read under the one deadline its wait
+//     armed), and NOT refreshed per byte, so a byte-at-a-time slow-loris
+//     is cut exactly like an idle one. Every reply flush must complete
+//     within the op timeout (one write deadline armed per flush), and a
+//     connection can stage at most -max-staged updates.
 //   - Admission gates in front of commit and query: a bounded number of
 //     ops in flight, a bounded queue behind them, and a per-op budget on
 //     the queue wait. Excess load is shed as "err overloaded: ...; retry"

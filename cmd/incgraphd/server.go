@@ -13,6 +13,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode"
 
 	"incgraph"
 	"incgraph/internal/graph"
@@ -333,12 +334,14 @@ func (s *server) handle(conn net.Conn) {
 	// send writes one reply (none when nil) and flushes, under a write
 	// deadline: a client that stops draining its socket is cut at the op
 	// timeout instead of holding the handler goroutine (and whatever it has
-	// admitted) forever. The deadline is armed before the write, which goes
-	// to the connection itself when the reply outgrows the buffer.
+	// admitted) forever. The deadline is armed once per flush, before the
+	// write, which goes to the connection itself when the reply outgrows the
+	// buffer. It is left armed afterwards: every write to the connection
+	// goes through send, so none runs under a deadline send did not just
+	// arm.
 	send := func(reply []byte) bool {
 		if s.lim.opTimeout > 0 {
 			conn.SetWriteDeadline(time.Now().Add(s.lim.opTimeout))
-			defer conn.SetWriteDeadline(time.Time{})
 		}
 		out.Write(reply)
 		return out.Flush() == nil
@@ -346,33 +349,48 @@ func (s *server) handle(conn net.Conn) {
 	fail := func(cat wire.Category, format string, args ...any) bool {
 		return send(wire.AppendError(out.AvailableBuffer(), cat, fmt.Sprintf(format, args...)))
 	}
+	// pending is the staged batch. It is one slice for the connection's
+	// life: abort and every commit that is not shed empty it in place,
+	// since nothing a commit reaches keeps the batch once Durable.Commit
+	// returns (the WAL and the hub encode it, the engines read it). Its
+	// capacity is at most -max-staged updates, which the connection could
+	// hold anyway.
 	var pending incgraph.Batch
 	for alive := true; alive; {
-		// A stage ack is held back while the next line is already here (a
-		// burst of stage lines leaves in one write, not one per line); it
-		// must not stay held across a wait. Every reply but that ack
-		// flushes, so output is pending here only after a held ack followed
-		// by lines that produce no reply (blank, comment).
-		if !more && out.Buffered() > 0 && !send(nil) {
-			return
-		}
-		// Arm the per-line deadline when the wait for a line STARTS and do
-		// not refresh it per byte: a byte-at-a-time slow-loris client hits
-		// it exactly like an idle one.
-		if s.lim.idle > 0 {
-			conn.SetReadDeadline(time.Now().Add(s.lim.idle))
+		if !more {
+			// The next Scan reads from the connection: a wait starts.
+			//
+			// A stage ack is held back while the next line is already here
+			// (a burst of stage lines leaves in one write, not one per
+			// line); it must not stay held across a wait. Every reply but
+			// that ack flushes, so output is pending here only after a held
+			// ack followed by lines that produce no reply (blank, comment).
+			if out.Buffered() > 0 && !send(nil) {
+				return
+			}
+			// Arm the read deadline once per wait, when it starts: not per
+			// line the buffer already holds (their Scans do not read), and
+			// not refreshed per byte, so a byte-at-a-time slow-loris client
+			// hits it exactly like an idle one.
+			if s.lim.idle > 0 {
+				conn.SetReadDeadline(time.Now().Add(s.lim.idle))
+			}
 		}
 		if !sc.Scan() {
 			break
 		}
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+		// The line is read in place, as bytes: a stage line costs its parse
+		// and nothing else (no string, no field slice).
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 || line[0] == '#' {
 			continue
 		}
-		fields := strings.Fields(line)
-		switch cmd := fields[0]; {
+		name, arg := cutField(line)
+		// cmd is only compared, so it stays on the stack: a reply names the
+		// command from name, and a read copies arg into the class it reads.
+		switch cmd := string(name); {
 		case cmd == "+" || cmd == "-":
-			u, err := graph.ParseUpdate(fields)
+			u, err := graph.ParseUpdate(line)
 			switch {
 			case err != nil:
 				alive = fail(wire.Proto, "%v", err)
@@ -386,23 +404,23 @@ func (s *server) handle(conn net.Conn) {
 				// the connection itself, outside the write deadline.
 				alive = more && out.Available() >= 64 || send(nil)
 			}
-		case (cmd == "query" || cmd == "answer") && len(fields) != 2:
-			alive = fail(wire.Proto, "usage: %s CLASS", cmd)
-		case len(fields) != 1 && slices.Contains(argless, cmd):
-			alive = fail(wire.Proto, "usage: %s", cmd)
+		case (cmd == "query" || cmd == "answer") && (len(arg) == 0 || bytes.IndexFunc(arg, unicode.IsSpace) >= 0):
+			alive = fail(wire.Proto, "usage: %s CLASS", name)
+		case len(arg) != 0 && slices.Contains(argless, cmd):
+			alive = fail(wire.Proto, "usage: %s", name)
 		case cmd == "abort":
 			alive = send(wire.AppendAborted(out.AvailableBuffer(), len(pending)))
-			pending = nil
+			pending = pending[:0]
 		case cmd == "commit":
 			// A shed keeps the staged batch: "retry in 100ms" must mean
 			// re-sending "commit", not re-staging everything.
 			shed, reply := s.commit(out.AvailableBuffer(), pending)
 			if !shed {
-				pending = nil
+				pending = pending[:0]
 			}
 			alive = send(reply)
 		case cmd == "query" || cmd == "answer":
-			alive = send(s.read(out.AvailableBuffer(), cmd == "answer", fields[1]))
+			alive = send(s.read(out.AvailableBuffer(), cmd == "answer", string(arg)))
 		case cmd == "stat":
 			alive = send(s.stat(out.AvailableBuffer()))
 		case cmd == "health":
@@ -427,7 +445,7 @@ func (s *server) handle(conn net.Conn) {
 			send(wire.AppendBye(out.AvailableBuffer()))
 			return
 		default:
-			alive = fail(wire.Proto, "unknown command %q", cmd)
+			alive = fail(wire.Proto, "unknown command %q", name)
 		}
 	}
 	// The scan ended without a clean quit: tell the client why before the
@@ -449,6 +467,17 @@ func (s *server) handle(conn net.Conn) {
 			fail(wire.Idle, "no complete line in %v", s.lim.idle)
 		}
 	}
+}
+
+// cutField splits a line that starts with a field into that field and the
+// rest after the white space that ends it: strings.Fields, one field at a
+// time, without allocating.
+func cutField(line []byte) (field, rest []byte) {
+	i := bytes.IndexFunc(line, unicode.IsSpace)
+	if i < 0 {
+		return line, nil
+	}
+	return line[:i], bytes.TrimLeftFunc(line[i:], unicode.IsSpace)
 }
 
 // commit applies one staged batch and appends the reply to b: ΔO per

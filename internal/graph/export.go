@@ -170,18 +170,21 @@ func (g *Graph) ValidateNormalize(b Batch) (Batch, error) {
 		}
 		return b, nil
 	}
-	exists := make(map[Edge]bool, len(b))
+	// One pass over one map validates and gathers what the normal form
+	// needs.
+	runs := make(map[Edge]edgeRun, len(b))
 	for i, u := range b {
-		has, seen := exists[u.Edge()]
+		r, seen := runs[u.Edge()]
 		if !seen {
-			has = g.HasEdge(u.From, u.To)
+			r = edgeRun{first: u.Op, present: g.HasEdge(u.From, u.To)}
 		}
-		if err := checkUpdate(u, has); err != nil {
+		if err := checkUpdate(u, r.present); err != nil {
 			return nil, fmt.Errorf("update %d: %w", i, err)
 		}
-		exists[u.Edge()] = u.Op == Insert
+		r.last, r.present = i, u.Op == Insert
+		runs[u.Edge()] = r
 	}
-	return b.normalize(), nil
+	return b.normalForm(runs), nil
 }
 
 // checkUpdate is the rule Apply enforces, for an update whose edge exists

@@ -203,7 +203,22 @@ func TestValidateBatchErrorText(t *testing.T) {
 	}); allocs != 0 {
 		t.Fatalf("ValidateBatch of a batch without a repeated edge: %.1f allocs, want 0", allocs)
 	}
+	// A batch that repeats an edge is validated and normalized in one pass
+	// over one map: the map and the normal form are its allocations.
+	rep := append(slices.Clone(ok[:31]), Del(3, 4))
+	if allocs := testing.AllocsPerRun(20, func() {
+		if norm, err := g.ValidateNormalize(rep); err != nil || len(norm) != 30 {
+			t.Fatalf("ValidateNormalize = %d updates, %v; want 30, nil", len(norm), err)
+		}
+	}); allocs > validateRepeatAllocs {
+		t.Fatalf("ValidateNormalize of a 32-update batch that repeats an edge: %.1f allocs, want at most %d", allocs, validateRepeatAllocs)
+	}
 }
+
+// validateRepeatAllocs bounds TestValidateBatchErrorText's repeated-edge
+// batch: three maps (validation's, then normalization's first and last ops)
+// and the normal form took 10; one map and the normal form take 4.
+const validateRepeatAllocs = 4
 
 func TestReadRejectsDuplicates(t *testing.T) {
 	if _, err := Read(strings.NewReader("n 1 a\nn 2 b\nn 1 c\n")); err == nil ||

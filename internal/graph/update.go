@@ -1,11 +1,13 @@
 package graph
 
 import (
+	"bytes"
 	"cmp"
 	"errors"
 	"fmt"
 	"slices"
 	"strconv"
+	"unicode"
 )
 
 // Op is the kind of a unit update.
@@ -51,34 +53,51 @@ func InsNew(v, w NodeID, vl, wl string) Update {
 // Del returns an edge-deletion update.
 func Del(v, w NodeID) Update { return Update{Op: Delete, From: v, To: w} }
 
-// ParseUpdate decodes one update line, split into fields: "+ v w [vlabel
-// [wlabel]]" is an insertion with labels for endpoints that may be new,
-// "- v w" a deletion. Anything else — another op, an ID that is not a
-// decimal int64, a field too many — is an error. It is the one reader of
-// the line format incgraphd's clients stage and cmd/incgraph's update
-// files hold, and AppendUpdate its one writer.
-func ParseUpdate(fields []string) (Update, error) {
+// ParseUpdate decodes one update line: "+ v w [vlabel [wlabel]]" is an
+// insertion with labels for endpoints that may be new, "- v w" a deletion,
+// its fields separated by white space as strings.Fields splits them
+// (Unicode spaces included). Anything else — another op, an ID that is not
+// a decimal int64, a field too many — is an error. It is the one reader of
+// the line format incgraphd's clients stage and cmd/incgraph's update files
+// hold, and AppendUpdate its one writer. A line without labels allocates
+// nothing.
+func ParseUpdate(line []byte) (Update, error) {
+	var f [6][]byte // one more than a line may hold, to see a field too many
+	n := 0
+	for line = bytes.TrimLeftFunc(line, unicode.IsSpace); len(line) > 0 && n < len(f); n++ {
+		f[n], line = cutField(line)
+	}
+	op := f[0]
 	most := 3
-	if len(fields) > 0 && fields[0] == "+" {
+	if string(op) == "+" {
 		most = 5
 	}
-	if len(fields) < 3 || len(fields) > most || fields[0] != "+" && fields[0] != "-" {
+	if n < 3 || n > most || string(op) != "+" && string(op) != "-" {
 		return Update{}, errors.New("want '+ v w [vlabel [wlabel]]' or '- v w'")
 	}
-	v, err := strconv.ParseInt(fields[1], 10, 64)
+	v, err := strconv.ParseInt(string(f[1]), 10, 64)
 	if err != nil {
 		return Update{}, fmt.Errorf("bad source id: %v", err)
 	}
-	w, err := strconv.ParseInt(fields[2], 10, 64)
+	w, err := strconv.ParseInt(string(f[2]), 10, 64)
 	if err != nil {
 		return Update{}, fmt.Errorf("bad target id: %v", err)
 	}
-	if fields[0] == "-" {
+	if string(op) == "-" {
 		return Del(NodeID(v), NodeID(w)), nil
 	}
-	var labels [2]string
-	copy(labels[:], fields[3:])
-	return InsNew(NodeID(v), NodeID(w), labels[0], labels[1]), nil
+	return InsNew(NodeID(v), NodeID(w), string(f[3]), string(f[4])), nil
+}
+
+// cutField splits a line that starts with a field into that field and the
+// rest after the white space that ends it: strings.Fields, one field at a
+// time.
+func cutField(line []byte) (field, rest []byte) {
+	i := bytes.IndexFunc(line, unicode.IsSpace)
+	if i < 0 {
+		return line, nil
+	}
+	return line[:i], bytes.TrimLeftFunc(line[i:], unicode.IsSpace)
 }
 
 // AppendUpdate appends u as the line ParseUpdate reads, newline included:
@@ -151,17 +170,33 @@ func (b Batch) Normalize() Batch {
 
 // normalize is Normalize for a batch known to repeat an edge.
 func (b Batch) normalize() Batch {
-	first := make(map[Edge]Op, len(b))
-	last := make(map[Edge]int, len(b))
+	runs := make(map[Edge]edgeRun, len(b))
 	for i, u := range b {
-		if _, ok := first[u.Edge()]; !ok {
-			first[u.Edge()] = u.Op
+		r, seen := runs[u.Edge()]
+		if !seen {
+			r.first = u.Op
 		}
-		last[u.Edge()] = i
+		r.last = i
+		runs[u.Edge()] = r
 	}
-	out := make(Batch, 0, len(last))
+	return b.normalForm(runs)
+}
+
+// edgeRun is what one pass over a batch keeps of an edge: the op of its
+// first update, the position of its last, and — for validation — whether
+// the edge is present after the updates so far.
+type edgeRun struct {
+	first   Op
+	last    int
+	present bool
+}
+
+// normalForm keeps the last update of each edge whose first update has the
+// same op, in batch order.
+func (b Batch) normalForm(runs map[Edge]edgeRun) Batch {
+	out := make(Batch, 0, len(runs))
 	for i, u := range b {
-		if last[u.Edge()] == i && first[u.Edge()] == u.Op {
+		if r := runs[u.Edge()]; r.last == i && r.first == u.Op {
 			out = append(out, u)
 		}
 	}

@@ -2,7 +2,10 @@ package graph
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -119,24 +122,135 @@ func TestUpdateStrings(t *testing.T) {
 	}
 }
 
-// FuzzParseUpdate: ParseUpdate never panics, and a line it accepts,
-// written again by AppendUpdate, parses to the same Update.
+// fieldsRule is the update-line rule ParseUpdate has always stated, kept
+// here as the oracle its byte parser answers to: strings.Fields, then the
+// field checks.
+func fieldsRule(fields []string) (Update, error) {
+	most := 3
+	if len(fields) > 0 && fields[0] == "+" {
+		most = 5
+	}
+	if len(fields) < 3 || len(fields) > most || fields[0] != "+" && fields[0] != "-" {
+		return Update{}, errors.New("want '+ v w [vlabel [wlabel]]' or '- v w'")
+	}
+	v, err := strconv.ParseInt(fields[1], 10, 64)
+	if err != nil {
+		return Update{}, fmt.Errorf("bad source id: %v", err)
+	}
+	w, err := strconv.ParseInt(fields[2], 10, 64)
+	if err != nil {
+		return Update{}, fmt.Errorf("bad target id: %v", err)
+	}
+	if fields[0] == "-" {
+		return Del(NodeID(v), NodeID(w)), nil
+	}
+	var labels [2]string
+	copy(labels[:], fields[3:])
+	return InsNew(NodeID(v), NodeID(w), labels[0], labels[1]), nil
+}
+
+// FuzzParseUpdate: on any bytes ParseUpdate gives the oracle's verdict —
+// the same Update, or the same error text — and a line it accepts, written
+// again by AppendUpdate, parses to the same Update.
 func FuzzParseUpdate(f *testing.F) {
 	for _, line := range []string{
 		"+ 1 2", "+ -5 7 a", "+ 1 1099511627776 a b", "- 3 -4", " +\t01  +2 a ",
 		"+ 1 2 a b junk", "- 1 2 x", "* 1 2", "+ 1", "- 1 0x2", "",
+		"+\t1\t2\ta\tb", "+\u00a01 2", "- 1\u00852", "+1 2", "-1 2", "+ +1 -2 x",
+		"+ 1 2 \u00a0a\u0085 b\u3000", "+ 9223372036854775808 1", "- 1 2\xff", "+ 1 2 \xffa",
+		"+ 1 2 a b\u2028", "\v- 1 2\f", "+ 1_000 2", "+ 1 2 a b c d e f",
 	} {
 		f.Add(line)
 	}
 	f.Fuzz(func(t *testing.T, line string) {
-		u, err := ParseUpdate(strings.Fields(line))
+		u, err := ParseUpdate([]byte(line))
+		want, wantErr := fieldsRule(strings.Fields(line))
+		if u != want || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Fatalf("%q parsed to %+v, %v; strings.Fields and the field checks give %+v, %v", line, u, err, want, wantErr)
+		}
 		if err != nil {
 			return
 		}
-		canon := string(AppendUpdate(nil, u))
-		again, err := ParseUpdate(strings.Fields(canon))
+		canon := AppendUpdate(nil, u)
+		again, err := ParseUpdate(canon)
 		if err != nil || again != u {
 			t.Fatalf("%q parsed to %+v; AppendUpdate's %q to %+v (%v)", line, u, canon, again, err)
+		}
+	})
+}
+
+// An update line without labels parses without allocating, whatever white
+// space separates its fields; a label costs its string.
+func TestParseUpdateAllocs(t *testing.T) {
+	for _, c := range []struct {
+		line   string
+		allocs float64
+	}{
+		{"+ 1 2", 0}, {"- -3 40000000000", 0}, {"\t+\u00a01\u3000 2 ", 0}, {"+ 1 2 ab", 1}, {"+ 1 2 ab cd", 2},
+	} {
+		line := []byte(c.line)
+		if got := testing.AllocsPerRun(100, func() {
+			if _, err := ParseUpdate(line); err != nil {
+				t.Fatal(err)
+			}
+		}); got != c.allocs {
+			t.Errorf("ParseUpdate(%q): %.0f allocs, want %.0f", c.line, got, c.allocs)
+		}
+	}
+}
+
+// FuzzNormalize: on a small random graph, ValidateNormalize accepts a batch
+// exactly when applying it update by update succeeds, leaves the graph
+// untouched, and hands over a normal form that — applied after the nodes
+// the batch's insertions name are created — gives the same nodes, labels
+// and edges as the update-by-update application. Each update takes two
+// bytes: the low three bits of each name its endpoints (nodes 6 and 7 are
+// not in the graph), and its op is the one the running graph admits unless
+// the first byte's high nibble is all ones.
+func FuzzNormalize(f *testing.F) {
+	f.Add(int64(1), []byte{0, 1, 0, 1, 2, 3})
+	f.Add(int64(2), []byte{6, 7, 6, 7, 6, 7, 0xf6, 7})
+	f.Add(int64(3), []byte{1, 1, 2, 2, 1, 1, 0xf3, 4, 5, 6, 7, 0, 5, 6, 1, 1, 0, 2, 0, 2, 0, 2, 4, 4})
+	f.Fuzz(func(t *testing.T, seed int64, data []byte) {
+		g := randomGraph(rand.New(rand.NewSource(seed)), 6, 12, []string{"a", "b"})
+		unit := g.Clone()
+		var b Batch
+		for ; len(data) >= 2 && len(b) < 100; data = data[2:] {
+			v, w := NodeID(data[0]&7), NodeID(data[1]&7)
+			u := InsNew(v, w, "x", "y")
+			if unit.HasEdge(v, w) != (data[0]&0xf0 == 0xf0) {
+				u = Del(v, w)
+			}
+			b = append(b, u)
+			unit.Apply(u) // a rejected update leaves unit as it was
+		}
+		unit = g.Clone()
+		uerr := unit.ApplyBatch(b)
+		gen := g.Generation()
+		norm, err := g.ValidateNormalize(b)
+		if g.Generation() != gen {
+			t.Fatal("ValidateNormalize mutated the graph")
+		}
+		if (err == nil) != (uerr == nil) || err != nil && err.Error() != uerr.Error() {
+			t.Fatalf("batch %v: ValidateNormalize says %v, applying it update by update %v", b, err, uerr)
+		}
+		if err != nil {
+			return
+		}
+		if !slices.Equal(norm, b.Normalize()) {
+			t.Fatalf("batch %v: ValidateNormalize's normal form %v, Normalize's %v", b, norm, b.Normalize())
+		}
+		for _, u := range b {
+			if u.Op == Insert {
+				g.EnsureNode(u.From, u.FromLabel)
+				g.EnsureNode(u.To, u.ToLabel)
+			}
+		}
+		if err := g.ApplyBatch(norm); err != nil {
+			t.Fatalf("batch %v: its normal form %v does not apply: %v", b, norm, err)
+		}
+		if !g.Equal(unit) {
+			t.Fatalf("batch %v: its normal form %v gives another graph than the batch", b, norm)
 		}
 	})
 }

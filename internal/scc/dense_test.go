@@ -187,11 +187,12 @@ func TestScopedRepairAllocs(t *testing.T) {
 	// The deletion peels the member off (a source side of one node): one
 	// member list for the remainder, one backing array and two G_c maps for
 	// the part; the merge builds one member list and its search sets over
-	// G_c. That is 35 objects; a scoped Tarjan's split and the same merge
-	// took 61, the limit. Neither may touch the heap per member (the
-	// map-backed layout allocated 11 105 here), and the two rows the edge
-	// sits in keep their capacity.
-	limit := 61.0
+	// G_c. That is 35 objects, and a scoped Tarjan's split (a spent search
+	// budget) with the same merge takes 35 too: the limit. Both took 41
+	// while Repair grouped each batch in fresh maps and slices. Neither may
+	// touch the heap per member (the map-backed layout allocated 11 105
+	// here), and the two rows the edge sits in keep their capacity.
+	limit := 35.0
 	if raceDetector {
 		limit = 100 // the merge's pass over G_c may have to rebuild its scratch
 	}

@@ -1,9 +1,9 @@
 package scc
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"incgraph/internal/graph"
 )
@@ -211,45 +211,47 @@ func (s *State) repairBatch(batch, norm graph.Batch, dt *deltaTracker) {
 			s.ensureNode(u.To, dt)
 		}
 	}
-	// Classify against the component map at batch start.
-	intra := make(map[CompID]graph.Batch)
-	var interDel, interIns graph.Batch
+	// Classify against the component map at batch start: the intra-component
+	// updates tagged with their component and stably sorted by it, so each
+	// component's updates are one run in batch order; the rest in batch
+	// order.
+	intra, inter := s.intra[:0], s.inter[:0]
 	for _, u := range norm {
-		cv, cw := s.compOf(u.From), s.compOf(u.To)
-		if cv == cw {
-			intra[cv] = append(intra[cv], u)
-		} else if u.Op == graph.Delete {
-			interDel = append(interDel, u)
+		if cv := s.compOf(u.From); cv == s.compOf(u.To) {
+			intra = append(intra, compUpdate{cv, u})
 		} else {
-			interIns = append(interIns, u)
+			inter = append(inter, u)
 		}
 	}
+	slices.SortStableFunc(intra, func(x, y compUpdate) int { return cmp.Compare(x.c, y.c) })
 	// (a) Intra-component updates, grouped: apply the group's edges, then
 	// decide once whether the deletions split the component.
-	comps := make([]CompID, 0, len(intra))
-	for c := range intra {
-		comps = append(comps, c)
-	}
-	sort.Slice(comps, func(i, j int) bool { return comps[i] < comps[j] })
-	for _, c := range comps {
-		var dels graph.Batch
-		for _, u := range intra[c] {
-			s.applyEdge(u)
-			if u.Op == graph.Delete {
-				dels = append(dels, u)
+	for i := 0; i < len(intra); {
+		c := intra[i].c
+		dels := s.dels[:0]
+		for ; i < len(intra) && intra[i].c == c; i++ {
+			s.applyEdge(intra[i].u)
+			if intra[i].u.Op == graph.Delete {
+				dels = append(dels, intra[i].u)
 			}
 		}
+		s.dels = dels
 		if len(dels) > 0 { // insertions alone never split
 			s.settle(c, dels, dt)
 		}
 	}
 	// (b) Inter-component deletions: G_c counter maintenance.
-	for _, u := range interDel {
-		s.applyEdge(u)
-		s.gcDecrement(s.compOf(u.From), s.compOf(u.To))
+	for _, u := range inter {
+		if u.Op == graph.Delete {
+			s.applyEdge(u)
+			s.gcDecrement(s.compOf(u.From), s.compOf(u.To))
+		}
 	}
 	// (c) Inter-component insertions.
-	for _, u := range interIns {
+	for _, u := range inter {
+		if u.Op != graph.Insert {
+			continue
+		}
 		s.applyEdge(u)
 		cv, cw := s.compOf(u.From), s.compOf(u.To)
 		if cv == cw {
@@ -260,6 +262,13 @@ func (s *State) repairBatch(batch, norm graph.Batch, dt *deltaTracker) {
 		}
 		s.processInterInsert(cv, cw, dt)
 	}
+	s.intra, s.inter = intra, inter
+}
+
+// compUpdate is an intra-component update tagged with its component.
+type compUpdate struct {
+	c CompID
+	u graph.Update
 }
 
 // ensureNode indexes v, a node the graph has gained since the state last

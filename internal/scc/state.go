@@ -53,6 +53,12 @@ type State struct {
 	gone []graph.NodeID
 	bnd  []int32
 	ring boundaryRing
+	// intra, inter and dels are repairBatch's grouping of a batch: its
+	// intra-component updates by component, its inter-component ones, and
+	// the deletions of the group being settled.
+	intra []compUpdate
+	inter []graph.Update
+	dels  []graph.Update
 }
 
 // Build runs Tarjan once over g and constructs the maintained state.
